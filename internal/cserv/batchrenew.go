@@ -1,4 +1,4 @@
-// batchrenew.go — the batched EER renewal message (tag 6) and its handler.
+// batchrenew.go — the batched EER renewal message (tag 7) and its handler.
 //
 // A renewal storm is the control plane's steady-state load: every live EER
 // renews once per lifetime (16 s, §4.2), so a million flows mean ~60 k
@@ -20,6 +20,8 @@ package cserv
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
+	"strconv"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -55,6 +57,15 @@ type EEBatchItem struct {
 	DstHost uint32
 }
 
+// Wire sizes of the per-item entries. Every count a decoder reads is checked
+// against the bytes that remain divided by these before anything is sized by
+// it: the counts arrive before any MAC can be verified.
+const (
+	eeBatchItemLen = 12 + 2 + 8 + 4 + 4 + 4 // one Items entry of the MAC-covered body
+	eeBatchTailLen = 8 + 1                  // one Accums/Status (or Granted/Status) entry
+	eeBatchAuthMin = 2                      // one EncAuths entry: its length prefix
+)
+
 // EEBatchRenewReq renews a wave of EERs that share one SegR chain. SegIDs,
 // Splits, and Path have EESetupReq's meaning and apply to every item. Accums
 // and Status are AS-added mutable data (outside the source's MACs, like
@@ -68,11 +79,22 @@ type EEBatchRenewReq struct {
 	Macs   [][cryptoutil.MACSize]byte
 	Accums []uint64
 	Status []uint8
+
+	// wire is the encoding of Body() ‖ Macs this request was decoded from (at
+	// the initiator: encoded into) and bodyLen the body's share of it. No hop
+	// changes those fields, so a hop authenticates and forwards the bytes it
+	// received instead of encoding them again. wire aliases the received
+	// message, which is read-only to the handler (the sender may resend it).
+	wire    []byte
+	bodyLen int
 }
 
 // Body returns the MAC-covered canonical encoding.
 func (r *EEBatchRenewReq) Body() []byte {
-	b := make([]byte, 0, 64+16*len(r.Path)+32*len(r.Items))
+	return r.appendBody(make([]byte, 0, 64+16*len(r.Path)+eeBatchItemLen*len(r.Items)))
+}
+
+func (r *EEBatchRenewReq) appendBody(b []byte) []byte {
 	b = append(b, tagEEBatchRenew)
 	b = append(b, byte(len(r.SegIDs)))
 	for _, id := range r.SegIDs {
@@ -94,9 +116,8 @@ func (r *EEBatchRenewReq) Body() []byte {
 	return b
 }
 
-// Marshal appends the MACs and the mutable per-item tail to the body.
-func (r *EEBatchRenewReq) Marshal() []byte {
-	b := appendMacs(r.Body(), r.Macs)
+// appendTail appends the mutable per-item tail.
+func (r *EEBatchRenewReq) appendTail(b []byte) []byte {
 	for i := range r.Items {
 		b = binary.BigEndian.AppendUint64(b, r.Accums[i])
 		b = append(b, r.Status[i])
@@ -104,13 +125,27 @@ func (r *EEBatchRenewReq) Marshal() []byte {
 	return b
 }
 
+// Marshal appends the MACs and the mutable per-item tail to the body.
+func (r *EEBatchRenewReq) Marshal() []byte {
+	return r.appendTail(appendMacs(r.Body(), r.Macs))
+}
+
 // UnmarshalEEBatchRenewReq parses an EEBatchRenewReq.
 func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
+	r := &EEBatchRenewReq{}
+	if err := r.unmarshal(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unmarshal decodes data into r, reusing the capacity of r's per-item slices.
+func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	if d.u8() != tagEEBatchRenew {
-		return nil, ErrBadTag
+		return ErrBadTag
 	}
-	r := &EEBatchRenewReq{}
+	r.SegIDs, r.Splits = r.SegIDs[:0], r.Splits[:0]
 	nseg := int(d.u8())
 	for i := 0; i < nseg && d.err == nil; i++ {
 		r.SegIDs = append(r.SegIDs, d.id())
@@ -121,28 +156,24 @@ func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
 	}
 	r.Path = d.hops()
 	n := int(d.u32())
-	if d.err == nil {
-		r.Items = make([]EEBatchItem, 0, n)
+	if d.err == nil && n > len(d.buf)/(eeBatchItemLen+eeBatchTailLen) {
+		return ErrTruncated
 	}
+	r.Items, r.Accums, r.Status = slices.Grow(r.Items[:0], n), slices.Grow(r.Accums[:0], n), slices.Grow(r.Status[:0], n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Items = append(r.Items, EEBatchItem{
 			ID: d.id(), Ver: d.u16(), BwKbps: d.u64(),
 			ExpT: d.u32(), SrcHost: d.u32(), DstHost: d.u32(),
 		})
 	}
+	r.bodyLen = len(data) - len(d.buf)
 	r.Macs = d.macs()
-	if d.err == nil {
-		r.Accums = make([]uint64, 0, n)
-		r.Status = make([]uint8, 0, n)
-	}
+	r.wire = data[:len(data)-len(d.buf)]
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Accums = append(r.Accums, d.u64())
 		r.Status = append(r.Status, d.u8())
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return r, nil
+	return d.err
 }
 
 // EEBatchRenewResp travels the reverse path. OK reports the batch was
@@ -159,9 +190,13 @@ type EEBatchRenewResp struct {
 	EncAuths [][]byte
 }
 
-// Marshal encodes the response.
+// Marshal encodes the response into one buffer of exactly its size.
 func (r *EEBatchRenewResp) Marshal() []byte {
-	b := []byte{boolByte(r.OK), r.FailedAt}
+	size := 2 + 2 + len(r.Reason) + 4 + eeBatchTailLen*len(r.Granted) + 4 + eeBatchAuthMin*len(r.EncAuths)
+	for _, ea := range r.EncAuths {
+		size += len(ea)
+	}
+	b := append(make([]byte, 0, size), boolByte(r.OK), r.FailedAt)
 	b = appendString(b, r.Reason)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Granted)))
 	for i := range r.Granted {
@@ -176,37 +211,87 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 	return b
 }
 
-// UnmarshalEEBatchRenewResp parses an EEBatchRenewResp.
+// UnmarshalEEBatchRenewResp parses an EEBatchRenewResp. The EncAuths of the
+// result alias data: they are valid until the caller modifies data, and
+// whatever outlives it (a grant's hop authenticators) is copied out.
 func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
-	d := decoder{buf: data}
 	r := &EEBatchRenewResp{}
+	if err := r.unmarshal(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unmarshal decodes data into r, reusing the capacity of r's slices.
+func (r *EEBatchRenewResp) unmarshal(data []byte) error {
+	d := decoder{buf: data}
 	r.OK = d.u8() == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
 	n := int(d.u32())
-	if d.err == nil {
-		r.Granted = make([]uint64, 0, n)
-		r.Status = make([]uint8, 0, n)
+	if d.err == nil && n > len(d.buf)/eeBatchTailLen {
+		return ErrTruncated
 	}
+	r.Granted, r.Status = slices.Grow(r.Granted[:0], n), slices.Grow(r.Status[:0], n)
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Granted = append(r.Granted, d.u64())
 		r.Status = append(r.Status, d.u8())
 	}
 	na := int(d.u32())
+	if d.err == nil && na > len(d.buf)/eeBatchAuthMin {
+		return ErrTruncated
+	}
+	r.EncAuths = slices.Grow(r.EncAuths[:0], na)
 	for i := 0; i < na && d.err == nil; i++ {
-		m := int(d.u16())
-		if m == 0 {
-			r.EncAuths = append(r.EncAuths, nil)
-			continue
-		}
-		ea := make([]byte, m)
-		d.bytes(ea)
-		r.EncAuths = append(r.EncAuths, ea)
+		r.EncAuths = append(r.EncAuths, d.take(int(d.u16())))
 	}
-	if d.err != nil {
-		return nil, d.err
+	return d.err
+}
+
+// waveScratch is the working memory of one batch renewal at one service: the
+// decoded request and downstream response, the per-item states, and the flat
+// buffers this hop encodes and seals into. A service keeps its idle scratch
+// (getWave/putWave), so a steady renewal storm allocates per wave only what
+// leaves the handler — the marshaled response, the grants.
+type waveScratch struct {
+	req    EEBatchRenewReq
+	resp   EEBatchRenewResp
+	states []eeBatchState
+	fwd    []byte // the request as forwarded to the next hop
+	sealed []byte // this hop's sealed authenticators, back to back
+	nonces []byte // their nonces, drawn in one read
+	ad     []byte
+	sigma  cryptoutil.Key
+}
+
+// maxRetainedWave caps the item capacity of scratch a service keeps: a wave
+// far beyond what KeeperFleet sends is served, but its buffers are not kept.
+const maxRetainedWave = 2 * DefaultBatchSize
+
+func (s *Service) getWave() *waveScratch {
+	s.waveMu.Lock()
+	defer s.waveMu.Unlock()
+	if n := len(s.waveFree); n > 0 {
+		sc := s.waveFree[n-1]
+		s.waveFree = s.waveFree[:n-1]
+		return sc
 	}
-	return r, nil
+	return &waveScratch{}
+}
+
+// putWave returns scratch once nothing refers to it any more: the response
+// is marshaled (or, at the initiator, opened into the grants).
+func (s *Service) putWave(sc *waveScratch) {
+	if cap(sc.req.Items) > maxRetainedWave || cap(sc.resp.EncAuths) > maxRetainedWave*packet.MaxHops {
+		return
+	}
+	// Drop what aliases memory the wave did not own — the received message,
+	// the downstream response, the initiator's grants.
+	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0]}
+	clear(sc.resp.EncAuths)
+	s.waveMu.Lock()
+	s.waveFree = append(s.waveFree, sc)
+	s.waveMu.Unlock()
 }
 
 // eeBatchState tracks one item's fate at this hop during the forward pass.
@@ -229,37 +314,41 @@ type eeBatchState struct {
 	tCapped, tGrant uint64
 }
 
-// processEEBatchRenew handles a batched renewal wave at hop idx: one MAC
-// verification and one rate-limit token for the whole wave, per-item dedup /
-// throttle / admission, a single shard-major CPlane.RenewBatch for the
-// single-segment items (transfer-AS hops renew item-by-item through
-// RenewEERPath, which locks both owning shards), then forward and the
-// response-pass adjust/seal. A transport-level downstream failure rolls back
-// every non-duplicate item this hop admitted.
-func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEBatchRenewResp) {
+// processEEBatchRenew handles the batched renewal wave decoded into sc.req at
+// hop idx. What the wave pays once: one MAC verification and one rate-limit
+// token, one acquisition of the covering SegRs' shard locks for the whole
+// forward pass, one sealer and one read of nonces for the response pass, one
+// update per counter. What each item pays: dedup / throttle / admission in
+// that order on the forward pass, and on the response pass the adjustment to
+// the path-wide minimum and the seal of this AS's hop authenticator. A
+// transport-level downstream failure rolls back every non-duplicate item this
+// hop admitted. The result may point into sc.
+func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchRenewResp) {
+	req := &sc.req
+	n := len(req.Items)
 	defer func() {
+		ok, total := 0, n
 		if resp_.OK {
-			for i := range resp_.Status {
-				if resp_.Status[i] == EEItemOK {
-					s.metrics.EERenewOK.Add(1)
-				} else {
-					s.metrics.EERenewFail.Add(1)
+			total = len(resp_.Status)
+			for _, st := range resp_.Status {
+				if st == EEItemOK {
+					ok++
 				}
 			}
-		} else {
-			s.metrics.EERenewFail.Add(uint64(len(req.Items)))
 		}
+		s.metrics.EERenewOK.Add(uint64(ok))
+		s.metrics.EERenewFail.Add(uint64(total - ok))
 		s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvEERenew,
-			fmt.Sprintf("batch[%d]", len(req.Items)), resp_.OK, resp_.Reason)
+			"batch["+strconv.Itoa(len(req.Items))+"]", resp_.OK, resp_.Reason)
 	}()
 	fail := func(format string, args ...any) *EEBatchRenewResp {
 		return &EEBatchRenewResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
 	}
-	if len(req.Items) == 0 || len(req.Accums) != len(req.Items) || len(req.Status) != len(req.Items) {
+	if n == 0 || len(req.Accums) != n || len(req.Status) != n {
 		return fail("malformed batch")
 	}
 	if idx > 0 {
-		if err := s.verifySourceMac(req.Items[0].ID.SrcAS, req.Body(), req.Macs, idx); err != nil {
+		if err := s.verifySourceMac(req.Items[0].ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx); err != nil {
 			s.metrics.AuthFailures.Add(1)
 			return fail("authentication: %v", err)
 		}
@@ -289,163 +378,130 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 	transferHop := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
 	hop := req.Path[idx]
 
-	states := make([]eeBatchState, len(req.Items))
-	// Forward pass, stage 1: dedup, throttle, previous-version capture, and
-	// the transfer-AS split. Single-segment renewals are deferred into one
-	// shard-major wave; two-segment records (transfer and core/down hops)
-	// and re-admissions run inline through the path ops.
-	waveEligible := s.cp != nil && len(localSegIDs) == 1
-	var waveItems []EERRenewal
-	var waveIdx []int
-	if waveEligible {
-		waveItems = make([]EERRenewal, 0, len(req.Items))
-		waveIdx = make([]int, 0, len(req.Items))
-	}
-	for i := range req.Items {
-		it := &req.Items[i]
-		st := &states[i]
-		if req.Status[i] != EEItemOK {
-			st.status = req.Status[i]
-			continue
-		}
-		asked := req.Accums[i]
-		if asked > it.BwKbps {
-			asked = it.BwKbps
-		}
-		// Idempotent retry dedup, before the throttle (a retry of the very
-		// renewal the throttle just admitted must not be throttled).
-		if s.cp != nil {
-			bw, ver, expT, ok := s.cp.LookupEER(it.ID, localSegIDs[0])
-			if ok && ver == it.Ver && expT == it.ExpT {
-				st.dup, st.grant = true, bw
-				s.metrics.DedupHits.Add(1)
+	sc.states = slices.Grow(sc.states[:0], n)[:n]
+	clear(sc.states)
+	states := sc.states
+	// Forward pass: every item in wave order — dedup, throttle, the
+	// transfer-AS split, then renewal (or re-admission of a record this AS no
+	// longer holds). Each item settles before the next one starts, so the
+	// demand a later item sees is what per-EER processing would have shown
+	// it. p is the CPlane's covering-SegR set with its shard locks held for
+	// the whole pass; the zero path in single-store mode.
+	var dedups, throttled, refused uint64
+	forward := func(p eerPath) {
+		live := p.c != nil
+		for i := range req.Items {
+			it := &req.Items[i]
+			st := &states[i]
+			if req.Status[i] != EEItemOK {
+				st.status = req.Status[i]
 				continue
 			}
-			st.hadPrev, st.prevBw, st.prevVer, st.prevExpT = ok, bw, ver, expT
-		} else if existing, gerr := s.store.GetEER(it.ID); gerr == nil {
-			for _, v := range existing.Versions {
-				if v.Ver == it.Ver && v.ExpT == it.ExpT {
-					st.dup, st.grant = true, v.BwKbps
-					break
+			asked := min(req.Accums[i], it.BwKbps)
+			// Idempotent retry dedup, before the throttle (a retry of the very
+			// renewal the throttle just admitted must not be throttled); what
+			// is not a retry is the version this renewal replaces.
+			var prev cpEER
+			if live {
+				prev, st.hadPrev = p.lookup(it.ID)
+				st.dup = st.hadPrev && prev.ver == it.Ver && prev.expT == it.ExpT
+				st.prevBw, st.prevVer, st.prevExpT = prev.bw, prev.ver, prev.expT
+			} else if existing, gerr := s.store.GetEER(it.ID); gerr == nil {
+				for _, v := range existing.Versions {
+					if v.Ver == it.Ver && v.ExpT == it.ExpT {
+						st.dup, st.prevBw = true, v.BwKbps
+						break
+					}
+				}
+				if !st.dup {
+					// Mirrors the CPlane branch so the transfer split releases
+					// identically in both modes.
+					st.prevBw, st.prevVer, st.prevExpT, st.hadPrev = s.store.LiveVersion(it.ID, now)
 				}
 			}
 			if st.dup {
-				s.metrics.DedupHits.Add(1)
+				st.grant = st.prevBw
+				dedups++
 				continue
 			}
-			// Replaced-version capture, mirroring the CPlane branch so the
-			// transfer split releases identically in both modes.
-			st.prevBw, st.prevVer, st.prevExpT, st.hadPrev = s.store.LiveVersion(it.ID, now)
-		}
-		if !s.renewLim.Allow(it.ID, now) {
-			s.metrics.RenewThrottle.Add(1)
-			st.status = EEItemThrottled
-			continue
-		}
-		grant := asked
-		if transferHop {
-			up, core := segRs[0], segRs[1]
-			upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-			if s.cp != nil {
-				upAvail = s.cp.SegAvail(up.ID, now, it.ExpT)
-				coreAvail = s.cp.SegAvail(core.ID, now, it.ExpT)
-			}
-			if st.hadPrev && st.prevExpT > now {
-				// The renewal replaces this EER's own live charge; credit it so
-				// the split sees the post-renewal headroom — identically in both
-				// admission modes (the store's versions share one budget).
-				upAvail += st.prevBw
-				coreAvail += st.prevBw
-			}
-			grant = s.transfer.Admit(core.ID, up.ID, asked,
-				up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
-			st.tCapped = asked
-			if st.tCapped > up.Active.BwKbps {
-				st.tCapped = up.Active.BwKbps
-			}
-			if grant == 0 {
-				s.transfer.Release(core.ID, up.ID, st.tCapped, grant)
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemRefused
+			if !s.renewLim.Allow(it.ID, now) {
+				throttled++
+				st.status = EEItemThrottled
 				continue
 			}
-			st.tAdmitted, st.tGrant = true, grant
-		}
-		switch {
-		case waveEligible && st.hadPrev:
-			// Deferred into the shard-major wave below.
-			waveItems = append(waveItems, EERRenewal{
-				EER: it.ID, Seg: localSegIDs[0], BwKbps: grant, ExpT: it.ExpT, Ver: it.Ver,
-			})
-			waveIdx = append(waveIdx, i)
-		case s.cp != nil && st.hadPrev:
-			g, err := s.cp.RenewEERPath(it.ID, localSegIDs, grant, it.ExpT, it.Ver)
+			grant := asked
+			if transferHop {
+				up, core := segRs[0], segRs[1]
+				upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
+				if live {
+					upAvail, coreAvail = p.avail(0, it.ExpT), p.avail(1, it.ExpT)
+				}
+				if st.hadPrev && st.prevExpT > now {
+					// The renewal replaces this EER's own live charge; credit it so
+					// the split sees the post-renewal headroom — identically in both
+					// admission modes (the store's versions share one budget).
+					upAvail += st.prevBw
+					coreAvail += st.prevBw
+				}
+				grant = s.transfer.Admit(core.ID, up.ID, asked,
+					up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
+				st.tCapped = min(asked, up.Active.BwKbps)
+				if grant == 0 {
+					s.transfer.Release(core.ID, up.ID, st.tCapped, grant)
+					refused++
+					st.status = EEItemRefused
+					continue
+				}
+				st.tAdmitted, st.tGrant = true, grant
+			}
+			var err error
+			failed := EEItemRefused
+			switch {
+			case live && st.hadPrev:
+				grant, err = p.renew(it.ID, prev, grant, it.ExpT, it.Ver)
+			case live:
+				// No record here (expired, or lost in a crash): re-admit so the
+				// flow re-promotes instead of staying demoted (§3.2).
+				err, failed = p.setup(it.ID, grant, it.ExpT, it.Ver), EEItemStale
+			default:
+				eer := &reservation.EER{
+					ID: it.ID, In: hop.In, Eg: hop.Eg,
+					SrcHost: it.SrcHost, DstHost: it.DstHost,
+				}
+				v := reservation.Version{Ver: it.Ver, BwKbps: grant, ExpT: it.ExpT}
+				err = s.store.AdmitEERVersion(eer, localSegIDs, v, now)
+			}
 			if err != nil {
 				s.releaseBatchTransfer(localSegIDs, st)
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemRefused
-				continue
-			}
-			st.grant, st.admitted = g, true
-		case s.cp != nil:
-			// No record here (expired, or lost in a crash): re-admit so the
-			// flow re-promotes instead of staying demoted (§3.2).
-			if err := s.cp.SetupEERPath(it.ID, localSegIDs, grant, it.ExpT, it.Ver); err != nil {
-				s.releaseBatchTransfer(localSegIDs, st)
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemStale
+				refused++
+				st.status = failed
 				continue
 			}
 			st.grant, st.admitted = grant, true
-		default:
-			eer := &reservation.EER{
-				ID: it.ID, In: hop.In, Eg: hop.Eg,
-				SrcHost: it.SrcHost, DstHost: it.DstHost,
-			}
-			v := reservation.Version{Ver: it.Ver, BwKbps: grant, ExpT: it.ExpT}
-			if err := s.store.AdmitEERVersion(eer, localSegIDs, v, now); err != nil {
-				s.releaseBatchTransfer(localSegIDs, st)
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemRefused
-				continue
-			}
-			st.grant, st.admitted = grant, true
-		}
-		if st.tAdmitted {
-			// Settle the split to the admitted charge immediately: release the
-			// over-ask (capped − grant) and the replaced version's live charge,
-			// exactly as sequential per-EER processing would have done before
-			// the next renewal's Admit — later items in the wave must see the
-			// same intermediate demand, or the two paths' grants diverge.
-			s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped-st.tGrant, 0)
-			st.tCapped = st.tGrant
-			if st.hadPrev && st.prevExpT > now {
-				s.transfer.Release(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
-				st.prevReleased = true
+			if st.tAdmitted {
+				// Settle the split to the admitted charge immediately: release the
+				// over-ask (capped − grant) and the replaced version's live charge,
+				// exactly as sequential per-EER processing would have done before
+				// the next renewal's Admit — later items in the wave must see the
+				// same intermediate demand, or the two paths' grants diverge.
+				s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped-st.tGrant, 0)
+				st.tCapped = st.tGrant
+				if st.hadPrev && st.prevExpT > now {
+					s.transfer.Release(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
+					st.prevReleased = true
+				}
 			}
 		}
 	}
-	// Forward pass, stage 2: the deferred single-segment renewals as ONE
-	// shard-major wave — each shard lock is taken once for the whole batch,
-	// fanned across the CPlane's workers.
-	if len(waveItems) > 0 {
-		waveResults := make([]RenewResult, len(waveItems))
-		s.cp.RenewBatch(waveItems, waveResults)
-		for w, i := range waveIdx {
-			st := &states[i]
-			if err := waveResults[w].Err; err != nil {
-				s.metrics.AdmReject.Add(1)
-				s.metrics.AdmFallback.Add(1)
-				st.status = EEItemRefused
-				continue
-			}
-			st.grant, st.admitted = waveResults[w].Granted, true
-		}
+	if s.cp != nil {
+		s.cp.withPath(localSegIDs, forward)
+	} else {
+		forward(eerPath{})
 	}
+	s.metrics.DedupHits.Add(dedups)
+	s.metrics.RenewThrottle.Add(throttled)
+	s.metrics.AdmReject.Add(refused)
+	s.metrics.AdmFallback.Add(refused)
 	rollbackAll := func() {
 		for i := range req.Items {
 			st := &states[i]
@@ -463,26 +519,27 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 			req.Status[i] = states[i].status
 		}
 	}
-	var resp *EEBatchRenewResp
+	nAuth := n * len(req.Path)
+	resp := &sc.resp
 	if idx == len(req.Path)-1 {
-		resp = &EEBatchRenewResp{
+		*resp = EEBatchRenewResp{
 			OK:       true,
-			Granted:  make([]uint64, len(req.Items)),
-			Status:   make([]uint8, len(req.Items)),
-			EncAuths: make([][]byte, len(req.Items)*len(req.Path)),
+			Granted:  append(resp.Granted[:0], req.Accums...),
+			Status:   append(resp.Status[:0], req.Status...),
+			EncAuths: slices.Grow(resp.EncAuths[:0], nAuth)[:nAuth],
 		}
-		copy(resp.Granted, req.Accums)
-		copy(resp.Status, req.Status)
+		clear(resp.EncAuths)
 	} else {
 		next := req.Path[idx+1].IA
-		data, err := s.transport.Call(next, req.Marshal())
+		sc.fwd = req.appendTail(append(sc.fwd[:0], req.wire...))
+		data, err := s.transport.Call(next, sc.fwd)
 		if err != nil {
 			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("transport: %v", err)}
-		} else if resp, err = UnmarshalEEBatchRenewResp(data); err != nil {
+		} else if err = resp.unmarshal(data); err != nil {
 			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("response: %v", err)}
 		}
 	}
-	if !resp.OK || len(resp.Granted) != len(req.Items) || len(resp.EncAuths) != len(req.Items)*len(req.Path) {
+	if !resp.OK || len(resp.Granted) != n || len(resp.EncAuths) != nAuth {
 		rollbackAll()
 		if resp.OK {
 			return fail("malformed downstream response")
@@ -491,8 +548,17 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 	}
 
 	// Response pass: adjust live items to the path-wide minimum, roll back
-	// items a downstream hop killed, and seal this AS's hop authenticators.
-	keys := make(map[topology.IA]cryptoutil.Key, 1)
+	// items a downstream hop killed, and seal this AS's hop authenticators —
+	// into one flat buffer, each under its own fresh random nonce, all of
+	// them drawn in one read.
+	sc.nonces = slices.Grow(sc.nonces[:0], n*cryptoutil.NonceSize)[:n*cryptoutil.NonceSize]
+	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
+		rollbackAll()
+		return fail("seal: %v", err)
+	}
+	sc.sealed = slices.Grow(sc.sealed[:0], n*sealedAuthLen)
+	var sealer *cryptoutil.Sealer
+	var sealerAS topology.IA
 	for i := range req.Items {
 		it := &req.Items[i]
 		st := &states[i]
@@ -516,29 +582,22 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 				continue
 			}
 		}
-		res := &packet.ResInfo{
+		res := packet.ResInfo{
 			SrcAS:  it.ID.SrcAS,
 			ResID:  it.ID.Num,
 			BwKbps: uint32(final),
 			ExpT:   it.ExpT,
 			Ver:    it.Ver,
 		}
-		eerInfo := &packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
-		sigma := s.hopAuth(res, eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-		key, ok := keys[it.ID.SrcAS]
-		if !ok {
-			key, _ = s.engine.Level1(it.ID.SrcAS, now)
-			keys[it.ID.SrcAS] = key
+		eerInfo := packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
+		sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
+		if sealer == nil || it.ID.SrcAS != sealerAS {
+			key, _ := s.engine.Level1(it.ID.SrcAS, now)
+			sealer, sealerAS = s.cryptoFor(key).sealer, it.ID.SrcAS
 		}
-		sealed, err := cryptoutil.Seal(key, sigma[:], eerAuthAD(it.ID, uint8(idx)))
-		if err != nil {
-			if st.admitted && !st.dup {
-				s.rollbackBatchItem(it, localSegIDs, st)
-			}
-			resp.Status[i] = EEItemRefused
-			resp.Granted[i] = 0
-			continue
-		}
+		sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
+		off := len(sc.sealed)
+		sc.sealed = sealer.SealTo(sc.sealed, sc.nonces[i*cryptoutil.NonceSize:], sc.sigma[:], sc.ad)
 		if st.tAdmitted {
 			// Committed: clamp the split's record of this item — already
 			// settled to its grant in the forward pass — down to the final
@@ -546,7 +605,7 @@ func (s *Service) processEEBatchRenew(req *EEBatchRenewReq, idx int) (resp_ *EEB
 			s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped-final, st.tGrant-final)
 			st.tAdmitted = false
 		}
-		resp.EncAuths[i*len(req.Path)+idx] = sealed
+		resp.EncAuths[i*len(req.Path)+idx] = sc.sealed[off:len(sc.sealed):len(sc.sealed)]
 	}
 	return resp
 }
@@ -603,56 +662,52 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		return grants, errs
 	}
 	now := s.clock()
-	req := &EEBatchRenewReq{
-		SegIDs: prevs[0].SegIDs,
-		Splits: prevs[0].Splits,
-		Path:   prevs[0].PathHops,
-		Items:  make([]EEBatchItem, len(prevs)),
-		Accums: make([]uint64, len(prevs)),
-		Status: make([]uint8, len(prevs)),
-	}
+	sc := s.getWave()
+	defer s.putWave(sc)
+	req := &sc.req
+	req.SegIDs, req.Splits, req.Path = prevs[0].SegIDs, prevs[0].Splits, prevs[0].PathHops
 	for i, p := range prevs {
-		req.Items[i] = EEBatchItem{
+		req.Items = append(req.Items, EEBatchItem{
 			ID:      p.ID,
 			Ver:     p.Res.Ver + 1,
 			BwKbps:  newBwKbps[i],
 			ExpT:    now + reservation.EERLifetimeSeconds,
 			SrcHost: p.EER.SrcHost,
 			DstHost: p.EER.DstHost,
-		}
-		req.Accums[i] = newBwKbps[i]
+		})
+		req.Accums = append(req.Accums, newBwKbps[i])
+		req.Status = append(req.Status, EEItemOK)
 	}
-	macs, err := s.computeMacs(req.Path, req.Body())
-	if err != nil {
+	failAll := func(err error) ([]*EERGrant, []error) {
 		for i := range errs {
 			errs[i] = err
 		}
 		return grants, errs
 	}
-	req.Macs = macs
-	resp := s.processEEBatchRenew(req, 0)
-	if !resp.OK {
-		for i := range errs {
-			errs[i] = fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
-		}
-		return grants, errs
-	}
-	// Decrypt the hop authenticators (Eq. 5) for the surviving items; level-1
-	// keys are fetched once per hop, not once per item.
-	hopKeys := make([]cryptoutil.Key, len(req.Path))
+	// Level-1 keys — hence request MACs and sealers — are fetched once per
+	// hop, not once per item.
+	hops := make([]*keyCrypto, len(req.Path))
 	for h, ph := range req.Path {
-		if ph.IA == s.ia {
-			hopKeys[h], _ = s.engine.Level1(s.ia, now)
-		} else {
-			hopKeys[h], err = s.keys.Get(ph.IA, now)
-			if err != nil {
-				for i := range errs {
-					errs[i] = err
-				}
-				return grants, errs
-			}
+		key, err := s.hopKey(ph.IA, now)
+		if err != nil {
+			return failAll(err)
 		}
+		hops[h] = s.cryptoFor(key)
 	}
+	sc.fwd = req.appendBody(sc.fwd[:0])
+	req.bodyLen = len(sc.fwd)
+	req.Macs = make([][cryptoutil.MACSize]byte, len(hops))
+	for h, kc := range hops {
+		kc.mac(&req.Macs[h], sc.fwd)
+	}
+	sc.fwd = appendMacs(sc.fwd, req.Macs)
+	req.wire = sc.fwd
+	resp := s.processEEBatchRenew(sc, 0)
+	if !resp.OK {
+		return failAll(fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason))
+	}
+	// Decrypt the hop authenticators (Eq. 5) of the surviving items.
+	path := HopFields(req.Path)
 	for i, p := range prevs {
 		switch resp.Status[i] {
 		case EEItemOK:
@@ -677,27 +732,20 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 				Ver:    it.Ver,
 			},
 			EER:      packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost},
-			Path:     HopFields(req.Path),
+			Path:     path,
 			PathHops: p.PathHops,
 			Splits:   p.Splits,
 			SegIDs:   p.SegIDs,
-			HopAuths: make([]cryptoutil.Key, len(req.Path)),
-		}
-		bad := false
-		for h := range req.Path {
-			enc := resp.EncAuths[i*len(req.Path)+h]
-			pt, oerr := cryptoutil.Open(hopKeys[h], enc, eerAuthAD(p.ID, uint8(h)))
-			if oerr != nil {
-				errs[i] = fmt.Errorf("cserv: opening hop authenticator %d of %s: %w", h, p.ID, oerr)
-				bad = true
-				break
-			}
-			copy(g.HopAuths[h][:], pt)
-		}
-		if bad {
-			continue
+			HopAuths: make([]cryptoutil.Key, len(hops)),
 		}
 		grants[i] = g
+		for h, kc := range hops {
+			sc.ad = eerAuthAD(sc.ad[:0], p.ID, uint8(h))
+			if oerr := openHopAuth(kc.sealer, &g.HopAuths[h], resp.EncAuths[i*len(hops)+h], sc.ad); oerr != nil {
+				grants[i], errs[i] = nil, fmt.Errorf("cserv: opening hop authenticator %d of %s: %w", h, p.ID, oerr)
+				break
+			}
+		}
 	}
 	return grants, errs
 }

@@ -379,6 +379,15 @@ func (c *CPlane) SetupEERAt(eer, seg reservation.ID, bwKbps uint64, startT, expT
 	return nil
 }
 
+// headroom is a SegR's grant minus the EER demand already charged against it
+// (0 when the demand has reached the grant).
+func headroom(grantKbps uint64, demand int64) uint64 {
+	if uint64(demand) >= grantKbps {
+		return 0
+	}
+	return grantKbps - uint64(demand)
+}
+
 //colibri:nomalloc
 func (sh *cplaneShard) setupEERLocked(eer, seg reservation.ID, bwKbps uint64, now, startT, expT uint32, ver uint16) error {
 	led, ok := sh.ledgers[seg]
@@ -392,13 +401,7 @@ func (sh *cplaneShard) setupEERLocked(eer, seg reservation.ID, bwKbps uint64, no
 	if startT == 0 {
 		startT = now
 	}
-	free := sh.segBw[seg]
-	if m := led.MaxDemand(startT, expT); uint64(m) >= free {
-		free = 0
-	} else {
-		free -= uint64(m)
-	}
-	if bwKbps > free {
+	if bwKbps > headroom(sh.segBw[seg], led.MaxDemand(startT, expT)) {
 		return ErrInsufficient
 	}
 	if err := led.Reserve(eer, startT, expT, int64(bwKbps)); err != nil {
@@ -452,6 +455,12 @@ func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (
 	sh.mu.Lock()
 	g, err, gone := sh.renewEERLocked(&it, now)
 	sh.mu.Unlock()
+	c.tallyRenew(err, gone)
+	return g, err
+}
+
+// tallyRenew counts one renewal outcome (RenewBatch tallies per bucket instead).
+func (c *CPlane) tallyRenew(err error, gone bool) {
 	switch {
 	case err == nil:
 		c.renews.Add(1)
@@ -463,7 +472,6 @@ func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (
 	if gone {
 		c.eerCount.Add(-1)
 	}
-	return g, err
 }
 
 // RenewBatch processes a renewal wave shard-major: items are bucketed by
@@ -557,6 +565,15 @@ func (sh *cplaneShard) renewEERLocked(it *EERRenewal, now uint32) (grant uint64,
 	if !ok || e.seg != it.Seg {
 		return 0, ErrUnknownEER, false
 	}
+	return sh.renewRecLocked(e, it, now)
+}
+
+// renewRecLocked renews the record e, which the caller has just read from
+// sh.eers under it.EER and it.Seg — the live wave reads it once for its
+// dedup check and hands it on instead of probing the map a second time.
+//
+//colibri:nomalloc
+func (sh *cplaneShard) renewRecLocked(e cpEER, it *EERRenewal, now uint32) (grant uint64, err error, gone bool) {
 	if e.seg2 != (reservation.ID{}) {
 		// Transfer-AS record: its second charge lives in another shard, so
 		// the single-shard batch path must not touch it (RenewEERPath does).
@@ -571,16 +588,7 @@ func (sh *cplaneShard) renewEERLocked(it *EERRenewal, now uint32) (grant uint64,
 	// replaces the version, it does not stack on it. Teardown reports false
 	// when Advance already expired the entry.
 	led.Teardown(it.EER)
-	free := sh.segBw[it.Seg]
-	if m := led.MaxDemand(now, it.ExpT); uint64(m) >= free {
-		free = 0
-	} else {
-		free -= uint64(m)
-	}
-	grant = it.BwKbps
-	if grant > free {
-		grant = free
-	}
+	grant = min(it.BwKbps, headroom(sh.segBw[it.Seg], led.MaxDemand(now, it.ExpT)))
 	if grant == 0 {
 		// Refused. Restore the previous version if it is still live so the
 		// flow keeps its old allocation until expiry (§4.2 fallback).

@@ -58,12 +58,7 @@ func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
 		return 0
 	}
 	led.Advance(fromT)
-	free := sh.segBw[seg]
-	m := led.MaxDemand(fromT, toT)
-	if uint64(m) >= free {
-		return 0
-	}
-	return free - uint64(m)
+	return headroom(sh.segBw[seg], led.MaxDemand(fromT, toT))
 }
 
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
@@ -179,32 +174,29 @@ func normPath(segs []reservation.ID) []reservation.ID {
 	return segs
 }
 
-// SetupEERPath admits an EER of bwKbps until expT against its covering
-// SegRs at this AS — one for most hops, two at a transfer AS (§4.7), in
-// which case the demand must fit under BOTH SegRs' grants and is charged on
-// both ledgers. Admission is full-or-nothing. The record carries ver for
-// idempotent dedup; segs[0] is the primary segment that owns the record.
-func (c *CPlane) SetupEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
+// eerPath is one hop's covering-SegR set with its shard locks held (see
+// withPath): the record lookups, availability probes, renewals and
+// re-admissions of a whole renewal wave run against it without locking again.
+// All items of a wave share the chain, hence the covering set, hence the
+// shard pair — which is what lets a wave lock once and still settle its items
+// strictly in order.
+type eerPath struct {
+	c    *CPlane
+	segs []reservation.ID // normalized: one entry, or two distinct ones
+	now  uint32
+	prim *cplaneShard // shard of segs[0], which owns the EER records
+	// led and segBw are each covering SegR's demand ledger (nil when unknown)
+	// and current grant, resolved once while the locks are held.
+	led   [2]*restree.Ledger[reservation.ID]
+	segBw [2]uint64
+}
+
+// withPath runs fn with the shard locks of the covering-SegR set held, taken
+// in ascending shard order like every other function of this file. fn must
+// not call any other CPlane method (the shard locks are not reentrant). The
+// path is passed by value so that it stays on the stack.
+func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 	segs = normPath(segs)
-	if len(segs) == 1 {
-		sh := c.shardFor(segs[0])
-		now := c.clock()
-		sh.mu.Lock()
-		err := sh.setupEERLocked(eer, segs[0], bwKbps, now, now, expT, ver)
-		sh.mu.Unlock()
-		if err != nil {
-			if err == restree.ErrExists {
-				c.dedups.Add(1)
-			} else {
-				c.rejects.Add(1)
-			}
-			return err
-		}
-		c.eerCount.Add(1)
-		c.admits.Add(1)
-		return nil
-	}
-	now := c.clock()
 	a, b := c.pathShards(segs)
 	c.shards[a].mu.Lock()
 	defer c.shards[a].mu.Unlock()
@@ -212,152 +204,146 @@ func (c *CPlane) SetupEERPath(eer reservation.ID, segs []reservation.ID, bwKbps 
 		c.shards[b].mu.Lock()
 		defer c.shards[b].mu.Unlock()
 	}
-	prim := c.shardFor(segs[0])
-	if _, dup := prim.eers[eer]; dup {
-		c.dedups.Add(1)
-		return restree.ErrExists
-	}
-	var leds [2]*restree.Ledger[reservation.ID]
+	p := eerPath{c: c, segs: segs, now: c.clock(), prim: c.shardFor(segs[0])}
 	for k, seg := range segs {
 		sh := c.shardFor(seg)
-		led, ok := sh.ledgers[seg]
-		if !ok {
-			c.rejects.Add(1)
+		p.led[k], p.segBw[k] = sh.ledgers[seg], sh.segBw[seg]
+	}
+	fn(p)
+}
+
+// lookup returns the EER's record under the primary covering SegR — what
+// LookupEER returns, for the handlers' dedup and previous-version capture.
+func (p *eerPath) lookup(eer reservation.ID) (cpEER, bool) {
+	e, ok := p.prim.eers[eer]
+	if !ok || e.seg != p.segs[0] {
+		return cpEER{}, false
+	}
+	return e, true
+}
+
+// avail is SegAvail for covering SegR k over [now, toT).
+func (p *eerPath) avail(k int, toT uint32) uint64 {
+	led := p.led[k]
+	if led == nil {
+		return 0
+	}
+	led.Advance(p.now)
+	return headroom(p.segBw[k], led.MaxDemand(p.now, toT))
+}
+
+// setup admits an EER of bwKbps until expT against the covering SegRs — one
+// for most hops, two at a transfer AS (§4.7), in which case the demand must
+// fit under BOTH SegRs' grants and is charged on both ledgers. Admission is
+// full-or-nothing. The record carries ver for idempotent dedup; segs[0] is
+// the primary segment that owns the record.
+func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
+	c, now := p.c, p.now
+	err := restree.ErrExists
+	if len(p.segs) == 1 {
+		err = p.prim.setupEERLocked(eer, p.segs[0], bwKbps, now, now, expT, ver)
+	} else if _, dup := p.prim.eers[eer]; !dup {
+		err = p.setupPair(eer, bwKbps, expT, ver)
+	}
+	switch err {
+	case nil:
+		c.eerCount.Add(1)
+		c.admits.Add(1)
+	case restree.ErrExists:
+		// An idempotent retry hitting committed state, not a refusal.
+		c.dedups.Add(1)
+	default:
+		c.rejects.Add(1)
+	}
+	return err
+}
+
+func (p *eerPath) setupPair(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
+	for k, led := range p.led {
+		if led == nil {
 			return ErrUnknownSegR
 		}
-		led.Advance(now)
-		free := sh.segBw[seg]
-		if m := led.MaxDemand(now, expT); uint64(m) >= free {
-			free = 0
-		} else {
-			free -= uint64(m)
-		}
-		if bwKbps > free {
-			c.rejects.Add(1)
+		led.Advance(p.now)
+		if bwKbps > headroom(p.segBw[k], led.MaxDemand(p.now, expT)) {
 			return ErrInsufficient
 		}
-		leds[k] = led
 	}
-	if err := leds[0].Reserve(eer, now, expT, int64(bwKbps)); err != nil {
-		c.rejects.Add(1)
+	if err := reservePair(p.led[0], p.led[1], eer, p.now, expT, int64(bwKbps)); err != nil {
 		return err
 	}
-	if err := leds[1].Reserve(eer, now, expT, int64(bwKbps)); err != nil {
-		leds[0].Teardown(eer)
-		c.rejects.Add(1)
-		return err
-	}
-	prim.eers[eer] = cpEER{seg: segs[0], seg2: segs[1], bw: bwKbps, expT: expT, ver: ver}
-	c.eerCount.Add(1)
-	c.admits.Add(1)
+	p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps, expT: expT, ver: ver}
 	return nil
 }
 
-// RenewEERPath renews an EER over its covering SegRs, granting
-// min(requested, free) where free is evaluated against EVERY covering SegR
-// at this AS. A zero grant restores the previous version when it is still
-// live (§4.2 fallback) and reports ErrInsufficient; an EER with no record
-// reports ErrUnknownEER. Callers needing rollback capture the previous
-// record via LookupEER beforehand and reinstate it with RestoreEERPath.
-func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
-	segs = normPath(segs)
-	if len(segs) == 1 {
-		it := EERRenewal{EER: eer, Seg: segs[0], BwKbps: bwKbps, ExpT: expT, Ver: ver}
-		sh := c.shardFor(segs[0])
-		now := c.clock()
-		sh.mu.Lock()
-		g, err, gone := sh.renewEERLocked(&it, now)
-		sh.mu.Unlock()
-		switch {
-		case err == nil:
-			c.renews.Add(1)
-		case err == ErrUnknownEER:
-			c.stale.Add(1)
-		default:
-			c.rejects.Add(1)
-		}
-		if gone {
-			c.eerCount.Add(-1)
-		}
+// renew replaces the record e (just returned by lookup) with a version of
+// min(bwKbps, free), where free is evaluated against EVERY covering SegR at
+// this AS. A zero grant restores the previous version when it is still live
+// (§4.2 fallback) and reports ErrInsufficient. Callers needing rollback keep
+// e and reinstate it with RestoreEERPath.
+func (p *eerPath) renew(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
+	if len(p.segs) == 1 {
+		it := EERRenewal{EER: eer, Seg: p.segs[0], BwKbps: bwKbps, ExpT: expT, Ver: ver}
+		g, err, gone := p.prim.renewRecLocked(e, &it, p.now)
+		p.c.tallyRenew(err, gone)
 		return g, err
 	}
-	now := c.clock()
-	a, b := c.pathShards(segs)
-	c.shards[a].mu.Lock()
-	defer c.shards[a].mu.Unlock()
-	if b >= 0 {
-		c.shards[b].mu.Lock()
-		defer c.shards[b].mu.Unlock()
-	}
-	prim := c.shardFor(segs[0])
-	e, ok := prim.eers[eer]
-	if !ok || e.seg != segs[0] || e.seg2 != segs[1] {
-		c.stale.Add(1)
+	if e.seg2 != p.segs[1] {
+		p.c.stale.Add(1)
 		return 0, ErrUnknownEER
 	}
-	led0 := prim.ledgers[segs[0]]
-	led1 := c.shardFor(segs[1]).ledgers[segs[1]]
+	g, err, gone := p.renewPair(eer, e, bwKbps, expT, ver)
+	p.c.tallyRenew(err, gone)
+	return g, err
+}
+
+func (p *eerPath) renewPair(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
+	now, led0, led1 := p.now, p.led[0], p.led[1]
 	if led0 == nil || led1 == nil {
-		c.rejects.Add(1)
-		return 0, ErrUnknownSegR
+		return 0, ErrUnknownSegR, false
 	}
 	led0.Advance(now)
 	led1.Advance(now)
 	// A renewal replaces the version: remove the old charges before probing.
 	led0.Teardown(eer)
 	led1.Teardown(eer)
-	free := c.shardFor(segs[0]).segBw[segs[0]]
-	if m := led0.MaxDemand(now, expT); uint64(m) >= free {
-		free = 0
-	} else {
-		free -= uint64(m)
-	}
-	f2 := c.shardFor(segs[1]).segBw[segs[1]]
-	if m := led1.MaxDemand(now, expT); uint64(m) >= f2 {
-		f2 = 0
-	} else {
-		f2 -= uint64(m)
-	}
-	if f2 < free {
-		free = f2
-	}
-	grant := bwKbps
-	if grant > free {
-		grant = free
-	}
-	if grant == 0 {
-		if e.expT > now {
-			if led0.Reserve(eer, now, e.expT, int64(e.bw)) == nil &&
-				led1.Reserve(eer, now, e.expT, int64(e.bw)) == nil {
-				c.rejects.Add(1)
-				return 0, ErrInsufficient
-			}
-			led0.Teardown(eer)
-			led1.Teardown(eer)
+	grant = min(bwKbps,
+		headroom(p.segBw[0], led0.MaxDemand(now, expT)),
+		headroom(p.segBw[1], led1.MaxDemand(now, expT)))
+	err = ErrInsufficient
+	if grant > 0 {
+		if err = reservePair(led0, led1, eer, now, expT, int64(grant)); err == nil {
+			p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: grant, expT: expT, ver: ver}
+			return grant, nil, false
 		}
-		delete(prim.eers, eer)
-		c.eerCount.Add(-1)
-		c.rejects.Add(1)
-		return 0, ErrInsufficient
 	}
-	if err := reservePair(led0, led1, eer, now, expT, int64(grant)); err != nil {
-		// Window invalid: restore the old version if still live.
-		if e.expT > now &&
-			led0.Reserve(eer, now, e.expT, int64(e.bw)) == nil &&
-			led1.Reserve(eer, now, e.expT, int64(e.bw)) == nil {
-			c.rejects.Add(1)
-			return 0, err
+	// Refused, or the window is invalid: restore the old version if it is
+	// still live, else the record goes.
+	if e.expT > now && reservePair(led0, led1, eer, now, e.expT, int64(e.bw)) == nil {
+		return 0, err, false
+	}
+	delete(p.prim.eers, eer)
+	return 0, err, true
+}
+
+// SetupEERPath is eerPath.setup under the covering SegRs' shard locks.
+func (c *CPlane) SetupEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) (err error) {
+	c.withPath(segs, func(p eerPath) { err = p.setup(eer, bwKbps, expT, ver) })
+	return err
+}
+
+// RenewEERPath is eerPath.renew under the covering SegRs' shard locks; an EER
+// with no record reports ErrUnknownEER.
+func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error) {
+	c.withPath(segs, func(p eerPath) {
+		e, ok := p.lookup(eer)
+		if !ok {
+			c.stale.Add(1)
+			err = ErrUnknownEER
+			return
 		}
-		led0.Teardown(eer)
-		led1.Teardown(eer)
-		delete(prim.eers, eer)
-		c.eerCount.Add(-1)
-		c.rejects.Add(1)
-		return 0, err
-	}
-	prim.eers[eer] = cpEER{seg: segs[0], seg2: segs[1], bw: grant, expT: expT, ver: ver}
-	c.renews.Add(1)
-	return grant, nil
+		grant, err = p.renew(eer, e, bwKbps, expT, ver)
+	})
+	return grant, err
 }
 
 // reservePair charges both ledgers or neither.
@@ -372,122 +358,90 @@ func reservePair(led0, led1 *restree.Ledger[reservation.ID], eer reservation.ID,
 	return nil
 }
 
+// discharge removes the EER's charge from every covering ledger.
+func (p *eerPath) discharge(eer reservation.ID) {
+	for _, led := range p.led[:len(p.segs)] {
+		if led != nil {
+			led.Teardown(eer)
+		}
+	}
+}
+
+// recharge replaces the EER's charge on every covering ledger with bwKbps
+// over [now, expT), WITHOUT an admission check. It reports false — and leaves
+// no charge behind, a partial one must not stand — when the window is empty
+// or a ledger is missing or refuses it.
+func (p *eerPath) recharge(eer reservation.ID, expT uint32, bwKbps uint64) bool {
+	p.discharge(eer)
+	if expT <= p.now {
+		return false
+	}
+	for _, led := range p.led[:len(p.segs)] {
+		if led == nil || led.Reserve(eer, p.now, expT, int64(bwKbps)) != nil {
+			p.discharge(eer)
+			return false
+		}
+	}
+	return true
+}
+
 // RestoreEERPath force-reinstates a previous EER version after a downstream
 // failure rolled back a setup or renewal: the current charges are removed
-// and the given version is re-charged WITHOUT an admission check (it is the
+// and the given version is re-charged without an admission check (it is the
 // caller's own prior state, which fits by construction once the newer
 // charge is gone). An already-expired version (expT <= now) removes the
 // record entirely.
 func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) {
-	segs = normPath(segs)
-	now := c.clock()
-	a, b := c.pathShards(segs)
-	c.shards[a].mu.Lock()
-	defer c.shards[a].mu.Unlock()
-	if b >= 0 {
-		c.shards[b].mu.Lock()
-		defer c.shards[b].mu.Unlock()
-	}
-	prim := c.shardFor(segs[0])
-	_, had := prim.eers[eer]
-	alive := 0
-	for _, seg := range segs {
-		if led := c.shardFor(seg).ledgers[seg]; led != nil {
-			led.Teardown(eer)
-			if expT > now && led.Reserve(eer, now, expT, int64(bwKbps)) == nil {
-				alive++
+	c.withPath(segs, func(p eerPath) {
+		_, had := p.prim.eers[eer]
+		if !p.recharge(eer, expT, bwKbps) {
+			if had {
+				delete(p.prim.eers, eer)
+				c.eerCount.Add(-1)
 			}
+			return
 		}
-	}
-	if expT <= now || alive < len(segs) {
-		// Nothing to restore (or a partial restore that must not stand):
-		// drop every charge and the record.
-		for _, seg := range segs {
-			if led := c.shardFor(seg).ledgers[seg]; led != nil {
-				led.Teardown(eer)
-			}
+		rec := cpEER{seg: p.segs[0], bw: bwKbps, expT: expT, ver: ver}
+		if len(p.segs) == 2 {
+			rec.seg2 = p.segs[1]
 		}
-		if had {
-			delete(prim.eers, eer)
-			c.eerCount.Add(-1)
+		p.prim.eers[eer] = rec
+		if !had {
+			c.eerCount.Add(1)
 		}
-		return
-	}
-	rec := cpEER{seg: segs[0], bw: bwKbps, expT: expT, ver: ver}
-	if len(segs) == 2 {
-		rec.seg2 = segs[1]
-	}
-	prim.eers[eer] = rec
-	if !had {
-		c.eerCount.Add(1)
-	}
+	})
 }
 
 // AdjustEERPath lowers an EER's charge to the backward-pass final grant
 // (the response leg shrinking a grant to the path-wide minimum). A zero
 // final removes the record. Unknown EERs are a no-op.
 func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64) {
-	segs = normPath(segs)
-	now := c.clock()
-	a, b := c.pathShards(segs)
-	c.shards[a].mu.Lock()
-	defer c.shards[a].mu.Unlock()
-	if b >= 0 {
-		c.shards[b].mu.Lock()
-		defer c.shards[b].mu.Unlock()
-	}
-	prim := c.shardFor(segs[0])
-	e, ok := prim.eers[eer]
-	if !ok || e.seg != segs[0] {
-		return
-	}
-	alive := 0
-	for _, seg := range segs {
-		if led := c.shardFor(seg).ledgers[seg]; led != nil {
-			led.Teardown(eer)
-			if finalKbps > 0 && e.expT > now &&
-				led.Reserve(eer, now, e.expT, int64(finalKbps)) == nil {
-				alive++
-			}
+	c.withPath(segs, func(p eerPath) {
+		e, ok := p.lookup(eer)
+		if !ok {
+			return
 		}
-	}
-	if finalKbps == 0 || e.expT <= now || alive < len(segs) {
-		for _, seg := range segs {
-			if led := c.shardFor(seg).ledgers[seg]; led != nil {
-				led.Teardown(eer)
-			}
+		if finalKbps == 0 || !p.recharge(eer, e.expT, finalKbps) {
+			p.discharge(eer)
+			delete(p.prim.eers, eer)
+			c.eerCount.Add(-1)
+			return
 		}
-		delete(prim.eers, eer)
-		c.eerCount.Add(-1)
-		return
-	}
-	e.bw = finalKbps
-	prim.eers[eer] = e
+		e.bw = finalKbps
+		p.prim.eers[eer] = e
+	})
 }
 
 // TeardownEERPath removes an EER and its charges on every covering SegR.
 // Unknown EERs are a no-op.
 func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
-	segs = normPath(segs)
-	a, b := c.pathShards(segs)
-	c.shards[a].mu.Lock()
-	defer c.shards[a].mu.Unlock()
-	if b >= 0 {
-		c.shards[b].mu.Lock()
-		defer c.shards[b].mu.Unlock()
-	}
-	prim := c.shardFor(segs[0])
-	e, ok := prim.eers[eer]
-	if !ok || e.seg != segs[0] {
-		return
-	}
-	for _, seg := range segs {
-		if led := c.shardFor(seg).ledgers[seg]; led != nil {
-			led.Teardown(eer)
+	c.withPath(segs, func(p eerPath) {
+		if _, ok := p.lookup(eer); ok {
+			p.discharge(eer)
+			delete(p.prim.eers, eer)
+			c.eerCount.Add(-1)
 		}
-	}
-	delete(prim.eers, eer)
-	c.eerCount.Add(-1)
+	})
 }
 
 // DropSegR force-removes a SegR (store cleanup of an expired or torn-down

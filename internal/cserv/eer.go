@@ -1,7 +1,6 @@
 package cserv
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"colibri/internal/cryptoutil"
@@ -134,31 +133,34 @@ func (s *Service) launchEE(req *EESetupReq) (*EERGrant, error) {
 	now := s.clock()
 	grant.HopAuths = make([]cryptoutil.Key, len(req.Path))
 	for i, enc := range resp.EncAuths {
-		var key cryptoutil.Key
-		if req.Path[i].IA == s.ia {
-			key, _ = s.engine.Level1(s.ia, now)
-		} else {
-			key, err = s.keys.Get(req.Path[i].IA, now)
-			if err != nil {
-				return nil, err
-			}
-		}
-		pt, err := cryptoutil.Open(key, enc, eerAuthAD(req.ID, uint8(i)))
+		key, err := s.hopKey(req.Path[i].IA, now)
 		if err != nil {
+			return nil, err
+		}
+		if err := openHopAuth(s.cryptoFor(key).sealer, &grant.HopAuths[i], enc, eerAuthAD(nil, req.ID, uint8(i))); err != nil {
 			return nil, fmt.Errorf("cserv: opening hop authenticator %d: %w", i, err)
 		}
-		copy(grant.HopAuths[i][:], pt)
 	}
 	return grant, nil
 }
 
-// eerAuthAD binds an encrypted hop authenticator to its reservation and hop.
-func eerAuthAD(id reservation.ID, hop uint8) []byte {
-	var ad [13]byte
-	binary.BigEndian.PutUint64(ad[0:8], uint64(id.SrcAS))
-	binary.BigEndian.PutUint32(ad[8:12], id.Num)
-	ad[12] = hop
-	return ad[:]
+// sealedAuthLen is the size of a sealed hop authenticator (Eq. 5).
+const sealedAuthLen = cryptoutil.KeySize + cryptoutil.SealOverhead
+
+// openHopAuth decrypts one sealed hop authenticator straight into auth, which
+// owns its bytes: a grant retains nothing of the response buffer.
+func openHopAuth(sl *cryptoutil.Sealer, auth *cryptoutil.Key, sealed, ad []byte) error {
+	if len(sealed) != sealedAuthLen {
+		return fmt.Errorf("%w: %d bytes, want %d", cryptoutil.ErrAEADOpen, len(sealed), sealedAuthLen)
+	}
+	_, err := sl.OpenTo(auth[:0], sealed, ad)
+	return err
+}
+
+// eerAuthAD appends the associated data binding an encrypted hop
+// authenticator to its reservation and hop.
+func eerAuthAD(b []byte, id reservation.ID, hop uint8) []byte {
+	return append(appendID(b, id), hop)
 }
 
 // segsCovering returns the indices into req.SegIDs of the segment
@@ -470,7 +472,7 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	eerInfo := &packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost}
 	sigma := s.hopAuth(res, eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
 	key, _ := s.engine.Level1(req.ID.SrcAS, now)
-	sealed, err := cryptoutil.Seal(key, sigma[:], eerAuthAD(req.ID, uint8(idx)))
+	sealed, err := s.cryptoFor(key).sealer.Seal(sigma[:], eerAuthAD(nil, req.ID, uint8(idx)))
 	if err != nil {
 		rollback()
 		return fail("seal: %v", err)

@@ -123,6 +123,18 @@ type KeeperFleet struct {
 	// BatchSize caps one wave's item count (bounding message size and the
 	// blast radius of a transport failure, which fails the whole wave).
 	BatchSize int
+
+	// Keepers are grouped by chain signature when added: a renewed grant
+	// inherits SegIDs, Splits and PathHops verbatim, so a keeper's group never
+	// changes. group[i] is keepers[i]'s group; due[g] collects, during a tick,
+	// the due keepers of group g.
+	group   []int32
+	due     [][]*EERKeeper
+	groupOf map[string]int32
+	// Tick's buffers, reused from tick to tick.
+	order []int32
+	prevs []*EERGrant
+	bws   []uint64
 }
 
 // DefaultBatchSize is KeeperFleet's wave-size cap when BatchSize is 0.
@@ -130,11 +142,21 @@ const DefaultBatchSize = 4096
 
 // NewKeeperFleet builds an empty fleet over one source AS's service.
 func NewKeeperFleet(svc *Service) *KeeperFleet {
-	return &KeeperFleet{svc: svc, BatchSize: DefaultBatchSize}
+	return &KeeperFleet{svc: svc, BatchSize: DefaultBatchSize, groupOf: make(map[string]int32)}
 }
 
 // Add registers a keeper with the fleet.
-func (f *KeeperFleet) Add(k *EERKeeper) { f.keepers = append(f.keepers, k) }
+func (f *KeeperFleet) Add(k *EERKeeper) {
+	key := chainKey(k.grant)
+	gi, ok := f.groupOf[key]
+	if !ok {
+		gi = int32(len(f.due))
+		f.groupOf[key] = gi
+		f.due = append(f.due, nil)
+	}
+	f.keepers = append(f.keepers, k)
+	f.group = append(f.group, gi)
+}
 
 // Len returns the number of keepers in the fleet.
 func (f *KeeperFleet) Len() int { return len(f.keepers) }
@@ -167,49 +189,48 @@ func chainKey(g *EERGrant) string {
 	return string(b)
 }
 
-// Tick runs one maintenance step: collect the due keepers, group them by
-// chain signature (insertion-ordered — no map iteration, so runs are
-// deterministic), renew each group in waves of at most BatchSize, and apply
-// each item's outcome to its keeper. It returns the number of renewal
-// attempts that failed this tick.
+// Tick runs one maintenance step: collect the due keepers into their groups
+// (groups ordered by their first due keeper, keepers in insertion order — no
+// map iteration, so runs are deterministic), renew each group in waves of at
+// most BatchSize, and apply each item's outcome to its keeper. It returns the
+// number of renewal attempts that failed this tick.
 func (f *KeeperFleet) Tick() int {
 	now := f.svc.clock()
-	groupOf := make(map[string]int)
-	var groups [][]*EERKeeper
-	for _, k := range f.keepers {
+	f.order = f.order[:0]
+	for i, k := range f.keepers {
 		if !k.due(now) {
 			continue
 		}
-		key := chainKey(k.grant)
-		gi, ok := groupOf[key]
-		if !ok {
-			gi = len(groups)
-			groupOf[key] = gi
-			groups = append(groups, nil)
+		gi := f.group[i]
+		if len(f.due[gi]) == 0 {
+			f.order = append(f.order, gi)
 		}
-		groups[gi] = append(groups[gi], k)
+		f.due[gi] = append(f.due[gi], k)
 	}
 	size := f.BatchSize
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
 	failures := 0
-	for _, group := range groups {
-		for off := 0; off < len(group); off += size {
-			wave := group[off:min(off+size, len(group))]
-			prevs := make([]*EERGrant, len(wave))
-			bws := make([]uint64, len(wave))
-			for i, k := range wave {
-				prevs[i] = k.grant
-				bws[i] = uint64(k.grant.Res.BwKbps)
+	for _, gi := range f.order {
+		due := f.due[gi]
+		for off := 0; off < len(due); off += size {
+			wave := due[off:min(off+size, len(due))]
+			f.prevs, f.bws = f.prevs[:0], f.bws[:0]
+			for _, k := range wave {
+				f.prevs = append(f.prevs, k.grant)
+				f.bws = append(f.bws, uint64(k.grant.Res.BwKbps))
 			}
-			grants, errs := f.svc.RenewEERBatch(prevs, bws)
+			grants, errs := f.svc.RenewEERBatch(f.prevs, f.bws)
 			for i, k := range wave {
 				if k.applyOutcome(grants[i], errs[i]) != nil {
 					failures++
 				}
 			}
 		}
+		f.due[gi] = due[:0]
 	}
+	// The replaced grants are garbage now; do not hold them until the next tick.
+	clear(f.prevs[:cap(f.prevs)])
 	return failures
 }

@@ -453,6 +453,18 @@ func (d *decoder) bytes(dst []byte) {
 	d.buf = d.buf[len(dst):]
 }
 
+// take returns the next n bytes without copying them: the result aliases the
+// message (capacity-bounded, so an append cannot write into what follows).
+// nil when n is 0 or the message is short.
+func (d *decoder) take(n int) []byte {
+	if n == 0 || !d.need(n) {
+		return nil
+	}
+	b := d.buf[:n:n]
+	d.buf = d.buf[n:]
+	return b
+}
+
 func (d *decoder) str() string {
 	n := int(d.u16())
 	if !d.need(n) {

@@ -17,7 +17,9 @@ import (
 
 // Transport carries control-plane messages between CServs (gRPC over QUIC
 // in the paper's implementation): Call delivers a marshaled request to the
-// CServ of dst and returns its marshaled response synchronously.
+// CServ of dst and returns its marshaled response synchronously. msg belongs
+// to the caller, who may reuse it after Call returns: an implementation must
+// neither keep nor modify it. The response belongs to the caller from then on.
 type Transport interface {
 	Call(dst topology.IA, msg []byte) ([]byte, error)
 }
@@ -143,6 +145,12 @@ type Service struct {
 	engine  *drkey.Engine
 	keys    *drkey.Store
 	macPool sync.Pool // *cryptoutil.CBCMAC keyed by secret
+	// keyCache holds the control-plane crypto of recently used level-1 keys
+	// (see cryptoFor); waveFree the idle batch-renewal scratch (see getWave).
+	keyMu    sync.Mutex
+	keyCache map[cryptoutil.Key]*keyCrypto
+	waveMu   sync.Mutex
+	waveFree []*waveScratch
 
 	dir        *Directory
 	transport  Transport
@@ -208,6 +216,7 @@ func New(cfg Config) *Service {
 		dstApprove: cfg.DstApprove,
 		rate:       NewRateLimiter(cfg.RateLimit),
 		renewLim:   newRenewLimiter(),
+		keyCache:   make(map[cryptoutil.Key]*keyCrypto),
 	}
 	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
@@ -348,15 +357,18 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		resp := s.processEESetup(req, idx, accum)
 		return resp.Marshal(), nil
 	case tagEEBatchRenew:
-		req, err := UnmarshalEEBatchRenewReq(data)
+		// The decoded wave and everything derived from it live in scratch that
+		// goes back to the service once the response is marshaled.
+		sc := s.getWave()
+		defer s.putWave(sc)
+		if err := sc.req.unmarshal(data); err != nil {
+			return nil, err
+		}
+		idx, err := s.hopIndex(sc.req.Path)
 		if err != nil {
 			return nil, err
 		}
-		idx, err := s.hopIndex(req.Path)
-		if err != nil {
-			return nil, err
-		}
-		return s.processEEBatchRenew(req, idx).Marshal(), nil
+		return s.processEEBatchRenew(sc, idx).Marshal(), nil
 	case tagDownReq:
 		req, err := UnmarshalDownSegReq(data)
 		if err != nil {
@@ -397,7 +409,7 @@ func (s *Service) verifySourceMac(srcAS topology.IA, body []byte, macs [][crypto
 	}
 	key, _ := s.engine.Level1(srcAS, s.clock())
 	var want [cryptoutil.MACSize]byte
-	cryptoutil.MustCMAC(key).SumInto(&want, body)
+	s.cryptoFor(key).mac(&want, body)
 	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
 		return ErrAuth
 	}
@@ -411,19 +423,62 @@ func (s *Service) computeMacs(path []PathHop, body []byte) ([][cryptoutil.MACSiz
 	now := s.clock()
 	macs := make([][cryptoutil.MACSize]byte, len(path))
 	for i, h := range path {
-		var key cryptoutil.Key
-		if h.IA == s.ia {
-			key, _ = s.engine.Level1(s.ia, now)
-		} else {
-			var err error
-			key, err = s.keys.Get(h.IA, now)
-			if err != nil {
-				return nil, err
-			}
+		key, err := s.hopKey(h.IA, now)
+		if err != nil {
+			return nil, err
 		}
-		cryptoutil.MustCMAC(key).SumInto(&macs[i], body)
+		s.cryptoFor(key).mac(&macs[i], body)
 	}
 	return macs, nil
+}
+
+// hopKey returns K_{ia→me}, the level-1 key an on-path AS shares with this
+// (initiating) AS: derived locally for this AS itself, fetched from ia's key
+// server and cached per epoch otherwise.
+func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
+	if ia == s.ia {
+		key, _ := s.engine.Level1(s.ia, now)
+		return key, nil
+	}
+	return s.keys.Get(ia, now)
+}
+
+// keyCrypto is the control-plane crypto bound to one level-1 DRKey key: the
+// AEAD that seals and opens hop authenticators (Eq. 5) and the CMAC that
+// authenticates requests (§4.5). Building either costs an AES key expansion,
+// several times the work of one use, and the keys are constant for a DRKey
+// epoch — so they are built once per key, not once per message or per item.
+type keyCrypto struct {
+	sealer *cryptoutil.Sealer
+	mu     sync.Mutex // guards cmac, whose chaining block is per-call scratch
+	cmac   *cryptoutil.CMAC
+}
+
+func (k *keyCrypto) mac(out *[cryptoutil.MACSize]byte, msg []byte) {
+	k.mu.Lock()
+	k.cmac.SumInto(out, msg)
+	k.mu.Unlock()
+}
+
+// keyCacheSize bounds the per-service key cache. A request names its source
+// AS before it is authenticated, so the set of keys asked for is under remote
+// control: a full cache is emptied and refills with the keys in use.
+const keyCacheSize = 64
+
+// cryptoFor returns the cached crypto of a level-1 key, building it on first
+// use. Keyed by the key itself, so a DRKey epoch change needs no invalidation.
+func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
+	kc, ok := s.keyCache[key]
+	if !ok {
+		if len(s.keyCache) >= keyCacheSize {
+			clear(s.keyCache)
+		}
+		kc = &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cryptoutil.MustCMAC(key)}
+		s.keyCache[key] = kc
+	}
+	return kc
 }
 
 // segToken computes the Eq. (3) SegR token for this AS.
