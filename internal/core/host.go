@@ -135,7 +135,11 @@ func (s *Session) PathLen() int { return len(s.grant.Path) }
 func (s *Session) Send(payload []byte) error {
 	n := s.src.net
 	node := n.nodes[s.src.IA]
-	buf := make([]byte, 64+len(s.grant.Path)*8+len(payload)+64)
+	need := 64 + len(s.grant.Path)*8 + len(payload) + 64
+	if cap(node.sendBuf) < need {
+		node.sendBuf = make([]byte, need)
+	}
+	buf := node.sendBuf[:need]
 	sz, err := node.gwWorker.Build(s.grant.Res.ResID, payload, buf, n.Clock.NowNs())
 	if err != nil {
 		return err

@@ -67,6 +67,12 @@ type Node struct {
 	// single-threaded data-plane walk; benches create their own.
 	routerWorker *router.Worker
 	gwWorker     *gateway.Worker
+	// sendBuf is the grow-only buffer Session.Send serializes every packet
+	// leaving this AS into. One per node is enough because core is
+	// single-threaded per network: a packet is built, walked hop by hop and
+	// delivered (deliver copies the payload out) before Send returns, and
+	// nothing on the way keeps the bytes.
+	sendBuf []byte
 }
 
 // Options configures NewNetwork.

@@ -3,6 +3,7 @@ package cryptoutil
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 )
 
 // CBCMAC is a fixed-input-length AES-CBC-MAC for the data-plane hot path.
@@ -14,22 +15,19 @@ import (
 // The input is zero-padded to a whole number of AES blocks; callers must
 // ensure a fixed layout (they do: the inputs are packed structs).
 //
-// A CBCMAC is not safe for concurrent use.
+// A CBCMAC is immutable once built.
 type CBCMAC struct {
-	block cipher.Block
-	// x is the CBC chaining scratch block; keeping it in the (already
-	// heap-allocated) struct prevents it from escaping per call through the
-	// cipher.Block interface.
-	x [aes.BlockSize]byte
+	// ks is the key's schedule, expanded once: the chain runs on the same
+	// kernel as the σ-keyed MACs, with no cipher.Block dispatch per block.
+	ks AESSchedule
 }
 
 // NewCBCMAC builds a CBC-MAC for the key, caching the AES key schedule.
+// The error is always nil (a Key has the one valid length).
 func NewCBCMAC(key Key) (*CBCMAC, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, err
-	}
-	return &CBCMAC{block: block}, nil
+	m := new(CBCMAC)
+	ExpandAES128(&m.ks, &key)
+	return m, nil
 }
 
 // MustCBCMAC is NewCBCMAC for setup code.
@@ -43,22 +41,20 @@ func MustCBCMAC(key Key) *CBCMAC {
 
 // SumInto computes the CBC-MAC of msg (zero-padded to a block boundary) into
 // mac. It performs no heap allocation.
+//
+//colibri:nomalloc
 func (m *CBCMAC) SumInto(mac *[MACSize]byte, msg []byte) {
-	m.x = [aes.BlockSize]byte{}
+	var x [aes.BlockSize]byte
 	for len(msg) >= aes.BlockSize {
-		for i := 0; i < aes.BlockSize; i++ {
-			m.x[i] ^= msg[i]
-		}
-		m.block.Encrypt(m.x[:], m.x[:])
+		subtle.XORBytes(x[:], x[:], msg[:aes.BlockSize])
+		EncryptAES128(&m.ks, &x, &x)
 		msg = msg[aes.BlockSize:]
 	}
 	if len(msg) > 0 {
-		for i, b := range msg {
-			m.x[i] ^= b
-		}
-		m.block.Encrypt(m.x[:], m.x[:])
+		subtle.XORBytes(x[:], x[:], msg)
+		EncryptAES128(&m.ks, &x, &x)
 	}
-	*mac = m.x
+	*mac = x
 }
 
 // MACOneBlock computes the CBC-MAC of exactly one 16-byte block with the

@@ -1,9 +1,6 @@
 package cryptoutil
 
-import (
-	"crypto/cipher"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // σ-schedule caching for the data-plane hot path.
 //
@@ -13,13 +10,8 @@ import (
 // fixed cost with hardware key expansion; caching the expanded state per
 // (reservation, hop) turns it into a one-time cost per renewal epoch.
 //
-// The cache is tiered. A fill installs the allocation-free software
-// schedule inline in the entry, so misses never allocate no matter how the
-// workload churns. An entry that then proves hot — promoteAfter further
-// hits — is promoted once to a crypto/aes cipher (hardware AES where
-// available), whose one heap allocation is amortized over the entry's
-// remaining lifetime. Entries that churn through conflicted sets stay on
-// the software tier and never allocate.
+// A fill expands the schedule inline in the entry, so neither hits nor
+// misses ever allocate, no matter how the workload churns.
 //
 // SchedCache is a bounded, power-of-two sized, 2-way set-associative array
 // with second-chance (clock) eviction: each entry carries a reference bit
@@ -29,8 +21,7 @@ import (
 // it would thrash. Lookups compare the full 64-bit tag and the 32-bit
 // epoch, so a stale schedule can never be returned: renewal bumps the
 // epoch and the old entry simply stops matching, then ages out through
-// its reference bit. Memory is bounded at ≈ 240 B × entries for the
-// array, plus ≈ 500 B heap per promoted entry (≤ entries).
+// its reference bit. Memory is bounded at ≈ 200 B × entries.
 //
 // A SchedCache is not safe for concurrent use: each worker owns one
 // (mirroring the per-lcore schedule tables of DPDK crypto drivers).
@@ -45,20 +36,12 @@ type SchedCache struct {
 	misses atomic.Uint64 //colibri:singlewriter
 }
 
-// promoteAfter is the number of hits after which an entry's σ is expanded
-// into a hardware cipher. High enough that entries churning through a
-// conflicted set never reach it (their allocation would recur), low
-// enough that stable entries promote almost immediately.
-const promoteAfter = 16
-
 type schedEntry struct {
 	tag   uint64
 	epoch uint32
-	hcnt  uint16 // hits until promotion (software tier only)
 	valid bool
 	ref   bool // clock reference bit: set on hit, cleared on full-set miss
 	ks    AESSchedule
-	blk   cipher.Block // non-nil once promoted to the hardware tier
 }
 
 // NewSchedCache builds a cache with at least the requested number of
@@ -88,26 +71,24 @@ func mix64(x uint64) uint64 {
 	return x
 }
 
-// Schedule returns the σ-keyed cipher under (tag, epoch), filling a cache
-// slot on miss. The caller must guarantee that (tag, epoch) uniquely
+// Schedule returns the expanded σ schedule under (tag, epoch), filling a
+// cache slot on miss. The caller must guarantee that (tag, epoch) uniquely
 // identifies sigma — the gateway uses tag = resID‖hop and the per-install
 // epoch, so equal pairs always carry equal keys.
 //
 // Schedule returns nil when the set is full of recently-hit entries
 // (admission bypass): evicting a hot entry for a conflicting tag would
 // thrash on every revisit, so the caller is expected to fall back to its
-// own software expansion for this lookup. The bypass clears the set's
+// own expansion (SigmaMAC) for this lookup. The bypass clears the set's
 // reference bits, so entries that stop hitting become evictable and the
 // set re-adapts.
 //
-// The returned cipher is only guaranteed valid until the next Schedule
-// call: software-tier entries hand out a pointer into the cache that a
-// later fill may overwrite. (Promoted hardware ciphers live on the heap
-// and survive eviction, but callers should not rely on telling the tiers
-// apart.) Use the cipher before looking up the next tag.
+// The returned schedule points into the cache and is only valid until the
+// next Schedule call, which may overwrite it: use it before looking up the
+// next tag.
 //
 //colibri:nomalloc
-func (c *SchedCache) Schedule(tag uint64, epoch uint32, sigma *Key) cipher.Block {
+func (c *SchedCache) Schedule(tag uint64, epoch uint32, sigma *Key) *AESSchedule {
 	i := (mix64(tag) & c.mask) * 2
 	e0, e1 := &c.ents[i], &c.ents[i+1]
 	// The ref stores are conditional so steady-state hits stay read-only
@@ -117,19 +98,19 @@ func (c *SchedCache) Schedule(tag uint64, epoch uint32, sigma *Key) cipher.Block
 			e0.ref = true
 		}
 		c.hits.Add(1)
-		return e0.block(sigma)
+		return &e0.ks
 	}
 	if e1.valid && e1.tag == tag && e1.epoch == epoch {
 		if !e1.ref {
 			e1.ref = true
 		}
 		c.hits.Add(1)
-		return e1.block(sigma)
+		return &e1.ks
 	}
 	c.misses.Add(1)
 	// Victim: an empty way, else an unreferenced way. When both ways hold
 	// recently-hit entries, bypass instead of evicting (second chance for
-	// the residents, software fallback for the newcomer).
+	// the residents, the caller's own expansion for the newcomer).
 	var v *schedEntry
 	switch {
 	case !e0.valid:
@@ -145,21 +126,6 @@ func (c *SchedCache) Schedule(tag uint64, epoch uint32, sigma *Key) cipher.Block
 		return nil
 	}
 	v.tag, v.epoch, v.valid, v.ref = tag, epoch, true, true
-	v.hcnt, v.blk = 0, nil
 	ExpandAES128(&v.ks, sigma)
 	return &v.ks
-}
-
-// block returns the entry's cipher, promoting it to the hardware tier once
-// it has proven hot.
-func (e *schedEntry) block(sigma *Key) cipher.Block {
-	if e.blk != nil {
-		return e.blk
-	}
-	if e.hcnt < promoteAfter {
-		e.hcnt++
-		return &e.ks
-	}
-	e.blk = NewBlock(*sigma)
-	return e.blk
 }

@@ -14,8 +14,7 @@ func encryptOne(blk cipher.Block, src *[16]byte) [16]byte {
 }
 
 // TestSchedCacheMatchesExpand: a cached cipher must produce the same MAC
-// block as a fresh software expansion, across hits, misses, evictions,
-// bypasses, and hardware-tier promotions.
+// block as a fresh expansion, across hits, misses, evictions and bypasses.
 func TestSchedCacheMatchesExpand(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	c := NewSchedCache(8) // tiny: forces evictions and bypasses
@@ -115,38 +114,6 @@ func TestSchedCacheAdmissionBypass(t *testing.T) {
 	}
 }
 
-// TestSchedCachePromotion: an entry that keeps hitting is promoted to a
-// heap-allocated hardware cipher that produces identical MACs and stays
-// usable even after the entry is evicted.
-func TestSchedCachePromotion(t *testing.T) {
-	c := NewSchedCache(2)
-	k := Key{0x42}
-	var block [16]byte
-	var ks AESSchedule
-	var want [16]byte
-	SigmaMAC(&ks, &k, &want, &block)
-	var blk cipher.Block
-	for i := 0; i < promoteAfter+2; i++ {
-		blk = c.Schedule(5, 1, &k)
-		if got := encryptOne(blk, &block); got != want {
-			t.Fatalf("wrong MAC on hit %d", i)
-		}
-	}
-	if _, ok := blk.(*AESSchedule); ok {
-		t.Fatalf("entry not promoted after %d hits", promoteAfter+2)
-	}
-	// Evict the promoted entry by filling the set with new tags (refs are
-	// cleared by bypasses, then the ways get replaced).
-	for i := uint64(100); i < 120; i++ {
-		kk := Key{byte(i)}
-		c.Schedule(i, 1, &kk)
-		c.Schedule(i+50, 1, &kk)
-	}
-	if got := encryptOne(blk, &block); got != want {
-		t.Error("promoted cipher invalidated by eviction; it must be heap-backed")
-	}
-}
-
 // TestSchedCacheSizing: capacity rounds up to a power of two with 2 as the
 // floor.
 func TestSchedCacheSizing(t *testing.T) {
@@ -157,21 +124,17 @@ func TestSchedCacheSizing(t *testing.T) {
 	}
 }
 
-// BenchmarkSchedCacheHit measures the hot-path hit (promoted hardware
-// tier) vs. a full software expansion.
+// BenchmarkSchedCacheHit measures the hot-path hit vs. a full expansion.
 func BenchmarkSchedCacheHit(b *testing.B) {
 	c := NewSchedCache(1024)
 	k := Key{1}
 	var block, mac [16]byte
 	b.Run("cached", func(b *testing.B) {
 		b.ReportAllocs()
-		for i := 0; i < promoteAfter+2; i++ { // promote before timing
-			c.Schedule(1, 1, &k)
-		}
+		c.Schedule(1, 1, &k) // fill before timing
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			blk := c.Schedule(1, 1, &k)
-			blk.Encrypt(mac[:], block[:])
+			EncryptAES128(c.Schedule(1, 1, &k), &mac, &block)
 		}
 	})
 	b.Run("expand", func(b *testing.B) {

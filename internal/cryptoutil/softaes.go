@@ -9,19 +9,25 @@ import (
 //
 // The two-step HVF computation (Eq. 6) uses the per-reservation hop
 // authenticator σ as an AES key that changes with every packet at border
-// routers. crypto/aes allocates a fresh key schedule per cipher, and at
-// millions of packets per second over multi-hundred-megabyte gateway state
-// the garbage collector dominates (the live reservation heap gets scanned
-// for every few MB allocated). This implementation expands the key into a
-// caller-owned schedule and encrypts with classic T-tables — zero
-// allocation, deterministic cost. It produces bit-identical output to
-// crypto/aes (verified in tests), so gateways and routers may mix the two
-// freely.
+// routers. crypto/aes allocates a fresh key schedule per cipher (one
+// 512-byte heap object per key), and at millions of packets per second
+// over multi-hundred-megabyte gateway state the garbage collector
+// dominates (the live reservation heap gets scanned for every few MB
+// allocated). The data plane therefore expands keys into a caller-owned
+// AESSchedule and encrypts from it — zero allocation, deterministic cost.
 //
-// Only used for σ-keyed single-block MACs; long-lived keys (AS secrets,
-// DRKey) keep using crypto/aes with its hardware acceleration.
+// Two implementations sit behind ExpandAES128 / EncryptAES128 / SigmaMAC,
+// selected by build tag and CPUID only: the AES-NI kernel of aes_amd64.s
+// (amd64, CPU has AES and SSSE3) and the classic T-table code in this file
+// (every other platform, -tags purego, and the tests' oracle). Both produce
+// bit-identical output to crypto/aes (verified in tests), so gateways and
+// routers built either way, and anything signing with crypto/aes, may mix
+// freely.
 
-// AESSchedule is an expanded AES-128 encryption key schedule.
+// AESSchedule is an expanded AES-128 encryption key schedule: eleven round
+// keys in 176 caller-owned bytes. The word layout is private to the
+// implementation that expanded it (big-endian words for the T-table code,
+// memory byte order for AES-NI); use it only through this package.
 type AESSchedule [44]uint32
 
 // sbox is the AES S-box.
@@ -72,11 +78,10 @@ var rcon = [10]uint32{
 	0x20000000, 0x40000000, 0x80000000, 0x1b000000, 0x36000000,
 }
 
-// ExpandAES128 expands a 16-byte key into the caller's schedule without
-// allocating.
+// expandSoft is the portable ExpandAES128.
 //
 //colibri:nomalloc
-func ExpandAES128(ks *AESSchedule, key *Key) {
+func expandSoft(ks *AESSchedule, key *Key) {
 	ks[0] = binary.BigEndian.Uint32(key[0:4])
 	ks[1] = binary.BigEndian.Uint32(key[4:8])
 	ks[2] = binary.BigEndian.Uint32(key[8:12])
@@ -94,11 +99,11 @@ func ExpandAES128(ks *AESSchedule, key *Key) {
 	}
 }
 
-// EncryptAES128 encrypts one 16-byte block with the expanded schedule,
-// without allocating. dst and src may overlap.
+// encryptSoft is the portable EncryptAES128, for a schedule expandSoft
+// filled.
 //
 //colibri:nomalloc
-func EncryptAES128(ks *AESSchedule, dst, src *[16]byte) {
+func encryptSoft(ks *AESSchedule, dst, src *[16]byte) {
 	s0 := binary.BigEndian.Uint32(src[0:4]) ^ ks[0]
 	s1 := binary.BigEndian.Uint32(src[4:8]) ^ ks[1]
 	s2 := binary.BigEndian.Uint32(src[8:12]) ^ ks[2]
@@ -133,18 +138,8 @@ func EncryptAES128(ks *AESSchedule, dst, src *[16]byte) {
 	binary.BigEndian.PutUint32(dst[12:16], s3)
 }
 
-// SigmaMAC computes MAC_σ(block) = AES-128_σ(block) without allocating:
-// the Eq. (6) step with a per-packet σ key.
-//
-//colibri:nomalloc
-func SigmaMAC(ks *AESSchedule, sigma *Key, mac *[MACSize]byte, block *[16]byte) {
-	ExpandAES128(ks, sigma)
-	EncryptAES128(ks, mac, block)
-}
-
 // AESSchedule implements cipher.Block (encryption only), so an expanded
-// software schedule and a crypto/aes cipher are interchangeable behind
-// the interface — the tiered SchedCache hands out either.
+// schedule can stand in wherever a crypto/aes cipher is expected.
 var _ cipher.Block = (*AESSchedule)(nil)
 
 // BlockSize implements cipher.Block.

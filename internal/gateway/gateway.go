@@ -61,9 +61,8 @@ type Options struct {
 	// SchedCacheEntries, when > 0, gives every worker a private σ-schedule
 	// cache of that many entries (rounded up to a power of two), so the
 	// AES key expansion runs once per (reservation, hop) per renewal epoch
-	// instead of once per packet; entries that stay hot are promoted to
-	// hardware AES where available. Memory is bounded at ≈ 240 B × entries
-	// per worker plus the promoted ciphers (see cryptoutil.SchedCache).
+	// instead of once per packet. Memory is bounded at ≈ 200 B × entries
+	// per worker (see cryptoutil.SchedCache).
 	// The default 0 keeps the paper-faithful uncached path, whose
 	// state-size cache behaviour Fig. 5 measures.
 	SchedCacheEntries int
@@ -374,16 +373,15 @@ func (w *Worker) SchedCacheStats() (hits, misses uint64) {
 // buildHVFsCached computes the packet's HVFs through the σ-schedule cache.
 // The cache is keyed by (ResID, hop) and epoch-invalidated on renewal:
 // equal tags at equal epochs always carry equal σ, so a hit is exact. A
-// cached cipher is used immediately (it is only valid until the next
+// cached schedule is used immediately (it is only valid until the next
 // lookup); bypassed hops fall back to the worker's private expansion.
 func (w *Worker) buildHVFsCached(e *Entry, pkt *packet.Packet) {
 	base := uint64(e.Res.ResID) << 8
 	for h := range e.auths {
-		if blk := w.cache.Schedule(base|uint64(h), e.epoch, &e.auths[h]); blk != nil {
-			blk.Encrypt(w.macOut[:], w.hvfIn[:])
-		} else { // admission bypass: software expansion, no allocation
-			cryptoutil.ExpandAES128(&w.ks, &e.auths[h])
-			cryptoutil.EncryptAES128(&w.ks, &w.macOut, &w.hvfIn)
+		if ks := w.cache.Schedule(base|uint64(h), e.epoch, &e.auths[h]); ks != nil {
+			cryptoutil.EncryptAES128(ks, &w.macOut, &w.hvfIn)
+		} else { // admission bypass: expand privately
+			cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
 		}
 		copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
 	}
@@ -538,8 +536,7 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 				w.buildHVFsCached(e, pkt)
 			} else {
 				for h := range e.auths {
-					cryptoutil.ExpandAES128(&w.ks, &e.auths[h])
-					cryptoutil.EncryptAES128(&w.ks, &w.macOut, &w.hvfIn)
+					cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
 					copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
 				}
 			}

@@ -7,6 +7,7 @@ package monitor
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
@@ -267,6 +268,10 @@ func (m *FlowMonitor) Len() int {
 type Blocklist struct {
 	mu      sync.RWMutex
 	blocked map[topology.IA]uint32 // IA → expiry (0 = permanent)
+	// n mirrors len(blocked), written under mu: the list is empty almost
+	// always, and Blocked (once per packet per hop) then answers from this
+	// one load without taking the lock.
+	n atomic.Int64
 }
 
 // NewBlocklist builds an empty blocklist.
@@ -278,6 +283,7 @@ func NewBlocklist() *Blocklist {
 func (b *Blocklist) Block(ia topology.IA, expiry uint32) {
 	b.mu.Lock()
 	b.blocked[ia] = expiry
+	b.n.Store(int64(len(b.blocked)))
 	b.mu.Unlock()
 }
 
@@ -285,11 +291,15 @@ func (b *Blocklist) Block(ia topology.IA, expiry uint32) {
 func (b *Blocklist) Unblock(ia topology.IA) {
 	b.mu.Lock()
 	delete(b.blocked, ia)
+	b.n.Store(int64(len(b.blocked)))
 	b.mu.Unlock()
 }
 
 // Blocked reports whether the AS is blocked at time now.
 func (b *Blocklist) Blocked(ia topology.IA, now uint32) bool {
+	if b.n.Load() == 0 {
+		return false
+	}
 	b.mu.RLock()
 	exp, ok := b.blocked[ia]
 	b.mu.RUnlock()
@@ -354,5 +364,6 @@ func (b *Blocklist) MergeFrom(src *Blocklist) {
 			b.blocked[e.ia] = e.exp
 		}
 	}
+	b.n.Store(int64(len(b.blocked)))
 	b.mu.Unlock()
 }

@@ -5,14 +5,24 @@
 //
 // The suppressor keeps two Bloom filters covering adjacent time windows and
 // rotates them, so that every packet identifier seen within the freshness
-// window is remembered with bounded memory and no per-flow state. Bloom
-// false positives drop a small fraction of legitimate packets (tunable);
-// false negatives do not occur within the window, so replays are always
-// caught.
+// window is remembered with bounded memory and no per-flow state.
+//
+// Contract (pinned by the tests):
+//   - No false negatives inside a window: an identifier accepted less than
+//     WindowNs ago is always rejected. After two windows without a packet
+//     nothing is remembered.
+//   - A fresh identifier is rejected (Bloom false positive, a dropped
+//     legitimate packet) with probability FalsePositiveRate when the
+//     window already holds ExpectedPackets identifiers, and less below
+//     that load; the test allows 1.5× for sampling and the rounding of k.
+//   - Memory is two filters of m = −n·ln p / (ln 2)² bits each, probed at
+//     k = (m/n)·ln 2 positions spread over the whole filter (standard
+//     double hashing; no blocking, so the textbook FP bound holds).
 package replay
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 
 	"colibri/internal/telemetry"
@@ -126,10 +136,14 @@ func (s *Suppressor) FreshAndUnique(id uint64, nowNs int64) bool {
 			s.gauge.Set(0)
 		}
 	}
-	if s.cur.test(id) || s.prev.test(id) {
+	// One hash, then prev with early exit (a fresh identifier leaves at its
+	// first clear bit), then a single pass over cur that sets the bits
+	// while testing them: if all were already set the identifier is a
+	// replay and the pass changed nothing.
+	h1, h2 := mix(id)
+	if s.prev.test(h1, h2) || !s.cur.testAndSet(h1, h2) {
 		return false
 	}
-	s.cur.add(id)
 	s.curIns++
 	if s.gauge != nil {
 		s.gauge.Set(s.curIns)
@@ -142,6 +156,9 @@ type bloom struct {
 	bits []uint64
 	m    uint64 // number of bits
 	k    int
+	// dirty is set by the first insert after a reset, so rotating a window
+	// that saw no packet does not sweep megabytes of zeros.
+	dirty bool
 }
 
 func bloomParams(n int, fp float64) (m uint64, k int) {
@@ -166,7 +183,10 @@ func newBloom(m uint64, k int) *bloom {
 }
 
 func (b *bloom) reset() {
-	clear(b.bits)
+	if b.dirty {
+		clear(b.bits)
+		b.dirty = false
+	}
 }
 
 // mix derives the two base hashes for double hashing.
@@ -182,22 +202,40 @@ func mix(id uint64) (uint64, uint64) {
 	return h1, h2 | 1
 }
 
-func (b *bloom) add(id uint64) {
-	h1, h2 := mix(id)
-	for i := 0; i < b.k; i++ {
-		pos := (h1 + uint64(i)*h2) % b.m
-		b.bits[pos/64] |= 1 << (pos % 64)
-	}
+// pos maps the i-th probe hash to a bit position in [0, m): the high word
+// of h·m, a multiply where a 64-bit modulo would be a divide.
+func (b *bloom) pos(h uint64) uint64 {
+	hi, _ := bits.Mul64(h, b.m)
+	return hi
 }
 
-func (b *bloom) test(id uint64) bool {
-	h1, h2 := mix(id)
+// test reports whether every probe bit of (h1, h2) is set.
+func (b *bloom) test(h1, h2 uint64) bool {
 	for i := 0; i < b.k; i++ {
-		pos := (h1 + uint64(i)*h2) % b.m
-		if b.bits[pos/64]&(1<<(pos%64)) == 0 {
+		p := b.pos(h1)
+		if b.bits[p/64]&(1<<(p%64)) == 0 {
 			return false
 		}
+		h1 += h2
 	}
+	return true
+}
+
+// testAndSet sets every probe bit of (h1, h2) and reports whether any of
+// them was clear before, i.e. whether the identifier was new.
+func (b *bloom) testAndSet(h1, h2 uint64) bool {
+	var missing uint64
+	for i := 0; i < b.k; i++ {
+		p := b.pos(h1)
+		w, bit := &b.bits[p/64], uint64(1)<<(p%64)
+		missing |= ^*w & bit
+		*w |= bit
+		h1 += h2
+	}
+	if missing == 0 {
+		return false
+	}
+	b.dirty = true
 	return true
 }
 

@@ -12,7 +12,6 @@
 package router
 
 import (
-	"crypto/cipher"
 	"errors"
 	"fmt"
 	"sync"
@@ -127,7 +126,7 @@ type Config struct {
 	// (3-block CBC-MAC) and its AES key schedule are computed once per
 	// distinct Eq. (4) input instead of once per packet. Entries store the
 	// full MAC input and hits require an exact match, so caching never
-	// changes a verdict. Memory ≈ 248 B × entries per worker. Default 0
+	// changes a verdict. Memory ≈ 230 B × entries per worker. Default 0
 	// keeps the paper-faithful stateless path.
 	SigmaCacheEntries int
 	// Telemetry attaches the router's instruments to an AS-wide registry
@@ -479,23 +478,22 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	switch pkt.Type {
 	case packet.TData, packet.TEERenewReq:
 		// Two-step EER validation (Eqs. 4 and 6). The σ-keyed MAC uses the
-		// allocation-free software AES: σ changes per packet, and heap
-		// churn from per-packet key schedules would let the GC dominate.
+		// allocation-free caller-owned schedule: σ changes per packet, and
+		// heap churn from per-packet key schedules would let the GC dominate.
 		// With a σ-cache, repeat reservations skip the derivation and the
 		// key expansion entirely (exact-input match, so verdicts are
 		// unchanged).
 		packet.EERAuthInput(&w.eerIn, &pkt.Res, &pkt.EER, hop)
 		packet.HVFInput(&w.hvfIn, pkt.Ts, uint32(len(buf)))
-		var blk cipher.Block
+		var ks *cryptoutil.AESSchedule
 		if w.sc != nil {
-			blk = w.sc.block(&w.eerIn, w.cbc)
+			ks = w.sc.block(&w.eerIn, w.cbc)
 		}
-		if blk != nil {
-			blk.Encrypt(w.macOut[:], w.hvfIn[:])
+		if ks != nil {
+			cryptoutil.EncryptAES128(ks, &w.macOut, &w.hvfIn)
 		} else {
 			w.cbc.SumInto((*[cryptoutil.MACSize]byte)(&w.sigma), w.eerIn[:])
-			cryptoutil.ExpandAES128(&w.ks, &w.sigma)
-			cryptoutil.EncryptAES128(&w.ks, &w.macOut, &w.hvfIn)
+			cryptoutil.SigmaMAC(&w.ks, &w.sigma, &w.macOut, &w.hvfIn)
 		}
 		if !cryptoutil.ConstantTimeEqual(w.macOut[:packet.HVFLen], pkt.HVF(idx)) {
 			w.countDrop(acc, DropBadHVF, nowNs, true)

@@ -1,7 +1,6 @@
 package router
 
 import (
-	"crypto/cipher"
 	"encoding/binary"
 	"sync/atomic"
 
@@ -22,17 +21,13 @@ import (
 // derive from the packet itself. A hit skips both the 3-block CBC-MAC
 // derivation of σ and the AES key expansion.
 //
-// The cache is tiered like cryptoutil.SchedCache: a fill installs the
-// allocation-free software schedule inline, and an entry that proves hot
-// (promoteAfter further hits) is promoted once to a crypto/aes cipher
-// (hardware AES where available) — the one heap allocation is amortized
-// over the entry's remaining lifetime, and churning entries never reach
-// it. Layout: power-of-two sets, 2-way associative, second-chance
-// (reference-bit) eviction with admission bypass when a set is full of
-// hot entries. Memory is bounded at ≈ 300 B × entries for the array plus
-// ≈ 500 B heap per promoted entry (≤ entries). Renewals need no explicit
-// invalidation: a new version changes the MAC input (Ver/ExpT/bandwidth),
-// so it simply occupies a different entry.
+// Like cryptoutil.SchedCache, a fill expands the schedule inline in the
+// entry, so neither hits nor misses allocate. Layout: power-of-two sets,
+// 2-way associative, second-chance (reference-bit) eviction with admission
+// bypass when a set is full of hot entries. Memory is bounded at ≈ 230 B ×
+// entries. Renewals need no explicit invalidation: a new version changes
+// the MAC input (Ver/ExpT/bandwidth), so it simply occupies a different
+// entry.
 type sigmaCache struct {
 	mask uint64
 	ents []sigmaEntry
@@ -44,18 +39,11 @@ type sigmaCache struct {
 	misses atomic.Uint64 //colibri:singlewriter
 }
 
-// promoteAfter mirrors cryptoutil.SchedCache: hits before an entry's σ is
-// expanded into a hardware cipher.
-const promoteAfter = 16
-
 type sigmaEntry struct {
 	in    [packet.EERAuthLen]byte
-	hcnt  uint16
 	valid bool
 	ref   bool
-	sigma cryptoutil.Key
 	ks    cryptoutil.AESSchedule
-	blk   cipher.Block // non-nil once promoted to the hardware tier
 }
 
 func newSigmaCache(entries int) *sigmaCache {
@@ -79,16 +67,14 @@ func hashEERInput(in *[packet.EERAuthLen]byte) uint64 {
 	return h
 }
 
-// block returns the σ-keyed cipher for the given Eq. (4) MAC input,
+// block returns the expanded σ schedule for the given Eq. (4) MAC input,
 // deriving σ with cbc and expanding on miss.
 //
 // block returns nil when the set is full of recently-hit entries
 // (admission bypass, mirroring cryptoutil.SchedCache): the caller derives
-// σ itself on its software path, and σ is not derived here. The returned
-// cipher is only guaranteed valid until the next call — software-tier
-// entries hand out a pointer into the cache that a later fill may
-// overwrite.
-func (c *sigmaCache) block(in *[packet.EERAuthLen]byte, cbc *cryptoutil.CBCMAC) cipher.Block {
+// σ itself, and σ is not derived here. The returned schedule points into
+// the cache and is only valid until the next call, which may overwrite it.
+func (c *sigmaCache) block(in *[packet.EERAuthLen]byte, cbc *cryptoutil.CBCMAC) *cryptoutil.AESSchedule {
 	i := (hashEERInput(in) & c.mask) * 2
 	e0, e1 := &c.ents[i], &c.ents[i+1]
 	// Conditional ref stores keep steady-state hits read-only (an
@@ -98,14 +84,14 @@ func (c *sigmaCache) block(in *[packet.EERAuthLen]byte, cbc *cryptoutil.CBCMAC) 
 			e0.ref = true
 		}
 		c.hits.Add(1)
-		return e0.block()
+		return &e0.ks
 	}
 	if e1.valid && e1.in == *in {
 		if !e1.ref {
 			e1.ref = true
 		}
 		c.hits.Add(1)
-		return e1.block()
+		return &e1.ks
 	}
 	c.misses.Add(1)
 	var v *sigmaEntry
@@ -124,24 +110,10 @@ func (c *sigmaCache) block(in *[packet.EERAuthLen]byte, cbc *cryptoutil.CBCMAC) 
 	}
 	v.in = *in
 	v.valid, v.ref = true, true
-	v.hcnt, v.blk = 0, nil
-	cbc.SumInto((*[cryptoutil.MACSize]byte)(&v.sigma), in[:])
-	cryptoutil.ExpandAES128(&v.ks, &v.sigma)
+	var sigma cryptoutil.Key
+	cbc.SumInto((*[cryptoutil.MACSize]byte)(&sigma), in[:])
+	cryptoutil.ExpandAES128(&v.ks, &sigma)
 	return &v.ks
-}
-
-// block returns the entry's cipher, promoting it to the hardware tier once
-// it has proven hot.
-func (e *sigmaEntry) block() cipher.Block {
-	if e.blk != nil {
-		return e.blk
-	}
-	if e.hcnt < promoteAfter {
-		e.hcnt++
-		return &e.ks
-	}
-	e.blk = cryptoutil.NewBlock(e.sigma)
-	return e.blk
 }
 
 func (c *sigmaCache) stats() (hits, misses uint64) { return c.hits.Load(), c.misses.Load() }
