@@ -154,7 +154,7 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	for i := 0; i < nsplit && d.err == nil; i++ {
 		r.Splits = append(r.Splits, d.u8())
 	}
-	r.Path = d.hops()
+	r.Path = d.hops(nil)
 	n := int(d.u32())
 	if d.err == nil && n > len(d.buf)/(eeBatchItemLen+eeBatchTailLen) {
 		return ErrTruncated
@@ -167,7 +167,7 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 		})
 	}
 	r.bodyLen = len(data) - len(d.buf)
-	r.Macs = d.macs()
+	r.Macs = d.macs(nil)
 	r.wire = data[:len(data)-len(d.buf)]
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Accums = append(r.Accums, d.u64())
@@ -252,16 +252,21 @@ func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 // decoded request and downstream response, the per-item states, and the flat
 // buffers this hop encodes and seals into. A service keeps its idle scratch
 // (getWave/putWave), so a steady renewal storm allocates per wave only what
-// leaves the handler — the marshaled response, the grants.
+// leaves the handler — the marshaled response, the grants. A solo request
+// (tags 4/5) is a wave of one as far as scratch goes: solo and soloResp are its
+// decoded forms, whose slices own their memory, and it shares fwd, nonces, ad
+// and sigma.
 type waveScratch struct {
-	req    EEBatchRenewReq
-	resp   EEBatchRenewResp
-	states []eeBatchState
-	fwd    []byte // the request as forwarded to the next hop
-	sealed []byte // this hop's sealed authenticators, back to back
-	nonces []byte // their nonces, drawn in one read
-	ad     []byte
-	sigma  cryptoutil.Key
+	req      EEBatchRenewReq
+	resp     EEBatchRenewResp
+	solo     EESetupReq
+	soloResp EESetupResp
+	states   []eeBatchState
+	fwd      []byte // the request as forwarded to the next hop
+	sealed   []byte // this hop's sealed authenticators, back to back
+	nonces   []byte // their nonces, drawn in one read
+	ad       []byte
+	sigma    cryptoutil.Key
 }
 
 // maxRetainedWave caps the item capacity of scratch a service keeps: a wave
@@ -289,6 +294,9 @@ func (s *Service) putWave(sc *waveScratch) {
 	// the downstream response, the initiator's grants.
 	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0]}
 	clear(sc.resp.EncAuths)
+	sc.resp.EncAuths = sc.resp.EncAuths[:0]
+	sc.solo.wire = nil
+	clear(sc.soloResp.EncAuths)
 	s.waveMu.Lock()
 	s.waveFree = append(s.waveFree, sc)
 	s.waveMu.Unlock()
@@ -361,9 +369,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		}
 	}
 	now := s.clock()
-	covering := coveringSegs(len(req.SegIDs), req.Splits, len(req.Path), idx)
-	if len(covering) == 0 {
-		return fail("hop %d is not covered by any segment reservation", idx)
+	covering := coveringSegs(nil, len(req.SegIDs), req.Splits, len(req.Path), idx)
+	if len(covering) == 0 || len(covering) > 2 {
+		return fail("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
 	}
 	localSegIDs := make([]reservation.ID, 0, 2)
 	segRs := make([]*reservation.SegR, 0, 2)

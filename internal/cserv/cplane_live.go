@@ -181,8 +181,11 @@ func normPath(segs []reservation.ID) []reservation.ID {
 // shard pair — which is what lets a wave lock once and still settle its items
 // strictly in order.
 type eerPath struct {
-	c    *CPlane
-	segs []reservation.ID // normalized: one entry, or two distinct ones
+	c *CPlane
+	// segs[:nseg] is the normalized set: one entry, or two distinct ones. Held
+	// by value, so that a caller's set may live on its stack.
+	segs [2]reservation.ID
+	nseg int
 	now  uint32
 	prim *cplaneShard // shard of segs[0], which owns the EER records
 	// led and segBw are each covering SegR's demand ledger (nil when unknown)
@@ -204,10 +207,10 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 		c.shards[b].mu.Lock()
 		defer c.shards[b].mu.Unlock()
 	}
-	p := eerPath{c: c, segs: segs, now: c.clock(), prim: c.shardFor(segs[0])}
+	p := eerPath{c: c, nseg: len(segs), now: c.clock(), prim: c.shardFor(segs[0])}
 	for k, seg := range segs {
 		sh := c.shardFor(seg)
-		p.led[k], p.segBw[k] = sh.ledgers[seg], sh.segBw[seg]
+		p.segs[k], p.led[k], p.segBw[k] = seg, sh.ledgers[seg], sh.segBw[seg]
 	}
 	fn(p)
 }
@@ -240,7 +243,7 @@ func (p *eerPath) avail(k int, toT uint32) uint64 {
 func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
 	c, now := p.c, p.now
 	err := restree.ErrExists
-	if len(p.segs) == 1 {
+	if p.nseg == 1 {
 		err = p.prim.setupEERLocked(eer, p.segs[0], bwKbps, now, now, expT, ver)
 	} else if _, dup := p.prim.eers[eer]; !dup {
 		err = p.setupPair(eer, bwKbps, expT, ver)
@@ -281,7 +284,7 @@ func (p *eerPath) setupPair(eer reservation.ID, bwKbps uint64, expT uint32, ver 
 // (§4.2 fallback) and reports ErrInsufficient. Callers needing rollback keep
 // e and reinstate it with RestoreEERPath.
 func (p *eerPath) renew(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
-	if len(p.segs) == 1 {
+	if p.nseg == 1 {
 		it := EERRenewal{EER: eer, Seg: p.segs[0], BwKbps: bwKbps, ExpT: expT, Ver: ver}
 		g, err, gone := p.prim.renewRecLocked(e, &it, p.now)
 		p.c.tallyRenew(err, gone)
@@ -360,7 +363,7 @@ func reservePair(led0, led1 *restree.Ledger[reservation.ID], eer reservation.ID,
 
 // discharge removes the EER's charge from every covering ledger.
 func (p *eerPath) discharge(eer reservation.ID) {
-	for _, led := range p.led[:len(p.segs)] {
+	for _, led := range p.led[:p.nseg] {
 		if led != nil {
 			led.Teardown(eer)
 		}
@@ -376,7 +379,7 @@ func (p *eerPath) recharge(eer reservation.ID, expT uint32, bwKbps uint64) bool 
 	if expT <= p.now {
 		return false
 	}
-	for _, led := range p.led[:len(p.segs)] {
+	for _, led := range p.led[:p.nseg] {
 		if led == nil || led.Reserve(eer, p.now, expT, int64(bwKbps)) != nil {
 			p.discharge(eer)
 			return false
@@ -402,7 +405,7 @@ func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbp
 			return
 		}
 		rec := cpEER{seg: p.segs[0], bw: bwKbps, expT: expT, ver: ver}
-		if len(p.segs) == 2 {
+		if p.nseg == 2 {
 			rec.seg2 = p.segs[1]
 		}
 		p.prim.eers[eer] = rec

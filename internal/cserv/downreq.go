@@ -50,7 +50,7 @@ func UnmarshalDownSegReq(data []byte) (*DownSegReq, error) {
 	}
 	r := &DownSegReq{}
 	r.Requester = topology.IA(d.u64())
-	r.Seg = d.hops()
+	r.Seg = d.hops(nil)
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
 	d.bytes(r.Mac[:])

@@ -1,7 +1,9 @@
 package cserv
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -51,65 +53,99 @@ func (s *Service) RequestEER(srcHost, dstHost uint32, dstIA topology.IA, bwKbps 
 
 func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, chain []*Offer) (*EERGrant, error) {
 	segs := make([]*segment.Segment, len(chain))
-	segIDs := make([]reservation.ID, len(chain))
 	for i, off := range chain {
 		segs[i] = off.Seg
-		segIDs[i] = off.ID
 	}
 	path, err := segment.Join(segs...)
 	if err != nil {
 		return nil, err
 	}
-	// Transfer-AS positions: cumulative segment ends.
-	splits := make([]uint8, 0, len(segs)-1)
-	pos := 0
-	for i := 0; i < len(segs)-1; i++ {
-		pos += segs[i].Len() - 1
-		splits = append(splits, uint8(pos))
-	}
-	now := s.clock()
-	req := &EESetupReq{
+	sc := s.getWave()
+	defer s.putWave(sc)
+	req := &sc.solo
+	*req = EESetupReq{
 		ID:      s.store.NextID(),
-		SegIDs:  segIDs,
-		Splits:  splits,
-		Path:    HopsFromPath(path),
+		SegIDs:  req.SegIDs[:0],
+		Splits:  req.Splits[:0],
+		Path:    req.Path[:0],
 		BwKbps:  bwKbps,
-		ExpT:    now + reservation.EERLifetimeSeconds,
+		ExpT:    s.clock() + reservation.EERLifetimeSeconds,
 		Ver:     1,
 		SrcHost: srcHost,
 		DstHost: dstHost,
+		Macs:    req.Macs[:0],
 	}
-	return s.launchEE(req)
+	// Transfer-AS positions: cumulative segment ends.
+	pos := 0
+	for i, off := range chain {
+		req.SegIDs = append(req.SegIDs, off.ID)
+		if i < len(chain)-1 {
+			pos += off.Seg.Len() - 1
+			req.Splits = append(req.Splits, uint8(pos))
+		}
+	}
+	for _, h := range path.Hops {
+		req.Path = append(req.Path, PathHop{IA: h.IA, In: h.In, Eg: h.Eg})
+	}
+	return s.launchEE(sc)
 }
 
 // RenewEER renews an existing EER for a new version with possibly different
 // bandwidth. Multiple versions remain valid concurrently, enabling seamless
 // transition (§4.2).
 func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) {
-	now := s.clock()
-	req := &EESetupReq{
+	sc := s.getWave()
+	defer s.putWave(sc)
+	req := &sc.solo
+	*req = EESetupReq{
 		ID:      prev.ID,
-		SegIDs:  prev.SegIDs,
-		Splits:  prev.Splits,
-		Path:    prev.PathHops,
+		SegIDs:  append(req.SegIDs[:0], prev.SegIDs...),
+		Splits:  append(req.Splits[:0], prev.Splits...),
+		Path:    append(req.Path[:0], prev.PathHops...),
 		BwKbps:  newBwKbps,
-		ExpT:    now + reservation.EERLifetimeSeconds,
+		ExpT:    s.clock() + reservation.EERLifetimeSeconds,
 		Ver:     prev.Res.Ver + 1,
 		SrcHost: prev.EER.SrcHost,
 		DstHost: prev.EER.DstHost,
 		Renewal: true,
+		Macs:    req.Macs[:0],
 	}
-	return s.launchEE(req)
+	return s.launchEE(sc)
 }
 
-// launchEE signs and runs an EE request from hop 0.
-func (s *Service) launchEE(req *EESetupReq) (*EERGrant, error) {
-	macs, err := s.computeMacs(req.Path, req.Body())
-	if err != nil {
+// launchEE signs the request in sc.solo and runs it from hop 0. The request
+// is a copy in the scratch's own memory — never the caller's slices, which the
+// next request through this scratch would overwrite.
+func (s *Service) launchEE(sc *waveScratch) (*EERGrant, error) {
+	req := &sc.solo
+	n := len(req.Path)
+	if n > packet.MaxHops {
+		return nil, fmt.Errorf("cserv: %d hops exceeds maximum", n)
+	}
+	// K_{AS_i→us} signs the request towards AS_i and opens what AS_i seals
+	// (Eq. 5): fetched once per hop.
+	now := s.clock()
+	var hops [packet.MaxHops]*keyCrypto
+	for i, h := range req.Path {
+		key, err := s.hopKey(h.IA, now)
+		if err != nil {
+			return nil, err
+		}
+		hops[i] = s.cryptoFor(key)
+	}
+	sc.fwd = req.appendBody(sc.fwd[:0])
+	req.bodyLen = len(sc.fwd)
+	req.Macs = slices.Grow(req.Macs, n)[:n]
+	for i := range req.Macs {
+		hops[i].mac(&req.Macs[i], sc.fwd)
+	}
+	sc.fwd = req.appendTail(sc.fwd)
+	req.wire = sc.fwd
+	out, _ := s.processEESetup(sc, 0, req.BwKbps)
+	resp := &sc.soloResp
+	if err := resp.unmarshal(out); err != nil {
 		return nil, err
 	}
-	req.Macs = macs
-	resp := s.processEESetup(req, 0, req.BwKbps)
 	if !resp.OK {
 		return nil, fmt.Errorf("%w: EER setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
 	}
@@ -127,17 +163,12 @@ func (s *Service) launchEE(req *EESetupReq) (*EERGrant, error) {
 		PathHops: append([]PathHop(nil), req.Path...),
 		Splits:   append([]uint8(nil), req.Splits...),
 		SegIDs:   append([]reservation.ID(nil), req.SegIDs...),
+		HopAuths: make([]cryptoutil.Key, n),
 	}
-	// Decrypt the hop authenticators (Eq. 5): AS_i sealed σ_i under
-	// K_{AS_i→us}, which we hold in the key store.
-	now := s.clock()
-	grant.HopAuths = make([]cryptoutil.Key, len(req.Path))
+	// Decrypt the hop authenticators: hop 0 checked that there is one per hop.
 	for i, enc := range resp.EncAuths {
-		key, err := s.hopKey(req.Path[i].IA, now)
-		if err != nil {
-			return nil, err
-		}
-		if err := openHopAuth(s.cryptoFor(key).sealer, &grant.HopAuths[i], enc, eerAuthAD(nil, req.ID, uint8(i))); err != nil {
+		sc.ad = eerAuthAD(sc.ad[:0], req.ID, uint8(i))
+		if err := openHopAuth(hops[i].sealer, &grant.HopAuths[i], enc, sc.ad); err != nil {
 			return nil, fmt.Errorf("cserv: opening hop authenticator %d: %w", i, err)
 		}
 	}
@@ -163,43 +194,60 @@ func eerAuthAD(b []byte, id reservation.ID, hop uint8) []byte {
 	return append(appendID(b, id), hop)
 }
 
-// segsCovering returns the indices into req.SegIDs of the segment
-// reservations this hop participates in (one normally, two at transfer
-// ASes).
-func segsCovering(req *EESetupReq, idx int) []int {
-	return coveringSegs(len(req.SegIDs), req.Splits, len(req.Path), idx)
-}
-
-// coveringSegs is the chain-geometry core of segsCovering, shared with the
-// batch-renewal handler (whose items all ride the same SegR chain).
-func coveringSegs(nSeg int, splits []uint8, pathLen, idx int) []int {
+// coveringSegs appends to dst the indices into a chain's SegIDs of the segment
+// reservations hop idx participates in (one normally, two at transfer ASes).
+// Solo requests and renewal waves share the geometry; dst is normally a slice
+// of a stack array of two.
+func coveringSegs(dst []int, nSeg int, splits []uint8, pathLen, idx int) []int {
 	if nSeg == 1 {
-		return []int{0}
+		return append(dst, 0)
 	}
 	start := 0
-	var covering []int
 	for k := 0; k < nSeg; k++ {
 		end := pathLen - 1
 		if k < len(splits) {
 			end = int(splits[k])
 		}
 		if idx >= start && idx <= end {
-			covering = append(covering, k)
+			dst = append(dst, k)
 		}
 		start = end
 	}
-	return covering
+	return dst
 }
 
-// processEESetup handles an EER setup/renewal request at hop idx.
-func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ *EESetupResp) {
+// eeRespSlot checks that resp, an OK response of size bytes, has the shape hop
+// idx of an n-hop path must receive — n authenticator slots, sealed by every
+// hop behind idx and by no other — and returns the offset of slot idx.
+func eeRespSlot(resp *EESetupResp, size, n, idx int) (off int, ok bool) {
+	if len(resp.EncAuths) != n {
+		return 0, false
+	}
+	for i, ea := range resp.EncAuths {
+		if (i <= idx && len(ea) != 0) || (i > idx && len(ea) != sealedAuthLen) {
+			return 0, false
+		}
+	}
+	return size - (n-1-idx)*(2+sealedAuthLen) - 2, true
+}
+
+// processEESetup handles the EER setup/renewal request decoded into sc.solo at
+// hop idx and returns the marshaled response with whether it is a grant. The
+// response of a grant is one buffer from the last hop to the initiator: the
+// last hop allocates it at its final size, and every hop on the way back seals
+// σ into its own slot of the bytes it received (they belong to the caller of
+// Transport.Call), so no hop decodes, copies or re-encodes what other hops
+// sealed.
+func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []byte, ok bool) {
+	req := &sc.solo
+	var reason string
 	defer func() {
 		kind := telemetry.EvEESetup
 		switch {
-		case resp_.OK && req.Renewal:
+		case ok && req.Renewal:
 			s.metrics.EERenewOK.Add(1)
 			kind = telemetry.EvEERenew
-		case resp_.OK:
+		case ok:
 			s.metrics.EESetupOK.Add(1)
 		case req.Renewal:
 			s.metrics.EERenewFail.Add(1)
@@ -207,30 +255,38 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		default:
 			s.metrics.EESetupFail.Add(1)
 		}
-		s.metrics.Trace(int64(s.clock())*1e9, kind, req.ID.String(), resp_.OK, resp_.Reason)
+		s.metrics.TraceID(int64(s.clock())*1e9, kind, req.ID, ok, reason)
 	}()
-	fail := func(format string, args ...any) *EESetupResp {
-		return &EESetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
+	failAt := func(hop int, format string, args ...any) ([]byte, bool) {
+		reason = fmt.Sprintf(format, args...)
+		return (&EESetupResp{FailedAt: uint8(hop), Reason: reason}).Marshal(), false
 	}
+	fail := func(format string, args ...any) ([]byte, bool) { return failAt(idx, format, args...) }
+	now := s.clock()
+	// K_{me→Src} both authenticates the request (§4.5) and seals σ for the
+	// source (Eq. 5): derived on the fly, once.
+	key, _ := s.engine.Level1(req.ID.SrcAS, now)
+	kc := s.cryptoFor(key)
 	if idx > 0 {
-		if err := s.verifySourceMac(req.ID.SrcAS, req.Body(), req.Macs, idx); err != nil {
+		if err := kc.verify(req.wire[:req.bodyLen], req.Macs, idx); err != nil {
 			s.metrics.AuthFailures.Add(1)
 			return fail("authentication: %v", err)
 		}
-		if !s.rate.Allow(req.ID.SrcAS, s.clock()) {
+		if !s.rate.Allow(req.ID.SrcAS, now) {
 			s.metrics.RateLimited.Add(1)
 			return fail("rate limited")
 		}
 	}
+	n := len(req.Path)
 	hop := req.Path[idx]
-	now := s.clock()
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7). The CPlane keys its EER
 	// record by the primary (first local) covering segment, so the dedup
 	// below needs it before any store lookup.
-	covering := segsCovering(req, idx)
-	if len(covering) == 0 {
-		return fail("hop %d is not covered by any segment reservation", idx)
+	var coverBuf [2]int
+	covering := coveringSegs(coverBuf[:0], len(req.SegIDs), req.Splits, n, idx)
+	if len(covering) == 0 || len(covering) > 2 {
+		return fail("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
 	}
 	// Idempotent retry detection (idempotency key: (ID, Ver) with matching
 	// expiry): a lost response leaves every hop downstream of the loss
@@ -238,18 +294,30 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	// from it instead of admitting again — and decide before the renewal
 	// rate limiter, which must not throttle the retry of the very renewal
 	// it just admitted.
-	var dup bool
-	var dupKbps uint64
+	//
+	// What is not a retry is the live record this request replaces (prev*):
+	// the transfer split credits it as freed headroom and returns its charge
+	// once the new version commits, and a downstream failure reinstates it (the
+	// CPlane holds one version per EER — the record the dedup just looked up;
+	// the store's rollback instead removes the added version from the list).
+	// Store.LiveVersion mirrors CPlane.LookupEER so both admission modes
+	// account identically.
+	var dup, hadPrev bool
+	var prevBw uint64
+	var prevExpT uint32
+	var prevVer uint16
 	if s.cp != nil {
-		if bw, ver, expT, ok := s.cp.LookupEER(req.ID, req.SegIDs[covering[0]]); ok && ver == req.Ver && expT == req.ExpT {
-			dup, dupKbps = true, bw
-		}
+		prevBw, prevVer, prevExpT, hadPrev = s.cp.LookupEER(req.ID, req.SegIDs[covering[0]])
+		dup = hadPrev && prevVer == req.Ver && prevExpT == req.ExpT
 	} else if existing, gerr := s.store.GetEER(req.ID); gerr == nil {
 		for _, v := range existing.Versions {
 			if v.Ver == req.Ver && v.ExpT == req.ExpT {
-				dup, dupKbps = true, v.BwKbps
+				dup, prevBw = true, v.BwKbps
 				break
 			}
+		}
+		if !dup {
+			prevBw, prevVer, prevExpT, hadPrev = s.store.LiveVersion(req.ID, now)
 		}
 	}
 	if dup {
@@ -270,12 +338,13 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	}
 	// Destination approval (§3.3: the destination host "also has to
 	// explicitly accept the EER request").
-	if idx == len(req.Path)-1 && !s.dstApprove(req) {
+	if idx == n-1 && s.dstApprove != nil && !s.dstApprove(req) {
 		return fail("destination refused")
 	}
 
-	localSegIDs := make([]reservation.ID, 0, 2)
-	segRs := make([]*reservation.SegR, 0, 2)
+	var segIDBuf [2]reservation.ID
+	var segRBuf [2]*reservation.SegR
+	localSegIDs, segRs := segIDBuf[:0], segRBuf[:0]
 	for _, k := range covering {
 		sr, err := s.store.GetSegR(req.SegIDs[k])
 		if err != nil {
@@ -283,24 +352,6 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		}
 		localSegIDs = append(localSegIDs, sr.ID)
 		segRs = append(segRs, sr)
-	}
-
-	// prev* capture the live record this request replaces: the transfer split
-	// credits it as freed headroom and returns its charge once the new version
-	// commits, and a downstream failure reinstates it (the CPlane holds one
-	// version per EER; the store's rollback instead removes the added version
-	// from the list). Store.LiveVersion mirrors CPlane.LookupEER so both
-	// admission modes account identically.
-	var prevBw uint64
-	var prevExpT uint32
-	var prevVer uint16
-	var hadPrev bool
-	if !dup {
-		if s.cp != nil {
-			prevBw, prevVer, prevExpT, hadPrev = s.cp.LookupEER(req.ID, localSegIDs[0])
-		} else {
-			prevBw, prevVer, prevExpT, hadPrev = s.store.LiveVersion(req.ID, now)
-		}
 	}
 
 	// Transfer-AS proportional split between up- and core-SegR (§4.7). The
@@ -312,7 +363,7 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 	// the renewal-storm recovery at 10⁶ flows found every one of these).
 	grant := accum
 	if dup {
-		grant = dupKbps
+		grant = prevBw
 	}
 	var tAdmitted bool
 	var tCapped, tGrant uint64
@@ -368,46 +419,38 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 
 	// Admit (reserve) the requested bandwidth against the local SegRs; the
 	// backward pass adjusts it down to the path-wide minimum.
-	eer := &reservation.EER{
-		ID:      req.ID,
-		In:      hop.In,
-		Eg:      hop.Eg,
-		SrcHost: req.SrcHost,
-		DstHost: req.DstHost,
-	}
-	v := reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT}
 	if !dup {
-		if s.cp != nil {
-			var aerr error
-			if req.Renewal && hadPrev {
-				var g uint64
-				if g, aerr = s.cp.RenewEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver); aerr == nil {
-					// Renewals may legally shrink to the free bandwidth (§4.2).
-					grant = g
-				}
-			} else {
-				// A fresh setup — or a renewal of an EER this AS no longer
-				// holds (version expired, or state lost in a crash): admit it
-				// anew so the flow re-promotes instead of staying demoted.
-				aerr = s.cp.SetupEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver)
+		var aerr error
+		switch {
+		case s.cp == nil:
+			eer := &reservation.EER{
+				ID:      req.ID,
+				In:      hop.In,
+				Eg:      hop.Eg,
+				SrcHost: req.SrcHost,
+				DstHost: req.DstHost,
 			}
-			if aerr != nil {
-				releaseT()
-				s.metrics.AdmReject.Add(1)
-				if req.Renewal {
-					s.metrics.AdmFallback.Add(1)
-				}
-				return fail("admission: %v", aerr)
+			v := reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT}
+			aerr = s.store.AdmitEERVersion(eer, localSegIDs, v, now)
+		case req.Renewal && hadPrev:
+			var g uint64
+			if g, aerr = s.cp.RenewEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver); aerr == nil {
+				// Renewals may legally shrink to the free bandwidth (§4.2).
+				grant = g
 			}
-		} else {
-			if err := s.store.AdmitEERVersion(eer, localSegIDs, v, now); err != nil {
-				releaseT()
-				s.metrics.AdmReject.Add(1)
-				if req.Renewal {
-					s.metrics.AdmFallback.Add(1)
-				}
-				return fail("admission: %v", err)
+		default:
+			// A fresh setup — or a renewal of an EER this AS no longer
+			// holds (version expired, or state lost in a crash): admit it
+			// anew so the flow re-promotes instead of staying demoted.
+			aerr = s.cp.SetupEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver)
+		}
+		if aerr != nil {
+			releaseT()
+			s.metrics.AdmReject.Add(1)
+			if req.Renewal {
+				s.metrics.AdmFallback.Add(1)
 			}
+			return fail("admission: %v", aerr)
 		}
 	}
 	rollback := func() {
@@ -428,30 +471,41 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		_ = s.store.RemoveEERVersion(req.ID, req.Ver)
 	}
 
-	var resp *EESetupResp
-	if idx == len(req.Path)-1 {
-		resp = &EESetupResp{
-			OK:        true,
-			FinalKbps: grant,
-			EncAuths:  make([][]byte, len(req.Path)),
-		}
+	// final is the path-wide grant and off the offset of this hop's slot in out.
+	final, off := grant, 0
+	if idx == n-1 {
+		// The response at its final size: OK, no reason, n slots still empty.
+		out = make([]byte, 0, eeRespFixedLen+n*(2+sealedAuthLen))
+		out = binary.BigEndian.AppendUint64(append(out, 1, 0, 0, 0), grant)
+		out = binary.BigEndian.AppendUint16(out, uint16(n))
+		out = out[:len(out)+2*n]
+		off = len(out) - 2
 	} else {
-		next := req.Path[idx+1].IA
-		fwd := *req
-		fwd.AccumKbps = grant
-		data, err := s.transport.Call(next, fwd.Marshal())
-		if err != nil {
-			resp = &EESetupResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("transport: %v", err)}
-		} else if resp, err = UnmarshalEESetupResp(data); err != nil {
-			resp = &EESetupResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("response: %v", err)}
+		// Forward the bytes received, accumulator overwritten.
+		sc.fwd = append(sc.fwd[:0], req.wire...)
+		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], grant)
+		var err error
+		if out, err = s.transport.Call(req.Path[idx+1].IA, sc.fwd); err != nil {
+			rollback()
+			return failAt(idx+1, "transport: %v", err)
 		}
+		resp := &sc.soloResp
+		if err := resp.unmarshal(out); err != nil {
+			rollback()
+			return failAt(idx+1, "response: %v", err)
+		}
+		if !resp.OK {
+			rollback()
+			reason = resp.Reason
+			return out, false
+		}
+		var shaped bool
+		if off, shaped = eeRespSlot(resp, len(out), n, idx); !shaped {
+			rollback()
+			return failAt(idx+1, "response: malformed")
+		}
+		final = resp.FinalKbps
 	}
-	if !resp.OK {
-		rollback()
-		return resp
-	}
-
-	final := resp.FinalKbps
 	if final < grant {
 		if s.cp != nil {
 			s.cp.AdjustEERPath(req.ID, localSegIDs, final)
@@ -461,22 +515,29 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		}
 	}
 	// Compute σ_i (Eq. 4) over the final reservation parameters and seal it
-	// for the source AS (Eq. 5).
-	res := &packet.ResInfo{
+	// for the source AS (Eq. 5) into slot idx: what the hops behind this one
+	// sealed moves up by one authenticator, within the buffer's capacity unless
+	// a transport handed back one of exactly the response's size.
+	res := packet.ResInfo{
 		SrcAS:  req.ID.SrcAS,
 		ResID:  req.ID.Num,
 		BwKbps: uint32(final),
 		ExpT:   req.ExpT,
 		Ver:    req.Ver,
 	}
-	eerInfo := &packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost}
-	sigma := s.hopAuth(res, eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-	key, _ := s.engine.Level1(req.ID.SrcAS, now)
-	sealed, err := s.cryptoFor(key).sealer.Seal(sigma[:], eerAuthAD(nil, req.ID, uint8(idx)))
-	if err != nil {
+	eerInfo := packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost}
+	sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
+	sc.nonces = slices.Grow(sc.nonces[:0], cryptoutil.NonceSize)[:cryptoutil.NonceSize]
+	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
 		rollback()
 		return fail("seal: %v", err)
 	}
+	sc.ad = eerAuthAD(sc.ad[:0], req.ID, uint8(idx))
+	size := len(out)
+	out = slices.Grow(out, sealedAuthLen)[:size+sealedAuthLen]
+	copy(out[off+2+sealedAuthLen:], out[off+2:size])
+	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
+	kc.sealer.SealTo(out[:off+2], sc.nonces, sc.sigma[:], sc.ad)
 	if tAdmitted {
 		// The version is committed: clamp the split's record of it to the
 		// final path-wide grant, and return the replaced live version's
@@ -486,8 +547,6 @@ func (s *Service) processEESetup(req *EESetupReq, idx int, accum uint64) (resp_ 
 		if req.Renewal && hadPrev && prevExpT > now {
 			s.transfer.Release(tCore, tUp, prevBw, prevBw)
 		}
-		tAdmitted = false
 	}
-	resp.EncAuths[idx] = sealed
-	return resp
+	return out, true
 }

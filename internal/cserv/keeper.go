@@ -91,7 +91,7 @@ func (k *EERKeeper) applyOutcome(g *EERGrant, err error) error {
 			k.demoted = true
 			k.gw.Demote(k.grant.Res.ResID)
 			k.svc.metrics.Demotions.Add(1)
-			k.svc.metrics.Trace(int64(now)*1e9, telemetry.EvDemote, k.grant.ID.String(), false, "renewal failed")
+			k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvDemote, k.grant.ID, false, "renewal failed")
 		}
 		return err
 	}
@@ -104,7 +104,7 @@ func (k *EERKeeper) applyOutcome(g *EERGrant, err error) error {
 	if k.demoted {
 		k.demoted = false
 		k.svc.metrics.Promotions.Add(1)
-		k.svc.metrics.Trace(int64(now)*1e9, telemetry.EvPromote, g.ID.String(), true, "")
+		k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, g.ID, true, "")
 	}
 	return nil
 }

@@ -16,6 +16,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -42,6 +43,9 @@ const (
 var (
 	ErrTruncated = errors.New("cserv: truncated message")
 	ErrBadTag    = errors.New("cserv: unexpected message tag")
+	// ErrNotCanonical rejects a message that decodes but is not what its own
+	// re-encoding would be (see EESetupReq.unmarshal).
+	ErrNotCanonical = errors.New("cserv: message is not in canonical form")
 )
 
 // PathHop is one AS of a request path with its local interfaces.
@@ -54,15 +58,6 @@ type PathHop struct {
 func HopsFromSegment(seg *segment.Segment) []PathHop {
 	hops := make([]PathHop, seg.Len())
 	for i, h := range seg.Hops {
-		hops[i] = PathHop{IA: h.IA, In: h.In, Eg: h.Eg}
-	}
-	return hops
-}
-
-// HopsFromPath converts an end-to-end path to request path hops.
-func HopsFromPath(p *segment.Path) []PathHop {
-	hops := make([]PathHop, p.Len())
-	for i, h := range p.Hops {
 		hops[i] = PathHop{IA: h.IA, In: h.In, Eg: h.Eg}
 	}
 	return hops
@@ -132,12 +127,12 @@ func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
 	r.ID = d.id()
 	r.SegType = segment.Type(d.u8())
 	r.Renewal = d.u8() == 1
-	r.Path = d.hops()
+	r.Path = d.hops(nil)
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
 	r.ExpT = d.u32()
 	r.Ver = d.u16()
-	r.Macs = d.macs()
+	r.Macs = d.macs(nil)
 	r.AccumKbps = d.u64()
 	if d.err != nil {
 		return nil, d.err
@@ -180,6 +175,9 @@ func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) {
 	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
+	if d.err == nil && n > packet.MaxHops {
+		return nil, fmt.Errorf("cserv: %d tokens exceeds maximum", n)
+	}
 	for i := 0; i < n && d.err == nil; i++ {
 		var tok [packet.HVFLen]byte
 		d.bytes(tok[:])
@@ -220,8 +218,8 @@ func UnmarshalSegActivateReq(data []byte) (*SegActivateReq, error) {
 	r := &SegActivateReq{}
 	r.ID = d.id()
 	r.Ver = d.u16()
-	r.Path = d.hops()
-	r.Macs = d.macs()
+	r.Path = d.hops(nil)
+	r.Macs = d.macs(nil)
 	if d.err != nil {
 		return nil, d.err
 	}
@@ -245,16 +243,37 @@ type EESetupReq struct {
 	Macs    [][cryptoutil.MACSize]byte
 	// AccumKbps mirrors SegSetupReq.AccumKbps for EER requests.
 	AccumKbps uint64
+
+	// wire is the message this request was decoded from (at the initiator:
+	// encoded into) and bodyLen the MAC-covered share of it. The decoder
+	// accepts only what Marshal would produce, so wire[:bodyLen] is Body(): a
+	// hop authenticates the bytes it received and forwards a copy of them with
+	// the accumulator overwritten, instead of encoding the request again. At a
+	// handler wire aliases the received message, which is read-only to it.
+	wire    []byte
+	bodyLen int
+}
+
+// Wire sizes of an EESetupReq's parts.
+const (
+	idLen         = 8 + 4     // a reservation.ID
+	hopLen        = 8 + 2 + 2 // a PathHop
+	eeReqFixedLen = 1 + idLen + 1 + 1 + 2 + 8 + 4 + 2 + 4 + 4 + 1
+)
+
+func (r *EESetupReq) bodySize() int {
+	return eeReqFixedLen + idLen*len(r.SegIDs) + len(r.Splits) + hopLen*len(r.Path)
 }
 
 // Body returns the MAC-covered canonical encoding.
-func (r *EESetupReq) Body() []byte {
+func (r *EESetupReq) Body() []byte { return r.appendBody(make([]byte, 0, r.bodySize())) }
+
+func (r *EESetupReq) appendBody(b []byte) []byte {
 	tag := byte(tagEESetup)
 	if r.Renewal {
 		tag = tagEERenew
 	}
-	b := []byte{tag}
-	b = appendID(b, r.ID)
+	b = appendID(append(b, tag), r.ID)
 	b = append(b, byte(len(r.SegIDs)))
 	for _, id := range r.SegIDs {
 		b = appendID(b, id)
@@ -267,45 +286,68 @@ func (r *EESetupReq) Body() []byte {
 	b = binary.BigEndian.AppendUint16(b, r.Ver)
 	b = binary.BigEndian.AppendUint32(b, r.SrcHost)
 	b = binary.BigEndian.AppendUint32(b, r.DstHost)
-	b = append(b, boolByte(r.Renewal))
-	return b
+	return append(b, boolByte(r.Renewal))
+}
+
+// appendTail appends what follows the body: the MACs and the mutable
+// accumulator.
+func (r *EESetupReq) appendTail(b []byte) []byte {
+	return binary.BigEndian.AppendUint64(appendMacs(b, r.Macs), r.AccumKbps)
 }
 
 // Marshal appends the MACs and the mutable accumulator to the body.
 func (r *EESetupReq) Marshal() []byte {
-	return binary.BigEndian.AppendUint64(appendMacs(r.Body(), r.Macs), r.AccumKbps)
+	size := r.bodySize() + 2 + cryptoutil.MACSize*len(r.Macs) + 8
+	return r.appendTail(r.appendBody(make([]byte, 0, size)))
 }
 
 // UnmarshalEESetupReq parses an EESetupReq.
 func UnmarshalEESetupReq(data []byte) (*EESetupReq, error) {
+	r := &EESetupReq{}
+	if err := r.unmarshal(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unmarshal decodes data into r, reusing the capacity of r's slices. It is
+// canonical-only: a message whose re-encoding would differ from data — the
+// tag and the Renewal flag disagree, the flag is neither 0 nor 1, bytes
+// follow the accumulator — is an error, not something to normalise, because
+// the handler authenticates and forwards data itself.
+func (r *EESetupReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	tag := d.u8()
-	r := &EESetupReq{}
 	r.ID = d.id()
+	r.SegIDs = r.SegIDs[:0]
 	nseg := int(d.u8())
+	if d.err == nil && nseg > len(d.buf)/idLen {
+		return ErrTruncated
+	}
 	for i := 0; i < nseg && d.err == nil; i++ {
 		r.SegIDs = append(r.SegIDs, d.id())
 	}
-	nsplit := int(d.u8())
-	for i := 0; i < nsplit && d.err == nil; i++ {
-		r.Splits = append(r.Splits, d.u8())
-	}
-	r.Path = d.hops()
+	r.Splits = append(r.Splits[:0], d.take(int(d.u8()))...)
+	r.Path = d.hops(r.Path[:0])
 	r.BwKbps = d.u64()
 	r.ExpT = d.u32()
 	r.Ver = d.u16()
 	r.SrcHost = d.u32()
 	r.DstHost = d.u32()
-	r.Renewal = d.u8() == 1
-	r.Macs = d.macs()
+	flag := d.u8()
+	r.Renewal = flag == 1
+	r.wire, r.bodyLen = data, len(data)-len(d.buf)
+	r.Macs = d.macs(r.Macs[:0])
 	r.AccumKbps = d.u64()
-	if d.err != nil {
-		return nil, d.err
+	switch {
+	case d.err != nil:
+		return d.err
+	case tag != tagEESetup && tag != tagEERenew:
+		return ErrBadTag
+	case flag > 1 || r.Renewal != (tag == tagEERenew) || len(d.buf) != 0:
+		return ErrNotCanonical
 	}
-	if tag != tagEESetup && tag != tagEERenew {
-		return nil, ErrBadTag
-	}
-	return r, nil
+	return nil
 }
 
 // EESetupResp travels the reverse path; on success, EncAuths[i] carries
@@ -318,9 +360,17 @@ type EESetupResp struct {
 	EncAuths  [][]byte
 }
 
-// Marshal encodes the response.
+// eeRespFixedLen is the size of an EESetupResp without its reason and sealed
+// authenticators: OK, FailedAt, the reason's length, FinalKbps, the count.
+const eeRespFixedLen = 2 + 2 + 8 + 2
+
+// Marshal encodes the response into one buffer of exactly its size.
 func (r *EESetupResp) Marshal() []byte {
-	b := []byte{boolByte(r.OK), r.FailedAt}
+	size := eeRespFixedLen + len(r.Reason) + 2*len(r.EncAuths)
+	for _, ea := range r.EncAuths {
+		size += len(ea)
+	}
+	b := append(make([]byte, 0, size), boolByte(r.OK), r.FailedAt)
 	b = appendString(b, r.Reason)
 	b = binary.BigEndian.AppendUint64(b, r.FinalKbps)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.EncAuths)))
@@ -331,25 +381,41 @@ func (r *EESetupResp) Marshal() []byte {
 	return b
 }
 
-// UnmarshalEESetupResp parses an EESetupResp.
+// UnmarshalEESetupResp parses an EESetupResp. The EncAuths of the result
+// alias data: they are valid until the caller modifies data.
 func UnmarshalEESetupResp(data []byte) (*EESetupResp, error) {
-	d := decoder{buf: data}
 	r := &EESetupResp{}
-	r.OK = d.u8() == 1
+	if err := r.unmarshal(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// unmarshal decodes data into r, reusing the capacity of r.EncAuths. Like the
+// request decoder it accepts only what Marshal produces, and no more
+// authenticators than a path has hops.
+func (r *EESetupResp) unmarshal(data []byte) error {
+	d := decoder{buf: data}
+	ok := d.u8()
+	r.OK = ok == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
+	if d.err == nil && n > packet.MaxHops {
+		return fmt.Errorf("cserv: %d hop authenticators exceeds maximum", n)
+	}
+	r.EncAuths = r.EncAuths[:0]
 	for i := 0; i < n && d.err == nil; i++ {
-		m := int(d.u16())
-		ea := make([]byte, m)
-		d.bytes(ea)
-		r.EncAuths = append(r.EncAuths, ea)
+		r.EncAuths = append(r.EncAuths, d.take(int(d.u16())))
 	}
-	if d.err != nil {
-		return nil, d.err
+	switch {
+	case d.err != nil:
+		return d.err
+	case ok > 1 || len(d.buf) != 0:
+		return ErrNotCanonical
 	}
-	return r, nil
+	return nil
 }
 
 // --- encoding helpers ---
@@ -479,13 +545,15 @@ func (d *decoder) id() reservation.ID {
 	return reservation.ID{SrcAS: topology.IA(d.u64()), Num: d.u32()}
 }
 
-func (d *decoder) hops() []PathHop {
+// hops appends the hops to dst (nil for a fresh slice), which it sizes before
+// the first of them.
+func (d *decoder) hops(dst []PathHop) []PathHop {
 	n := int(d.u16())
 	if n > packet.MaxHops {
 		d.err = fmt.Errorf("cserv: %d hops exceeds maximum", n)
-		return nil
+		return dst
 	}
-	hops := make([]PathHop, 0, n)
+	hops := slices.Grow(dst, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		hops = append(hops, PathHop{
 			IA: topology.IA(d.u64()),
@@ -496,13 +564,14 @@ func (d *decoder) hops() []PathHop {
 	return hops
 }
 
-func (d *decoder) macs() [][cryptoutil.MACSize]byte {
+// macs appends the MACs to dst like hops.
+func (d *decoder) macs(dst [][cryptoutil.MACSize]byte) [][cryptoutil.MACSize]byte {
 	n := int(d.u16())
 	if n > packet.MaxHops {
 		d.err = fmt.Errorf("cserv: %d MACs exceeds maximum", n)
-		return nil
+		return dst
 	}
-	macs := make([][cryptoutil.MACSize]byte, 0, n)
+	macs := slices.Grow(dst, n)
 	for i := 0; i < n && d.err == nil; i++ {
 		var m [cryptoutil.MACSize]byte
 		d.bytes(m[:])

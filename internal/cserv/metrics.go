@@ -85,6 +85,12 @@ func (m *Metrics) Trace(nowNs int64, kind telemetry.EventKind, res string, ok bo
 	m.trace.Record(nowNs, kind, res, ok, detail)
 }
 
+// TraceID is Trace for an event about one reservation, whose id the tracer
+// keeps numerically: nothing is formatted on the request path.
+func (m *Metrics) TraceID(nowNs int64, kind telemetry.EventKind, id reservation.ID, ok bool, detail string) {
+	m.trace.RecordID(nowNs, kind, uint64(id.SrcAS), id.Num, ok, detail)
+}
+
 // MetricsSnapshot is a point-in-time copy of the counters.
 type MetricsSnapshot struct {
 	SegSetupOK, SegSetupFail  uint64

@@ -141,7 +141,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 		default:
 			s.metrics.SegSetupFail.Add(1)
 		}
-		s.metrics.Trace(int64(s.clock())*1e9, kind, req.ID.String(), resp_.OK, resp_.Reason)
+		s.metrics.TraceID(int64(s.clock())*1e9, kind, req.ID, resp_.OK, resp_.Reason)
 	}()
 	fail := func(format string, args ...any) *SegSetupResp {
 		return &SegSetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
@@ -300,6 +300,10 @@ func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegS
 	if err != nil {
 		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("response: %v", err)}
 	}
+	if resp.OK && len(resp.Tokens) != len(req.Path) {
+		// A grant without one token per hop: as bad as one that does not parse.
+		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: "response: malformed"}
+	}
 	return resp
 }
 
@@ -361,6 +365,6 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 		return fail("activate: %v", err)
 	}
 	s.metrics.SegActivate.Add(1)
-	s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvSegActivate, req.ID.String(), true, "")
+	s.metrics.TraceID(int64(s.clock())*1e9, telemetry.EvSegActivate, req.ID, true, "")
 	return &SegSetupResp{OK: true, FinalKbps: segr.Active.BwKbps}
 }

@@ -98,7 +98,8 @@ type Config struct {
 	// Policy guards host EER requests at the source AS (default AllowAll).
 	Policy Policy
 	// DstApprove lets the destination AS/host veto an EER request (§3.3:
-	// the destination "also has to explicitly accept"); default accepts.
+	// the destination "also has to explicitly accept"); nil accepts. req is
+	// the handler's scratch: valid for the call only, not to be kept.
 	DstApprove func(req *EESetupReq) bool
 	// RateLimit is the per-source-AS control-request budget per second
 	// (default 1000; §5.3 "per-AS rate limiting").
@@ -169,9 +170,6 @@ func New(cfg Config) *Service {
 	}
 	if cfg.Policy == nil {
 		cfg.Policy = AllowAll{}
-	}
-	if cfg.DstApprove == nil {
-		cfg.DstApprove = func(*EESetupReq) bool { return true }
 	}
 	if cfg.RateLimit == 0 {
 		cfg.RateLimit = 1000
@@ -340,8 +338,11 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		resp := s.processSegActivate(req, idx)
 		return resp.Marshal(), nil
 	case tagEESetup, tagEERenew:
-		req, err := UnmarshalEESetupReq(data)
-		if err != nil {
+		// Decoded into scratch like a wave; the response is never part of it.
+		sc := s.getWave()
+		defer s.putWave(sc)
+		req := &sc.solo
+		if err := req.unmarshal(data); err != nil {
 			return nil, err
 		}
 		idx, err := s.hopIndex(req.Path)
@@ -350,12 +351,8 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		}
 		// As with accumFromReq: forwarders always set AccumKbps and zero is
 		// a real accumulated grant, not "unset".
-		accum := req.AccumKbps
-		if accum > req.BwKbps {
-			accum = req.BwKbps
-		}
-		resp := s.processEESetup(req, idx, accum)
-		return resp.Marshal(), nil
+		resp, _ := s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps))
+		return resp, nil
 	case tagEEBatchRenew:
 		// The decoded wave and everything derived from it live in scratch that
 		// goes back to the service once the response is marshaled.
@@ -404,16 +401,8 @@ func accumFromReq(req *SegSetupReq) uint64 {
 // verifySourceMac checks the DRKey MAC for this AS: the source computed
 // MAC_{K_{me→SrcAS}}(body), which we re-derive on the fly (§4.5).
 func (s *Service) verifySourceMac(srcAS topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
-	if idx >= len(macs) {
-		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
-	}
 	key, _ := s.engine.Level1(srcAS, s.clock())
-	var want [cryptoutil.MACSize]byte
-	s.cryptoFor(key).mac(&want, body)
-	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
-		return ErrAuth
-	}
-	return nil
+	return s.cryptoFor(key).verify(body, macs, idx)
 }
 
 // computeMacs builds the per-AS request MACs at the initiator, fetching
@@ -458,6 +447,20 @@ func (k *keyCrypto) mac(out *[cryptoutil.MACSize]byte, msg []byte) {
 	k.mu.Lock()
 	k.cmac.SumInto(out, msg)
 	k.mu.Unlock()
+}
+
+// verify checks macs[idx], the source's MAC of body towards the AS that holds
+// this key.
+func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
+	if idx >= len(macs) {
+		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
+	}
+	var want [cryptoutil.MACSize]byte
+	k.mac(&want, body)
+	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
+		return ErrAuth
+	}
+	return nil
 }
 
 // keyCacheSize bounds the per-service key cache. A request names its source

@@ -320,7 +320,7 @@ func (e echoBatch) Call(dst topology.IA, msg []byte) ([]byte, error) {
 // hopSegs resolves the covering SegRs of hop idx as the handlers do.
 func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []reservation.ID, segRs []*reservation.SegR) {
 	t.Helper()
-	for _, k := range coveringSegs(len(req.SegIDs), req.Splits, len(req.Path), idx) {
+	for _, k := range coveringSegs(nil, len(req.SegIDs), req.Splits, len(req.Path), idx) {
 		sr, err := s.store.GetSegR(req.SegIDs[k])
 		if err != nil {
 			t.Fatal(err)

@@ -63,6 +63,12 @@ type Event struct {
 	OK bool `json:"ok"`
 	// Detail carries a failure reason or drop verdict.
 	Detail string `json:"detail,omitempty"`
+
+	// A reservation id recorded numerically (RecordID) stays numeric in the
+	// ring; Events renders it into Res, so recording formats nothing.
+	numeric bool
+	resSrc  uint64
+	resNum  uint32
 }
 
 func (e Event) String() string {
@@ -106,12 +112,31 @@ func NewTracer(capacity int) *Tracer {
 
 // Record appends one event, overwriting the oldest when full.
 func (t *Tracer) Record(nowNs int64, kind EventKind, res string, ok bool, detail string) {
+	t.put(Event{TimeNs: nowNs, Kind: kind, Res: res, OK: ok, Detail: detail})
+}
+
+// RecordID is Record for an event about the reservation (src, num) — an
+// ISD-AS in the top 16 / low 48 bits of src, and the reservation's number —
+// whose Res reads "ISD-AS#num", the text of reservation.ID.String().
+func (t *Tracer) RecordID(nowNs int64, kind EventKind, src uint64, num uint32, ok bool, detail string) {
+	t.put(Event{TimeNs: nowNs, Kind: kind, OK: ok, Detail: detail, numeric: true, resSrc: src, resNum: num})
+}
+
+func (t *Tracer) put(e Event) {
 	t.mu.Lock()
 	t.total++
-	t.buf[(t.total-1)%uint64(len(t.buf))] = Event{
-		Seq: t.total, TimeNs: nowNs, Kind: kind, Res: res, OK: ok, Detail: detail,
-	}
+	e.Seq = t.total
+	t.buf[(t.total-1)%uint64(len(t.buf))] = e
 	t.mu.Unlock()
+}
+
+// render returns e as Events hands it out: a numeric reservation id as text.
+func (e Event) render() Event {
+	if e.numeric {
+		e.Res = fmt.Sprintf("%d-%d#%d", e.resSrc>>48, e.resSrc&(1<<48-1), e.resNum)
+		e.numeric, e.resSrc, e.resNum = false, 0, 0
+	}
+	return e
 }
 
 // Total returns how many events were ever recorded.
@@ -133,7 +158,7 @@ func (t *Tracer) Events() []Event {
 	out := make([]Event, 0, n)
 	start := t.total - n
 	for i := uint64(0); i < n; i++ {
-		out = append(out, t.buf[(start+i)%capacity])
+		out = append(out, t.buf[(start+i)%capacity].render())
 	}
 	return out
 }

@@ -1,9 +1,14 @@
 package telemetry
 
 import (
+	"bytes"
+	"encoding/json"
 	"strings"
 	"sync"
 	"testing"
+
+	"colibri/internal/reservation"
+	"colibri/internal/topology"
 )
 
 func TestTracerRingOverwrite(t *testing.T) {
@@ -88,5 +93,54 @@ func TestEventKindString(t *testing.T) {
 			t.Fatalf("bad or duplicate kind string %q", s)
 		}
 		seen[s] = true
+	}
+}
+
+// TestRecordIDRendersLikeIDString: an event recorded with a numeric
+// reservation id reads, in Events, Event.String and the snapshot's JSON,
+// exactly as if the caller had formatted reservation.ID.String() itself, and
+// the string form of Record is what it always was.
+func TestRecordIDRendersLikeIDString(t *testing.T) {
+	reg := NewRegistry("as 1-11")
+	byID, byString := reg.Tracer("numeric", 8), reg.Tracer("string", 8)
+	for _, id := range []reservation.ID{
+		{SrcAS: topology.MustIA(1, 11), Num: 7},
+		{SrcAS: topology.MustIA(65535, 1<<48-1), Num: 1<<32 - 1},
+		{},
+	} {
+		byID.RecordID(5, EvEERenew, uint64(id.SrcAS), id.Num, false, "renewal rate limit")
+		byString.Record(5, EvEERenew, id.String(), false, "renewal rate limit")
+	}
+	got, want := byID.Events(), byString.Events()
+	for i := range want {
+		if got[i] != want[i] || got[i].String() != want[i].String() {
+			t.Errorf("event %d: numeric %q, string %q", i, got[i], want[i])
+		}
+	}
+	if s := want[0].String(); s != "#1 t=5ns ee-renew 1-11#7 FAIL (renewal rate limit)" {
+		t.Errorf("Record's rendering changed: %q", s)
+	}
+	snap := reg.Snapshot()
+	a, err := json.Marshal(snap.Traces["numeric"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := json.Marshal(snap.Traces["string"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(a, b) || !bytes.Contains(a, []byte(`"res":"65535-281474976710655#4294967295"`)) {
+		t.Errorf("snapshot JSON differs:\n%s\n%s", a, b)
+	}
+}
+
+func TestRecordDoesNotAllocate(t *testing.T) {
+	tr := NewTracer(16)
+	res, detail := "1-11#7", "detail"
+	if n := testing.AllocsPerRun(100, func() { tr.Record(1, EvEESetup, res, true, detail) }); n != 0 {
+		t.Errorf("Record allocates %.1f times", n)
+	}
+	if n := testing.AllocsPerRun(100, func() { tr.RecordID(1, EvEESetup, 1<<48|11, 7, true, detail) }); n != 0 {
+		t.Errorf("RecordID allocates %.1f times", n)
 	}
 }
