@@ -51,7 +51,7 @@ type rsEntry struct {
 	seq        uint64
 }
 
-// rsExp is an expiry-heap element (lazy, like restree.Ledger's).
+// rsExp is an expiry-heap element (lazy: see advanceLocked).
 type rsExp struct {
 	end restree.Epoch
 	seq uint64
@@ -94,7 +94,7 @@ type RestreeState struct {
 
 	entries map[reservation.ID]rsEntry
 	seq     uint64
-	heap    []rsExp // min-heap by (end, seq); lazy elements like restree.Ledger
+	heap    []rsExp // min-heap by (end, seq); lazy elements
 }
 
 // NewRestreeState builds restree-backed admission state for the AS,

@@ -3,6 +3,7 @@ package cryptoutil
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/hex"
 	"math/rand"
 	"testing"
@@ -173,14 +174,55 @@ func TestCBCMACMatchesBlockForm(t *testing.T) {
 	}
 }
 
-// TestAESKernelNoAlloc pins 0 allocs/op for the four hot entry points.
+// blockCMAC is RFC 4493 over a cipher.Block, here a crypto/aes one: CMAC.Sum
+// as it was before it moved onto the schedule.
+func blockCMAC(block cipher.Block, msg []byte) (x [16]byte) {
+	var k1, k2, last [16]byte
+	block.Encrypt(k1[:], k1[:])
+	dbl(&k1, &k1)
+	dbl(&k2, &k1)
+	for len(msg) > 16 {
+		subtle.XORBytes(x[:], x[:], msg[:16])
+		block.Encrypt(x[:], x[:])
+		msg = msg[16:]
+	}
+	pad := k1
+	if copy(last[:], msg) < 16 {
+		last[len(msg)], pad = 0x80, k2
+	}
+	subtle.XORBytes(x[:], x[:], last[:])
+	subtle.XORBytes(x[:], x[:], pad[:])
+	block.Encrypt(x[:], x[:])
+	return x
+}
+
+// TestCMACMatchesBlockForm: CMAC on the expanded schedule equals the
+// cipher.Block form over random keys and every length around the block
+// boundaries, the empty message included.
+func TestCMACMatchesBlockForm(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for i := 0; i < 20_000; i++ {
+		var key Key
+		rng.Read(key[:])
+		msg := make([]byte, i%81)
+		rng.Read(msg)
+		var got [MACSize]byte
+		MustCMAC(key).SumInto(&got, msg)
+		if want := blockCMAC(NewBlock(key), msg); got != want {
+			t.Fatalf("len %d: SumInto = %x, block form = %x", len(msg), got, want)
+		}
+	}
+}
+
+// TestAESKernelNoAlloc pins 0 allocs/op for the hot entry points.
 func TestAESKernelNoAlloc(t *testing.T) {
 	key := Key{1, 2, 3}
 	var ks AESSchedule
 	var block, out [16]byte
 	msg := make([]byte, 48)
-	cbc := MustCBCMAC(key)
+	cbc, cmac := MustCBCMAC(key), MustCMAC(key)
 	for name, fn := range map[string]func(){
+		"CMAC.SumInto":   func() { cmac.SumInto(&out, msg) },
 		"ExpandAES128":   func() { ExpandAES128(&ks, &key) },
 		"EncryptAES128":  func() { EncryptAES128(&ks, &out, &block) },
 		"SigmaMAC":       func() { SigmaMAC(&ks, &key, &out, &block) },

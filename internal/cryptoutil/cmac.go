@@ -4,16 +4,14 @@
 // hot path (hop authenticators and hop validation fields).
 //
 // The paper computes all per-packet tags with "the AES-128 block cipher in
-// CBC mode through native hardware-accelerated instructions" (§7.1); Go's
-// crypto/aes uses AES-NI on amd64, so the per-packet work here matches the
-// paper's.
+// CBC mode through native hardware-accelerated instructions" (§7.1); both
+// MACs run on this package's AES-NI kernel on amd64 (aes_amd64.s), so the
+// per-packet and per-request work here matches the paper's.
 package cryptoutil
 
 import (
 	"crypto/aes"
-	"crypto/cipher"
 	"crypto/subtle"
-	"fmt"
 )
 
 // KeySize is the AES-128 key size in bytes used throughout Colibri.
@@ -29,26 +27,23 @@ type Key [KeySize]byte
 // is safe for variable-length messages (unlike plain CBC-MAC) and therefore
 // used as the PRF for DRKey derivation and for control-plane payload MACs.
 //
-// A CMAC value is not safe for concurrent use; each goroutine should own one.
+// A CMAC is immutable once built.
 type CMAC struct {
-	block  cipher.Block
+	// ks is the key's schedule, expanded once: the chain runs on the kernel
+	// the data-plane MACs use, with no cipher.Block dispatch per block.
+	ks     AESSchedule
 	k1, k2 [aes.BlockSize]byte
-	// x is the CBC chaining scratch block; keeping it in the struct avoids a
-	// per-call escape through the cipher.Block interface.
-	x [aes.BlockSize]byte
 }
 
 // NewCMAC builds a CMAC instance for the given key. The AES key schedule is
 // computed once, so instances should be cached and reused where possible.
+// The error is always nil (a Key has the one valid length).
 func NewCMAC(key Key) (*CMAC, error) {
-	block, err := aes.NewCipher(key[:])
-	if err != nil {
-		return nil, fmt.Errorf("cryptoutil: %w", err)
-	}
-	c := &CMAC{block: block}
+	c := new(CMAC)
+	ExpandAES128(&c.ks, &key)
 	// Subkey generation per RFC 4493 §2.3.
 	var l [aes.BlockSize]byte
-	block.Encrypt(l[:], l[:])
+	EncryptAES128(&c.ks, &l, &l)
 	dbl(&c.k1, &l)
 	dbl(&c.k2, &c.k1)
 	return c, nil
@@ -91,14 +86,12 @@ func (c *CMAC) SumInto(mac *[MACSize]byte, msg []byte) {
 }
 
 func (c *CMAC) sum(mac *[MACSize]byte, msg []byte) {
-	c.x = [aes.BlockSize]byte{}
+	var x [aes.BlockSize]byte
 	n := len(msg)
 	// Process all complete blocks except the last.
 	for n > aes.BlockSize {
-		for i := 0; i < aes.BlockSize; i++ {
-			c.x[i] ^= msg[i]
-		}
-		c.block.Encrypt(c.x[:], c.x[:])
+		subtle.XORBytes(x[:], x[:], msg[:aes.BlockSize])
+		EncryptAES128(&c.ks, &x, &x)
 		msg = msg[aes.BlockSize:]
 		n -= aes.BlockSize
 	}
@@ -116,11 +109,9 @@ func (c *CMAC) sum(mac *[MACSize]byte, msg []byte) {
 			last[i] ^= c.k2[i]
 		}
 	}
-	for i := range c.x {
-		c.x[i] ^= last[i]
-	}
-	c.block.Encrypt(c.x[:], c.x[:])
-	*mac = c.x
+	subtle.XORBytes(x[:], x[:], last[:])
+	EncryptAES128(&c.ks, &x, &x)
+	*mac = x
 }
 
 // DeriveKey uses the CMAC as a PRF to derive a subordinate 16-byte key from

@@ -432,7 +432,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 				dedups++
 				continue
 			}
-			if !s.renewLim.Allow(it.ID, now) {
+			if !s.allowRenewal(&p, it.ID, &prev, live && st.hadPrev, now) {
 				throttled++
 				st.status = EEItemThrottled
 				continue
@@ -456,6 +456,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 				st.tCapped = min(asked, up.Active.BwKbps)
 				if grant == 0 {
 					s.transfer.Release(core.ID, up.ID, st.tCapped, grant)
+					if live && st.hadPrev {
+						p.keep(it.ID, prev)
+					}
 					refused++
 					st.status = EEItemRefused
 					continue
@@ -470,7 +473,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			case live:
 				// No record here (expired, or lost in a crash): re-admit so the
 				// flow re-promotes instead of staying demoted (§3.2).
-				err, failed = p.setup(it.ID, grant, it.ExpT, it.Ver), EEItemStale
+				err, failed = p.setup(it.ID, grant, it.ExpT, it.Ver, true), EEItemStale
 			default:
 				eer := &reservation.EER{
 					ID: it.ID, In: hop.In, Eg: hop.Eg,
@@ -706,7 +709,7 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 	req.bodyLen = len(sc.fwd)
 	req.Macs = make([][cryptoutil.MACSize]byte, len(hops))
 	for h, kc := range hops {
-		kc.mac(&req.Macs[h], sc.fwd)
+		kc.cmac.SumInto(&req.Macs[h], sc.fwd)
 	}
 	sc.fwd = appendMacs(sc.fwd, req.Macs)
 	req.wire = sc.fwd

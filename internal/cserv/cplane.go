@@ -9,9 +9,12 @@
 //   - an admission.Admitter over a clone of the AS whose link capacities are
 //     divided by the shard count (so the sum of all shards' grants respects
 //     the physical capacities),
-//   - a restree demand ledger per SegR tracking admitted EER bandwidth over
-//     discretized time (see internal/restree and DESIGN.md §7), and
-//   - the EER records admitted against those SegRs.
+//   - a keyless restree demand profile per SegR tracking admitted EER
+//     bandwidth over discretized time (see internal/restree and DESIGN.md
+//     §7), and
+//   - the EER records admitted against those SegRs, each of which is the
+//     only handle on its own charge: what was charged is withdrawn by
+//     handing the record's window and bandwidth back to the profile.
 //
 // A reservation never spans shards: an EER lives in the shard of its SegR,
 // so every operation takes exactly one shard lock and shards never deadlock
@@ -135,7 +138,7 @@ type cplaneShard struct {
 	// write sites, AddSegR and RenewSegR).
 	segBw map[reservation.ID]uint64
 	// ledgers holds one EER demand profile per SegR.
-	ledgers map[reservation.ID]*restree.Ledger[reservation.ID]
+	ledgers map[reservation.ID]*restree.Profile
 	eers    map[reservation.ID]cpEER
 }
 
@@ -144,12 +147,23 @@ type cplaneShard struct {
 // segment and leaving on a core segment consumes bandwidth on both); it is
 // the zero ID everywhere else. ver is the protocol version of the admitted
 // record, used by the live request path for idempotent dedup of retries.
+//
+// The record is the handle on its charge: bw over [startT, expT) is what the
+// covering ledgers were charged with, and handing exactly that back is what
+// withdraws it (eerPath.discharge). Every write of bw, startT or expT
+// therefore goes with a charge of the same values.
 type cpEER struct {
 	seg  reservation.ID
 	seg2 reservation.ID
 	bw   uint64
-	expT uint32
-	ver  uint16
+	// startT is the second the charge starts at: the admission instant, or
+	// the start of a slice bought ahead (SetupEERAt).
+	startT uint32
+	expT   uint32
+	// lastRenew is the second of the last renewal the per-EER throttle let
+	// through (eerPath.allowRenew); 0 before the first.
+	lastRenew uint32
+	ver       uint16
 }
 
 // NewCPlane builds the engine. It panics when cfg.Clock is nil or
@@ -188,7 +202,7 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 		c.shards[i] = &cplaneShard{
 			adm:     adm,
 			segBw:   make(map[reservation.ID]uint64),
-			ledgers: make(map[reservation.ID]*restree.Ledger[reservation.ID]),
+			ledgers: make(map[reservation.ID]*restree.Profile),
 			eers:    make(map[reservation.ID]cpEER),
 		}
 	}
@@ -282,7 +296,7 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 	if !known {
 		// Re-admitting a known ID (an idempotent replay or a version bump)
 		// must not wipe the ledger of EERs already charged against it.
-		sh.ledgers[req.ID] = restree.NewLedger[reservation.ID](c.ledgerEpochs, c.epochSec)
+		sh.ledgers[req.ID] = restree.NewProfile(c.ledgerEpochs, c.epochSec)
 	}
 	sh.mu.Unlock()
 	if !known {
@@ -357,26 +371,27 @@ func (c *CPlane) SetupEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) e
 func (c *CPlane) SetupEERAt(eer, seg reservation.ID, bwKbps uint64, startT, expT uint32) error {
 	sh := c.shardFor(seg)
 	now := c.clock()
-	if startT < now {
-		startT = now
-	}
 	sh.mu.Lock()
-	err := sh.setupEERLocked(eer, seg, bwKbps, now, startT, expT, 0)
+	p := c.path1(sh, seg, now)
+	err := p.admit(eer, bwKbps, max(startT, now), expT, 0, 0)
 	sh.mu.Unlock()
-	if err != nil {
-		// A duplicate setup is an idempotent retry hitting committed state,
-		// not a refusal — count it separately so dedup stays tellable from
-		// capacity rejection.
-		if err == restree.ErrExists {
-			c.dedups.Add(1)
-		} else {
-			c.rejects.Add(1)
-		}
-		return err
+	c.tallySetup(err)
+	return err
+}
+
+// tallySetup counts one setup outcome. A duplicate setup is an idempotent
+// retry hitting committed state, not a refusal — counted separately so dedup
+// stays tellable from capacity rejection.
+func (c *CPlane) tallySetup(err error) {
+	switch err {
+	case nil:
+		c.eerCount.Add(1)
+		c.admits.Add(1)
+	case restree.ErrExists:
+		c.dedups.Add(1)
+	default:
+		c.rejects.Add(1)
 	}
-	c.eerCount.Add(1)
-	c.admits.Add(1)
-	return nil
 }
 
 // headroom is a SegR's grant minus the EER demand already charged against it
@@ -388,39 +403,15 @@ func headroom(grantKbps uint64, demand int64) uint64 {
 	return grantKbps - uint64(demand)
 }
 
-//colibri:nomalloc
-func (sh *cplaneShard) setupEERLocked(eer, seg reservation.ID, bwKbps uint64, now, startT, expT uint32, ver uint16) error {
-	led, ok := sh.ledgers[seg]
-	if !ok {
-		return ErrUnknownSegR
-	}
-	led.Advance(now)
-	if _, dup := sh.eers[eer]; dup {
-		return restree.ErrExists
-	}
-	if startT == 0 {
-		startT = now
-	}
-	if bwKbps > headroom(sh.segBw[seg], led.MaxDemand(startT, expT)) {
-		return ErrInsufficient
-	}
-	if err := led.Reserve(eer, startT, expT, int64(bwKbps)); err != nil {
-		return err
-	}
-	sh.eers[eer] = cpEER{seg: seg, bw: bwKbps, expT: expT, ver: ver}
-	return nil
-}
-
 // TeardownEER removes an EER (seg names its segment reservation, which
 // determines the shard). Unknown EERs are a no-op, mirroring Release.
 func (c *CPlane) TeardownEER(eer, seg reservation.ID) {
 	sh := c.shardFor(seg)
 	sh.mu.Lock()
-	e, ok := sh.eers[eer]
-	if ok && e.seg == seg {
-		if led := sh.ledgers[seg]; led != nil {
-			led.Teardown(eer)
-		}
+	p := c.path1(sh, seg, c.clock())
+	e, ok := p.lookup(eer)
+	if ok {
+		p.discharge(e)
 		delete(sh.eers, eer)
 	}
 	sh.mu.Unlock()
@@ -449,11 +440,11 @@ type RenewResult struct {
 // RenewEER renews a single EER; see RenewBatch for the semantics. It takes
 // only the owning shard's lock and never touches the batch machinery.
 func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (uint64, error) {
-	it := EERRenewal{EER: eer, Seg: seg, BwKbps: bwKbps, ExpT: expT}
 	sh := c.shardFor(seg)
 	now := c.clock()
 	sh.mu.Lock()
-	g, err, gone := sh.renewEERLocked(&it, now)
+	p := c.path1(sh, seg, now)
+	g, err, gone := p.renewItem(&EERRenewal{EER: eer, Seg: seg, BwKbps: bwKbps, ExpT: expT})
 	sh.mu.Unlock()
 	c.tallyRenew(err, gone)
 	return g, err
@@ -530,7 +521,9 @@ func (c *CPlane) runBatchShard(si int) {
 	st := &c.batchStats[si]
 	sh.mu.Lock()
 	for _, i := range c.buckets[si] {
-		g, err, gone := sh.renewEERLocked(&c.curItems[i], c.curNow)
+		it := &c.curItems[i]
+		p := c.path1(sh, it.Seg, c.curNow)
+		g, err, gone := p.renewItem(it)
 		c.curResults[i] = RenewResult{Granted: g, Err: err}
 		switch {
 		case err == nil:
@@ -555,65 +548,17 @@ func batchLenMismatch() {
 	panic("cserv: RenewBatch items/results length mismatch")
 }
 
-// renewEERLocked is the per-item core of RenewBatch. gone reports that the
-// EER record was dropped (its old version had already expired and the
-// renewal was refused).
+// renewItem is the per-item core of RenewBatch: renew under the item's one
+// covering SegR. gone reports that the EER record was dropped (its old
+// version had already expired and the renewal was refused).
 //
 //colibri:nomalloc
-func (sh *cplaneShard) renewEERLocked(it *EERRenewal, now uint32) (grant uint64, err error, gone bool) {
-	e, ok := sh.eers[it.EER]
-	if !ok || e.seg != it.Seg {
+func (p *eerPath) renewItem(it *EERRenewal) (grant uint64, err error, gone bool) {
+	e, ok := p.lookup(it.EER)
+	if !ok {
 		return 0, ErrUnknownEER, false
 	}
-	return sh.renewRecLocked(e, it, now)
-}
-
-// renewRecLocked renews the record e, which the caller has just read from
-// sh.eers under it.EER and it.Seg — the live wave reads it once for its
-// dedup check and hands it on instead of probing the map a second time.
-//
-//colibri:nomalloc
-func (sh *cplaneShard) renewRecLocked(e cpEER, it *EERRenewal, now uint32) (grant uint64, err error, gone bool) {
-	if e.seg2 != (reservation.ID{}) {
-		// Transfer-AS record: its second charge lives in another shard, so
-		// the single-shard batch path must not touch it (RenewEERPath does).
-		return 0, ErrTransferEER, false
-	}
-	led := sh.ledgers[it.Seg]
-	if led == nil {
-		return 0, ErrUnknownSegR, false
-	}
-	led.Advance(now)
-	// Remove the old version's contribution before probing: a renewal
-	// replaces the version, it does not stack on it. Teardown reports false
-	// when Advance already expired the entry.
-	led.Teardown(it.EER)
-	grant = min(it.BwKbps, headroom(sh.segBw[it.Seg], led.MaxDemand(now, it.ExpT)))
-	if grant == 0 {
-		// Refused. Restore the previous version if it is still live so the
-		// flow keeps its old allocation until expiry (§4.2 fallback).
-		if e.expT > now {
-			if rerr := led.Reserve(it.EER, now, e.expT, int64(e.bw)); rerr != nil {
-				delete(sh.eers, it.EER)
-				return 0, rerr, true
-			}
-			return 0, ErrInsufficient, false
-		}
-		delete(sh.eers, it.EER)
-		return 0, ErrInsufficient, true
-	}
-	if rerr := led.Reserve(it.EER, now, it.ExpT, int64(grant)); rerr != nil {
-		// Window invalid (e.g. ExpT beyond the ledger horizon): restore.
-		if e.expT > now {
-			if led.Reserve(it.EER, now, e.expT, int64(e.bw)) == nil {
-				return 0, rerr, false
-			}
-		}
-		delete(sh.eers, it.EER)
-		return 0, rerr, true
-	}
-	sh.eers[it.EER] = cpEER{seg: e.seg, bw: grant, expT: it.ExpT, ver: it.Ver}
-	return grant, nil, false
+	return p.renewRec(it.EER, e, it.BwKbps, it.ExpT, it.Ver)
 }
 
 // Tick expires EERs whose versions have lapsed and advances every ledger.
@@ -622,28 +567,26 @@ func (sh *cplaneShard) renewRecLocked(e cpEER, it *EERRenewal, now uint32) (gran
 func (c *CPlane) Tick() int {
 	now := c.clock()
 	total := 0
+	var pairs []pairRef
 	for _, sh := range c.shards {
-		var expired []cpEER
 		sh.mu.Lock()
 		var ids []reservation.ID
-		for id := range sh.eers {
-			ids = append(ids, id)
+		for id, e := range sh.eers {
+			if e.expT <= now {
+				ids = append(ids, id)
+			}
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
 		for _, id := range ids {
 			e := sh.eers[id]
-			if e.expT <= now {
-				if led := sh.ledgers[e.seg]; led != nil {
-					led.Teardown(id)
-				}
-				// seg2's ledger (possibly in another shard) self-cleans: an
-				// expired charge lies entirely in the past and Advance drops it.
-				if e.seg2 != (reservation.ID{}) && c.onExpire != nil {
-					expired = append(expired, e)
-				}
-				delete(sh.eers, id)
-				total++
+			if e.seg2 != (reservation.ID{}) {
+				pairs = append(pairs, pairRef{eer: id, seg: e.seg, seg2: e.seg2})
+				continue
 			}
+			p := c.path1(sh, e.seg, now)
+			p.discharge(e)
+			delete(sh.eers, id)
+			total++
 		}
 		var segs []reservation.ID
 		for id := range sh.ledgers {
@@ -654,12 +597,40 @@ func (c *CPlane) Tick() int {
 			sh.ledgers[id].Advance(now)
 		}
 		sh.mu.Unlock()
-		for _, e := range expired {
+	}
+	for _, r := range pairs {
+		e, ok := c.removePair(r, func(e cpEER) bool { return e.expT <= now })
+		if !ok {
+			continue
+		}
+		total++
+		if c.onExpire != nil {
 			c.onExpire(e.seg, e.seg2, e.bw)
 		}
 	}
 	c.eerCount.Add(-int64(total))
 	return total
+}
+
+// pairRef names a transfer-AS record found under one shard lock, for removal
+// under both (removePair).
+type pairRef struct{ eer, seg, seg2 reservation.ID }
+
+// removePair removes a transfer-AS record, if it still exists and cond holds
+// for it, under the locks of both covering SegRs' shards — so that its charge
+// leaves both ledgers with the record, and neither is left carrying a charge
+// no record answers for. Tick and DropSegR find such records under one shard
+// lock at a time and cannot reach the second ledger from there.
+func (c *CPlane) removePair(r pairRef, cond func(cpEER) bool) (e cpEER, ok bool) {
+	c.withPath([]reservation.ID{r.seg, r.seg2}, func(p eerPath) {
+		if e, ok = p.lookup(r.eer); ok && cond(e) {
+			p.discharge(e)
+			delete(p.prim.eers, r.eer)
+		} else {
+			ok = false
+		}
+	})
+	return e, ok
 }
 
 // SegRAudit is one SegR's conservation snapshot: the bandwidth granted to
@@ -673,7 +644,7 @@ type SegRAudit struct {
 	// PeakKbps is the maximum aggregate EER demand charged on the SegR's
 	// ledger over any epoch intersecting the audited window.
 	PeakKbps uint64
-	// LiveEERs is the number of live ledger entries after lazy expiry.
+	// LiveEERs is the number of charges on the ledger that have not lapsed.
 	LiveEERs int
 }
 

@@ -20,7 +20,8 @@
 // ascending shard-index order and holds them to completion (deferred
 // unlock). Single-lock operations elsewhere never acquire a second shard
 // lock while holding one, so ordered acquisition keeps the engine
-// deadlock-free; DropSegR takes its locks strictly one at a time.
+// deadlock-free; DropSegR and Tick take theirs one at a time, and in order
+// for the transfer-AS records they remove.
 package cserv
 
 import (
@@ -50,6 +51,7 @@ func (c *CPlane) LookupEER(eer, seg reservation.ID) (bwKbps uint64, ver uint16, 
 // SegR during [fromT, toT): the SegR's grant minus the ledger's maximum
 // demand over the window. Unknown SegRs have nothing available.
 func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
+	now := c.clock()
 	sh := c.shardFor(seg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -57,7 +59,9 @@ func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
 	if !ok {
 		return 0
 	}
-	led.Advance(fromT)
+	// The clock moves the ledger's floor, never the window asked about: one
+	// that lies ahead must not recycle the epochs before it.
+	led.Advance(now)
 	return headroom(sh.segBw[seg], led.MaxDemand(fromT, toT))
 }
 
@@ -179,18 +183,20 @@ func normPath(segs []reservation.ID) []reservation.ID {
 // re-admissions of a whole renewal wave run against it without locking again.
 // All items of a wave share the chain, hence the covering set, hence the
 // shard pair — which is what lets a wave lock once and still settle its items
-// strictly in order.
+// strictly in order. The single-shard engine of cplane.go runs on the same
+// methods, over the one-segment path of a shard it has locked (path1).
 type eerPath struct {
 	c *CPlane
-	// segs[:nseg] is the normalized set: one entry, or two distinct ones. Held
-	// by value, so that a caller's set may live on its stack.
+	// segs[:nseg] is the normalized set: one entry, or two distinct ones (the
+	// second entry is the zero ID when there is one). Held by value, so that a
+	// caller's set may live on its stack.
 	segs [2]reservation.ID
 	nseg int
 	now  uint32
 	prim *cplaneShard // shard of segs[0], which owns the EER records
 	// led and segBw are each covering SegR's demand ledger (nil when unknown)
 	// and current grant, resolved once while the locks are held.
-	led   [2]*restree.Ledger[reservation.ID]
+	led   [2]*restree.Profile
 	segBw [2]uint64
 }
 
@@ -207,16 +213,28 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 		c.shards[b].mu.Lock()
 		defer c.shards[b].mu.Unlock()
 	}
-	p := eerPath{c: c, nseg: len(segs), now: c.clock(), prim: c.shardFor(segs[0])}
-	for k, seg := range segs {
-		sh := c.shardFor(seg)
-		p.segs[k], p.led[k], p.segBw[k] = seg, sh.ledgers[seg], sh.segBw[seg]
+	p := c.path1(c.shardFor(segs[0]), segs[0], c.clock())
+	if len(segs) == 2 {
+		sh := c.shardFor(segs[1])
+		p.nseg, p.segs[1], p.led[1], p.segBw[1] = 2, segs[1], sh.ledgers[segs[1]], sh.segBw[segs[1]]
 	}
 	fn(p)
 }
 
+// path1 is the path of the single covering SegR seg, whose shard sh the
+// caller has locked.
+//
+//colibri:nomalloc
+func (c *CPlane) path1(sh *cplaneShard, seg reservation.ID, now uint32) eerPath {
+	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
+	p.segs[0], p.led[0], p.segBw[0] = seg, sh.ledgers[seg], sh.segBw[seg]
+	return p
+}
+
 // lookup returns the EER's record under the primary covering SegR — what
 // LookupEER returns, for the handlers' dedup and previous-version capture.
+//
+//colibri:nomalloc
 func (p *eerPath) lookup(eer reservation.ID) (cpEER, bool) {
 	e, ok := p.prim.eers[eer]
 	if !ok || e.seg != p.segs[0] {
@@ -224,6 +242,24 @@ func (p *eerPath) lookup(eer reservation.ID) (cpEER, bool) {
 	}
 	return e, true
 }
+
+// allowRenew is the per-EER renewal limit of §4.2 (one per second) for a
+// renewal that found its record: the second of the last one let through is in
+// the record, so the throttle costs no lookup of its own — and a record that is
+// lost takes its mark with it. It stamps the caller's copy e; renew stores the
+// stamp with whichever version survives, and a renewal that is refused before
+// it gets there stores it with keep. Renewals that find no record are throttled
+// by the Service's renewLimiter instead, and mark the record they create.
+func (p *eerPath) allowRenew(e *cpEER) bool {
+	if e.lastRenew == p.now {
+		return false
+	}
+	e.lastRenew = p.now
+	return true
+}
+
+// keep stores e, unchanged but for allowRenew's stamp, as the EER's record.
+func (p *eerPath) keep(eer reservation.ID, e cpEER) { p.prim.eers[eer] = e }
 
 // avail is SegAvail for covering SegR k over [now, toT).
 func (p *eerPath) avail(k int, toT uint32) uint64 {
@@ -235,102 +271,151 @@ func (p *eerPath) avail(k int, toT uint32) uint64 {
 	return headroom(p.segBw[k], led.MaxDemand(p.now, toT))
 }
 
-// setup admits an EER of bwKbps until expT against the covering SegRs — one
-// for most hops, two at a transfer AS (§4.7), in which case the demand must
-// fit under BOTH SegRs' grants and is charged on both ledgers. Admission is
-// full-or-nothing. The record carries ver for idempotent dedup; segs[0] is
-// the primary segment that owns the record.
-func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
-	c, now := p.c, p.now
-	err := restree.ErrExists
-	if p.nseg == 1 {
-		err = p.prim.setupEERLocked(eer, p.segs[0], bwKbps, now, now, expT, ver)
-	} else if _, dup := p.prim.eers[eer]; !dup {
-		err = p.setupPair(eer, bwKbps, expT, ver)
+// charge adds bwKbps over [startT, expT) to every covering ledger, or to none.
+//
+//colibri:nomalloc
+func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
+	for k, led := range p.led[:p.nseg] {
+		err := ErrUnknownSegR
+		if led != nil {
+			err = led.Charge(startT, expT, int64(bwKbps))
+		}
+		if err != nil {
+			if k == 1 {
+				p.led[0].Discharge(startT, expT, int64(bwKbps))
+			}
+			return err
+		}
 	}
-	switch err {
-	case nil:
-		c.eerCount.Add(1)
-		c.admits.Add(1)
-	case restree.ErrExists:
-		// An idempotent retry hitting committed state, not a refusal.
-		c.dedups.Add(1)
-	default:
-		c.rejects.Add(1)
-	}
-	return err
+	return nil
 }
 
-func (p *eerPath) setupPair(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16) error {
-	for k, led := range p.led {
+// discharge withdraws the charge of record e from the covering ledgers — from
+// each only if e was charged there: a record admitted under another covering
+// set (a chain that changed) leaves the ledger it never touched alone.
+//
+//colibri:nomalloc
+func (p *eerPath) discharge(e cpEER) {
+	if p.led[0] != nil && e.seg == p.segs[0] {
+		p.led[0].Discharge(e.startT, e.expT, int64(e.bw))
+	}
+	if p.led[1] != nil && e.seg2 == p.segs[1] {
+		p.led[1].Discharge(e.startT, e.expT, int64(e.bw))
+	}
+}
+
+// ready advances every covering ledger to now; a SegR this AS does not hold
+// is ErrUnknownSegR.
+//
+//colibri:nomalloc
+func (p *eerPath) ready() error {
+	for _, led := range p.led[:p.nseg] {
 		if led == nil {
 			return ErrUnknownSegR
 		}
 		led.Advance(p.now)
-		if bwKbps > headroom(p.segBw[k], led.MaxDemand(p.now, expT)) {
-			return ErrInsufficient
-		}
 	}
-	if err := reservePair(p.led[0], p.led[1], eer, p.now, expT, int64(bwKbps)); err != nil {
-		return err
-	}
-	p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps, expT: expT, ver: ver}
 	return nil
 }
 
-// renew replaces the record e (just returned by lookup) with a version of
-// min(bwKbps, free), where free is evaluated against EVERY covering SegR at
-// this AS. A zero grant restores the previous version when it is still live
-// (§4.2 fallback) and reports ErrInsufficient. Callers needing rollback keep
-// e and reinstate it with RestoreEERPath.
+// free is the bandwidth every covering SegR still has over [startT, expT),
+// capped at want.
+//
+//colibri:nomalloc
+func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
+	for k, led := range p.led[:p.nseg] {
+		want = min(want, headroom(p.segBw[k], led.MaxDemand(startT, expT)))
+	}
+	return want
+}
+
+// admit charges a new EER of bwKbps over [startT, expT) against the covering
+// SegRs — one for most hops, two at a transfer AS (§4.7), in which case the
+// demand must fit under BOTH SegRs' grants and is charged on both ledgers.
+// Admission is full-or-nothing. The record carries ver for idempotent dedup;
+// segs[0] is the primary segment that owns the record.
+//
+//colibri:nomalloc
+func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) error {
+	if err := p.ready(); err != nil {
+		return err
+	}
+	if _, dup := p.prim.eers[eer]; dup {
+		return restree.ErrExists
+	}
+	if p.free(bwKbps, startT, expT) < bwKbps {
+		return ErrInsufficient
+	}
+	if err := p.charge(startT, expT, bwKbps); err != nil {
+		return err
+	}
+	p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
+		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
+	return nil
+}
+
+// setup is admit from now, counted. renewal marks the re-admission of a
+// renewal whose record this AS no longer holds: the new record carries the
+// throttle's stamp of this second.
+func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, renewal bool) error {
+	var lastRenew uint32
+	if renewal {
+		lastRenew = p.now
+	}
+	err := p.admit(eer, bwKbps, p.now, expT, ver, lastRenew)
+	p.c.tallySetup(err)
+	return err
+}
+
+// renewRec replaces the record e (just returned by lookup) with a version of
+// min(bwKbps, free) over [now, expT), where free is evaluated against EVERY
+// covering SegR at this AS once e's own charge is withdrawn: a renewal
+// replaces the version, it does not stack on it. A zero grant or an invalid
+// window puts the previous version back when it is still live (§4.2 fallback)
+// and reports the error; gone reports that it was not and the record went.
+//
+//colibri:nomalloc
+func (p *eerPath) renewRec(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
+	switch {
+	case e.seg2 == p.segs[1]:
+		err = p.ready()
+	case p.nseg == 1:
+		// Transfer-AS record: its second charge lives in another ledger, so the
+		// single-segment path must not touch it.
+		err = ErrTransferEER
+	default:
+		err = ErrUnknownEER
+	}
+	if err == nil {
+		p.discharge(e)
+		err = ErrInsufficient
+		if grant = p.free(bwKbps, p.now, expT); grant > 0 {
+			if err = p.charge(p.now, expT, grant); err == nil {
+				p.prim.eers[eer] = cpEER{seg: e.seg, seg2: e.seg2, bw: grant,
+					startT: p.now, expT: expT, ver: ver, lastRenew: e.lastRenew}
+				return grant, nil, false
+			}
+		}
+		if e.expT <= p.now || p.charge(e.startT, e.expT, e.bw) != nil {
+			delete(p.prim.eers, eer)
+			return 0, err, true
+		}
+	}
+	p.prim.eers[eer] = e
+	return 0, err, false
+}
+
+// renew is renewRec, counted. Callers needing rollback keep e and reinstate
+// it with RestoreEERPath.
 func (p *eerPath) renew(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
-	if p.nseg == 1 {
-		it := EERRenewal{EER: eer, Seg: p.segs[0], BwKbps: bwKbps, ExpT: expT, Ver: ver}
-		g, err, gone := p.prim.renewRecLocked(e, &it, p.now)
-		p.c.tallyRenew(err, gone)
-		return g, err
-	}
-	if e.seg2 != p.segs[1] {
-		p.c.stale.Add(1)
-		return 0, ErrUnknownEER
-	}
-	g, err, gone := p.renewPair(eer, e, bwKbps, expT, ver)
+	g, err, gone := p.renewRec(eer, e, bwKbps, expT, ver)
 	p.c.tallyRenew(err, gone)
 	return g, err
 }
 
-func (p *eerPath) renewPair(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
-	now, led0, led1 := p.now, p.led[0], p.led[1]
-	if led0 == nil || led1 == nil {
-		return 0, ErrUnknownSegR, false
-	}
-	led0.Advance(now)
-	led1.Advance(now)
-	// A renewal replaces the version: remove the old charges before probing.
-	led0.Teardown(eer)
-	led1.Teardown(eer)
-	grant = min(bwKbps,
-		headroom(p.segBw[0], led0.MaxDemand(now, expT)),
-		headroom(p.segBw[1], led1.MaxDemand(now, expT)))
-	err = ErrInsufficient
-	if grant > 0 {
-		if err = reservePair(led0, led1, eer, now, expT, int64(grant)); err == nil {
-			p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: grant, expT: expT, ver: ver}
-			return grant, nil, false
-		}
-	}
-	// Refused, or the window is invalid: restore the old version if it is
-	// still live, else the record goes.
-	if e.expT > now && reservePair(led0, led1, eer, now, e.expT, int64(e.bw)) == nil {
-		return 0, err, false
-	}
-	delete(p.prim.eers, eer)
-	return 0, err, true
-}
-
 // SetupEERPath is eerPath.setup under the covering SegRs' shard locks.
 func (c *CPlane) SetupEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) (err error) {
-	c.withPath(segs, func(p eerPath) { err = p.setup(eer, bwKbps, expT, ver) })
+	c.withPath(segs, func(p eerPath) { err = p.setup(eer, bwKbps, expT, ver, false) })
 	return err
 }
 
@@ -349,43 +434,15 @@ func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps 
 	return grant, err
 }
 
-// reservePair charges both ledgers or neither.
-func reservePair(led0, led1 *restree.Ledger[reservation.ID], eer reservation.ID, now, expT uint32, bw int64) error {
-	if err := led0.Reserve(eer, now, expT, bw); err != nil {
-		return err
+// recharge replaces the charge of record e (none when had is false) with
+// bwKbps over [now, expT) on every covering ledger, WITHOUT an admission
+// check. It reports false — and leaves no charge behind, a partial one must not
+// stand — when the window is empty or a ledger is missing or refuses it.
+func (p *eerPath) recharge(e cpEER, had bool, expT uint32, bwKbps uint64) bool {
+	if had {
+		p.discharge(e)
 	}
-	if err := led1.Reserve(eer, now, expT, bw); err != nil {
-		led0.Teardown(eer)
-		return err
-	}
-	return nil
-}
-
-// discharge removes the EER's charge from every covering ledger.
-func (p *eerPath) discharge(eer reservation.ID) {
-	for _, led := range p.led[:p.nseg] {
-		if led != nil {
-			led.Teardown(eer)
-		}
-	}
-}
-
-// recharge replaces the EER's charge on every covering ledger with bwKbps
-// over [now, expT), WITHOUT an admission check. It reports false — and leaves
-// no charge behind, a partial one must not stand — when the window is empty
-// or a ledger is missing or refuses it.
-func (p *eerPath) recharge(eer reservation.ID, expT uint32, bwKbps uint64) bool {
-	p.discharge(eer)
-	if expT <= p.now {
-		return false
-	}
-	for _, led := range p.led[:p.nseg] {
-		if led == nil || led.Reserve(eer, p.now, expT, int64(bwKbps)) != nil {
-			p.discharge(eer)
-			return false
-		}
-	}
-	return true
+	return expT > p.now && p.charge(p.now, expT, bwKbps) == nil
 }
 
 // RestoreEERPath force-reinstates a previous EER version after a downstream
@@ -393,22 +450,19 @@ func (p *eerPath) recharge(eer reservation.ID, expT uint32, bwKbps uint64) bool 
 // and the given version is re-charged without an admission check (it is the
 // caller's own prior state, which fits by construction once the newer
 // charge is gone). An already-expired version (expT <= now) removes the
-// record entirely.
+// record entirely. The renewal throttle's stamp stays with the record.
 func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) {
 	c.withPath(segs, func(p eerPath) {
-		_, had := p.prim.eers[eer]
-		if !p.recharge(eer, expT, bwKbps) {
+		e, had := p.prim.eers[eer]
+		if !p.recharge(e, had, expT, bwKbps) {
 			if had {
 				delete(p.prim.eers, eer)
 				c.eerCount.Add(-1)
 			}
 			return
 		}
-		rec := cpEER{seg: p.segs[0], bw: bwKbps, expT: expT, ver: ver}
-		if p.nseg == 2 {
-			rec.seg2 = p.segs[1]
-		}
-		p.prim.eers[eer] = rec
+		p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
+			startT: p.now, expT: expT, ver: ver, lastRenew: e.lastRenew}
 		if !had {
 			c.eerCount.Add(1)
 		}
@@ -424,14 +478,16 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 		if !ok {
 			return
 		}
-		if finalKbps == 0 || !p.recharge(eer, e.expT, finalKbps) {
-			p.discharge(eer)
-			delete(p.prim.eers, eer)
-			c.eerCount.Add(-1)
+		if finalKbps > 0 && p.recharge(e, true, e.expT, finalKbps) {
+			e.bw, e.startT = finalKbps, p.now
+			p.prim.eers[eer] = e
 			return
 		}
-		e.bw = finalKbps
-		p.prim.eers[eer] = e
+		if finalKbps == 0 {
+			p.discharge(e)
+		}
+		delete(p.prim.eers, eer)
+		c.eerCount.Add(-1)
 	})
 }
 
@@ -439,8 +495,8 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 // Unknown EERs are a no-op.
 func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 	c.withPath(segs, func(p eerPath) {
-		if _, ok := p.lookup(eer); ok {
-			p.discharge(eer)
+		if e, ok := p.lookup(eer); ok {
+			p.discharge(e)
 			delete(p.prim.eers, eer)
 			c.eerCount.Add(-1)
 		}
@@ -451,17 +507,14 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // segment) along with every EER record referencing it — including
 // transfer-AS records whose OTHER covering segment survives: a §4.7 EER
 // loses its reservation when either covering SegR goes. Locks are taken
-// strictly one at a time; iteration collects keys and sorts them so runs
-// are deterministic.
+// strictly one shard at a time but for the transfer-AS records, which go
+// under their two (removePair); iteration collects keys and sorts them so
+// runs are deterministic.
 func (c *CPlane) DropSegR(id reservation.ID) {
-	type foreignDrop struct {
-		shard int
-		seg   reservation.ID
-		eer   reservation.ID
-	}
-	var foreign []foreignDrop
+	now := c.clock()
+	var pairs []pairRef
 	removed := 0
-	for si, sh := range c.shards {
+	for _, sh := range c.shards {
 		sh.mu.Lock()
 		var victims []reservation.ID
 		for eid, e := range sh.eers {
@@ -472,30 +525,21 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 		sort.Slice(victims, func(i, j int) bool { return victims[i].Less(victims[j]) })
 		for _, eid := range victims {
 			e := sh.eers[eid]
-			if led := sh.ledgers[e.seg]; led != nil {
-				led.Teardown(eid)
-			}
 			if e.seg2 != (reservation.ID{}) {
-				if s2 := c.shardIndex(e.seg2); s2 == si {
-					if led := sh.ledgers[e.seg2]; led != nil {
-						led.Teardown(eid)
-					}
-				} else {
-					foreign = append(foreign, foreignDrop{shard: s2, seg: e.seg2, eer: eid})
-				}
+				pairs = append(pairs, pairRef{eer: eid, seg: e.seg, seg2: e.seg2})
+				continue
 			}
+			p := c.path1(sh, e.seg, now)
+			p.discharge(e)
 			delete(sh.eers, eid)
 			removed++
 		}
 		sh.mu.Unlock()
 	}
-	for _, d := range foreign {
-		sh := c.shards[d.shard]
-		sh.mu.Lock()
-		if led := sh.ledgers[d.seg]; led != nil {
-			led.Teardown(d.eer)
+	for _, r := range pairs {
+		if _, ok := c.removePair(r, func(e cpEER) bool { return e.seg == id || e.seg2 == id }); ok {
+			removed++
 		}
-		sh.mu.Unlock()
 	}
 	sh := c.shardFor(id)
 	sh.mu.Lock()

@@ -137,7 +137,7 @@ func (s *Service) launchEE(sc *waveScratch) (*EERGrant, error) {
 	req.bodyLen = len(sc.fwd)
 	req.Macs = slices.Grow(req.Macs, n)[:n]
 	for i := range req.Macs {
-		hops[i].mac(&req.Macs[i], sc.fwd)
+		hops[i].cmac.SumInto(&req.Macs[i], sc.fwd)
 	}
 	sc.fwd = req.appendTail(sc.fwd)
 	req.wire = sc.fwd
@@ -280,55 +280,14 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	n := len(req.Path)
 	hop := req.Path[idx]
 	// The covering SegRs decide where this AS's admission state lives: one
-	// segment normally, two at a transfer AS (§4.7). The CPlane keys its EER
-	// record by the primary (first local) covering segment, so the dedup
-	// below needs it before any store lookup.
+	// segment normally, two at a transfer AS (§4.7).
 	var coverBuf [2]int
 	covering := coveringSegs(coverBuf[:0], len(req.SegIDs), req.Splits, n, idx)
 	if len(covering) == 0 || len(covering) > 2 {
 		return fail("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
 	}
-	// Idempotent retry detection (idempotency key: (ID, Ver) with matching
-	// expiry): a lost response leaves every hop downstream of the loss
-	// committed, so a retried request finds its own version here. Answer
-	// from it instead of admitting again — and decide before the renewal
-	// rate limiter, which must not throttle the retry of the very renewal
-	// it just admitted.
-	//
-	// What is not a retry is the live record this request replaces (prev*):
-	// the transfer split credits it as freed headroom and returns its charge
-	// once the new version commits, and a downstream failure reinstates it (the
-	// CPlane holds one version per EER — the record the dedup just looked up;
-	// the store's rollback instead removes the added version from the list).
-	// Store.LiveVersion mirrors CPlane.LookupEER so both admission modes
-	// account identically.
-	var dup, hadPrev bool
-	var prevBw uint64
-	var prevExpT uint32
-	var prevVer uint16
-	if s.cp != nil {
-		prevBw, prevVer, prevExpT, hadPrev = s.cp.LookupEER(req.ID, req.SegIDs[covering[0]])
-		dup = hadPrev && prevVer == req.Ver && prevExpT == req.ExpT
-	} else if existing, gerr := s.store.GetEER(req.ID); gerr == nil {
-		for _, v := range existing.Versions {
-			if v.Ver == req.Ver && v.ExpT == req.ExpT {
-				dup, prevBw = true, v.BwKbps
-				break
-			}
-		}
-		if !dup {
-			prevBw, prevVer, prevExpT, hadPrev = s.store.LiveVersion(req.ID, now)
-		}
-	}
-	if dup {
-		s.metrics.DedupHits.Add(1)
-	}
-	// Per-EER renewal rate limiting (§4.2: e.g. one renewal per second).
-	if req.Renewal && !dup && !s.renewLim.Allow(req.ID, now) {
-		s.metrics.RenewThrottle.Add(1)
-		return fail("renewal rate limit: EER %s already renewed this second", req.ID)
-	}
-
+	// What needs no reservation state is decided first, so that everything
+	// after it runs under one acquisition of the covering SegRs' shard locks.
 	// Source-AS policy (§4.7: "the source AS has a direct business
 	// relationship with the end host").
 	if idx == 0 {
@@ -341,7 +300,6 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	if idx == n-1 && s.dstApprove != nil && !s.dstApprove(req) {
 		return fail("destination refused")
 	}
-
 	var segIDBuf [2]reservation.ID
 	var segRBuf [2]*reservation.SegR
 	localSegIDs, segRs := segIDBuf[:0], segRBuf[:0]
@@ -354,60 +312,29 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		segRs = append(segRs, sr)
 	}
 
-	// Transfer-AS proportional split between up- and core-SegR (§4.7). The
-	// split accumulates demand/grant per Admit; every exit path below must
-	// return exactly what it no longer claims — refusal, admission failure,
-	// downstream rollback, and the final clamp to the path-wide minimum —
-	// so the split tracks precisely the live committed charges (dead demand
-	// otherwise accumulates until the fair-share cap refuses everything;
-	// the renewal-storm recovery at 10⁶ flows found every one of these).
-	grant := accum
-	if dup {
-		grant = prevBw
-	}
-	var tAdmitted bool
+	// admit is this hop's admission leg — dedup, throttle, the transfer split,
+	// then the charge, the order in which a wave settles an item — run against
+	// p, the CPlane's covering-SegR set with its shard locks held for the whole
+	// leg (the zero path in single-store mode). refusal is its failure answer.
+	//
+	// prev is the live record this request replaces, bw/ver/expT filled alike
+	// in both admission modes (Store.LiveVersion mirrors the CPlane's single
+	// record): the transfer split credits it as freed headroom and returns its
+	// charge once the new version commits, and a downstream failure reinstates
+	// it (the CPlane holds one version per EER; the store's rollback instead
+	// removes the added version from the list). A transfer-split admission must
+	// be returned on every exit path in exactly what it no longer claims —
+	// refusal, admission failure, downstream rollback, and the final clamp to
+	// the path-wide minimum — so the split tracks precisely the live committed
+	// charges (dead demand otherwise accumulates until the fair-share cap
+	// refuses everything; the renewal-storm recovery at 10⁶ flows found every
+	// one of these).
+	var dup, hadPrev, tAdmitted bool
+	var prev cpEER
 	var tCapped, tGrant uint64
 	var tUp, tCore reservation.ID
-	if !dup && len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
-		up, core := segRs[0], segRs[1]
-		upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-		if s.cp != nil {
-			upAvail = s.cp.SegAvail(up.ID, now, req.ExpT)
-			coreAvail = s.cp.SegAvail(core.ID, now, req.ExpT)
-		}
-		if req.Renewal && hadPrev && prevExpT > now {
-			// The ledger (or store) still carries this EER's own live charge,
-			// which the renewal replaces — RenewEERPath removes it before
-			// probing, and the store's versions share one max-over-versions
-			// budget. Credit it so the split sees the true post-renewal
-			// headroom, identically in both admission modes.
-			upAvail += prevBw
-			coreAvail += prevBw
-		}
-		asked := grant
-		grant = s.transfer.Admit(core.ID, up.ID, asked,
-			up.Active.BwKbps, core.Active.BwKbps,
-			upAvail, coreAvail)
-		tCapped = asked
-		if tCapped > up.Active.BwKbps {
-			tCapped = up.Active.BwKbps
-		}
-		// A *setup* is granted in full or refused (§4.7: "the intended
-		// bandwidth is granted if there is sufficient available bandwidth");
-		// only renewals may be granted a reduced amount (§4.2).
-		if grant == 0 || (!req.Renewal && grant < asked) {
-			s.transfer.Release(core.ID, up.ID, tCapped, grant)
-			s.metrics.AdmReject.Add(1)
-			if req.Renewal {
-				// The EER's previous versions stay valid: the flow falls
-				// back to them instead of being torn down.
-				s.metrics.AdmFallback.Add(1)
-			}
-			return fail("transfer split: only %d of %d kbps available on core SegR %s",
-				grant, asked, core.ID)
-		}
-		tAdmitted, tGrant, tUp, tCore = true, grant, up.ID, core.ID
-	}
+	var refusal []byte
+	grant := accum
 	// releaseT undoes the split admission in full — for every path on which
 	// this hop's new version does not survive.
 	releaseT := func() {
@@ -416,13 +343,84 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			tAdmitted = false
 		}
 	}
-
-	// Admit (reserve) the requested bandwidth against the local SegRs; the
-	// backward pass adjusts it down to the path-wide minimum.
-	if !dup {
+	admit := func(p eerPath) {
+		live := p.c != nil
+		// Idempotent retry detection (idempotency key: (ID, Ver) with matching
+		// expiry): a lost response leaves every hop downstream of the loss
+		// committed, so a retried request finds its own version here. Answer
+		// from it instead of admitting again — and decide before the renewal
+		// rate limiter, which must not throttle the retry of the very renewal
+		// it just admitted.
+		if live {
+			prev, hadPrev = p.lookup(req.ID)
+			dup = hadPrev && prev.ver == req.Ver && prev.expT == req.ExpT
+		} else if existing, gerr := s.store.GetEER(req.ID); gerr == nil {
+			for _, v := range existing.Versions {
+				if v.Ver == req.Ver && v.ExpT == req.ExpT {
+					dup, prev.bw = true, v.BwKbps
+					break
+				}
+			}
+			if !dup {
+				prev.bw, prev.ver, prev.expT, hadPrev = s.store.LiveVersion(req.ID, now)
+			}
+		}
+		if dup {
+			s.metrics.DedupHits.Add(1)
+			grant = prev.bw
+			return
+		}
+		if req.Renewal && !s.allowRenewal(&p, req.ID, &prev, live && hadPrev, now) {
+			s.metrics.RenewThrottle.Add(1)
+			refusal, _ = fail("renewal rate limit: EER %s already renewed this second", req.ID)
+			return
+		}
+		// Transfer-AS proportional split between up- and core-SegR (§4.7).
+		if len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
+			up, core := segRs[0], segRs[1]
+			upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
+			if live {
+				upAvail, coreAvail = p.avail(0, req.ExpT), p.avail(1, req.ExpT)
+			}
+			if req.Renewal && hadPrev && prev.expT > now {
+				// The ledger (or store) still carries this EER's own live charge,
+				// which the renewal replaces — renew withdraws it before probing,
+				// and the store's versions share one max-over-versions budget.
+				// Credit it so the split sees the true post-renewal headroom,
+				// identically in both admission modes.
+				upAvail += prev.bw
+				coreAvail += prev.bw
+			}
+			asked := grant
+			grant = s.transfer.Admit(core.ID, up.ID, asked,
+				up.Active.BwKbps, core.Active.BwKbps,
+				upAvail, coreAvail)
+			tCapped = min(asked, up.Active.BwKbps)
+			// A *setup* is granted in full or refused (§4.7: "the intended
+			// bandwidth is granted if there is sufficient available bandwidth");
+			// only renewals may be granted a reduced amount (§4.2).
+			if grant == 0 || (!req.Renewal && grant < asked) {
+				s.transfer.Release(core.ID, up.ID, tCapped, grant)
+				if live && req.Renewal && hadPrev {
+					p.keep(req.ID, prev)
+				}
+				s.metrics.AdmReject.Add(1)
+				if req.Renewal {
+					// The EER's previous versions stay valid: the flow falls
+					// back to them instead of being torn down.
+					s.metrics.AdmFallback.Add(1)
+				}
+				refusal, _ = fail("transfer split: only %d of %d kbps available on core SegR %s",
+					grant, asked, core.ID)
+				return
+			}
+			tAdmitted, tGrant, tUp, tCore = true, grant, up.ID, core.ID
+		}
+		// Admit (reserve) the requested bandwidth against the local SegRs; the
+		// backward pass adjusts it down to the path-wide minimum.
 		var aerr error
 		switch {
-		case s.cp == nil:
+		case !live:
 			eer := &reservation.EER{
 				ID:      req.ID,
 				In:      hop.In,
@@ -433,16 +431,13 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			v := reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT}
 			aerr = s.store.AdmitEERVersion(eer, localSegIDs, v, now)
 		case req.Renewal && hadPrev:
-			var g uint64
-			if g, aerr = s.cp.RenewEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver); aerr == nil {
-				// Renewals may legally shrink to the free bandwidth (§4.2).
-				grant = g
-			}
+			// Renewals may legally shrink to the free bandwidth (§4.2).
+			grant, aerr = p.renew(req.ID, prev, grant, req.ExpT, req.Ver)
 		default:
 			// A fresh setup — or a renewal of an EER this AS no longer
 			// holds (version expired, or state lost in a crash): admit it
 			// anew so the flow re-promotes instead of staying demoted.
-			aerr = s.cp.SetupEERPath(req.ID, localSegIDs, grant, req.ExpT, req.Ver)
+			aerr = p.setup(req.ID, grant, req.ExpT, req.Ver, req.Renewal)
 		}
 		if aerr != nil {
 			releaseT()
@@ -450,8 +445,16 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			if req.Renewal {
 				s.metrics.AdmFallback.Add(1)
 			}
-			return fail("admission: %v", aerr)
+			refusal, _ = fail("admission: %v", aerr)
 		}
+	}
+	if s.cp != nil {
+		s.cp.withPath(localSegIDs, admit)
+	} else {
+		admit(eerPath{})
+	}
+	if refusal != nil {
+		return refusal, false
 	}
 	rollback := func() {
 		if dup {
@@ -462,7 +465,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		releaseT()
 		if s.cp != nil {
 			if req.Renewal && hadPrev {
-				s.cp.RestoreEERPath(req.ID, localSegIDs, prevBw, prevExpT, prevVer)
+				s.cp.RestoreEERPath(req.ID, localSegIDs, prev.bw, prev.expT, prev.ver)
 			} else {
 				s.cp.TeardownEERPath(req.ID, localSegIDs)
 			}
@@ -544,8 +547,8 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		// charge — the split tracks live committed bandwidth, not request
 		// history (final ≤ grant ≤ capped by construction).
 		s.transfer.Release(tCore, tUp, tCapped-final, tGrant-final)
-		if req.Renewal && hadPrev && prevExpT > now {
-			s.transfer.Release(tCore, tUp, prevBw, prevBw)
+		if req.Renewal && hadPrev && prev.expT > now {
+			s.transfer.Release(tCore, tUp, prev.bw, prev.bw)
 		}
 	}
 	return out, true

@@ -141,7 +141,9 @@ func (s MetricsSnapshot) String() string {
 
 // renewLimiter enforces §4.2's per-EER renewal rate limit ("CServs can
 // rate-limit the amount of renewal requests for an EER (e.g., to one per
-// second)").
+// second)") for the renewals that find no CPlane record to carry their mark:
+// re-admissions, and everything in single-store mode (see allowRenewal). In
+// CPlane mode it is therefore empty while every hop holds its records.
 type renewLimiter struct {
 	mu   sync.Mutex
 	last map[reservation.ID]uint32
@@ -160,6 +162,17 @@ func (l *renewLimiter) Allow(id reservation.ID, now uint32) bool {
 	}
 	l.last[id] = now
 	return true
+}
+
+// allowRenewal applies the per-EER renewal limit to a renewal of id. When the
+// CPlane holds the EER's record (held: e is what p.lookup returned), the mark
+// is read from and stamped into e — see eerPath.allowRenew for where it is
+// stored; otherwise the limiter's own map is consulted and marked.
+func (s *Service) allowRenewal(p *eerPath, id reservation.ID, e *cpEER, held bool, now uint32) bool {
+	if held {
+		return p.allowRenew(e)
+	}
+	return s.renewLim.Allow(id, now)
 }
 
 // Expire drops stale entries (called from Tick).

@@ -416,7 +416,7 @@ func (s *Service) computeMacs(path []PathHop, body []byte) ([][cryptoutil.MACSiz
 		if err != nil {
 			return nil, err
 		}
-		s.cryptoFor(key).mac(&macs[i], body)
+		s.cryptoFor(key).cmac.SumInto(&macs[i], body)
 	}
 	return macs, nil
 }
@@ -437,16 +437,10 @@ func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
 // authenticates requests (§4.5). Building either costs an AES key expansion,
 // several times the work of one use, and the keys are constant for a DRKey
 // epoch — so they are built once per key, not once per message or per item.
+// Both are immutable once built, so a keyCrypto is shared without a lock.
 type keyCrypto struct {
 	sealer *cryptoutil.Sealer
-	mu     sync.Mutex // guards cmac, whose chaining block is per-call scratch
 	cmac   *cryptoutil.CMAC
-}
-
-func (k *keyCrypto) mac(out *[cryptoutil.MACSize]byte, msg []byte) {
-	k.mu.Lock()
-	k.cmac.SumInto(out, msg)
-	k.mu.Unlock()
 }
 
 // verify checks macs[idx], the source's MAC of body towards the AS that holds
@@ -456,7 +450,7 @@ func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int
 		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
 	}
 	var want [cryptoutil.MACSize]byte
-	k.mac(&want, body)
+	k.cmac.SumInto(&want, body)
 	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
 		return ErrAuth
 	}

@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 
@@ -330,9 +331,30 @@ func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []res
 	return ids, segRs
 }
 
+// refAllowRenew is the model of the per-EER renewal throttle (§4.2, one a
+// second). A renewal that finds its record is judged by the mark in the record
+// and leaves its own there; one that finds none — a re-admission — is judged by
+// the limiter's map. The mark therefore goes where the record goes: a record
+// lost or removed in the very second it was renewed no longer throttles the
+// re-admission that follows in that second. (Up to PR 18 every mark lived in the
+// limiter's map, and it did.)
+func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, had bool, now uint32) (ok bool) {
+	if !had {
+		return s.renewLim.Allow(id, now)
+	}
+	s.cp.withPath(segs, func(p eerPath) {
+		e, _ := p.lookup(id)
+		if ok = e.lastRenew != now; ok {
+			e.lastRenew = now
+			p.keep(id, e)
+		}
+	})
+	return ok
+}
+
 // refBatchHop is the reference the fused forward pass is held to: the
 // parent's per-item sequence at one hop, every step its own locked CPlane
-// call — LookupEER, dedup, renewLimiter.Allow, the transfer split over
+// call — LookupEER, dedup, the throttle (refAllowRenew), the transfer split over
 // SegAvail, RenewEERPath or SetupEERPath, settle — item after item in wave
 // order, with the downstream answer of echoBatch (final grant = hop grant).
 func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (status []uint8, granted []uint64) {
@@ -351,7 +373,7 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			granted[i] = prevBw
 			continue
 		}
-		if !s.renewLim.Allow(it.ID, now) {
+		if !refAllowRenew(s, it.ID, segIDs, had, now) {
 			status[i] = EEItemThrottled
 			continue
 		}
@@ -376,7 +398,9 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 		if had {
 			grant, err = s.cp.RenewEERPath(it.ID, segIDs, grant, it.ExpT, it.Ver)
 		} else {
-			err, failed = s.cp.SetupEERPath(it.ID, segIDs, grant, it.ExpT, it.Ver), EEItemStale
+			if err, failed = s.cp.SetupEERPath(it.ID, segIDs, grant, it.ExpT, it.Ver), EEItemStale; err == nil {
+				refAllowRenew(s, it.ID, segIDs, true, now) // a re-admitted record is born marked
+			}
 		}
 		if err != nil {
 			if transfer {
@@ -590,5 +614,60 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 			t.Fatalf("EER %s at version %d, want %d", g.ID, g.Res.Ver, 1+rounds)
 		}
 		checkHopAuths(t, f, g)
+	}
+}
+
+// TestRenewThrottleLivesInTheRecord: in CPlane mode the per-EER throttle's mark
+// is a field of the EER record, so waves and solo renewals of EERs every hop
+// still holds leave the limiter's own map empty; and the one case that changed
+// with the move — a record lost in the very second it was renewed takes its mark
+// with it, so the re-admission that follows in that second passes this hop — is
+// pinned at the source, where the next hop's intact record then stops it.
+func TestRenewThrottleLivesInTheRecord(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 100_000)
+	src := f.services[ia(1, 11)]
+	gs := requestEERs(t, src, 8, 1_000)
+	bws := make([]uint64, len(gs))
+	for i := range bws {
+		bws[i] = 1_000
+	}
+	limiterEntries := func() (n int) {
+		for _, s := range f.services {
+			s.renewLim.mu.Lock()
+			n += len(s.renewLim.last)
+			s.renewLim.mu.Unlock()
+		}
+		return n
+	}
+	for round := 0; round < 3; round++ {
+		f.clock.Add(1)
+		var errs []error
+		if gs, errs = src.RenewEERBatch(gs, bws); errors.Join(errs...) != nil {
+			t.Fatalf("wave %d: %v", round, errors.Join(errs...))
+		}
+	}
+	f.clock.Add(1)
+	g, err := src.RenewEER(gs[0], 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 0: renewal rate limit") {
+		t.Fatalf("second renewal in one second: err = %v, want the source's throttle", err)
+	}
+	if n := limiterEntries(); n != 0 {
+		t.Errorf("limiter maps hold %d entries after renewals of known records, want 0", n)
+	}
+	// The source loses the record it renewed this second.
+	src.cp.TeardownEERPath(g.ID, g.SegIDs[:1])
+	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 1: renewal rate limit") {
+		t.Fatalf("re-admission in the second of the lost renewal: err = %v, want it past the source and throttled at hop 1", err)
+	}
+	// A re-admission is judged by, and marks, the limiter's map: once.
+	if n := limiterEntries(); n != 1 {
+		t.Errorf("limiter maps hold %d entries after one re-admission, want 1", n)
+	}
+	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 0: renewal rate limit") {
+		t.Fatalf("second re-admission in one second: err = %v, want the source's throttle", err)
 	}
 }

@@ -44,7 +44,10 @@ func TestAblationsRun(t *testing.T) {
 	if naive < 20*memo {
 		t.Errorf("naive (%0.f ns) not much slower than memoized (%0.f ns)", naive, memo)
 	}
-	// Protection stack adds bounded overhead (< 4x of bare crypto).
+	// Protection stack adds bounded overhead (< 4x of bare crypto; ≈ 1.6x
+	// measured). Both numbers are the fastest of interleaved passes, so a
+	// loaded host — which slows the memory-bound full stack more than the
+	// AES-NI one — moves them together or not at all.
 	bare := byStudyVariant["border-router stack/crypto only"]
 	full := byStudyVariant["border-router stack/+ replay + OFD"]
 	if bare <= 0 || full <= 0 {

@@ -10,71 +10,28 @@ var (
 	ErrExists = errors.New("restree: reservation already exists")
 	// ErrUnknown is returned by Renew for a key with no live reservation.
 	ErrUnknown = errors.New("restree: unknown reservation")
-	// ErrWindow is returned when a reservation's validity window is empty or
-	// longer than the ledger horizon.
-	ErrWindow = errors.New("restree: invalid reservation window")
 )
 
-// lentry is one live reservation: its charged epoch interval and bandwidth.
+// lentry is one live reservation: the window and bandwidth it was charged
+// with, which is what withdraws it.
 type lentry struct {
-	start, end Epoch
-	bw         int64
-	seq        uint64
+	startT, expT uint32
+	bw           int64
 }
 
-// lexp is one expiry-heap element. Heap entries are lazy: a renewal or
-// teardown leaves the old element in place, and Advance discards elements
-// whose seq no longer matches the live entry.
-type lexp[K comparable] struct {
-	end Epoch
-	seq uint64
-	key K
-}
-
-// Ledger tracks a set of keyed, time-bounded bandwidth reservations over one
-// Tree: Reserve/Renew/Teardown update the demand profile in O(log n),
-// MaxDemand answers the admission query for a window, and Advance releases
-// expired reservations deterministically in (expiry epoch, admission order)
-// order. Not safe for concurrent use.
+// Ledger is a Profile for callers that hold a key and no record of their own:
+// it remembers each key's charge and hands it back to the profile on Renew and
+// Teardown. MaxDemand, DemandAt, Snapshot and Len are the profile's. Not safe
+// for concurrent use.
 type Ledger[K comparable] struct {
-	tree     *Tree
-	epochSec uint32
-	entries  map[K]lentry
-	seq      uint64
-	heap     []lexp[K] // min-heap by (end, seq)
+	Profile
+	entries map[K]lentry
 }
 
-// NewLedger builds a ledger over a tree of at least `epochs` epochs, each
+// NewLedger builds a ledger over a ring of at least `epochs` epochs, each
 // epochSeconds wide (minimum 1).
 func NewLedger[K comparable](epochs int, epochSeconds uint32) *Ledger[K] {
-	if epochSeconds == 0 {
-		epochSeconds = 1
-	}
-	return &Ledger[K]{
-		tree:     NewTree(epochs),
-		epochSec: epochSeconds,
-		entries:  make(map[K]lentry),
-	}
-}
-
-// EpochOf returns the epoch containing time t (Unix seconds).
-func (l *Ledger[K]) EpochOf(t uint32) Epoch { return Epoch(t / l.epochSec) }
-
-// epochCeil rounds t up to an epoch boundary, so a reservation stays charged
-// until the whole epoch containing its expiry has passed (conservative
-// discretization: demand is never under-counted).
-func (l *Ledger[K]) epochCeil(t uint32) Epoch {
-	return Epoch((uint64(t) + uint64(l.epochSec) - 1) / uint64(l.epochSec))
-}
-
-// window maps [startT, expT) in seconds to a validated epoch interval.
-func (l *Ledger[K]) window(startT, expT uint32) (Epoch, Epoch, error) {
-	start := l.EpochOf(startT)
-	end := l.epochCeil(expT)
-	if end <= start || int(end-start) > l.tree.Epochs() {
-		return 0, 0, ErrWindow
-	}
-	return start, end, nil
+	return &Ledger[K]{Profile: *NewProfile(epochs, epochSeconds), entries: make(map[K]lentry)}
 }
 
 // Reserve charges bw over the window [startT, expT) under the given key.
@@ -84,21 +41,17 @@ func (l *Ledger[K]) Reserve(key K, startT, expT uint32, bw int64) error {
 	if _, ok := l.entries[key]; ok {
 		return ErrExists
 	}
-	start, end, err := l.window(startT, expT)
-	if err != nil {
+	if err := l.Charge(startT, expT, bw); err != nil {
 		return err
 	}
-	l.tree.Add(start, end, bw)
-	l.seq++
-	l.entries[key] = lentry{start: start, end: end, bw: bw, seq: l.seq}
-	l.heap = append(l.heap, lexp[K]{end: end, seq: l.seq, key: key})
-	l.siftUp(len(l.heap) - 1)
+	l.entries[key] = lentry{startT: startT, expT: expT, bw: bw}
 	return nil
 }
 
 // Renew replaces the key's charge with a new window and bandwidth — the
 // seamless transition of §4.2: the old version is truncated at the moment the
-// renewal takes over, so overlapping versions are never double-charged.
+// renewal takes over, so overlapping versions are never double-charged. A
+// refused window leaves the old charge in place.
 //
 //colibri:nomalloc
 func (l *Ledger[K]) Renew(key K, startT, expT uint32, bw int64) error {
@@ -106,16 +59,12 @@ func (l *Ledger[K]) Renew(key K, startT, expT uint32, bw int64) error {
 	if !ok {
 		return ErrUnknown
 	}
-	start, end, err := l.window(startT, expT)
-	if err != nil {
+	l.Discharge(e.startT, e.expT, e.bw)
+	if err := l.Charge(startT, expT, bw); err != nil {
+		_ = l.Charge(e.startT, e.expT, e.bw) // what was just withdrawn fits
 		return err
 	}
-	l.tree.Add(e.start, e.end, -e.bw)
-	l.tree.Add(start, end, bw)
-	l.seq++
-	l.entries[key] = lentry{start: start, end: end, bw: bw, seq: l.seq}
-	l.heap = append(l.heap, lexp[K]{end: end, seq: l.seq, key: key})
-	l.siftUp(len(l.heap) - 1)
+	l.entries[key] = lentry{startT: startT, expT: expT, bw: bw}
 	return nil
 }
 
@@ -127,7 +76,7 @@ func (l *Ledger[K]) Teardown(key K) bool {
 	if !ok {
 		return false
 	}
-	l.tree.Add(e.start, e.end, -e.bw)
+	l.Discharge(e.startT, e.expT, e.bw)
 	delete(l.entries, key)
 	return true
 }
@@ -138,99 +87,19 @@ func (l *Ledger[K]) Get(key K) (bw int64, ok bool) {
 	return e.bw, ok
 }
 
-// MaxDemand returns the maximum aggregate demand over the window
-// [fromT, toT) — the admission query.
-//
-//colibri:nomalloc
-func (l *Ledger[K]) MaxDemand(fromT, toT uint32) int64 {
-	start := l.EpochOf(fromT)
-	end := l.epochCeil(toT)
-	if end <= start {
-		end = start + 1
-	}
-	return l.tree.Max(start, end)
-}
-
-// DemandAt returns the aggregate demand at time t.
-//
-//colibri:nomalloc
-func (l *Ledger[K]) DemandAt(t uint32) int64 { return l.tree.At(l.EpochOf(t)) }
-
-// Advance releases every reservation whose window ended at or before `now`,
-// in (expiry epoch, admission order) order, and returns how many were
-// released. A reservation charged over [start, end) expires once the epoch
-// containing `now` has reached end.
-//
-//colibri:nomalloc
+// Advance releases every reservation whose window ended at or before `now`
+// and returns how many were released. The keys of lapsed charges are dropped
+// in one pass over the entries, taken only when some charge lapsed.
 func (l *Ledger[K]) Advance(now uint32) int {
-	cur := l.EpochOf(now)
-	released := 0
-	for len(l.heap) > 0 && l.heap[0].end <= cur {
-		top := l.heap[0]
-		l.popHeap()
-		e, ok := l.entries[top.key]
-		if !ok || e.seq != top.seq {
-			continue // stale element left by a renewal or teardown
+	lapsed := l.Profile.Advance(now)
+	if lapsed > 0 {
+		// A window ending at or before the floor's first second has lapsed.
+		floorT := uint64(l.floor) * uint64(l.epochSec)
+		for k, e := range l.entries {
+			if uint64(e.expT) <= floorT {
+				delete(l.entries, k)
+			}
 		}
-		l.tree.Add(e.start, e.end, -e.bw)
-		delete(l.entries, top.key)
-		released++
 	}
-	return released
-}
-
-// Len returns the number of live reservations.
-func (l *Ledger[K]) Len() int { return len(l.entries) }
-
-// Snapshot iterates the demand profile over [fromT, toT) per epoch — the
-// telemetry iterator.
-func (l *Ledger[K]) Snapshot(fromT, toT uint32, f func(e Epoch, demand int64)) {
-	start := l.EpochOf(fromT)
-	end := l.epochCeil(toT)
-	if end <= start {
-		end = start + 1
-	}
-	l.tree.Snapshot(start, end, f)
-}
-
-// less orders heap elements by (end, seq); seq is unique per element.
-func (l *Ledger[K]) less(i, j int) bool {
-	if l.heap[i].end != l.heap[j].end {
-		return l.heap[i].end < l.heap[j].end
-	}
-	return l.heap[i].seq < l.heap[j].seq
-}
-
-func (l *Ledger[K]) siftUp(i int) {
-	for i > 0 {
-		p := (i - 1) / 2
-		if !l.less(i, p) {
-			return
-		}
-		l.heap[i], l.heap[p] = l.heap[p], l.heap[i]
-		i = p
-	}
-}
-
-func (l *Ledger[K]) popHeap() {
-	last := len(l.heap) - 1
-	l.heap[0] = l.heap[last]
-	var zero lexp[K]
-	l.heap[last] = zero
-	l.heap = l.heap[:last]
-	i := 0
-	for {
-		c := 2*i + 1
-		if c >= last {
-			return
-		}
-		if c+1 < last && l.less(c+1, c) {
-			c++
-		}
-		if !l.less(c, i) {
-			return
-		}
-		l.heap[i], l.heap[c] = l.heap[c], l.heap[i]
-		i = c
-	}
+	return lapsed
 }

@@ -244,3 +244,34 @@ func TestRenewTruncatesAtTakeover(t *testing.T) {
 		t.Errorf("DemandAt(19) = %d, want 100 (renewed tail)", got)
 	}
 }
+
+// TestFutureWindowPastTheRingIsRefused: a window that starts in the future may
+// be as short as it likes and still end past floor+horizon, where its slots are
+// live ones seen again. Up to PR 18 the ledger checked only the window's
+// length, admitted it, and reported its bandwidth as a phantom demand at the
+// floor.
+func TestFutureWindowPastTheRingIsRefused(t *testing.T) {
+	l := NewLedger[int](8, 4) // ring: 8 epochs = 32 s
+	l.Advance(1000)           // floor: epoch 250, ring [1000, 1032)
+	if err := l.Reserve(1, 1032, 1036, 7); err != ErrWindow {
+		t.Errorf("window past the ring: err = %v, want ErrWindow", err)
+	}
+	if got := l.MaxDemand(1000, 1004); got != 0 {
+		t.Errorf("MaxDemand at the floor = %d, want 0 (no phantom of the refused window)", got)
+	}
+	// The last epoch of the ring is still inside it.
+	if err := l.Reserve(2, 1028, 1032, 7); err != nil {
+		t.Errorf("window ending with the ring: err = %v, want nil", err)
+	}
+	if got := l.DemandAt(1028); got != 7 {
+		t.Errorf("DemandAt(1028) = %d, want 7", got)
+	}
+	if got := l.MaxDemand(1000, 1028); got != 0 {
+		t.Errorf("MaxDemand ahead of the future window = %d, want 0", got)
+	}
+	// The ring moves with the floor: the refused window fits a second later.
+	l.Advance(1004)
+	if err := l.Reserve(1, 1032, 1036, 7); err != nil {
+		t.Errorf("same window, floor one epoch on: err = %v, want nil", err)
+	}
+}

@@ -95,8 +95,8 @@ func TestLedgerAdvance(t *testing.T) {
 	}
 }
 
-// TestLedgerAdvanceSkipsStale: renewing leaves a stale heap element behind;
-// Advance must not release the renewed reservation at the old expiry.
+// TestLedgerAdvanceSkipsStale: Advance must not release a renewed
+// reservation at its old expiry.
 func TestLedgerAdvanceSkipsStale(t *testing.T) {
 	l := NewLedger[int](64, 1)
 	if err := l.Reserve(1, 10, 20, 5); err != nil {
@@ -132,7 +132,7 @@ func TestLedgerSnapshot(t *testing.T) {
 }
 
 // TestLedgerZeroAllocSteadyState: a renew/advance churn loop at fixed
-// population must not allocate (the heap reuses capacity freed by pops).
+// population must not allocate.
 func TestLedgerZeroAllocSteadyState(t *testing.T) {
 	l := NewLedger[int](64, 1)
 	now := uint32(100)
@@ -141,7 +141,7 @@ func TestLedgerZeroAllocSteadyState(t *testing.T) {
 			t.Fatalf("Reserve: %v", err)
 		}
 	}
-	// Warm up heap capacity through a few full renewal waves.
+	// Warm up through a few full renewal waves.
 	for w := 0; w < 4; w++ {
 		now += 8
 		l.Advance(now)

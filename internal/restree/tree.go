@@ -118,6 +118,12 @@ func (t *Tree) Max(start, end Epoch) int64 {
 	return m
 }
 
+// Reset zeroes every epoch of the ring.
+func (t *Tree) Reset() {
+	clear(t.add)
+	clear(t.mx)
+}
+
 // MaxAll returns the maximum aggregate over the whole ring in O(1).
 //
 //colibri:nomalloc
