@@ -192,9 +192,6 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 		}
 		if opts.EnableOFD {
 			rcfg.OFD = ofd.New(ofd.Config{})
-			if node.Telemetry != nil {
-				rcfg.OFD.SetGauge(node.Telemetry.Gauge("ofd.suspicious"))
-			}
 		}
 		rcfg.Blocklist = monitor.NewBlocklist()
 		node.Router = router.New(rcfg)

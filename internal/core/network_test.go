@@ -415,3 +415,38 @@ func TestLargerGeneratedTopologyEndToEnd(t *testing.T) {
 		t.Errorf("received %d", dst.Received)
 	}
 }
+
+// TestConformingSessionsStayUnwatched: a transit hop keeps no state for a
+// flow that conforms. The sessions are the shape that defeated a detector
+// which counted a packet against itself — one packet is 68 ms of budget, more
+// than the OFD's 50 ms window — and every one of them used to end up under
+// deterministic monitoring at every router on the path.
+func TestConformingSessionsStayUnwatched(t *testing.T) {
+	const sessions, kbps, seconds = 2048, 128, 4
+	net, hs, hd := twoISDNet(t, Options{EnableOFD: true, EnableReplaySuppression: true, RateLimit: 1 << 30})
+	sess := make([]*Session, sessions)
+	for i := range sess {
+		var err error
+		if sess[i], err = hs.RequestEER(hd, kbps); err != nil {
+			t.Fatal(err)
+		}
+	}
+	payload := make([]byte, 1000)
+	// One 1088-byte packet per session every 85 ms is 80 % of 128 kbps.
+	stepNs := int64(85_000_000 / sessions)
+	for sent := 0; int64(sent)*stepNs < seconds*1e9; sent++ {
+		net.Clock.Advance(stepNs)
+		if err := sess[sent%sessions].Send(payload); err != nil {
+			t.Fatalf("packet %d: %v", sent, err)
+		}
+	}
+	for _, ia := range net.Topo.SortedIAs() {
+		r := net.Node(ia).Router
+		if w := r.Watched(); w > sessions*2/100 {
+			t.Errorf("%s watches %d of %d conforming flows, want ≤ 2 %% (sketch collisions only)", ia, w, sessions)
+		}
+		if d := r.Drops(); len(d) != 0 {
+			t.Errorf("%s dropped conforming packets: %v", ia, d)
+		}
+	}
+}

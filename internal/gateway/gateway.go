@@ -141,7 +141,7 @@ func (g *Gateway) EnableTelemetry(reg *telemetry.Registry) {
 	g.mu.RLock()
 	t.resident.Add(int64(len(g.byID)))
 	g.mu.RUnlock()
-	g.mon.SetGauge(reg.Gauge("monitor.flows"))
+	g.mon.SetTelemetry(reg.Gauge("monitor.flows"), nil, nil)
 	g.tel.Store(t)
 }
 

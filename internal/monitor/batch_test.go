@@ -7,6 +7,13 @@ import (
 	"colibri/internal/reservation"
 )
 
+// Allow is AllowBatch for one packet (the gateway's path has no use for it).
+func (m *FlowMonitor) Allow(id reservation.ID, rateKbps uint64, sizeBytes uint32, nowNs int64) bool {
+	var ok [1]bool
+	m.AllowBatch([]reservation.ID{id}, []uint64{rateKbps}, []uint32{sizeBytes}, nowNs, ok[:])
+	return ok[0]
+}
+
 // TestAllowBatchMatchesSequential: AllowBatch over random batches — mixed
 // flows, rate updates, holes, and repeated IDs within one batch — must
 // reach exactly the per-packet decisions of sequential Allow calls on an

@@ -46,6 +46,8 @@ type Reserve struct {
 	rateBits atomic.Uint64
 	// burstMicro is the capacity in micro-bytes.
 	burstMicro atomic.Int64
+	// holders counts the shard buckets holding it (the pool's lock guards it).
+	holders int
 }
 
 // NewReserve builds a full reserve enforcing the flow's complete reserved
@@ -70,11 +72,6 @@ func (r *Reserve) SetRate(rateKbps uint64) {
 	if t := r.tokens.Load(); t > burst {
 		r.tokens.Store(burst)
 	}
-}
-
-// Tokens returns the current fill in bytes (diagnostic; racy by nature).
-func (r *Reserve) Tokens() float64 {
-	return float64(r.tokens.Load()) / microPerByte
 }
 
 // Claim refills the reserve to nowNs and tries to withdraw at least
@@ -143,8 +140,8 @@ func NewReservePool() *ReservePool {
 	return &ReservePool{m: make(map[reservation.ID]*Reserve)}
 }
 
-// Get returns the flow's reserve, creating it at the full rateKbps on first
-// sight.
+// Get returns the flow's reserve to one more holder, creating it at the full
+// rateKbps on first sight.
 func (p *ReservePool) Get(id reservation.ID, rateKbps uint64, nowNs int64) *Reserve {
 	p.mu.Lock()
 	r, ok := p.m[id]
@@ -152,14 +149,20 @@ func (p *ReservePool) Get(id reservation.ID, rateKbps uint64, nowNs int64) *Rese
 		r = NewReserve(rateKbps, nowNs)
 		p.m[id] = r
 	}
+	r.holders++
 	p.mu.Unlock()
 	return r
 }
 
-// Forget drops the reserve of an expired reservation.
-func (p *ReservePool) Forget(id reservation.ID) {
+// Release takes one holder's reserve back; the last one drops it, so shards
+// that let a flow go at different times keep sharing one full-rate store.
+func (p *ReservePool) Release(id reservation.ID) {
 	p.mu.Lock()
-	delete(p.m, id)
+	if r, ok := p.m[id]; ok {
+		if r.holders--; r.holders <= 0 {
+			delete(p.m, id)
+		}
+	}
 	p.mu.Unlock()
 }
 

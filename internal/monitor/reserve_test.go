@@ -133,7 +133,8 @@ func TestReserveConcurrentClaims(t *testing.T) {
 	}
 }
 
-// TestReservePoolLifecycle covers Get-creates-once, Forget, Len.
+// TestReservePoolLifecycle covers Get-creates-once, Release by the last
+// holder only, Len.
 func TestReservePoolLifecycle(t *testing.T) {
 	p := NewReservePool()
 	a := p.Get(rid(4), 8_000, 0)
@@ -144,12 +145,17 @@ func TestReservePoolLifecycle(t *testing.T) {
 	if p.Len() != 2 {
 		t.Fatalf("Len=%d, want 2", p.Len())
 	}
-	p.Forget(rid(4))
+	p.Release(rid(4))
+	if c := p.Get(rid(4), 8_000, 0); c != a || p.Len() != 2 {
+		t.Fatal("reserve dropped while a holder remained")
+	}
+	p.Release(rid(4))
+	p.Release(rid(4))
 	if p.Len() != 1 {
-		t.Fatalf("Len after Forget=%d, want 1", p.Len())
+		t.Fatalf("Len after the last Release=%d, want 1", p.Len())
 	}
 	if c := p.Get(rid(4), 8_000, 0); c == a {
-		t.Error("Get after Forget returned the forgotten reserve")
+		t.Error("Get after the last Release returned the dropped reserve")
 	}
 }
 

@@ -50,12 +50,6 @@ func NewTokenBucket(rateKbps uint64, burstBytes float64, nowNs int64) *TokenBuck
 	return &TokenBucket{rate: rate, burst: burstBytes, tokens: burstBytes, lastNs: nowNs, rateKbps: rateKbps}
 }
 
-// newShardBucket builds a shard-mode bucket: an empty local cache in front of
-// the flow's shared reserve.
-func newShardBucket(r *Reserve, rateKbps uint64, chunkBytes float64) *TokenBucket {
-	return &TokenBucket{reserve: r, chunk: chunkBytes, rateKbps: rateKbps}
-}
-
 // BurstBytesFor returns the default burst size for a rate.
 func BurstBytesFor(rateKbps uint64) float64 {
 	b := float64(rateKbps) * 1000 / 8 * DefaultBurstSeconds
@@ -117,25 +111,44 @@ func (tb *TokenBucket) SetRate(rateKbps uint64) {
 
 // FlowMonitor performs deterministic per-reservation monitoring: one token
 // bucket per reservation ID, with all versions of an EER sharing the bucket.
-// It is safe for concurrent use.
+// A gateway holds every installed EER in it; at a border router it is the
+// watch table of §4.8 — a flow is under deterministic monitoring exactly
+// while it has an entry. It is safe for concurrent use.
 type FlowMonitor struct {
 	mu    sync.Mutex
-	flows map[reservation.ID]*TokenBucket
-	// gauge, when set, tracks len(flows); updated under mu. Maintained with
-	// deltas (not Set) so that several shard monitors sharing one gauge sum
-	// to the true flow count across the sharded data plane.
-	gauge *telemetry.Gauge
+	flows map[reservation.ID]*flow
+	// n mirrors len(flows), written under mu: a router's table is empty
+	// almost always, and Len then answers once per packet without the lock.
+	n atomic.Int64
+	// fresh counts the escalations Drain has not reported yet; sweptSec is
+	// the last second whose expired entries Police dropped.
+	fresh    int
+	sweptSec uint32
+	// gauge, when set, tracks len(flows). Maintained with deltas (not Set) so
+	// that several shard monitors sharing one gauge sum to the true flow
+	// count across the sharded data plane. made and dropped count entries.
+	gauge         *telemetry.Gauge
+	made, dropped *telemetry.Counter
 	// pool, when non-nil, puts the monitor in shard mode: buckets are
 	// created as local claim caches over the pool's shared full-rate
-	// reserves (see reserve.go).
-	pool *ReservePool
-	// chunk is the shard-mode over-claim granularity in bytes.
+	// reserves (see reserve.go), over-claiming chunk bytes at a time.
+	pool  *ReservePool
 	chunk float64
+}
+
+// flow is one entry; its bucket is unstarted (rateKbps 0) until the flow's first packet.
+type flow struct {
+	TokenBucket
+	// expT is the second a router's entry leaves the table (0 = not set: a
+	// gateway's entry, or an operator's seed before its first packet).
+	expT uint32
+	// fresh marks an escalation Drain has not reported yet.
+	fresh bool
 }
 
 // NewFlowMonitor builds an empty monitor.
 func NewFlowMonitor() *FlowMonitor {
-	return &FlowMonitor{flows: make(map[reservation.ID]*TokenBucket)}
+	return &FlowMonitor{flows: make(map[reservation.ID]*flow)}
 }
 
 // NewShardFlowMonitor builds the per-shard flow monitor of a sharded data
@@ -145,50 +158,75 @@ func NewFlowMonitor() *FlowMonitor {
 // byte equivalent to a single full-rate bucket; larger chunks amortize the
 // shared-word traffic at the cost of slightly earlier token commitment).
 func NewShardFlowMonitor(pool *ReservePool, chunkBytes float64) *FlowMonitor {
-	return &FlowMonitor{
-		flows: make(map[reservation.ID]*TokenBucket),
-		pool:  pool,
-		chunk: chunkBytes,
-	}
+	return &FlowMonitor{flows: make(map[reservation.ID]*flow), pool: pool, chunk: chunkBytes}
 }
 
-// newBucket creates the right bucket flavor for this monitor.
-func (m *FlowMonitor) newBucket(id reservation.ID, rateKbps uint64, nowNs int64) *TokenBucket {
-	if m.pool != nil {
-		return newShardBucket(m.pool.Get(id, rateKbps, nowNs), rateKbps, m.chunk)
-	}
-	return NewTokenBucket(rateKbps, BurstBytesFor(rateKbps), nowNs)
-}
-
-// SetGauge attaches an occupancy gauge tracking the number of flows this
-// monitor contributes; the current count is added immediately and then
-// maintained by Allow/Ensure/Forget. Attach each monitor at most once.
-func (m *FlowMonitor) SetGauge(g *telemetry.Gauge) {
+// SetTelemetry attaches a gauge tracking the number of flows this monitor
+// contributes (the current count is added immediately) and, when non-nil,
+// counters of entries made and dropped. Attach each monitor at most once.
+func (m *FlowMonitor) SetTelemetry(flows *telemetry.Gauge, made, dropped *telemetry.Counter) {
 	m.mu.Lock()
-	m.gauge = g
-	if g != nil {
-		g.Add(int64(len(m.flows)))
+	m.gauge, m.made, m.dropped = flows, made, dropped
+	if flows != nil {
+		flows.Add(int64(len(m.flows)))
 	}
 	m.mu.Unlock()
 }
 
-// Allow checks a packet of sizeBytes on the reservation against rateKbps,
-// creating the bucket on first sight and updating the rate when it changed.
-func (m *FlowMonitor) Allow(id reservation.ID, rateKbps uint64, sizeBytes uint32, nowNs int64) bool {
-	m.mu.Lock()
-	tb, ok := m.flows[id]
-	if !ok {
-		tb = m.newBucket(id, rateKbps, nowNs)
-		m.flows[id] = tb
-		if m.gauge != nil {
-			m.gauge.Inc()
-		}
-	} else if tb.rateKbps != rateKbps {
-		tb.SetRate(rateKbps)
+// entry returns the flow's entry with its bucket at rateKbps, making it on
+// first sight. The caller holds mu.
+func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint64, nowNs int64) *flow {
+	f := m.flows[id]
+	if f == nil {
+		f = m.add(id, 0)
 	}
-	ok = tb.Allow(nowNs, sizeBytes)
-	m.mu.Unlock()
-	return ok
+	m.start(id, f, rateKbps, nowNs)
+	return f
+}
+
+// start gives f its bucket on the flow's first packet and follows a rate
+// change (an EER renewal) after. The caller holds mu.
+func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint64, nowNs int64) {
+	switch {
+	case f.rateKbps == rateKbps:
+	case f.rateKbps != 0: // started
+		f.SetRate(rateKbps)
+	case m.pool != nil: // shard mode: an empty local cache in front of the shared reserve
+		f.TokenBucket = TokenBucket{reserve: m.pool.Get(id, rateKbps, nowNs), chunk: m.chunk, rateKbps: rateKbps}
+	default:
+		f.TokenBucket = *NewTokenBucket(rateKbps, BurstBytesFor(rateKbps), nowNs)
+	}
+}
+
+// add makes the entry of id, to leave at expT. The caller holds mu.
+func (m *FlowMonitor) add(id reservation.ID, expT uint32) *flow {
+	f := &flow{expT: expT}
+	m.flows[id] = f
+	m.count(1, m.made)
+	return f
+}
+
+// drop removes id's entry f and its hold on the pooled reserve. The caller holds mu.
+func (m *FlowMonitor) drop(id reservation.ID, f *flow) {
+	delete(m.flows, id)
+	if f.reserve != nil {
+		m.pool.Release(id)
+	}
+	if f.fresh {
+		m.fresh--
+	}
+	m.count(-1, m.dropped)
+}
+
+// count moves the table size by delta and bumps the counter of the event.
+func (m *FlowMonitor) count(delta int64, event *telemetry.Counter) {
+	m.n.Add(delta)
+	if m.gauge != nil {
+		m.gauge.Add(delta)
+	}
+	if event != nil {
+		event.Inc()
+	}
 }
 
 // AllowBatch checks a batch of same-instant packets under a single lock
@@ -200,27 +238,18 @@ func (m *FlowMonitor) Allow(id reservation.ID, rateKbps uint64, sizeBytes uint32
 // Because the whole batch shares nowNs, each bucket refills at most once
 // (TokenBucket.Allow skips refill when the clock has not advanced), so the
 // per-packet cost inside the lock is one map lookup and one comparison —
-// the amortization the batched gateway pipeline relies on.
+// the amortization the batched gateway pipeline relies on. Only a flow's
+// first packet allocates (its entry), and Ensure pre-creates that at install.
 //
 //colibri:nomalloc
 func (m *FlowMonitor) AllowBatch(ids []reservation.ID, rates []uint64, sizes []uint32, nowNs int64, allowed []bool) {
 	m.mu.Lock()
 	for i := range ids {
-		if sizes[i] == 0 {
-			allowed[i] = false
-			continue
+		f := m.flows[ids[i]]
+		if sizes[i] != 0 && (f == nil || f.rateKbps != rates[i]) {
+			f = m.entry(ids[i], rates[i], nowNs) // off the loop's fast path: a call here costs the lookups their overlap
 		}
-		tb, ok := m.flows[ids[i]]
-		if !ok {
-			tb = m.newBucket(ids[i], rates[i], nowNs) //colibri:allow(nomalloc) — first packet of a flow only; Ensure pre-creates at install
-			m.flows[ids[i]] = tb
-			if m.gauge != nil {
-				m.gauge.Inc()
-			}
-		} else if tb.rateKbps != rates[i] {
-			tb.SetRate(rates[i])
-		}
-		allowed[i] = tb.Allow(nowNs, sizes[i])
+		allowed[i] = sizes[i] != 0 && f.Allow(nowNs, sizes[i])
 	}
 	m.mu.Unlock()
 }
@@ -229,36 +258,95 @@ func (m *FlowMonitor) AllowBatch(ids []reservation.ID, rates []uint64, sizes []u
 // per-packet path never allocates.
 func (m *FlowMonitor) Ensure(id reservation.ID, rateKbps uint64, nowNs int64) {
 	m.mu.Lock()
-	if tb, ok := m.flows[id]; ok {
-		tb.SetRate(rateKbps)
-	} else {
-		m.flows[id] = m.newBucket(id, rateKbps, nowNs)
-		if m.gauge != nil {
-			m.gauge.Inc()
-		}
-	}
+	m.entry(id, rateKbps, nowNs)
 	m.mu.Unlock()
 }
 
-// Forget drops the bucket of an expired reservation. In shard mode the
-// shared reserve is NOT dropped here (other shards may still hold it); the
-// sharded wrapper forgets it from the pool after all shards have let go.
+// Forget drops the entry of an expired reservation or a cleared false
+// positive; the shared reserve of shard mode goes with its last holder.
 func (m *FlowMonitor) Forget(id reservation.ID) {
 	m.mu.Lock()
-	if _, ok := m.flows[id]; ok {
-		delete(m.flows, id)
-		if m.gauge != nil {
-			m.gauge.Dec()
-		}
+	if f := m.flows[id]; f != nil {
+		m.drop(id, f)
 	}
 	m.mu.Unlock()
 }
 
 // Len returns the number of tracked flows.
-func (m *FlowMonitor) Len() int {
+func (m *FlowMonitor) Len() int { return int(m.n.Load()) }
+
+// Watch places a flow under deterministic monitoring until expT without a
+// packet in hand (an operator's seed, a sibling shard's flag); its first
+// packet starts the bucket and, where expT is 0, sets the lifetime.
+func (m *FlowMonitor) Watch(id reservation.ID, expT uint32) {
+	m.mu.Lock()
+	if m.flows[id] == nil {
+		m.add(id, expT)
+	}
+	m.mu.Unlock()
+}
+
+// Escalate places the flow of a packet the probabilistic detector flagged
+// under watch until expT, the expiry of the packet's reservation version, and
+// polices that packet. An entry per unwatched→watched transition is the one
+// allocation on a router's packet path.
+func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps uint64, sizeBytes, expT uint32, nowNs int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return len(m.flows)
+	f := m.entry(id, rateKbps, nowNs)
+	if f.expT == 0 {
+		f.expT, f.fresh = expT, true
+		m.fresh++
+	}
+	return f.Allow(nowNs, sizeBytes)
+}
+
+// Police checks a packet against the watch table: watched reports whether
+// the flow has an entry, ok whether the packet conforms (true when unwatched).
+// Only a non-conforming packet extends an entry, to that packet's expT: a
+// cleared false positive leaves within one EER lifetime, a true overuser
+// stays. The first packet of each second drops the expired entries, so the
+// table holds at most the flows flagged within a lifetime, with no caller duty.
+func (m *FlowMonitor) Police(id reservation.ID, rateKbps uint64, sizeBytes, expT uint32, nowNs int64) (watched, ok bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if sec := uint32(nowNs / 1e9); sec > m.sweptSec {
+		m.sweptSec = sec
+		for id, f := range m.flows {
+			if f.expT != 0 && sec >= f.expT {
+				m.drop(id, f)
+			}
+		}
+	}
+	f := m.flows[id]
+	if f == nil {
+		return false, true
+	}
+	m.start(id, f, rateKbps, nowNs)
+	ok = f.Allow(nowNs, sizeBytes)
+	if f.expT == 0 || !ok && expT > f.expT {
+		f.expT = expT
+	}
+	return true, ok
+}
+
+// Drain returns the flows Escalate put under watch since the last call, each
+// with the second its entry leaves (a sharded front end places them on the
+// sibling shards too).
+func (m *FlowMonitor) Drain() map[reservation.ID]uint32 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if m.fresh == 0 {
+		return nil
+	}
+	out := make(map[reservation.ID]uint32, m.fresh)
+	for id, f := range m.flows {
+		if f.fresh {
+			f.fresh, out[id] = false, f.expT
+		}
+	}
+	m.fresh = 0
+	return out
 }
 
 // Blocklist is the set of source ASes whose reservations are blocked after

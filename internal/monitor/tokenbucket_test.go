@@ -234,3 +234,47 @@ func TestFlowMonitorClockRegression(t *testing.T) {
 		t.Error("refilled packet dropped after regression")
 	}
 }
+
+// TestWatchTableLifecycle walks one router-side entry through its life: the
+// flagging packet makes it and is policed, Drain reports it once with its
+// lifetime, a conforming packet of a renewed version does not extend it, a
+// non-conforming one does, and the first packet of the second it expires in
+// drops it — in shard mode together with its hold on the pooled reserve.
+func TestWatchTableLifecycle(t *testing.T) {
+	pool := NewReservePool()
+	for name, m := range map[string]*FlowMonitor{"plain": NewFlowMonitor(), "shard": NewShardFlowMonitor(pool, 0)} {
+		const sec = int64(1e9)
+		if watched, ok := m.Police(rid(1), 8_000, 1000, 116, 100*sec); watched || !ok {
+			t.Fatalf("%s: unwatched flow: watched=%v ok=%v", name, watched, ok)
+		}
+		if !m.Escalate(rid(1), 8_000, 1000, 116, 100*sec) || m.Len() != 1 {
+			t.Fatalf("%s: flagging packet dropped by its fresh bucket, or not watched after", name)
+		}
+		m.Watch(rid(2), 0) // an operator's seed: no lifetime until its first packet
+		if got := m.Drain(); len(got) != 1 || got[rid(1)] != 116 || m.Drain() != nil {
+			t.Fatalf("%s: Drain = %v, want the escalated flow once", name, got)
+		}
+		// A renewed version (expT 128) that conforms leaves the lifetime alone…
+		if watched, ok := m.Police(rid(1), 8_000, 1000, 128, 101*sec); !watched || !ok {
+			t.Fatalf("%s: conforming watched packet: watched=%v ok=%v", name, watched, ok)
+		}
+		m.Police(rid(9), 8_000, 1000, 200, 116*sec)
+		if m.Len() != 1 {
+			t.Fatalf("%s: %d entries at the flagged version's expiry, want the seed only", name, m.Len())
+		}
+		// …and one that does not conform extends it to its own expiry.
+		m.Escalate(rid(1), 8_000, 1000, 132, 116*sec)
+		burst := uint32(BurstBytesFor(8_000))
+		if _, ok := m.Police(rid(1), 8_000, burst, 144, 116*sec); ok {
+			t.Fatalf("%s: a burst-sized packet conformed right after another packet", name)
+		}
+		m.Police(rid(9), 8_000, 1000, 200, 132*sec)
+		if _, ok := m.Police(rid(2), 8_000, 1000, 140, 133*sec); !ok || m.Len() != 2 {
+			t.Fatalf("%s: overuser dropped at its old expiry, or the seed's first packet refused (%d entries)", name, m.Len())
+		}
+		m.Police(rid(9), 8_000, 1000, 200, 144*sec)
+		if m.Len() != 0 || pool.Len() != 0 {
+			t.Fatalf("%s: %d entries and %d pooled reserves after every lifetime passed", name, m.Len(), pool.Len())
+		}
+	}
+}

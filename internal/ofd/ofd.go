@@ -7,18 +7,24 @@
 //     packet size (total size ÷ reservation bandwidth), so that a single
 //     sketch monitors reservations of all bandwidths and all versions of an
 //     EER share one budget.
-//   - A flow whose estimated normalized usage exceeds (1+ε) × window is
-//     flagged suspicious. Count-min overestimates but never underestimates,
-//     so true overusers above the threshold are always flagged (no false
-//     negatives); occasional false positives are resolved by escalation to
-//     deterministic token-bucket monitoring, exactly as in the paper.
+//   - A packet is flagged when the flow's estimate *before* it already
+//     exceeds (1+ε) × window: a packet is never evidence against itself (the
+//     token bucket's granularity too: monitor.BurstBytesFor admits one
+//     full-size packet). Count-min never underestimates, so usage above
+//     (1+ε) × window + s per window, s being one packet's normalized size, is
+//     always flagged — for s ≪ window the plain (1+ε) bound; a flow whose
+//     packets never share a window is not seen at all (DESIGN.md §3).
+//     False positives are resolved by escalation to deterministic
+//     token-bucket monitoring, exactly as in the paper.
+//
+// The detector keeps nothing per flow: who is under watch is the caller's
+// table (monitor.FlowMonitor at the border router).
 package ofd
 
 import (
 	"sync"
 
 	"colibri/internal/reservation"
-	"colibri/internal/telemetry"
 )
 
 // Config parameterizes the detector.
@@ -74,46 +80,15 @@ type Detector struct {
 	seeds     []uint64
 	winStart  int64
 	threshold float64 // normalized usage limit per window
-	// suspicious accumulates flows flagged in the current window; drained
-	// by Suspicious().
-	suspicious map[reservation.ID]struct{}
-	// gauge, when set, mirrors len(suspicious); updated under mu.
-	gauge *telemetry.Gauge
-}
-
-// SetGauge attaches a gauge mirroring the number of currently flagged
-// (not yet drained) suspicious flows.
-func (d *Detector) SetGauge(g *telemetry.Gauge) {
-	d.mu.Lock()
-	d.gauge = g
-	if g != nil {
-		g.Set(int64(len(d.suspicious)))
-	}
-	d.mu.Unlock()
-}
-
-// Occupancy returns the fraction of nonzero sketch counters in the current
-// window — a load signal for sizing Depth×Width.
-func (d *Detector) Occupancy() float64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	nz := 0
-	for _, c := range d.counters {
-		if c != 0 {
-			nz++
-		}
-	}
-	return float64(nz) / float64(len(d.counters))
 }
 
 // New builds a detector.
 func New(cfg Config) *Detector {
 	cfg.setDefaults()
 	d := &Detector{
-		cfg:        cfg,
-		counters:   make([]float64, cfg.Depth*cfg.Width),
-		seeds:      make([]uint64, cfg.Depth),
-		suspicious: make(map[reservation.ID]struct{}),
+		cfg:      cfg,
+		counters: make([]float64, cfg.Depth*cfg.Width),
+		seeds:    make([]uint64, cfg.Depth),
 	}
 	// Fixed odd seeds; distinct per row.
 	for i := range d.seeds {
@@ -136,9 +111,9 @@ func hash(id reservation.ID, seed uint64) uint64 {
 	return x
 }
 
-// Record accounts one packet and reports whether the flow is now suspicious
-// in the current window. normSize is packet size in bits divided by the
-// reservation bandwidth in bits/second (i.e., seconds of budget consumed).
+// Record accounts one packet and reports whether the flow's estimate in the
+// current window was over the threshold before it. normSize is the packet's
+// bits over the reservation's bits/second (i.e., seconds of budget consumed).
 func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -152,38 +127,12 @@ func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool
 	est := -1.0
 	for row := 0; row < d.cfg.Depth; row++ {
 		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])%uint64(d.cfg.Width))
-		d.counters[idx] += normSize
 		if est < 0 || d.counters[idx] < est {
 			est = d.counters[idx]
 		}
+		d.counters[idx] += normSize
 	}
-	if est > d.threshold {
-		d.suspicious[id] = struct{}{}
-		if d.gauge != nil {
-			d.gauge.Set(int64(len(d.suspicious)))
-		}
-		return true
-	}
-	return false
-}
-
-// Suspicious drains and returns the flows flagged since the last call;
-// the caller subjects them to deterministic monitoring.
-func (d *Detector) Suspicious() []reservation.ID {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if len(d.suspicious) == 0 {
-		return nil
-	}
-	out := make([]reservation.ID, 0, len(d.suspicious))
-	for id := range d.suspicious {
-		out = append(out, id)
-	}
-	clear(d.suspicious)
-	if d.gauge != nil {
-		d.gauge.Set(0)
-	}
-	return out
+	return est > d.threshold
 }
 
 // NormalizedSize converts a packet size and reservation bandwidth to the

@@ -2,7 +2,8 @@
 // validation and forwarding of Colibri packets at line rate. For every EER
 // data packet it re-derives the hop authenticator from the AS secret
 // (Eq. 4), computes the expected hop validation field (Eq. 6), and compares
-// it with the packet — no per-flow or per-reservation state is consulted.
+// it with the packet — no per-flow or per-reservation state is consulted,
+// and none is kept for a flow the overuse detector has not flagged.
 // SegR control packets are validated against the Eq. (3) token instead.
 //
 // The router composes the protection stack of §4.8/§5: expiry and freshness
@@ -14,7 +15,6 @@ package router
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/monitor"
@@ -116,10 +116,10 @@ type Config struct {
 	// confirmed overuse blocks the source AS.
 	PoliceOnly bool
 	// DetMonitor, when non-nil, replaces the router's private deterministic
-	// flow monitor. The sharded data plane injects a shard monitor backed by
-	// a shared ReservePool here, so escalated flows of one reservation are
-	// policed to the exact aggregate rate across shards (see monitor's
-	// reserve.go).
+	// flow monitor and watch table (a flow is watched while it has an entry).
+	// The sharded data plane injects a shard monitor backed by a shared
+	// ReservePool here, so escalated flows of one reservation are policed to
+	// the exact aggregate rate across shards (see monitor's reserve.go).
 	DetMonitor *monitor.FlowMonitor
 	// SigmaCacheEntries, when > 0, gives every worker a private σ-cache of
 	// that many entries (rounded up to a power of two): the σ derivation
@@ -148,12 +148,7 @@ type Router struct {
 	onOveruse   func(id reservation.ID)
 	policeOnly  bool
 	sigmaCache  int
-
-	// watch holds flows escalated to deterministic monitoring (§4.8:
-	// "suspicious EERs are subjected to deterministic monitoring").
-	watchMu sync.RWMutex
-	watch   map[reservation.ID]struct{}
-	detMon  *monitor.FlowMonitor
+	detMon      *monitor.FlowMonitor
 
 	// drops counts processing outcomes per reason. Sharded lock-free
 	// counters let drop accounting and Drops() readers proceed without a
@@ -197,7 +192,6 @@ func New(cfg Config) *Router {
 		onOveruse:   cfg.OnOveruse,
 		policeOnly:  cfg.PoliceOnly,
 		sigmaCache:  cfg.SigmaCacheEntries,
-		watch:       make(map[reservation.ID]struct{}),
 		detMon:      cfg.DetMonitor,
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -210,6 +204,7 @@ func New(cfg Config) *Router {
 			processed: reg.Counter("router.processed"),
 			trace:     reg.Tracer("router.drops", 0),
 		}
+		r.detMon.SetTelemetry(reg.Gauge("router.watched"), reg.Counter("router.escalated"), reg.Counter("router.cleared"))
 	} else {
 		for reason := range r.drops {
 			r.drops[reason] = telemetry.NewCounter()
@@ -245,34 +240,16 @@ func dropSlug(reason DropReason) string {
 // Blocklist returns the router's blocklist (shared with policy decisions).
 func (r *Router) Blocklist() *monitor.Blocklist { return r.blocklist }
 
-// Suspicious drains and returns the flows the probabilistic detector has
-// flagged since the last call (nil when no detector is configured). Flagged
-// flows are already on this router's watchlist; a sharded front end uses the
-// drain to escalate them on sibling shards too.
-func (r *Router) Suspicious() []reservation.ID {
-	if r.det == nil {
-		return nil
-	}
-	return r.det.Suspicious()
-}
+// Watch places a reservation under deterministic monitoring as the detector's
+// flag does (an operator's seed, as in the paper's Table 2 phase 3); the entry
+// leaves with the reservation version of its first packet unless it overuses.
+func (r *Router) Watch(id reservation.ID) { r.detMon.Watch(id, 0) }
 
-// Watch places a reservation under deterministic monitoring, as happens
-// when the probabilistic detector flags it (or when an operator seeds the
-// watchlist, as in the paper's Table 2 phase 3).
-func (r *Router) Watch(id reservation.ID) {
-	r.watchMu.Lock()
-	r.watch[id] = struct{}{}
-	r.watchMu.Unlock()
-}
+// Unwatch ends a reservation's deterministic monitoring (a cleared false positive).
+func (r *Router) Unwatch(id reservation.ID) { r.detMon.Forget(id) }
 
-// Unwatch removes a reservation from deterministic monitoring (a cleared
-// false positive).
-func (r *Router) Unwatch(id reservation.ID) {
-	r.watchMu.Lock()
-	delete(r.watch, id)
-	r.watchMu.Unlock()
-	r.detMon.Forget(id)
-}
+// Watched returns the number of flows under deterministic monitoring.
+func (r *Router) Watched() int { return r.detMon.Len() }
 
 // Drops returns a copy of the drop counters, keyed by the canonical reason
 // message (e.g. ErrBadHVF.Error()). Reasons never observed are omitted.
@@ -355,18 +332,6 @@ type Worker struct {
 	ks     cryptoutil.AESSchedule
 	// sc caches σ derivations when Config.SigmaCacheEntries > 0.
 	sc *sigmaCache
-	// watchClean is a per-batch snapshot of "the watchlist is empty": it
-	// lets every packet of a batch skip the watchMu read-lock. Escalation
-	// by the probabilistic detector mid-batch clears it, so a flow flagged
-	// by packet i is policed from packet i+1 on.
-	watchClean bool
-}
-
-// snapshotWatch refreshes the per-batch watchlist-empty snapshot.
-func (w *Worker) snapshotWatch() {
-	w.r.watchMu.RLock()
-	w.watchClean = len(w.r.watch) == 0
-	w.r.watchMu.RUnlock()
 }
 
 // NewWorker creates a processing worker.
@@ -397,7 +362,6 @@ func (w *Worker) Process(buf []byte, nowNs int64) (Verdict, error) {
 	if r.hot != nil {
 		r.hot.processed.Inc()
 	}
-	w.snapshotWatch()
 	var acc dropAcc
 	v, err := w.processOne(buf, nowNs, &acc)
 	r.flushDrops(&acc)
@@ -427,7 +391,6 @@ func (w *Worker) ProcessBatch(pkts [][]byte, verdicts []BatchVerdict, nowNs int6
 	if r.hot != nil {
 		r.hot.processed.Add(uint64(len(pkts)))
 	}
-	w.snapshotWatch()
 	var acc dropAcc
 	passed := 0
 	for i, buf := range pkts {
@@ -526,25 +489,20 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 		}
 	}
 
-	// Probabilistic monitoring with deterministic escalation (§4.8). The
-	// watchlist may also have been seeded via Watch.
+	// Monitoring (§4.8). A watched flow (flagged earlier, or seeded via
+	// Watch) is policed by its exact bucket and kept out of the sketch; any
+	// other flow costs the sketch's counters and nothing per flow until the
+	// packet that finds it over the threshold.
 	if pkt.Type == packet.TData {
-		if r.det != nil {
-			norm := ofd.NormalizedSize(uint32(len(buf)), uint64(pkt.Res.BwKbps))
-			if r.det.Record(id, norm, nowNs) {
-				r.watchMu.Lock()
-				r.watch[id] = struct{}{}
-				r.watchMu.Unlock()
-				w.watchClean = false
-			}
+		size, rate := uint32(len(buf)), uint64(pkt.Res.BwKbps)
+		watched, ok := false, true
+		if r.detMon.Len() != 0 {
+			watched, ok = r.detMon.Police(id, rate, size, pkt.Res.ExpT, nowNs)
 		}
-		watched := false
-		if !w.watchClean {
-			r.watchMu.RLock()
-			_, watched = r.watch[id]
-			r.watchMu.RUnlock()
+		if !watched && r.det != nil && r.det.Record(id, ofd.NormalizedSize(size, rate), nowNs) {
+			ok = r.detMon.Escalate(id, rate, size, pkt.Res.ExpT, nowNs) //colibri:allow(nomalloc) — one entry per unwatched→watched transition
 		}
-		if watched && !r.detMon.Allow(id, uint64(pkt.Res.BwKbps), uint32(len(buf)), nowNs) {
+		if !ok {
 			// Overuse established with certainty: police, and unless
 			// configured police-only, block and report the source AS.
 			if !r.policeOnly {

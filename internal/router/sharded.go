@@ -5,8 +5,8 @@
 // finalizer to one of a power-of-two set of shards. Each shard owns a
 // complete core-local protection stack — its own Router with a private
 // replay filter (split per-shard via replay.Config.Split), OFD sketch
-// (ofd.Config.Split), blocklist, watchlist, and deterministic flow monitor,
-// plus a dedicated Worker with its own σ-schedule cache — so the per-packet
+// (ofd.Config.Split), blocklist and deterministic flow monitor (the watch
+// table), plus a dedicated Worker with its own σ-schedule cache — so the per-packet
 // path touches no mutable state shared between shards. The only cross-shard
 // words are (a) the flow-level shared token reserves (one lock-free Reserve
 // per escalated reservation, touched only on local token exhaustion; see
@@ -245,20 +245,20 @@ func (s *Sharded) ProcessBatch(pkts [][]byte, verdicts []BatchVerdict, nowNs int
 
 // Watch places a reservation under deterministic monitoring on every shard
 // (a multi-host reservation's flows may be pinned to several shards; the
-// shared reserve keeps the aggregate at the exact reserved rate).
+// shared reserve keeps the aggregate at the exact reserved rate). On a shard
+// its packets never reach, the seed has no lifetime and stays until Unwatch.
 func (s *Sharded) Watch(id reservation.ID) {
 	for _, sh := range s.shards {
 		sh.r.Watch(id)
 	}
 }
 
-// Unwatch clears a reservation from deterministic monitoring everywhere and
-// releases its shared reserve.
+// Unwatch clears a reservation from deterministic monitoring everywhere,
+// which releases its shared reserve.
 func (s *Sharded) Unwatch(id reservation.ID) {
 	for _, sh := range s.shards {
 		sh.r.Unwatch(id)
 	}
-	s.reserves.Forget(id)
 }
 
 // Block blocks a source AS on the global view and every shard immediately
@@ -300,14 +300,16 @@ func (s *Sharded) Merge() []reservation.ID {
 		s.lastHits, s.lastMisses = hits, misses
 	}
 
-	// OFD promotion: a flow flagged by its shard's sketch goes under
-	// deterministic monitoring on all shards.
+	// OFD promotion: a flow its shard's sketch flagged goes under deterministic
+	// monitoring on all shards, for the lifetime that shard gave it.
 	var flagged []reservation.ID
 	for _, sh := range s.shards {
-		flagged = append(flagged, sh.r.Suspicious()...)
-	}
-	for _, id := range flagged {
-		s.Watch(id)
+		for id, expT := range sh.r.detMon.Drain() {
+			for _, sibling := range s.shards {
+				sibling.r.detMon.Watch(id, expT)
+			}
+			flagged = append(flagged, id)
+		}
 	}
 	return flagged
 }

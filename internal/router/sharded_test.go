@@ -352,29 +352,27 @@ func TestShardedMergeRace(t *testing.T) {
 }
 
 // TestShardedWatchUnwatch checks escalation plumbing: Watch applies to all
-// shards, Unwatch clears them and releases the shared reserve.
+// shards, Unwatch clears them and releases the shared reserve the flow's
+// shard took when its first packet made the bucket.
 func TestShardedWatchUnwatch(t *testing.T) {
 	n := newDiffNet(1)
 	s := NewSharded(n.shardedConfig(2))
 	defer s.Close()
-	id := reservation.ID{SrcAS: topology.MustIA(1, 11), Num: 500}
+	over := n.flows[19] // reservation 500, an overuser
+	id := reservation.ID{SrcAS: over.res.SrcAS, Num: over.res.ResID}
 	s.Watch(id)
 	for i, sh := range s.shards {
-		sh.r.watchMu.RLock()
-		_, ok := sh.r.watch[id]
-		sh.r.watchMu.RUnlock()
-		if !ok {
+		if sh.r.Watched() != 1 {
 			t.Fatalf("shard %d: flow not watched after Watch", i)
 		}
 	}
+	pkts := [][]byte{n.mkPacket(over, uint64(diffBaseNs), over.size)}
+	if s.ProcessBatch(pkts, make([]BatchVerdict, 1), diffBaseNs) != 1 || s.reserves.Len() != 1 {
+		t.Fatalf("watched flow's first packet: reserves=%d, want the packet passed on a fresh reserve", s.reserves.Len())
+	}
 	s.Unwatch(id)
-	for i, sh := range s.shards {
-		sh.r.watchMu.RLock()
-		_, ok := sh.r.watch[id]
-		sh.r.watchMu.RUnlock()
-		if ok {
-			t.Fatalf("shard %d: flow still watched after Unwatch", i)
-		}
+	if w := (shardedPlane{s}).Watched(); w != 0 {
+		t.Fatalf("%d entries still watched after Unwatch", w)
 	}
 	if s.reserves.Len() != 0 {
 		t.Fatalf("reserve pool not drained after Unwatch: %d", s.reserves.Len())
