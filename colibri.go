@@ -38,6 +38,7 @@ package colibri
 import (
 	"colibri/internal/core"
 	"colibri/internal/cserv"
+	"colibri/internal/reservation"
 	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
@@ -81,8 +82,11 @@ type (
 	Clock = core.Clock
 	// Policy is a source AS's intra-AS admission policy.
 	Policy = cserv.Policy
-	// HostCapPolicy limits each host to a bandwidth cap.
+	// HostCapPolicy caps the bandwidth of the live EERs each host holds.
 	HostCapPolicy = cserv.HostCapPolicy
+	// ReservationID names a reservation (a Policy is told which EER it is
+	// asked about): the initiating AS and its number there.
+	ReservationID = reservation.ID
 )
 
 // LinkType classifies inter-domain links.

@@ -99,8 +99,9 @@ type Options struct {
 	// Telemetry creates one telemetry.Registry per AS and wires CServ,
 	// router, gateway, and flow monitor into it.
 	Telemetry bool
-	// CPlaneShards, when > 0 (power of two), backs every AS's CServ with a
-	// sharded CPlane admission engine instead of the single-store path.
+	// CPlaneShards is the shard count of every AS's CPlane, the CServ's
+	// admission engine (a power of two; 0 = 1). Each shard admits SegRs
+	// against its 1/shards share of every link.
 	CPlaneShards int
 	// CPlaneWorkers fans batched renewal waves across this many goroutines
 	// per AS (0 or 1 = inline). With more than one worker, call Close when
@@ -280,19 +281,27 @@ func (n *Network) SetupSegR(seg *segment.Segment, minKbps, maxKbps uint64) error
 // given bandwidth: every non-core AS reserves its up-segments, core ASes
 // reserve core-segments between each other, and (acting on behalf of the
 // destination ASes, §3.3) down-segments to every non-core AS. This is the
-// bootstrap an operator would drive from traffic forecasts.
+// bootstrap an operator would drive from traffic forecasts. The mesh asks with
+// a minimum of 0, so a SegR may legally be granted 0 kbps — one that no EER can
+// ever ride; each such SegR is reported in the returned error.
 func (n *Network) AutoSetupSegRs(bwKbps uint64) error {
 	var errs []error
+	setup := func(seg *segment.Segment) {
+		segr, err := n.nodes[seg.SrcIA()].CServ.SetupSegment(seg, 0, bwKbps)
+		if err == nil && segr.Active.BwKbps == 0 {
+			err = fmt.Errorf("core: SegR %s (%s-segment %s → %s) was granted 0 of %d kbps",
+				segr.ID, seg.Type, seg.SrcIA(), seg.DstIA(), bwKbps)
+		}
+		if err != nil {
+			errs = append(errs, err)
+		}
+	}
 	for _, as := range n.Topo.NonCoreASes() {
 		for _, seg := range n.Registry.UpSegments(as.IA) {
-			if err := n.SetupSegR(seg, 0, bwKbps); err != nil {
-				errs = append(errs, err)
-			}
+			setup(seg)
 		}
 		for _, seg := range n.Registry.DownSegments(as.IA) {
-			if err := n.SetupSegR(seg, 0, bwKbps); err != nil {
-				errs = append(errs, err)
-			}
+			setup(seg)
 		}
 	}
 	cores := n.Topo.CoreASes()
@@ -302,9 +311,7 @@ func (n *Network) AutoSetupSegRs(bwKbps uint64) error {
 				continue
 			}
 			for _, seg := range n.Registry.CoreSegments(a.IA, b.IA) {
-				if err := n.SetupSegR(seg, 0, bwKbps); err != nil {
-					errs = append(errs, err)
-				}
+				setup(seg)
 			}
 		}
 	}

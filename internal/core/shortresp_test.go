@@ -67,7 +67,7 @@ func TestShortResponseDoesNotPanic(t *testing.T) {
 		"a short slot":       (&cserv.EESetupResp{OK: true, FinalKbps: 1, EncAuths: [][]byte{nil, nil, nil, nil, {1}}}).Marshal(),
 		"truncated":          (&cserv.EESetupResp{OK: true, FinalKbps: 1, EncAuths: slots(5, 4)}).Marshal()[:20],
 	}
-	for _, shards := range []int{4, 0} {
+	for _, shards := range []int{1, 4} {
 		l := &liar{at: -1}
 		net, hs, hd := twoISDNet(t, Options{
 			CPlaneShards: shards,
@@ -91,12 +91,8 @@ func TestShortResponseDoesNotPanic(t *testing.T) {
 			for _, ia := range net.Topo.SortedIAs() {
 				cs := net.Node(ia).CServ
 				for _, id := range segIDs {
-					if cp := cs.CPlane(); cp != nil {
-						if m, ok := cp.SegDemandMax(id); ok {
-							out[ia.String()+" "+id.String()] = m
-						}
-					} else if sr, err := cs.Store().GetSegR(id); err == nil {
-						out[ia.String()+" "+id.String()] = sr.AllocatedEERKbps
+					if m, ok := cs.CPlane().SegDemandMax(id); ok {
+						out[ia.String()+" "+id.String()] = m
 					}
 				}
 			}

@@ -394,10 +394,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 	// longer holds). Each item settles before the next one starts, so the
 	// demand a later item sees is what per-EER processing would have shown
 	// it. p is the CPlane's covering-SegR set with its shard locks held for
-	// the whole pass; the zero path in single-store mode.
+	// the whole pass.
 	var dedups, throttled, refused uint64
 	forward := func(p eerPath) {
-		live := p.c != nil
 		for i := range req.Items {
 			it := &req.Items[i]
 			st := &states[i]
@@ -409,30 +408,16 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			// Idempotent retry dedup, before the throttle (a retry of the very
 			// renewal the throttle just admitted must not be throttled); what
 			// is not a retry is the version this renewal replaces.
-			var prev cpEER
-			if live {
-				prev, st.hadPrev = p.lookup(it.ID)
-				st.dup = st.hadPrev && prev.ver == it.Ver && prev.expT == it.ExpT
-				st.prevBw, st.prevVer, st.prevExpT = prev.bw, prev.ver, prev.expT
-			} else if existing, gerr := s.store.GetEER(it.ID); gerr == nil {
-				for _, v := range existing.Versions {
-					if v.Ver == it.Ver && v.ExpT == it.ExpT {
-						st.dup, st.prevBw = true, v.BwKbps
-						break
-					}
-				}
-				if !st.dup {
-					// Mirrors the CPlane branch so the transfer split releases
-					// identically in both modes.
-					st.prevBw, st.prevVer, st.prevExpT, st.hadPrev = s.store.LiveVersion(it.ID, now)
-				}
-			}
-			if st.dup {
+			prev, hadPrev := p.lookup(it.ID)
+			st.hadPrev, st.prevBw, st.prevVer, st.prevExpT = hadPrev, prev.bw, prev.ver, prev.expT
+			if st.dup = hadPrev && prev.ver == it.Ver && prev.expT == it.ExpT; st.dup {
 				st.grant = st.prevBw
 				dedups++
 				continue
 			}
-			if !s.allowRenewal(&p, it.ID, &prev, live && st.hadPrev, now) {
+			// The throttle is the record's: a renewal that finds none is a
+			// re-admission, born stamped (setup below).
+			if hadPrev && !p.allowRenew(&prev) {
 				throttled++
 				st.status = EEItemThrottled
 				continue
@@ -440,14 +425,10 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			grant := asked
 			if transferHop {
 				up, core := segRs[0], segRs[1]
-				upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-				if live {
-					upAvail, coreAvail = p.avail(0, it.ExpT), p.avail(1, it.ExpT)
-				}
+				upAvail, coreAvail := p.avail(0, it.ExpT), p.avail(1, it.ExpT)
 				if st.hadPrev && st.prevExpT > now {
 					// The renewal replaces this EER's own live charge; credit it so
-					// the split sees the post-renewal headroom — identically in both
-					// admission modes (the store's versions share one budget).
+					// the split sees the post-renewal headroom.
 					upAvail += st.prevBw
 					coreAvail += st.prevBw
 				}
@@ -456,7 +437,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 				st.tCapped = min(asked, up.Active.BwKbps)
 				if grant == 0 {
 					s.transfer.Release(core.ID, up.ID, st.tCapped, grant)
-					if live && st.hadPrev {
+					if st.hadPrev {
 						p.keep(it.ID, prev)
 					}
 					refused++
@@ -467,20 +448,12 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			}
 			var err error
 			failed := EEItemRefused
-			switch {
-			case live && st.hadPrev:
+			if st.hadPrev {
 				grant, err = p.renew(it.ID, prev, grant, it.ExpT, it.Ver)
-			case live:
+			} else {
 				// No record here (expired, or lost in a crash): re-admit so the
 				// flow re-promotes instead of staying demoted (§3.2).
 				err, failed = p.setup(it.ID, grant, it.ExpT, it.Ver, true), EEItemStale
-			default:
-				eer := &reservation.EER{
-					ID: it.ID, In: hop.In, Eg: hop.Eg,
-					SrcHost: it.SrcHost, DstHost: it.DstHost,
-				}
-				v := reservation.Version{Ver: it.Ver, BwKbps: grant, ExpT: it.ExpT}
-				err = s.store.AdmitEERVersion(eer, localSegIDs, v, now)
 			}
 			if err != nil {
 				s.releaseBatchTransfer(localSegIDs, st)
@@ -504,11 +477,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			}
 		}
 	}
-	if s.cp != nil {
-		s.cp.withPath(localSegIDs, forward)
-	} else {
-		forward(eerPath{})
-	}
+	s.cp.withPath(localSegIDs, forward)
 	s.metrics.DedupHits.Add(dedups)
 	s.metrics.RenewThrottle.Add(throttled)
 	s.metrics.AdmReject.Add(refused)
@@ -581,17 +550,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		}
 		final := resp.Granted[i]
 		if final < st.grant {
-			if s.cp != nil {
-				s.cp.AdjustEERPath(it.ID, localSegIDs, final)
-			} else if err := s.store.AdjustEERVersion(it.ID, it.Ver, final); err != nil {
-				// Keep the wave alive; only this item dies.
-				if st.admitted && !st.dup {
-					s.rollbackBatchItem(it, localSegIDs, st)
-				}
-				resp.Status[i] = EEItemRefused
-				resp.Granted[i] = 0
-				continue
-			}
+			s.cp.AdjustEERPath(it.ID, localSegIDs, final)
 		}
 		res := packet.ResInfo{
 			SrcAS:  it.ID.SrcAS,
@@ -634,8 +593,7 @@ func (s *Service) releaseBatchTransfer(localSegIDs []reservation.ID, st *eeBatch
 }
 
 // rollbackBatchItem undoes one admitted batch item: the CPlane reinstates the
-// previous version (or drops the record when this hop re-admitted a lost
-// EER); the store removes the added version.
+// previous version, or drops the record when this hop re-admitted a lost EER.
 func (s *Service) rollbackBatchItem(it *EEBatchItem, localSegIDs []reservation.ID, st *eeBatchState) {
 	s.releaseBatchTransfer(localSegIDs, st)
 	if st.prevReleased {
@@ -644,15 +602,11 @@ func (s *Service) rollbackBatchItem(it *EEBatchItem, localSegIDs []reservation.I
 		s.transfer.Charge(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
 		st.prevReleased = false
 	}
-	if s.cp != nil {
-		if st.hadPrev {
-			s.cp.RestoreEERPath(it.ID, localSegIDs, st.prevBw, st.prevExpT, st.prevVer)
-		} else {
-			s.cp.TeardownEERPath(it.ID, localSegIDs)
-		}
-		return
+	if st.hadPrev {
+		s.cp.RestoreEERPath(it.ID, localSegIDs, st.prevBw, st.prevExpT, st.prevVer)
+	} else {
+		s.cp.TeardownEERPath(it.ID, localSegIDs)
 	}
-	_ = s.store.RemoveEERVersion(it.ID, it.Ver)
 }
 
 // RenewEERBatch renews a wave of EERs that share one chain (same SegIDs,
@@ -677,21 +631,34 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 	defer s.putWave(sc)
 	req := &sc.req
 	req.SegIDs, req.Splits, req.Path = prevs[0].SegIDs, prevs[0].Splits, prevs[0].PathHops
+	// held settles item i with the host policy at what its EER held before.
+	held := func(i int) {
+		p := prevs[i]
+		s.policy.SettleEER(p.EER.SrcHost, p.ID, uint64(p.Res.BwKbps), p.Res.ExpT)
+	}
 	for i, p := range prevs {
-		req.Items = append(req.Items, EEBatchItem{
+		it := EEBatchItem{
 			ID:      p.ID,
 			Ver:     p.Res.Ver + 1,
 			BwKbps:  newBwKbps[i],
 			ExpT:    now + reservation.EERLifetimeSeconds,
 			SrcHost: p.EER.SrcHost,
 			DstHost: p.EER.DstHost,
-		})
+		}
+		// Source-AS policy, as at hop 0 of a solo request: an item it refuses
+		// travels as refused, and every hop skips it.
+		status := EEItemOK
+		if s.policy.AllowEER(it.SrcHost, it.ID, it.BwKbps, it.ExpT) != nil {
+			status = EEItemRefused
+		}
+		req.Items = append(req.Items, it)
 		req.Accums = append(req.Accums, newBwKbps[i])
-		req.Status = append(req.Status, EEItemOK)
+		req.Status = append(req.Status, status)
 	}
 	failAll := func(err error) ([]*EERGrant, []error) {
 		for i := range errs {
 			errs[i] = err
+			held(i)
 		}
 		return grants, errs
 	}
@@ -720,6 +687,9 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 	// Decrypt the hop authenticators (Eq. 5) of the surviving items.
 	path := HopFields(req.Path)
 	for i, p := range prevs {
+		if resp.Status[i] != EEItemOK {
+			held(i)
+		}
 		switch resp.Status[i] {
 		case EEItemOK:
 		case EEItemStale:
@@ -733,6 +703,7 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 			continue
 		}
 		it := &req.Items[i]
+		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
 		g := &EERGrant{
 			ID: p.ID,
 			Res: packet.ResInfo{

@@ -1,10 +1,13 @@
-// cplane.go — CPlane, a sharded, batched control-plane engine for one AS.
+// cplane.go — CPlane, a sharded, batched control-plane engine for one AS: the
+// one store of admission state behind the Service's handlers.
 //
-// The single-lock Service is the faithful protocol implementation; CPlane is
-// the capacity answer for the million-flow regime the paper targets (§6: "a
-// single CServ instance can handle the renewal load of hundreds of thousands
-// of EERs"). It partitions the reservation state by a hash of the owning
-// SegR's ID into 2^k independent shards. Each shard owns
+// It is built for the million-flow regime the paper targets (§6: "a single
+// CServ instance can handle the renewal load of hundreds of thousands of
+// EERs") and partitions the reservation state by a hash of the owning SegR's
+// ID into 2^k independent shards — the sub-services of App. D, whose split of
+// a transfer-AS admission into one step per SegR is withPath holding both
+// shards and eerPath.charge undoing the first ledger when the second refuses
+// (cplane_live.go). Each shard owns
 //
 //   - an admission.Admitter over a clone of the AS whose link capacities are
 //     divided by the shard count (so the sum of all shards' grants respects

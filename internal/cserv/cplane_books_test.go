@@ -272,6 +272,53 @@ func TestDischargeOnlyWhereCharged(t *testing.T) {
 	}
 }
 
+// TestSecondLedgerRefusalLeavesFirstUntouched is App. D's split admission on
+// the engine that carries it: a transfer-AS EER is admitted against two SegRs
+// that live in different shards, in one step per SegR, and when the second
+// SegR's ledger has no room the first is left as it was — no charge, no record.
+func TestSecondLedgerRefusalLeavesFirstUntouched(t *testing.T) {
+	clk := newCPClock(1000)
+	cp := newTestCPlane(t, 8, admission.ImplRestree, clk)
+	wide := segReq(1, 50, 1, 2, 10_000)
+	narrow := segReq(2, 50, 1, 2, 500)
+	for cp.shardIndex(narrow.ID) == cp.shardIndex(wide.ID) {
+		narrow.ID.Num++
+	}
+	for _, req := range []admission.Request{wide, narrow} {
+		if _, err := cp.AddSegR(req); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a, b := wide.ID, narrow.ID
+	demands := func(step string, want uint64) {
+		t.Helper()
+		for _, seg := range []reservation.ID{a, b} {
+			if got, _ := cp.SegDemandMax(seg); got != want {
+				t.Errorf("%s: demand on %s = %d, want %d", step, seg, got, want)
+			}
+		}
+		auditBooks(t, cp, clk.now(), step)
+	}
+	if err := cp.SetupEERPath(eid(1), []reservation.ID{a, b}, 400, clk.now()+16, 1); err != nil {
+		t.Fatal(err)
+	}
+	demands("first EER", 400)
+	// 400 more fits the first SegR a dozen times over and not the second.
+	if err := cp.SetupEERPath(eid(2), []reservation.ID{a, b}, 400, clk.now()+16, 1); !errors.Is(err, ErrInsufficient) {
+		t.Fatalf("second EER: err = %v, want ErrInsufficient", err)
+	}
+	demands("refused EER", 400)
+	if _, _, _, ok := cp.LookupEER(eid(2), a); ok || cp.Counts().EERs != 1 {
+		t.Errorf("refused EER left a record (%d EERs)", cp.Counts().EERs)
+	}
+	// A renewal is cut to what both have once its own charge is withdrawn.
+	clk.step(1)
+	if g, err := cp.RenewEERPath(eid(1), []reservation.ID{a, b}, 800, clk.now()+16, 2); err != nil || g != 500 {
+		t.Fatalf("renewal: granted %d, err %v, want 500", g, err)
+	}
+	demands("renewal", 500)
+}
+
 // TestSetupAheadPastTheRingRefused pins the ring horizon through the engine: a
 // slice bought ahead that ends past the ledger's ring is refused, and leaves no
 // phantom demand at the present.

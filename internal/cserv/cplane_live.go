@@ -1,6 +1,5 @@
 // cplane_live.go — the CPlane surface consumed by the live request path
-// (service.go / segr.go / eer.go) when a Service runs in CPlane mode
-// (Config.CPlaneShards > 0).
+// (service.go / segr.go / eer.go / batchrenew.go).
 //
 // The batch engine in cplane.go keeps its one-lock-per-op discipline; the
 // live path additionally needs
@@ -66,8 +65,7 @@ func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
 }
 
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
-// now to the end of any admitted EER's lifetime — the CPlane-mode
-// replacement for the store's AllocatedEERKbps in the activation
+// now to the end of any admitted EER's lifetime, for the activation
 // over-allocation check. ok is false for unknown SegRs.
 func (c *CPlane) SegDemandMax(seg reservation.ID) (uint64, bool) {
 	now := c.clock()
@@ -248,8 +246,9 @@ func (p *eerPath) lookup(eer reservation.ID) (cpEER, bool) {
 // the record, so the throttle costs no lookup of its own — and a record that is
 // lost takes its mark with it. It stamps the caller's copy e; renew stores the
 // stamp with whichever version survives, and a renewal that is refused before
-// it gets there stores it with keep. Renewals that find no record are throttled
-// by the Service's renewLimiter instead, and mark the record they create.
+// it gets there stores it with keep. A renewal that finds no record is a
+// re-admission: it is admitted as a setup and marks the record it creates
+// (setup), so a second one within the second finds the mark.
 func (p *eerPath) allowRenew(e *cpEER) bool {
 	if e.lastRenew == p.now {
 		return false

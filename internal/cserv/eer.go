@@ -87,7 +87,7 @@ func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, ch
 	for _, h := range path.Hops {
 		req.Path = append(req.Path, PathHop{IA: h.IA, In: h.In, Eg: h.Eg})
 	}
-	return s.launchEE(sc)
+	return s.launchEE(sc, 0, 0)
 }
 
 // RenewEER renews an existing EER for a new version with possibly different
@@ -110,13 +110,15 @@ func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) 
 		Renewal: true,
 		Macs:    req.Macs[:0],
 	}
-	return s.launchEE(sc)
+	return s.launchEE(sc, uint64(prev.Res.BwKbps), prev.Res.ExpT)
 }
 
 // launchEE signs the request in sc.solo and runs it from hop 0. The request
 // is a copy in the scratch's own memory — never the caller's slices, which the
-// next request through this scratch would overwrite.
-func (s *Service) launchEE(sc *waveScratch) (*EERGrant, error) {
+// next request through this scratch would overwrite. heldKbps until heldExpT is
+// what the EER holds of its host's policy budget if the request fails: hop 0
+// asks the policy, and the answer settles it.
+func (s *Service) launchEE(sc *waveScratch, heldKbps uint64, heldExpT uint32) (*EERGrant, error) {
 	req := &sc.solo
 	n := len(req.Path)
 	if n > packet.MaxHops {
@@ -143,12 +145,15 @@ func (s *Service) launchEE(sc *waveScratch) (*EERGrant, error) {
 	req.wire = sc.fwd
 	out, _ := s.processEESetup(sc, 0, req.BwKbps)
 	resp := &sc.soloResp
-	if err := resp.unmarshal(out); err != nil {
+	err := resp.unmarshal(out)
+	if err == nil && !resp.OK {
+		err = fmt.Errorf("%w: EER setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+	}
+	if err != nil {
+		s.policy.SettleEER(req.SrcHost, req.ID, heldKbps, heldExpT)
 		return nil, err
 	}
-	if !resp.OK {
-		return nil, fmt.Errorf("%w: EER setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
-	}
+	s.policy.SettleEER(req.SrcHost, req.ID, resp.FinalKbps, req.ExpT)
 	grant := &EERGrant{
 		ID: req.ID,
 		Res: packet.ResInfo{
@@ -291,7 +296,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	// Source-AS policy (§4.7: "the source AS has a direct business
 	// relationship with the end host").
 	if idx == 0 {
-		if err := s.policy.AllowEER(req.SrcHost, req.BwKbps); err != nil {
+		if err := s.policy.AllowEER(req.SrcHost, req.ID, req.BwKbps, req.ExpT); err != nil {
 			return fail("policy: %v", err)
 		}
 	}
@@ -315,20 +320,17 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	// admit is this hop's admission leg — dedup, throttle, the transfer split,
 	// then the charge, the order in which a wave settles an item — run against
 	// p, the CPlane's covering-SegR set with its shard locks held for the whole
-	// leg (the zero path in single-store mode). refusal is its failure answer.
+	// leg. refusal is its failure answer.
 	//
-	// prev is the live record this request replaces, bw/ver/expT filled alike
-	// in both admission modes (Store.LiveVersion mirrors the CPlane's single
-	// record): the transfer split credits it as freed headroom and returns its
+	// prev is the record this request replaces (the CPlane holds one version
+	// per EER): the transfer split credits it as freed headroom and returns its
 	// charge once the new version commits, and a downstream failure reinstates
-	// it (the CPlane holds one version per EER; the store's rollback instead
-	// removes the added version from the list). A transfer-split admission must
-	// be returned on every exit path in exactly what it no longer claims —
-	// refusal, admission failure, downstream rollback, and the final clamp to
-	// the path-wide minimum — so the split tracks precisely the live committed
-	// charges (dead demand otherwise accumulates until the fair-share cap
-	// refuses everything; the renewal-storm recovery at 10⁶ flows found every
-	// one of these).
+	// it. A transfer-split admission must be returned on every exit path in
+	// exactly what it no longer claims — refusal, admission failure, downstream
+	// rollback, and the final clamp to the path-wide minimum — so the split
+	// tracks precisely the live committed charges (dead demand otherwise
+	// accumulates until the fair-share cap refuses everything; the
+	// renewal-storm recovery at 10⁶ flows found every one of these).
 	var dup, hadPrev, tAdmitted bool
 	var prev cpEER
 	var tCapped, tGrant uint64
@@ -344,33 +346,21 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		}
 	}
 	admit := func(p eerPath) {
-		live := p.c != nil
 		// Idempotent retry detection (idempotency key: (ID, Ver) with matching
 		// expiry): a lost response leaves every hop downstream of the loss
 		// committed, so a retried request finds its own version here. Answer
 		// from it instead of admitting again — and decide before the renewal
-		// rate limiter, which must not throttle the retry of the very renewal
-		// it just admitted.
-		if live {
-			prev, hadPrev = p.lookup(req.ID)
-			dup = hadPrev && prev.ver == req.Ver && prev.expT == req.ExpT
-		} else if existing, gerr := s.store.GetEER(req.ID); gerr == nil {
-			for _, v := range existing.Versions {
-				if v.Ver == req.Ver && v.ExpT == req.ExpT {
-					dup, prev.bw = true, v.BwKbps
-					break
-				}
-			}
-			if !dup {
-				prev.bw, prev.ver, prev.expT, hadPrev = s.store.LiveVersion(req.ID, now)
-			}
-		}
-		if dup {
+		// throttle, which must not refuse the retry of the very renewal it just
+		// let through.
+		prev, hadPrev = p.lookup(req.ID)
+		if dup = hadPrev && prev.ver == req.Ver && prev.expT == req.ExpT; dup {
 			s.metrics.DedupHits.Add(1)
 			grant = prev.bw
 			return
 		}
-		if req.Renewal && !s.allowRenewal(&p, req.ID, &prev, live && hadPrev, now) {
+		// A renewal that finds no record is a re-admission, which is born
+		// stamped (setup below): the throttle is the record's alone.
+		if req.Renewal && hadPrev && !p.allowRenew(&prev) {
 			s.metrics.RenewThrottle.Add(1)
 			refusal, _ = fail("renewal rate limit: EER %s already renewed this second", req.ID)
 			return
@@ -378,16 +368,11 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		// Transfer-AS proportional split between up- and core-SegR (§4.7).
 		if len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
 			up, core := segRs[0], segRs[1]
-			upAvail, coreAvail := up.AvailableEERKbps(), core.AvailableEERKbps()
-			if live {
-				upAvail, coreAvail = p.avail(0, req.ExpT), p.avail(1, req.ExpT)
-			}
+			upAvail, coreAvail := p.avail(0, req.ExpT), p.avail(1, req.ExpT)
 			if req.Renewal && hadPrev && prev.expT > now {
-				// The ledger (or store) still carries this EER's own live charge,
-				// which the renewal replaces — renew withdraws it before probing,
-				// and the store's versions share one max-over-versions budget.
-				// Credit it so the split sees the true post-renewal headroom,
-				// identically in both admission modes.
+				// The ledgers still carry this EER's own live charge, which the
+				// renewal replaces — renew withdraws it before probing. Credit it
+				// so the split sees the true post-renewal headroom.
 				upAvail += prev.bw
 				coreAvail += prev.bw
 			}
@@ -401,7 +386,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			// only renewals may be granted a reduced amount (§4.2).
 			if grant == 0 || (!req.Renewal && grant < asked) {
 				s.transfer.Release(core.ID, up.ID, tCapped, grant)
-				if live && req.Renewal && hadPrev {
+				if req.Renewal && hadPrev {
 					p.keep(req.ID, prev)
 				}
 				s.metrics.AdmReject.Add(1)
@@ -419,21 +404,10 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		// Admit (reserve) the requested bandwidth against the local SegRs; the
 		// backward pass adjusts it down to the path-wide minimum.
 		var aerr error
-		switch {
-		case !live:
-			eer := &reservation.EER{
-				ID:      req.ID,
-				In:      hop.In,
-				Eg:      hop.Eg,
-				SrcHost: req.SrcHost,
-				DstHost: req.DstHost,
-			}
-			v := reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT}
-			aerr = s.store.AdmitEERVersion(eer, localSegIDs, v, now)
-		case req.Renewal && hadPrev:
+		if req.Renewal && hadPrev {
 			// Renewals may legally shrink to the free bandwidth (§4.2).
 			grant, aerr = p.renew(req.ID, prev, grant, req.ExpT, req.Ver)
-		default:
+		} else {
 			// A fresh setup — or a renewal of an EER this AS no longer
 			// holds (version expired, or state lost in a crash): admit it
 			// anew so the flow re-promotes instead of staying demoted.
@@ -448,11 +422,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			refusal, _ = fail("admission: %v", aerr)
 		}
 	}
-	if s.cp != nil {
-		s.cp.withPath(localSegIDs, admit)
-	} else {
-		admit(eerPath{})
-	}
+	s.cp.withPath(localSegIDs, admit)
 	if refusal != nil {
 		return refusal, false
 	}
@@ -463,15 +433,11 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			return
 		}
 		releaseT()
-		if s.cp != nil {
-			if req.Renewal && hadPrev {
-				s.cp.RestoreEERPath(req.ID, localSegIDs, prev.bw, prev.expT, prev.ver)
-			} else {
-				s.cp.TeardownEERPath(req.ID, localSegIDs)
-			}
-			return
+		if req.Renewal && hadPrev {
+			s.cp.RestoreEERPath(req.ID, localSegIDs, prev.bw, prev.expT, prev.ver)
+		} else {
+			s.cp.TeardownEERPath(req.ID, localSegIDs)
 		}
-		_ = s.store.RemoveEERVersion(req.ID, req.Ver)
 	}
 
 	// final is the path-wide grant and off the offset of this hop's slot in out.
@@ -510,12 +476,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		final = resp.FinalKbps
 	}
 	if final < grant {
-		if s.cp != nil {
-			s.cp.AdjustEERPath(req.ID, localSegIDs, final)
-		} else if err := s.store.AdjustEERVersion(req.ID, req.Ver, final); err != nil {
-			rollback()
-			return fail("adjust: %v", err)
-		}
+		s.cp.AdjustEERPath(req.ID, localSegIDs, final)
 	}
 	// Compute σ_i (Eq. 4) over the final reservation parameters and seal it
 	// for the source AS (Eq. 5) into slot idx: what the hops behind this one

@@ -3,6 +3,7 @@ package cserv
 import (
 	"bytes"
 	"fmt"
+	"slices"
 	"testing"
 
 	"colibri/internal/packet"
@@ -10,7 +11,8 @@ import (
 	"colibri/internal/topology"
 )
 
-// cpFabric builds a TwoISD fabric whose CServs run on a sharded CPlane.
+// cpFabric builds a TwoISD fabric whose CServs run a CPlane of the given shard
+// count.
 func cpFabric(t testing.TB, shards int, mutate func(ia topology.IA, cfg *Config)) *fabric {
 	return twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
 		cfg.CPlaneShards = shards
@@ -20,32 +22,61 @@ func cpFabric(t testing.TB, shards int, mutate func(ia topology.IA, cfg *Config)
 	})
 }
 
-// TestCPlaneLiveDifferential replays one operation sequence — EER setups up
-// to oversubscription, then constant-bandwidth renewal waves — against a
-// classic single-store fabric and a CPlane-backed one, and demands identical
-// per-operation decisions: same grants, same refusals. The legacy store
-// charges the max over versions (a same-bandwidth renewal has delta zero)
-// and the CPlane replaces the version, so the two models must agree on this
-// sequence exactly.
-func TestCPlaneLiveDifferential(t *testing.T) {
-	legacy := twoISDFabric(t, nil)
-	cp := cpFabric(t, 1, nil)
-	legacy.setupAllSegRs(t, 50_000)
-	cp.setupAllSegRs(t, 50_000)
+// liveOutcome is one decision of the golden log: granted or refused, and how
+// much.
+type liveOutcome struct {
+	ok bool
+	bw uint64
+}
 
-	type outcome struct {
-		ok bool
-		bw uint64
+// liveGolden is the decision log of TestCPlaneLiveDifferential's operation
+// sequence as the single-store handlers answered it (reservation.Store's
+// max-over-versions accounting behind one admitter) at commit fd38c18, the
+// last one to carry them: ten 8 Mbps setups against 50 Mbps SegRs — six fit,
+// four are refused — then three keep-alive waves over the six admitted.
+var liveGolden = []liveOutcome{
+	{true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {false, 0}, {false, 0}, {false, 0}, {false, 0},
+	{true, 2000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000},
+	{true, 2000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000},
+	{true, 2000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000}, {true, 8000},
+}
+
+// TestCPlaneLiveDifferential replays one operation sequence — EER setups up
+// to oversubscription, then constant-bandwidth renewal waves — at one shard
+// and at four, and demands the per-operation decisions of liveGolden: same
+// grants, same refusals. The store charged the max over versions (a
+// same-bandwidth renewal has delta zero) and the CPlane replaces the version,
+// so the two models agree on this sequence exactly.
+func TestCPlaneLiveDifferential(t *testing.T) {
+	// The log exercises all three decision kinds: full grants (the six fitting
+	// setups, and renewals — the transfer split credits the replaced version's
+	// charge, so a keep-alive at the same bandwidth always fits), refusals (the
+	// four oversubscribed setups), and partial renewal grants: the first
+	// renewal wave lands while the split still carries the whole wave's
+	// pre-renewal demand, so its first renewal is fair-share capped to the
+	// remaining 2 Mbps (§4.2) and that flow keeps renewing at the shrunk
+	// bandwidth in the later waves — 3 partials in 24 admissions.
+	admitted, partial := 0, 0
+	for _, o := range liveGolden {
+		if o.ok {
+			admitted++
+		}
+		if o.ok && o.bw != 0 && o.bw != 8_000 {
+			partial++
+		}
 	}
-	run := func(f *fabric) []outcome {
+	if admitted != 24 || partial != 3 {
+		t.Fatalf("golden log: admitted %d of %d operations (%d partial), want 24 (3 partial)", admitted, len(liveGolden), partial)
+	}
+	for _, shards := range []int{1, 4} {
+		f := cpFabric(t, shards, nil)
+		f.setupAllSegRs(t, 50_000)
 		src := f.services[ia(1, 11)]
-		f.clock.Store(t0)
-		var log []outcome
+		var log []liveOutcome
 		var grants []*EERGrant
-		// Ten 8 Mbps setups against 50 Mbps SegRs: six fit, four are refused.
 		for i := uint32(0); i < 10; i++ {
 			g, err := src.RequestEER(100+i, 200+i, ia(2, 11), 8_000)
-			log = append(log, outcome{err == nil, grantBw(g)})
+			log = append(log, liveOutcome{err == nil, grantBw(g)})
 			if err == nil {
 				grants = append(grants, g)
 			}
@@ -56,43 +87,15 @@ func TestCPlaneLiveDifferential(t *testing.T) {
 			f.clock.Store(t0 + 1 + uint32(wave))
 			for i, g := range grants {
 				ng, err := src.RenewEER(g, uint64(g.Res.BwKbps))
-				log = append(log, outcome{err == nil, grantBw(ng)})
+				log = append(log, liveOutcome{err == nil, grantBw(ng)})
 				if err == nil {
 					grants[i] = ng
 				}
 			}
 		}
-		return log
-	}
-
-	lg, cg := run(legacy), run(cp)
-	if len(lg) != len(cg) {
-		t.Fatalf("operation counts diverge: legacy %d, cplane %d", len(lg), len(cg))
-	}
-	for i := range lg {
-		if lg[i] != cg[i] {
-			t.Errorf("op %d: legacy %+v, cplane %+v", i, lg[i], cg[i])
+		if !slices.Equal(log, liveGolden) {
+			t.Errorf("%d shards: decisions diverge from the golden log:\n got %v\nwant %v", shards, log, liveGolden)
 		}
-	}
-	// The workload must have exercised all three decision kinds: full grants
-	// (the six fitting setups, and renewals — the transfer split credits the
-	// replaced version's charge, so a keep-alive at the same bandwidth always
-	// fits), refusals (the four oversubscribed setups), and partial renewal
-	// grants: the first renewal wave lands while the split still carries the
-	// whole wave's pre-renewal demand, so its first renewal is fair-share
-	// capped to the remaining 2 Mbps (§4.2) and that flow keeps renewing at
-	// the shrunk bandwidth in the later waves — 3 partials in 24 admissions.
-	admitted, partial := 0, 0
-	for _, o := range lg {
-		if o.ok {
-			admitted++
-		}
-		if o.ok && o.bw != 0 && o.bw != 8_000 {
-			partial++
-		}
-	}
-	if admitted != 24 || partial != 3 {
-		t.Errorf("admitted %d of %d operations (%d partial), want 24 (3 partial)", admitted, len(lg), partial)
 	}
 }
 

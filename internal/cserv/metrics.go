@@ -2,7 +2,6 @@ package cserv
 
 import (
 	"fmt"
-	"sync"
 
 	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
@@ -137,51 +136,4 @@ func (s MetricsSnapshot) String() string {
 		s.AuthFailures, s.RateLimited, s.RenewThrottle,
 		s.DedupHits, s.RenewZeroBw, s.Demotions, s.Promotions,
 		s.AdmReject, s.AdmFallback)
-}
-
-// renewLimiter enforces §4.2's per-EER renewal rate limit ("CServs can
-// rate-limit the amount of renewal requests for an EER (e.g., to one per
-// second)") for the renewals that find no CPlane record to carry their mark:
-// re-admissions, and everything in single-store mode (see allowRenewal). In
-// CPlane mode it is therefore empty while every hop holds its records.
-type renewLimiter struct {
-	mu   sync.Mutex
-	last map[reservation.ID]uint32
-}
-
-func newRenewLimiter() *renewLimiter {
-	return &renewLimiter{last: make(map[reservation.ID]uint32)}
-}
-
-// Allow admits at most one renewal per EER per second.
-func (l *renewLimiter) Allow(id reservation.ID, now uint32) bool {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if t, ok := l.last[id]; ok && t == now {
-		return false
-	}
-	l.last[id] = now
-	return true
-}
-
-// allowRenewal applies the per-EER renewal limit to a renewal of id. When the
-// CPlane holds the EER's record (held: e is what p.lookup returned), the mark
-// is read from and stamped into e — see eerPath.allowRenew for where it is
-// stored; otherwise the limiter's own map is consulted and marked.
-func (s *Service) allowRenewal(p *eerPath, id reservation.ID, e *cpEER, held bool, now uint32) bool {
-	if held {
-		return p.allowRenew(e)
-	}
-	return s.renewLim.Allow(id, now)
-}
-
-// Expire drops stale entries (called from Tick).
-func (l *renewLimiter) Expire(now uint32) {
-	l.mu.Lock()
-	for id, t := range l.last {
-		if now > t+2*reservation.EERLifetimeSeconds {
-			delete(l.last, id)
-		}
-	}
-	l.mu.Unlock()
 }

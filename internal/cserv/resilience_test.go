@@ -226,7 +226,7 @@ func TestRetriedSetupIsDeduplicated(t *testing.T) {
 		// The retry must not double-charge admission: exactly the final
 		// grant is allocated at the egress tube.
 		if h.Eg != 0 {
-			if got := s.Admission().AllocatedKbps(h.Eg); got != 50_000 {
+			if got := s.CPlane().AllocatedKbps(h.Eg); got != 50_000 {
 				t.Fatalf("AS %s allocated %d kbps at eg %d, want 50000", h.IA, got, h.Eg)
 			}
 		}
@@ -260,7 +260,7 @@ func TestRetriedRenewAndActivateAreDeduplicated(t *testing.T) {
 			t.Fatalf("AS %s pending %+v after retried renewal", h.IA, r.Pending)
 		}
 		if h.Eg != 0 {
-			if got := f.services[h.IA].Admission().AllocatedKbps(h.Eg); got != 50_000 {
+			if got := f.services[h.IA].CPlane().AllocatedKbps(h.Eg); got != 50_000 {
 				t.Fatalf("AS %s allocated %d kbps after retried renewal", h.IA, got)
 			}
 		}
@@ -340,6 +340,16 @@ func TestAutoRenewRecoversFromActivationFailure(t *testing.T) {
 	}
 }
 
+// setTubeCap overrides the capacity of the (in, eg) tube in every shard's
+// admitter of the service.
+func setTubeCap(s *Service, in, eg topology.IfID, capKbps uint64) {
+	for _, sh := range s.cp.shards {
+		sh.mu.Lock()
+		sh.adm.SetTubeCapKbps(in, eg, capKbps)
+		sh.mu.Unlock()
+	}
+}
+
 func TestAutoRenewZeroGrantKeepsOldVersion(t *testing.T) {
 	f := twoISDFabric(t, nil)
 	seg := f.reg.UpSegments(ia(1, 11))[0]
@@ -352,7 +362,7 @@ func TestAutoRenewZeroGrantKeepsOldVersion(t *testing.T) {
 	// Choke the transit AS: its tube now has zero capacity, so the renewal
 	// is "admitted" with a zero-bandwidth grant (legal when MinKbps == 0).
 	transit := seg.Hops[1]
-	f.services[transit.IA].Admission().SetTubeCapKbps(transit.In, transit.Eg, 0)
+	setTubeCap(f.services[transit.IA], transit.In, transit.Eg, 0)
 
 	f.clock.Store(t0 + 250)
 	renewed, err := src.AutoRenew(60, nil)
@@ -371,7 +381,7 @@ func TestAutoRenewZeroGrantKeepsOldVersion(t *testing.T) {
 	}
 
 	// Capacity returns: the next pass renews and activates normally.
-	f.services[transit.IA].Admission().SetTubeCapKbps(transit.In, transit.Eg, 30_000_000)
+	setTubeCap(f.services[transit.IA], transit.In, transit.Eg, 30_000_000)
 	f.clock.Store(t0 + 251)
 	renewed, err = src.AutoRenew(60, nil)
 	if err != nil || renewed != 1 {

@@ -195,9 +195,9 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	if dup {
 		s.metrics.DedupHits.Add(1)
 	} else if req.Renewal {
-		grant, undoRenew, err = s.renewSegR(admReq)
+		grant, undoRenew, err = s.cp.RenewSegRWithUndo(admReq)
 	} else {
-		grant, err = s.admitSegR(admReq)
+		grant, err = s.cp.AddSegR(admReq)
 	}
 	if err != nil {
 		s.metrics.AdmReject.Add(1)
@@ -219,7 +219,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 				undoRenew()
 			}
 		} else {
-			s.abortSegR(req.ID)
+			s.cp.AbortSegR(req.ID)
 			s.store.DeleteSegR(req.ID)
 		}
 	}
@@ -236,7 +236,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 			Active:  reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT},
 		}
 		if err := s.store.AddSegR(segr); err != nil {
-			s.abortSegR(req.ID)
+			s.cp.AbortSegR(req.ID)
 			return fail("store: %v", err)
 		}
 	}
@@ -272,7 +272,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 			return fail("confirm: %v", err)
 		}
 	}
-	if err := s.adjustSegR(req.ID, final); err != nil {
+	if err := s.cp.AdjustSegR(req.ID, final); err != nil {
 		rollback()
 		return fail("adjust: %v", err)
 	}
@@ -335,14 +335,9 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 		return fail("no pending version %d", req.Ver)
 	}
 	// Refuse before forwarding if the switch would over-allocate locally, so
-	// downstream ASes are never activated ahead of a doomed local switch. In
-	// CPlane mode the EER demand lives in the per-SegR ledger, not the store.
-	allocated := segr.AllocatedEERKbps
-	if s.cp != nil {
-		if m, ok := s.cp.SegDemandMax(req.ID); ok {
-			allocated = m
-		}
-	}
+	// downstream ASes are never activated ahead of a doomed local switch. The
+	// EER demand lives in the SegR's ledger (0 for a SegR the engine lost).
+	allocated, _ := s.cp.SegDemandMax(req.ID)
 	if segr.Pending.BwKbps < allocated {
 		return fail("pending version %d (%d kbps) below allocated EER bandwidth (%d kbps)",
 			req.Ver, segr.Pending.BwKbps, allocated)

@@ -26,54 +26,103 @@ type Transport interface {
 
 // Policy is the source AS's intra-AS admission policy for its hosts ("it
 // falls to the AS in which H_S is situated to set limits on the maximum
-// bandwidth that H_S can request", §3.3).
+// bandwidth that H_S can request", §3.3). The source AS asks it about its own
+// hosts' EERs only.
 type Policy interface {
-	AllowEER(srcHost uint32, bwKbps uint64) error
+	// AllowEER decides whether srcHost may hold EER id at bwKbps until expT: a
+	// new EER, or a renewal replacing what id holds now. An allowed request is
+	// held against the host at the larger of the two until SettleEER.
+	AllowEER(srcHost uint32, id reservation.ID, bwKbps uint64, expT uint32) error
+	// SettleEER states what EER id holds once the request is answered: the
+	// final grant, on a failure what it held before, 0 for nothing.
+	SettleEER(srcHost uint32, id reservation.ID, bwKbps uint64, expT uint32)
+	// Expire forgets EERs whose expiry has passed (called from Service.Tick).
+	Expire(now uint32)
 }
 
 // AllowAll grants every host request.
 type AllowAll struct{}
 
 // AllowEER implements Policy.
-func (AllowAll) AllowEER(uint32, uint64) error { return nil }
+func (AllowAll) AllowEER(uint32, reservation.ID, uint64, uint32) error { return nil }
 
-// HostCapPolicy limits each host to a fixed total; zero cap means the
-// default cap applies.
+// SettleEER implements Policy.
+func (AllowAll) SettleEER(uint32, reservation.ID, uint64, uint32) {}
+
+// Expire implements Policy.
+func (AllowAll) Expire(uint32) {}
+
+// HostCapPolicy limits the bandwidth of the live EERs each host holds to a
+// fixed total; hosts not in PerHost get the default cap.
 type HostCapPolicy struct {
 	DefaultCapKbps uint64
 	PerHost        map[uint32]uint64
 
 	mu   sync.Mutex
 	used map[uint32]uint64
+	eers map[reservation.ID]hostEER
+}
+
+// hostEER is what one EER holds of its host's cap, until expT.
+type hostEER struct {
+	host uint32
+	bw   uint64
+	expT uint32
+}
+
+// set makes e what EER id holds (nothing, when e.bw is 0).
+func (p *HostCapPolicy) set(id reservation.ID, e hostEER) {
+	if p.eers == nil {
+		p.used = make(map[uint32]uint64)
+		p.eers = make(map[reservation.ID]hostEER)
+	}
+	old := p.eers[id]
+	p.used[old.host] -= old.bw
+	p.used[e.host] += e.bw
+	if e.bw == 0 {
+		delete(p.eers, id)
+	} else {
+		p.eers[id] = e
+	}
 }
 
 // AllowEER implements Policy.
-func (p *HostCapPolicy) AllowEER(srcHost uint32, bwKbps uint64) error {
+func (p *HostCapPolicy) AllowEER(srcHost uint32, id reservation.ID, bwKbps uint64, expT uint32) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	capKbps := p.DefaultCapKbps
 	if c, ok := p.PerHost[srcHost]; ok {
 		capKbps = c
 	}
-	if p.used == nil {
-		p.used = make(map[uint32]uint64)
-	}
-	if p.used[srcHost]+bwKbps > capKbps {
+	old := p.eers[id]
+	others := p.used[srcHost] - old.bw
+	if bwKbps > old.bw && others+bwKbps > capKbps {
 		return fmt.Errorf("cserv: host %d exceeds its EER cap (%d + %d > %d kbps)",
-			srcHost, p.used[srcHost], bwKbps, capKbps)
+			srcHost, others, bwKbps, capKbps)
 	}
-	p.used[srcHost] += bwKbps
+	p.set(id, hostEER{host: srcHost, bw: max(old.bw, bwKbps), expT: max(old.expT, expT)})
 	return nil
 }
 
-// ReleaseEER returns host budget when an EER expires.
-func (p *HostCapPolicy) ReleaseEER(srcHost uint32, bwKbps uint64) {
+// SettleEER implements Policy.
+func (p *HostCapPolicy) SettleEER(srcHost uint32, id reservation.ID, bwKbps uint64, expT uint32) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.used[srcHost] >= bwKbps {
-		p.used[srcHost] -= bwKbps
-	} else {
-		p.used[srcHost] = 0
+	p.set(id, hostEER{host: srcHost, bw: bwKbps, expT: expT})
+}
+
+// Expire implements Policy.
+func (p *HostCapPolicy) Expire(now uint32) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	for id, e := range p.eers {
+		if e.expT <= now {
+			delete(p.eers, id)
+		}
+	}
+	clear(p.used)
+	for _, e := range p.eers {
+		p.used[e.host] += e.bw
 	}
 }
 
@@ -104,23 +153,14 @@ type Config struct {
 	// RateLimit is the per-source-AS control-request budget per second
 	// (default 1000; §5.3 "per-AS rate limiting").
 	RateLimit int
-	// AdmissionImpl selects the SegR admission implementation:
-	// admission.ImplMemoized (default), admission.ImplNaive, or
-	// admission.ImplRestree. All three are validated differentially
-	// (FuzzAdmissionEquivalence); restree additionally time-bounds
-	// reservations and expires them without an explicit release.
-	AdmissionImpl string
-	// CPlaneShards, when > 0, routes the live request path's admission state
-	// through a sharded CPlane engine instead of the single-lock Admitter and
-	// the store's EER accounting: SegR admission goes to per-shard admitters,
-	// EER demand to per-SegR restree ledgers, and renewal waves to the
-	// shard-major RenewBatch. The store keeps the SegR protocol state
-	// (versions, tokens, idempotency keys) in both modes. Must be a power of
-	// two; 0 keeps the classic single-store path.
+	// CPlaneShards is the shard count of the CPlane, the engine that holds the
+	// service's admission state: SegR admission in per-shard admitters, EER
+	// demand in per-SegR restree ledgers, one record per EER. It must be a
+	// power of two; 0 = 1. The store keeps the SegR protocol state (versions,
+	// tokens, idempotency keys).
 	CPlaneShards int
 	// CPlaneWorkers fans RenewBatch shard buckets across this many goroutines
-	// (0 or 1 = inline). Only meaningful with CPlaneShards > 0; call Close on
-	// the Service when using more than one worker.
+	// (0 or 1 = inline); call Close on the Service when using more than one.
 	CPlaneWorkers int
 	// Telemetry is the AS-wide registry the service's metrics and lifecycle
 	// tracer attach to; a private registry is created when nil.
@@ -134,13 +174,12 @@ type Service struct {
 	topo  *topology.Topology
 	split admission.TrafficSplit
 
+	// store carries the SegR protocol state; cp, the control-plane engine, all
+	// admission state: SegR admission and the EER records with their demand
+	// ledgers (see cplane_live.go).
 	store    *reservation.Store
-	adm      admission.Admitter
+	cp       *CPlane
 	transfer *admission.TransferSplit
-	// cp is the sharded control-plane engine; nil in classic mode. When set,
-	// SegR admission and EER demand accounting run through it (see
-	// cplane_live.go) and the store carries only protocol state.
-	cp *CPlane
 
 	secret  cryptoutil.Key
 	engine  *drkey.Engine
@@ -159,7 +198,6 @@ type Service struct {
 	policy     Policy
 	dstApprove func(req *EESetupReq) bool
 	rate       *RateLimiter
-	renewLim   *renewLimiter
 	metrics    Metrics
 }
 
@@ -177,23 +215,15 @@ func New(cfg Config) *Service {
 	if cfg.Split == (admission.TrafficSplit{}) {
 		cfg.Split = admission.DefaultSplit
 	}
-	adm, err := admission.NewAdmitter(cfg.AdmissionImpl, cfg.AS, cfg.Split, cfg.Clock)
+	cp, err := NewCPlane(CPlaneConfig{
+		AS:      cfg.AS,
+		Split:   cfg.Split,
+		Shards:  cfg.CPlaneShards,
+		Clock:   cfg.Clock,
+		Workers: cfg.CPlaneWorkers,
+	})
 	if err != nil {
 		panic(err)
-	}
-	var cp *CPlane
-	if cfg.CPlaneShards > 0 {
-		cp, err = NewCPlane(CPlaneConfig{
-			AS:            cfg.AS,
-			Split:         cfg.Split,
-			Shards:        cfg.CPlaneShards,
-			AdmissionImpl: cfg.AdmissionImpl,
-			Clock:         cfg.Clock,
-			Workers:       cfg.CPlaneWorkers,
-		})
-		if err != nil {
-			panic(err)
-		}
 	}
 	s := &Service{
 		ia:         cfg.AS.IA,
@@ -201,7 +231,6 @@ func New(cfg Config) *Service {
 		topo:       cfg.Topo,
 		split:      cfg.Split,
 		store:      reservation.NewStore(cfg.AS.IA),
-		adm:        adm,
 		cp:         cp,
 		transfer:   admission.NewTransferSplit(),
 		secret:     cfg.Secret,
@@ -213,30 +242,27 @@ func New(cfg Config) *Service {
 		policy:     cfg.Policy,
 		dstApprove: cfg.DstApprove,
 		rate:       NewRateLimiter(cfg.RateLimit),
-		renewLim:   newRenewLimiter(),
 		keyCache:   make(map[cryptoutil.Key]*keyCrypto),
 	}
 	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
-	if cp != nil {
-		// An EER that lapses without being renewed must return its charge to
-		// the §4.7 transfer-split accounting, or dead demand accumulates until
-		// the fair-share cap refuses every re-admission (the renewal-storm
-		// recovery path found this at 10⁶ flows). Only up→core records ever
-		// admitted through the split; the core+down pair at the far transfer
-		// AS carries no split charge.
-		cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
-			up, err := s.store.GetSegR(seg)
-			if err != nil || up.SegType != segment.Up {
-				return
-			}
-			core, err := s.store.GetSegR(seg2)
-			if err != nil || core.SegType != segment.Core {
-				return
-			}
-			s.transfer.Release(core.ID, up.ID, bwKbps, bwKbps)
-		})
-	}
+	// An EER that lapses without being renewed must return its charge to the
+	// §4.7 transfer-split accounting, or dead demand accumulates until the
+	// fair-share cap refuses every re-admission (the renewal-storm recovery
+	// path found this at 10⁶ flows). Only up→core records ever admitted
+	// through the split; the core+down pair at the far transfer AS carries no
+	// split charge.
+	cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
+		up, err := s.store.GetSegR(seg)
+		if err != nil || up.SegType != segment.Up {
+			return
+		}
+		core, err := s.store.GetSegR(seg2)
+		if err != nil || core.SegType != segment.Core {
+			return
+		}
+		s.transfer.Release(core.ID, up.ID, bwKbps, bwKbps)
+	})
 	return s
 }
 
@@ -247,52 +273,12 @@ func (s *Service) IA() topology.IA { return s.ia }
 // the same AS read it; tests inspect it).
 func (s *Service) Store() *reservation.Store { return s.store }
 
-// Admission exposes the admission state (for metrics and tests).
-func (s *Service) Admission() admission.Admitter { return s.adm }
-
-// CPlane exposes the sharded control-plane engine; nil in classic mode.
+// CPlane exposes the control-plane engine that holds the admission state.
 func (s *Service) CPlane() *CPlane { return s.cp }
 
-// Close releases background resources (the CPlane's batch workers). Safe to
-// call on classic-mode services; no request may be in flight.
-func (s *Service) Close() {
-	if s.cp != nil {
-		s.cp.Close()
-	}
-}
-
-// admitSegR dispatches SegR admission to the CPlane or the single admitter.
-func (s *Service) admitSegR(req admission.Request) (uint64, error) {
-	if s.cp != nil {
-		return s.cp.AddSegR(req)
-	}
-	return s.adm.AdmitSegR(req)
-}
-
-// renewSegR dispatches a SegR renewal, returning the snapshot-restoring undo.
-func (s *Service) renewSegR(req admission.Request) (uint64, func(), error) {
-	if s.cp != nil {
-		return s.cp.RenewSegRWithUndo(req)
-	}
-	return s.adm.RenewSegRWithUndo(req)
-}
-
-// adjustSegR dispatches the backward-pass grant shrink.
-func (s *Service) adjustSegR(id reservation.ID, finalKbps uint64) error {
-	if s.cp != nil {
-		return s.cp.AdjustSegR(id, finalKbps)
-	}
-	return s.adm.AdjustGrant(id, finalKbps)
-}
-
-// abortSegR dispatches the rollback of a fresh (non-renewal) SegR admission.
-func (s *Service) abortSegR(id reservation.ID) {
-	if s.cp != nil {
-		s.cp.AbortSegR(id)
-		return
-	}
-	s.adm.Release(id)
-}
+// Close releases background resources (the CPlane's batch workers); no
+// request may be in flight.
+func (s *Service) Close() { s.cp.Close() }
 
 // Secret returns the AS data-plane secret shared with the border routers.
 func (s *Service) Secret() cryptoutil.Key { return s.secret }
@@ -502,31 +488,25 @@ func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.Ho
 	return cryptoutil.Key(full)
 }
 
-// Tick advances housekeeping: expiry cleanup in the store, releasing
-// admission aggregates of removed SegRs. Call it periodically (once per
-// second suffices).
+// Tick advances housekeeping: expiry cleanup in the store, releasing the
+// admission state of removed SegRs, and the expiry of EER records. Call it
+// periodically (once per second suffices).
 func (s *Service) Tick() {
 	now := s.clock()
 	removed := s.store.Cleanup(now)
 	for _, id := range removed {
-		if s.cp != nil {
-			// DropSegR also tears down the EER charges riding on the SegR —
-			// including transfer-AS records whose other segment survives.
-			s.cp.DropSegR(id)
-		} else {
-			s.adm.Release(id)
-		}
+		// DropSegR also tears down the EER charges riding on the SegR —
+		// including transfer-AS records whose other segment survives.
+		s.cp.DropSegR(id)
 		s.transfer.DropCore(id)
 		if s.dir != nil {
 			s.dir.Unregister(id)
 		}
 	}
-	if s.cp != nil {
-		s.cp.Tick()
-	}
+	s.cp.Tick()
 	if s.dir != nil {
 		s.dir.Expire(now)
 	}
 	s.rate.Tick(now)
-	s.renewLim.Expire(now)
+	s.policy.Expire(now)
 }

@@ -123,6 +123,13 @@ func (f *fabric) setupAllSegRs(t testing.TB, bwKbps uint64) (up, core, down *res
 	return up, core, down
 }
 
+// eerRecord returns what the CServ at hop idx of g's path holds for g's EER: the
+// record under the hop's first covering SegR.
+func (f *fabric) eerRecord(g *EERGrant, idx int) (bwKbps uint64, ver uint16, expT uint32, ok bool) {
+	k := coveringSegs(nil, len(g.SegIDs), g.Splits, len(g.PathHops), idx)[0]
+	return f.services[g.PathHops[idx].IA].CPlane().LookupEER(g.ID, g.SegIDs[k])
+}
+
 func TestSegmentSetup(t *testing.T) {
 	f := twoISDFabric(t, nil)
 	seg := f.reg.UpSegments(ia(1, 11))[0] // 1-11 → 1-2 → 1-1
@@ -233,9 +240,9 @@ func TestEERSetupEndToEnd(t *testing.T) {
 		}
 	}
 	// Every on-path AS accounts the EER against its SegRs.
-	for _, ph := range grant.PathHops {
-		if _, err := f.services[ph.IA].Store().GetEER(grant.ID); err != nil {
-			t.Errorf("AS %s has no EER record: %v", ph.IA, err)
+	for i, ph := range grant.PathHops {
+		if bw, ver, expT, ok := f.eerRecord(grant, i); !ok || bw != 8_000 || ver != 1 || expT != grant.Res.ExpT {
+			t.Errorf("AS %s EER record: %d kbps ver %d until %d (found %v)", ph.IA, bw, ver, expT, ok)
 		}
 	}
 }
@@ -255,16 +262,48 @@ func TestEERRenewalVersions(t *testing.T) {
 	if g2.Res.Ver != 2 || g2.Res.BwKbps != 12_000 {
 		t.Fatalf("renewed grant: %+v", g2.Res)
 	}
-	// Both versions coexist at a transit AS; budget is the max, not sum.
-	e, err := f.services[ia(1, 2)].Store().GetEER(g1.ID)
+	// A transit AS (hop 1 is 1-2) holds the new version, and the two versions
+	// share one budget: the larger, not the sum.
+	if bw, ver, _, ok := f.eerRecord(g2, 1); !ok || ver != 2 || bw != 12_000 {
+		t.Fatalf("transit AS record: %d kbps ver %d (found %v)", bw, ver, ok)
+	}
+	if got, _ := f.services[ia(1, 2)].CPlane().SegDemandMax(g2.SegIDs[0]); got != 12_000 {
+		t.Errorf("demand on the up-SegR at the transit AS = %d", got)
+	}
+}
+
+// TestDownwardRenewalChargesNewVersionOnly characterises a known gap; it does
+// not endorse it. §4.2 keeps every unexpired version of an EER usable, so what
+// an EER can send is the maximum over its valid versions — the rule
+// reservation.Store.AdmitEERVersion states ("all versions of one EER share a
+// single budget (the max over valid versions)"). eerPath.renewRec instead
+// replaces the charge: after a renewal from 12 to 1 Mbps every ledger on the
+// path shows 1 Mbps while version 1's hop authenticators stay valid at the
+// stateless routers until its own ExpT, so up to 11 Mbps of what the source may
+// still send is bandwidth the CServs consider free. The conservative repair
+// (DESIGN.md §7a) keeps the old bandwidth charged until the old version lapses;
+// when it lands, the demand below reads 12 000 until g1.Res.ExpT.
+func TestDownwardRenewalChargesNewVersionOnly(t *testing.T) {
+	f := twoISDFabric(t, nil)
+	f.setupAllSegRs(t, 100_000)
+	src := f.services[ia(1, 11)]
+	g1, err := src.RequestEER(1, 2, ia(2, 11), 12_000)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(e.Versions) != 2 {
-		t.Fatalf("transit AS has %d versions", len(e.Versions))
+	f.clock.Add(1)
+	g2, err := src.RenewEER(g1, 1_000)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got := e.MaxBwKbps(f.now()); got != 12_000 {
-		t.Errorf("MaxBwKbps = %d", got)
+	if g1.Res.ExpT <= f.now() || g2.Res.BwKbps != 1_000 {
+		t.Fatalf("version 1 valid until %d (now %d), version 2 at %d kbps", g1.Res.ExpT, f.now(), g2.Res.BwKbps)
+	}
+	for i, ph := range g2.PathHops {
+		k := coveringSegs(nil, len(g2.SegIDs), g2.Splits, len(g2.PathHops), i)[0]
+		if d, _ := f.services[ph.IA].CPlane().SegDemandMax(g2.SegIDs[k]); d != 1_000 {
+			t.Errorf("AS %s charges %d kbps while versions of 12 000 and 1 000 kbps are valid, want the gap's 1 000", ph.IA, d)
+		}
 	}
 }
 
@@ -293,9 +332,8 @@ func TestEERInsufficientSegRRolledBack(t *testing.T) {
 		t.Fatal("over-committing EER accepted")
 	}
 	// No residual versions of the failed EER linger at the early hops.
-	for _, iaKey := range []topology.IA{ia(1, 11), ia(1, 2), ia(1, 3)} {
-		_, eers := f.services[iaKey].Store().Counts()
-		if eers > 1 {
+	for _, iaKey := range []topology.IA{ia(1, 11), ia(1, 2), ia(1, 1)} {
+		if eers := f.services[iaKey].CPlane().Counts().EERs; eers != 1 {
 			t.Errorf("AS %s has %d EER records after rollback", iaKey, eers)
 		}
 	}
@@ -372,6 +410,124 @@ func TestHostPolicyEnforced(t *testing.T) {
 	}
 }
 
+// hostCapFabric caps every host of 1-11 at 10 Mbps; 2-11 vetoes destination
+// host 99.
+func hostCapFabric(t *testing.T) (*fabric, *HostCapPolicy) {
+	pol := &HostCapPolicy{DefaultCapKbps: 10_000}
+	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
+		switch iaKey {
+		case ia(1, 11):
+			cfg.Policy = pol
+		case ia(2, 11):
+			cfg.DstApprove = func(req *EESetupReq) bool { return req.DstHost != 99 }
+		}
+	})
+	f.setupAllSegRs(t, 100_000)
+	return f, pol
+}
+
+// TestHostCapRenewalChargesItsIncrease: the cap is on what the host's live EERs
+// hold, so a renewal counts for the bandwidth it adds, solo or in a wave — not
+// for its whole bandwidth once more (a 1 Mbps EER under a 10 Mbps cap used to
+// be refused on its tenth renewal).
+func TestHostCapRenewalChargesItsIncrease(t *testing.T) {
+	f, pol := hostCapFabric(t)
+	src := f.services[ia(1, 11)]
+	g, err := src.RequestEER(7, 2, ia(2, 11), 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 20; i++ {
+		f.clock.Add(1)
+		if i%2 == 0 {
+			g, err = src.RenewEER(g, 1_000)
+		} else {
+			gs, errs := src.RenewEERBatch([]*EERGrant{g}, []uint64{1_000})
+			g, err = gs[0], errs[0]
+		}
+		if err != nil {
+			t.Fatalf("renewal %d: %v", i, err)
+		}
+	}
+	if pol.used[7] != 1_000 {
+		t.Fatalf("host holds %d kbps after 20 keep-alives of a 1 Mbps EER", pol.used[7])
+	}
+	// Growing past the cap is refused, solo and in a wave, and costs nothing.
+	f.clock.Add(1)
+	if _, err := src.RenewEER(g, 12_000); err == nil || !strings.Contains(err.Error(), "policy") {
+		t.Fatalf("renewal past the cap: %v", err)
+	}
+	if _, errs := src.RenewEERBatch([]*EERGrant{g}, []uint64{12_000}); errs[0] == nil {
+		t.Fatal("wave renewal past the cap granted")
+	}
+	if pol.used[7] != 1_000 {
+		t.Fatalf("host holds %d kbps after refused renewals", pol.used[7])
+	}
+	// Growing within it charges the increase; shrinking returns the difference.
+	f.clock.Add(1)
+	if g, err = src.RenewEER(g, 9_000); err != nil || pol.used[7] != 9_000 {
+		t.Fatalf("renewal to 9 Mbps: err %v, host holds %d kbps", err, pol.used[7])
+	}
+	if _, err := src.RequestEER(7, 3, ia(2, 11), 2_000); err == nil {
+		t.Fatal("second EER past the cap granted")
+	}
+	f.clock.Add(1)
+	if _, err = src.RenewEER(g, 3_000); err != nil || pol.used[7] != 3_000 {
+		t.Fatalf("renewal to 3 Mbps: err %v, host holds %d kbps", err, pol.used[7])
+	}
+}
+
+// TestHostCapRefusedRequestReturnsItsCharge: a request refused downstream holds
+// nothing of the cap afterwards — a setup nothing, a renewal what the EER held.
+func TestHostCapRefusedRequestReturnsItsCharge(t *testing.T) {
+	f, pol := hostCapFabric(t)
+	src := f.services[ia(1, 11)]
+	for i := 0; i < 3; i++ {
+		if _, err := src.RequestEER(7, 99, ia(2, 11), 8_000); err == nil || !strings.Contains(err.Error(), "destination refused") {
+			t.Fatalf("vetoed setup %d: %v", i, err)
+		}
+		if pol.used[7] != 0 || len(pol.eers) != 0 {
+			t.Fatalf("vetoed setup %d left %d kbps in %d EERs on the host", i, pol.used[7], len(pol.eers))
+		}
+	}
+	g, err := src.RequestEER(7, 2, ia(2, 11), 4_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// A renewal within the cap charges its increase; one the renewal throttle
+	// then refuses leaves the EER what it held.
+	f.clock.Add(1)
+	if g, err = src.RenewEER(g, 8_000); err != nil || pol.used[7] != 8_000 {
+		t.Fatalf("renewal to 8 Mbps: err %v, host holds %d kbps", err, pol.used[7])
+	}
+	if _, err := src.RenewEER(g, 10_000); err == nil || pol.used[7] != 8_000 {
+		t.Fatalf("throttled renewal: err %v, host holds %d kbps", err, pol.used[7])
+	}
+}
+
+// TestHostCapExpiryFreesTheHost: an EER that lapses unrenewed returns its share,
+// so the host can reserve its full cap again.
+func TestHostCapExpiryFreesTheHost(t *testing.T) {
+	f, pol := hostCapFabric(t)
+	src := f.services[ia(1, 11)]
+	if _, err := src.RequestEER(7, 2, ia(2, 11), 10_000); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := src.RequestEER(7, 2, ia(2, 11), 1_000); err == nil {
+		t.Fatal("host exceeded its cap")
+	}
+	f.clock.Add(reservation.EERLifetimeSeconds + 1)
+	for _, s := range f.services {
+		s.Tick()
+	}
+	if pol.used[7] != 0 || len(pol.eers) != 0 {
+		t.Fatalf("lapsed EER still holds %d kbps of its host's cap", pol.used[7])
+	}
+	if _, err := src.RequestEER(7, 2, ia(2, 11), 10_000); err != nil {
+		t.Fatalf("full cap after expiry: %v", err)
+	}
+}
+
 func TestDestinationVeto(t *testing.T) {
 	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
 		if iaKey == ia(2, 11) {
@@ -396,26 +552,31 @@ func TestTickReleasesExpired(t *testing.T) {
 		t.Fatal(err)
 	}
 	transit := f.services[ia(1, 2)]
-	r, _ := transit.Store().GetSegR(up.ID)
-	if r.AllocatedEERKbps != 8_000 {
-		t.Fatalf("allocated = %d", r.AllocatedEERKbps)
+	if d, _ := transit.CPlane().SegDemandMax(up.ID); d != 8_000 {
+		t.Fatalf("allocated = %d", d)
 	}
 	// EERs live 16 s; advance past expiry and tick.
 	f.clock.Store(t0 + reservation.EERLifetimeSeconds + 1)
 	transit.Tick()
-	r, _ = transit.Store().GetSegR(up.ID)
-	if r.AllocatedEERKbps != 0 {
-		t.Errorf("allocated after expiry = %d", r.AllocatedEERKbps)
+	if d, _ := transit.CPlane().SegDemandMax(up.ID); d != 0 {
+		t.Errorf("allocated after expiry = %d", d)
+	}
+	if ct := transit.CPlane().Counts(); ct.SegRs != 1 || ct.EERs != 0 {
+		t.Errorf("counts after EER expiry: %+v", ct)
 	}
 	// Advance past SegR expiry: SegRs vanish and admission state empties.
 	f.clock.Store(t0 + reservation.SegRLifetimeSeconds + 1)
 	transit.Tick()
-	segs, eers := transit.Store().Counts()
-	if segs != 0 || eers != 0 {
-		t.Errorf("counts after SegR expiry: %d, %d", segs, eers)
+	if segs, _ := transit.Store().Counts(); segs != 0 {
+		t.Errorf("store keeps %d SegRs after their expiry", segs)
 	}
-	if transit.Admission().Len() != 0 {
-		t.Errorf("admission still tracks %d reservations", transit.Admission().Len())
+	if ct := transit.CPlane().Counts(); ct.SegRs != 0 || ct.EERs != 0 {
+		t.Errorf("counts after SegR expiry: %+v", ct)
+	}
+	for _, h := range up.Seg.Hops {
+		if h.IA == transit.IA() && transit.CPlane().AllocatedKbps(h.Eg) != 0 {
+			t.Errorf("admission still holds %d kbps at egress %d", transit.CPlane().AllocatedKbps(h.Eg), h.Eg)
+		}
 	}
 }
 
@@ -591,7 +752,7 @@ func BenchmarkSegRHandleAtLastHop(b *testing.B) {
 		if i > 0 && i%batch == 0 {
 			b.StopTimer()
 			for _, id := range ids {
-				last.Admission().Release(id)
+				last.CPlane().AbortSegR(id)
 				last.Store().DeleteSegR(id)
 			}
 			mkBatch(i / batch)

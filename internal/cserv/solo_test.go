@@ -9,6 +9,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math/rand"
 	"slices"
 	"strings"
@@ -394,22 +395,19 @@ func (rec *wireRecorder) check(from, dst topology.IA, sent, resp []byte) {
 // TestSoloWireDifferential runs a seeded mix of setups, renewals, refusals
 // (over-capacity at the transfer AS, source policy, destination veto, the
 // renewal throttle), retried duplicates and downstream transport failures
-// through a fabric whose every link is recorded, in CPlane and in single-store
-// mode. Every request on every link must be byte for byte what
+// through a fabric whose every link is recorded, at one shard and at four.
+// Every request on every link must be byte for byte what
 // EESetupReq.Marshal gives for the request the source is making, with that
 // hop's accumulator; every response must be what EESetupResp.Marshal gives
 // for its decoded form, shaped for the hop that receives it, with every
 // sealed slot opening to the σ its AS computes.
 func TestSoloWireDifferential(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"cplane", 4}, {"single-store", 0}} {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			rec := &wireRecorder{t: t, lose: map[topology.IA]int{}, down: map[topology.IA]bool{}}
 			f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
 				highRate(iaKey, cfg)
-				cfg.CPlaneShards = mode.shards
+				cfg.CPlaneShards = shards
 				cfg.Transport = NewRetryTransport(recTransport{rec, iaKey, cfg.Transport}, RetryPolicy{MaxAttempts: 2}, nil)
 				switch iaKey {
 				case ia(1, 11):

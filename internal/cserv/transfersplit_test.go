@@ -1,6 +1,7 @@
 package cserv
 
 import (
+	"fmt"
 	"testing"
 
 	"colibri/internal/topology"
@@ -17,16 +18,13 @@ import (
 // downstream link is dead: the transfer AS admits into the split, then the
 // forward call fails and the item rolls back. Repeated failed waves must not
 // accumulate demand — once the link heals, every renewal must still be
-// granted in full. Runs in both admission modes, which share the handlers.
+// granted in full.
 func TestTransferSplitRollbackRelease(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"legacy", 0}, {"cplane", 1}} {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			gate := &gateTransport{}
 			f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
-				cfg.CPlaneShards = mode.shards
+				cfg.CPlaneShards = shards
 				if iaKey == ia(1, 1) {
 					gate.inner = cfg.Transport
 					cfg.Transport = gate
@@ -77,13 +75,10 @@ func TestTransferSplitRollbackRelease(t *testing.T) {
 // version's split charge, or demand doubles on the first wave and the
 // fair-share cap starts shaving grants on the second.
 func TestTransferSplitRenewalRelease(t *testing.T) {
-	for _, mode := range []struct {
-		name   string
-		shards int
-	}{{"legacy", 0}, {"cplane", 1}} {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
 			f := twoISDFabric(t, func(_ topology.IA, cfg *Config) {
-				cfg.CPlaneShards = mode.shards
+				cfg.CPlaneShards = shards
 			})
 			f.setupAllSegRs(t, 50_000)
 			src := f.services[ia(1, 11)]

@@ -332,16 +332,10 @@ func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []res
 }
 
 // refAllowRenew is the model of the per-EER renewal throttle (§4.2, one a
-// second). A renewal that finds its record is judged by the mark in the record
-// and leaves its own there; one that finds none — a re-admission — is judged by
-// the limiter's map. The mark therefore goes where the record goes: a record
-// lost or removed in the very second it was renewed no longer throttles the
-// re-admission that follows in that second. (Up to PR 18 every mark lived in the
-// limiter's map, and it did.)
-func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, had bool, now uint32) (ok bool) {
-	if !had {
-		return s.renewLim.Allow(id, now)
-	}
+// second): a renewal is judged by the mark in its record and leaves its own
+// there. The mark goes where the record goes: a re-admission finds neither, and
+// the record it creates is born marked.
+func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uint32) (ok bool) {
 	s.cp.withPath(segs, func(p eerPath) {
 		e, _ := p.lookup(id)
 		if ok = e.lastRenew != now; ok {
@@ -373,7 +367,7 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			granted[i] = prevBw
 			continue
 		}
-		if !refAllowRenew(s, it.ID, segIDs, had, now) {
+		if had && !refAllowRenew(s, it.ID, segIDs, now) {
 			status[i] = EEItemThrottled
 			continue
 		}
@@ -399,7 +393,7 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			grant, err = s.cp.RenewEERPath(it.ID, segIDs, grant, it.ExpT, it.Ver)
 		} else {
 			if err, failed = s.cp.SetupEERPath(it.ID, segIDs, grant, it.ExpT, it.Ver), EEItemStale; err == nil {
-				refAllowRenew(s, it.ID, segIDs, true, now) // a re-admitted record is born marked
+				refAllowRenew(s, it.ID, segIDs, now) // a re-admitted record is born marked
 			}
 		}
 		if err != nil {
@@ -617,12 +611,11 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 	}
 }
 
-// TestRenewThrottleLivesInTheRecord: in CPlane mode the per-EER throttle's mark
-// is a field of the EER record, so waves and solo renewals of EERs every hop
-// still holds leave the limiter's own map empty; and the one case that changed
-// with the move — a record lost in the very second it was renewed takes its mark
-// with it, so the re-admission that follows in that second passes this hop — is
-// pinned at the source, where the next hop's intact record then stops it.
+// TestRenewThrottleLivesInTheRecord: the per-EER throttle's mark is a field of
+// the EER record and nothing else. A record lost in the very second it was
+// renewed takes its mark with it, so the re-admission that follows in that second
+// passes this hop — pinned at the source, where the next hop's intact record then
+// stops it — and a re-admission that goes through creates its record marked.
 func TestRenewThrottleLivesInTheRecord(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 100_000)
@@ -631,14 +624,6 @@ func TestRenewThrottleLivesInTheRecord(t *testing.T) {
 	bws := make([]uint64, len(gs))
 	for i := range bws {
 		bws[i] = 1_000
-	}
-	limiterEntries := func() (n int) {
-		for _, s := range f.services {
-			s.renewLim.mu.Lock()
-			n += len(s.renewLim.last)
-			s.renewLim.mu.Unlock()
-		}
-		return n
 	}
 	for round := 0; round < 3; round++ {
 		f.clock.Add(1)
@@ -655,19 +640,20 @@ func TestRenewThrottleLivesInTheRecord(t *testing.T) {
 	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 0: renewal rate limit") {
 		t.Fatalf("second renewal in one second: err = %v, want the source's throttle", err)
 	}
-	if n := limiterEntries(); n != 0 {
-		t.Errorf("limiter maps hold %d entries after renewals of known records, want 0", n)
-	}
-	// The source loses the record it renewed this second.
+	// The source loses the record it renewed this second. Each re-admission is
+	// rolled back when hop 1 refuses, so the source keeps nothing to mark.
 	src.cp.TeardownEERPath(g.ID, g.SegIDs[:1])
-	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 1: renewal rate limit") {
-		t.Fatalf("re-admission in the second of the lost renewal: err = %v, want it past the source and throttled at hop 1", err)
+	for try := 0; try < 2; try++ {
+		if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 1: renewal rate limit") {
+			t.Fatalf("re-admission %d in the second of the lost renewal: err = %v, want it past the source and throttled at hop 1", try, err)
+		}
 	}
-	// A re-admission is judged by, and marks, the limiter's map: once.
-	if n := limiterEntries(); n != 1 {
-		t.Errorf("limiter maps hold %d entries after one re-admission, want 1", n)
+	// A second later the re-admission goes through, and its record is born marked.
+	f.clock.Add(1)
+	if g, err = src.RenewEER(g, 1_000); err != nil {
+		t.Fatalf("re-admission: %v", err)
 	}
 	if _, err := src.RenewEER(g, 1_000); err == nil || !strings.Contains(err.Error(), "hop 0: renewal rate limit") {
-		t.Fatalf("second re-admission in one second: err = %v, want the source's throttle", err)
+		t.Fatalf("renewal in the second of the re-admission: err = %v, want the source's throttle", err)
 	}
 }

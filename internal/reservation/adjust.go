@@ -2,31 +2,6 @@ package reservation
 
 import "fmt"
 
-// AdjustEERVersion changes the bandwidth of an existing EER version (the
-// backward pass of a setup/renewal, where the final grant is the minimum
-// over all on-path ASes) and re-balances the SegR charging accordingly.
-func (s *Store) AdjustEERVersion(id ID, ver uint16, finalKbps uint64) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	e, ok := s.eers[id]
-	if !ok {
-		return fmt.Errorf("%w: EER %s", ErrNotFound, id)
-	}
-	found := false
-	for i := range e.Versions {
-		if e.Versions[i].Ver == ver {
-			e.Versions[i].BwKbps = finalKbps
-			found = true
-			break
-		}
-	}
-	if !found {
-		return fmt.Errorf("%w: EER %s version %d", ErrNotFound, id, ver)
-	}
-	s.rebalanceLocked(e)
-	return nil
-}
-
 // RemoveEERVersion removes one version (rollback of a failed setup),
 // releasing its SegR charge; the EER record disappears with its last
 // version.
@@ -58,32 +33,17 @@ func (s *Store) RemoveEERVersion(id ID, ver uint16) error {
 	return nil
 }
 
-// rebalanceLocked recomputes the EER's max-version contribution and adjusts
-// the charge on its SegRs by the delta. Increases are applied even past a
-// SegR's capacity bound here — callers check availability before admitting;
-// this path only runs for adjust-down and removal.
+// rebalanceLocked recomputes the EER's max-version contribution after
+// versions were removed or expired and returns the difference to its SegRs.
 func (s *Store) rebalanceLocked(e *EER) {
 	var newMax uint64
 	for _, v := range e.Versions {
-		if v.BwKbps > newMax {
-			newMax = v.BwKbps
-		}
+		newMax = max(newMax, v.BwKbps)
 	}
-	old := s.contrib[e.ID]
-	if newMax == old {
-		return
-	}
+	delta := s.contrib[e.ID] - newMax
 	for _, sid := range e.SegIDs {
-		sr, ok := s.segs[sid]
-		if !ok {
-			continue
-		}
-		if newMax > old {
-			sr.AllocatedEERKbps += newMax - old
-		} else if delta := old - newMax; sr.AllocatedEERKbps >= delta {
-			sr.AllocatedEERKbps -= delta
-		} else {
-			sr.AllocatedEERKbps = 0
+		if sr, ok := s.segs[sid]; ok {
+			sr.AllocatedEERKbps -= min(delta, sr.AllocatedEERKbps)
 		}
 	}
 	s.contrib[e.ID] = newMax

@@ -7,59 +7,11 @@ import (
 	"colibri/internal/segment"
 )
 
-func TestAdjustEERVersionDown(t *testing.T) {
+func TestRemoveEERVersion(t *testing.T) {
 	s := NewStore(ia(1, 1))
 	if s.Local() != ia(1, 1) {
 		t.Fatal("Local() wrong")
 	}
-	sid := s.NextID()
-	if err := s.AddSegR(newSegR(sid, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	if err := s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 1, BwKbps: 800, ExpT: now + 16}, now); err != nil {
-		t.Fatal(err)
-	}
-	// Backward pass reduced the grant to 500: the SegR charge follows.
-	if err := s.AdjustEERVersion(eid, 1, 500); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := s.GetSegR(sid)
-	if r.AllocatedEERKbps != 500 {
-		t.Errorf("allocated = %d", r.AllocatedEERKbps)
-	}
-	e, _ := s.GetEER(eid)
-	if e.Versions[0].BwKbps != 500 {
-		t.Errorf("version bw = %d", e.Versions[0].BwKbps)
-	}
-	// Adjusting back up re-charges (used when a later version raises max).
-	if err := s.AdjustEERVersion(eid, 1, 700); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = s.GetSegR(sid)
-	if r.AllocatedEERKbps != 700 {
-		t.Errorf("allocated after raise = %d", r.AllocatedEERKbps)
-	}
-}
-
-func TestAdjustEERVersionErrors(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	if err := s.AdjustEERVersion(eid, 1, 100); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing EER: %v", err)
-	}
-	sid := s.NextID()
-	_ = s.AddSegR(newSegR(sid, 1000))
-	_ = s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 1, BwKbps: 100, ExpT: now + 16}, now)
-	if err := s.AdjustEERVersion(eid, 9, 100); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing version: %v", err)
-	}
-}
-
-func TestRemoveEERVersion(t *testing.T) {
-	s := NewStore(ia(1, 1))
 	sid := s.NextID()
 	_ = s.AddSegR(newSegR(sid, 1000))
 	eid := ID{SrcAS: ia(1, 9), Num: 1}

@@ -212,26 +212,6 @@ func (s *Store) AdmitEERVersion(eer *EER, segIDs []ID, v Version, now uint32) er
 	return nil
 }
 
-// LiveVersion returns the EER's most recent live version — the highest
-// version number whose expiry is still in the future. The handlers use it
-// to identify the version a renewal replaces, identically to the CPlane's
-// single-record LookupEER, so the transfer-split accounting stays in step
-// across both admission modes.
-func (s *Store) LiveVersion(id ID, now uint32) (bwKbps uint64, ver uint16, expT uint32, ok bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, found := s.eers[id]
-	if !found {
-		return 0, 0, 0, false
-	}
-	for i := len(e.Versions) - 1; i >= 0; i-- {
-		if v := e.Versions[i]; v.ExpT > now {
-			return v.BwKbps, v.Ver, v.ExpT, true
-		}
-	}
-	return 0, 0, 0, false
-}
-
 // GetEER returns the EER record, or ErrNotFound.
 func (s *Store) GetEER(id ID) (*EER, error) {
 	s.mu.RLock()
@@ -253,21 +233,7 @@ func (s *Store) Cleanup(now uint32) (removedSegRs []ID) {
 	for _, id := range sortedIDs(s.eers) {
 		e := s.eers[id]
 		alive := e.DropExpired(now)
-		newMax := e.MaxBwKbps(now)
-		old := s.contrib[id]
-		if newMax < old {
-			delta := old - newMax
-			for _, sid := range e.SegIDs {
-				if sr, ok := s.segs[sid]; ok {
-					if sr.AllocatedEERKbps >= delta {
-						sr.AllocatedEERKbps -= delta
-					} else {
-						sr.AllocatedEERKbps = 0
-					}
-				}
-			}
-			s.contrib[id] = newMax
-		}
+		s.rebalanceLocked(e)
 		if !alive {
 			delete(s.eers, id)
 			delete(s.contrib, id)
