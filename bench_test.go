@@ -178,37 +178,18 @@ func BenchmarkFig6GatewayParallel(b *testing.B) {
 }
 
 // BenchmarkFig6GatewayBatch: the batched construction pipeline vs. batch
-// size, single worker, 2^10 reservations over 4-hop paths (the σ working
-// set fits the schedule cache). batch=1 is the paper-faithful uncached
-// single-packet path; larger batches run BuildBatch with the σ-schedule
-// cache enabled. One iteration builds one batch; the Mpps metric is
-// per-packet and directly comparable across batch sizes.
+// size, single worker, 2^10 reservations over 4-hop paths. batch=1 is what
+// the single-packet Build runs; larger batches amortize the lookup lock,
+// the token-bucket pass and the timestamp reservation. One iteration
+// builds one batch; the Mpps metric is per-packet and directly comparable
+// across batch sizes.
 func BenchmarkFig6GatewayBatch(b *testing.B) {
 	const r, hops = 1 << 10, 4
 	for _, batch := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(8))
 			ids := workload.RandomResIDs(1<<16, r, rng)
-			if batch == 1 {
-				gw, _ := workload.GatewayPopulation(r, hops, rng)
-				w := gw.NewWorker()
-				out := make([]byte, 2048)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.Build(ids[i%len(ids)], nil, out, workload.EpochNs+int64(i)); err != nil {
-						b.Fatal(err)
-					}
-				}
-				reportMpps(b, int64(b.N))
-				return
-			}
-			// 4× the σ working set: at 2-way associativity, random tag
-			// placement leaves ~8% of tags overflowing a 2×-sized cache
-			// but only ~1% at 4× (Poisson tails); overflowing tags take
-			// the admission-bypass software path.
-			gw, _ := workload.GatewayPopulationWithOptions(r, hops, rng,
-				gateway.Options{SchedCacheEntries: 4 * r * hops}, 0)
+			gw, _ := workload.GatewayPopulation(r, hops, rng)
 			w := gw.NewWorker()
 			reqs := make([]gateway.BuildReq, batch)
 			res := make([]gateway.BuildRes, batch)
@@ -220,12 +201,9 @@ func BenchmarkFig6GatewayBatch(b *testing.B) {
 					reqs[j].ResID = ids[(base+j)%len(ids)]
 				}
 			}
-			// Warm the σ-cipher cache over the full working set before
-			// timing, so the one-time cipher expansions are not counted.
-			for base := 0; base < len(ids); base += batch {
-				fill(base)
-				w.BuildBatch(reqs, res, workload.EpochNs)
-			}
+			// One untimed batch grows the worker's scratch.
+			fill(0)
+			w.BuildBatch(reqs, res, workload.EpochNs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -241,58 +219,29 @@ func BenchmarkFig6GatewayBatch(b *testing.B) {
 
 // BenchmarkFig6BorderRouterBatch: batched stateless validation vs. batch
 // size over the same population as BenchmarkFig6BorderRouter. batch=1 is
-// the uncached single-packet Process path; larger batches run ProcessBatch
-// with the σ-derivation cache enabled.
+// what the single-packet Process runs; larger batches amortize the counter
+// flushes.
 func BenchmarkFig6BorderRouterBatch(b *testing.B) {
 	const r, hops = 1 << 10, 4
-	mkPkts := func(gw *gateway.Gateway) [][]byte {
-		w := gw.NewWorker()
-		pkts := make([][]byte, 4096)
-		for i := range pkts {
-			buf := make([]byte, 512)
-			sz, err := w.Build(uint32(1+i%r), nil, buf, workload.EpochNs+int64(i))
-			if err != nil {
-				b.Fatal(err)
-			}
-			pkt := buf[:sz]
-			packet.SetCurrHopInPlace(pkt, hops-1)
-			pkts[i] = pkt
-		}
-		return pkts
-	}
 	for _, batch := range []int{1, 8, 32, 64} {
 		b.Run(fmt.Sprintf("batch=%d", batch), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(9))
-			if batch == 1 {
-				gw, routers := workload.GatewayPopulation(r, hops, rng)
-				pkts := mkPkts(gw)
-				w := routers[hops-1].NewWorker()
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := w.Process(pkts[i%len(pkts)], workload.EpochNs); err != nil {
-						b.Fatal(err)
-					}
+			gw, routers := workload.GatewayPopulation(r, hops, rng)
+			gww := gw.NewWorker()
+			pkts := make([][]byte, 4096)
+			for i := range pkts {
+				buf := make([]byte, 512)
+				sz, err := gww.Build(uint32(1+i%r), nil, buf, workload.EpochNs+int64(i))
+				if err != nil {
+					b.Fatal(err)
 				}
-				reportMpps(b, int64(b.N))
-				return
+				pkts[i] = buf[:sz]
+				packet.SetCurrHopInPlace(pkts[i], hops-1)
 			}
-			// 4× the distinct last-hop σ inputs, for the same conflict-miss
-			// reason as the gateway bench above.
-			gw, routers := workload.GatewayPopulationWithOptions(r, hops, rng,
-				gateway.Options{}, 4*r)
-			pkts := mkPkts(gw)
 			w := routers[hops-1].NewWorker()
 			verdicts := make([]router.BatchVerdict, batch)
-			// Warm the σ-derivation cache before timing: each distinct σ
-			// input appears once per sweep, so sweep enough times that hot
-			// entries reach the hardware-promotion threshold outside the
-			// timed loop.
-			for s := 0; s < 20; s++ {
-				for i := 0; i+batch <= len(pkts); i += batch {
-					w.ProcessBatch(pkts[i:i+batch], verdicts, workload.EpochNs)
-				}
-			}
+			// One untimed batch grows the worker's decode scratch.
+			w.ProcessBatch(pkts[:batch], verdicts, workload.EpochNs)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -328,8 +277,8 @@ func reportMppsPerWorker(b *testing.B, pkts int64, workers int) {
 // per-flow decision — is identical across the sweep; only the degree of
 // parallelism varies. Mpps is the aggregate rate; Mpps/worker is the
 // normalized series whose flatness is the scaling claim (meaningful only
-// where GOMAXPROCS ≥ workers). Caches are warmed before timing and the
-// timed loop must be allocation-free.
+// where GOMAXPROCS ≥ workers). The scatter/gather scratch is grown before
+// timing and the timed loop must be allocation-free.
 func BenchmarkFig6Parallel(b *testing.B) {
 	const r, hops, shards, batch = 1 << 10, 4, 8, 256
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -350,21 +299,17 @@ func BenchmarkFig6Parallel(b *testing.B) {
 			}
 			sh := router.NewSharded(router.ShardedConfig{
 				Router: router.Config{
-					IA:                topology.MustIA(1, hops),
-					Secret:            secrets[hops-1],
-					SigmaCacheEntries: 4 * r,
+					IA:     topology.MustIA(1, hops),
+					Secret: secrets[hops-1],
 				},
 				Shards:  shards,
 				Workers: workers,
 			})
 			defer sh.Close()
 			verdicts := make([]router.BatchVerdict, batch)
-			// Warm every shard's σ-cache past the promotion threshold and
-			// grow the scatter/gather scratch outside the timed loop.
-			for s := 0; s < 20; s++ {
-				for i := 0; i+batch <= len(pkts); i += batch {
-					sh.ProcessBatch(pkts[i:i+batch], verdicts, workload.EpochNs)
-				}
+			// Grow the scatter/gather scratch outside the timed loop.
+			for i := 0; i+batch <= len(pkts); i += batch {
+				sh.ProcessBatch(pkts[i:i+batch], verdicts, workload.EpochNs)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -380,8 +325,7 @@ func BenchmarkFig6Parallel(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("gateway/workers=%d", workers), func(b *testing.B) {
 			rng := rand.New(rand.NewSource(17))
-			sg := gateway.NewSharded(topology.MustIA(1, 11),
-				gateway.Options{SchedCacheEntries: 4 * r * hops / shards}, shards, workers)
+			sg := gateway.NewSharded(topology.MustIA(1, 11), shards, workers)
 			defer sg.Close()
 			path := make([]packet.HopField, hops)
 			for i := range path {

@@ -11,7 +11,7 @@
 //
 // storm drives the §4.2 renewal storm through the live CPlane-backed
 // request path: -flows EERs (default 10⁶) all renewing in one 4 s window
-// across a CServ crash and recovery, swept over the -workers counts.
+// across a CServ crash and recovery.
 //
 // With -quick, reduced parameter grids keep the total runtime under a
 // minute; the default grids match the paper's sweeps (fig5/fig6 with
@@ -65,7 +65,7 @@ func main() {
 	dur := flag.Duration("duration", 300*time.Millisecond, "measurement time per data-plane point")
 	telFmt := flag.String("telemetry", "", "dump internal instruments at exit: text or json")
 	parallel := flag.String("parallel", "1,2,4,8", "comma-separated worker counts for the scale experiment")
-	shardedWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for fig6's sharded-pipeline and storm sweeps")
+	shardedWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for fig6's sharded-pipeline sweep")
 	stormFlows := flag.Int("flows", 1_000_000, "EER population for the storm experiment")
 	flag.Parse()
 
@@ -179,10 +179,9 @@ func main() {
 		fmt.Print(experiments.FormatCPlane(rows))
 	})
 	run("storm", func() {
-		cfg := experiments.StormConfig{Flows: *stormFlows, Workers: fig6Workers}
+		cfg := experiments.StormConfig{Flows: *stormFlows}
 		if *quick {
 			cfg.Flows = 10_000
-			cfg.Workers = []int{1, 4}
 		}
 		r, err := experiments.RunStorm(cfg)
 		if err != nil {

@@ -23,9 +23,9 @@
 //     atomic writes (Store/Add/Swap/CompareAndSwap/Or/And on a typed
 //     atomic, or a legacy atomic write) from at most one function;
 //     constructors are exempt (pre-publication initialization). The
-//     annotation turns a comment like "written only by the owning worker"
-//     into an enforced invariant — e.g. the σ-cache hit counters that
-//     Merge reads from another goroutine.
+//     annotation turns a comment like "written only by reserveTs" into
+//     an enforced invariant — e.g. the gateway's lastTs timestamp word
+//     that every worker's BuildBatch reads.
 package main
 
 import (

@@ -103,10 +103,6 @@ type Options struct {
 	// admission engine (a power of two; 0 = 1). Each shard admits SegRs
 	// against its 1/shards share of every link.
 	CPlaneShards int
-	// CPlaneWorkers fans batched renewal waves across this many goroutines
-	// per AS (0 or 1 = inline). With more than one worker, call Close when
-	// done with the network.
-	CPlaneWorkers int
 }
 
 // Network is a fully wired multi-AS Colibri deployment.
@@ -181,8 +177,7 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 			RateLimit: opts.RateLimit,
 			Telemetry: node.Telemetry,
 
-			CPlaneShards:  opts.CPlaneShards,
-			CPlaneWorkers: opts.CPlaneWorkers,
+			CPlaneShards: opts.CPlaneShards,
 		})
 		rcfg := router.Config{IA: ia, Secret: asSecret, Telemetry: node.Telemetry}
 		if opts.EnableReplaySuppression {
@@ -256,14 +251,6 @@ func (n *Network) Tick() {
 		node := n.nodes[ia]
 		node.CServ.Tick()
 		node.Gateway.Expire(now)
-	}
-}
-
-// Close releases per-node resources (CPlane worker pools). Only needed when
-// the network was built with Options.CPlaneWorkers > 1.
-func (n *Network) Close() {
-	for _, ia := range n.Topo.SortedIAs() {
-		n.nodes[ia].CServ.Close()
 	}
 }
 

@@ -129,6 +129,5 @@ func TestShortResponseDoesNotPanic(t *testing.T) {
 		if _, err := src.RequestEER(1, 2, hd.IA, 500); err != nil {
 			t.Fatalf("shards=%d: an honest setup after the lies: %v", shards, err)
 		}
-		net.Close()
 	}
 }

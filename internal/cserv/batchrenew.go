@@ -8,8 +8,8 @@
 // wave of renewals that share one SegR chain (same SegIDs, Splits, and Path
 // — the common case, since a source AS's flows to one destination ride the
 // same chain) travels as one message with one MAC per hop, and the handler
-// feeds the single-segment items of the wave to CPlane.RenewBatch, which
-// takes each shard lock once per wave instead of once per renewal.
+// settles every item of the wave, in wave order, under one acquisition of
+// the covering SegRs' shard locks instead of one per renewal.
 //
 // The per-item protocol semantics mirror processEESetup's renewal leg:
 // idempotent dedup by (ID, Ver, ExpT), the per-EER renewal throttle, grants

@@ -159,9 +159,6 @@ type Config struct {
 	// power of two; 0 = 1. The store keeps the SegR protocol state (versions,
 	// tokens, idempotency keys).
 	CPlaneShards int
-	// CPlaneWorkers fans RenewBatch shard buckets across this many goroutines
-	// (0 or 1 = inline); call Close on the Service when using more than one.
-	CPlaneWorkers int
 	// Telemetry is the AS-wide registry the service's metrics and lifecycle
 	// tracer attach to; a private registry is created when nil.
 	Telemetry *telemetry.Registry
@@ -216,11 +213,10 @@ func New(cfg Config) *Service {
 		cfg.Split = admission.DefaultSplit
 	}
 	cp, err := NewCPlane(CPlaneConfig{
-		AS:      cfg.AS,
-		Split:   cfg.Split,
-		Shards:  cfg.CPlaneShards,
-		Clock:   cfg.Clock,
-		Workers: cfg.CPlaneWorkers,
+		AS:     cfg.AS,
+		Split:  cfg.Split,
+		Shards: cfg.CPlaneShards,
+		Clock:  cfg.Clock,
 	})
 	if err != nil {
 		panic(err)
@@ -276,10 +272,6 @@ func (s *Service) Store() *reservation.Store { return s.store }
 // CPlane exposes the control-plane engine that holds the admission state.
 func (s *Service) CPlane() *CPlane { return s.cp }
 
-// Close releases background resources (the CPlane's batch workers); no
-// request may be in flight.
-func (s *Service) Close() { s.cp.Close() }
-
 // Secret returns the AS data-plane secret shared with the border routers.
 func (s *Service) Secret() cryptoutil.Key { return s.secret }
 
@@ -310,6 +302,9 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
+		if idx == 0 {
+			return (&SegSetupResp{Reason: s.refuseHop0()}).Marshal(), nil
+		}
 		resp := s.processSegSetup(req, idx, accumFromReq(req))
 		return resp.Marshal(), nil
 	case tagSegActivate:
@@ -320,6 +315,9 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		idx, err := s.hopIndex(req.Path)
 		if err != nil {
 			return nil, err
+		}
+		if idx == 0 {
+			return (&SegSetupResp{Reason: s.refuseHop0()}).Marshal(), nil
 		}
 		resp := s.processSegActivate(req, idx)
 		return resp.Marshal(), nil
@@ -334,6 +332,9 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		idx, err := s.hopIndex(req.Path)
 		if err != nil {
 			return nil, err
+		}
+		if idx == 0 {
+			return (&EESetupResp{Reason: s.refuseHop0()}).Marshal(), nil
 		}
 		// As with accumFromReq: forwarders always set AccumKbps and zero is
 		// a real accumulated grant, not "unset".
@@ -350,6 +351,9 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		idx, err := s.hopIndex(sc.req.Path)
 		if err != nil {
 			return nil, err
+		}
+		if idx == 0 {
+			return (&EEBatchRenewResp{Reason: s.refuseHop0()}).Marshal(), nil
 		}
 		return s.processEEBatchRenew(sc, idx).Marshal(), nil
 	case tagDownReq:
@@ -370,6 +374,14 @@ func (s *Service) hopIndex(path []PathHop) (int, error) {
 		}
 	}
 	return 0, ErrNotOnPath
+}
+
+// refuseHop0 answers a message that names this AS as hop 0: the initiator
+// calls process* directly and never sends itself one, and hop 0 carries no MAC
+// to check, so what arrives claiming it fails authentication like a bad MAC.
+func (s *Service) refuseHop0() string {
+	s.metrics.AuthFailures.Add(1)
+	return "authentication: " + ErrAuth.Error()
 }
 
 // accumFromReq reads the accumulated grant forwarded by the previous hop.

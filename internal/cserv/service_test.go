@@ -362,6 +362,148 @@ func TestControlPlaneAuthRejected(t *testing.T) {
 	}
 }
 
+// countingPolicy is AllowAll that counts the AllowEER questions it is asked.
+type countingPolicy struct {
+	AllowAll
+	asked int
+}
+
+func (p *countingPolicy) AllowEER(uint32, reservation.ID, uint64, uint32) error {
+	p.asked++
+	return nil
+}
+
+// TestHopZeroOverWireRefused: a control message that arrives through
+// HandleMsg and names the receiving AS as hop 0 of its path carries no MAC
+// the AS could check — the genuine initiator never sends itself one. For
+// every tag it must be refused like a bad MAC, before the host policy, the
+// CPlane or the transport see anything of it; the initiator's own requests
+// keep working.
+func TestHopZeroOverWireRefused(t *testing.T) {
+	victim := ia(1, 11)
+	pol := &countingPolicy{}
+	calls := 0
+	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
+		if iaKey == victim {
+			cfg.Policy = pol
+			cfg.Transport = captureTransport{inner: cfg.Transport, keep: func([]byte) { calls++ }}
+		}
+	})
+	up, _, _ := f.setupAllSegRs(t, 100_000)
+	src := f.services[victim]
+	g, err := src.RequestEER(1, 2, ia(2, 11), 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// Well-formed in every respect but the MACs, which hop 0 never reads.
+	seg := f.reg.UpSegments(victim)[0]
+	segSetup := SegSetupReq{
+		ID: reservation.ID{SrcAS: victim, Num: 4242}, SegType: seg.Type, Path: HopsFromSegment(seg),
+		MaxKbps: 5_000, AccumKbps: 5_000, ExpT: t0 + reservation.SegRLifetimeSeconds, Ver: 1,
+	}
+	segSetup.Macs = make([][cryptoutil.MACSize]byte, len(segSetup.Path))
+	segRenew := segSetup
+	segRenew.ID, segRenew.Ver, segRenew.Renewal = up.ID, up.Active.Ver+1, true
+	segActivate := SegActivateReq{ID: up.ID, Ver: up.Active.Ver, Path: segSetup.Path, Macs: segSetup.Macs}
+	eeSetup := EESetupReq{
+		ID: reservation.ID{SrcAS: victim, Num: 4243}, SegIDs: g.SegIDs, Splits: g.Splits, Path: g.PathHops,
+		BwKbps: 5_000, AccumKbps: 5_000, ExpT: t0 + reservation.EERLifetimeSeconds, Ver: 1, SrcHost: 9, DstHost: 2,
+		Macs: make([][cryptoutil.MACSize]byte, len(g.PathHops)),
+	}
+	eeRenew := eeSetup
+	eeRenew.ID, eeRenew.Ver, eeRenew.ExpT, eeRenew.Renewal = g.ID, g.Res.Ver+1, g.Res.ExpT+4, true
+	wave := EEBatchRenewReq{
+		SegIDs: g.SegIDs, Splits: g.Splits, Path: g.PathHops, Macs: eeSetup.Macs,
+		Items:  []EEBatchItem{{ID: g.ID, Ver: g.Res.Ver + 1, BwKbps: 5_000, ExpT: g.Res.ExpT + 4, SrcHost: 1, DstHost: 2}},
+		Accums: []uint64{5_000}, Status: []uint8{EEItemOK},
+	}
+
+	segResp := func(b []byte) (bool, uint8, string, error) {
+		r, err := UnmarshalSegSetupResp(b)
+		if err != nil {
+			return false, 0, "", err
+		}
+		return r.OK, r.FailedAt, r.Reason, nil
+	}
+	eeResp := func(b []byte) (bool, uint8, string, error) {
+		r, err := UnmarshalEESetupResp(b)
+		if err != nil {
+			return false, 0, "", err
+		}
+		return r.OK, r.FailedAt, r.Reason, nil
+	}
+	waveResp := func(b []byte) (bool, uint8, string, error) {
+		r, err := UnmarshalEEBatchRenewResp(b)
+		if err != nil {
+			return false, 0, "", err
+		}
+		return r.OK, r.FailedAt, r.Reason, nil
+	}
+	for _, tc := range []struct {
+		tag    byte
+		msg    []byte
+		decode func([]byte) (bool, uint8, string, error)
+	}{
+		{tagSegSetup, segSetup.Marshal(), segResp},
+		{tagSegRenew, segRenew.Marshal(), segResp},
+		{tagSegActivate, segActivate.Marshal(), segResp},
+		{tagEESetup, eeSetup.Marshal(), eeResp},
+		{tagEERenew, eeRenew.Marshal(), eeResp},
+		{tagEEBatchRenew, wave.Marshal(), waveResp},
+	} {
+		if tc.msg[0] != tc.tag {
+			t.Fatalf("tag %d: the encoder wrote tag %d", tc.tag, tc.msg[0])
+		}
+		counts := src.CPlane().Counts()
+		upMax, _ := src.CPlane().SegDemandMax(up.ID)
+		auth, asked, sent := src.Metrics().AuthFailures.Value(), pol.asked, calls
+
+		out, err := src.HandleMsg(tc.msg)
+		if err != nil {
+			t.Fatalf("tag %d: %v", tc.tag, err)
+		}
+		ok, at, reason, err := tc.decode(out)
+		if err != nil {
+			t.Fatalf("tag %d: answer does not parse: %v", tc.tag, err)
+		}
+		if ok || at != 0 || !strings.Contains(reason, "authentication") {
+			t.Errorf("tag %d: answer ok=%v hop %d %q, want an authentication failure at hop 0", tc.tag, ok, at, reason)
+		}
+		if got := src.CPlane().Counts(); got != counts {
+			t.Errorf("tag %d: CPlane counts %+v, were %+v", tc.tag, got, counts)
+		}
+		if got, _ := src.CPlane().SegDemandMax(up.ID); got != upMax {
+			t.Errorf("tag %d: demand on %s is %d kbps, was %d", tc.tag, up.ID, got, upMax)
+		}
+		if pol.asked != asked {
+			t.Errorf("tag %d: the host policy was consulted", tc.tag)
+		}
+		if calls != sent {
+			t.Errorf("tag %d: %d messages went downstream", tc.tag, calls-sent)
+		}
+		if got := src.Metrics().AuthFailures.Value(); got != auth+1 {
+			t.Errorf("tag %d: AuthFailures %d → %d, want +1", tc.tag, auth, got)
+		}
+	}
+
+	// The initiator itself is hop 0 of everything it starts.
+	f.clock.Store(t0 + 4)
+	if _, err := src.SetupSegment(seg, 0, 1_000); err != nil {
+		t.Errorf("own SetupSegment: %v", err)
+	}
+	g2, err := src.RequestEER(3, 2, ia(2, 11), 1_000)
+	if err != nil {
+		t.Fatalf("own RequestEER: %v", err)
+	}
+	if _, err := src.RenewEER(g, 2_000); err != nil {
+		t.Errorf("own RenewEER: %v", err)
+	}
+	if _, errs := src.RenewEERBatch([]*EERGrant{g2}, []uint64{2_000}); errs[0] != nil {
+		t.Errorf("own RenewEERBatch: %v", errs[0])
+	}
+}
+
 func TestRateLimiting(t *testing.T) {
 	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
 		cfg.RateLimit = 2

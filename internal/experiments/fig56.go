@@ -264,20 +264,17 @@ func RunFig6Sharded(workers []int, perPoint time.Duration) []Fig6ShardedRow {
 	for _, nw := range workers {
 		sh := router.NewSharded(router.ShardedConfig{
 			Router: router.Config{
-				IA:                topology.MustIA(1, hops),
-				Secret:            secrets[hops-1],
-				SigmaCacheEntries: 4 * r,
-				Telemetry:         telemetryReg,
+				IA:        topology.MustIA(1, hops),
+				Secret:    secrets[hops-1],
+				Telemetry: telemetryReg,
 			},
 			Shards:  shards,
 			Workers: nw,
 		})
 		verdicts := make([]router.BatchVerdict, batch)
 		runtime.GC()
-		for s := 0; s < 20; s++ { // σ-cache warm-up past the promotion threshold
-			for i := 0; i+batch <= len(pkts); i += batch {
-				sh.ProcessBatch(pkts[i:i+batch], verdicts, workload.EpochNs)
-			}
+		for i := 0; i+batch <= len(pkts); i += batch { // grow the per-shard scratch
+			sh.ProcessBatch(pkts[i:i+batch], verdicts, workload.EpochNs)
 		}
 		ops := 0
 		start := nowNs()
@@ -291,14 +288,12 @@ func RunFig6Sharded(workers []int, perPoint time.Duration) []Fig6ShardedRow {
 		elapsed := float64(nowNs()-start) / 1e9
 		mpps := float64(ops) / elapsed / 1e6
 		rows = append(rows, Fig6ShardedRow{Component: "border-router", Workers: nw, Mpps: mpps, PerWorker: normalize(mpps, nw)})
-		sh.Merge() // fold per-shard σ-cache stats into router.cache.{hits,misses}
 		sh.Close()
 	}
 
 	// Gateway: fresh sharded gateway per worker count, 4-hop paths.
 	for _, nw := range workers {
-		sg := gateway.NewSharded(topology.MustIA(1, 11),
-			gateway.Options{SchedCacheEntries: 4 * r * hops / shards}, shards, nw)
+		sg := gateway.NewSharded(topology.MustIA(1, 11), shards, nw)
 		if telemetryReg != nil {
 			sg.EnableTelemetry(telemetryReg)
 		}
@@ -315,7 +310,7 @@ func RunFig6Sharded(workers []int, perPoint time.Duration) []Fig6ShardedRow {
 			}
 		}
 		runtime.GC()
-		for base := 0; base < len(ids); base += batch { // σ-cache warm-up
+		for base := 0; base < len(ids); base += batch { // grow the per-shard scratch
 			fill(base)
 			sg.BuildBatch(reqs, outs, workload.EpochNs)
 		}
@@ -333,7 +328,6 @@ func RunFig6Sharded(workers []int, perPoint time.Duration) []Fig6ShardedRow {
 		elapsed := float64(nowNs()-start) / 1e9
 		mpps := float64(ops) / elapsed / 1e6
 		rows = append(rows, Fig6ShardedRow{Component: "gateway", Workers: nw, Mpps: mpps, PerWorker: normalize(mpps, nw)})
-		sg.Merge() // fold per-shard σ-cache stats into gateway.cache.{hits,misses}
 		sg.Close()
 	}
 	return rows

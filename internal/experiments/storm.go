@@ -18,8 +18,7 @@ import (
 // window — the §4.2 worst case. Mid-run, the core CServ 2-1 crashes for
 // longer than an EER lifetime, so every flow falls back to best-effort
 // (§3.2) and must be re-promoted by re-admission once the CServ recovers.
-// The same logical run is repeated for each CPlane worker count, measuring
-// the batched renewal wave's throughput.
+// The run measures the batched renewal wave's throughput.
 type StormConfig struct {
 	// Seed drives the retry jitter; same seed, same run.
 	Seed uint64
@@ -32,8 +31,6 @@ type StormConfig struct {
 	SegRKbps uint64
 	// Shards is the per-AS CPlane shard count (default 8).
 	Shards int
-	// Workers are the CPlane worker counts to sweep (default 1, 2, 4, 8).
-	Workers []int
 	// BatchSize caps one renewal wave message (default cserv's 4096).
 	BatchSize int
 	// LeadS is the keepers' renewal lead time (default 4 s).
@@ -61,9 +58,6 @@ func (c StormConfig) withDefaults() StormConfig {
 	if c.Shards == 0 {
 		c.Shards = 8
 	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2, 4, 8}
-	}
 	if c.LeadS == 0 {
 		c.LeadS = 4
 	}
@@ -73,12 +67,9 @@ func (c StormConfig) withDefaults() StormConfig {
 	return c
 }
 
-// StormRow is one worker count's run. The logical outcome (everything except
-// the timings and the derived rate) must be identical across rows: the sweep
-// varies only how many goroutines process the shard buckets.
+// StormRow is one run's outcome. Everything except the timings and the
+// derived rate is a function of the config alone.
 type StormRow struct {
-	Workers int
-
 	// EstablishNs is the time to admit the whole fleet; StormNs the first
 	// full renewal wave (every EER at once, through the batched path);
 	// RecoverNs the re-admission wave after the crash.
@@ -102,10 +93,11 @@ type StormRow struct {
 	OverAdmitted bool
 }
 
-// StormResult aggregates the sweep.
+// StormResult is a run's outcome with the config (defaults filled in) that
+// produced it.
 type StormResult struct {
 	Config StormConfig
-	Rows   []StormRow
+	Row    StormRow
 }
 
 // stormGW is the minimal gateway the keepers drive; the storm measures
@@ -121,22 +113,11 @@ func (g *stormGW) Install(packet.ResInfo, packet.EERInfo, []packet.HopField, []c
 func (g *stormGW) Demote(uint32) bool  { return true }
 func (g *stormGW) Promote(uint32) bool { return true }
 
-// RunStorm executes the sweep.
+// RunStorm executes the scenario.
 func RunStorm(cfg StormConfig) (*StormResult, error) {
 	cfg = cfg.withDefaults()
 	res := &StormResult{Config: cfg}
-	for _, w := range cfg.Workers {
-		row, err := runStormRow(cfg, w)
-		if err != nil {
-			return nil, fmt.Errorf("storm: workers=%d: %w", w, err)
-		}
-		res.Rows = append(res.Rows, *row)
-	}
-	return res, nil
-}
-
-func runStormRow(cfg StormConfig, workers int) (*StormRow, error) {
-	row := &StormRow{Workers: workers}
+	row := &res.Row
 	topo := topology.TwoISD(topology.LinkSpec{})
 	crashIA := topology.MustIA(2, 1)
 	armed := false
@@ -145,9 +126,8 @@ func runStormRow(cfg StormConfig, workers int) (*StormRow, error) {
 	net, err := core.NewNetwork(topo, core.Options{
 		// The whole fleet arrives in single virtual seconds; the per-AS
 		// request budget must not be the bottleneck under test.
-		RateLimit:     1 << 30,
-		CPlaneShards:  cfg.Shards,
-		CPlaneWorkers: workers,
+		RateLimit:    1 << 30,
+		CPlaneShards: cfg.Shards,
 		WrapTransport: func(ia topology.IA, inner cserv.Transport) cserv.Transport {
 			rt := cserv.NewRetryTransport(
 				&chaosTransport{self: ia, inner: inner, plans: plans, armed: &armed},
@@ -160,7 +140,6 @@ func runStormRow(cfg StormConfig, workers int) (*StormRow, error) {
 	if err != nil {
 		return nil, err
 	}
-	defer net.Close()
 	for _, ia := range topo.SortedIAs() {
 		plans[ia] = netsim.NewFaultPlan(cfg.Seed ^ uint64(ia))
 	}
@@ -185,7 +164,7 @@ func runStormRow(cfg StormConfig, workers int) (*StormRow, error) {
 	for i := 0; i < cfg.Flows; i++ {
 		g, gerr := src.RequestEER(uint32(i+1), uint32(1<<20+i), topology.MustIA(2, 11), cfg.BwKbps)
 		if gerr != nil {
-			return nil, fmt.Errorf("establishing flow %d: %w", i, gerr)
+			return nil, fmt.Errorf("storm: establishing flow %d: %w", i, gerr)
 		}
 		fleet.Add(cserv.NewEERKeeper(src, gw, g, uint32(cfg.LeadS)))
 	}
@@ -230,7 +209,7 @@ func runStormRow(cfg StormConfig, workers int) (*StormRow, error) {
 		row.DedupHits += net.Node(ia).CServ.Metrics().DedupHits.Value()
 	}
 	row.OverAdmitted = stormOverAdmitted(net, topo)
-	return row, nil
+	return res, nil
 }
 
 // stormOverAdmitted checks the zero-double-admission invariant: at every AS,
@@ -262,24 +241,23 @@ func stormOverAdmitted(net *core.Network, topo *topology.Topology) bool {
 	return false
 }
 
-// FormatStorm renders the sweep.
+// FormatStorm renders the run.
 func FormatStorm(r *StormResult) string {
 	var b strings.Builder
 	c := r.Config
 	fmt.Fprintf(&b, "§4.2 — renewal storm through the live CPlane path\n")
 	fmt.Fprintf(&b, "scenario: %d EERs renewing in one %d s window, %d shards, CServ 2-1 down [%d s, %d s), seed %d\n",
 		c.Flows, c.LeadS, c.Shards, c.CrashFrom, c.CrashTo, c.Seed)
-	fmt.Fprintf(&b, "| workers | establish | storm wave | renew/s | recover wave | demotions | re-promotions | dedups | over-admission |\n")
-	fmt.Fprintf(&b, "|---:|---:|---:|---:|---:|---:|---:|---:|:---|\n")
-	for _, row := range r.Rows {
-		over := "none"
-		if row.OverAdmitted {
-			over = "VIOLATED"
-		}
-		fmt.Fprintf(&b, "| %d | %s | %s | %.0f | %s | %d | %d | %d | %s |\n",
-			row.Workers, fmtNs(row.EstablishNs), fmtNs(row.StormNs), row.RenewPerSec,
-			fmtNs(row.RecoverNs), row.Demotions, row.Promotions, row.DedupHits, over)
+	fmt.Fprintf(&b, "| establish | storm wave | renew/s | recover wave | demotions | re-promotions | dedups | over-admission |\n")
+	fmt.Fprintf(&b, "|---:|---:|---:|---:|---:|---:|---:|:---|\n")
+	row := r.Row
+	over := "none"
+	if row.OverAdmitted {
+		over = "VIOLATED"
 	}
+	fmt.Fprintf(&b, "| %s | %s | %.0f | %s | %d | %d | %d | %s |\n",
+		fmtNs(row.EstablishNs), fmtNs(row.StormNs), row.RenewPerSec,
+		fmtNs(row.RecoverNs), row.Demotions, row.Promotions, row.DedupHits, over)
 	return b.String()
 }
 

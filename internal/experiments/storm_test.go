@@ -4,12 +4,11 @@ import "testing"
 
 // smallStorm is the CI-sized storm: enough flows to fill several batch
 // waves, small enough to run in seconds.
-func smallStorm(workers []int) StormConfig {
+func smallStorm() StormConfig {
 	return StormConfig{
 		Seed:      11,
 		Flows:     2_000,
 		BatchSize: 512,
-		Workers:   workers,
 	}
 }
 
@@ -20,11 +19,11 @@ func smallStorm(workers []int) StormConfig {
 func TestStormFailover(t *testing.T) {
 	restore := SetClock(StepClock(0, 1000))
 	defer restore()
-	res, err := RunStorm(smallStorm([]int{1}))
+	res, err := RunStorm(smallStorm())
 	if err != nil {
 		t.Fatal(err)
 	}
-	row := res.Rows[0]
+	row := res.Row
 	flows := uint64(res.Config.Flows)
 	if row.StormRenewed != flows {
 		t.Errorf("storm wave renewed %d of %d flows", row.StormRenewed, flows)
@@ -46,33 +45,13 @@ func TestStormFailover(t *testing.T) {
 	}
 }
 
-// TestStormWorkersEquivalent pins the logical outcome across the worker
-// sweep: parallelizing the shard buckets must not change a single decision.
-func TestStormWorkersEquivalent(t *testing.T) {
-	restore := SetClock(StepClock(0, 1000))
-	defer restore()
-	res, err := RunStorm(smallStorm([]int{1, 2, 4}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	base := res.Rows[0]
-	for _, row := range res.Rows[1:] {
-		if row.StormRenewed != base.StormRenewed || row.Demotions != base.Demotions ||
-			row.Promotions != base.Promotions || row.Failures != base.Failures ||
-			row.DedupHits != base.DedupHits || row.OverAdmitted != base.OverAdmitted {
-			t.Errorf("workers=%d diverges from workers=%d:\n%+v\n%+v",
-				row.Workers, base.Workers, row, base)
-		}
-	}
-}
-
 // TestStormDeterministic pins seed-determinism of the whole scenario,
 // including the formatted report, under the step clock.
 func TestStormDeterministic(t *testing.T) {
 	run := func() string {
 		restore := SetClock(StepClock(0, 1000))
 		defer restore()
-		res, err := RunStorm(smallStorm([]int{2}))
+		res, err := RunStorm(smallStorm())
 		if err != nil {
 			t.Fatal(err)
 		}

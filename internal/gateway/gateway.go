@@ -28,12 +28,10 @@ import (
 )
 
 // Entry is the per-EER state installed after setup or renewal. The hop
-// authenticators are stored as raw keys and by default expanded per packet,
-// exactly as the paper's DPDK gateway does with hardware AES key
-// expansion — caching expanded schedules multiplies the per-reservation
-// memory footprint whose cache behaviour Fig. 5 evaluates, which is why
-// the σ-schedule cache is an explicit opt-in (Options.SchedCacheEntries)
-// with its own bounded memory.
+// authenticators are stored as raw keys and expanded per packet, exactly
+// as the paper's DPDK gateway does with hardware AES key expansion: the
+// per-reservation footprint whose cache behaviour Fig. 5 evaluates stays
+// 16 B per hop.
 type Entry struct {
 	Res  packet.ResInfo
 	EER  packet.EERInfo
@@ -43,29 +41,12 @@ type Entry struct {
 	// MonitorKbps is the rate enforced by deterministic monitoring: the
 	// maximum over the EER's valid versions (§4.8).
 	MonitorKbps uint64
-	// epoch is the gateway-wide install sequence number of this entry.
-	// Workers key cached σ schedules by (ResID, hop, epoch), so a renewal
-	// (which replaces the Entry and bumps the epoch) invalidates every
-	// cached schedule of the old authenticators without any cache walk.
-	epoch uint32
 	// demoted marks a flow whose renewal ultimately failed: Build refuses
 	// it with ErrDemoted so the caller sends best-effort instead of
 	// blackholing on a reservation about to die (§3.2's graceful
 	// degradation). Install of a fresh version clears it (re-promotion).
 	// Atomic because workers read it outside the gateway lock.
 	demoted atomic.Bool
-}
-
-// Options configure optional gateway features.
-type Options struct {
-	// SchedCacheEntries, when > 0, gives every worker a private σ-schedule
-	// cache of that many entries (rounded up to a power of two), so the
-	// AES key expansion runs once per (reservation, hop) per renewal epoch
-	// instead of once per packet. Memory is bounded at ≈ 200 B × entries
-	// per worker (see cryptoutil.SchedCache).
-	// The default 0 keeps the paper-faithful uncached path, whose
-	// state-size cache behaviour Fig. 5 measures.
-	SchedCacheEntries int
 }
 
 // Gateway errors.
@@ -84,13 +65,9 @@ var (
 // safe for concurrent use.
 type Gateway struct {
 	srcAS topology.IA
-	opts  Options
 	mu    sync.RWMutex
 	byID  map[uint32]*Entry
 	mon   *monitor.FlowMonitor
-	// installSeq numbers installs; each Entry records its value as the
-	// σ-schedule cache epoch. Written only by Install.
-	installSeq atomic.Uint32 //colibri:singlewriter
 	// lastTs backs the uniqueness of timestamps across all flows. Written
 	// only by reserveTs (the build path's timestamp reservation).
 	lastTs atomic.Uint64 //colibri:singlewriter
@@ -145,14 +122,10 @@ func (g *Gateway) EnableTelemetry(reg *telemetry.Registry) {
 	g.tel.Store(t)
 }
 
-// New builds a gateway for the AS with default options (uncached σ path).
-func New(srcAS topology.IA) *Gateway { return NewWithOptions(srcAS, Options{}) }
-
-// NewWithOptions builds a gateway with explicit options.
-func NewWithOptions(srcAS topology.IA, opts Options) *Gateway {
+// New builds a gateway for the AS.
+func New(srcAS topology.IA) *Gateway {
 	return &Gateway{
 		srcAS: srcAS,
-		opts:  opts,
 		byID:  make(map[uint32]*Entry),
 		mon:   monitor.NewFlowMonitor(),
 	}
@@ -173,7 +146,6 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		Path:        append([]packet.HopField(nil), path...),
 		auths:       append([]cryptoutil.Key(nil), auths...),
 		MonitorKbps: uint64(res.BwKbps),
-		epoch:       g.installSeq.Add(1),
 	}
 	g.mu.Lock()
 	promoted := false
@@ -338,8 +310,6 @@ type Worker struct {
 	hvfIn  [packet.HVFInputLen]byte
 	macOut [cryptoutil.MACSize]byte
 	ks     cryptoutil.AESSchedule
-	// cache holds expanded σ schedules when Options.SchedCacheEntries > 0.
-	cache *cryptoutil.SchedCache
 
 	// Batch scratch, grown to the largest batch seen and then reused.
 	entries []*Entry
@@ -354,37 +324,7 @@ type Worker struct {
 
 // NewWorker creates a packet-building worker.
 func (g *Gateway) NewWorker() *Worker {
-	w := &Worker{g: g}
-	if g.opts.SchedCacheEntries > 0 {
-		w.cache = cryptoutil.NewSchedCache(g.opts.SchedCacheEntries)
-	}
-	return w
-}
-
-// SchedCacheStats returns the worker's σ-schedule cache hit/miss counts
-// (zero when caching is disabled).
-func (w *Worker) SchedCacheStats() (hits, misses uint64) {
-	if w.cache == nil {
-		return 0, 0
-	}
-	return w.cache.Stats()
-}
-
-// buildHVFsCached computes the packet's HVFs through the σ-schedule cache.
-// The cache is keyed by (ResID, hop) and epoch-invalidated on renewal:
-// equal tags at equal epochs always carry equal σ, so a hit is exact. A
-// cached schedule is used immediately (it is only valid until the next
-// lookup); bypassed hops fall back to the worker's private expansion.
-func (w *Worker) buildHVFsCached(e *Entry, pkt *packet.Packet) {
-	base := uint64(e.Res.ResID) << 8
-	for h := range e.auths {
-		if ks := w.cache.Schedule(base|uint64(h), e.epoch, &e.auths[h]); ks != nil {
-			cryptoutil.EncryptAES128(ks, &w.macOut, &w.hvfIn)
-		} else { // admission bypass: expand privately
-			cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
-		}
-		copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
-	}
+	return &Worker{g: g}
 }
 
 // grow sizes the batch scratch for n requests without allocating on the
@@ -532,13 +472,9 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 			} else {
 				pkt.HVFs = pkt.HVFs[:len(e.Path)*packet.HVFLen]
 			}
-			if w.cache != nil {
-				w.buildHVFsCached(e, pkt)
-			} else {
-				for h := range e.auths {
-					cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
-					copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
-				}
+			for h := range e.auths {
+				cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
+				copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
 			}
 			sz, err := pkt.SerializeTo(reqs[i].Out)
 			outs[i] = BuildRes{N: sz, Err: err}

@@ -15,8 +15,7 @@
 // Telemetry merges by name: all shards attach to one registry, whose
 // counters are lock-free and whose gauges are maintained with deltas, so
 // dashboards see gateway-wide totals under the unchanged series names.
-// σ-schedule cache hit/miss counts are folded into
-// gateway.cache.{hits,misses} at Merge.
+// There is nothing to merge across shards: reservations never span them.
 package gateway
 
 import (
@@ -55,20 +54,12 @@ type Sharded struct {
 	shards []*shardG
 	pool   *shardpool.Pool
 	mask   uint64
-
-	// cacheHits/cacheMisses receive σ-schedule-cache deltas at Merge under
-	// the stable names gateway.cache.{hits,misses}.
-	cacheHits, cacheMisses *telemetry.Counter
-	lastHits, lastMisses   uint64
 }
 
 // NewSharded builds a sharded gateway for the AS: `shards` flow shards
 // (rounded up to a power of two; default workers) fanned out over `workers`
-// pool goroutines (default GOMAXPROCS; 1 = inline). opts apply to every
-// shard — with SchedCacheEntries > 0 each shard worker owns a private
-// σ-schedule cache, the core-local-cache half of the RSS design. Close
-// releases the pool.
-func NewSharded(srcAS topology.IA, opts Options, shards, workers int) *Sharded {
+// pool goroutines (default GOMAXPROCS; 1 = inline). Close releases the pool.
+func NewSharded(srcAS topology.IA, shards, workers int) *Sharded {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -84,7 +75,7 @@ func NewSharded(srcAS topology.IA, opts Options, shards, workers int) *Sharded {
 		mask:   uint64(n - 1),
 	}
 	for i := range s.shards {
-		g := NewWithOptions(srcAS, opts)
+		g := New(srcAS)
 		s.shards[i] = &shardG{g: g, w: g.NewWorker()}
 	}
 	s.pool = shardpool.New(workers, s.runShard)
@@ -161,15 +152,11 @@ func (s *Sharded) Len() int {
 
 // EnableTelemetry attaches every shard to the registry. Counters are shared
 // by name and gauges are delta-maintained, so the registry reports
-// gateway-wide totals under the same series a single gateway publishes;
-// gateway.cache.{hits,misses} additionally receive σ-schedule-cache deltas
-// at every Merge.
+// gateway-wide totals under the same series a single gateway publishes.
 func (s *Sharded) EnableTelemetry(reg *telemetry.Registry) {
 	for _, sh := range s.shards {
 		sh.g.EnableTelemetry(reg)
 	}
-	s.cacheHits = reg.Counter("gateway.cache.hits")
-	s.cacheMisses = reg.Counter("gateway.cache.misses")
 }
 
 // runShard builds one shard's slice of the current batch on a pool worker.
@@ -218,30 +205,6 @@ func (s *Sharded) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int 
 		built += sh.built
 	}
 	return built
-}
-
-// Merge folds per-shard σ-schedule-cache hit/miss counts into the stable
-// gateway.cache.{hits,misses} counters (no-op without telemetry). The
-// gateway has no other cross-shard state: reservations never span shards.
-func (s *Sharded) Merge() {
-	if s.cacheHits == nil {
-		return
-	}
-	hits, misses := s.CacheStats()
-	s.cacheHits.Add(hits - s.lastHits)
-	s.cacheMisses.Add(misses - s.lastMisses)
-	s.lastHits, s.lastMisses = hits, misses
-}
-
-// CacheStats sums the σ-schedule cache hit/miss counts over all shard
-// workers.
-func (s *Sharded) CacheStats() (hits, misses uint64) {
-	for _, sh := range s.shards {
-		h, m := sh.w.SchedCacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // Close releases the worker pool. The Sharded must be idle.

@@ -42,8 +42,8 @@ func installFleet(t *testing.T, single *Gateway, sharded *Sharded, nRes int) {
 func TestShardedGatewayDifferential(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		for seed := int64(1); seed <= 3; seed++ {
-			single := NewWithOptions(srcAS, Options{SchedCacheEntries: 64})
-			sh := NewSharded(srcAS, Options{SchedCacheEntries: 64}, 8, workers)
+			single := New(srcAS)
+			sh := NewSharded(srcAS, 8, workers)
 			const nRes = 40
 			installFleet(t, single, sh, nRes)
 			w := single.NewWorker()
@@ -120,14 +120,14 @@ func maskTsAndHVFs(buf []byte) {
 	}
 }
 
-// TestShardedGatewayMergeRace drives BuildBatch while Merge, CacheStats,
-// Len, and telemetry snapshots run concurrently from another goroutine —
-// under -race this proves the build path shares no unsynchronized state with
-// the reconciliation path (the static shardown/atomics invariants,
-// cross-checked dynamically), and every slot's outcome must still be
-// well-formed.
-func TestShardedGatewayMergeRace(t *testing.T) {
-	sh := NewSharded(srcAS, Options{SchedCacheEntries: 64}, 4, 4)
+// TestShardedGatewayControlRace drives BuildBatch while Install (renewal),
+// Remove, Demote/Promote, Len, and telemetry snapshots run concurrently from
+// another goroutine — under -race this proves the build path shares no
+// unsynchronized state with the control-plane entry points (the static
+// shardown/atomics invariants, cross-checked dynamically), and every slot's
+// outcome must still be well-formed.
+func TestShardedGatewayControlRace(t *testing.T) {
+	sh := NewSharded(srcAS, 4, 4)
 	defer sh.Close()
 	reg := telemetry.NewRegistry("gw-race")
 	sh.EnableTelemetry(reg)
@@ -143,14 +143,26 @@ func TestShardedGatewayMergeRace(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
+		ctl := rand.New(rand.NewSource(11))
 		for {
 			select {
 			case <-stop:
 				return
 			default:
 			}
-			sh.Merge()
-			sh.CacheStats()
+			id := uint32(1 + ctl.Intn(nRes))
+			switch ctl.Intn(4) {
+			case 0:
+				sh.Remove(id)
+			case 1:
+				sh.Demote(id)
+			case 2:
+				sh.Promote(id)
+			}
+			if err := sh.Install(testRes(id, 8000), packet.EERInfo{}, tPath, tAuths); err != nil {
+				t.Error(err)
+				return
+			}
 			sh.Len()
 			reg.Snapshot()
 		}
@@ -178,8 +190,11 @@ func TestShardedGatewayMergeRace(t *testing.T) {
 			t.Fatalf("batch %d: built %d out of range", b, built)
 		}
 		for i := range outs {
-			if outs[i].Err == nil && outs[i].N == 0 {
+			switch err := outs[i].Err; {
+			case err == nil && outs[i].N == 0:
 				t.Fatalf("batch %d slot %d: zero-length success", b, i)
+			case err != nil && !errors.Is(err, ErrUnknownRes) && !errors.Is(err, ErrDemoted) && !errors.Is(err, ErrRateExceeded):
+				t.Fatalf("batch %d slot %d: %v", b, i, err)
 			}
 		}
 	}
@@ -192,7 +207,7 @@ func TestShardedGatewayMergeRace(t *testing.T) {
 // lastTs — a reservation never spans shards, so shard-local uniqueness is
 // global uniqueness.
 func TestShardedGatewayTsMonotonePerRes(t *testing.T) {
-	sh := NewSharded(srcAS, Options{}, 4, 4)
+	sh := NewSharded(srcAS, 4, 4)
 	defer sh.Close()
 	const nRes = 9
 	for i := 1; i <= nRes; i++ {
@@ -228,7 +243,7 @@ func TestShardedGatewayTsMonotonePerRes(t *testing.T) {
 // TestShardedGatewayPlacementAndLifecycle: control-plane calls must land on
 // the owning shard, and Len/Expire must aggregate across shards.
 func TestShardedGatewayPlacementAndLifecycle(t *testing.T) {
-	sh := NewSharded(srcAS, Options{}, 8, 2)
+	sh := NewSharded(srcAS, 8, 2)
 	defer sh.Close()
 	for i := 1; i <= 32; i++ {
 		res := testRes(uint32(i), 8000)
@@ -261,11 +276,11 @@ func TestShardedGatewayPlacementAndLifecycle(t *testing.T) {
 }
 
 // TestShardedGatewayTelemetry: shards sharing one registry must sum into the
-// single gateway's series names (delta-maintained resident gauge), and Merge
-// must fold σ-cache hits/misses into gateway.cache.{hits,misses}.
+// single gateway's series names (delta-maintained resident gauge, shared
+// outcome counters).
 func TestShardedGatewayTelemetry(t *testing.T) {
 	reg := telemetry.NewRegistry("gw")
-	sh := NewSharded(srcAS, Options{SchedCacheEntries: 64}, 4, 2)
+	sh := NewSharded(srcAS, 4, 2)
 	defer sh.Close()
 	sh.EnableTelemetry(reg)
 	const nRes = 16
@@ -284,25 +299,16 @@ func TestShardedGatewayTelemetry(t *testing.T) {
 	reqs := make([]BuildReq, 32)
 	outs := make([]BuildRes, len(reqs))
 	for i := range reqs {
-		reqs[i] = BuildReq{ResID: uint32(3 + i%8), Out: make([]byte, 2048)}
+		reqs[i] = BuildReq{ResID: uint32(1 + i%8), Out: make([]byte, 2048)} // res 2 is gone: 4 rejects per batch
 	}
-	for b := 0; b < 4; b++ {
+	const batches = 4
+	for b := 0; b < batches; b++ {
 		sh.BuildBatch(reqs, outs, baseNs+int64(b)*1e6)
 	}
-	sh.Merge()
-	hits, misses := sh.CacheStats()
-	if hits == 0 {
-		t.Fatal("repeated builds produced no σ-cache hits")
+	if got := reg.Counter("gateway.built").Value(); got != batches*28 {
+		t.Fatalf("gateway.built=%d, want %d", got, batches*28)
 	}
-	if got := reg.Counter("gateway.cache.hits").Value(); got != hits {
-		t.Fatalf("gateway.cache.hits=%d, want %d", got, hits)
-	}
-	if got := reg.Counter("gateway.cache.misses").Value(); got != misses {
-		t.Fatalf("gateway.cache.misses=%d, want %d", got, misses)
-	}
-	// A second Merge with no traffic in between must add nothing.
-	sh.Merge()
-	if got := reg.Counter("gateway.cache.hits").Value(); got != hits {
-		t.Fatalf("idle Merge changed gateway.cache.hits to %d", got)
+	if got := reg.Counter("gateway.rejected").Value(); got != batches*4 {
+		t.Fatalf("gateway.rejected=%d, want %d", got, batches*4)
 	}
 }

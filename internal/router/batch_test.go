@@ -70,42 +70,6 @@ func TestProcessBatchMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestProcessBatchCachedMatchesUncached: with the σ-derivation cache
-// enabled (sized small enough to force evictions and bypasses), every
-// verdict must equal the uncached router's — the cache is invisible except
-// for speed.
-func TestProcessBatchCachedMatchesUncached(t *testing.T) {
-	nCached := newTestnet(t, func(i int, cfg *Config) { cfg.SigmaCacheEntries = 2 })
-	nPlain := newTestnet(t, nil)
-
-	mk := func(n *testnet) [][]byte {
-		var bufs [][]byte
-		for i := 0; i < 64; i++ {
-			bufs = append(bufs, n.buildPacket(t, []byte{byte(i)}, baseNs+int64(i)*1e6))
-		}
-		tamperBw(t, bufs[5]) // header tamper → bad HVF
-		return bufs
-	}
-	setC, setP := mk(nCached), mk(nPlain)
-
-	wC := nCached.routers[0].NewWorker()
-	wP := nPlain.routers[0].NewWorker()
-	vC := make([]BatchVerdict, 8)
-	for off := 0; off+8 <= len(setC); off += 8 {
-		wC.ProcessBatch(setC[off:off+8], vC, baseNs+int64(off)*1e6)
-		for i := 0; i < 8; i++ {
-			v, err := wP.Process(setP[off+i], baseNs+int64(off)*1e6)
-			if vC[i].Action != v.Action || fmt.Sprint(vC[i].Err) != fmt.Sprint(err) {
-				t.Errorf("pkt %d: cached (%v,%v) vs uncached (%v,%v)",
-					off+i, vC[i].Action, vC[i].Err, v.Action, err)
-			}
-		}
-	}
-	if hits, misses := wC.SigmaCacheStats(); hits == 0 || misses == 0 {
-		t.Errorf("σ-cache not exercised: hits=%d misses=%d", hits, misses)
-	}
-}
-
 // TestProcessBatchVerdictSliceTooShort: the documented panic on a verdict
 // slice shorter than the packet slice.
 func TestProcessBatchVerdictSliceTooShort(t *testing.T) {

@@ -121,14 +121,6 @@ type Config struct {
 	// ReservePool here, so escalated flows of one reservation are policed to
 	// the exact aggregate rate across shards (see monitor's reserve.go).
 	DetMonitor *monitor.FlowMonitor
-	// SigmaCacheEntries, when > 0, gives every worker a private σ-cache of
-	// that many entries (rounded up to a power of two): the σ derivation
-	// (3-block CBC-MAC) and its AES key schedule are computed once per
-	// distinct Eq. (4) input instead of once per packet. Entries store the
-	// full MAC input and hits require an exact match, so caching never
-	// changes a verdict. Memory ≈ 230 B × entries per worker. Default 0
-	// keeps the paper-faithful stateless path.
-	SigmaCacheEntries int
 	// Telemetry attaches the router's instruments to an AS-wide registry
 	// and enables the optional processed-packets counter and the
 	// drop-verdict tracer. When nil the router still keeps its per-reason
@@ -147,7 +139,6 @@ type Router struct {
 	blocklist   *monitor.Blocklist
 	onOveruse   func(id reservation.ID)
 	policeOnly  bool
-	sigmaCache  int
 	detMon      *monitor.FlowMonitor
 
 	// drops counts processing outcomes per reason. Sharded lock-free
@@ -191,7 +182,6 @@ func New(cfg Config) *Router {
 		blocklist:   cfg.Blocklist,
 		onOveruse:   cfg.OnOveruse,
 		policeOnly:  cfg.PoliceOnly,
-		sigmaCache:  cfg.SigmaCacheEntries,
 		detMon:      cfg.DetMonitor,
 	}
 	if reg := cfg.Telemetry; reg != nil {
@@ -330,26 +320,11 @@ type Worker struct {
 	sigma  cryptoutil.Key
 	macOut [cryptoutil.MACSize]byte
 	ks     cryptoutil.AESSchedule
-	// sc caches σ derivations when Config.SigmaCacheEntries > 0.
-	sc *sigmaCache
 }
 
 // NewWorker creates a processing worker.
 func (r *Router) NewWorker() *Worker {
-	w := &Worker{r: r, cbc: cryptoutil.MustCBCMAC(r.secret)}
-	if r.sigmaCache > 0 {
-		w.sc = newSigmaCache(r.sigmaCache)
-	}
-	return w
-}
-
-// SigmaCacheStats returns the worker's σ-cache hit/miss counts (zero when
-// caching is disabled).
-func (w *Worker) SigmaCacheStats() (hits, misses uint64) {
-	if w.sc == nil {
-		return 0, 0
-	}
-	return w.sc.stats()
+	return &Worker{r: r, cbc: cryptoutil.MustCBCMAC(r.secret)}
 }
 
 // Process validates the serialized Colibri packet in buf at time nowNs and
@@ -443,21 +418,10 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 		// Two-step EER validation (Eqs. 4 and 6). The σ-keyed MAC uses the
 		// allocation-free caller-owned schedule: σ changes per packet, and
 		// heap churn from per-packet key schedules would let the GC dominate.
-		// With a σ-cache, repeat reservations skip the derivation and the
-		// key expansion entirely (exact-input match, so verdicts are
-		// unchanged).
 		packet.EERAuthInput(&w.eerIn, &pkt.Res, &pkt.EER, hop)
 		packet.HVFInput(&w.hvfIn, pkt.Ts, uint32(len(buf)))
-		var ks *cryptoutil.AESSchedule
-		if w.sc != nil {
-			ks = w.sc.block(&w.eerIn, w.cbc)
-		}
-		if ks != nil {
-			cryptoutil.EncryptAES128(ks, &w.macOut, &w.hvfIn)
-		} else {
-			w.cbc.SumInto((*[cryptoutil.MACSize]byte)(&w.sigma), w.eerIn[:])
-			cryptoutil.SigmaMAC(&w.ks, &w.sigma, &w.macOut, &w.hvfIn)
-		}
+		w.cbc.SumInto((*[cryptoutil.MACSize]byte)(&w.sigma), w.eerIn[:])
+		cryptoutil.SigmaMAC(&w.ks, &w.sigma, &w.macOut, &w.hvfIn)
 		if !cryptoutil.ConstantTimeEqual(w.macOut[:packet.HVFLen], pkt.HVF(idx)) {
 			w.countDrop(acc, DropBadHVF, nowNs, true)
 			return Verdict{Action: ADrop}, ErrBadHVF

@@ -6,10 +6,10 @@
 // complete core-local protection stack — its own Router with a private
 // replay filter (split per-shard via replay.Config.Split), OFD sketch
 // (ofd.Config.Split), blocklist and deterministic flow monitor (the watch
-// table), plus a dedicated Worker with its own σ-schedule cache — so the per-packet
-// path touches no mutable state shared between shards. The only cross-shard
-// words are (a) the flow-level shared token reserves (one lock-free Reserve
-// per escalated reservation, touched only on local token exhaustion; see
+// table), plus a dedicated Worker — so the per-packet path touches no
+// mutable state shared between shards. The only cross-shard words are (a)
+// the flow-level shared token reserves (one lock-free Reserve per escalated
+// reservation, touched only on local token exhaustion; see
 // monitor/reserve.go) and (b) the sharded telemetry counters, which are
 // lock-free by construction.
 //
@@ -32,17 +32,16 @@ import (
 	"colibri/internal/replay"
 	"colibri/internal/reservation"
 	"colibri/internal/shardpool"
-	"colibri/internal/telemetry"
 	"colibri/internal/topology"
 )
 
 // ShardedConfig assembles a sharded router.
 type ShardedConfig struct {
 	// Router is the per-shard template (IA, Secret, freshness, policing
-	// stance, σ-cache size, telemetry registry). Its Replay, OFD, and
-	// DetMonitor fields must be nil: per-shard instances are built from the
-	// split configs below. A non-nil Blocklist becomes the global view and
-	// seeds every shard.
+	// stance, telemetry registry). Its Replay, OFD, and DetMonitor fields
+	// must be nil: per-shard instances are built from the split configs
+	// below. A non-nil Blocklist becomes the global view and seeds every
+	// shard.
 	Router Config
 	// Replay, when non-nil, gives every shard a private suppressor sized by
 	// Replay.Split(shards).
@@ -96,12 +95,6 @@ type Sharded struct {
 	// reserves holds the shared full-rate token reserves of escalated flows.
 	reserves *monitor.ReservePool
 
-	// cacheHits/cacheMisses, when telemetry is enabled, receive σ-cache
-	// hit/miss deltas at every Merge under the stable dashboard names
-	// router.cache.{hits,misses}. last* remember what was already pushed.
-	cacheHits, cacheMisses *telemetry.Counter
-	lastHits, lastMisses   uint64
-
 	hasRegistry bool
 }
 
@@ -150,10 +143,6 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		global:      global,
 		reserves:    monitor.NewReservePool(),
 		hasRegistry: cfg.Router.Telemetry != nil,
-	}
-	if reg := cfg.Router.Telemetry; reg != nil {
-		s.cacheHits = reg.Counter("router.cache.hits")
-		s.cacheMisses = reg.Counter("router.cache.misses")
 	}
 	for i := range s.shards {
 		rcfg := cfg.Router
@@ -276,12 +265,11 @@ func (s *Sharded) Blocklist() *monitor.Blocklist { return s.global }
 
 // Merge reconciles cross-shard state off the packet path: shard-earned
 // blocklist entries are promoted to the global view and pushed back to all
-// shards, σ-cache hit/miss deltas are folded into the stable
-// router.cache.{hits,misses} counters, and freshly flagged OFD suspects are
-// drained, escalated to deterministic monitoring on every shard, and
-// returned. Call it periodically (it is cheap when nothing changed) or
-// whenever a fresh global view is needed. Merge never stalls the packet
-// path: shards keep processing against their local state while it runs.
+// shards, and freshly flagged OFD suspects are drained, escalated to
+// deterministic monitoring on every shard, and returned. Call it
+// periodically (it is cheap when nothing changed) or whenever a fresh
+// global view is needed. Merge never stalls the packet path: shards keep
+// processing against their local state while it runs.
 func (s *Sharded) Merge() []reservation.ID {
 	// Blocklists: union up, then push down.
 	for _, sh := range s.shards {
@@ -289,15 +277,6 @@ func (s *Sharded) Merge() []reservation.ID {
 	}
 	for _, sh := range s.shards {
 		sh.r.Blocklist().MergeFrom(s.global)
-	}
-
-	// σ-cache telemetry (satellite of the sharding work: dashboards keep
-	// one hits/misses pair regardless of shard count).
-	if s.cacheHits != nil {
-		hits, misses := s.CacheStats()
-		s.cacheHits.Add(hits - s.lastHits)
-		s.cacheMisses.Add(misses - s.lastMisses)
-		s.lastHits, s.lastMisses = hits, misses
 	}
 
 	// OFD promotion: a flow its shard's sketch flagged goes under deterministic
@@ -312,16 +291,6 @@ func (s *Sharded) Merge() []reservation.ID {
 		}
 	}
 	return flagged
-}
-
-// CacheStats sums the σ-cache hit/miss counts over all shard workers.
-func (s *Sharded) CacheStats() (hits, misses uint64) {
-	for _, sh := range s.shards {
-		h, m := sh.w.SigmaCacheStats()
-		hits += h
-		misses += m
-	}
-	return hits, misses
 }
 
 // Drops returns the per-reason drop counts across all shards.

@@ -104,20 +104,8 @@ func GatewayPopulation(r, hops int, rng *rand.Rand) (*gateway.Gateway, []*router
 // GatewayPopulationWithSecrets additionally returns the per-hop AS secrets,
 // for building router variants (ablations) over the same population.
 func GatewayPopulationWithSecrets(r, hops int, rng *rand.Rand) (*gateway.Gateway, []*router.Router, []cryptoutil.Key) {
-	return populate(r, hops, rng, gateway.Options{}, 0)
-}
-
-// GatewayPopulationWithOptions is GatewayPopulation with explicit gateway
-// options and per-worker router σ-cache sizing — the fixture of the batched
-// pipeline benchmarks (cached vs. uncached over the same population).
-func GatewayPopulationWithOptions(r, hops int, rng *rand.Rand, gwOpts gateway.Options, sigmaCacheEntries int) (*gateway.Gateway, []*router.Router) {
-	gw, routers, _ := populate(r, hops, rng, gwOpts, sigmaCacheEntries)
-	return gw, routers
-}
-
-func populate(r, hops int, rng *rand.Rand, gwOpts gateway.Options, sigmaCacheEntries int) (*gateway.Gateway, []*router.Router, []cryptoutil.Key) {
 	srcAS := topology.MustIA(1, 11)
-	gw := gateway.NewWithOptions(srcAS, gwOpts)
+	gw := gateway.New(srcAS)
 
 	secrets := make([]cryptoutil.Key, hops)
 	macs := make([]*cryptoutil.CBCMAC, hops)
@@ -126,9 +114,8 @@ func populate(r, hops int, rng *rand.Rand, gwOpts gateway.Options, sigmaCacheEnt
 		_, _ = rng.Read(secrets[i][:]) // rand.Rand.Read never fails
 		macs[i] = cryptoutil.MustCBCMAC(secrets[i])
 		routers[i] = router.New(router.Config{
-			IA:                topology.MustIA(1, topology.ASID(i+1)),
-			Secret:            secrets[i],
-			SigmaCacheEntries: sigmaCacheEntries,
+			IA:     topology.MustIA(1, topology.ASID(i+1)),
+			Secret: secrets[i],
 		})
 	}
 	path := make([]packet.HopField, hops)
