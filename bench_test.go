@@ -69,28 +69,27 @@ func BenchmarkFig3SegRAdmission(b *testing.B) {
 	}
 }
 
-// BenchmarkFig4EERAdmission: EER admission at a transit AS vs. existing EERs
-// over the same SegR and SegRs with the same source (paper: flat, >2000
-// admissions per second per core).
+// BenchmarkFig4EERAdmission: EER admission at a transit AS — the engine calls
+// a CServ handler makes per hop — vs. existing EERs over the same SegR and
+// SegRs with the same source (paper: flat, >2000 admissions per second per
+// core).
 func BenchmarkFig4EERAdmission(b *testing.B) {
 	for _, s := range []int{1, 5000, 10_000} {
 		for _, n := range []int{10, 1000, 100_000} {
 			b.Run(fmt.Sprintf("eers=%d/s=%d", n, s), func(b *testing.B) {
-				store, segID, err := workload.EERPopulation(s, n)
+				cp, segID, err := workload.EERPopulation(s, n)
 				if err != nil {
 					b.Fatal(err)
 				}
 				id := reservation.ID{SrcAS: topology.MustIA(1, 77), Num: 1 << 24}
-				v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: workload.Epoch + 16}
+				segs := []reservation.ID{segID}
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					if err := store.AdmitEERVersion(&reservation.EER{ID: id}, []reservation.ID{segID}, v, workload.Epoch); err != nil {
+					if err := cp.SetupEERPath(id, segs, 1, workload.Epoch+16, 1); err != nil {
 						b.Fatal(err)
 					}
-					if err := store.RemoveEERVersion(id, 1); err != nil {
-						b.Fatal(err)
-					}
+					cp.TeardownEERPath(id, segs)
 				}
 			})
 		}
@@ -504,15 +503,15 @@ func BenchmarkCServThroughput(b *testing.B) {
 		}
 	})
 	b.Run("eer", func(b *testing.B) {
-		store, segID, err := workload.EERPopulation(1, 0)
+		cp, segID, err := workload.EERPopulation(1, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
-		v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: workload.Epoch + 16}
+		segs := []reservation.ID{segID}
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			id := reservation.ID{SrcAS: topology.MustIA(1, 77), Num: uint32(i + 1)}
-			if err := store.AdmitEERVersion(&reservation.EER{ID: id}, []reservation.ID{segID}, v, workload.Epoch); err != nil {
+			if err := cp.SetupEERPath(id, segs, 1, workload.Epoch+16, 1); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -520,97 +519,88 @@ func BenchmarkCServThroughput(b *testing.B) {
 }
 
 // BenchmarkCPlane: renewal throughput of the sharded control-plane engine
-// (cserv.CPlane) vs. concurrent-EER population, admission implementation and
-// shard count. One iteration is one full renewal wave over the population
-// via RenewBatch; the ns/renew and renews/s metrics are per-EER, directly
-// comparable across populations. Populations above 10^4 (including the
-// million-EER point) run only without -short; the naive O(n) admission is
-// skipped at 10^6 where its quadratic SegR-setup phase alone would dominate
-// the suite.
+// (cserv.CPlane) vs. concurrent-EER population and shard count. One iteration
+// is one full renewal wave over the population via RenewBatch; the ns/renew
+// and renews/s metrics are per-EER, directly comparable across populations.
+// Populations above 10^4 (including the million-EER point) run only without
+// -short.
 func BenchmarkCPlane(b *testing.B) {
 	sizes := []int{1_000, 10_000}
 	if !testing.Short() {
 		sizes = append(sizes, 100_000, 1_000_000)
 	}
-	impls := []string{admission.ImplNaive, admission.ImplMemoized, admission.ImplRestree}
 	for _, n := range sizes {
-		for _, impl := range impls {
-			if impl == admission.ImplNaive && n > 100_000 {
-				continue
-			}
-			for _, shards := range []int{1, 4, 16} {
-				b.Run(fmt.Sprintf("eers=%d/impl=%s/shards=%d", n, impl, shards), func(b *testing.B) {
-					segrs := n / 10
-					var now uint32 = 1_000_000
-					src := topology.MustIA(1, 7)
-					topo := topology.New()
-					topo.AddAS(topology.MustIA(1, 1), true)
-					capKbps := uint64(segrs) * 2_000
-					if capKbps < 1_000_000 {
-						capKbps = 1_000_000
-					}
-					for i := 1; i <= 4; i++ {
-						nbr := topology.MustIA(1, topology.ASID(100+i))
-						topo.AddAS(nbr, true)
-						topo.MustConnect(topology.MustIA(1, 1), topology.IfID(i), nbr, 1,
-							topology.LinkCore, topology.LinkSpec{CapacityKbps: capKbps})
-					}
-					cp, err := cserv.NewCPlane(cserv.CPlaneConfig{
-						AS:            topo.AS(topology.MustIA(1, 1)),
-						Split:         admission.DefaultSplit,
-						Shards:        shards,
-						AdmissionImpl: impl,
-						LedgerEpochs:  64,
-						Clock:         func() uint32 { return now },
-					})
-					if err != nil {
+		for _, shards := range []int{1, 4, 16} {
+			b.Run(fmt.Sprintf("eers=%d/shards=%d", n, shards), func(b *testing.B) {
+				segrs := n / 10
+				var now uint32 = 1_000_000
+				src := topology.MustIA(1, 7)
+				topo := topology.New()
+				topo.AddAS(topology.MustIA(1, 1), true)
+				capKbps := uint64(segrs) * 2_000
+				if capKbps < 1_000_000 {
+					capKbps = 1_000_000
+				}
+				for i := 1; i <= 4; i++ {
+					nbr := topology.MustIA(1, topology.ASID(100+i))
+					topo.AddAS(nbr, true)
+					topo.MustConnect(topology.MustIA(1, 1), topology.IfID(i), nbr, 1,
+						topology.LinkCore, topology.LinkSpec{CapacityKbps: capKbps})
+				}
+				cp, err := cserv.NewCPlane(cserv.CPlaneConfig{
+					AS:           topo.AS(topology.MustIA(1, 1)),
+					Split:        admission.DefaultSplit,
+					Shards:       shards,
+					LedgerEpochs: 64,
+					Clock:        func() uint32 { return now },
+				})
+				if err != nil {
+					b.Fatal(err)
+				}
+				segID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(i)} }
+				eerID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(1<<30 | i)} }
+				for i := 0; i < segrs; i++ {
+					if _, err := cp.AddSegR(admission.Request{
+						ID: segID(i), Src: src,
+						In: topology.IfID(1 + i%4), Eg: topology.IfID(1 + (i+1)%4),
+						MaxKbps: 1_000,
+					}); err != nil {
 						b.Fatal(err)
 					}
-					segID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(i)} }
-					eerID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(1<<30 | i)} }
-					for i := 0; i < segrs; i++ {
-						if _, err := cp.AddSegR(admission.Request{
-							ID: segID(i), Src: src,
-							In: topology.IfID(1 + i%4), Eg: topology.IfID(1 + (i+1)%4),
-							MaxKbps: 1_000,
-						}); err != nil {
-							b.Fatal(err)
-						}
+				}
+				items := make([]cserv.EERRenewal, n)
+				results := make([]cserv.RenewResult, n)
+				for i := 0; i < n; i++ {
+					if err := cp.SetupEER(eerID(i), segID(i%segrs), 100, now+16); err != nil {
+						b.Fatal(err)
 					}
-					items := make([]cserv.EERRenewal, n)
-					results := make([]cserv.RenewResult, n)
-					for i := 0; i < n; i++ {
-						if err := cp.SetupEER(eerID(i), segID(i%segrs), 100, now+16); err != nil {
-							b.Fatal(err)
-						}
-						items[i] = cserv.EERRenewal{EER: eerID(i), Seg: segID(i % segrs), BwKbps: 100}
+					items[i] = cserv.EERRenewal{EER: eerID(i), Seg: segID(i % segrs), BwKbps: 100}
+				}
+				wave := func() {
+					now += 4
+					for i := range items {
+						items[i].ExpT = now + 16
 					}
-					wave := func() {
-						now += 4
-						for i := range items {
-							items[i].ExpT = now + 16
-						}
-						cp.RenewBatch(items, results)
+					cp.RenewBatch(items, results)
+				}
+				wave() // warm up ledger heaps and map buckets
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					wave()
+				}
+				b.StopTimer()
+				for i := range results {
+					if results[i].Err != nil {
+						b.Fatalf("renewal %d: %v", i, results[i].Err)
 					}
-					wave() // warm up ledger heaps and map buckets
-					b.ReportAllocs()
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						wave()
-					}
-					b.StopTimer()
-					for i := range results {
-						if results[i].Err != nil {
-							b.Fatalf("renewal %d: %v", i, results[i].Err)
-						}
-					}
-					renewals := int64(b.N) * int64(n)
-					if sec := b.Elapsed().Seconds(); sec > 0 {
-						b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(renewals), "ns/renew")
-						b.ReportMetric(float64(renewals)/sec, "renews/s")
-					}
-				})
-			}
+				}
+				renewals := int64(b.N) * int64(n)
+				if sec := b.Elapsed().Seconds(); sec > 0 {
+					b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(renewals), "ns/renew")
+					b.ReportMetric(float64(renewals)/sec, "renews/s")
+				}
+			})
 		}
 	}
 }

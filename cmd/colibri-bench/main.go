@@ -9,6 +9,12 @@
 // flyover vs hummingbird behind policy.Policy): setup/renewal latency, hop
 // operations and the DoC-flood outcome per model and engine shard count.
 //
+// fig4 times EER admission on the engine a transit hop's handler runs
+// (cserv.CPlane: SetupEERPath + TeardownEERPath against s SegRs and n EERs).
+//
+// cplane sweeps that engine over EER populations and shard counts (SegR
+// admission has one implementation; there is no admitter dimension).
+//
 // storm drives the §4.2 renewal storm through the live CPlane-backed
 // request path: -flows EERs (default 10⁶) all renewing in one 4 s window
 // across a CServ crash and recovery.

@@ -60,15 +60,9 @@ type Request struct {
 	// In, Eg are the local ingress/egress interfaces; 0 denotes the AS
 	// itself (first or last hop of the segment).
 	In, Eg topology.IfID
-	// MinKbps is the smallest acceptable grant; MaxKbps the demand.
+	// MinKbps is the smallest acceptable grant; MaxKbps the demand. A
+	// reservation stays charged until it is released.
 	MinKbps, MaxKbps uint64
-	// StartT/ExpT optionally bound the reservation's validity window in Unix
-	// seconds (end-exclusive). ExpT == 0 means an untimed reservation that
-	// stays charged until released; StartT == 0 means "now". Only the
-	// restree implementation uses the window — the memoized and naive
-	// implementations charge every reservation until release, which is the
-	// same thing for requests whose window covers the query horizon.
-	StartT, ExpT uint32
 }
 
 // Admission errors.

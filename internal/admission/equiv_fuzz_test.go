@@ -5,27 +5,33 @@ import (
 	"sort"
 	"testing"
 
+	"colibri/internal/reservation"
 	"colibri/internal/topology"
 )
 
+// admitter is what the harness drives: the operations the memoized State and
+// its oracle NaiveState share.
+type admitter interface {
+	AdmitSegR(Request) (uint64, error)
+	RenewSegR(Request) (uint64, error)
+	Release(reservation.ID)
+	SetTubeCapKbps(in, eg topology.IfID, capKbps uint64)
+	AllocatedKbps(eg topology.IfID) uint64
+	Len() int
+}
+
 // FuzzAdmissionEquivalence drives identical op sequences — setup, renew,
-// teardown, time advancement across epochs, tube-cap changes — through the
-// naive, memoized and restree implementations and requires equivalent
-// results:
+// teardown, time advancement with timed releases, tube-cap changes — through
+// the memoized State and the naive oracle and requires equivalent results:
+// the same error class on every op, and grants that agree within 1 kbps. The
+// naive implementation re-sums the adjusted demands of the *live* set in
+// insertion order, which is a different (deterministic) float evaluation
+// order than the memoized add/subtract history, so the last ulp of the
+// proportional share — and hence the truncated grant — may differ by one.
 //
-//   - memoized vs restree grants must be bit-identical (both accumulate the
-//     float adjusted-demand total in the same operation order, and the
-//     integer demand aggregates are exact in either representation);
-//   - naive grants must agree within 1 kbps: the naive implementation re-sums
-//     the adjusted demands of the *live* set in insertion order, which is a
-//     different (deterministic) float evaluation order than the memoized
-//     add/subtract history, so the last ulp of the proportional share — and
-//     hence the truncated grant — may differ by one.
-//
-// Timed reservations auto-expire in the restree implementation; the harness
-// mirrors each expiry into the other two as an explicit release in the same
-// (expiry epoch, admission order) order, so all three always see the same
-// live set.
+// Every reservation carries a lifetime; the harness releases the lapsed ones
+// from both implementations in (expiry epoch, admission order) order before
+// each op, so both always see the same live set.
 func FuzzAdmissionEquivalence(f *testing.F) {
 	// Ops are 4-byte groups: opcode, selector, and two parameter bytes.
 	op := func(code, sel, p0, p1 byte) []byte { return []byte{code, sel, p0, p1} }
@@ -80,10 +86,7 @@ func TestAdmissionEquivalenceSeeds(t *testing.T) {
 	runEquivalence(t, data)
 }
 
-const (
-	equivEpochSec = 4
-	equivHorizon  = 64
-)
+const equivEpochSec = 4
 
 type equivLive struct {
 	req      Request
@@ -94,20 +97,14 @@ type equivLive struct {
 func runEquivalence(t *testing.T, data []byte) {
 	as := testAS(t, 3, 50_000)
 	now := uint32(1_000)
-	res := NewRestreeState(as, DefaultSplit, RestreeConfig{
-		EpochSeconds: equivEpochSec, HorizonEpochs: equivHorizon,
-		Clock: func() uint32 { return now },
-	})
-	mem := NewState(as, DefaultSplit)
-	nai := NewNaiveState(as, DefaultSplit)
+	mem, nai := admitter(NewState(as, DefaultSplit)), admitter(NewNaiveState(as, DefaultSplit))
 
 	var live []equivLive
 	var seq uint64
 	nextNum := uint32(1)
 
-	// expire mirrors restree's advanceLocked into the other implementations:
-	// every live entry whose window ended at or before now is released in
-	// (expiry epoch, admission order) order.
+	// expire releases every live entry whose lifetime ended at or before now,
+	// in (expiry epoch, admission order) order.
 	expire := func() {
 		cur := int64(now / equivEpochSec)
 		var due []equivLive
@@ -132,18 +129,14 @@ func runEquivalence(t *testing.T, data []byte) {
 		}
 	}
 
-	checkErrs := func(opName string, em, en, er error) {
+	checkErrs := func(opName string, em, en error) {
 		for _, sentinel := range []error{ErrZeroDemand, ErrDuplicate, ErrUnknownIf, ErrBelowMinimum} {
-			if errors.Is(em, sentinel) != errors.Is(er, sentinel) ||
-				errors.Is(en, sentinel) != errors.Is(er, sentinel) {
-				t.Fatalf("%s: divergent error class: memoized=%v naive=%v restree=%v", opName, em, en, er)
+			if errors.Is(em, sentinel) != errors.Is(en, sentinel) {
+				t.Fatalf("%s: divergent error class: memoized=%v naive=%v", opName, em, en)
 			}
 		}
-		if errors.Is(er, ErrWindow) {
-			t.Fatalf("%s: restree rejected window: %v (harness must keep windows valid)", opName, er)
-		}
-		if (em == nil) != (er == nil) || (en == nil) != (er == nil) {
-			t.Fatalf("%s: divergent accept/reject: memoized=%v naive=%v restree=%v", opName, em, en, er)
+		if (em == nil) != (en == nil) {
+			t.Fatalf("%s: divergent accept/reject: memoized=%v naive=%v", opName, em, en)
 		}
 	}
 	// drift bounds the naive implementation's divergence: each grant may
@@ -151,16 +144,8 @@ func runEquivalence(t *testing.T, data []byte) {
 	// earlier differences feed back through allocEg — so the allowed
 	// per-grant divergence is the accumulated drift plus one.
 	var drift uint64
-	checkGrants := func(opName string, gm, gn, gr uint64) {
-		if gm != gr {
-			t.Fatalf("%s: memoized grant %d != restree grant %d", opName, gm, gr)
-		}
-		dn := uint64(0)
-		if gn > gm {
-			dn = gn - gm
-		} else {
-			dn = gm - gn
-		}
+	checkGrants := func(opName string, gm, gn uint64) {
+		dn := max(gm, gn) - min(gm, gn)
 		if dn > drift+1 {
 			t.Fatalf("%s: naive grant %d vs memoized %d (Δ %d > drift bound %d)",
 				opName, gn, gm, dn, drift+1)
@@ -172,10 +157,12 @@ func runEquivalence(t *testing.T, data []byte) {
 		r := req(nextNum, ia(1, topology.ASID(10+sel%8)),
 			topology.IfID(sel%2+1), 3, 0, uint64(1+uint64(p0)|uint64(p1)<<8)*37)
 		nextNum++
-		// Lifetime 4..227 s: always a valid window well inside the horizon
-		// (64 epochs × 4 s = 256 s).
-		r.ExpT = now + equivEpochSec + uint32(p0)%224
 		return r
+	}
+	// Lifetime 4..227 s from now, as the epoch it ends in.
+	endEpoch := func(p0 byte) int64 {
+		expT := uint64(now) + equivEpochSec + uint64(p0)%224
+		return int64((expT + equivEpochSec - 1) / equivEpochSec)
 	}
 
 	ops := 0
@@ -190,16 +177,11 @@ func runEquivalence(t *testing.T, data []byte) {
 			r := mkReq(sel, p0, p1)
 			gm, em := mem.AdmitSegR(r)
 			gn, en := nai.AdmitSegR(r)
-			gr, er := res.AdmitSegR(r)
-			checkErrs("admit", em, en, er)
-			if er == nil {
-				checkGrants("admit", gm, gn, gr)
+			checkErrs("admit", em, en)
+			if em == nil {
+				checkGrants("admit", gm, gn)
 				seq++
-				live = append(live, equivLive{
-					req:      r,
-					endEpoch: int64((uint64(r.ExpT) + equivEpochSec - 1) / equivEpochSec),
-					seq:      seq,
-				})
+				live = append(live, equivLive{req: r, endEpoch: endEpoch(p0), seq: seq})
 			}
 		case 2: // renew
 			if len(live) == 0 {
@@ -212,19 +194,13 @@ func runEquivalence(t *testing.T, data []byte) {
 			k := int(sel) % len(live)
 			r := live[k].req
 			r.MaxKbps = uint64(1+uint64(p0)|uint64(p1)<<8) * 37
-			r.ExpT = now + equivEpochSec + uint32(p0)%224
 			gm, em := mem.RenewSegR(r)
 			gn, en := nai.RenewSegR(r)
-			gr, er := res.RenewSegR(r)
-			checkErrs("renew", em, en, er)
-			if er == nil {
-				checkGrants("renew", gm, gn, gr)
+			checkErrs("renew", em, en)
+			if em == nil {
+				checkGrants("renew", gm, gn)
 				seq++
-				live[k] = equivLive{
-					req:      r,
-					endEpoch: int64((uint64(r.ExpT) + equivEpochSec - 1) / equivEpochSec),
-					seq:      seq,
-				}
+				live[k] = equivLive{req: r, endEpoch: endEpoch(p0), seq: seq}
 			}
 		case 3: // release
 			if len(live) == 0 {
@@ -238,7 +214,6 @@ func runEquivalence(t *testing.T, data []byte) {
 			id := live[k].req.ID
 			mem.Release(id)
 			nai.Release(id)
-			res.Release(id)
 			live = append(live[:k], live[k+1:]...)
 		case 4: // advance time
 			now += 1 + uint32(sel)%32
@@ -247,18 +222,13 @@ func runEquivalence(t *testing.T, data []byte) {
 			capKbps := uint64(p0%4) * 9_000
 			mem.SetTubeCapKbps(in, 3, capKbps)
 			nai.SetTubeCapKbps(in, 3, capKbps)
-			res.SetTubeCapKbps(in, 3, capKbps)
 		}
 	}
 	expire()
-	if lm, lr := mem.Len(), res.Len(); lm != lr {
-		t.Fatalf("final Len: memoized %d != restree %d", lm, lr)
+	if lm, ln := mem.Len(), nai.Len(); lm != ln || lm != len(live) {
+		t.Fatalf("final Len: memoized %d, naive %d, harness %d", lm, ln, len(live))
 	}
-	if am, ar := mem.AllocatedKbps(3), res.AllocatedKbps(3); am != ar {
-		t.Fatalf("final AllocatedKbps: memoized %d != restree %d", am, ar)
-	}
-	an := nai.AllocatedKbps(3)
-	am := mem.AllocatedKbps(3)
+	an, am := nai.AllocatedKbps(3), mem.AllocatedKbps(3)
 	tol := int64(drift) + 1
 	if d := int64(an) - int64(am); d < -tol || d > tol {
 		t.Fatalf("final AllocatedKbps: naive %d vs memoized %d beyond ±%d", an, am, tol)

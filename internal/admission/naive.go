@@ -13,8 +13,8 @@ import (
 // fairness admission without memoization: every admission recomputes the
 // ingress, tube, and per-source aggregates by iterating all existing
 // reservations — O(n) per request. It exists to (a) cross-check the memoized
-// and restree implementations and (b) quantify, in the ablation benchmarks,
-// the design choice that makes Fig. 3's constant-time admission possible
+// State (FuzzAdmissionEquivalence) and (b) quantify, in the ablation
+// benchmarks, the design choice that makes Fig. 3's constant-time admission possible
 // ("this result required the careful application of memoization", §6.2).
 //
 // Iteration follows insertion order (the order slice), not map order, so the

@@ -78,16 +78,4 @@ func BenchmarkAblationNaiveVsMemoized(b *testing.B) {
 			st.Release(probe.ID)
 		}
 	})
-	b.Run("restree", func(b *testing.B) {
-		st := NewRestreeState(testAS(b, 2, 100_000_000), DefaultSplit, RestreeConfig{})
-		populate(st.AdmitSegR)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			if _, err := st.AdmitSegR(probe); err != nil {
-				b.Fatal(err)
-			}
-			st.Release(probe.ID)
-		}
-	})
 }

@@ -109,6 +109,15 @@ func (t *TransferSplit) Charge(coreSegR, upSegR reservation.ID, demandKbps, gran
 	t.granted[coreSegR][upSegR] += grantKbps
 }
 
+// Books returns what the split holds for upSegR on coreSegR: the demand and
+// the grants of the EERs through the pair. With every admission returned as its
+// version went, they are what the live committed versions add up to.
+func (t *TransferSplit) Books(coreSegR, upSegR reservation.ID) (demandKbps, grantedKbps uint64) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	return t.demand[coreSegR][upSegR], t.granted[coreSegR][upSegR]
+}
+
 // DropCore removes all state for an expired core SegR.
 func (t *TransferSplit) DropCore(coreSegR reservation.ID) {
 	t.mu.Lock()

@@ -11,10 +11,17 @@
 // settles every item of the wave, in wave order, under one acquisition of
 // the covering SegRs' shard locks instead of one per renewal.
 //
-// The per-item protocol semantics mirror processEESetup's renewal leg:
-// idempotent dedup by (ID, Ver, ExpT), the per-EER renewal throttle, grants
-// shrinking to the path-wide minimum on the response pass, and rollback to
+// The per-item protocol semantics are a solo renewal's, because the code is:
+// each item runs the shared hop leg of hopleg.go — idempotent dedup by (ID,
+// Ver, ExpT), the per-EER renewal throttle, the transfer split, the charge,
+// the clamp to the path-wide minimum on the response pass, and rollback to
 // the previous version when a downstream hop fails.
+//
+// Threat model of a wave. One MAC under the source AS's key covers all items,
+// so a wave's items share their source: a wave that names an EER of any other
+// AS is malformed and refused whole before any state is touched (an AS could
+// otherwise shrink, throttle or re-version a competitor's reservation at every
+// transit hop they share), and the leg addresses records by that source alone.
 package cserv
 
 import (
@@ -26,9 +33,7 @@ import (
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
-	"colibri/internal/segment"
 	"colibri/internal/telemetry"
-	"colibri/internal/topology"
 )
 
 // Per-item status codes of a batch renewal. They travel in the request's
@@ -261,7 +266,7 @@ type waveScratch struct {
 	resp     EEBatchRenewResp
 	solo     EESetupReq
 	soloResp EESetupResp
-	states   []eeBatchState
+	states   []hopItem
 	fwd      []byte // the request as forwarded to the next hop
 	sealed   []byte // this hop's sealed authenticators, back to back
 	nonces   []byte // their nonces, drawn in one read
@@ -302,35 +307,14 @@ func (s *Service) putWave(sc *waveScratch) {
 	s.waveMu.Unlock()
 }
 
-// eeBatchState tracks one item's fate at this hop during the forward pass.
-type eeBatchState struct {
-	grant    uint64
-	status   uint8
-	dup      bool
-	admitted bool
-	hadPrev  bool
-	prevBw   uint64
-	prevExpT uint32
-	prevVer  uint16
-	// Transfer-split accounting (§4.7): what this item added via Admit, so
-	// every non-surviving path returns it exactly (see processEESetup's
-	// releaseT — the split tracks live committed charges only). prevReleased
-	// records that the forward pass already returned the replaced version's
-	// charge, which a rollback must re-add when it reinstates that version.
-	tAdmitted       bool
-	prevReleased    bool
-	tCapped, tGrant uint64
-}
-
 // processEEBatchRenew handles the batched renewal wave decoded into sc.req at
 // hop idx. What the wave pays once: one MAC verification and one rate-limit
 // token, one acquisition of the covering SegRs' shard locks for the whole
 // forward pass, one sealer and one read of nonces for the response pass, one
-// update per counter. What each item pays: dedup / throttle / admission in
-// that order on the forward pass, and on the response pass the adjustment to
-// the path-wide minimum and the seal of this AS's hop authenticator. A
-// transport-level downstream failure rolls back every non-duplicate item this
-// hop admitted. The result may point into sc.
+// update per counter. What each item pays: the shared hop leg — admit on the
+// forward pass, commit at the path-wide minimum or rollback on the response
+// pass — and the seal of this AS's hop authenticator. A transport-level
+// downstream failure rolls back every item. The result may point into sc.
 func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchRenewResp) {
 	req := &sc.req
 	n := len(req.Items)
@@ -355,149 +339,64 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 	if n == 0 || len(req.Accums) != n || len(req.Status) != n {
 		return fail("malformed batch")
 	}
+	// The wave is authenticated under one key: its items share their source.
+	src := req.Items[0].ID.SrcAS
+	for i := range req.Items {
+		if req.Items[i].ID.SrcAS != src {
+			return fail("malformed batch")
+		}
+	}
+	now := s.clock()
+	// K_{me→Src} both authenticates the wave (§4.5) and seals every item's σ
+	// for the source (Eq. 5): derived on the fly, once.
+	key, _ := s.engine.Level1(src, now)
+	kc := s.cryptoFor(key)
 	if idx > 0 {
-		if err := s.verifySourceMac(req.Items[0].ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx); err != nil {
+		if err := kc.verify(req.wire[:req.bodyLen], req.Macs, idx); err != nil {
 			s.metrics.AuthFailures.Add(1)
 			return fail("authentication: %v", err)
 		}
 		// One rate-limit token per wave: the batch is one control message,
 		// and per-item charging would make batching pointless under §5.3's
 		// per-AS budget.
-		if !s.rate.Allow(req.Items[0].ID.SrcAS, s.clock()) {
+		if !s.rate.Allow(src, now) {
 			s.metrics.RateLimited.Add(1)
 			return fail("rate limited")
 		}
 	}
-	now := s.clock()
-	covering := coveringSegs(nil, len(req.SegIDs), req.Splits, len(req.Path), idx)
-	if len(covering) == 0 || len(covering) > 2 {
-		return fail("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
+	cover, err := s.hopCover(req.SegIDs, req.Splits, len(req.Path), idx)
+	if err != nil {
+		return fail("%v", err)
 	}
-	localSegIDs := make([]reservation.ID, 0, 2)
-	segRs := make([]*reservation.SegR, 0, 2)
-	for _, k := range covering {
-		sr, err := s.store.GetSegR(req.SegIDs[k])
-		if err != nil {
-			return fail("segment reservation: %v", err)
-		}
-		localSegIDs = append(localSegIDs, sr.ID)
-		segRs = append(segRs, sr)
-	}
-	transferHop := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
 	hop := req.Path[idx]
 
 	sc.states = slices.Grow(sc.states[:0], n)[:n]
 	clear(sc.states)
 	states := sc.states
-	// Forward pass: every item in wave order — dedup, throttle, the
-	// transfer-AS split, then renewal (or re-admission of a record this AS no
-	// longer holds). Each item settles before the next one starts, so the
-	// demand a later item sees is what per-EER processing would have shown
-	// it. p is the CPlane's covering-SegR set with its shard locks held for
-	// the whole pass.
-	var dedups, throttled, refused uint64
-	forward := func(p eerPath) {
+	// Forward pass: every live item's leg in wave order, under one acquisition
+	// of the covering SegRs' shard locks. Each item settles before the next one
+	// starts, so a later item sees the demand per-EER processing would show it.
+	leg := hopLeg{s: s, hopCover: cover, src: src, renewal: true}
+	s.cp.withPath(cover.segs(), func(p eerPath) {
 		for i := range req.Items {
-			it := &req.Items[i]
-			st := &states[i]
 			if req.Status[i] != EEItemOK {
-				st.status = req.Status[i]
 				continue
 			}
-			asked := min(req.Accums[i], it.BwKbps)
-			// Idempotent retry dedup, before the throttle (a retry of the very
-			// renewal the throttle just admitted must not be throttled); what
-			// is not a retry is the version this renewal replaces.
-			prev, hadPrev := p.lookup(it.ID)
-			st.hadPrev, st.prevBw, st.prevVer, st.prevExpT = hadPrev, prev.bw, prev.ver, prev.expT
-			if st.dup = hadPrev && prev.ver == it.Ver && prev.expT == it.ExpT; st.dup {
-				st.grant = st.prevBw
-				dedups++
-				continue
-			}
-			// The throttle is the record's: a renewal that finds none is a
-			// re-admission, born stamped (setup below).
-			if hadPrev && !p.allowRenew(&prev) {
-				throttled++
-				st.status = EEItemThrottled
-				continue
-			}
-			grant := asked
-			if transferHop {
-				up, core := segRs[0], segRs[1]
-				upAvail, coreAvail := p.avail(0, it.ExpT), p.avail(1, it.ExpT)
-				if st.hadPrev && st.prevExpT > now {
-					// The renewal replaces this EER's own live charge; credit it so
-					// the split sees the post-renewal headroom.
-					upAvail += st.prevBw
-					coreAvail += st.prevBw
-				}
-				grant = s.transfer.Admit(core.ID, up.ID, asked,
-					up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
-				st.tCapped = min(asked, up.Active.BwKbps)
-				if grant == 0 {
-					s.transfer.Release(core.ID, up.ID, st.tCapped, grant)
-					if st.hadPrev {
-						p.keep(it.ID, prev)
-					}
-					refused++
-					st.status = EEItemRefused
-					continue
-				}
-				st.tAdmitted, st.tGrant = true, grant
-			}
-			var err error
-			failed := EEItemRefused
-			if st.hadPrev {
-				grant, err = p.renew(it.ID, prev, grant, it.ExpT, it.Ver)
-			} else {
-				// No record here (expired, or lost in a crash): re-admit so the
-				// flow re-promotes instead of staying demoted (§3.2).
-				err, failed = p.setup(it.ID, grant, it.ExpT, it.Ver, true), EEItemStale
-			}
-			if err != nil {
-				s.releaseBatchTransfer(localSegIDs, st)
-				refused++
-				st.status = failed
-				continue
-			}
-			st.grant, st.admitted = grant, true
-			if st.tAdmitted {
-				// Settle the split to the admitted charge immediately: release the
-				// over-ask (capped − grant) and the replaced version's live charge,
-				// exactly as sequential per-EER processing would have done before
-				// the next renewal's Admit — later items in the wave must see the
-				// same intermediate demand, or the two paths' grants diverge.
-				s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped-st.tGrant, 0)
-				st.tCapped = st.tGrant
-				if st.hadPrev && st.prevExpT > now {
-					s.transfer.Release(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
-					st.prevReleased = true
-				}
-			}
+			it := &req.Items[i]
+			states[i].grant = min(req.Accums[i], it.BwKbps)
+			req.Status[i], _ = leg.admit(&p, &states[i], it.ID.Num, it.Ver, it.ExpT)
 		}
-	}
-	s.cp.withPath(localSegIDs, forward)
-	s.metrics.DedupHits.Add(dedups)
-	s.metrics.RenewThrottle.Add(throttled)
-	s.metrics.AdmReject.Add(refused)
-	s.metrics.AdmFallback.Add(refused)
+	})
+	leg.count()
 	rollbackAll := func() {
 		for i := range req.Items {
-			st := &states[i]
-			if !st.admitted || st.dup {
-				continue
-			}
-			s.rollbackBatchItem(&req.Items[i], localSegIDs, st)
+			leg.rollback(&states[i], req.Items[i].ID.Num)
 		}
 	}
 
 	// Propagate this hop's outcomes into the mutable tail and forward.
 	for i := range req.Items {
 		req.Accums[i] = states[i].grant
-		if req.Status[i] == EEItemOK {
-			req.Status[i] = states[i].status
-		}
 	}
 	nAuth := n * len(req.Path)
 	resp := &sc.resp
@@ -527,7 +426,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		return resp
 	}
 
-	// Response pass: adjust live items to the path-wide minimum, roll back
+	// Response pass: commit live items at the path-wide minimum, roll back
 	// items a downstream hop killed, and seal this AS's hop authenticators —
 	// into one flat buffer, each under its own fresh random nonce, all of
 	// them drawn in one read.
@@ -537,21 +436,14 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		return fail("seal: %v", err)
 	}
 	sc.sealed = slices.Grow(sc.sealed[:0], n*sealedAuthLen)
-	var sealer *cryptoutil.Sealer
-	var sealerAS topology.IA
 	for i := range req.Items {
 		it := &req.Items[i]
-		st := &states[i]
 		if resp.Status[i] != EEItemOK {
-			if st.admitted && !st.dup {
-				s.rollbackBatchItem(it, localSegIDs, st)
-			}
+			leg.rollback(&states[i], it.ID.Num)
 			continue
 		}
 		final := resp.Granted[i]
-		if final < st.grant {
-			s.cp.AdjustEERPath(it.ID, localSegIDs, final)
-		}
+		leg.commit(&states[i], it.ID.Num, final)
 		res := packet.ResInfo{
 			SrcAS:  it.ID.SrcAS,
 			ResID:  it.ID.Num,
@@ -561,52 +453,12 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		}
 		eerInfo := packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
 		sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-		if sealer == nil || it.ID.SrcAS != sealerAS {
-			key, _ := s.engine.Level1(it.ID.SrcAS, now)
-			sealer, sealerAS = s.cryptoFor(key).sealer, it.ID.SrcAS
-		}
 		sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
 		off := len(sc.sealed)
-		sc.sealed = sealer.SealTo(sc.sealed, sc.nonces[i*cryptoutil.NonceSize:], sc.sigma[:], sc.ad)
-		if st.tAdmitted {
-			// Committed: clamp the split's record of this item — already
-			// settled to its grant in the forward pass — down to the final
-			// path-wide grant (the split tracks live committed bandwidth only).
-			s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped-final, st.tGrant-final)
-			st.tAdmitted = false
-		}
+		sc.sealed = kc.sealer.SealTo(sc.sealed, sc.nonces[i*cryptoutil.NonceSize:], sc.sigma[:], sc.ad)
 		resp.EncAuths[i*len(req.Path)+idx] = sc.sealed[off:len(sc.sealed):len(sc.sealed)]
 	}
 	return resp
-}
-
-// releaseBatchTransfer returns an item's transfer-split admission in full —
-// called on every path where the item's new version does not survive this
-// hop. tAdmitted is only ever set at a transfer hop, where localSegIDs is
-// the [up, core] pair.
-func (s *Service) releaseBatchTransfer(localSegIDs []reservation.ID, st *eeBatchState) {
-	if !st.tAdmitted {
-		return
-	}
-	s.transfer.Release(localSegIDs[1], localSegIDs[0], st.tCapped, st.tGrant)
-	st.tAdmitted = false
-}
-
-// rollbackBatchItem undoes one admitted batch item: the CPlane reinstates the
-// previous version, or drops the record when this hop re-admitted a lost EER.
-func (s *Service) rollbackBatchItem(it *EEBatchItem, localSegIDs []reservation.ID, st *eeBatchState) {
-	s.releaseBatchTransfer(localSegIDs, st)
-	if st.prevReleased {
-		// The rollback reinstates the previous version below; re-add the
-		// charge the forward pass returned for it.
-		s.transfer.Charge(localSegIDs[1], localSegIDs[0], st.prevBw, st.prevBw)
-		st.prevReleased = false
-	}
-	if st.hadPrev {
-		s.cp.RestoreEERPath(it.ID, localSegIDs, st.prevBw, st.prevExpT, st.prevVer)
-	} else {
-		s.cp.TeardownEERPath(it.ID, localSegIDs)
-	}
 }
 
 // RenewEERBatch renews a wave of EERs that share one chain (same SegIDs,

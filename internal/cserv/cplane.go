@@ -9,9 +9,9 @@
 // shards and eerPath.charge undoing the first ledger when the second refuses
 // (cplane_live.go). Each shard owns
 //
-//   - an admission.Admitter over a clone of the AS whose link capacities are
-//     divided by the shard count (so the sum of all shards' grants respects
-//     the physical capacities),
+//   - an admission.State — the paper's memoized SegR admitter — over a clone
+//     of the AS whose link capacities are divided by the shard count (so the
+//     sum of all shards' grants respects the physical capacities),
 //   - a keyless restree demand profile per SegR tracking admitted EER
 //     bandwidth over discretized time (see internal/restree and DESIGN.md
 //     §7), and
@@ -22,13 +22,13 @@
 // A reservation never spans shards: an EER lives in the shard of its SegR,
 // so every operation takes exactly one shard lock and shards never deadlock
 // against each other. RenewBatch processes a whole renewal wave shard-major
-// — one lock acquisition per shard per batch instead of one per renewal —
-// and is allocation-free in steady state. Aggregate counters are atomics so
-// Counts never takes a lock.
+// on the caller's goroutine — one lock acquisition per shard per batch — and
+// is allocation-free in steady state. Counts reads atomics and takes no lock.
 package cserv
 
 import (
 	"errors"
+	"fmt"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -36,7 +36,6 @@ import (
 	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/restree"
-	"colibri/internal/shardpool"
 	"colibri/internal/topology"
 )
 
@@ -62,9 +61,6 @@ type CPlaneConfig struct {
 	// Shards is the number of independent state partitions; it must be a
 	// power of two. 0 selects 1.
 	Shards int
-	// AdmissionImpl names the SegR admission implementation per shard
-	// (admission.Impl*); empty selects the memoized default.
-	AdmissionImpl string
 	// EpochSeconds is the demand-ledger discretization (default 4 s);
 	// LedgerEpochs the ring horizon in epochs (default 128, i.e. 512 s —
 	// comfortably above the 16 s EER lifetime and the 300 s SegR lifetime).
@@ -72,11 +68,6 @@ type CPlaneConfig struct {
 	LedgerEpochs int
 	// Clock supplies control-plane time in Unix seconds. Required.
 	Clock func() uint32
-	// Workers sets how many goroutines RenewBatch fans shard buckets across
-	// (shards are lock-disjoint, so a worker per shard is safe). 0 or 1 runs
-	// inline on the caller's goroutine with no pool goroutines; call Close
-	// when done with a multi-worker engine.
-	Workers int
 }
 
 // CPlane is the sharded engine. Methods are safe for concurrent use; calls
@@ -108,24 +99,9 @@ type CPlane struct {
 	// lapsed without being renewed.
 	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
 
-	// Batch fan-out state. batchMu serializes RenewBatch callers (the pool
-	// handles one dispatch at a time); buckets/cur*/batchStats are owned by
-	// the dispatching goroutine between Dispatch barriers, with each worker
-	// touching only its shard's bucket, stats slot, and result indices.
-	pool       *shardpool.Pool
-	batchMu    sync.Mutex
-	buckets    [][]int32
-	curItems   []EERRenewal
-	curResults []RenewResult
-	curNow     uint32
-	batchStats []cpBatchStats
-}
-
-// cpBatchStats collects one shard bucket's outcome tallies during a
-// RenewBatch dispatch, merged into the atomics after the barrier.
-type cpBatchStats struct {
-	renews, rejects, stale uint64
-	expired                int64
+	// buckets is RenewBatch's per-shard index scratch, under batchMu.
+	batchMu sync.Mutex
+	buckets [][]int32
 }
 
 // cplaneShard is one shard's admission state, owned by the CPlane front end:
@@ -135,10 +111,10 @@ type cpBatchStats struct {
 //colibri:shardowned
 type cplaneShard struct {
 	mu  sync.Mutex
-	adm admission.Admitter
+	adm *admission.State
 	// segBw caches each SegR's current grant (the admitter's GrantOf would
-	// need its internal lock; the cache is updated under sh.mu at the only
-	// write sites, AddSegR and RenewSegR).
+	// need its internal lock; the cache is updated under sh.mu at its write
+	// sites: AddSegR, RenewSegRWithUndo, AdjustSegR).
 	segBw map[reservation.ID]uint64
 	// ledgers holds one EER demand profile per SegR.
 	ledgers map[reservation.ID]*restree.Profile
@@ -169,9 +145,8 @@ type cpEER struct {
 	ver       uint16
 }
 
-// NewCPlane builds the engine. It panics when cfg.Clock is nil or
-// cfg.Shards is not a power of two, and surfaces admission-implementation
-// errors from admission.NewAdmitter.
+// NewCPlane builds the engine. It panics when cfg.Clock is nil and reports a
+// shard count that is not a power of two.
 func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	if cfg.Clock == nil {
 		panic("cserv: CPlaneConfig.Clock is required")
@@ -179,8 +154,8 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	if cfg.Shards == 0 {
 		cfg.Shards = 1
 	}
-	if cfg.Shards&(cfg.Shards-1) != 0 {
-		panic("cserv: CPlaneConfig.Shards must be a power of two")
+	if cfg.Shards < 0 || cfg.Shards&(cfg.Shards-1) != 0 {
+		return nil, fmt.Errorf("cserv: CPlaneConfig.Shards = %d, want a power of two", cfg.Shards)
 	}
 	if cfg.EpochSeconds == 0 {
 		cfg.EpochSeconds = 4
@@ -195,21 +170,15 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 		epochSec:     cfg.EpochSeconds,
 		ledgerEpochs: cfg.LedgerEpochs,
 		buckets:      make([][]int32, cfg.Shards),
-		batchStats:   make([]cpBatchStats, cfg.Shards),
 	}
 	for i := range c.shards {
-		adm, err := admission.NewAdmitter(cfg.AdmissionImpl, shardedAS(cfg.AS, cfg.Shards, i), cfg.Split, cfg.Clock)
-		if err != nil {
-			return nil, err
-		}
 		c.shards[i] = &cplaneShard{
-			adm:     adm,
+			adm:     admission.NewState(shardedAS(cfg.AS, cfg.Shards, i), cfg.Split),
 			segBw:   make(map[reservation.ID]uint64),
 			ledgers: make(map[reservation.ID]*restree.Profile),
 			eers:    make(map[reservation.ID]cpEER),
 		}
 	}
-	c.pool = shardpool.New(cfg.Workers, c.runBatchShard)
 	return c, nil
 }
 
@@ -219,13 +188,6 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 func (c *CPlane) OnExpire(fn func(seg, seg2 reservation.ID, bwKbps uint64)) {
 	c.onExpire = fn
 }
-
-// Close releases the batch worker goroutines of a multi-worker engine; it is
-// a no-op for the default inline configuration. No call may be in flight.
-func (c *CPlane) Close() { c.pool.Close() }
-
-// Workers returns the RenewBatch fan-out width.
-func (c *CPlane) Workers() int { return c.pool.Workers() }
 
 // shardedAS clones an AS for shard i of `shards`, dividing every link
 // capacity (and the internal fabric bound) so the per-shard shares sum
@@ -309,28 +271,6 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 	return grant, nil
 }
 
-// RenewSegR re-admits a SegR with fresh scale factors. EER versions already
-// admitted keep their allocations (they remain valid until expiry, §4.2);
-// only future EER admissions see the new grant.
-func (c *CPlane) RenewSegR(req admission.Request) (uint64, error) {
-	sh := c.shardFor(req.ID)
-	sh.mu.Lock()
-	if _, ok := sh.segBw[req.ID]; !ok {
-		sh.mu.Unlock()
-		return 0, ErrUnknownSegR
-	}
-	grant, err := sh.adm.RenewSegR(req)
-	if err != nil {
-		sh.mu.Unlock()
-		c.rejects.Add(1)
-		return 0, err
-	}
-	sh.segBw[req.ID] = grant
-	sh.mu.Unlock()
-	c.renews.Add(1)
-	return grant, nil
-}
-
 // TeardownSegR releases a SegR. It fails with ErrSegRInUse while EERs are
 // still admitted against it (tear those down or let them expire first).
 func (c *CPlane) TeardownSegR(id reservation.ID) error {
@@ -409,18 +349,7 @@ func headroom(grantKbps uint64, demand int64) uint64 {
 // TeardownEER removes an EER (seg names its segment reservation, which
 // determines the shard). Unknown EERs are a no-op, mirroring Release.
 func (c *CPlane) TeardownEER(eer, seg reservation.ID) {
-	sh := c.shardFor(seg)
-	sh.mu.Lock()
-	p := c.path1(sh, seg, c.clock())
-	e, ok := p.lookup(eer)
-	if ok {
-		p.discharge(e)
-		delete(sh.eers, eer)
-	}
-	sh.mu.Unlock()
-	if ok {
-		c.eerCount.Add(-1)
-	}
+	c.TeardownEERPath(eer, []reservation.ID{seg})
 }
 
 // EERRenewal is one entry of a renewal batch. Ver is the protocol version
@@ -441,7 +370,7 @@ type RenewResult struct {
 }
 
 // RenewEER renews a single EER; see RenewBatch for the semantics. It takes
-// only the owning shard's lock and never touches the batch machinery.
+// only the owning shard's lock.
 func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (uint64, error) {
 	sh := c.shardFor(seg)
 	now := c.clock()
@@ -469,16 +398,13 @@ func (c *CPlane) tallyRenew(err error, gone bool) {
 }
 
 // RenewBatch processes a renewal wave shard-major: items are bucketed by
-// owning shard in one pass, then each bucket is processed under a single
-// acquisition of its shard lock — the batched analogue of §4.2's
-// per-request renewals. Buckets fan out across the configured Workers
-// (shards are lock-disjoint, and each worker writes only its bucket's
-// result indices and stats slot, so the dispatch is race-free); results are
-// identical at every worker count. results[i] receives the outcome of
-// items[i]; the two slices must have equal length. A renewal is granted
-// min(requested, free) bandwidth over [now, ExpT); a zero grant restores
-// the previous version (the flow falls back to it) and reports
-// ErrInsufficient. The method is allocation-free in steady state.
+// owning shard in one pass, then each non-empty bucket is processed under a
+// single acquisition of its shard lock — the batched analogue of §4.2's
+// per-request renewals. results[i] receives the outcome of items[i]; the two
+// slices must have equal length. A renewal is granted min(requested, free)
+// bandwidth over [now, ExpT); a zero grant restores the previous version (the
+// flow falls back to it) and reports ErrInsufficient. The method is
+// allocation-free in steady state.
 //
 //colibri:nomalloc
 func (c *CPlane) RenewBatch(items []EERRenewal, results []RenewResult) {
@@ -486,7 +412,7 @@ func (c *CPlane) RenewBatch(items []EERRenewal, results []RenewResult) {
 		batchLenMismatch()
 	}
 	c.batchMu.Lock()
-	c.curNow = c.clock()
+	now := c.clock()
 	for i := range c.buckets {
 		c.buckets[i] = c.buckets[i][:0]
 	}
@@ -494,53 +420,38 @@ func (c *CPlane) RenewBatch(items []EERRenewal, results []RenewResult) {
 		b := c.shardIndex(items[i].Seg)
 		c.buckets[b] = append(c.buckets[b], int32(i))
 	}
-	c.curItems, c.curResults = items, results
-	c.pool.Dispatch(len(c.shards))
-	c.curItems, c.curResults = nil, nil
 	var renews, rejects, stale uint64
 	var expired int64
-	for i := range c.batchStats {
-		st := &c.batchStats[i]
-		renews += st.renews
-		rejects += st.rejects
-		stale += st.stale
-		expired += st.expired
-		*st = cpBatchStats{}
+	for si, bucket := range c.buckets {
+		if len(bucket) == 0 {
+			continue
+		}
+		sh := c.shards[si]
+		sh.mu.Lock()
+		for _, i := range bucket {
+			it := &items[i]
+			p := c.path1(sh, it.Seg, now)
+			g, err, gone := p.renewItem(it)
+			results[i] = RenewResult{Granted: g, Err: err}
+			switch {
+			case err == nil:
+				renews++
+			case err == ErrUnknownEER:
+				stale++
+			default:
+				rejects++
+			}
+			if gone {
+				expired++
+			}
+		}
+		sh.mu.Unlock()
 	}
 	c.batchMu.Unlock()
 	c.renews.Add(renews)
 	c.rejects.Add(rejects)
 	c.stale.Add(stale)
 	c.eerCount.Add(-expired)
-}
-
-// runBatchShard drains one shard's bucket of the in-flight RenewBatch. It
-// runs on a pool worker (or inline); the Dispatch barrier orders its writes
-// before the dispatcher's reads.
-//
-//colibri:nomalloc
-func (c *CPlane) runBatchShard(si int) {
-	sh := c.shards[si]
-	st := &c.batchStats[si]
-	sh.mu.Lock()
-	for _, i := range c.buckets[si] {
-		it := &c.curItems[i]
-		p := c.path1(sh, it.Seg, c.curNow)
-		g, err, gone := p.renewItem(it)
-		c.curResults[i] = RenewResult{Granted: g, Err: err}
-		switch {
-		case err == nil:
-			st.renews++
-		case err == ErrUnknownEER:
-			st.stale++
-		default:
-			st.rejects++
-		}
-		if gone {
-			st.expired++
-		}
-	}
-	sh.mu.Unlock()
 }
 
 // batchLenMismatch stays out of line so the panic value is not attributed
@@ -720,6 +631,3 @@ func (c *CPlane) Counts() CPlaneCounts {
 		Stale:   c.stale.Load(),
 	}
 }
-
-// Shards returns the shard count (for sizing batches and reports).
-func (c *CPlane) Shards() int { return len(c.shards) }

@@ -82,12 +82,11 @@ func TestBooksAgree(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			clk := newCPClock(1000)
 			cp, err := NewCPlane(CPlaneConfig{
-				AS:            cplaneAS(t, 4, 1_000_000),
-				Split:         admission.DefaultSplit,
-				Shards:        4,
-				AdmissionImpl: admission.ImplRestree,
-				LedgerEpochs:  16, // 64 s: a renewal asking for more is refused for its window
-				Clock:         clk.now,
+				AS:           cplaneAS(t, 4, 1_000_000),
+				Split:        admission.DefaultSplit,
+				Shards:       4,
+				LedgerEpochs: 16, // 64 s: a renewal asking for more is refused for its window
+				Clock:        clk.now,
 			})
 			if err != nil {
 				t.Fatal(err)
@@ -198,7 +197,7 @@ func TestBooksAgree(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						err = cp.AdjustSegR(s.ID, 2_000)
 					} else {
-						_, err = cp.RenewSegR(s)
+						_, _, err = cp.RenewSegRWithUndo(s)
 					}
 					if err != nil {
 						t.Fatal(err)
@@ -243,7 +242,7 @@ func TestBooksAgree(t *testing.T) {
 // charge it never had from one it has.
 func TestDischargeOnlyWhereCharged(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 4, clk)
 	var ids [3]reservation.ID
 	for i := range ids {
 		req := segReq(uint32(i), 50, 1, 2, 10_000)
@@ -278,7 +277,7 @@ func TestDischargeOnlyWhereCharged(t *testing.T) {
 // SegR's ledger has no room the first is left as it was — no charge, no record.
 func TestSecondLedgerRefusalLeavesFirstUntouched(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 8, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 8, clk)
 	wide := segReq(1, 50, 1, 2, 10_000)
 	narrow := segReq(2, 50, 1, 2, 500)
 	for cp.shardIndex(narrow.ID) == cp.shardIndex(wide.ID) {

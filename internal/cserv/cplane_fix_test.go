@@ -8,7 +8,6 @@ import (
 	"sync"
 	"testing"
 
-	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/topology"
 )
@@ -81,7 +80,7 @@ func TestShardShareSpread(t *testing.T) {
 // distinguishable from a real ErrInsufficient refusal.
 func TestCPlaneCounterSplit(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 4, clk)
 	seg := segReq(1, 50, 1, 2, 10_000)
 	if _, err := cp.AddSegR(seg); err != nil {
 		t.Fatal(err)
@@ -141,63 +140,12 @@ func buildRenewScenario(t *testing.T, cp *CPlane, clk *cpClock, nSeg int) []EERR
 	return items
 }
 
-// TestCPlaneRenewBatchWorkersEquivalent requires the shard-bucketed fan-out
-// to produce bit-identical per-item results and counts at every worker
-// count (shards are lock-disjoint and buckets preserve item order).
-func TestCPlaneRenewBatchWorkersEquivalent(t *testing.T) {
-	run := func(workers int) ([]RenewResult, CPlaneCounts) {
-		clk := newCPClock(1000)
-		cp, err := NewCPlane(CPlaneConfig{
-			AS:            cplaneAS(t, 4, 1_000_000),
-			Split:         admission.DefaultSplit,
-			Shards:        8,
-			AdmissionImpl: admission.ImplRestree,
-			Clock:         clk.now,
-			Workers:       workers,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cp.Close()
-		items := buildRenewScenario(t, cp, clk, 500)
-		results := make([]RenewResult, len(items))
-		cp.RenewBatch(items, results)
-		return results, cp.Counts()
-	}
-	base, baseCt := run(1)
-	for _, w := range []int{2, 4, 8} {
-		got, gotCt := run(w)
-		if len(got) != len(base) {
-			t.Fatalf("workers=%d: %d results, want %d", w, len(got), len(base))
-		}
-		for i := range base {
-			if got[i] != base[i] {
-				t.Fatalf("workers=%d item %d: %+v, want %+v", w, i, got[i], base[i])
-			}
-		}
-		if gotCt != baseCt {
-			t.Fatalf("workers=%d counts %+v, want %+v", w, gotCt, baseCt)
-		}
-	}
-}
-
 // TestCPlaneRenewBatchConcurrentWaves drives concurrent shard-bucketed
-// waves (batchMu serializes dispatches) interleaved with single-op traffic;
-// under -race this validates the fan-out's ownership discipline.
+// waves (batchMu serializes them around the bucket scratch) interleaved with
+// single-op traffic; under -race this validates the locking discipline.
 func TestCPlaneRenewBatchConcurrentWaves(t *testing.T) {
 	clk := newCPClock(1000)
-	cp, err := NewCPlane(CPlaneConfig{
-		AS:            cplaneAS(t, 4, 1_000_000),
-		Split:         admission.DefaultSplit,
-		Shards:        8,
-		AdmissionImpl: admission.ImplRestree,
-		Clock:         clk.now,
-		Workers:       4,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cp.Close()
+	cp := newTestCPlane(t, 8, clk)
 	items := buildRenewScenario(t, cp, clk, 400)
 
 	var wg sync.WaitGroup

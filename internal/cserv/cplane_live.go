@@ -4,9 +4,9 @@
 // The batch engine in cplane.go keeps its one-lock-per-op discipline; the
 // live path additionally needs
 //
-//   - SegR admission wrappers that mirror admission.Admitter's renewal/
-//     adjust/abort surface while keeping the per-shard segBw cache and the
-//     EER demand ledgers coherent,
+//   - SegR admission wrappers around admission.State's renewal/adjust/abort
+//     surface that keep the per-shard segBw cache and the EER demand ledgers
+//     coherent,
 //   - EER operations over one OR two covering SegRs: at a transfer AS an
 //     EER entering on an up-segment and leaving on a core-segment consumes
 //     bandwidth on both (§4.7), and the two SegRs may live in different
@@ -117,8 +117,8 @@ func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error
 	return grant, wrapped, nil
 }
 
-// AdjustSegR lowers a SegR's grant to the backward-pass minimum, mirroring
-// admission.Admitter.AdjustGrant while keeping the segBw cache coherent.
+// AdjustSegR lowers a SegR's grant to the backward-pass minimum
+// (admission.State.AdjustGrant), keeping the segBw cache coherent.
 func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
 	sh := c.shardFor(id)
 	sh.mu.Lock()

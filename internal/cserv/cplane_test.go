@@ -39,14 +39,13 @@ func newCPClock(start uint32) *cpClock {
 func (c *cpClock) now() uint32   { return c.t.Load() }
 func (c *cpClock) step(d uint32) { c.t.Add(d) }
 
-func newTestCPlane(t testing.TB, shards int, impl string, clk *cpClock) *CPlane {
+func newTestCPlane(t testing.TB, shards int, clk *cpClock) *CPlane {
 	t.Helper()
 	cp, err := NewCPlane(CPlaneConfig{
-		AS:            cplaneAS(t, 4, 1_000_000),
-		Split:         admission.DefaultSplit,
-		Shards:        shards,
-		AdmissionImpl: impl,
-		Clock:         clk.now,
+		AS:     cplaneAS(t, 4, 1_000_000),
+		Split:  admission.DefaultSplit,
+		Shards: shards,
+		Clock:  clk.now,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -68,7 +67,7 @@ func eid(num uint32) reservation.ID { return reservation.ID{SrcAS: ia(2, 7), Num
 
 func TestCPlaneLifecycle(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 1, admission.ImplMemoized, clk)
+	cp := newTestCPlane(t, 1, clk)
 
 	seg := segReq(1, 50, 1, 2, 10_000)
 	grant, err := cp.AddSegR(seg)
@@ -126,7 +125,7 @@ func TestCPlaneLifecycle(t *testing.T) {
 
 func TestCPlaneExpiryFreesBandwidth(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 1, admission.ImplMemoized, clk)
+	cp := newTestCPlane(t, 1, clk)
 	seg := segReq(1, 50, 1, 2, 10_000)
 	if _, err := cp.AddSegR(seg); err != nil {
 		t.Fatal(err)
@@ -155,7 +154,7 @@ func TestCPlaneExpiryFreesBandwidth(t *testing.T) {
 
 func TestCPlaneRenewalFallback(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 1, admission.ImplMemoized, clk)
+	cp := newTestCPlane(t, 1, clk)
 	seg := segReq(1, 50, 1, 2, 10_000)
 	if _, err := cp.AddSegR(seg); err != nil {
 		t.Fatal(err)
@@ -179,7 +178,7 @@ func TestCPlaneRenewalFallback(t *testing.T) {
 	// renewal finds zero free bandwidth (4000 grant − 4000 for eid(1)).
 	r := seg
 	r.MaxKbps = 4_000
-	if _, err := cp.RenewSegR(r); err != nil {
+	if _, _, err := cp.RenewSegRWithUndo(r); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.RenewEER(eid(2), seg.ID, 6_000, clk.now()+16); !errors.Is(err, ErrInsufficient) {
@@ -196,7 +195,7 @@ func TestCPlaneRenewalFallback(t *testing.T) {
 func TestCPlaneShardDeterminism(t *testing.T) {
 	run := func() (grants []uint64, ct CPlaneCounts) {
 		clk := newCPClock(1000)
-		cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+		cp := newTestCPlane(t, 4, clk)
 		var segs []reservation.ID
 		rng := uint64(1)
 		for i := uint32(0); i < 200; i++ {
@@ -279,7 +278,7 @@ func TestCPlaneShardedCapacityConserved(t *testing.T) {
 // -race it validates the locking discipline and the atomic counters.
 func TestCPlaneConcurrent(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 4, clk)
 	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
@@ -320,7 +319,7 @@ func TestCPlaneConcurrent(t *testing.T) {
 // a warmed-up engine must not allocate.
 func TestCPlaneRenewBatchZeroAlloc(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 4, clk)
 	const nSeg = 64
 	items := make([]EERRenewal, 0, nSeg)
 	for i := uint32(0); i < nSeg; i++ {

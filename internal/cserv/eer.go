@@ -286,10 +286,9 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	hop := req.Path[idx]
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7).
-	var coverBuf [2]int
-	covering := coveringSegs(coverBuf[:0], len(req.SegIDs), req.Splits, n, idx)
-	if len(covering) == 0 || len(covering) > 2 {
-		return fail("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
+	cover, err := s.hopCover(req.SegIDs, req.Splits, n, idx)
+	if err != nil {
+		return fail("%v", err)
 	}
 	// What needs no reservation state is decided first, so that everything
 	// after it runs under one acquisition of the covering SegRs' shard locks.
@@ -305,179 +304,70 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	if idx == n-1 && s.dstApprove != nil && !s.dstApprove(req) {
 		return fail("destination refused")
 	}
-	var segIDBuf [2]reservation.ID
-	var segRBuf [2]*reservation.SegR
-	localSegIDs, segRs := segIDBuf[:0], segRBuf[:0]
-	for _, k := range covering {
-		sr, err := s.store.GetSegR(req.SegIDs[k])
-		if err != nil {
-			return fail("segment reservation: %v", err)
-		}
-		localSegIDs = append(localSegIDs, sr.ID)
-		segRs = append(segRs, sr)
-	}
 
-	// admit is this hop's admission leg — dedup, throttle, the transfer split,
-	// then the charge, the order in which a wave settles an item — run against
-	// p, the CPlane's covering-SegR set with its shard locks held for the whole
-	// leg. refusal is its failure answer.
-	//
-	// prev is the record this request replaces (the CPlane holds one version
-	// per EER): the transfer split credits it as freed headroom and returns its
-	// charge once the new version commits, and a downstream failure reinstates
-	// it. A transfer-split admission must be returned on every exit path in
-	// exactly what it no longer claims — refusal, admission failure, downstream
-	// rollback, and the final clamp to the path-wide minimum — so the split
-	// tracks precisely the live committed charges (dead demand otherwise
-	// accumulates until the fair-share cap refuses everything; the
-	// renewal-storm recovery at 10⁶ flows found every one of these).
-	var dup, hadPrev, tAdmitted bool
-	var prev cpEER
-	var tCapped, tGrant uint64
-	var tUp, tCore reservation.ID
-	var refusal []byte
-	grant := accum
-	// releaseT undoes the split admission in full — for every path on which
-	// this hop's new version does not survive.
-	releaseT := func() {
-		if tAdmitted {
-			s.transfer.Release(tCore, tUp, tCapped, tGrant)
-			tAdmitted = false
-		}
-	}
-	admit := func(p eerPath) {
-		// Idempotent retry detection (idempotency key: (ID, Ver) with matching
-		// expiry): a lost response leaves every hop downstream of the loss
-		// committed, so a retried request finds its own version here. Answer
-		// from it instead of admitting again — and decide before the renewal
-		// throttle, which must not refuse the retry of the very renewal it just
-		// let through.
-		prev, hadPrev = p.lookup(req.ID)
-		if dup = hadPrev && prev.ver == req.Ver && prev.expT == req.ExpT; dup {
-			s.metrics.DedupHits.Add(1)
-			grant = prev.bw
-			return
-		}
-		// A renewal that finds no record is a re-admission, which is born
-		// stamped (setup below): the throttle is the record's alone.
-		if req.Renewal && hadPrev && !p.allowRenew(&prev) {
-			s.metrics.RenewThrottle.Add(1)
-			refusal, _ = fail("renewal rate limit: EER %s already renewed this second", req.ID)
-			return
-		}
-		// Transfer-AS proportional split between up- and core-SegR (§4.7).
-		if len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
-			up, core := segRs[0], segRs[1]
-			upAvail, coreAvail := p.avail(0, req.ExpT), p.avail(1, req.ExpT)
-			if req.Renewal && hadPrev && prev.expT > now {
-				// The ledgers still carry this EER's own live charge, which the
-				// renewal replaces — renew withdraws it before probing. Credit it
-				// so the split sees the true post-renewal headroom.
-				upAvail += prev.bw
-				coreAvail += prev.bw
-			}
-			asked := grant
-			grant = s.transfer.Admit(core.ID, up.ID, asked,
-				up.Active.BwKbps, core.Active.BwKbps,
-				upAvail, coreAvail)
-			tCapped = min(asked, up.Active.BwKbps)
-			// A *setup* is granted in full or refused (§4.7: "the intended
-			// bandwidth is granted if there is sufficient available bandwidth");
-			// only renewals may be granted a reduced amount (§4.2).
-			if grant == 0 || (!req.Renewal && grant < asked) {
-				s.transfer.Release(core.ID, up.ID, tCapped, grant)
-				if req.Renewal && hadPrev {
-					p.keep(req.ID, prev)
-				}
-				s.metrics.AdmReject.Add(1)
-				if req.Renewal {
-					// The EER's previous versions stay valid: the flow falls
-					// back to them instead of being torn down.
-					s.metrics.AdmFallback.Add(1)
-				}
-				refusal, _ = fail("transfer split: only %d of %d kbps available on core SegR %s",
-					grant, asked, core.ID)
-				return
-			}
-			tAdmitted, tGrant, tUp, tCore = true, grant, up.ID, core.ID
-		}
-		// Admit (reserve) the requested bandwidth against the local SegRs; the
-		// backward pass adjusts it down to the path-wide minimum.
-		var aerr error
-		if req.Renewal && hadPrev {
-			// Renewals may legally shrink to the free bandwidth (§4.2).
-			grant, aerr = p.renew(req.ID, prev, grant, req.ExpT, req.Ver)
-		} else {
-			// A fresh setup — or a renewal of an EER this AS no longer
-			// holds (version expired, or state lost in a crash): admit it
-			// anew so the flow re-promotes instead of staying demoted.
-			aerr = p.setup(req.ID, grant, req.ExpT, req.Ver, req.Renewal)
-		}
-		if aerr != nil {
-			releaseT()
-			s.metrics.AdmReject.Add(1)
-			if req.Renewal {
-				s.metrics.AdmFallback.Add(1)
-			}
-			refusal, _ = fail("admission: %v", aerr)
-		}
-	}
-	s.cp.withPath(localSegIDs, admit)
-	if refusal != nil {
-		return refusal, false
-	}
-	rollback := func() {
-		if dup {
-			// Retried request over committed state: the original round
-			// owns this version's lifecycle.
-			return
-		}
-		releaseT()
-		if req.Renewal && hadPrev {
-			s.cp.RestoreEERPath(req.ID, localSegIDs, prev.bw, prev.expT, prev.ver)
-		} else {
-			s.cp.TeardownEERPath(req.ID, localSegIDs)
-		}
+	// This hop's admission is a leg of one item (hopleg.go), on behalf of the
+	// source AS whose key authenticated the request.
+	leg := hopLeg{s: s, hopCover: cover, src: req.ID.SrcAS, renewal: req.Renewal}
+	it := hopItem{grant: accum}
+	var status uint8
+	var aerr error
+	s.cp.withPath(cover.segs(), func(p eerPath) {
+		status, aerr = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
+	})
+	leg.count()
+	switch {
+	case status == EEItemThrottled:
+		return fail("renewal rate limit: EER %s already renewed this second", req.ID)
+	case aerr != nil:
+		return fail("admission: %v", aerr)
+	case status != EEItemOK:
+		return fail("transfer split: only %d of %d kbps available on core SegR %s",
+			it.grant, accum, cover.ids[1])
 	}
 
 	// final is the path-wide grant and off the offset of this hop's slot in out.
-	final, off := grant, 0
+	final, off := it.grant, 0
 	if idx == n-1 {
 		// The response at its final size: OK, no reason, n slots still empty.
 		out = make([]byte, 0, eeRespFixedLen+n*(2+sealedAuthLen))
-		out = binary.BigEndian.AppendUint64(append(out, 1, 0, 0, 0), grant)
+		out = binary.BigEndian.AppendUint64(append(out, 1, 0, 0, 0), it.grant)
 		out = binary.BigEndian.AppendUint16(out, uint16(n))
 		out = out[:len(out)+2*n]
 		off = len(out) - 2
 	} else {
 		// Forward the bytes received, accumulator overwritten.
 		sc.fwd = append(sc.fwd[:0], req.wire...)
-		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], grant)
+		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], it.grant)
 		var err error
 		if out, err = s.transport.Call(req.Path[idx+1].IA, sc.fwd); err != nil {
-			rollback()
+			leg.rollback(&it, req.ID.Num)
 			return failAt(idx+1, "transport: %v", err)
 		}
 		resp := &sc.soloResp
 		if err := resp.unmarshal(out); err != nil {
-			rollback()
+			leg.rollback(&it, req.ID.Num)
 			return failAt(idx+1, "response: %v", err)
 		}
 		if !resp.OK {
-			rollback()
+			leg.rollback(&it, req.ID.Num)
 			reason = resp.Reason
 			return out, false
 		}
 		var shaped bool
 		if off, shaped = eeRespSlot(resp, len(out), n, idx); !shaped {
-			rollback()
+			leg.rollback(&it, req.ID.Num)
 			return failAt(idx+1, "response: malformed")
 		}
 		final = resp.FinalKbps
 	}
-	if final < grant {
-		s.cp.AdjustEERPath(req.ID, localSegIDs, final)
+	// The nonce is the last thing that can fail: once it is drawn the version is
+	// committed at the path-wide grant.
+	sc.nonces = slices.Grow(sc.nonces[:0], cryptoutil.NonceSize)[:cryptoutil.NonceSize]
+	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
+		leg.rollback(&it, req.ID.Num)
+		return fail("seal: %v", err)
 	}
+	leg.commit(&it, req.ID.Num, final)
 	// Compute σ_i (Eq. 4) over the final reservation parameters and seal it
 	// for the source AS (Eq. 5) into slot idx: what the hops behind this one
 	// sealed moves up by one authenticator, within the buffer's capacity unless
@@ -491,26 +381,11 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	}
 	eerInfo := packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost}
 	sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-	sc.nonces = slices.Grow(sc.nonces[:0], cryptoutil.NonceSize)[:cryptoutil.NonceSize]
-	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
-		rollback()
-		return fail("seal: %v", err)
-	}
 	sc.ad = eerAuthAD(sc.ad[:0], req.ID, uint8(idx))
 	size := len(out)
 	out = slices.Grow(out, sealedAuthLen)[:size+sealedAuthLen]
 	copy(out[off+2+sealedAuthLen:], out[off+2:size])
 	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
 	kc.sealer.SealTo(out[:off+2], sc.nonces, sc.sigma[:], sc.ad)
-	if tAdmitted {
-		// The version is committed: clamp the split's record of it to the
-		// final path-wide grant, and return the replaced live version's
-		// charge — the split tracks live committed bandwidth, not request
-		// history (final ≤ grant ≤ capped by construction).
-		s.transfer.Release(tCore, tUp, tCapped-final, tGrant-final)
-		if req.Renewal && hadPrev && prev.expT > now {
-			s.transfer.Release(tCore, tUp, prev.bw, prev.bw)
-		}
-	}
 	return out, true
 }

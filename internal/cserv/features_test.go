@@ -16,12 +16,12 @@ func TestDownSegmentRequest(t *testing.T) {
 	if f.dir.Len() != 1 {
 		t.Fatalf("directory has %d offers", f.dir.Len())
 	}
-	segs, _ := f.services[ia(2, 1)].Store().Counts()
+	segs := f.services[ia(2, 1)].Store().Len()
 	if segs != 1 {
 		t.Errorf("head AS stores %d SegRs", segs)
 	}
 	// The requester AS stores its on-path view too.
-	segs, _ = leaf.Store().Counts()
+	segs = leaf.Store().Len()
 	if segs != 1 {
 		t.Errorf("requester stores %d SegRs", segs)
 	}

@@ -164,10 +164,6 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 		Eg:      hop.Eg,
 		MinKbps: req.MinKbps,
 		MaxKbps: req.MaxKbps,
-		// The validity window lets time-aware implementations (restree)
-		// expire the reservation on their own; the memoized default ignores
-		// it and relies on Tick's explicit release.
-		ExpT: req.ExpT,
 	}
 
 	// Idempotent retry detection: a lost response leaves every hop

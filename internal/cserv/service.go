@@ -166,10 +166,7 @@ type Config struct {
 
 // Service is one AS's Colibri service.
 type Service struct {
-	ia    topology.IA
-	as    *topology.AS
-	topo  *topology.Topology
-	split admission.TrafficSplit
+	ia topology.IA
 
 	// store carries the SegR protocol state; cp, the control-plane engine, all
 	// admission state: SegR admission and the EER records with their demand
@@ -223,9 +220,6 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		ia:         cfg.AS.IA,
-		as:         cfg.AS,
-		topo:       cfg.Topo,
-		split:      cfg.Split,
 		store:      reservation.NewStore(cfg.AS.IA),
 		cp:         cp,
 		transfer:   admission.NewTransferSplit(),

@@ -177,7 +177,7 @@ func TestSegmentSetupMinRefused(t *testing.T) {
 		t.Fatal("over-capacity minimum granted")
 	}
 	for _, h := range seg.Hops {
-		segs, _ := f.services[h.IA].Store().Counts()
+		segs := f.services[h.IA].Store().Len()
 		if segs != 0 {
 			t.Errorf("AS %s kept %d temporary SegRs after failure", h.IA, segs)
 		}
@@ -274,10 +274,9 @@ func TestEERRenewalVersions(t *testing.T) {
 
 // TestDownwardRenewalChargesNewVersionOnly characterises a known gap; it does
 // not endorse it. §4.2 keeps every unexpired version of an EER usable, so what
-// an EER can send is the maximum over its valid versions — the rule
-// reservation.Store.AdmitEERVersion states ("all versions of one EER share a
-// single budget (the max over valid versions)"). eerPath.renewRec instead
-// replaces the charge: after a renewal from 12 to 1 Mbps every ledger on the
+// an EER can send is the maximum over its valid versions: all versions of one
+// EER share a single budget, the max over the valid ones. eerPath.renewRec
+// instead replaces the charge: after a renewal from 12 to 1 Mbps every ledger on the
 // path shows 1 Mbps while version 1's hop authenticators stay valid at the
 // stateless routers until its own ExpT, so up to 11 Mbps of what the source may
 // still send is bandwidth the CServs consider free. The conservative repair
@@ -709,7 +708,7 @@ func TestTickReleasesExpired(t *testing.T) {
 	// Advance past SegR expiry: SegRs vanish and admission state empties.
 	f.clock.Store(t0 + reservation.SegRLifetimeSeconds + 1)
 	transit.Tick()
-	if segs, _ := transit.Store().Counts(); segs != 0 {
+	if segs := transit.Store().Len(); segs != 0 {
 		t.Errorf("store keeps %d SegRs after their expiry", segs)
 	}
 	if ct := transit.CPlane().Counts(); ct.SegRs != 0 || ct.EERs != 0 {

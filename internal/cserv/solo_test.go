@@ -161,6 +161,14 @@ func TestOverCoveredHopRefused(t *testing.T) {
 	if resp, err := UnmarshalEESetupResp(out); err != nil || resp.OK || !strings.Contains(resp.Reason, "covered by 3") {
 		t.Fatalf("response %+v, %v; want a refusal naming the three covering reservations", resp, err)
 	}
+	// The same chain in a renewal wave: one resolution of the covering SegRs
+	// serves both handlers.
+	if out, err = f.services[g.PathHops[1].IA].HandleMsg(signWave(t, src, waveOf(req))); err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := UnmarshalEEBatchRenewResp(out); err != nil || resp.OK || !strings.Contains(resp.Reason, "covered by 3") {
+		t.Fatalf("wave response %+v, %v; want a refusal naming the three covering reservations", resp, err)
+	}
 }
 
 // FuzzEESetupCodec fuzzes the solo request and response decoders (ROADMAP

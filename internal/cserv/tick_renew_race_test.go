@@ -4,7 +4,6 @@ import (
 	"sync"
 	"testing"
 
-	"colibri/internal/admission"
 	"colibri/internal/topology"
 )
 
@@ -18,7 +17,7 @@ import (
 // the end.
 func TestCPlaneTickRenewRace(t *testing.T) {
 	clk := newCPClock(1000)
-	cp := newTestCPlane(t, 4, admission.ImplRestree, clk)
+	cp := newTestCPlane(t, 4, clk)
 
 	const nSeg = 64
 	items := make([]EERRenewal, 0, nSeg)

@@ -95,11 +95,7 @@ func signedWave(t testing.TB, src *Service, prevs []*EERGrant) *EEBatchRenewReq 
 		req.Accums = append(req.Accums, uint64(p.Res.BwKbps))
 		req.Status = append(req.Status, EEItemOK)
 	}
-	macs, err := src.computeMacs(req.Path, req.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Macs = macs
+	signWave(t, src, req)
 	return req
 }
 
@@ -128,7 +124,8 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 	fab := cpFabric(f, 4, nil)
 	fab.setupAllSegRs(f, 100_000)
 	src := fab.services[ia(1, 11)]
-	wave := signedWave(f, src, requestEERs(f, src, 3, 1_000))
+	grants := requestEERs(f, src, 3, 1_000)
+	wave := signedWave(f, src, grants)
 	signed := wave.Marshal()
 	bodyLen := len(wave.Body())
 	hop1 := fab.services[wave.Path[1].IA]
@@ -139,6 +136,9 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 	f.Add(respCountCrasher, uint16(0))
 	f.Add(signed, uint16(77))
 	f.Add(resp.Marshal(), uint16(3))
+	// A wave that authenticates and names another source's EER (TestWaveItemsMustShareSource).
+	f.Add(signWave(f, fab.services[ia(2, 1)], forgedWave(grants[0], []EEBatchItem{
+		{ID: reservation.ID{SrcAS: ia(2, 1), Num: 1}, Ver: 1, BwKbps: 1, ExpT: t0 + 2}, wave.Items[0]})), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
 		buf := append([]byte(nil), data...)
 		if req, err := UnmarshalEEBatchRenewReq(buf); err == nil {
@@ -321,14 +321,11 @@ func (e echoBatch) Call(dst topology.IA, msg []byte) ([]byte, error) {
 // hopSegs resolves the covering SegRs of hop idx as the handlers do.
 func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []reservation.ID, segRs []*reservation.SegR) {
 	t.Helper()
-	for _, k := range coveringSegs(nil, len(req.SegIDs), req.Splits, len(req.Path), idx) {
-		sr, err := s.store.GetSegR(req.SegIDs[k])
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids, segRs = append(ids, sr.ID), append(segRs, sr)
+	c, err := s.hopCover(req.SegIDs, req.Splits, len(req.Path), idx)
+	if err != nil {
+		t.Fatal(err)
 	}
-	return ids, segRs
+	return c.segs(), c.segRs[:c.n]
 }
 
 // refAllowRenew is the model of the per-EER renewal throttle (§4.2, one a

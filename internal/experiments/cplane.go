@@ -11,17 +11,13 @@ import (
 )
 
 // CPlaneConfig parameterizes the control-plane scaling experiment: for each
-// (EER count, admission implementation, shard count) cell a fresh
-// cserv.CPlane is driven through SegR setup, EER setup, renewal waves and
-// teardown, and the per-operation latencies are reported. The zero value is
-// filled in by defaults.
+// (EER count, shard count) cell a fresh cserv.CPlane is driven through SegR
+// setup, EER setup, renewal waves and teardown, and the per-operation
+// latencies are reported. The zero value is filled in by defaults.
 type CPlaneConfig struct {
 	// Sizes lists the concurrent-EER counts to sweep (default 1e3, 1e4,
 	// 1e5; §6 argues a single CServ handles hundreds of thousands of EERs).
 	Sizes []int
-	// Impls lists the admission implementations (default naive, memoized,
-	// restree — see internal/admission).
-	Impls []string
 	// Shards lists the CPlane shard counts (default 1, 4, 16).
 	Shards []int
 	// Waves is the number of full renewal waves measured (default 3).
@@ -31,9 +27,6 @@ type CPlaneConfig struct {
 func (c CPlaneConfig) withDefaults() CPlaneConfig {
 	if len(c.Sizes) == 0 {
 		c.Sizes = []int{1_000, 10_000, 100_000}
-	}
-	if len(c.Impls) == 0 {
-		c.Impls = []string{admission.ImplNaive, admission.ImplMemoized, admission.ImplRestree}
 	}
 	if len(c.Shards) == 0 {
 		c.Shards = []int{1, 4, 16}
@@ -46,7 +39,6 @@ func (c CPlaneConfig) withDefaults() CPlaneConfig {
 
 // CPlaneRow is one cell of the sweep.
 type CPlaneRow struct {
-	Impl   string
 	Shards int
 	EERs   int
 	SegRs  int
@@ -91,20 +83,18 @@ func RunCPlane(cfg CPlaneConfig) ([]CPlaneRow, error) {
 	cfg = cfg.withDefaults()
 	var rows []CPlaneRow
 	for _, size := range cfg.Sizes {
-		for _, impl := range cfg.Impls {
-			for _, shards := range cfg.Shards {
-				row, err := runCPlaneCell(impl, shards, size, cfg.Waves)
-				if err != nil {
-					return nil, fmt.Errorf("cplane %s/%d shards/%d EERs: %w", impl, shards, size, err)
-				}
-				rows = append(rows, row)
+		for _, shards := range cfg.Shards {
+			row, err := runCPlaneCell(shards, size, cfg.Waves)
+			if err != nil {
+				return nil, fmt.Errorf("cplane %d shards/%d EERs: %w", shards, size, err)
 			}
+			rows = append(rows, row)
 		}
 	}
 	return rows, nil
 }
 
-func runCPlaneCell(impl string, shards, eers, waves int) (CPlaneRow, error) {
+func runCPlaneCell(shards, eers, waves int) (CPlaneRow, error) {
 	segrs := eers / 10
 	if segrs < 1 {
 		segrs = 1
@@ -113,11 +103,10 @@ func runCPlaneCell(impl string, shards, eers, waves int) (CPlaneRow, error) {
 	// behave identically on every host.
 	var now uint32 = 1_000_000
 	cp, err := cserv.NewCPlane(cserv.CPlaneConfig{
-		AS:            cplaneAS(segrs),
-		Split:         admission.DefaultSplit,
-		Shards:        shards,
-		AdmissionImpl: impl,
-		Clock:         func() uint32 { return now },
+		AS:     cplaneAS(segrs),
+		Split:  admission.DefaultSplit,
+		Shards: shards,
+		Clock:  func() uint32 { return now },
 	})
 	if err != nil {
 		return CPlaneRow{}, err
@@ -197,7 +186,7 @@ func runCPlaneCell(impl string, shards, eers, waves int) (CPlaneRow, error) {
 		return CPlaneRow{}, fmt.Errorf("engine not drained: %d SegRs, %d EERs", ct.SegRs, ct.EERs)
 	}
 	row := CPlaneRow{
-		Impl: impl, Shards: shards, EERs: eers, SegRs: segrs,
+		Shards: shards, EERs: eers, SegRs: segrs,
 		SegSetupNs: segSetupNs, EESetupNs: eeSetupNs,
 		RenewNs: renewNs, TeardownNs: teardownNs,
 		Rejected: ct.Rejects,
@@ -212,11 +201,11 @@ func runCPlaneCell(impl string, shards, eers, waves int) (CPlaneRow, error) {
 func FormatCPlane(rows []CPlaneRow) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "control-plane scaling: per-op latency through setup/renew/teardown churn\n")
-	fmt.Fprintf(&b, "| impl | shards | SegRs | EERs | SegR setup µs | EER setup µs | renew µs | teardown µs | renew/s |\n")
-	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|---|\n")
+	fmt.Fprintf(&b, "| shards | SegRs | EERs | SegR setup µs | EER setup µs | renew µs | teardown µs | renew/s |\n")
+	fmt.Fprintf(&b, "|---|---|---|---|---|---|---|---|\n")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "| %s | %d | %d | %d | %.2f | %.2f | %.2f | %.2f | %.0f |\n",
-			r.Impl, r.Shards, r.SegRs, r.EERs,
+		fmt.Fprintf(&b, "| %d | %d | %d | %.2f | %.2f | %.2f | %.2f | %.0f |\n",
+			r.Shards, r.SegRs, r.EERs,
 			r.SegSetupNs/1e3, r.EESetupNs/1e3, r.RenewNs/1e3, r.TeardownNs/1e3,
 			r.RenewPerSec)
 	}

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"colibri/internal/admission"
 )
 
 // TestCPlaneByteIdentical pins the control-plane sweep to the package's
@@ -30,8 +28,7 @@ func TestCPlaneByteIdentical(t *testing.T) {
 func TestCPlaneSweepSanity(t *testing.T) {
 	rows, err := RunCPlane(CPlaneConfig{
 		Sizes:  []int{500},
-		Impls:  []string{admission.ImplMemoized, admission.ImplRestree},
-		Shards: []int{4},
+		Shards: []int{1, 4},
 		Waves:  2,
 	})
 	if err != nil {
@@ -42,17 +39,17 @@ func TestCPlaneSweepSanity(t *testing.T) {
 	}
 	for _, r := range rows {
 		if r.Rejected != 0 {
-			t.Errorf("%s: %d rejected EER setups, want 0", r.Impl, r.Rejected)
+			t.Errorf("%d shards: %d rejected EER setups, want 0", r.Shards, r.Rejected)
 		}
 		if r.EERs != 500 || r.SegRs != 50 {
-			t.Errorf("%s: population %d EERs / %d SegRs, want 500/50", r.Impl, r.EERs, r.SegRs)
+			t.Errorf("%d shards: population %d EERs / %d SegRs, want 500/50", r.Shards, r.EERs, r.SegRs)
 		}
 		if r.RenewNs <= 0 || r.RenewPerSec <= 0 {
-			t.Errorf("%s: non-positive renewal timing: %+v", r.Impl, r)
+			t.Errorf("%d shards: non-positive renewal timing: %+v", r.Shards, r)
 		}
 	}
 	out := FormatCPlane(rows)
-	if !strings.Contains(out, "| memoized | 4 | 50 | 500 |") {
-		t.Errorf("table missing memoized row:\n%s", out)
+	if !strings.Contains(out, "| 4 | 50 | 500 |") {
+		t.Errorf("table missing the 4-shard row:\n%s", out)
 	}
 }

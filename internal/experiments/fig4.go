@@ -27,7 +27,8 @@ var (
 )
 
 // RunFig4 measures one EER admission (admit + remove, halved) at a transit
-// AS against a pre-populated reservation store.
+// AS against its pre-populated control-plane engine — the calls the CServ's
+// handlers make per hop, under the covering SegR's shard lock.
 func RunFig4(existing, segrs []int, samples int) []Fig4Row {
 	if len(existing) == 0 {
 		existing = Fig4Existing
@@ -41,21 +42,19 @@ func RunFig4(existing, segrs []int, samples int) []Fig4Row {
 	var rows []Fig4Row
 	for _, s := range segrs {
 		for _, n := range existing {
-			store, segID, err := workload.EERPopulation(s, n)
+			cp, segID, err := workload.EERPopulation(s, n)
 			if err != nil {
 				panic(err)
 			}
 			durs := make([]float64, samples)
 			id := reservation.ID{SrcAS: topology.MustIA(1, 77), Num: 1 << 24}
+			segs := []reservation.ID{segID}
 			for i := range durs {
-				v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: workload.Epoch + 16}
 				start := nowNs()
-				if err := store.AdmitEERVersion(&reservation.EER{ID: id}, []reservation.ID{segID}, v, workload.Epoch); err != nil {
+				if err := cp.SetupEERPath(id, segs, 1, workload.Epoch+reservation.EERLifetimeSeconds, 1); err != nil {
 					panic(err)
 				}
-				if err := store.RemoveEERVersion(id, 1); err != nil {
-					panic(err)
-				}
+				cp.TeardownEERPath(id, segs)
 				durs[i] = float64(nowNs()-start) / 2 / 1000
 			}
 			avg, se := meanStdErr(durs)

@@ -151,7 +151,6 @@ func runPoliciesCell(name string, shards int, cfg PoliciesConfig) (PoliciesRow, 
 	if err != nil {
 		return PoliciesRow{}, err
 	}
-	defer pol.Close()
 	if err := pol.Provision(path, demand); err != nil {
 		return PoliciesRow{}, err
 	}

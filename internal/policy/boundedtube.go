@@ -222,9 +222,6 @@ func (p *BoundedTube) Counts() Counts {
 // Audit snapshots the conservation rows of every AS.
 func (p *BoundedTube) Audit(fromT, toT uint32) []ASAudit { return p.audit(fromT, toT) }
 
-// Close releases the engines' worker pools.
-func (p *BoundedTube) Close() { p.close() }
-
 // forget drops the initiator's record without touching the engines — the
 // crash seam of the conservation property test: the source loses its state,
 // the per-hop charges survive until expiry, and retried setups must dedup.

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"testing"
 
-	"colibri/internal/admission"
 	"colibri/internal/reservation"
 )
 
@@ -142,60 +141,55 @@ func (h *consHarness) step(i int) {
 	h.check(i)
 }
 
-// TestConservation runs the op tape against every policy × every admission
-// backend × unsharded and sharded engines.
+// TestConservation runs the op tape against every policy × unsharded and
+// sharded engines (each over the memoized SegR admitter, the only one).
 func TestConservation(t *testing.T) {
-	impls := []string{admission.ImplNaive, admission.ImplMemoized, admission.ImplRestree}
 	for _, name := range Names() {
-		for _, impl := range impls {
-			for _, shards := range []int{1, 4} {
-				name, impl, shards := name, impl, shards
-				t.Run(fmt.Sprintf("%s/%s/shards=%d", name, impl, shards), func(t *testing.T) {
-					const capKb = 40_000 // 30 Mbps EER share per link
-					ases, path := chainTopo(t, 3, capKb)
-					h := &consHarness{
-						t: t, now: 1_000, life: 8, path: path, capKb: capKb,
-						state: 0x9E3779B97F4A7C15 ^ uint64(shards),
-					}
-					p, err := New(name, Config{
-						ASes:          ases,
-						Shards:        shards,
-						Stripes:       2 * shards,
-						AdmissionImpl: impl,
-						LifetimeSec:   h.life,
-						Clock:         func() uint32 { return h.now },
-					})
-					if err != nil {
-						t.Fatal(err)
-					}
-					t.Cleanup(p.Close)
-					h.p, h.sub = p, substrateOf(p)
-					if h.sub == nil {
-						t.Fatalf("no substrate for %s", name)
-					}
-					// Provision most of the EER share so the tape actually
-					// hits refusals, partial grants and recovery.
-					if err := p.Provision(path, 24_000); err != nil {
-						t.Fatal(err)
-					}
-					for i := 0; i < 250; i++ {
-						h.step(i)
-					}
-					// Drain: teardown everything, expire the rest, audit zero.
-					for _, n := range h.live {
-						p.Teardown(flowID(n))
-					}
-					h.now += 4 * h.life
-					p.Tick()
-					for _, a := range p.Audit(h.now, h.now+256) {
-						for _, s := range a.Segs {
-							if s.PeakKbps != 0 || s.LiveEERs != 0 {
-								t.Fatalf("drain: AS %s seg %s still charged: %+v", a.IA, s.Seg, s)
-							}
+		for _, shards := range []int{1, 4} {
+			name, shards := name, shards
+			t.Run(fmt.Sprintf("%s/memoized/shards=%d", name, shards), func(t *testing.T) {
+				const capKb = 40_000 // 30 Mbps EER share per link
+				ases, path := chainTopo(t, 3, capKb)
+				h := &consHarness{
+					t: t, now: 1_000, life: 8, path: path, capKb: capKb,
+					state: 0x9E3779B97F4A7C15 ^ uint64(shards),
+				}
+				p, err := New(name, Config{
+					ASes:        ases,
+					Shards:      shards,
+					Stripes:     2 * shards,
+					LifetimeSec: h.life,
+					Clock:       func() uint32 { return h.now },
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				h.p, h.sub = p, substrateOf(p)
+				if h.sub == nil {
+					t.Fatalf("no substrate for %s", name)
+				}
+				// Provision most of the EER share so the tape actually
+				// hits refusals, partial grants and recovery.
+				if err := p.Provision(path, 24_000); err != nil {
+					t.Fatal(err)
+				}
+				for i := 0; i < 250; i++ {
+					h.step(i)
+				}
+				// Drain: teardown everything, expire the rest, audit zero.
+				for _, n := range h.live {
+					p.Teardown(flowID(n))
+				}
+				h.now += 4 * h.life
+				p.Tick()
+				for _, a := range p.Audit(h.now, h.now+256) {
+					for _, s := range a.Segs {
+						if s.PeakKbps != 0 || s.LiveEERs != 0 {
+							t.Fatalf("drain: AS %s seg %s still charged: %+v", a.IA, s.Seg, s)
 						}
 					}
-				})
-			}
+				}
+			})
 		}
 	}
 }

@@ -67,7 +67,6 @@ func newDiffHarness(t testing.TB, shards, slots int, life uint32) *diffHarness {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(p.Close)
 		if err := p.Provision(path, demand); err != nil {
 			t.Fatal(err)
 		}

@@ -219,9 +219,6 @@ func (p *Flyover) Counts() Counts {
 // Audit snapshots the conservation rows of every AS.
 func (p *Flyover) Audit(fromT, toT uint32) []ASAudit { return p.audit(fromT, toT) }
 
-// Close releases the engines' worker pools.
-func (p *Flyover) Close() { p.close() }
-
 // forget drops the source's record without touching the engines (the crash
 // seam; see BoundedTube.forget).
 func (p *Flyover) forget(flow reservation.ID) {

@@ -216,9 +216,6 @@ func (p *Hummingbird) Counts() Counts {
 // Audit snapshots the conservation rows of every AS.
 func (p *Hummingbird) Audit(fromT, toT uint32) []ASAudit { return p.audit(fromT, toT) }
 
-// Close releases the engines' worker pools.
-func (p *Hummingbird) Close() { p.close() }
-
 // forget drops the source's record without touching the engines (the crash
 // seam; see BoundedTube.forget).
 func (p *Hummingbird) forget(flow reservation.ID) {

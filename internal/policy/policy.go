@@ -1,8 +1,7 @@
 // Package policy puts the reservation lifecycle — setup, renewal, teardown,
 // demand accounting, epoch granularity — behind one interface and implements
 // three reservation models over the same sharded control-plane substrate
-// (one cserv.CPlane per on-path AS, each backed by the pluggable
-// admission.Admitter implementations):
+// (one cserv.CPlane per on-path AS):
 //
 //   - BoundedTube — the paper's model (§3.3/§4.2): a flow's end-to-end
 //     reservation is set up atomically across every on-path hop (a refusal
@@ -79,9 +78,6 @@ type Config struct {
 	Split admission.TrafficSplit
 	// Shards is the per-AS CPlane shard count (power of two; 0 selects 1).
 	Shards int
-	// AdmissionImpl names the SegR admission backend per shard
-	// (admission.Impl*); empty selects the memoized default.
-	AdmissionImpl string
 	// EpochSeconds is the demand-ledger discretization. 0 selects the
 	// model's natural granularity: 4 s for bounded-tube and flyover, 1 s for
 	// Hummingbird (fine slicing is the model's point).
@@ -157,8 +153,6 @@ type Policy interface {
 	// Audit snapshots every AS's per-SegR grant vs peak admitted demand over
 	// [fromT, toT), in IA order — the conservation probe.
 	Audit(fromT, toT uint32) []ASAudit
-	// Close releases engine worker goroutines.
-	Close()
 }
 
 // Names accepted by New.

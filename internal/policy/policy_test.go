@@ -66,7 +66,6 @@ func newPolicy(t testing.TB, name string, ases []*topology.AS, life uint32, now 
 	if err != nil {
 		t.Fatal(err)
 	}
-	t.Cleanup(p.Close)
 	return p
 }
 
@@ -234,7 +233,6 @@ func TestRenewWaveMatchesRenew(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		t.Cleanup(p.Close)
 		if err := p.Provision(path, 120_000); err != nil {
 			t.Fatal(err)
 		}

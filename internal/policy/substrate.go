@@ -85,13 +85,12 @@ func newSubstrate(cfg Config) (*substrate, error) {
 			return nil, fmt.Errorf("policy: duplicate AS %s", as.IA)
 		}
 		cp, err := cserv.NewCPlane(cserv.CPlaneConfig{
-			AS:            as,
-			Split:         cfg.Split,
-			Shards:        cfg.Shards,
-			AdmissionImpl: cfg.AdmissionImpl,
-			EpochSeconds:  cfg.EpochSeconds,
-			LedgerEpochs:  cfg.LedgerEpochs,
-			Clock:         cfg.Clock,
+			AS:           as,
+			Split:        cfg.Split,
+			Shards:       cfg.Shards,
+			EpochSeconds: cfg.EpochSeconds,
+			LedgerEpochs: cfg.LedgerEpochs,
+			Clock:        cfg.Clock,
 		})
 		if err != nil {
 			return nil, err
@@ -227,13 +226,6 @@ func (s *substrate) addHopOps(n uint64) { s.hopOps.Add(n) }
 func (s *substrate) noteSetup()         { s.setups.Add(1) }
 func (s *substrate) noteRenew()         { s.renews.Add(1) }
 func (s *substrate) noteRefusal()       { s.refusals.Add(1) }
-
-// close releases every engine's worker pool, in IA order.
-func (s *substrate) close() {
-	for _, ia := range s.order {
-		s.planes[ia].Close()
-	}
-}
 
 // renewWaveSeq is the per-flow RenewWave fallback for models whose renewal
 // is a fresh setup and therefore has no shard-major batch form.

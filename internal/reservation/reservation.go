@@ -1,18 +1,17 @@
-// Package reservation models Colibri reservations and the per-AS
-// reservation store: segment reservations (SegRs) with a single active and
-// at most one pending version (§4.2), and end-to-end reservations (EERs)
-// with multiple concurrently valid versions, all mapped to one reservation
-// ID for monitoring.
+// Package reservation models Colibri reservation identifiers and the per-AS
+// store of segment reservations (SegRs), each with a single active and at
+// most one pending version (§4.2). End-to-end reservations (EERs) have no
+// record here: their admission state is the control-plane engine's
+// (cserv.CPlane), their data-plane state the gateway's.
 //
 // The store keeps each AS's local view: on-path ASes store their interface
 // pair and granted bandwidth; the initiator AS additionally stores the full
-// segment and the returned tokens/hop authenticators.
+// segment and the returned tokens.
 package reservation
 
 import (
 	"fmt"
 
-	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/segment"
 	"colibri/internal/topology"
@@ -58,8 +57,6 @@ func (id ID) Derived(tag uint32) ID {
 const (
 	SegRLifetimeSeconds = 300
 	EERLifetimeSeconds  = 16
-	// MaxEERVersions bounds concurrently valid versions of one EER.
-	MaxEERVersions = 4
 )
 
 // Version is one (version, bandwidth, expiry) incarnation of a reservation.
@@ -86,107 +83,9 @@ type SegR struct {
 	// Pending is a renewed version awaiting explicit activation, if any.
 	Pending *Version
 
-	// AllocatedEERKbps is the total EER bandwidth admitted over this SegR at
-	// this AS (the Σ checked by transit-AS admission, §4.7).
-	AllocatedEERKbps uint64
-
 	// Initiator-only state:
 	// Seg is the full segment (nil at transit ASes).
 	Seg *segment.Segment
 	// Tokens are the per-hop SegR tokens of Eq. (3), initiator-only.
 	Tokens [][packet.HVFLen]byte
-}
-
-// AvailableEERKbps returns how much EER bandwidth is still free under the
-// active version.
-func (s *SegR) AvailableEERKbps() uint64 {
-	if s.Active.BwKbps <= s.AllocatedEERKbps {
-		return 0
-	}
-	return s.Active.BwKbps - s.AllocatedEERKbps
-}
-
-// EER is one AS's record of an end-to-end reservation.
-type EER struct {
-	ID ID
-	// SegIDs are the underlying segment reservations, in path order (1–3).
-	SegIDs []ID
-	// In, Eg are this AS's interfaces on the EER path.
-	In, Eg  topology.IfID
-	SrcHost uint32
-	DstHost uint32
-	// Versions are the concurrently valid versions, ascending by Ver.
-	Versions []Version
-
-	// Initiator-only state:
-	// Path is the full end-to-end path (source AS / gateway only).
-	Path []packet.HopField
-	// HopAuths are the per-hop authenticators σ_i of Eq. (4), source-AS only.
-	HopAuths []cryptoutil.Key
-}
-
-// MaxBwKbps returns the largest bandwidth among non-expired versions; this
-// is the rate the monitors enforce ("a sender using multiple versions of the
-// same EER can obtain at most the maximum bandwidth of all valid versions",
-// §4.8).
-func (e *EER) MaxBwKbps(now uint32) uint64 {
-	var m uint64
-	for _, v := range e.Versions {
-		if !v.Expired(now) && v.BwKbps > m {
-			m = v.BwKbps
-		}
-	}
-	return m
-}
-
-// LatestVersion returns the non-expired version with the highest Ver, or nil
-// ("the gateway generally uses a single version (the latest one)").
-func (e *EER) LatestVersion(now uint32) *Version {
-	for i := len(e.Versions) - 1; i >= 0; i-- {
-		if !e.Versions[i].Expired(now) {
-			return &e.Versions[i]
-		}
-	}
-	return nil
-}
-
-// AddVersion inserts a new version keeping ascending order and the
-// MaxEERVersions bound (oldest evicted first). Duplicate version numbers are
-// rejected.
-//
-// The slice is kept ordered on insert — a backward scan plus shift, like the
-// ID.Less ordering discipline of the store — rather than re-sorted per call:
-// under renewal churn every EER gets a new version each lifetime, and the
-// common case (monotonically increasing Ver) is a single append with zero
-// element moves.
-func (e *EER) AddVersion(v Version) error {
-	// Find the insertion point from the back; renewals almost always carry
-	// the highest Ver yet, so this loop usually exits immediately.
-	i := len(e.Versions)
-	for i > 0 && e.Versions[i-1].Ver > v.Ver {
-		i--
-	}
-	if i > 0 && e.Versions[i-1].Ver == v.Ver {
-		return fmt.Errorf("reservation: EER %s already has version %d", e.ID, v.Ver)
-	}
-	e.Versions = append(e.Versions, Version{})
-	copy(e.Versions[i+1:], e.Versions[i:])
-	e.Versions[i] = v
-	if len(e.Versions) > MaxEERVersions {
-		copy(e.Versions, e.Versions[len(e.Versions)-MaxEERVersions:])
-		e.Versions = e.Versions[:MaxEERVersions]
-	}
-	return nil
-}
-
-// DropExpired removes expired versions and reports whether any remain.
-func (e *EER) DropExpired(now uint32) bool {
-	kept := e.Versions[:0]
-	for _, v := range e.Versions {
-		if !v.Expired(now) {
-			kept = append(kept, v)
-		}
-	}
-	e.Versions = kept
-	return len(kept) > 0
 }

@@ -9,40 +9,29 @@ import (
 	"colibri/internal/topology"
 )
 
-// Store is one AS's reservation database. It is safe for concurrent use and
-// maintains the EER-over-SegR bandwidth accounting that transit-AS admission
-// checks (§4.7). In the paper this is "a transactional database" inside the
-// CServ; here the setup flow's reserve-then-confirm/rollback discipline is
-// provided by the SegR lifecycle methods.
+// Store is one AS's database of segment reservations: their protocol state
+// (versions, tokens, idempotency keys). It is safe for concurrent use. In the
+// paper this is "a transactional database" inside the CServ; here the setup
+// flow's reserve-then-confirm/rollback discipline is provided by the SegR
+// lifecycle methods. The bandwidth accounting — SegR admission and the EER
+// demand over each SegR — is the control-plane engine's (cserv.CPlane).
 type Store struct {
 	mu     sync.RWMutex
 	local  topology.IA
 	segs   map[ID]*SegR
-	eers   map[ID]*EER
 	nextID uint32
-
-	// contrib tracks, per EER, the bandwidth currently charged against its
-	// underlying SegRs, so version changes adjust by delta.
-	contrib map[ID]uint64
 }
 
 // Store errors.
 var (
-	ErrNotFound       = errors.New("reservation: not found")
-	ErrExists         = errors.New("reservation: already exists")
-	ErrNoPending      = errors.New("reservation: no pending version")
-	ErrOverAllocation = errors.New("reservation: activation would over-allocate EER bandwidth")
-	ErrInsufficient   = errors.New("reservation: insufficient bandwidth in segment reservation")
+	ErrNotFound  = errors.New("reservation: not found")
+	ErrExists    = errors.New("reservation: already exists")
+	ErrNoPending = errors.New("reservation: no pending version")
 )
 
 // NewStore builds an empty store for the given AS.
 func NewStore(local topology.IA) *Store {
-	return &Store{
-		local:   local,
-		segs:    make(map[ID]*SegR),
-		eers:    make(map[ID]*EER),
-		contrib: make(map[ID]uint64),
-	}
+	return &Store{local: local, segs: make(map[ID]*SegR)}
 }
 
 // Local returns the owning AS.
@@ -130,9 +119,10 @@ func (s *Store) ClearPending(id ID) error {
 	return nil
 }
 
-// ActivatePending switches the SegR to its pending version. It fails with
-// ErrOverAllocation if already-admitted EER bandwidth would exceed the new
-// version ("ensure that no over-allocation with EERs can occur").
+// ActivatePending switches the SegR to its pending version. The caller has
+// checked that the EER bandwidth admitted over the SegR fits the new version
+// ("ensure that no over-allocation with EERs can occur": the demand lives in
+// the engine's ledger, CPlane.SegDemandMax).
 func (s *Store) ActivatePending(id ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -143,102 +133,17 @@ func (s *Store) ActivatePending(id ID) error {
 	if r.Pending == nil {
 		return fmt.Errorf("%w: SegR %s", ErrNoPending, id)
 	}
-	if r.Pending.BwKbps < r.AllocatedEERKbps {
-		return fmt.Errorf("%w: SegR %s pending %d kbps < allocated %d kbps",
-			ErrOverAllocation, id, r.Pending.BwKbps, r.AllocatedEERKbps)
-	}
 	r.Active = *r.Pending
 	r.Pending = nil
 	return nil
 }
 
-// AdmitEERVersion checks available bandwidth on the given local SegRs and,
-// if sufficient, records the version and charges the bandwidth delta against
-// each SegR. This is the transit-AS admission of §4.7 plus the accounting
-// that all versions of one EER share a single budget (the max over valid
-// versions). eer describes the record to create on first sight of the ID.
-func (s *Store) AdmitEERVersion(eer *EER, segIDs []ID, v Version, now uint32) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-
-	existing, ok := s.eers[eer.ID]
-	if !ok {
-		existing = eer
-		existing.Versions = nil
-	}
-	oldContrib := s.contrib[eer.ID]
-	// The new contribution if this version is admitted.
-	newMax := oldContrib
-	if v.BwKbps > newMax {
-		newMax = v.BwKbps
-	}
-	delta := newMax - oldContrib
-	if delta > 0 {
-		segs := make([]*SegR, 0, len(segIDs))
-		for _, sid := range segIDs {
-			sr, ok := s.segs[sid]
-			if !ok {
-				return fmt.Errorf("%w: SegR %s", ErrNotFound, sid)
-			}
-			if sr.Active.Expired(now) {
-				return fmt.Errorf("%w: SegR %s expired", ErrNotFound, sid)
-			}
-			if sr.AvailableEERKbps() < delta {
-				return fmt.Errorf("%w: SegR %s has %d kbps free, need %d",
-					ErrInsufficient, sid, sr.AvailableEERKbps(), delta)
-			}
-			segs = append(segs, sr)
-		}
-		for _, sr := range segs {
-			sr.AllocatedEERKbps += delta
-		}
-	}
-	if err := existing.AddVersion(v); err != nil {
-		// Undo the charge on duplicate version numbers.
-		if delta > 0 {
-			for _, sid := range segIDs {
-				if sr, ok := s.segs[sid]; ok {
-					sr.AllocatedEERKbps -= delta
-				}
-			}
-		}
-		return err
-	}
-	if !ok {
-		existing.SegIDs = append([]ID(nil), segIDs...)
-		s.eers[eer.ID] = existing
-	}
-	s.contrib[eer.ID] = newMax
-	return nil
-}
-
-// GetEER returns the EER record, or ErrNotFound.
-func (s *Store) GetEER(id ID) (*EER, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.eers[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: EER %s", ErrNotFound, id)
-	}
-	return e, nil
-}
-
-// Cleanup removes expired reservations: EER versions past their expiry
-// (releasing SegR bandwidth), EERs with no versions left, and SegRs whose
-// active and pending versions are both expired. It returns the IDs of
-// removed SegRs so the caller can release admission-state aggregates.
+// Cleanup removes the SegRs whose active and pending versions are both
+// expired. It returns their IDs so the caller can release the admission
+// state held for them.
 func (s *Store) Cleanup(now uint32) (removedSegRs []ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	for _, id := range sortedIDs(s.eers) {
-		e := s.eers[id]
-		alive := e.DropExpired(now)
-		s.rebalanceLocked(e)
-		if !alive {
-			delete(s.eers, id)
-			delete(s.contrib, id)
-		}
-	}
 	for _, id := range sortedIDs(s.segs) {
 		r := s.segs[id]
 		activeDead := r.Active.Expired(now)
@@ -284,9 +189,9 @@ func sortedIDs[V any](m map[ID]V) []ID {
 	return ids
 }
 
-// Counts returns the number of stored SegRs and EERs.
-func (s *Store) Counts() (segRs, eers int) {
+// Len returns the number of stored SegRs.
+func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	return len(s.segs), len(s.eers)
+	return len(s.segs)
 }

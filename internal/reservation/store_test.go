@@ -3,8 +3,8 @@ package reservation
 import (
 	"errors"
 	"testing"
-	"testing/quick"
 
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
@@ -87,146 +87,6 @@ func TestPendingActivation(t *testing.T) {
 	}
 }
 
-func TestActivationOverAllocationGuard(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	sid := s.NextID()
-	if err := s.AddSegR(newSegR(sid, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	err := s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 1, BwKbps: 700, ExpT: now + EERLifetimeSeconds}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Pending smaller than the 700 kbps already allocated must be refused.
-	if err := s.SetPending(sid, Version{Ver: 2, BwKbps: 500, ExpT: now + 600}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ActivatePending(sid); !errors.Is(err, ErrOverAllocation) {
-		t.Errorf("want ErrOverAllocation, got %v", err)
-	}
-	// A large-enough pending activates fine.
-	if err := s.SetPending(sid, Version{Ver: 3, BwKbps: 700, ExpT: now + 600}); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.ActivatePending(sid); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAdmitEERChecksCapacity(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	sid := s.NextID()
-	if err := s.AddSegR(newSegR(sid, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	mk := func(num uint32, bw uint64, ver uint16) error {
-		return s.AdmitEERVersion(&EER{ID: ID{SrcAS: ia(1, 9), Num: num}}, []ID{sid},
-			Version{Ver: ver, BwKbps: bw, ExpT: now + EERLifetimeSeconds}, now)
-	}
-	if err := mk(1, 600, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := mk(2, 600, 1); !errors.Is(err, ErrInsufficient) {
-		t.Errorf("over-capacity admit: %v", err)
-	}
-	if err := mk(2, 400, 1); err != nil {
-		t.Errorf("exact-fit admit: %v", err)
-	}
-	r, _ := s.GetSegR(sid)
-	if r.AllocatedEERKbps != 1000 || r.AvailableEERKbps() != 0 {
-		t.Errorf("allocated=%d available=%d", r.AllocatedEERKbps, r.AvailableEERKbps())
-	}
-}
-
-func TestAdmitEERVersionsShareBudget(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	sid := s.NextID()
-	if err := s.AddSegR(newSegR(sid, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	admit := func(ver uint16, bw uint64) error {
-		return s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-			Version{Ver: ver, BwKbps: bw, ExpT: now + EERLifetimeSeconds}, now)
-	}
-	if err := admit(1, 600); err != nil {
-		t.Fatal(err)
-	}
-	// A second version of the same EER at equal bw must not double-charge.
-	if err := admit(2, 600); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := s.GetSegR(sid)
-	if r.AllocatedEERKbps != 600 {
-		t.Errorf("allocated = %d, want 600 (versions share budget)", r.AllocatedEERKbps)
-	}
-	// A higher-bw version charges only the delta.
-	if err := admit(3, 900); err != nil {
-		t.Fatal(err)
-	}
-	r, _ = s.GetSegR(sid)
-	if r.AllocatedEERKbps != 900 {
-		t.Errorf("allocated = %d, want 900", r.AllocatedEERKbps)
-	}
-	// Duplicate version number is rejected and does not change accounting.
-	if err := admit(3, 950); err == nil {
-		t.Error("duplicate version accepted")
-	}
-	r, _ = s.GetSegR(sid)
-	if r.AllocatedEERKbps != 900 {
-		t.Errorf("allocated after failed admit = %d, want 900", r.AllocatedEERKbps)
-	}
-	e, err := s.GetEER(eid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := e.MaxBwKbps(now); got != 900 {
-		t.Errorf("MaxBwKbps = %d", got)
-	}
-	if v := e.LatestVersion(now); v == nil || v.Ver != 3 {
-		t.Errorf("LatestVersion = %+v", v)
-	}
-}
-
-func TestCleanupReleasesBandwidth(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	sid := s.NextID()
-	if err := s.AddSegR(newSegR(sid, 1000)); err != nil {
-		t.Fatal(err)
-	}
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	// Version 1 expires soon; version 2 lives longer at lower bw.
-	if err := s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 1, BwKbps: 800, ExpT: now + 5}, now); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 2, BwKbps: 300, ExpT: now + 16}, now); err != nil {
-		t.Fatal(err)
-	}
-	r, _ := s.GetSegR(sid)
-	if r.AllocatedEERKbps != 800 {
-		t.Fatalf("allocated = %d, want 800", r.AllocatedEERKbps)
-	}
-	// After v1 expires, only 300 remains charged.
-	s.Cleanup(now + 6)
-	r, _ = s.GetSegR(sid)
-	if r.AllocatedEERKbps != 300 {
-		t.Errorf("allocated after cleanup = %d, want 300", r.AllocatedEERKbps)
-	}
-	// After all versions expire, the EER disappears entirely.
-	s.Cleanup(now + 20)
-	if _, err := s.GetEER(eid); !errors.Is(err, ErrNotFound) {
-		t.Errorf("EER not removed: %v", err)
-	}
-	r, _ = s.GetSegR(sid)
-	if r.AllocatedEERKbps != 0 {
-		t.Errorf("allocated after full expiry = %d", r.AllocatedEERKbps)
-	}
-}
-
 func TestCleanupSegRs(t *testing.T) {
 	s := NewStore(ia(1, 1))
 	// Expired active, no pending → removed.
@@ -258,78 +118,8 @@ func TestCleanupSegRs(t *testing.T) {
 	if _, err := s.GetSegR(id3); err != nil {
 		t.Error("live SegR removed")
 	}
-	segs, eers := s.Counts()
-	if segs != 2 || eers != 0 {
-		t.Errorf("Counts = %d, %d", segs, eers)
-	}
-}
-
-func TestEERVersionBoundsQuick(t *testing.T) {
-	f := func(vers []uint16) bool {
-		e := &EER{ID: ID{SrcAS: ia(1, 1), Num: 1}}
-		for i, v := range vers {
-			_ = e.AddVersion(Version{Ver: v, BwKbps: uint64(i), ExpT: now + 16})
-		}
-		if len(e.Versions) > MaxEERVersions {
-			return false
-		}
-		for i := 1; i < len(e.Versions); i++ {
-			if e.Versions[i-1].Ver >= e.Versions[i].Ver {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestAdmitEERMissingOrExpiredSegR(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	err := s.AdmitEERVersion(&EER{ID: eid}, []ID{{SrcAS: ia(1, 1), Num: 99}},
-		Version{Ver: 1, BwKbps: 10, ExpT: now + 16}, now)
-	if !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing SegR: %v", err)
-	}
-	sid := s.NextID()
-	r := newSegR(sid, 100)
-	r.Active.ExpT = now - 1
-	_ = s.AddSegR(r)
-	err = s.AdmitEERVersion(&EER{ID: eid}, []ID{sid},
-		Version{Ver: 1, BwKbps: 10, ExpT: now + 16}, now)
-	if !errors.Is(err, ErrNotFound) {
-		t.Errorf("expired SegR: %v", err)
-	}
-}
-
-func TestTransferASChargesBothSegRs(t *testing.T) {
-	s := NewStore(ia(1, 1))
-	sid1, sid2 := s.NextID(), s.NextID()
-	_ = s.AddSegR(newSegR(sid1, 1000))
-	_ = s.AddSegR(newSegR(sid2, 500))
-	eid := ID{SrcAS: ia(1, 9), Num: 1}
-	err := s.AdmitEERVersion(&EER{ID: eid}, []ID{sid1, sid2},
-		Version{Ver: 1, BwKbps: 400, ExpT: now + 16}, now)
-	if err != nil {
-		t.Fatal(err)
-	}
-	r1, _ := s.GetSegR(sid1)
-	r2, _ := s.GetSegR(sid2)
-	if r1.AllocatedEERKbps != 400 || r2.AllocatedEERKbps != 400 {
-		t.Errorf("allocations: %d, %d", r1.AllocatedEERKbps, r2.AllocatedEERKbps)
-	}
-	// The smaller SegR gates the next admission.
-	err = s.AdmitEERVersion(&EER{ID: ID{SrcAS: ia(1, 9), Num: 2}}, []ID{sid1, sid2},
-		Version{Ver: 1, BwKbps: 200, ExpT: now + 16}, now)
-	if !errors.Is(err, ErrInsufficient) {
-		t.Errorf("want ErrInsufficient from smaller SegR, got %v", err)
-	}
-	// No partial charge must remain on the first SegR.
-	r1, _ = s.GetSegR(sid1)
-	if r1.AllocatedEERKbps != 400 {
-		t.Errorf("partial charge leaked: %d", r1.AllocatedEERKbps)
+	if s.Len() != 2 {
+		t.Errorf("Len = %d, want 2", s.Len())
 	}
 }
 
@@ -341,5 +131,19 @@ func TestIDStringAndZero(t *testing.T) {
 	id := ID{SrcAS: ia(1, 2), Num: 7}
 	if id.IsZero() || id.String() != "1-2#7" {
 		t.Errorf("ID = %s", id)
+	}
+}
+
+func TestInitiatedSegRs(t *testing.T) {
+	s := NewStore(ia(1, 1))
+	a := s.NextID()
+	local := newSegR(a, 100)
+	local.Seg = &segment.Segment{Type: segment.Up, Hops: []segment.Hop{{IA: ia(1, 1)}}}
+	_ = s.AddSegR(local)
+	b := s.NextID()
+	_ = s.AddSegR(newSegR(b, 100)) // transit view: no segment attached
+	got := s.InitiatedSegRs()
+	if len(got) != 1 || got[0].ID != a {
+		t.Errorf("InitiatedSegRs = %v", got)
 	}
 }

@@ -12,8 +12,8 @@
 //
 // Admission over a request window [start, exp) then becomes a single
 // MaxDemand query instead of a recomputation over all live reservations —
-// this is what turns Colibri's §4 bounded-tube admission into an O(log n)
-// operation (package admission's RestreeState) and what lets the sharded
+// this is what makes the EER admission of a hop an O(log n) operation
+// (Profile, the demand ledger under every SegR) and what lets the sharded
 // CServ (cserv.CPlane) absorb millions of end-to-end reservations.
 //
 // The leaf array is a ring: absolute epoch e maps to leaf e mod n. A tree

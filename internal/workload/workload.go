@@ -10,6 +10,7 @@ import (
 
 	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
+	"colibri/internal/cserv"
 	"colibri/internal/gateway"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
@@ -61,35 +62,25 @@ func PopulateSegRs(st *admission.State, n int, ratio float64, srcMain topology.I
 	return nil
 }
 
-// EERPopulation is the Fig. 4 fixture: a reservation store holding s SegRs
-// from one source (the paper's parameter s) and n EERs admitted over the
-// first SegR.
-func EERPopulation(s, n int) (*reservation.Store, reservation.ID, error) {
-	store := reservation.NewStore(topology.MustIA(1, 1))
-	var first reservation.ID
-	for i := 0; i < s; i++ {
-		id := store.NextID()
-		if i == 0 {
-			first = id
-		}
-		segr := &reservation.SegR{
-			ID:     id,
-			In:     1,
-			Eg:     2,
-			Active: reservation.Version{Ver: 1, BwKbps: 1 << 40, ExpT: Epoch + 300},
-		}
-		if err := store.AddSegR(segr); err != nil {
-			return nil, first, err
-		}
+// EERPopulation is the Fig. 4 fixture: the control-plane engine of a transit
+// AS — what the CServ's handlers admit an EER against — holding s SegRs from
+// one source (the paper's parameter s) and n EERs admitted over the first
+// SegR, whose ID it returns. The engine's clock stands at Epoch. Links lie far
+// above the SegRs' total demand, so each is granted in full.
+func EERPopulation(s, n int) (*cserv.CPlane, reservation.ID, error) {
+	as, _ := TransitAS(2, 1<<50)
+	src := topology.MustIA(1, 8)
+	first := reservation.ID{SrcAS: src, Num: 1}
+	cp, err := cserv.NewCPlane(cserv.CPlaneConfig{AS: as, Split: admission.DefaultSplit, Clock: func() uint32 { return Epoch }})
+	for i := 0; i < s && err == nil; i++ {
+		id := reservation.ID{SrcAS: src, Num: uint32(i + 1)}
+		_, err = cp.AddSegR(admission.Request{ID: id, Src: src, In: 1, Eg: 2, MaxKbps: 1 << 32})
 	}
-	for i := 0; i < n; i++ {
-		eer := &reservation.EER{ID: reservation.ID{SrcAS: topology.MustIA(1, 9), Num: uint32(i + 1)}}
-		v := reservation.Version{Ver: 1, BwKbps: 1, ExpT: Epoch + reservation.EERLifetimeSeconds}
-		if err := store.AdmitEERVersion(eer, []reservation.ID{first}, v, Epoch); err != nil {
-			return nil, first, err
-		}
+	for i := 0; i < n && err == nil; i++ {
+		id := reservation.ID{SrcAS: topology.MustIA(1, 9), Num: uint32(i + 1)}
+		err = cp.SetupEERPath(id, []reservation.ID{first}, 1, Epoch+reservation.EERLifetimeSeconds, 1)
 	}
-	return store, first, nil
+	return cp, first, err
 }
 
 // GatewayPopulation is the Figs. 5–6 fixture: a gateway of srcAS preloaded

@@ -31,20 +31,15 @@ func TestPopulateSegRsRatio(t *testing.T) {
 }
 
 func TestEERPopulation(t *testing.T) {
-	store, segID, err := EERPopulation(5, 100)
+	cp, segID, err := EERPopulation(5, 100)
 	if err != nil {
 		t.Fatal(err)
 	}
-	segs, eers := store.Counts()
-	if segs != 5 || eers != 100 {
-		t.Errorf("counts: %d SegRs, %d EERs", segs, eers)
+	if ct := cp.Counts(); ct.SegRs != 5 || ct.EERs != 100 || ct.Rejects != 0 {
+		t.Errorf("counts: %+v, want 5 SegRs, 100 EERs, nothing refused", ct)
 	}
-	sr, err := store.GetSegR(segID)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sr.AllocatedEERKbps != 100 {
-		t.Errorf("allocated = %d", sr.AllocatedEERKbps)
+	if demand, ok := cp.SegDemandMax(segID); !ok || demand != 100 {
+		t.Errorf("demand on the first SegR = %d (known %v), want 100", demand, ok)
 	}
 }
 
