@@ -181,10 +181,7 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 		})
 		rcfg := router.Config{IA: ia, Secret: asSecret, Telemetry: node.Telemetry}
 		if opts.EnableReplaySuppression {
-			rcfg.Replay = replay.New(replay.Config{})
-			if node.Telemetry != nil {
-				rcfg.Replay.SetGauge(node.Telemetry.Gauge("replay.window_inserts"))
-			}
+			rcfg.Replay = &replay.Config{}
 		}
 		if opts.EnableOFD {
 			rcfg.OFD = ofd.New(ofd.Config{})

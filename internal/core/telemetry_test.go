@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 
+	"colibri/internal/replay"
+	"colibri/internal/router"
 	"colibri/internal/telemetry"
 )
 
@@ -79,5 +81,44 @@ func TestNetworkTelemetryOff(t *testing.T) {
 	}
 	if snaps := net.TelemetrySnapshots(); len(snaps) != 0 {
 		t.Errorf("got %d snapshots, want 0", len(snaps))
+	}
+}
+
+// TestReplayFilterBytesGauge: the memory the replay filters hold can be read
+// from the running system. After one virtual second shaped like the
+// benchmark's pkt-hot workload (64 sessions of 1 Mbps, empty payloads, a
+// packet every 15.625 µs), every router that saw the traffic reports
+// replay.filter_bytes above zero and below ⅛ of the design ceiling.
+func TestReplayFilterBytesGauge(t *testing.T) {
+	net, hs, hd := twoISDNet(t, Options{Telemetry: true, EnableReplaySuppression: true, RateLimit: 1 << 30})
+	sessions := make([]*Session, 64)
+	for i := range sessions {
+		s, err := hs.RequestEER(hd, 1000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sessions[i] = s
+	}
+	for i := 0; i < 64_000; i++ {
+		net.Clock.Advance(15_625)
+		if err := sessions[i%len(sessions)].Send(nil); err != nil {
+			t.Fatalf("packet %d: %v", i, err)
+		}
+	}
+	ceiling := replay.Config{}.CeilingBytes(router.DefaultFreshnessNs)
+	routers := 0
+	for _, snap := range net.TelemetrySnapshots() {
+		if snap.Counters["router.processed"] == 0 {
+			continue
+		}
+		routers++
+		if b := snap.Gauges["replay.filter_bytes"]; b <= 0 || b >= ceiling/8 {
+			t.Errorf("%s: replay.filter_bytes = %d, want in (0, %d)", snap.Label, b, ceiling/8)
+		} else {
+			t.Logf("%s: replay.filter_bytes = %d (%.1f %% of the ceiling)", snap.Label, b, 100*float64(b)/float64(ceiling))
+		}
+	}
+	if routers < 2 {
+		t.Fatalf("only %d routers saw traffic", routers)
 	}
 }

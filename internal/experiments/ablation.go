@@ -99,10 +99,10 @@ func ablationRouterStack(perPoint time.Duration) []AblationRow {
 		cfg  func(c *router.Config)
 	}{
 		{"crypto only", func(c *router.Config) {}},
-		{"+ replay suppression", func(c *router.Config) { c.Replay = replay.New(replay.Config{}) }},
+		{"+ replay suppression", func(c *router.Config) { c.Replay = &replay.Config{} }},
 		{"+ OFD", func(c *router.Config) { c.OFD = ofd.New(ofd.Config{}) }},
 		{"+ replay + OFD", func(c *router.Config) {
-			c.Replay = replay.New(replay.Config{})
+			c.Replay = &replay.Config{}
 			c.OFD = ofd.New(ofd.Config{})
 		}},
 	}

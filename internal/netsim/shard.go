@@ -262,10 +262,10 @@ func (e *event) less(o *event) bool {
 
 type eventQueue []*event
 
-func (q eventQueue) Len() int            { return len(q) }
-func (q eventQueue) Less(i, j int) bool  { return q[i].less(q[j]) }
-func (q eventQueue) Swap(i, j int)       { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)         { *q = append(*q, x.(*event)) }
+func (q eventQueue) Len() int           { return len(q) }
+func (q eventQueue) Less(i, j int) bool { return q[i].less(q[j]) }
+func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
+func (q *eventQueue) Push(x any)        { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {
 	old := *q
 	n := len(old)

@@ -5,79 +5,103 @@ import (
 	"testing"
 )
 
+// freshness is the router's default bound, DefaultFreshnessNs.
+const freshness = 500e6
+
 func TestReplayCaught(t *testing.T) {
-	s := New(Config{})
-	id := PacketID(0x0001_000000000001, 42, 12345)
-	if !s.FreshAndUnique(id, 0) {
+	s := NewCovering(Config{}, freshness)
+	const ts = 12345e6
+	id := PacketID(0x0001_000000000001, 42, ts)
+	if !s.Check(id, ts, ts) {
 		t.Fatal("first sight rejected")
 	}
 	for i := 0; i < 10; i++ {
-		if s.FreshAndUnique(id, int64(i+1)*1e6) {
+		if s.Check(id, ts, ts+int64(i+1)*1e6) {
 			t.Fatalf("replay %d accepted", i)
 		}
 	}
 }
 
 func TestDistinctPacketsAccepted(t *testing.T) {
-	s := New(Config{ExpectedPackets: 1 << 16})
+	s := NewCovering(Config{ExpectedPackets: 1 << 16}, freshness)
 	rejected := 0
 	const n = 10_000
 	for i := 0; i < n; i++ {
-		id := PacketID(0x0001_000000000001, 42, uint64(i))
-		if !s.FreshAndUnique(id, int64(i)*1000) {
+		ts := int64(i) * 1000
+		if !s.Check(PacketID(0x0001_000000000001, 42, uint64(ts)), ts, ts) {
 			rejected++
 		}
 	}
-	// Bloom false positives only; must be well below 1%.
-	if rejected > n/100 {
+	// Bloom false positives only, at a quarter of the smallest stages.
+	if rejected != 0 {
 		t.Errorf("%d of %d distinct packets rejected", rejected, n)
 	}
 }
 
+// TestReplayCaughtAcrossWindowBoundary: a copy is filed under its own Ts,
+// so it meets its original however many bucket widths later it arrives, up
+// to the freshness bound, even when the original came just before a bucket
+// boundary or stamped ahead of the receiver's clock.
 func TestReplayCaughtAcrossWindowBoundary(t *testing.T) {
-	s := New(Config{WindowNs: 1e8})
-	id := PacketID(1, 1, 99)
-	if !s.FreshAndUnique(id, 0) {
-		t.Fatal("first sight rejected")
-	}
-	// 1.5 windows later, the identifier lives in the previous filter.
-	if s.FreshAndUnique(id, 15e7) {
-		t.Error("replay accepted just after window rotation")
+	const w = 1e8
+	for _, tc := range []struct {
+		name          string
+		ts, arrivedAt int64
+	}{
+		{"mid-bucket", 15e8 + w/2, 15e8 + w/2},
+		{"before a boundary", 16e8 - 1, 16e8 - 1},
+		{"stamped 100 ms ahead", 15e8, 15e8 - 1e8},
+	} {
+		s := NewCovering(Config{WindowNs: w}, freshness)
+		id := PacketID(1, 1, uint64(tc.ts))
+		if !s.Check(id, tc.ts, tc.arrivedAt) {
+			t.Fatalf("%s: first sight rejected", tc.name)
+		}
+		for _, lag := range []int64{1, 150e6, 250e6, 350e6, 450e6, 499e6, freshness} {
+			if s.Check(id, tc.ts, tc.ts+lag) {
+				t.Errorf("%s: replay %d ns after Ts accepted", tc.name, lag)
+			}
+		}
 	}
 }
 
+// TestOldIdentifierForgottenAfterTwoWindows: once its bucket's Ts range has
+// left ±F, a copy is refused by the freshness bound alone, and the slot that
+// remembered it serves a newer bucket, where the same identifier is new.
 func TestOldIdentifierForgottenAfterTwoWindows(t *testing.T) {
-	s := New(Config{WindowNs: 1e8})
+	const w = 1e8
+	s := New(Config{WindowNs: w}) // F = W: a ring of four buckets
 	id := PacketID(1, 1, 99)
-	if !s.FreshAndUnique(id, 0) {
+	if !s.Check(id, 0, 0) {
 		t.Fatal("first sight rejected")
 	}
-	// After > 2 windows of silence both filters reset: the identifier is
-	// forgotten (the freshness check on Ts is what rejects such stale
-	// packets upstream).
-	if !s.FreshAndUnique(id, 25e7) {
-		t.Error("identifier still remembered after two silent windows")
+	if s.Check(id, 0, 25e7) {
+		t.Error("copy accepted two and a half windows later")
+	}
+	ringW := int64(len(s.ring)) * w
+	if !s.Check(id, ringW, ringW) {
+		t.Error("identifier still remembered by the bucket that took over its slot")
 	}
 }
 
 func TestRotationKeepsRecentWindow(t *testing.T) {
-	s := New(Config{WindowNs: 1e8})
-	// Fill window 0 with ids, rotate by sending in window 1, confirm ids
-	// from window 0 still rejected while new ones pass.
+	s := NewCovering(Config{WindowNs: 1e8}, freshness)
+	// Fill bucket 0 with ids, open bucket 1, confirm copies of bucket 0's ids
+	// (with their own Ts) still rejected while new ones pass.
 	ids := make([]uint64, 100)
 	for i := range ids {
 		ids[i] = PacketID(7, uint32(i), uint64(i))
-		if !s.FreshAndUnique(ids[i], int64(i)) {
+		if !s.Check(ids[i], int64(i), int64(i)) {
 			t.Fatalf("setup id %d rejected", i)
 		}
 	}
-	now := int64(12e7) // inside window 1
-	if !s.FreshAndUnique(PacketID(7, 1000, 1000), now) {
-		t.Error("fresh id rejected after rotation")
+	now := int64(12e7) // inside bucket 1
+	if !s.Check(PacketID(7, 1000, uint64(now)), now, now) {
+		t.Error("fresh id rejected in the next bucket")
 	}
 	for i := range ids {
-		if s.FreshAndUnique(ids[i], now) {
-			t.Fatalf("window-0 id %d accepted in window 1", i)
+		if s.Check(ids[i], int64(i), now) {
+			t.Fatalf("bucket-0 id %d accepted in bucket 1", i)
 		}
 	}
 }
@@ -114,10 +138,11 @@ func TestBloomParams(t *testing.T) {
 	}
 }
 
-func BenchmarkFreshAndUnique(b *testing.B) {
-	s := New(Config{})
+func BenchmarkCheck(b *testing.B) {
+	s := NewCovering(Config{}, freshness)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s.FreshAndUnique(uint64(i), int64(i)*100)
+		now := int64(i) * 100
+		s.Check(uint64(i), now, now)
 	}
 }

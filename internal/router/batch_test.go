@@ -27,7 +27,7 @@ func tamperBw(t *testing.T, buf []byte) {
 // mixed between valid ones — must produce exactly the verdicts and buffer
 // mutations of processing the same packets one by one.
 func TestProcessBatchMatchesSequential(t *testing.T) {
-	withReplay := func(i int, cfg *Config) { cfg.Replay = replay.New(replay.Config{}) }
+	withReplay := func(i int, cfg *Config) { cfg.Replay = &replay.Config{} }
 	nBatch := newTestnet(t, withReplay)
 	nSeq := newTestnet(t, withReplay)
 

@@ -17,7 +17,7 @@ import (
 func TestConcurrentWorkersFullStack(t *testing.T) {
 	n := newTestnet(t, func(i int, cfg *Config) {
 		if i == 1 {
-			cfg.Replay = replay.New(replay.Config{})
+			cfg.Replay = &replay.Config{}
 			cfg.OFD = ofd.New(ofd.Config{})
 		}
 	})

@@ -100,8 +100,9 @@ type Config struct {
 	Secret cryptoutil.Key
 	// FreshnessNs bounds |now − Ts| (default DefaultFreshnessNs).
 	FreshnessNs int64
-	// Replay enables duplicate suppression when non-nil.
-	Replay *replay.Suppressor
+	// Replay enables duplicate suppression when non-nil: the router builds
+	// its suppressor from it, covering FreshnessNs.
+	Replay *replay.Config
 	// OFD enables probabilistic overuse detection when non-nil.
 	OFD *ofd.Detector
 	// Blocklist holds offending source ASes (created if nil).
@@ -177,14 +178,19 @@ func New(cfg Config) *Router {
 		ia:          cfg.IA,
 		secret:      cfg.Secret,
 		freshnessNs: cfg.FreshnessNs,
-		replay:      cfg.Replay,
 		det:         cfg.OFD,
 		blocklist:   cfg.Blocklist,
 		onOveruse:   cfg.OnOveruse,
 		policeOnly:  cfg.PoliceOnly,
 		detMon:      cfg.DetMonitor,
 	}
+	if cfg.Replay != nil {
+		r.replay = replay.NewCovering(*cfg.Replay, cfg.FreshnessNs)
+	}
 	if reg := cfg.Telemetry; reg != nil {
+		if r.replay != nil {
+			r.replay.SetGauges(reg.Gauge("replay.window_inserts"), reg.Gauge("replay.filter_bytes"))
+		}
 		// One series per DropReason: the suffix set is the closed dropSlug
 		// enum, not unbounded input.
 		for reason := range r.drops {
@@ -445,9 +451,10 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	id := reservation.ID{SrcAS: pkt.Res.SrcAS, Num: pkt.Res.ResID}
 
 	// Duplicate suppression (§5.1: "all copies of the same packet are
-	// discarded").
+	// discarded"), filed under the packet's own Ts for as long as the
+	// freshness check above would pass a copy.
 	if r.replay != nil && pkt.Type == packet.TData {
-		if !r.replay.FreshAndUnique(replay.PacketID(uint64(pkt.Res.SrcAS), pkt.Res.ResID, pkt.Ts), nowNs) {
+		if !r.replay.Check(replay.PacketID(uint64(pkt.Res.SrcAS), pkt.Res.ResID, pkt.Ts), int64(pkt.Ts), nowNs) {
 			w.countDrop(acc, DropReplay, nowNs, true)
 			return Verdict{Action: ADrop}, ErrReplay
 		}

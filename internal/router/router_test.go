@@ -196,7 +196,7 @@ func TestExpiredAndStaleDropped(t *testing.T) {
 func TestReplaySuppressed(t *testing.T) {
 	n := newTestnet(t, func(i int, cfg *Config) {
 		if i == 1 {
-			cfg.Replay = replay.New(replay.Config{})
+			cfg.Replay = &replay.Config{}
 		}
 	})
 	buf := n.buildPacket(t, nil, baseNs)
@@ -216,6 +216,51 @@ func TestReplaySuppressed(t *testing.T) {
 	packet.SetCurrHopInPlace(buf2, 1)
 	if _, err := w.Process(buf2, baseNs+2e6); err != nil {
 		t.Errorf("fresh packet after replay: %v", err)
+	}
+}
+
+// TestReplayCaughtAnywhereInFreshness: a byte-exact copy of an authentic
+// packet is dropped as a replay for as long as it would pass the freshness
+// check, and as stale after — also for an original accepted just before a
+// bucket boundary and for one stamped ahead of the router's clock. The
+// filter used to remember an identifier by arrival time for 200–400 ms and
+// forwarded the copies at 450 and 499 ms.
+func TestReplayCaughtAnywhereInFreshness(t *testing.T) {
+	const window = 200e6 // replay.Config's default bucket width
+	for _, tc := range []struct {
+		name    string
+		stampNs int64 // the gateway's clock when it builds the original
+		skewNs  int64 // how far the router's clock lags the Ts on arrival
+	}{
+		{"mid-bucket", baseNs + window/2, 0},
+		{"before a bucket boundary", baseNs + window - 1000, 0},
+		{"stamped 100 ms ahead", baseNs + window/2, 100e6},
+	} {
+		n := newTestnet(t, func(i int, cfg *Config) {
+			if i == 1 {
+				cfg.Replay = &replay.Config{}
+			}
+		})
+		orig := n.buildPacket(t, nil, tc.stampNs)
+		packet.SetCurrHopInPlace(orig, 1)
+		var pkt packet.Packet
+		if _, err := pkt.DecodeFromBytes(orig); err != nil {
+			t.Fatal(err)
+		}
+		ts := int64(pkt.Ts)
+		w := n.routers[1].NewWorker()
+		if _, err := w.Process(append([]byte(nil), orig...), ts-tc.skewNs); err != nil {
+			t.Fatalf("%s: original: %v", tc.name, err)
+		}
+		for _, lag := range []int64{1e6, 150e6, 250e6, 350e6, 450e6, 499e6, 501e6} {
+			want := ErrReplay
+			if lag > DefaultFreshnessNs {
+				want = ErrStale
+			}
+			if _, err := w.Process(append([]byte(nil), orig...), ts+lag); !errors.Is(err, want) {
+				t.Errorf("%s: copy %d ms after Ts: %v, want %v", tc.name, lag/1e6, err, want)
+			}
+		}
 	}
 }
 

@@ -39,8 +39,7 @@ import (
 type ShardedConfig struct {
 	// Router is the per-shard template (IA, Secret, freshness, policing
 	// stance, telemetry registry). Its Replay, OFD, and DetMonitor fields
-	// must be nil: per-shard instances are built from the split configs
-	// below. A non-nil Blocklist becomes the global view and seeds every
+	// must be nil: per-shard ones are built from the split configs below. A non-nil Blocklist becomes the global view and seeds every
 	// shard.
 	Router Config
 	// Replay, when non-nil, gives every shard a private suppressor sized by
@@ -123,7 +122,7 @@ func shardOf(key, mask uint64) int {
 // NewSharded builds the sharded router. Close releases its worker pool.
 func NewSharded(cfg ShardedConfig) *Sharded {
 	if cfg.Router.Replay != nil || cfg.Router.OFD != nil || cfg.Router.DetMonitor != nil {
-		panic("router: ShardedConfig.Router must not carry Replay/OFD/DetMonitor instances; use the split configs")
+		panic("router: ShardedConfig.Router must not carry Replay/OFD/DetMonitor; use the split configs")
 	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = runtime.GOMAXPROCS(0)
@@ -150,7 +149,8 @@ func NewSharded(cfg ShardedConfig) *Sharded {
 		rcfg.Blocklist.MergeFrom(global)
 		rcfg.DetMonitor = monitor.NewShardFlowMonitor(s.reserves, cfg.ReserveChunkBytes)
 		if cfg.Replay != nil {
-			rcfg.Replay = replay.New(cfg.Replay.Split(cfg.Shards))
+			split := cfg.Replay.Split(cfg.Shards)
+			rcfg.Replay = &split
 		}
 		if cfg.OFD != nil {
 			rcfg.OFD = ofd.New(cfg.OFD.Split(cfg.Shards))

@@ -236,7 +236,7 @@ func (n *diffNet) runSequential(batches [][][]byte, times []int64) ([][]BatchVer
 	bl.Block(topology.MustIA(1, 66), 0)
 	r := New(Config{
 		IA: n.ia, Secret: n.secret,
-		Replay:     replay.New(replay.Config{}),
+		Replay:     &replay.Config{},
 		OFD:        ofd.New(ofd.Config{}),
 		Blocklist:  bl,
 		PoliceOnly: true,
