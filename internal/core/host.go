@@ -19,7 +19,11 @@ type Host struct {
 	IA   topology.IA
 	Addr uint32
 
-	// Inbox collects payloads of delivered Colibri packets.
+	// Inbox collects payloads of delivered Colibri packets. A caller that
+	// truncates it (Inbox = Inbox[:0]) hands the truncated elements' storage
+	// back: later deliveries copy into it, so a payload slice taken before
+	// the truncation must not be used after it. A steady receiver that
+	// truncates this way allocates nothing per packet.
 	Inbox [][]byte
 	// Received counts delivered packets.
 	Received int
@@ -49,6 +53,14 @@ type Session struct {
 	dst    *Host
 	grant  *cserv.EERGrant
 	keeper *cserv.EERKeeper
+	// resID and hops are what Send needs of the grant, kept next to it.
+	resID uint32
+	hops  int
+}
+
+// setGrant makes g the session's current version.
+func (s *Session) setGrant(g *cserv.EERGrant) {
+	s.grant, s.resID, s.hops = g, g.Res.ResID, len(g.Path)
 }
 
 // Data-plane send errors.
@@ -68,7 +80,9 @@ func (h *Host) RequestEER(dst *Host, bwKbps uint64) (*Session, error) {
 	if err := node.Gateway.Install(grant.Res, grant.EER, grant.Path, grant.HopAuths); err != nil {
 		return nil, err
 	}
-	return &Session{src: h, dst: dst, grant: grant}, nil
+	s := &Session{src: h, dst: dst}
+	s.setGrant(grant)
+	return s, nil
 }
 
 // Renew obtains a new version of the session's EER with the given bandwidth
@@ -82,7 +96,7 @@ func (s *Session) Renew(bwKbps uint64) error {
 	if err := node.Gateway.Install(grant.Res, grant.EER, grant.Path, grant.HopAuths); err != nil {
 		return err
 	}
-	s.grant = grant
+	s.setGrant(grant)
 	return nil
 }
 
@@ -118,7 +132,7 @@ func (s *Session) Maintain(lead uint32) error {
 		s.keeper = cserv.NewEERKeeper(node.CServ, node.Gateway, s.grant, lead)
 	}
 	err := s.keeper.Tick()
-	s.grant = s.keeper.Grant()
+	s.setGrant(s.keeper.Grant())
 	return err
 }
 
@@ -126,7 +140,7 @@ func (s *Session) Maintain(lead uint32) error {
 func (s *Session) Demoted() bool { return s.keeper != nil && s.keeper.Demoted() }
 
 // PathLen returns the number of on-path ASes.
-func (s *Session) PathLen() int { return len(s.grant.Path) }
+func (s *Session) PathLen() int { return s.hops }
 
 // Send pushes one payload through the gateway and the chain of border
 // routers to the destination host. It returns the router's reason when any
@@ -135,12 +149,12 @@ func (s *Session) PathLen() int { return len(s.grant.Path) }
 func (s *Session) Send(payload []byte) error {
 	n := s.src.net
 	node := n.nodes[s.src.IA]
-	need := 64 + len(s.grant.Path)*8 + len(payload) + 64
+	need := packet.DataLen(s.hops, len(payload))
 	if cap(node.sendBuf) < need {
 		node.sendBuf = make([]byte, need)
 	}
 	buf := node.sendBuf[:need]
-	sz, err := node.gwWorker.Build(s.grant.Res.ResID, payload, buf, n.Clock.NowNs())
+	sz, err := node.gwWorker.Build(s.resID, payload, buf, n.Clock.NowNs())
 	if err != nil {
 		return err
 	}
@@ -198,18 +212,23 @@ func (n *Network) forward(buf []byte, from topology.IA) error {
 	return fmt.Errorf("%w: forwarding loop", ErrDropped)
 }
 
-// deliver parses the payload out of the packet and appends it to the host
-// inbox.
+// deliver parses the payload out of the packet and appends a copy to the
+// host inbox, into the storage of the element past the inbox's length when
+// the caller truncated one away.
 func (n *Network) deliver(ia topology.IA, addr uint32, buf []byte) error {
 	h := n.hosts[hostKey{ia: ia, addr: addr}]
 	if h == nil {
 		return fmt.Errorf("core: no host %d in %s", addr, ia)
 	}
-	var pkt packet.Packet
+	pkt := &n.deliverPkt
 	if _, err := pkt.DecodeFromBytes(buf); err != nil {
 		return err
 	}
-	h.Inbox = append(h.Inbox, append([]byte(nil), pkt.Payload...))
+	var dst []byte
+	if k := len(h.Inbox); k < cap(h.Inbox) {
+		dst = h.Inbox[:k+1][k][:0]
+	}
+	h.Inbox = append(h.Inbox, append(dst, pkt.Payload...))
 	h.Received++
 	return nil
 }

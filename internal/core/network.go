@@ -21,6 +21,7 @@ import (
 	"colibri/internal/gateway"
 	"colibri/internal/monitor"
 	"colibri/internal/ofd"
+	"colibri/internal/packet"
 	"colibri/internal/replay"
 	"colibri/internal/router"
 	"colibri/internal/segment"
@@ -114,6 +115,9 @@ type Network struct {
 
 	nodes map[topology.IA]*Node
 	hosts map[hostKey]*Host
+	// deliverPkt is deliver's decoder, reused across packets (core is
+	// single-threaded per network).
+	deliverPkt packet.Packet
 }
 
 type hostKey struct {

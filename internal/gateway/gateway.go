@@ -20,6 +20,7 @@ import (
 	"sync/atomic"
 
 	"colibri/internal/cryptoutil"
+	"colibri/internal/flattab"
 	"colibri/internal/monitor"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
@@ -27,26 +28,27 @@ import (
 	"colibri/internal/topology"
 )
 
-// Entry is the per-EER state installed after setup or renewal. The hop
-// authenticators are stored as raw keys and expanded per packet, exactly
-// as the paper's DPDK gateway does with hardware AES key expansion: the
-// per-reservation footprint whose cache behaviour Fig. 5 evaluates stays
-// 16 B per hop.
-type Entry struct {
-	Res  packet.ResInfo
-	EER  packet.EERInfo
-	Path []packet.HopField
-	// auths are the hop authenticators σ_i in path order.
-	auths []cryptoutil.Key
-	// MonitorKbps is the rate enforced by deterministic monitoring: the
-	// maximum over the EER's valid versions (§4.8).
-	MonitorKbps uint64
+// record is the gateway's one record per EER, inline in the flat table: what
+// BuildBatch reads for a packet, and nothing else.
+type record struct {
+	// bucket polices the EER at the rate of deterministic monitoring: the
+	// maximum over its valid versions (§4.8), carried across renewals.
+	bucket monitor.TokenBucket
+	// wire is the current version's packet template, encoded once at Install
+	// by Packet.SerializeTo with Ts, payload length and HVFs left zero, and
+	// followed by the hop authenticators σ_i in path order. Never written
+	// after Install publishes it, so a worker may read it outside the lock.
+	// The σs stay raw keys expanded per packet, exactly as the paper's DPDK
+	// gateway does with hardware AES key expansion: the per-reservation
+	// footprint whose cache behaviour Fig. 5 evaluates stays 16 B per hop.
+	wire []byte
+	// expT is the current version's expiry.
+	expT uint32
 	// demoted marks a flow whose renewal ultimately failed: Build refuses
 	// it with ErrDemoted so the caller sends best-effort instead of
 	// blackholing on a reservation about to die (§3.2's graceful
 	// degradation). Install of a fresh version clears it (re-promotion).
-	// Atomic because workers read it outside the gateway lock.
-	demoted atomic.Bool
+	demoted bool
 }
 
 // Gateway errors.
@@ -65,9 +67,9 @@ var (
 // safe for concurrent use.
 type Gateway struct {
 	srcAS topology.IA
-	mu    sync.RWMutex
-	byID  map[uint32]*Entry
-	mon   *monitor.FlowMonitor
+	// mu guards recs, every record's bucket and demotion flag included.
+	mu   sync.Mutex
+	recs flattab.Table[record]
 	// lastTs backs the uniqueness of timestamps across all flows. Written
 	// only by reserveTs (the build path's timestamp reservation).
 	lastTs atomic.Uint64 //colibri:singlewriter
@@ -96,8 +98,7 @@ type gwTelemetry struct {
 
 // EnableTelemetry attaches the gateway's instruments to the AS-wide
 // registry and turns on per-packet-phase timing in Build. Enabling is safe
-// at any time (the pointer is swapped atomically); the per-flow monitor's
-// occupancy gauge is wired as well.
+// at any time (the pointer is swapped atomically).
 func (g *Gateway) EnableTelemetry(reg *telemetry.Registry) {
 	t := &gwTelemetry{
 		lookupNs:   reg.Histogram("gateway.lookup_ns"),
@@ -115,24 +116,29 @@ func (g *Gateway) EnableTelemetry(reg *telemetry.Registry) {
 	// The resident gauge is maintained with deltas (not Set), so the shard
 	// gateways of a sharded front end can share one registry and the gauge
 	// sums to the true total. Enable telemetry at most once per gateway.
-	g.mu.RLock()
-	t.resident.Add(int64(len(g.byID)))
-	g.mu.RUnlock()
-	g.mon.SetTelemetry(reg.Gauge("monitor.flows"), nil, nil)
+	g.mu.Lock()
+	t.resident.Add(int64(g.recs.Len()))
+	g.mu.Unlock()
 	g.tel.Store(t)
 }
 
 // New builds a gateway for the AS.
 func New(srcAS topology.IA) *Gateway {
-	return &Gateway{
-		srcAS: srcAS,
-		byID:  make(map[uint32]*Entry),
-		mon:   monitor.NewFlowMonitor(),
-	}
+	return &Gateway{srcAS: srcAS}
 }
 
+// id is the table key of one of the gateway's reservations.
+func (g *Gateway) id(resID uint32) reservation.ID {
+	return reservation.ID{SrcAS: g.srcAS, Num: resID}
+}
+
+// noHVFs stands in for the HVFs of a template: they are computed per packet.
+var noHVFs [packet.MaxHops * packet.HVFLen]byte
+
 // Install registers (or replaces, on renewal) the state of an EER. auths
-// are the decrypted hop authenticators σ_i in path order.
+// are the decrypted hop authenticators σ_i in path order. A path the wire
+// cannot carry (no hop, or more than packet.MaxHops) is refused here rather
+// than on every packet.
 func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) error {
 	if res.SrcAS != g.srcAS {
 		return fmt.Errorf("gateway: reservation of AS %s installed at %s", res.SrcAS, g.srcAS)
@@ -140,27 +146,35 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	if len(path) != len(auths) {
 		return fmt.Errorf("gateway: %d hops but %d authenticators", len(path), len(auths))
 	}
-	e := &Entry{
-		Res:         res,
-		EER:         eer,
-		Path:        append([]packet.HopField(nil), path...),
-		auths:       append([]cryptoutil.Key(nil), auths...),
-		MonitorKbps: uint64(res.BwKbps),
+	if len(path) == 0 || len(path) > packet.MaxHops {
+		return fmt.Errorf("gateway: %w: %d hops", packet.ErrBadPath, len(path))
 	}
+	tmpl := packet.Packet{Type: packet.TData, Res: res, EER: eer, Path: path, HVFs: noHVFs[:len(path)*packet.HVFLen]}
+	hdr := tmpl.Length()
+	wire := make([]byte, hdr+len(auths)*cryptoutil.KeySize)
+	if _, err := tmpl.SerializeTo(wire); err != nil {
+		return fmt.Errorf("gateway: encoding the template: %w", err)
+	}
+	for i := range auths {
+		copy(wire[hdr+i*cryptoutil.KeySize:], auths[i][:])
+	}
+	rate := uint64(res.BwKbps)
+
 	g.mu.Lock()
-	promoted := false
-	fresh := true
-	if old, ok := g.byID[res.ResID]; ok {
-		fresh = false
-		if old.MonitorKbps > e.MonitorKbps {
-			// All versions share one monitored budget: the maximum (§4.8).
-			e.MonitorKbps = old.MonitorKbps
-		}
-		// A fresh version over a demoted flow re-promotes it to its
-		// reserved class (the new entry starts undemoted).
-		promoted = old.demoted.Load()
+	r, fresh := g.recs.Put(g.id(res.ResID))
+	// A fresh version over a demoted flow re-promotes it to its reserved
+	// class.
+	promoted := r.demoted
+	switch old := r.bucket.RateKbps(); {
+	case old == 0 && rate > 0:
+		// A new EER's bucket (or one whose versions so far reserved
+		// nothing) starts full at t = 0.
+		r.bucket = *monitor.NewTokenBucket(rate, monitor.BurstBytesFor(rate), 0)
+	case rate > old:
+		// All versions share one monitored budget: the maximum (§4.8).
+		r.bucket.SetRate(rate)
 	}
-	g.byID[res.ResID] = e
+	r.wire, r.expT, r.demoted = wire, res.ExpT, false
 	g.mu.Unlock()
 	if t := g.tel.Load(); t != nil {
 		if fresh {
@@ -168,29 +182,34 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		}
 		if promoted {
 			t.promotions.Add(1)
-			t.trace.Record(int64(res.ExpT)*1e9, telemetry.EvPromote,
-				reservation.ID{SrcAS: g.srcAS, Num: res.ResID}.String(), true, "renewed")
+			t.trace.Record(int64(res.ExpT)*1e9, telemetry.EvPromote, g.id(res.ResID).String(), true, "renewed")
 		}
 	}
-	// Pre-create the monitoring state so the per-packet path never
-	// allocates.
-	g.mon.Ensure(reservation.ID{SrcAS: g.srcAS, Num: res.ResID}, e.MonitorKbps, 0)
 	return nil
+}
+
+// setDemoted moves a flow's demotion flag to demoted and reports whether it
+// transitioned (false: unknown, or already there).
+func (g *Gateway) setDemoted(resID uint32, demoted bool) bool {
+	g.mu.Lock()
+	r := g.recs.Get(g.id(resID))
+	changed := r != nil && r.demoted != demoted
+	if changed {
+		r.demoted = demoted
+	}
+	g.mu.Unlock()
+	return changed
 }
 
 // Demote marks a flow as best-effort-only: Build returns ErrDemoted for it
 // until a fresh version is installed or Promote is called. It reports
 // whether the flow transitioned (false: unknown or already demoted).
 func (g *Gateway) Demote(resID uint32) bool {
-	g.mu.RLock()
-	e, ok := g.byID[resID]
-	g.mu.RUnlock()
-	changed := ok && e.demoted.CompareAndSwap(false, true)
+	changed := g.setDemoted(resID, true)
 	if changed {
 		if t := g.tel.Load(); t != nil {
 			t.demotions.Add(1)
-			t.trace.Record(0, telemetry.EvDemote,
-				reservation.ID{SrcAS: g.srcAS, Num: resID}.String(), false, "renewal failed")
+			t.trace.Record(0, telemetry.EvDemote, g.id(resID).String(), false, "renewal failed")
 		}
 	}
 	return changed
@@ -200,15 +219,11 @@ func (g *Gateway) Demote(resID uint32) bool {
 // version turns out to still be serving). It reports whether the flow
 // transitioned.
 func (g *Gateway) Promote(resID uint32) bool {
-	g.mu.RLock()
-	e, ok := g.byID[resID]
-	g.mu.RUnlock()
-	changed := ok && e.demoted.CompareAndSwap(true, false)
+	changed := g.setDemoted(resID, false)
 	if changed {
 		if t := g.tel.Load(); t != nil {
 			t.promotions.Add(1)
-			t.trace.Record(0, telemetry.EvPromote,
-				reservation.ID{SrcAS: g.srcAS, Num: resID}.String(), true, "")
+			t.trace.Record(0, telemetry.EvPromote, g.id(resID).String(), true, "")
 		}
 	}
 	return changed
@@ -216,19 +231,17 @@ func (g *Gateway) Promote(resID uint32) bool {
 
 // Demoted reports whether the flow is currently demoted.
 func (g *Gateway) Demoted(resID uint32) bool {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	e, ok := g.byID[resID]
-	return ok && e.demoted.Load()
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	r := g.recs.Get(g.id(resID))
+	return r != nil && r.demoted
 }
 
-// Remove drops an EER's state (expiry).
+// Remove drops an EER's state (expiry), its token bucket with it.
 func (g *Gateway) Remove(resID uint32) {
 	g.mu.Lock()
-	_, present := g.byID[resID]
-	delete(g.byID, resID)
+	present := g.recs.Delete(g.id(resID))
 	g.mu.Unlock()
-	g.mon.Forget(reservation.ID{SrcAS: g.srcAS, Num: resID})
 	if t := g.tel.Load(); t != nil && present {
 		t.resident.Dec()
 	}
@@ -237,35 +250,37 @@ func (g *Gateway) Remove(resID uint32) {
 // Expire removes reservations whose current version has expired and returns
 // how many were dropped.
 func (g *Gateway) Expire(nowSec uint32) int {
+	t := g.tel.Load()
+	var dropped []uint32 // for the lifecycle trace only
+	n := 0
 	g.mu.Lock()
-	var dropped []uint32
-	for id, e := range g.byID {
-		if nowSec >= e.Res.ExpT {
-			delete(g.byID, id)
-			dropped = append(dropped, id)
+	// Backwards, so a delete's swap-last moves a record already visited.
+	for i := g.recs.Len() - 1; i >= 0; i-- {
+		if id, r := g.recs.At(i); nowSec >= r.expT {
+			g.recs.Delete(id)
+			n++
+			if t != nil {
+				dropped = append(dropped, id.Num)
+			}
 		}
 	}
 	g.mu.Unlock()
-	for _, id := range dropped {
-		g.mon.Forget(reservation.ID{SrcAS: g.srcAS, Num: id})
-	}
-	if t := g.tel.Load(); t != nil && len(dropped) > 0 {
-		t.expired.Add(uint64(len(dropped)))
-		t.resident.Add(-int64(len(dropped)))
+	if t != nil && n > 0 {
+		t.expired.Add(uint64(n))
+		t.resident.Add(-int64(n))
 		nowNs := int64(nowSec) * 1e9
 		for _, id := range dropped {
-			t.trace.Record(nowNs, telemetry.EvEEExpire,
-				reservation.ID{SrcAS: g.srcAS, Num: id}.String(), true, "")
+			t.trace.Record(nowNs, telemetry.EvEEExpire, g.id(id).String(), true, "")
 		}
 	}
-	return len(dropped)
+	return n
 }
 
 // Len returns the number of installed reservations.
 func (g *Gateway) Len() int {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return len(g.byID)
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.recs.Len()
 }
 
 // reserveTs hands out n strictly increasing timestamps ≥ nowNs, unique
@@ -295,8 +310,9 @@ type BuildReq struct {
 }
 
 // BuildRes is the per-packet outcome of BuildBatch: the serialized length
-// in Out, or a sentinel error (ErrUnknownRes, ErrExpired, ErrBufTooSmall,
-// ErrRateExceeded). Errors are bare sentinels — no per-packet allocation.
+// in Out, or a sentinel error (ErrUnknownRes, ErrExpired, ErrDemoted,
+// packet.ErrPayloadLen, ErrBufTooSmall, ErrRateExceeded). Errors are bare
+// sentinels — no per-packet allocation.
 type BuildRes struct {
 	N   int
 	Err error
@@ -306,17 +322,15 @@ type BuildRes struct {
 // one per worker goroutine with NewWorker.
 type Worker struct {
 	g      *Gateway
-	pkt    packet.Packet
 	hvfIn  [packet.HVFInputLen]byte
 	macOut [cryptoutil.MACSize]byte
 	ks     cryptoutil.AESSchedule
 
-	// Batch scratch, grown to the largest batch seen and then reused.
-	entries []*Entry
-	ids     []reservation.ID
-	rates   []uint64
-	sizes   []uint32
-	allowed []bool
+	// Batch scratch, grown to the largest batch seen and then reused. recs
+	// are the looked-up records, valid only under the gateway lock; wires
+	// carry the templates of the packets to build past it (nil: refused).
+	recs  []*record
+	wires [][]byte
 	// One-element batch backing Build.
 	req1 [1]BuildReq
 	res1 [1]BuildRes
@@ -330,19 +344,13 @@ func (g *Gateway) NewWorker() *Worker {
 // grow sizes the batch scratch for n requests without allocating on the
 // steady state.
 func (w *Worker) grow(n int) {
-	if cap(w.entries) >= n {
-		w.entries = w.entries[:n]
-		w.ids = w.ids[:n]
-		w.rates = w.rates[:n]
-		w.sizes = w.sizes[:n]
-		w.allowed = w.allowed[:n]
+	if cap(w.recs) >= n {
+		w.recs = w.recs[:n]
+		w.wires = w.wires[:n]
 		return
 	}
-	w.entries = make([]*Entry, n)
-	w.ids = make([]reservation.ID, n)
-	w.rates = make([]uint64, n)
-	w.sizes = make([]uint32, n)
-	w.allowed = make([]bool, n)
+	w.recs = make([]*record, n)
+	w.wires = make([][]byte, n)
 }
 
 // Build assembles a complete Colibri data packet for the reservation into
@@ -355,15 +363,19 @@ func (w *Worker) Build(resID uint32, payload []byte, out []byte, nowNs int64) (i
 	return w.res1[0].N, w.res1[0].Err
 }
 
+// dataLen is the length of the packet a template builds around payload.
+func dataLen(wire, payload []byte) int {
+	return packet.DataLen(packet.PathLenOf(wire), len(payload))
+}
+
 // BuildBatch assembles one packet per request at a common instant nowNs,
 // writing per-packet outcomes into outs (which must be at least as long as
 // reqs) and returning the number of packets built. The per-packet fixed
-// costs are paid once per batch: one RLock'd state lookup pass, one locked
-// token-bucket pass, one atomic timestamp reservation for the whole batch,
-// and one telemetry sample per phase with counters bumped by Add(n).
-// Packets that fail keep their reservation-budget semantics from the
-// single-packet path: unknown/expired/too-small consume nothing; policing
-// consumes only for conforming packets.
+// costs are paid once per batch: one lock acquisition for the state lookups
+// and the token buckets, one atomic timestamp reservation for the whole
+// batch, and one telemetry sample per phase with counters bumped by Add(n).
+// Unknown, expired, demoted, oversized and too-small requests consume
+// nothing; policing consumes only for conforming packets.
 //
 //colibri:nomalloc
 func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
@@ -385,39 +397,25 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	w.grow(n) //colibri:allow(nomalloc) — amortized scratch growth, reused across batches
 	nowSec := uint32(nowNs / 1e9)
 
-	// Phase 1: one RLock for the whole batch's state lookups.
-	g.mu.RLock()
+	// Phases 1 and 2 under one lock: the records' lookups, then their buckets.
+	g.mu.Lock()
 	for i := 0; i < n; i++ {
-		w.entries[i] = g.byID[reqs[i].ResID]
-	}
-	g.mu.RUnlock()
-	for i := 0; i < n; i++ {
-		outs[i] = BuildRes{}
-		e := w.entries[i]
-		w.sizes[i] = 0
-		if e == nil {
+		outs[i], w.recs[i], w.wires[i] = BuildRes{}, nil, nil
+		r := g.recs.Get(g.id(reqs[i].ResID))
+		switch {
+		case r == nil:
 			outs[i].Err = ErrUnknownRes
-			continue
-		}
-		if nowSec >= e.Res.ExpT {
+		case nowSec >= r.expT:
 			outs[i].Err = ErrExpired
-			w.entries[i] = nil
-			continue
-		}
-		if e.demoted.Load() {
+		case r.demoted:
 			outs[i].Err = ErrDemoted
-			w.entries[i] = nil
-			continue
-		}
-		sz := packet.DataLen(len(e.Path), len(reqs[i].Payload))
-		if len(reqs[i].Out) < sz {
+		case len(reqs[i].Payload) > packet.MaxPayload:
+			outs[i].Err = packet.ErrPayloadLen
+		case len(reqs[i].Out) < dataLen(r.wire, reqs[i].Payload):
 			outs[i].Err = ErrBufTooSmall
-			w.entries[i] = nil
-			continue
+		default:
+			w.recs[i] = r
 		}
-		w.ids[i] = reservation.ID{SrcAS: g.srcAS, Num: reqs[i].ResID}
-		w.rates[i] = e.MonitorKbps
-		w.sizes[i] = uint32(sz)
 	}
 	if tel != nil {
 		now := monoNow()
@@ -425,22 +423,23 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		phaseStart = now
 	}
 
-	// Phase 2: deterministic monitoring over the total packet sizes, all
-	// versions sharing the reservation's budget (§4.8) — one lock
-	// acquisition and at most one bucket refill per flow for the batch.
-	g.mon.AllowBatch(w.ids[:n], w.rates[:n], w.sizes[:n], nowNs, w.allowed[:n])
+	// Deterministic monitoring over the total packet sizes, all versions
+	// sharing the reservation's budget (§4.8). What phase 3 needs of a
+	// record — its template — is copied out before the lock goes.
 	toBuild := uint64(0)
 	for i := 0; i < n; i++ {
-		if w.entries[i] == nil {
+		r := w.recs[i]
+		if r == nil {
 			continue
 		}
-		if !w.allowed[i] {
+		if !r.bucket.Allow(nowNs, uint32(dataLen(r.wire, reqs[i].Payload))) {
 			outs[i].Err = ErrRateExceeded
-			w.entries[i] = nil
 			continue
 		}
+		w.wires[i] = r.wire
 		toBuild++
 	}
+	g.mu.Unlock()
 	if tel != nil {
 		now := monoNow()
 		tel.bucketNs.Observe(now - phaseStart)
@@ -452,37 +451,15 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	built := 0
 	if toBuild > 0 {
 		ts := g.reserveTs(nowNs, toBuild)
-		pkt := &w.pkt
 		for i := 0; i < n; i++ {
-			e := w.entries[i]
-			if e == nil {
+			if w.wires[i] == nil {
 				continue
 			}
-			pkt.Type = packet.TData
-			pkt.CurrHop = 0
-			pkt.Res = e.Res
-			pkt.EER = e.EER
-			pkt.Path = e.Path
-			pkt.Payload = reqs[i].Payload
-			pkt.Ts = ts
+			outs[i].N = w.stamp(w.wires[i], reqs[i].Payload, reqs[i].Out, ts)
 			ts++
-			packet.HVFInput(&w.hvfIn, pkt.Ts, w.sizes[i])
-			if cap(pkt.HVFs) < len(e.Path)*packet.HVFLen {
-				pkt.HVFs = make([]byte, len(e.Path)*packet.HVFLen) //colibri:allow(nomalloc) — grows to the longest path seen, then reused
-			} else {
-				pkt.HVFs = pkt.HVFs[:len(e.Path)*packet.HVFLen]
-			}
-			for h := range e.auths {
-				cryptoutil.SigmaMAC(&w.ks, &e.auths[h], &w.macOut, &w.hvfIn)
-				copy(pkt.HVFs[h*packet.HVFLen:(h+1)*packet.HVFLen], w.macOut[:packet.HVFLen])
-			}
-			sz, err := pkt.SerializeTo(reqs[i].Out)
-			outs[i] = BuildRes{N: sz, Err: err}
-			if err == nil {
-				built++
-				if tel != nil {
-					tel.pktBytes.Observe(int64(sz))
-				}
+			built++
+			if tel != nil {
+				tel.pktBytes.Observe(int64(outs[i].N))
 			}
 		}
 	}
@@ -496,4 +473,24 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		}
 	}
 	return built
+}
+
+// stamp writes the packet of one template into out: the header copied, its
+// payload length and Ts set, the payload, and one HVF per hop computed in
+// place from the σs behind the header. It returns the packet length.
+//
+//colibri:nomalloc
+func (w *Worker) stamp(wire, payload, out []byte, ts uint64) int {
+	hops := packet.PathLenOf(wire)
+	hdr := packet.DataLen(hops, 0)
+	copy(out, wire[:hdr])
+	n := hdr + copy(out[hdr:], payload)
+	packet.SetDataFields(out, len(payload), ts)
+	packet.HVFInput(&w.hvfIn, ts, uint32(n))
+	hvfs, sigmas := out[packet.HVFOffset(hops):hdr], wire[hdr:]
+	for h := 0; h < hops; h++ {
+		cryptoutil.SigmaMAC(&w.ks, (*cryptoutil.Key)(sigmas[h*cryptoutil.KeySize:]), &w.macOut, &w.hvfIn)
+		copy(hvfs[h*packet.HVFLen:], w.macOut[:packet.HVFLen])
+	}
+	return n
 }

@@ -1,7 +1,9 @@
 package gateway
 
 import (
+	"bytes"
 	"errors"
+	"math/rand"
 	"testing"
 
 	"colibri/internal/cryptoutil"
@@ -233,6 +235,79 @@ func BenchmarkBuild4Hops(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := w.Build(7, nil, buf, baseNs+int64(i)); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestInstallRefusesUnsendablePath: a path of no hop, or of more than the
+// wire's packet.MaxHops, is refused at Install, not on every packet after.
+func TestInstallRefusesUnsendablePath(t *testing.T) {
+	g := New(srcAS)
+	for _, hops := range []int{0, packet.MaxHops + 1} {
+		res := testRes(uint32(10+hops), 8000)
+		err := g.Install(res, packet.EERInfo{}, make([]packet.HopField, hops), make([]cryptoutil.Key, hops))
+		if !errors.Is(err, packet.ErrBadPath) {
+			t.Errorf("%d hops: Install = %v, want %v", hops, err, packet.ErrBadPath)
+		}
+		if _, err := g.NewWorker().Build(res.ResID, nil, make([]byte, 2048), baseNs); !errors.Is(err, ErrUnknownRes) {
+			t.Errorf("%d hops: Build after the refused Install = %v, want %v", hops, err, ErrUnknownRes)
+		}
+	}
+	if g.Len() != 0 {
+		t.Errorf("%d reservations installed", g.Len())
+	}
+}
+
+// TestTemplateMatchesSerialize: a packet built from the template encoded at
+// Install is, byte for byte, the packet SerializeTo encodes with the HVFs of
+// Eq. (6) — for every path length and payloads from 0 to MaxPayload; one
+// byte more is refused.
+func TestTemplateMatchesSerialize(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	g := New(srcAS)
+	w := g.NewWorker()
+	out := make([]byte, packet.DataLen(packet.MaxHops, packet.MaxPayload+1))
+	now := baseNs
+	for hops := 1; hops <= packet.MaxHops; hops++ {
+		res := testRes(uint32(hops), 1<<31)
+		res.Ver = uint16(rng.Intn(1 << 16))
+		eer := packet.EERInfo{SrcHost: rng.Uint32(), DstHost: rng.Uint32()}
+		path := make([]packet.HopField, hops)
+		auths := make([]cryptoutil.Key, hops)
+		for h := range path {
+			path[h] = packet.HopField{In: topology.IfID(rng.Intn(1 << 16)), Eg: topology.IfID(rng.Intn(1 << 16))}
+			rng.Read(auths[h][:])
+		}
+		if err := g.Install(res, eer, path, auths); err != nil {
+			t.Fatal(err)
+		}
+		for _, size := range []int{0, 1, 47, 1000, rng.Intn(packet.MaxPayload), packet.MaxPayload - 1, packet.MaxPayload} {
+			payload := make([]byte, size)
+			rng.Read(payload)
+			now += 1e6
+			n, err := w.Build(res.ResID, payload, out, now)
+			if err != nil {
+				t.Fatalf("%d hops, %d B: %v", hops, size, err)
+			}
+			want := packet.Packet{Type: packet.TData, Res: res, EER: eer, Path: path, Payload: payload,
+				Ts: uint64(now), HVFs: make([]byte, hops*packet.HVFLen)}
+			var in [packet.HVFInputLen]byte
+			packet.HVFInput(&in, want.Ts, uint32(want.Length()))
+			for h, a := range auths {
+				var mac [cryptoutil.MACSize]byte
+				cryptoutil.MACOneBlock(cryptoutil.NewBlock(a), &mac, &in)
+				copy(want.HVFs[h*packet.HVFLen:], mac[:packet.HVFLen])
+			}
+			wire, err := want.Serialize()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(out[:n], wire) {
+				t.Fatalf("%d hops, %d B: the built packet differs from SerializeTo's", hops, size)
+			}
+		}
+		if _, err := w.Build(res.ResID, make([]byte, packet.MaxPayload+1), out, now); !errors.Is(err, packet.ErrPayloadLen) {
+			t.Errorf("%d hops, %d B: %v, want %v", hops, packet.MaxPayload+1, err, packet.ErrPayloadLen)
 		}
 	}
 }

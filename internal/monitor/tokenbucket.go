@@ -9,6 +9,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"colibri/internal/flattab"
 	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
 	"colibri/internal/topology"
@@ -16,7 +17,8 @@ import (
 
 // TokenBucket enforces a byte rate with a burst allowance. As in the paper,
 // it keeps only a timestamp and a counter per flow. It is not safe for
-// concurrent use; FlowMonitor provides the locked map around it.
+// concurrent use: its holder (the gateway's record, FlowMonitor's watch
+// table) locks around it.
 type TokenBucket struct {
 	// rate is the refill rate in bytes per nanosecond.
 	rate float64
@@ -29,14 +31,6 @@ type TokenBucket struct {
 	// rateKbps is the nominal reservation rate, kept for cheap change
 	// detection (EER renewals) without re-deriving bytes/ns.
 	rateKbps uint64
-
-	// reserve, when non-nil, puts the bucket in shard mode: it never refills
-	// itself (tokens act as a local claim cache) and draws from the flow's
-	// shared full-rate Reserve on exhaustion, over-claiming up to chunk
-	// extra bytes per trip. See reserve.go for why the rate is NOT split /N.
-	reserve *Reserve
-	// chunk is the over-claim granularity in bytes (0 = exact claims).
-	chunk float64
 }
 
 // DefaultBurstSeconds sizes a flow's burst allowance relative to its rate:
@@ -68,17 +62,6 @@ func BurstBytesFor(rateKbps uint64) float64 {
 // lastNs backwards — a backwards lastNs would let the next in-order packet
 // double-refill the interval.
 func (tb *TokenBucket) Allow(nowNs int64, sizeBytes uint32) bool {
-	if tb.reserve != nil {
-		need := float64(sizeBytes)
-		if tb.tokens < need {
-			tb.tokens += tb.reserve.Claim(need-tb.tokens, tb.chunk, nowNs)
-		}
-		if tb.tokens < need {
-			return false
-		}
-		tb.tokens -= need
-		return true
-	}
 	if nowNs > tb.lastNs {
 		tb.tokens += float64(nowNs-tb.lastNs) * tb.rate
 		if tb.tokens > tb.burst {
@@ -98,10 +81,6 @@ func (tb *TokenBucket) Allow(nowNs int64, sizeBytes uint32) bool {
 // reservation bandwidth) and resizes the burst proportionally.
 func (tb *TokenBucket) SetRate(rateKbps uint64) {
 	tb.rateKbps = rateKbps
-	if tb.reserve != nil {
-		tb.reserve.SetRate(rateKbps)
-		return
-	}
 	tb.rate = float64(rateKbps) * 1000 / 8 / 1e9
 	tb.burst = BurstBytesFor(rateKbps)
 	if tb.tokens > tb.burst {
@@ -109,22 +88,25 @@ func (tb *TokenBucket) SetRate(rateKbps uint64) {
 	}
 }
 
-// FlowMonitor performs deterministic per-reservation monitoring: one token
-// bucket per reservation ID, with all versions of an EER sharing the bucket.
-// A gateway holds every installed EER in it; at a border router it is the
-// watch table of §4.8 — a flow is under deterministic monitoring exactly
-// while it has an entry. It is safe for concurrent use.
+// RateKbps returns the enforced rate.
+func (tb *TokenBucket) RateKbps() uint64 { return tb.rateKbps }
+
+// FlowMonitor is a border router's watch table (§4.8): one token bucket per
+// reservation ID under deterministic monitoring, all versions of an EER
+// sharing the bucket. A flow is watched exactly while it has an entry. The
+// entries live inline in a flattab.Table, so the table holds no Go map and no
+// heap object per flow. It is safe for concurrent use.
 type FlowMonitor struct {
 	mu    sync.Mutex
-	flows map[reservation.ID]*flow
-	// n mirrors len(flows), written under mu: a router's table is empty
+	flows flattab.Table[flow]
+	// n mirrors flows.Len(), written under mu: a router's table is empty
 	// almost always, and Len then answers once per packet without the lock.
 	n atomic.Int64
 	// fresh counts the escalations Drain has not reported yet; sweptSec is
 	// the last second whose expired entries Police dropped.
 	fresh    int
 	sweptSec uint32
-	// gauge, when set, tracks len(flows). Maintained with deltas (not Set) so
+	// gauge, when set, tracks flows.Len(). Maintained with deltas (not Set) so
 	// that several shard monitors sharing one gauge sum to the true flow
 	// count across the sharded data plane. made and dropped count entries.
 	gauge         *telemetry.Gauge
@@ -139,8 +121,12 @@ type FlowMonitor struct {
 // flow is one entry; its bucket is unstarted (rateKbps 0) until the flow's first packet.
 type flow struct {
 	TokenBucket
-	// expT is the second a router's entry leaves the table (0 = not set: a
-	// gateway's entry, or an operator's seed before its first packet).
+	// reserve, in shard mode, is the flow's shared full-rate reserve: the
+	// bucket never refills itself and acts as a local claim cache in front
+	// of it (see reserve.go for why the rate is NOT split /N).
+	reserve *Reserve
+	// expT is the second the entry leaves the table (0 = not set: an
+	// operator's seed before its first packet, or an Ensure'd entry).
 	expT uint32
 	// fresh marks an escalation Drain has not reported yet.
 	fresh bool
@@ -148,7 +134,7 @@ type flow struct {
 
 // NewFlowMonitor builds an empty monitor.
 func NewFlowMonitor() *FlowMonitor {
-	return &FlowMonitor{flows: make(map[reservation.ID]*flow)}
+	return &FlowMonitor{}
 }
 
 // NewShardFlowMonitor builds the per-shard flow monitor of a sharded data
@@ -158,7 +144,7 @@ func NewFlowMonitor() *FlowMonitor {
 // byte equivalent to a single full-rate bucket; larger chunks amortize the
 // shared-word traffic at the cost of slightly earlier token commitment).
 func NewShardFlowMonitor(pool *ReservePool, chunkBytes float64) *FlowMonitor {
-	return &FlowMonitor{flows: make(map[reservation.ID]*flow), pool: pool, chunk: chunkBytes}
+	return &FlowMonitor{pool: pool, chunk: chunkBytes}
 }
 
 // SetTelemetry attaches a gauge tracking the number of flows this monitor
@@ -168,7 +154,7 @@ func (m *FlowMonitor) SetTelemetry(flows *telemetry.Gauge, made, dropped *teleme
 	m.mu.Lock()
 	m.gauge, m.made, m.dropped = flows, made, dropped
 	if flows != nil {
-		flows.Add(int64(len(m.flows)))
+		flows.Add(int64(m.flows.Len()))
 	}
 	m.mu.Unlock()
 }
@@ -176,7 +162,7 @@ func (m *FlowMonitor) SetTelemetry(flows *telemetry.Gauge, made, dropped *teleme
 // entry returns the flow's entry with its bucket at rateKbps, making it on
 // first sight. The caller holds mu.
 func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint64, nowNs int64) *flow {
-	f := m.flows[id]
+	f := m.flows.Get(id)
 	if f == nil {
 		f = m.add(id, 0)
 	}
@@ -189,32 +175,54 @@ func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint64, nowNs int64) *fl
 func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint64, nowNs int64) {
 	switch {
 	case f.rateKbps == rateKbps:
+	case f.reserve != nil: // started, shard mode: the reserve holds the rate
+		f.rateKbps = rateKbps
+		f.reserve.SetRate(rateKbps)
 	case f.rateKbps != 0: // started
 		f.SetRate(rateKbps)
 	case m.pool != nil: // shard mode: an empty local cache in front of the shared reserve
-		f.TokenBucket = TokenBucket{reserve: m.pool.Get(id, rateKbps, nowNs), chunk: m.chunk, rateKbps: rateKbps}
+		f.TokenBucket = TokenBucket{rateKbps: rateKbps}
+		f.reserve = m.pool.Get(id, rateKbps, nowNs)
 	default:
 		f.TokenBucket = *NewTokenBucket(rateKbps, BurstBytesFor(rateKbps), nowNs)
 	}
 }
 
+// allow polices one packet of f: against its own bucket, or in shard mode
+// against its claim cache, refilled from the shared reserve on exhaustion.
+// The caller holds mu.
+func (m *FlowMonitor) allow(f *flow, nowNs int64, sizeBytes uint32) bool {
+	if f.reserve == nil {
+		return f.Allow(nowNs, sizeBytes)
+	}
+	need := float64(sizeBytes)
+	if f.tokens < need {
+		f.tokens += f.reserve.Claim(need-f.tokens, m.chunk, nowNs)
+	}
+	if f.tokens < need {
+		return false
+	}
+	f.tokens -= need
+	return true
+}
+
 // add makes the entry of id, to leave at expT. The caller holds mu.
 func (m *FlowMonitor) add(id reservation.ID, expT uint32) *flow {
-	f := &flow{expT: expT}
-	m.flows[id] = f
+	f, _ := m.flows.Put(id)
+	f.expT = expT
 	m.count(1, m.made)
 	return f
 }
 
 // drop removes id's entry f and its hold on the pooled reserve. The caller holds mu.
 func (m *FlowMonitor) drop(id reservation.ID, f *flow) {
-	delete(m.flows, id)
 	if f.reserve != nil {
 		m.pool.Release(id)
 	}
 	if f.fresh {
 		m.fresh--
 	}
+	m.flows.Delete(id)
 	m.count(-1, m.dropped)
 }
 
@@ -233,29 +241,27 @@ func (m *FlowMonitor) count(delta int64, event *telemetry.Counter) {
 // acquisition: packet i belongs to ids[i] at rates[i] kbps and has
 // sizes[i] bytes; the verdicts land in allowed[i]. Entries with
 // sizes[i] == 0 are holes (no packet) and are skipped with
-// allowed[i] = false. All slices must have the same length.
+// allowed[i] = false. All slices must have the same length. A flow's first
+// packet makes its entry.
 //
-// Because the whole batch shares nowNs, each bucket refills at most once
-// (TokenBucket.Allow skips refill when the clock has not advanced), so the
-// per-packet cost inside the lock is one map lookup and one comparison —
-// the amortization the batched gateway pipeline relies on. Only a flow's
-// first packet allocates (its entry), and Ensure pre-creates that at install.
+// No production path calls AllowBatch or Ensure any more (the gateway keeps
+// its buckets in its own records); the benchmark's monitor.allow_ns probe
+// does.
 //
 //colibri:nomalloc
 func (m *FlowMonitor) AllowBatch(ids []reservation.ID, rates []uint64, sizes []uint32, nowNs int64, allowed []bool) {
 	m.mu.Lock()
 	for i := range ids {
-		f := m.flows[ids[i]]
+		f := m.flows.Get(ids[i])
 		if sizes[i] != 0 && (f == nil || f.rateKbps != rates[i]) {
 			f = m.entry(ids[i], rates[i], nowNs) // off the loop's fast path: a call here costs the lookups their overlap
 		}
-		allowed[i] = sizes[i] != 0 && f.Allow(nowNs, sizes[i])
+		allowed[i] = sizes[i] != 0 && m.allow(f, nowNs, sizes[i])
 	}
 	m.mu.Unlock()
 }
 
-// Ensure pre-creates a flow's bucket (at reservation install time), so the
-// per-packet path never allocates.
+// Ensure makes a flow's entry with its bucket at rateKbps, started at nowNs.
 func (m *FlowMonitor) Ensure(id reservation.ID, rateKbps uint64, nowNs int64) {
 	m.mu.Lock()
 	m.entry(id, rateKbps, nowNs)
@@ -266,7 +272,7 @@ func (m *FlowMonitor) Ensure(id reservation.ID, rateKbps uint64, nowNs int64) {
 // positive; the shared reserve of shard mode goes with its last holder.
 func (m *FlowMonitor) Forget(id reservation.ID) {
 	m.mu.Lock()
-	if f := m.flows[id]; f != nil {
+	if f := m.flows.Get(id); f != nil {
 		m.drop(id, f)
 	}
 	m.mu.Unlock()
@@ -280,7 +286,7 @@ func (m *FlowMonitor) Len() int { return int(m.n.Load()) }
 // packet starts the bucket and, where expT is 0, sets the lifetime.
 func (m *FlowMonitor) Watch(id reservation.ID, expT uint32) {
 	m.mu.Lock()
-	if m.flows[id] == nil {
+	if m.flows.Get(id) == nil {
 		m.add(id, expT)
 	}
 	m.mu.Unlock()
@@ -288,8 +294,7 @@ func (m *FlowMonitor) Watch(id reservation.ID, expT uint32) {
 
 // Escalate places the flow of a packet the probabilistic detector flagged
 // under watch until expT, the expiry of the packet's reservation version, and
-// polices that packet. An entry per unwatched→watched transition is the one
-// allocation on a router's packet path.
+// polices that packet. Only a growth of the table allocates.
 func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps uint64, sizeBytes, expT uint32, nowNs int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -298,7 +303,7 @@ func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps uint64, sizeBytes, ex
 		f.expT, f.fresh = expT, true
 		m.fresh++
 	}
-	return f.Allow(nowNs, sizeBytes)
+	return m.allow(f, nowNs, sizeBytes)
 }
 
 // Police checks a packet against the watch table: watched reports whether
@@ -312,18 +317,19 @@ func (m *FlowMonitor) Police(id reservation.ID, rateKbps uint64, sizeBytes, expT
 	defer m.mu.Unlock()
 	if sec := uint32(nowNs / 1e9); sec > m.sweptSec {
 		m.sweptSec = sec
-		for id, f := range m.flows {
-			if f.expT != 0 && sec >= f.expT {
-				m.drop(id, f)
+		// Backwards, so a drop's swap-last moves an entry already visited.
+		for i := m.flows.Len() - 1; i >= 0; i-- {
+			if fid, f := m.flows.At(i); f.expT != 0 && sec >= f.expT {
+				m.drop(fid, f)
 			}
 		}
 	}
-	f := m.flows[id]
+	f := m.flows.Get(id)
 	if f == nil {
 		return false, true
 	}
 	m.start(id, f, rateKbps, nowNs)
-	ok = f.Allow(nowNs, sizeBytes)
+	ok = m.allow(f, nowNs, sizeBytes)
 	if f.expT == 0 || !ok && expT > f.expT {
 		f.expT = expT
 	}
@@ -340,8 +346,8 @@ func (m *FlowMonitor) Drain() map[reservation.ID]uint32 {
 		return nil
 	}
 	out := make(map[reservation.ID]uint32, m.fresh)
-	for id, f := range m.flows {
-		if f.fresh {
+	for i := 0; i < m.flows.Len(); i++ {
+		if id, f := m.flows.At(i); f.fresh {
 			f.fresh, out[id] = false, f.expT
 		}
 	}

@@ -31,7 +31,8 @@ import (
 type Config struct {
 	// Depth is the number of sketch rows (default 4).
 	Depth int
-	// Width is the number of counters per row (default 4096).
+	// Width is the number of counters per row (default 4096), rounded up
+	// to a power of two so that a row is indexed by a mask.
 	Width int
 	// WindowNs is the measurement window (default 50 ms).
 	WindowNs int64
@@ -47,6 +48,7 @@ func (c *Config) setDefaults() {
 	if c.Width == 0 {
 		c.Width = 4096
 	}
+	c.Width = pow2(c.Width)
 	if c.WindowNs == 0 {
 		c.WindowNs = 50 * 1e6
 	}
@@ -68,8 +70,18 @@ func (c Config) Split(n int) Config {
 		if c.Width < 64 {
 			c.Width = 64
 		}
+		c.Width = pow2(c.Width)
 	}
 	return c
+}
+
+// pow2 rounds n up to a power of two.
+func pow2(n int) int {
+	p := 1
+	for p < n {
+		p <<= 1
+	}
+	return p
 }
 
 // Detector is one AS's overuse-flow detector. Safe for concurrent use.
@@ -77,6 +89,7 @@ type Detector struct {
 	mu        sync.Mutex
 	cfg       Config
 	counters  []float64 // depth × width, row-major
+	mask      uint64    // width − 1
 	seeds     []uint64
 	winStart  int64
 	threshold float64 // normalized usage limit per window
@@ -88,6 +101,7 @@ func New(cfg Config) *Detector {
 	d := &Detector{
 		cfg:      cfg,
 		counters: make([]float64, cfg.Depth*cfg.Width),
+		mask:     uint64(cfg.Width - 1),
 		seeds:    make([]uint64, cfg.Depth),
 	}
 	// Fixed odd seeds; distinct per row.
@@ -126,7 +140,7 @@ func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool
 	}
 	est := -1.0
 	for row := 0; row < d.cfg.Depth; row++ {
-		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])%uint64(d.cfg.Width))
+		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])&d.mask)
 		if est < 0 || d.counters[idx] < est {
 			est = d.counters[idx]
 		}

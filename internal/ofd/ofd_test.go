@@ -1,6 +1,7 @@
 package ofd
 
 import (
+	"math/rand"
 	"testing"
 
 	"colibri/internal/reservation"
@@ -158,5 +159,66 @@ func BenchmarkRecord(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		d.Record(ids[i%1024], 0.0001, int64(i)*1000)
+	}
+}
+
+// modDetector is the detector as it indexed its rows before Width became a
+// power of two: hash % Width, a 64-bit divide per row.
+type modDetector struct {
+	*Detector
+}
+
+func (d modDetector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
+	if nowNs-d.winStart >= d.cfg.WindowNs {
+		clear(d.counters)
+		d.winStart = nowNs - (nowNs-d.winStart)%d.cfg.WindowNs
+		if nowNs-d.winStart >= d.cfg.WindowNs {
+			d.winStart = nowNs
+		}
+	}
+	est := -1.0
+	for row := 0; row < d.cfg.Depth; row++ {
+		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])%uint64(d.cfg.Width))
+		if est < 0 || d.counters[idx] < est {
+			est = d.counters[idx]
+		}
+		d.counters[idx] += normSize
+	}
+	return est > d.threshold
+}
+
+// TestMaskIndexMatchesModulo: at the default width and every power-of-two
+// split of it, the mask touches the counter the modulo did, so every
+// decision of a 10⁵-packet stream (many flows, sizes, window turnovers) is
+// the same; and a width that is not a power of two is rounded up.
+func TestMaskIndexMatchesModulo(t *testing.T) {
+	for _, shards := range []int{1, 2, 8, 64} {
+		cfg := Config{}.Split(shards)
+		got, want := New(cfg), modDetector{New(cfg)}
+		rng := rand.New(rand.NewSource(int64(shards)))
+		now, flagged := int64(0), 0
+		for i := 0; i < 100_000; i++ {
+			now += int64(rng.Intn(20_000))
+			id := rid(topology.ASID(1+rng.Intn(8)), uint32(rng.Intn(3000)))
+			norm := NormalizedSize(uint32(64+rng.Intn(1400)), uint64(64+rng.Intn(2000)))
+			g, w := got.Record(id, norm, now), want.Record(id, norm, now)
+			if g != w {
+				t.Fatalf("%d shards, packet %d: mask says %v, modulo %v", shards, i, g, w)
+			}
+			if g {
+				flagged++
+			}
+		}
+		if flagged == 0 {
+			t.Errorf("%d shards: no packet flagged, the stream does not test the decision", shards)
+		}
+	}
+	for _, c := range []struct{ width, split, want int }{{1000, 1, 1024}, {4097, 1, 8192}, {4096, 3, 2048}, {100, 8, 64}} {
+		if got := (Config{Width: c.width}).Split(c.split).Width; got != c.want {
+			t.Errorf("Width %d split %d: %d, want %d", c.width, c.split, got, c.want)
+		}
+		if got := New(Config{Width: c.width}).cfg.Width; got != pow2(c.width) {
+			t.Errorf("New with Width %d: %d, want %d", c.width, got, pow2(c.width))
+		}
 	}
 }

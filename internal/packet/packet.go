@@ -265,6 +265,21 @@ func SetCurrHopInPlace(buf []byte, hop uint8) {
 // CurrHopOf reads the current-hop byte of a serialized buffer.
 func CurrHopOf(buf []byte) uint8 { return buf[3] }
 
+// PathLenOf reads the hop count of a serialized buffer.
+func PathLenOf(buf []byte) int { return int(buf[4]) }
+
+// HVFOffset returns where hop 0's HVF starts in a serialized packet of the
+// given hop count; the HVFs end, and the payload starts, at DataLen(hops, 0).
+func HVFOffset(hops int) int { return fixedLen + hops*hopFieldLen }
+
+// SetDataFields writes a packet's payload length and Ts into a serialized
+// header in place: the two fields a builder fills in after copying a header
+// that SerializeTo encoded once per reservation.
+func SetDataFields(buf []byte, payloadLen int, ts uint64) {
+	binary.BigEndian.PutUint16(buf[6:8], uint16(payloadLen))
+	binary.BigEndian.PutUint64(buf[40:48], ts)
+}
+
 // PeekFlowKey extracts the RSS flow key — ResID ‖ SrcHost — straight from a
 // serialized buffer's fixed offsets, without decoding. This is what a
 // sharded front end hashes to pick a shard: all packets of one (reservation,

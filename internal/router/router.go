@@ -471,7 +471,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 			watched, ok = r.detMon.Police(id, rate, size, pkt.Res.ExpT, nowNs)
 		}
 		if !watched && r.det != nil && r.det.Record(id, ofd.NormalizedSize(size, rate), nowNs) {
-			ok = r.detMon.Escalate(id, rate, size, pkt.Res.ExpT, nowNs) //colibri:allow(nomalloc) — one entry per unwatched→watched transition
+			ok = r.detMon.Escalate(id, rate, size, pkt.Res.ExpT, nowNs) //colibri:allow(nomalloc) — watch-table growth on an unwatched→watched transition, amortized
 		}
 		if !ok {
 			// Overuse established with certainty: police, and unless
