@@ -1,25 +1,16 @@
 // atomics.go — check "atomics": the conservation argument of the sharded
 // data/control planes (DESIGN.md §§7–8) rests on counters and flags that are
-// updated concurrently yet must never tear or lose an update. Three rules,
+// updated concurrently yet must never tear or lose an update. Two rules,
 // reconciled module-wide after the last package is analyzed:
 //
-//  1. No mixed access: a struct field or package-level variable that is
-//     accessed through the legacy sync/atomic functions (atomic.AddUint64,
-//     atomic.LoadInt64, ...) anywhere must be accessed atomically
-//     everywhere. A plain read or write of the same target is a finding
-//     unless it happens in a constructor before publication (a function
-//     named New*/new*/init) or inside a critical section (lexically between
-//     a mutex Lock and its Unlock in the same function — conservative, but
-//     the tree's locked sections are simple enough for it to hold).
+//  1. Migrate raw targets: every legacy sync/atomic call (atomic.AddUint64,
+//     atomic.LoadInt64, ...) on an addressable int32/int64/uint32/uint64/
+//     pointer target is a finding — typed atomic.Int64/Uint64/Bool/Pointer
+//     fields make a mixed atomic/plain access unviolable by construction (a
+//     plain access no longer compiles), which is why the tree migrated to
+//     them. The finding keeps raw targets from creeping back in.
 //
-//  2. Migrate raw targets: every legacy atomic call on an addressable
-//     int32/int64/uint32/uint64/pointer target is itself a finding — typed
-//     atomic.Int64/Uint64/Bool/Pointer fields make rule 1 unviolable by
-//     construction (a plain access no longer compiles), which is why the
-//     tree migrated to them. The finding keeps raw targets from creeping
-//     back in.
-//
-//  3. Single writer: a field annotated //colibri:singlewriter may receive
+//  2. Single writer: a field annotated //colibri:singlewriter may receive
 //     atomic writes (Store/Add/Swap/CompareAndSwap/Or/And on a typed
 //     atomic, or a legacy atomic write) from at most one function;
 //     constructors are exempt (pre-publication initialization). The
@@ -68,18 +59,12 @@ type atomicsCheck struct {
 	pkgs []*Pkg
 }
 
-// Run only collects: all three rules need the module-wide view (an exported
-// field's plain access or second writer can live in another package).
+// Run only collects: the single-writer rule needs the module-wide view (an
+// exported field's second writer can live in another package).
 func (c *atomicsCheck) Run(p *Pkg, r *Reporter) { c.pkgs = append(c.pkgs, p) }
 
 // Finish reconciles across all analyzed packages.
 func (c *atomicsCheck) Finish(r *Reporter) {
-	// targets: objects (fields / package vars) used as &target of a legacy
-	// atomic call, mapped to one representative call position.
-	targets := map[types.Object]token.Pos{}
-	// atomicOperands: identifier uses that ARE the atomic access itself,
-	// excluded from the plain-access scan.
-	atomicOperands := map[*ast.Ident]bool{}
 	// singleWriter: annotated field/var objects mapped to their writers.
 	singleWriter := map[types.Object][]atomicWriter{}
 	annotated := map[types.Object]bool{}
@@ -105,11 +90,7 @@ func (c *atomicsCheck) Finish(r *Reporter) {
 					}
 					// Legacy package-level atomics: atomic.Fn(&target, ...).
 					if pkgPath, fn := pkgFuncCall(call, p.Info); pkgPath == "sync/atomic" {
-						obj := addrOperandObj(call, p.Info, atomicOperands)
-						if obj != nil {
-							if _, seen := targets[obj]; !seen {
-								targets[obj] = call.Pos()
-							}
+						if obj := addrOperandObj(call, p.Info); obj != nil {
 							r.Report(call.Pos(), checkAtomics,
 								"raw sync/atomic.%s on %s: migrate to a typed atomic.%s field so a plain access cannot compile",
 								fn, obj.Name(), typedAtomicFor(obj.Type()))
@@ -131,44 +112,7 @@ func (c *atomicsCheck) Finish(r *Reporter) {
 		}
 	}
 
-	// Rule 1: plain accesses of legacy atomic targets.
-	for _, p := range c.pkgs {
-		for _, f := range p.Files {
-			for _, d := range f.Decls {
-				fd, ok := d.(*ast.FuncDecl)
-				if !ok || fd.Body == nil {
-					continue
-				}
-				if isConstructorName(fd.Name.Name) {
-					continue // pre-publication initialization
-				}
-				sections := lockSections(fd, p, r.fset)
-				ast.Inspect(fd.Body, func(n ast.Node) bool {
-					id, ok := n.(*ast.Ident)
-					if !ok || atomicOperands[id] {
-						return true
-					}
-					obj := p.Info.Uses[id]
-					if obj == nil {
-						return true
-					}
-					atomicPos, isTarget := targets[obj]
-					if !isTarget {
-						return true
-					}
-					if sections.holds(r.fset.Position(id.Pos()).Line) {
-						return true // guarded by a mutex held at this point
-					}
-					r.Report(id.Pos(), checkAtomics,
-						"plain access of %s, which is accessed atomically at %s: mixed atomic/plain access tears — go through sync/atomic everywhere (or hold the guarding lock at every access site)",
-						obj.Name(), r.PosString(atomicPos))
-					return true
-				})
-			}
-		}
-	}
-
-	// Rule 3: more than one writing function for a //colibri:singlewriter
+	// Rule 2: more than one writing function for a //colibri:singlewriter
 	// field. Writers are deduplicated per function and reported in a stable
 	// order (first writer by position wins the annotation).
 	var annObjs []types.Object
@@ -243,9 +187,8 @@ func commentGroupHas(cg *ast.CommentGroup, marker string) bool {
 }
 
 // addrOperandObj resolves the &target first operand of a legacy atomic call
-// to the object it addresses (a struct field or variable), registering the
-// identifiers that form the operand so the plain-access scan skips them.
-func addrOperandObj(call *ast.CallExpr, info *types.Info, operands map[*ast.Ident]bool) types.Object {
+// to the object it addresses (a struct field or variable).
+func addrOperandObj(call *ast.CallExpr, info *types.Info) types.Object {
 	if len(call.Args) == 0 {
 		return nil
 	}
@@ -253,27 +196,17 @@ func addrOperandObj(call *ast.CallExpr, info *types.Info, operands map[*ast.Iden
 	if !ok || un.Op != token.AND {
 		return nil
 	}
-	var obj types.Object
 	switch x := un.X.(type) {
 	case *ast.SelectorExpr:
-		obj = info.Uses[x.Sel]
+		return info.Uses[x.Sel]
 	case *ast.Ident:
-		obj = info.Uses[x]
+		return info.Uses[x]
 	case *ast.IndexExpr:
 		if sel, ok := x.X.(*ast.SelectorExpr); ok {
-			obj = info.Uses[sel.Sel]
+			return info.Uses[sel.Sel]
 		}
 	}
-	if obj == nil {
-		return nil
-	}
-	ast.Inspect(un, func(n ast.Node) bool {
-		if id, ok := n.(*ast.Ident); ok {
-			operands[id] = true
-		}
-		return true
-	})
-	return obj
+	return nil
 }
 
 // typedAtomicCall classifies call as a method call on a sync/atomic typed
@@ -354,96 +287,4 @@ func exprKeyNoPos(e ast.Expr) string {
 		return exprKeyNoPos(e.X)
 	}
 	return "?"
-}
-
-// lockRanges approximates the critical sections of one function as line
-// intervals: a sync Lock/RLock opens a section that the matching Unlock
-// closes; a deferred Unlock extends the section to the end of the function.
-// Lexical, not path-sensitive — the allowance it feeds (rule 1) only needs
-// to recognize the straightforward lock-guard idiom, and anything cleverer
-// should use //colibri:allow(atomics) with a justification.
-type lockRanges struct {
-	open  []int // line of each Lock whose Unlock was not yet seen
-	spans [][2]int
-	end   int
-}
-
-func (lr *lockRanges) holds(line int) bool {
-	for _, s := range lr.spans {
-		if s[0] <= line && line <= s[1] {
-			return true
-		}
-	}
-	for _, o := range lr.open {
-		if o <= line && line <= lr.end {
-			return true
-		}
-	}
-	return false
-}
-
-func lockSections(fd *ast.FuncDecl, p *Pkg, fset *token.FileSet) *lockRanges {
-	lr := &lockRanges{}
-	type ev struct {
-		line int
-		kind string // "lock", "unlock", "defer-unlock"
-	}
-	var evs []ev
-	deferredCalls := map[*ast.CallExpr]bool{}
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		var call *ast.CallExpr
-		deferred := false
-		switch n := n.(type) {
-		case *ast.DeferStmt:
-			call, deferred = n.Call, true
-			deferredCalls[n.Call] = true
-		case *ast.CallExpr:
-			if deferredCalls[n] {
-				return true // already classified via its DeferStmt
-			}
-			call = n
-		default:
-			return true
-		}
-		sel, ok := call.Fun.(*ast.SelectorExpr)
-		if !ok {
-			return true
-		}
-		kind := ""
-		switch sel.Sel.Name {
-		case "Lock", "RLock":
-			kind = "lock"
-		case "Unlock", "RUnlock":
-			kind = "unlock"
-			if deferred {
-				kind = "defer-unlock"
-			}
-		default:
-			return true
-		}
-		if selInfo, ok := p.Info.Selections[sel]; ok {
-			if m, ok := selInfo.Obj().(*types.Func); ok && (m.Pkg() == nil || m.Pkg().Path() != "sync") {
-				return true
-			}
-		}
-		evs = append(evs, ev{line: fset.Position(call.Pos()).Line, kind: kind})
-		return true
-	})
-	sort.Slice(evs, func(i, j int) bool { return evs[i].line < evs[j].line })
-	lr.end = fset.Position(fd.Body.End()).Line
-	for _, e := range evs {
-		switch e.kind {
-		case "lock":
-			lr.open = append(lr.open, e.line)
-		case "defer-unlock":
-			// The section spans from the lock to the function's end; leave
-			// the lock open.
-		case "unlock":
-			if n := len(lr.open); n > 0 {
-				lr.spans = append(lr.spans, [2]int{lr.open[n-1], e.line})
-				lr.open = lr.open[:n-1]
-			}
-		}
-	}
-	return lr
 }

@@ -1,18 +1,13 @@
-// Package atomics is the mixed-access fixture: legacy sync/atomic targets,
-// plain accesses of the same word, and second writers of single-writer
-// fields must be flagged; constructors, lock-guarded sections and typed
-// atomics with one writer must not.
+// Package atomics is the atomics fixture: legacy sync/atomic targets and
+// second writers of single-writer fields must be flagged; constructors and
+// typed atomics with one writer must not.
 package atomics
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
-// C mixes atomic and plain access on n.
+// C updates n through a legacy atomic.
 type C struct {
-	mu sync.Mutex
-	n  uint64
+	n uint64
 	// owned is written only by Advance: the annotation holds — clean.
 	owned atomic.Uint64 //colibri:singlewriter
 	// shared is annotated single-writer but written by two functions: the
@@ -33,24 +28,6 @@ func NewC() *C {
 // finding.
 func (c *C) Bump() {
 	atomic.AddUint64(&c.n, 1)
-}
-
-// Read reads n plainly while Bump updates it atomically: mixed-access
-// finding.
-func (c *C) Read() uint64 {
-	return c.n
-}
-
-// Guarded reads n under the mutex: clean (lock-held allowance).
-func (c *C) Guarded() uint64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.n
-}
-
-// SuppressedPlain tolerates a stale read by contract: suppressed.
-func (c *C) SuppressedPlain() uint64 {
-	return c.n //colibri:allow(atomics) — fixture: stale read acceptable
 }
 
 // Advance is owned's one writer: clean.

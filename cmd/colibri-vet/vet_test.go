@@ -49,8 +49,8 @@ func TestFixtures(t *testing.T) {
 		{"nomalloc_router", "nomalloc", "./router/...", 1},
 		{"nomalloc_sharded", "nomalloc", "./sharded/...", 1},
 		{"locks_sharded", "locks", "./sharded/...", 1},
-		// Concurrency-invariant suite: each fixture seeds a mixed atomic
-		// access, an owned-field alias escape, and an unjoined goroutine.
+		// Concurrency-invariant suite: each fixture seeds a raw legacy atomic
+		// call, an owned-field alias escape, and an unjoined goroutine.
 		{"atomics", "atomics", "./atomics/...", 1},
 		{"shardown", "shardown", "./shardown/...", 1},
 		{"goroutines", "goroutines", "./goroutines/...", 1},

@@ -170,7 +170,6 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 		}
 		node.CServ = cserv.New(cserv.Config{
 			AS:        topo.AS(ia),
-			Topo:      topo,
 			Secret:    asSecret,
 			Engine:    engines[ia],
 			Keys:      drkey.NewStore(ia, n, trust),

@@ -62,6 +62,12 @@ type EEBatchItem struct {
 	DstHost uint32
 }
 
+// infos returns what σ covers (Eq. 4) of the EER version it at bandwidth bw.
+func (it *EEBatchItem) infos(bw uint64) (packet.ResInfo, packet.EERInfo) {
+	return packet.ResInfo{SrcAS: it.ID.SrcAS, ResID: it.ID.Num, BwKbps: uint32(bw), ExpT: it.ExpT, Ver: it.Ver},
+		packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
+}
+
 // Wire sizes of the per-item entries. Every count a decoder reads is checked
 // against the bytes that remain divided by these before anything is sized by
 // it: the counts arrive before any MAC can be verified.
@@ -137,11 +143,7 @@ func (r *EEBatchRenewReq) Marshal() []byte {
 
 // UnmarshalEEBatchRenewReq parses an EEBatchRenewReq.
 func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
-	r := &EEBatchRenewReq{}
-	if err := r.unmarshal(data); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return decodeNew[EEBatchRenewReq](data)
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's per-item slices.
@@ -172,7 +174,7 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 		})
 	}
 	r.bodyLen = len(data) - len(d.buf)
-	r.Macs = d.macs(nil)
+	r.Macs = d.macs(r.Macs[:0])
 	r.wire = data[:len(data)-len(d.buf)]
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Accums = append(r.Accums, d.u64())
@@ -220,11 +222,7 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 // result alias data: they are valid until the caller modifies data, and
 // whatever outlives it (a grant's hop authenticators) is copied out.
 func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
-	r := &EEBatchRenewResp{}
-	if err := r.unmarshal(data); err != nil {
-		return nil, err
-	}
-	return r, nil
+	return decodeNew[EEBatchRenewResp](data)
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices.
@@ -297,7 +295,7 @@ func (s *Service) putWave(sc *waveScratch) {
 	}
 	// Drop what aliases memory the wave did not own — the received message,
 	// the downstream response, the initiator's grants.
-	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0]}
+	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0], Macs: sc.req.Macs[:0]}
 	clear(sc.resp.EncAuths)
 	sc.resp.EncAuths = sc.resp.EncAuths[:0]
 	sc.solo.wire = nil
@@ -346,29 +344,24 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			return fail("malformed batch")
 		}
 	}
-	now := s.clock()
-	// K_{me→Src} both authenticates the wave (§4.5) and seals every item's σ
-	// for the source (Eq. 5): derived on the fly, once.
-	key, _ := s.engine.Level1(src, now)
-	kc := s.cryptoFor(key)
-	if idx > 0 {
-		if err := kc.verify(req.wire[:req.bodyLen], req.Macs, idx); err != nil {
-			s.metrics.AuthFailures.Add(1)
-			return fail("authentication: %v", err)
-		}
-		// One rate-limit token per wave: the batch is one control message,
-		// and per-item charging would make batching pointless under §5.3's
-		// per-AS budget.
-		if !s.rate.Allow(src, now) {
-			s.metrics.RateLimited.Add(1)
-			return fail("rate limited")
-		}
+	// K_{me→Src} authenticates the wave, charged one rate-limit token (§5.3),
+	// and seals every item's σ for the source.
+	kc, why := s.authHop(src, req.wire[:req.bodyLen], req.Macs, idx)
+	if kc == nil {
+		return fail("%s", why)
 	}
 	cover, err := s.hopCover(req.SegIDs, req.Splits, len(req.Path), idx)
 	if err != nil {
 		return fail("%v", err)
 	}
-	hop := req.Path[idx]
+	// The destination vets every live item as it does a solo request.
+	if idx == len(req.Path)-1 {
+		for i := range req.Items {
+			if req.Status[i] == EEItemOK && s.vetoed(&req.Items[i]) {
+				req.Status[i] = EEItemRefused
+			}
+		}
+	}
 
 	sc.states = slices.Grow(sc.states[:0], n)[:n]
 	clear(sc.states)
@@ -409,20 +402,17 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 		}
 		clear(resp.EncAuths)
 	} else {
-		next := req.Path[idx+1].IA
 		sc.fwd = req.appendTail(append(sc.fwd[:0], req.wire...))
-		data, err := s.transport.Call(next, sc.fwd)
+		_, err := s.forward(req.Path[idx+1].IA, sc.fwd, resp)
+		if err == nil && resp.OK && (len(resp.Granted) != n || len(resp.EncAuths) != nAuth) {
+			err = errMalformed
+		}
 		if err != nil {
-			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("transport: %v", err)}
-		} else if err = resp.unmarshal(data); err != nil {
-			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("response: %v", err)}
+			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
 		}
 	}
-	if !resp.OK || len(resp.Granted) != n || len(resp.EncAuths) != nAuth {
+	if !resp.OK {
 		rollbackAll()
-		if resp.OK {
-			return fail("malformed downstream response")
-		}
 		return resp
 	}
 
@@ -442,20 +432,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 			leg.rollback(&states[i], it.ID.Num)
 			continue
 		}
-		final := resp.Granted[i]
-		leg.commit(&states[i], it.ID.Num, final)
-		res := packet.ResInfo{
-			SrcAS:  it.ID.SrcAS,
-			ResID:  it.ID.Num,
-			BwKbps: uint32(final),
-			ExpT:   it.ExpT,
-			Ver:    it.Ver,
-		}
-		eerInfo := packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
-		sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-		sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
+		leg.commit(&states[i], it.ID.Num, resp.Granted[i])
 		off := len(sc.sealed)
-		sc.sealed = kc.sealer.SealTo(sc.sealed, sc.nonces[i*cryptoutil.NonceSize:], sc.sigma[:], sc.ad)
+		sc.sealed = s.sealHopAuth(sc.sealed, sc, kc, it, resp.Granted[i], req.Path, idx, sc.nonces[i*cryptoutil.NonceSize:])
 		resp.EncAuths[i*len(req.Path)+idx] = sc.sealed[off:len(sc.sealed):len(sc.sealed)]
 	}
 	return resp
@@ -514,21 +493,11 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		}
 		return grants, errs
 	}
-	// Level-1 keys — hence request MACs and sealers — are fetched once per
-	// hop, not once per item.
-	hops := make([]*keyCrypto, len(req.Path))
-	for h, ph := range req.Path {
-		key, err := s.hopKey(ph.IA, now)
-		if err != nil {
-			return failAll(err)
-		}
-		hops[h] = s.cryptoFor(key)
-	}
 	sc.fwd = req.appendBody(sc.fwd[:0])
 	req.bodyLen = len(sc.fwd)
-	req.Macs = make([][cryptoutil.MACSize]byte, len(hops))
-	for h, kc := range hops {
-		kc.cmac.SumInto(&req.Macs[h], sc.fwd)
+	hops, err := s.signPath(req.Path, sc.fwd, &req.Macs)
+	if err != nil {
+		return failAll(err)
 	}
 	sc.fwd = appendMacs(sc.fwd, req.Macs)
 	req.wire = sc.fwd
@@ -537,7 +506,7 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		return failAll(fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason))
 	}
 	// Decrypt the hop authenticators (Eq. 5) of the surviving items.
-	path := HopFields(req.Path)
+	path, n := HopFields(req.Path), len(req.Path)
 	for i, p := range prevs {
 		if resp.Status[i] != EEItemOK {
 			held(i)
@@ -556,29 +525,9 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		}
 		it := &req.Items[i]
 		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
-		g := &EERGrant{
-			ID: p.ID,
-			Res: packet.ResInfo{
-				SrcAS:  p.ID.SrcAS,
-				ResID:  p.ID.Num,
-				BwKbps: uint32(resp.Granted[i]),
-				ExpT:   it.ExpT,
-				Ver:    it.Ver,
-			},
-			EER:      packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost},
-			Path:     path,
-			PathHops: p.PathHops,
-			Splits:   p.Splits,
-			SegIDs:   p.SegIDs,
-			HopAuths: make([]cryptoutil.Key, len(hops)),
-		}
-		grants[i] = g
-		for h, kc := range hops {
-			sc.ad = eerAuthAD(sc.ad[:0], p.ID, uint8(h))
-			if oerr := openHopAuth(kc.sealer, &g.HopAuths[h], resp.EncAuths[i*len(hops)+h], sc.ad); oerr != nil {
-				grants[i], errs[i] = nil, fmt.Errorf("cserv: opening hop authenticator %d of %s: %w", h, p.ID, oerr)
-				break
-			}
+		g := &EERGrant{Path: path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs}
+		if errs[i] = sc.openGrant(g, hops[:], it, resp.Granted[i], resp.EncAuths[i*n:(i+1)*n]); errs[i] == nil {
+			grants[i] = g
 		}
 	}
 	return grants, errs

@@ -78,11 +78,11 @@ func (s *Service) RequestDownSegment(seg *segment.Segment, minKbps, maxKbps uint
 		MinKbps:   minKbps,
 		MaxKbps:   maxKbps,
 	}
-	key, err := s.keys.Get(head, s.clock())
-	if err != nil {
+	var macs [][cryptoutil.MACSize]byte
+	if _, err := s.signPath([]PathHop{{IA: head}}, req.Body(), &macs); err != nil {
 		return err
 	}
-	cryptoutil.MustCMAC(key).SumInto(&req.Mac, req.Body())
+	req.Mac = macs[0]
 	data, err := s.transport.Call(head, req.Marshal())
 	if err != nil {
 		return err
@@ -108,15 +108,10 @@ func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
 	if req.Seg[len(req.Seg)-1].IA != req.Requester {
 		return fail("requester %s is not the segment's last AS", req.Requester)
 	}
-	// Authenticate the requester with the on-the-fly key K_{me→Requester}.
-	key, _ := s.engine.Level1(req.Requester, s.clock())
-	var want [cryptoutil.MACSize]byte
-	cryptoutil.MustCMAC(key).SumInto(&want, req.Body())
-	if !cryptoutil.ConstantTimeEqual(want[:], req.Mac[:]) {
-		return fail("authentication failed")
-	}
-	if !s.rate.Allow(req.Requester, s.clock()) {
-		return fail("rate limited")
+	// The request's one MAC is the requester's (hop 0 of the exchange) towards
+	// this AS (hop 1).
+	if _, why := s.authHop(req.Requester, req.Body(), [][cryptoutil.MACSize]byte{1: req.Mac}, 1); why != "" {
+		return fail("%s", why)
 	}
 	hops := make([]segment.Hop, len(req.Seg))
 	for i, h := range req.Seg {

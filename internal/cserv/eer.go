@@ -120,32 +120,18 @@ func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) 
 // asks the policy, and the answer settles it.
 func (s *Service) launchEE(sc *waveScratch, heldKbps uint64, heldExpT uint32) (*EERGrant, error) {
 	req := &sc.solo
-	n := len(req.Path)
-	if n > packet.MaxHops {
-		return nil, fmt.Errorf("cserv: %d hops exceeds maximum", n)
-	}
-	// K_{AS_i→us} signs the request towards AS_i and opens what AS_i seals
-	// (Eq. 5): fetched once per hop.
-	now := s.clock()
-	var hops [packet.MaxHops]*keyCrypto
-	for i, h := range req.Path {
-		key, err := s.hopKey(h.IA, now)
-		if err != nil {
-			return nil, err
-		}
-		hops[i] = s.cryptoFor(key)
-	}
 	sc.fwd = req.appendBody(sc.fwd[:0])
 	req.bodyLen = len(sc.fwd)
-	req.Macs = slices.Grow(req.Macs, n)[:n]
-	for i := range req.Macs {
-		hops[i].cmac.SumInto(&req.Macs[i], sc.fwd)
+	// K_{AS_i→us} signs the request towards AS_i and opens what AS_i seals.
+	hops, err := s.signPath(req.Path, sc.fwd, &req.Macs)
+	if err != nil {
+		return nil, err
 	}
 	sc.fwd = req.appendTail(sc.fwd)
 	req.wire = sc.fwd
 	out, _ := s.processEESetup(sc, 0, req.BwKbps)
 	resp := &sc.soloResp
-	err := resp.unmarshal(out)
+	err = resp.unmarshal(out)
 	if err == nil && !resp.OK {
 		err = fmt.Errorf("%w: EER setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
 	}
@@ -155,43 +141,21 @@ func (s *Service) launchEE(sc *waveScratch, heldKbps uint64, heldExpT uint32) (*
 	}
 	s.policy.SettleEER(req.SrcHost, req.ID, resp.FinalKbps, req.ExpT)
 	grant := &EERGrant{
-		ID: req.ID,
-		Res: packet.ResInfo{
-			SrcAS:  req.ID.SrcAS,
-			ResID:  req.ID.Num,
-			BwKbps: uint32(resp.FinalKbps),
-			ExpT:   req.ExpT,
-			Ver:    req.Ver,
-		},
-		EER:      packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost},
 		Path:     HopFields(req.Path),
 		PathHops: append([]PathHop(nil), req.Path...),
 		Splits:   append([]uint8(nil), req.Splits...),
 		SegIDs:   append([]reservation.ID(nil), req.SegIDs...),
-		HopAuths: make([]cryptoutil.Key, n),
 	}
-	// Decrypt the hop authenticators: hop 0 checked that there is one per hop.
-	for i, enc := range resp.EncAuths {
-		sc.ad = eerAuthAD(sc.ad[:0], req.ID, uint8(i))
-		if err := openHopAuth(hops[i].sealer, &grant.HopAuths[i], enc, sc.ad); err != nil {
-			return nil, fmt.Errorf("cserv: opening hop authenticator %d: %w", i, err)
-		}
+	// Hop 0 checked that there is one sealed σ per hop.
+	item := req.item()
+	if err := sc.openGrant(grant, hops[:], &item, resp.FinalKbps, resp.EncAuths); err != nil {
+		return nil, err
 	}
 	return grant, nil
 }
 
 // sealedAuthLen is the size of a sealed hop authenticator (Eq. 5).
 const sealedAuthLen = cryptoutil.KeySize + cryptoutil.SealOverhead
-
-// openHopAuth decrypts one sealed hop authenticator straight into auth, which
-// owns its bytes: a grant retains nothing of the response buffer.
-func openHopAuth(sl *cryptoutil.Sealer, auth *cryptoutil.Key, sealed, ad []byte) error {
-	if len(sealed) != sealedAuthLen {
-		return fmt.Errorf("%w: %d bytes, want %d", cryptoutil.ErrAEADOpen, len(sealed), sealedAuthLen)
-	}
-	_, err := sl.OpenTo(auth[:0], sealed, ad)
-	return err
-}
 
 // eerAuthAD appends the associated data binding an encrypted hop
 // authenticator to its reservation and hop.
@@ -223,17 +187,17 @@ func coveringSegs(dst []int, nSeg int, splits []uint8, pathLen, idx int) []int {
 
 // eeRespSlot checks that resp, an OK response of size bytes, has the shape hop
 // idx of an n-hop path must receive — n authenticator slots, sealed by every
-// hop behind idx and by no other — and returns the offset of slot idx.
-func eeRespSlot(resp *EESetupResp, size, n, idx int) (off int, ok bool) {
+// hop behind idx and by no other — and returns the offset of slot idx, or -1.
+func eeRespSlot(resp *EESetupResp, size, n, idx int) int {
 	if len(resp.EncAuths) != n {
-		return 0, false
+		return -1
 	}
 	for i, ea := range resp.EncAuths {
 		if (i <= idx && len(ea) != 0) || (i > idx && len(ea) != sealedAuthLen) {
-			return 0, false
+			return -1
 		}
 	}
-	return size - (n-1-idx)*(2+sealedAuthLen) - 2, true
+	return size - (n-1-idx)*(2+sealedAuthLen) - 2
 }
 
 // processEESetup handles the EER setup/renewal request decoded into sc.solo at
@@ -267,23 +231,13 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		return (&EESetupResp{FailedAt: uint8(hop), Reason: reason}).Marshal(), false
 	}
 	fail := func(format string, args ...any) ([]byte, bool) { return failAt(idx, format, args...) }
-	now := s.clock()
-	// K_{me→Src} both authenticates the request (§4.5) and seals σ for the
-	// source (Eq. 5): derived on the fly, once.
-	key, _ := s.engine.Level1(req.ID.SrcAS, now)
-	kc := s.cryptoFor(key)
-	if idx > 0 {
-		if err := kc.verify(req.wire[:req.bodyLen], req.Macs, idx); err != nil {
-			s.metrics.AuthFailures.Add(1)
-			return fail("authentication: %v", err)
-		}
-		if !s.rate.Allow(req.ID.SrcAS, now) {
-			s.metrics.RateLimited.Add(1)
-			return fail("rate limited")
-		}
+	// K_{me→Src} both authenticates the request and seals σ for the source.
+	kc, why := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx)
+	if kc == nil {
+		return fail("%s", why)
 	}
 	n := len(req.Path)
-	hop := req.Path[idx]
+	item := req.item()
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7).
 	cover, err := s.hopCover(req.SegIDs, req.Splits, n, idx)
@@ -299,9 +253,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			return fail("policy: %v", err)
 		}
 	}
-	// Destination approval (§3.3: the destination host "also has to
-	// explicitly accept the EER request").
-	if idx == n-1 && s.dstApprove != nil && !s.dstApprove(req) {
+	if idx == n-1 && s.vetoed(&item) {
 		return fail("destination refused")
 	}
 
@@ -338,25 +290,20 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		// Forward the bytes received, accumulator overwritten.
 		sc.fwd = append(sc.fwd[:0], req.wire...)
 		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], it.grant)
-		var err error
-		if out, err = s.transport.Call(req.Path[idx+1].IA, sc.fwd); err != nil {
-			leg.rollback(&it, req.ID.Num)
-			return failAt(idx+1, "transport: %v", err)
-		}
 		resp := &sc.soloResp
-		if err := resp.unmarshal(out); err != nil {
-			leg.rollback(&it, req.ID.Num)
-			return failAt(idx+1, "response: %v", err)
+		out, err = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
+		if err == nil && resp.OK {
+			if off = eeRespSlot(resp, len(out), n, idx); off < 0 {
+				err = errMalformed
+			}
 		}
-		if !resp.OK {
+		if err != nil || !resp.OK {
 			leg.rollback(&it, req.ID.Num)
+			if err != nil {
+				return failAt(idx+1, "%v", err)
+			}
 			reason = resp.Reason
 			return out, false
-		}
-		var shaped bool
-		if off, shaped = eeRespSlot(resp, len(out), n, idx); !shaped {
-			leg.rollback(&it, req.ID.Num)
-			return failAt(idx+1, "response: malformed")
 		}
 		final = resp.FinalKbps
 	}
@@ -368,24 +315,13 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		return fail("seal: %v", err)
 	}
 	leg.commit(&it, req.ID.Num, final)
-	// Compute σ_i (Eq. 4) over the final reservation parameters and seal it
-	// for the source AS (Eq. 5) into slot idx: what the hops behind this one
-	// sealed moves up by one authenticator, within the buffer's capacity unless
-	// a transport handed back one of exactly the response's size.
-	res := packet.ResInfo{
-		SrcAS:  req.ID.SrcAS,
-		ResID:  req.ID.Num,
-		BwKbps: uint32(final),
-		ExpT:   req.ExpT,
-		Ver:    req.Ver,
-	}
-	eerInfo := packet.EERInfo{SrcHost: req.SrcHost, DstHost: req.DstHost}
-	sc.sigma = s.hopAuth(&res, &eerInfo, packet.HopField{In: hop.In, Eg: hop.Eg})
-	sc.ad = eerAuthAD(sc.ad[:0], req.ID, uint8(idx))
+	// Seal σ_i into slot idx: what the hops behind this one sealed moves up by
+	// one authenticator, within the buffer's capacity unless a transport handed
+	// back one of exactly the response's size.
 	size := len(out)
 	out = slices.Grow(out, sealedAuthLen)[:size+sealedAuthLen]
 	copy(out[off+2+sealedAuthLen:], out[off+2:size])
 	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
-	kc.sealer.SealTo(out[:off+2], sc.nonces, sc.sigma[:], sc.ad)
+	s.sealHopAuth(out[:off+2], sc, kc, &item, final, req.Path, idx, sc.nonces)
 	return out, true
 }

@@ -1,0 +1,195 @@
+// envelope.go — the one authentication envelope of every control message
+// (§4.5, §5.3): one signer at the initiator (signPath), one verify-and-throttle
+// at each hop before any state is touched (authHop, wireHop), and the hop tail
+// the EER handlers share — the destination's veto, the forward whose failures
+// are charged to the next hop, the σ seal and, at the initiator, its opening.
+package cserv
+
+import (
+	"errors"
+	"fmt"
+	"slices"
+
+	"colibri/internal/cryptoutil"
+	"colibri/internal/packet"
+	"colibri/internal/topology"
+)
+
+// keyCrypto is the control-plane crypto bound to one level-1 DRKey key: the
+// AEAD that seals and opens hop authenticators (Eq. 5) and the CMAC that
+// authenticates requests (§4.5). Building either costs an AES key expansion,
+// several times the work of one use, and the keys are constant for a DRKey
+// epoch — so they are built once per key, not once per message or per item.
+// Both are immutable once built, so a keyCrypto is shared without a lock.
+type keyCrypto struct {
+	sealer *cryptoutil.Sealer
+	cmac   *cryptoutil.CMAC
+}
+
+// verify checks macs[idx], the source's MAC of body towards the AS that holds
+// this key.
+func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
+	if idx >= len(macs) {
+		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
+	}
+	var want [cryptoutil.MACSize]byte
+	k.cmac.SumInto(&want, body)
+	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
+		return ErrAuth
+	}
+	return nil
+}
+
+// keyCacheSize bounds the per-service key cache. A request names its source
+// AS before it is authenticated, so the set of keys asked for is under remote
+// control: a full cache is emptied and refills with the keys in use.
+const keyCacheSize = 64
+
+// cryptoFor returns the cached crypto of a level-1 key, building it on first
+// use. Keyed by the key itself, so a DRKey epoch change needs no invalidation.
+func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
+	s.keyMu.Lock()
+	defer s.keyMu.Unlock()
+	kc, ok := s.keyCache[key]
+	if !ok {
+		if len(s.keyCache) >= keyCacheSize {
+			clear(s.keyCache)
+		}
+		cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
+		kc = &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cmac}
+		s.keyCache[key] = kc
+	}
+	return kc
+}
+
+// hopKey returns K_{ia→me}, the level-1 key an on-path AS shares with this
+// (initiating) AS: derived locally for this AS itself, fetched from ia's key
+// server and cached per epoch otherwise.
+func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
+	if ia == s.ia {
+		key, _ := s.engine.Level1(s.ia, now)
+		return key, nil
+	}
+	return s.keys.Get(ia, now)
+}
+
+// signPath is the initiator's half of the envelope: it MACs body towards every
+// AS of path into *macs (its capacity reused, its length set to the path's) and
+// returns each hop's crypto, which opens what that hop seals (Eq. 5). Each key
+// is fetched once per hop, not once per item.
+func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACSize]byte) (hops [packet.MaxHops]*keyCrypto, err error) {
+	if len(path) > packet.MaxHops {
+		return hops, fmt.Errorf("cserv: %d hops exceeds maximum", len(path))
+	}
+	now := s.clock()
+	*macs = slices.Grow((*macs)[:0], len(path))[:len(path)]
+	for i, h := range path {
+		key, err := s.hopKey(h.IA, now)
+		if err != nil {
+			return hops, err
+		}
+		hops[i] = s.cryptoFor(key)
+		hops[i].cmac.SumInto(&(*macs)[i], body)
+	}
+	return hops, nil
+}
+
+// authHop is the receiving half, the prologue of every handler: K_{me→src}
+// derived on the fly, macs[idx] — src's MAC of body towards this AS — checked,
+// and one token of src's per-second budget taken (a wave is one message and
+// pays one). It returns src's crypto, which also seals what this AS hands back
+// to src, or nil and the refusal. Hop 0 is the initiator calling its own
+// handler, which trusts itself: a wire message never gets here as hop 0.
+func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) (*keyCrypto, string) {
+	now := s.clock()
+	key, _ := s.engine.Level1(src, now)
+	kc := s.cryptoFor(key)
+	if idx == 0 {
+		return kc, ""
+	}
+	if err := kc.verify(body, macs, idx); err != nil {
+		s.metrics.AuthFailures.Add(1)
+		return nil, "authentication: " + err.Error()
+	}
+	if !s.rate.Allow(src, now) {
+		s.metrics.RateLimited.Add(1)
+		return nil, "rate limited"
+	}
+	return kc, ""
+}
+
+// wireHop returns this AS's index on the path of a message that arrived over
+// the wire, or the answer to give instead: ErrNotOnPath, or — for a message
+// that names this AS as hop 0, which the initiator never sends itself and whose
+// MAC nobody checks — an authentication failure marshaled by refuse.
+func (s *Service) wireHop(path []PathHop, refuse func(reason string) []byte) (int, []byte, error) {
+	for i, h := range path {
+		switch {
+		case h.IA != s.ia:
+		case i == 0:
+			s.metrics.AuthFailures.Add(1)
+			return 0, refuse("authentication: " + ErrAuth.Error()), nil
+		default:
+			return i, nil, nil
+		}
+	}
+	return 0, nil, ErrNotOnPath
+}
+
+// The refusals wireHop hands back, one per response shape.
+func refuseSeg(reason string) []byte  { return (&SegSetupResp{Reason: reason}).Marshal() }
+func refuseEE(reason string) []byte   { return (&EESetupResp{Reason: reason}).Marshal() }
+func refuseWave(reason string) []byte { return (&EEBatchRenewResp{Reason: reason}).Marshal() }
+
+// vetoed asks the destination about one EER version, solo or a wave item (§3.3:
+// it "also has to explicitly accept the EER request"); nil DstApprove accepts.
+func (s *Service) vetoed(it *EEBatchItem) bool {
+	return s.dstApprove != nil && !s.dstApprove(it.ID, it.SrcHost, it.DstHost, it.BwKbps, it.ExpT)
+}
+
+// forward sends msg to next, the AS after this one, and decodes its answer
+// into resp. The error is the refusal to charge to next.
+func (s *Service) forward(next topology.IA, msg []byte, resp interface{ unmarshal([]byte) error }) ([]byte, error) {
+	out, err := s.transport.Call(next, msg)
+	if err != nil {
+		return nil, fmt.Errorf("transport: %v", err)
+	}
+	if err := resp.unmarshal(out); err != nil {
+		return nil, fmt.Errorf("response: %v", err)
+	}
+	return out, nil
+}
+
+// errMalformed refuses an answer that decodes but has the wrong shape.
+var errMalformed = errors.New("response: malformed")
+
+// sealHopAuth appends to dst this AS's σ (Eq. 4) for the EER version it at its
+// path-wide grant final over hop idx of path, sealed for the source under kc
+// (Eq. 5) with nonce. σ and its associated data live in sc.
+func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, path []PathHop, idx int, nonce []byte) []byte {
+	res, eer := it.infos(final)
+	sc.sigma = s.hopAuth(&res, &eer, packet.HopField{In: path[idx].In, Eg: path[idx].Eg})
+	sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
+	return kc.sealer.SealTo(dst, nonce, sc.sigma[:], sc.ad)
+}
+
+// openGrant is sealHopAuth's counterpart at the initiator: it completes g,
+// whose chain the caller set, as the grant of the EER version it at its
+// path-wide grant final, opening sealed[h], the σ hop h sealed, under hops[h]
+// straight into the grant: it retains nothing of the response buffer.
+func (sc *waveScratch) openGrant(g *EERGrant, hops []*keyCrypto, it *EEBatchItem, final uint64, sealed [][]byte) error {
+	g.ID = it.ID
+	g.Res, g.EER = it.infos(final)
+	g.HopAuths = make([]cryptoutil.Key, len(sealed))
+	for h, enc := range sealed {
+		err := cryptoutil.ErrAEADOpen
+		if len(enc) == sealedAuthLen {
+			sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(h))
+			_, err = hops[h].sealer.OpenTo(g.HopAuths[h][:0], enc, sc.ad)
+		}
+		if err != nil {
+			return fmt.Errorf("cserv: opening hop authenticator %d of %s (%d bytes): %w", h, it.ID, len(enc), err)
+		}
+	}
+	return nil
+}

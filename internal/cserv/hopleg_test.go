@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"colibri/internal/reservation"
+	"colibri/internal/topology"
 )
 
 // hopBooks is everything admission keeps at one service.
@@ -67,28 +68,32 @@ func waveOf(req *EESetupReq) *EEBatchRenewReq {
 
 func signWave(t testing.TB, signer *Service, req *EEBatchRenewReq) []byte {
 	t.Helper()
-	macs, err := signer.computeMacs(req.Path, req.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Macs = macs
+	req.Macs = signFor(t, signer, req.Path, req.Body())
 	return req.Marshal()
 }
 
 // TestSoloIsAWaveOfOne drives one random sequence of renewals — growing,
 // shrinking, oversubscribed, retries of a committed version, second renewals
-// within a second, renewals of a record some hop lost — through tag 5 on one
-// fabric and through one-item tag-7 waves on its twin, from the first transit
-// hop on, so that the message crosses each kind of hop: single-segment transit,
-// up→core transfer, core→down pair, last hop. After every step every hop must
-// hold the same records (throttle stamps included), engine counters, ledgers
-// and transfer-split books on both fabrics, and the two answers must agree.
+// within a second, renewals of a record some hop lost, renewals the destination
+// vetoes — through tag 5 on one fabric and through one-item tag-7 waves on its
+// twin, from the first transit hop on, so that the message crosses each kind of
+// hop: single-segment transit, up→core transfer, core→down pair, last hop.
+// After every step every hop must hold the same records (throttle stamps
+// included), engine counters, ledgers and transfer-split books on both
+// fabrics, and the two answers must agree.
 func TestSoloIsAWaveOfOne(t *testing.T) {
 	const nEER, steps = 8, 160
 	for seed := int64(1); seed <= 4; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
+			// The destination of both fabrics refuses one host during a step.
+			var refused uint32
 			build := func() (*fabric, []*EERGrant, reservation.ID, reservation.ID) {
-				f := cpFabric(t, 4, highRate)
+				f := cpFabric(t, 4, func(iaKey topology.IA, cfg *Config) {
+					highRate(iaKey, cfg)
+					if iaKey == ia(2, 11) {
+						cfg.DstApprove = func(_ reservation.ID, _, dstHost uint32, _ uint64, _ uint32) bool { return dstHost != refused }
+					}
+				})
 				up, core, _ := f.setupAllSegRs(t, 20_000)
 				return f, requestEERs(t, f.services[ia(1, 11)], nEER, 1_000), up.ID, core.ID
 			}
@@ -108,6 +113,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 					fb.clock.Store(fa.clock.Load())
 				}
 				e := rng.Intn(nEER)
+				refused = 0
 				var req *EESetupReq
 				switch k := rng.Intn(10); {
 				case k == 0 && last[e] != nil:
@@ -125,6 +131,10 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 							s.cp.TeardownEERPath(g.ID, c.segs())
 						}
 						seen["lost"]++
+					}
+					if k == 2 {
+						refused = ga[e].EER.DstHost
+						seen["vetoed"]++
 					}
 					ver[e]++
 					bw := uint64(200 + rng.Intn(6_000))
@@ -173,7 +183,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 					}
 				}
 			}
-			for _, k := range []string{"granted", "refused", "throttled", "retry", "lost"} {
+			for _, k := range []string{"granted", "refused", "throttled", "retry", "lost", "vetoed"} {
 				if seen[k] == 0 {
 					t.Errorf("sequence too tame: %v", seen)
 					break

@@ -167,26 +167,24 @@ func (r *SegSetupResp) Marshal() []byte {
 }
 
 // UnmarshalSegSetupResp parses a SegSetupResp.
-func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) {
+func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) { return decodeNew[SegSetupResp](data) }
+
+func (r *SegSetupResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	r := &SegSetupResp{}
 	r.OK = d.u8() == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
 	if d.err == nil && n > packet.MaxHops {
-		return nil, fmt.Errorf("cserv: %d tokens exceeds maximum", n)
+		return fmt.Errorf("cserv: %d tokens exceeds maximum", n)
 	}
 	for i := 0; i < n && d.err == nil; i++ {
 		var tok [packet.HVFLen]byte
 		d.bytes(tok[:])
 		r.Tokens = append(r.Tokens, tok)
 	}
-	if d.err != nil {
-		return nil, d.err
-	}
-	return r, nil
+	return d.err
 }
 
 // SegActivateReq switches a SegR to its pending version (§4.2).
@@ -289,6 +287,11 @@ func (r *EESetupReq) appendBody(b []byte) []byte {
 	return append(b, boolByte(r.Renewal))
 }
 
+// item is the EER version the request asks for, as a wave would carry it.
+func (r *EESetupReq) item() EEBatchItem {
+	return EEBatchItem{ID: r.ID, Ver: r.Ver, BwKbps: r.BwKbps, ExpT: r.ExpT, SrcHost: r.SrcHost, DstHost: r.DstHost}
+}
+
 // appendTail appends what follows the body: the MACs and the mutable
 // accumulator.
 func (r *EESetupReq) appendTail(b []byte) []byte {
@@ -302,13 +305,7 @@ func (r *EESetupReq) Marshal() []byte {
 }
 
 // UnmarshalEESetupReq parses an EESetupReq.
-func UnmarshalEESetupReq(data []byte) (*EESetupReq, error) {
-	r := &EESetupReq{}
-	if err := r.unmarshal(data); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+func UnmarshalEESetupReq(data []byte) (*EESetupReq, error) { return decodeNew[EESetupReq](data) }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices. It is
 // canonical-only: a message whose re-encoding would differ from data — the
@@ -383,13 +380,7 @@ func (r *EESetupResp) Marshal() []byte {
 
 // UnmarshalEESetupResp parses an EESetupResp. The EncAuths of the result
 // alias data: they are valid until the caller modifies data.
-func UnmarshalEESetupResp(data []byte) (*EESetupResp, error) {
-	r := &EESetupResp{}
-	if err := r.unmarshal(data); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
+func UnmarshalEESetupResp(data []byte) (*EESetupResp, error) { return decodeNew[EESetupResp](data) }
 
 // unmarshal decodes data into r, reusing the capacity of r.EncAuths. Like the
 // request decoder it accepts only what Marshal produces, and no more
@@ -419,6 +410,18 @@ func (r *EESetupResp) unmarshal(data []byte) error {
 }
 
 // --- encoding helpers ---
+
+// decodeNew decodes data into a fresh message of type T.
+func decodeNew[T any, P interface {
+	*T
+	unmarshal([]byte) error
+}](data []byte) (*T, error) {
+	r := P(new(T))
+	if err := r.unmarshal(data); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
 
 func boolByte(b bool) byte {
 	if b {

@@ -30,11 +30,9 @@ func (s *Service) SetupSegment(seg *segment.Segment, minKbps, maxKbps uint64) (*
 		ExpT:    now + reservation.SegRLifetimeSeconds,
 		Ver:     1,
 	}
-	macs, err := s.computeMacs(req.Path, req.Body())
-	if err != nil {
+	if _, err := s.signPath(req.Path, req.Body(), &req.Macs); err != nil {
 		return nil, err
 	}
-	req.Macs = macs
 	resp := s.processSegSetup(req, 0, maxKbps)
 	if !resp.OK {
 		return nil, fmt.Errorf("%w: SegR setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
@@ -82,11 +80,9 @@ func (s *Service) RenewSegment(id reservation.ID, minKbps, maxKbps uint64) (uint
 		Ver:     newVer,
 		Renewal: true,
 	}
-	macs, err := s.computeMacs(req.Path, req.Body())
-	if err != nil {
+	if _, err := s.signPath(req.Path, req.Body(), &req.Macs); err != nil {
 		return 0, 0, err
 	}
-	req.Macs = macs
 	resp := s.processSegSetup(req, 0, maxKbps)
 	if !resp.OK {
 		return 0, 0, fmt.Errorf("%w: SegR renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
@@ -105,11 +101,9 @@ func (s *Service) ActivateSegment(id reservation.ID, ver uint16) error {
 		return fmt.Errorf("cserv: SegR %s was not initiated here", id)
 	}
 	req := &SegActivateReq{ID: id, Ver: ver, Path: HopsFromSegment(segr.Seg)}
-	macs, err := s.computeMacs(req.Path, req.Body())
-	if err != nil {
+	if _, err := s.signPath(req.Path, req.Body(), &req.Macs); err != nil {
 		return err
 	}
-	req.Macs = macs
 	resp := s.processSegActivate(req, 0)
 	if !resp.OK {
 		return fmt.Errorf("%w: activation failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
@@ -146,15 +140,8 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	fail := func(format string, args ...any) *SegSetupResp {
 		return &SegSetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
 	}
-	if idx > 0 { // the initiator trusts itself
-		if err := s.verifySourceMac(req.ID.SrcAS, req.Body(), req.Macs, idx); err != nil {
-			s.metrics.AuthFailures.Add(1)
-			return fail("authentication: %v", err)
-		}
-		if !s.rate.Allow(req.ID.SrcAS, s.clock()) {
-			s.metrics.RateLimited.Add(1)
-			return fail("rate limited")
-		}
+	if _, why := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); why != "" {
+		return fail("%s", why)
 	}
 	hop := req.Path[idx]
 	admReq := admission.Request{
@@ -283,22 +270,18 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	return resp
 }
 
-// forwardSegSetup sends the request to the next on-path CServ.
+// forwardSegSetup sends the request to the next on-path CServ. A grant without
+// one token per hop is as bad as one that does not parse.
 func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegSetupResp {
-	next := req.Path[idx+1].IA
 	fwd := *req
 	fwd.AccumKbps = accum
-	data, err := s.transport.Call(next, fwd.Marshal())
-	if err != nil {
-		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("transport: %v", err)}
+	resp := &SegSetupResp{}
+	_, err := s.forward(req.Path[idx+1].IA, fwd.Marshal(), resp)
+	if err == nil && resp.OK && len(resp.Tokens) != len(req.Path) {
+		err = errMalformed
 	}
-	resp, err := UnmarshalSegSetupResp(data)
 	if err != nil {
-		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: fmt.Sprintf("response: %v", err)}
-	}
-	if resp.OK && len(resp.Tokens) != len(req.Path) {
-		// A grant without one token per hop: as bad as one that does not parse.
-		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: "response: malformed"}
+		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
 	}
 	return resp
 }
@@ -308,13 +291,8 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 	fail := func(format string, args ...any) *SegSetupResp {
 		return &SegSetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
 	}
-	if idx > 0 {
-		if err := s.verifySourceMac(req.ID.SrcAS, req.Body(), req.Macs, idx); err != nil {
-			return fail("authentication: %v", err)
-		}
-		if !s.rate.Allow(req.ID.SrcAS, s.clock()) {
-			return fail("rate limited")
-		}
+	if _, why := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); why != "" {
+		return fail("%s", why)
 	}
 	segr, err := s.store.GetSegR(req.ID)
 	if err != nil {
@@ -339,14 +317,9 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 			req.Ver, segr.Pending.BwKbps, allocated)
 	}
 	if idx < len(req.Path)-1 {
-		next := req.Path[idx+1].IA
-		data, err := s.transport.Call(next, req.Marshal())
-		if err != nil {
-			return fail("transport: %v", err)
-		}
-		resp, err := UnmarshalSegSetupResp(data)
-		if err != nil {
-			return fail("response: %v", err)
+		resp := &SegSetupResp{}
+		if _, err := s.forward(req.Path[idx+1].IA, req.Marshal(), resp); err != nil {
+			return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
 		}
 		if !resp.OK {
 			return resp

@@ -129,7 +129,6 @@ func (p *HostCapPolicy) Expire(now uint32) {
 // Config assembles a Service.
 type Config struct {
 	AS    *topology.AS
-	Topo  *topology.Topology
 	Split admission.TrafficSplit
 	// Secret is the AS's data-plane secret K_i used for SegR tokens and hop
 	// authenticators; shared with the AS's border routers.
@@ -146,10 +145,10 @@ type Config struct {
 	Clock func() uint32
 	// Policy guards host EER requests at the source AS (default AllowAll).
 	Policy Policy
-	// DstApprove lets the destination AS/host veto an EER request (§3.3:
-	// the destination "also has to explicitly accept"); nil accepts. req is
-	// the handler's scratch: valid for the call only, not to be kept.
-	DstApprove func(req *EESetupReq) bool
+	// DstApprove lets the destination AS/host veto an EER version (§3.3: the
+	// destination "also has to explicitly accept"): asked at the last hop for a
+	// solo request and for every live item of a renewal wave alike. nil accepts.
+	DstApprove func(id reservation.ID, srcHost, dstHost uint32, bwKbps uint64, expT uint32) bool
 	// RateLimit is the per-source-AS control-request budget per second
 	// (default 1000; §5.3 "per-AS rate limiting").
 	RateLimit int
@@ -190,7 +189,7 @@ type Service struct {
 	transport  Transport
 	clock      func() uint32
 	policy     Policy
-	dstApprove func(req *EESetupReq) bool
+	dstApprove func(id reservation.ID, srcHost, dstHost uint32, bwKbps uint64, expT uint32) bool
 	rate       *RateLimiter
 	metrics    Metrics
 }
@@ -281,7 +280,10 @@ var (
 )
 
 // HandleMsg dispatches a marshaled control message from a remote CServ and
-// returns the marshaled response. This is the Transport server side.
+// returns the marshaled response. This is the Transport server side. The
+// accumulated grant the previous hop forwards is clamped to what is asked;
+// zero is a real value (a renewal can legally be granted 0 kbps upstream), not
+// "unset", which would resurrect the full demand downstream of a zero grant.
 func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 	if len(data) == 0 {
 		return nil, ErrTruncated
@@ -292,29 +294,21 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, err := s.hopIndex(req.Path)
-		if err != nil {
-			return nil, err
-		}
+		idx, out, err := s.wireHop(req.Path, refuseSeg)
 		if idx == 0 {
-			return (&SegSetupResp{Reason: s.refuseHop0()}).Marshal(), nil
+			return out, err
 		}
-		resp := s.processSegSetup(req, idx, accumFromReq(req))
-		return resp.Marshal(), nil
+		return s.processSegSetup(req, idx, min(req.AccumKbps, req.MaxKbps)).Marshal(), nil
 	case tagSegActivate:
 		req, err := UnmarshalSegActivateReq(data)
 		if err != nil {
 			return nil, err
 		}
-		idx, err := s.hopIndex(req.Path)
-		if err != nil {
-			return nil, err
-		}
+		idx, out, err := s.wireHop(req.Path, refuseSeg)
 		if idx == 0 {
-			return (&SegSetupResp{Reason: s.refuseHop0()}).Marshal(), nil
+			return out, err
 		}
-		resp := s.processSegActivate(req, idx)
-		return resp.Marshal(), nil
+		return s.processSegActivate(req, idx).Marshal(), nil
 	case tagEESetup, tagEERenew:
 		// Decoded into scratch like a wave; the response is never part of it.
 		sc := s.getWave()
@@ -323,17 +317,12 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err := req.unmarshal(data); err != nil {
 			return nil, err
 		}
-		idx, err := s.hopIndex(req.Path)
-		if err != nil {
-			return nil, err
-		}
+		idx, out, err := s.wireHop(req.Path, refuseEE)
 		if idx == 0 {
-			return (&EESetupResp{Reason: s.refuseHop0()}).Marshal(), nil
+			return out, err
 		}
-		// As with accumFromReq: forwarders always set AccumKbps and zero is
-		// a real accumulated grant, not "unset".
-		resp, _ := s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps))
-		return resp, nil
+		out, _ = s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps))
+		return out, nil
 	case tagEEBatchRenew:
 		// The decoded wave and everything derived from it live in scratch that
 		// goes back to the service once the response is marshaled.
@@ -342,12 +331,9 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err := sc.req.unmarshal(data); err != nil {
 			return nil, err
 		}
-		idx, err := s.hopIndex(sc.req.Path)
-		if err != nil {
-			return nil, err
-		}
+		idx, out, err := s.wireHop(sc.req.Path, refuseWave)
 		if idx == 0 {
-			return (&EEBatchRenewResp{Reason: s.refuseHop0()}).Marshal(), nil
+			return out, err
 		}
 		return s.processEEBatchRenew(sc, idx).Marshal(), nil
 	case tagDownReq:
@@ -359,115 +345,6 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 	default:
 		return nil, ErrBadTag
 	}
-}
-
-func (s *Service) hopIndex(path []PathHop) (int, error) {
-	for i, h := range path {
-		if h.IA == s.ia {
-			return i, nil
-		}
-	}
-	return 0, ErrNotOnPath
-}
-
-// refuseHop0 answers a message that names this AS as hop 0: the initiator
-// calls process* directly and never sends itself one, and hop 0 carries no MAC
-// to check, so what arrives claiming it fails authentication like a bad MAC.
-func (s *Service) refuseHop0() string {
-	s.metrics.AuthFailures.Add(1)
-	return "authentication: " + ErrAuth.Error()
-}
-
-// accumFromReq reads the accumulated grant forwarded by the previous hop.
-// Forwarders always set AccumKbps, and zero is a real value (a renewal can
-// legally be granted 0 kbps upstream), so it must not be read as "unset" —
-// that would resurrect the full demand downstream of a zero grant. The
-// value is clamped to the requested maximum for robustness.
-func accumFromReq(req *SegSetupReq) uint64 {
-	if req.AccumKbps > req.MaxKbps {
-		return req.MaxKbps
-	}
-	return req.AccumKbps
-}
-
-// verifySourceMac checks the DRKey MAC for this AS: the source computed
-// MAC_{K_{me→SrcAS}}(body), which we re-derive on the fly (§4.5).
-func (s *Service) verifySourceMac(srcAS topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
-	key, _ := s.engine.Level1(srcAS, s.clock())
-	return s.cryptoFor(key).verify(body, macs, idx)
-}
-
-// computeMacs builds the per-AS request MACs at the initiator, fetching
-// K_{AS_i→me} from each on-path AS's key server (slow side, cached per
-// epoch).
-func (s *Service) computeMacs(path []PathHop, body []byte) ([][cryptoutil.MACSize]byte, error) {
-	now := s.clock()
-	macs := make([][cryptoutil.MACSize]byte, len(path))
-	for i, h := range path {
-		key, err := s.hopKey(h.IA, now)
-		if err != nil {
-			return nil, err
-		}
-		s.cryptoFor(key).cmac.SumInto(&macs[i], body)
-	}
-	return macs, nil
-}
-
-// hopKey returns K_{ia→me}, the level-1 key an on-path AS shares with this
-// (initiating) AS: derived locally for this AS itself, fetched from ia's key
-// server and cached per epoch otherwise.
-func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
-	if ia == s.ia {
-		key, _ := s.engine.Level1(s.ia, now)
-		return key, nil
-	}
-	return s.keys.Get(ia, now)
-}
-
-// keyCrypto is the control-plane crypto bound to one level-1 DRKey key: the
-// AEAD that seals and opens hop authenticators (Eq. 5) and the CMAC that
-// authenticates requests (§4.5). Building either costs an AES key expansion,
-// several times the work of one use, and the keys are constant for a DRKey
-// epoch — so they are built once per key, not once per message or per item.
-// Both are immutable once built, so a keyCrypto is shared without a lock.
-type keyCrypto struct {
-	sealer *cryptoutil.Sealer
-	cmac   *cryptoutil.CMAC
-}
-
-// verify checks macs[idx], the source's MAC of body towards the AS that holds
-// this key.
-func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
-	if idx >= len(macs) {
-		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
-	}
-	var want [cryptoutil.MACSize]byte
-	k.cmac.SumInto(&want, body)
-	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
-		return ErrAuth
-	}
-	return nil
-}
-
-// keyCacheSize bounds the per-service key cache. A request names its source
-// AS before it is authenticated, so the set of keys asked for is under remote
-// control: a full cache is emptied and refills with the keys in use.
-const keyCacheSize = 64
-
-// cryptoFor returns the cached crypto of a level-1 key, building it on first
-// use. Keyed by the key itself, so a DRKey epoch change needs no invalidation.
-func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
-	s.keyMu.Lock()
-	defer s.keyMu.Unlock()
-	kc, ok := s.keyCache[key]
-	if !ok {
-		if len(s.keyCache) >= keyCacheSize {
-			clear(s.keyCache)
-		}
-		kc = &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cryptoutil.MustCMAC(key)}
-		s.keyCache[key] = kc
-	}
-	return kc
 }
 
 // segToken computes the Eq. (3) SegR token for this AS.

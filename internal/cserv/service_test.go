@@ -2,6 +2,7 @@ package cserv
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -70,7 +71,6 @@ func newFabric(t testing.TB, topo *topology.Topology, mutate func(ia topology.IA
 	for _, iaKey := range topo.SortedIAs() {
 		cfg := Config{
 			AS:        topo.AS(iaKey),
-			Topo:      topo,
 			Secret:    asSecret(iaKey),
 			Engine:    engines[iaKey],
 			Keys:      drkey.NewStore(iaKey, f, trust),
@@ -338,26 +338,131 @@ func TestEERInsufficientSegRRolledBack(t *testing.T) {
 	}
 }
 
+// answerOf reads what every control-plane response starts with.
+func answerOf(b []byte) (ok bool, at uint8, reason string) {
+	d := decoder{buf: b}
+	return d.u8() == 1, d.u8(), d.str()
+}
+
+// segRsOf renders what s's store holds of the SegRs ids.
+func segRsOf(s *Service, ids ...reservation.ID) string {
+	out := fmt.Sprint(s.Store().Len())
+	for _, id := range ids {
+		if r, err := s.Store().GetSegR(id); err == nil {
+			out += fmt.Sprintf(" %s:%+v", id, r.Active)
+			if r.Pending != nil {
+				out += fmt.Sprintf("→%+v", *r.Pending)
+			}
+		}
+	}
+	return out
+}
+
+// TestControlPlaneAuthRejected: every tag passes the same envelope at the AS
+// that receives it. A message whose MAC towards that AS is forged is refused
+// there with "authentication" before it touches anything — records, engine
+// counters, ledgers, split books, SegR store — and counted in AuthFailures;
+// with a budget of one message per source AS per second, the second genuine
+// message of a second is refused "rate limited" and counted in RateLimited.
 func TestControlPlaneAuthRejected(t *testing.T) {
-	f := twoISDFabric(t, nil)
-	seg := f.reg.UpSegments(ia(1, 11))[0]
-	src := f.services[ia(1, 11)]
-	req := &SegSetupReq{
-		ID:      src.Store().NextID(),
-		SegType: seg.Type,
-		Path:    HopsFromSegment(seg),
-		MaxKbps: 1000,
-		ExpT:    t0 + 300,
-		Ver:     1,
+	f := cpFabric(t, 4, func(_ topology.IA, cfg *Config) { cfg.RateLimit = 1 })
+	up, core, down := f.setupAllSegRs(t, 100_000)
+	src, leaf := f.services[ia(1, 11)], f.services[ia(2, 11)]
+	f.clock.Add(1)
+	g := requestEERs(t, src, 1, 1_000)[0]
+	hop1 := f.services[g.PathHops[1].IA]
+	segPath := HopsFromSegment(up.Seg)
+	if segPath[1].IA != hop1.ia {
+		t.Fatalf("the up-segment's hop 1 is %s, the EER path's %s", segPath[1].IA, hop1.ia)
 	}
-	// Garbage MACs: hop 1 must refuse with an authentication failure.
-	req.Macs = make([][cryptoutil.MACSize]byte, len(req.Path))
-	resp := src.processSegSetup(req, 0, req.MaxKbps)
-	if resp.OK {
-		t.Fatal("forged request accepted")
+	// sign signs body as src towards every AS of path and, to forge, flips a bit
+	// of the MAC towards the receiver: hop 1's, or a down request's only one.
+	sign := func(src *Service, path []PathHop, body []byte, forge bool) [][cryptoutil.MACSize]byte {
+		macs := signFor(t, src, path, body)
+		if forge {
+			macs[min(1, len(macs)-1)][0] ^= 1
+		}
+		return macs
 	}
-	if resp.FailedAt != 1 || !strings.Contains(resp.Reason, "authentication") {
-		t.Errorf("failure = hop %d, %q", resp.FailedAt, resp.Reason)
+	for _, tc := range []struct {
+		name string
+		to   *Service
+		at   uint8
+		msg  func(forge bool) []byte
+	}{
+		{"1 SegR setup", hop1, 1, func(forge bool) []byte {
+			req := SegSetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 4242}, SegType: up.SegType, Path: segPath,
+				MaxKbps: 1_000, AccumKbps: 1_000, ExpT: f.now() + reservation.SegRLifetimeSeconds, Ver: 1}
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+		{"2 SegR renewal", hop1, 1, func(forge bool) []byte {
+			req := SegSetupReq{ID: up.ID, SegType: up.SegType, Path: segPath, MaxKbps: 100_000, AccumKbps: 100_000,
+				ExpT: f.now() + reservation.SegRLifetimeSeconds, Ver: up.Active.Ver + 1, Renewal: true}
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+		{"3 SegR activation", hop1, 1, func(forge bool) []byte {
+			req := SegActivateReq{ID: up.ID, Ver: up.Active.Ver + 1, Path: segPath}
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+		{"4 EER setup", hop1, 1, func(forge bool) []byte {
+			req := EESetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 4243}, SegIDs: g.SegIDs, Splits: g.Splits, Path: g.PathHops,
+				BwKbps: 1_000, AccumKbps: 1_000, ExpT: f.now() + reservation.EERLifetimeSeconds, Ver: 1, SrcHost: 9, DstHost: 2}
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+		{"5 EER renewal", hop1, 1, func(forge bool) []byte {
+			req := renewalOf(g, g.Res.Ver+1, 1_000, f.now())
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+		{"6 down-SegR request", f.services[down.Seg.SrcIA()], 0, func(forge bool) []byte {
+			req := DownSegReq{Requester: leaf.ia, Seg: HopsFromSegment(down.Seg), MaxKbps: 1_000}
+			req.Mac = sign(leaf, req.Seg[:1], req.Body(), forge)[0]
+			return req.Marshal()
+		}},
+		{"7 renewal wave", hop1, 1, func(forge bool) []byte {
+			req := waveOf(renewalOf(g, g.Res.Ver+1, 1_000, f.now()))
+			req.Macs = sign(src, req.Path, req.Body(), forge)
+			return req.Marshal()
+		}},
+	} {
+		f.clock.Add(1) // a fresh rate-limit window
+		to := tc.to
+		books, segRs := booksOf(to, up.ID, core.ID), segRsOf(to, up.ID, core.ID, down.ID)
+		auth, limited := to.Metrics().AuthFailures.Value(), to.Metrics().RateLimited.Value()
+		out, err := to.HandleMsg(tc.msg(true))
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if ok, at, reason := answerOf(out); ok || at != tc.at || !strings.Contains(reason, "authentication") {
+			t.Errorf("%s, forged: answer ok=%v hop %d %q, want an authentication failure at hop %d", tc.name, ok, at, reason, tc.at)
+		}
+		if got := to.Metrics().AuthFailures.Value(); got != auth+1 {
+			t.Errorf("%s, forged: AuthFailures %d → %d, want +1", tc.name, auth, got)
+		}
+		if d := books.diff(booksOf(to, up.ID, core.ID)); d != "" {
+			t.Errorf("%s, forged: the books changed: %s", tc.name, d)
+		}
+		if got := segRsOf(to, up.ID, core.ID, down.ID); got != segRs {
+			t.Errorf("%s, forged: the SegR store changed:\n%s\n%s", tc.name, segRs, got)
+		}
+		// Genuine: the first of the second passes the envelope, the second does not.
+		for i, want := range []string{"", "rate limited"} {
+			out, err := to.HandleMsg(tc.msg(false))
+			if err != nil {
+				t.Fatalf("%s, genuine %d: %v", tc.name, i, err)
+			}
+			_, _, reason := answerOf(out)
+			if limitedNow := strings.Contains(reason, "rate limited"); limitedNow != (want != "") || strings.Contains(reason, "authentication") {
+				t.Errorf("%s, genuine message %d of the second: %q, want %q", tc.name, i+1, reason, want)
+			}
+		}
+		if got := to.Metrics().RateLimited.Value(); got != limited+1 {
+			t.Errorf("%s: RateLimited %d → %d, want +1", tc.name, limited, got)
+		}
 	}
 }
 
@@ -551,6 +656,9 @@ func TestHostPolicyEnforced(t *testing.T) {
 	}
 }
 
+// refuseHost99 is a destination that vetoes every EER to its host 99.
+func refuseHost99(_ reservation.ID, _, dstHost uint32, _ uint64, _ uint32) bool { return dstHost != 99 }
+
 // hostCapFabric caps every host of 1-11 at 10 Mbps; 2-11 vetoes destination
 // host 99.
 func hostCapFabric(t *testing.T) (*fabric, *HostCapPolicy) {
@@ -560,7 +668,7 @@ func hostCapFabric(t *testing.T) (*fabric, *HostCapPolicy) {
 		case ia(1, 11):
 			cfg.Policy = pol
 		case ia(2, 11):
-			cfg.DstApprove = func(req *EESetupReq) bool { return req.DstHost != 99 }
+			cfg.DstApprove = refuseHost99
 		}
 	})
 	f.setupAllSegRs(t, 100_000)
@@ -672,7 +780,7 @@ func TestHostCapExpiryFreesTheHost(t *testing.T) {
 func TestDestinationVeto(t *testing.T) {
 	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
 		if iaKey == ia(2, 11) {
-			cfg.DstApprove = func(req *EESetupReq) bool { return req.DstHost != 99 }
+			cfg.DstApprove = refuseHost99
 		}
 	})
 	f.setupAllSegRs(t, 100_000)
@@ -877,11 +985,7 @@ func BenchmarkSegRHandleAtLastHop(b *testing.B) {
 				ExpT:    t0 + 300,
 				Ver:     1,
 			}
-			macs, err := src.computeMacs(req.Path, req.Body())
-			if err != nil {
-				b.Fatal(err)
-			}
-			req.Macs = macs
+			req.Macs = signFor(b, src, req.Path, req.Body())
 			req.AccumKbps = 10
 			reqs[i] = req.Marshal()
 			ids[i] = req.ID

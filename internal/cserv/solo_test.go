@@ -16,6 +16,7 @@ import (
 	"sync"
 	"testing"
 
+	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/topology"
@@ -30,14 +31,26 @@ func renewalOf(g *EERGrant, ver uint16, bwKbps uint64, now uint32) *EESetupReq {
 	}
 }
 
+// signFor returns the MACs src puts on body towards every AS of path.
+func signFor(t testing.TB, src *Service, path []PathHop, body []byte) (macs [][cryptoutil.MACSize]byte) {
+	t.Helper()
+	if _, err := src.signPath(path, body, &macs); err != nil {
+		t.Fatal(err)
+	}
+	return macs
+}
+
+// macCheck is authHop's MAC check alone — no rate-limit token taken, nothing
+// counted: whether macs[idx] is src's MAC of body towards hop.
+func macCheck(hop *Service, src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
+	key, _ := hop.engine.Level1(src, hop.clock())
+	return hop.cryptoFor(key).verify(body, macs, idx)
+}
+
 // signSolo signs req as its source would and returns the message.
 func signSolo(t testing.TB, src *Service, req *EESetupReq) []byte {
 	t.Helper()
-	macs, err := src.computeMacs(req.Path, req.Body())
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Macs = macs
+	req.Macs = signFor(t, src, req.Path, req.Body())
 	return req.Marshal()
 }
 
@@ -268,10 +281,10 @@ func FuzzEESetupCodec(f *testing.F) {
 			}
 			for idx := 1; idx < len(path); idx++ {
 				hop := fab.services[path[idx].IA]
-				if flipErr == nil && hop.verifySourceMac(src.ia, flipped.wire[:flipped.bodyLen], flipped.Macs, idx) == nil {
+				if flipErr == nil && macCheck(hop, src.ia, flipped.wire[:flipped.bodyLen], flipped.Macs, idx) == nil {
 					t.Fatalf("bit %d of body byte %d flipped and hop %d still authenticates the request", flip&7, int(flip>>3)%sg.body, idx)
 				}
-				if err := hop.verifySourceMac(src.ia, retailed.wire[:retailed.bodyLen], retailed.Macs, idx); err != nil {
+				if err := macCheck(hop, src.ia, retailed.wire[:retailed.bodyLen], retailed.Macs, idx); err != nil {
 					t.Fatalf("hop %d refuses the request with a new accumulator: %v", idx, err)
 				}
 			}
@@ -421,7 +434,7 @@ func TestSoloWireDifferential(t *testing.T) {
 				case ia(1, 11):
 					cfg.Policy = &HostCapPolicy{DefaultCapKbps: 1 << 40, PerHost: map[uint32]uint64{666: 10}}
 				case ia(2, 11):
-					cfg.DstApprove = func(req *EESetupReq) bool { return req.DstHost != 99 }
+					cfg.DstApprove = refuseHost99
 				}
 			})
 			rec.f = f
