@@ -653,44 +653,35 @@ func TestVetSelfBudget(t *testing.T) {
 	t.Logf("colibri-vet self-run: %.1fs (budget %.1fs)", wall.Seconds(), budget/float64(time.Second))
 }
 
-// BenchmarkNetsimScale measures discrete-event throughput of the two netsim
-// engines on generated 100- and 1000-AS topologies (one shard per AS,
-// shortest-path forwarding, two flows per AS). "seq" is the sequential
-// reference engine; "par/N" the safe-window parallel engine with N workers.
-// Both simulate the identical event sequence — the equivalence suite proves
-// the traces bit-identical — so events/s and Mpps compare engines, not
-// workloads. One iteration is one full simulated run.
+// BenchmarkNetsimScale measures discrete-event throughput of Sim.Run on
+// generated 100- and 1000-AS topologies (one shard per AS, shortest-path
+// forwarding, two flows per AS). Run drains each safe window on
+// min(GOMAXPROCS, shards) workers and simulates the identical event sequence
+// at every GOMAXPROCS — the equivalence suite checks the traces against the
+// global-order oracle — so compare core counts with -cpu (e.g. -cpu 1,2,4):
+// events/s and Mpps then compare schedules, not workloads. One iteration is
+// one full simulated run.
 func BenchmarkNetsimScale(b *testing.B) {
 	for _, ases := range []int{100, 1000} {
 		if ases == 1000 && testing.Short() {
 			continue
 		}
-		for _, workers := range []int{0, 1, 4, 8} {
-			mode := "seq"
-			if workers > 0 {
-				mode = fmt.Sprintf("par/%d", workers)
+		b.Run(fmt.Sprintf("as=%d", ases), func(b *testing.B) {
+			cfg := experiments.ScaleConfig{ASes: ases, Seed: 1, DurationNs: 20e6}
+			var events, pkts uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				s := netsim.NewSim()
+				delivered := experiments.BuildScale(cfg, s)
+				s.Run(0)
+				events += s.Executed()
+				p, _, _ := delivered()
+				pkts += p
 			}
-			b.Run(fmt.Sprintf("as=%d/%s", ases, mode), func(b *testing.B) {
-				cfg := experiments.ScaleConfig{ASes: ases, Seed: 1, DurationNs: 20e6}
-				var events, pkts uint64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					s := netsim.NewSim()
-					delivered := experiments.BuildScale(cfg, s)
-					if workers == 0 {
-						s.Run(0)
-					} else {
-						s.RunParallel(0, workers)
-					}
-					events += s.Executed()
-					p, _, _ := delivered()
-					pkts += p
-				}
-				if sec := b.Elapsed().Seconds(); sec > 0 {
-					b.ReportMetric(float64(events)/sec/1e6, "Mevents/s")
-				}
-				reportMpps(b, int64(pkts))
-			})
-		}
+			if sec := b.Elapsed().Seconds(); sec > 0 {
+				b.ReportMetric(float64(events)/sec/1e6, "Mevents/s")
+			}
+			reportMpps(b, int64(pkts))
+		})
 	}
 }

@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	colibri-bench [-quick] [-duration 300ms] [-telemetry text|json] [-parallel N,...] [-workers N,...] [-flows N] [fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|policies|all]
+//	colibri-bench [-quick] [-duration 300ms] [-telemetry text|json] [-workers N,...] [-flows N] [fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|policies|all]
 //
 // policies runs the reservation-model head-to-head (bounded-tube vs
 // flyover vs hummingbird behind policy.Policy): setup/renewal latency, hop
@@ -28,10 +28,10 @@
 // from -workers (default 1,2,4,8), reporting aggregate and per-worker-
 // normalized Mpps.
 //
-// The scale experiment sweeps the netsim engines over generated 100- and
-// 1000-AS topologies: a sequential baseline, then the safe-window parallel
-// engine at each worker count from -parallel (default 1,2,4,8), after
-// proving the run bit-identical across engines.
+// The scale experiment runs the netsim engine over generated 100- and
+// 1000-AS topologies, one shard per AS, draining each safe window on
+// min(GOMAXPROCS, shards) workers; compare core counts by setting
+// GOMAXPROCS (events and packets do not depend on it).
 //
 // With -telemetry, the experiments' internal instruments (gateway phase
 // latency histograms, router drop counters, simulated queue depths) are
@@ -50,7 +50,7 @@ import (
 	"colibri/internal/telemetry"
 )
 
-// parseWorkers parses the -parallel worker-count list.
+// parseWorkers parses the -workers worker-count list.
 func parseWorkers(s string) ([]int, error) {
 	var out []int
 	for _, part := range strings.Split(s, ",") {
@@ -70,16 +70,10 @@ func main() {
 	quick := flag.Bool("quick", false, "reduced parameter grids")
 	dur := flag.Duration("duration", 300*time.Millisecond, "measurement time per data-plane point")
 	telFmt := flag.String("telemetry", "", "dump internal instruments at exit: text or json")
-	parallel := flag.String("parallel", "1,2,4,8", "comma-separated worker counts for the scale experiment")
 	shardedWorkers := flag.String("workers", "1,2,4,8", "comma-separated worker counts for fig6's sharded-pipeline sweep")
 	stormFlows := flag.Int("flows", 1_000_000, "EER population for the storm experiment")
 	flag.Parse()
 
-	workers, err := parseWorkers(*parallel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "bad -parallel %q: %v\n", *parallel, err)
-		os.Exit(2)
-	}
 	fig6Workers, err := parseWorkers(*shardedWorkers)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "bad -workers %q: %v\n", *shardedWorkers, err)
@@ -215,19 +209,15 @@ func main() {
 		if *quick {
 			sizes = []int{100}
 		}
+		var rows []experiments.ScaleRow
 		for _, ases := range sizes {
-			cfg := experiments.ScaleConfig{ASes: ases, Workers: workers, Verify: true}
+			cfg := experiments.ScaleConfig{ASes: ases}
 			if *quick {
 				cfg.DurationNs = 20e6
 			}
-			r, err := experiments.RunScale(cfg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "scale: %v\n", err)
-				os.Exit(1)
-			}
-			fmt.Print(experiments.FormatScale(r))
-			fmt.Println()
+			rows = append(rows, experiments.RunScale(cfg))
 		}
+		fmt.Print(experiments.FormatScale(rows))
 	})
 	if !ran {
 		fmt.Fprintf(os.Stderr,

@@ -7,15 +7,15 @@
 // Flagged:
 //   - calls to time.Now (and thus rand.NewSource(time.Now().UnixNano()));
 //   - wall-clock waits — time.Sleep/After/Tick/NewTimer/NewTicker/AfterFunc:
-//     real durations leak scheduling into results, which matters doubly now
-//     that netsim's parallel engine runs event handlers on a worker pool
+//     real durations leak scheduling into results, which matters doubly
+//     because netsim's engine runs event handlers on shardpool workers
 //     (a handler that sleeps skews whole safe windows);
 //   - calls to package-level math/rand functions (Intn, Float64, Shuffle,
 //     Perm, ...) which use the process-global source — seeded *rand.Rand
 //     methods are fine, as are rand.New/NewSource/NewZipf constructors;
 //   - `select` with two or more communicating cases: when several channels
 //     are ready the runtime picks uniformly at random, so the winner is
-//     schedule-dependent — goroutine-spawned handlers (netsim parallel
+//     schedule-dependent — goroutine-spawned handlers (netsim's pool
 //     workers) must drain a single channel instead;
 //   - `range` over a map, unless the loop body provably only accumulates
 //     order-insensitively (commutative compound assignments, counters,
@@ -131,7 +131,8 @@ func (c *determinismCheck) checkCall(call *ast.CallExpr, p *Pkg, r *Reporter) {
 // random, so the winning case — and everything downstream of it — depends on
 // scheduling. A single comm clause (with or without default) is a plain
 // conditional receive/send and stays deterministic; that is the shape
-// netsim's parallel workers use (`for chunk := range work`).
+// shardpool's workers, which drain netsim's safe windows, use
+// (`for sh := range work`).
 func (c *determinismCheck) checkSelect(sel *ast.SelectStmt, p *Pkg, r *Reporter) {
 	comm := 0
 	for _, s := range sel.Body.List {

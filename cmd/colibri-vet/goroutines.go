@@ -1,8 +1,8 @@
 // goroutines.go — check "goroutines": worker fan-out must not leak. The
-// sharded planes spawn goroutines in exactly two disciplined shapes — a
-// persistent pool joined by a dispatch barrier (shardpool, netsim's parallel
-// engine) and a bounded scatter joined by a WaitGroup — and every channel
-// that feeds them states its capacity. Two rules:
+// sharded planes and netsim's engine spawn goroutines in exactly two
+// disciplined shapes — a persistent pool joined by a dispatch barrier
+// (shardpool) and a bounded scatter joined by a WaitGroup — and every
+// channel that feeds them states its capacity. Two rules:
 //
 //  1. Joined goroutines: every `go` statement must have a recognizable join:
 //     the spawned body (a function literal, or a same-package function or
@@ -14,10 +14,8 @@
 //     finding: an unjoined goroutine is state the dispatch barrier no
 //     longer covers (and a leak under churn).
 //
-//  2. Explicit channel bounds: every `make(chan T, n)` states its capacity;
-//     a bare `make(chan T)` must carry //colibri:unbounded(reason) — the
-//     author's statement that rendezvous blocking IS the backpressure
-//     design (netsim's work channel) — or it is a finding. An implicit
+//  2. Explicit channel bounds: every channel make states its capacity
+//     (`make(chan T, n)`); a bare `make(chan T)` is a finding. An implicit
 //     zero capacity deadlocks fire-and-forget senders and hides the
 //     fan-out bound the pool's memory argument needs.
 package main
@@ -146,5 +144,5 @@ func (c *goroutinesCheck) checkMakeChan(call *ast.CallExpr, p *Pkg, r *Reporter)
 		return // explicit bound
 	}
 	r.Report(call.Pos(), checkGoroutines,
-		"channel made without an explicit capacity: state the fan-out bound (make(chan T, n)) or annotate //colibri:unbounded(reason) for an intentional rendezvous channel")
+		"channel made without an explicit capacity: state the fan-out bound (make(chan T, n))")
 }

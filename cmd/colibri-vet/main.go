@@ -20,7 +20,6 @@
 //	//colibri:nomalloc                  function must not heap-allocate
 //	//colibri:singlewriter              atomic field written by exactly one func
 //	//colibri:shardowned                struct is shard-private state
-//	//colibri:unbounded(reason)         intentional rendezvous channel
 package main
 
 import (

@@ -15,10 +15,6 @@
 //	    check): fields are shard-private and may only be touched by the
 //	    owning/holder type's methods, reconciliation points and
 //	    constructors, and must not alias out.
-//	//colibri:unbounded(reason)        — channel-make annotation (goroutines
-//	    check): this channel intentionally has no explicit capacity bound
-//	    (a rendezvous channel); the reason documents why backpressure by
-//	    blocking is the design.
 package main
 
 import (
@@ -29,10 +25,6 @@ import (
 )
 
 var allowRe = regexp.MustCompile(`//colibri:allow\(([a-z, -]+)\)`)
-
-// unboundedRe matches the goroutines check's channel annotation. The reason
-// is mandatory: an empty pair of parentheses does not suppress.
-var unboundedRe = regexp.MustCompile(`//colibri:unbounded\(([^)]+)\)`)
 
 // SuppressionIndex records, per file, the lines carrying allow-pragmas and
 // the files opting out of ordering.
@@ -64,12 +56,6 @@ func (s *SuppressionIndex) AddFile(fset *token.FileSet, f *ast.File) {
 				for _, name := range strings.Split(m[1], ",") {
 					names = append(names, strings.TrimSpace(name))
 				}
-			}
-			// //colibri:unbounded(reason) is the goroutines check's channel
-			// annotation: a reasoned opt-out of the explicit-capacity rule,
-			// indexed as an allow of that check on the make's line.
-			if unboundedRe.MatchString(text) {
-				names = append(names, checkGoroutines)
 			}
 			if len(names) == 0 {
 				continue

@@ -1,7 +1,7 @@
 // Package goroutines is the fan-out-discipline fixture: unjoined go
 // statements and channels without explicit capacity must be flagged;
 // WaitGroup-joined spawns, result-collecting sends, channel-draining
-// workers, bounded makes and annotated rendezvous channels must not.
+// workers and bounded makes must not.
 package goroutines
 
 import "sync"
@@ -68,9 +68,4 @@ func Unbounded() chan int {
 // Bounded states its capacity: clean.
 func Bounded() chan int {
 	return make(chan int, 8)
-}
-
-// Rendezvous documents why blocking is the design: suppressed.
-func Rendezvous() chan int {
-	return make(chan int) //colibri:unbounded(fixture: rendezvous handoff is the backpressure)
 }

@@ -1,5 +1,5 @@
 // Package netsim (directory netsimpar) is the parallel-executor determinism
-// fixture: handlers that netsim's parallel engine runs on goroutine workers
+// fixture: handlers that netsim's engine runs on shardpool workers
 // must not wait on the wall clock or race multi-channel selects. The bad
 // shapes below must be flagged, the single-receive worker loop must not.
 package netsim
@@ -38,8 +38,8 @@ func BadMultiSelect(a, b chan int) int {
 	}
 }
 
-// GoodWorkerLoop is the deterministic worker-pool shape the parallel engine
-// uses — one blocking receive per goroutine: clean.
+// GoodWorkerLoop is the deterministic worker-pool shape shardpool uses —
+// one blocking receive per goroutine: clean.
 func GoodWorkerLoop(work chan func()) {
 	go func() {
 		for fn := range work {

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"colibri/internal/netsim"
@@ -12,9 +13,8 @@ import (
 
 // ScaleConfig parameterizes the thousand-AS scale experiment: a generated
 // hierarchical topology, one netsim shard per AS, seeded end-to-end flows
-// routed hop-by-hop over shortest paths, and an engine sweep (sequential
-// baseline plus a list of parallel worker counts). The zero value is filled
-// in by defaults (100 ASes, 2 flows per AS, 50 virtual ms).
+// routed hop-by-hop over shortest paths. The zero value is filled in by
+// defaults (100 ASes, 2 flows per AS, 50 virtual ms).
 type ScaleConfig struct {
 	// ASes is the approximate topology size; the generator rounds to whole
 	// ISDs of 50 ASes (2 cores, 8 providers, 40 leaves).
@@ -32,12 +32,6 @@ type ScaleConfig struct {
 	// inter-AS link.
 	Loss     float64
 	JitterNs int64
-	// Workers lists the parallel worker counts to sweep after the
-	// sequential baseline (default 1, 2, 4, 8).
-	Workers []int
-	// Verify first proves the configured scenario bit-identical under both
-	// engines with the netsim.RunBoth differential harness.
-	Verify bool
 }
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
@@ -58,9 +52,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
-	}
-	if len(c.Workers) == 0 {
-		c.Workers = []int{1, 2, 4, 8}
 	}
 	return c
 }
@@ -157,7 +148,6 @@ func BuildScale(cfg ScaleConfig, s *netsim.Sim) (delivered func() (pkts, bytes, 
 			ports = append(ports, p)
 		}
 	}
-	_ = ports
 
 	for fi, f := range flows {
 		srcIdx := rt.Index[f.Src]
@@ -197,108 +187,58 @@ func BuildScale(cfg ScaleConfig, s *netsim.Sim) (delivered func() (pkts, bytes, 
 	}
 }
 
-// ScaleScenario adapts BuildScale to the netsim differential-harness
-// Scenario shape; the digest covers delivered totals (the trace comparison
-// inside RunBoth is the strong per-event check).
-func ScaleScenario(cfg ScaleConfig) netsim.Scenario {
-	return func(s *netsim.Sim) func() string {
-		delivered := BuildScale(cfg, s)
-		return func() string {
-			pkts, bytes, drops := delivered()
-			return fmt.Sprintf("pkts=%d bytes=%d drops=%d", pkts, bytes, drops)
-		}
-	}
-}
-
-// ScaleRow is one engine datapoint of the scale sweep.
+// ScaleRow is one scale run: the simulated work and the wall-clock
+// throughput Sim.Run reached on it.
 type ScaleRow struct {
-	Mode    string // "seq" or "par/N"
-	Workers int
-	Events  uint64
-	Pkts    uint64
-	WallNs  int64
-	// EventsPerSec and Mpps are wall-clock throughputs; Speedup is
-	// relative to the sequential baseline.
+	ASes, Shards, Flows int
+	// Procs is GOMAXPROCS during the run: Run drains the safe windows on
+	// min(Procs, Shards) workers.
+	Procs  int
+	Events uint64
+	Pkts   uint64
+	WallNs int64
+	// EventsPerSec and Mpps are wall-clock throughputs.
 	EventsPerSec float64
 	Mpps         float64
-	Speedup      float64
 }
 
-// ScaleResult is the full scale-experiment output.
-type ScaleResult struct {
-	ASes, Shards, Flows int
-	Rows                []ScaleRow
-	Verified            bool
-}
-
-// RunScale measures sequential vs parallel engine throughput on the
-// configured topology: one sequential baseline, then one run per worker
-// count, all simulating the identical scenario (and, with cfg.Verify,
-// first proven bit-identical via RunBoth). Wall time is read through the
-// package clock seam, so tests can make the figures deterministic.
-func RunScale(cfg ScaleConfig) (*ScaleResult, error) {
+// RunScale simulates the configured topology once, at the current
+// GOMAXPROCS. Events and packets are exactly reproducible and do not depend
+// on GOMAXPROCS; wall time is read through the package clock seam, so tests
+// can make the figures deterministic.
+func RunScale(cfg ScaleConfig) ScaleRow {
 	cfg = cfg.withDefaults()
-	res := &ScaleResult{ASes: cfg.ASes, Flows: cfg.Flows}
-
-	if cfg.Verify {
-		if _, err := netsim.RunBoth(0, cfg.Workers[len(cfg.Workers)-1], ScaleScenario(cfg)); err != nil {
-			return nil, fmt.Errorf("seq/par equivalence: %w", err)
-		}
-		res.Verified = true
+	s := netsim.NewSim()
+	if telemetryReg != nil {
+		s.SetTelemetry(telemetryReg)
 	}
-
-	measure := func(mode string, workers int) ScaleRow {
-		s := netsim.NewSim()
-		if telemetryReg != nil {
-			s.SetTelemetry(telemetryReg)
-		}
-		delivered := BuildScale(cfg, s)
-		res.Shards = s.NumShards()
-		start := nowNs()
-		if workers == 0 {
-			s.Run(0)
-		} else {
-			s.RunParallel(0, workers)
-		}
-		wall := nowNs() - start
-		if wall < 1 {
-			wall = 1
-		}
-		pkts, _, _ := delivered()
-		return ScaleRow{
-			Mode:         mode,
-			Workers:      workers,
-			Events:       s.Executed(),
-			Pkts:         pkts,
-			WallNs:       wall,
-			EventsPerSec: float64(s.Executed()) / float64(wall) * 1e9,
-			Mpps:         float64(pkts) * 1e3 / float64(wall),
-		}
+	delivered := BuildScale(cfg, s)
+	start := nowNs()
+	s.Run(0)
+	wall := max(nowNs()-start, 1)
+	pkts, _, _ := delivered()
+	return ScaleRow{
+		ASes:         cfg.ASes,
+		Shards:       s.NumShards(),
+		Flows:        cfg.Flows,
+		Procs:        runtime.GOMAXPROCS(0),
+		Events:       s.Executed(),
+		Pkts:         pkts,
+		WallNs:       wall,
+		EventsPerSec: float64(s.Executed()) / float64(wall) * 1e9,
+		Mpps:         float64(pkts) * 1e3 / float64(wall),
 	}
-
-	base := measure("seq", 0)
-	base.Speedup = 1
-	res.Rows = append(res.Rows, base)
-	for _, w := range cfg.Workers {
-		row := measure(fmt.Sprintf("par/%d", w), w)
-		row.Speedup = float64(base.WallNs) / float64(row.WallNs)
-		res.Rows = append(res.Rows, row)
-	}
-	return res, nil
 }
 
-// FormatScale renders the sweep as a markdown table.
-func FormatScale(r *ScaleResult) string {
+// FormatScale renders scale runs as a markdown table.
+func FormatScale(rows []ScaleRow) string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "Scale: %d ASes (%d shards), %d flows%s\n\n",
-		r.ASes, r.Shards, r.Flows,
-		map[bool]string{true: ", seq/par verified bit-identical", false: ""}[r.Verified])
-	fmt.Fprint(&b, "| engine | events | pkts delivered | wall ms | events/s | Mpps | speedup |\n")
-	fmt.Fprint(&b, "|--------|--------|----------------|---------|----------|------|--------|\n")
-	for _, row := range r.Rows {
-		fmt.Fprintf(&b, "| %s | %d | %d | %.1f | %.2fM | %.3f | %.2fx |\n",
-			row.Mode, row.Events, row.Pkts, float64(row.WallNs)/1e6,
-			row.EventsPerSec/1e6, row.Mpps, row.Speedup)
+	fmt.Fprint(&b, "| ASes | shards | flows | GOMAXPROCS | events | pkts delivered | wall ms | events/s | Mpps |\n")
+	fmt.Fprint(&b, "|------|--------|-------|------------|--------|----------------|---------|----------|------|\n")
+	for _, r := range rows {
+		fmt.Fprintf(&b, "| %d | %d | %d | %d | %d | %d | %.1f | %.2fM | %.3f |\n",
+			r.ASes, r.Shards, r.Flows, r.Procs, r.Events, r.Pkts,
+			float64(r.WallNs)/1e6, r.EventsPerSec/1e6, r.Mpps)
 	}
 	return b.String()
 }

@@ -3,8 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"colibri/internal/netsim"
 )
 
 // smallScale keeps unit-test runs fast: one 50-AS ISD, short duration.
@@ -14,72 +12,31 @@ func smallScale() ScaleConfig {
 		Flows:      60,
 		DurationNs: 10e6,
 		Seed:       5,
-		Workers:    []int{2},
-	}
-}
-
-// TestScaleEquivalence proves the generated thousand-AS-style scenario —
-// hierarchical topology, shortest-path forwarding, seeded flows, faulty
-// links — is bit-identical under both engines, via the same differential
-// harness the experiment's Verify knob uses.
-func TestScaleEquivalence(t *testing.T) {
-	cfg := smallScale()
-	cfg.Loss = 0.02
-	cfg.JitterNs = 2e5
-	r, err := netsim.RunBoth(0, 4, ScaleScenario(cfg))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.SeqEvents < 1000 {
-		t.Fatalf("scenario too small: %d events", r.SeqEvents)
-	}
-	if !strings.Contains(r.SeqDigest, "pkts=") || strings.Contains(r.SeqDigest, "pkts=0 ") {
-		t.Fatalf("no traffic delivered: %s", r.SeqDigest)
 	}
 }
 
 // TestRunScaleDeterministic pins the whole experiment, clock included:
 // under a stepped virtual clock, two RunScale invocations must produce
-// byte-identical formatted output.
+// byte-identical formatted output. (Run's equivalence to the global-order
+// oracle on this scenario is netsim's TestScaleEquivalence.)
 func TestRunScaleDeterministic(t *testing.T) {
-	run := func() string {
+	run := func() (string, ScaleRow) {
 		restore := SetClock(StepClock(0, 1e6))
 		defer restore()
-		r, err := RunScale(smallScale())
-		if err != nil {
-			t.Fatal(err)
-		}
-		return FormatScale(r)
+		r := RunScale(smallScale())
+		return FormatScale([]ScaleRow{r}), r
 	}
-	a, b := run(), run()
-	if a != b {
+	a, r := run()
+	if b, _ := run(); a != b {
 		t.Fatalf("RunScale not deterministic under virtual clock:\n--- run1\n%s\n--- run2\n%s", a, b)
-	}
-	if !strings.Contains(a, "| seq |") || !strings.Contains(a, "| par/2 |") {
-		t.Fatalf("missing engine rows:\n%s", a)
-	}
-}
-
-// TestRunScaleVerify exercises the Verify knob end to end.
-func TestRunScaleVerify(t *testing.T) {
-	cfg := smallScale()
-	cfg.Verify = true
-	r, err := RunScale(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !r.Verified {
-		t.Fatal("Verified flag not set")
 	}
 	if r.Shards != 50 {
 		t.Fatalf("shards = %d, want 50 (one per AS)", r.Shards)
 	}
-	if r.Rows[0].Pkts == 0 || r.Rows[0].Events == 0 {
-		t.Fatalf("empty baseline row: %+v", r.Rows[0])
+	if r.Pkts == 0 || r.Events == 0 {
+		t.Fatalf("empty run: %+v", r)
 	}
-	for _, row := range r.Rows[1:] {
-		if row.Events != r.Rows[0].Events || row.Pkts != r.Rows[0].Pkts {
-			t.Fatalf("engine rows disagree on simulated work: %+v vs %+v", r.Rows[0], row)
-		}
+	if !strings.Contains(a, "| 50 | 50 | 60 |") {
+		t.Fatalf("missing run row:\n%s", a)
 	}
 }

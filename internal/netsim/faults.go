@@ -3,9 +3,11 @@
 // crashed/restarted service) and a partition helper.
 //
 // All randomness flows through a seeded splitmix64 generator owned by the
-// fault plan, and the simulator is single-threaded, so a given (seed,
-// schedule, workload) triple always produces the identical event trace and
-// counters — chaos runs are reproducible bug reports, not flaky ones.
+// fault plan, which belongs to the port's sending shard and is only drawn
+// from by that shard's events, in key order. A given (seed, schedule,
+// workload) triple therefore produces the identical event trace and
+// counters at every GOMAXPROCS — chaos runs are reproducible bug reports,
+// not flaky ones.
 
 package netsim
 

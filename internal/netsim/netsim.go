@@ -10,13 +10,13 @@
 // data-plane runs) plus a virtual wire size, so multi-Gbps loads simulate in
 // milliseconds of CPU time.
 //
-// The simulator has two execution engines over one event core (shard.go):
-// the sequential reference engine (Sim.Run) and a safe-window parallel
-// engine (Sim.RunParallel) for thousand-AS topologies, proven bit-identical
-// by the RunBoth differential harness (equiv.go, DESIGN.md §6). Simulation
-// state is partitioned into shards (one per simulated AS in scale runs);
-// everything built without explicit shards lives on the root shard and runs
-// exactly as the classic single-threaded simulator.
+// Simulation state is partitioned into shards (shard.go; one per simulated
+// AS in scale runs), and Sim.Run (engine.go) drains them in safe windows on
+// min(GOMAXPROCS, shards) workers. The event trace and final state do not
+// depend on GOMAXPROCS: they equal those of one global heap run in key
+// order, the oracle the tests compare against (DESIGN.md §6). Everything
+// built without explicit shards lives on the root shard and runs as one
+// window on one heap, on the caller's goroutine.
 package netsim
 
 import (
@@ -113,7 +113,7 @@ func NewPort(sim *Sim, name string, capacityKbps uint64, latencyNs int64, policy
 // NewShardPort creates an output port owned by the src shard whose
 // destination node lives on dstSh. Cross-shard ports must have a positive
 // propagation latency: the minimum such latency across the simulation is
-// the parallel engine's lookahead (the safe-window width).
+// the engine's lookahead (the safe-window width).
 func NewShardPort(src *Shard, name string, capacityKbps uint64, latencyNs int64, policy qos.Policy, dst Node, dstSh *Shard, dstPort int) *Port {
 	if src.sim != dstSh.sim {
 		panic("netsim: port shards belong to different simulators")

@@ -12,8 +12,8 @@ import (
 // depths become per-class histograms (so queue-buildup percentiles come for
 // free), and drops become counters. Sampling runs inside the event loop on
 // one shard, so it may only watch ports owned by that shard (port state is
-// only coherent from its owning shard during RunParallel); NewProbe binds
-// the root shard, NewShardProbe any other.
+// only coherent from its owning shard during Run); NewProbe binds the root
+// shard, NewShardProbe any other.
 type Probe struct {
 	sh       *Shard
 	reg      *telemetry.Registry

@@ -1,4 +1,4 @@
-// shard.go — the sharded event core shared by both execution engines.
+// shard.go — the sharded event core the engine (engine.go) drains.
 //
 // Every event is addressed to one shard (a logical process in PDES terms:
 // typically one simulated AS/node and all state it owns) and carries the
@@ -7,17 +7,17 @@
 //	(at, dst shard, src shard, channel sequence)
 //
 // where the channel sequence is a per-(src,dst) counter owned by the
-// *scheduling* shard. Because a shard's events always execute in key order —
-// globally in the sequential engine, shard-locally in the parallel one — and
-// only the owning shard ever increments its channel counters, key assignment
-// is identical under both engines. That is the whole determinism argument:
-// identical keys ⇒ identical execution order per shard ⇒ identical state and
-// identical child keys, by induction over windows (DESIGN.md §6).
+// *scheduling* shard. Because a shard's events always execute in key order
+// and only the owning shard ever increments its channel counters, key
+// assignment does not depend on how shards are spread over workers — nor
+// on whether they run one global heap in key order, the test oracle. That
+// is the whole determinism argument: identical keys ⇒ identical execution
+// order per shard ⇒ identical state and identical child keys, by induction
+// over windows (DESIGN.md §6).
 //
 // Single-shard simulations (everything defaults to the root shard) collapse
-// to the classic (time, FIFO) tie-break of the original sequential engine:
-// all events share the root self-channel, whose sequence is exactly the old
-// global counter.
+// to the classic (time, FIFO) tie-break: all events share the root
+// self-channel, whose sequence is a plain global counter.
 package netsim
 
 import (
@@ -27,14 +27,11 @@ import (
 )
 
 // Sim is the discrete-event simulator. Build topologies single-threaded,
-// then execute with Run (sequential) or RunParallel (safe-window parallel);
-// both produce bit-identical event traces and final state. Nodes run inside
-// event callbacks on their owning shard.
+// then execute with Run. Nodes run inside event callbacks on their owning
+// shard.
 type Sim struct {
 	now    int64
-	pq     eventQueue // sequential engine: one global heap over all shards
 	shards []*Shard
-	cur    *Shard // shard whose event is executing (sequential engine); root otherwise
 
 	// lookahead is the conservative synchronization bound: the minimum
 	// cross-shard scheduling delay (classic PDES lookahead), maintained as
@@ -42,20 +39,17 @@ type Sim struct {
 	// math.MaxInt64 means "no cross-shard edges declared".
 	lookahead int64
 
-	running  bool // inside Run or RunParallel
-	par      bool // parallel redistribution active (events live in shard heaps)
-	inWindow bool // workers are executing a safe window right now
+	running  bool // inside Run
+	inWindow bool // shards are draining a safe window right now
 
 	traceOn bool
-	tel     *parTelemetry
+	tel     *engineTelemetry
 }
 
 // NewSim creates a simulator at time 0 with a single root shard.
 func NewSim() *Sim {
 	s := &Sim{lookahead: math.MaxInt64}
-	root := &Shard{sim: s, id: 0}
-	s.shards = []*Shard{root}
-	s.cur = root
+	s.shards = []*Shard{{sim: s, id: 0}}
 	return s
 }
 
@@ -64,7 +58,7 @@ func (s *Sim) Root() *Shard { return s.shards[0] }
 
 // NewShard adds a shard (one unit of parallel state — typically one
 // simulated AS). Shards must be created during topology construction,
-// before Run/RunParallel.
+// before Run.
 func (s *Sim) NewShard() *Shard {
 	if s.running {
 		panic("netsim: NewShard during Run")
@@ -97,29 +91,32 @@ func (s *Sim) noteLookahead(ns int64) {
 	}
 }
 
-// Now returns the current virtual time in nanoseconds. During RunParallel of
-// a multi-shard simulation, event callbacks must use their Shard's Now
-// instead (the global clock only advances window-by-window there); calling
-// Sim.Now from inside a safe window panics to make that misuse loud.
+// Now returns the current virtual time in nanoseconds. Event callbacks of a
+// multi-shard simulation must use their Shard's Now instead (the global
+// clock only advances window-by-window there); calling Sim.Now from inside
+// a safe window of one panics, at every GOMAXPROCS, to make that misuse loud.
 func (s *Sim) Now() int64 {
-	if s.inWindow && len(s.shards) > 1 {
-		panic("netsim: Sim.Now inside a parallel window — use Shard.Now")
-	}
-	return s.now
+	s.outsideWindow("Now")
+	return s.Root().Now()
 }
 
-// At schedules fn at absolute time t (≥ now) on the currently executing
-// shard (the root shard outside event callbacks). Multi-shard parallel
-// callbacks must use Shard.At.
+// At schedules fn at absolute time t (≥ now) on the root shard. Event
+// callbacks of a multi-shard simulation must use Shard.At.
 func (s *Sim) At(t int64, fn func()) {
-	if s.inWindow && len(s.shards) > 1 {
-		panic("netsim: Sim.At inside a parallel window — use Shard.At")
-	}
-	s.cur.At(t, fn)
+	s.outsideWindow("At")
+	s.Root().At(t, fn)
 }
 
-// After schedules fn after a delay on the currently executing shard.
-func (s *Sim) After(d int64, fn func()) { s.At(s.now+d, fn) }
+// After schedules fn after a delay on the root shard.
+func (s *Sim) After(d int64, fn func()) { s.At(s.Now()+d, fn) }
+
+// outsideWindow panics when a multi-shard simulation's callback reaches for
+// the global clock: inside a window it belongs to no shard.
+func (s *Sim) outsideWindow(what string) {
+	if s.inWindow && len(s.shards) > 1 {
+		panic("netsim: Sim." + what + " inside a safe window of a multi-shard simulation — use Shard." + what)
+	}
+}
 
 // Executed returns the total number of events executed so far.
 func (s *Sim) Executed() uint64 {
@@ -135,19 +132,17 @@ func (s *Sim) Executed() uint64 {
 // shard; cross-shard interaction flows exclusively through Cross-scheduled
 // events (which ports issue for packet delivery). Methods are safe to call
 // from topology-construction code and from the shard's own event callbacks;
-// they are NOT safe to call from other shards' callbacks during RunParallel.
+// they are NOT safe to call from other shards' callbacks during Run.
 type Shard struct {
 	sim *Sim
 	id  int32
 	now int64
 
-	winEnd         int64      // parallel engine: exclusive bound of the current window
-	pq             eventQueue // parallel engine: shard-local heap
-	outbox         []*event   // parallel engine: cross-shard events awaiting merge
-	ch             []uint64   // next channel sequence, indexed by destination shard
-	executed       uint64
-	windowExecuted uint64 // events executed in the current window (telemetry)
-	trace          []TraceEntry
+	pq       eventQueue // this shard's pending events
+	outbox   []*event   // cross-shard events scheduled during Run, awaiting merge
+	ch       []uint64   // next channel sequence, indexed by destination shard
+	executed uint64
+	trace    []TraceEntry
 }
 
 // ID returns the shard's index (root = 0).
@@ -158,19 +153,11 @@ func (sh *Shard) Sim() *Sim { return sh.sim }
 
 // Now returns the shard's current virtual time: the timestamp of the event
 // being executed, never behind the global clock.
-func (sh *Shard) Now() int64 {
-	if sh.now > sh.sim.now {
-		return sh.now
-	}
-	return sh.sim.now
-}
+func (sh *Shard) Now() int64 { return max(sh.now, sh.sim.now) }
 
 // At schedules fn on this shard at absolute time t (clamped to Now).
 func (sh *Shard) At(t int64, fn func()) {
-	if base := sh.Now(); t < base {
-		t = base
-	}
-	sh.schedule(&event{at: t, dst: sh.id, src: sh.id, seq: sh.nextSeq(sh.id), fn: fn})
+	heap.Push(&sh.pq, sh.newEvent(max(t, sh.Now()), sh, fn))
 }
 
 // After schedules fn on this shard after a delay.
@@ -178,9 +165,8 @@ func (sh *Shard) After(d int64, fn func()) { sh.At(sh.Now()+d, fn) }
 
 // Cross schedules fn on shard dst at absolute time t. From inside event
 // callbacks, t must respect the simulator's lookahead (t ≥ now + lookahead):
-// that bound is what lets the parallel engine execute shards independently
-// within a safe window, so violating it panics — identically under both
-// engines, keeping even failure behaviour engine-independent.
+// that bound is what lets Run drain shards independently within a safe
+// window, so violating it panics, at every GOMAXPROCS.
 func (sh *Shard) Cross(dst *Shard, t int64, fn func()) {
 	if dst.sim != sh.sim {
 		panic("netsim: Cross between different simulators")
@@ -189,81 +175,50 @@ func (sh *Shard) Cross(dst *Shard, t int64, fn func()) {
 		sh.At(t, fn)
 		return
 	}
-	if base := sh.Now(); t < base {
-		t = base
+	t = max(t, sh.Now())
+	if !sh.sim.running {
+		heap.Push(&dst.pq, sh.newEvent(t, dst, fn))
+		return
 	}
-	if sh.sim.running {
-		la := sh.sim.lookahead
-		if la == math.MaxInt64 {
-			panic("netsim: cross-shard scheduling without a declared lookahead (create a cross-shard port or call SetLookahead)")
-		}
-		if t < sh.now+la {
-			panic(fmt.Sprintf("netsim: cross-shard event at t=%d violates lookahead %d (shard %d now %d)",
-				t, la, sh.id, sh.now))
-		}
+	la := sh.sim.lookahead
+	if la == math.MaxInt64 {
+		panic("netsim: cross-shard scheduling without a declared lookahead (create a cross-shard port or call SetLookahead)")
 	}
-	ev := &event{at: t, dst: dst.id, src: sh.id, seq: sh.nextSeq(dst.id), fn: fn}
-	if sh.sim.par {
-		sh.outbox = append(sh.outbox, ev)
-	} else {
-		heap.Push(&sh.sim.pq, ev)
+	if t < sh.now+la {
+		panic(fmt.Sprintf("netsim: cross-shard event at t=%d violates lookahead %d (shard %d now %d)",
+			t, la, sh.id, sh.now))
 	}
+	// dst may be draining on another worker: the merge after the window
+	// moves the event into its heap.
+	sh.outbox = append(sh.outbox, sh.newEvent(t, dst, fn))
 }
 
 // CrossAfter schedules fn on shard dst after delay d (≥ lookahead).
 func (sh *Shard) CrossAfter(dst *Shard, d int64, fn func()) { sh.Cross(dst, sh.Now()+d, fn) }
 
-// schedule inserts a self-addressed event into whichever heap the active
-// engine reads: the shard-local one during RunParallel (only the owning
-// worker touches it), the global one otherwise.
-func (sh *Shard) schedule(ev *event) {
-	if sh.sim.par {
-		heap.Push(&sh.pq, ev)
-	} else {
-		heap.Push(&sh.sim.pq, ev)
-	}
-}
-
-// nextSeq increments and returns the channel sequence toward dst. Channel
-// counters are owned by the scheduling shard, so no synchronization is
-// needed and assignment order is the shard's deterministic execution order.
-func (sh *Shard) nextSeq(dst int32) uint64 {
-	for int(dst) >= len(sh.ch) {
+// newEvent keys fn for dst at t with the next sequence of the channel toward
+// dst. Channel counters are owned by the scheduling shard, so no
+// synchronization is needed and assignment order is the shard's
+// deterministic execution order.
+func (sh *Shard) newEvent(t int64, dst *Shard, fn func()) *event {
+	for int(dst.id) >= len(sh.ch) {
 		sh.ch = append(sh.ch, 0)
 	}
-	sh.ch[dst]++
-	return sh.ch[dst]
+	sh.ch[dst.id]++
+	return &event{TraceEntry{At: t, Dst: dst.id, Src: sh.id, Seq: sh.ch[dst.id]}, fn}
 }
 
-// event is one scheduled callback with its deterministic ordering key.
+// event is one scheduled callback with its deterministic ordering key, which
+// is also what the trace records when it executes.
 type event struct {
-	at  int64
-	dst int32  // shard the callback executes on
-	src int32  // shard that scheduled it
-	seq uint64 // per-(src,dst) channel sequence (FIFO per channel)
-	fn  func()
-}
-
-// less is the total event order: time, then destination shard, then source
-// shard, then channel FIFO. The non-time components only break exact
-// timestamp ties; they are engine-independent by construction.
-func (e *event) less(o *event) bool {
-	if e.at != o.at {
-		return e.at < o.at
-	}
-	if e.dst != o.dst {
-		return e.dst < o.dst
-	}
-	if e.src != o.src {
-		return e.src < o.src
-	}
-	return e.seq < o.seq
+	TraceEntry
+	fn func()
 }
 
 type eventQueue []*event
 
 func (q eventQueue) Len() int           { return len(q) }
-func (q eventQueue) Less(i, j int) bool { return q[i].less(q[j]) }
+func (q eventQueue) Less(i, j int) bool { return q[i].less(q[j].TraceEntry) }
 func (q eventQueue) Swap(i, j int)      { q[i], q[j] = q[j], q[i] }
 func (q *eventQueue) Push(x any)        { *q = append(*q, x.(*event)) }
 func (q *eventQueue) Pop() any {

@@ -1,0 +1,59 @@
+// trace.go — event-trace recording: the full key of every executed event,
+// so two runs can be compared entry for entry rather than by final state
+// alone. The engine's determinism claim — the same trace at every GOMAXPROCS
+// as one global heap run in key order — is checked on these traces.
+package netsim
+
+import (
+	"fmt"
+	"sort"
+)
+
+// TraceEntry is the deterministic identity of one event: its timestamp and
+// full ordering key. Callbacks are opaque, but every side effect a callback
+// has on the simulation schedule shows up as child keys, so two runs with
+// equal traces executed equal event sequences; scenario state digests close
+// the loop on user-visible state.
+type TraceEntry struct {
+	At  int64
+	Dst int32  // shard the callback executes on
+	Src int32  // shard that scheduled it
+	Seq uint64 // per-(Src,Dst) channel sequence (FIFO per channel)
+}
+
+func (e TraceEntry) String() string {
+	return fmt.Sprintf("t=%d dst=%d src=%d seq=%d", e.At, e.Dst, e.Src, e.Seq)
+}
+
+// less is the total event order: time, then destination shard, then source
+// shard, then channel FIFO. The non-time components only break exact
+// timestamp ties; they are schedule-independent by construction.
+func (e TraceEntry) less(o TraceEntry) bool {
+	if e.At != o.At {
+		return e.At < o.At
+	}
+	if e.Dst != o.Dst {
+		return e.Dst < o.Dst
+	}
+	if e.Src != o.Src {
+		return e.Src < o.Src
+	}
+	return e.Seq < o.Seq
+}
+
+// EnableTrace turns on event-trace recording (off by default; recording
+// costs one append per event).
+func (s *Sim) EnableTrace() { s.traceOn = true }
+
+// Trace returns the canonical execution trace: every executed event's key,
+// in the global deterministic order. Shards record their own events; the
+// merge sorts by key, which is the order one global heap would have run
+// them in — equality of traces is therefore the bit-identity criterion.
+func (s *Sim) Trace() []TraceEntry {
+	var out []TraceEntry
+	for _, sh := range s.shards {
+		out = append(out, sh.trace...)
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
+	return out
+}

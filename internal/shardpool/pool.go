@@ -1,11 +1,11 @@
 // Package shardpool runs per-shard work items on a small persistent pool of
 // goroutines — the fan-out engine of the sharded data plane (router.Sharded,
-// gateway.Sharded). It reuses the worker-pool discipline of the parallel
-// netsim engine (internal/netsim/engine_par.go): workers pull shard indices
-// from a single work channel (one receive, no select, so no scheduler-order
-// dependence leaks into shard state), a WaitGroup forms the batch barrier,
-// and worker panics are captured and re-raised on the dispatching goroutine
-// so callers see the same panic an inline run would raise.
+// gateway.Sharded) and of netsim's safe-window drain (netsim.Sim.Run).
+// Workers pull shard indices from a single work channel (one receive, no
+// select, so no scheduler-order dependence leaks into shard state), a
+// WaitGroup forms the batch barrier, and worker panics are captured and
+// re-raised on the dispatching goroutine so callers see the same panic an
+// inline run would raise.
 //
 // Shard ownership is the caller's contract: run(shard) must touch only state
 // owned by that shard (plus concurrency-safe telemetry). The channel send
@@ -42,8 +42,9 @@ type Pool struct {
 	// work is nil in inline mode (workers == 1): Dispatch then runs shards
 	// on the calling goroutine, which is both faster and exactly the
 	// single-core configuration the normalized benchmarks baseline against.
-	work chan int
-	wg   sync.WaitGroup
+	work   chan int
+	wg     sync.WaitGroup
+	exited sync.WaitGroup // Close's join: one Done per worker goroutine
 
 	panicMu  sync.Mutex
 	panicVal any
@@ -65,6 +66,7 @@ func New(workers int, run func(shard int)) *Pool {
 	// Buffered so the dispatcher can enqueue a burst of shards without
 	// rendezvousing on each send; workers drain at their own pace.
 	p.work = make(chan int, 4*workers)
+	p.exited.Add(workers)
 	for i := 0; i < workers; i++ {
 		go p.loop(p.work)
 	}
@@ -75,6 +77,7 @@ func New(workers int, run func(shard int)) *Pool {
 func (p *Pool) Workers() int { return p.workers }
 
 func (p *Pool) loop(work <-chan int) {
+	defer p.exited.Done()
 	for sh := range work {
 		func() {
 			defer func() {
@@ -121,12 +124,14 @@ func (p *Pool) Dispatch(n int) {
 	}
 }
 
-// Close stops the pool's goroutines. The pool must be idle (no Dispatch in
-// flight); a closed pool must not be dispatched again. Close is idempotent
-// but not safe for concurrent use with itself or Dispatch.
+// Close stops the pool's goroutines and returns once they have exited. The
+// pool must be idle (no Dispatch in flight); a closed pool must not be
+// dispatched again. Close is idempotent but not safe for concurrent use with
+// itself or Dispatch.
 func (p *Pool) Close() {
 	if p.work != nil && !p.closed {
 		p.closed = true
 		close(p.work)
+		p.exited.Wait()
 	}
 }

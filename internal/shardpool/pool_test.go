@@ -1,6 +1,7 @@
 package shardpool
 
 import (
+	"runtime"
 	"sync/atomic"
 	"testing"
 )
@@ -37,6 +38,19 @@ func TestDispatchRunsEveryShardExactlyOnce(t *testing.T) {
 				t.Fatalf("workers=%d: shard %d ran %d times, want %d", workers, i, c, batches)
 			}
 		}
+	}
+}
+
+// TestCloseJoinsWorkers pins that Close returns only after the pool's
+// goroutines have exited, so a caller that closes its pool leaves none
+// behind (netsim.Sim.Run relies on it).
+func TestCloseJoinsWorkers(t *testing.T) {
+	before := runtime.NumGoroutine()
+	p := New(4, func(int) {})
+	p.Dispatch(8)
+	p.Close()
+	if after := runtime.NumGoroutine(); after != before {
+		t.Fatalf("%d goroutines after Close, %d before New", after, before)
 	}
 }
 
