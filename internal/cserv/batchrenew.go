@@ -270,6 +270,9 @@ type waveScratch struct {
 	nonces   []byte // their nonces, drawn in one read
 	ad       []byte
 	sigma    cryptoutil.Key
+	// ahead is what the forward pass's read-ahead returned (eerPath.readAhead),
+	// stored only so that its loads are not dead code. Nothing reads it.
+	ahead uint16
 }
 
 // maxRetainedWave caps the item capacity of scratch a service keeps: a wave
@@ -369,8 +372,10 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 	// Forward pass: every live item's leg in wave order, under one acquisition
 	// of the covering SegRs' shard locks. Each item settles before the next one
 	// starts, so a later item sees the demand per-EER processing would show it.
+	// The records are read ahead first, so that their cache misses overlap.
 	leg := hopLeg{s: s, hopCover: cover, src: src, renewal: true}
 	s.cp.withPath(cover.segs(), func(p eerPath) {
+		sc.ahead = p.readAhead(req.Items, req.Status)
 		for i := range req.Items {
 			if req.Status[i] != EEItemOK {
 				continue

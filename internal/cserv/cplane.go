@@ -12,12 +12,13 @@
 //   - an admission.State — the paper's memoized SegR admitter — over a clone
 //     of the AS whose link capacities are divided by the shard count (so the
 //     sum of all shards' grants respects the physical capacities),
-//   - a keyless restree demand profile per SegR tracking admitted EER
-//     bandwidth over discretized time (see internal/restree and DESIGN.md
-//     §7), and
-//   - the EER records admitted against those SegRs, each of which is the
-//     only handle on its own charge: what was charged is withdrawn by
-//     handing the record's window and bandwidth back to the profile.
+//   - one record per SegR: its grant and a keyless restree demand profile
+//     tracking admitted EER bandwidth over discretized time (see
+//     internal/restree and DESIGN.md §7), and
+//   - the EER records admitted against those SegRs, in one flat table, each
+//     of which is the only handle on its own charge: what was charged is
+//     withdrawn by handing the record's window and bandwidth back to the
+//     profile.
 //
 // A reservation never spans shards: an EER lives in the shard of its SegR,
 // so every operation takes exactly one shard lock and shards never deadlock
@@ -34,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"colibri/internal/admission"
+	"colibri/internal/flattab"
 	"colibri/internal/reservation"
 	"colibri/internal/restree"
 	"colibri/internal/topology"
@@ -110,15 +112,23 @@ type CPlane struct {
 //
 //colibri:shardowned
 type cplaneShard struct {
-	mu  sync.Mutex
-	adm *admission.State
-	// segBw caches each SegR's current grant (the admitter's GrantOf would
-	// need its internal lock; the cache is updated under sh.mu at its write
-	// sites: AddSegR, RenewSegRWithUndo, AdjustSegR).
-	segBw map[reservation.ID]uint64
-	// ledgers holds one EER demand profile per SegR.
-	ledgers map[reservation.ID]*restree.Profile
-	eers    map[reservation.ID]cpEER
+	mu   sync.Mutex
+	adm  *admission.State
+	segs map[reservation.ID]*segRec
+	// eers holds one record per EER, in a flat table: a renewal finds its
+	// record with one probe and writes the new version through the pointer it
+	// got (DESIGN.md §7).
+	eers flattab.Table[cpEER]
+}
+
+// segRec is what a shard keeps per SegR: the demand profile of the EERs
+// admitted over it and its current grant at this AS, which bounds that demand.
+// The grant is the admitter's too (admission.State.GrantOf); the record keeps a
+// copy so that an admission reads both with one probe and without the
+// admitter's lock.
+type segRec struct {
+	led   restree.Profile
+	grant uint64
 }
 
 // cpEER is the shard-local record of one admitted EER version. seg2 is the
@@ -173,10 +183,8 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	}
 	for i := range c.shards {
 		c.shards[i] = &cplaneShard{
-			adm:     admission.NewState(shardedAS(cfg.AS, cfg.Shards, i), cfg.Split),
-			segBw:   make(map[reservation.ID]uint64),
-			ledgers: make(map[reservation.ID]*restree.Profile),
-			eers:    make(map[reservation.ID]cpEER),
+			adm:  admission.NewState(shardedAS(cfg.AS, cfg.Shards, i), cfg.Split),
+			segs: make(map[reservation.ID]*segRec),
 		}
 	}
 	return c, nil
@@ -250,19 +258,20 @@ func (c *CPlane) shardFor(id reservation.ID) *cplaneShard {
 func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 	sh := c.shardFor(req.ID)
 	sh.mu.Lock()
-	_, known := sh.ledgers[req.ID]
+	r, known := sh.segs[req.ID]
 	grant, err := sh.adm.AdmitSegR(req)
 	if err != nil {
 		sh.mu.Unlock()
 		c.rejects.Add(1)
 		return 0, err
 	}
-	sh.segBw[req.ID] = grant
 	if !known {
 		// Re-admitting a known ID (an idempotent replay or a version bump)
 		// must not wipe the ledger of EERs already charged against it.
-		sh.ledgers[req.ID] = restree.NewProfile(c.ledgerEpochs, c.epochSec)
+		r = &segRec{led: *restree.NewProfile(c.ledgerEpochs, c.epochSec)}
+		sh.segs[req.ID] = r
 	}
+	r.grant = grant
 	sh.mu.Unlock()
 	if !known {
 		c.segCount.Add(1)
@@ -277,19 +286,18 @@ func (c *CPlane) TeardownSegR(id reservation.ID) error {
 	sh := c.shardFor(id)
 	now := c.clock()
 	sh.mu.Lock()
-	led, ok := sh.ledgers[id]
+	r, ok := sh.segs[id]
 	if !ok {
 		sh.mu.Unlock()
 		return ErrUnknownSegR
 	}
-	led.Advance(now)
-	if led.Len() > 0 {
+	r.led.Advance(now)
+	if r.led.Len() > 0 {
 		sh.mu.Unlock()
 		return ErrSegRInUse
 	}
 	sh.adm.Release(id)
-	delete(sh.segBw, id)
-	delete(sh.ledgers, id)
+	delete(sh.segs, id)
 	sh.mu.Unlock()
 	c.segCount.Add(-1)
 	return nil
@@ -468,52 +476,47 @@ func batchLenMismatch() {
 //
 //colibri:nomalloc
 func (p *eerPath) renewItem(it *EERRenewal) (grant uint64, err error, gone bool) {
-	e, ok := p.lookup(it.EER)
-	if !ok {
+	e := p.lookup(it.EER)
+	if e == nil {
 		return 0, ErrUnknownEER, false
 	}
 	return p.renewRec(it.EER, e, it.BwKbps, it.ExpT, it.Ver)
 }
 
 // Tick expires EERs whose versions have lapsed and advances every ledger.
-// It returns the number of EERs removed. Iteration is over sorted IDs so
-// runs are deterministic (colibri-vet: determinism).
+// It returns the number of EERs removed. Each shard's records are walked in
+// their table's dense order, from the last down, deleting in place; the order
+// is deterministic, and no outcome depends on it (a discharge touches only its
+// own ledgers, and the transfer split only ever subtracts on expiry).
 func (c *CPlane) Tick() int {
 	now := c.clock()
 	total := 0
 	var pairs []pairRef
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		var ids []reservation.ID
-		for id, e := range sh.eers {
-			if e.expT <= now {
-				ids = append(ids, id)
+		for i := sh.eers.Len() - 1; i >= 0; i-- {
+			id, e := sh.eers.At(i)
+			if e.expT > now {
+				continue
 			}
-		}
-		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-		for _, id := range ids {
-			e := sh.eers[id]
 			if e.seg2 != (reservation.ID{}) {
 				pairs = append(pairs, pairRef{eer: id, seg: e.seg, seg2: e.seg2})
 				continue
 			}
 			p := c.path1(sh, e.seg, now)
 			p.discharge(e)
-			delete(sh.eers, id)
+			sh.eers.Delete(id)
 			total++
 		}
-		var segs []reservation.ID
-		for id := range sh.ledgers {
-			segs = append(segs, id)
-		}
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Less(segs[j]) })
-		for _, id := range segs {
-			sh.ledgers[id].Advance(now)
+		// Each ledger advances alone, so the order does not matter.
+		//colibri:allow(determinism)
+		for _, r := range sh.segs {
+			r.led.Advance(now)
 		}
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		e, ok := c.removePair(r, func(e cpEER) bool { return e.expT <= now })
+		e, ok := c.removePair(r, func(e *cpEER) bool { return e.expT <= now })
 		if !ok {
 			continue
 		}
@@ -535,13 +538,12 @@ type pairRef struct{ eer, seg, seg2 reservation.ID }
 // leaves both ledgers with the record, and neither is left carrying a charge
 // no record answers for. Tick and DropSegR find such records under one shard
 // lock at a time and cannot reach the second ledger from there.
-func (c *CPlane) removePair(r pairRef, cond func(cpEER) bool) (e cpEER, ok bool) {
+func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool) (e cpEER, ok bool) {
 	c.withPath([]reservation.ID{r.seg, r.seg2}, func(p eerPath) {
-		if e, ok = p.lookup(r.eer); ok && cond(e) {
-			p.discharge(e)
-			delete(p.prim.eers, r.eer)
-		} else {
-			ok = false
+		if rec := p.lookup(r.eer); rec != nil && cond(rec) {
+			e, ok = *rec, true
+			p.discharge(rec)
+			p.prim.eers.Delete(r.eer)
 		}
 	})
 	return e, ok
@@ -573,18 +575,18 @@ func (c *CPlane) AuditLedgers(fromT, toT uint32) []SegRAudit {
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		var segs []reservation.ID
-		for id := range sh.ledgers {
+		for id := range sh.segs {
 			segs = append(segs, id)
 		}
 		sort.Slice(segs, func(i, j int) bool { return segs[i].Less(segs[j]) })
 		for _, id := range segs {
-			led := sh.ledgers[id]
-			led.Advance(now)
+			r := sh.segs[id]
+			r.led.Advance(now)
 			rows = append(rows, SegRAudit{
 				Seg:       id,
-				GrantKbps: sh.segBw[id],
-				PeakKbps:  uint64(led.MaxDemand(fromT, toT)),
-				LiveEERs:  led.Len(),
+				GrantKbps: r.grant,
+				PeakKbps:  uint64(r.led.MaxDemand(fromT, toT)),
+				LiveEERs:  r.led.Len(),
 			})
 		}
 		sh.mu.Unlock()

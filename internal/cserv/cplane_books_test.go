@@ -29,8 +29,9 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 	var recs []rec
 	for _, sh := range cp.shards {
 		sh.mu.Lock()
-		for id, e := range sh.eers {
-			recs = append(recs, rec{id, e})
+		for i := range sh.eers.Len() {
+			id, e := sh.eers.At(i)
+			recs = append(recs, rec{id, *e})
 		}
 		sh.mu.Unlock()
 	}
@@ -59,7 +60,7 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 				}
 			}
 			sh.mu.Lock()
-			got := sh.ledgers[row.Seg].DemandAt(ep * sec)
+			got := sh.segs[row.Seg].led.DemandAt(ep * sec)
 			sh.mu.Unlock()
 			if got != want {
 				t.Fatalf("%s: SegR %s epoch %d (floor %d): ledger %d, records %d", step, row.Seg, ep, floor, got, want)

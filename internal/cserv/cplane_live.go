@@ -5,8 +5,8 @@
 // live path additionally needs
 //
 //   - SegR admission wrappers around admission.State's renewal/adjust/abort
-//     surface that keep the per-shard segBw cache and the EER demand ledgers
-//     coherent,
+//     surface that keep the per-shard SegR records (grant and EER demand
+//     ledger) coherent with the admitter,
 //   - EER operations over one OR two covering SegRs: at a transfer AS an
 //     EER entering on an up-segment and leaving on a core-segment consumes
 //     bandwidth on both (§4.7), and the two SegRs may live in different
@@ -24,8 +24,6 @@
 package cserv
 
 import (
-	"sort"
-
 	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/restree"
@@ -39,8 +37,8 @@ func (c *CPlane) LookupEER(eer, seg reservation.ID) (bwKbps uint64, ver uint16, 
 	sh := c.shardFor(seg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	e, ok := sh.eers[eer]
-	if !ok || e.seg != seg {
+	e := sh.eers.Get(eer)
+	if e == nil || e.seg != seg {
 		return 0, 0, 0, false
 	}
 	return e.bw, e.ver, e.expT, true
@@ -54,14 +52,14 @@ func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
 	sh := c.shardFor(seg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	led, ok := sh.ledgers[seg]
+	r, ok := sh.segs[seg]
 	if !ok {
 		return 0
 	}
 	// The clock moves the ledger's floor, never the window asked about: one
 	// that lies ahead must not recycle the epochs before it.
-	led.Advance(now)
-	return headroom(sh.segBw[seg], led.MaxDemand(fromT, toT))
+	r.led.Advance(now)
+	return headroom(r.grant, r.led.MaxDemand(fromT, toT))
 }
 
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
@@ -72,15 +70,15 @@ func (c *CPlane) SegDemandMax(seg reservation.ID) (uint64, bool) {
 	sh := c.shardFor(seg)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	led, ok := sh.ledgers[seg]
+	r, ok := sh.segs[seg]
 	if !ok {
 		return 0, false
 	}
-	led.Advance(now)
+	r.led.Advance(now)
 	// EER charges never extend past one lifetime from admission, so two
 	// lifetimes from now bounds every live window without approaching the
 	// ledger horizon.
-	m := led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds)
+	m := r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds)
 	if m < 0 {
 		m = 0
 	}
@@ -89,13 +87,13 @@ func (c *CPlane) SegDemandMax(seg reservation.ID) (uint64, bool) {
 
 // RenewSegRWithUndo re-admits a SegR on its shard with fresh scale factors,
 // returning an undo closure restoring the pre-renewal snapshot (admitter
-// state and cached grant). EER charges are untouched in both directions —
-// admitted versions keep their allocations until expiry (§4.2).
+// state and the record's grant). EER charges are untouched in both directions
+// — admitted versions keep their allocations until expiry (§4.2).
 func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error) {
 	sh := c.shardFor(req.ID)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	prev, ok := sh.segBw[req.ID]
+	r, ok := sh.segs[req.ID]
 	if !ok {
 		return 0, nil, ErrUnknownSegR
 	}
@@ -104,7 +102,8 @@ func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error
 		c.rejects.Add(1)
 		return 0, nil, err
 	}
-	sh.segBw[req.ID] = grant
+	prev := r.grant
+	r.grant = grant
 	c.renews.Add(1)
 	wrapped := func() {
 		sh.mu.Lock()
@@ -112,24 +111,27 @@ func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error
 		if undo != nil {
 			undo()
 		}
-		sh.segBw[req.ID] = prev
+		if r, ok := sh.segs[req.ID]; ok {
+			r.grant = prev
+		}
 	}
 	return grant, wrapped, nil
 }
 
 // AdjustSegR lowers a SegR's grant to the backward-pass minimum
-// (admission.State.AdjustGrant), keeping the segBw cache coherent.
+// (admission.State.AdjustGrant), in the admitter and in the SegR's record.
 func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.segBw[id]; !ok {
+	r, ok := sh.segs[id]
+	if !ok {
 		return ErrUnknownSegR
 	}
 	if err := sh.adm.AdjustGrant(id, finalKbps); err != nil {
 		return err
 	}
-	sh.segBw[id] = finalKbps
+	r.grant = finalKbps
 	return nil
 }
 
@@ -141,12 +143,11 @@ func (c *CPlane) AbortSegR(id reservation.ID) {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if _, ok := sh.segBw[id]; !ok {
+	if _, ok := sh.segs[id]; !ok {
 		return
 	}
 	sh.adm.Release(id)
-	delete(sh.segBw, id)
-	delete(sh.ledgers, id)
+	delete(sh.segs, id)
 	c.segCount.Add(-1)
 }
 
@@ -192,10 +193,9 @@ type eerPath struct {
 	nseg int
 	now  uint32
 	prim *cplaneShard // shard of segs[0], which owns the EER records
-	// led and segBw are each covering SegR's demand ledger (nil when unknown)
-	// and current grant, resolved once while the locks are held.
-	led   [2]*restree.Profile
-	segBw [2]uint64
+	// rec is each covering SegR's record (nil when unknown), resolved once
+	// while the locks are held.
+	rec [2]*segRec
 }
 
 // withPath runs fn with the shard locks of the covering-SegR set held, taken
@@ -213,8 +213,7 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 	}
 	p := c.path1(c.shardFor(segs[0]), segs[0], c.clock())
 	if len(segs) == 2 {
-		sh := c.shardFor(segs[1])
-		p.nseg, p.segs[1], p.led[1], p.segBw[1] = 2, segs[1], sh.ledgers[segs[1]], sh.segBw[segs[1]]
+		p.nseg, p.segs[1], p.rec[1] = 2, segs[1], c.shardFor(segs[1]).segs[segs[1]]
 	}
 	fn(p)
 }
@@ -225,28 +224,51 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 //colibri:nomalloc
 func (c *CPlane) path1(sh *cplaneShard, seg reservation.ID, now uint32) eerPath {
 	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
-	p.segs[0], p.led[0], p.segBw[0] = seg, sh.ledgers[seg], sh.segBw[seg]
+	p.segs[0], p.rec[0] = seg, sh.segs[seg]
 	return p
 }
 
 // lookup returns the EER's record under the primary covering SegR — what
-// LookupEER returns, for the handlers' dedup and previous-version capture.
+// LookupEER returns, for the handlers' dedup and previous-version capture — or
+// nil. The record is the table's own: a renewal writes its new version through
+// it. It stays valid until the next insertion or deletion in the shard.
 //
 //colibri:nomalloc
-func (p *eerPath) lookup(eer reservation.ID) (cpEER, bool) {
-	e, ok := p.prim.eers[eer]
-	if !ok || e.seg != p.segs[0] {
-		return cpEER{}, false
+func (p *eerPath) lookup(eer reservation.ID) *cpEER {
+	e := p.prim.eers.Get(eer)
+	if e == nil || e.seg != p.segs[0] {
+		return nil
 	}
-	return e, true
+	return e
+}
+
+// readAhead looks up the record of every live item of a wave before the first
+// item's leg runs. The lookups do not depend on each other, so the CPU
+// overlaps their cache misses, where the legs — each settled before the next
+// starts — would pay them one after another. It is not authoritative: an
+// earlier item of the wave may renew, move or delete the record a later one
+// names, so the leg looks every record up again, then from cache. It returns
+// the sum of the versions it read, which the caller keeps so that the loads are
+// not dead code.
+//
+//colibri:nomalloc
+func (p *eerPath) readAhead(items []EEBatchItem, status []uint8) (sum uint16) {
+	for i := range items {
+		if status[i] != EEItemOK {
+			continue
+		}
+		if e := p.prim.eers.Get(items[i].ID); e != nil {
+			sum += e.ver
+		}
+	}
+	return sum
 }
 
 // allowRenew is the per-EER renewal limit of §4.2 (one per second) for a
-// renewal that found its record: the second of the last one let through is in
+// renewal that found its record e: the second of the last one let through is in
 // the record, so the throttle costs no lookup of its own — and a record that is
-// lost takes its mark with it. It stamps the caller's copy e; renew stores the
-// stamp with whichever version survives, and a renewal that is refused before
-// it gets there stores it with keep. A renewal that finds no record is a
+// lost takes its mark with it. It stamps e in place; renewRec keeps the stamp
+// with whichever version survives. A renewal that finds no record is a
 // re-admission: it is admitted as a setup and marks the record it creates
 // (setup), so a second one within the second finds the mark.
 func (p *eerPath) allowRenew(e *cpEER) bool {
@@ -257,31 +279,28 @@ func (p *eerPath) allowRenew(e *cpEER) bool {
 	return true
 }
 
-// keep stores e, unchanged but for allowRenew's stamp, as the EER's record.
-func (p *eerPath) keep(eer reservation.ID, e cpEER) { p.prim.eers[eer] = e }
-
 // avail is SegAvail for covering SegR k over [now, toT).
 func (p *eerPath) avail(k int, toT uint32) uint64 {
-	led := p.led[k]
-	if led == nil {
+	r := p.rec[k]
+	if r == nil {
 		return 0
 	}
-	led.Advance(p.now)
-	return headroom(p.segBw[k], led.MaxDemand(p.now, toT))
+	r.led.Advance(p.now)
+	return headroom(r.grant, r.led.MaxDemand(p.now, toT))
 }
 
 // charge adds bwKbps over [startT, expT) to every covering ledger, or to none.
 //
 //colibri:nomalloc
 func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
-	for k, led := range p.led[:p.nseg] {
+	for k, r := range p.rec[:p.nseg] {
 		err := ErrUnknownSegR
-		if led != nil {
-			err = led.Charge(startT, expT, int64(bwKbps))
+		if r != nil {
+			err = r.led.Charge(startT, expT, int64(bwKbps))
 		}
 		if err != nil {
 			if k == 1 {
-				p.led[0].Discharge(startT, expT, int64(bwKbps))
+				p.rec[0].led.Discharge(startT, expT, int64(bwKbps))
 			}
 			return err
 		}
@@ -294,12 +313,12 @@ func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
 // set (a chain that changed) leaves the ledger it never touched alone.
 //
 //colibri:nomalloc
-func (p *eerPath) discharge(e cpEER) {
-	if p.led[0] != nil && e.seg == p.segs[0] {
-		p.led[0].Discharge(e.startT, e.expT, int64(e.bw))
+func (p *eerPath) discharge(e *cpEER) {
+	if r := p.rec[0]; r != nil && e.seg == p.segs[0] {
+		r.led.Discharge(e.startT, e.expT, int64(e.bw))
 	}
-	if p.led[1] != nil && e.seg2 == p.segs[1] {
-		p.led[1].Discharge(e.startT, e.expT, int64(e.bw))
+	if r := p.rec[1]; r != nil && e.seg2 == p.segs[1] {
+		r.led.Discharge(e.startT, e.expT, int64(e.bw))
 	}
 }
 
@@ -308,11 +327,11 @@ func (p *eerPath) discharge(e cpEER) {
 //
 //colibri:nomalloc
 func (p *eerPath) ready() error {
-	for _, led := range p.led[:p.nseg] {
-		if led == nil {
+	for _, r := range p.rec[:p.nseg] {
+		if r == nil {
 			return ErrUnknownSegR
 		}
-		led.Advance(p.now)
+		r.led.Advance(p.now)
 	}
 	return nil
 }
@@ -322,8 +341,8 @@ func (p *eerPath) ready() error {
 //
 //colibri:nomalloc
 func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
-	for k, led := range p.led[:p.nseg] {
-		want = min(want, headroom(p.segBw[k], led.MaxDemand(startT, expT)))
+	for _, r := range p.rec[:p.nseg] {
+		want = min(want, headroom(r.grant, r.led.MaxDemand(startT, expT)))
 	}
 	return want
 }
@@ -339,7 +358,7 @@ func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, 
 	if err := p.ready(); err != nil {
 		return err
 	}
-	if _, dup := p.prim.eers[eer]; dup {
+	if p.prim.eers.Get(eer) != nil {
 		return restree.ErrExists
 	}
 	if p.free(bwKbps, startT, expT) < bwKbps {
@@ -348,7 +367,8 @@ func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, 
 	if err := p.charge(startT, expT, bwKbps); err != nil {
 		return err
 	}
-	p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
+	e, _ := p.prim.eers.Put(eer)
+	*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
 		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
 	return nil
 }
@@ -366,15 +386,16 @@ func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint
 	return err
 }
 
-// renewRec replaces the record e (just returned by lookup) with a version of
-// min(bwKbps, free) over [now, expT), where free is evaluated against EVERY
-// covering SegR at this AS once e's own charge is withdrawn: a renewal
-// replaces the version, it does not stack on it. A zero grant or an invalid
-// window puts the previous version back when it is still live (§4.2 fallback)
-// and reports the error; gone reports that it was not and the record went.
+// renewRec replaces the version in record e (just returned by lookup) with one
+// of min(bwKbps, free) over [now, expT), written in place, where free is
+// evaluated against EVERY covering SegR at this AS once e's own charge is
+// withdrawn: a renewal replaces the version, it does not stack on it. A zero
+// grant or an invalid window re-charges the previous version when it is still
+// live (§4.2 fallback), leaving the record as it was, and reports the error;
+// gone reports that it was not and the record went.
 //
 //colibri:nomalloc
-func (p *eerPath) renewRec(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
+func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
 	switch {
 	case e.seg2 == p.segs[1]:
 		err = p.ready()
@@ -385,28 +406,27 @@ func (p *eerPath) renewRec(eer reservation.ID, e cpEER, bwKbps uint64, expT uint
 	default:
 		err = ErrUnknownEER
 	}
-	if err == nil {
-		p.discharge(e)
-		err = ErrInsufficient
-		if grant = p.free(bwKbps, p.now, expT); grant > 0 {
-			if err = p.charge(p.now, expT, grant); err == nil {
-				p.prim.eers[eer] = cpEER{seg: e.seg, seg2: e.seg2, bw: grant,
-					startT: p.now, expT: expT, ver: ver, lastRenew: e.lastRenew}
-				return grant, nil, false
-			}
-		}
-		if e.expT <= p.now || p.charge(e.startT, e.expT, e.bw) != nil {
-			delete(p.prim.eers, eer)
-			return 0, err, true
+	if err != nil {
+		return 0, err, false
+	}
+	p.discharge(e)
+	err = ErrInsufficient
+	if grant = p.free(bwKbps, p.now, expT); grant > 0 {
+		if err = p.charge(p.now, expT, grant); err == nil {
+			e.bw, e.startT, e.expT, e.ver = grant, p.now, expT, ver
+			return grant, nil, false
 		}
 	}
-	p.prim.eers[eer] = e
+	if e.expT <= p.now || p.charge(e.startT, e.expT, e.bw) != nil {
+		p.prim.eers.Delete(eer)
+		return 0, err, true
+	}
 	return 0, err, false
 }
 
-// renew is renewRec, counted. Callers needing rollback keep e and reinstate
-// it with RestoreEERPath.
-func (p *eerPath) renew(eer reservation.ID, e cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
+// renew is renewRec, counted. Callers needing rollback keep the previous
+// version's fields and reinstate it with RestoreEERPath.
+func (p *eerPath) renew(eer reservation.ID, e *cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
 	g, err, gone := p.renewRec(eer, e, bwKbps, expT, ver)
 	p.c.tallyRenew(err, gone)
 	return g, err
@@ -422,8 +442,8 @@ func (c *CPlane) SetupEERPath(eer reservation.ID, segs []reservation.ID, bwKbps 
 // with no record reports ErrUnknownEER.
 func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error) {
 	c.withPath(segs, func(p eerPath) {
-		e, ok := p.lookup(eer)
-		if !ok {
+		e := p.lookup(eer)
+		if e == nil {
 			c.stale.Add(1)
 			err = ErrUnknownEER
 			return
@@ -433,12 +453,12 @@ func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps 
 	return grant, err
 }
 
-// recharge replaces the charge of record e (none when had is false) with
-// bwKbps over [now, expT) on every covering ledger, WITHOUT an admission
-// check. It reports false — and leaves no charge behind, a partial one must not
-// stand — when the window is empty or a ledger is missing or refuses it.
-func (p *eerPath) recharge(e cpEER, had bool, expT uint32, bwKbps uint64) bool {
-	if had {
+// recharge replaces the charge of record e (none when e is nil) with bwKbps
+// over [now, expT) on every covering ledger, WITHOUT an admission check. It
+// reports false — and leaves no charge behind, a partial one must not stand —
+// when the window is empty or a ledger is missing or refuses it.
+func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
+	if e != nil {
 		p.discharge(e)
 	}
 	return expT > p.now && p.charge(p.now, expT, bwKbps) == nil
@@ -452,40 +472,43 @@ func (p *eerPath) recharge(e cpEER, had bool, expT uint32, bwKbps uint64) bool {
 // record entirely. The renewal throttle's stamp stays with the record.
 func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) {
 	c.withPath(segs, func(p eerPath) {
-		e, had := p.prim.eers[eer]
-		if !p.recharge(e, had, expT, bwKbps) {
-			if had {
-				delete(p.prim.eers, eer)
+		e := p.prim.eers.Get(eer)
+		if !p.recharge(e, expT, bwKbps) {
+			if e != nil {
+				p.prim.eers.Delete(eer)
 				c.eerCount.Add(-1)
 			}
 			return
 		}
-		p.prim.eers[eer] = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
-			startT: p.now, expT: expT, ver: ver, lastRenew: e.lastRenew}
-		if !had {
+		var lastRenew uint32
+		if e != nil {
+			lastRenew = e.lastRenew
+		} else {
+			e, _ = p.prim.eers.Put(eer)
 			c.eerCount.Add(1)
 		}
+		*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
+			startT: p.now, expT: expT, ver: ver, lastRenew: lastRenew}
 	})
 }
 
 // AdjustEERPath lowers an EER's charge to the backward-pass final grant
-// (the response leg shrinking a grant to the path-wide minimum). A zero
-// final removes the record. Unknown EERs are a no-op.
+// (the response leg shrinking a grant to the path-wide minimum), in place. A
+// zero final removes the record. Unknown EERs are a no-op.
 func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64) {
 	c.withPath(segs, func(p eerPath) {
-		e, ok := p.lookup(eer)
-		if !ok {
+		e := p.lookup(eer)
+		if e == nil {
 			return
 		}
-		if finalKbps > 0 && p.recharge(e, true, e.expT, finalKbps) {
+		if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
 			e.bw, e.startT = finalKbps, p.now
-			p.prim.eers[eer] = e
 			return
 		}
 		if finalKbps == 0 {
 			p.discharge(e)
 		}
-		delete(p.prim.eers, eer)
+		p.prim.eers.Delete(eer)
 		c.eerCount.Add(-1)
 	})
 }
@@ -494,9 +517,9 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 // Unknown EERs are a no-op.
 func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 	c.withPath(segs, func(p eerPath) {
-		if e, ok := p.lookup(eer); ok {
+		if e := p.lookup(eer); e != nil {
 			p.discharge(e)
-			delete(p.prim.eers, eer)
+			p.prim.eers.Delete(eer)
 			c.eerCount.Add(-1)
 		}
 	})
@@ -507,45 +530,40 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // transfer-AS records whose OTHER covering segment survives: a §4.7 EER
 // loses its reservation when either covering SegR goes. Locks are taken
 // strictly one shard at a time but for the transfer-AS records, which go
-// under their two (removePair); iteration collects keys and sorts them so
-// runs are deterministic.
+// under their two (removePair); each shard's records are walked as Tick walks
+// them, deleting in place.
 func (c *CPlane) DropSegR(id reservation.ID) {
 	now := c.clock()
 	var pairs []pairRef
 	removed := 0
 	for _, sh := range c.shards {
 		sh.mu.Lock()
-		var victims []reservation.ID
-		for eid, e := range sh.eers {
-			if e.seg == id || e.seg2 == id {
-				victims = append(victims, eid)
+		for i := sh.eers.Len() - 1; i >= 0; i-- {
+			eid, e := sh.eers.At(i)
+			if e.seg != id && e.seg2 != id {
+				continue
 			}
-		}
-		sort.Slice(victims, func(i, j int) bool { return victims[i].Less(victims[j]) })
-		for _, eid := range victims {
-			e := sh.eers[eid]
 			if e.seg2 != (reservation.ID{}) {
 				pairs = append(pairs, pairRef{eer: eid, seg: e.seg, seg2: e.seg2})
 				continue
 			}
 			p := c.path1(sh, e.seg, now)
 			p.discharge(e)
-			delete(sh.eers, eid)
+			sh.eers.Delete(eid)
 			removed++
 		}
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		if _, ok := c.removePair(r, func(e cpEER) bool { return e.seg == id || e.seg2 == id }); ok {
+		if _, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }); ok {
 			removed++
 		}
 	}
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	if _, ok := sh.segBw[id]; ok {
+	if _, ok := sh.segs[id]; ok {
 		sh.adm.Release(id)
-		delete(sh.segBw, id)
-		delete(sh.ledgers, id)
+		delete(sh.segs, id)
 		c.segCount.Add(-1)
 	}
 	sh.mu.Unlock()

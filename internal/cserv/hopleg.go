@@ -116,26 +116,31 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	// committed, so a retried request finds its own version here. Answer from
 	// it instead of admitting again — and decide before the renewal throttle,
 	// which must not refuse the retry of the very renewal it just let through.
-	prev, hadPrev := p.lookup(id)
-	it.hadPrev, it.prevBw, it.prevVer, it.prevExpT = hadPrev, prev.bw, prev.ver, prev.expT
-	if hadPrev && prev.ver == ver && prev.expT == expT {
-		it.grant = prev.bw
-		l.dedups++
-		return EEItemOK, nil
+	// prev is the table's record, which the throttle stamps and the renewal
+	// rewrites in place: what the rollback needs of the version it replaces is
+	// copied into the item first.
+	prev := p.lookup(id)
+	if it.hadPrev = prev != nil; it.hadPrev {
+		it.prevBw, it.prevVer, it.prevExpT = prev.bw, prev.ver, prev.expT
+		if prev.ver == ver && prev.expT == expT {
+			it.grant = prev.bw
+			l.dedups++
+			return EEItemOK, nil
+		}
 	}
 	// A renewal that finds no record (expired, or lost in a crash) is a
 	// re-admission: admitted as a setup so the flow re-promotes instead of
 	// staying demoted (§3.2), its record born stamped — the throttle is the
 	// record's alone.
-	renewing := l.renewal && hadPrev
-	if renewing && !p.allowRenew(&prev) {
+	renewing := l.renewal && it.hadPrev
+	if renewing && !p.allowRenew(prev) {
 		l.throttled++
 		it.grant = 0
 		return EEItemThrottled, nil
 	}
 	// The ledgers still carry a renewed EER's own live charge, which the
 	// renewal replaces.
-	prevLive := renewing && prev.expT > p.now
+	prevLive := renewing && it.prevExpT > p.now
 	grant := asked
 	if l.transfer {
 		// Transfer-AS proportional split between up- and core-SegR (§4.7).
@@ -144,17 +149,14 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 		if prevLive {
 			// renew withdraws the live charge before probing: credit it so the
 			// split sees the true post-renewal headroom.
-			upAvail += prev.bw
-			coreAvail += prev.bw
+			upAvail += it.prevBw
+			coreAvail += it.prevBw
 		}
 		grant = l.s.transfer.Admit(core.ID, up.ID, asked,
 			up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
 		it.tCapped = min(asked, up.Active.BwKbps)
 		if grant == 0 || (!l.renewal && grant < asked) {
 			l.s.transfer.Release(core.ID, up.ID, it.tCapped, grant)
-			if renewing {
-				p.keep(id, prev)
-			}
 			l.refused++
 			it.grant = grant
 			return EEItemRefused, nil
@@ -181,7 +183,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 		l.s.transfer.Release(l.ids[1], l.ids[0], it.tCapped-it.tGrant, 0)
 		it.tCapped = it.tGrant
 		if prevLive {
-			l.s.transfer.Release(l.ids[1], l.ids[0], prev.bw, prev.bw)
+			l.s.transfer.Release(l.ids[1], l.ids[0], it.prevBw, it.prevBw)
 			it.prevReleased = true
 		}
 	}

@@ -26,8 +26,9 @@ func booksOf(s *Service, up, core reservation.ID) hopBooks {
 	b := hopBooks{records: make(map[reservation.ID]cpEER), counts: s.cp.Counts()}
 	for _, sh := range s.cp.shards {
 		sh.mu.Lock()
-		for id, e := range sh.eers {
-			b.records[id] = e
+		for i := range sh.eers.Len() {
+			id, e := sh.eers.At(i)
+			b.records[id] = *e
 		}
 		sh.mu.Unlock()
 	}

@@ -14,6 +14,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -341,10 +342,10 @@ func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []res
 // the record it creates is born marked.
 func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uint32) (ok bool) {
 	s.cp.withPath(segs, func(p eerPath) {
-		e, _ := p.lookup(id)
-		if ok = e.lastRenew != now; ok {
-			e.lastRenew = now
-			p.keep(id, e)
+		if e := p.lookup(id); e != nil {
+			if ok = e.lastRenew != now; ok {
+				e.lastRenew = now
+			}
 		}
 	})
 	return ok
@@ -355,11 +356,14 @@ func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uin
 // call — LookupEER, dedup, the throttle (refAllowRenew), the transfer split over
 // SegAvail, RenewEERPath or SetupEERPath, settle — item after item in wave
 // order, with the downstream answer of echoBatch (final grant = hop grant).
-func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (status []uint8, granted []uint64) {
+// lost counts the live items that found no record although an earlier item of
+// the same wave had found one: the earlier item's renewal dropped it.
+func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (status []uint8, granted []uint64, lost int) {
 	now := s.clock()
 	segIDs, segRs := hopSegs(t, s, req, idx)
 	transfer := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
 	status, granted = make([]uint8, len(req.Items)), make([]uint64, len(req.Items))
+	found := make(map[reservation.ID]bool)
 	for i := range req.Items {
 		it := &req.Items[i]
 		if status[i] = req.Status[i]; status[i] != EEItemOK {
@@ -367,6 +371,10 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 		}
 		asked := min(req.Accums[i], it.BwKbps)
 		prevBw, prevVer, prevExpT, had := s.cp.LookupEER(it.ID, segIDs[0])
+		if found[it.ID] && !had {
+			lost++
+		}
+		found[it.ID] = had
 		if had && prevVer == it.Ver && prevExpT == it.ExpT {
 			granted[i] = prevBw
 			continue
@@ -417,20 +425,32 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			s.transfer.Release(segIDs[1], segIDs[0], tGrant-grant, tGrant-grant)
 		}
 	}
-	return status, granted
+	return status, granted, lost
 }
 
 // TestFusedSweepDifferential drives random waves — fresh renewals that grow,
 // shrink and oversubscribe, stragglers retrying a committed version,
 // same-second renewals, records the hop lost, items an upstream hop already
-// killed — at each kind of hop (single-segment transit, up→core transfer,
-// core→down pair, last hop) through the handler on one fabric and through
-// refBatchHop on its twin, and demands the same per-item status and grant,
-// the same engine counters and the same peak demand on every covering SegR
-// after every wave.
+// killed, and waves that name one EER twice — at each kind of hop
+// (single-segment transit, up→core transfer, core→down pair, last hop) through
+// the handler on one fabric and through refBatchHop on its twin, and demands
+// the same per-item status and grant, the same engine counters and the same
+// peak demand on every covering SegR after every wave.
+//
+// Laggard EERs are renewed only once their record has lapsed, and are then
+// named twice in the wave: the first naming, refused for bandwidth or for its
+// window, drops the record, and the second finds none. A later item must see
+// what the items before it in its own wave did to its record, and to the record
+// swap-last deletion moved into a dropped one's place: a leg that trusted the
+// wave's read-ahead instead of its own lookup fails here.
 func TestFusedSweepDifferential(t *testing.T) {
-	const nEER, waves = 40, 12
+	const nEER, nLaggard, waves, jump = 40, 8, 16, 12
+	lostAll := 0
 	for idx := 1; idx <= 4; idx++ {
+		// What the hop's three runs saw between them; the transfer hop's split
+		// refuses nearly everything once full, so one run alone may be tame.
+		var seen [4]int
+		var dups, twice, dedupHits int
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("hop%d/seed%d", idx, seed), func(t *testing.T) {
 				var hopIA topology.IA
@@ -454,13 +474,19 @@ func TestFusedSweepDifferential(t *testing.T) {
 				}
 				last := make([]sent, nEER) // per EER: the newest item sent and whether it was granted
 				ver := make([]uint16, nEER)
+				lapse := make([]uint32, nEER) // per EER: the expiry of its newest granted version
 				index := make(map[reservation.ID]int, nEER)
 				for i := range ver {
 					ver[i] = 1
+					lapse[i] = ga[i].Res.ExpT
 					index[ga[i].ID] = i
 				}
-				seen := map[uint8]int{}
-				dups := 0
+				var run [4]int // statuses seen
+				runDups, runTwice, lost := 0, 0, 0
+				// Start late in the EERs' first lifetime, so that laggards lapse
+				// early on.
+				fa.clock.Add(jump)
+				fb.clock.Store(fa.clock.Load())
 				for w := 0; w < waves; w++ {
 					if rng.Intn(3) > 0 { // else: the same second again, so fresh versions throttle
 						fa.clock.Add(uint32(1 + rng.Intn(3)))
@@ -471,13 +497,36 @@ func TestFusedSweepDifferential(t *testing.T) {
 					reqB := signedWave(t, fb.services[ia(1, 11)], gb)
 					segIDs, _ := hopSegs(t, sa, reqA, idx)
 					reqA.Items, reqA.Accums, reqA.Status = nil, nil, nil
+					var picks []int
 					for _, e := range rng.Perm(nEER)[:10+rng.Intn(nEER-9)] {
+						if e < nLaggard && now < lapse[e] {
+							continue // a laggard is left alone until its record lapses
+						}
+						picks = append(picks, e)
+					}
+					// Name every laggard and one in six other EERs of the wave a
+					// second time, further on (from the back, so that an insertion
+					// moves no pick still to come).
+					for i := len(picks) - 1; i >= 0; i-- {
+						if picks[i] < nLaggard || rng.Intn(6) == 0 {
+							picks = slices.Insert(picks, i+1+rng.Intn(len(picks)-i), picks[i])
+						}
+					}
+					inWave := make(map[int]bool)
+					for _, e := range picks {
 						id := ga[e].ID
+						repeat := inWave[e]
+						if repeat {
+							runTwice++
+						}
+						inWave[e] = true
 						var it EEBatchItem
 						switch k := rng.Intn(10); {
 						case k == 0 && last[e].ok: // straggler: retry of the committed version
 							it = last[e].item
-							dups++
+							runDups++
+						case k == 1 && repeat && rng.Intn(2) == 0: // the same request twice in one wave
+							it = last[e].item
 						default:
 							if k == 1 { // the hop lost the record
 								sa.cp.TeardownEERPath(id, segIDs)
@@ -486,7 +535,12 @@ func TestFusedSweepDifferential(t *testing.T) {
 							ver[e]++
 							it = EEBatchItem{ID: id, Ver: ver[e], BwKbps: uint64(200 + rng.Intn(4_000)),
 								ExpT: now + reservation.EERLifetimeSeconds, SrcHost: ga[e].EER.SrcHost, DstHost: ga[e].EER.DstHost}
-							if rng.Intn(8) == 0 {
+							switch {
+							case e < nLaggard && !repeat && rng.Intn(2) == 0:
+								// A window past the ledger's horizon: refused, and the
+								// lapsed record goes with the refusal.
+								it.ExpT = now + 1_000
+							case rng.Intn(8) == 0:
 								it.BwKbps = 60_000 // more than the SegR has
 							}
 						}
@@ -513,15 +567,18 @@ func TestFusedSweepDifferential(t *testing.T) {
 					if err != nil || !resp.OK {
 						t.Fatalf("wave %d: %v %+v", w, err, resp)
 					}
-					refStatus, refGranted := refBatchHop(t, sb, reqB, idx)
+					refStatus, refGranted, refLost := refBatchHop(t, sb, reqB, idx)
+					lost += refLost
 					for i := range reqA.Items {
 						if resp.Status[i] != refStatus[i] || resp.Granted[i] != refGranted[i] {
 							t.Fatalf("wave %d item %d (%+v): handler status %d grant %d, per-item sequence status %d grant %d",
 								w, i, reqA.Items[i], resp.Status[i], resp.Granted[i], refStatus[i], refGranted[i])
 						}
-						seen[resp.Status[i]]++
+						run[resp.Status[i]]++
 						e := index[reqA.Items[i].ID]
-						last[e].ok = resp.Status[i] == EEItemOK && resp.Granted[i] > 0
+						if last[e].ok = resp.Status[i] == EEItemOK && resp.Granted[i] > 0; last[e].ok {
+							lapse[e] = reqA.Items[i].ExpT
+						}
 					}
 					if ca, cb := sa.cp.Counts(), sb.cp.Counts(); ca != cb {
 						t.Fatalf("wave %d: engine counters diverge:\nhandler  %+v\nsequence %+v", w, ca, cb)
@@ -534,14 +591,24 @@ func TestFusedSweepDifferential(t *testing.T) {
 						}
 					}
 				}
-				if seen[EEItemOK] == 0 || seen[EEItemThrottled] == 0 || seen[EEItemStale]+seen[EEItemRefused] == 0 || dups == 0 {
-					t.Errorf("waves too tame: statuses %v, %d retries", seen, dups)
+				t.Logf("statuses %v, %d retries, %d EERs named twice in a wave, %d found their record dropped by the wave", run, runDups, runTwice, lost)
+				m := sa.Metrics().Snapshot()
+				if m.RenewThrottle != uint64(run[EEItemThrottled]) {
+					t.Errorf("handler counted %d throttled, statuses %v", m.RenewThrottle, run)
 				}
-				if m := sa.Metrics().Snapshot(); m.DedupHits == 0 || m.RenewThrottle != uint64(seen[EEItemThrottled]) {
-					t.Errorf("handler counted %d dedup hits and %d throttled, statuses %v", m.DedupHits, m.RenewThrottle, seen)
+				for st, n := range run {
+					seen[st] += n
 				}
+				dups, twice, dedupHits, lostAll = dups+runDups, twice+runTwice, dedupHits+int(m.DedupHits), lostAll+lost
 			})
 		}
+		if !t.Failed() && (seen[EEItemOK] == 0 || seen[EEItemThrottled] == 0 || seen[EEItemStale]+seen[EEItemRefused] == 0 ||
+			dups == 0 || dedupHits == 0 || twice == 0) {
+			t.Errorf("hop %d: waves too tame: statuses %v, %d retries, %d dedup hits, %d EERs named twice", idx, seen, dups, dedupHits, twice)
+		}
+	}
+	if !t.Failed() && lostAll == 0 {
+		t.Errorf("no item found its record dropped by an earlier item of its wave")
 	}
 }
 

@@ -7,8 +7,15 @@
 // interval and querying the maximum aggregate demand over any interval, both
 // in O(log n). Each tree node carries a pending add that applies to its whole
 // subtree (range-add without push-down) and the maximum over the subtree
-// including that add, so updates never allocate and never touch more than
-// 2·log n nodes.
+// including that add, so updates never allocate and touch O(log n) nodes.
+//
+// The tree is an implicit heap: node 1 is the root, node i's children are 2i
+// and 2i+1, and leaf j is node n+j. Add works bottom-up without recursion: it
+// climbs from the two boundary leaves, applying the delta to the canonical
+// nodes that tile the interval, then recomputes the maxima along the two
+// boundary paths to the root — the only nodes above a canonical one. Max is
+// the recursive descent: a push-free iterative version would have to carry
+// every ancestor's pending add into the two running maxima.
 //
 // Admission over a request window [start, exp) then becomes a single
 // MaxDemand query instead of a recomputation over all live reservations —
@@ -88,9 +95,9 @@ func (t *Tree) wrap(start, end Epoch) (l1, r1, l2, r2 int) {
 func (t *Tree) Add(start, end Epoch, delta int64) {
 	t.check(start, end)
 	l1, r1, l2, r2 := t.wrap(start, end)
-	t.update(1, 0, t.n, l1, r1, delta)
+	t.addRange(l1, r1, delta)
 	if l2 < r2 {
-		t.update(1, 0, t.n, l2, r2, delta)
+		t.addRange(l2, r2, delta)
 	}
 }
 
@@ -144,24 +151,37 @@ func (t *Tree) Snapshot(start, end Epoch, f func(e Epoch, demand int64)) {
 	}
 }
 
-// update adds delta over leaf range [l, r) below node (covering [lo, hi)).
-func (t *Tree) update(node, lo, hi, l, r int, delta int64) {
-	if r <= lo || hi <= l {
-		return
+// addRange adds delta over the non-empty leaf range [l, r): first to the
+// canonical nodes, climbing from both ends at once, then to the maxima of every
+// ancestor of the two boundary leaves.
+func (t *Tree) addRange(l, r int, delta int64) {
+	l, r = l+t.n, r+t.n
+	first, last := l, r-1
+	for ; l < r; l, r = l>>1, r>>1 {
+		if l&1 == 1 {
+			t.add[l] += delta
+			t.mx[l] += delta
+			l++
+		}
+		if r&1 == 1 {
+			r--
+			t.add[r] += delta
+			t.mx[r] += delta
+		}
 	}
-	if l <= lo && hi <= r {
-		t.add[node] += delta
-		t.mx[node] += delta
-		return
+	t.pull(first, last)
+}
+
+// pull recomputes the maximum of every proper ancestor of leaves i and j,
+// level by level, so a node the two paths share is recomputed once and after
+// both of its children.
+func (t *Tree) pull(i, j int) {
+	for i, j = i>>1, j>>1; i > 0; i, j = i>>1, j>>1 {
+		t.mx[i] = max(t.mx[2*i], t.mx[2*i+1]) + t.add[i]
+		if j != i {
+			t.mx[j] = max(t.mx[2*j], t.mx[2*j+1]) + t.add[j]
+		}
 	}
-	mid := (lo + hi) >> 1
-	t.update(2*node, lo, mid, l, r, delta)
-	t.update(2*node+1, mid, hi, l, r, delta)
-	m := t.mx[2*node]
-	if t.mx[2*node+1] > m {
-		m = t.mx[2*node+1]
-	}
-	t.mx[node] = m + t.add[node]
 }
 
 // query returns the max over the intersection of [l, r) with the node's

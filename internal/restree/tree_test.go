@@ -1,6 +1,7 @@
 package restree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -29,66 +30,91 @@ func (r *refRing) max(start, end Epoch) int64 {
 	return m
 }
 
-// TestTreeMatchesBruteForce drives random balanced add/subtract intervals
-// (including ring-wrapping ones) and checks every Max/At query against the
-// reference ring.
+// TestTreeMatchesBruteForce drives random balanced add/subtract intervals and
+// checks every Max/At query against the reference ring, at the ring sizes the
+// CServ builds (128: the default ledger; 2 and 4: the smallest trees, where
+// every interval touches the root's children) and one between. Half the
+// intervals are an EER's 1–5-epoch window, the rest any span up to the whole
+// ring; starts are drawn across a full ring ahead of the window's base, so
+// intervals and queries wrap the ring often.
 func TestTreeMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	const epochs = 64
-	tr := NewTree(epochs)
-	if tr.Epochs() != epochs {
-		t.Fatalf("Epochs() = %d, want %d", tr.Epochs(), epochs)
-	}
-	ref := newRefRing(tr.Epochs())
+	for _, epochs := range []int{2, 4, 64, 128} {
+		t.Run(fmt.Sprint("ring", epochs), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(7 + epochs)))
+			tr := NewTree(epochs)
+			if tr.Epochs() != epochs {
+				t.Fatalf("Epochs() = %d, want %d", tr.Epochs(), epochs)
+			}
+			ref := newRefRing(epochs)
+			span := func() Epoch {
+				if rng.Intn(2) == 0 {
+					return Epoch(1 + rng.Intn(min(5, epochs)))
+				}
+				return Epoch(1 + rng.Intn(epochs))
+			}
+			wraps := func(start, end Epoch) bool { return int(start)%epochs+int(end-start) > epochs }
 
-	type ival struct {
-		start, end Epoch
-		bw         int64
-	}
-	var live []ival
-	base := Epoch(0)
-	for op := 0; op < 5000; op++ {
-		switch {
-		case len(live) == 0 || rng.Intn(3) > 0:
-			// Add an interval starting in the current window.
-			start := base + Epoch(rng.Intn(8))
-			span := Epoch(1 + rng.Intn(tr.Epochs()-9))
-			bw := int64(1 + rng.Intn(1000))
-			tr.Add(start, start+span, bw)
-			ref.add(start, start+span, bw)
-			live = append(live, ival{start, start + span, bw})
-		default:
-			// Remove a random live interval (balanced subtraction).
-			i := rng.Intn(len(live))
-			iv := live[i]
-			tr.Add(iv.start, iv.end, -iv.bw)
-			ref.add(iv.start, iv.end, -iv.bw)
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-		}
-		// Advance the window occasionally, dropping intervals that ended.
-		if rng.Intn(8) == 0 {
-			base += Epoch(rng.Intn(4))
-			kept := live[:0]
-			for _, iv := range live {
-				if iv.end <= base {
+			type ival struct {
+				start, end Epoch
+				bw         int64
+			}
+			var live []ival
+			base := Epoch(0)
+			wrapped, short := 0, 0
+			for op := 0; op < 5000; op++ {
+				switch {
+				case len(live) == 0 || rng.Intn(3) > 0:
+					start := base + Epoch(rng.Intn(epochs))
+					end := start + span()
+					bw := int64(1 + rng.Intn(1000))
+					if wraps(start, end) {
+						wrapped++
+					}
+					if end-start <= 5 {
+						short++
+					}
+					tr.Add(start, end, bw)
+					ref.add(start, end, bw)
+					live = append(live, ival{start, end, bw})
+				default:
+					// Remove a random live interval (balanced subtraction).
+					i := rng.Intn(len(live))
+					iv := live[i]
 					tr.Add(iv.start, iv.end, -iv.bw)
 					ref.add(iv.start, iv.end, -iv.bw)
-					continue
+					live[i] = live[len(live)-1]
+					live = live[:len(live)-1]
 				}
-				kept = append(kept, iv)
+				// Advance the window occasionally, dropping intervals that ended.
+				if rng.Intn(8) == 0 {
+					base += Epoch(rng.Intn(4))
+					kept := live[:0]
+					for _, iv := range live {
+						if iv.end <= base {
+							tr.Add(iv.start, iv.end, -iv.bw)
+							ref.add(iv.start, iv.end, -iv.bw)
+							continue
+						}
+						kept = append(kept, iv)
+					}
+					live = kept
+				}
+				qs := base + Epoch(rng.Intn(epochs))
+				qe := qs + span()
+				if got, want := tr.Max(qs, qe), ref.max(qs, qe); got != want {
+					t.Fatalf("op %d: Max(%d,%d) = %d, want %d", op, qs, qe, got, want)
+				}
+				if got, want := tr.At(qs), ref.max(qs, qs+1); got != want {
+					t.Fatalf("op %d: At(%d) = %d, want %d", op, qs, got, want)
+				}
+				if got, want := tr.MaxAll(), ref.max(0, Epoch(epochs)); got != want {
+					t.Fatalf("op %d: MaxAll = %d, want %d", op, got, want)
+				}
 			}
-			live = kept
-		}
-		// Random window query anchored at the current base.
-		qs := base + Epoch(rng.Intn(4))
-		qe := qs + Epoch(1+rng.Intn(tr.Epochs()-5))
-		if got, want := tr.Max(qs, qe), ref.max(qs, qe); got != want {
-			t.Fatalf("op %d: Max(%d,%d) = %d, want %d", op, qs, qe, got, want)
-		}
-		if got, want := tr.At(qs), ref.max(qs, qs+1); got != want {
-			t.Fatalf("op %d: At(%d) = %d, want %d", op, qs, got, want)
-		}
+			if wrapped < 100 || short < 100 {
+				t.Fatalf("%d ring-wrapping and %d 1–5-epoch intervals, want at least 100 of each", wrapped, short)
+			}
+		})
 	}
 }
 
