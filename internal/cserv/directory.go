@@ -2,6 +2,7 @@ package cserv
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
@@ -15,14 +16,24 @@ import (
 // whitelist), and CServs query it to assemble SegR chains covering a
 // destination. In a deployment this is the hierarchy of CServ caches
 // contacting remote CServs; here one shared directory with per-query
-// filtering models the same information flow (cache invalidation of App. C
-// corresponds to Expire/Unregister).
+// filtering models the same information flow. The answer to a query is
+// memoised until the offers change — App. C's cache invalidation is Register,
+// and an Unregister or Expire that deletes, each of which empties the memo —
+// so a setup between two changes enumerates, sorts and joins nothing.
 type Directory struct {
 	mu     sync.RWMutex
 	offers map[reservation.ID]*Offer
+	// memo maps a query to its non-empty answer; gen counts the writes that
+	// emptied it, so an answer enumerated across one is not stored.
+	memo map[dirQuery][]dirChain
+	gen  uint64
 }
 
 // Offer is one registered segment reservation available for EER creation.
+// A registered Offer must not change: the directory hands the same pointer
+// to every query and keeps it in memoised answers. To change an offer —
+// its bandwidth, expiry or whitelist — register a replacement with the same
+// ID.
 type Offer struct {
 	ID  reservation.ID
 	Seg *segment.Segment
@@ -40,32 +51,64 @@ func (o *Offer) usableBy(ia topology.IA) bool {
 	return o.Whitelist == nil || o.Whitelist[ia]
 }
 
-// NewDirectory builds an empty directory.
-func NewDirectory() *Directory {
-	return &Directory{offers: make(map[reservation.ID]*Offer)}
+// dirQuery is one query of the directory.
+type dirQuery struct {
+	src, dst, requester topology.IA
+	limit               int
 }
 
-// Register inserts or refreshes an offer.
+// dirChain is one joinable sequence of offers with the path it joins to and
+// the layout an EER request over it carries: the SegR IDs, the transfer-AS
+// positions (cumulative segment ends) and the path's hops. It is shared by
+// every request over the chain and read-only.
+type dirChain struct {
+	offers []*Offer
+	path   *segment.Path
+	segIDs []reservation.ID
+	splits []uint8
+	hops   []PathHop
+}
+
+// NewDirectory builds an empty directory.
+func NewDirectory() *Directory {
+	return &Directory{offers: make(map[reservation.ID]*Offer), memo: make(map[dirQuery][]dirChain)}
+}
+
+// invalidate empties the memo; the caller holds the write lock.
+func (d *Directory) invalidate() {
+	clear(d.memo)
+	d.gen++
+}
+
+// Register inserts an offer or replaces the one with its ID.
 func (d *Directory) Register(o *Offer) {
 	d.mu.Lock()
 	d.offers[o.ID] = o
+	d.invalidate()
 	d.mu.Unlock()
 }
 
 // Unregister removes an offer.
 func (d *Directory) Unregister(id reservation.ID) {
 	d.mu.Lock()
-	delete(d.offers, id)
+	if _, ok := d.offers[id]; ok {
+		delete(d.offers, id)
+		d.invalidate()
+	}
 	d.mu.Unlock()
 }
 
 // Expire drops offers past their expiry.
 func (d *Directory) Expire(now uint32) {
 	d.mu.Lock()
+	n := len(d.offers)
 	for id, o := range d.offers {
 		if now >= o.ExpT {
 			delete(d.offers, id)
 		}
+	}
+	if len(d.offers) != n {
+		d.invalidate()
 	}
 	d.mu.Unlock()
 }
@@ -77,9 +120,34 @@ func (d *Directory) Len() int {
 	return len(d.offers)
 }
 
-// chains enumerates joinable offer sequences from src to dst usable by
-// requester, shortest paths first, capped at limit.
-func (d *Directory) chains(src, dst, requester topology.IA, limit int) [][]*Offer {
+// chains returns the joinable offer sequences from src to dst usable by
+// requester, shortest paths first, capped at limit (0: all): the memoised
+// answer if the offers have not changed since it was enumerated, else a fresh
+// enumeration, which is memoised unless it is empty (so queries towards
+// unreachable IAs cannot grow the memo). The result is shared; callers must
+// not modify it.
+func (d *Directory) chains(src, dst, requester topology.IA, limit int) []dirChain {
+	key := dirQuery{src, dst, requester, limit}
+	d.mu.RLock()
+	cs, ok := d.memo[key]
+	gen := d.gen
+	d.mu.RUnlock()
+	if ok {
+		return cs
+	}
+	cs = d.enumerate(src, dst, requester, limit)
+	if len(cs) > 0 {
+		d.mu.Lock()
+		if d.gen == gen {
+			d.memo[key] = cs
+		}
+		d.mu.Unlock()
+	}
+	return cs
+}
+
+// enumerate is chains without the memo.
+func (d *Directory) enumerate(src, dst, requester topology.IA, limit int) []dirChain {
 	d.mu.RLock()
 	var ups, cores, downs []*Offer
 	// Collection order is irrelevant: each bucket is sorted by ID below
@@ -116,14 +184,14 @@ func (d *Directory) chains(src, dst, requester topology.IA, limit int) [][]*Offe
 		})
 	}
 
-	var out [][]*Offer
+	var out []dirChain
 	try := func(chain ...*Offer) {
 		segs := make([]*segment.Segment, len(chain))
 		for i, o := range chain {
 			segs[i] = o.Seg
 		}
-		if _, err := segment.Join(segs...); err == nil {
-			out = append(out, append([]*Offer(nil), chain...))
+		if path, err := segment.Join(segs...); err == nil {
+			out = append(out, dirChain{offers: append([]*Offer(nil), chain...), path: path})
 		}
 	}
 	// Single-segment chains.
@@ -178,11 +246,31 @@ func (d *Directory) chains(src, dst, requester topology.IA, limit int) [][]*Offe
 			}
 		}
 	}
-	sort.SliceStable(out, func(i, j int) bool { return chainLen(out[i]) < chainLen(out[j]) })
+	sort.SliceStable(out, func(i, j int) bool { return chainLen(out[i].offers) < chainLen(out[j].offers) })
 	if limit > 0 && len(out) > limit {
 		out = out[:limit]
 	}
+	for i := range out {
+		out[i].layOut()
+	}
 	return out
+}
+
+// layOut derives from c's offers and path what a request over c carries.
+func (c *dirChain) layOut() {
+	c.segIDs = make([]reservation.ID, len(c.offers))
+	pos := 0
+	for i, o := range c.offers {
+		c.segIDs[i] = o.ID
+		if i < len(c.offers)-1 {
+			pos += o.Seg.Len() - 1
+			c.splits = append(c.splits, uint8(pos))
+		}
+	}
+	c.hops = make([]PathHop, len(c.path.Hops))
+	for i, h := range c.path.Hops {
+		c.hops[i] = PathHop{IA: h.IA, In: h.In, Eg: h.Eg}
+	}
 }
 
 func chainLen(chain []*Offer) int {
@@ -193,16 +281,32 @@ func chainLen(chain []*Offer) int {
 	return n + 1
 }
 
+// maxChains caps the chains a setup tries.
+const maxChains = 8
+
+// chainsTo returns the directory's chains from this AS to dstIA.
+func (s *Service) chainsTo(dstIA topology.IA) ([]dirChain, error) {
+	if s.dir == nil {
+		return nil, fmt.Errorf("cserv: no directory configured")
+	}
+	cs := s.dir.chains(s.ia, dstIA, s.ia, maxChains)
+	if len(cs) == 0 {
+		return nil, fmt.Errorf("cserv: no segment reservations from %s to %s", s.ia, dstIA)
+	}
+	return cs, nil
+}
+
 // SegRsTo returns joinable SegR chains from this AS to dstIA, shortest
 // first. It is what the end-host daemon queries before an EER request
 // (Appendix C).
 func (s *Service) SegRsTo(dstIA topology.IA) ([][]*Offer, error) {
-	if s.dir == nil {
-		return nil, fmt.Errorf("cserv: no directory configured")
+	cs, err := s.chainsTo(dstIA)
+	if err != nil {
+		return nil, err
 	}
-	chains := s.dir.chains(s.ia, dstIA, s.ia, 8)
-	if len(chains) == 0 {
-		return nil, fmt.Errorf("cserv: no segment reservations from %s to %s", s.ia, dstIA)
+	out := make([][]*Offer, len(cs))
+	for i := range cs {
+		out[i] = slices.Clone(cs[i].offers)
 	}
-	return chains, nil
+	return out, nil
 }

@@ -54,8 +54,11 @@ func UnmarshalDownSegReq(data []byte) (*DownSegReq, error) {
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
 	d.bytes(r.Mac[:])
-	if d.err != nil {
+	switch {
+	case d.err != nil:
 		return nil, d.err
+	case len(d.buf) != 0:
+		return nil, ErrNotCanonical
 	}
 	return r, nil
 }

@@ -8,7 +8,6 @@ import (
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
-	"colibri/internal/segment"
 	"colibri/internal/telemetry"
 	"colibri/internal/topology"
 )
@@ -33,59 +32,36 @@ type EERGrant struct {
 // decrypt the hop authenticators. Chains are tried in order until one
 // admits the reservation — the path choice of §2.1.
 func (s *Service) RequestEER(srcHost, dstHost uint32, dstIA topology.IA, bwKbps uint64) (*EERGrant, error) {
-	chains, err := s.SegRsTo(dstIA)
+	chains, err := s.chainsTo(dstIA)
 	if err != nil {
 		return nil, err
 	}
-	var lastErr error
-	for _, chain := range chains {
-		grant, err := s.requestEEROverChain(srcHost, dstHost, bwKbps, chain)
-		if err == nil {
-			return grant, nil
+	var grant *EERGrant
+	for i := range chains {
+		if grant, err = s.requestEEROverChain(srcHost, dstHost, bwKbps, &chains[i]); err == nil {
+			break
 		}
-		lastErr = err
 	}
-	if lastErr == nil {
-		lastErr = fmt.Errorf("cserv: no segment reservations towards %s", dstIA)
-	}
-	return nil, lastErr
+	return grant, err
 }
 
-func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, chain []*Offer) (*EERGrant, error) {
-	segs := make([]*segment.Segment, len(chain))
-	for i, off := range chain {
-		segs[i] = off.Seg
-	}
-	path, err := segment.Join(segs...)
-	if err != nil {
-		return nil, err
-	}
+// requestEEROverChain sets the EER up over one directory chain, whose layout
+// it copies into the scratch's request.
+func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, c *dirChain) (*EERGrant, error) {
 	sc := s.getWave()
 	defer s.putWave(sc)
 	req := &sc.solo
 	*req = EESetupReq{
 		ID:      s.store.NextID(),
-		SegIDs:  req.SegIDs[:0],
-		Splits:  req.Splits[:0],
-		Path:    req.Path[:0],
+		SegIDs:  append(req.SegIDs[:0], c.segIDs...),
+		Splits:  append(req.Splits[:0], c.splits...),
+		Path:    append(req.Path[:0], c.hops...),
 		BwKbps:  bwKbps,
 		ExpT:    s.clock() + reservation.EERLifetimeSeconds,
 		Ver:     1,
 		SrcHost: srcHost,
 		DstHost: dstHost,
 		Macs:    req.Macs[:0],
-	}
-	// Transfer-AS positions: cumulative segment ends.
-	pos := 0
-	for i, off := range chain {
-		req.SegIDs = append(req.SegIDs, off.ID)
-		if i < len(chain)-1 {
-			pos += off.Seg.Len() - 1
-			req.Splits = append(req.Splits, uint8(pos))
-		}
-	}
-	for _, h := range path.Hops {
-		req.Path = append(req.Path, PathHop{IA: h.IA, In: h.In, Eg: h.Eg})
 	}
 	return s.launchEE(sc, 0, 0)
 }

@@ -119,14 +119,16 @@ func (r *SegSetupReq) Marshal() []byte {
 	return binary.BigEndian.AppendUint64(appendMacs(r.Body(), r.Macs), r.AccumKbps)
 }
 
-// UnmarshalSegSetupReq parses a SegSetupReq.
+// UnmarshalSegSetupReq parses a SegSetupReq, accepting only what Marshal
+// produces (ErrNotCanonical).
 func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
 	d := decoder{buf: data}
 	tag := d.u8()
 	r := &SegSetupReq{}
 	r.ID = d.id()
 	r.SegType = segment.Type(d.u8())
-	r.Renewal = d.u8() == 1
+	flag := d.u8()
+	r.Renewal = flag == 1
 	r.Path = d.hops(nil)
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
@@ -134,11 +136,13 @@ func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
 	r.Ver = d.u16()
 	r.Macs = d.macs(nil)
 	r.AccumKbps = d.u64()
-	if d.err != nil {
+	switch {
+	case d.err != nil:
 		return nil, d.err
-	}
-	if tag != tagSegSetup && tag != tagSegRenew {
+	case tag != tagSegSetup && tag != tagSegRenew:
 		return nil, ErrBadTag
+	case flag > 1 || r.Renewal != (tag == tagSegRenew) || len(d.buf) != 0:
+		return nil, ErrNotCanonical
 	}
 	return r, nil
 }
@@ -171,20 +175,29 @@ func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) { return decodeNe
 
 func (r *SegSetupResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	r.OK = d.u8() == 1
+	ok := d.u8()
+	r.OK = ok == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
-	if d.err == nil && n > packet.MaxHops {
+	switch {
+	case d.err != nil:
+		return d.err
+	case n > packet.MaxHops:
 		return fmt.Errorf("cserv: %d tokens exceeds maximum", n)
+	case n > len(d.buf)/packet.HVFLen:
+		return ErrTruncated
 	}
-	for i := 0; i < n && d.err == nil; i++ {
+	for i := 0; i < n; i++ {
 		var tok [packet.HVFLen]byte
 		d.bytes(tok[:])
 		r.Tokens = append(r.Tokens, tok)
 	}
-	return d.err
+	if ok > 1 || len(d.buf) != 0 {
+		return ErrNotCanonical
+	}
+	return nil
 }
 
 // SegActivateReq switches a SegR to its pending version (§4.2).
@@ -218,8 +231,11 @@ func UnmarshalSegActivateReq(data []byte) (*SegActivateReq, error) {
 	r.Ver = d.u16()
 	r.Path = d.hops(nil)
 	r.Macs = d.macs(nil)
-	if d.err != nil {
+	switch {
+	case d.err != nil:
 		return nil, d.err
+	case len(d.buf) != 0:
+		return nil, ErrNotCanonical
 	}
 	return r, nil
 }
@@ -549,11 +565,14 @@ func (d *decoder) id() reservation.ID {
 }
 
 // hops appends the hops to dst (nil for a fresh slice), which it sizes before
-// the first of them.
+// the first of them — once the bytes for all of them are known to be there.
 func (d *decoder) hops(dst []PathHop) []PathHop {
 	n := int(d.u16())
 	if n > packet.MaxHops {
 		d.err = fmt.Errorf("cserv: %d hops exceeds maximum", n)
+		return dst
+	}
+	if !d.need(n * hopLen) {
 		return dst
 	}
 	hops := slices.Grow(dst, n)
@@ -572,6 +591,9 @@ func (d *decoder) macs(dst [][cryptoutil.MACSize]byte) [][cryptoutil.MACSize]byt
 	n := int(d.u16())
 	if n > packet.MaxHops {
 		d.err = fmt.Errorf("cserv: %d MACs exceeds maximum", n)
+		return dst
+	}
+	if !d.need(n * cryptoutil.MACSize) {
 		return dst
 	}
 	macs := slices.Grow(dst, n)

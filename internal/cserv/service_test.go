@@ -829,27 +829,62 @@ func TestTickReleasesExpired(t *testing.T) {
 	}
 }
 
+// TestDirectoryWhitelist changes the up SegR's offer the only way an offer
+// changes — a replacement registered under its ID — and its removal both
+// ways, each time right after a setup has memoised the chain: the very next
+// request sees the change.
 func TestDirectoryWhitelist(t *testing.T) {
 	f := twoISDFabric(t, nil)
-	f.setupAllSegRs(t, 100_000)
-	// Restrict the up SegR's offer to some other AS.
-	chains, err := f.services[ia(1, 11)].SegRsTo(ia(2, 11))
+	up, _, _ := f.setupAllSegRs(t, 100_000)
+	src := f.services[ia(1, 11)]
+	chains, err := src.SegRsTo(ia(2, 11))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(chains) == 0 {
-		t.Fatal("no chains before whitelist change")
+	off := chains[0][0]
+	if off.ID != up.ID {
+		t.Fatalf("the first chain starts with %s, want the up SegR %s", off.ID, up.ID)
 	}
-	for _, chain := range chains {
-		for _, off := range chain {
-			if off.Seg.Type == segment.Up {
-				off.Whitelist = map[topology.IA]bool{ia(9, 9): true}
-			}
+	host := uint32(0)
+	usable := func(when string, want bool) {
+		t.Helper()
+		host++
+		_, err := src.RequestEER(host, host, ia(2, 11), 100)
+		if _, qerr := src.SegRsTo(ia(2, 11)); (err == nil) != want || (qerr == nil) != want {
+			t.Fatalf("%s: setup %v, query %v; want usable = %v", when, err, qerr, want)
 		}
 	}
-	if _, err := f.services[ia(1, 11)].SegRsTo(ia(2, 11)); err == nil {
-		t.Error("whitelisted-away offers still usable")
+	reregister := func(whitelist map[topology.IA]bool) {
+		cp := *off
+		cp.Whitelist = whitelist
+		f.dir.Register(&cp)
 	}
+	usable("before any change", true)
+	reregister(map[topology.IA]bool{ia(9, 9): true})
+	usable("restricted to another AS", false)
+	reregister(map[topology.IA]bool{ia(9, 9): true, ia(1, 11): true})
+	usable("widened to the requester", true)
+	reregister(nil)
+	usable("public again", true)
+
+	f.dir.Unregister(up.ID)
+	usable("unregistered", false)
+	f.dir.Unregister(up.ID)
+	usable("unregistered twice", false)
+	reregister(nil)
+	usable("registered again", true)
+
+	// An Expire that deletes nothing keeps the memo; one that deletes empties it.
+	f.dir.Expire(t0)
+	if len(f.dir.memo) == 0 {
+		t.Error("an Expire that deleted nothing emptied the memo")
+	}
+	usable("after an Expire that deleted nothing", true)
+	f.dir.Expire(t0 + reservation.SegRLifetimeSeconds)
+	if f.dir.Len() != 0 || len(f.dir.memo) != 0 {
+		t.Fatalf("after expiry: %d offers, %d memoised queries", f.dir.Len(), len(f.dir.memo))
+	}
+	usable("after every offer expired", false)
 }
 
 func TestSegRsToOrdering(t *testing.T) {

@@ -58,8 +58,8 @@ func signSolo(t testing.TB, src *Service, req *EESetupReq) []byte {
 // through the CPlane fabric, and of a transit hop's HandleMsg with the rest of
 // the path behind it, so the gain cannot silently rot. What is left of a
 // renewal is the grant with its five slices and the one response buffer (the
-// only allocation a handler makes); a setup adds the directory's chain
-// enumeration and segment.Join. The parent paid 234 and 209.
+// only allocation a handler makes). A setup allocates the same: it takes its
+// chain, joined path and request layout from the directory's memo.
 func TestSoloAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -99,8 +99,8 @@ func TestSoloAllocBudget(t *testing.T) {
 		next++
 	})
 	t.Logf("allocations: setup %.1f, renewal %.1f, transit HandleMsg %.1f", setup, renew, transit)
-	if setup > 36 {
-		t.Errorf("a 5-hop setup allocates %.1f times, budget 36", setup)
+	if setup > 8 {
+		t.Errorf("a 5-hop setup allocates %.1f times, budget 8", setup)
 	}
 	if renew > 12 {
 		t.Errorf("a 5-hop renewal allocates %.1f times, budget 12", renew)
