@@ -66,5 +66,5 @@ func (g GrantView) Stamp(payload []byte, tsNs int64, forgeHVFs bool) []byte {
 // the border router of `from` and walks it to delivery or drop — the entry
 // point adversaries (and test harnesses) use.
 func (n *Network) InjectPacket(buf []byte, from topology.IA) error {
-	return n.forward(buf, from)
+	return n.forward(buf, n.nodes[from])
 }

@@ -1,8 +1,14 @@
 package core
 
 import (
+	"errors"
+	"fmt"
 	"strings"
 	"testing"
+
+	"colibri/internal/cryptoutil"
+	"colibri/internal/packet"
+	"colibri/internal/topology"
 )
 
 func TestGrantStampAndInject(t *testing.T) {
@@ -35,5 +41,37 @@ func TestGrantStampAndInject(t *testing.T) {
 	}
 	if hd.Received != 1 {
 		t.Errorf("forged packet delivered (received %d)", hd.Received)
+	}
+}
+
+// TestForwardDropsUnknownEgress: a packet whose first hop field names an
+// egress interface the source AS lacks, authenticated under that AS's
+// secret so that its router forwards it, is dropped by the walk with "no
+// interface" — for an ID inside the egress table (0, which no AS uses) and
+// for the first ID past its end — and nothing is delivered.
+func TestForwardDropsUnknownEgress(t *testing.T) {
+	net, hs, hd := twoISDNet(t, Options{})
+	sess, err := hs.RequestEER(hd, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := net.Node(ia(1, 11))
+	cbc := cryptoutil.MustCBCMAC(cryptoutil.Key(secretFor(src.IA)))
+	for _, eg := range []topology.IfID{0, topology.IfID(len(src.next))} {
+		g := sess.Grant()
+		g.Path = append([]packet.HopField(nil), g.Path...)
+		g.HopAuths = append([]cryptoutil.Key(nil), g.HopAuths...)
+		g.Path[0].Eg = eg
+		var in [packet.EERAuthLen]byte
+		packet.EERAuthInput(&in, &g.Res, &g.EER, g.Path[0])
+		cbc.SumInto((*[cryptoutil.MACSize]byte)(&g.HopAuths[0]), in[:])
+		net.Clock.Advance(1e6)
+		err := net.InjectPacket(g.Stamp([]byte("x"), net.Clock.NowNs(), false), src.IA)
+		if !errors.Is(err, ErrDropped) || !strings.Contains(err.Error(), fmt.Sprintf("no interface %d", eg)) {
+			t.Errorf("egress %d: %v, want ErrDropped with no interface %d", eg, err, eg)
+		}
+	}
+	if hd.Received != 0 {
+		t.Errorf("received %d packets over unknown egresses", hd.Received)
 	}
 }

@@ -158,7 +158,7 @@ func (s *Session) Send(payload []byte) error {
 	if err != nil {
 		return err
 	}
-	return n.forward(buf[:sz], s.src.IA)
+	return n.forward(buf[:sz], node)
 }
 
 // SendOrFallback sends the payload on the reservation, falling back to the
@@ -185,28 +185,25 @@ func (s *Session) SendOrFallback(payload []byte) (bool, error) {
 }
 
 // forward walks a serialized packet through border routers starting at the
-// given AS until delivery or drop.
-func (n *Network) forward(buf []byte, from topology.IA) error {
-	cur := from
+// given node, along the nodes' egress tables, until delivery or drop.
+func (n *Network) forward(buf []byte, node *Node) error {
 	for hops := 0; hops <= len(n.nodes)+1; hops++ {
-		node := n.nodes[cur]
 		verdict, err := node.routerWorker.Process(buf, n.Clock.NowNs())
 		if err != nil {
-			return fmt.Errorf("%w at %s: %v", ErrDropped, cur, err)
+			return fmt.Errorf("%w at %s: %v", ErrDropped, node.IA, err)
 		}
 		switch verdict.Action {
 		case router.AForward:
-			intf := node.AS.Interface(verdict.Egress)
-			if intf == nil {
-				return fmt.Errorf("%w at %s: no interface %d", ErrDropped, cur, verdict.Egress)
+			if int(verdict.Egress) >= len(node.next) || node.next[verdict.Egress] == nil {
+				return fmt.Errorf("%w at %s: no interface %d", ErrDropped, node.IA, verdict.Egress)
 			}
-			cur = intf.Neighbor
+			node = node.next[verdict.Egress]
 		case router.ADeliver:
-			return n.deliver(cur, verdict.DstHost, buf)
+			return n.deliver(node.IA, verdict.DstHost, buf)
 		case router.AControl:
-			return fmt.Errorf("%w at %s: unexpected control packet", ErrDropped, cur)
+			return fmt.Errorf("%w at %s: unexpected control packet", ErrDropped, node.IA)
 		default:
-			return fmt.Errorf("%w at %s", ErrDropped, cur)
+			return fmt.Errorf("%w at %s", ErrDropped, node.IA)
 		}
 	}
 	return fmt.Errorf("%w: forwarding loop", ErrDropped)

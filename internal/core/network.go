@@ -68,6 +68,9 @@ type Node struct {
 	// single-threaded data-plane walk; benches create their own.
 	routerWorker *router.Worker
 	gwWorker     *gateway.Worker
+	// next is the egress table of that walk: the neighbour behind each
+	// interface, indexed by IfID (nil where the AS has none).
+	next []*Node
 	// sendBuf is the grow-only buffer Session.Send serializes every packet
 	// leaving this AS into. One per node is enough because core is
 	// single-threaded per network: a packet is built, walked hop by hop and
@@ -197,6 +200,10 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 		}
 		node.routerWorker = node.Router.NewWorker()
 		node.gwWorker = node.Gateway.NewWorker()
+		for _, id := range node.AS.SortedIfIDs() {
+			node.next = append(node.next, make([]*Node, int(id)+1-len(node.next))...)
+			node.next[id] = n.nodes[node.AS.Interfaces[id].Neighbor]
+		}
 	}
 	return n, nil
 }

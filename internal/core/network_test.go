@@ -180,7 +180,7 @@ func TestSpoofedSourceRejected(t *testing.T) {
 	for i := len(pktBuf) - 100 - 20; i < len(pktBuf)-100; i++ {
 		pktBuf[i] ^= 0xA5 // corrupt all 5 HVFs
 	}
-	if err := net.forward(pktBuf, ia(1, 11)); err == nil {
+	if err := net.InjectPacket(pktBuf, ia(1, 11)); err == nil {
 		t.Fatal("packet with forged HVFs delivered")
 	} else if !strings.Contains(err.Error(), "hop validation") {
 		t.Errorf("unexpected drop reason: %v", err)
@@ -235,12 +235,12 @@ func TestReplayAttackSuppressed(t *testing.T) {
 		t.Fatal(err)
 	}
 	original := append([]byte(nil), buf[:sz]...)
-	if err := net.forward(buf[:sz], ia(1, 11)); err != nil {
+	if err := net.InjectPacket(buf[:sz], ia(1, 11)); err != nil {
 		t.Fatal(err)
 	}
 	// The adversary replays the captured packet moments later.
 	net.Clock.Advance(5e6)
-	err = net.forward(original, ia(1, 11))
+	err = net.InjectPacket(original, ia(1, 11))
 	if err == nil {
 		t.Fatal("replayed packet delivered")
 	}
@@ -267,7 +267,7 @@ func TestOverusePunished(t *testing.T) {
 	for i := 1; i <= 200_000 && !blocked; i++ {
 		net.Clock.Advance(1e5) // 10 000 pps of ~1 kB ≈ 80 Mbps on 800 kbps
 		buf := rogueBuild(t, sess.grant, payload, net.Clock.NowNs())
-		err := net.forward(buf, ia(1, 11))
+		err := net.InjectPacket(buf, ia(1, 11))
 		switch {
 		case err == nil:
 		case strings.Contains(err.Error(), "overuse"):

@@ -21,6 +21,12 @@ func encryptAESNI(ks *AESSchedule, dst, src *[16]byte)
 //go:noescape
 func sigmaMACAESNI(sigma *Key, mac, block *[16]byte)
 
+// hopMACAESNI runs a router hop's CBC-MAC and σ-keyed MAC in one pass: ks's
+// round keys are loaded once and σ never leaves registers.
+//
+//go:noescape
+func hopMACAESNI(ks *AESSchedule, in *[48]byte, block, mac *[16]byte)
+
 // ExpandAES128 expands a 16-byte key into the caller's schedule without
 // allocating.
 //
@@ -56,5 +62,19 @@ func SigmaMAC(ks *AESSchedule, sigma *Key, mac *[MACSize]byte, block *[16]byte) 
 	} else {
 		expandSoft(ks, sigma)
 		encryptSoft(ks, mac, block)
+	}
+}
+
+// HopMAC computes a border router's two per-packet MACs in one kernel: the
+// hop authenticator σ = CBC-MAC over the 48-byte Eq. (4) input, then
+// mac = MAC_σ(block), the Eq. (6) step. σ is not returned. mac may alias
+// block.
+//
+//colibri:nomalloc
+func (m *CBCMAC) HopMAC(in *[48]byte, block, mac *[MACSize]byte) {
+	if useAESNI {
+		hopMACAESNI(&m.ks, in, block, mac)
+	} else {
+		m.hopMACSoft(in, block, mac)
 	}
 }

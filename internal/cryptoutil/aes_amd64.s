@@ -110,36 +110,91 @@ TEXT ·encryptAESNI(SB), NOSPLIT, $0-24
 	MOVOU      X0, (DX)
 	RET
 
+// SIGMAENC encrypts the block in X0 under the key in X1, expanding the key
+// round by round in registers; clobbers X1-X5.
+#define SIGMAENC \
+	MOVOU      rotword<>(SB), X5; \
+	MOVOU      rcon01<>(SB), X4; \
+	PXOR       X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	MOVOU      rcon1b<>(SB), X4; \
+	NEXTKEY; \
+	AESENC     X1, X0; \
+	NEXTKEY; \
+	AESENCLAST X1, X0
+
 // func sigmaMACAESNI(sigma *Key, mac, block *[16]byte)
 TEXT ·sigmaMACAESNI(SB), NOSPLIT, $0-24
-	MOVQ       sigma+0(FP), AX
-	MOVQ       mac+8(FP), DX
-	MOVQ       block+16(FP), BX
-	MOVOU      (AX), X1
-	MOVOU      (BX), X0
-	MOVOU      rotword<>(SB), X5
-	MOVOU      rcon01<>(SB), X4
-	PXOR       X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENC     X1, X0
-	MOVOU      rcon1b<>(SB), X4
-	NEXTKEY
-	AESENC     X1, X0
-	NEXTKEY
-	AESENCLAST X1, X0
-	MOVOU      X0, (DX)
+	MOVQ  sigma+0(FP), AX
+	MOVQ  mac+8(FP), DX
+	MOVQ  block+16(FP), BX
+	MOVOU (AX), X1
+	MOVOU (BX), X0
+	SIGMAENC
+	MOVOU X0, (DX)
+	RET
+
+// ENCRYPT encrypts X0 under the round keys held in X1 (round 0) to X11
+// (round 10).
+#define ENCRYPT \
+	PXOR       X1, X0; \
+	AESENC     X2, X0; \
+	AESENC     X3, X0; \
+	AESENC     X4, X0; \
+	AESENC     X5, X0; \
+	AESENC     X6, X0; \
+	AESENC     X7, X0; \
+	AESENC     X8, X0; \
+	AESENC     X9, X0; \
+	AESENC     X10, X0; \
+	AESENCLAST X11, X0
+
+// func hopMACAESNI(ks *AESSchedule, in *[48]byte, block, mac *[16]byte)
+//
+// One router hop: σ = CBC-MAC_ks(in) (Eq. 4) with ks's eleven round keys
+// loaded into registers once, then mac = AES-128_σ(block) (Eq. 6) with σ
+// handed over in a register. block is read before mac is written.
+TEXT ·hopMACAESNI(SB), NOSPLIT, $0-32
+	MOVQ  ks+0(FP), AX
+	MOVQ  in+8(FP), BX
+	MOVQ  block+16(FP), CX
+	MOVQ  mac+24(FP), DX
+	MOVOU (AX), X1
+	MOVOU 16(AX), X2
+	MOVOU 32(AX), X3
+	MOVOU 48(AX), X4
+	MOVOU 64(AX), X5
+	MOVOU 80(AX), X6
+	MOVOU 96(AX), X7
+	MOVOU 112(AX), X8
+	MOVOU 128(AX), X9
+	MOVOU 144(AX), X10
+	MOVOU 160(AX), X11
+	MOVOU (BX), X0
+	ENCRYPT
+	MOVOU 16(BX), X12
+	PXOR  X12, X0
+	ENCRYPT
+	MOVOU 32(BX), X12
+	PXOR  X12, X0
+	ENCRYPT
+	MOVO  X0, X1
+	MOVOU (CX), X0
+	SIGMAENC
+	MOVOU X0, (DX)
 	RET

@@ -13,4 +13,5 @@ func TestAESKernelCPUIDFallback(t *testing.T) {
 	useAESNI = false
 	defer func() { useAESNI = true }()
 	TestAESKernelFIPS197(t)
+	TestHopMACMatchesTwoStep(t)
 }

@@ -23,3 +23,11 @@ func SigmaMAC(ks *AESSchedule, sigma *Key, mac *[MACSize]byte, block *[16]byte) 
 	expandSoft(ks, sigma)
 	encryptSoft(ks, mac, block)
 }
+
+// HopMAC computes a border router's two per-packet MACs: the hop
+// authenticator σ = CBC-MAC over the 48-byte Eq. (4) input, then
+// mac = MAC_σ(block), the Eq. (6) step. σ is not returned. mac may alias
+// block.
+//
+//colibri:nomalloc
+func (m *CBCMAC) HopMAC(in *[48]byte, block, mac *[MACSize]byte) { m.hopMACSoft(in, block, mac) }

@@ -174,6 +174,76 @@ func TestCBCMACMatchesBlockForm(t *testing.T) {
 	}
 }
 
+// tableHopMAC is HopMAC on the T-table code alone: the CBC-MAC chain of
+// SumInto, then the expansion and encryption of SigmaMAC.
+func tableHopMAC(key *Key, in *[48]byte, block *[16]byte) (mac [16]byte) {
+	var ks AESSchedule
+	var sigma Key
+	expandSoft(&ks, key)
+	for i := 0; i < len(in); i += 16 {
+		subtle.XORBytes(sigma[:], sigma[:], in[i:i+16])
+		encryptSoft(&ks, (*[16]byte)(&sigma), (*[16]byte)(&sigma))
+	}
+	expandSoft(&ks, &sigma)
+	encryptSoft(&ks, &mac, block)
+	return mac
+}
+
+// checkHopMAC holds HopMAC to the two-step SumInto + SigmaMAC, the T-table
+// code and the crypto/aes block form for one input, once with mac apart
+// from block and once aliasing it.
+func checkHopMAC(t *testing.T, key Key, in [48]byte, block [16]byte) {
+	t.Helper()
+	cbc := MustCBCMAC(key)
+	var got, twoStep, std [MACSize]byte
+	cbc.HopMAC(&in, &block, &got)
+	aliased := block
+	cbc.HopMAC(&in, &aliased, &aliased)
+	cbc.hopMACSoft(&in, &block, &twoStep)
+	MACOneBlock(NewBlock(Key(blockCBCMAC(NewBlock(key), in[:]))), &std, &block)
+	if table := tableHopMAC(&key, &in, &block); got != twoStep || got != table || got != std || aliased != std {
+		t.Fatalf("HopMAC(%x, %x, %x) = %x (aliased %x), SumInto+SigmaMAC = %x, T-table = %x, crypto/aes = %x",
+			key, in, block, got, aliased, twoStep, table, std)
+	}
+}
+
+// TestHopMACMatchesTwoStep: the one-kernel hop equals SumInto + SigmaMAC,
+// the T-table code and the crypto/aes block form MACOneBlock(NewBlock(σ))
+// over random keys and inputs.
+func TestHopMACMatchesTwoStep(t *testing.T) {
+	n := 20_000
+	if testing.Short() {
+		n = 2_000
+	}
+	rng := rand.New(rand.NewSource(31))
+	for i := 0; i < n; i++ {
+		var key Key
+		var in [48]byte
+		var block [16]byte
+		rng.Read(key[:])
+		rng.Read(in[:])
+		rng.Read(block[:])
+		checkHopMAC(t, key, in, block)
+	}
+}
+
+// FuzzHopMAC: 16 bytes of K_i, the 48-byte Eq. (4) input and a 16-byte
+// Eq. (6) block in, equality with the two-step and crypto/aes forms out.
+func FuzzHopMAC(f *testing.F) {
+	f.Add(make([]byte, 16), make([]byte, 48), make([]byte, 16))
+	f.Add([]byte("\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c"),
+		[]byte("\x32\x43\xf6\xa8\x88\x5a\x30\x8d\x31\x31\x98\xa2\xe0\x37\x07\x34"+
+			"\x00\x11\x22\x33\x44\x55\x66\x77\x88\x99\xaa\xbb\xcc\xdd\xee\xff"+
+			"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"),
+		[]byte("\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"))
+	f.Fuzz(func(t *testing.T, k, in, b []byte) {
+		if len(k) != 16 || len(in) != 48 || len(b) != 16 {
+			t.Skip()
+		}
+		checkHopMAC(t, Key(k), [48]byte(in), [16]byte(b))
+	})
+}
+
 // blockCMAC is RFC 4493 over a cipher.Block, here a crypto/aes one: CMAC.Sum
 // as it was before it moved onto the schedule.
 func blockCMAC(block cipher.Block, msg []byte) (x [16]byte) {
@@ -219,6 +289,7 @@ func TestAESKernelNoAlloc(t *testing.T) {
 	key := Key{1, 2, 3}
 	var ks AESSchedule
 	var block, out [16]byte
+	var in [48]byte
 	msg := make([]byte, 48)
 	cbc, cmac := MustCBCMAC(key), MustCMAC(key)
 	for name, fn := range map[string]func(){
@@ -227,6 +298,7 @@ func TestAESKernelNoAlloc(t *testing.T) {
 		"EncryptAES128":  func() { EncryptAES128(&ks, &out, &block) },
 		"SigmaMAC":       func() { SigmaMAC(&ks, &key, &out, &block) },
 		"CBCMAC.SumInto": func() { cbc.SumInto(&out, msg) },
+		"CBCMAC.HopMAC":  func() { cbc.HopMAC(&in, &block, &out) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, a)

@@ -57,6 +57,17 @@ func (m *CBCMAC) SumInto(mac *[MACSize]byte, msg []byte) {
 	*mac = x
 }
 
+// hopMACSoft is HopMAC as two calls, SumInto then SigmaMAC: the T-table
+// body, and the oracle the AES-NI kernel is held to.
+//
+//colibri:nomalloc
+func (m *CBCMAC) hopMACSoft(in *[48]byte, block, mac *[MACSize]byte) {
+	var sigma Key
+	var ks AESSchedule
+	m.SumInto((*[MACSize]byte)(&sigma), in[:])
+	SigmaMAC(&ks, &sigma, mac, block)
+}
+
 // MACOneBlock computes the CBC-MAC of exactly one 16-byte block with the
 // given expanded cipher into mac. This is the innermost data-plane operation
 // (Eq. 6: V = MAC_σ(Ts ‖ PktSize)), kept separate so the router can call it

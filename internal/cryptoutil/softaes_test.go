@@ -69,3 +69,24 @@ func BenchmarkSigmaMAC(b *testing.B) {
 		SigmaMAC(&ks, &sigma, &mac, &block)
 	}
 }
+
+// BenchmarkHopMAC times a router hop's MACs: "fused" is the one-kernel
+// HopMAC, "two-step" is SumInto then SigmaMAC.
+func BenchmarkHopMAC(b *testing.B) {
+	cbc := MustCBCMAC(Key{1})
+	in := [48]byte{3}
+	block := [16]byte{2}
+	var mac [MACSize]byte
+	b.Run("fused", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cbc.HopMAC(&in, &block, &mac)
+		}
+	})
+	b.Run("two-step", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			cbc.hopMACSoft(&in, &block, &mac)
+		}
+	})
+}

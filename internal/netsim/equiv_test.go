@@ -381,12 +381,38 @@ func TestSimNowPanicsInsideWindow(t *testing.T) {
 	}
 }
 
+// engineGoroutines returns the IDs of all goroutines, and how many besides
+// the caller are missing from seen and have a netsim or shardpool frame on
+// their stacks: the engine goroutines started since seen was taken,
+// whatever else the test binary runs. IDs are never reused, so a pool
+// worker of an earlier Run that is still exiting is not counted.
+func engineGoroutines(seen map[int]bool) (ids map[int]bool, started int) {
+	buf := make([]byte, 1<<16)
+	n := runtime.Stack(buf, true)
+	for n == len(buf) {
+		buf = make([]byte, 2*len(buf))
+		n = runtime.Stack(buf, true)
+	}
+	ids = map[int]bool{}
+	for i, g := range strings.Split(string(buf[:n]), "\n\n") {
+		var id int
+		if _, err := fmt.Sscanf(g, "goroutine %d ", &id); err != nil {
+			panic(fmt.Sprintf("unparsable goroutine header %q: %v", g, err))
+		}
+		ids[id] = true
+		if i > 0 && !seen[id] && (strings.Contains(g, "colibri/internal/netsim.") || strings.Contains(g, "colibri/internal/shardpool.")) {
+			started++
+		}
+	}
+	return ids, started
+}
+
 // TestSingleShardRunSpawnsNoGoroutine guards Table 2 and the examples
 // against gaining concurrency: a single-shard Run drains its one window on
 // the caller's goroutine whatever GOMAXPROCS is, while a two-shard Run at
 // the same setting does start pool workers.
 func TestSingleShardRunSpawnsNoGoroutine(t *testing.T) {
-	during := func(shards int) (before, inside int) {
+	started := func(shards int) (inside int) {
 		s := netsim.NewSim()
 		for i := 1; i < shards; i++ {
 			s.NewShard()
@@ -395,18 +421,18 @@ func TestSingleShardRunSpawnsNoGoroutine(t *testing.T) {
 		sink := netsim.NewCounter()
 		port := netsim.NewPort(s, "out", 8_000, 100, qos.StrictPriority, sink, 0)
 		port.Send(&netsim.Packet{WireSize: 1000, Class: qos.ClassBE})
-		s.Root().At(5, func() { inside = runtime.NumGoroutine() })
-		before = runtime.NumGoroutine()
+		seen, _ := engineGoroutines(nil)
+		s.Root().At(5, func() { _, inside = engineGoroutines(seen) })
 		withProcs(4, func() int64 { return s.Run(0) })
 		if sink.Bytes[qos.ClassBE] != 1000 {
 			t.Fatalf("%d shards: delivered %v", shards, sink.Bytes)
 		}
-		return before, inside
+		return inside
 	}
-	if before, inside := during(1); inside != before {
-		t.Fatalf("single-shard Run: %d goroutines inside a callback, %d before Run", inside, before)
+	if inside := started(1); inside != 0 {
+		t.Fatalf("single-shard Run: %d engine goroutines started by Run alive inside a callback", inside)
 	}
-	if before, inside := during(2); inside <= before {
-		t.Fatalf("two-shard Run at GOMAXPROCS 4: %d goroutines inside, %d before — the probe sees no pool", inside, before)
+	if inside := started(2); inside == 0 {
+		t.Fatal("two-shard Run at GOMAXPROCS 4: no engine goroutine started by Run inside a callback — the probe sees no pool")
 	}
 }

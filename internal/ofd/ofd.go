@@ -21,11 +21,7 @@
 // table (monitor.FlowMonitor at the border router).
 package ofd
 
-import (
-	"sync"
-
-	"colibri/internal/reservation"
-)
+import "colibri/internal/reservation"
 
 // Config parameterizes the detector.
 type Config struct {
@@ -84,9 +80,10 @@ func pow2(n int) int {
 	return p
 }
 
-// Detector is one AS's overuse-flow detector. Safe for concurrent use.
+// Detector is one border router's overuse-flow detector. It takes no lock:
+// one goroutine at a time owns it, as one core owns a router's sketch
+// (router.Sharded gives each shard its own).
 type Detector struct {
-	mu        sync.Mutex
 	cfg       Config
 	counters  []float64 // depth × width, row-major
 	mask      uint64    // width − 1
@@ -129,8 +126,6 @@ func hash(id reservation.ID, seed uint64) uint64 {
 // current window was over the threshold before it. normSize is the packet's
 // bits over the reservation's bits/second (i.e., seconds of budget consumed).
 func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
 	if nowNs-d.winStart >= d.cfg.WindowNs {
 		clear(d.counters)
 		d.winStart = nowNs - (nowNs-d.winStart)%d.cfg.WindowNs

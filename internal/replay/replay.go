@@ -39,7 +39,6 @@ package replay
 import (
 	"math"
 	"math/bits"
-	"sync"
 
 	"colibri/internal/telemetry"
 )
@@ -117,9 +116,9 @@ func (c Config) CeilingBytes(freshnessNs int64) int64 {
 }
 
 // Suppressor detects duplicate packet identifiers while their timestamps
-// are fresh. Safe for concurrent use.
+// are fresh. It takes no lock: one goroutine at a time owns it, as one core
+// owns a border router's filter (router.Sharded gives each shard its own).
 type Suppressor struct {
-	mu      sync.Mutex
 	window  int64
 	horizon int64 // F: Check accepts Ts within ±horizon of now
 	k       int
@@ -188,12 +187,10 @@ func NewCovering(cfg Config, freshnessNs int64) *Suppressor {
 // resident bytes of all stage buffers (by Add, so the shards of a sharded
 // router sum into one gauge).
 func (s *Suppressor) SetGauges(inserts, bytes *telemetry.Gauge) {
-	s.mu.Lock()
 	s.inserts, s.bytes = inserts, bytes
 	if bytes != nil {
 		bytes.Add(s.resident)
 	}
-	s.mu.Unlock()
 }
 
 // FreshAndUnique is Check for a packet stamped now.
@@ -205,8 +202,6 @@ func (s *Suppressor) FreshAndUnique(id uint64, nowNs int64) bool { return s.Chec
 // and for an identifier already filed under Ts's bucket (a replay or a
 // Bloom false positive).
 func (s *Suppressor) Check(id uint64, tsNs, nowNs int64) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	if nowNs < s.now {
 		nowNs = s.now
 	}

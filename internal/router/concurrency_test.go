@@ -1,8 +1,7 @@
 package router
 
 import (
-	"strings"
-	"sync"
+	"errors"
 	"testing"
 
 	"colibri/internal/ofd"
@@ -10,54 +9,87 @@ import (
 	"colibri/internal/replay"
 )
 
-// TestConcurrentWorkersFullStack drives a router with the complete
-// protection stack (replay suppression + OFD + blocklist) from several
-// worker goroutines at once (run with -race). Each worker processes its own
-// distinct packet stream.
+// TestConcurrentWorkersFullStack drives the complete protection stack
+// (replay suppression + OFD + blocklist) from four pool workers at once
+// through Sharded, the multi-core face (run with -race). Each stream comes
+// from its own source host, chosen so that the four streams pin to four
+// different shards; the streams together overuse the reservation, so the
+// only drops allowed are overuse drops.
 func TestConcurrentWorkersFullStack(t *testing.T) {
+	n := newTestnet(t, nil)
+	const workers = 4
+	const perWorker = 2000
+	s := NewSharded(ShardedConfig{
+		Router:  Config{IA: n.ias[1], Secret: n.secrets[n.ias[1]], PoliceOnly: true},
+		Replay:  &replay.Config{},
+		OFD:     &ofd.Config{},
+		Shards:  workers,
+		Workers: workers,
+	})
+	defer s.Close()
+
+	// Pre-build the streams with distinct timestamps, one source host each.
+	streams := make([][][]byte, workers)
+	taken := map[int]bool{}
+	for w := range streams {
+		host := *n
+		for {
+			host.eer.SrcHost++
+			if sh := shardOf(uint64(n.res.ResID)<<32|uint64(host.eer.SrcHost), s.mask); !taken[sh] {
+				taken[sh] = true
+				break
+			}
+		}
+		streams[w] = make([][]byte, perWorker)
+		for i := range streams[w] {
+			streams[w][i] = buildRaw(t, &host, 300, uint64(baseNs+int64(w*perWorker+i)*1000), 1)
+		}
+	}
+
+	// One batch per step: the i-th packet of every stream, one per shard.
+	batch := make([][]byte, workers)
+	verdicts := make([]BatchVerdict, workers)
+	for i := 0; i < perWorker; i++ {
+		for w := range streams {
+			batch[w] = streams[w][i]
+		}
+		s.ProcessBatch(batch, verdicts, baseNs+int64(i)*1000)
+		for w, v := range verdicts {
+			if v.Err != nil && !errors.Is(v.Err, ErrOveruse) {
+				t.Fatalf("stream %d packet %d: %v", w, i, v.Err)
+			}
+		}
+	}
+	if s.Drops()[ErrOveruse.Error()] == 0 {
+		t.Error("no overuse drops: the streams never reached the detector's threshold")
+	}
+	// Replaying an already-seen packet is still caught afterwards.
+	packet.SetCurrHopInPlace(streams[0][0], 1)
+	s.ProcessBatch([][]byte{streams[0][0]}, verdicts, baseNs+int64(perWorker)*1000)
+	if !errors.Is(verdicts[0].Err, ErrReplay) {
+		t.Errorf("replay after the concurrent run: %v, want ErrReplay", verdicts[0].Err)
+	}
+}
+
+// TestWorkersShareReplayFilter: two Workers of one Router, driven by one
+// goroutine, share the Router's replay filter — a copy sent through the
+// second worker is dropped (the benchmark's traced walk uses its own
+// workers beside core's this way).
+func TestWorkersShareReplayFilter(t *testing.T) {
 	n := newTestnet(t, func(i int, cfg *Config) {
 		if i == 1 {
 			cfg.Replay = &replay.Config{}
-			cfg.OFD = ofd.New(ofd.Config{})
 		}
 	})
-	rt := n.routers[1]
-
-	// Pre-build per-worker packet streams with distinct timestamps.
-	const workers = 4
-	const perWorker = 2000
-	streams := make([][][]byte, workers)
-	for w := range streams {
-		streams[w] = make([][]byte, perWorker)
-		for i := range streams[w] {
-			ts := uint64(baseNs + int64(w*perWorker+i)*1000)
-			buf := buildRaw(t, n, 300, ts, 1)
-			streams[w][i] = buf
-		}
+	buf := n.buildPacket(t, nil, baseNs)
+	packet.SetCurrHopInPlace(buf, 1)
+	cp := append([]byte(nil), buf...)
+	first, second := n.routers[1].NewWorker(), n.routers[1].NewWorker()
+	if _, err := first.Process(buf, baseNs); err != nil {
+		t.Fatalf("original through the first worker: %v", err)
 	}
-
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			worker := rt.NewWorker()
-			for i, buf := range streams[w] {
-				_, err := worker.Process(buf, baseNs+int64(w*perWorker+i)*1000)
-				if err != nil && !strings.Contains(err.Error(), "overuse") &&
-					!strings.Contains(err.Error(), "blocklist") {
-					// Overuse/blocklist outcomes are legitimate under the
-					// aggregate load; anything else is a bug.
-					t.Errorf("worker %d packet %d: %v", w, i, err)
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	// Replaying any already-seen packet is still caught afterwards.
-	if _, err := rt.NewWorker().Process(streams[0][0], baseNs+1e6); err == nil {
-		t.Error("replay accepted after concurrent run")
+	if _, err := second.Process(cp, baseNs+1e6); !errors.Is(err, ErrReplay) {
+		t.Errorf("copy through the second worker: %v, want ErrReplay", err)
 	}
 }
 

@@ -101,9 +101,12 @@ type Config struct {
 	// FreshnessNs bounds |now − Ts| (default DefaultFreshnessNs).
 	FreshnessNs int64
 	// Replay enables duplicate suppression when non-nil: the router builds
-	// its suppressor from it, covering FreshnessNs.
+	// its suppressor from it, covering FreshnessNs. The suppressor takes no
+	// lock, so the Router is then driven by one goroutine at a time.
 	Replay *replay.Config
-	// OFD enables probabilistic overuse detection when non-nil.
+	// OFD enables probabilistic overuse detection when non-nil. The detector
+	// takes no lock: it belongs to this Router alone, which is then driven by
+	// one goroutine at a time.
 	OFD *ofd.Detector
 	// Blocklist holds offending source ASes (created if nil).
 	Blocklist *monitor.Blocklist
@@ -130,7 +133,13 @@ type Config struct {
 	Telemetry *telemetry.Registry
 }
 
-// Router is one AS's border-router state shared across workers.
+// Router is one AS's border-router state shared across workers. The
+// stateless stages (MACs, freshness, the blocklist and watch table under
+// their own locks, atomic drop counters) serve any number of concurrent
+// Workers. The stateful ones, the replay filter and the overuse sketch, have
+// one owner: a Router with either is driven by one goroutine at a time,
+// through any of its Workers. Sharded is the multi-core face, one Router per
+// shard owned by one pool worker per dispatch.
 type Router struct {
 	ia          topology.IA
 	secret      cryptoutil.Key
@@ -323,9 +332,7 @@ type Worker struct {
 	segIn  [packet.SegAuthLen]byte
 	eerIn  [packet.EERAuthLen]byte
 	hvfIn  [packet.HVFInputLen]byte
-	sigma  cryptoutil.Key
 	macOut [cryptoutil.MACSize]byte
-	ks     cryptoutil.AESSchedule
 }
 
 // NewWorker creates a processing worker.
@@ -421,13 +428,11 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	// Cryptographic validation.
 	switch pkt.Type {
 	case packet.TData, packet.TEERenewReq:
-		// Two-step EER validation (Eqs. 4 and 6). The σ-keyed MAC uses the
-		// allocation-free caller-owned schedule: σ changes per packet, and
-		// heap churn from per-packet key schedules would let the GC dominate.
+		// Two-step EER validation (Eqs. 4 and 6) in one kernel call: σ is
+		// derived and used as the next key without leaving registers.
 		packet.EERAuthInput(&w.eerIn, &pkt.Res, &pkt.EER, hop)
 		packet.HVFInput(&w.hvfIn, pkt.Ts, uint32(len(buf)))
-		w.cbc.SumInto((*[cryptoutil.MACSize]byte)(&w.sigma), w.eerIn[:])
-		cryptoutil.SigmaMAC(&w.ks, &w.sigma, &w.macOut, &w.hvfIn)
+		w.cbc.HopMAC(&w.eerIn, &w.hvfIn, &w.macOut)
 		if !cryptoutil.ConstantTimeEqual(w.macOut[:packet.HVFLen], pkt.HVF(idx)) {
 			w.countDrop(acc, DropBadHVF, nowNs, true)
 			return Verdict{Action: ADrop}, ErrBadHVF
