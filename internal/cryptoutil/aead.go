@@ -47,8 +47,8 @@ func NewSealer(key Key) *Sealer {
 	return &Sealer{aead: aead}
 }
 
-// RandomNonces fills b with fresh nonce material for SealTo — one read of
-// the system's random source for a whole wave's nonces.
+// RandomNonces fills b with fresh nonce material for SealTo, in one read of
+// the system's random source however many nonces b holds.
 func RandomNonces(b []byte) error {
 	_, err := io.ReadFull(rand.Reader, b)
 	return err

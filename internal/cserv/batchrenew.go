@@ -68,14 +68,21 @@ func (it *EEBatchItem) infos(bw uint64) (packet.ResInfo, packet.EERInfo) {
 		packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
 }
 
-// Wire sizes of the per-item entries. Every count a decoder reads is checked
-// against the bytes that remain divided by these before anything is sized by
-// it: the counts arrive before any MAC can be verified.
+// Wire sizes of a wave's parts. Every count a decoder reads is checked against
+// the bytes that remain before anything is sized by it: the counts arrive
+// before any MAC can be verified.
 const (
 	eeBatchItemLen = 12 + 2 + 8 + 4 + 4 + 4 // one Items entry of the MAC-covered body
 	eeBatchTailLen = 8 + 1                  // one Accums/Status (or Granted/Status) entry
-	eeBatchAuthMin = 2                      // one EncAuths entry: its length prefix
+	// eeBatchRespFixedLen is the size of an EEBatchRenewResp without its
+	// reason, items and blobs: OK, FailedAt, the reason's length, the item
+	// count, the blob count.
+	eeBatchRespFixedLen = 2 + 2 + 4 + 1
 )
+
+// blobLen is the size of one hop's blob in the answer to a wave: its σs of
+// the live items, sealed.
+func blobLen(live int) int { return cryptoutil.SealOverhead + cryptoutil.KeySize*live }
 
 // EEBatchRenewReq renews a wave of EERs that share one SegR chain. SegIDs,
 // Splits, and Path have EESetupReq's meaning and apply to every item. Accums
@@ -186,22 +193,26 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 // EEBatchRenewResp travels the reverse path. OK reports the batch was
 // processed end to end (individual items may still be refused — see Status);
 // !OK means a hop could not process the batch at all and every hop rolled
-// back every item. EncAuths is item-major flattened: EncAuths[i*len(Path)+h]
-// is AS h's sealed hop authenticator for item i (empty for dead items).
+// back every item. Blobs[h] is what AS h sealed for the source (Eq. 5): nonce
+// ‖ AES-GCM(its σ of every live item, status EEItemOK, in wave order) ‖ tag,
+// blobLen(live) bytes, one per hop of the path.
+//
+// On the wire the blobs follow their count without length prefixes: the
+// status vector before them implies their length.
 type EEBatchRenewResp struct {
 	OK       bool
 	FailedAt uint8
 	Reason   string
 	Granted  []uint64
 	Status   []uint8
-	EncAuths [][]byte
+	Blobs    [][]byte
 }
 
 // Marshal encodes the response into one buffer of exactly its size.
 func (r *EEBatchRenewResp) Marshal() []byte {
-	size := 2 + 2 + len(r.Reason) + 4 + eeBatchTailLen*len(r.Granted) + 4 + eeBatchAuthMin*len(r.EncAuths)
-	for _, ea := range r.EncAuths {
-		size += len(ea)
+	size := eeBatchRespFixedLen + len(r.Reason) + eeBatchTailLen*len(r.Granted)
+	for _, blob := range r.Blobs {
+		size += len(blob)
 	}
 	b := append(make([]byte, 0, size), boolByte(r.OK), r.FailedAt)
 	b = appendString(b, r.Reason)
@@ -210,25 +221,27 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 		b = binary.BigEndian.AppendUint64(b, r.Granted[i])
 		b = append(b, r.Status[i])
 	}
-	b = binary.BigEndian.AppendUint32(b, uint32(len(r.EncAuths)))
-	for _, ea := range r.EncAuths {
-		b = binary.BigEndian.AppendUint16(b, uint16(len(ea)))
-		b = append(b, ea...)
+	b = append(b, byte(len(r.Blobs)))
+	for _, blob := range r.Blobs {
+		b = append(b, blob...)
 	}
 	return b
 }
 
-// UnmarshalEEBatchRenewResp parses an EEBatchRenewResp. The EncAuths of the
+// UnmarshalEEBatchRenewResp parses an EEBatchRenewResp. The Blobs of the
 // result alias data: they are valid until the caller modifies data, and
-// whatever outlives it (a grant's hop authenticators) is copied out.
+// whatever outlives it (a grant's hop authenticators) is opened out of them.
 func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
 	return decodeNew[EEBatchRenewResp](data)
 }
 
-// unmarshal decodes data into r, reusing the capacity of r's slices.
+// unmarshal decodes data into r, reusing the capacity of r's slices. It is
+// canonical-only, like the solo decoders: an OK byte other than 0/1, or bytes
+// after the last blob, are ErrNotCanonical.
 func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	r.OK = d.u8() == 1
+	ok := d.u8()
+	r.OK = ok == 1
 	r.FailedAt = d.u8()
 	r.Reason = d.str()
 	n := int(d.u32())
@@ -236,28 +249,41 @@ func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 		return ErrTruncated
 	}
 	r.Granted, r.Status = slices.Grow(r.Granted[:0], n), slices.Grow(r.Status[:0], n)
+	live := 0
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Granted = append(r.Granted, d.u64())
-		r.Status = append(r.Status, d.u8())
+		st := d.u8()
+		r.Status = append(r.Status, st)
+		if st == EEItemOK {
+			live++
+		}
 	}
-	na := int(d.u32())
-	if d.err == nil && na > len(d.buf)/eeBatchAuthMin {
+	nb, size := int(d.u8()), blobLen(live)
+	switch {
+	case d.err != nil:
+		return d.err
+	case nb*size > len(d.buf):
 		return ErrTruncated
+	case nb > packet.MaxHops:
+		return fmt.Errorf("cserv: %d blobs exceeds maximum", nb)
 	}
-	r.EncAuths = slices.Grow(r.EncAuths[:0], na)
-	for i := 0; i < na && d.err == nil; i++ {
-		r.EncAuths = append(r.EncAuths, d.take(int(d.u16())))
+	r.Blobs = slices.Grow(r.Blobs[:0], nb)
+	for range nb {
+		r.Blobs = append(r.Blobs, d.take(size))
 	}
-	return d.err
+	if ok > 1 || len(d.buf) != 0 {
+		return ErrNotCanonical
+	}
+	return nil
 }
 
 // waveScratch is the working memory of one batch renewal at one service: the
 // decoded request and downstream response, the per-item states, and the flat
-// buffers this hop encodes and seals into. A service keeps its idle scratch
+// buffers this hop encodes and seals from. A service keeps its idle scratch
 // (getWave/putWave), so a steady renewal storm allocates per wave only what
-// leaves the handler — the marshaled response, the grants. A solo request
+// leaves the handler — the last hop's response, the grants. A solo request
 // (tags 4/5) is a wave of one as far as scratch goes: solo and soloResp are its
-// decoded forms, whose slices own their memory, and it shares fwd, nonces, ad
+// decoded forms, whose slices own their memory, and it shares fwd, nonce, ad
 // and sigma.
 type waveScratch struct {
 	req      EEBatchRenewReq
@@ -266,10 +292,12 @@ type waveScratch struct {
 	soloResp EESetupResp
 	states   []hopItem
 	fwd      []byte // the request as forwarded to the next hop
-	sealed   []byte // this hop's sealed authenticators, back to back
-	nonces   []byte // their nonces, drawn in one read
-	ad       []byte
-	sigma    cryptoutil.Key
+	// sigmas holds this hop's σs of the live items before it seals them and, at
+	// the source, every hop's once opened (sealWave, openWave).
+	sigmas []byte
+	nonce  [cryptoutil.NonceSize]byte
+	ad     []byte
+	sigma  cryptoutil.Key
 	// ahead is what the forward pass's read-ahead returned (eerPath.readAhead),
 	// stored only so that its loads are not dead code. Nothing reads it.
 	ahead uint16
@@ -291,16 +319,17 @@ func (s *Service) getWave() *waveScratch {
 }
 
 // putWave returns scratch once nothing refers to it any more: the response
-// is marshaled (or, at the initiator, opened into the grants).
+// is sealed (or, at the initiator, opened into the grants).
 func (s *Service) putWave(sc *waveScratch) {
-	if cap(sc.req.Items) > maxRetainedWave || cap(sc.resp.EncAuths) > maxRetainedWave*packet.MaxHops {
+	if cap(sc.req.Items) > maxRetainedWave || cap(sc.resp.Granted) > maxRetainedWave ||
+		cap(sc.sigmas) > blobLen(maxRetainedWave)*packet.MaxHops {
 		return
 	}
 	// Drop what aliases memory the wave did not own — the received message,
 	// the downstream response, the initiator's grants.
 	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0], Macs: sc.req.Macs[:0]}
-	clear(sc.resp.EncAuths)
-	sc.resp.EncAuths = sc.resp.EncAuths[:0]
+	clear(sc.resp.Blobs)
+	sc.resp.Blobs = sc.resp.Blobs[:0]
 	sc.solo.wire = nil
 	clear(sc.soloResp.EncAuths)
 	s.waveMu.Lock()
@@ -309,34 +338,42 @@ func (s *Service) putWave(sc *waveScratch) {
 }
 
 // processEEBatchRenew handles the batched renewal wave decoded into sc.req at
-// hop idx. What the wave pays once: one MAC verification and one rate-limit
-// token, one acquisition of the covering SegRs' shard locks for the whole
-// forward pass, one sealer and one read of nonces for the response pass, one
-// update per counter. What each item pays: the shared hop leg — admit on the
-// forward pass, commit at the path-wide minimum or rollback on the response
-// pass — and the seal of this AS's hop authenticator. A transport-level
-// downstream failure rolls back every item. The result may point into sc.
-func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchRenewResp) {
+// hop idx and returns the marshaled response. What the wave pays once: one MAC
+// verification and one rate-limit token, one acquisition of the covering SegRs'
+// shard locks for the whole forward pass, one nonce and one seal for the
+// response pass, one update per counter. What each item pays: the shared hop
+// leg — admit on the forward pass, commit at the path-wide minimum or rollback
+// on the response pass — and this AS's σ. A transport-level downstream failure
+// rolls back every item.
+//
+// The response of a processed wave is one buffer from the last hop to the
+// initiator, as a solo grant's is: the last hop allocates it at its final size
+// (its statuses are final, and they fix every blob's length), and every hop on
+// the way back seals its blob straight into its own slot of the bytes it
+// received (they belong to the caller of Transport.Call), so no hop decodes
+// more than the statuses and grants, or re-encodes what other hops sealed.
+func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	req := &sc.req
 	n := len(req.Items)
+	// answered is the final status vector once the wave is processed; reason
+	// the refusal otherwise.
+	var answered []uint8
+	var reason string
 	defer func() {
 		ok, total := 0, n
-		if resp_.OK {
-			total = len(resp_.Status)
-			for _, st := range resp_.Status {
-				if st == EEItemOK {
-					ok++
-				}
-			}
+		if answered != nil {
+			ok, total = liveOf(answered), len(answered)
 		}
 		s.metrics.EERenewOK.Add(uint64(ok))
 		s.metrics.EERenewFail.Add(uint64(total - ok))
 		s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvEERenew,
-			"batch["+strconv.Itoa(len(req.Items))+"]", resp_.OK, resp_.Reason)
+			"batch["+strconv.Itoa(n)+"]", answered != nil, reason)
 	}()
-	fail := func(format string, args ...any) *EEBatchRenewResp {
-		return &EEBatchRenewResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
+	failAt := func(hop int, format string, args ...any) []byte {
+		reason = fmt.Sprintf(format, args...)
+		return (&EEBatchRenewResp{FailedAt: uint8(hop), Reason: reason}).Marshal()
 	}
+	fail := func(format string, args ...any) []byte { return failAt(idx, format, args...) }
 	if n == 0 || len(req.Accums) != n || len(req.Status) != n {
 		return fail("malformed batch")
 	}
@@ -396,53 +433,86 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (resp_ *EEBatchR
 	for i := range req.Items {
 		req.Accums[i] = states[i].grant
 	}
-	nAuth := n * len(req.Path)
-	resp := &sc.resp
-	if idx == len(req.Path)-1 {
-		*resp = EEBatchRenewResp{
-			OK:       true,
-			Granted:  append(resp.Granted[:0], req.Accums...),
-			Status:   append(resp.Status[:0], req.Status...),
-			EncAuths: slices.Grow(resp.EncAuths[:0], nAuth)[:nAuth],
+	// status and granted are the final outcomes, from the last hop.
+	var status []uint8
+	var granted []uint64
+	nHops := len(req.Path)
+	if idx == nHops-1 {
+		// The response at its final size: OK, no reason, the outcomes, and
+		// nHops blobs still empty.
+		status, granted = req.Status, req.Accums
+		out = make([]byte, 0, eeBatchRespFixedLen+eeBatchTailLen*n+nHops*blobLen(liveOf(status)))
+		out = binary.BigEndian.AppendUint32(append(out, 1, 0, 0, 0), uint32(n))
+		for i := range req.Items {
+			out = append(binary.BigEndian.AppendUint64(out, granted[i]), status[i])
 		}
-		clear(resp.EncAuths)
+		out = append(out, byte(nHops))
+		out = out[:cap(out)]
 	} else {
 		sc.fwd = req.appendTail(append(sc.fwd[:0], req.wire...))
-		_, err := s.forward(req.Path[idx+1].IA, sc.fwd, resp)
-		if err == nil && resp.OK && (len(resp.Granted) != n || len(resp.EncAuths) != nAuth) {
+		resp := &sc.resp
+		var err error
+		out, err = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
+		if err == nil && resp.OK && !answerFits(req, resp) {
 			err = errMalformed
 		}
-		if err != nil {
-			resp = &EEBatchRenewResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
+		if err != nil || !resp.OK {
+			rollbackAll()
+			if err != nil {
+				return failAt(idx+1, "%v", err)
+			}
+			reason = resp.Reason
+			return out
 		}
-	}
-	if !resp.OK {
-		rollbackAll()
-		return resp
+		status, granted = resp.Status, resp.Granted
 	}
 
 	// Response pass: commit live items at the path-wide minimum, roll back
-	// items a downstream hop killed, and seal this AS's hop authenticators —
-	// into one flat buffer, each under its own fresh random nonce, all of
-	// them drawn in one read.
-	sc.nonces = slices.Grow(sc.nonces[:0], n*cryptoutil.NonceSize)[:n*cryptoutil.NonceSize]
-	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
+	// items a downstream hop killed, and seal this AS's σs of the live ones
+	// into its blob under one fresh nonce — the last thing that can fail, so it
+	// is drawn before anything is committed.
+	if err := cryptoutil.RandomNonces(sc.nonce[:]); err != nil {
 		rollbackAll()
 		return fail("seal: %v", err)
 	}
-	sc.sealed = slices.Grow(sc.sealed[:0], n*sealedAuthLen)
 	for i := range req.Items {
-		it := &req.Items[i]
-		if resp.Status[i] != EEItemOK {
-			leg.rollback(&states[i], it.ID.Num)
-			continue
+		if status[i] != EEItemOK {
+			leg.rollback(&states[i], req.Items[i].ID.Num)
+		} else {
+			leg.commit(&states[i], req.Items[i].ID.Num, granted[i])
 		}
-		leg.commit(&states[i], it.ID.Num, resp.Granted[i])
-		off := len(sc.sealed)
-		sc.sealed = s.sealHopAuth(sc.sealed, sc, kc, it, resp.Granted[i], req.Path, idx, sc.nonces[i*cryptoutil.NonceSize:])
-		resp.EncAuths[i*len(req.Path)+idx] = sc.sealed[off:len(sc.sealed):len(sc.sealed)]
 	}
-	return resp
+	size := blobLen(liveOf(status))
+	off := len(out) - (nHops-idx)*size
+	s.sealWave(out[off:off+size], sc, kc, idx, status, granted)
+	answered = status
+	return out
+}
+
+// liveOf counts the live items of a status vector.
+func liveOf(status []uint8) (live int) {
+	for _, st := range status {
+		if st == EEItemOK {
+			live++
+		}
+	}
+	return live
+}
+
+// answerFits reports whether resp, a downstream hop's OK answer to req as this
+// hop forwarded it, has the shape that answer must: an entry per item, a blob
+// per hop, and no item live that this hop forwarded dead (this hop would seal
+// a σ for a version it refused).
+func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
+	if len(resp.Granted) != len(req.Items) || len(resp.Blobs) != len(req.Path) {
+		return false
+	}
+	for i, st := range resp.Status {
+		if st == EEItemOK && req.Status[i] != EEItemOK {
+			return false
+		}
+	}
+	return true
 }
 
 // RenewEERBatch renews a wave of EERs that share one chain (same SegIDs,
@@ -506,12 +576,17 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 	}
 	sc.fwd = appendMacs(sc.fwd, req.Macs)
 	req.wire = sc.fwd
-	resp := s.processEEBatchRenew(sc, 0)
-	if !resp.OK {
-		return failAll(fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason))
+	resp := &sc.resp
+	if err := resp.unmarshal(s.processEEBatchRenew(sc, 0)); err != nil || !resp.OK {
+		if err == nil {
+			err = fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+		}
+		return failAll(err)
 	}
-	// Decrypt the hop authenticators (Eq. 5) of the surviving items.
-	path, n := HopFields(req.Path), len(req.Path)
+	// Open the hop authenticators (Eq. 5) of the surviving items: one blob per
+	// hop, and a blob that does not open leaves no grant.
+	openErr := sc.openWave(hops[:], resp)
+	path, n, live, j := HopFields(req.Path), len(req.Path), liveOf(resp.Status), 0
 	for i, p := range prevs {
 		if resp.Status[i] != EEItemOK {
 			held(i)
@@ -530,10 +605,19 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		}
 		it := &req.Items[i]
 		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
-		g := &EERGrant{Path: path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs}
-		if errs[i] = sc.openGrant(g, hops[:], it, resp.Granted[i], resp.EncAuths[i*n:(i+1)*n]); errs[i] == nil {
-			grants[i] = g
+		if openErr != nil {
+			errs[i] = openErr
+			continue
 		}
+		// The j-th live item's σ from hop h is the j-th of hop h's blob.
+		g := &EERGrant{ID: it.ID, Path: path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs,
+			HopAuths: make([]cryptoutil.Key, n)}
+		g.Res, g.EER = it.infos(resp.Granted[i])
+		for h := range g.HopAuths {
+			copy(g.HopAuths[h][:], sc.sigmas[(h*live+j)*cryptoutil.KeySize:])
+		}
+		grants[i] = g
+		j++
 	}
 	return grants, errs
 }

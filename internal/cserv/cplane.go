@@ -119,6 +119,9 @@ type cplaneShard struct {
 	// record with one probe and writes the new version through the pointer it
 	// got (DESIGN.md §7).
 	eers flattab.Table[cpEER]
+	// held holds the held piece of every record whose held flag is set, and
+	// nothing else: it is empty unless some EER has renewed downward.
+	held flattab.Table[heldPiece]
 }
 
 // segRec is what a shard keeps per SegR: the demand profile of the EERs
@@ -141,6 +144,11 @@ type segRec struct {
 // covering ledgers were charged with, and handing exactly that back is what
 // withdraws it (eerPath.discharge). Every write of bw, startT or expT
 // therefore goes with a charge of the same values.
+//
+// A record may have a second charge, its held piece (§4.2): what an older
+// version of the EER that is still valid needs beyond the record's own. The
+// piece lives in the shard's held table and the record only flags it, in what
+// was padding, so a record costs the same bytes with or without one.
 type cpEER struct {
 	seg  reservation.ID
 	seg2 reservation.ID
@@ -153,6 +161,18 @@ type cpEER struct {
 	// through (eerPath.allowRenew); 0 before the first.
 	lastRenew uint32
 	ver       uint16
+	// held: the shard's held table has this record's held piece.
+	held bool
+}
+
+// heldPiece is the second charge of a record whose EER renewed downward
+// (§4.2 keeps every unexpired version usable, so an EER's demand is the
+// maximum over its valid versions): charge over [startT, expT) on the
+// record's covering ledgers, the excess of the older versions' bandwidth over
+// the record's own. It never outlives its record.
+type heldPiece struct {
+	charge       uint64
+	startT, expT uint32
 }
 
 // NewCPlane builds the engine. It panics when cfg.Clock is nil and reports a
@@ -471,8 +491,9 @@ func batchLenMismatch() {
 }
 
 // renewItem is the per-item core of RenewBatch: renew under the item's one
-// covering SegR. gone reports that the EER record was dropped (its old
-// version had already expired and the renewal was refused).
+// covering SegR, keeping what §4.2 keeps of a version renewed downward (see
+// renewRec). gone reports that the EER record was dropped (its old version had
+// already expired and the renewal was refused).
 //
 //colibri:nomalloc
 func (p *eerPath) renewItem(it *EERRenewal) (grant uint64, err error, gone bool) {
@@ -483,11 +504,12 @@ func (p *eerPath) renewItem(it *EERRenewal) (grant uint64, err error, gone bool)
 	return p.renewRec(it.EER, e, it.BwKbps, it.ExpT, it.Ver)
 }
 
-// Tick expires EERs whose versions have lapsed and advances every ledger.
-// It returns the number of EERs removed. Each shard's records are walked in
-// their table's dense order, from the last down, deleting in place; the order
-// is deterministic, and no outcome depends on it (a discharge touches only its
-// own ledgers, and the transfer split only ever subtracts on expiry).
+// Tick expires EERs whose versions have lapsed, drops the held pieces that
+// have lapsed, and advances every ledger. It returns the number of EERs
+// removed. Each shard's records are walked in their table's dense order, from
+// the last down, deleting in place; the order is deterministic, and no outcome
+// depends on it (a discharge touches only its own ledgers, and the transfer
+// split only ever subtracts on expiry).
 func (c *CPlane) Tick() int {
 	now := c.clock()
 	total := 0
@@ -496,7 +518,8 @@ func (c *CPlane) Tick() int {
 		sh.mu.Lock()
 		for i := sh.eers.Len() - 1; i >= 0; i-- {
 			id, e := sh.eers.At(i)
-			if e.expT > now {
+			expired := e.expT <= now
+			if !expired && !(e.held && sh.held.Get(id).expT <= now) {
 				continue
 			}
 			if e.seg2 != (reservation.ID{}) {
@@ -504,7 +527,11 @@ func (c *CPlane) Tick() int {
 				continue
 			}
 			p := c.path1(sh, e.seg, now)
-			p.discharge(e)
+			if !expired {
+				p.unhold(id, e)
+				continue
+			}
+			p.release(id, e)
 			sh.eers.Delete(id)
 			total++
 		}
@@ -516,7 +543,7 @@ func (c *CPlane) Tick() int {
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		e, ok := c.removePair(r, func(e *cpEER) bool { return e.expT <= now })
+		e, ok := c.removePair(r, func(e *cpEER) bool { return e.expT <= now }, now)
 		if !ok {
 			continue
 		}
@@ -534,16 +561,23 @@ func (c *CPlane) Tick() int {
 type pairRef struct{ eer, seg, seg2 reservation.ID }
 
 // removePair removes a transfer-AS record, if it still exists and cond holds
-// for it, under the locks of both covering SegRs' shards — so that its charge
-// leaves both ledgers with the record, and neither is left carrying a charge
-// no record answers for. Tick and DropSegR find such records under one shard
-// lock at a time and cannot reach the second ledger from there.
-func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool) (e cpEER, ok bool) {
+// for it, under the locks of both covering SegRs' shards — so that both its
+// pieces leave both ledgers with the record, and neither is left carrying a
+// charge no record answers for. Tick and DropSegR find such records under one
+// shard lock at a time and cannot reach the second ledger from there. A record
+// that stays loses its held piece if that has lapsed by heldLapse (Tick's now;
+// 0 keeps it).
+func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32) (e cpEER, ok bool) {
 	c.withPath([]reservation.ID{r.seg, r.seg2}, func(p eerPath) {
-		if rec := p.lookup(r.eer); rec != nil && cond(rec) {
+		rec := p.lookup(r.eer)
+		switch {
+		case rec == nil:
+		case cond(rec):
 			e, ok = *rec, true
-			p.discharge(rec)
+			p.release(r.eer, rec)
 			p.prim.eers.Delete(r.eer)
+		case rec.held && p.prim.held.Get(r.eer).expT <= heldLapse:
+			p.unhold(r.eer, rec)
 		}
 	})
 	return e, ok
@@ -560,7 +594,8 @@ type SegRAudit struct {
 	// PeakKbps is the maximum aggregate EER demand charged on the SegR's
 	// ledger over any epoch intersecting the audited window.
 	PeakKbps uint64
-	// LiveEERs is the number of charges on the ledger that have not lapsed.
+	// LiveEERs is the number of charges on the ledger that have not lapsed (a
+	// held piece is a charge of its own).
 	LiveEERs int
 }
 

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"unsafe"
 
 	"colibri/internal/admission"
 	"colibri/internal/reservation"
@@ -17,47 +18,94 @@ import (
 // than it was made with, is a disagreement nothing heals — so the books are
 // audited from outside, after every operation the engine has.
 
-// auditBooks demands that every ledger carries, at every epoch of its ring,
-// exactly the sum of the records charged on it, and counts exactly the live
-// ones. It advances every ledger to now first (AuditLedgers does).
-func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
-	t.Helper()
-	type rec struct {
-		id reservation.ID
-		e  cpEER
+// bookedEER is one record with its held piece, if it has one, as the books
+// must show it.
+type bookedEER struct {
+	id reservation.ID
+	e  cpEER
+	h  heldPiece
+}
+
+// charges returns the record's and the held piece's charge on seg at epoch ep,
+// and how many of the two are live at floor.
+func (r *bookedEER) charges(seg reservation.ID, ep, floor, sec uint32) (bw int64, live int) {
+	if r.e.seg != seg && r.e.seg2 != seg {
+		return 0, 0
 	}
-	var recs []rec
+	ceil := func(x uint32) uint32 { return (x + sec - 1) / sec }
+	for _, c := range []struct {
+		on           bool
+		bw           uint64
+		startT, expT uint32
+	}{{true, r.e.bw, r.e.startT, r.e.expT}, {r.e.held, r.h.charge, r.h.startT, r.h.expT}} {
+		if !c.on {
+			continue
+		}
+		if c.startT/sec <= ep && ep < ceil(c.expT) {
+			bw += int64(c.bw)
+		}
+		if ceil(c.expT) > floor {
+			live++
+		}
+	}
+	return bw, live
+}
+
+// bookedEERs reads every record of cp with its held piece, and demands that
+// the held tables hold exactly the pieces the records flag.
+func bookedEERs(t *testing.T, cp *CPlane, step string) []bookedEER {
+	t.Helper()
+	var recs []bookedEER
 	for _, sh := range cp.shards {
 		sh.mu.Lock()
+		flagged := 0
 		for i := range sh.eers.Len() {
 			id, e := sh.eers.At(i)
-			recs = append(recs, rec{id, *e})
+			r := bookedEER{id: id, e: *e}
+			if h := sh.held.Get(id); e.held != (h != nil) {
+				t.Fatalf("%s: record %s flags held=%v, held table has %v", step, id, e.held, h != nil)
+			} else if h != nil {
+				r.h = *h
+				flagged++
+			}
+			recs = append(recs, r)
 		}
+		pieces := sh.held.Len()
 		sh.mu.Unlock()
+		if pieces != flagged {
+			t.Fatalf("%s: a shard's held table has %d pieces, its records flag %d", step, pieces, flagged)
+		}
 	}
+	return recs
+}
+
+// auditBooks demands that every ledger carries, at every epoch of its ring,
+// exactly the sum of the records and held pieces charged on it, and counts
+// exactly the live ones. It advances every ledger to now first (AuditLedgers
+// does).
+func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
+	t.Helper()
+	recs := bookedEERs(t, cp, step)
 	if got := cp.Counts().EERs; got != int64(len(recs)) {
 		t.Fatalf("%s: Counts().EERs = %d, %d records", step, got, len(recs))
 	}
 	sec := cp.epochSec
 	floor := now / sec
-	ceil := func(x uint32) uint32 { return (x + sec - 1) / sec }
 	for _, row := range cp.AuditLedgers(now, now+1) {
 		live := 0
 		for _, r := range recs {
-			if (r.e.seg == row.Seg || r.e.seg2 == row.Seg) && ceil(r.e.expT) > floor {
-				live++
-			}
+			_, n := r.charges(row.Seg, floor, floor, sec)
+			live += n
 		}
 		if row.LiveEERs != live {
-			t.Fatalf("%s: SegR %s: ledger counts %d live charges, %d live records", step, row.Seg, row.LiveEERs, live)
+			t.Fatalf("%s: SegR %s: ledger counts %d live charges, %d live records and held pieces", step, row.Seg, row.LiveEERs, live)
 		}
 		sh := cp.shardFor(row.Seg)
 		for ep := floor; ep < floor+uint32(cp.ledgerEpochs); ep++ {
 			var want int64
 			for _, r := range recs {
-				if (r.e.seg == row.Seg || r.e.seg2 == row.Seg) && r.e.startT/sec <= ep && ep < ceil(r.e.expT) {
-					want += int64(r.e.bw)
-				}
+				bw, _ := r.charges(row.Seg, ep, floor, sec)
+				want += bw
 			}
 			sh.mu.Lock()
 			got := sh.segs[row.Seg].led.DemandAt(ep * sec)
@@ -69,13 +117,55 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 	}
 }
 
+// chargeOf is what the books charge EER id on seg at time t: its record's
+// charge and its held piece's.
+func chargeOf(cp *CPlane, id, seg reservation.ID, t uint32) uint64 {
+	sh := cp.shardFor(seg)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	e := sh.eers.Get(id)
+	if e == nil {
+		return 0
+	}
+	r := bookedEER{id: id, e: *e}
+	if h := sh.held.Get(id); h != nil {
+		r.h = *h
+	}
+	bw, _ := r.charges(seg, t/cp.epochSec, 0, cp.epochSec)
+	return uint64(bw)
+}
+
+// lapsedHeld counts the held pieces that have lapsed by now.
+func lapsedHeld(cp *CPlane, now uint32) (n int) {
+	for _, sh := range cp.shards {
+		sh.mu.Lock()
+		for i := range sh.held.Len() {
+			if _, h := sh.held.At(i); h.expT <= now {
+				n++
+			}
+		}
+		sh.mu.Unlock()
+	}
+	return n
+}
+
+// TestHeldFlagCostsNoBytes: the held flag sits in what was the record's
+// padding, so a CServ's resident EER state does not grow with §4.2's repair.
+func TestHeldFlagCostsNoBytes(t *testing.T) {
+	if got := unsafe.Sizeof(cpEER{}); got != 56 {
+		t.Errorf("cpEER is %d bytes, want 56", got)
+	}
+}
+
 // TestBooksAgree drives a sharded engine through random sequences of every
 // operation that charges or discharges — setups now and ahead of time, renewals
 // granted, shrunk, refused for bandwidth and refused for their window (both put
-// the old version back), batch renewals, adjustments down and to zero,
-// restores of live, expired and unknown versions, teardowns, SegR drops and
-// grant cuts, Tick, with a third of the EERs transfer-AS pairs whose SegRs
-// mostly sit in different shards — and audits the books after each.
+// the old version back), downward renewals (whose old bandwidth stays charged
+// until the old version expires, §4.2), batch renewals, adjustments down and
+// to zero, restores of live, expired and unknown versions, teardowns, SegR
+// drops and grant cuts, Tick, with a third of the EERs transfer-AS pairs whose
+// SegRs mostly sit in different shards — and audits the books after each:
+// records and held pieces against the ledgers, and no lapsed piece after Tick.
 func TestBooksAgree(t *testing.T) {
 	const nSeg, nEER, steps = 6, 40, 1500
 	for seed := int64(1); seed <= 6; seed++ {
@@ -143,7 +233,7 @@ func TestBooksAgree(t *testing.T) {
 				}
 				ver++
 				var op string
-				switch k := rng.Intn(16); k {
+				switch k := rng.Intn(17); k {
 				case 0, 1, 2:
 					op = "setup"
 					note(op, cp.SetupEERPath(id, g, bw, expT, ver))
@@ -171,10 +261,12 @@ func TestBooksAgree(t *testing.T) {
 					}
 				case 8:
 					op = "adjust"
-					cp.AdjustEERPath(id, g, uint64(rng.Intn(3))*bw/4)
+					prev := EERVersion{BwKbps: bw, ExpT: now + uint32(rng.Intn(12))}
+					cp.AdjustEERPath(id, g, uint64(rng.Intn(3))*bw/4, prev, EERVersion{})
 				case 9:
 					op = "restore"
-					cp.RestoreEERPath(id, g, bw/2, now-3+uint32(rng.Intn(12)), ver)
+					held := EERVersion{BwKbps: bw, ExpT: now + uint32(rng.Intn(12))}
+					cp.RestoreEERPath(id, g, bw/2, now-3+uint32(rng.Intn(12)), ver, held)
 				case 10:
 					op = "teardown"
 					cp.TeardownEERPath(id, g)
@@ -205,15 +297,50 @@ func TestBooksAgree(t *testing.T) {
 					}
 				case 14:
 					op = "tick"
+					if lapsedHeld(cp, now) > 0 {
+						seen["tick drops a held piece"]++
+					}
 					cp.Tick()
+					if n := lapsedHeld(cp, now); n > 0 {
+						t.Fatalf("step %d: %d lapsed held pieces left after Tick", step, n)
+					}
 				case 15:
 					op = "clock"
 					clk.step(uint32(1 + rng.Intn(6)))
+				case 16:
+					// §4.2: the version renewed downward stays valid until it
+					// expires, so the EER's own charges carry its bandwidth until
+					// then (or until the new version expires, with which the
+					// held piece goes), and the new one's after.
+					op = "renew down"
+					bw0, _, exp0, ok := cp.LookupEER(id, g[0])
+					if !ok || exp0 <= now || bw0 < 2 {
+						break
+					}
+					got, err := cp.RenewEERPath(id, g, 1+uint64(rng.Int63n(int64(bw0-1))), expT, ver)
+					note(op, err)
+					if err != nil || got >= bw0 {
+						break
+					}
+					until := min(exp0, expT)
+					for _, at := range []uint32{now, until - 1} {
+						if c := chargeOf(cp, id, g[0], at); c < bw0 {
+							t.Fatalf("step %d: renewed %d → %d kbps, charged %d at %d, before the old version's expiry %d",
+								step, bw0, got, c, at, until)
+						}
+					}
+					if after := (exp0 + cp.epochSec - 1) / cp.epochSec * cp.epochSec; after < expT {
+						if c := chargeOf(cp, id, g[0], after); c != got {
+							t.Fatalf("step %d: renewed %d → %d kbps, charged %d at %d, after the old version's expiry %d",
+								step, bw0, got, c, after, exp0)
+						}
+					}
 				}
 				auditBooks(t, cp, clk.now(), fmt.Sprintf("step %d (%s)", step, op))
 			}
 			for _, want := range []string{"setup ok", "setup insufficient", "setup ahead ok", "renew ok",
-				"renew insufficient", "renew window", "renew batch ok", "renew batch " + ErrTransferEER.Error()} {
+				"renew insufficient", "renew window", "renew batch ok", "renew batch " + ErrTransferEER.Error(),
+				"renew down ok", "tick drops a held piece"} {
 				if seen[want] == 0 {
 					t.Errorf("the sequence never produced %q: %v", want, seen)
 				}

@@ -313,13 +313,89 @@ func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
 // set (a chain that changed) leaves the ledger it never touched alone.
 //
 //colibri:nomalloc
-func (p *eerPath) discharge(e *cpEER) {
+func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e, e.startT, e.expT, e.bw) }
+
+// dischargeOf withdraws bwKbps over [startT, expT), a charge of record e's, by
+// discharge's rule.
+//
+//colibri:nomalloc
+func (p *eerPath) dischargeOf(e *cpEER, startT, expT uint32, bwKbps uint64) {
 	if r := p.rec[0]; r != nil && e.seg == p.segs[0] {
-		r.led.Discharge(e.startT, e.expT, int64(e.bw))
+		r.led.Discharge(startT, expT, int64(bwKbps))
 	}
 	if r := p.rec[1]; r != nil && e.seg2 == p.segs[1] {
-		r.led.Discharge(e.startT, e.expT, int64(e.bw))
+		r.led.Discharge(startT, expT, int64(bwKbps))
 	}
+}
+
+// EERVersion is a version of an EER as the books see it: its bandwidth until
+// its expiry. The zero EERVersion is none.
+type EERVersion struct {
+	BwKbps uint64
+	ExpT   uint32
+}
+
+// heldOf returns the older version record e keeps held — the record's
+// bandwidth plus its held piece's charge, until the piece's end — or none.
+//
+//colibri:nomalloc
+func (p *eerPath) heldOf(eer reservation.ID, e *cpEER) EERVersion {
+	if !e.held {
+		return EERVersion{}
+	}
+	h := p.prim.held.Get(eer)
+	return EERVersion{BwKbps: e.bw + h.charge, ExpT: h.expT}
+}
+
+// older is what a record renewed or clamped to bwKbps keeps held of the
+// versions it replaces (§4.2): of prev, the version the record carried, and
+// held, what it kept beside it, those still valid and above bwKbps — merged,
+// as the larger bandwidth until the later expiry. A second downward renewal
+// within a lifetime is charged conservatively so, with one piece, not two.
+//
+//colibri:nomalloc
+func (p *eerPath) older(bwKbps uint64, prev, held EERVersion) (v EERVersion) {
+	for _, o := range [2]EERVersion{prev, held} {
+		if o.ExpT > p.now && o.BwKbps > bwKbps {
+			v = EERVersion{BwKbps: max(v.BwKbps, o.BwKbps), ExpT: max(v.ExpT, o.ExpT)}
+		}
+	}
+	return v
+}
+
+// hold gives record e, which has no held piece, one for v (from older): the
+// excess of v over e's own bandwidth, charged from now until v expires or e
+// does, whichever comes first — a held piece never outlives its record. A v no
+// larger than e, or lapsed, needs none.
+func (p *eerPath) hold(eer reservation.ID, e *cpEER, v EERVersion) {
+	expT := min(v.ExpT, e.expT)
+	if v.BwKbps <= e.bw || expT <= p.now || p.charge(p.now, expT, v.BwKbps-e.bw) != nil {
+		return
+	}
+	h, _ := p.prim.held.Put(eer)
+	*h = heldPiece{charge: v.BwKbps - e.bw, startT: p.now, expT: expT}
+	e.held = true
+}
+
+// unhold withdraws record e's held piece, if it has one, and forgets it.
+//
+//colibri:nomalloc
+func (p *eerPath) unhold(eer reservation.ID, e *cpEER) {
+	if !e.held {
+		return
+	}
+	h := p.prim.held.Get(eer)
+	p.dischargeOf(e, h.startT, h.expT, h.charge)
+	p.prim.held.Delete(eer)
+	e.held = false
+}
+
+// release withdraws both of record e's charges, before the record goes.
+//
+//colibri:nomalloc
+func (p *eerPath) release(eer reservation.ID, e *cpEER) {
+	p.discharge(e)
+	p.unhold(eer, e)
 }
 
 // ready advances every covering ledger to now; a SegR this AS does not hold
@@ -388,11 +464,14 @@ func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint
 
 // renewRec replaces the version in record e (just returned by lookup) with one
 // of min(bwKbps, free) over [now, expT), written in place, where free is
-// evaluated against EVERY covering SegR at this AS once e's own charge is
-// withdrawn: a renewal replaces the version, it does not stack on it. A zero
-// grant or an invalid window re-charges the previous version when it is still
-// live (§4.2 fallback), leaving the record as it was, and reports the error;
-// gone reports that it was not and the record went.
+// evaluated against EVERY covering SegR at this AS once e's own charges are
+// withdrawn: a renewal replaces the version, it does not stack on it. But the
+// versions it replaces stay valid at the routers until they expire (§4.2), so
+// a renewal granted less than one of them keeps the difference charged until
+// then, as the record's held piece (hold). A zero grant or an invalid window
+// re-charges the previous version when it is still live (§4.2 fallback),
+// leaving the record as it was, and reports the error; gone reports that it
+// was not and the record went.
 //
 //colibri:nomalloc
 func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
@@ -409,11 +488,13 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 	if err != nil {
 		return 0, err, false
 	}
-	p.discharge(e)
+	prev, held := EERVersion{BwKbps: e.bw, ExpT: e.expT}, p.heldOf(eer, e)
+	p.release(eer, e)
 	err = ErrInsufficient
 	if grant = p.free(bwKbps, p.now, expT); grant > 0 {
 		if err = p.charge(p.now, expT, grant); err == nil {
 			e.bw, e.startT, e.expT, e.ver = grant, p.now, expT, ver
+			p.hold(eer, e, p.older(grant, prev, held))
 			return grant, nil, false
 		}
 	}
@@ -421,6 +502,7 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 		p.prim.eers.Delete(eer)
 		return 0, err, true
 	}
+	p.hold(eer, e, held)
 	return 0, err, false
 }
 
@@ -468,11 +550,15 @@ func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
 // failure rolled back a setup or renewal: the current charges are removed
 // and the given version is re-charged without an admission check (it is the
 // caller's own prior state, which fits by construction once the newer
-// charge is gone). An already-expired version (expT <= now) removes the
-// record entirely. The renewal throttle's stamp stays with the record.
-func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16) {
+// charge is gone), with held — what the record kept held beside it (heldOf)
+// — held again. An already-expired version (expT <= now) removes the record
+// entirely. The renewal throttle's stamp stays with the record.
+func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16, held EERVersion) {
 	c.withPath(segs, func(p eerPath) {
 		e := p.prim.eers.Get(eer)
+		if e != nil {
+			p.unhold(eer, e)
+		}
 		if !p.recharge(e, expT, bwKbps) {
 			if e != nil {
 				p.prim.eers.Delete(eer)
@@ -489,20 +575,26 @@ func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbp
 		}
 		*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
 			startT: p.now, expT: expT, ver: ver, lastRenew: lastRenew}
+		p.hold(eer, e, held)
 	})
 }
 
 // AdjustEERPath lowers an EER's charge to the backward-pass final grant
-// (the response leg shrinking a grant to the path-wide minimum), in place. A
-// zero final removes the record. Unknown EERs are a no-op.
-func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64) {
+// (the response leg shrinking a grant to the path-wide minimum), in place,
+// and keeps held what §4.2 keeps of the versions the renewal replaced: prev,
+// the version the record carried before it, and held, what it kept beside
+// that (zero for a setup). A zero final removes the record. Unknown EERs are a
+// no-op.
+func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64, prev, held EERVersion) {
 	c.withPath(segs, func(p eerPath) {
 		e := p.lookup(eer)
 		if e == nil {
 			return
 		}
+		p.unhold(eer, e)
 		if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
 			e.bw, e.startT = finalKbps, p.now
+			p.hold(eer, e, p.older(finalKbps, prev, held))
 			return
 		}
 		if finalKbps == 0 {
@@ -513,12 +605,12 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 	})
 }
 
-// TeardownEERPath removes an EER and its charges on every covering SegR.
+// TeardownEERPath removes an EER and both its charges on every covering SegR.
 // Unknown EERs are a no-op.
 func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 	c.withPath(segs, func(p eerPath) {
 		if e := p.lookup(eer); e != nil {
-			p.discharge(e)
+			p.release(eer, e)
 			p.prim.eers.Delete(eer)
 			c.eerCount.Add(-1)
 		}
@@ -548,14 +640,14 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 				continue
 			}
 			p := c.path1(sh, e.seg, now)
-			p.discharge(e)
+			p.release(eid, e)
 			sh.eers.Delete(eid)
 			removed++
 		}
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		if _, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }); ok {
+		if _, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }, 0); ok {
 			removed++
 		}
 	}

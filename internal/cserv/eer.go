@@ -285,8 +285,7 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	}
 	// The nonce is the last thing that can fail: once it is drawn the version is
 	// committed at the path-wide grant.
-	sc.nonces = slices.Grow(sc.nonces[:0], cryptoutil.NonceSize)[:cryptoutil.NonceSize]
-	if err := cryptoutil.RandomNonces(sc.nonces); err != nil {
+	if err := cryptoutil.RandomNonces(sc.nonce[:]); err != nil {
 		leg.rollback(&it, req.ID.Num)
 		return fail("seal: %v", err)
 	}
@@ -298,6 +297,6 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	out = slices.Grow(out, sealedAuthLen)[:size+sealedAuthLen]
 	copy(out[off+2+sealedAuthLen:], out[off+2:size])
 	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
-	s.sealHopAuth(out[:off+2], sc, kc, &item, final, req.Path, idx, sc.nonces)
+	s.sealHopAuth(out[:off+2], sc, kc, &item, final, req.Path, idx)
 	return out, true
 }

@@ -9,6 +9,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -20,10 +21,13 @@ import (
 // authenticates requests (§4.5). Building either costs an AES key expansion,
 // several times the work of one use, and the keys are constant for a DRKey
 // epoch — so they are built once per key, not once per message or per item.
-// Both are immutable once built, so a keyCrypto is shared without a lock.
+// Both are immutable once built, so a keyCrypto is shared without a lock; key
+// and used are the cache's, read and written under its lock only.
 type keyCrypto struct {
 	sealer *cryptoutil.Sealer
 	cmac   *cryptoutil.CMAC
+	key    cryptoutil.Key
+	used   bool
 }
 
 // verify checks macs[idx], the source's MAC of body towards the AS that holds
@@ -40,25 +44,53 @@ func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int
 	return nil
 }
 
-// keyCacheSize bounds the per-service key cache. A request names its source
-// AS before it is authenticated, so the set of keys asked for is under remote
-// control: a full cache is emptied and refills with the keys in use.
+// keyCacheSize bounds the per-service key cache.
 const keyCacheSize = 64
+
+// keyCache is a service's cache of control-plane crypto: at most keyCacheSize
+// keys, indexed and in a ring. A request names its source AS before it is
+// authenticated, so the keys asked for are under remote control; a full cache
+// therefore evicts one entry by the clock rule — the hand sweeps the ring,
+// clearing each entry's used mark, and evicts the first entry it finds
+// unmarked. A key used again before the hand comes round — any key of honest
+// traffic that recurs within some sixty insertions — stays, so keys an
+// attacker names cost honest traffic at most one rebuild per keyCacheSize of
+// them, and never the whole cache (emptying it did: every honest key, every
+// time). Marks matter only once the cache is full, so a hit on a cache that is
+// not — the honest steady state — is one lookup and touches no entry.
+type keyCache struct {
+	mu    sync.Mutex
+	index map[cryptoutil.Key]*keyCrypto
+	ring  []*keyCrypto
+	hand  int
+}
 
 // cryptoFor returns the cached crypto of a level-1 key, building it on first
 // use. Keyed by the key itself, so a DRKey epoch change needs no invalidation.
 func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
-	s.keyMu.Lock()
-	defer s.keyMu.Unlock()
-	kc, ok := s.keyCache[key]
-	if !ok {
-		if len(s.keyCache) >= keyCacheSize {
-			clear(s.keyCache)
+	c := &s.keyCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if kc, ok := c.index[key]; ok {
+		if len(c.ring) == keyCacheSize && !kc.used {
+			kc.used = true
 		}
-		cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
-		kc = &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cmac}
-		s.keyCache[key] = kc
+		return kc
 	}
+	cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
+	kc := &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cmac, key: key}
+	if len(c.ring) < keyCacheSize {
+		c.ring = append(c.ring, kc)
+	} else {
+		for c.ring[c.hand].used {
+			c.ring[c.hand].used = false
+			c.hand = (c.hand + 1) % keyCacheSize
+		}
+		delete(c.index, c.ring[c.hand].key)
+		c.ring[c.hand] = kc
+		c.hand = (c.hand + 1) % keyCacheSize
+	}
+	c.index[key] = kc
 	return kc
 }
 
@@ -165,12 +197,59 @@ var errMalformed = errors.New("response: malformed")
 
 // sealHopAuth appends to dst this AS's σ (Eq. 4) for the EER version it at its
 // path-wide grant final over hop idx of path, sealed for the source under kc
-// (Eq. 5) with nonce. σ and its associated data live in sc.
-func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, path []PathHop, idx int, nonce []byte) []byte {
+// (Eq. 5) with sc's nonce. σ and its associated data live in sc.
+func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, path []PathHop, idx int) []byte {
 	res, eer := it.infos(final)
 	sc.sigma = s.hopAuth(&res, &eer, packet.HopField{In: path[idx].In, Eg: path[idx].Eg})
 	sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
-	return kc.sealer.SealTo(dst, nonce, sc.sigma[:], sc.ad)
+	return kc.sealer.SealTo(dst, sc.nonce[:], sc.sigma[:], sc.ad)
+}
+
+// waveAuthAD appends the associated data of hop idx's blob in the answer to a
+// wave: the hop, the source's MAC of the wave towards it and the wave's final
+// status vector. A blob therefore opens only at its own hop of its own wave,
+// and only for the live items it was sealed for.
+func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []uint8) []byte {
+	return append(append(append(b, byte(idx)), mac[:]...), status...)
+}
+
+// sealWave seals into blob — exactly blobLen(live) bytes of the response — this
+// AS's σ (Eq. 4) of every live item of the wave sc.req at its path-wide grant,
+// in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's,
+// for the whole wave at this hop. σs and associated data are built in sc.
+func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []uint8, granted []uint64) {
+	req := &sc.req
+	hf := packet.HopField{In: req.Path[idx].In, Eg: req.Path[idx].Eg}
+	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
+	sc.sigmas = sc.sigmas[:0]
+	for i := range req.Items {
+		if status[i] != EEItemOK {
+			continue
+		}
+		res, eer := req.Items[i].infos(granted[i])
+		sigma := sigmaUnder(mac, &res, &eer, hf)
+		sc.sigmas = append(sc.sigmas, sigma[:]...)
+	}
+	s.macPool.Put(mac)
+	sc.ad = waveAuthAD(sc.ad[:0], idx, &req.Macs[idx], status)
+	kc.sealer.SealTo(blob[:0:len(blob)], sc.nonce[:], sc.sigmas, sc.ad)
+}
+
+// openWave is sealWave's counterpart at the initiator: it opens every hop's
+// blob of resp, the answer to the wave sc.req, under hops[h] — one open per hop
+// — into sc.sigmas, hop-major: the σ hop h sealed for the j-th live item is
+// the (h·live + j)-th 16 bytes. A blob that does not open fails the whole wave.
+func (sc *waveScratch) openWave(hops []*keyCrypto, resp *EEBatchRenewResp) error {
+	sc.sigmas = sc.sigmas[:0]
+	for h, blob := range resp.Blobs {
+		sc.ad = waveAuthAD(sc.ad[:0], h, &sc.req.Macs[h], resp.Status)
+		opened, err := hops[h].sealer.OpenTo(sc.sigmas, blob, sc.ad)
+		if err != nil {
+			return fmt.Errorf("cserv: opening the hop authenticators hop %d sealed: %w", h, err)
+		}
+		sc.sigmas = opened
+	}
+	return nil
 }
 
 // openGrant is sealHopAuth's counterpart at the initiator: it completes g,

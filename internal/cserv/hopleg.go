@@ -74,11 +74,13 @@ type hopItem struct {
 	// live but not admitted: the round that committed it owns that version.
 	admitted bool
 	// The record this request replaces (the CPlane holds one version per EER),
-	// for the rollback that reinstates it.
+	// for the rollback that reinstates it, and what the record kept held beside
+	// it (§4.2), which the commit and the rollback keep held.
 	hadPrev  bool
 	prevBw   uint64
 	prevExpT uint32
 	prevVer  uint16
+	prevHeld EERVersion
 	// What the item still holds of the transfer split. prevReleased records
 	// that settling returned the replaced version's charge, which a rollback
 	// re-adds with the version.
@@ -121,7 +123,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	// copied into the item first.
 	prev := p.lookup(id)
 	if it.hadPrev = prev != nil; it.hadPrev {
-		it.prevBw, it.prevVer, it.prevExpT = prev.bw, prev.ver, prev.expT
+		it.prevBw, it.prevVer, it.prevExpT, it.prevHeld = prev.bw, prev.ver, prev.expT, p.heldOf(id, prev)
 		if prev.ver == ver && prev.expT == expT {
 			it.grant = prev.bw
 			l.dedups++
@@ -203,12 +205,17 @@ func (l *hopLeg) releaseSplit(it *hopItem) {
 // commit clamps a live item — admitted, or a retry's committed version — to
 // final, the path-wide grant (final ≤ it.grant ≤ tGrant by construction): the
 // ledgers' charge, and the split's record of it, which tracks live committed
-// bandwidth and not request history.
+// bandwidth and not request history. The versions a renewal replaced stay held
+// where they exceed final (§4.2).
 //
 //colibri:nomalloc
 func (l *hopLeg) commit(it *hopItem, num uint32, final uint64) {
 	if final < it.grant {
-		l.s.cp.AdjustEERPath(reservation.ID{SrcAS: l.src, Num: num}, l.segs(), final)
+		var prev EERVersion
+		if l.renewal && it.hadPrev {
+			prev = EERVersion{BwKbps: it.prevBw, ExpT: it.prevExpT}
+		}
+		l.s.cp.AdjustEERPath(reservation.ID{SrcAS: l.src, Num: num}, l.segs(), final, prev, it.prevHeld)
 	}
 	if it.tAdmitted {
 		l.s.transfer.Release(l.ids[1], l.ids[0], it.tCapped-final, it.tGrant-final)
@@ -232,7 +239,7 @@ func (l *hopLeg) rollback(it *hopItem, num uint32) {
 	}
 	id := reservation.ID{SrcAS: l.src, Num: num}
 	if l.renewal && it.hadPrev {
-		l.s.cp.RestoreEERPath(id, l.segs(), it.prevBw, it.prevExpT, it.prevVer)
+		l.s.cp.RestoreEERPath(id, l.segs(), it.prevBw, it.prevExpT, it.prevVer, it.prevHeld)
 	} else {
 		l.s.cp.TeardownEERPath(id, l.segs())
 	}

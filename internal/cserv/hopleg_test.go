@@ -17,18 +17,23 @@ import (
 // hopBooks is everything admission keeps at one service.
 type hopBooks struct {
 	records        map[reservation.ID]cpEER
+	held           map[reservation.ID]heldPiece
 	counts         CPlaneCounts
 	audit          []SegRAudit
 	demand, grants uint64 // the transfer split's, for the chain's up→core pair
 }
 
 func booksOf(s *Service, up, core reservation.ID) hopBooks {
-	b := hopBooks{records: make(map[reservation.ID]cpEER), counts: s.cp.Counts()}
+	b := hopBooks{records: make(map[reservation.ID]cpEER), held: make(map[reservation.ID]heldPiece), counts: s.cp.Counts()}
 	for _, sh := range s.cp.shards {
 		sh.mu.Lock()
 		for i := range sh.eers.Len() {
 			id, e := sh.eers.At(i)
 			b.records[id] = *e
+		}
+		for i := range sh.held.Len() {
+			id, h := sh.held.At(i)
+			b.held[id] = *h
 		}
 		sh.mu.Unlock()
 	}
@@ -48,13 +53,61 @@ func (b hopBooks) diff(o hopBooks) string {
 		return fmt.Sprintf("transfer split %d/%d vs %d/%d", b.demand, b.grants, o.demand, o.grants)
 	case len(b.records) != len(o.records):
 		return fmt.Sprintf("%d records vs %d", len(b.records), len(o.records))
+	case len(b.held) != len(o.held):
+		return fmt.Sprintf("%d held pieces vs %d", len(b.held), len(o.held))
 	}
 	for id, e := range b.records {
 		if oe, ok := o.records[id]; !ok || oe != e {
-			return fmt.Sprintf("record %s: %+v vs %+v (held %v)", id, e, oe, ok)
+			return fmt.Sprintf("record %s: %+v vs %+v (present %v)", id, e, oe, ok)
+		}
+	}
+	for id, h := range b.held {
+		if oh, ok := o.held[id]; !ok || oh != h {
+			return fmt.Sprintf("held piece %s: %+v vs %+v (present %v)", id, h, oh, ok)
 		}
 	}
 	return ""
+}
+
+// validVersions is a model of §4.2 at the hops of one path: per hop, per EER,
+// the versions the hop granted that are still usable at the routers — every
+// one of them until its own expiry.
+type validVersions [][][]EERVersion
+
+func newValidVersions(hops int, gs []*EERGrant) validVersions {
+	v := make(validVersions, hops)
+	for h := range v {
+		v[h] = make([][]EERVersion, len(gs))
+		for e, g := range gs {
+			v[h][e] = []EERVersion{{BwKbps: uint64(g.Res.BwKbps), ExpT: g.Res.ExpT}}
+		}
+	}
+	return v
+}
+
+// peak is the largest bandwidth of EER e's versions valid at hop h at now.
+func (v validVersions) peak(h, e int, now uint32) (bw uint64) {
+	for _, ver := range v[h][e] {
+		if ver.ExpT > now {
+			bw = max(bw, ver.BwKbps)
+		}
+	}
+	return bw
+}
+
+// check demands that hop h (service s) charges every EER of gs at least the
+// peak of its valid versions now: the maximum over its versions, the ones a
+// renewal to less replaced included.
+func (v validVersions) check(t *testing.T, s *Service, gs []*EERGrant, h int, step string) {
+	t.Helper()
+	now := s.clock()
+	for e, g := range gs {
+		k := coveringSegs(nil, len(g.SegIDs), g.Splits, len(g.PathHops), h)[0]
+		if want, got := v.peak(h, e, now), chargeOf(s.cp, g.ID, g.SegIDs[k], now); got < want {
+			t.Fatalf("%s: hop %d (%s) charges EER %s %d kbps, a valid version of it has %d (§4.2)",
+				step, h, s.ia, g.ID, got, want)
+		}
+	}
 }
 
 // waveOf is the one-item tag-7 wave that renews what req, a tag-5 renewal, renews.
@@ -74,14 +127,16 @@ func signWave(t testing.TB, signer *Service, req *EEBatchRenewReq) []byte {
 }
 
 // TestSoloIsAWaveOfOne drives one random sequence of renewals — growing,
-// shrinking, oversubscribed, retries of a committed version, second renewals
-// within a second, renewals of a record some hop lost, renewals the destination
-// vetoes — through tag 5 on one fabric and through one-item tag-7 waves on its
-// twin, from the first transit hop on, so that the message crosses each kind of
-// hop: single-segment transit, up→core transfer, core→down pair, last hop.
-// After every step every hop must hold the same records (throttle stamps
-// included), engine counters, ledgers and transfer-split books on both
-// fabrics, and the two answers must agree.
+// shrinking below a version still valid, oversubscribed, retries of a committed
+// version, second renewals within a second, renewals of a record some hop
+// lost, renewals the destination vetoes — through tag 5 on one fabric and
+// through one-item tag-7 waves on its twin, from the first transit hop on, so
+// that the message crosses each kind of hop: single-segment transit, up→core
+// transfer, core→down pair, last hop. After every step every hop must hold the
+// same records (throttle stamps included), held pieces, engine counters,
+// ledgers and transfer-split books on both fabrics, the two answers must agree,
+// and every hop must charge each EER at least the peak of its valid versions
+// (§4.2).
 func TestSoloIsAWaveOfOne(t *testing.T) {
 	const nEER, steps = 8, 160
 	for seed := int64(1); seed <= 4; seed++ {
@@ -101,6 +156,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 			fa, ga, up, core := build() // tag 5
 			fb, gb, _, _ := build()     // tag 7
 			path := ga[0].PathHops
+			valid := newValidVersions(len(path), ga)
 			rng := rand.New(rand.NewSource(seed))
 			ver := make([]uint16, nEER)
 			last := make([]*EESetupReq, nEER) // the newest renewal that was granted
@@ -131,6 +187,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 							}
 							s.cp.TeardownEERPath(g.ID, c.segs())
 						}
+						valid[h][e] = nil
 						seen["lost"]++
 					}
 					if k == 2 {
@@ -169,6 +226,12 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 				}
 				switch {
 				case sr.OK:
+					if sr.FinalKbps < valid.peak(1, e, fa.now()) {
+						seen["downward"]++
+					}
+					for h := range path {
+						valid[h][e] = append(valid[h][e], EERVersion{BwKbps: sr.FinalKbps, ExpT: req.ExpT})
+					}
 					last[e] = req
 					seen["granted"]++
 				case strings.Contains(sr.Reason, "renewal rate limit"):
@@ -182,9 +245,10 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 						t.Fatalf("step %d (%+v, tag 5 ok=%v %q): hop %d (%s) diverges, tag 5 vs tag 7: %s",
 							step, req, sr.OK, sr.Reason, h, path[h].IA, d)
 					}
+					valid.check(t, fa.services[path[h].IA], ga, h, fmt.Sprintf("step %d", step))
 				}
 			}
-			for _, k := range []string{"granted", "refused", "throttled", "retry", "lost", "vetoed"} {
+			for _, k := range []string{"granted", "downward", "refused", "throttled", "retry", "lost", "vetoed"} {
 				if seen[k] == 0 {
 					t.Errorf("sequence too tame: %v", seen)
 					break

@@ -162,17 +162,22 @@ func TestEEBatchRenewWire(t *testing.T) {
 	if !bytes.Equal(got.Marshal(), req.Marshal()) {
 		t.Fatalf("request round-trip mismatch:\n%+v\n%+v", got, req)
 	}
+	// One blob per hop, each as long as one live item's σ makes it.
 	resp := &EEBatchRenewResp{
-		OK:       true,
-		Granted:  []uint64{8_000, 0},
-		Status:   []uint8{EEItemOK, EEItemRefused},
-		EncAuths: [][]byte{{1, 2, 3}, nil, {4, 5}, nil, nil, {6}},
+		OK:      true,
+		Granted: []uint64{8_000, 0},
+		Status:  []uint8{EEItemOK, EEItemRefused},
+		Blobs:   [][]byte{bytes.Repeat([]byte{1}, blobLen(1)), bytes.Repeat([]byte{2}, blobLen(1)), bytes.Repeat([]byte{3}, blobLen(1))},
 	}
-	gotR, err := UnmarshalEEBatchRenewResp(resp.Marshal())
+	enc := resp.Marshal()
+	if len(enc) != eeBatchRespFixedLen+2*eeBatchTailLen+3*blobLen(1) {
+		t.Fatalf("response of %d bytes", len(enc))
+	}
+	gotR, err := UnmarshalEEBatchRenewResp(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(gotR.Marshal(), resp.Marshal()) {
+	if !bytes.Equal(gotR.Marshal(), enc) {
 		t.Fatalf("response round-trip mismatch:\n%+v\n%+v", gotR, resp)
 	}
 }

@@ -180,8 +180,7 @@ type Service struct {
 	macPool sync.Pool // *cryptoutil.CBCMAC keyed by secret
 	// keyCache holds the control-plane crypto of recently used level-1 keys
 	// (see cryptoFor); waveFree the idle batch-renewal scratch (see getWave).
-	keyMu    sync.Mutex
-	keyCache map[cryptoutil.Key]*keyCrypto
+	keyCache keyCache
 	waveMu   sync.Mutex
 	waveFree []*waveScratch
 
@@ -231,7 +230,7 @@ func New(cfg Config) *Service {
 		policy:     cfg.Policy,
 		dstApprove: cfg.DstApprove,
 		rate:       NewRateLimiter(cfg.RateLimit),
-		keyCache:   make(map[cryptoutil.Key]*keyCrypto),
+		keyCache:   keyCache{index: make(map[cryptoutil.Key]*keyCrypto, keyCacheSize)},
 	}
 	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
@@ -325,7 +324,8 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		return out, nil
 	case tagEEBatchRenew:
 		// The decoded wave and everything derived from it live in scratch that
-		// goes back to the service once the response is marshaled.
+		// goes back to the service once this hop has sealed its blob; the
+		// response is never part of it.
 		sc := s.getWave()
 		defer s.putWave(sc)
 		if err := sc.req.unmarshal(data); err != nil {
@@ -335,7 +335,7 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if idx == 0 {
 			return out, err
 		}
-		return s.processEEBatchRenew(sc, idx).Marshal(), nil
+		return s.processEEBatchRenew(sc, idx), nil
 	case tagDownReq:
 		req, err := UnmarshalDownSegReq(data)
 		if err != nil {
@@ -362,13 +362,18 @@ func (s *Service) segToken(res *packet.ResInfo, hf packet.HopField) [packet.HVFL
 
 // hopAuth computes the Eq. (4) hop authenticator σ for this AS.
 func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.HopField) cryptoutil.Key {
+	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
+	sigma := sigmaUnder(mac, res, eer, hf)
+	s.macPool.Put(mac)
+	return sigma
+}
+
+// sigmaUnder computes σ (Eq. 4) under mac, a CBC-MAC keyed by the AS secret.
+func sigmaUnder(mac *cryptoutil.CBCMAC, res *packet.ResInfo, eer *packet.EERInfo, hf packet.HopField) (sigma cryptoutil.Key) {
 	var input [packet.EERAuthLen]byte
 	packet.EERAuthInput(&input, res, eer, hf)
-	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
-	var full [cryptoutil.MACSize]byte
-	mac.SumInto(&full, input[:])
-	s.macPool.Put(mac)
-	return cryptoutil.Key(full)
+	mac.SumInto((*[cryptoutil.MACSize]byte)(&sigma), input[:])
+	return sigma
 }
 
 // Tick advances housekeeping: expiry cleanup in the store, releasing the

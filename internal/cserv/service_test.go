@@ -272,16 +272,15 @@ func TestEERRenewalVersions(t *testing.T) {
 	}
 }
 
-// TestDownwardRenewalChargesNewVersionOnly characterises a known gap; it does
-// not endorse it. §4.2 keeps every unexpired version of an EER usable, so what
-// an EER can send is the maximum over its valid versions: all versions of one
-// EER share a single budget, the max over the valid ones. eerPath.renewRec
-// instead replaces the charge: after a renewal from 12 to 1 Mbps every ledger on the
-// path shows 1 Mbps while version 1's hop authenticators stay valid at the
-// stateless routers until its own ExpT, so up to 11 Mbps of what the source may
-// still send is bandwidth the CServs consider free. The conservative repair
-// (DESIGN.md §7a) keeps the old bandwidth charged until the old version lapses;
-// when it lands, the demand below reads 12 000 until g1.Res.ExpT.
+// TestDownwardRenewalChargesNewVersionOnly pins §4.2 on the books: every
+// unexpired version of an EER stays usable, so what an EER can send is the
+// maximum over its valid versions. After a renewal from 12 to 1 Mbps version
+// 1's hop authenticators stay valid at the stateless routers until its own
+// ExpT, so every CServ on the path keeps 12 Mbps charged until then — as the
+// record's held piece — and charges the new version's 1 Mbps only after that;
+// Tick drops the held piece once it has lapsed. (Until the repair, renewRec
+// replaced the charge and the ledgers read 1 000 at once: 11 Mbps the source
+// could still send, handed out as free.)
 func TestDownwardRenewalChargesNewVersionOnly(t *testing.T) {
 	f := twoISDFabric(t, nil)
 	f.setupAllSegRs(t, 100_000)
@@ -298,12 +297,25 @@ func TestDownwardRenewalChargesNewVersionOnly(t *testing.T) {
 	if g1.Res.ExpT <= f.now() || g2.Res.BwKbps != 1_000 {
 		t.Fatalf("version 1 valid until %d (now %d), version 2 at %d kbps", g1.Res.ExpT, f.now(), g2.Res.BwKbps)
 	}
-	for i, ph := range g2.PathHops {
-		k := coveringSegs(nil, len(g2.SegIDs), g2.Splits, len(g2.PathHops), i)[0]
-		if d, _ := f.services[ph.IA].CPlane().SegDemandMax(g2.SegIDs[k]); d != 1_000 {
-			t.Errorf("AS %s charges %d kbps while versions of 12 000 and 1 000 kbps are valid, want the gap's 1 000", ph.IA, d)
+	demands := func(when string, want uint64) {
+		t.Helper()
+		for i, ph := range g2.PathHops {
+			s := f.services[ph.IA]
+			s.Tick()
+			k := coveringSegs(nil, len(g2.SegIDs), g2.Splits, len(g2.PathHops), i)[0]
+			if d, _ := s.CPlane().SegDemandMax(g2.SegIDs[k]); d != want {
+				t.Errorf("%s: AS %s charges %d kbps, want %d", when, ph.IA, d, want)
+			}
+			if held := s.cp.shardFor(g2.SegIDs[k]).held.Len(); (held == 1) != (want == 12_000) {
+				t.Errorf("%s: AS %s holds %d pieces", when, ph.IA, held)
+			}
 		}
 	}
+	demands("while version 1 is valid", 12_000)
+	f.clock.Store(g1.Res.ExpT - 1)
+	demands("the last second of version 1", 12_000)
+	f.clock.Store(g1.Res.ExpT)
+	demands("once version 1 has lapsed", 1_000)
 }
 
 func TestEERInsufficientSegRRolledBack(t *testing.T) {

@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/segment"
@@ -56,18 +57,19 @@ func TestEEBatchCodecCountBound(t *testing.T) {
 		binary.BigEndian.PutUint32(m[at:], n)
 		return m
 	}
-	// A response whose first count is honest and whose EncAuths count is not.
-	respAuths := binary.BigEndian.AppendUint32([]byte{1, 0, 0, 0, 0, 0, 0, 0}, 1<<24)
+	// A response whose item count is honest and whose blob count is not.
+	respBlobs := func(nb byte) []byte { return []byte{1, 0, 0, 0, 0, 0, 0, 0, nb} }
 	for name, tc := range map[string]struct {
 		msg    []byte
 		decode func([]byte) error
 	}{
-		"req n=2^24":        {reqCountCrasher, func(b []byte) error { _, err := UnmarshalEEBatchRenewReq(b); return err }},
-		"req n=2^32-1":      {huge(reqCountCrasher, 5, 1<<32-1), func(b []byte) error { _, err := UnmarshalEEBatchRenewReq(b); return err }},
-		"resp n=2^24":       {respCountCrasher, func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
-		"resp n=2^32-1":     {huge(respCountCrasher, 4, 1<<32-1), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
-		"resp auths=2^24":   {respAuths, func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
-		"resp auths=2^32-1": {huge(respAuths, 8, 1<<32-1), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
+		"req n=2^24":       {reqCountCrasher, func(b []byte) error { _, err := UnmarshalEEBatchRenewReq(b); return err }},
+		"req n=2^32-1":     {huge(reqCountCrasher, 5, 1<<32-1), func(b []byte) error { _, err := UnmarshalEEBatchRenewReq(b); return err }},
+		"resp n=2^24":      {respCountCrasher, func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
+		"resp n=2^32-1":    {huge(respCountCrasher, 4, 1<<32-1), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
+		"resp blobs=32":    {respBlobs(32), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
+		"resp blobs=255":   {respBlobs(255), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
+		"resp a blob less": {append(respBlobs(2), make([]byte, blobLen(0))...), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
 	} {
 		var err error
 		got := allocatedBy(func() { err = tc.decode(tc.msg) })
@@ -88,6 +90,40 @@ func TestEEBatchCodecCountBound(t *testing.T) {
 	msg := req.Marshal()
 	if got := allocatedBy(func() { _, _ = UnmarshalEEBatchRenewReq(msg) }); got > 4*uint64(len(msg)) {
 		t.Errorf("a %d-byte wave made the decoder allocate %d bytes", len(msg), got)
+	}
+}
+
+// TestEEBatchRespCanonicalOnly: the tag-7 response decoder accepts exactly
+// what Marshal produces — one blob per count, each exactly as long as the
+// status vector's live items make it, nothing after the last, an OK byte of 0
+// or 1 — so that every accepted response has one encoding.
+func TestEEBatchRespCanonicalOnly(t *testing.T) {
+	resp := &EEBatchRenewResp{OK: true, Granted: []uint64{5, 0, 7}, Status: []uint8{EEItemOK, EEItemStale, EEItemOK}}
+	for range 3 {
+		resp.Blobs = append(resp.Blobs, bytes.Repeat([]byte{byte(len(resp.Blobs))}, blobLen(2)))
+	}
+	good := resp.Marshal()
+	got, err := UnmarshalEEBatchRenewResp(good)
+	if err != nil || len(got.Blobs) != 3 || !bytes.Equal(got.Blobs[2], resp.Blobs[2]) {
+		t.Fatalf("%+v, %v", got, err)
+	}
+	statusAt := 2 + 2 + 4 + 8 // the first item's status
+	for name, tc := range map[string]struct {
+		msg  []byte
+		want error
+	}{
+		"OK byte 2":           {append([]byte{2}, good[1:]...), ErrNotCanonical},
+		"trailing byte":       {append(bytes.Clone(good), 0), ErrNotCanonical},
+		"one byte short":      {good[:len(good)-1], ErrTruncated},
+		"an item more live":   {func() []byte { m := bytes.Clone(good); m[statusAt+eeBatchTailLen] = EEItemOK; return m }(), ErrTruncated},
+		"an item fewer live":  {func() []byte { m := bytes.Clone(good); m[statusAt] = EEItemRefused; return m }(), ErrNotCanonical},
+		"a blob count less":   {func() []byte { m := bytes.Clone(good); m[statusAt+3*eeBatchTailLen-8] = 2; return m }(), ErrNotCanonical},
+		"a blob count more":   {func() []byte { m := bytes.Clone(good); m[statusAt+3*eeBatchTailLen-8] = 4; return m }(), ErrTruncated},
+		"refusal with a byte": {append((&EEBatchRenewResp{Reason: "no"}).Marshal(), 0), ErrNotCanonical},
+	} {
+		if _, err := UnmarshalEEBatchRenewResp(tc.msg); !errors.Is(err, tc.want) {
+			t.Errorf("%s: err = %v, want %v", name, err, tc.want)
+		}
 	}
 }
 
@@ -125,11 +161,18 @@ func highRate(_ topology.IA, cfg *Config) { cfg.RateLimit = 1 << 20 }
 
 // FuzzEEBatchRenewCodec fuzzes the tag-7 codec (ROADMAP adversarial item (a)):
 // no input panics or allocates beyond its size class; what decodes re-encodes
-// to the bytes it was decoded from and to a fixed point; an encoding owns its
-// bytes (the decoded form aliases the input, by contract); and flipping any
-// MAC-covered byte of a signed wave makes it undecodable or unauthentic.
+// to the bytes it was decoded from (the response decoder is canonical-only:
+// exactly those bytes); an encoding owns its bytes (the decoded form aliases
+// the input, by contract); and flipping any MAC-covered byte of a signed wave
+// makes it undecodable or unauthentic.
 func FuzzEEBatchRenewCodec(f *testing.F) {
-	fab := cpFabric(f, 4, nil)
+	tap := &tapTransport{}
+	fab := cpFabric(f, 4, func(iaKey topology.IA, cfg *Config) {
+		if iaKey == ia(1, 11) {
+			tap.inner = cfg.Transport
+			cfg.Transport = tap
+		}
+	})
 	fab.setupAllSegRs(f, 100_000)
 	src := fab.services[ia(1, 11)]
 	grants := requestEERs(f, src, 3, 1_000)
@@ -138,17 +181,30 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 	bodyLen := len(wave.Body())
 	hop1 := fab.services[wave.Path[1].IA]
 	resp := &EEBatchRenewResp{OK: true, Granted: []uint64{7, 0}, Status: []uint8{EEItemOK, EEItemStale},
-		EncAuths: [][]byte{{1, 2, 3}, nil, nil, {4}}}
+		Blobs: [][]byte{make([]byte, blobLen(1)), make([]byte, blobLen(1))}}
+	// A real wave's answer, one item refused at the source.
+	fab.clock.Add(1)
+	if _, errs := src.RenewEERBatch(grants, []uint64{1_000, 0, 500}); errs[0] != nil || errs[1] == nil {
+		f.Fatalf("wave: %v", errs)
+	}
 
 	f.Add(reqCountCrasher, uint16(0))
 	f.Add(respCountCrasher, uint16(0))
 	f.Add(signed, uint16(77))
 	f.Add(resp.Marshal(), uint16(3))
+	f.Add(bytes.Clone(tap.last), uint16(4))
+	f.Add((&EEBatchRenewResp{FailedAt: 3, Reason: "transport: down"}).Marshal(), uint16(5))
 	// A wave that authenticates and names another source's EER (TestWaveItemsMustShareSource).
 	f.Add(signWave(f, fab.services[ia(2, 1)], forgedWave(grants[0], []EEBatchItem{
 		{ID: reservation.ID{SrcAS: ia(2, 1), Num: 1}, Ver: 1, BwKbps: 1, ExpT: t0 + 2}, wave.Items[0]})), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
 		buf := append([]byte(nil), data...)
+		if got := allocatedBy(func() {
+			_, _ = UnmarshalEEBatchRenewReq(buf)
+			_, _ = UnmarshalEEBatchRenewResp(buf)
+		}); got > 16<<10+8*uint64(len(data)) {
+			t.Fatalf("a %d-byte message made the decoders allocate %d bytes", len(data), got)
+		}
 		if req, err := UnmarshalEEBatchRenewReq(buf); err == nil {
 			enc := req.Marshal()
 			if !bytes.HasPrefix(data, enc) {
@@ -160,12 +216,16 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 		}
 		if r1, err := UnmarshalEEBatchRenewResp(buf); err == nil {
 			enc := r1.Marshal()
-			r2, err := UnmarshalEEBatchRenewResp(enc)
-			if err != nil {
-				t.Fatalf("own encoding does not decode: %v", err)
+			if !bytes.Equal(enc, data) {
+				t.Fatalf("response re-encodes to other bytes:\n%x\n%x", data, enc)
 			}
-			if enc2 := r2.Marshal(); !bytes.Equal(enc, enc2) {
-				t.Fatalf("response encoding is not a fixed point:\n%x\n%x", enc, enc2)
+			if len(r1.Blobs) > packet.MaxHops {
+				t.Fatalf("%d blobs decoded", len(r1.Blobs))
+			}
+			for _, blob := range r1.Blobs {
+				if len(blob) != blobLen(liveOf(r1.Status)) {
+					t.Fatalf("a blob of %d bytes for %d live items", len(blob), liveOf(r1.Status))
+				}
 			}
 			// The decoded response aliases buf; its encoding must not.
 			keep := append([]byte(nil), enc...)
@@ -186,21 +246,54 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 	})
 }
 
-// tapTransport keeps the last tag-7 response the wrapped service received.
+// tapTransport keeps the last tag-7 response the wrapped service received,
+// after handing it to tamper, when set. The service seals its own blob into
+// that very buffer, so once the wave is done last holds every hop's.
 type tapTransport struct {
-	inner Transport
-	mu    sync.Mutex
-	last  []byte
+	inner  Transport
+	mu     sync.Mutex
+	last   []byte
+	tamper func(resp []byte)
 }
 
 func (tt *tapTransport) Call(dst topology.IA, msg []byte) ([]byte, error) {
 	resp, err := tt.inner.Call(dst, msg)
 	if err == nil && len(msg) > 0 && msg[0] == tagEEBatchRenew {
 		tt.mu.Lock()
+		if tt.tamper != nil {
+			tt.tamper(resp)
+		}
 		tt.last = resp
 		tt.mu.Unlock()
 	}
 	return resp, err
+}
+
+// tappedFabric is cpFabric with a tapTransport under the source 1-11.
+func tappedFabric(t testing.TB, mutate func(iaKey topology.IA, cfg *Config)) (*fabric, *tapTransport) {
+	tap := &tapTransport{}
+	f := cpFabric(t, 4, func(iaKey topology.IA, cfg *Config) {
+		highRate(iaKey, cfg)
+		if mutate != nil {
+			mutate(iaKey, cfg)
+		}
+		if iaKey == ia(1, 11) {
+			tap.inner = cfg.Transport
+			cfg.Transport = tap
+		}
+	})
+	return f, tap
+}
+
+// blobSpan returns where blob h lies in resp, a marshaled tag-7 answer.
+func blobSpan(t testing.TB, resp []byte, h int) (off, size int) {
+	t.Helper()
+	r, err := UnmarshalEEBatchRenewResp(resp)
+	if err != nil || h >= len(r.Blobs) {
+		t.Fatalf("answer %+v, %v: no blob %d", r, err, h)
+	}
+	size = blobLen(liveOf(r.Status))
+	return len(resp) - (len(r.Blobs)-h)*size, size
 }
 
 func checkHopAuths(t *testing.T, f *fabric, g *EERGrant) {
@@ -213,61 +306,51 @@ func checkHopAuths(t *testing.T, f *fabric, g *EERGrant) {
 	}
 }
 
-// TestWaveNoncesAndOwnership renews one 4096-item wave and checks, on the
-// response the source received, that no two sealed authenticators share a
-// nonce — every item draws its own, though the wave reads them at once — and
-// that the grants own their bytes: scribbling over the response buffer and
-// running the next wave through the same scratch leaves them intact.
+// TestWaveNoncesAndOwnership renews 16 waves of 256 items and checks, on the
+// answers the source received, that every hop sealed its blob under its own
+// nonce — one per hop per wave, no two alike over all the waves — and that the
+// grants own their bytes: scribbling over the answer buffer and running the
+// next wave through the same scratch leaves them intact.
 func TestWaveNoncesAndOwnership(t *testing.T) {
-	tap := &tapTransport{}
-	f := cpFabric(t, 4, func(iaKey topology.IA, cfg *Config) {
-		highRate(iaKey, cfg)
-		if iaKey == ia(1, 11) {
-			tap.inner = cfg.Transport
-			cfg.Transport = tap
-		}
-	})
+	f, tap := tappedFabric(t, nil)
 	f.setupAllSegRs(t, 1_000_000)
 	src := f.services[ia(1, 11)]
-	const n = 4096
-	prevs := requestEERs(t, src, n, 100)
+	const n, waves = 256, 16
+	grants := requestEERs(t, src, n, 100)
 	bws := make([]uint64, n)
 	for i := range bws {
 		bws[i] = 100
 	}
-	f.clock.Store(t0 + 1)
-	grants, errs := src.RenewEERBatch(prevs, bws)
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("item %d: %v", i, err)
+	seen := make(map[[cryptoutil.NonceSize]byte]bool)
+	for w := range waves {
+		f.clock.Add(1)
+		var errs []error
+		if grants, errs = src.RenewEERBatch(grants, bws); errors.Join(errs...) != nil {
+			t.Fatalf("wave %d: %v", w, errors.Join(errs...))
 		}
-	}
-	resp, err := UnmarshalEEBatchRenewResp(tap.last)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seen := make(map[[12]byte]bool)
-	for _, ea := range resp.EncAuths {
-		if len(ea) == 0 {
-			continue // the source's own slot: sealed after this response
+		resp, err := UnmarshalEEBatchRenewResp(tap.last)
+		if err != nil || len(resp.Blobs) != len(grants[0].PathHops) {
+			t.Fatalf("wave %d: answer %+v, %v", w, resp, err)
 		}
-		if len(ea) != sealedAuthLen {
-			t.Fatalf("sealed authenticator of %d bytes", len(ea))
-		}
-		if nonce := [12]byte(ea[:12]); seen[nonce] {
-			t.Fatalf("nonce %x sealed two authenticators of one wave", nonce)
-		} else {
+		for h, blob := range resp.Blobs {
+			if len(blob) != blobLen(n) {
+				t.Fatalf("wave %d: hop %d's blob is %d bytes, want %d", w, h, len(blob), blobLen(n))
+			}
+			nonce := [cryptoutil.NonceSize]byte(blob)
+			if seen[nonce] {
+				t.Fatalf("wave %d: hop %d sealed under nonce %x, seen before", w, h, nonce)
+			}
 			seen[nonce] = true
 		}
 	}
-	if len(seen) != n*4 {
-		t.Fatalf("%d distinct nonces, want %d (4 downstream hops × %d items)", len(seen), n*4, n)
+	if len(seen) != waves*5 {
+		t.Fatalf("%d distinct nonces, want %d (5 hops × %d waves)", len(seen), waves*5, waves)
 	}
 	for i := range tap.last {
 		tap.last[i] = 0xff
 	}
-	f.clock.Store(t0 + 2)
-	if _, errs = src.RenewEERBatch(grants[:64], bws[:64]); errs[0] != nil {
+	f.clock.Add(1)
+	if _, errs := src.RenewEERBatch(grants[:64], bws[:64]); errs[0] != nil {
 		t.Fatal(errs[0])
 	}
 	for _, g := range grants {
@@ -275,10 +358,122 @@ func TestWaveNoncesAndOwnership(t *testing.T) {
 	}
 }
 
+// TestWaveSealBindsHopWaveAndItems tampers with the answer a wave's source
+// receives, after every hop behind it has sealed its blob. One flipped byte of
+// hop h's blob, two hops' blobs swapped, a blob replayed from an earlier wave
+// of the same size, and a status vector re-aligned (one live item and one the
+// destination refused change places) each fail every live item of the wave
+// with ErrAEADOpen and issue no grant, and every hop's books stay in
+// agreement with its ledgers. The next wave, untampered, renews every EER.
+func TestWaveSealBindsHopWaveAndItems(t *testing.T) {
+	var vetoed uint32 // the destination host refused, once the EERs are set up
+	f, tap := tappedFabric(t, func(iaKey topology.IA, cfg *Config) {
+		if iaKey == ia(2, 11) {
+			cfg.DstApprove = func(_ reservation.ID, _, dstHost uint32, _ uint64, _ uint32) bool { return dstHost != vetoed }
+		}
+	})
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	grants := requestEERs(t, src, 4, 100)
+	vetoed = grants[1].EER.DstHost
+	bws := []uint64{100, 100, 200, 50}
+	var replay []byte // hop 3's blob of the last untampered wave
+	wave := func(name string, tamper func(resp []byte), wantOK bool) {
+		t.Helper()
+		f.clock.Add(1)
+		tap.tamper = tamper
+		got, errs := src.RenewEERBatch(grants, bws)
+		tap.tamper = nil
+		// What the source decoded, tampering included: which items were live.
+		resp, err := UnmarshalEEBatchRenewResp(tap.last)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		for i, err := range errs {
+			switch live := resp.Status[i] == EEItemOK; {
+			case !live:
+				if err == nil || errors.Is(err, cryptoutil.ErrAEADOpen) || got[i] != nil {
+					t.Fatalf("%s: item %d, not live: grant %v, err %v", name, i, got[i], err)
+				}
+			case wantOK && (err != nil || i == 1):
+				t.Fatalf("%s: item %d live: %v", name, i, err)
+			case !wantOK && (!errors.Is(err, cryptoutil.ErrAEADOpen) || got[i] != nil):
+				t.Fatalf("%s: item %d: grant %v, err %v, want ErrAEADOpen and no grant", name, i, got[i], err)
+			}
+		}
+		for _, s := range f.services {
+			auditBooks(t, s.cp, f.now(), name)
+		}
+		if wantOK {
+			for i, g := range got {
+				if g != nil {
+					checkHopAuths(t, f, g)
+					grants[i] = g
+				}
+			}
+			off, size := blobSpan(t, tap.last, 3)
+			replay = bytes.Clone(tap.last[off : off+size])
+		}
+	}
+	wave("untampered", nil, true)
+	for h := 1; h < 5; h++ {
+		wave(fmt.Sprintf("hop %d's blob flipped", h), func(resp []byte) {
+			off, size := blobSpan(t, resp, h)
+			resp[off+(h*7)%size] ^= 0x40
+		}, false)
+	}
+	wave("blobs of hops 2 and 4 swapped", func(resp []byte) {
+		a, size := blobSpan(t, resp, 2)
+		b, _ := blobSpan(t, resp, 4)
+		tmp := bytes.Clone(resp[a : a+size])
+		copy(resp[a:a+size], resp[b:b+size])
+		copy(resp[b:b+size], tmp)
+	}, false)
+	wave("hop 3's blob replayed from an earlier wave", func(resp []byte) {
+		off, size := blobSpan(t, resp, 3)
+		if size != len(replay) {
+			t.Fatalf("replayed blob of %d bytes for a slot of %d", len(replay), size)
+		}
+		copy(resp[off:], replay)
+	}, false)
+	wave("items 0 and 1 re-aligned", func(resp []byte) {
+		at := eeBatchRespFixedLen - 1 + 8 // item 0's status
+		resp[at], resp[at+eeBatchTailLen] = resp[at+eeBatchTailLen], resp[at]
+	}, false)
+	wave("untampered again", nil, true)
+}
+
+// TestWaveSigmasEqualSolo renews the same EERs to the same bandwidths — kept,
+// raised and lowered — on twin fabrics, once as one wave and once solo, and
+// demands the same grants: versions, bandwidths and every hop's σ.
+func TestWaveSigmasEqualSolo(t *testing.T) {
+	fw, fs := cpFabric(t, 4, highRate), cpFabric(t, 4, highRate)
+	fw.setupAllSegRs(t, 1_000_000)
+	fs.setupAllSegRs(t, 1_000_000)
+	gw := requestEERs(t, fw.services[ia(1, 11)], 6, 1_000)
+	gs := requestEERs(t, fs.services[ia(1, 11)], 6, 1_000)
+	for round, bws := range [][]uint64{{1_000, 2_000, 500, 1_000, 3_000, 10}, {900, 2_000, 700, 1, 3_000, 5_000}} {
+		fw.clock.Add(1)
+		fs.clock.Store(fw.clock.Load())
+		waved, errs := fw.services[ia(1, 11)].RenewEERBatch(gw, bws)
+		for i := range gs {
+			solo, err := fs.services[ia(1, 11)].RenewEER(gs[i], bws[i])
+			if err != nil || errs[i] != nil {
+				t.Fatalf("round %d item %d: solo %v, wave %v", round, i, err, errs[i])
+			}
+			w := waved[i]
+			if w.ID != solo.ID || w.Res != solo.Res || w.EER != solo.EER || !slices.Equal(w.HopAuths, solo.HopAuths) {
+				t.Fatalf("round %d item %d: wave grant %+v, solo grant %+v", round, i, w, solo)
+			}
+			gw[i], gs[i] = w, solo
+		}
+	}
+}
+
 // TestWaveAllocBudget pins the allocations of a 5-hop, 1024-item wave driven
 // by KeeperFleet.Tick, per item, so the gain cannot silently rot: what is left
 // is each item's grant and its hop authenticators (2) plus the per-wave
-// messages. The parent paid about 62 per item.
+// messages. The first batched wave paid about 62 per item.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -305,8 +500,8 @@ func TestWaveAllocBudget(t *testing.T) {
 		t.Fatalf("installs = %d, want %d", gw.installs, 7*n)
 	}
 	t.Logf("%.3f allocations per item", perItem)
-	if perItem > 2.25 {
-		t.Errorf("a wave allocates %.2f times per item, budget 2.25", perItem)
+	if perItem > 2.04 {
+		t.Errorf("a wave allocates %.3f times per item, budget 2.04", perItem)
 	}
 }
 
@@ -322,8 +517,11 @@ func (e echoBatch) Call(dst topology.IA, msg []byte) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return (&EEBatchRenewResp{OK: true, Granted: req.Accums, Status: req.Status,
-		EncAuths: make([][]byte, len(req.Items)*len(req.Path))}).Marshal(), nil
+	resp := &EEBatchRenewResp{OK: true, Granted: req.Accums, Status: req.Status}
+	for range req.Path {
+		resp.Blobs = append(resp.Blobs, make([]byte, blobLen(liveOf(req.Status))))
+	}
+	return resp.Marshal(), nil
 }
 
 // hopSegs resolves the covering SegRs of hop idx as the handlers do.
@@ -435,7 +633,9 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 // (single-segment transit, up→core transfer, core→down pair, last hop) through
 // the handler on one fabric and through refBatchHop on its twin, and demands
 // the same per-item status and grant, the same engine counters and the same
-// peak demand on every covering SegR after every wave.
+// peak demand on every covering SegR after every wave — and that the hop
+// charges every EER at least the peak of the versions it granted that are still
+// valid, those a renewal to less replaced included (§4.2).
 //
 // Laggard EERs are renewed only once their record has lapsed, and are then
 // named twice in the wave: the first naming, refused for bandwidth or for its
@@ -450,7 +650,7 @@ func TestFusedSweepDifferential(t *testing.T) {
 		// What the hop's three runs saw between them; the transfer hop's split
 		// refuses nearly everything once full, so one run alone may be tame.
 		var seen [4]int
-		var dups, twice, dedupHits int
+		var dups, downs, twice, dedupHits int
 		for seed := int64(1); seed <= 3; seed++ {
 			t.Run(fmt.Sprintf("hop%d/seed%d", idx, seed), func(t *testing.T) {
 				var hopIA topology.IA
@@ -481,8 +681,9 @@ func TestFusedSweepDifferential(t *testing.T) {
 					lapse[i] = ga[i].Res.ExpT
 					index[ga[i].ID] = i
 				}
+				valid := newValidVersions(len(ga[0].PathHops), ga)
 				var run [4]int // statuses seen
-				runDups, runTwice, lost := 0, 0, 0
+				runDups, runDowns, runTwice, lost := 0, 0, 0, 0
 				// Start late in the EERs' first lifetime, so that laggards lapse
 				// early on.
 				fa.clock.Add(jump)
@@ -531,6 +732,7 @@ func TestFusedSweepDifferential(t *testing.T) {
 							if k == 1 { // the hop lost the record
 								sa.cp.TeardownEERPath(id, segIDs)
 								sb.cp.TeardownEERPath(id, segIDs)
+								valid[idx][e] = nil
 							}
 							ver[e]++
 							it = EEBatchItem{ID: id, Ver: ver[e], BwKbps: uint64(200 + rng.Intn(4_000)),
@@ -578,11 +780,16 @@ func TestFusedSweepDifferential(t *testing.T) {
 						e := index[reqA.Items[i].ID]
 						if last[e].ok = resp.Status[i] == EEItemOK && resp.Granted[i] > 0; last[e].ok {
 							lapse[e] = reqA.Items[i].ExpT
+							if resp.Granted[i] < valid.peak(idx, e, now) {
+								runDowns++
+							}
+							valid[idx][e] = append(valid[idx][e], EERVersion{BwKbps: resp.Granted[i], ExpT: reqA.Items[i].ExpT})
 						}
 					}
 					if ca, cb := sa.cp.Counts(), sb.cp.Counts(); ca != cb {
 						t.Fatalf("wave %d: engine counters diverge:\nhandler  %+v\nsequence %+v", w, ca, cb)
 					}
+					valid.check(t, sa, ga, idx, fmt.Sprintf("wave %d", w))
 					for _, seg := range segIDs {
 						da, _ := sa.cp.SegDemandMax(seg)
 						db, _ := sb.cp.SegDemandMax(seg)
@@ -591,7 +798,8 @@ func TestFusedSweepDifferential(t *testing.T) {
 						}
 					}
 				}
-				t.Logf("statuses %v, %d retries, %d EERs named twice in a wave, %d found their record dropped by the wave", run, runDups, runTwice, lost)
+				t.Logf("statuses %v, %d retries, %d downward grants, %d EERs named twice in a wave, %d found their record dropped by the wave",
+					run, runDups, runDowns, runTwice, lost)
 				m := sa.Metrics().Snapshot()
 				if m.RenewThrottle != uint64(run[EEItemThrottled]) {
 					t.Errorf("handler counted %d throttled, statuses %v", m.RenewThrottle, run)
@@ -599,12 +807,13 @@ func TestFusedSweepDifferential(t *testing.T) {
 				for st, n := range run {
 					seen[st] += n
 				}
-				dups, twice, dedupHits, lostAll = dups+runDups, twice+runTwice, dedupHits+int(m.DedupHits), lostAll+lost
+				dups, downs, twice, dedupHits, lostAll = dups+runDups, downs+runDowns, twice+runTwice, dedupHits+int(m.DedupHits), lostAll+lost
 			})
 		}
 		if !t.Failed() && (seen[EEItemOK] == 0 || seen[EEItemThrottled] == 0 || seen[EEItemStale]+seen[EEItemRefused] == 0 ||
-			dups == 0 || dedupHits == 0 || twice == 0) {
-			t.Errorf("hop %d: waves too tame: statuses %v, %d retries, %d dedup hits, %d EERs named twice", idx, seen, dups, dedupHits, twice)
+			dups == 0 || downs == 0 || dedupHits == 0 || twice == 0) {
+			t.Errorf("hop %d: waves too tame: statuses %v, %d retries, %d downward grants, %d dedup hits, %d EERs named twice",
+				idx, seen, dups, downs, dedupHits, twice)
 		}
 	}
 	if !t.Failed() && lostAll == 0 {
@@ -676,6 +885,93 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 			t.Fatalf("EER %s at version %d, want %d", g.ID, g.Res.Ver, 1+rounds)
 		}
 		checkHopAuths(t, f, g)
+	}
+}
+
+// cachedCrypto peeks at s's key cache: the crypto it holds for key, if any,
+// and how many keys it holds.
+func (s *Service) cachedCrypto(key cryptoutil.Key) (*keyCrypto, int) {
+	c := &s.keyCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.index) != len(c.ring) {
+		return nil, -1
+	}
+	return c.index[key], len(c.ring)
+}
+
+// TestKeyCacheUnderForgedSources is ROADMAP 9(c)'s key-cache case. A request
+// names its source AS before it can be authenticated, so every forged message
+// makes its receiver build a key schedule. An attacker cycles 65 forged source
+// ASes — one more than the cache holds — through waves the source 1-11 must
+// answer, between 1-11's own honest waves and solo renewals, whose five hop
+// keys sign and open everything it sends. The honest keys must be rebuilt at
+// most 1 + forged/64 times each, whatever the honest traffic: an attacker buys
+// one honest rebuild per 64 forged messages at the most, and honest requests
+// pay no key-schedule tax of their own. The cache never holds more than 64.
+func TestKeyCacheUnderForgedSources(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	gs := requestEERs(t, src, 8, 100)
+	bws := []uint64{100, 100, 100, 100, 100, 100, 100, 100}
+	path := gs[0].PathHops
+	honest := make([]cryptoutil.Key, len(path))
+	for h, ph := range path {
+		var err error
+		if honest[h], err = src.hopKey(ph.IA, f.now()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const rounds, perRound, sources = 100, 26, 65
+	built, rebuilds := make([]*keyCrypto, len(path)), make([]int, len(path))
+	forged, refused := 0, src.Metrics().AuthFailures.Value()
+	for r := range rounds {
+		f.clock.Add(1)
+		if r%2 == 0 {
+			var errs []error
+			if gs, errs = src.RenewEERBatch(gs, bws); errors.Join(errs...) != nil {
+				t.Fatalf("round %d: honest wave: %v", r, errors.Join(errs...))
+			}
+		} else {
+			g, err := src.RenewEER(gs[0], 100)
+			if err != nil {
+				t.Fatalf("round %d: honest solo renewal: %v", r, err)
+			}
+			gs[0] = g
+		}
+		for h, key := range honest {
+			kc, size := src.cachedCrypto(key)
+			if kc == nil || size > keyCacheSize {
+				t.Fatalf("round %d: hop %d's key cached %v, %d keys cached", r, h, kc != nil, size)
+			}
+			if kc != built[h] {
+				built[h] = kc
+				rebuilds[h]++
+			}
+		}
+		for range perRound {
+			as := topology.MustIA(3, topology.ASID(100+forged%sources))
+			wave := &EEBatchRenewReq{SegIDs: gs[0].SegIDs, Splits: gs[0].Splits,
+				Path:   []PathHop{{IA: as}, {IA: src.ia}},
+				Items:  []EEBatchItem{{ID: reservation.ID{SrcAS: as, Num: 1}, Ver: 1, BwKbps: 1, ExpT: f.now() + 16}},
+				Macs:   make([][cryptoutil.MACSize]byte, 2),
+				Accums: []uint64{1}, Status: []uint8{EEItemOK}}
+			if out, err := src.HandleMsg(wave.Marshal()); err != nil || !strings.Contains(string(out), "authentication") {
+				t.Fatalf("forged wave from %s: %q, %v", as, out, err)
+			}
+			forged++
+		}
+	}
+	if got := src.Metrics().AuthFailures.Value() - refused; got != uint64(forged) {
+		t.Fatalf("%d forged waves refused, %d sent", got, forged)
+	}
+	bound := 1 + forged/keyCacheSize
+	t.Logf("%d forged waves from %d sources; honest keys built %v times (bound %d)", forged, sources, rebuilds, bound)
+	for h, n := range rebuilds {
+		if n > bound {
+			t.Errorf("hop %d's key built %d times under %d forged waves, bound %d", h, n, forged, bound)
+		}
 	}
 }
 
