@@ -309,20 +309,21 @@ func TestTransferSplitProportional(t *testing.T) {
 	up2 := reservation.ID{SrcAS: ia(1, 3), Num: 1}
 	const coreCap = 1000
 
+	p1, p2 := ts.Pair(core, up1), ts.Pair(core, up2)
 	// No contention: full grants.
-	g := ts.Admit(core, up1, 300, 10_000, coreCap, 10_000, 1000)
+	g := p1.Admit(300, 10_000, coreCap, 10_000, 1000)
 	if g != 300 {
 		t.Errorf("uncontended grant = %d", g)
 	}
 	// Demand now exceeds the core SegR: up2 asks 1500 (total 1800 > 1000).
 	// Its fair share is 1000×1500/1800 = 833.
-	g = ts.Admit(core, up2, 1500, 10_000, coreCap, 10_000, 700)
+	g = p2.Admit(1500, 10_000, coreCap, 10_000, 700)
 	if g > 833 || g == 0 {
 		t.Errorf("contended grant = %d, want ≤ 833 and > 0", g)
 	}
 	// up1 asks again for 500: its fair share is 1000×800/2300 = 347,
 	// already granted 300 → at most 47 more.
-	g = ts.Admit(core, up1, 500, 10_000, coreCap, 10_000, 700-g)
+	g = p1.Admit(500, 10_000, coreCap, 10_000, 700-g)
 	if g > 48 {
 		t.Errorf("second up1 grant = %d, want ≤ 48", g)
 	}
@@ -332,20 +333,24 @@ func TestTransferSplitRelease(t *testing.T) {
 	ts := NewTransferSplit()
 	core := reservation.ID{SrcAS: ia(1, 1), Num: 1}
 	up := reservation.ID{SrcAS: ia(1, 2), Num: 1}
-	g := ts.Admit(core, up, 800, 1000, 1000, 1000, 1000)
+	p := ts.Pair(core, up)
+	g := p.Admit(800, 1000, 1000, 1000, 1000)
 	if g != 800 {
 		t.Fatalf("grant = %d", g)
 	}
-	ts.Release(core, up, 800, 800)
+	p.Release(800, 800)
 	// After release, the full core is available again.
-	g = ts.Admit(core, up, 900, 1000, 1000, 1000, 1000)
+	g = p.Admit(900, 1000, 1000, 1000, 1000)
 	if g != 900 {
 		t.Errorf("grant after release = %d", g)
 	}
-	ts.DropCore(core)
-	g = ts.Admit(core, up, 100, 1000, 1000, 1000, 1000)
+	ts.DropSegR(core)
+	if ts.Lookup(core, up) != nil {
+		t.Error("the split still has books for a dropped core")
+	}
+	g = ts.Pair(core, up).Admit(100, 1000, 1000, 1000, 1000)
 	if g != 100 {
-		t.Errorf("grant after DropCore = %d", g)
+		t.Errorf("grant after DropSegR = %d", g)
 	}
 }
 

@@ -95,10 +95,10 @@ type CPlane struct {
 	stale   atomic.Uint64
 
 	// onExpire, when set, receives each transfer-AS record (one with two
-	// covering SegRs) that Tick expires, after the shard lock is released.
-	// The Service uses it to return the record's charge to the §4.7
-	// transfer-split accounting, which otherwise never learns that an EER
-	// lapsed without being renewed.
+	// covering SegRs) that Tick expires or DropSegR removes, after the shard
+	// locks are released. The Service uses it to return the record's charge to
+	// the §4.7 transfer-split accounting, which otherwise never learns that an
+	// EER lapsed without being renewed or lost a covering SegR.
 	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
 
 	// buckets is RenewBatch's per-shard index scratch, under batchMu.
@@ -210,9 +210,9 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	return c, nil
 }
 
-// OnExpire registers the expiry callback invoked by Tick for each expired
-// transfer-AS record (see the field doc). Set it before the first Tick;
-// it must not call back into the CPlane.
+// OnExpire registers the callback invoked by Tick for each expired transfer-AS
+// record and by DropSegR for each one it removes (see the field doc). Set it
+// before the first Tick; it must not call back into the CPlane.
 func (c *CPlane) OnExpire(fn func(seg, seg2 reservation.ID, bwKbps uint64)) {
 	c.onExpire = fn
 }
@@ -325,7 +325,8 @@ func (c *CPlane) TeardownSegR(id reservation.ID) error {
 
 // SetupEER admits an EER of bwKbps over the given SegR until expT.
 // Admission is full-or-nothing: the demand must fit under the SegR's grant
-// at every epoch of [now, expT), checked in O(log epochs) on the ledger.
+// at every epoch of [now, expT), checked by one pass over the window's slots
+// of the ledger.
 func (c *CPlane) SetupEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) error {
 	return c.SetupEERAt(eer, seg, bwKbps, 0, expT)
 }

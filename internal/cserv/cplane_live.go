@@ -623,7 +623,8 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // loses its reservation when either covering SegR goes. Locks are taken
 // strictly one shard at a time but for the transfer-AS records, which go
 // under their two (removePair); each shard's records are walked as Tick walks
-// them, deleting in place.
+// them, deleting in place. Every transfer-AS record removed is reported to the
+// expiry callback, as Tick reports the ones that lapse.
 func (c *CPlane) DropSegR(id reservation.ID) {
 	now := c.clock()
 	var pairs []pairRef
@@ -647,8 +648,13 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		if _, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }, 0); ok {
-			removed++
+		e, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }, 0)
+		if !ok {
+			continue
+		}
+		removed++
+		if c.onExpire != nil {
+			c.onExpire(e.seg, e.seg2, e.bw)
 		}
 	}
 	sh := c.shardFor(id)

@@ -21,6 +21,7 @@ package cserv
 import (
 	"fmt"
 
+	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/segment"
 	"colibri/internal/topology"
@@ -33,10 +34,13 @@ type hopCover struct {
 	ids   [2]reservation.ID
 	segRs [2]*reservation.SegR
 	n     int
-	// transfer marks the up→core hop, where §4.7's proportional split applies
-	// (ids[0] the up-SegR, ids[1] the core-SegR). The core→down pair at the far
-	// transfer AS is charged on both ledgers but carries no split.
-	transfer bool
+	// split is the transfer split's books for the chain's (core-SegR, up-SegR)
+	// pair at the up→core hop, where §4.7's proportional split applies (ids[0]
+	// the up-SegR, ids[1] the core-SegR), and nil everywhere else. The core→down
+	// pair at the far transfer AS is charged on both ledgers but carries no
+	// split. Every item of a request shares the hop's cover, so the pair is
+	// resolved once, here.
+	split *admission.PairBooks
 }
 
 // segs returns the covering set as the CPlane's path functions take it.
@@ -58,7 +62,9 @@ func (s *Service) hopCover(segIDs []reservation.ID, splits []uint8, pathLen, idx
 		c.ids[c.n], c.segRs[c.n] = sr.ID, sr
 		c.n++
 	}
-	c.transfer = c.n == 2 && c.segRs[0].SegType == segment.Up && c.segRs[1].SegType == segment.Core
+	if c.n == 2 && c.segRs[0].SegType == segment.Up && c.segRs[1].SegType == segment.Core {
+		c.split = s.transfer.Pair(c.ids[1], c.ids[0])
+	}
 	return c, nil
 }
 
@@ -144,7 +150,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	// renewal replaces.
 	prevLive := renewing && it.prevExpT > p.now
 	grant := asked
-	if l.transfer {
+	if l.split != nil {
 		// Transfer-AS proportional split between up- and core-SegR (§4.7).
 		up, core := l.segRs[0], l.segRs[1]
 		upAvail, coreAvail := p.avail(0, expT), p.avail(1, expT)
@@ -154,11 +160,10 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 			upAvail += it.prevBw
 			coreAvail += it.prevBw
 		}
-		grant = l.s.transfer.Admit(core.ID, up.ID, asked,
-			up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
+		grant = l.split.Admit(asked, up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
 		it.tCapped = min(asked, up.Active.BwKbps)
 		if grant == 0 || (!l.renewal && grant < asked) {
-			l.s.transfer.Release(core.ID, up.ID, it.tCapped, grant)
+			l.split.Release(it.tCapped, grant)
 			l.refused++
 			it.grant = grant
 			return EEItemRefused, nil
@@ -182,10 +187,10 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	}
 	it.grant, it.admitted = grant, true
 	if it.tAdmitted {
-		l.s.transfer.Release(l.ids[1], l.ids[0], it.tCapped-it.tGrant, 0)
+		l.split.Release(it.tCapped-it.tGrant, 0)
 		it.tCapped = it.tGrant
 		if prevLive {
-			l.s.transfer.Release(l.ids[1], l.ids[0], it.prevBw, it.prevBw)
+			l.split.Release(it.prevBw, it.prevBw)
 			it.prevReleased = true
 		}
 	}
@@ -197,7 +202,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 //colibri:nomalloc
 func (l *hopLeg) releaseSplit(it *hopItem) {
 	if it.tAdmitted {
-		l.s.transfer.Release(l.ids[1], l.ids[0], it.tCapped, it.tGrant)
+		l.split.Release(it.tCapped, it.tGrant)
 		it.tAdmitted = false
 	}
 }
@@ -218,7 +223,7 @@ func (l *hopLeg) commit(it *hopItem, num uint32, final uint64) {
 		l.s.cp.AdjustEERPath(reservation.ID{SrcAS: l.src, Num: num}, l.segs(), final, prev, it.prevHeld)
 	}
 	if it.tAdmitted {
-		l.s.transfer.Release(l.ids[1], l.ids[0], it.tCapped-final, it.tGrant-final)
+		l.split.Release(it.tCapped-final, it.tGrant-final)
 		it.tAdmitted = false
 	}
 }
@@ -235,7 +240,7 @@ func (l *hopLeg) rollback(it *hopItem, num uint32) {
 	it.admitted = false
 	l.releaseSplit(it)
 	if it.prevReleased {
-		l.s.transfer.Charge(l.ids[1], l.ids[0], it.prevBw, it.prevBw)
+		l.split.Charge(it.prevBw, it.prevBw)
 	}
 	id := reservation.ID{SrcAS: l.src, Num: num}
 	if l.renewal && it.hadPrev {

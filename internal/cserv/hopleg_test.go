@@ -39,7 +39,9 @@ func booksOf(s *Service, up, core reservation.ID) hopBooks {
 	}
 	now := s.clock()
 	b.audit = s.cp.AuditLedgers(now, now+4*reservation.EERLifetimeSeconds)
-	b.demand, b.grants = s.transfer.Books(core, up)
+	if split := s.transfer.Lookup(core, up); split != nil {
+		b.demand, b.grants = split.Books()
+	}
 	return b
 }
 

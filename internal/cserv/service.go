@@ -10,7 +10,6 @@ import (
 	"colibri/internal/drkey"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
-	"colibri/internal/segment"
 	"colibri/internal/telemetry"
 	"colibri/internal/topology"
 )
@@ -234,22 +233,18 @@ func New(cfg Config) *Service {
 	}
 	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
-	// An EER that lapses without being renewed must return its charge to the
-	// §4.7 transfer-split accounting, or dead demand accumulates until the
-	// fair-share cap refuses every re-admission (the renewal-storm recovery
-	// path found this at 10⁶ flows). Only up→core records ever admitted
-	// through the split; the core+down pair at the far transfer AS carries no
-	// split charge.
+	// An EER that lapses without being renewed, or loses a covering SegR, must
+	// return its charge to the §4.7 transfer-split accounting, or dead demand
+	// accumulates until the fair-share cap refuses every re-admission (the
+	// renewal-storm recovery path found this at 10⁶ flows). Only up→core
+	// records ever admitted through the split, so only they find books for
+	// their (core, up) pair; the core+down pair at the far transfer AS carries
+	// no split charge. The split decides alone: a dropped SegR has already left
+	// the store.
 	cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
-		up, err := s.store.GetSegR(seg)
-		if err != nil || up.SegType != segment.Up {
-			return
+		if p := s.transfer.Lookup(seg2, seg); p != nil {
+			p.Release(bwKbps, bwKbps)
 		}
-		core, err := s.store.GetSegR(seg2)
-		if err != nil || core.SegType != segment.Core {
-			return
-		}
-		s.transfer.Release(core.ID, up.ID, bwKbps, bwKbps)
 	})
 	return s
 }
@@ -384,9 +379,11 @@ func (s *Service) Tick() {
 	removed := s.store.Cleanup(now)
 	for _, id := range removed {
 		// DropSegR also tears down the EER charges riding on the SegR —
-		// including transfer-AS records whose other segment survives.
+		// including transfer-AS records whose other segment survives, whose
+		// split charges go back through the expiry hook — and then the split
+		// forgets the SegR's pairs.
 		s.cp.DropSegR(id)
-		s.transfer.DropCore(id)
+		s.transfer.DropSegR(id)
 		if s.dir != nil {
 			s.dir.Unregister(id)
 		}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"colibri/internal/reservation"
 	"colibri/internal/topology"
 )
 
@@ -101,6 +102,75 @@ func TestTransferSplitRenewalRelease(t *testing.T) {
 						t.Fatalf("wave %d item %d: granted %d kbps, want 8000", wave, i, bw)
 					}
 					grants[i] = ng
+				}
+			}
+		})
+	}
+}
+
+// TestTransferSplitSegRDropRelease lets the store at the transfer AS expire
+// the up-SegR alone while EERs still ride on it, so that housekeeping drops the
+// SegR and every record over it. Each record's split charge must go back as it
+// goes — the handle taken before the drop reads zero — and the split must
+// forget the pair; otherwise the dead demand stays in the core-SegR's total and
+// shrinks every other up-SegR's fair share for good. A second up-SegR onto the
+// same core then carries the same load in full.
+func TestTransferSplitSegRDropRelease(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			f := twoISDFabric(t, func(_ topology.IA, cfg *Config) {
+				cfg.CPlaneShards = shards
+			})
+			up, core, _ := f.setupAllSegRs(t, 50_000)
+			if _, err := f.services[ia(1, 2)].SetupSegment(f.reg.UpSegments(ia(1, 2))[0], 0, 50_000); err != nil {
+				t.Fatal(err)
+			}
+			for i := uint32(0); i < 5; i++ {
+				if _, err := f.services[ia(1, 11)].RequestEER(100+i, 200+i, ia(2, 11), 8_000); err != nil {
+					t.Fatalf("setup %d: %v", i, err)
+				}
+			}
+			transfer := f.services[ia(1, 1)]
+			if b := booksOf(transfer, up.ID, core.ID); b.demand != 40_000 || b.grants != 40_000 {
+				t.Fatalf("split before the drop: %d/%d kbps, want 40000/40000", b.demand, b.grants)
+			}
+			held := transfer.transfer.Lookup(core.ID, up.ID)
+			// The up-SegR's version at 1-1 ends now (written through the
+			// store's own record), well before the EERs over it.
+			f.clock.Add(1)
+			r, err := transfer.Store().GetSegR(up.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			r.Active.ExpT = f.now()
+			transfer.Tick()
+			if _, err := transfer.Store().GetSegR(up.ID); err == nil {
+				t.Fatal("housekeeping kept the expired up-SegR")
+			}
+			b := booksOf(transfer, up.ID, core.ID)
+			if len(b.records) != 0 {
+				t.Fatalf("%d EER records left over the dropped up-SegR", len(b.records))
+			}
+			if b.demand != 0 || b.grants != 0 {
+				t.Fatalf("split after the drop: %d/%d kbps for a pair with no records, want 0/0", b.demand, b.grants)
+			}
+			if d, g := held.Books(); d != 0 || g != 0 {
+				t.Fatalf("the dropped records returned their split charges short: %d/%d kbps left", d, g)
+			}
+			// Once the flows have lapsed on the rest of their path, 40 of the
+			// core-SegR's 50 Mbps again, over 1-2's up-SegR: with the dead 40 Mbps
+			// still counted at 1-1, the second flow's fair share falls short.
+			f.clock.Add(reservation.EERLifetimeSeconds + 1)
+			for _, iaKey := range f.topo.SortedIAs() {
+				f.services[iaKey].Tick()
+			}
+			for i := uint32(0); i < 5; i++ {
+				g, err := f.services[ia(1, 2)].RequestEER(300+i, 400+i, ia(2, 11), 8_000)
+				if err != nil {
+					t.Fatalf("setup %d over the second up-SegR: %v", i, err)
+				}
+				if bw := grantBw(g); bw != 8_000 {
+					t.Fatalf("setup %d over the second up-SegR: granted %d kbps, want 8000", i, bw)
 				}
 			}
 		})

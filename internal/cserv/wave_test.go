@@ -19,6 +19,7 @@ import (
 	"sync"
 	"testing"
 
+	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
@@ -559,7 +560,10 @@ func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uin
 func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (status []uint8, granted []uint64, lost int) {
 	now := s.clock()
 	segIDs, segRs := hopSegs(t, s, req, idx)
-	transfer := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
+	var split *admission.PairBooks
+	if len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
+		split = s.transfer.Pair(segIDs[1], segIDs[0])
+	}
 	status, granted = make([]uint8, len(req.Items)), make([]uint64, len(req.Items))
 	found := make(map[reservation.ID]bool)
 	for i := range req.Items {
@@ -583,16 +587,16 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 		}
 		grant := asked
 		var capped, tGrant uint64
-		if transfer {
+		if split != nil {
 			up, core := segRs[0], segRs[1]
 			upAvail, coreAvail := s.cp.SegAvail(up.ID, now, it.ExpT), s.cp.SegAvail(core.ID, now, it.ExpT)
 			if had && prevExpT > now {
 				upAvail, coreAvail = upAvail+prevBw, coreAvail+prevBw
 			}
-			grant = s.transfer.Admit(core.ID, up.ID, asked, up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
+			grant = split.Admit(asked, up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
 			capped, tGrant = min(asked, up.Active.BwKbps), grant
 			if grant == 0 {
-				s.transfer.Release(core.ID, up.ID, capped, 0)
+				split.Release(capped, 0)
 				status[i] = EEItemRefused
 				continue
 			}
@@ -607,20 +611,20 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			}
 		}
 		if err != nil {
-			if transfer {
-				s.transfer.Release(segIDs[1], segIDs[0], capped, tGrant)
+			if split != nil {
+				split.Release(capped, tGrant)
 			}
 			status[i] = failed
 			continue
 		}
 		granted[i] = grant
-		if transfer {
+		if split != nil {
 			// Over-ask, the replaced version's charge, the clamp to the final grant.
-			s.transfer.Release(segIDs[1], segIDs[0], capped-tGrant, 0)
+			split.Release(capped-tGrant, 0)
 			if had && prevExpT > now {
-				s.transfer.Release(segIDs[1], segIDs[0], prevBw, prevBw)
+				split.Release(prevBw, prevBw)
 			}
-			s.transfer.Release(segIDs[1], segIDs[0], tGrant-grant, tGrant-grant)
+			split.Release(tGrant-grant, tGrant-grant)
 		}
 	}
 	return status, granted, lost

@@ -5,18 +5,28 @@ import (
 	"testing"
 )
 
-func BenchmarkTreeAddMax(b *testing.B) {
-	for _, epochs := range []int{64, 256, 1024} {
-		b.Run(fmt.Sprintf("epochs=%d", epochs), func(b *testing.B) {
-			tr := NewTree(epochs)
+// BenchmarkProfileChargeMax is one admission's ledger work — the peak over a
+// window, a charge over it and its discharge — on the CServ's default ring
+// (128 epochs of 4 s), for an EER's 16 s window and for the longest window the
+// ring accepts, the whole ring: the worst case of the flat ring, three passes
+// over 128 contiguous slots. The window slides by one epoch an operation, so
+// it wraps the ring's end once every 128.
+func BenchmarkProfileChargeMax(b *testing.B) {
+	const epochs, sec = 128, 4
+	for _, span := range []uint32{4, epochs} {
+		b.Run(fmt.Sprintf("window=%d", span), func(b *testing.B) {
+			p := NewProfile(epochs, sec)
+			now := uint32(1 << 20)
 			b.ReportAllocs()
-			e := Epoch(0)
-			span := Epoch(epochs - 8)
 			for i := 0; i < b.N; i++ {
-				tr.Add(e, e+span, 100)
-				_ = tr.Max(e, e+span)
-				tr.Add(e, e+span, -100)
-				e++
+				p.Advance(now)
+				exp := now + span*sec
+				_ = p.MaxDemand(now, exp)
+				if err := p.Charge(now, exp, 100); err != nil {
+					b.Fatal(err)
+				}
+				p.Discharge(now, exp, 100)
+				now += sec
 			}
 		})
 	}

@@ -275,3 +275,148 @@ func TestFutureWindowPastTheRingIsRefused(t *testing.T) {
 		t.Errorf("same window, floor one epoch on: err = %v, want nil", err)
 	}
 }
+
+// The ring's horizon, on the CServ's ledger: 128 epochs of 4 s.
+const ringN, ringSec = 128, 4
+
+// TestChargeAtTheRingHorizon: with the floor at epoch f, a charge ending at
+// epoch f+n is the last the ring holds — its final slot is the one just behind
+// the floor's — and one ending at f+n+1 is refused, whatever its length. The
+// whole ring at once fits exactly when it starts on the floor.
+func TestChargeAtTheRingHorizon(t *testing.T) {
+	p := NewProfile(ringN, ringSec)
+	const floorT = 4000 // epoch 1000; slot 1000 mod 128 = 104, so windows wrap
+	p.Advance(floorT)
+	horizonT := uint32(floorT + ringN*ringSec)
+	if err := p.Charge(horizonT-ringSec, horizonT, 5); err != nil {
+		t.Fatalf("one epoch ending at floor+n: %v", err)
+	}
+	if err := p.Charge(horizonT, horizonT+ringSec, 5); err != ErrWindow {
+		t.Fatalf("one epoch ending at floor+n+1: err = %v, want ErrWindow", err)
+	}
+	if err := p.Charge(horizonT-ringSec, horizonT+1, 5); err != ErrWindow {
+		t.Fatalf("two epochs ending at floor+n+1: err = %v, want ErrWindow", err)
+	}
+	if err := p.Charge(floorT, horizonT, 3); err != nil {
+		t.Fatalf("the whole ring from the floor: %v", err)
+	}
+	if err := p.Charge(floorT+1, horizonT+1, 3); err != ErrWindow {
+		t.Fatalf("the whole ring a second on (n+1 epochs): err = %v, want ErrWindow", err)
+	}
+	if got := p.DemandAt(horizonT - 1); got != 8 {
+		t.Errorf("demand in the ring's last epoch = %d, want 8", got)
+	}
+	if got := p.DemandAt(floorT); got != 3 {
+		t.Errorf("demand at the floor = %d, want 3 (nothing of the last epoch folded onto it)", got)
+	}
+	if got := p.MaxDemand(floorT, horizonT+ringN*ringSec); got != 8 {
+		t.Errorf("MaxDemand over the ring and past it = %d, want 8", got)
+	}
+	if p.Len() != 2 {
+		t.Errorf("Len = %d, want 2", p.Len())
+	}
+}
+
+// TestAdvanceAroundTheRing moves the floor by n−1, n and n+1 epochs over the
+// same three charges — the whole ring, its first epoch and its last. One epoch
+// short of the ring the slots are recycled one by one and the last epoch is
+// still live; at n and beyond the ring is emptied at once and every charge has
+// lapsed.
+func TestAdvanceAroundTheRing(t *testing.T) {
+	const floorT = 4000
+	horizonT := uint32(floorT + ringN*ringSec)
+	for _, tc := range []struct {
+		epochs     uint32
+		lapsed     int
+		demandLeft int64 // at the new floor
+	}{
+		{ringN - 1, 1, 1 + 4},
+		{ringN, 3, 0},
+		{ringN + 1, 3, 0},
+	} {
+		p := NewProfile(ringN, ringSec)
+		p.Advance(floorT)
+		for _, c := range []struct {
+			startT, expT uint32
+			bw           int64
+		}{{floorT, horizonT, 1}, {floorT, floorT + ringSec, 2}, {horizonT - ringSec, horizonT, 4}} {
+			if err := p.Charge(c.startT, c.expT, c.bw); err != nil {
+				t.Fatal(err)
+			}
+		}
+		now := floorT + tc.epochs*ringSec
+		if got := p.Advance(now); got != tc.lapsed {
+			t.Errorf("Advance by %d epochs: %d lapsed, want %d", tc.epochs, got, tc.lapsed)
+		}
+		if got := p.Len(); got != 3-tc.lapsed {
+			t.Errorf("Advance by %d epochs: Len = %d, want %d", tc.epochs, got, 3-tc.lapsed)
+		}
+		for e := uint32(0); e < ringN; e++ {
+			want := int64(0)
+			if e == 0 {
+				want = tc.demandLeft
+			}
+			if got := p.DemandAt(now + e*ringSec); got != want {
+				t.Fatalf("Advance by %d epochs: demand %d epochs past the floor = %d, want %d", tc.epochs, e, got, want)
+			}
+		}
+		// The recycled slots take a full ring again.
+		if err := p.Charge(now, now+ringN*ringSec, 9); err != nil {
+			t.Errorf("Advance by %d epochs: the whole new ring: %v", tc.epochs, err)
+		}
+	}
+}
+
+// TestTimestampsAtTheWrap: within an epoch of 2³²−1 s, EpochOf and epochCeil
+// do not wrap — the ceiling of the last second is an epoch past it, not 0 —
+// and a charge ending on the last second is held, read and withdrawn like any
+// other, DemandAt's one-second window [t, t+1) included, whose end does wrap.
+// The charge's epochs take in the last second itself only when epochs are
+// wider than a second: expT is exclusive, so at one-second epochs nothing can
+// end after 2³²−1, and the charge lapses once the floor reaches it.
+func TestTimestampsAtTheWrap(t *testing.T) {
+	const last = ^uint32(0)
+	for _, tc := range []struct {
+		sec        uint32
+		atLast     int64 // the demand in the last second
+		lapsedLast int   // what Advance(2³²−1) lapses
+	}{{1, 0, 1}, {ringSec, 7, 0}} {
+		sec := tc.sec
+		p := NewProfile(ringN, sec)
+		if got, want := p.EpochOf(last), Epoch(last/sec); got != want {
+			t.Errorf("sec %d: EpochOf(2³²−1) = %d, want %d", sec, got, want)
+		}
+		if got, want := p.epochCeil(last), Epoch((uint64(last)+uint64(sec)-1)/uint64(sec)); got != want || got <= p.EpochOf(last-sec) {
+			t.Errorf("sec %d: epochCeil(2³²−1) = %d, want %d", sec, got, want)
+		}
+		p.Advance(last - 3*sec)
+		if err := p.Charge(last-sec, last, 7); err != nil {
+			t.Fatalf("sec %d: a charge ending on the last second: %v", sec, err)
+		}
+		if got := p.DemandAt(last - 1); got != 7 {
+			t.Errorf("sec %d: DemandAt(2³²−2) = %d, want 7", sec, got)
+		}
+		if got := p.DemandAt(last); got != tc.atLast {
+			t.Errorf("sec %d: DemandAt(2³²−1) = %d, want %d", sec, got, tc.atLast)
+		}
+		if got := p.MaxDemand(last-3*sec, last); got != 7 {
+			t.Errorf("sec %d: MaxDemand up to 2³²−1 = %d, want 7", sec, got)
+		}
+		if got := p.DemandAt(last - 3*sec); got != 0 {
+			t.Errorf("sec %d: demand at the floor = %d, want 0", sec, got)
+		}
+		p.Discharge(last-sec, last, 7)
+		if got := p.MaxDemand(last-3*sec, last); got != 0 || p.Len() != 0 {
+			t.Errorf("sec %d: after discharge: MaxDemand %d, Len %d, want 0, 0", sec, got, p.Len())
+		}
+		if err := p.Charge(last-sec, last, 7); err != nil {
+			t.Fatal(err)
+		}
+		if got := p.Advance(last); got != tc.lapsedLast {
+			t.Errorf("sec %d: Advance(2³²−1) lapsed %d, want %d", sec, got, tc.lapsedLast)
+		}
+		if got := p.DemandAt(last); got != tc.atLast {
+			t.Errorf("sec %d: DemandAt(2³²−1) at the last floor = %d, want %d", sec, got, tc.atLast)
+		}
+	}
+}

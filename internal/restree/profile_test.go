@@ -1,6 +1,7 @@
 package restree
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -40,11 +41,13 @@ func (m *profileModel) accepts(c modelCharge) bool {
 	return end > max(first, floor) && end-first <= m.n && end <= floor+m.n
 }
 
-// at is the demand at epoch e: every held charge covering it.
-func (m *profileModel) at(e int64) (d int64) {
+// ring is the demand at every epoch of [floor, floor+n): each held charge
+// added over the epochs it covers.
+func (m *profileModel) ring() []int64 {
+	d := make([]int64, m.n)
 	for _, c := range m.held {
-		if m.first(c) <= e && e < m.end(c) {
-			d += c.bw
+		for e := max(m.first(c), m.floor); e < min(m.end(c), m.floor+m.n); e++ {
+			d[e-m.floor] += c.bw
 		}
 	}
 	return d
@@ -60,14 +63,27 @@ func (m *profileModel) live() (n int) {
 	return n
 }
 
+// modelRings are the ring sizes a stream's first byte picks from: the smallest
+// rings, where every window reaches round the ring, two between, and 64 and
+// 128 epochs, the CServ's ledger and half of it.
+var modelRings = [...]int{2, 4, 8, 16, 64, 128}
+
+// modelStats counts the accepted charges of a stream that test what the ring
+// must get right: short ones (an EER's 1–5 epochs) and ones whose slots wrap
+// round the end of the ring.
+type modelStats struct{ short, wrapped int }
+
 // runProfileModel interprets ops, four bytes an operation, against a profile
 // and the model, and compares them after every one: each epoch of the ring,
-// Len, and MaxDemand over the whole ring and beyond both ends of it.
-func runProfileModel(t *testing.T, ops []byte) {
+// Len, and MaxDemand over the whole ring and beyond both ends of it. The low
+// three bits of an operation's first byte pick what it does, the next two a
+// variant of it; variant 0 is each operation's original form, so a stream
+// written before the variants means what it meant.
+func runProfileModel(t *testing.T, ops []byte) (st modelStats) {
 	if len(ops) < 2 {
-		return
+		return st
 	}
-	epochs := 2 << (ops[0] % 4)     // 2, 4, 8, 16
+	epochs := modelRings[int(ops[0])%len(modelRings)]
 	sec := uint32(1 + 3*(ops[1]%2)) // 1 or 4
 	p := NewProfile(epochs, sec)
 	m := &profileModel{n: int64(epochs), sec: int64(sec), floor: -1}
@@ -85,6 +101,13 @@ func runProfileModel(t *testing.T, ops []byte) {
 				m.floor = m.first(c)
 			}
 			m.held = append(m.held, c)
+			first, end := m.first(c), m.end(c)
+			if end-first <= 5 {
+				st.short++
+			}
+			if start := max(first, m.floor); start%m.n+end-start > m.n {
+				st.wrapped++
+			}
 		}
 	}
 	advance := func() {
@@ -104,10 +127,27 @@ func runProfileModel(t *testing.T, ops []byte) {
 	}
 	for ops = ops[2:]; len(ops) >= 4; ops = ops[4:] {
 		a, b, c := uint32(ops[1]), uint32(ops[2]), int64(ops[3])
-		switch ops[0] % 8 {
+		switch op, variant := ops[0]%8, ops[0]>>3%4; op {
 		case 0: // a charge from now
-			charge(modelCharge{now, now + 1 + b%(horizon+sec), 1 + c})
+			switch variant {
+			case 1: // an EER's window: 1–5 epochs
+				charge(modelCharge{now, now + sec*(1+b%5), 1 + c})
+			case 2: // any window up to a whole ring and an epoch
+				charge(modelCharge{now, now + 1 + (a<<8|b)%(horizon+sec), 1 + c})
+			default:
+				charge(modelCharge{now, now + 1 + b%(horizon+sec), 1 + c})
+			}
 		case 1: // a window bought ahead, up to and past the end of the ring
+			if variant == 1 {
+				// Ending exactly with the ring, or one epoch past it.
+				floor := m.floor
+				if floor < 0 {
+					floor = int64(now / sec)
+				}
+				exp := uint32(floor+m.n+int64(b%2)) * sec
+				charge(modelCharge{exp - sec*(1+a%uint32(epochs)), exp, 1 + c})
+				break
+			}
 			start := now + a%(horizon+2*sec)
 			charge(modelCharge{start, start + 1 + b%(horizon/2+1), 1 + c})
 		case 2: // a start in the past: only what lies ahead of the floor counts
@@ -121,7 +161,12 @@ func runProfileModel(t *testing.T, ops []byte) {
 				m.held = append(m.held[:i], m.held[i+1:]...)
 			}
 		case 4: // time passes
-			now += a % (2 * sec)
+			if variant == 1 {
+				// One epoch short of the ring, the ring, one epoch past it.
+				now += horizon - sec + a%3*sec
+			} else {
+				now += a % (2 * sec)
+			}
 			advance()
 		case 5: // the clock steps back: the floor does not
 			now -= min(now, a%(horizon/2+1))
@@ -141,8 +186,8 @@ func runProfileModel(t *testing.T, ops []byte) {
 			continue
 		}
 		var peak int64
-		for e := m.floor; e < m.floor+m.n; e++ {
-			want := m.at(e)
+		for i, want := range m.ring() {
+			e := m.floor + int64(i)
 			peak = max(peak, want)
 			if got := p.DemandAt(uint32(e * m.sec)); got != want {
 				t.Fatalf("epoch %d (floor %d): demand %d, model %d", e, m.floor, got, want)
@@ -159,26 +204,46 @@ func runProfileModel(t *testing.T, ops []byte) {
 			t.Fatalf("Len = %d, model %d", got, want)
 		}
 	}
+	return st
 }
 
-// TestProfileModel runs seeded random operation streams through the model.
+// TestProfileModel runs seeded random operation streams through the model,
+// fifty on each ring size, and demands of every ring at least a hundred short
+// windows and a hundred that wrap round its end.
 func TestProfileModel(t *testing.T) {
-	for seed := int64(1); seed <= 300; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		ops := make([]byte, 2+4*400)
-		rng.Read(ops)
-		runProfileModel(t, ops)
+	for r, epochs := range modelRings {
+		t.Run(fmt.Sprint("ring", epochs), func(t *testing.T) {
+			var total modelStats
+			for seed := int64(1); seed <= 50; seed++ {
+				rng := rand.New(rand.NewSource(int64(r)<<16 + seed))
+				ops := make([]byte, 2+4*400)
+				rng.Read(ops)
+				ops[0] = byte(r)
+				st := runProfileModel(t, ops)
+				total.short += st.short
+				total.wrapped += st.wrapped
+			}
+			if total.short < 100 || total.wrapped < 100 {
+				t.Fatalf("%d short and %d ring-wrapping charges, want at least 100 of each", total.short, total.wrapped)
+			}
+		})
 	}
 }
 
 // FuzzProfileModel lets the fuzzer write the operation stream. The committed
 // seeds are one stream per hazard: lapse by Advance alone, a backward clock, a
 // jump past the horizon with charges held across it, and future starts around
-// the end of the ring.
+// the end of the ring; then, on the CServ's 128-epoch ring, EER windows
+// wrapping its end, windows ending with the ring and one epoch past it, clock
+// jumps of n−1, n and n+1 epochs, and windows of up to the whole ring.
 func FuzzProfileModel(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0, 15, 9, 4, 7, 0, 0, 4, 7, 0, 0, 4, 7, 0, 0, 3, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 0, 30, 5, 4, 9, 0, 0, 5, 12, 0, 0, 0, 0, 30, 2, 3, 1, 0, 0, 4, 5, 0, 0})
 	f.Add([]byte{1, 0, 0, 0, 3, 1, 1, 2, 2, 1, 6, 1, 0, 0, 3, 0, 0, 0, 3, 0, 0, 0, 0, 0, 2, 1})
 	f.Add([]byte{2, 1, 4, 0, 0, 0, 1, 32, 3, 7, 1, 28, 3, 7, 1, 36, 3, 7, 4, 7, 0, 0, 3, 1, 0, 0})
-	f.Fuzz(runProfileModel)
+	f.Add([]byte{5, 1, 4, 7, 0, 0, 4, 7, 0, 0, 8, 0, 4, 9, 8, 0, 2, 5, 3, 0, 0, 0, 12, 1, 0, 0, 8, 0, 4, 5})
+	f.Add([]byte{5, 0, 4, 0, 0, 0, 9, 7, 0, 3, 9, 7, 1, 3, 9, 200, 0, 3, 3, 0, 0, 0, 9, 0, 1, 3})
+	f.Add([]byte{5, 1, 16, 1, 255, 4, 8, 0, 3, 2, 12, 0, 0, 0, 8, 0, 3, 2, 12, 1, 0, 0, 8, 0, 3, 2, 12, 2, 0, 0, 8, 0, 3, 2, 6, 0, 0, 0})
+	f.Add([]byte{5, 1, 16, 1, 255, 4, 16, 1, 254, 4, 12, 1, 0, 0, 16, 2, 3, 4, 16, 0, 200, 4, 6, 100, 0, 0, 16, 1, 255, 4})
+	f.Fuzz(func(t *testing.T, ops []byte) { runProfileModel(t, ops) })
 }
