@@ -27,6 +27,32 @@ func sigmaMACAESNI(sigma *Key, mac, block *[16]byte)
 //go:noescape
 func hopMACAESNI(ks *AESSchedule, in *[48]byte, block, mac *[16]byte)
 
+// cbcChainsAESNI runs the first lanes chains of c, each over blocks whole
+// blocks and its last: one chain with its round keys held in registers, or
+// four interleaved round by round.
+//
+//go:noescape
+func cbcChainsAESNI(c *chains, lanes, blocks int)
+
+// cbcChains runs the first lanes chains of c on the kernel. Two or three
+// chains run as four, the spare lanes repeating the first: a spare lane costs
+// issue slots, not latency.
+//
+//colibri:nomalloc
+func cbcChains(c *chains, lanes int) {
+	if !useAESNI {
+		cbcChainsSoft(c, lanes)
+		return
+	}
+	if lanes > 1 {
+		for i := lanes; i < MaxLanes; i++ {
+			c.ks[i], c.full[i], c.last[i], c.mac[i] = c.ks[0], c.full[0], c.last[0], c.mac[0]
+		}
+		lanes = MaxLanes
+	}
+	cbcChainsAESNI(c, lanes, len(c.full[0])/16)
+}
+
 // ExpandAES128 expands a 16-byte key into the caller's schedule without
 // allocating.
 //

@@ -1,8 +1,10 @@
 //go:build amd64 && !purego
 
 #include "textflag.h"
+#include "go_asm.h"
 
-// AES-128 encryption with AES-NI for the data-plane MACs (Eqs. 4 and 6).
+// AES-128 encryption with AES-NI for the data-plane MACs (Eqs. 4 and 6) and
+// every control-plane CBC chain.
 // The key schedule uses PSHUFB + AESENCLAST instead of AESKEYGENASSIST
 // (microcoded, ~12 cycles on Intel): broadcasting RotWord(w3) to all four
 // columns makes ShiftRows a no-op, so AESENCLAST against the round constant
@@ -163,6 +165,148 @@ TEXT ·sigmaMACAESNI(SB), NOSPLIT, $0-24
 	AESENC     X9, X0; \
 	AESENC     X10, X0; \
 	AESENCLAST X11, X0
+
+// ROUND4 runs AES round key off of each of four schedules (R8-R11) on the
+// four chain states X0-X3; clobbers X4-X7.
+#define ROUND4(off) \
+	MOVOU  off(R8), X4; \
+	MOVOU  off(R9), X5; \
+	MOVOU  off(R10), X6; \
+	MOVOU  off(R11), X7; \
+	AESENC X4, X0; \
+	AESENC X5, X1; \
+	AESENC X6, X2; \
+	AESENC X7, X3
+
+// ENCRYPT4 encrypts X0-X3, each under its own schedule (R8-R11), the four
+// chains interleaved round by round; clobbers X4-X7.
+#define ENCRYPT4 \
+	MOVOU      (R8), X4; \
+	MOVOU      (R9), X5; \
+	MOVOU      (R10), X6; \
+	MOVOU      (R11), X7; \
+	PXOR       X4, X0; \
+	PXOR       X5, X1; \
+	PXOR       X6, X2; \
+	PXOR       X7, X3; \
+	ROUND4(16); \
+	ROUND4(32); \
+	ROUND4(48); \
+	ROUND4(64); \
+	ROUND4(80); \
+	ROUND4(96); \
+	ROUND4(112); \
+	ROUND4(128); \
+	ROUND4(144); \
+	MOVOU      160(R8), X4; \
+	MOVOU      160(R9), X5; \
+	MOVOU      160(R10), X6; \
+	MOVOU      160(R11), X7; \
+	AESENCLAST X4, X0; \
+	AESENCLAST X5, X1; \
+	AESENCLAST X6, X2; \
+	AESENCLAST X7, X3
+
+// XOR4 XORs the block at (AX), (BX), (DX), (SI) into X0, X1, X2, X3;
+// clobbers X8-X11.
+#define XOR4 \
+	MOVOU (AX), X8; \
+	MOVOU (BX), X9; \
+	MOVOU (DX), X10; \
+	MOVOU (SI), X11; \
+	PXOR  X8, X0; \
+	PXOR  X9, X1; \
+	PXOR  X10, X2; \
+	PXOR  X11, X3
+
+// func cbcChainsAESNI(c *chains, lanes, blocks int)
+//
+// The CBC chains of c: chain i is E_ks[i] over full[i] (blocks whole blocks)
+// then last[i], from a zero IV, into mac[i]. lanes is 1 or 4. One chain keeps
+// its eleven round keys in registers for the whole message; four chains load
+// each round key from their own schedule as the round comes up, and run the
+// round in all four before the next. Every input is read before any MAC is
+// written.
+TEXT ·cbcChainsAESNI(SB), NOSPLIT, $0-24
+	MOVQ  c+0(FP), DI
+	MOVQ  blocks+16(FP), CX
+	PXOR  X0, X0
+	CMPQ  lanes+8(FP), $1
+	JNE   four
+	MOVQ  chains_ks(DI), AX
+	MOVQ  chains_full(DI), BX
+	MOVOU (AX), X1
+	MOVOU 16(AX), X2
+	MOVOU 32(AX), X3
+	MOVOU 48(AX), X4
+	MOVOU 64(AX), X5
+	MOVOU 80(AX), X6
+	MOVOU 96(AX), X7
+	MOVOU 112(AX), X8
+	MOVOU 128(AX), X9
+	MOVOU 144(AX), X10
+	MOVOU 160(AX), X11
+	TESTQ CX, CX
+	JZ    onelast
+
+oneloop:
+	MOVOU (BX), X12
+	PXOR  X12, X0
+	ENCRYPT
+	ADDQ  $16, BX
+	DECQ  CX
+	JNZ   oneloop
+
+onelast:
+	MOVQ  chains_last(DI), BX
+	MOVOU (BX), X12
+	PXOR  X12, X0
+	ENCRYPT
+	MOVQ  chains_mac(DI), DX
+	MOVOU X0, (DX)
+	RET
+
+four:
+	MOVQ chains_ks+0(DI), R8
+	MOVQ chains_ks+8(DI), R9
+	MOVQ chains_ks+16(DI), R10
+	MOVQ chains_ks+24(DI), R11
+	MOVQ chains_full+0(DI), AX
+	MOVQ chains_full+24(DI), BX
+	MOVQ chains_full+48(DI), DX
+	MOVQ chains_full+72(DI), SI
+	PXOR X1, X1
+	PXOR X2, X2
+	PXOR X3, X3
+	TESTQ CX, CX
+	JZ   fourlast
+
+fourloop:
+	XOR4
+	ENCRYPT4
+	ADDQ $16, AX
+	ADDQ $16, BX
+	ADDQ $16, DX
+	ADDQ $16, SI
+	DECQ CX
+	JNZ  fourloop
+
+fourlast:
+	MOVQ  chains_last+0(DI), AX
+	MOVQ  chains_last+8(DI), BX
+	MOVQ  chains_last+16(DI), DX
+	MOVQ  chains_last+24(DI), SI
+	XOR4
+	ENCRYPT4
+	MOVQ  chains_mac+0(DI), AX
+	MOVQ  chains_mac+8(DI), BX
+	MOVQ  chains_mac+16(DI), DX
+	MOVQ  chains_mac+24(DI), SI
+	MOVOU X0, (AX)
+	MOVOU X1, (BX)
+	MOVOU X2, (DX)
+	MOVOU X3, (SI)
+	RET
 
 // func hopMACAESNI(ks *AESSchedule, in *[48]byte, block, mac *[16]byte)
 //

@@ -4,8 +4,8 @@ package cryptoutil
 
 import "testing"
 
-// TestAESKernelCPUIDFallback runs the exported entry points as an amd64 CPU
-// without AES-NI would: through the T-table code.
+// TestAESKernelCPUIDFallback runs the exported entry points, the chain lanes
+// included, as an amd64 CPU without AES-NI would: through the T-table code.
 func TestAESKernelCPUIDFallback(t *testing.T) {
 	if !useAESNI {
 		t.Skip("CPU has no AES-NI: every other test already runs the fallback")
@@ -14,4 +14,8 @@ func TestAESKernelCPUIDFallback(t *testing.T) {
 	defer func() { useAESNI = true }()
 	TestAESKernelFIPS197(t)
 	TestHopMACMatchesTwoStep(t)
+	TestCBCMACMatchesBlockForm(t)
+	TestCMACMatchesBlockForm(t)
+	TestCMACRFC4493Vectors(t)
+	TestAESKernelNoAlloc(t)
 }

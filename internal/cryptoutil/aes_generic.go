@@ -2,6 +2,11 @@
 
 package cryptoutil
 
+// cbcChains runs the first lanes chains of c one after another.
+//
+//colibri:nomalloc
+func cbcChains(c *chains, lanes int) { cbcChainsSoft(c, lanes) }
+
 // ExpandAES128 expands a 16-byte key into the caller's schedule without
 // allocating.
 //

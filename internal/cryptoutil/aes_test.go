@@ -7,6 +7,8 @@ import (
 	"encoding/hex"
 	"math/rand"
 	"testing"
+
+	"colibri/internal/packet"
 )
 
 // Tests for the data-plane AES-128 kernel. Whatever implementation the build
@@ -155,9 +157,55 @@ func blockCBCMAC(block cipher.Block, msg []byte) (x [16]byte) {
 	return x
 }
 
-// TestCBCMACMatchesBlockForm: SumInto on the expanded schedule equals the
-// cipher.Block form over random inputs of the data plane's lengths (16:
-// HVF input, 32: SegR token input, 48: Eq. 4 input) and ragged ones.
+// laneMsgs returns lanes random messages of n bytes, each a repeat of the one
+// before it one time in four.
+func laneMsgs(rng *rand.Rand, lanes, n int) [][]byte {
+	msgs := make([][]byte, lanes)
+	for i := range msgs {
+		if i > 0 && rng.Intn(4) == 0 {
+			msgs[i] = msgs[i-1]
+			continue
+		}
+		msgs[i] = make([]byte, n)
+		rng.Read(msgs[i])
+	}
+	return msgs
+}
+
+// sentinel fills the MAC past the lanes a call may write.
+var sentinel = [MACSize]byte{0xde, 0xad, 0xbe, 0xef}
+
+// checkCBCLanes holds SumLanes over msgs, four at a time as a wave's σs run,
+// to SumInto and to the crypto/aes block form of each, and checks that no lane
+// writes past its own MAC.
+func checkCBCLanes(t *testing.T, key Key, msgs [][]byte) {
+	t.Helper()
+	m := MustCBCMAC(key)
+	macs := make([][MACSize]byte, len(msgs)+1)
+	macs[len(msgs)] = sentinel
+	for i := 0; i < len(msgs); i += MaxLanes {
+		j := min(i+MaxLanes, len(msgs))
+		m.SumLanes(macs[i:j], msgs[i:j])
+	}
+	if macs[len(msgs)] != sentinel {
+		t.Fatalf("%d lanes wrote past their MACs", len(msgs))
+	}
+	for i, msg := range msgs {
+		var one [MACSize]byte
+		m.SumInto(&one, msg)
+		if want := blockCBCMAC(NewBlock(key), msg); macs[i] != want || one != want {
+			t.Fatalf("%d messages of %d bytes, lane %d: SumLanes = %x, SumInto = %x, block form = %x",
+				len(msgs), len(msg), i, macs[i], one, want)
+		}
+	}
+}
+
+// TestCBCMACMatchesBlockForm: SumInto and SumLanes on the expanded schedule
+// equal the cipher.Block form — one chain over random inputs of the data
+// plane's lengths (16: HVF input, 32: SegR token input, 48: Eq. 4 input) and
+// ragged ones, in place too; one to four lanes over every length 0–100,
+// repeated messages included; and waves of 1 to packet.MaxHops σ inputs run
+// four at a time.
 func TestCBCMACMatchesBlockForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for i := 0; i < 20_000; i++ {
@@ -168,10 +216,41 @@ func TestCBCMACMatchesBlockForm(t *testing.T) {
 		rng.Read(msg)
 		var got [MACSize]byte
 		MustCBCMAC(key).SumInto(&got, msg)
-		if want := blockCBCMAC(NewBlock(key), msg); got != want {
+		want := blockCBCMAC(NewBlock(key), msg)
+		if got != want {
 			t.Fatalf("len %d: SumInto = %x, block form = %x", n, got, want)
 		}
+		if n == MACSize {
+			inPlace := (*[MACSize]byte)(msg)
+			if MustCBCMAC(key).SumInto(inPlace, msg); *inPlace != want {
+				t.Fatalf("in place: SumInto = %x, block form = %x", *inPlace, want)
+			}
+		}
 	}
+	for n := 0; n <= 100; n++ {
+		for lanes := 1; lanes <= MaxLanes; lanes++ {
+			var key Key
+			rng.Read(key[:])
+			checkCBCLanes(t, key, laneMsgs(rng, lanes, n))
+		}
+	}
+	for hops := 1; hops <= packet.MaxHops; hops++ {
+		var key Key
+		rng.Read(key[:])
+		checkCBCLanes(t, key, laneMsgs(rng, hops, packet.EERAuthLen))
+	}
+}
+
+// TestLanesOfUnevenLengthRefused: chains of one call must have as many whole
+// blocks each; the kernel would run every chain as long as the first.
+func TestLanesOfUnevenLengthRefused(t *testing.T) {
+	defer func() {
+		if r := recover(); r != errUnevenChains {
+			t.Fatalf("recovered %v, want %v", r, errUnevenChains)
+		}
+	}()
+	var macs [2][MACSize]byte
+	MustCBCMAC(Key{1}).SumLanes(macs[:], [][]byte{make([]byte, 32), make([]byte, 48)})
 }
 
 // tableHopMAC is HopMAC on the T-table code alone: the CBC-MAC chain of
@@ -266,9 +345,58 @@ func blockCMAC(block cipher.Block, msg []byte) (x [16]byte) {
 	return x
 }
 
+// laneKeys returns n random keys, each a repeat of the one before it one
+// time in four.
+func laneKeys(rng *rand.Rand, n int) []Key {
+	keys := make([]Key, n)
+	for i := range keys {
+		if i > 0 && rng.Intn(4) == 0 {
+			keys[i] = keys[i-1]
+		} else {
+			rng.Read(keys[i][:])
+		}
+	}
+	return keys
+}
+
+// checkCMACLanes holds SumCMACs of msg under keys, four at a time as
+// signPath runs a path's hop keys, to SumInto and to the crypto/aes block form
+// under each key, and checks that no lane writes past its own MAC. A repeated
+// key is the same CMAC in both lanes one time in two.
+func checkCMACLanes(t *testing.T, rng *rand.Rand, keys []Key, msg []byte) {
+	t.Helper()
+	cs := make([]*CMAC, len(keys))
+	for i, key := range keys {
+		if i > 0 && key == keys[i-1] && rng.Intn(2) == 0 {
+			cs[i] = cs[i-1]
+		} else {
+			cs[i] = MustCMAC(key)
+		}
+	}
+	macs := make([][MACSize]byte, len(keys)+1)
+	macs[len(keys)] = sentinel
+	for i := 0; i < len(cs); i += MaxLanes {
+		j := min(i+MaxLanes, len(cs))
+		SumCMACs(macs[i:j], cs[i:j], msg)
+	}
+	if macs[len(keys)] != sentinel {
+		t.Fatalf("%d lanes wrote past their MACs", len(keys))
+	}
+	for i, key := range keys {
+		var one [MACSize]byte
+		cs[i].SumInto(&one, msg)
+		if want := blockCMAC(NewBlock(key), msg); macs[i] != want || one != want {
+			t.Fatalf("%d keys, %d bytes, lane %d: SumCMACs = %x, SumInto = %x, block form = %x",
+				len(keys), len(msg), i, macs[i], one, want)
+		}
+	}
+}
+
 // TestCMACMatchesBlockForm: CMAC on the expanded schedule equals the
-// cipher.Block form over random keys and every length around the block
-// boundaries, the empty message included.
+// cipher.Block form — one chain over random keys and every length around the
+// block boundaries, the empty message included; one to four lanes over every
+// length 0–100, repeated keys included; and paths of 1 to packet.MaxHops hop
+// keys run four at a time.
 func TestCMACMatchesBlockForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	for i := 0; i < 20_000; i++ {
@@ -282,6 +410,75 @@ func TestCMACMatchesBlockForm(t *testing.T) {
 			t.Fatalf("len %d: SumInto = %x, block form = %x", len(msg), got, want)
 		}
 	}
+	for n := 0; n <= 100; n++ {
+		for lanes := 1; lanes <= MaxLanes; lanes++ {
+			checkCMACLanes(t, rng, laneKeys(rng, lanes), laneMsgs(rng, 1, n)[0])
+		}
+	}
+	for hops := 1; hops <= packet.MaxHops; hops++ {
+		checkCMACLanes(t, rng, laneKeys(rng, hops), laneMsgs(rng, 1, 40+rng.Intn(200))[0])
+	}
+}
+
+// FuzzCBCLanes: four keys, a message and a lane count in. The message is cut
+// into that many pieces of one length; the kernel's chains over the pieces,
+// each under its own key, must equal the scalar chains (the per-block loop
+// over EncryptAES128) and the crypto/aes block form; so must SumLanes of the
+// pieces under the first key, and SumCMACs of the whole message under the
+// keys.
+func FuzzCBCLanes(f *testing.F) {
+	f.Add(make([]byte, 4*KeySize), []byte{}, uint8(3))
+	f.Add([]byte("\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c"+
+		"\x00\x01\x02\x03\x04\x05\x06\x07\x08\x09\x0a\x0b\x0c\x0d\x0e\x0f"+
+		"\x2b\x7e\x15\x16\x28\xae\xd2\xa6\xab\xf7\x15\x88\x09\xcf\x4f\x3c"+
+		"\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff\xff"),
+		make([]byte, 4*packet.EERAuthLen), uint8(3))
+	f.Fuzz(func(t *testing.T, k, msg []byte, n uint8) {
+		if len(k) != MaxLanes*KeySize || len(msg) > 1<<12 {
+			t.Skip()
+		}
+		lanes := 1 + int(n)%MaxLanes
+		size := len(msg) / lanes
+		var keys [MaxLanes]Key
+		var cs [MaxLanes]*CMAC
+		var kernel, scalar chains
+		var lasts [MaxLanes][MACSize]byte
+		var got, want [MaxLanes][MACSize]byte
+		msgs := make([][]byte, lanes)
+		for i := range keys {
+			keys[i] = Key(k[i*KeySize:])
+			cs[i] = MustCMAC(keys[i])
+		}
+		for i := range msgs {
+			msgs[i] = msg[i*size : (i+1)*size]
+			full, last := zeroPadLast(&lasts[i], msgs[i])
+			kernel.ks[i], kernel.full[i], kernel.last[i], kernel.mac[i] = &cs[i].ks, full, last, &got[i]
+			scalar.ks[i], scalar.full[i], scalar.last[i], scalar.mac[i] = &cs[i].ks, full, last, &want[i]
+		}
+		runChains(&kernel, lanes)
+		cbcChainsSoft(&scalar, lanes)
+		for i, msg := range msgs {
+			std := blockCBCMAC(NewBlock(keys[i]), msg)
+			if size == 0 {
+				std = stdEncrypt(&keys[i], &[MACSize]byte{}) // a chain always runs its last block
+			}
+			if got[i] != want[i] || got[i] != std {
+				t.Fatalf("lane %d of %d, %d bytes: kernel = %x, scalar chain = %x, crypto/aes = %x", i, lanes, size, got[i], want[i], std)
+			}
+		}
+		MustCBCMAC(keys[0]).SumLanes(got[:lanes], msgs)
+		for i, msg := range msgs {
+			if std := blockCBCMAC(NewBlock(keys[0]), msg); got[i] != std {
+				t.Fatalf("lane %d of %d under one key, %d bytes: SumLanes = %x, crypto/aes = %x", i, lanes, size, got[i], std)
+			}
+		}
+		SumCMACs(got[:lanes], cs[:lanes], msg)
+		for i := range lanes {
+			if std := blockCMAC(NewBlock(keys[i]), msg); got[i] != std {
+				t.Fatalf("CMAC lane %d of %d, %d bytes: SumCMACs = %x, crypto/aes = %x", i, lanes, len(msg), got[i], std)
+			}
+		}
+	})
 }
 
 // TestAESKernelNoAlloc pins 0 allocs/op for the hot entry points.
@@ -292,13 +489,20 @@ func TestAESKernelNoAlloc(t *testing.T) {
 	var in [48]byte
 	msg := make([]byte, 48)
 	cbc, cmac := MustCBCMAC(key), MustCMAC(key)
+	var macs [MaxLanes][MACSize]byte
+	msgs := [][]byte{msg, msg, msg, msg}
+	cmacs := []*CMAC{cmac, MustCMAC(Key{4}), cmac, MustCMAC(Key{5})}
 	for name, fn := range map[string]func(){
-		"CMAC.SumInto":   func() { cmac.SumInto(&out, msg) },
-		"ExpandAES128":   func() { ExpandAES128(&ks, &key) },
-		"EncryptAES128":  func() { EncryptAES128(&ks, &out, &block) },
-		"SigmaMAC":       func() { SigmaMAC(&ks, &key, &out, &block) },
-		"CBCMAC.SumInto": func() { cbc.SumInto(&out, msg) },
-		"CBCMAC.HopMAC":  func() { cbc.HopMAC(&in, &block, &out) },
+		"CMAC.SumInto":        func() { cmac.SumInto(&out, msg) },
+		"ExpandAES128":        func() { ExpandAES128(&ks, &key) },
+		"EncryptAES128":       func() { EncryptAES128(&ks, &out, &block) },
+		"SigmaMAC":            func() { SigmaMAC(&ks, &key, &out, &block) },
+		"CBCMAC.SumInto":      func() { cbc.SumInto(&out, msg) },
+		"CBCMAC.HopMAC":       func() { cbc.HopMAC(&in, &block, &out) },
+		"CBCMAC.SumLanes (3)": func() { cbc.SumLanes(macs[:3], msgs[:3]) },
+		"CBCMAC.SumLanes (4)": func() { cbc.SumLanes(macs[:], msgs) },
+		"SumCMACs (1)":        func() { SumCMACs(macs[:1], cmacs[:1], msg) },
+		"SumCMACs (4)":        func() { SumCMACs(macs[:], cmacs, msg) },
 	} {
 		if a := testing.AllocsPerRun(100, fn); a != 0 {
 			t.Errorf("%s: %v allocs/op, want 0", name, a)

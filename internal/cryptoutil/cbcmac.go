@@ -3,7 +3,6 @@ package cryptoutil
 import (
 	"crypto/aes"
 	"crypto/cipher"
-	"crypto/subtle"
 )
 
 // CBCMAC is a fixed-input-length AES-CBC-MAC for the data-plane hot path.
@@ -40,21 +39,53 @@ func MustCBCMAC(key Key) *CBCMAC {
 }
 
 // SumInto computes the CBC-MAC of msg (zero-padded to a block boundary) into
-// mac. It performs no heap allocation.
+// mac, the whole chain in one kernel call. The empty message's MAC is zero.
+// It performs no heap allocation.
 //
 //colibri:nomalloc
 func (m *CBCMAC) SumInto(mac *[MACSize]byte, msg []byte) {
-	var x [aes.BlockSize]byte
-	for len(msg) >= aes.BlockSize {
-		subtle.XORBytes(x[:], x[:], msg[:aes.BlockSize])
-		EncryptAES128(&m.ks, &x, &x)
-		msg = msg[aes.BlockSize:]
+	if len(msg) == 0 {
+		*mac = [MACSize]byte{}
+		return
 	}
-	if len(msg) > 0 {
-		subtle.XORBytes(x[:], x[:], msg)
-		EncryptAES128(&m.ks, &x, &x)
+	var c chains
+	var pad [aes.BlockSize]byte
+	c.full[0], c.last[0] = zeroPadLast(&pad, msg)
+	c.ks[0], c.mac[0] = &m.ks, mac
+	runChains(&c, 1)
+}
+
+// SumLanes computes the CBC-MAC of msgs[i] into macs[i] for every i, the
+// chains abreast in one kernel call: at most four messages, either all empty or
+// all non-empty with as many whole blocks before their last as the first. No
+// MAC may overlap a message.
+//
+//colibri:nomalloc
+func (m *CBCMAC) SumLanes(macs [][MACSize]byte, msgs [][]byte) {
+	if len(msgs) == 0 || len(msgs[0]) == 0 {
+		clear(macs[:len(msgs)])
+		return
 	}
-	*mac = x
+	var c chains
+	var pad [MaxLanes][aes.BlockSize]byte
+	for i, msg := range msgs {
+		c.full[i], c.last[i] = zeroPadLast(&pad[i], msg)
+		c.ks[i], c.mac[i] = &m.ks, &macs[i]
+	}
+	runChains(&c, len(msgs))
+}
+
+// zeroPadLast splits a non-empty msg into the whole blocks before its final
+// block and the final block: in msg when whole, else zero-padded into pad.
+//
+//colibri:nomalloc
+func zeroPadLast(pad *[aes.BlockSize]byte, msg []byte) (full []byte, last *[aes.BlockSize]byte) {
+	full, rest := splitLast(msg)
+	if len(rest) == aes.BlockSize {
+		return full, (*[aes.BlockSize]byte)(rest)
+	}
+	copy(pad[:], rest)
+	return full, pad
 }
 
 // hopMACSoft is HopMAC as two calls, SumInto then SigmaMAC: the T-table

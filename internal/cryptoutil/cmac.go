@@ -85,33 +85,45 @@ func (c *CMAC) SumInto(mac *[MACSize]byte, msg []byte) {
 	c.sum(mac, msg)
 }
 
+// sum computes the CMAC of msg into mac, the whole chain in one kernel call.
+//
+//colibri:nomalloc
 func (c *CMAC) sum(mac *[MACSize]byte, msg []byte) {
-	var x [aes.BlockSize]byte
-	n := len(msg)
-	// Process all complete blocks except the last.
-	for n > aes.BlockSize {
-		subtle.XORBytes(x[:], x[:], msg[:aes.BlockSize])
-		EncryptAES128(&c.ks, &x, &x)
-		msg = msg[aes.BlockSize:]
-		n -= aes.BlockSize
-	}
-	// Last block: complete → XOR K1; partial → pad and XOR K2.
+	var ch chains
 	var last [aes.BlockSize]byte
-	if n == aes.BlockSize {
-		copy(last[:], msg)
-		for i := range last {
-			last[i] ^= c.k1[i]
-		}
-	} else {
-		copy(last[:], msg)
-		last[n] = 0x80
-		for i := range last {
-			last[i] ^= c.k2[i]
-		}
+	ch.ks[0], ch.full[0], ch.last[0], ch.mac[0] = &c.ks, c.lastBlock(&last, msg), &last, mac
+	runChains(&ch, 1)
+}
+
+// SumCMACs computes the CMAC of msg under cs[i] into macs[i] for every i, the
+// chains abreast in one kernel call: at most four CMACs. No MAC may overlap
+// msg.
+//
+//colibri:nomalloc
+func SumCMACs(macs [][MACSize]byte, cs []*CMAC, msg []byte) {
+	var ch chains
+	var last [MaxLanes][aes.BlockSize]byte
+	for i, c := range cs {
+		ch.ks[i], ch.full[i], ch.last[i], ch.mac[i] = &c.ks, c.lastBlock(&last[i], msg), &last[i], &macs[i]
 	}
-	subtle.XORBytes(x[:], x[:], last[:])
-	EncryptAES128(&c.ks, &x, &x)
-	*mac = x
+	runChains(&ch, len(cs))
+}
+
+// lastBlock writes msg's final block as RFC 4493 §2.4 has it (complete → XOR
+// K1; partial → padded, XOR K2) into last and returns the whole blocks before
+// it.
+//
+//colibri:nomalloc
+func (c *CMAC) lastBlock(last *[aes.BlockSize]byte, msg []byte) (full []byte) {
+	full, rest := splitLast(msg)
+	if len(rest) == aes.BlockSize {
+		subtle.XORBytes(last[:], rest, c.k1[:])
+		return full
+	}
+	copy(last[:], rest)
+	last[len(rest)] = 0x80
+	subtle.XORBytes(last[:], last[:], c.k2[:])
+	return full
 }
 
 // DeriveKey uses the CMAC as a PRF to derive a subordinate 16-byte key from

@@ -176,6 +176,66 @@ func BenchmarkCMAC64B(b *testing.B) {
 	}
 }
 
+// BenchmarkCMAC35KB is the initiator's MAC of a 1024-item renewal wave's
+// body towards one hop.
+func BenchmarkCMAC35KB(b *testing.B) {
+	c := MustCMAC(Key{1})
+	msg := make([]byte, 35<<10)
+	var mac [MACSize]byte
+	b.SetBytes(int64(len(msg)))
+	b.ReportAllocs()
+	for b.Loop() {
+		c.SumInto(&mac, msg)
+	}
+}
+
+// BenchmarkSigmaLanes times four σs (48-byte Eq. 4 inputs under one key):
+// "abreast" is one SumLanes call, "serial" four SumInto calls.
+func BenchmarkSigmaLanes(b *testing.B) {
+	m := MustCBCMAC(Key{1})
+	var in [MaxLanes][48]byte
+	msgs := [][]byte{in[0][:], in[1][:], in[2][:], in[3][:]}
+	var macs [MaxLanes][MACSize]byte
+	b.Run("abreast", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			m.SumLanes(macs[:], msgs)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for i, msg := range msgs {
+				m.SumInto(&macs[i], msg)
+			}
+		}
+	})
+}
+
+// BenchmarkPathMACs times an initiator's MACs of a 138-byte solo request body
+// towards five hops: "abreast" is four lanes then one, as signPath runs them,
+// "serial" five SumInto calls.
+func BenchmarkPathMACs(b *testing.B) {
+	cs := []*CMAC{MustCMAC(Key{1}), MustCMAC(Key{2}), MustCMAC(Key{3}), MustCMAC(Key{4}), MustCMAC(Key{5})}
+	body := make([]byte, 138)
+	macs := make([][MACSize]byte, len(cs))
+	b.Run("abreast", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			SumCMACs(macs[:4], cs[:4], body)
+			SumCMACs(macs[4:], cs[4:], body)
+		}
+	})
+	b.Run("serial", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			for i, c := range cs {
+				c.SumInto(&macs[i], body)
+			}
+		}
+	})
+}
+
 func BenchmarkCBCMAC48B(b *testing.B) {
 	m := MustCBCMAC(Key{1})
 	msg := make([]byte, 48)

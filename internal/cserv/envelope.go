@@ -108,20 +108,28 @@ func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
 // signPath is the initiator's half of the envelope: it MACs body towards every
 // AS of path into *macs (its capacity reused, its length set to the path's) and
 // returns each hop's crypto, which opens what that hop seals (Eq. 5). Each key
-// is fetched once per hop, not once per item.
+// is fetched once per hop, not once per item, and the hop keys' chains over
+// body run four abreast.
 func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACSize]byte) (hops [packet.MaxHops]*keyCrypto, err error) {
 	if len(path) > packet.MaxHops {
 		return hops, fmt.Errorf("cserv: %d hops exceeds maximum", len(path))
 	}
 	now := s.clock()
-	*macs = slices.Grow((*macs)[:0], len(path))[:len(path)]
 	for i, h := range path {
 		key, err := s.hopKey(h.IA, now)
 		if err != nil {
 			return hops, err
 		}
 		hops[i] = s.cryptoFor(key)
-		hops[i].cmac.SumInto(&(*macs)[i], body)
+	}
+	*macs = slices.Grow((*macs)[:0], len(path))[:len(path)]
+	var lanes [cryptoutil.MaxLanes]*cryptoutil.CMAC
+	for i := 0; i < len(path); i += len(lanes) {
+		n := min(len(lanes), len(path)-i)
+		for j := range n {
+			lanes[j] = hops[i+j].cmac
+		}
+		cryptoutil.SumCMACs((*macs)[i:], lanes[:n], body)
 	}
 	return hops, nil
 }
@@ -216,21 +224,29 @@ func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []uint8
 // sealWave seals into blob — exactly blobLen(live) bytes of the response — this
 // AS's σ (Eq. 4) of every live item of the wave sc.req at its path-wide grant,
 // in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's,
-// for the whole wave at this hop. σs and associated data are built in sc.
+// for the whole wave at this hop. The σs run four abreast, the next four live
+// items at a time; σs and associated data are built in sc.
 func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []uint8, granted []uint64) {
 	req := &sc.req
 	hf := packet.HopField{In: req.Path[idx].In, Eg: req.Path[idx].Eg}
-	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
+	var in [cryptoutil.MaxLanes][packet.EERAuthLen]byte
+	lanes := [cryptoutil.MaxLanes][]byte{in[0][:], in[1][:], in[2][:], in[3][:]}
+	var sigmas [cryptoutil.MaxLanes][cryptoutil.MACSize]byte
 	sc.sigmas = sc.sigmas[:0]
-	for i := range req.Items {
-		if status[i] != EEItemOK {
-			continue
+	for i := 0; i < len(req.Items); {
+		n := 0
+		for ; i < len(req.Items) && n < len(in); i++ {
+			if status[i] == EEItemOK {
+				res, eer := req.Items[i].infos(granted[i])
+				packet.EERAuthInput(&in[n], &res, &eer, hf)
+				n++
+			}
 		}
-		res, eer := req.Items[i].infos(granted[i])
-		sigma := sigmaUnder(mac, &res, &eer, hf)
-		sc.sigmas = append(sc.sigmas, sigma[:]...)
+		s.mac.SumLanes(sigmas[:n], lanes[:n])
+		for _, sigma := range sigmas[:n] {
+			sc.sigmas = append(sc.sigmas, sigma[:]...)
+		}
 	}
-	s.macPool.Put(mac)
 	sc.ad = waveAuthAD(sc.ad[:0], idx, &req.Macs[idx], status)
 	kc.sealer.SealTo(blob[:0:len(blob)], sc.nonce[:], sc.sigmas, sc.ad)
 }

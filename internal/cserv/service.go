@@ -173,10 +173,12 @@ type Service struct {
 	cp       *CPlane
 	transfer *admission.TransferSplit
 
-	secret  cryptoutil.Key
-	engine  *drkey.Engine
-	keys    *drkey.Store
-	macPool sync.Pool // *cryptoutil.CBCMAC keyed by secret
+	secret cryptoutil.Key
+	// mac is the CBC-MAC under secret (K_i) that computes SegR tokens and σs;
+	// immutable, so every handler shares it without a lock.
+	mac    *cryptoutil.CBCMAC
+	engine *drkey.Engine
+	keys   *drkey.Store
 	// keyCache holds the control-plane crypto of recently used level-1 keys
 	// (see cryptoFor); waveFree the idle batch-renewal scratch (see getWave).
 	keyCache keyCache
@@ -221,6 +223,7 @@ func New(cfg Config) *Service {
 		cp:         cp,
 		transfer:   admission.NewTransferSplit(),
 		secret:     cfg.Secret,
+		mac:        cryptoutil.MustCBCMAC(cfg.Secret),
 		engine:     cfg.Engine,
 		keys:       cfg.Keys,
 		dir:        cfg.Directory,
@@ -231,7 +234,6 @@ func New(cfg Config) *Service {
 		rate:       NewRateLimiter(cfg.RateLimit),
 		keyCache:   keyCache{index: make(map[cryptoutil.Key]*keyCrypto, keyCacheSize)},
 	}
-	s.macPool.New = func() any { return cryptoutil.MustCBCMAC(s.secret) }
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
 	// An EER that lapses without being renewed, or loses a covering SegR, must
 	// return its charge to the §4.7 transfer-split accounting, or dead demand
@@ -346,28 +348,18 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 func (s *Service) segToken(res *packet.ResInfo, hf packet.HopField) [packet.HVFLen]byte {
 	var input [packet.SegAuthLen]byte
 	packet.SegAuthInput(&input, res, hf)
-	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
 	var full [cryptoutil.MACSize]byte
-	mac.SumInto(&full, input[:])
-	s.macPool.Put(mac)
+	s.mac.SumInto(&full, input[:])
 	var tok [packet.HVFLen]byte
 	copy(tok[:], full[:packet.HVFLen])
 	return tok
 }
 
 // hopAuth computes the Eq. (4) hop authenticator σ for this AS.
-func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.HopField) cryptoutil.Key {
-	mac := s.macPool.Get().(*cryptoutil.CBCMAC)
-	sigma := sigmaUnder(mac, res, eer, hf)
-	s.macPool.Put(mac)
-	return sigma
-}
-
-// sigmaUnder computes σ (Eq. 4) under mac, a CBC-MAC keyed by the AS secret.
-func sigmaUnder(mac *cryptoutil.CBCMAC, res *packet.ResInfo, eer *packet.EERInfo, hf packet.HopField) (sigma cryptoutil.Key) {
+func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.HopField) (sigma cryptoutil.Key) {
 	var input [packet.EERAuthLen]byte
 	packet.EERAuthInput(&input, res, eer, hf)
-	mac.SumInto((*[cryptoutil.MACSize]byte)(&sigma), input[:])
+	s.mac.SumInto((*[cryptoutil.MACSize]byte)(&sigma), input[:])
 	return sigma
 }
 

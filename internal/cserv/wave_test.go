@@ -17,6 +17,7 @@ import (
 	"slices"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colibri/internal/admission"
@@ -446,19 +447,45 @@ func TestWaveSealBindsHopWaveAndItems(t *testing.T) {
 
 // TestWaveSigmasEqualSolo renews the same EERs to the same bandwidths — kept,
 // raised and lowered — on twin fabrics, once as one wave and once solo, and
-// demands the same grants: versions, bandwidths and every hop's σ.
+// demands the same grants: versions, bandwidths and every hop's σ. The waves
+// hold 1, 3, 4, 5 and 9 items, and the destination refuses every third item
+// from the second on, so refused items sit between live ones and every hop
+// runs its σs in four, three, two and one lanes: a σ computed in another live
+// item's lane, or for a refused item, fails here.
 func TestWaveSigmasEqualSolo(t *testing.T) {
-	fw, fs := cpFabric(t, 4, highRate), cpFabric(t, 4, highRate)
+	const n = 9
+	var veto atomic.Bool // the destination's veto, once the EERs are set up
+	vetoes := func(dstHost uint32) bool { return veto.Load() && (dstHost-5000)%3 == 1 }
+	refuse := func(iaKey topology.IA, cfg *Config) {
+		highRate(iaKey, cfg)
+		if iaKey == ia(2, 11) {
+			cfg.DstApprove = func(_ reservation.ID, _, dstHost uint32, _ uint64, _ uint32) bool { return !vetoes(dstHost) }
+		}
+	}
+	fw, fs := cpFabric(t, 4, refuse), cpFabric(t, 4, refuse)
 	fw.setupAllSegRs(t, 1_000_000)
 	fs.setupAllSegRs(t, 1_000_000)
-	gw := requestEERs(t, fw.services[ia(1, 11)], 6, 1_000)
-	gs := requestEERs(t, fs.services[ia(1, 11)], 6, 1_000)
-	for round, bws := range [][]uint64{{1_000, 2_000, 500, 1_000, 3_000, 10}, {900, 2_000, 700, 1, 3_000, 5_000}} {
+	gw := requestEERs(t, fw.services[ia(1, 11)], n, 1_000)
+	gs := requestEERs(t, fs.services[ia(1, 11)], n, 1_000)
+	veto.Store(true)
+	rng := rand.New(rand.NewSource(5))
+	for round, size := range []int{1, 3, 4, 5, 9, 9, 5, 4, 3, 1} {
 		fw.clock.Add(1)
 		fs.clock.Store(fw.clock.Load())
-		waved, errs := fw.services[ia(1, 11)].RenewEERBatch(gw, bws)
-		for i := range gs {
+		bws := make([]uint64, size)
+		for i := range bws {
+			bws[i] = []uint64{1_000, 2_000, 500, 1, 5_000}[rng.Intn(5)]
+		}
+		waved, errs := fw.services[ia(1, 11)].RenewEERBatch(gw[:size], bws)
+		live := 0
+		for i := range size {
 			solo, err := fs.services[ia(1, 11)].RenewEER(gs[i], bws[i])
+			if vetoes(gs[i].EER.DstHost) {
+				if err == nil || errs[i] == nil || waved[i] != nil {
+					t.Fatalf("round %d item %d, vetoed: solo %v, wave grant %v, %v", round, i, err, waved[i], errs[i])
+				}
+				continue
+			}
 			if err != nil || errs[i] != nil {
 				t.Fatalf("round %d item %d: solo %v, wave %v", round, i, err, errs[i])
 			}
@@ -466,8 +493,154 @@ func TestWaveSigmasEqualSolo(t *testing.T) {
 			if w.ID != solo.ID || w.Res != solo.Res || w.EER != solo.EER || !slices.Equal(w.HopAuths, solo.HopAuths) {
 				t.Fatalf("round %d item %d: wave grant %+v, solo grant %+v", round, i, w, solo)
 			}
+			checkHopAuths(t, fw, w)
 			gw[i], gs[i] = w, solo
+			live++
 		}
+		if want := size - (size+1)/3; live != want {
+			t.Fatalf("round %d: %d of %d items live, want %d", round, live, size, want)
+		}
+	}
+}
+
+// TestWaveTailMutationIsolated is ROADMAP 9(a)'s property: the AS-mutable tail
+// of a tag-7 wave (each item's accumulated grant and status, outside the
+// source's MACs) is per item. Changing one item's accumulator or status — to
+// zero, to more than asked, refused, resurrected, to a status no hop writes —
+// before a hop handles the wave must change no other item's status, grant or σ
+// at that hop or any after it, with capacity to spare so that no item's demand
+// can crowd out another's. Which items are live decides how a hop packs its σs
+// into lanes, so a σ that follows the packing to another item fails here.
+func TestWaveTailMutationIsolated(t *testing.T) {
+	const n, trials = 9, 3
+	rng := rand.New(rand.NewSource(11))
+	for idx := 1; idx <= 4; idx++ {
+		for trial := range trials {
+			build := func() (*fabric, *EEBatchRenewReq) {
+				f := cpFabric(t, 4, highRate)
+				f.setupAllSegRs(t, 1_000_000)
+				src := f.services[ia(1, 11)]
+				gs := requestEERs(t, src, n, 1_000)
+				f.clock.Add(1)
+				return f, signedWave(t, src, gs)
+			}
+			fa, reqA := build() // mutated
+			fb, reqB := build() // as sent
+			// Items the source or an upstream hop already refused, and
+			// upstream grants below the ask, in both.
+			for i := range reqB.Items {
+				switch rng.Intn(4) {
+				case 0:
+					reqB.Status[i] = EEItemRefused
+				case 1:
+					reqB.Accums[i] = reqB.Items[i].BwKbps / 2
+				}
+			}
+			copy(reqA.Status, reqB.Status)
+			copy(reqA.Accums, reqB.Accums)
+			j := rng.Intn(n)
+			mutation := ""
+			switch m := rng.Intn(7); m {
+			case 0, 1, 2:
+				reqA.Accums[j] = []uint64{0, 1, 1 << 40}[m]
+				mutation = fmt.Sprintf("accumulator %d", reqA.Accums[j])
+			default:
+				reqA.Status[j] = []uint8{EEItemOK, EEItemRefused, EEItemThrottled, 200}[m-3]
+				mutation = fmt.Sprintf("status %d", reqA.Status[j])
+			}
+			name := fmt.Sprintf("hop %d trial %d: item %d's %s (was %d, %d)", idx, trial, j, mutation, reqB.Status[j], reqB.Accums[j])
+			hopIA := reqA.Path[idx].IA
+			outA, errA := fa.services[hopIA].HandleMsg(reqA.Marshal())
+			outB, errB := fb.services[hopIA].HandleMsg(reqB.Marshal())
+			if errA != nil || errB != nil {
+				t.Fatalf("%s: %v, %v", name, errA, errB)
+			}
+			respA, sigmasA := openedWave(t, fa, reqA, idx, outA)
+			respB, sigmasB := openedWave(t, fb, reqB, idx, outB)
+			for i := range reqA.Items {
+				if i == j {
+					continue
+				}
+				if respA.Status[i] != respB.Status[i] || respA.Granted[i] != respB.Granted[i] {
+					t.Fatalf("%s: item %d status %d grant %d, unmutated %d %d",
+						name, i, respA.Status[i], respA.Granted[i], respB.Status[i], respB.Granted[i])
+				}
+				if !slices.Equal(sigmasA[i], sigmasB[i]) {
+					t.Fatalf("%s: item %d's σs %x, unmutated %x", name, i, sigmasA[i], sigmasB[i])
+				}
+			}
+		}
+	}
+}
+
+// openedWave decodes out, the answer hop idx of f gave to the wave req, and
+// opens the blobs of hop idx and every hop after it as the source would. It
+// returns, per item, the σs those hops sealed for it — nil for an item not
+// live — each checked against what that hop computes alone for the item at its
+// final grant.
+func openedWave(t *testing.T, f *fabric, req *EEBatchRenewReq, idx int, out []byte) (*EEBatchRenewResp, [][]cryptoutil.Key) {
+	t.Helper()
+	resp, err := UnmarshalEEBatchRenewResp(out)
+	if err != nil || !resp.OK {
+		t.Fatalf("answer %+v, %v", resp, err)
+	}
+	src := f.services[ia(1, 11)]
+	sigmas := make([][]cryptoutil.Key, len(req.Items))
+	live := liveOf(resp.Status)
+	for h := idx; h < len(req.Path); h++ {
+		key, err := src.hopKey(req.Path[h].IA, f.now())
+		if err != nil {
+			t.Fatal(err)
+		}
+		ad := waveAuthAD(nil, h, &req.Macs[h], resp.Status)
+		opened, err := src.cryptoFor(key).sealer.OpenTo(nil, resp.Blobs[h], ad)
+		if err != nil || len(opened) != live*cryptoutil.KeySize {
+			t.Fatalf("hop %d's blob: %d bytes, %v", h, len(opened), err)
+		}
+		hop, hf := f.services[req.Path[h].IA], packet.HopField{In: req.Path[h].In, Eg: req.Path[h].Eg}
+		for i, k := 0, 0; i < len(req.Items); i++ {
+			if resp.Status[i] != EEItemOK {
+				continue
+			}
+			sigma := cryptoutil.Key(opened[k*cryptoutil.KeySize:])
+			res, eer := req.Items[i].infos(resp.Granted[i])
+			if want := hop.hopAuth(&res, &eer, hf); sigma != want {
+				t.Fatalf("hop %d sealed %x as live item %d's σ (item %d), it computes %x", h, sigma, k, i, want)
+			}
+			sigmas[i] = append(sigmas[i], sigma)
+			k++
+		}
+	}
+	return resp, sigmas
+}
+
+// TestHopMACsSurviveGC: a service computes its σs and SegR tokens under one
+// CBC-MAC it builds with itself, not under one taken from a pool the garbage
+// collector empties. Right after two collections a σ and a token still cost
+// no allocation and no expansion of K_i, so allocation counts do not depend
+// on when the collector last ran.
+func TestHopMACsSurviveGC(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := cpFabric(t, 1, nil)
+	s := f.services[ia(1, 1)]
+	res := packet.ResInfo{SrcAS: ia(1, 11), ResID: 7, BwKbps: 100, ExpT: 1_000, Ver: 1}
+	eer := packet.EERInfo{SrcHost: 1, DstHost: 2}
+	hf := packet.HopField{In: 1, Eg: 2}
+	var sigma cryptoutil.Key
+	var tok [packet.HVFLen]byte
+	for name, fn := range map[string]func(){
+		"hopAuth":  func() { sigma = s.hopAuth(&res, &eer, hf) },
+		"segToken": func() { tok = s.segToken(&res, hf) },
+	} {
+		fn()
+		if a := testing.AllocsPerRun(20, func() { runtime.GC(); runtime.GC(); fn() }); a != 0 {
+			t.Errorf("%s after two collections: %.2f allocations, want 0", name, a)
+		}
+	}
+	if sigma == (cryptoutil.Key{}) || tok == ([packet.HVFLen]byte{}) {
+		t.Fatal("no σ or no token computed")
 	}
 }
 
