@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/topology"
@@ -12,6 +14,12 @@ import (
 // stamp traffic outside the gateway's monitoring — which is precisely the
 // scenario the §4.8 policing machinery exists for, so the experiments and
 // examples need this view.
+//
+// A view owns its HopAuths and shares Path, which no renewal changes: a
+// maintained session's grant lives in its keeper, whose next renewal
+// overwrites the σs in place, while a view taken before keeps stamping the
+// version it was taken of — valid at the routers until that version expires
+// (§4.2).
 type GrantView struct {
 	Res      packet.ResInfo
 	EER      packet.EERInfo
@@ -25,7 +33,7 @@ func (s *Session) Grant() GrantView {
 		Res:      s.grant.Res,
 		EER:      s.grant.EER,
 		Path:     s.grant.Path,
-		HopAuths: s.grant.HopAuths,
+		HopAuths: slices.Clone(s.grant.HopAuths),
 	}
 }
 

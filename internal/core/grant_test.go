@@ -75,3 +75,37 @@ func TestForwardDropsUnknownEgress(t *testing.T) {
 		t.Errorf("received %d packets over unknown egresses", hd.Received)
 	}
 }
+
+// TestGrantViewOutlivesRenewal: a maintained session's grant lives in its
+// keeper, and the keeper's renewal overwrites the σs in place. A view taken
+// before the renewal still stamps packets that are delivered — the version it
+// was taken of stays valid until it expires (§4.2) — and so does one taken
+// after, of the new version.
+func TestGrantViewOutlivesRenewal(t *testing.T) {
+	net, hs, hd := twoISDNet(t, Options{})
+	sess, err := hs.RequestEER(hd, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Maintain(4); err != nil { // the keeper takes over the grant
+		t.Fatal(err)
+	}
+	before := sess.Grant()
+	net.Clock.Advance(13e9) // inside the lead window, before expiry
+	if err := sess.Maintain(4); err != nil {
+		t.Fatal(err)
+	}
+	after := sess.Grant()
+	if after.Res.Ver != before.Res.Ver+1 || after.HopAuths[0] == before.HopAuths[0] {
+		t.Fatalf("no renewal: version %d → %d", before.Res.Ver, after.Res.Ver)
+	}
+	for i, g := range []GrantView{before, after} {
+		net.Clock.Advance(1e6)
+		if err := net.InjectPacket(g.Stamp([]byte("x"), net.Clock.NowNs(), false), ia(1, 11)); err != nil {
+			t.Fatalf("view %d (version %d): %v", i, g.Res.Ver, err)
+		}
+	}
+	if hd.Received != 2 {
+		t.Fatalf("received %d, want 2", hd.Received)
+	}
+}

@@ -298,6 +298,10 @@ type waveScratch struct {
 	nonce  [cryptoutil.NonceSize]byte
 	ad     []byte
 	sigma  cryptoutil.Key
+	// grant and auths are the initiator's grant of the item renewWave hands to
+	// its caller, and that grant's hop authenticators.
+	grant EERGrant
+	auths []cryptoutil.Key
 	// ahead is what the forward pass's read-ahead returned (eerPath.readAhead),
 	// stored only so that its loads are not dead code. Nothing reads it.
 	ahead uint16
@@ -330,6 +334,7 @@ func (s *Service) putWave(sc *waveScratch) {
 	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0], Macs: sc.req.Macs[:0]}
 	clear(sc.resp.Blobs)
 	sc.resp.Blobs = sc.resp.Blobs[:0]
+	sc.grant = EERGrant{}
 	sc.solo.wire = nil
 	clear(sc.soloResp.EncAuths)
 	s.waveMu.Lock()
@@ -519,18 +524,37 @@ func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
 // Splits, and Path — callers group by chain signature, see KeeperFleet) in a
 // single batched round trip. newBwKbps[i] is the bandwidth requested for
 // prevs[i]. It returns one grant or one error per item; a transport-level
-// batch failure yields the same error for every item.
+// batch failure yields the same error for every item. Each grant owns its
+// HopAuths and shares its chain's slices with its previous version.
 func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGrant, []error) {
-	grants := make([]*EERGrant, len(prevs))
-	errs := make([]error, len(prevs))
+	grants, errs := make([]*EERGrant, len(prevs)), make([]error, len(prevs))
+	s.renewWave(prevs, newBwKbps, func(i int, g *EERGrant, err error) {
+		if errs[i] = err; err == nil {
+			c := *g
+			c.HopAuths = slices.Clone(g.HopAuths)
+			grants[i] = &c
+		}
+	})
+	return grants, errs
+}
+
+// renewWave is RenewEERBatch without the grants: it hands each item's outcome
+// to yield, in wave order, while the wave's scratch is held. g is the
+// scratch's grant — Res and EER the new version's, HopAuths the σs opened for
+// it, Path, PathHops, Splits and SegIDs prevs[i]'s, which a renewal never
+// changes — valid until yield returns, and nil with an error. By the time
+// yield sees item i the wave has read all it needs of prevs[i], so yield may
+// overwrite *prevs[i] (a keeper renewing in place).
+func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i int, g *EERGrant, err error)) {
 	if len(prevs) == 0 {
-		return grants, errs
+		return
 	}
 	if len(newBwKbps) != len(prevs) {
-		for i := range errs {
-			errs[i] = fmt.Errorf("cserv: RenewEERBatch: %d bandwidths for %d items", len(newBwKbps), len(prevs))
+		err := fmt.Errorf("cserv: RenewEERBatch: %d bandwidths for %d items", len(newBwKbps), len(prevs))
+		for i := range prevs {
+			yield(i, nil, err)
 		}
-		return grants, errs
+		return
 	}
 	now := s.clock()
 	sc := s.getWave()
@@ -561,63 +585,60 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 		req.Accums = append(req.Accums, newBwKbps[i])
 		req.Status = append(req.Status, status)
 	}
-	failAll := func(err error) ([]*EERGrant, []error) {
-		for i := range errs {
-			errs[i] = err
-			held(i)
-		}
-		return grants, errs
-	}
 	sc.fwd = req.appendBody(sc.fwd[:0])
 	req.bodyLen = len(sc.fwd)
 	hops, err := s.signPath(req.Path, sc.fwd, &req.Macs)
-	if err != nil {
-		return failAll(err)
-	}
-	sc.fwd = appendMacs(sc.fwd, req.Macs)
-	req.wire = sc.fwd
-	resp := &sc.resp
-	if err := resp.unmarshal(s.processEEBatchRenew(sc, 0)); err != nil || !resp.OK {
-		if err == nil {
+	if err == nil {
+		sc.fwd = appendMacs(sc.fwd, req.Macs)
+		req.wire = sc.fwd
+		resp := &sc.resp
+		if err = resp.unmarshal(s.processEEBatchRenew(sc, 0)); err == nil && !resp.OK {
 			err = fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
 		}
-		return failAll(err)
+	}
+	if err != nil {
+		for i := range prevs {
+			held(i)
+			yield(i, nil, err)
+		}
+		return
 	}
 	// Open the hop authenticators (Eq. 5) of the surviving items: one blob per
 	// hop, and a blob that does not open leaves no grant.
+	resp := &sc.resp
 	openErr := sc.openWave(hops[:], resp)
-	path, n, live, j := HopFields(req.Path), len(req.Path), liveOf(resp.Status), 0
+	n, live, j := len(req.Path), liveOf(resp.Status), 0
+	sc.auths = slices.Grow(sc.auths[:0], n)[:n]
+	g := &sc.grant
 	for i, p := range prevs {
-		if resp.Status[i] != EEItemOK {
-			held(i)
-		}
+		var err error
 		switch resp.Status[i] {
 		case EEItemOK:
 		case EEItemStale:
-			errs[i] = fmt.Errorf("%w: renewal of %s: stale at some hop and re-admission failed", ErrRefused, p.ID)
-			continue
+			err = fmt.Errorf("%w: renewal of %s: stale at some hop and re-admission failed", ErrRefused, p.ID)
 		case EEItemThrottled:
-			errs[i] = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, p.ID)
-			continue
+			err = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, p.ID)
 		default:
-			errs[i] = fmt.Errorf("%w: renewal of %s refused", ErrRefused, p.ID)
+			err = fmt.Errorf("%w: renewal of %s refused", ErrRefused, p.ID)
+		}
+		if err != nil {
+			held(i)
+			yield(i, nil, err)
 			continue
 		}
 		it := &req.Items[i]
 		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
 		if openErr != nil {
-			errs[i] = openErr
+			yield(i, nil, openErr)
 			continue
 		}
 		// The j-th live item's σ from hop h is the j-th of hop h's blob.
-		g := &EERGrant{ID: it.ID, Path: path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs,
-			HopAuths: make([]cryptoutil.Key, n)}
+		*g = EERGrant{ID: it.ID, Path: p.Path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs, HopAuths: sc.auths}
 		g.Res, g.EER = it.infos(resp.Granted[i])
 		for h := range g.HopAuths {
 			copy(g.HopAuths[h][:], sc.sigmas[(h*live+j)*cryptoutil.KeySize:])
 		}
-		grants[i] = g
 		j++
+		yield(i, g, nil)
 	}
-	return grants, errs
 }

@@ -15,6 +15,12 @@ import (
 // EERGrant is the result of a successful EER setup or renewal, ready to be
 // installed at the Colibri gateway. PathHops and Splits retain the request
 // parameters so renewals can be issued over the same reservation.
+//
+// Path, PathHops, Splits and SegIDs never change from version to version, so
+// a renewal shares them with the grant it renews, and nothing writes them. The
+// grant an EERKeeper serves (Grant) is the keeper's: its memory belongs to the
+// keeper until that keeper's next renewal, which overwrites Res, EER and
+// HopAuths in place.
 type EERGrant struct {
 	ID       reservation.ID
 	Res      packet.ResInfo

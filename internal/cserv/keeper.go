@@ -1,6 +1,8 @@
 package cserv
 
 import (
+	"slices"
+
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/telemetry"
@@ -22,10 +24,16 @@ type GatewayInstaller interface {
 // gateway instead of blackholing, and the keeper continues trying; the
 // next successful renewal re-promotes the flow to its reserved class.
 //
+// The keeper owns its serving grant and renews it in place: a successful
+// renewal overwrites the grant's Res, EER and HopAuths, and a failed one
+// leaves them alone, so the old version keeps serving (§4.2).
+//
 // Not safe for concurrent use; drive it from one maintenance loop.
 type EERKeeper struct {
-	svc     *Service
-	gw      GatewayInstaller
+	svc *Service
+	gw  GatewayInstaller
+	// grant is the keeper's own copy of the serving version, or its slot in
+	// a KeeperFleet's slab once a fleet has adopted the keeper.
 	grant   *EERGrant
 	lead    uint32
 	demoted bool
@@ -36,15 +44,20 @@ type EERKeeper struct {
 }
 
 // NewEERKeeper builds a keeper for an already-granted (and installed) EER.
-// leadSeconds is how long before expiry renewal starts (clamped to ≥ 1).
+// leadSeconds is how long before expiry renewal starts (clamped to ≥ 1). The
+// keeper copies grant and clones its HopAuths, so it never writes the
+// caller's grant; it shares the chain's slices, which no renewal changes.
 func NewEERKeeper(svc *Service, gw GatewayInstaller, grant *EERGrant, leadSeconds uint32) *EERKeeper {
 	if leadSeconds < 1 {
 		leadSeconds = 1
 	}
-	return &EERKeeper{svc: svc, gw: gw, grant: grant, lead: leadSeconds}
+	g := *grant
+	g.HopAuths = slices.Clone(grant.HopAuths)
+	return &EERKeeper{svc: svc, gw: gw, grant: &g, lead: leadSeconds}
 }
 
-// Grant returns the newest granted version.
+// Grant returns the newest granted version. Its memory belongs to the
+// keeper: the next successful renewal overwrites it in place.
 func (k *EERKeeper) Grant() *EERGrant { return k.grant }
 
 // Demoted reports whether the flow is currently demoted to best-effort.
@@ -71,7 +84,9 @@ func (k *EERKeeper) due(now uint32) bool {
 
 // applyOutcome applies one renewal attempt's result — the same
 // demotion/re-promotion bookkeeping whether the attempt traveled alone
-// (Tick) or in a batched wave (KeeperFleet).
+// (Tick) or in a batched wave (KeeperFleet). g is read, never kept: the new
+// version is copied into the keeper's grant once the gateway has installed
+// it.
 func (k *EERKeeper) applyOutcome(g *EERGrant, err error) error {
 	now := k.svc.clock()
 	exp := k.grant.Res.ExpT
@@ -99,12 +114,13 @@ func (k *EERKeeper) applyOutcome(g *EERGrant, err error) error {
 		k.Failures++
 		return ierr
 	}
-	k.grant = g
+	k.grant.Res, k.grant.EER = g.Res, g.EER
+	k.grant.HopAuths = append(k.grant.HopAuths[:0], g.HopAuths...)
 	k.Renewals++
 	if k.demoted {
 		k.demoted = false
 		k.svc.metrics.Promotions.Add(1)
-		k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, g.ID, true, "")
+		k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, k.grant.ID, true, "")
 	}
 	return nil
 }
@@ -127,11 +143,23 @@ type KeeperFleet struct {
 	// Keepers are grouped by chain signature when added: a renewed grant
 	// inherits SegIDs, Splits and PathHops verbatim, so a keeper's group never
 	// changes. group[i] is keepers[i]'s group; due[g] collects, during a tick,
-	// the due keepers of group g.
+	// the due keepers of group g. groupOf holds one entry per distinct chain
+	// signature ever added — a fleet never removes keepers — so at most Len().
 	group   []int32
 	due     [][]*EERKeeper
 	groupOf map[string]int32
-	// Tick's buffers, reused from tick to tick.
+	// chains[g] is the first grant of group g, whose chain slices every later
+	// keeper of the group shares.
+	chains []*EERGrant
+	// grants and sigmas hold the keepers' grants and their σs, in the order
+	// the keepers were added — the order a wave renews them in — so that a
+	// wave reads and writes them front to back rather than wherever the
+	// keepers happen to lie. Each is the newest of a series of chunks, and a
+	// chunk never moves, so neither does a grant.
+	grants []EERGrant
+	sigmas []cryptoutil.Key
+	// Tick's buffers, reused from tick to tick. prevs point at the due
+	// keepers' grants, which the wave renews in place.
 	order []int32
 	prevs []*EERGrant
 	bws   []uint64
@@ -145,7 +173,11 @@ func NewKeeperFleet(svc *Service) *KeeperFleet {
 	return &KeeperFleet{svc: svc, BatchSize: DefaultBatchSize, groupOf: make(map[string]int32)}
 }
 
-// Add registers a keeper with the fleet.
+// slabChunk caps the grants of one chunk of a fleet's slabs.
+const slabChunk = 256
+
+// Add registers a keeper with the fleet, which moves the keeper's grant into
+// its slabs: Grant() returns the fleet's copy from then on.
 func (f *KeeperFleet) Add(k *EERKeeper) {
 	key := chainKey(k.grant)
 	gi, ok := f.groupOf[key]
@@ -153,7 +185,28 @@ func (f *KeeperFleet) Add(k *EERKeeper) {
 		gi = int32(len(f.due))
 		f.groupOf[key] = gi
 		f.due = append(f.due, nil)
+		f.chains = append(f.chains, nil)
 	}
+	// The chunks grow with the fleet, so a small fleet keeps small slabs.
+	chunk := min(max(len(f.keepers), 8), slabChunk)
+	if len(f.grants) == cap(f.grants) {
+		f.grants = make([]EERGrant, 0, chunk)
+	}
+	f.grants = append(f.grants, *k.grant)
+	g := &f.grants[len(f.grants)-1]
+	n := len(g.HopAuths)
+	if cap(f.sigmas)-len(f.sigmas) < n {
+		f.sigmas = make([]cryptoutil.Key, 0, chunk*n)
+	}
+	f.sigmas = append(f.sigmas, g.HopAuths...)
+	g.HopAuths = f.sigmas[len(f.sigmas)-n : len(f.sigmas) : len(f.sigmas)]
+	if c := f.chains[gi]; c != nil {
+		// Equal chains (chainKey; Path is PathHops' hop fields), kept once.
+		g.Path, g.PathHops, g.Splits, g.SegIDs = c.Path, c.PathHops, c.Splits, c.SegIDs
+	} else {
+		f.chains[gi] = g
+	}
+	k.grant = g
 	f.keepers = append(f.keepers, k)
 	f.group = append(f.group, gi)
 }
@@ -221,16 +274,13 @@ func (f *KeeperFleet) Tick() int {
 				f.prevs = append(f.prevs, k.grant)
 				f.bws = append(f.bws, uint64(k.grant.Res.BwKbps))
 			}
-			grants, errs := f.svc.RenewEERBatch(f.prevs, f.bws)
-			for i, k := range wave {
-				if k.applyOutcome(grants[i], errs[i]) != nil {
+			f.svc.renewWave(f.prevs, f.bws, func(i int, g *EERGrant, err error) {
+				if wave[i].applyOutcome(g, err) != nil {
 					failures++
 				}
-			}
+			})
 		}
 		f.due[gi] = due[:0]
 	}
-	// The replaced grants are garbage now; do not hold them until the next tick.
-	clear(f.prevs[:cap(f.prevs)])
 	return failures
 }

@@ -2,6 +2,7 @@ package cserv
 
 import (
 	"errors"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -31,9 +32,14 @@ type fakeInstaller struct {
 	demotes  int
 	promotes int
 	demoted  bool
+	// refuse makes Install fail, as a gateway refuses a path it cannot carry.
+	refuse bool
 }
 
 func (fi *fakeInstaller) Install(packet.ResInfo, packet.EERInfo, []packet.HopField, []cryptoutil.Key) error {
+	if fi.refuse {
+		return errors.New("fake gateway: install refused")
+	}
 	fi.installs++
 	fi.demoted = false
 	return nil
@@ -140,5 +146,60 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	}
 	if got := src.Metrics().Promotions.Value(); got != 1 {
 		t.Errorf("Promotions = %d, want 1", got)
+	}
+}
+
+// TestKeeperKeepsServingVersionWhenInstallFails: a renewal the gateway does
+// not take is a failure, alone or in a wave, and the keeper's grant — renewed
+// in place on success — stays the version the gateway still serves, σs and
+// all (§4.2). The grants the keepers were built from are never written.
+func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	gw := &fakeInstaller{refuse: true}
+	grants := requestEERs(t, src, 3, 100)
+	solo := NewEERKeeper(src, gw, grants[0], 4)
+	fleet := NewKeeperFleet(src)
+	for _, g := range grants[1:] {
+		fleet.Add(NewEERKeeper(src, gw, g, 4))
+	}
+	keepers := append([]*EERKeeper{solo}, fleet.Keepers()...)
+	before := make([]EERGrant, len(keepers))
+	for i, k := range keepers {
+		before[i] = *k.Grant()
+		before[i].HopAuths = slices.Clone(k.Grant().HopAuths)
+	}
+	f.clock.Add(13)
+	if err := solo.Tick(); err == nil {
+		t.Fatal("solo renewal succeeded although the gateway refused it")
+	}
+	if failed := fleet.Tick(); failed != 2 {
+		t.Fatalf("%d of 2 wave items failed", failed)
+	}
+	for i, k := range keepers {
+		g := k.Grant()
+		if g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) || k.Renewals != 0 || k.Failures != 1 {
+			t.Fatalf("keeper %d after a refused install: version %d, renewals %d, failures %d; want version %d, its σs, 0 and 1",
+				i, g.Res.Ver, k.Renewals, k.Failures, before[i].Res.Ver)
+		}
+		checkHopAuths(t, f, g)
+	}
+	gw.refuse = false
+	f.clock.Add(1)
+	if err := solo.Tick(); err != nil {
+		t.Fatal(err)
+	}
+	if failed := fleet.Tick(); failed != 0 {
+		t.Fatalf("%d wave items failed", failed)
+	}
+	for i, k := range keepers {
+		if g := k.Grant(); g.Res.Ver != before[i].Res.Ver+1 || k.Renewals != 1 {
+			t.Fatalf("keeper %d: version %d after %d renewals", i, g.Res.Ver, k.Renewals)
+		}
+		checkHopAuths(t, f, k.Grant())
+		if g := grants[i]; g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) {
+			t.Fatalf("keeper %d wrote the grant it was built from", i)
+		}
 	}
 }

@@ -35,10 +35,17 @@ var (
 	respCountCrasher = []byte{1, 0, 0, 0, 0x01, 0, 0, 0, 0}
 )
 
-// allocatedBy returns the bytes fn allocates, the least of three runs: the
-// counter is process-wide, so whatever else allocates meanwhile (another
-// test's leftover goroutine, the runtime under CPU contention) only adds.
-func allocatedBy(fn func()) uint64 {
+// allocatedBy runs fn and returns the bytes it allocates, the least of three
+// runs: the counter is process-wide, so whatever else allocates meanwhile
+// (another test's leftover goroutine, the runtime under CPU contention) only
+// adds. Under the race detector, whose own allocations land in that counter
+// too, it runs fn once and reports counted false: the caller skips its byte
+// bound and keeps every other check.
+func allocatedBy(fn func()) (bytes uint64, counted bool) {
+	if raceEnabled {
+		fn()
+		return 0, false
+	}
 	least := uint64(math.MaxUint64)
 	for range 3 {
 		var before, after runtime.MemStats
@@ -47,7 +54,7 @@ func allocatedBy(fn func()) uint64 {
 		runtime.ReadMemStats(&after)
 		least = min(least, after.TotalAlloc-before.TotalAlloc)
 	}
-	return least
+	return least, true
 }
 
 // TestEEBatchCodecCountBound is the regression test of the pre-auth memory
@@ -74,11 +81,11 @@ func TestEEBatchCodecCountBound(t *testing.T) {
 		"resp a blob less": {append(respBlobs(2), make([]byte, blobLen(0))...), func(b []byte) error { _, err := UnmarshalEEBatchRenewResp(b); return err }},
 	} {
 		var err error
-		got := allocatedBy(func() { err = tc.decode(tc.msg) })
+		got, counted := allocatedBy(func() { err = tc.decode(tc.msg) })
 		if !errors.Is(err, ErrTruncated) {
 			t.Errorf("%s: err = %v, want ErrTruncated", name, err)
 		}
-		if got > 4096 {
+		if counted && got > 4096 {
 			t.Errorf("%s: a %d-byte message made the decoder allocate %d bytes", name, len(tc.msg), got)
 		}
 	}
@@ -90,7 +97,7 @@ func TestEEBatchCodecCountBound(t *testing.T) {
 		req.Status = append(req.Status, EEItemOK)
 	}
 	msg := req.Marshal()
-	if got := allocatedBy(func() { _, _ = UnmarshalEEBatchRenewReq(msg) }); got > 4*uint64(len(msg)) {
+	if got, counted := allocatedBy(func() { _, _ = UnmarshalEEBatchRenewReq(msg) }); counted && got > 4*uint64(len(msg)) {
 		t.Errorf("a %d-byte wave made the decoder allocate %d bytes", len(msg), got)
 	}
 }
@@ -201,10 +208,10 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 		{ID: reservation.ID{SrcAS: ia(2, 1), Num: 1}, Ver: 1, BwKbps: 1, ExpT: t0 + 2}, wave.Items[0]})), uint16(0))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
 		buf := append([]byte(nil), data...)
-		if got := allocatedBy(func() {
+		if got, counted := allocatedBy(func() {
 			_, _ = UnmarshalEEBatchRenewReq(buf)
 			_, _ = UnmarshalEEBatchRenewResp(buf)
-		}); got > 16<<10+8*uint64(len(data)) {
+		}); counted && got > 16<<10+8*uint64(len(data)) {
 			t.Fatalf("a %d-byte message made the decoders allocate %d bytes", len(data), got)
 		}
 		if req, err := UnmarshalEEBatchRenewReq(buf); err == nil {
@@ -310,9 +317,14 @@ func checkHopAuths(t *testing.T, f *fabric, g *EERGrant) {
 
 // TestWaveNoncesAndOwnership renews 16 waves of 256 items and checks, on the
 // answers the source received, that every hop sealed its blob under its own
-// nonce — one per hop per wave, no two alike over all the waves — and that the
-// grants own their bytes: scribbling over the answer buffer and running the
-// next wave through the same scratch leaves them intact.
+// nonce — one per hop per wave, no two alike over all the waves — and who owns
+// a renewed grant's bytes. A grant RenewEERBatch returns owns its σs:
+// scribbling over the answer buffer and running the next wave through the
+// same scratch leaves it intact. A keeper's grant belongs to the keeper:
+// NewEERKeeper copies the caller's grant, a fleet moves the copy into its
+// slabs once, and each renewal overwrites it in place — the same grant at the
+// next version with that version's σs — and writes neither the caller's grant
+// nor anything the wave's answer still backs.
 func TestWaveNoncesAndOwnership(t *testing.T) {
 	f, tap := tappedFabric(t, nil)
 	f.setupAllSegRs(t, 1_000_000)
@@ -357,6 +369,38 @@ func TestWaveNoncesAndOwnership(t *testing.T) {
 	}
 	for _, g := range grants {
 		checkHopAuths(t, f, g)
+	}
+
+	kept := grants[64:] // the last wave renewed the others behind their grants' backs
+	given := make([]EERGrant, len(kept))
+	fleet := NewKeeperFleet(src)
+	fleet.BatchSize = 64
+	views := make([]*EERGrant, len(kept))
+	for i, g := range kept {
+		given[i] = *g
+		given[i].HopAuths = slices.Clone(g.HopAuths)
+		k := NewEERKeeper(src, &fakeInstaller{}, g, reservation.EERLifetimeSeconds)
+		fleet.Add(k)
+		views[i] = k.Grant() // the fleet's copy, which no later Add moves
+	}
+	for round := uint16(1); round <= 2; round++ {
+		f.clock.Add(1)
+		if failed := fleet.Tick(); failed != 0 {
+			t.Fatalf("keeper round %d: %d renewals failed", round, failed)
+		}
+		for i := range tap.last {
+			tap.last[i] = 0xff
+		}
+		for i, k := range fleet.Keepers() {
+			if g := k.Grant(); g != views[i] || g.Res.Ver != given[i].Res.Ver+round {
+				t.Fatalf("keeper round %d: keeper %d serves %p at version %d, want %p at %d",
+					round, i, g, g.Res.Ver, views[i], given[i].Res.Ver+round)
+			}
+			checkHopAuths(t, f, views[i])
+			if kept[i].Res != given[i].Res || !slices.Equal(kept[i].HopAuths, given[i].HopAuths) {
+				t.Fatalf("keeper round %d: keeper %d wrote the grant it was built from", round, i)
+			}
+		}
 	}
 }
 
@@ -645,9 +689,10 @@ func TestHopMACsSurviveGC(t *testing.T) {
 }
 
 // TestWaveAllocBudget pins the allocations of a 5-hop, 1024-item wave driven
-// by KeeperFleet.Tick, per item, so the gain cannot silently rot: what is left
-// is each item's grant and its hop authenticators (2) plus the per-wave
-// messages. The first batched wave paid about 62 per item.
+// by KeeperFleet.Tick, per item, so the gain cannot silently rot: every keeper
+// renews its grant in place, so what is left is the per-wave messages (about
+// 31 per wave). The first batched wave paid about 62 per item, and a wave that
+// built a fresh grant and hop authenticators per item about 2.03.
 func TestWaveAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -674,8 +719,8 @@ func TestWaveAllocBudget(t *testing.T) {
 		t.Fatalf("installs = %d, want %d", gw.installs, 7*n)
 	}
 	t.Logf("%.3f allocations per item", perItem)
-	if perItem > 2.04 {
-		t.Errorf("a wave allocates %.3f times per item, budget 2.04", perItem)
+	if perItem > 0.04 {
+		t.Errorf("a wave allocates %.3f times per item, budget 0.04", perItem)
 	}
 }
 

@@ -34,13 +34,14 @@ type record struct {
 	// bucket polices the EER at the rate of deterministic monitoring: the
 	// maximum over its valid versions (§4.8), carried across renewals.
 	bucket monitor.TokenBucket
-	// wire is the current version's packet template, encoded once at Install
-	// by Packet.SerializeTo with Ts, payload length and HVFs left zero, and
-	// followed by the hop authenticators σ_i in path order. Never written
-	// after Install publishes it, so a worker may read it outside the lock.
-	// The σs stay raw keys expanded per packet, exactly as the paper's DPDK
-	// gateway does with hardware AES key expansion: the per-reservation
-	// footprint whose cache behaviour Fig. 5 evaluates stays 16 B per hop.
+	// wire is the current version's packet template, encoded at Install by
+	// Packet.SerializeTo with Ts, payload length and HVFs left zero, and
+	// followed by the hop authenticators σ_i in path order. A renewal
+	// re-encodes it in place when its length still fits, so it is read and
+	// written only under the gateway lock. The σs stay raw keys expanded per
+	// packet, exactly as the paper's DPDK gateway does with hardware AES key
+	// expansion: the per-reservation footprint whose cache behaviour Fig. 5
+	// evaluates stays 16 B per hop.
 	wire []byte
 	// expT is the current version's expiry.
 	expT uint32
@@ -136,9 +137,11 @@ func (g *Gateway) id(resID uint32) reservation.ID {
 var noHVFs [packet.MaxHops * packet.HVFLen]byte
 
 // Install registers (or replaces, on renewal) the state of an EER. auths
-// are the decrypted hop authenticators σ_i in path order. A path the wire
-// cannot carry (no hop, or more than packet.MaxHops) is refused here rather
-// than on every packet.
+// are the decrypted hop authenticators σ_i in path order; Install keeps
+// nothing of its arguments. A path the wire cannot carry (no hop, or more
+// than packet.MaxHops) is refused here rather than on every packet. A renewal
+// of a known record re-encodes its template in place, under the lock: only a
+// new record or a changed hop count allocates one.
 func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) error {
 	if res.SrcAS != g.srcAS {
 		return fmt.Errorf("gateway: reservation of AS %s installed at %s", res.SrcAS, g.srcAS)
@@ -149,19 +152,16 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	if len(path) == 0 || len(path) > packet.MaxHops {
 		return fmt.Errorf("gateway: %w: %d hops", packet.ErrBadPath, len(path))
 	}
-	tmpl := packet.Packet{Type: packet.TData, Res: res, EER: eer, Path: path, HVFs: noHVFs[:len(path)*packet.HVFLen]}
-	hdr := tmpl.Length()
-	wire := make([]byte, hdr+len(auths)*cryptoutil.KeySize)
-	if _, err := tmpl.SerializeTo(wire); err != nil {
-		return fmt.Errorf("gateway: encoding the template: %w", err)
-	}
-	for i := range auths {
-		copy(wire[hdr+i*cryptoutil.KeySize:], auths[i][:])
-	}
+	size := templateLen(len(path))
 	rate := uint64(res.BwKbps)
 
 	g.mu.Lock()
 	r, fresh := g.recs.Put(g.id(res.ResID))
+	if len(r.wire) != size {
+		// A new record, or a renewal over a path of another hop count.
+		r.wire = make([]byte, size)
+	}
+	encodeTemplate(r.wire, &res, &eer, path, auths)
 	// A fresh version over a demoted flow re-promotes it to its reserved
 	// class.
 	promoted := r.demoted
@@ -174,7 +174,7 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		// All versions share one monitored budget: the maximum (§4.8).
 		r.bucket.SetRate(rate)
 	}
-	r.wire, r.expT, r.demoted = wire, res.ExpT, false
+	r.expT, r.demoted = res.ExpT, false
 	g.mu.Unlock()
 	if t := g.tel.Load(); t != nil {
 		if fresh {
@@ -186,6 +186,23 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		}
 	}
 	return nil
+}
+
+// templateLen is the length of the template of a path of the given hops.
+func templateLen(hops int) int { return packet.DataLen(hops, 0) + hops*cryptoutil.KeySize }
+
+// encodeTemplate writes into wire, exactly as long as the template of a path
+// of len(path) hops, the header Packet.SerializeTo encodes for the version
+// with Ts, payload length and HVFs zero, and then the σs in path order.
+// Install has checked the path, so the encoding cannot fail.
+//
+//colibri:nomalloc
+func encodeTemplate(wire []byte, res *packet.ResInfo, eer *packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) {
+	tmpl := packet.Packet{Type: packet.TData, Res: *res, EER: *eer, Path: path, HVFs: noHVFs[:len(path)*packet.HVFLen]}
+	hdr, _ := tmpl.SerializeTo(wire)
+	for i := range auths {
+		copy(wire[hdr+i*cryptoutil.KeySize:], auths[i][:])
+	}
 }
 
 // setDemoted moves a flow's demotion flag to demoted and reports whether it
@@ -327,10 +344,11 @@ type Worker struct {
 	ks     cryptoutil.AESSchedule
 
 	// Batch scratch, grown to the largest batch seen and then reused. recs
-	// are the looked-up records, valid only under the gateway lock; wires
-	// carry the templates of the packets to build past it (nil: refused).
+	// are the looked-up records, valid only under the gateway lock; tmpls
+	// carries copies of the templates of the packets to build past it, back
+	// to back in request order.
 	recs  []*record
-	wires [][]byte
+	tmpls []byte
 	// One-element batch backing Build.
 	req1 [1]BuildReq
 	res1 [1]BuildRes
@@ -346,11 +364,9 @@ func (g *Gateway) NewWorker() *Worker {
 func (w *Worker) grow(n int) {
 	if cap(w.recs) >= n {
 		w.recs = w.recs[:n]
-		w.wires = w.wires[:n]
 		return
 	}
 	w.recs = make([]*record, n)
-	w.wires = make([][]byte, n)
 }
 
 // Build assembles a complete Colibri data packet for the reservation into
@@ -400,7 +416,7 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	// Phases 1 and 2 under one lock: the records' lookups, then their buckets.
 	g.mu.Lock()
 	for i := 0; i < n; i++ {
-		outs[i], w.recs[i], w.wires[i] = BuildRes{}, nil, nil
+		outs[i], w.recs[i] = BuildRes{}, nil
 		r := g.recs.Get(g.id(reqs[i].ResID))
 		switch {
 		case r == nil:
@@ -424,9 +440,11 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	}
 
 	// Deterministic monitoring over the total packet sizes, all versions
-	// sharing the reservation's budget (§4.8). What phase 3 needs of a
-	// record — its template — is copied out before the lock goes.
+	// sharing the reservation's budget (§4.8). A renewal rewrites a template
+	// in place, so each conforming packet's template is copied into the
+	// worker's scratch before the lock goes.
 	toBuild := uint64(0)
+	w.tmpls = w.tmpls[:0]
 	for i := 0; i < n; i++ {
 		r := w.recs[i]
 		if r == nil {
@@ -436,7 +454,7 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 			outs[i].Err = ErrRateExceeded
 			continue
 		}
-		w.wires[i] = r.wire
+		w.tmpls = append(w.tmpls, r.wire...) // grows to the largest batch seen, then reused
 		toBuild++
 	}
 	g.mu.Unlock()
@@ -446,16 +464,20 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		phaseStart = now
 	}
 
-	// Phase 3: timestamps, HVFs, serialization. One atomic Add claims the
+	// Phase 3: timestamps, HVFs, serialization, for the packets still
+	// without an error, from the copied templates. One atomic Add claims the
 	// whole batch's unique timestamp range.
 	built := 0
 	if toBuild > 0 {
 		ts := g.reserveTs(nowNs, toBuild)
+		tmpls := w.tmpls
 		for i := 0; i < n; i++ {
-			if w.wires[i] == nil {
+			if outs[i].Err != nil {
 				continue
 			}
-			outs[i].N = w.stamp(w.wires[i], reqs[i].Payload, reqs[i].Out, ts)
+			wire := tmpls[:templateLen(packet.PathLenOf(tmpls))]
+			tmpls = tmpls[len(wire):]
+			outs[i].N = w.stamp(wire, reqs[i].Payload, reqs[i].Out, ts)
 			ts++
 			built++
 			if tel != nil {

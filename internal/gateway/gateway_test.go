@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"colibri/internal/cryptoutil"
@@ -258,36 +259,51 @@ func TestInstallRefusesUnsendablePath(t *testing.T) {
 	}
 }
 
-// TestTemplateMatchesSerialize: a packet built from the template encoded at
-// Install is, byte for byte, the packet SerializeTo encodes with the HVFs of
+// TestTemplateMatchesSerialize: a packet built from the template Install
+// encodes is, byte for byte, the packet SerializeTo encodes with the HVFs of
 // Eq. (6) — for every path length and payloads from 0 to MaxPayload; one
-// byte more is refused.
+// byte more is refused. Each path length goes through the life of one EER: a
+// new record, a demotion, renewals over the same path, over another path of
+// the same hop count and over a path of another hop count (the first two
+// re-encode the template in place), and expiry, after which the next length
+// starts a fresh record under the same ResID.
 func TestTemplateMatchesSerialize(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	g := New(srcAS)
 	w := g.NewWorker()
 	out := make([]byte, packet.DataLen(packet.MaxHops, packet.MaxPayload+1))
 	now := baseNs
-	for hops := 1; hops <= packet.MaxHops; hops++ {
-		res := testRes(uint32(hops), 1<<31)
-		res.Ver = uint16(rng.Intn(1 << 16))
-		eer := packet.EERInfo{SrcHost: rng.Uint32(), DstHost: rng.Uint32()}
+	randPath := func(hops int) ([]packet.HopField, []cryptoutil.Key) {
 		path := make([]packet.HopField, hops)
 		auths := make([]cryptoutil.Key, hops)
 		for h := range path {
 			path[h] = packet.HopField{In: topology.IfID(rng.Intn(1 << 16)), Eg: topology.IfID(rng.Intn(1 << 16))}
 			rng.Read(auths[h][:])
 		}
+		return path, auths
+	}
+	res := testRes(1, 1<<31)
+	var eer packet.EERInfo
+	var path []packet.HopField
+	var auths []cryptoutil.Key
+	// install installs the next version of the EER, and check builds packets
+	// of every payload size from it.
+	install := func(what string) {
+		res.Ver++
+		res.ExpT = uint32(now/1e9) + 2
 		if err := g.Install(res, eer, path, auths); err != nil {
-			t.Fatal(err)
+			t.Fatalf("%s, %d hops: %v", what, len(path), err)
 		}
+	}
+	check := func(what string) {
+		hops := len(path)
 		for _, size := range []int{0, 1, 47, 1000, rng.Intn(packet.MaxPayload), packet.MaxPayload - 1, packet.MaxPayload} {
 			payload := make([]byte, size)
 			rng.Read(payload)
 			now += 1e6
 			n, err := w.Build(res.ResID, payload, out, now)
 			if err != nil {
-				t.Fatalf("%d hops, %d B: %v", hops, size, err)
+				t.Fatalf("%s, %d hops, %d B: %v", what, hops, size, err)
 			}
 			want := packet.Packet{Type: packet.TData, Res: res, EER: eer, Path: path, Payload: payload,
 				Ts: uint64(now), HVFs: make([]byte, hops*packet.HVFLen)}
@@ -303,11 +319,76 @@ func TestTemplateMatchesSerialize(t *testing.T) {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out[:n], wire) {
-				t.Fatalf("%d hops, %d B: the built packet differs from SerializeTo's", hops, size)
+				t.Fatalf("%s, %d hops, %d B: the built packet differs from SerializeTo's", what, hops, size)
 			}
 		}
 		if _, err := w.Build(res.ResID, make([]byte, packet.MaxPayload+1), out, now); !errors.Is(err, packet.ErrPayloadLen) {
-			t.Errorf("%d hops, %d B: %v, want %v", hops, packet.MaxPayload+1, err, packet.ErrPayloadLen)
+			t.Errorf("%s, %d hops, %d B: %v, want %v", what, hops, packet.MaxPayload+1, err, packet.ErrPayloadLen)
 		}
+	}
+	for hops := 1; hops <= packet.MaxHops; hops++ {
+		res.Ver = uint16(rng.Intn(1 << 16))
+		eer = packet.EERInfo{SrcHost: rng.Uint32(), DstHost: rng.Uint32()}
+		path, auths = randPath(hops)
+		install("new record")
+		check("new record")
+		if !g.Demote(res.ResID) {
+			t.Fatalf("%d hops: not demoted", hops)
+		}
+		if _, err := w.Build(res.ResID, nil, out, now); !errors.Is(err, ErrDemoted) {
+			t.Fatalf("%d hops, demoted: %v", hops, err)
+		}
+		res.BwKbps--
+		_, auths = randPath(hops)
+		install("same path")
+		check("same path")
+		path, auths = randPath(hops)
+		install("same hop count")
+		check("same hop count")
+		path, auths = randPath(packet.MaxHops + 1 - hops)
+		install("another hop count")
+		check("another hop count")
+		now = int64(res.ExpT) * 1e9
+		if n := g.Expire(res.ExpT); n != 1 {
+			t.Fatalf("%d hops: Expire dropped %d records", hops, n)
+		}
+		if _, err := w.Build(res.ResID, nil, out, now); !errors.Is(err, ErrUnknownRes) {
+			t.Fatalf("%d hops, expired: %v", hops, err)
+		}
+	}
+}
+
+// TestRenewalInstallAllocatesNothing: renewing a known record — a new
+// version, bandwidth, expiry and σs over a path of the same hop count —
+// re-encodes its template in place and allocates nothing, and the packets
+// built after it carry the new version.
+func TestRenewalInstallAllocatesNothing(t *testing.T) {
+	g := New(srcAS)
+	res, eer := testRes(7, 8000), packet.EERInfo{SrcHost: 1, DstHost: 2}
+	if err := g.Install(res, eer, tPath, tAuths); err != nil {
+		t.Fatal(err)
+	}
+	path, auths := slices.Clone(tPath), slices.Clone(tAuths)
+	allocs := testing.AllocsPerRun(100, func() {
+		res.Ver++
+		res.ExpT++
+		res.BwKbps ^= 1
+		path[1].Eg++
+		auths[0][0]++
+		if err := g.Install(res, eer, path, auths); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("a renewal Install allocates %.1f times, want 0", allocs)
+	}
+	buf := make([]byte, 2048)
+	n, err := g.NewWorker().Build(7, nil, buf, baseNs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pkt packet.Packet
+	if _, err := pkt.DecodeFromBytes(buf[:n]); err != nil || pkt.Res != res || !slices.Equal(pkt.Path, path) {
+		t.Fatalf("built %+v, %v; want version %+v over %v", pkt, err, res, path)
 	}
 }

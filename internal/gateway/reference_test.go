@@ -147,18 +147,19 @@ func (g *refGateway) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) i
 }
 
 // TestGatewayMatchesReference drives the gateway and its map-and-monitor
-// reference through one random script — installs of new EERs and renewals
-// up and down, removals, expiry, demotion and promotion, and batches of
-// 1–17 packets whose payloads cross the buckets' bursts under a clock that
-// steps both ways — and requires identical answers, packets and buffers.
+// reference through one random script — installs of new EERs, renewals up
+// and down over the same path, over another path of the same hop count (both
+// re-encode the template in place) and over a path of another hop count,
+// removals, expiry, demotion and promotion, and batches of 1–17 packets whose
+// payloads cross the buckets' bursts under a clock that steps both ways — and
+// requires identical answers, packets and buffers.
 func TestGatewayMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	g, ref := New(srcAS), newRef(srcAS)
 	w := g.NewWorker()
 	now := baseNs
 	rates := []uint32{64, 128, 1000, 8000}
-	randGrant := func(id uint32) (packet.ResInfo, packet.EERInfo, []packet.HopField, []cryptoutil.Key) {
-		hops := 1 + rng.Intn(6)
+	randGrant := func(id uint32, hops int) (packet.ResInfo, packet.EERInfo, []packet.HopField, []cryptoutil.Key) {
 		path := make([]packet.HopField, hops)
 		auths := make([]cryptoutil.Key, hops)
 		for h := range path {
@@ -170,15 +171,36 @@ func TestGatewayMatchesReference(t *testing.T) {
 		return res, packet.EERInfo{SrcHost: rng.Uint32(), DstHost: rng.Uint32()}, path, auths
 	}
 	outcomes := make(map[error]int) // the errors are bare sentinels
+	var renewals [3]int             // same path, same hop count, another hop count
 	for step := 0; step < 20_000; step++ {
 		id := uint32(1 + rng.Intn(24))
-		switch op := rng.Intn(100); {
+		switch op := rng.Intn(110); {
 		case op < 10:
-			res, eer, path, auths := randGrant(id)
+			res, eer, path, auths := randGrant(id, 1+rng.Intn(6))
 			if err := g.Install(res, eer, path, auths); err != nil {
 				t.Fatalf("step %d: install: %v", step, err)
 			}
 			ref.Install(res, eer, path, auths)
+		case op >= 100:
+			// The next version of a known EER, with new σs.
+			e := ref.byID[id]
+			if e == nil {
+				continue
+			}
+			kind, hops := rng.Intn(3), len(e.path)
+			if kind == 2 {
+				hops = 1 + (hops+rng.Intn(5))%6
+			}
+			res, _, path, auths := randGrant(id, hops)
+			if kind == 0 {
+				path = e.path
+			}
+			res.Ver = e.res.Ver + 1
+			if err := g.Install(res, e.eer, path, auths); err != nil {
+				t.Fatalf("step %d: renewal: %v", step, err)
+			}
+			ref.Install(res, e.eer, path, auths)
+			renewals[kind]++
 		case op < 12:
 			g.Remove(id)
 			ref.Remove(id)
@@ -241,5 +263,8 @@ func TestGatewayMatchesReference(t *testing.T) {
 		if outcomes[err] == 0 {
 			t.Errorf("no packet ended with %v: the script does not test it", err)
 		}
+	}
+	if renewals[0] == 0 || renewals[1] == 0 || renewals[2] == 0 {
+		t.Errorf("renewals (same path, same hop count, another hop count): %v", renewals)
 	}
 }
