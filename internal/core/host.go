@@ -218,7 +218,7 @@ func (n *Network) deliver(ia topology.IA, addr uint32, buf []byte) error {
 		return fmt.Errorf("core: no host %d in %s", addr, ia)
 	}
 	pkt := &n.deliverPkt
-	if _, err := pkt.DecodeFromBytes(buf); err != nil {
+	if _, _, err := pkt.DecodeHop(buf); err != nil {
 		return err
 	}
 	var dst []byte

@@ -2,12 +2,14 @@ package packet
 
 import (
 	"bytes"
+	"errors"
 	"testing"
 
 	"colibri/internal/topology"
 )
 
-// FuzzDecodeFromBytes: arbitrary input must never panic, and whatever
+// FuzzDecodeFromBytes: arbitrary input must never panic, the hop-only
+// DecodeHop must agree with DecodeFromBytes (checkDecodeHop), and whatever
 // decodes successfully must re-serialize to an equivalent packet
 // (decode–encode–decode fixpoint).
 func FuzzDecodeFromBytes(f *testing.F) {
@@ -26,6 +28,7 @@ func FuzzDecodeFromBytes(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var q Packet
 		n, err := q.DecodeFromBytes(data)
+		checkDecodeHop(t, data, &q, n, err)
 		if err != nil {
 			return
 		}
@@ -47,6 +50,35 @@ func FuzzDecodeFromBytes(f *testing.F) {
 			t.Fatal("decode–encode–decode not a fixpoint")
 		}
 	})
+}
+
+// checkDecodeHop holds DecodeHop to DecodeFromBytes on data, given the
+// latter's packet, length and error: it fails exactly when DecodeFromBytes
+// fails, with the same sentinel, and otherwise fills every field but Path
+// alike, empties a stale Path and returns Path[CurrHop].
+func checkDecodeHop(t *testing.T, data []byte, full *Packet, n int, err error) {
+	t.Helper()
+	h := Packet{Path: make([]HopField, 3)}
+	hop, hn, herr := h.DecodeHop(data)
+	if (err == nil) != (herr == nil) {
+		t.Fatalf("DecodeFromBytes: %v; DecodeHop: %v", err, herr)
+	}
+	if err != nil {
+		for _, sentinel := range []error{ErrTooShort, ErrBadVersion, ErrBadPath, ErrBadCurrHop} {
+			if errors.Is(err, sentinel) != errors.Is(herr, sentinel) {
+				t.Fatalf("DecodeFromBytes: %v; DecodeHop: %v", err, herr)
+			}
+		}
+		return
+	}
+	if hn != n || h.Type != full.Type || h.CurrHop != full.CurrHop || h.Res != full.Res ||
+		h.EER != full.EER || h.Ts != full.Ts ||
+		!bytes.Equal(h.HVFs, full.HVFs) || !bytes.Equal(h.Payload, full.Payload) {
+		t.Fatalf("DecodeHop %+v (%d bytes) differs from DecodeFromBytes %+v (%d bytes)", h, hn, *full, n)
+	}
+	if len(h.Path) != 0 || hop != full.Path[full.CurrHop] {
+		t.Fatalf("DecodeHop: hop %+v and path %v, want hop %+v and no path", hop, h.Path, full.Path[full.CurrHop])
+	}
 }
 
 // maxHopPacket builds a packet at the MaxHops path-length ceiling — the

@@ -10,7 +10,8 @@
 // The wire layout is fixed-offset so that border routers can validate and
 // forward without per-flow state and without allocation: DecodeFromBytes
 // borrows from the input buffer and reuses the decoder's slices
-// (gopacket-style DecodingLayer discipline).
+// (gopacket-style DecodingLayer discipline), and a border router's
+// DecodeHop reads only its own hop field.
 package packet
 
 import (
@@ -211,6 +212,40 @@ func (p *Packet) Serialize() ([]byte, error) {
 // aliasing data for HVFs and Payload. It returns the number of bytes
 // consumed.
 func (p *Packet) DecodeFromBytes(data []byte) (int, error) {
+	total, err := p.decodeHeader(data)
+	if err != nil {
+		return 0, err
+	}
+	hops := len(p.HVFs) / HVFLen
+	if cap(p.Path) < hops {
+		p.Path = make([]HopField, hops)
+	} else {
+		p.Path = p.Path[:hops]
+	}
+	for i := range p.Path {
+		p.Path[i] = hopAt(data, i)
+	}
+	return total, nil
+}
+
+// DecodeHop is the border router's decode: it makes every check
+// DecodeFromBytes makes and fills every field but Path, which it leaves
+// empty, and returns the current hop's field, the only one a hop reads.
+// PathLenOf(data) is the hop count.
+//
+//colibri:nomalloc
+func (p *Packet) DecodeHop(data []byte) (HopField, int, error) {
+	total, err := p.decodeHeader(data)
+	if err != nil {
+		return HopField{}, 0, err
+	}
+	p.Path = p.Path[:0]
+	return hopAt(data, int(p.CurrHop)), total, nil
+}
+
+// decodeHeader checks data and parses everything but the hop fields into
+// p, returning the packet's length.
+func (p *Packet) decodeHeader(data []byte) (int, error) {
 	if len(data) < fixedLen {
 		return 0, ErrTooShort
 	}
@@ -239,21 +274,20 @@ func (p *Packet) DecodeFromBytes(data []byte) (int, error) {
 	p.EER.SrcHost = binary.BigEndian.Uint32(data[32:36])
 	p.EER.DstHost = binary.BigEndian.Uint32(data[36:40])
 	p.Ts = binary.BigEndian.Uint64(data[40:48])
-	if cap(p.Path) < hops {
-		p.Path = make([]HopField, hops)
-	} else {
-		p.Path = p.Path[:hops]
-	}
-	off := fixedLen
-	for i := 0; i < hops; i++ {
-		p.Path[i].In = topology.IfID(binary.BigEndian.Uint16(data[off:]))
-		p.Path[i].Eg = topology.IfID(binary.BigEndian.Uint16(data[off+2:]))
-		off += hopFieldLen
-	}
+	off := HVFOffset(hops)
 	p.HVFs = data[off : off+hops*HVFLen]
 	off += hops * HVFLen
 	p.Payload = data[off : off+payLen]
 	return total, nil
+}
+
+// hopAt reads hop field i of a checked buffer.
+func hopAt(data []byte, i int) HopField {
+	off := fixedLen + i*hopFieldLen
+	return HopField{
+		In: topology.IfID(binary.BigEndian.Uint16(data[off:])),
+		Eg: topology.IfID(binary.BigEndian.Uint16(data[off+2:])),
+	}
 }
 
 // SetCurrHopInPlace updates the current-hop byte directly in a serialized

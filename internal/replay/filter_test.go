@@ -1,8 +1,10 @@
 package replay
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 // Tests pinning the filter's contract (see the package comment): no false
@@ -19,9 +21,9 @@ func remembered(s *Suppressor, id uint64, tsNs int64) bool {
 	if sl.bucket != b {
 		return false
 	}
-	h1, h2 := mix(id)
+	pr := hash(id)
 	for c := sl.first; c <= sl.cur; c++ {
-		if sl.stages[c].test(h1, h2, s.k) {
+		if sl.stages[c].test(pr) {
 			return true
 		}
 	}
@@ -95,7 +97,7 @@ func TestNoFalseNegatives(t *testing.T) {
 // TestFalsePositiveRateAtDesignLoad fills one bucket with exactly
 // ExpectedPackets distinct identifiers and probes fresh ones: the observed
 // rejection rate must stay within 1.5× the configured FalsePositiveRate
-// (the default 10⁻⁴; the defaults' geometry, k = 13, at a smaller n). In
+// (the default 10⁻⁴; the defaults' geometry, blocked at k = 16, at a smaller n). In
 // the steady case the bucket before was full too, so the chain is the one
 // full-size stage; in the surge case it was light, so the chain starts at
 // the smallest stage and climbs through every size.
@@ -136,32 +138,98 @@ func TestFalsePositiveRateAtDesignLoad(t *testing.T) {
 	}
 }
 
-// TestSmallFilterFalsePositives: a small stage at a quarter of its capacity
-// must run at its textbook rate, (1 − 2^−¼)¹³ ≈ 4 × 10⁻¹¹. Unremixed
-// double hashing put all probes of an identifier whose h₂ lies near a small
-// fraction of 2⁶⁴ onto a few bits, which at 1 024 identifiers rejected
-// about one fresh identifier in 10⁶.
+// TestSmallFilterFalsePositives: every stage size below ExpectedPackets,
+// built as the suppressor opens it (Config.sizes), must run at its rate at
+// a quarter of its capacity, ≤ 3.1 × 10⁻⁹ for the default p. Unremixed
+// double hashing over a whole stage once put all probes of an identifier
+// whose h₂ lay near a small fraction of 2⁶⁴ onto a few bits, which at
+// 1 024 identifiers rejected about one fresh identifier in 10⁶.
 func TestSmallFilterFalsePositives(t *testing.T) {
 	probes := 10_000_000
 	if testing.Short() {
 		probes = 1_000_000
 	}
-	for _, n := range []int{1 << 10, 1 << 14} {
-		m, k := bloomParams(n, 1e-4)
-		st := stage{bits: make([]uint64, (m+63)/64), m: m}
-		rng := rand.New(rand.NewSource(int64(n)))
-		for i := 0; i < n/4; i++ {
-			h1, h2 := mix(rng.Uint64())
-			st.testAndSet(h1, h2, k)
+	for _, sz := range (Config{ExpectedPackets: 1 << 16, FalsePositiveRate: 1e-4}).sizes() {
+		if sz.ids == 1<<16 {
+			continue // the full stage: TestFalsePositiveRateAtDesignLoad
+		}
+		st := stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
+		rng := rand.New(rand.NewSource(sz.ids))
+		for i := int64(0); i < sz.ids/4; i++ {
+			pr := hash(rng.Uint64())
+			st.testAndSet(pr)
 		}
 		fp := 0
 		for i := 0; i < probes; i++ {
-			if h1, h2 := mix(rng.Uint64()); st.test(h1, h2, k) {
+			if pr := hash(rng.Uint64()); st.test(pr) {
 				fp++
 			}
 		}
 		if fp != 0 {
-			t.Errorf("n = %d at quarter load: %d false positives in %d probes", n, fp, probes)
+			t.Errorf("n = %d (%d blocks) at quarter load: %d false positives in %d probes", sz.ids, sz.nb, fp, probes)
+		}
+	}
+}
+
+// TestStageBlocksAligned: every stage buffer a suppressor opens starts on a
+// 64-byte boundary and holds whole blocks, and a probed stage is read in
+// exactly one block: with only the block an identifier picks all ones, the
+// stage finds it; with only that block all zeros, it does not; and an insert
+// into an empty stage sets at most k bits, all in that block.
+func TestStageBlocksAligned(t *testing.T) {
+	const window, n = 1000, 1 << 16
+	s := NewCovering(Config{WindowNs: window, ExpectedPackets: n}, 2*window) // a ring of five
+	// Every other bucket, so each opens after an empty one and its chain
+	// climbs through every size; five of them land in five different slots.
+	for b := int64(0); b < 2*int64(len(s.ring)); b += 2 {
+		fill(s, rand.New(rand.NewSource(b)), n, b*window)
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i := range s.ring {
+		for c := range s.ring[i].stages {
+			st := &s.ring[i].stages[c]
+			if st.blocks == nil {
+				t.Fatalf("slot %d: stage %d never opened", i, c)
+			}
+			if a := uintptr(unsafe.Pointer(&st.blocks[0])) % 64; a != 0 {
+				t.Fatalf("slot %d stage %d starts %d bytes past a 64-byte boundary", i, c, a)
+			}
+			if uint64(len(st.blocks)) != st.nb*blockWords {
+				t.Fatalf("slot %d stage %d: %d words for %d blocks", i, c, len(st.blocks), st.nb)
+			}
+			for j := 0; j < 100; j++ {
+				pr := hash(rng.Uint64())
+				blk := st.block(pr.blk)
+				clear(st.blocks)
+				for w := range blk {
+					blk[w] = ^uint64(0)
+				}
+				if !st.test(pr) {
+					t.Fatalf("slot %d stage %d: a probe reads outside its block", i, c)
+				}
+				for w := range st.blocks {
+					st.blocks[w] = ^uint64(0)
+				}
+				*blk = [blockWords]uint64{}
+				if st.test(pr) {
+					t.Fatalf("slot %d stage %d: a probe does not read its block", i, c)
+				}
+				clear(st.blocks)
+				if !st.testAndSet(pr) {
+					t.Fatalf("slot %d stage %d: an insert into an empty stage reported a replay", i, c)
+				}
+				set := 0
+				for _, v := range st.blocks {
+					set += bits.OnesCount64(v)
+				}
+				inBlock := 0
+				for _, v := range blk {
+					inBlock += bits.OnesCount64(v)
+				}
+				if inBlock != set || set == 0 || set > 2*blockWords {
+					t.Fatalf("slot %d stage %d: an insert set %d bits, %d of them in its block", i, c, set, inBlock)
+				}
+			}
 		}
 	}
 }
@@ -173,7 +241,7 @@ func TestSmallFilterFalsePositives(t *testing.T) {
 func TestIdleRotationLeavesBitsAlone(t *testing.T) {
 	const window = 1000
 	poisoned := func(st *stage) (n int) {
-		for _, w := range st.bits {
+		for _, w := range st.blocks {
 			if w == ^uint64(0) {
 				n++
 			}
@@ -183,8 +251,8 @@ func TestIdleRotationLeavesBitsAlone(t *testing.T) {
 	s := NewCovering(Config{WindowNs: window, ExpectedPackets: 1 << 12}, window)
 	ringW := int64(len(s.ring)) * window
 	st := &s.file(0).stages[0] // opened, no insert yet
-	for i := range st.bits {
-		st.bits[i] = ^uint64(0)
+	for i := range st.blocks {
+		st.blocks[i] = ^uint64(0)
 	}
 	// The poison rejects every probe, so the slot's one buffer never takes an
 	// insert however often the slot is recycled, or however long it idles.
@@ -193,8 +261,8 @@ func TestIdleRotationLeavesBitsAlone(t *testing.T) {
 			t.Fatalf("at %d: accepted through an all-ones filter", now)
 		}
 	}
-	if n := poisoned(st); n != len(st.bits) {
-		t.Errorf("a recycle swept a buffer that had taken no insert: %d of %d poisoned words left", n, len(st.bits))
+	if n := poisoned(st); n != len(st.blocks) {
+		t.Errorf("a recycle swept a buffer that had taken no insert: %d of %d poisoned words left", n, len(st.blocks))
 	}
 
 	s = NewCovering(Config{WindowNs: window, ExpectedPackets: 1 << 12}, window)
@@ -202,14 +270,14 @@ func TestIdleRotationLeavesBitsAlone(t *testing.T) {
 		t.Fatal("first sight rejected")
 	}
 	st = &s.ring[0].stages[0]
-	for i := range st.bits {
-		st.bits[i] = ^uint64(0)
+	for i := range st.blocks {
+		st.blocks[i] = ^uint64(0)
 	}
 	if !s.Check(43, 10*ringW, 10*ringW) { // long silence, then the slot's bucket comes round
 		t.Fatal("fresh identifier rejected after the slot was recycled")
 	}
 	if n := poisoned(st); n != 0 {
-		t.Errorf("buffer with one insert: %d of %d poisoned words survived the reopen", n, len(st.bits))
+		t.Errorf("buffer with one insert: %d of %d poisoned words survived the reopen", n, len(st.blocks))
 	}
 }
 

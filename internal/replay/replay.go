@@ -12,12 +12,24 @@
 // recycled only when its bucket's whole Ts range has left that interval —
 // when no copy of anything in it can pass the freshness check.
 //
-// Sizing by traffic. A bucket is a chain of Bloom stages with the same k and
-// target rate p, of sizes ExpectedPackets/4ʲ (not below 1 024 identifiers).
-// The first is the smallest that holds four times the previous bucket's
-// count; a stage below ExpectedPackets takes a quarter of its capacity, then
-// the next size up opens; the ExpectedPackets stage takes the rest. A slot
-// keeps one buffer per size and clears it only when reopening it dirty.
+// Sizing by traffic. A bucket is a chain of Bloom stages of sizes
+// ExpectedPackets/4ʲ identifiers (not below 1 024). The first is the
+// smallest that holds four times the previous bucket's count; a stage below
+// ExpectedPackets takes a quarter of its capacity, then the next size up
+// opens; the ExpectedPackets stage takes the rest. A slot keeps one buffer
+// per size and clears it only when reopening it dirty.
+//
+// Layout. A stage is an array of 64-byte blocks, the first on a cache-line
+// boundary (Putze, Sanders & Singler, "Cache-, hash- and space-efficient
+// Bloom filters", 2007): one hash of the identifier picks the block, and
+// the identifier sets two bits, drawn independently, in each of the block's
+// eight words (k = 16), so a probed stage costs one cache line and one pass
+// over it. The ExpectedPackets stage is sized for the blocks' uneven load
+// by blockedFP, a bound on its rate at Poisson(λ) identifiers per block: it
+// gets the fewest blocks for which that bound is ≤ p — for the default p,
+// 1.20 × the textbook m = −n·ln p / (ln 2)² bits. A smaller stage keeps the
+// textbook m, rounded up to whole blocks: it only ever fills to a quarter,
+// where the bound is 3.1 × 10⁻⁹.
 //
 // Contract (pinned by the tests and FuzzSuppressor):
 //   - No false negatives: a copy of an accepted identifier with the same Ts
@@ -25,20 +37,20 @@
 //     accepted. A backward clock step is ignored (the latest reading is
 //     kept), which can only cost drops.
 //   - False positives ≤ p while a bucket holds ≤ ExpectedPackets
-//     identifiers: the full stage runs at p, a quarter-loaded one at
-//     (1 − 2^−¼)^k ≈ 4 × 10⁻¹¹ for the default p (tests allow 1.5 p).
-//   - Memory: a stage for n identifiers is m = −n·ln p / (ln 2)² bits,
-//     probed at k = (m/n)·ln 2 positions (double hashing, every probe
-//     remixed, over the whole stage). Resident bytes never exceed
-//     CeilingBytes, one buffer of every size per slot: < (⌈2F/W⌉ + 1) × 4/3
-//     × m(ExpectedPackets), 19.2 MiB at the defaults and F = 500 ms. A load
-//     at a fraction of the design rate touches about that fraction, and a
-//     steady one allocates nothing.
+//     identifiers: the full stage runs at p, a quarter-loaded smaller one
+//     at ≤ 3.1 × 10⁻⁹ for the default p (tests allow 1.5 p at design load,
+//     and 0 in 10⁷ probes of each quarter-loaded size).
+//   - Memory: resident bytes never exceed CeilingBytes, one buffer of every
+//     size per slot: about (⌈2F/W⌉ + 1) × (1.20 + 1/3) × m(ExpectedPackets),
+//     22.1 MiB at the defaults and F = 500 ms. A load at a fraction of the
+//     design rate touches about that fraction, and a steady one allocates
+//     nothing.
 package replay
 
 import (
 	"math"
 	"math/bits"
+	"unsafe"
 
 	"colibri/internal/telemetry"
 )
@@ -54,8 +66,15 @@ type Config struct {
 	FalsePositiveRate float64
 }
 
-// minStage is the smallest stage, in identifiers.
-const minStage = 1 << 10
+const (
+	// minStage is the smallest stage, in identifiers.
+	minStage = 1 << 10
+	// blockWords is one block, a 64-byte cache line, in words. An identifier
+	// sets two bits in every word of its block: k = 16.
+	blockWords = 8
+	// blockBits is one block in bits.
+	blockBits = 64 * blockWords
+)
 
 func (c *Config) setDefaults() {
 	if c.WindowNs == 0 {
@@ -82,21 +101,25 @@ func (c Config) Split(n int) Config {
 	return c
 }
 
-// size is one stage size: its capacity in identifiers and its bits.
+// size is one stage size: its capacity in identifiers and its blocks.
 type size struct {
 	ids int64
-	m   uint64
+	nb  uint64
 }
 
-// sizes lists the stage sizes, smallest first.
+// words is the length of a stage buffer of this size: its blocks and the
+// slack that lets the first start on a 64-byte boundary.
+func (sz size) words() int { return int(sz.nb)*blockWords + blockWords - 1 }
+
+// sizes lists the stage sizes, smallest first: the ExpectedPackets stage
+// from blockedSize, every smaller one the textbook m in whole blocks.
 func (c Config) sizes() (out []size) {
-	for n := c.ExpectedPackets; ; n /= 4 {
-		m, _ := bloomParams(n, c.FalsePositiveRate)
-		out = append([]size{{int64(n), m}}, out...)
-		if n/4 < minStage {
-			return out
-		}
+	out = []size{{int64(c.ExpectedPackets), blockedSize(c.ExpectedPackets, c.FalsePositiveRate)}}
+	for n := c.ExpectedPackets / 4; n >= minStage; n /= 4 {
+		m := bloomParams(n, c.FalsePositiveRate)
+		out = append([]size{{int64(n), (m + blockBits - 1) / blockBits}}, out...)
 	}
+	return out
 }
 
 // ringLen is the most buckets [now − F, now + F] meets: ⌈2F/W⌉ + 1.
@@ -110,7 +133,7 @@ func (c Config) CeilingBytes(freshnessNs int64) int64 {
 	c.setDefaults()
 	var words int64
 	for _, sz := range c.sizes() {
-		words += int64(sz.m+63) / 64
+		words += int64(sz.words())
 	}
 	return 8 * words * int64(c.ringLen(freshnessNs))
 }
@@ -121,7 +144,6 @@ func (c Config) CeilingBytes(freshnessNs int64) int64 {
 type Suppressor struct {
 	window  int64
 	horizon int64 // F: Check accepts Ts within ±horizon of now
-	k       int
 	sizes   []size
 	ring    []slot
 	now     int64 // the latest clock reading
@@ -146,12 +168,12 @@ type slot struct {
 	stages     []stage // one per size, buffers allocated on first use
 }
 
-// stage is one Bloom filter of m bits; dirty records an insert since its
-// last clear.
+// stage is one blocked Bloom filter of nb blocks; dirty records an insert
+// since its last clear.
 type stage struct {
-	bits  []uint64
-	m     uint64
-	dirty bool
+	blocks []uint64 // nb blocks of blockWords words, the first 64-byte aligned
+	nb     uint64
+	dirty  bool
 }
 
 // New builds a suppressor covering timestamps within ±WindowNs of now.
@@ -165,11 +187,9 @@ func New(cfg Config) *Suppressor {
 func NewCovering(cfg Config, freshnessNs int64) *Suppressor {
 	cfg.setDefaults()
 	sizes := cfg.sizes()
-	_, k := bloomParams(cfg.ExpectedPackets, cfg.FalsePositiveRate)
 	s := &Suppressor{
 		window:  cfg.WindowNs,
 		horizon: freshnessNs,
-		k:       k,
 		sizes:   sizes,
 		ring:    make([]slot, cfg.ringLen(freshnessNs)),
 		now:     math.MinInt64,
@@ -213,17 +233,17 @@ func (s *Suppressor) Check(id uint64, tsNs, nowNs int64) bool {
 	if tsNs < s.lo || tsNs >= s.hi {
 		sl = s.file(tsNs)
 	}
-	// One hash; the chain's older stages tested with early exit (a fresh
-	// identifier leaves at its first clear bit), then a single pass over the
-	// current stage that sets the bits while testing them: if all were
-	// already set the identifier is a replay and the pass changed nothing.
-	h1, h2 := mix(id)
+	// One hash; the chain's older stages tested (a fresh identifier misses
+	// in its block), then the current stage's block tested and set in one
+	// pass: if all its bits were already set the identifier is a replay and
+	// the pass changed nothing.
+	pr := hash(id)
 	for c := sl.first; c < sl.cur; c++ {
-		if sl.stages[c].test(h1, h2, s.k) {
+		if sl.stages[c].test(pr) {
 			return false
 		}
 	}
-	if !sl.stages[sl.cur].testAndSet(h1, h2, s.k) {
+	if !sl.stages[sl.cur].testAndSet(pr) {
 		return false
 	}
 	sl.n++
@@ -270,72 +290,134 @@ func (s *Suppressor) file(tsNs int64) *slot {
 // use, cleared if it took an insert since it was last cleared.
 func (s *Suppressor) open(sl *slot, c int) {
 	st := &sl.stages[c]
-	switch {
-	case st.bits == nil:
-		*st = stage{bits: make([]uint64, (s.sizes[c].m+63)/64), m: s.sizes[c].m}
-		s.resident += 8 * int64(len(st.bits))
+	switch sz := s.sizes[c]; {
+	case st.blocks == nil:
+		*st = stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
+		s.resident += 8 * int64(sz.words())
 		if s.bytes != nil {
-			s.bytes.Add(8 * int64(len(st.bits)))
+			s.bytes.Add(8 * int64(sz.words()))
 		}
 	case st.dirty:
-		clear(st.bits)
+		clear(st.blocks)
 		st.dirty = false
 	}
 	sl.cur, sl.curN = c, 0
 }
 
-func bloomParams(n int, fp float64) (m uint64, k int) {
-	// Standard sizing: m = -n ln p / (ln 2)^2, k = m/n ln 2.
-	mf := -float64(n) * math.Log(fp) / (math.Ln2 * math.Ln2)
-	return max(uint64(mf), 64), min(max(int(math.Round(mf/float64(n)*math.Ln2)), 1), 16)
+// alignedBlocks allocates a buffer of n words and returns the part of it
+// from the first 64-byte boundary on, blockWords − 1 words short of n. Go's
+// collector does not move heap objects, so the boundary holds.
+func alignedBlocks(n int) []uint64 {
+	buf := make([]uint64, n)
+	skip := (-uintptr(unsafe.Pointer(&buf[0])) % (8 * blockWords)) / 8
+	return buf[skip : int(skip)+n-(blockWords-1)]
 }
 
-// mix derives the two base hashes for double hashing.
-func mix(id uint64) (uint64, uint64) {
-	h1 := id
-	h1 ^= h1 >> 33
-	h1 *= 0xFF51AFD7ED558CCD
-	h1 ^= h1 >> 33
-	h2 := id*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D
-	h2 ^= h2 >> 29
-	h2 *= 0xBF58476D1CE4E5B9
-	h2 ^= h2 >> 32
-	return h1, h2 | 1
+// bloomParams is the textbook size of a filter for n identifiers at rate
+// fp, m = −n ln p / (ln 2)² bits (at k = (m/n) ln 2 free positions).
+func bloomParams(n int, fp float64) (m uint64) {
+	return max(uint64(-float64(n)*math.Log(fp)/(math.Ln2*math.Ln2)), 64)
 }
 
-// pos maps a probe hash to a bit position in [0, m): the high word of h·m, a
-// multiply where a 64-bit modulo would be a divide. h is remixed first: the
-// raw probes h₁ + i·h₂ lie h₂·m/2⁶⁴ bits apart, so for an h₂ near a small
-// fraction of 2⁶⁴ all k would land on a few bits.
-func (b *stage) pos(h uint64) uint64 {
-	h ^= h >> 31
-	h *= 0x94D049BB133111EB
-	hi, _ := bits.Mul64(h, b.m)
+// blockedSize is the fewest blocks that hold n identifiers at a rate
+// blockedFP bounds by fp.
+func blockedSize(n int, fp float64) uint64 {
+	fits := func(nb uint64) bool { return blockedFP(float64(n)/float64(nb)) <= fp }
+	m := bloomParams(n, fp)
+	lo, hi := m/blockBits, 2*m/blockBits+1 // the textbook bits are too few
+	for !fits(hi) {
+		lo, hi = hi, 2*hi
+	}
+	for hi-lo > 1 {
+		if mid := lo + (hi-lo)/2; fits(mid) {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
 	return hi
 }
 
-// test reports whether every probe bit of (h1, h2) is set.
-func (b *stage) test(h1, h2 uint64, k int) bool {
-	for i := 0; i < k; i++ {
-		p := b.pos(h1)
-		if b.bits[p/64]&(1<<(p%64)) == 0 {
+// blockedFP bounds the false-positive rate of a stage at lambda identifiers
+// per block. A block's load j is Poisson(λ). Each identifier sets two bits
+// drawn independently in each of the block's eight words, so a word holding
+// j identifiers has each bit set with probability f = 1 − (63/64)^{2j}; a
+// probe's two draws in a word are one bit with probability 1/64, and d given
+// bits of a word are all set with probability at most f^d, since a word's
+// occupancy is negatively associated and the words are independent.
+func blockedFP(lambda float64) float64 {
+	pj, rj, fp := math.Exp(-lambda), 1.0, 0.0
+	for j := 0; float64(j) < lambda+8*math.Sqrt(lambda)+24; j++ { // past it, Poisson mass < 10⁻¹⁴
+		if j > 0 {
+			pj *= lambda / float64(j)
+			rj *= (63. / 64) * (63. / 64)
+		}
+		f := 1 - rj
+		word := f*f*63/64 + f/64
+		word *= word // word⁸: all eight words hit
+		word *= word
+		fp += pj * word * word
+	}
+	return fp
+}
+
+// probe is what an identifier probes in every stage: blk picks its block,
+// and lo and hi hold its two 6-bit positions in each word of a block, 12
+// bits a word, words 0–3 from lo and 4–7 from hi.
+type probe struct{ blk, lo, hi uint64 }
+
+// hash derives an identifier's probe from three consecutive outputs of
+// splitmix64 seeded with it.
+func hash(id uint64) probe {
+	return probe{splitmix(&id), splitmix(&id), splitmix(&id)}
+}
+
+func splitmix(x *uint64) uint64 {
+	*x += 0x9E3779B97F4A7C15
+	z := *x
+	z = (z ^ z>>30) * 0xBF58476D1CE4E5B9
+	z = (z ^ z>>27) * 0x94D049BB133111EB
+	return z ^ z>>31
+}
+
+// wordMask is the two bits of a word that the low 12 bits of x pick.
+func wordMask(x uint64) uint64 { return 1<<(x&63) | 1<<(x>>6&63) }
+
+// block returns the block h picks: the high word of h·nb.
+func (b *stage) block(h uint64) *[blockWords]uint64 {
+	i, _ := bits.Mul64(h, b.nb)
+	return (*[blockWords]uint64)(b.blocks[i*blockWords:])
+}
+
+// test reports whether every probe bit of pr is set in its block, leaving
+// at the first word that misses one.
+func (b *stage) test(pr probe) bool {
+	blk, x := b.block(pr.blk), pr.lo
+	for w := range blk {
+		if w == blockWords/2 {
+			x = pr.hi
+		}
+		if m := wordMask(x); blk[w]&m != m {
 			return false
 		}
-		h1 += h2
+		x >>= 12
 	}
 	return true
 }
 
-// testAndSet sets every probe bit of (h1, h2) and reports whether any of
-// them was clear before, i.e. whether the identifier was new.
-func (b *stage) testAndSet(h1, h2 uint64, k int) bool {
+// testAndSet sets every probe bit of pr in its block and reports whether
+// any of them was clear before, i.e. whether the identifier was new.
+func (b *stage) testAndSet(pr probe) bool {
+	blk, x := b.block(pr.blk), pr.lo
 	var missing uint64
-	for i := 0; i < k; i++ {
-		p := b.pos(h1)
-		w, bit := &b.bits[p/64], uint64(1)<<(p%64)
-		missing |= ^*w & bit
-		*w |= bit
-		h1 += h2
+	for w := range blk {
+		if w == blockWords/2 {
+			x = pr.hi
+		}
+		m := wordMask(x)
+		missing |= m &^ blk[w]
+		blk[w] |= m
+		x >>= 12
 	}
 	if missing == 0 {
 		return false

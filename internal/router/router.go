@@ -401,12 +401,12 @@ func (w *Worker) ProcessBatch(pkts [][]byte, verdicts []BatchVerdict, nowNs int6
 func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, error) {
 	r := w.r
 	pkt := &w.pkt
-	if _, err := pkt.DecodeFromBytes(buf); err != nil {
+	hop, _, err := pkt.DecodeHop(buf)
+	if err != nil {
 		w.countDrop(acc, DropDecode, nowNs, false)
 		return Verdict{Action: ADrop}, fmt.Errorf("%w: %v", ErrDecode, err)
 	}
 	idx := int(pkt.CurrHop)
-	hop := pkt.Path[idx]
 
 	// Expiry and freshness (§4.6: "checks whether the reservation has not
 	// expired yet" and "packet freshness").
@@ -496,7 +496,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	if pkt.Type.IsControl() && pkt.Type != packet.TData {
 		return Verdict{Action: AControl, Egress: hop.Eg}, nil
 	}
-	if idx == len(pkt.Path)-1 {
+	if idx == packet.PathLenOf(buf)-1 {
 		return Verdict{Action: ADeliver, DstHost: pkt.EER.DstHost}, nil
 	}
 	packet.SetCurrHopInPlace(buf, pkt.CurrHop+1)
