@@ -283,8 +283,19 @@ func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 // (getWave/putWave), so a steady renewal storm allocates per wave only what
 // leaves the handler — the last hop's response, the grants. A solo request
 // (tags 4/5) is a wave of one as far as scratch goes: solo and soloResp are its
-// decoded forms, whose slices own their memory, and it shares fwd, nonce, ad
-// and sigma.
+// decoded forms, whose slices own their memory, and it shares fwd, the nonces,
+// ad and sigma.
+//
+// Every seal through a scratch, solo or wave, takes its nonce from the
+// scratch's counter (nextNonce), the deterministic construction of NIST SP
+// 800-38D §8.2.1: a random 96-bit base drawn once, when getWave creates the
+// scratch, with the count of seals made through it XORed into its low 64 bits.
+// A scratch serves one handler at a time, so its nonces are distinct for 2⁶⁴
+// seals; two scratches that seal at most N times each meet only if their
+// bases agree in the high 32 bits and XOR to less than 2N in the low 64, so S
+// such scratches repeat a nonce, under any key, with probability at most
+// S²·N/2⁹⁶ — 2⁻³² for 2¹⁶ scratches of 2³² seals each. A scratch putWave
+// discards takes its counter with it, and the next one draws a fresh base.
 type waveScratch struct {
 	req      EEBatchRenewReq
 	resp     EEBatchRenewResp
@@ -295,9 +306,12 @@ type waveScratch struct {
 	// sigmas holds this hop's σs of the live items before it seals them and, at
 	// the source, every hop's once opened (sealWave, openWave).
 	sigmas []byte
-	nonce  [cryptoutil.NonceSize]byte
-	ad     []byte
-	sigma  cryptoutil.Key
+	// nonceBase is the scratch's random nonce base and seals the count of
+	// nonces taken from it.
+	nonceBase [cryptoutil.NonceSize]byte
+	seals     uint64
+	ad        []byte
+	sigma     cryptoutil.Key
 	// grant and auths are the initiator's grant of the item renewWave hands to
 	// its caller, and that grant's hop authenticators.
 	grant EERGrant
@@ -319,7 +333,7 @@ func (s *Service) getWave() *waveScratch {
 		s.waveFree = s.waveFree[:n-1]
 		return sc
 	}
-	return &waveScratch{}
+	return newWaveScratch()
 }
 
 // putWave returns scratch once nothing refers to it any more: the response
@@ -474,12 +488,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 
 	// Response pass: commit live items at the path-wide minimum, roll back
 	// items a downstream hop killed, and seal this AS's σs of the live ones
-	// into its blob under one fresh nonce — the last thing that can fail, so it
-	// is drawn before anything is committed.
-	if err := cryptoutil.RandomNonces(sc.nonce[:]); err != nil {
-		rollbackAll()
-		return fail("seal: %v", err)
-	}
+	// into its blob under the scratch's next nonce.
 	for i := range req.Items {
 		if status[i] != EEItemOK {
 			leg.rollback(&states[i], req.Items[i].ID.Num)

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -487,5 +488,84 @@ func TestSetupAheadPastTheRingRefused(t *testing.T) {
 	cp.SegAvail(seg.ID, 1028, 1032)
 	if got := cp.SegAvail(seg.ID, 1000, 1004); got != 10_000-100 {
 		t.Errorf("SegAvail now, after a query about a later window = %d, want %d", got, 10_000-100)
+	}
+}
+
+// TestOneProbeRefusalsLeaveNothing pins the two refusals of a setup's one-probe
+// insertion (eerPath.admit), which adds the record before the ledgers are asked
+// and deletes it when they refuse. A setup over capacity at a hop deep in the
+// path, at the transfer AS into the narrow down-SegR, is refused there; a setup
+// whose ID already has a record under another SegR is ErrExists. After each,
+// every hop holds what it did before — records, held pieces, ledgers and
+// transfer-split books — and its engine counters moved as a refusal that never
+// inserted moves them: the refusing hop tallies one capacity refusal or one
+// dedup, a hop before it one admission it rolled back, a hop after it nothing.
+func TestOneProbeRefusalsLeaveNothing(t *testing.T) {
+	f := cpFabric(t, 1, highRate)
+	up, err := f.services[ia(1, 11)].SetupSegment(f.reg.UpSegments(ia(1, 11))[0], 0, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	core, err := f.services[ia(1, 1)].SetupSegment(f.reg.CoreSegments(ia(1, 1), ia(2, 1))[0], 0, 1_000_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	down, err := f.services[ia(2, 1)].SetupSegment(f.reg.DownSegments(ia(2, 11))[0], 0, 1_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	src := f.services[ia(1, 11)]
+	g, err := src.RequestEER(1, 2, ia(2, 11), 500)
+	if err != nil {
+		t.Fatal(err)
+	}
+	deep := int(g.Splits[len(g.Splits)-1]) // the first hop the down-SegR covers
+	if deep < 2 {
+		t.Fatalf("the down-SegR starts at hop %d of %v", deep, g.PathHops)
+	}
+	snapshot := func() []hopBooks {
+		bs := make([]hopBooks, len(g.PathHops))
+		for h, ph := range g.PathHops {
+			bs[h] = booksOf(f.services[ph.IA], up.ID, core.ID)
+		}
+		return bs
+	}
+	expect := func(step string, want []hopBooks) {
+		t.Helper()
+		for h, b := range snapshot() {
+			if d := want[h].diff(b); d != "" {
+				t.Fatalf("%s: hop %d (%s): want vs got %s", step, h, g.PathHops[h].IA, d)
+			}
+			auditBooks(t, f.services[g.PathHops[h].IA].cp, f.now(), step)
+		}
+	}
+
+	want := snapshot()
+	_, err = src.RequestEER(3, 4, ia(2, 11), 2_000)
+	if !errors.Is(err, ErrRefused) || !strings.Contains(err.Error(), fmt.Sprintf("at hop %d", deep)) {
+		t.Fatalf("over-capacity setup: %v, want a refusal at hop %d", err, deep)
+	}
+	for h := range want {
+		switch {
+		case h < deep:
+			want[h].counts.Admits++
+		case h == deep:
+			want[h].counts.Rejects++
+		}
+	}
+	expect("over capacity at a deep hop", want)
+
+	// At the transfer AS g's record lives under the core-SegR, its primary
+	// cover; a setup of the same ID under the down-SegR alone finds it.
+	s := f.services[g.PathHops[deep].IA]
+	want = snapshot()
+	if err := s.cp.SetupEERPath(g.ID, []reservation.ID{down.ID}, 100, f.now()+16, 1); !errors.Is(err, restree.ErrExists) {
+		t.Fatalf("setup of %s under another SegR: %v, want ErrExists", g.ID, err)
+	}
+	want[deep].counts.Dedups++
+	expect("ID recorded under another SegR", want)
+
+	if _, err := src.RequestEER(5, 6, ia(2, 11), 500); err != nil {
+		t.Fatalf("setup into the capacity the refusals left: %v", err)
 	}
 }

@@ -429,21 +429,29 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 // Admission is full-or-nothing. The record carries ver for idempotent dedup;
 // segs[0] is the primary segment that owns the record.
 //
+// The record table is probed once: the insertion finds a record the EER
+// already has (under any SegR: ErrExists) or adds a fresh one, which a ledger
+// refusal deletes again. The fresh record is the dense array's last, and
+// deleting it restores every other record in place, so a refusal leaves the
+// records, the ledgers and the tallies as they were.
+//
 //colibri:nomalloc
 func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) error {
 	if err := p.ready(); err != nil {
 		return err
 	}
-	if p.prim.eers.Get(eer) != nil {
+	e, added := p.prim.eers.Put(eer)
+	if !added {
 		return restree.ErrExists
 	}
-	if p.free(bwKbps, startT, expT) < bwKbps {
-		return ErrInsufficient
+	err := ErrInsufficient
+	if p.free(bwKbps, startT, expT) >= bwKbps {
+		err = p.charge(startT, expT, bwKbps)
 	}
-	if err := p.charge(startT, expT, bwKbps); err != nil {
+	if err != nil {
+		p.prim.eers.Delete(eer)
 		return err
 	}
-	e, _ := p.prim.eers.Put(eer)
 	*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
 		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
 	return nil

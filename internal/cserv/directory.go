@@ -6,6 +6,7 @@ import (
 	"sort"
 	"sync"
 
+	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/segment"
 	"colibri/internal/topology"
@@ -59,14 +60,16 @@ type dirQuery struct {
 
 // dirChain is one joinable sequence of offers with the path it joins to and
 // the layout an EER request over it carries: the SegR IDs, the transfer-AS
-// positions (cumulative segment ends) and the path's hops. It is shared by
-// every request over the chain and read-only.
+// positions (cumulative segment ends), the path's hops and their hop fields.
+// It is shared by every request over the chain and read-only: the grants of
+// setups over it share the layout's slices (EERGrant's chain).
 type dirChain struct {
 	offers []*Offer
 	path   *segment.Path
 	segIDs []reservation.ID
 	splits []uint8
 	hops   []PathHop
+	fields []packet.HopField
 }
 
 // NewDirectory builds an empty directory.
@@ -271,6 +274,7 @@ func (c *dirChain) layOut() {
 	for i, h := range c.path.Hops {
 		c.hops[i] = PathHop{IA: h.IA, In: h.In, Eg: h.Eg}
 	}
+	c.fields = HopFields(c.hops)
 }
 
 func chainLen(chain []*Offer) int {

@@ -16,11 +16,14 @@ import (
 // installed at the Colibri gateway. PathHops and Splits retain the request
 // parameters so renewals can be issued over the same reservation.
 //
-// Path, PathHops, Splits and SegIDs never change from version to version, so
-// a renewal shares them with the grant it renews, and nothing writes them. The
-// grant an EERKeeper serves (Grant) is the keeper's: its memory belongs to the
-// keeper until that keeper's next renewal, which overwrites Res, EER and
-// HopAuths in place.
+// Path, PathHops, Splits and SegIDs — the grant's chain — never change from
+// version to version, and they are read-only: a setup's share their backing
+// arrays with the directory's memoised chain it was set up over, a renewal's
+// with the grant it renews, so writing one would rewrite every grant over the
+// chain and every later setup. HopAuths is the grant's own. The grant an
+// EERKeeper serves (Grant) is the keeper's: its memory belongs to the keeper
+// until that keeper's next renewal, which overwrites Res, EER and HopAuths in
+// place.
 type EERGrant struct {
 	ID       reservation.ID
 	Res      packet.ResInfo
@@ -52,7 +55,7 @@ func (s *Service) RequestEER(srcHost, dstHost uint32, dstIA topology.IA, bwKbps 
 }
 
 // requestEEROverChain sets the EER up over one directory chain, whose layout
-// it copies into the scratch's request.
+// it copies into the scratch's request and the grant shares.
 func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, c *dirChain) (*EERGrant, error) {
 	sc := s.getWave()
 	defer s.putWave(sc)
@@ -69,7 +72,7 @@ func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, c 
 		DstHost: dstHost,
 		Macs:    req.Macs[:0],
 	}
-	return s.launchEE(sc, 0, 0)
+	return s.launchEE(sc, &EERGrant{Path: c.fields, PathHops: c.hops, Splits: c.splits, SegIDs: c.segIDs}, 0, 0)
 }
 
 // RenewEER renews an existing EER for a new version with possibly different
@@ -92,15 +95,16 @@ func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) 
 		Renewal: true,
 		Macs:    req.Macs[:0],
 	}
-	return s.launchEE(sc, uint64(prev.Res.BwKbps), prev.Res.ExpT)
+	return s.launchEE(sc, prev, uint64(prev.Res.BwKbps), prev.Res.ExpT)
 }
 
 // launchEE signs the request in sc.solo and runs it from hop 0. The request
 // is a copy in the scratch's own memory — never the caller's slices, which the
-// next request through this scratch would overwrite. heldKbps until heldExpT is
-// what the EER holds of its host's policy budget if the request fails: hop 0
-// asks the policy, and the answer settles it.
-func (s *Service) launchEE(sc *waveScratch, heldKbps uint64, heldExpT uint32) (*EERGrant, error) {
+// next request through this scratch would overwrite. The grant shares chain's
+// Path, PathHops, Splits and SegIDs, which are the request's. heldKbps until
+// heldExpT is what the EER holds of its host's policy budget if the request
+// fails: hop 0 asks the policy, and the answer settles it.
+func (s *Service) launchEE(sc *waveScratch, chain *EERGrant, heldKbps uint64, heldExpT uint32) (*EERGrant, error) {
 	req := &sc.solo
 	sc.fwd = req.appendBody(sc.fwd[:0])
 	req.bodyLen = len(sc.fwd)
@@ -122,12 +126,7 @@ func (s *Service) launchEE(sc *waveScratch, heldKbps uint64, heldExpT uint32) (*
 		return nil, err
 	}
 	s.policy.SettleEER(req.SrcHost, req.ID, resp.FinalKbps, req.ExpT)
-	grant := &EERGrant{
-		Path:     HopFields(req.Path),
-		PathHops: append([]PathHop(nil), req.Path...),
-		Splits:   append([]uint8(nil), req.Splits...),
-		SegIDs:   append([]reservation.ID(nil), req.SegIDs...),
-	}
+	grant := &EERGrant{Path: chain.Path, PathHops: chain.PathHops, Splits: chain.Splits, SegIDs: chain.SegIDs}
 	// Hop 0 checked that there is one sealed σ per hop.
 	item := req.item()
 	if err := sc.openGrant(grant, hops[:], &item, resp.FinalKbps, resp.EncAuths); err != nil {
@@ -288,12 +287,6 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			return out, false
 		}
 		final = resp.FinalKbps
-	}
-	// The nonce is the last thing that can fail: once it is drawn the version is
-	// committed at the path-wide grant.
-	if err := cryptoutil.RandomNonces(sc.nonce[:]); err != nil {
-		leg.rollback(&it, req.ID.Num)
-		return fail("seal: %v", err)
 	}
 	leg.commit(&it, req.ID.Num, final)
 	// Seal σ_i into slot idx: what the hops behind this one sealed moves up by

@@ -6,6 +6,7 @@
 package cserv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
@@ -21,13 +22,24 @@ import (
 // authenticates requests (§4.5). Building either costs an AES key expansion,
 // several times the work of one use, and the keys are constant for a DRKey
 // epoch — so they are built once per key, not once per message or per item.
-// Both are immutable once built, so a keyCrypto is shared without a lock; key
-// and used are the cache's, read and written under its lock only.
+// Both are immutable once built, so a keyCrypto is shared without a lock; key,
+// own, derived and used are the cache's, read and written under its lock only.
 type keyCrypto struct {
 	sealer *cryptoutil.Sealer
 	cmac   *cryptoutil.CMAC
 	key    cryptoutil.Key
-	used   bool
+	// own is the (source AS, epoch) this AS derived key for, when derived is
+	// set: the entry's name in the cache's memo of K_{me→src}.
+	own     ownKey
+	derived bool
+	used    bool
+}
+
+// ownKey names K_{me→src} for one of this AS's DRKey epochs, by its first
+// second.
+type ownKey struct {
+	src   topology.IA
+	epoch uint32
 }
 
 // verify checks macs[idx], the source's MAC of body towards the AS that holds
@@ -58,9 +70,17 @@ const keyCacheSize = 64
 // them, and never the whole cache (emptying it did: every honest key, every
 // time). Marks matter only once the cache is full, so a hit on a cache that is
 // not — the honest steady state — is one lookup and touches no entry.
+//
+// own memoises the keys this AS derives itself, K_{me→src} per (source AS, own
+// DRKey epoch). It is a second index into the same ring: an entry it names
+// carries that name (keyCrypto.own), eviction drops the entry from both
+// indexes, and so the memo never outgrows the ring. A hit is one lookup where
+// deriving the key is a PRF under the DRKey engine's lock; at an epoch change
+// the name changes, so the old epoch's key is never found for the new one.
 type keyCache struct {
 	mu    sync.Mutex
 	index map[cryptoutil.Key]*keyCrypto
+	own   map[ownKey]*keyCrypto
 	ring  []*keyCrypto
 	hand  int
 }
@@ -71,10 +91,13 @@ func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
 	c := &s.keyCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.get(key)
+}
+
+// get is cryptoFor under the cache's lock.
+func (c *keyCache) get(key cryptoutil.Key) *keyCrypto {
 	if kc, ok := c.index[key]; ok {
-		if len(c.ring) == keyCacheSize && !kc.used {
-			kc.used = true
-		}
+		c.touch(kc)
 		return kc
 	}
 	cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
@@ -86,7 +109,11 @@ func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
 			c.ring[c.hand].used = false
 			c.hand = (c.hand + 1) % keyCacheSize
 		}
-		delete(c.index, c.ring[c.hand].key)
+		old := c.ring[c.hand]
+		delete(c.index, old.key)
+		if old.derived {
+			delete(c.own, old.own)
+		}
 		c.ring[c.hand] = kc
 		c.hand = (c.hand + 1) % keyCacheSize
 	}
@@ -94,15 +121,48 @@ func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
 	return kc
 }
 
-// hopKey returns K_{ia→me}, the level-1 key an on-path AS shares with this
-// (initiating) AS: derived locally for this AS itself, fetched from ia's key
-// server and cached per epoch otherwise.
-func (s *Service) hopKey(ia topology.IA, now uint32) (cryptoutil.Key, error) {
-	if ia == s.ia {
-		key, _ := s.engine.Level1(s.ia, now)
-		return key, nil
+// touch marks a hit on a full cache.
+func (c *keyCache) touch(kc *keyCrypto) {
+	if len(c.ring) == keyCacheSize && !kc.used {
+		kc.used = true
 	}
-	return s.keys.Get(ia, now)
+}
+
+// ownCrypto returns the crypto of K_{me→src} for the DRKey epoch of now: the
+// memoised entry, or the key derived and cached under its (src, epoch) name.
+func (s *Service) ownCrypto(src topology.IA, now uint32) *keyCrypto {
+	name := ownKey{src: src, epoch: s.engine.EpochAt(now).Begin}
+	c := &s.keyCache
+	c.mu.Lock()
+	kc, ok := c.own[name]
+	if ok {
+		c.touch(kc)
+	}
+	c.mu.Unlock()
+	if ok {
+		return kc
+	}
+	key, _ := s.engine.Level1(src, now)
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	kc = c.get(key)
+	kc.own, kc.derived = name, true
+	c.own[name] = kc
+	return kc
+}
+
+// hopKey returns the crypto of K_{ia→me}, the level-1 key an on-path AS shares
+// with this (initiating) AS: this AS's own memoised derivation for itself,
+// fetched from ia's key server and cached per epoch otherwise.
+func (s *Service) hopKey(ia topology.IA, now uint32) (*keyCrypto, error) {
+	if ia == s.ia {
+		return s.ownCrypto(s.ia, now), nil
+	}
+	key, err := s.keys.Get(ia, now)
+	if err != nil {
+		return nil, err
+	}
+	return s.cryptoFor(key), nil
 }
 
 // signPath is the initiator's half of the envelope: it MACs body towards every
@@ -116,11 +176,9 @@ func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACS
 	}
 	now := s.clock()
 	for i, h := range path {
-		key, err := s.hopKey(h.IA, now)
-		if err != nil {
+		if hops[i], err = s.hopKey(h.IA, now); err != nil {
 			return hops, err
 		}
-		hops[i] = s.cryptoFor(key)
 	}
 	*macs = slices.Grow((*macs)[:0], len(path))[:len(path)]
 	var lanes [cryptoutil.MaxLanes]*cryptoutil.CMAC
@@ -135,15 +193,14 @@ func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACS
 }
 
 // authHop is the receiving half, the prologue of every handler: K_{me→src}
-// derived on the fly, macs[idx] — src's MAC of body towards this AS — checked,
+// from the key memo (ownCrypto), macs[idx] — src's MAC of body towards this AS — checked,
 // and one token of src's per-second budget taken (a wave is one message and
 // pays one). It returns src's crypto, which also seals what this AS hands back
 // to src, or nil and the refusal. Hop 0 is the initiator calling its own
 // handler, which trusts itself: a wire message never gets here as hop 0.
 func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) (*keyCrypto, string) {
 	now := s.clock()
-	key, _ := s.engine.Level1(src, now)
-	kc := s.cryptoFor(key)
+	kc := s.ownCrypto(src, now)
 	if idx == 0 {
 		return kc, ""
 	}
@@ -203,14 +260,34 @@ func (s *Service) forward(next topology.IA, msg []byte, resp interface{ unmarsha
 // errMalformed refuses an answer that decodes but has the wrong shape.
 var errMalformed = errors.New("response: malformed")
 
+// newWaveScratch returns empty scratch with a fresh random nonce base. A
+// system random source that fails is not recoverable.
+func newWaveScratch() *waveScratch {
+	sc := &waveScratch{}
+	if err := cryptoutil.RandomNonces(sc.nonceBase[:]); err != nil {
+		panic(err)
+	}
+	return sc
+}
+
+// nextNonce returns the nonce of sc's next seal: its base with the count of
+// seals made through sc XORed into the low 64 bits.
+func (sc *waveScratch) nextNonce() [cryptoutil.NonceSize]byte {
+	sc.seals++
+	n := sc.nonceBase
+	binary.BigEndian.PutUint64(n[4:], binary.BigEndian.Uint64(n[4:])^sc.seals)
+	return n
+}
+
 // sealHopAuth appends to dst this AS's σ (Eq. 4) for the EER version it at its
 // path-wide grant final over hop idx of path, sealed for the source under kc
-// (Eq. 5) with sc's nonce. σ and its associated data live in sc.
+// (Eq. 5) with sc's next nonce. σ and its associated data live in sc.
 func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, path []PathHop, idx int) []byte {
 	res, eer := it.infos(final)
 	sc.sigma = s.hopAuth(&res, &eer, packet.HopField{In: path[idx].In, Eg: path[idx].Eg})
 	sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
-	return kc.sealer.SealTo(dst, sc.nonce[:], sc.sigma[:], sc.ad)
+	nonce := sc.nextNonce()
+	return kc.sealer.SealTo(dst, nonce[:], sc.sigma[:], sc.ad)
 }
 
 // waveAuthAD appends the associated data of hop idx's blob in the answer to a
@@ -223,8 +300,8 @@ func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []uint8
 
 // sealWave seals into blob — exactly blobLen(live) bytes of the response — this
 // AS's σ (Eq. 4) of every live item of the wave sc.req at its path-wide grant,
-// in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's,
-// for the whole wave at this hop. The σs run four abreast, the next four live
+// in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's
+// next, for the whole wave at this hop. The σs run four abreast, the next four live
 // items at a time; σs and associated data are built in sc.
 func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []uint8, granted []uint64) {
 	req := &sc.req
@@ -248,7 +325,8 @@ func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int,
 		}
 	}
 	sc.ad = waveAuthAD(sc.ad[:0], idx, &req.Macs[idx], status)
-	kc.sealer.SealTo(blob[:0:len(blob)], sc.nonce[:], sc.sigmas, sc.ad)
+	nonce := sc.nextNonce()
+	kc.sealer.SealTo(blob[:0:len(blob)], nonce[:], sc.sigmas, sc.ad)
 }
 
 // openWave is sealWave's counterpart at the initiator: it opens every hop's

@@ -232,7 +232,8 @@ func New(cfg Config) *Service {
 		policy:     cfg.Policy,
 		dstApprove: cfg.DstApprove,
 		rate:       NewRateLimiter(cfg.RateLimit),
-		keyCache:   keyCache{index: make(map[cryptoutil.Key]*keyCrypto, keyCacheSize)},
+		keyCache: keyCache{index: make(map[cryptoutil.Key]*keyCrypto, keyCacheSize),
+			own: make(map[ownKey]*keyCrypto, keyCacheSize)},
 	}
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
 	// An EER that lapses without being renewed, or loses a covering SegR, must

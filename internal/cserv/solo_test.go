@@ -15,6 +15,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"unsafe"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -56,10 +57,11 @@ func signSolo(t testing.TB, src *Service, req *EESetupReq) []byte {
 
 // TestSoloAllocBudget pins the allocations of a 5-hop setup and renewal
 // through the CPlane fabric, and of a transit hop's HandleMsg with the rest of
-// the path behind it, so the gain cannot silently rot. What is left of a
-// renewal is the grant with its five slices and the one response buffer (the
-// only allocation a handler makes). A setup allocates the same: it takes its
-// chain, joined path and request layout from the directory's memo.
+// the path behind it, so the gain cannot silently rot. What is left of either
+// request is what leaves it: the grant, its σs and the last hop's response
+// buffer (the only allocation a handler makes). The grant's chain is shared —
+// a setup's with the directory's memo, a renewal's with the grant it renews —
+// and its nonces come from the scratch's counter.
 func TestSoloAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -99,11 +101,11 @@ func TestSoloAllocBudget(t *testing.T) {
 		next++
 	})
 	t.Logf("allocations: setup %.1f, renewal %.1f, transit HandleMsg %.1f", setup, renew, transit)
-	if setup > 8 {
-		t.Errorf("a 5-hop setup allocates %.1f times, budget 8", setup)
+	if setup > 3 {
+		t.Errorf("a 5-hop setup allocates %.1f times, budget 3", setup)
 	}
-	if renew > 12 {
-		t.Errorf("a 5-hop renewal allocates %.1f times, budget 12", renew)
+	if renew > 3 {
+		t.Errorf("a 5-hop renewal allocates %.1f times, budget 3", renew)
 	}
 	if transit > 1 {
 		t.Errorf("a transit HandleMsg allocates %.1f times, budget 1 (the last hop's response)", transit)
@@ -401,11 +403,11 @@ func (rec *wireRecorder) check(from, dst topology.IA, sent, resp []byte) {
 			}
 			continue
 		}
-		key, err := src.hopKey(want.Path[j].IA, f.now())
+		kc, err := src.hopKey(want.Path[j].IA, f.now())
 		if err != nil {
 			t.Fatal(err)
 		}
-		sigma, err := src.cryptoFor(key).sealer.OpenTo(nil, ea, eerAuthAD(nil, want.ID, uint8(j)))
+		sigma, err := kc.sealer.OpenTo(nil, ea, eerAuthAD(nil, want.ID, uint8(j)))
 		hf := packet.HopField{In: want.Path[j].In, Eg: want.Path[j].Eg}
 		if wantSigma := f.services[want.Path[j].IA].hopAuth(&res, &eer, hf); err != nil || !bytes.Equal(sigma, wantSigma[:]) {
 			t.Fatalf("%s → %s: slot %d does not open to σ of %s (%v)", from, dst, j, want.Path[j].IA, err)
@@ -638,5 +640,206 @@ func TestSoloConcurrentHandlers(t *testing.T) {
 			}
 			checkHopAuths(t, f, g)
 		}
+	}
+}
+
+// sharesArray reports whether two non-empty slices share their backing array's
+// first element.
+func sharesArray[T any](a, b []T) bool {
+	return len(a) > 0 && len(b) > 0 && unsafe.SliceData(a) == unsafe.SliceData(b)
+}
+
+// sharesChain reports, per chain slice, whether g shares it with the layout
+// Path, PathHops, Splits, SegIDs.
+func sharesChain(g *EERGrant, path []packet.HopField, hops []PathHop, splits []uint8, segIDs []reservation.ID) [4]bool {
+	return [4]bool{sharesArray(g.Path, path), sharesArray(g.PathHops, hops),
+		sharesArray(g.Splits, splits), sharesArray(g.SegIDs, segIDs)}
+}
+
+// TestGrantSharesChain: a grant's chain is never copied. A setup's Path,
+// PathHops, Splits and SegIDs are the directory memo's layout of the chain it
+// was set up over, a renewal's — solo or in a wave — those of the grant it
+// renews. A Register empties the memo: the grants set up before it still renew,
+// and the new memo's layout shares nothing with them.
+func TestGrantSharesChain(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	all := [4]bool{true, true, true, true}
+	memo := func() *dirChain {
+		cs, err := src.chainsTo(ia(2, 11))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return &cs[0]
+	}
+	c := memo()
+	if len(c.splits) == 0 {
+		t.Fatalf("chain %v has no transfer AS: Splits cannot be checked", c.segIDs)
+	}
+	g, err := src.RequestEER(1, 2, ia(2, 11), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sharesChain(g, c.fields, c.hops, c.splits, c.segIDs); got != all {
+		t.Fatalf("setup shares %v of Path, PathHops, Splits, SegIDs with the memo's layout", got)
+	}
+	if !slices.Equal(g.Path, HopFields(g.PathHops)) {
+		t.Fatalf("setup's Path %v is not PathHops' hop fields %v", g.Path, g.PathHops)
+	}
+	f.clock.Add(1)
+	r, err := src.RenewEER(g, 200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sharesChain(r, g.Path, g.PathHops, g.Splits, g.SegIDs); got != all {
+		t.Fatalf("solo renewal shares %v of Path, PathHops, Splits, SegIDs with its predecessor", got)
+	}
+	f.clock.Add(1)
+	ws, errs := src.RenewEERBatch([]*EERGrant{r}, []uint64{100})
+	if errs[0] != nil {
+		t.Fatal(errs[0])
+	}
+	if got := sharesChain(ws[0], r.Path, r.PathHops, r.Splits, r.SegIDs); got != all {
+		t.Fatalf("wave renewal shares %v of Path, PathHops, Splits, SegIDs with its predecessor", got)
+	}
+
+	offers, err := src.SegRsTo(ia(2, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	replacement := *offers[0][0]
+	f.dir.Register(&replacement)
+	f.clock.Add(1)
+	if r, err = src.RenewEER(ws[0], 100); err != nil {
+		t.Fatalf("renewal of a grant set up before the memo emptied: %v", err)
+	}
+	checkHopAuths(t, f, r)
+	fresh := memo()
+	if fresh == c {
+		t.Fatal("Register left the memo's answer in place")
+	}
+	for _, old := range []*EERGrant{g, r} {
+		if got := sharesChain(old, fresh.fields, fresh.hops, fresh.splits, fresh.segIDs); got != [4]bool{} {
+			t.Fatalf("the memo after Register shares %v of Path, PathHops, Splits, SegIDs with an old grant", got)
+		}
+	}
+	ng, err := src.RequestEER(3, 4, ia(2, 11), 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sharesChain(ng, fresh.fields, fresh.hops, fresh.splits, fresh.segIDs); got != all {
+		t.Fatalf("setup after Register shares %v of Path, PathHops, Splits, SegIDs with the new memo", got)
+	}
+}
+
+// sealedAt0 runs msg, a tag-4/5/7 request src signed, from hop 0 as src's own
+// initiator does — decoded into src's scratch and handled at index 0 — and
+// returns the nonce of every σ or blob the hops sealed into the answer, hop
+// 0's included (the initiator's own seal never crosses a link).
+func sealedAt0(t *testing.T, src *Service, msg []byte) (nonces [][cryptoutil.NonceSize]byte) {
+	t.Helper()
+	sc := src.getWave()
+	defer src.putWave(sc)
+	var sealed [][]byte
+	if msg[0] == tagEEBatchRenew {
+		if err := sc.req.unmarshal(msg); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := UnmarshalEEBatchRenewResp(src.processEEBatchRenew(sc, 0))
+		if err != nil || !resp.OK || liveOf(resp.Status) != len(resp.Status) {
+			t.Fatalf("wave of %d: %+v, %v", len(sc.req.Items), resp, err)
+		}
+		sealed = resp.Blobs
+	} else {
+		if err := sc.solo.unmarshal(msg); err != nil {
+			t.Fatal(err)
+		}
+		out, _ := src.processEESetup(sc, 0, sc.solo.BwKbps)
+		resp, err := UnmarshalEESetupResp(out)
+		if err != nil || !resp.OK {
+			t.Fatalf("solo request: %+v, %v", resp, err)
+		}
+		sealed = resp.EncAuths
+	}
+	for _, b := range sealed {
+		nonces = append(nonces, [cryptoutil.NonceSize]byte(b))
+	}
+	return nonces
+}
+
+// TestSealNoncesNeverRepeat collects the nonce of everything every hop seals —
+// solo setups, solo renewals, waves, and one wave of more than maxRetainedWave
+// items, whose scratch every hop discards, so that the next request at each
+// hop draws a fresh nonce base — and requires that none repeats, under any key
+// (each hop seals for the one source, 1-11, under K_{hop→1-11}).
+func TestSealNoncesNeverRepeat(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	c, err := src.chainsTo(ia(2, 11))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[[cryptoutil.NonceSize]byte]string)
+	count := func(what string, msg []byte) {
+		t.Helper()
+		for h, n := range sealedAt0(t, src, msg) {
+			if prev, dup := seen[n]; dup {
+				t.Fatalf("%s: hop %d sealed under nonce %x, already used by %s", what, h, n, prev)
+			}
+			seen[n] = fmt.Sprintf("%s hop %d", what, h)
+		}
+	}
+	hops := len(c[0].hops)
+	const eers, rounds = 8, 6
+	reqs := make([]*EESetupReq, eers)
+	for i := range reqs {
+		reqs[i] = &EESetupReq{ID: src.store.NextID(), SegIDs: c[0].segIDs, Splits: c[0].splits, Path: c[0].hops,
+			BwKbps: 100, ExpT: f.now() + reservation.EERLifetimeSeconds, Ver: 1,
+			SrcHost: uint32(i), DstHost: 9, AccumKbps: 100}
+		count(fmt.Sprintf("setup %d", i), signSolo(t, src, reqs[i]))
+	}
+	renewAll := func(round int) {
+		f.clock.Add(1)
+		for i, r := range reqs {
+			r.Ver, r.ExpT, r.Renewal = r.Ver+1, f.now()+reservation.EERLifetimeSeconds, true
+			if i%2 == 0 {
+				count(fmt.Sprintf("round %d solo renewal %d", round, i), signSolo(t, src, r))
+				continue
+			}
+			count(fmt.Sprintf("round %d wave of %d", round, i), signWave(t, src, waveOf(r)))
+		}
+	}
+	for round := range rounds {
+		renewAll(round)
+	}
+	// One EER named more than maxRetainedWave times: every item after the
+	// first is a retry of the version the first committed.
+	f.clock.Add(1)
+	big := waveOf(&EESetupReq{ID: reqs[0].ID, SegIDs: reqs[0].SegIDs, Splits: reqs[0].Splits, Path: reqs[0].Path,
+		BwKbps: 100, ExpT: f.now() + reservation.EERLifetimeSeconds, Ver: reqs[0].Ver + 1,
+		SrcHost: reqs[0].SrcHost, DstHost: reqs[0].DstHost, AccumKbps: 100})
+	reqs[0].Ver, reqs[0].ExpT = big.Items[0].Ver, big.Items[0].ExpT
+	for len(big.Items) <= maxRetainedWave {
+		big.Items = append(big.Items, big.Items[0])
+		big.Accums = append(big.Accums, big.Accums[0])
+		big.Status = append(big.Status, EEItemOK)
+	}
+	count("the oversized wave", signWave(t, src, big))
+	for _, ph := range c[0].hops {
+		s := f.services[ph.IA]
+		s.waveMu.Lock()
+		kept := len(s.waveFree)
+		s.waveMu.Unlock()
+		if kept != 0 {
+			t.Fatalf("%s kept %d scratch after the oversized wave, want every one discarded", ph.IA, kept)
+		}
+	}
+	for round := rounds; round < 2*rounds; round++ {
+		renewAll(round)
+	}
+	if want := hops * (eers + 1 + 2*rounds*eers); len(seen) != want {
+		t.Fatalf("%d distinct nonces, want %d", len(seen), want)
 	}
 }

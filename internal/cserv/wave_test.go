@@ -632,12 +632,12 @@ func openedWave(t *testing.T, f *fabric, req *EEBatchRenewReq, idx int, out []by
 	sigmas := make([][]cryptoutil.Key, len(req.Items))
 	live := liveOf(resp.Status)
 	for h := idx; h < len(req.Path); h++ {
-		key, err := src.hopKey(req.Path[h].IA, f.now())
+		kc, err := src.hopKey(req.Path[h].IA, f.now())
 		if err != nil {
 			t.Fatal(err)
 		}
 		ad := waveAuthAD(nil, h, &req.Macs[h], resp.Status)
-		opened, err := src.cryptoFor(key).sealer.OpenTo(nil, resp.Blobs[h], ad)
+		opened, err := kc.sealer.OpenTo(nil, resp.Blobs[h], ad)
 		if err != nil || len(opened) != live*cryptoutil.KeySize {
 			t.Fatalf("hop %d's blob: %d bytes, %v", h, len(opened), err)
 		}
@@ -1111,26 +1111,44 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 }
 
 // cachedCrypto peeks at s's key cache: the crypto it holds for key, if any,
-// and how many keys it holds.
+// and how many keys it holds — -1 if its indexes disagree with its ring: the
+// key index names every entry, the memo of K_{me→src} only entries derived
+// under the name it files them by.
 func (s *Service) cachedCrypto(key cryptoutil.Key) (*keyCrypto, int) {
 	c := &s.keyCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.index) != len(c.ring) {
+	if len(c.index) != len(c.ring) || len(c.own) > len(c.ring) {
 		return nil, -1
+	}
+	for name, kc := range c.own {
+		if !kc.derived || kc.own != name || c.index[kc.key] != kc {
+			return nil, -1
+		}
 	}
 	return c.index[key], len(c.ring)
 }
 
+// memoised returns the crypto s's memo of K_{me→src} holds for src at time t,
+// or nil.
+func (s *Service) memoised(src topology.IA, t uint32) *keyCrypto {
+	c := &s.keyCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.own[ownKey{src: src, epoch: s.engine.EpochAt(t).Begin}]
+}
+
 // TestKeyCacheUnderForgedSources is ROADMAP 9(c)'s key-cache case. A request
 // names its source AS before it can be authenticated, so every forged message
-// makes its receiver build a key schedule. An attacker cycles 65 forged source
-// ASes — one more than the cache holds — through waves the source 1-11 must
-// answer, between 1-11's own honest waves and solo renewals, whose five hop
-// keys sign and open everything it sends. The honest keys must be rebuilt at
-// most 1 + forged/64 times each, whatever the honest traffic: an attacker buys
-// one honest rebuild per 64 forged messages at the most, and honest requests
-// pay no key-schedule tax of their own. The cache never holds more than 64.
+// makes its receiver derive a key and build its schedule. An attacker cycles 65
+// forged source ASes — one more than the cache holds — through waves and solo
+// setups and renewals (tags 7, 4 and 5) the source 1-11 must answer, between
+// 1-11's own honest waves and solo renewals, whose five hop keys sign and open
+// everything it sends. The honest keys must be rebuilt at most 1 + forged/64
+// times each, whatever the honest traffic: an attacker buys one honest rebuild
+// per 64 forged messages at the most, and honest requests pay no key-schedule
+// tax of their own. The cache, and its memo of K_{me→src} per (source, epoch),
+// never hold more than 64.
 func TestKeyCacheUnderForgedSources(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 1_000_000)
@@ -1140,10 +1158,11 @@ func TestKeyCacheUnderForgedSources(t *testing.T) {
 	path := gs[0].PathHops
 	honest := make([]cryptoutil.Key, len(path))
 	for h, ph := range path {
-		var err error
-		if honest[h], err = src.hopKey(ph.IA, f.now()); err != nil {
+		kc, err := src.hopKey(ph.IA, f.now())
+		if err != nil {
 			t.Fatal(err)
 		}
+		honest[h] = kc.key
 	}
 	const rounds, perRound, sources = 100, 26, 65
 	built, rebuilds := make([]*keyCrypto, len(path)), make([]int, len(path))
@@ -1174,25 +1193,86 @@ func TestKeyCacheUnderForgedSources(t *testing.T) {
 		}
 		for range perRound {
 			as := topology.MustIA(3, topology.ASID(100+forged%sources))
-			wave := &EEBatchRenewReq{SegIDs: gs[0].SegIDs, Splits: gs[0].Splits,
-				Path:   []PathHop{{IA: as}, {IA: src.ia}},
-				Items:  []EEBatchItem{{ID: reservation.ID{SrcAS: as, Num: 1}, Ver: 1, BwKbps: 1, ExpT: f.now() + 16}},
-				Macs:   make([][cryptoutil.MACSize]byte, 2),
-				Accums: []uint64{1}, Status: []uint8{EEItemOK}}
-			if out, err := src.HandleMsg(wave.Marshal()); err != nil || !strings.Contains(string(out), "authentication") {
-				t.Fatalf("forged wave from %s: %q, %v", as, out, err)
+			path := []PathHop{{IA: as}, {IA: src.ia}}
+			var msg []byte
+			switch forged % 3 {
+			case 0:
+				msg = (&EEBatchRenewReq{SegIDs: gs[0].SegIDs, Splits: gs[0].Splits, Path: path,
+					Items:  []EEBatchItem{{ID: reservation.ID{SrcAS: as, Num: 1}, Ver: 1, BwKbps: 1, ExpT: f.now() + 16}},
+					Macs:   make([][cryptoutil.MACSize]byte, 2),
+					Accums: []uint64{1}, Status: []uint8{EEItemOK}}).Marshal()
+			default:
+				msg = (&EESetupReq{ID: reservation.ID{SrcAS: as, Num: 1}, SegIDs: gs[0].SegIDs, Splits: gs[0].Splits,
+					Path: path, BwKbps: 1, ExpT: f.now() + 16, Ver: 1, AccumKbps: 1, Renewal: forged%3 == 2,
+					Macs: make([][cryptoutil.MACSize]byte, 2)}).Marshal()
+			}
+			if out, err := src.HandleMsg(msg); err != nil || !strings.Contains(string(out), "authentication") {
+				t.Fatalf("forged tag %d from %s: %q, %v", msg[0], as, out, err)
 			}
 			forged++
 		}
 	}
 	if got := src.Metrics().AuthFailures.Value() - refused; got != uint64(forged) {
-		t.Fatalf("%d forged waves refused, %d sent", got, forged)
+		t.Fatalf("%d forged requests refused, %d sent", got, forged)
 	}
 	bound := 1 + forged/keyCacheSize
-	t.Logf("%d forged waves from %d sources; honest keys built %v times (bound %d)", forged, sources, rebuilds, bound)
+	t.Logf("%d forged requests from %d sources; honest keys built %v times (bound %d)", forged, sources, rebuilds, bound)
 	for h, n := range rebuilds {
 		if n > bound {
-			t.Errorf("hop %d's key built %d times under %d forged waves, bound %d", h, n, forged, bound)
+			t.Errorf("hop %d's key built %d times under %d forged requests, bound %d", h, n, forged, bound)
+		}
+	}
+}
+
+// TestKeyMemoFollowsEpoch: the memo of K_{me→src} is per DRKey epoch. At the
+// first second of a new epoch every hop authenticates 1-11's request under the
+// new epoch's key — a request signed a second earlier, under the key the hop
+// has memoised, is refused — and memoises it beside the old one under the new
+// epoch's name.
+func TestKeyMemoFollowsEpoch(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	g := requestEERs(t, src, 1, 100)[0]
+	hop1 := f.services[g.PathHops[1].IA]
+	ep := hop1.engine.EpochAt(f.now())
+	f.clock.Store(ep.End - 1)
+	stale := signSolo(t, src, renewalOf(g, g.Res.Ver+1, 100, ep.End))
+	g, err := src.RenewEER(g, 100)
+	if err != nil {
+		t.Fatalf("renewal in the epoch's last second: %v", err)
+	}
+	old := make([]*keyCrypto, len(g.PathHops))
+	for h, ph := range g.PathHops {
+		if old[h] = f.services[ph.IA].memoised(src.ia, ep.End-1); old[h] == nil {
+			t.Fatalf("hop %d (%s) memoised no key for 1-11 in epoch %v", h, ph.IA, ep)
+		}
+	}
+
+	f.clock.Store(ep.End)
+	refused := hop1.Metrics().AuthFailures.Value()
+	out, err := hop1.HandleMsg(stale)
+	if ok, _, reason := answerOf(out); err != nil || ok || !strings.Contains(reason, "authentication") {
+		t.Fatalf("request signed under the old epoch's key, at the new epoch's first second: ok %v, %q, %v", ok, reason, err)
+	}
+	if hop1.Metrics().AuthFailures.Value() != refused+1 {
+		t.Fatal("the refusal under the old epoch's key was not counted")
+	}
+	if g, err = src.RenewEER(g, 100); err != nil {
+		t.Fatalf("renewal at the new epoch's first second: %v", err)
+	}
+	checkHopAuths(t, f, g)
+	for h, ph := range g.PathHops {
+		s := f.services[ph.IA]
+		want, _ := s.engine.Level1(src.ia, ep.End)
+		kc := s.memoised(src.ia, ep.End)
+		switch {
+		case kc == nil || kc.key != want:
+			t.Fatalf("hop %d (%s): memo of the new epoch holds %v, want the new key", h, ph.IA, kc)
+		case kc == old[h] || kc.key == old[h].key:
+			t.Fatalf("hop %d (%s): the new epoch's memo is the old epoch's key", h, ph.IA)
+		case s.memoised(src.ia, ep.End-1) != old[h]:
+			t.Fatalf("hop %d (%s): the old epoch's memo changed", h, ph.IA)
 		}
 	}
 }
