@@ -62,7 +62,8 @@ type EEBatchItem struct {
 	DstHost uint32
 }
 
-// infos returns what σ covers (Eq. 4) of the EER version it at bandwidth bw.
+// infos returns what σ covers (Eq. 4) of the EER version it at bandwidth bw,
+// a grant, which is never above MaxEERKbps.
 func (it *EEBatchItem) infos(bw uint64) (packet.ResInfo, packet.EERInfo) {
 	return packet.ResInfo{SrcAS: it.ID.SrcAS, ResID: it.ID.Num, BwKbps: uint32(bw), ExpT: it.ExpT, Ver: it.Ver},
 		packet.EERInfo{SrcHost: it.SrcHost, DstHost: it.DstHost}
@@ -413,12 +414,13 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	if err != nil {
 		return fail("%v", err)
 	}
-	// The destination vets every live item as it does a solo request.
-	if idx == len(req.Path)-1 {
-		for i := range req.Items {
-			if req.Status[i] == EEItemOK && s.vetoed(&req.Items[i]) {
-				req.Status[i] = EEItemRefused
-			}
+	// An item asking for more than σ and the data plane carry is refused, and
+	// the destination vets every live item as it does a solo request.
+	last := idx == len(req.Path)-1
+	for i := range req.Items {
+		it := &req.Items[i]
+		if req.Status[i] == EEItemOK && (it.BwKbps > MaxEERKbps || last && s.vetoed(it)) {
+			req.Status[i] = EEItemRefused
 		}
 	}
 
@@ -584,10 +586,11 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 			SrcHost: p.EER.SrcHost,
 			DstHost: p.EER.DstHost,
 		}
-		// Source-AS policy, as at hop 0 of a solo request: an item it refuses
-		// travels as refused, and every hop skips it.
+		// An item asking for more than MaxEERKbps, and one the source-AS policy
+		// refuses, as at hop 0 of a solo request, travel as refused, and every
+		// hop skips them.
 		status := EEItemOK
-		if s.policy.AllowEER(it.SrcHost, it.ID, it.BwKbps, it.ExpT) != nil {
+		if it.BwKbps > MaxEERKbps || s.policy.AllowEER(it.SrcHost, it.ID, it.BwKbps, it.ExpT) != nil {
 			status = EEItemRefused
 		}
 		req.Items = append(req.Items, it)
@@ -629,6 +632,9 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 			err = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, p.ID)
 		default:
 			err = fmt.Errorf("%w: renewal of %s refused", ErrRefused, p.ID)
+			if req.Items[i].BwKbps > MaxEERKbps {
+				err = fmt.Errorf("%w: %w", err, ErrBandwidthRange)
+			}
 		}
 		if err != nil {
 			held(i)

@@ -14,11 +14,12 @@
 //     sum of all shards' grants respects the physical capacities),
 //   - one record per SegR: its grant and a keyless restree demand profile
 //     tracking admitted EER bandwidth over discretized time (see
-//     internal/restree and DESIGN.md §7), and
+//     internal/restree and DESIGN.md §7), reached by ID through a map and by
+//     handle through the shard's SegR registry, and
 //   - the EER records admitted against those SegRs, in one flat table, each
 //     of which is the only handle on its own charge: what was charged is
 //     withdrawn by handing the record's window and bandwidth back to the
-//     profile.
+//     profile. A record names its covering SegRs by handle (segH).
 //
 // A reservation never spans shards: an EER lives in the shard of its SegR,
 // so every operation takes exactly one shard lock and shards never deadlock
@@ -30,6 +31,8 @@ package cserv
 import (
 	"errors"
 	"fmt"
+	"math"
+	"math/bits"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -54,7 +57,17 @@ var (
 	// record, §4.7): its renewal must go through RenewEERPath, which locks
 	// both owning shards, not through the single-shard batch path.
 	ErrTransferEER = errors.New("cplane: transfer-AS EER requires path renewal")
+	// ErrBandwidthRange refuses an EER of more than MaxEERKbps: the data
+	// plane carries an EER's bandwidth in 32 bits (packet.ResInfo.BwKbps).
+	ErrBandwidthRange = errors.New("cserv: EER bandwidth above 2³²−1 kbps")
+	// ErrTooManySegRs refuses a SegR its shard's registry has no handle left
+	// for.
+	ErrTooManySegRs = errors.New("cplane: SegR registry full")
 )
+
+// MaxEERKbps is the largest EER bandwidth: what a ResInfo's 32-bit field
+// carries to σ, the gateway and the routers.
+const MaxEERKbps = math.MaxUint32
 
 // CPlaneConfig configures a sharded control-plane engine.
 type CPlaneConfig struct {
@@ -77,7 +90,10 @@ type CPlaneConfig struct {
 type CPlane struct {
 	shards []*cplaneShard
 	mask   uint64
-	clock  func() uint32
+	// shardBits is log2 of the shard count: the bits of a handle below its
+	// slot.
+	shardBits uint
+	clock     func() uint32
 
 	epochSec     uint32
 	ledgerEpochs int
@@ -95,8 +111,9 @@ type CPlane struct {
 	stale   atomic.Uint64
 
 	// onExpire, when set, receives each transfer-AS record (one with two
-	// covering SegRs) that Tick expires or DropSegR removes, after the shard
-	// locks are released. The Service uses it to return the record's charge to
+	// covering SegRs) that Tick expires or the removal of a SegR (DropSegR,
+	// TeardownSegR, AbortSegR) takes with it, after the shard locks are
+	// released. The Service uses it to return the record's charge to
 	// the §4.7 transfer-split accounting, which otherwise never learns that an
 	// EER lapsed without being renewed or lost a covering SegR.
 	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
@@ -115,6 +132,10 @@ type cplaneShard struct {
 	mu   sync.Mutex
 	adm  *admission.State
 	segs map[reservation.ID]*segRec
+	// reg is the SegR registry, indexed by a handle's slot; free lists the
+	// slots no SegR holds, the last freed first.
+	reg  []regSlot
+	free []uint32
 	// eers holds one record per EER, in a flat table: a renewal finds its
 	// record with one probe and writes the new version through the pointer it
 	// got (DESIGN.md §7).
@@ -132,13 +153,71 @@ type cplaneShard struct {
 type segRec struct {
 	led   restree.Profile
 	grant uint64
+	// h is the SegR's handle. named: some EER record has named it, so a drop
+	// must look for records before the handle can be reused.
+	h     segH
+	named bool
 }
 
-// cpEER is the shard-local record of one admitted EER version. seg2 is the
-// second charged SegR at a transfer AS (§4.7: an EER entering on an up
-// segment and leaving on a core segment consumes bandwidth on both); it is
-// the zero ID everywhere else. ver is the protocol version of the admitted
-// record, used by the live request path for idempotent dedup of retries.
+// segH is a SegR's handle: one plus its slot in its shard's registry, above
+// the shard's index, which takes the low shardBits bits — an EER record's
+// second SegR may live in another shard, and its handle says which. A
+// handle names one SegR from AddSegR until the SegR is dropped and no record
+// names it any more (purge), after which its slot may be reused.
+//
+// The zero handle names no SegR (a record's absent second one), and
+// unknownSegR a SegR an operation names that the shard does not hold. No
+// record carries unknownSegR, so a record never matches a path over a SegR
+// this AS does not hold.
+type segH uint32
+
+const unknownSegR = ^segH(0)
+
+// regSlot is one slot of a shard's SegR registry: the ID and record of the
+// SegR whose handle it is, or zero while the slot is free.
+type regSlot struct {
+	id  reservation.ID
+	rec *segRec
+}
+
+// slot returns the registry slot of handle h, which must name a SegR; the
+// caller holds the lock of h's shard.
+//
+//colibri:nomalloc
+func (c *CPlane) slot(h segH) *regSlot {
+	return &c.shards[uint32(h)&uint32(c.mask)].reg[uint32(h)>>c.shardBits-1]
+}
+
+// shardOf returns the index of handle h's shard.
+func (c *CPlane) shardOf(h segH) int { return int(uint32(h) & uint32(c.mask)) }
+
+// regFull reports whether shard sh, locked, has no handle left to give: its
+// slots stay below the one unknownSegR would decode to.
+func (c *CPlane) regFull(sh *cplaneShard) bool {
+	return len(sh.free) == 0 && uint64(len(sh.reg))+2 >= 1<<(32-c.shardBits)
+}
+
+// register gives SegR id's fresh record r a handle in shard si (sh, locked,
+// not regFull) and files it under id.
+func (c *CPlane) register(sh *cplaneShard, si int, id reservation.ID, r *segRec) {
+	var slot uint32
+	if n := len(sh.free); n > 0 {
+		slot, sh.free = sh.free[n-1], sh.free[:n-1]
+	} else {
+		slot = uint32(len(sh.reg))
+		sh.reg = append(sh.reg, regSlot{})
+	}
+	sh.reg[slot] = regSlot{id: id, rec: r}
+	r.h = segH((slot+1)<<c.shardBits | uint32(si))
+	sh.segs[id] = r
+}
+
+// cpEER is the shard-local record of one admitted EER version. seg is the
+// handle of its primary covering SegR, in whose shard the record lives; seg2
+// is the second charged SegR at a transfer AS (§4.7: an EER entering on an up
+// segment and leaving on a core segment consumes bandwidth on both), and 0
+// everywhere else. ver is the protocol version of the admitted record, used
+// by the live request path for idempotent dedup of retries.
 //
 // The record is the handle on its charge: bw over [startT, expT) is what the
 // covering ledgers were charged with, and handing exactly that back is what
@@ -149,10 +228,14 @@ type segRec struct {
 // version of the EER that is still valid needs beyond the record's own. The
 // piece lives in the shard's held table and the record only flags it, in what
 // was padding, so a record costs the same bytes with or without one.
+//
+// The record is 28 bytes of 4-byte alignment, so the table's record with its
+// key is 40 (DESIGN.md §7): bw is 32 bits, the width a ResInfo carries it in,
+// and no EER of more is admitted (MaxEERKbps).
 type cpEER struct {
-	seg  reservation.ID
-	seg2 reservation.ID
-	bw   uint64
+	seg  segH
+	seg2 segH
+	bw   uint32
 	// startT is the second the charge starts at: the admission instant, or
 	// the start of a slice bought ahead (SetupEERAt).
 	startT uint32
@@ -196,6 +279,7 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	c := &CPlane{
 		shards:       make([]*cplaneShard, cfg.Shards),
 		mask:         uint64(cfg.Shards - 1),
+		shardBits:    uint(bits.TrailingZeros(uint(cfg.Shards))),
 		clock:        cfg.Clock,
 		epochSec:     cfg.EpochSeconds,
 		ledgerEpochs: cfg.LedgerEpochs,
@@ -211,7 +295,7 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 }
 
 // OnExpire registers the callback invoked by Tick for each expired transfer-AS
-// record and by DropSegR for each one it removes (see the field doc). Set it
+// record and by a SegR's removal for each one it takes (see the field doc). Set it
 // before the first Tick; it must not call back into the CPlane.
 func (c *CPlane) OnExpire(fn func(seg, seg2 reservation.ID, bwKbps uint64)) {
 	c.onExpire = fn
@@ -276,9 +360,15 @@ func (c *CPlane) shardFor(id reservation.ID) *cplaneShard {
 // demand ledger. The request's MaxKbps is the demand; the returned grant is
 // the bandwidth available to EERs over this SegR at this AS.
 func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
-	sh := c.shardFor(req.ID)
+	si := c.shardIndex(req.ID)
+	sh := c.shards[si]
 	sh.mu.Lock()
 	r, known := sh.segs[req.ID]
+	if !known && c.regFull(sh) {
+		sh.mu.Unlock()
+		c.rejects.Add(1)
+		return 0, ErrTooManySegRs
+	}
 	grant, err := sh.adm.AdmitSegR(req)
 	if err != nil {
 		sh.mu.Unlock()
@@ -289,7 +379,7 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 		// Re-admitting a known ID (an idempotent replay or a version bump)
 		// must not wipe the ledger of EERs already charged against it.
 		r = &segRec{led: *restree.NewProfile(c.ledgerEpochs, c.epochSec)}
-		sh.segs[req.ID] = r
+		c.register(sh, si, req.ID, r)
 	}
 	r.grant = grant
 	sh.mu.Unlock()
@@ -301,7 +391,8 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 }
 
 // TeardownSegR releases a SegR. It fails with ErrSegRInUse while EERs are
-// still admitted against it (tear those down or let them expire first).
+// still admitted against it (tear those down or let them expire first). The
+// records of EERs that lapsed over it go with it, as DropSegR's do.
 func (c *CPlane) TeardownSegR(id reservation.ID) error {
 	sh := c.shardFor(id)
 	now := c.clock()
@@ -316,11 +407,25 @@ func (c *CPlane) TeardownSegR(id reservation.ID) error {
 		sh.mu.Unlock()
 		return ErrSegRInUse
 	}
+	c.detach(sh, id)
+	sh.mu.Unlock()
+	c.purge(r)
+	return nil
+}
+
+// detach removes SegR id from shard sh, which the caller has locked — its
+// admission, its entry under id, its count — and returns its record, or nil
+// when sh holds no such SegR. No EER can be admitted over it afterwards, but
+// its handle stays taken until purge has removed the records naming it.
+func (c *CPlane) detach(sh *cplaneShard, id reservation.ID) *segRec {
+	r, ok := sh.segs[id]
+	if !ok {
+		return nil
+	}
 	sh.adm.Release(id)
 	delete(sh.segs, id)
-	sh.mu.Unlock()
 	c.segCount.Add(-1)
-	return nil
+	return r
 }
 
 // SetupEER admits an EER of bwKbps over the given SegR until expT.
@@ -523,11 +628,11 @@ func (c *CPlane) Tick() int {
 			if !expired && !(e.held && sh.held.Get(id).expT <= now) {
 				continue
 			}
-			if e.seg2 != (reservation.ID{}) {
+			if e.seg2 != 0 {
 				pairs = append(pairs, pairRef{eer: id, seg: e.seg, seg2: e.seg2})
 				continue
 			}
-			p := c.path1(sh, e.seg, now)
+			p := c.pathOf(sh, e.seg, now)
 			if !expired {
 				p.unhold(id, e)
 				continue
@@ -544,13 +649,8 @@ func (c *CPlane) Tick() int {
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
-		e, ok := c.removePair(r, func(e *cpEER) bool { return e.expT <= now }, now)
-		if !ok {
-			continue
-		}
-		total++
-		if c.onExpire != nil {
-			c.onExpire(e.seg, e.seg2, e.bw)
+		if c.removePair(r, func(e *cpEER) bool { return e.expT <= now }, now) {
+			total++
 		}
 	}
 	c.eerCount.Add(-int64(total))
@@ -558,8 +658,11 @@ func (c *CPlane) Tick() int {
 }
 
 // pairRef names a transfer-AS record found under one shard lock, for removal
-// under both (removePair).
-type pairRef struct{ eer, seg, seg2 reservation.ID }
+// under both (removePair): the EER and its two SegRs' handles.
+type pairRef struct {
+	eer       reservation.ID
+	seg, seg2 segH
+}
 
 // removePair removes a transfer-AS record, if it still exists and cond holds
 // for it, under the locks of both covering SegRs' shards — so that both its
@@ -567,21 +670,30 @@ type pairRef struct{ eer, seg, seg2 reservation.ID }
 // charge no record answers for. Tick and DropSegR find such records under one
 // shard lock at a time and cannot reach the second ledger from there. A record
 // that stays loses its held piece if that has lapsed by heldLapse (Tick's now;
-// 0 keeps it).
-func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32) (e cpEER, ok bool) {
-	c.withPath([]reservation.ID{r.seg, r.seg2}, func(p eerPath) {
+// 0 keeps it). A record removed is reported to the expiry callback, with its
+// SegRs' IDs, once the locks are released.
+func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32) (ok bool) {
+	var seg, seg2 reservation.ID
+	var bw uint32
+	c.withHandles(r.seg, r.seg2, func(p eerPath) {
+		// A record that no longer names both SegRs was rewritten since it was
+		// found; whoever finds it next decides for it.
 		rec := p.lookup(r.eer)
 		switch {
-		case rec == nil:
+		case rec == nil || rec.seg2 != r.seg2:
 		case cond(rec):
-			e, ok = *rec, true
+			ok, bw = true, rec.bw
+			seg, seg2 = c.slot(rec.seg).id, c.slot(rec.seg2).id
 			p.release(r.eer, rec)
 			p.prim.eers.Delete(r.eer)
 		case rec.held && p.prim.held.Get(r.eer).expT <= heldLapse:
 			p.unhold(r.eer, rec)
 		}
 	})
-	return e, ok
+	if ok && c.onExpire != nil {
+		c.onExpire(seg, seg2, uint64(bw))
+	}
+	return ok
 }
 
 // SegRAudit is one SegR's conservation snapshot: the bandwidth granted to

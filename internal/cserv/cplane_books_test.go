@@ -22,15 +22,33 @@ import (
 // bookedEER is one record with its held piece, if it has one, as the books
 // must show it.
 type bookedEER struct {
-	id reservation.ID
-	e  cpEER
-	h  heldPiece
+	id        reservation.ID
+	seg, seg2 reservation.ID // the record's SegRs, by ID
+	e         cpEER
+	h         heldPiece
+}
+
+// segIDOf resolves a SegR handle a record carries to the SegR's ID, and 0 to
+// the zero ID.
+func segIDOf(cp *CPlane, h segH) reservation.ID {
+	if h == 0 {
+		return reservation.ID{}
+	}
+	sh := cp.shards[cp.shardOf(h)]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return cp.slot(h).id
+}
+
+// resolve fills in the record's SegR IDs; the caller holds no shard lock.
+func (r *bookedEER) resolve(cp *CPlane) {
+	r.seg, r.seg2 = segIDOf(cp, r.e.seg), segIDOf(cp, r.e.seg2)
 }
 
 // charges returns the record's and the held piece's charge on seg at epoch ep,
 // and how many of the two are live at floor.
 func (r *bookedEER) charges(seg reservation.ID, ep, floor, sec uint32) (bw int64, live int) {
-	if r.e.seg != seg && r.e.seg2 != seg {
+	if r.seg != seg && r.seg2 != seg {
 		return 0, 0
 	}
 	ceil := func(x uint32) uint32 { return (x + sec - 1) / sec }
@@ -38,7 +56,7 @@ func (r *bookedEER) charges(seg reservation.ID, ep, floor, sec uint32) (bw int64
 		on           bool
 		bw           uint64
 		startT, expT uint32
-	}{{true, r.e.bw, r.e.startT, r.e.expT}, {r.e.held, r.h.charge, r.h.startT, r.h.expT}} {
+	}{{true, uint64(r.e.bw), r.e.startT, r.e.expT}, {r.e.held, r.h.charge, r.h.startT, r.h.expT}} {
 		if !c.on {
 			continue
 		}
@@ -76,6 +94,9 @@ func bookedEERs(t *testing.T, cp *CPlane, step string) []bookedEER {
 		if pieces != flagged {
 			t.Fatalf("%s: a shard's held table has %d pieces, its records flag %d", step, pieces, flagged)
 		}
+	}
+	for i := range recs {
+		recs[i].resolve(cp)
 	}
 	return recs
 }
@@ -123,15 +144,17 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 func chargeOf(cp *CPlane, id, seg reservation.ID, t uint32) uint64 {
 	sh := cp.shardFor(seg)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	e := sh.eers.Get(id)
 	if e == nil {
+		sh.mu.Unlock()
 		return 0
 	}
 	r := bookedEER{id: id, e: *e}
 	if h := sh.held.Get(id); h != nil {
 		r.h = *h
 	}
+	sh.mu.Unlock()
+	r.resolve(cp)
 	bw, _ := r.charges(seg, t/cp.epochSec, 0, cp.epochSec)
 	return uint64(bw)
 }
@@ -153,8 +176,21 @@ func lapsedHeld(cp *CPlane, now uint32) (n int) {
 // TestHeldFlagCostsNoBytes: the held flag sits in what was the record's
 // padding, so a CServ's resident EER state does not grow with §4.2's repair.
 func TestHeldFlagCostsNoBytes(t *testing.T) {
-	if got := unsafe.Sizeof(cpEER{}); got != 56 {
-		t.Errorf("cpEER is %d bytes, want 56", got)
+	if got := unsafe.Sizeof(cpEER{}); got != 28 {
+		t.Errorf("cpEER is %d bytes, want 28", got)
+	}
+}
+
+// TestEERRecordIs40Bytes pins what an EER costs a CServ per AS in its record
+// table: the key's 12 bytes and the 28-byte record, with no padding between
+// (DESIGN.md §7). A field added to cpEER shows here.
+func TestEERRecordIs40Bytes(t *testing.T) {
+	var sh cplaneShard
+	if got := sh.eers.RecordSize(); got != 40 {
+		t.Errorf("the EER table's record is %d bytes, want 40", got)
+	}
+	if got := sh.held.RecordSize(); got != 32 {
+		t.Errorf("the held table's record is %d bytes, want 32", got)
 	}
 }
 
@@ -397,6 +433,110 @@ func TestDischargeOnlyWhereCharged(t *testing.T) {
 	clk.step(20)
 	if got, _ := cp.SegDemandMax(b); got != 0 {
 		t.Errorf("demand on %s after the version lapsed = %d, want 0", b, got)
+	}
+}
+
+// handleOf returns the handle SegR id holds.
+func handleOf(t *testing.T, cp *CPlane, id reservation.ID) segH {
+	t.Helper()
+	sh := cp.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	r := sh.segs[id]
+	if r == nil {
+		t.Fatalf("SegR %s is unknown", id)
+	}
+	return r.h
+}
+
+// TestHandleRecyclingCannotAliasADroppedSegR: a SegR's handle is reused once
+// the SegR has gone, and only once no record names it. For each way a SegR
+// goes — DropSegR, TeardownSegR of one whose EERs lapsed without a Tick,
+// AbortSegR under a live EER — an EER admitted over it alone and one paired
+// with a SegR of another shard go with it, and the next AddSegR in its shard
+// takes its handle. A renewal of either EER over the new SegR then finds no
+// record, and Tick, up to and past the old EERs' expiry, leaves the new SegR's
+// ledger carrying exactly the EER admitted over it.
+func TestHandleRecyclingCannotAliasADroppedSegR(t *testing.T) {
+	for _, how := range []string{"drop", "teardown", "abort"} {
+		t.Run(how, func(t *testing.T) {
+			clk := newCPClock(1000)
+			cp := newTestCPlane(t, 4, clk)
+			var expired [][2]reservation.ID
+			cp.OnExpire(func(seg, seg2 reservation.ID, bw uint64) { expired = append(expired, [2]reservation.ID{seg, seg2}) })
+			old, other, fresh := segReq(1, 50, 1, 2, 10_000), segReq(2, 50, 1, 2, 10_000), segReq(3, 50, 1, 2, 10_000)
+			for cp.shardIndex(other.ID) == cp.shardIndex(old.ID) {
+				other.ID.Num += 3
+			}
+			for cp.shardIndex(fresh.ID) != cp.shardIndex(old.ID) {
+				fresh.ID.Num += 3
+			}
+			for _, req := range []admission.Request{old, other} {
+				if _, err := cp.AddSegR(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			h := handleOf(t, cp, old.ID)
+			solo, pair := eid(1), eid(2)
+			expT := clk.now() + 16
+			if err := cp.SetupEERPath(solo, []reservation.ID{old.ID}, 3_000, expT, 1); err != nil {
+				t.Fatal(err)
+			}
+			if err := cp.SetupEERPath(pair, []reservation.ID{old.ID, other.ID}, 2_000, expT, 1); err != nil {
+				t.Fatal(err)
+			}
+			switch how {
+			case "drop":
+				cp.DropSegR(old.ID)
+			case "teardown":
+				clk.step(20)
+				if err := cp.TeardownSegR(old.ID); err != nil {
+					t.Fatal(err)
+				}
+			case "abort":
+				cp.AbortSegR(old.ID)
+			}
+			if n := cp.Counts().EERs; n != 0 {
+				t.Fatalf("%d records outlive their SegR", n)
+			}
+			if len(expired) != 1 || expired[0] != [2]reservation.ID{old.ID, other.ID} {
+				t.Fatalf("expiry callback saw %v, want the pair over %s and %s", expired, old.ID, other.ID)
+			}
+			if got, _ := cp.SegDemandMax(other.ID); got != 0 {
+				t.Fatalf("%s still carries %d kbps of the pair", other.ID, got)
+			}
+			if _, err := cp.AddSegR(fresh); err != nil {
+				t.Fatal(err)
+			}
+			if got := handleOf(t, cp, fresh.ID); got != h {
+				t.Fatalf("the new SegR took handle %#x, the old one had %#x: nothing was recycled", got, h)
+			}
+			now := clk.now()
+			if _, err := cp.RenewEERPath(solo, []reservation.ID{fresh.ID}, 1_000, now+16, 2); !errors.Is(err, ErrUnknownEER) {
+				t.Fatalf("renewal of the old EER over the new SegR: %v, want ErrUnknownEER", err)
+			}
+			if _, err := cp.RenewEERPath(pair, []reservation.ID{fresh.ID, other.ID}, 1_000, now+16, 2); !errors.Is(err, ErrUnknownEER) {
+				t.Fatalf("renewal of the old pair over the new SegR: %v, want ErrUnknownEER", err)
+			}
+			for _, seg := range []reservation.ID{old.ID, fresh.ID} {
+				if _, _, _, ok := cp.LookupEER(solo, seg); ok {
+					t.Fatalf("LookupEER finds the old EER under %s", seg)
+				}
+			}
+			if err := cp.SetupEERPath(eid(3), []reservation.ID{fresh.ID}, 4_000, now+30, 1); err != nil {
+				t.Fatal(err)
+			}
+			for i := 0; i < 4; i++ {
+				if n := cp.Tick(); n != 0 {
+					t.Fatalf("Tick %d removed %d records", i, n)
+				}
+				auditBooks(t, cp, clk.now(), fmt.Sprintf("tick %d", i))
+				if got, _ := cp.SegDemandMax(fresh.ID); got != 4_000 {
+					t.Fatalf("tick %d: the new SegR carries %d kbps, want 4000", i, got)
+				}
+				clk.step(6)
+			}
+		})
 	}
 }
 

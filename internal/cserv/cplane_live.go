@@ -38,10 +38,10 @@ func (c *CPlane) LookupEER(eer, seg reservation.ID) (bwKbps uint64, ver uint16, 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.eers.Get(eer)
-	if e == nil || e.seg != seg {
+	if e == nil || c.slot(e.seg).id != seg {
 		return 0, 0, 0, false
 	}
-	return e.bw, e.ver, e.expT, true
+	return uint64(e.bw), e.ver, e.expT, true
 }
 
 // SegAvail returns the bandwidth available to new EER admissions over the
@@ -138,17 +138,16 @@ func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
 // AbortSegR rolls back a fresh AddSegR after a downstream setup failure.
 // It must only be used for setups — the ledger is dropped with the SegR, so
 // aborting a renewal would orphan admitted EER charges (renewals roll back
-// through their undo closure instead).
+// through their undo closure instead). An EER admitted over the SegR in the
+// meantime goes with it, as DropSegR's do.
 func (c *CPlane) AbortSegR(id reservation.ID) {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if _, ok := sh.segs[id]; !ok {
-		return
+	r := c.detach(sh, id)
+	sh.mu.Unlock()
+	if r != nil {
+		c.purge(r)
 	}
-	sh.adm.Release(id)
-	delete(sh.segs, id)
-	c.segCount.Add(-1)
 }
 
 // pathShards returns the shard indices to lock for a covering-SegR set in
@@ -186,13 +185,14 @@ func normPath(segs []reservation.ID) []reservation.ID {
 // methods, over the one-segment path of a shard it has locked (path1).
 type eerPath struct {
 	c *CPlane
-	// segs[:nseg] is the normalized set: one entry, or two distinct ones (the
-	// second entry is the zero ID when there is one). Held by value, so that a
-	// caller's set may live on its stack.
-	segs [2]reservation.ID
+	// h[:nseg] is the normalized set's handles: one entry, or two distinct
+	// ones (the second is 0 when there is one); unknownSegR stands for a SegR
+	// this AS does not hold. A record matches the path where its handles are
+	// these.
+	h    [2]segH
 	nseg int
 	now  uint32
-	prim *cplaneShard // shard of segs[0], which owns the EER records
+	prim *cplaneShard // shard of the first SegR, which owns the EER records
 	// rec is each covering SegR's record (nil when unknown), resolved once
 	// while the locks are held.
 	rec [2]*segRec
@@ -213,9 +213,40 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 	}
 	p := c.path1(c.shardFor(segs[0]), segs[0], c.clock())
 	if len(segs) == 2 {
-		p.nseg, p.segs[1], p.rec[1] = 2, segs[1], c.shardFor(segs[1]).segs[segs[1]]
+		p.nseg = 2
+		p.h[1], p.rec[1] = c.shardFor(segs[1]).resolve(segs[1])
 	}
 	fn(p)
+}
+
+// withHandles is withPath over the two distinct SegRs of a transfer-AS record
+// named by handle, which must name SegRs (their shards are locked here, from
+// the shard index each handle carries, in ascending order).
+func (c *CPlane) withHandles(h, h2 segH, fn func(p eerPath)) {
+	a, b := c.shardOf(h), c.shardOf(h2)
+	if a > b {
+		a, b = b, a
+	}
+	c.shards[a].mu.Lock()
+	defer c.shards[a].mu.Unlock()
+	if b != a {
+		c.shards[b].mu.Lock()
+		defer c.shards[b].mu.Unlock()
+	}
+	p := c.pathOf(c.shards[c.shardOf(h)], h, c.clock())
+	p.nseg, p.h[1], p.rec[1] = 2, h2, c.slot(h2).rec
+	fn(p)
+}
+
+// resolve returns the handle and record of SegR seg, or unknownSegR and nil
+// when sh, which the caller has locked, holds no such SegR: one probe.
+//
+//colibri:nomalloc
+func (sh *cplaneShard) resolve(seg reservation.ID) (segH, *segRec) {
+	if r := sh.segs[seg]; r != nil {
+		return r.h, r
+	}
+	return unknownSegR, nil
 }
 
 // path1 is the path of the single covering SegR seg, whose shard sh the
@@ -224,7 +255,17 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 //colibri:nomalloc
 func (c *CPlane) path1(sh *cplaneShard, seg reservation.ID, now uint32) eerPath {
 	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
-	p.segs[0], p.rec[0] = seg, sh.segs[seg]
+	p.h[0], p.rec[0] = sh.resolve(seg)
+	return p
+}
+
+// pathOf is the path of the single SegR handle h names, whose shard sh the
+// caller has locked: what path1 is for an ID, by one indexed load.
+//
+//colibri:nomalloc
+func (c *CPlane) pathOf(sh *cplaneShard, h segH, now uint32) eerPath {
+	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
+	p.h[0], p.rec[0] = h, c.slot(h).rec
 	return p
 }
 
@@ -236,7 +277,7 @@ func (c *CPlane) path1(sh *cplaneShard, seg reservation.ID, now uint32) eerPath 
 //colibri:nomalloc
 func (p *eerPath) lookup(eer reservation.ID) *cpEER {
 	e := p.prim.eers.Get(eer)
-	if e == nil || e.seg != p.segs[0] {
+	if e == nil || e.seg != p.h[0] {
 		return nil
 	}
 	return e
@@ -313,17 +354,17 @@ func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
 // set (a chain that changed) leaves the ledger it never touched alone.
 //
 //colibri:nomalloc
-func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e, e.startT, e.expT, e.bw) }
+func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e, e.startT, e.expT, uint64(e.bw)) }
 
 // dischargeOf withdraws bwKbps over [startT, expT), a charge of record e's, by
 // discharge's rule.
 //
 //colibri:nomalloc
 func (p *eerPath) dischargeOf(e *cpEER, startT, expT uint32, bwKbps uint64) {
-	if r := p.rec[0]; r != nil && e.seg == p.segs[0] {
+	if r := p.rec[0]; r != nil && e.seg == p.h[0] {
 		r.led.Discharge(startT, expT, int64(bwKbps))
 	}
-	if r := p.rec[1]; r != nil && e.seg2 == p.segs[1] {
+	if r := p.rec[1]; r != nil && e.seg2 == p.h[1] {
 		r.led.Discharge(startT, expT, int64(bwKbps))
 	}
 }
@@ -344,7 +385,7 @@ func (p *eerPath) heldOf(eer reservation.ID, e *cpEER) EERVersion {
 		return EERVersion{}
 	}
 	h := p.prim.held.Get(eer)
-	return EERVersion{BwKbps: e.bw + h.charge, ExpT: h.expT}
+	return EERVersion{BwKbps: uint64(e.bw) + h.charge, ExpT: h.expT}
 }
 
 // older is what a record renewed or clamped to bwKbps keeps held of the
@@ -368,12 +409,12 @@ func (p *eerPath) older(bwKbps uint64, prev, held EERVersion) (v EERVersion) {
 // does, whichever comes first — a held piece never outlives its record. A v no
 // larger than e, or lapsed, needs none.
 func (p *eerPath) hold(eer reservation.ID, e *cpEER, v EERVersion) {
-	expT := min(v.ExpT, e.expT)
-	if v.BwKbps <= e.bw || expT <= p.now || p.charge(p.now, expT, v.BwKbps-e.bw) != nil {
+	expT, bw := min(v.ExpT, e.expT), uint64(e.bw)
+	if v.BwKbps <= bw || expT <= p.now || p.charge(p.now, expT, v.BwKbps-bw) != nil {
 		return
 	}
 	h, _ := p.prim.held.Put(eer)
-	*h = heldPiece{charge: v.BwKbps - e.bw, startT: p.now, expT: expT}
+	*h = heldPiece{charge: v.BwKbps - bw, startT: p.now, expT: expT}
 	e.held = true
 }
 
@@ -427,7 +468,7 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 // SegRs — one for most hops, two at a transfer AS (§4.7), in which case the
 // demand must fit under BOTH SegRs' grants and is charged on both ledgers.
 // Admission is full-or-nothing. The record carries ver for idempotent dedup;
-// segs[0] is the primary segment that owns the record.
+// the first covering SegR is the primary one, whose shard owns the record.
 //
 // The record table is probed once: the insertion finds a record the EER
 // already has (under any SegR: ErrExists) or adds a fresh one, which a ledger
@@ -437,6 +478,9 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 //
 //colibri:nomalloc
 func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) error {
+	if bwKbps > MaxEERKbps {
+		return ErrBandwidthRange
+	}
 	if err := p.ready(); err != nil {
 		return err
 	}
@@ -452,9 +496,21 @@ func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, 
 		p.prim.eers.Delete(eer)
 		return err
 	}
-	*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
-		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
+	p.fill(e, bwKbps, startT, expT, ver, lastRenew)
 	return nil
+}
+
+// fill writes a fresh version into record e, naming the path's SegRs, whose
+// ledgers the caller has just charged with it (bwKbps ≤ MaxEERKbps). Each SegR
+// learns that a record names it.
+//
+//colibri:nomalloc
+func (p *eerPath) fill(e *cpEER, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) {
+	*e = cpEER{seg: p.h[0], seg2: p.h[1], bw: uint32(bwKbps),
+		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
+	for _, r := range p.rec[:p.nseg] {
+		r.named = true
+	}
 }
 
 // setup is admit from now, counted. renewal marks the re-admission of a
@@ -484,7 +540,9 @@ func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint
 //colibri:nomalloc
 func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uint32, ver uint16) (grant uint64, err error, gone bool) {
 	switch {
-	case e.seg2 == p.segs[1]:
+	case bwKbps > MaxEERKbps:
+		err = ErrBandwidthRange
+	case e.seg2 == p.h[1]:
 		err = p.ready()
 	case p.nseg == 1:
 		// Transfer-AS record: its second charge lives in another ledger, so the
@@ -496,17 +554,17 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 	if err != nil {
 		return 0, err, false
 	}
-	prev, held := EERVersion{BwKbps: e.bw, ExpT: e.expT}, p.heldOf(eer, e)
+	prev, held := EERVersion{BwKbps: uint64(e.bw), ExpT: e.expT}, p.heldOf(eer, e)
 	p.release(eer, e)
 	err = ErrInsufficient
 	if grant = p.free(bwKbps, p.now, expT); grant > 0 {
 		if err = p.charge(p.now, expT, grant); err == nil {
-			e.bw, e.startT, e.expT, e.ver = grant, p.now, expT, ver
+			e.bw, e.startT, e.expT, e.ver = uint32(grant), p.now, expT, ver
 			p.hold(eer, e, p.older(grant, prev, held))
 			return grant, nil, false
 		}
 	}
-	if e.expT <= p.now || p.charge(e.startT, e.expT, e.bw) != nil {
+	if e.expT <= p.now || p.charge(e.startT, e.expT, uint64(e.bw)) != nil {
 		p.prim.eers.Delete(eer)
 		return 0, err, true
 	}
@@ -546,12 +604,13 @@ func (c *CPlane) RenewEERPath(eer reservation.ID, segs []reservation.ID, bwKbps 
 // recharge replaces the charge of record e (none when e is nil) with bwKbps
 // over [now, expT) on every covering ledger, WITHOUT an admission check. It
 // reports false — and leaves no charge behind, a partial one must not stand —
-// when the window is empty or a ledger is missing or refuses it.
+// when the window is empty, the bandwidth above MaxEERKbps, or a ledger is
+// missing or refuses it.
 func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
 	if e != nil {
 		p.discharge(e)
 	}
-	return expT > p.now && p.charge(p.now, expT, bwKbps) == nil
+	return expT > p.now && bwKbps <= MaxEERKbps && p.charge(p.now, expT, bwKbps) == nil
 }
 
 // RestoreEERPath force-reinstates a previous EER version after a downstream
@@ -581,8 +640,7 @@ func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbp
 			e, _ = p.prim.eers.Put(eer)
 			c.eerCount.Add(1)
 		}
-		*e = cpEER{seg: p.segs[0], seg2: p.segs[1], bw: bwKbps,
-			startT: p.now, expT: expT, ver: ver, lastRenew: lastRenew}
+		p.fill(e, bwKbps, p.now, expT, ver, lastRenew)
 		p.hold(eer, e, held)
 	})
 }
@@ -601,7 +659,7 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 		}
 		p.unhold(eer, e)
 		if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
-			e.bw, e.startT = finalKbps, p.now
+			e.bw, e.startT = uint32(finalKbps), p.now
 			p.hold(eer, e, p.older(finalKbps, prev, held))
 			return
 		}
@@ -628,50 +686,61 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // DropSegR force-removes a SegR (store cleanup of an expired or torn-down
 // segment) along with every EER record referencing it — including
 // transfer-AS records whose OTHER covering segment survives: a §4.7 EER
-// loses its reservation when either covering SegR goes. Locks are taken
-// strictly one shard at a time but for the transfer-AS records, which go
-// under their two (removePair); each shard's records are walked as Tick walks
-// them, deleting in place. Every transfer-AS record removed is reported to the
-// expiry callback, as Tick reports the ones that lapse.
+// loses its reservation when either covering SegR goes. The SegR leaves its
+// shard first, so no EER is admitted over it while its records go (purge).
 func (c *CPlane) DropSegR(id reservation.ID) {
-	now := c.clock()
-	var pairs []pairRef
-	removed := 0
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		for i := sh.eers.Len() - 1; i >= 0; i-- {
-			eid, e := sh.eers.At(i)
-			if e.seg != id && e.seg2 != id {
-				continue
-			}
-			if e.seg2 != (reservation.ID{}) {
-				pairs = append(pairs, pairRef{eer: eid, seg: e.seg, seg2: e.seg2})
-				continue
-			}
-			p := c.path1(sh, e.seg, now)
-			p.release(eid, e)
-			sh.eers.Delete(eid)
-			removed++
-		}
-		sh.mu.Unlock()
-	}
-	for _, r := range pairs {
-		e, ok := c.removePair(r, func(e *cpEER) bool { return e.seg == id || e.seg2 == id }, 0)
-		if !ok {
-			continue
-		}
-		removed++
-		if c.onExpire != nil {
-			c.onExpire(e.seg, e.seg2, e.bw)
-		}
-	}
 	sh := c.shardFor(id)
 	sh.mu.Lock()
-	if _, ok := sh.segs[id]; ok {
-		sh.adm.Release(id)
-		delete(sh.segs, id)
-		c.segCount.Add(-1)
-	}
+	r := c.detach(sh, id)
 	sh.mu.Unlock()
-	c.eerCount.Add(-int64(removed))
+	if r != nil {
+		c.purge(r)
+	}
+}
+
+// purge removes every EER record that names r, a detached SegR, and then
+// frees r's handle for reuse: no record names a handle once it is free, so
+// none can name the SegR that takes it next. A SegR no record ever named has
+// none to look for. Locks are taken strictly one shard at a time but for the
+// transfer-AS records, which go under their two (removePair); each shard's
+// records are walked as Tick walks them, deleting in place. Every
+// transfer-AS record removed is reported to the expiry callback, as Tick
+// reports the ones that lapse.
+func (c *CPlane) purge(r *segRec) {
+	h := r.h
+	if r.named {
+		now := c.clock()
+		var pairs []pairRef
+		removed := 0
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			for i := sh.eers.Len() - 1; i >= 0; i-- {
+				eid, e := sh.eers.At(i)
+				if e.seg != h && e.seg2 != h {
+					continue
+				}
+				if e.seg2 != 0 {
+					pairs = append(pairs, pairRef{eer: eid, seg: e.seg, seg2: e.seg2})
+					continue
+				}
+				p := c.pathOf(sh, e.seg, now)
+				p.release(eid, e)
+				sh.eers.Delete(eid)
+				removed++
+			}
+			sh.mu.Unlock()
+		}
+		for _, pr := range pairs {
+			if c.removePair(pr, func(e *cpEER) bool { return e.seg == h || e.seg2 == h }, 0) {
+				removed++
+			}
+		}
+		c.eerCount.Add(-int64(removed))
+	}
+	sh := c.shards[c.shardOf(h)]
+	sh.mu.Lock()
+	slot := uint32(h)>>c.shardBits - 1
+	sh.reg[slot] = regSlot{}
+	sh.free = append(sh.free, slot)
+	sh.mu.Unlock()
 }

@@ -39,8 +39,12 @@ type EERGrant struct {
 // (§3.3, Fig. 1b): pick joinable SegRs to the destination AS from the
 // directory, chain the request through the on-path CServs, collect and
 // decrypt the hop authenticators. Chains are tried in order until one
-// admits the reservation — the path choice of §2.1.
+// admits the reservation — the path choice of §2.1. More than MaxEERKbps is
+// refused with ErrBandwidthRange before anything is asked of any hop.
 func (s *Service) RequestEER(srcHost, dstHost uint32, dstIA topology.IA, bwKbps uint64) (*EERGrant, error) {
+	if bwKbps > MaxEERKbps {
+		return nil, ErrBandwidthRange
+	}
 	chains, err := s.chainsTo(dstIA)
 	if err != nil {
 		return nil, err
@@ -77,8 +81,12 @@ func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, c 
 
 // RenewEER renews an existing EER for a new version with possibly different
 // bandwidth. Multiple versions remain valid concurrently, enabling seamless
-// transition (§4.2).
+// transition (§4.2). More than MaxEERKbps is refused with ErrBandwidthRange
+// before anything is asked of any hop.
 func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) {
+	if newBwKbps > MaxEERKbps {
+		return nil, ErrBandwidthRange
+	}
 	sc := s.getWave()
 	defer s.putWave(sc)
 	req := &sc.solo
@@ -216,6 +224,10 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	kc, why := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx)
 	if kc == nil {
 		return fail("%s", why)
+	}
+	// σ and the data plane carry the bandwidth in 32 bits.
+	if req.BwKbps > MaxEERKbps {
+		return fail("bandwidth: %d kbps exceeds %d", req.BwKbps, uint64(MaxEERKbps))
 	}
 	n := len(req.Path)
 	item := req.item()

@@ -129,9 +129,9 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	// copied into the item first.
 	prev := p.lookup(id)
 	if it.hadPrev = prev != nil; it.hadPrev {
-		it.prevBw, it.prevVer, it.prevExpT, it.prevHeld = prev.bw, prev.ver, prev.expT, p.heldOf(id, prev)
+		it.prevBw, it.prevVer, it.prevExpT, it.prevHeld = uint64(prev.bw), prev.ver, prev.expT, p.heldOf(id, prev)
 		if prev.ver == ver && prev.expT == expT {
-			it.grant = prev.bw
+			it.grant = uint64(prev.bw)
 			l.dedups++
 			return EEItemOK, nil
 		}

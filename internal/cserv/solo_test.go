@@ -230,6 +230,8 @@ func FuzzEESetupCodec(f *testing.F) {
 	mismatch[0] = tagEERenew
 	f.Add(mismatch, uint16(2), uint64(2))
 	f.Add(append(bytes.Clone(captured[1]), 0), uint16(3), uint64(1<<63))
+	// A signed renewal of 2³² kbps, which every hop refuses (TestEERBandwidthAt32Bits).
+	f.Add(signSolo(f, src, renewalOf(g, g.Res.Ver+2, MaxEERKbps+1, fab.now())), uint16(6), uint64(MaxEERKbps))
 
 	var scratch EESetupReq
 	var scratchResp EESetupResp

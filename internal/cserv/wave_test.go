@@ -206,6 +206,11 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 	// A wave that authenticates and names another source's EER (TestWaveItemsMustShareSource).
 	f.Add(signWave(f, fab.services[ia(2, 1)], forgedWave(grants[0], []EEBatchItem{
 		{ID: reservation.ID{SrcAS: ia(2, 1), Num: 1}, Ver: 1, BwKbps: 1, ExpT: t0 + 2}, wave.Items[0]})), uint16(0))
+	// A signed wave with an item of 2³² kbps, which every hop refuses
+	// (TestEERBandwidthAt32Bits).
+	wide := wave.Items[0]
+	wide.BwKbps = MaxEERKbps + 1
+	f.Add(signWave(f, src, forgedWave(grants[0], []EEBatchItem{wide, wave.Items[1]})), uint16(6))
 	f.Fuzz(func(t *testing.T, data []byte, flip uint16) {
 		buf := append([]byte(nil), data...)
 		if got, counted := allocatedBy(func() {

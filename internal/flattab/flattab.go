@@ -11,13 +11,23 @@
 // from its tag alone, growth and deletion rearrange the index without
 // reading a record.
 //
+// A record holds its key as the ID's two fields, source AS then number, with
+// the value after them: a value of 4-byte alignment packs into the four bytes
+// a whole reservation.ID would pad to 16, and an 8-aligned one costs what it
+// did behind a whole ID.
+//
 // Deletion is tombstone-free: a backward shift closes the hole in the index,
 // and the dense array's last record moves into the freed position. Iteration
 // is by position in the dense array (At), so it is deterministic, and a walk
 // from Len()-1 down to 0 may Delete the record it stands on.
 package flattab
 
-import "colibri/internal/reservation"
+import (
+	"unsafe"
+
+	"colibri/internal/reservation"
+	"colibri/internal/topology"
+)
 
 // Table maps reservation IDs to records of type V. The zero value is an
 // empty table ready for use. It is not safe for concurrent use.
@@ -31,9 +41,16 @@ type Table[V any] struct {
 }
 
 type record[V any] struct {
-	key reservation.ID
+	ia  topology.IA
+	num uint32
 	val V
 }
+
+func (r *record[V]) key() reservation.ID { return reservation.ID{SrcAS: r.ia, Num: r.num} }
+
+// RecordSize returns the bytes one record of the table takes in its dense
+// array: the key and a V, padded to V's alignment.
+func (*Table[V]) RecordSize() uintptr { return unsafe.Sizeof(record[V]{}) }
 
 // minSlots is the index size of a table's first insertion.
 const minSlots = 8
@@ -62,7 +79,7 @@ func (t *Table[V]) find(id reservation.ID) int {
 		if s == 0 {
 			return -1
 		}
-		if s>>32 == tag && t.recs[uint32(s)-1].key == id {
+		if s>>32 == tag && t.recs[uint32(s)-1].key() == id {
 			return int(i)
 		}
 	}
@@ -90,7 +107,7 @@ func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
 		t.grow()
 	}
 	pos := len(t.recs)
-	t.recs = append(t.recs, record[V]{key: id})
+	t.recs = append(t.recs, record[V]{ia: id.SrcAS, num: id.Num})
 	t.place(hash(id)>>32<<32 | uint64(pos+1))
 	return &t.recs[pos].val, true
 }
@@ -132,7 +149,7 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 	if pos != last {
 		// Swap-last compaction: re-point the last record's slot at pos.
 		mask := uint64(len(t.slots) - 1)
-		j := hash(t.recs[last].key) >> 32 & mask
+		j := hash(t.recs[last].key()) >> 32 & mask
 		for uint32(t.slots[j]) != last+1 {
 			j = (j + 1) & mask
 		}
@@ -166,5 +183,5 @@ func (t *Table[V]) Len() int { return len(t.recs) }
 // 0 ≤ i < Len().
 func (t *Table[V]) At(i int) (reservation.ID, *V) {
 	r := &t.recs[i]
-	return r.key, &r.val
+	return r.key(), &r.val
 }
