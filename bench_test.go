@@ -520,8 +520,9 @@ func BenchmarkCServThroughput(b *testing.B) {
 
 // BenchmarkCPlane: renewal throughput of the sharded control-plane engine
 // (cserv.CPlane) vs. concurrent-EER population and shard count. One iteration
-// is one full renewal wave over the population via RenewBatch; the ns/renew
-// and renews/s metrics are per-EER, directly comparable across populations.
+// is one full renewal wave over the population, one RenewEERPath per EER; the
+// ns/renew and renews/s metrics are per-EER, directly comparable across
+// populations.
 // Populations above 10^4 (including the million-EER point) run only without
 // -short.
 func BenchmarkCPlane(b *testing.B) {
@@ -568,20 +569,23 @@ func BenchmarkCPlane(b *testing.B) {
 						b.Fatal(err)
 					}
 				}
-				items := make([]cserv.EERRenewal, n)
-				results := make([]cserv.RenewResult, n)
+				cover := make([][]reservation.ID, segrs)
+				for i := range cover {
+					cover[i] = []reservation.ID{segID(i)}
+				}
 				for i := 0; i < n; i++ {
-					if err := cp.SetupEER(eerID(i), segID(i%segrs), 100, now+16); err != nil {
+					if err := cp.SetupEERPath(eerID(i), cover[i%segrs], 100, now+16, 1); err != nil {
 						b.Fatal(err)
 					}
-					items[i] = cserv.EERRenewal{EER: eerID(i), Seg: segID(i % segrs), BwKbps: 100}
 				}
+				var renewErr error
 				wave := func() {
 					now += 4
-					for i := range items {
-						items[i].ExpT = now + 16
+					for i := 0; i < n; i++ {
+						if _, err := cp.RenewEERPath(eerID(i), cover[i%segrs], 100, now+16, 1); err != nil && renewErr == nil {
+							renewErr = fmt.Errorf("renewal %d: %w", i, err)
+						}
 					}
-					cp.RenewBatch(items, results)
 				}
 				wave() // warm up ledger heaps and map buckets
 				b.ReportAllocs()
@@ -590,10 +594,8 @@ func BenchmarkCPlane(b *testing.B) {
 					wave()
 				}
 				b.StopTimer()
-				for i := range results {
-					if results[i].Err != nil {
-						b.Fatalf("renewal %d: %v", i, results[i].Err)
-					}
+				if renewErr != nil {
+					b.Fatal(renewErr)
 				}
 				renewals := int64(b.N) * int64(n)
 				if sec := b.Elapsed().Seconds(); sec > 0 {

@@ -3,11 +3,7 @@
 //
 // Usage:
 //
-//	colibri-bench [-quick] [-duration 300ms] [-telemetry text|json] [-workers N,...] [-flows N] [fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|policies|all]
-//
-// policies runs the reservation-model head-to-head (bounded-tube vs
-// flyover vs hummingbird behind policy.Policy): setup/renewal latency, hop
-// operations and the DoC-flood outcome per model and engine shard count.
+//	colibri-bench [-quick] [-duration 300ms] [-telemetry text|json] [-workers N,...] [-flows N] [fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|all]
 //
 // fig4 times EER admission on the engine a transit hop's handler runs
 // (cserv.CPlane: SetupEERPath + TeardownEERPath against s SegRs and n EERs).
@@ -190,20 +186,6 @@ func main() {
 		}
 		fmt.Print(experiments.FormatStorm(r))
 	})
-	run("policies", func() {
-		cfg := experiments.PoliciesConfig{}
-		if *quick {
-			cfg = experiments.PoliciesConfig{
-				Flows: 256, Hops: 3, Waves: 3, AttackFlows: 64, Shards: []int{1, 4},
-			}
-		}
-		rows, err := experiments.RunPolicies(cfg)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "policies: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Print(experiments.FormatPolicies(rows))
-	})
 	run("scale", func() {
 		sizes := []int{100, 1000}
 		if *quick {
@@ -221,7 +203,7 @@ func main() {
 	})
 	if !ran {
 		fmt.Fprintf(os.Stderr,
-			"unknown experiment %q (want fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|policies|all)\n", what)
+			"unknown experiment %q (want fig3|fig4|fig5|fig6|table2|appendix-e|doc|ablations|chaos|scale|cplane|storm|all)\n", what)
 		os.Exit(2)
 	}
 	if reg != nil {

@@ -41,7 +41,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	var (
 		jsonOut  = fs.Bool("json", false, "emit a JSON report (for CI) instead of file:line text")
 		checks   = fs.String("checks", "determinism,nomalloc,locks,telemetry,errors,atomics,shardown,goroutines", "comma-separated checks to run")
-		detPkgs  = fs.String("deterministic", "netsim,cserv,admission,experiments,reservation,restree,policy", "package names held to the determinism rules")
+		detPkgs  = fs.String("deterministic", "netsim,cserv,admission,experiments,reservation,restree", "package names held to the determinism rules")
 		chdir    = fs.String("C", "", "change to this directory before resolving patterns")
 		typeErrs = fs.Bool("typecheck-strict", false, "fail on type-checking errors instead of analyzing best-effort")
 		baseline = fs.String("baseline", "", "JSON report of accepted findings: matching findings are reported as baselined, only new ones fail")

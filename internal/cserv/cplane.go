@@ -21,11 +21,10 @@
 //     withdrawn by handing the record's window and bandwidth back to the
 //     profile. A record names its covering SegRs by handle (segH).
 //
-// A reservation never spans shards: an EER lives in the shard of its SegR,
-// so every operation takes exactly one shard lock and shards never deadlock
-// against each other. RenewBatch processes a whole renewal wave shard-major
-// on the caller's goroutine — one lock acquisition per shard per batch — and
-// is allocation-free in steady state. Counts reads atomics and takes no lock.
+// An EER's record lives in the shard of its first covering SegR. An operation
+// on it takes that shard's lock and, at a transfer AS, the second SegR's
+// shard's too, always in ascending shard order (cplane_live.go), so shards
+// never deadlock against each other. Counts reads atomics and takes no lock.
 package cserv
 
 import (
@@ -44,7 +43,7 @@ import (
 	"colibri/internal/topology"
 )
 
-// CPlane errors. All are sentinels: the batch paths must not allocate.
+// CPlane errors. All are sentinels: the wave path must not allocate.
 var (
 	ErrUnknownSegR = errors.New("cplane: unknown segment reservation")
 	ErrSegRInUse   = errors.New("cplane: segment reservation has live EERs")
@@ -53,9 +52,9 @@ var (
 	// the SegR's free bandwidth over the requested window (setups are
 	// full-or-nothing; renewals fall back to the previous version).
 	ErrInsufficient = errors.New("cplane: insufficient bandwidth on segment reservation")
-	// ErrTransferEER marks an EER charged against two SegRs (a transfer-AS
-	// record, §4.7): its renewal must go through RenewEERPath, which locks
-	// both owning shards, not through the single-shard batch path.
+	// ErrTransferEER refuses a renewal that names only the first of the two
+	// SegRs a transfer-AS record (§4.7) is charged against: the second
+	// charge is out of its reach.
 	ErrTransferEER = errors.New("cplane: transfer-AS EER requires path renewal")
 	// ErrBandwidthRange refuses an EER of more than MaxEERKbps: the data
 	// plane carries an EER's bandwidth in 32 bits (packet.ResInfo.BwKbps).
@@ -117,10 +116,6 @@ type CPlane struct {
 	// the §4.7 transfer-split accounting, which otherwise never learns that an
 	// EER lapsed without being renewed or lost a covering SegR.
 	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
-
-	// buckets is RenewBatch's per-shard index scratch, under batchMu.
-	batchMu sync.Mutex
-	buckets [][]int32
 }
 
 // cplaneShard is one shard's admission state, owned by the CPlane front end:
@@ -236,8 +231,8 @@ type cpEER struct {
 	seg  segH
 	seg2 segH
 	bw   uint32
-	// startT is the second the charge starts at: the admission instant, or
-	// the start of a slice bought ahead (SetupEERAt).
+	// startT is the second the charge starts at: when the setup, renewal,
+	// adjustment or restore that wrote it ran.
 	startT uint32
 	expT   uint32
 	// lastRenew is the second of the last renewal the per-EER throttle let
@@ -283,7 +278,6 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 		clock:        cfg.Clock,
 		epochSec:     cfg.EpochSeconds,
 		ledgerEpochs: cfg.LedgerEpochs,
-		buckets:      make([][]int32, cfg.Shards),
 	}
 	for i := range c.shards {
 		c.shards[i] = &cplaneShard{
@@ -428,32 +422,18 @@ func (c *CPlane) detach(sh *cplaneShard, id reservation.ID) *segRec {
 	return r
 }
 
-// SetupEER admits an EER of bwKbps over the given SegR until expT.
-// Admission is full-or-nothing: the demand must fit under the SegR's grant
-// at every epoch of [now, expT), checked by one pass over the window's slots
-// of the ledger.
+// SetupEER is SetupEERPath over the one covering SegR seg, at version 0. It
+// exists only for the end-to-end benchmark's CPlane probe (bench/probes.go),
+// until that probe drives the path face the handlers use.
 func (c *CPlane) SetupEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) error {
-	return c.SetupEERAt(eer, seg, bwKbps, 0, expT)
+	return c.SetupEERPath(eer, []reservation.ID{seg}, bwKbps, expT, 0)
 }
 
-// SetupEERAt is SetupEER with an explicit charge window [startT, expT) — the
-// windowed variant used by time-sliced (Hummingbird-style) reservation
-// policies whose grants are decoupled from the setup instant. startT == 0
-// anchors at now; a startT in the past is clamped to now (the elapsed part of
-// the window cannot be used, so charging it would only inflate demand). The
-// window may start in the future: demand is charged only over [startT, expT),
-// so back-to-back slices concatenate seamlessly without double-charging the
-// handover epoch, and a slice bought ahead of time holds its bandwidth
-// against competing setups from the moment it is admitted.
-func (c *CPlane) SetupEERAt(eer, seg reservation.ID, bwKbps uint64, startT, expT uint32) error {
-	sh := c.shardFor(seg)
-	now := c.clock()
-	sh.mu.Lock()
-	p := c.path1(sh, seg, now)
-	err := p.admit(eer, bwKbps, max(startT, now), expT, 0, 0)
-	sh.mu.Unlock()
-	c.tallySetup(err)
-	return err
+// RenewEER is RenewEERPath over the one covering SegR seg, at version 0. It
+// exists only for the end-to-end benchmark's CPlane probe (bench/probes.go),
+// until that probe drives the path face the handlers use.
+func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (uint64, error) {
+	return c.RenewEERPath(eer, []reservation.ID{seg}, bwKbps, expT, 0)
 }
 
 // tallySetup counts one setup outcome. A duplicate setup is an idempotent
@@ -480,43 +460,7 @@ func headroom(grantKbps uint64, demand int64) uint64 {
 	return grantKbps - uint64(demand)
 }
 
-// TeardownEER removes an EER (seg names its segment reservation, which
-// determines the shard). Unknown EERs are a no-op, mirroring Release.
-func (c *CPlane) TeardownEER(eer, seg reservation.ID) {
-	c.TeardownEERPath(eer, []reservation.ID{seg})
-}
-
-// EERRenewal is one entry of a renewal batch. Ver is the protocol version
-// the renewed record will carry (callers that do not track versions may
-// leave it 0).
-type EERRenewal struct {
-	EER, Seg reservation.ID
-	BwKbps   uint64
-	ExpT     uint32
-	Ver      uint16
-}
-
-// RenewResult reports one renewal's outcome. Err is a sentinel
-// (ErrUnknownEER, ErrInsufficient, or a restree window error).
-type RenewResult struct {
-	Granted uint64
-	Err     error
-}
-
-// RenewEER renews a single EER; see RenewBatch for the semantics. It takes
-// only the owning shard's lock.
-func (c *CPlane) RenewEER(eer, seg reservation.ID, bwKbps uint64, expT uint32) (uint64, error) {
-	sh := c.shardFor(seg)
-	now := c.clock()
-	sh.mu.Lock()
-	p := c.path1(sh, seg, now)
-	g, err, gone := p.renewItem(&EERRenewal{EER: eer, Seg: seg, BwKbps: bwKbps, ExpT: expT})
-	sh.mu.Unlock()
-	c.tallyRenew(err, gone)
-	return g, err
-}
-
-// tallyRenew counts one renewal outcome (RenewBatch tallies per bucket instead).
+// tallyRenew counts one renewal outcome.
 func (c *CPlane) tallyRenew(err error, gone bool) {
 	switch {
 	case err == nil:
@@ -529,85 +473,6 @@ func (c *CPlane) tallyRenew(err error, gone bool) {
 	if gone {
 		c.eerCount.Add(-1)
 	}
-}
-
-// RenewBatch processes a renewal wave shard-major: items are bucketed by
-// owning shard in one pass, then each non-empty bucket is processed under a
-// single acquisition of its shard lock — the batched analogue of §4.2's
-// per-request renewals. results[i] receives the outcome of items[i]; the two
-// slices must have equal length. A renewal is granted min(requested, free)
-// bandwidth over [now, ExpT); a zero grant restores the previous version (the
-// flow falls back to it) and reports ErrInsufficient. The method is
-// allocation-free in steady state.
-//
-//colibri:nomalloc
-func (c *CPlane) RenewBatch(items []EERRenewal, results []RenewResult) {
-	if len(items) != len(results) {
-		batchLenMismatch()
-	}
-	c.batchMu.Lock()
-	now := c.clock()
-	for i := range c.buckets {
-		c.buckets[i] = c.buckets[i][:0]
-	}
-	for i := range items {
-		b := c.shardIndex(items[i].Seg)
-		c.buckets[b] = append(c.buckets[b], int32(i))
-	}
-	var renews, rejects, stale uint64
-	var expired int64
-	for si, bucket := range c.buckets {
-		if len(bucket) == 0 {
-			continue
-		}
-		sh := c.shards[si]
-		sh.mu.Lock()
-		for _, i := range bucket {
-			it := &items[i]
-			p := c.path1(sh, it.Seg, now)
-			g, err, gone := p.renewItem(it)
-			results[i] = RenewResult{Granted: g, Err: err}
-			switch {
-			case err == nil:
-				renews++
-			case err == ErrUnknownEER:
-				stale++
-			default:
-				rejects++
-			}
-			if gone {
-				expired++
-			}
-		}
-		sh.mu.Unlock()
-	}
-	c.batchMu.Unlock()
-	c.renews.Add(renews)
-	c.rejects.Add(rejects)
-	c.stale.Add(stale)
-	c.eerCount.Add(-expired)
-}
-
-// batchLenMismatch stays out of line so the panic value is not attributed
-// to RenewBatch's nomalloc-annotated range by escape analysis.
-//
-//go:noinline
-func batchLenMismatch() {
-	panic("cserv: RenewBatch items/results length mismatch")
-}
-
-// renewItem is the per-item core of RenewBatch: renew under the item's one
-// covering SegR, keeping what §4.2 keeps of a version renewed downward (see
-// renewRec). gone reports that the EER record was dropped (its old version had
-// already expired and the renewal was refused).
-//
-//colibri:nomalloc
-func (p *eerPath) renewItem(it *EERRenewal) (grant uint64, err error, gone bool) {
-	e := p.lookup(it.EER)
-	if e == nil {
-		return 0, ErrUnknownEER, false
-	}
-	return p.renewRec(it.EER, e, it.BwKbps, it.ExpT, it.Ver)
 }
 
 // Tick expires EERs whose versions have lapsed, drops the held pieces that

@@ -139,6 +139,29 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 	}
 }
 
+// pairRecord returns EER id's record with its held piece when it is a pair
+// record over g, its covering set, and the zero bookedEER otherwise.
+func pairRecord(t *testing.T, cp *CPlane, id reservation.ID, g []reservation.ID) bookedEER {
+	t.Helper()
+	sh := cp.shardFor(g[0])
+	sh.mu.Lock()
+	e := sh.eers.Get(id)
+	if e == nil || e.seg2 == 0 {
+		sh.mu.Unlock()
+		return bookedEER{}
+	}
+	r := bookedEER{id: id, e: *e}
+	if h := sh.held.Get(id); h != nil {
+		r.h = *h
+	}
+	sh.mu.Unlock()
+	r.resolve(cp)
+	if r.seg != g[0] || r.seg2 != g[1] {
+		return bookedEER{}
+	}
+	return r
+}
+
 // chargeOf is what the books charge EER id on seg at time t: its record's
 // charge and its held piece's.
 func chargeOf(cp *CPlane, id, seg reservation.ID, t uint32) uint64 {
@@ -195,16 +218,22 @@ func TestEERRecordIs40Bytes(t *testing.T) {
 }
 
 // TestBooksAgree drives a sharded engine through random sequences of every
-// operation that charges or discharges — setups now and ahead of time, renewals
-// granted, shrunk, refused for bandwidth and refused for their window (both put
-// the old version back), downward renewals (whose old bandwidth stays charged
-// until the old version expires, §4.2), batch renewals, adjustments down and
-// to zero, restores of live, expired and unknown versions, teardowns, SegR
-// drops and grant cuts, Tick, with a third of the EERs transfer-AS pairs whose
-// SegRs mostly sit in different shards — and audits the books after each:
-// records and held pieces against the ledgers, and no lapsed piece after Tick.
+// operation that charges or discharges — setups, renewals granted, shrunk,
+// refused for bandwidth and refused for their window (both put the old version
+// back), downward renewals (whose old bandwidth stays charged until the old
+// version expires, §4.2), renewals naming only a pair's first SegR (refused),
+// adjustments down and to zero, restores of live, expired and unknown
+// versions, teardowns, SegR drops and grant cuts, Tick, with a third of the
+// EERs transfer-AS pairs whose SegRs mostly sit in different shards — and
+// audits the books after each: records and held pieces against the ledgers,
+// and no lapsed piece after Tick. Teardowns, adjustments and restores
+// sometimes name only a pair's first SegR; they must leave its record alone,
+// for rewriting or deleting it would strand the charge on the second.
 func TestBooksAgree(t *testing.T) {
 	const nSeg, nEER, steps = 6, 40, 1500
+	// partial counts, over every seed, the mutations that named only the first
+	// SegR of a live pair record.
+	partial := map[string]int{}
 	for seed := int64(1); seed <= 6; seed++ {
 		t.Run(fmt.Sprint("seed", seed), func(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
@@ -270,49 +299,58 @@ func TestBooksAgree(t *testing.T) {
 				}
 				ver++
 				var op string
-				switch k := rng.Intn(17); k {
+				// mutate runs a teardown, adjustment or restore over the EER's
+				// covering set, or — first — over only its first SegR. A live pair
+				// record named so must come out as it went in.
+				mutate := func(first bool, fn func(segs []reservation.ID)) {
+					if !first || len(g) == 1 {
+						fn(g)
+						return
+					}
+					before := pairRecord(t, cp, id, g)
+					fn(g[:1])
+					if before == (bookedEER{}) {
+						return
+					}
+					if after := pairRecord(t, cp, id, g); after != before {
+						t.Fatalf("step %d (%s over the first of a pair's SegRs): record %+v became %+v", step, op, before, after)
+					}
+					partial[op]++
+				}
+				switch k := rng.Intn(16); k {
 				case 0, 1, 2:
 					op = "setup"
 					note(op, cp.SetupEERPath(id, g, bw, expT, ver))
-				case 3:
-					op = "setup ahead"
-					if len(g) == 1 {
-						start := now + uint32(rng.Intn(40))
-						note(op, cp.SetupEERAt(id, g[0], bw, start, start+1+uint32(rng.Intn(30))))
-					}
-				case 4, 5, 6:
+				case 3, 4, 5:
 					op = "renew"
 					_, err := cp.RenewEERPath(id, g, bw, expT, ver)
 					note(op, err)
-				case 7:
-					op = "renew batch"
-					items := make([]EERRenewal, 8)
-					for j := range items {
+				case 6:
+					// Eight renewals that each name only the EER's first SegR:
+					// a pair's record refuses them with ErrTransferEER.
+					op = "renew first"
+					for range 8 {
 						e := rng.Intn(nEER)
-						items[j] = EERRenewal{EER: eid(uint32(e)), Seg: geom[e][0], BwKbps: bw, ExpT: expT, Ver: ver}
+						_, err := cp.RenewEERPath(eid(uint32(e)), geom[e][:1], bw, expT, ver)
+						note(op, err)
 					}
-					results := make([]RenewResult, len(items))
-					cp.RenewBatch(items, results)
-					for _, r := range results {
-						note(op, r.Err)
-					}
-				case 8:
+				case 7:
 					op = "adjust"
 					prev := EERVersion{BwKbps: bw, ExpT: now + uint32(rng.Intn(12))}
-					cp.AdjustEERPath(id, g, uint64(rng.Intn(3))*bw/4, prev, EERVersion{})
-				case 9:
+					final := uint64(rng.Intn(3)) * bw / 4
+					mutate(rng.Intn(3) == 0, func(segs []reservation.ID) { cp.AdjustEERPath(id, segs, final, prev, EERVersion{}) })
+				case 8:
 					op = "restore"
 					held := EERVersion{BwKbps: bw, ExpT: now + uint32(rng.Intn(12))}
-					cp.RestoreEERPath(id, g, bw/2, now-3+uint32(rng.Intn(12)), ver, held)
-				case 10:
+					restoreT := now - 3 + uint32(rng.Intn(12))
+					mutate(rng.Intn(3) == 0, func(segs []reservation.ID) { cp.RestoreEERPath(id, segs, bw/2, restoreT, ver, held) })
+				case 9:
 					op = "teardown"
-					cp.TeardownEERPath(id, g)
+					mutate(rng.Intn(3) == 0, func(segs []reservation.ID) { cp.TeardownEERPath(id, segs) })
+				case 10:
+					op = "teardown first"
+					mutate(true, func(segs []reservation.ID) { cp.TeardownEERPath(id, segs) })
 				case 11:
-					op = "teardown single"
-					if len(g) == 1 {
-						cp.TeardownEER(id, g[0])
-					}
-				case 12:
 					op = "drop SegR"
 					if rng.Intn(4) == 0 {
 						s := segs[rng.Intn(nSeg)]
@@ -321,7 +359,7 @@ func TestBooksAgree(t *testing.T) {
 							t.Fatal(err)
 						}
 					}
-				case 13:
+				case 12:
 					op = "cut grant" // a full SegR refuses renewals: the old version goes back
 					s := segs[rng.Intn(nSeg)]
 					if rng.Intn(2) == 0 {
@@ -332,7 +370,7 @@ func TestBooksAgree(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-				case 14:
+				case 13:
 					op = "tick"
 					if lapsedHeld(cp, now) > 0 {
 						seen["tick drops a held piece"]++
@@ -341,10 +379,10 @@ func TestBooksAgree(t *testing.T) {
 					if n := lapsedHeld(cp, now); n > 0 {
 						t.Fatalf("step %d: %d lapsed held pieces left after Tick", step, n)
 					}
-				case 15:
+				case 14:
 					op = "clock"
 					clk.step(uint32(1 + rng.Intn(6)))
-				case 16:
+				case 15:
 					// §4.2: the version renewed downward stays valid until it
 					// expires, so the EER's own charges carry its bandwidth until
 					// then (or until the new version expires, with which the
@@ -375,8 +413,8 @@ func TestBooksAgree(t *testing.T) {
 				}
 				auditBooks(t, cp, clk.now(), fmt.Sprintf("step %d (%s)", step, op))
 			}
-			for _, want := range []string{"setup ok", "setup insufficient", "setup ahead ok", "renew ok",
-				"renew insufficient", "renew window", "renew batch ok", "renew batch " + ErrTransferEER.Error(),
+			for _, want := range []string{"setup ok", "setup insufficient", "renew ok",
+				"renew insufficient", "renew window", "renew first ok", "renew first " + ErrTransferEER.Error(),
 				"renew down ok", "tick drops a held piece"} {
 				if seen[want] == 0 {
 					t.Errorf("the sequence never produced %q: %v", want, seen)
@@ -399,12 +437,18 @@ func TestBooksAgree(t *testing.T) {
 			}
 		})
 	}
+	for _, op := range []string{"adjust", "restore", "teardown", "teardown first"} {
+		if partial[op] == 0 {
+			t.Errorf("no %s named only the first SegR of a live pair record: %v", op, partial)
+		}
+	}
 }
 
-// TestDischargeOnlyWhereCharged: a transfer-AS record torn down under another
-// covering set than it was admitted under takes its charge out of the ledgers
-// both sets name and leaves the others alone — a keyless ledger cannot tell a
-// charge it never had from one it has.
+// TestDischargeOnlyWhereCharged: a keyless ledger cannot tell a charge it never
+// had from one it has, so a transfer-AS record torn down under another covering
+// set than it was admitted under is left alone — discharging only the ledgers
+// both sets name would strand its charge on the other. Under its own set it
+// goes, with both charges.
 func TestDischargeOnlyWhereCharged(t *testing.T) {
 	clk := newCPClock(1000)
 	cp := newTestCPlane(t, 4, clk)
@@ -420,19 +464,22 @@ func TestDischargeOnlyWhereCharged(t *testing.T) {
 	if err := cp.SetupEERPath(eid(1), []reservation.ID{a, b}, 4_000, clk.now()+16, 1); err != nil {
 		t.Fatal(err)
 	}
-	cp.TeardownEERPath(eid(1), []reservation.ID{a, c})
-	for _, tc := range []struct {
-		seg  reservation.ID
-		want uint64
-	}{{a, 0}, {b, 4_000}, {c, 0}} {
-		if got, _ := cp.SegDemandMax(tc.seg); got != tc.want {
-			t.Errorf("demand on %s = %d, want %d", tc.seg, got, tc.want)
+	demands := func(step string, want [3]uint64) {
+		t.Helper()
+		for i, seg := range ids {
+			if got, _ := cp.SegDemandMax(seg); got != want[i] {
+				t.Errorf("%s: demand on %s = %d, want %d", step, seg, got, want[i])
+			}
 		}
 	}
-	// What was left on b lapses with the version it belonged to.
-	clk.step(20)
-	if got, _ := cp.SegDemandMax(b); got != 0 {
-		t.Errorf("demand on %s after the version lapsed = %d, want 0", b, got)
+	for _, other := range [][]reservation.ID{{a, c}, {a}} {
+		cp.TeardownEERPath(eid(1), other)
+		demands(fmt.Sprintf("teardown over %v", other), [3]uint64{4_000, 4_000, 0})
+	}
+	cp.TeardownEERPath(eid(1), []reservation.ID{a, b})
+	demands("teardown over its own set", [3]uint64{})
+	if n := cp.Counts().EERs; n != 0 {
+		t.Errorf("%d records left after the teardown", n)
 	}
 }
 
@@ -588,8 +635,9 @@ func TestSecondLedgerRefusalLeavesFirstUntouched(t *testing.T) {
 }
 
 // TestSetupAheadPastTheRingRefused pins the ring horizon through the engine: a
-// slice bought ahead that ends past the ledger's ring is refused, and leaves no
-// phantom demand at the present.
+// setup whose window reaches ahead past the ledger's ring is refused, and
+// leaves no phantom demand at the present; and asking about a window ahead
+// moves nothing.
 func TestSetupAheadPastTheRingRefused(t *testing.T) {
 	clk := newCPClock(1000)
 	cp, err := NewCPlane(CPlaneConfig{
@@ -605,20 +653,17 @@ func TestSetupAheadPastTheRingRefused(t *testing.T) {
 	if _, err := cp.AddSegR(seg); err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.SetupEERAt(eid(1), seg.ID, 7, 1032, 1036); !errors.Is(err, restree.ErrWindow) {
-		t.Fatalf("slice past the ring: err = %v, want ErrWindow", err)
+	if err := cp.SetupEER(eid(1), seg.ID, 7, 1036); !errors.Is(err, restree.ErrWindow) {
+		t.Fatalf("setup past the ring: err = %v, want ErrWindow", err)
 	}
 	if got := cp.SegAvail(seg.ID, 1000, 1004); got != 10_000 {
-		t.Errorf("SegAvail now = %d, want the whole grant (no phantom of the refused slice)", got)
+		t.Errorf("SegAvail now = %d, want the whole grant (no phantom of the refused setup)", got)
 	}
-	if err := cp.SetupEERAt(eid(1), seg.ID, 7, 1028, 1032); err != nil {
-		t.Errorf("slice ending with the ring: err = %v, want nil", err)
-	}
-	if got := cp.SegAvail(seg.ID, 1000, 1004); got != 10_000 {
-		t.Errorf("SegAvail now = %d, want the whole grant (the slice lies ahead)", got)
+	if err := cp.SetupEER(eid(1), seg.ID, 7, 1032); err != nil {
+		t.Errorf("setup ending with the ring: err = %v, want nil", err)
 	}
 	if got := cp.SegAvail(seg.ID, 1028, 1032); got != 10_000-7 {
-		t.Errorf("SegAvail over the slice = %d, want %d", got, 10_000-7)
+		t.Errorf("SegAvail at the ring's end = %d, want %d", got, 10_000-7)
 	}
 	// Asking about a window ahead moved nothing: a charge of the present is
 	// still there afterwards.
@@ -626,8 +671,8 @@ func TestSetupAheadPastTheRingRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	cp.SegAvail(seg.ID, 1028, 1032)
-	if got := cp.SegAvail(seg.ID, 1000, 1004); got != 10_000-100 {
-		t.Errorf("SegAvail now, after a query about a later window = %d, want %d", got, 10_000-100)
+	if got := cp.SegAvail(seg.ID, 1000, 1004); got != 10_000-107 {
+		t.Errorf("SegAvail now, after a query about a later window = %d, want %d", got, 10_000-107)
 	}
 }
 

@@ -1,6 +1,6 @@
 // cplane_fix_test.go — regressions for the control-plane edge-case sweep:
 // exact per-shard capacity splitting, the dedup/stale/reject counter split,
-// and the worker-parallel shard-bucketed RenewBatch.
+// and concurrent renewal waves over the path face.
 package cserv
 
 import (
@@ -89,17 +89,12 @@ func TestCPlaneCounterSplit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	items := []EERRenewal{
-		{EER: eid(99), Seg: seg.ID, BwKbps: 100, ExpT: clk.now() + 16}, // never admitted → stale
-		{EER: eid(1), Seg: seg.ID, BwKbps: 10_000, ExpT: clk.now() + 16},
+	// eid(99) was never admitted: its renewal is stale.
+	if _, err := cp.RenewEER(eid(99), seg.ID, 100, clk.now()+16); !errors.Is(err, ErrUnknownEER) {
+		t.Fatalf("unknown renewal err=%v, want ErrUnknownEER", err)
 	}
-	results := make([]RenewResult, len(items))
-	cp.RenewBatch(items, results)
-	if !errors.Is(results[0].Err, ErrUnknownEER) {
-		t.Fatalf("unknown renewal err=%v, want ErrUnknownEER", results[0].Err)
-	}
-	if results[1].Err != nil {
-		t.Fatalf("live renewal err=%v", results[1].Err)
+	if _, err := cp.RenewEER(eid(1), seg.ID, 10_000, clk.now()+16); err != nil {
+		t.Fatalf("live renewal err=%v", err)
 	}
 
 	// A second full-size EER cannot fit → a real refusal.
@@ -117,11 +112,20 @@ func TestCPlaneCounterSplit(t *testing.T) {
 	}
 }
 
+// renewal is one item of a test's renewal wave: what RenewEERPath is asked.
+type renewal struct {
+	eer  reservation.ID
+	segs []reservation.ID
+	bw   uint64
+	expT uint32
+	ver  uint16
+}
+
 // buildRenewScenario admits nSeg SegRs with one EER each and returns a
 // renewal wave over them (some items target unknown EERs, some oversubscribe).
-func buildRenewScenario(t *testing.T, cp *CPlane, clk *cpClock, nSeg int) []EERRenewal {
+func buildRenewScenario(t *testing.T, cp *CPlane, clk *cpClock, nSeg int) []renewal {
 	t.Helper()
-	items := make([]EERRenewal, 0, nSeg)
+	items := make([]renewal, 0, nSeg)
 	for i := uint32(0); i < uint32(nSeg); i++ {
 		req := segReq(i, topology.ASID(10+i%13), topology.IfID(1+i%4), topology.IfID(1+(i+1)%4), 2_000)
 		if _, err := cp.AddSegR(req); err != nil {
@@ -131,19 +135,19 @@ func buildRenewScenario(t *testing.T, cp *CPlane, clk *cpClock, nSeg int) []EERR
 			t.Fatal(err)
 		}
 		want := uint64(500 + int(i%7)*300) // some renewals oversubscribe
-		it := EERRenewal{EER: eid(i), Seg: req.ID, BwKbps: want, ExpT: clk.now() + 16, Ver: uint16(i % 8)}
+		it := renewal{eer: eid(i), segs: []reservation.ID{req.ID}, bw: want, expT: clk.now() + 16, ver: uint16(i % 8)}
 		if i%11 == 0 {
-			it.EER = eid(i + 100_000) // unknown → stale
+			it.eer = eid(i + 100_000) // unknown → stale
 		}
 		items = append(items, it)
 	}
 	return items
 }
 
-// TestCPlaneRenewBatchConcurrentWaves drives concurrent shard-bucketed
-// waves (batchMu serializes them around the bucket scratch) interleaved with
-// single-op traffic; under -race this validates the locking discipline.
-func TestCPlaneRenewBatchConcurrentWaves(t *testing.T) {
+// TestCPlaneRenewPathConcurrentWaves drives concurrent renewal waves, one
+// RenewEERPath per item, interleaved with single-op traffic; under -race this
+// validates the locking discipline.
+func TestCPlaneRenewPathConcurrentWaves(t *testing.T) {
 	clk := newCPClock(1000)
 	cp := newTestCPlane(t, 8, clk)
 	items := buildRenewScenario(t, cp, clk, 400)
@@ -151,15 +155,14 @@ func TestCPlaneRenewBatchConcurrentWaves(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
 		wg.Add(1)
-		go func(g int) {
+		go func() {
 			defer wg.Done()
-			mine := make([]EERRenewal, len(items))
-			copy(mine, items)
-			results := make([]RenewResult, len(mine))
 			for round := 0; round < 10; round++ {
-				cp.RenewBatch(mine, results)
+				for _, it := range items {
+					_, _ = cp.RenewEERPath(it.eer, it.segs, it.bw, it.expT, it.ver)
+				}
 			}
-		}(g)
+		}()
 	}
 	// Single-op traffic concurrent with the waves.
 	wg.Add(1)
@@ -167,11 +170,11 @@ func TestCPlaneRenewBatchConcurrentWaves(t *testing.T) {
 		defer wg.Done()
 		for i := uint32(0); i < 200; i++ {
 			id := reservation.ID{SrcAS: ia(3, 9), Num: i}
-			seg := items[int(i)%len(items)].Seg
-			if err := cp.SetupEER(id, seg, 1, clk.now()+16); err == nil {
-				cp.TeardownEER(id, seg)
+			segs := items[int(i)%len(items)].segs
+			if err := cp.SetupEERPath(id, segs, 1, clk.now()+16, 1); err == nil {
+				cp.TeardownEERPath(id, segs)
 			}
-			_, _, _, _ = cp.LookupEER(items[int(i)%len(items)].EER, seg)
+			_, _, _, _ = cp.LookupEER(items[int(i)%len(items)].eer, segs[0])
 		}
 	}()
 	wg.Wait()

@@ -1,8 +1,8 @@
 // cplane_live.go — the CPlane surface consumed by the live request path
 // (service.go / segr.go / eer.go / batchrenew.go).
 //
-// The batch engine in cplane.go keeps its one-lock-per-op discipline; the
-// live path additionally needs
+// cplane.go holds the engine's state and its SegR lifecycle; the live path
+// additionally needs
 //
 //   - SegR admission wrappers around admission.State's renewal/adjust/abort
 //     surface that keep the per-shard SegR records (grant and EER demand
@@ -181,8 +181,8 @@ func normPath(segs []reservation.ID) []reservation.ID {
 // re-admissions of a whole renewal wave run against it without locking again.
 // All items of a wave share the chain, hence the covering set, hence the
 // shard pair — which is what lets a wave lock once and still settle its items
-// strictly in order. The single-shard engine of cplane.go runs on the same
-// methods, over the one-segment path of a shard it has locked (path1).
+// strictly in order. Tick and purge run the same methods over the one-segment
+// path of a record's SegR whose shard they have locked (pathOf).
 type eerPath struct {
 	c *CPlane
 	// h[:nseg] is the normalized set's handles: one entry, or two distinct
@@ -211,7 +211,8 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 		c.shards[b].mu.Lock()
 		defer c.shards[b].mu.Unlock()
 	}
-	p := c.path1(c.shardFor(segs[0]), segs[0], c.clock())
+	p := eerPath{c: c, nseg: 1, now: c.clock(), prim: c.shardFor(segs[0])}
+	p.h[0], p.rec[0] = p.prim.resolve(segs[0])
 	if len(segs) == 2 {
 		p.nseg = 2
 		p.h[1], p.rec[1] = c.shardFor(segs[1]).resolve(segs[1])
@@ -249,18 +250,8 @@ func (sh *cplaneShard) resolve(seg reservation.ID) (segH, *segRec) {
 	return unknownSegR, nil
 }
 
-// path1 is the path of the single covering SegR seg, whose shard sh the
-// caller has locked.
-//
-//colibri:nomalloc
-func (c *CPlane) path1(sh *cplaneShard, seg reservation.ID, now uint32) eerPath {
-	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
-	p.h[0], p.rec[0] = sh.resolve(seg)
-	return p
-}
-
 // pathOf is the path of the single SegR handle h names, whose shard sh the
-// caller has locked: what path1 is for an ID, by one indexed load.
+// caller has locked: one indexed load.
 //
 //colibri:nomalloc
 func (c *CPlane) pathOf(sh *cplaneShard, h segH, now uint32) eerPath {
@@ -282,6 +273,14 @@ func (p *eerPath) lookup(eer reservation.ID) *cpEER {
 	}
 	return e
 }
+
+// covers reports whether record e was admitted over exactly this path's SegRs.
+// Only such a record may be rewritten or removed through the path: one that
+// names a SegR the path lacks keeps a charge there that the path cannot reach,
+// so rewriting or deleting it would strand that charge.
+//
+//colibri:nomalloc
+func (p *eerPath) covers(e *cpEER) bool { return e.seg == p.h[0] && e.seg2 == p.h[1] }
 
 // readAhead looks up the record of every live item of a wave before the first
 // item's leg runs. The lookups do not depend on each other, so the CPU
@@ -349,22 +348,18 @@ func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
 	return nil
 }
 
-// discharge withdraws the charge of record e from the covering ledgers — from
-// each only if e was charged there: a record admitted under another covering
-// set (a chain that changed) leaves the ledger it never touched alone.
+// discharge withdraws the charge of record e, which the path covers, from
+// every covering ledger.
 //
 //colibri:nomalloc
-func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e, e.startT, e.expT, uint64(e.bw)) }
+func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e.startT, e.expT, uint64(e.bw)) }
 
-// dischargeOf withdraws bwKbps over [startT, expT), a charge of record e's, by
-// discharge's rule.
+// dischargeOf withdraws bwKbps over [startT, expT), a charge of a record the
+// path covers, from every covering ledger.
 //
 //colibri:nomalloc
-func (p *eerPath) dischargeOf(e *cpEER, startT, expT uint32, bwKbps uint64) {
-	if r := p.rec[0]; r != nil && e.seg == p.h[0] {
-		r.led.Discharge(startT, expT, int64(bwKbps))
-	}
-	if r := p.rec[1]; r != nil && e.seg2 == p.h[1] {
+func (p *eerPath) dischargeOf(startT, expT uint32, bwKbps uint64) {
+	for _, r := range p.rec[:p.nseg] {
 		r.led.Discharge(startT, expT, int64(bwKbps))
 	}
 }
@@ -426,7 +421,7 @@ func (p *eerPath) unhold(eer reservation.ID, e *cpEER) {
 		return
 	}
 	h := p.prim.held.Get(eer)
-	p.dischargeOf(e, h.startT, h.expT, h.charge)
+	p.dischargeOf(h.startT, h.expT, h.charge)
 	p.prim.held.Delete(eer)
 	e.held = false
 }
@@ -542,7 +537,7 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 	switch {
 	case bwKbps > MaxEERKbps:
 		err = ErrBandwidthRange
-	case e.seg2 == p.h[1]:
+	case p.covers(e):
 		err = p.ready()
 	case p.nseg == 1:
 		// Transfer-AS record: its second charge lives in another ledger, so the
@@ -619,11 +614,15 @@ func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
 // caller's own prior state, which fits by construction once the newer
 // charge is gone), with held — what the record kept held beside it (heldOf)
 // — held again. An already-expired version (expT <= now) removes the record
-// entirely. The renewal throttle's stamp stays with the record.
+// entirely. The renewal throttle's stamp stays with the record. A record
+// admitted over another covering set is left alone (covers).
 func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16, held EERVersion) {
 	c.withPath(segs, func(p eerPath) {
 		e := p.prim.eers.Get(eer)
 		if e != nil {
+			if !p.covers(e) {
+				return
+			}
 			p.unhold(eer, e)
 		}
 		if !p.recharge(e, expT, bwKbps) {
@@ -649,12 +648,12 @@ func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbp
 // (the response leg shrinking a grant to the path-wide minimum), in place,
 // and keeps held what §4.2 keeps of the versions the renewal replaced: prev,
 // the version the record carried before it, and held, what it kept beside
-// that (zero for a setup). A zero final removes the record. Unknown EERs are a
-// no-op.
+// that (zero for a setup). A zero final removes the record. Unknown EERs, and
+// records admitted over another covering set (covers), are left alone.
 func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64, prev, held EERVersion) {
 	c.withPath(segs, func(p eerPath) {
 		e := p.lookup(eer)
-		if e == nil {
+		if e == nil || !p.covers(e) {
 			return
 		}
 		p.unhold(eer, e)
@@ -672,10 +671,11 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 }
 
 // TeardownEERPath removes an EER and both its charges on every covering SegR.
-// Unknown EERs are a no-op.
+// Unknown EERs, and records admitted over another covering set (covers), are
+// left alone.
 func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 	c.withPath(segs, func(p eerPath) {
-		if e := p.lookup(eer); e != nil {
+		if e := p.lookup(eer); e != nil && p.covers(e) {
 			p.release(eer, e)
 			p.prim.eers.Delete(eer)
 			c.eerCount.Add(-1)

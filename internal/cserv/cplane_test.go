@@ -99,8 +99,8 @@ func TestCPlaneLifecycle(t *testing.T) {
 	if err := cp.TeardownSegR(seg.ID); !errors.Is(err, ErrSegRInUse) {
 		t.Fatalf("TeardownSegR with live EERs: err=%v, want ErrSegRInUse", err)
 	}
-	cp.TeardownEER(eid(1), seg.ID)
-	cp.TeardownEER(eid(3), seg.ID)
+	cp.TeardownEERPath(eid(1), []reservation.ID{seg.ID})
+	cp.TeardownEERPath(eid(3), []reservation.ID{seg.ID})
 	if err := cp.TeardownSegR(seg.ID); err != nil {
 		t.Fatalf("TeardownSegR after EER teardown: %v", err)
 	}
@@ -217,14 +217,9 @@ func TestCPlaneShardDeterminism(t *testing.T) {
 				cp.Tick()
 			}
 		}
-		items := make([]EERRenewal, 0, len(segs))
 		for i, id := range segs {
-			items = append(items, EERRenewal{EER: eid(uint32(i)), Seg: id, BwKbps: 3_000, ExpT: clk.now() + 16})
-		}
-		results := make([]RenewResult, len(items))
-		cp.RenewBatch(items, results)
-		for _, r := range results {
-			grants = append(grants, r.Granted)
+			g, _ := cp.RenewEER(eid(uint32(i)), id, 3_000, clk.now()+16)
+			grants = append(grants, g)
 		}
 		return grants, cp.Counts()
 	}
@@ -297,7 +292,7 @@ func TestCPlaneConcurrent(t *testing.T) {
 						!errors.Is(err, ErrInsufficient) {
 						t.Errorf("RenewEER: %v", err)
 					}
-					cp.TeardownEER(eer, req.ID)
+					cp.TeardownEERPath(eer, []reservation.ID{req.ID})
 				}
 				if i%3 == 0 {
 					if err := cp.TeardownSegR(req.ID); err != nil && !errors.Is(err, ErrSegRInUse) {
@@ -315,33 +310,18 @@ func TestCPlaneConcurrent(t *testing.T) {
 	}
 }
 
-// TestCPlaneRenewBatchZeroAlloc pins the hot path: a full renewal wave over
-// a warmed-up engine must not allocate.
-func TestCPlaneRenewBatchZeroAlloc(t *testing.T) {
+// TestCPlaneRenewPathZeroAlloc pins the hot path: a full renewal wave, one
+// RenewEERPath per EER and a third of them over two covering SegRs, must not
+// allocate over a warmed-up engine.
+func TestCPlaneRenewPathZeroAlloc(t *testing.T) {
 	clk := newCPClock(1000)
 	cp := newTestCPlane(t, 4, clk)
-	const nSeg = 64
-	items := make([]EERRenewal, 0, nSeg)
-	for i := uint32(0); i < nSeg; i++ {
-		req := segReq(i, topology.ASID(10+i%7), topology.IfID(1+i%4), topology.IfID(1+(i+1)%4), 2_000)
-		if _, err := cp.AddSegR(req); err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.SetupEER(eid(i), req.ID, 500, clk.now()+16); err != nil {
-			t.Fatal(err)
-		}
-		items = append(items, EERRenewal{EER: eid(i), Seg: req.ID, BwKbps: 500, ExpT: 0})
-	}
-	results := make([]RenewResult, len(items))
+	cover := renewPopulation(t, cp, 64, 500, clk.now()+16)
 	wave := func() {
 		clk.step(4)
-		for i := range items {
-			items[i].ExpT = clk.now() + 16
-		}
-		cp.RenewBatch(items, results)
-		for i, r := range results {
-			if r.Err != nil {
-				t.Fatalf("renewal %d failed: %v", i, r.Err)
+		for i, segs := range cover {
+			if _, err := cp.RenewEERPath(eid(uint32(i)), segs, 500, clk.now()+16, 1); err != nil {
+				t.Fatalf("renewal %d failed: %v", i, err)
 			}
 		}
 	}
@@ -349,6 +329,6 @@ func TestCPlaneRenewBatchZeroAlloc(t *testing.T) {
 		wave()
 	}
 	if avg := testing.AllocsPerRun(50, wave); avg != 0 {
-		t.Fatalf("RenewBatch allocates %.1f times per wave, want 0", avg)
+		t.Fatalf("a RenewEERPath wave allocates %.1f times, want 0", avg)
 	}
 }

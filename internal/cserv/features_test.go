@@ -60,7 +60,7 @@ func TestDownSegmentRequestValidation(t *testing.T) {
 	}
 }
 
-func TestEERRenewalThrottled(t *testing.T) {
+func TestEERRenewThrottled(t *testing.T) {
 	f := twoISDFabric(t, nil)
 	f.setupAllSegRs(t, 100_000)
 	src := f.services[ia(1, 11)]

@@ -247,7 +247,7 @@ func TestEERSetupEndToEnd(t *testing.T) {
 	}
 }
 
-func TestEERRenewalVersions(t *testing.T) {
+func TestEERRenewVersions(t *testing.T) {
 	f := twoISDFabric(t, nil)
 	f.setupAllSegRs(t, 100_000)
 	src := f.services[ia(1, 11)]

@@ -12,8 +12,10 @@ import (
 
 // CPlaneConfig parameterizes the control-plane scaling experiment: for each
 // (EER count, shard count) cell a fresh cserv.CPlane is driven through SegR
-// setup, EER setup, renewal waves and teardown, and the per-operation
-// latencies are reported. The zero value is filled in by defaults.
+// setup, EER setup, renewal waves and teardown on the path face the live
+// handlers use (SetupEERPath, RenewEERPath, TeardownEERPath), and the
+// per-operation latencies are reported. The zero value is filled in by
+// defaults.
 type CPlaneConfig struct {
 	// Sizes lists the concurrent-EER counts to sweep (default 1e3, 1e4,
 	// 1e5; §6 argues a single CServ handles hundreds of thousands of EERs).
@@ -114,6 +116,11 @@ func runCPlaneCell(shards, eers, waves int) (CPlaneRow, error) {
 	src := topology.MustIA(1, 7)
 	segID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(i)} }
 	eerID := func(i int) reservation.ID { return reservation.ID{SrcAS: src, Num: uint32(1<<30 | i)} }
+	// cover[i] is the covering set of the EERs over SegR i: that SegR alone.
+	cover := make([][]reservation.ID, segrs)
+	for i := range cover {
+		cover[i] = []reservation.ID{segID(i)}
+	}
 
 	// Phase 1: SegR setup. Each SegR demands 1000 kbps; capacity is
 	// provisioned so the grant is the full demand.
@@ -136,35 +143,26 @@ func runCPlaneCell(shards, eers, waves int) (CPlaneRow, error) {
 	// per 1000-kbps SegR — an exact fit.
 	start = nowNs()
 	for i := 0; i < eers; i++ {
-		if err := cp.SetupEER(eerID(i), segID(i%segrs), 100, now+16); err != nil {
+		if err := cp.SetupEERPath(eerID(i), cover[i%segrs], 100, now+16, 1); err != nil {
 			return CPlaneRow{}, fmt.Errorf("EER %d: %w", i, err)
 		}
 	}
 	eeSetupNs := float64(nowNs()-start) / float64(eers)
 
-	// Phase 3: renewal waves over the full population via RenewBatch. The
-	// clock advances 4 s per wave, inside the 16 s EER lifetime.
-	items := make([]cserv.EERRenewal, eers)
-	results := make([]cserv.RenewResult, eers)
-	for i := range items {
-		items[i] = cserv.EERRenewal{EER: eerID(i), Seg: segID(i % segrs), BwKbps: 100}
-	}
+	// Phase 3: renewal waves over the full population, one RenewEERPath per
+	// EER — a solo renewal's lock discipline. The clock advances 4 s per
+	// wave, inside the 16 s EER lifetime.
 	var renewErr error
 	start = nowNs()
 	for w := 0; w < waves; w++ {
 		now += 4
-		for i := range items {
-			items[i].ExpT = now + 16
+		for i := 0; i < eers; i++ {
+			if _, err := cp.RenewEERPath(eerID(i), cover[i%segrs], 100, now+16, 1); err != nil && renewErr == nil {
+				renewErr = fmt.Errorf("renewal %d: %w", i, err)
+			}
 		}
-		cp.RenewBatch(items, results)
 	}
 	renewNs := float64(nowNs()-start) / float64(waves*eers)
-	for i := range results {
-		if results[i].Err != nil {
-			renewErr = fmt.Errorf("renewal %d: %w", i, results[i].Err)
-			break
-		}
-	}
 	if renewErr != nil {
 		return CPlaneRow{}, renewErr
 	}
@@ -172,7 +170,7 @@ func runCPlaneCell(shards, eers, waves int) (CPlaneRow, error) {
 	// Phase 4: teardown, EERs then SegRs.
 	start = nowNs()
 	for i := 0; i < eers; i++ {
-		cp.TeardownEER(eerID(i), segID(i%segrs))
+		cp.TeardownEERPath(eerID(i), cover[i%segrs])
 	}
 	for i := 0; i < segrs; i++ {
 		if err := cp.TeardownSegR(segID(i)); err != nil {

@@ -38,21 +38,6 @@ func (id ID) Less(o ID) bool {
 	return id.Num < o.Num
 }
 
-// DerivedBits is the tag width of Derived: policies that mint per-generation
-// or per-time-slice sub-IDs (internal/policy's flyover and Hummingbird
-// modes) keep flow Nums below 1<<(32-DerivedBits) so the shift cannot
-// collide two flows.
-const DerivedBits = 12
-
-// Derived returns the sub-ID of id for a tag (a flyover generation or a
-// Hummingbird slice index): Num' = Num<<DerivedBits | tag mod 2^DerivedBits.
-// Tags wrap at 2^DerivedBits; callers reuse a tag only after the prior
-// holder's record has expired (generations and slices are short-lived, so a
-// wrap is thousands of lifetimes away from its predecessor).
-func (id ID) Derived(tag uint32) ID {
-	return ID{SrcAS: id.SrcAS, Num: id.Num<<DerivedBits | tag&(1<<DerivedBits-1)}
-}
-
 // Lifetimes from §3.3: SegRs live ~5 minutes, EERs 16 seconds.
 const (
 	SegRLifetimeSeconds = 300
