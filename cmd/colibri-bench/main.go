@@ -185,6 +185,7 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(experiments.FormatStorm(r))
+		fmt.Printf("keeper fleet: %.1f live heap bytes per EER\n", float64(r.Row.FleetBytes)/float64(r.Config.Flows))
 	})
 	run("scale", func() {
 		sizes := []int{100, 1000}

@@ -2,7 +2,11 @@ package core
 
 import (
 	"bytes"
+	"errors"
+	"slices"
 	"testing"
+
+	"colibri/internal/router"
 )
 
 // TestSendAllocatesNothing pins the packet journey's allocations: a
@@ -43,5 +47,43 @@ func TestSendAllocatesNothing(t *testing.T) {
 	}
 	if a := testing.AllocsPerRun(2000, send); a != 0 {
 		t.Errorf("Session.Send allocates %.3f times per packet", a)
+	}
+}
+
+// TestDropAllocatesNothing pins the drop path's allocations: a forged, a
+// stale and a replayed packet injected at the source AS each die at its
+// border router without allocating, and the error they die with is both
+// ErrDropped and the router's reason.
+func TestDropAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	net, hs, hd := twoISDNet(t, Options{EnableReplaySuppression: true, EnableOFD: true})
+	sess, err := hs.RequestEER(hd, 100_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	now := net.Clock.NowNs()
+	replayed := sess.Grant().Stamp([]byte("x"), now, false)
+	if err := net.InjectPacket(slices.Clone(replayed), ia(1, 11)); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		pkt    []byte
+		reason error
+	}{
+		{"forged", sess.Grant().Stamp([]byte("x"), now, true), router.ErrBadHVF},
+		{"stale", sess.Grant().Stamp([]byte("x"), now-2*router.DefaultFreshnessNs, false), router.ErrStale},
+		{"replayed", replayed, router.ErrReplay},
+	} {
+		var err error
+		inject := func() { err = net.InjectPacket(c.pkt, ia(1, 11)) }
+		if a := testing.AllocsPerRun(100, inject); a != 0 {
+			t.Errorf("%s: a drop allocates %.1f times", c.name, a)
+		}
+		if !errors.Is(err, ErrDropped) || !errors.Is(err, c.reason) {
+			t.Errorf("%s: dropped with %v, want both %v and %v", c.name, err, ErrDropped, c.reason)
+		}
 	}
 }

@@ -190,7 +190,7 @@ func (n *Network) forward(buf []byte, node *Node) error {
 	for hops := 0; hops <= len(n.nodes)+1; hops++ {
 		verdict, err := node.routerWorker.Process(buf, n.Clock.NowNs())
 		if err != nil {
-			return fmt.Errorf("%w at %s: %v", ErrDropped, node.IA, err)
+			return node.dropped(err)
 		}
 		switch verdict.Action {
 		case router.AForward:
@@ -207,6 +207,30 @@ func (n *Network) forward(buf []byte, node *Node) error {
 		}
 	}
 	return fmt.Errorf("%w: forwarding loop", ErrDropped)
+}
+
+// routerDrops are the reasons a border router drops a packet for. NewNetwork
+// builds each node's error for each of them once (Node.drops), so that a
+// packet dropped on path allocates nothing.
+var routerDrops = [...]error{
+	router.ErrDecode, router.ErrExpired, router.ErrStale, router.ErrBlocked,
+	router.ErrBadHVF, router.ErrReplay, router.ErrOveruse, router.ErrBestEffort,
+}
+
+// dropErr is the error of a packet dropped at ia for reason: both ErrDropped
+// and reason.
+func dropErr(ia topology.IA, reason error) error {
+	return fmt.Errorf("%w at %s: %w", ErrDropped, ia, reason)
+}
+
+// dropped returns the error of a packet this node's router dropped for reason.
+func (node *Node) dropped(reason error) error {
+	for i, r := range routerDrops {
+		if reason == r {
+			return node.drops[i]
+		}
+	}
+	return dropErr(node.IA, reason)
 }
 
 // deliver parses the payload out of the packet and appends a copy to the

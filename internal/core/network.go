@@ -71,6 +71,9 @@ type Node struct {
 	// next is the egress table of that walk: the neighbour behind each
 	// interface, indexed by IfID (nil where the AS has none).
 	next []*Node
+	// drops[i] is the error of a packet this node's router dropped for
+	// routerDrops[i].
+	drops [len(routerDrops)]error
 	// sendBuf is the grow-only buffer Session.Send serializes every packet
 	// leaving this AS into. One per node is enough because core is
 	// single-threaded per network: a packet is built, walked hop by hop and
@@ -199,6 +202,9 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 			node.Gateway.EnableTelemetry(node.Telemetry)
 		}
 		node.routerWorker = node.Router.NewWorker()
+		for i, reason := range routerDrops {
+			node.drops[i] = dropErr(ia, reason)
+		}
 		node.gwWorker = node.Gateway.NewWorker()
 		for _, id := range node.AS.SortedIfIDs() {
 			node.next = append(node.next, make([]*Node, int(id)+1-len(node.next))...)

@@ -539,7 +539,24 @@ func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
 // HopAuths and shares its chain's slices with its previous version.
 func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGrant, []error) {
 	grants, errs := make([]*EERGrant, len(prevs)), make([]error, len(prevs))
-	s.renewWave(prevs, newBwKbps, func(i int, g *EERGrant, err error) {
+	if len(prevs) == 0 {
+		return grants, errs
+	}
+	if len(newBwKbps) != len(prevs) {
+		err := fmt.Errorf("cserv: RenewEERBatch: %d bandwidths for %d items", len(newBwKbps), len(prevs))
+		for i := range errs {
+			errs[i] = err
+		}
+		return grants, errs
+	}
+	item := func(i int) renewItem {
+		p := prevs[i]
+		return renewItem{
+			ID: p.ID, Ver: p.Res.Ver, BwKbps: p.Res.BwKbps, ExpT: p.Res.ExpT,
+			SrcHost: p.EER.SrcHost, DstHost: p.EER.DstHost, NewBwKbps: newBwKbps[i],
+		}
+	}
+	s.renewWave(prevs[0], len(prevs), item, func(i int, g *EERGrant, err error) {
 		if errs[i] = err; err == nil {
 			c := *g
 			c.HopAuths = slices.Clone(g.HopAuths)
@@ -549,42 +566,44 @@ func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGr
 	return grants, errs
 }
 
-// renewWave is RenewEERBatch without the grants: it hands each item's outcome
-// to yield, in wave order, while the wave's scratch is held. g is the
-// scratch's grant — Res and EER the new version's, HopAuths the σs opened for
-// it, Path, PathHops, Splits and SegIDs prevs[i]'s, which a renewal never
-// changes — valid until yield returns, and nil with an error. By the time
-// yield sees item i the wave has read all it needs of prevs[i], so yield may
-// overwrite *prevs[i] (a keeper renewing in place).
-func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i int, g *EERGrant, err error)) {
-	if len(prevs) == 0 {
-		return
-	}
-	if len(newBwKbps) != len(prevs) {
-		err := fmt.Errorf("cserv: RenewEERBatch: %d bandwidths for %d items", len(newBwKbps), len(prevs))
-		for i := range prevs {
-			yield(i, nil, err)
-		}
-		return
-	}
+// renewItem is what a wave reads of one EER it renews: the serving version
+// and the bandwidth asked for the next.
+type renewItem struct {
+	ID               reservation.ID
+	Ver              uint16
+	BwKbps, ExpT     uint32
+	SrcHost, DstHost uint32
+	NewBwKbps        uint64
+}
+
+// renewWave is RenewEERBatch without the grants: it renews the n EERs item(0)
+// … item(n-1), which ride chain — its Path, PathHops, Splits and SegIDs; no
+// other field of it is read — and hands each item's outcome to yield, in wave
+// order, while the wave's scratch is held. g is the scratch's grant — Res and
+// EER the new version's, HopAuths the σs opened for it, the rest chain's —
+// valid until yield returns, and nil with an error. By the time yield sees
+// item i the wave has read all it needs of item(i), so yield may overwrite
+// what item(i) reads (a keeper renewing in place).
+func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, yield func(i int, g *EERGrant, err error)) {
 	now := s.clock()
 	sc := s.getWave()
 	defer s.putWave(sc)
 	req := &sc.req
-	req.SegIDs, req.Splits, req.Path = prevs[0].SegIDs, prevs[0].Splits, prevs[0].PathHops
+	req.SegIDs, req.Splits, req.Path = chain.SegIDs, chain.Splits, chain.PathHops
 	// held settles item i with the host policy at what its EER held before.
 	held := func(i int) {
-		p := prevs[i]
-		s.policy.SettleEER(p.EER.SrcHost, p.ID, uint64(p.Res.BwKbps), p.Res.ExpT)
+		p := item(i)
+		s.policy.SettleEER(p.SrcHost, p.ID, uint64(p.BwKbps), p.ExpT)
 	}
-	for i, p := range prevs {
+	for i := range n {
+		p := item(i)
 		it := EEBatchItem{
 			ID:      p.ID,
-			Ver:     p.Res.Ver + 1,
-			BwKbps:  newBwKbps[i],
+			Ver:     p.Ver + 1,
+			BwKbps:  p.NewBwKbps,
 			ExpT:    now + reservation.EERLifetimeSeconds,
-			SrcHost: p.EER.SrcHost,
-			DstHost: p.EER.DstHost,
+			SrcHost: p.SrcHost,
+			DstHost: p.DstHost,
 		}
 		// An item asking for more than MaxEERKbps, and one the source-AS policy
 		// refuses, as at hop 0 of a solo request, travel as refused, and every
@@ -594,7 +613,7 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 			status = EEItemRefused
 		}
 		req.Items = append(req.Items, it)
-		req.Accums = append(req.Accums, newBwKbps[i])
+		req.Accums = append(req.Accums, p.NewBwKbps)
 		req.Status = append(req.Status, status)
 	}
 	sc.fwd = req.appendBody(sc.fwd[:0])
@@ -609,7 +628,7 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 		}
 	}
 	if err != nil {
-		for i := range prevs {
+		for i := range n {
 			held(i)
 			yield(i, nil, err)
 		}
@@ -619,20 +638,21 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 	// hop, and a blob that does not open leaves no grant.
 	resp := &sc.resp
 	openErr := sc.openWave(hops[:], resp)
-	n, live, j := len(req.Path), liveOf(resp.Status), 0
-	sc.auths = slices.Grow(sc.auths[:0], n)[:n]
+	hopsN, live, j := len(req.Path), liveOf(resp.Status), 0
+	sc.auths = slices.Grow(sc.auths[:0], hopsN)[:hopsN]
 	g := &sc.grant
-	for i, p := range prevs {
+	for i := range n {
+		it := &req.Items[i]
 		var err error
 		switch resp.Status[i] {
 		case EEItemOK:
 		case EEItemStale:
-			err = fmt.Errorf("%w: renewal of %s: stale at some hop and re-admission failed", ErrRefused, p.ID)
+			err = fmt.Errorf("%w: renewal of %s: stale at some hop and re-admission failed", ErrRefused, it.ID)
 		case EEItemThrottled:
-			err = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, p.ID)
+			err = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, it.ID)
 		default:
-			err = fmt.Errorf("%w: renewal of %s refused", ErrRefused, p.ID)
-			if req.Items[i].BwKbps > MaxEERKbps {
+			err = fmt.Errorf("%w: renewal of %s refused", ErrRefused, it.ID)
+			if it.BwKbps > MaxEERKbps {
 				err = fmt.Errorf("%w: %w", err, ErrBandwidthRange)
 			}
 		}
@@ -641,14 +661,13 @@ func (s *Service) renewWave(prevs []*EERGrant, newBwKbps []uint64, yield func(i 
 			yield(i, nil, err)
 			continue
 		}
-		it := &req.Items[i]
 		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
 		if openErr != nil {
 			yield(i, nil, openErr)
 			continue
 		}
 		// The j-th live item's σ from hop h is the j-th of hop h's blob.
-		*g = EERGrant{ID: it.ID, Path: p.Path, PathHops: p.PathHops, Splits: p.Splits, SegIDs: p.SegIDs, HopAuths: sc.auths}
+		*g = EERGrant{ID: it.ID, Path: chain.Path, PathHops: chain.PathHops, Splits: chain.Splits, SegIDs: chain.SegIDs, HopAuths: sc.auths}
 		g.Res, g.EER = it.infos(resp.Granted[i])
 		for h := range g.HopAuths {
 			copy(g.HopAuths[h][:], sc.sigmas[(h*live+j)*cryptoutil.KeySize:])

@@ -1,11 +1,14 @@
 package cserv
 
 import (
+	"math/bits"
 	"slices"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
+	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
+	"colibri/internal/topology"
 )
 
 // GatewayInstaller is the slice of the Colibri gateway the keeper drives:
@@ -32,8 +35,7 @@ type GatewayInstaller interface {
 type EERKeeper struct {
 	svc *Service
 	gw  GatewayInstaller
-	// grant is the keeper's own copy of the serving version, or its slot in
-	// a KeeperFleet's slab once a fleet has adopted the keeper.
+	// grant is the keeper's own copy of the serving version.
 	grant   *EERGrant
 	lead    uint32
 	demoted bool
@@ -69,100 +71,137 @@ func (k *EERKeeper) Demoted() bool { return k.demoted }
 // failure, if any; the flow keeps working (reserved or best-effort) either
 // way.
 func (k *EERKeeper) Tick() error {
-	if !k.due(k.svc.clock()) {
+	if !k.demoted && k.grant.Res.ExpT > k.svc.clock()+k.lead {
 		return nil
 	}
 	g, err := k.svc.RenewEER(k.grant, uint64(k.grant.Res.BwKbps))
-	return k.applyOutcome(g, err)
-}
-
-// due reports whether the keeper wants a renewal attempt at now: inside the
-// lead window, or any time while demoted (re-promotion retries, §3.2).
-func (k *EERKeeper) due(now uint32) bool {
-	return k.demoted || k.grant.Res.ExpT <= now+k.lead
-}
-
-// applyOutcome applies one renewal attempt's result — the same
-// demotion/re-promotion bookkeeping whether the attempt traveled alone
-// (Tick) or in a batched wave (KeeperFleet). g is read, never kept: the new
-// version is copied into the keeper's grant once the gateway has installed
-// it.
-func (k *EERKeeper) applyOutcome(g *EERGrant, err error) error {
-	now := k.svc.clock()
-	exp := k.grant.Res.ExpT
-	if err == nil && g.Res.BwKbps == 0 && k.grant.Res.BwKbps > 0 {
-		// A zero-bandwidth grant for a flow that had bandwidth is a failed
-		// renewal (the satellite of the SameBandwidth bug): don't install
-		// the dead version, keep serving on the old one.
-		k.svc.metrics.RenewZeroBw.Add(1)
-		err = ErrZeroGrant
-	}
-	if err != nil {
+	if err = k.svc.applyOutcome(k.gw, &k.grant.Res, &k.demoted, g, err); err != nil {
 		k.Failures++
-		// Old versions serve seamlessly until expiry (§4.2), so failure
-		// alone is not demotion; only when the newest version is dead or
-		// dying this second does the flow drop to best-effort.
-		if !k.demoted && exp <= now+1 {
-			k.demoted = true
-			k.gw.Demote(k.grant.Res.ResID)
-			k.svc.metrics.Demotions.Add(1)
-			k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvDemote, k.grant.ID, false, "renewal failed")
-		}
 		return err
-	}
-	if ierr := k.gw.Install(g.Res, g.EER, g.Path, g.HopAuths); ierr != nil {
-		k.Failures++
-		return ierr
 	}
 	k.grant.Res, k.grant.EER = g.Res, g.EER
 	k.grant.HopAuths = append(k.grant.HopAuths[:0], g.HopAuths...)
 	k.Renewals++
-	if k.demoted {
-		k.demoted = false
-		k.svc.metrics.Promotions.Add(1)
-		k.svc.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, k.grant.ID, true, "")
+	return nil
+}
+
+// applyOutcome applies one renewal attempt's result to a keeper whose
+// serving version is held and whose failover state is *demoted — the same
+// bookkeeping whether the attempt traveled alone (EERKeeper.Tick) or in a
+// batched wave (KeeperFleet): zero-grant detection, demotion once the serving
+// version is dying, installation, re-promotion. It returns nil once the
+// gateway has installed g, and the caller then takes g's version as its
+// serving one; g is read, never kept.
+func (s *Service) applyOutcome(gw GatewayInstaller, held *packet.ResInfo, demoted *bool, g *EERGrant, err error) error {
+	now := s.clock()
+	id := reservation.ID{SrcAS: held.SrcAS, Num: held.ResID}
+	if err == nil && g.Res.BwKbps == 0 && held.BwKbps > 0 {
+		// A zero-bandwidth grant for a flow that had bandwidth is a failed
+		// renewal (the satellite of the SameBandwidth bug): don't install
+		// the dead version, keep serving on the old one.
+		s.metrics.RenewZeroBw.Add(1)
+		err = ErrZeroGrant
+	}
+	if err != nil {
+		// Old versions serve seamlessly until expiry (§4.2), so failure
+		// alone is not demotion; only when the newest version is dead or
+		// dying this second does the flow drop to best-effort.
+		if !*demoted && held.ExpT <= now+1 {
+			*demoted = true
+			gw.Demote(held.ResID)
+			s.metrics.Demotions.Add(1)
+			s.metrics.TraceID(int64(now)*1e9, telemetry.EvDemote, id, false, "renewal failed")
+		}
+		return err
+	}
+	if err := gw.Install(g.Res, g.EER, g.Path, g.HopAuths); err != nil {
+		return err
+	}
+	if *demoted {
+		*demoted = false
+		s.metrics.Promotions.Add(1)
+		s.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, id, true, "")
 	}
 	return nil
 }
 
-// KeeperFleet maintains many EERKeepers and renews the due ones in batched
-// waves: keepers whose grants ride the same SegR chain (same SegIDs, Splits,
+// KeeperFleet keeps many EERs alive and renews the due ones in batched
+// waves: EERs whose grants ride the same SegR chain (same SegIDs, Splits,
 // and Path) are grouped and sent as EEBatchRenewReqs of at most BatchSize
 // items, so a renewal storm costs one MAC verification and one shard-lock
 // sweep per wave instead of per EER. Per-keeper semantics (zero-grant
 // detection, demote/re-promote, counters) are exactly EERKeeper.Tick's.
 //
+// The fleet keeps no keeper and no grant: Add copies a keeper's state into
+// columns indexed by keeper, in the order Add took them — the order a wave
+// renews them in — and each renewal writes its keeper's columns in place.
+// What keepers share is kept once: a chain's slices per chain, and per kind
+// (chain, source AS, installer, lead) the rest.
+//
 // Not safe for concurrent use; drive it from one maintenance loop.
 type KeeperFleet struct {
-	svc     *Service
-	keepers []*EERKeeper
+	svc *Service
 	// BatchSize caps one wave's item count (bounding message size and the
 	// blast radius of a transport failure, which fails the whole wave).
 	BatchSize int
 
-	// Keepers are grouped by chain signature when added: a renewed grant
-	// inherits SegIDs, Splits and PathHops verbatim, so a keeper's group never
-	// changes. group[i] is keepers[i]'s group; due[g] collects, during a tick,
-	// the due keepers of group g. groupOf holds one entry per distinct chain
-	// signature ever added — a fleet never removes keepers — so at most Len().
-	group   []int32
-	due     [][]*EERKeeper
-	groupOf map[string]int32
-	// chains[g] is the first grant of group g, whose chain slices every later
-	// keeper of the group shares.
-	chains []*EERGrant
-	// grants and sigmas hold the keepers' grants and their σs, in the order
-	// the keepers were added — the order a wave renews them in — so that a
-	// wave reads and writes them front to back rather than wherever the
-	// keepers happen to lie. Each is the newest of a series of chunks, and a
-	// chunk never moves, so neither does a grant.
-	grants []EERGrant
-	sigmas []cryptoutil.Key
-	// Tick's buffers, reused from tick to tick. prevs point at the due
-	// keepers' grants, which the wave renews in place.
+	// Keeper i serves version ver[i] of EER (kinds[kind[i]].src, resID[i]):
+	// bw[i] kbps until expT[i], from host srcHost[i] to host dstHost[i], with
+	// the σs sigmas[sig[i]:], one per hop of its chain. Bit i of demoted
+	// (bit i%64 of word i/64) is its failover state, renewals[i] and
+	// failures[i] its counts (32 bits: 136 years at one attempt a second).
+	resID, bw, expT    []uint32
+	ver                []uint16
+	srcHost, dstHost   []uint32
+	demoted            []uint64
+	renewals, failures []uint32
+	kind, sig          []uint32
+	sigmas             []cryptoutil.Key
+
+	// kinds holds what keepers share, kindOf finds it again.
+	kinds  []keeperKind
+	kindOf map[keeperKind]uint32
+	// chains[c] carries chain c's Path, PathHops, Splits and SegIDs, shared
+	// with the grants the fleet's keepers were built from (read-only, like
+	// every grant's chain). Add finds a grant's chain by its slices' backing
+	// arrays (chainAt) and, the first time it meets those, by content
+	// (chainKey): a fleet never removes keepers, so each map holds at most
+	// one entry per Add.
+	chains  []EERGrant
+	chainAt map[chainRef]int32
+	chainBy map[string]int32
+
+	// Tick's buffers, reused from tick to tick: due[c] collects the due
+	// keepers of chain c, order the chains with any, by their first.
 	order []int32
-	prevs []*EERGrant
-	bws   []uint64
+	due   [][]int32
+}
+
+// keeperKind is what the keepers of a fleet share in groups: the chain they
+// ride, their source AS, their installer and their lead time.
+type keeperKind struct {
+	chain int32
+	src   topology.IA
+	gw    GatewayInstaller
+	lead  uint32
+}
+
+// chainRef names a chain by the backing arrays of its slices and their
+// lengths. Grants that share their chain — a setup's with the directory's
+// memo, a renewal's with its predecessor's — share a chainRef.
+type chainRef struct {
+	segIDs             *reservation.ID
+	splits             *uint8
+	hops               *PathHop
+	nSeg, nSplit, nHop int
+}
+
+// first returns the address of s's first element, nil when s is empty.
+func first[T any](s []T) *T {
+	if len(s) == 0 {
+		return nil
+	}
+	return &s[0]
 }
 
 // DefaultBatchSize is KeeperFleet's wave-size cap when BatchSize is 0.
@@ -170,62 +209,66 @@ const DefaultBatchSize = 4096
 
 // NewKeeperFleet builds an empty fleet over one source AS's service.
 func NewKeeperFleet(svc *Service) *KeeperFleet {
-	return &KeeperFleet{svc: svc, BatchSize: DefaultBatchSize, groupOf: make(map[string]int32)}
+	return &KeeperFleet{
+		svc: svc, BatchSize: DefaultBatchSize,
+		kindOf: make(map[keeperKind]uint32), chainAt: make(map[chainRef]int32), chainBy: make(map[string]int32),
+	}
 }
 
-// slabChunk caps the grants of one chunk of a fleet's slabs.
-const slabChunk = 256
-
-// Add registers a keeper with the fleet, which moves the keeper's grant into
-// its slabs: Grant() returns the fleet's copy from then on.
+// Add takes ownership of k: it copies the keeper's serving version, lead,
+// installer, failover state and counts into the fleet's columns and clears
+// k, which must not be used again. k must keep an EER of the fleet's service,
+// and its installer must be comparable (every GatewayInstaller of this module
+// is a pointer).
 func (f *KeeperFleet) Add(k *EERKeeper) {
-	key := chainKey(k.grant)
-	gi, ok := f.groupOf[key]
+	g := k.grant
+	c := f.chainOf(g)
+	kk := keeperKind{chain: c, src: g.ID.SrcAS, gw: k.gw, lead: k.lead}
+	ki, ok := f.kindOf[kk]
 	if !ok {
-		gi = int32(len(f.due))
-		f.groupOf[key] = gi
-		f.due = append(f.due, nil)
-		f.chains = append(f.chains, nil)
+		ki = uint32(len(f.kinds))
+		f.kinds = append(f.kinds, kk)
+		f.kindOf[kk] = ki
 	}
-	// The chunks grow with the fleet, so a small fleet keeps small slabs.
-	chunk := min(max(len(f.keepers), 8), slabChunk)
-	if len(f.grants) == cap(f.grants) {
-		f.grants = make([]EERGrant, 0, chunk)
+	n := len(f.chains[c].PathHops)
+	f.grow(n)
+	i, off := len(f.expT), len(f.sigmas)
+	f.resID = append(f.resID, g.Res.ResID)
+	f.bw = append(f.bw, g.Res.BwKbps)
+	f.expT = append(f.expT, g.Res.ExpT)
+	f.ver = append(f.ver, g.Res.Ver)
+	f.srcHost = append(f.srcHost, g.EER.SrcHost)
+	f.dstHost = append(f.dstHost, g.EER.DstHost)
+	if i%64 == 0 {
+		f.demoted = append(f.demoted, 0)
 	}
-	f.grants = append(f.grants, *k.grant)
-	g := &f.grants[len(f.grants)-1]
-	n := len(g.HopAuths)
-	if cap(f.sigmas)-len(f.sigmas) < n {
-		f.sigmas = make([]cryptoutil.Key, 0, chunk*n)
-	}
-	f.sigmas = append(f.sigmas, g.HopAuths...)
-	g.HopAuths = f.sigmas[len(f.sigmas)-n : len(f.sigmas) : len(f.sigmas)]
-	if c := f.chains[gi]; c != nil {
-		// Equal chains (chainKey; Path is PathHops' hop fields), kept once.
-		g.Path, g.PathHops, g.Splits, g.SegIDs = c.Path, c.PathHops, c.Splits, c.SegIDs
-	} else {
-		f.chains[gi] = g
-	}
-	k.grant = g
-	f.keepers = append(f.keepers, k)
-	f.group = append(f.group, gi)
+	f.setDemoted(i, k.demoted)
+	f.renewals = append(f.renewals, uint32(k.Renewals))
+	f.failures = append(f.failures, uint32(k.Failures))
+	f.kind = append(f.kind, ki)
+	f.sig = append(f.sig, uint32(off))
+	f.sigmas = f.sigmas[:off+n]
+	clear(f.sigmas[off+copy(f.sigmas[off:], g.HopAuths):])
+	*k = EERKeeper{}
 }
 
-// Len returns the number of keepers in the fleet.
-func (f *KeeperFleet) Len() int { return len(f.keepers) }
-
-// Keepers returns the fleet's keepers in insertion order.
-func (f *KeeperFleet) Keepers() []*EERKeeper { return f.keepers }
-
-// Demoted counts keepers currently demoted to best-effort.
-func (f *KeeperFleet) Demoted() int {
-	n := 0
-	for _, k := range f.keepers {
-		if k.demoted {
-			n++
-		}
+// chainOf returns the index of g's chain, adding the chain if it is new.
+func (f *KeeperFleet) chainOf(g *EERGrant) int32 {
+	ref := chainRef{first(g.SegIDs), first(g.Splits), first(g.PathHops), len(g.SegIDs), len(g.Splits), len(g.PathHops)}
+	if c, ok := f.chainAt[ref]; ok {
+		return c
 	}
-	return n
+	key := chainKey(g)
+	c, ok := f.chainBy[key]
+	if !ok {
+		// Equal chains (Path is PathHops' hop fields), kept once.
+		c = int32(len(f.chains))
+		f.chainBy[key] = c
+		f.chains = append(f.chains, EERGrant{Path: g.Path, PathHops: g.PathHops, Splits: g.Splits, SegIDs: g.SegIDs})
+		f.due = append(f.due, nil)
+	}
+	f.chainAt[ref] = c
+	return c
 }
 
 // chainKey is a grant's batching signature: items in one EEBatchRenewReq
@@ -242,45 +285,162 @@ func chainKey(g *EERGrant) string {
 	return string(b)
 }
 
-// Tick runs one maintenance step: collect the due keepers into their groups
-// (groups ordered by their first due keeper, keepers in insertion order — no
-// map iteration, so runs are deterministic), renew each group in waves of at
-// most BatchSize, and apply each item's outcome to its keeper. It returns the
-// number of renewal attempts that failed this tick.
+// grow makes room for one more keeper of n σs. The columns grow by a
+// sixteenth, where append grows by a quarter or more, so that a large
+// fleet's spare capacity stays a small share of its bytes (Add copies each
+// keeper about sixteen times over for it), and the 32-bit ones share one
+// allocation, which the heap rounds up once rather than once per column. The
+// σs grow with them: by the keepers the other columns have room for, at n σs
+// each.
+func (f *KeeperFleet) grow(n int) {
+	l := len(f.expT)
+	if l == cap(f.expT) {
+		c := l + l/16 + 16
+		cols := [...]*[]uint32{&f.resID, &f.bw, &f.expT, &f.srcHost, &f.dstHost, &f.renewals, &f.failures, &f.kind, &f.sig}
+		block := make([]uint32, len(cols)*c)
+		for j, col := range cols {
+			*col = block[j*c : j*c+copy(block[j*c:], *col) : (j+1)*c]
+		}
+		f.ver, f.demoted = regrow(f.ver, c), regrow(f.demoted, (c+63)/64)
+	}
+	if cap(f.sigmas)-len(f.sigmas) < n {
+		f.sigmas = regrow(f.sigmas, len(f.sigmas)+(cap(f.expT)-l)*n)
+	}
+}
+
+// regrow returns a copy of s with capacity c.
+func regrow[T any](s []T, c int) []T {
+	t := make([]T, len(s), c)
+	copy(t, s)
+	return t
+}
+
+// Len returns the number of keepers in the fleet.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Len() int { return len(f.expT) }
+
+// Grant returns keeper i's serving version. Its HopAuths are the fleet's
+// memory, which the keeper's next successful renewal overwrites in place;
+// its chain's slices are read-only and shared.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Grant(i int) EERGrant {
+	k := &f.kinds[f.kind[i]]
+	c := &f.chains[k.chain]
+	return EERGrant{
+		ID: reservation.ID{SrcAS: k.src, Num: f.resID[i]}, Res: f.res(i), EER: packet.EERInfo{SrcHost: f.srcHost[i], DstHost: f.dstHost[i]},
+		Path: c.Path, PathHops: c.PathHops, Splits: c.Splits, SegIDs: c.SegIDs, HopAuths: f.sigmasOf(i),
+	}
+}
+
+// sigmasOf returns keeper i's σs, one per hop of its chain.
+func (f *KeeperFleet) sigmasOf(i int) []cryptoutil.Key {
+	off, n := int(f.sig[i]), len(f.chains[f.kinds[f.kind[i]].chain].PathHops)
+	return f.sigmas[off : off+n : off+n]
+}
+
+// Renewals returns how many of keeper i's renewal attempts succeeded.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Renewals(i int) uint64 { return uint64(f.renewals[i]) }
+
+// Failures returns how many of keeper i's renewal attempts failed.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Failures(i int) uint64 { return uint64(f.failures[i]) }
+
+// Demoted counts keepers currently demoted to best-effort.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Demoted() int {
+	n := 0
+	for _, w := range f.demoted {
+		n += bits.OnesCount64(w)
+	}
+	return n
+}
+
+// isDemoted reports keeper i's failover state, and setDemoted sets it.
+func (f *KeeperFleet) isDemoted(i int) bool { return f.demoted[i/64]>>(i%64)&1 != 0 }
+
+func (f *KeeperFleet) setDemoted(i int, d bool) {
+	bit := uint64(1) << (i % 64)
+	if d {
+		f.demoted[i/64] |= bit
+	} else {
+		f.demoted[i/64] &^= bit
+	}
+}
+
+// res returns keeper i's serving ResInfo.
+func (f *KeeperFleet) res(i int) packet.ResInfo {
+	return packet.ResInfo{SrcAS: f.kinds[f.kind[i]].src, ResID: f.resID[i], BwKbps: f.bw[i], ExpT: f.expT[i], Ver: f.ver[i]}
+}
+
+// item returns what a wave reads of keeper i: its serving version, renewed
+// at the same bandwidth.
+func (f *KeeperFleet) item(i int) renewItem {
+	return renewItem{
+		ID: reservation.ID{SrcAS: f.kinds[f.kind[i]].src, Num: f.resID[i]}, Ver: f.ver[i], BwKbps: f.bw[i], ExpT: f.expT[i],
+		SrcHost: f.srcHost[i], DstHost: f.dstHost[i], NewBwKbps: uint64(f.bw[i]),
+	}
+}
+
+// apply applies one renewal attempt's outcome to keeper i, in place.
+func (f *KeeperFleet) apply(i int, g *EERGrant, err error) error {
+	held, demoted := f.res(i), f.isDemoted(i)
+	err = f.svc.applyOutcome(f.kinds[f.kind[i]].gw, &held, &demoted, g, err)
+	f.setDemoted(i, demoted)
+	if err != nil {
+		f.failures[i]++
+		return err
+	}
+	f.bw[i], f.expT[i], f.ver[i] = g.Res.BwKbps, g.Res.ExpT, g.Res.Ver
+	f.srcHost[i], f.dstHost[i] = g.EER.SrcHost, g.EER.DstHost
+	copy(f.sigmasOf(i), g.HopAuths)
+	f.renewals[i]++
+	return nil
+}
+
+// Tick runs one maintenance step: collect the due keepers into their chains'
+// lists (chains ordered by their first due keeper, keepers in insertion
+// order — no map iteration, so runs are deterministic), renew each chain's in
+// waves of at most BatchSize, and apply each item's outcome to its keeper's
+// columns. It returns the number of renewal attempts that failed this tick.
+//
+//colibri:nomalloc
 func (f *KeeperFleet) Tick() int {
 	now := f.svc.clock()
 	f.order = f.order[:0]
-	for i, k := range f.keepers {
-		if !k.due(now) {
+	for i, exp := range f.expT {
+		k := &f.kinds[f.kind[i]]
+		if exp > now+k.lead && !f.isDemoted(i) {
 			continue
 		}
-		gi := f.group[i]
-		if len(f.due[gi]) == 0 {
-			f.order = append(f.order, gi)
+		if len(f.due[k.chain]) == 0 {
+			f.order = append(f.order, k.chain) //colibri:allow(nomalloc) — amortised growth, one entry per chain
 		}
-		f.due[gi] = append(f.due[gi], k)
+		f.due[k.chain] = append(f.due[k.chain], int32(i)) //colibri:allow(nomalloc) — amortised growth, one entry per due keeper
 	}
 	size := f.BatchSize
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
 	failures := 0
-	for _, gi := range f.order {
-		due := f.due[gi]
+	for _, c := range f.order {
+		due := f.due[c]
 		for off := 0; off < len(due); off += size {
 			wave := due[off:min(off+size, len(due))]
-			f.prevs, f.bws = f.prevs[:0], f.bws[:0]
-			for _, k := range wave {
-				f.prevs = append(f.prevs, k.grant)
-				f.bws = append(f.bws, uint64(k.grant.Res.BwKbps))
-			}
-			f.svc.renewWave(f.prevs, f.bws, func(i int, g *EERGrant, err error) {
-				if wave[i].applyOutcome(g, err) != nil {
-					failures++
-				}
-			})
+			f.svc.renewWave(&f.chains[c], len(wave),
+				func(j int) renewItem { return f.item(int(wave[j])) },
+				func(j int, g *EERGrant, err error) {
+					if f.apply(int(wave[j]), g, err) != nil {
+						failures++
+					}
+				})
 		}
-		f.due[gi] = due[:0]
+		f.due[c] = due[:0]
 	}
 	return failures
 }

@@ -2,6 +2,7 @@ package cserv
 
 import (
 	"errors"
+	"runtime"
 	"slices"
 	"sync/atomic"
 	"testing"
@@ -150,9 +151,9 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 }
 
 // TestKeeperKeepsServingVersionWhenInstallFails: a renewal the gateway does
-// not take is a failure, alone or in a wave, and the keeper's grant — renewed
-// in place on success — stays the version the gateway still serves, σs and
-// all (§4.2). The grants the keepers were built from are never written.
+// not take is a failure, alone or in a wave, and the keeper's version —
+// renewed in place on success — stays the version the gateway still serves,
+// σs and all (§4.2). The grants the keepers were built from are never written.
 func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 1_000_000)
@@ -164,11 +165,18 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	for _, g := range grants[1:] {
 		fleet.Add(NewEERKeeper(src, gw, g, 4))
 	}
-	keepers := append([]*EERKeeper{solo}, fleet.Keepers()...)
-	before := make([]EERGrant, len(keepers))
-	for i, k := range keepers {
-		before[i] = *k.Grant()
-		before[i].HopAuths = slices.Clone(k.Grant().HopAuths)
+	// state returns keeper i's version and counts: the solo keeper's, then
+	// the fleet's.
+	state := func(i int) (EERGrant, uint64, uint64) {
+		if i == 0 {
+			return *solo.Grant(), solo.Renewals, solo.Failures
+		}
+		return fleet.Grant(i - 1), fleet.Renewals(i - 1), fleet.Failures(i - 1)
+	}
+	before := make([]EERGrant, len(grants))
+	for i := range before {
+		before[i], _, _ = state(i)
+		before[i].HopAuths = slices.Clone(before[i].HopAuths)
 	}
 	f.clock.Add(13)
 	if err := solo.Tick(); err == nil {
@@ -177,13 +185,13 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	if failed := fleet.Tick(); failed != 2 {
 		t.Fatalf("%d of 2 wave items failed", failed)
 	}
-	for i, k := range keepers {
-		g := k.Grant()
-		if g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) || k.Renewals != 0 || k.Failures != 1 {
+	for i := range before {
+		g, renewals, failures := state(i)
+		if g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) || renewals != 0 || failures != 1 {
 			t.Fatalf("keeper %d after a refused install: version %d, renewals %d, failures %d; want version %d, its σs, 0 and 1",
-				i, g.Res.Ver, k.Renewals, k.Failures, before[i].Res.Ver)
+				i, g.Res.Ver, renewals, failures, before[i].Res.Ver)
 		}
-		checkHopAuths(t, f, g)
+		checkHopAuths(t, f, &g)
 	}
 	gw.refuse = false
 	f.clock.Add(1)
@@ -193,13 +201,91 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	if failed := fleet.Tick(); failed != 0 {
 		t.Fatalf("%d wave items failed", failed)
 	}
-	for i, k := range keepers {
-		if g := k.Grant(); g.Res.Ver != before[i].Res.Ver+1 || k.Renewals != 1 {
-			t.Fatalf("keeper %d: version %d after %d renewals", i, g.Res.Ver, k.Renewals)
+	for i := range before {
+		g, renewals, _ := state(i)
+		if g.Res.Ver != before[i].Res.Ver+1 || renewals != 1 {
+			t.Fatalf("keeper %d: version %d after %d renewals", i, g.Res.Ver, renewals)
 		}
-		checkHopAuths(t, f, k.Grant())
+		checkHopAuths(t, f, &g)
 		if g := grants[i]; g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) {
 			t.Fatalf("keeper %d wrote the grant it was built from", i)
 		}
+	}
+}
+
+// TestFleetBytesPerKeeper pins what a fleet keeps per EER: 10 000 keepers over
+// one 5-hop chain hold at most 130 live heap bytes each once the fleet has
+// taken them — their 80 bytes of σs and about 40 of columns, the chain kept
+// once. A fleet that kept each keeper and a grant per keeper held about 384.
+func TestFleetBytesPerKeeper(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	grant := requestEERs(t, src, 1, 100)[0]
+	if len(grant.PathHops) != 5 {
+		t.Fatalf("the chain has %d hops, want 5", len(grant.PathHops))
+	}
+	const n, budget = 10_000, 130
+	gw := &fakeInstaller{}
+	// build measures the live heap one fleet adds; the least of three is the
+	// fleet's, the rest other goroutines' garbage.
+	build := func() float64 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		fleet := NewKeeperFleet(src)
+		for i := range uint32(n) {
+			g := *grant
+			g.ID.Num, g.Res.ResID = 1<<20+i, 1<<20+i
+			g.EER.SrcHost, g.EER.DstHost = i, i+n
+			fleet.Add(NewEERKeeper(src, gw, &g, 4))
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(fleet)
+		if fleet.Len() != n {
+			t.Fatalf("the fleet has %d keepers, want %d", fleet.Len(), n)
+		}
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	}
+	per := min(build(), build(), build())
+	t.Logf("%.1f heap bytes per keeper", per)
+	if per > budget {
+		t.Fatalf("%d keepers hold %.1f heap bytes each, budget %d", n, per, budget)
+	}
+}
+
+// TestFleetFindsChainsByContent: keepers whose grants carry equal chains in
+// different memory ride one chain, found by content the first time the fleet
+// meets the memory and by identity after that, and a tick renews them all.
+func TestFleetFindsChainsByContent(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	grants := requestEERs(t, src, 4, 100)
+	copied := *grants[1]
+	copied.Path, copied.PathHops = slices.Clone(copied.Path), slices.Clone(copied.PathHops)
+	copied.Splits, copied.SegIDs = slices.Clone(copied.Splits), slices.Clone(copied.SegIDs)
+	grants[1] = &copied
+	fleet := NewKeeperFleet(src)
+	for _, g := range grants {
+		fleet.Add(NewEERKeeper(src, &fakeInstaller{}, g, 4))
+	}
+	if len(fleet.chains) != 1 || len(fleet.chainAt) != 2 || len(fleet.chainBy) != 1 {
+		t.Fatalf("%d chains, %d by identity, %d by content; want 1, 2, 1", len(fleet.chains), len(fleet.chainAt), len(fleet.chainBy))
+	}
+	f.clock.Add(13)
+	if failed := fleet.Tick(); failed != 0 {
+		t.Fatalf("%d renewals failed", failed)
+	}
+	for i := range fleet.Len() {
+		g := fleet.Grant(i)
+		if fleet.Renewals(i) != 1 || g.ID != grants[i].ID || g.Res.Ver != grants[i].Res.Ver+1 {
+			t.Fatalf("keeper %d: %s at version %d after %d renewals", i, g.ID, g.Res.Ver, fleet.Renewals(i))
+		}
+		checkHopAuths(t, f, &g)
 	}
 }

@@ -318,12 +318,12 @@ func TestKeeperFleetBatchedFailover(t *testing.T) {
 	if gw.installs != n {
 		t.Fatalf("installs = %d, want %d", gw.installs, n)
 	}
-	for _, k := range fleet.Keepers() {
-		if k.Renewals != 1 || k.Grant().Res.Ver != 2 {
-			t.Fatalf("keeper state: renewals=%d ver=%d", k.Renewals, k.Grant().Res.Ver)
+	for i := range fleet.Len() {
+		if fleet.Renewals(i) != 1 || fleet.Grant(i).Res.Ver != 2 {
+			t.Fatalf("keeper %d state: renewals=%d ver=%d", i, fleet.Renewals(i), fleet.Grant(i).Res.Ver)
 		}
 	}
-	exp := fleet.Keepers()[0].Grant().Res.ExpT
+	exp := fleet.Grant(0).Res.ExpT
 
 	// Transport dies mid-lifetime: failures tolerated, no demotion.
 	gate.fail.Store(true)

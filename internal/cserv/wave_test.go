@@ -325,11 +325,12 @@ func checkHopAuths(t *testing.T, f *fabric, g *EERGrant) {
 // nonce — one per hop per wave, no two alike over all the waves — and who owns
 // a renewed grant's bytes. A grant RenewEERBatch returns owns its σs:
 // scribbling over the answer buffer and running the next wave through the
-// same scratch leaves it intact. A keeper's grant belongs to the keeper:
-// NewEERKeeper copies the caller's grant, a fleet moves the copy into its
-// slabs once, and each renewal overwrites it in place — the same grant at the
-// next version with that version's σs — and writes neither the caller's grant
-// nor anything the wave's answer still backs.
+// same scratch leaves it intact. A fleet keeper's version belongs to the
+// fleet: NewEERKeeper copies the caller's grant, the fleet takes the keeper
+// (and clears it) and copies the version into its columns once, and each
+// renewal overwrites it in place — the same σ slots at the next version with
+// that version's σs — and writes neither the caller's grant nor anything the
+// wave's answer still backs.
 func TestWaveNoncesAndOwnership(t *testing.T) {
 	f, tap := tappedFabric(t, nil)
 	f.setupAllSegRs(t, 1_000_000)
@@ -380,13 +381,18 @@ func TestWaveNoncesAndOwnership(t *testing.T) {
 	given := make([]EERGrant, len(kept))
 	fleet := NewKeeperFleet(src)
 	fleet.BatchSize = 64
-	views := make([]*EERGrant, len(kept))
+	views := make([][]cryptoutil.Key, len(kept))
 	for i, g := range kept {
 		given[i] = *g
 		given[i].HopAuths = slices.Clone(g.HopAuths)
 		k := NewEERKeeper(src, &fakeInstaller{}, g, reservation.EERLifetimeSeconds)
 		fleet.Add(k)
-		views[i] = k.Grant() // the fleet's copy, which no later Add moves
+		if *k != (EERKeeper{}) {
+			t.Fatalf("keeper %d: the fleet took it, but it still holds its state", i)
+		}
+	}
+	for i := range kept {
+		views[i] = fleet.Grant(i).HopAuths // the fleet's σ slots, taken once no Add can move them
 	}
 	for round := uint16(1); round <= 2; round++ {
 		f.clock.Add(1)
@@ -396,12 +402,13 @@ func TestWaveNoncesAndOwnership(t *testing.T) {
 		for i := range tap.last {
 			tap.last[i] = 0xff
 		}
-		for i, k := range fleet.Keepers() {
-			if g := k.Grant(); g != views[i] || g.Res.Ver != given[i].Res.Ver+round {
-				t.Fatalf("keeper round %d: keeper %d serves %p at version %d, want %p at %d",
-					round, i, g, g.Res.Ver, views[i], given[i].Res.Ver+round)
+		for i := range fleet.Len() {
+			g := fleet.Grant(i)
+			if &g.HopAuths[0] != &views[i][0] || g.ID != given[i].ID || g.Res.Ver != given[i].Res.Ver+round || fleet.Renewals(i) != uint64(round) {
+				t.Fatalf("keeper round %d: keeper %d serves %s at version %d from σs %p after %d renewals, want %s at %d from %p after %d",
+					round, i, g.ID, g.Res.Ver, &g.HopAuths[0], fleet.Renewals(i), given[i].ID, given[i].Res.Ver+round, &views[i][0], round)
 			}
-			checkHopAuths(t, f, views[i])
+			checkHopAuths(t, f, &g)
 			if kept[i].Res != given[i].Res || !slices.Equal(kept[i].HopAuths, given[i].HopAuths) {
 				t.Fatalf("keeper round %d: keeper %d wrote the grant it was built from", round, i)
 			}

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 
 	"colibri/internal/core"
@@ -67,8 +68,8 @@ func (c StormConfig) withDefaults() StormConfig {
 	return c
 }
 
-// StormRow is one run's outcome. Everything except the timings and the
-// derived rate is a function of the config alone.
+// StormRow is one run's outcome. Everything except the timings, the derived
+// rate and FleetBytes is a function of the config alone.
 type StormRow struct {
 	// EstablishNs is the time to admit the whole fleet; StormNs the first
 	// full renewal wave (every EER at once, through the batched path);
@@ -91,6 +92,12 @@ type StormRow struct {
 	// OverAdmitted reports a violated invariant: some AS's CPlane charged
 	// more EER bandwidth to a SegR than the SegR's active grant.
 	OverAdmitted bool
+
+	// FleetBytes is the live heap the keeper fleet held at the end of the
+	// run: what releasing it gives back. It is measured, and the allocator's
+	// per-P caches move it by a few hundred bytes from run to run, so
+	// FormatStorm leaves it out.
+	FleetBytes uint64
 }
 
 // StormResult is a run's outcome with the config (defaults filled in) that
@@ -201,6 +208,11 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 	if row.StormNs > 0 {
 		row.RenewPerSec = float64(row.StormRenewed) / (float64(row.StormNs) / 1e9)
 	}
+	held := liveHeap()
+	runtime.KeepAlive(fleet)
+	if after := liveHeap(); held > after {
+		row.FleetBytes = held - after
+	}
 
 	m := src.Metrics()
 	row.Demotions = m.Demotions.Value()
@@ -210,6 +222,14 @@ func RunStorm(cfg StormConfig) (*StormResult, error) {
 	}
 	row.OverAdmitted = stormOverAdmitted(net, topo)
 	return res, nil
+}
+
+// liveHeap collects garbage and returns the heap still allocated.
+func liveHeap() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
 }
 
 // stormOverAdmitted checks the zero-double-admission invariant: at every AS,

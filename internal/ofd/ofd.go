@@ -111,9 +111,14 @@ func New(cfg Config) *Detector {
 	return d
 }
 
-// hash mixes the flow label with a row seed (splitmix64 finalizer).
-func hash(id reservation.ID, seed uint64) uint64 {
-	x := uint64(id.SrcAS) ^ (uint64(id.Num) << 32) ^ seed
+// hash mixes the flow label with a row seed.
+func hash(id reservation.ID, seed uint64) uint64 { return mix(label(id) ^ seed) }
+
+// label packs the flow label into one word.
+func label(id reservation.ID) uint64 { return uint64(id.SrcAS) ^ (uint64(id.Num) << 32) }
+
+// mix is the splitmix64 finalizer.
+func mix(x uint64) uint64 {
 	x ^= x >> 30
 	x *= 0xBF58476D1CE4E5B9
 	x ^= x >> 27
@@ -126,6 +131,16 @@ func hash(id reservation.ID, seed uint64) uint64 {
 // current window was over the threshold before it. normSize is the packet's
 // bits over the reservation's bits/second (i.e., seconds of budget consumed).
 func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
+	d.turn(nowNs)
+	if d.cfg.Depth == 4 {
+		return d.record4(id, normSize)
+	}
+	return d.recordRows(id, normSize)
+}
+
+// turn starts a new window, with every counter zero, once nowNs has left the
+// current one.
+func (d *Detector) turn(nowNs int64) {
 	if nowNs-d.winStart >= d.cfg.WindowNs {
 		clear(d.counters)
 		d.winStart = nowNs - (nowNs-d.winStart)%d.cfg.WindowNs
@@ -133,6 +148,11 @@ func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool
 			d.winStart = nowNs
 		}
 	}
+}
+
+// recordRows is Record's sketch update at any depth: row by row, the
+// estimate the least counter before the packet.
+func (d *Detector) recordRows(id reservation.ID, normSize float64) bool {
 	est := -1.0
 	for row := 0; row < d.cfg.Depth; row++ {
 		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])&d.mask)
@@ -141,6 +161,31 @@ func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool
 		}
 		d.counters[idx] += normSize
 	}
+	return est > d.threshold
+}
+
+// record4 is recordRows at the default depth of four, unrolled: the four
+// rows' hashes and counter loads are independent, so the CPU overlaps them.
+// It reads and writes the counters recordRows does and decides as it does.
+func (d *Detector) record4(id reservation.ID, normSize float64) bool {
+	seeds, w, key := d.seeds[:4], d.cfg.Width, label(id)
+	i0 := int(mix(key^seeds[0]) & d.mask)
+	i1 := w + int(mix(key^seeds[1])&d.mask)
+	i2 := 2*w + int(mix(key^seeds[2])&d.mask)
+	i3 := 3*w + int(mix(key^seeds[3])&d.mask)
+	c := d.counters
+	c0, c1, c2, c3 := c[i0], c[i1], c[i2], c[i3]
+	est := c0
+	if est < 0 || c1 < est {
+		est = c1
+	}
+	if est < 0 || c2 < est {
+		est = c2
+	}
+	if est < 0 || c3 < est {
+		est = c3
+	}
+	c[i0], c[i1], c[i2], c[i3] = c0+normSize, c1+normSize, c2+normSize, c3+normSize
 	return est > d.threshold
 }
 

@@ -2,6 +2,7 @@ package ofd
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"colibri/internal/reservation"
@@ -219,6 +220,54 @@ func TestMaskIndexMatchesModulo(t *testing.T) {
 		}
 		if got := New(Config{Width: c.width}).cfg.Width; got != pow2(c.width) {
 			t.Errorf("New with Width %d: %d, want %d", c.width, got, pow2(c.width))
+		}
+	}
+}
+
+// TestRecord4MatchesRows holds the unrolled depth-4 update to the row loop
+// every other depth takes: two detectors fed the same stream — random flows,
+// sizes (zero-bandwidth ones included), gaps within and across windows, the
+// clock now and then stepping back — one through record4 and one through
+// recordRows, give the same answer to every packet and hold the same
+// counters and window after it.
+func TestRecord4MatchesRows(t *testing.T) {
+	for _, width := range []int{64, 1024, 4096} {
+		cfg := Config{Width: width}
+		got, want := New(cfg), New(cfg)
+		if got.cfg.Depth != 4 {
+			t.Fatalf("default depth %d, want 4", got.cfg.Depth)
+		}
+		rng := rand.New(rand.NewSource(int64(width)))
+		now, flagged := int64(rng.Intn(1e9)), 0
+		for i := 0; i < 30_000; i++ {
+			switch r := rng.Intn(100); {
+			case r == 0:
+				now -= int64(rng.Intn(20_000_000))
+			case r < 3:
+				now += int64(rng.Intn(200_000_000))
+			default:
+				now += int64(rng.Intn(50_000))
+			}
+			id := rid(topology.ASID(rng.Intn(4)), uint32(rng.Intn(256))|uint32(rng.Intn(4))<<30)
+			norm := NormalizedSize(uint32(rng.Intn(1500)), uint64(rng.Intn(4000)))
+			got.turn(now)
+			want.turn(now)
+			g, w := got.record4(id, norm), want.recordRows(id, norm)
+			if g != w {
+				t.Fatalf("width %d, packet %d: unrolled says %v, rows %v", width, i, g, w)
+			}
+			if g {
+				flagged++
+			}
+			if (width < 4096 || i%97 == 0) && (got.winStart != want.winStart || !slices.Equal(got.counters, want.counters)) {
+				t.Fatalf("width %d, packet %d: the two sketches differ", width, i)
+			}
+		}
+		if got.winStart != want.winStart || !slices.Equal(got.counters, want.counters) {
+			t.Fatalf("width %d: the two sketches differ at the end", width)
+		}
+		if flagged == 0 {
+			t.Errorf("width %d: no packet flagged, the stream does not test the decision", width)
 		}
 	}
 }

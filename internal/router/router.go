@@ -14,7 +14,6 @@ package router
 
 import (
 	"errors"
-	"fmt"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/monitor"
@@ -342,9 +341,9 @@ func (r *Router) NewWorker() *Worker {
 
 // Process validates the serialized Colibri packet in buf at time nowNs and
 // returns the forwarding verdict. buf is modified in place only to advance
-// the current hop on AForward. Dropped packets return Action ADrop and a
-// wrapped reason error. Process is a batch of one — ProcessBatch is the
-// primary pipeline.
+// the current hop on AForward. Dropped packets return Action ADrop and their
+// reason's sentinel error (ErrDecode, ErrBadHVF, …), bare. Process is a batch
+// of one — ProcessBatch is the primary pipeline.
 func (w *Worker) Process(buf []byte, nowNs int64) (Verdict, error) {
 	r := w.r
 	if r.hot != nil {
@@ -393,9 +392,8 @@ func (w *Worker) ProcessBatch(pkts [][]byte, verdicts []BatchVerdict, nowNs int6
 }
 
 // processOne runs the full protection stack for one packet, accounting
-// drops into acc. The happy (forward/deliver) path is allocation-free;
-// drop paths construct a diagnostic error, which is the only permitted
-// allocation (each is individually annotated below).
+// drops into acc. No path allocates: a drop returns its reason's sentinel
+// error (ErrDecode, ErrExpired, …) bare.
 //
 //colibri:nomalloc
 func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, error) {
@@ -404,7 +402,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	hop, _, err := pkt.DecodeHop(buf)
 	if err != nil {
 		w.countDrop(acc, DropDecode, nowNs, false)
-		return Verdict{Action: ADrop}, fmt.Errorf("%w: %v", ErrDecode, err)
+		return Verdict{Action: ADrop}, ErrDecode
 	}
 	idx := int(pkt.CurrHop)
 
@@ -412,17 +410,17 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	// expired yet" and "packet freshness").
 	if uint32(nowNs/1e9) >= pkt.Res.ExpT {
 		w.countDrop(acc, DropExpired, nowNs, true)
-		return Verdict{Action: ADrop}, fmt.Errorf("%w: at %d", ErrExpired, pkt.Res.ExpT) //colibri:allow(nomalloc) — drop-path diagnostic error
+		return Verdict{Action: ADrop}, ErrExpired
 	}
 	delta := nowNs - int64(pkt.Ts)
 	if delta < -r.freshnessNs || delta > r.freshnessNs {
 		w.countDrop(acc, DropStale, nowNs, true)
-		return Verdict{Action: ADrop}, fmt.Errorf("%w: delta %d ns", ErrStale, delta) //colibri:allow(nomalloc) — drop-path diagnostic error
+		return Verdict{Action: ADrop}, ErrStale
 	}
 	// Blocklist (§4.8: "keeping a list of blocked source ASes").
 	if r.blocklist.Blocked(pkt.Res.SrcAS, uint32(nowNs/1e9)) {
 		w.countDrop(acc, DropBlocked, nowNs, true)
-		return Verdict{Action: ADrop}, fmt.Errorf("%w: %s", ErrBlocked, pkt.Res.SrcAS) //colibri:allow(nomalloc) — drop-path diagnostic error
+		return Verdict{Action: ADrop}, ErrBlocked
 	}
 
 	// Cryptographic validation.
@@ -450,7 +448,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 		// authenticated at the CServ (§5.3); the router only forwards them.
 	default:
 		w.countDrop(acc, DropBestEffort, nowNs, true)
-		return Verdict{Action: ADrop}, fmt.Errorf("%w: type %v", ErrBestEffort, pkt.Type) //colibri:allow(nomalloc) — drop-path diagnostic error
+		return Verdict{Action: ADrop}, ErrBestEffort
 	}
 
 	id := reservation.ID{SrcAS: pkt.Res.SrcAS, Num: pkt.Res.ResID}
@@ -488,7 +486,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 				}
 			}
 			w.countDrop(acc, DropOveruse, nowNs, true)
-			return Verdict{Action: ADrop}, fmt.Errorf("%w: %s", ErrOveruse, id) //colibri:allow(nomalloc) — drop-path diagnostic error
+			return Verdict{Action: ADrop}, ErrOveruse
 		}
 	}
 
