@@ -2,14 +2,17 @@
 // open-addressed table of fixed-size records keyed by reservation.ID, with
 // no Go map and no heap object per entry.
 //
-// The records live in one dense array; an index of 8-byte slots sits in
-// front of it. A slot packs the upper 32 bits of the key's hash (the tag)
-// with the record's position in the dense array plus one (0 marks an empty
-// slot). The index is a power of two, probed linearly from the slot the tag
-// selects, and kept at most half full, so a miss ends within a few slots and
-// a hit costs one index slot and one record. Because a slot's home follows
-// from its tag alone, growth and deletion rearrange the index without
-// reading a record.
+// The records live in one dense array; an index of 4-byte slots sits in
+// front of it. The index has 2^b slots, a power of two kept at most half full,
+// so the dense array never holds 2^b records: a slot's low b bits are the
+// record's position in it plus one (0 marks an empty slot), and its upper
+// 32−b bits are the same bits of the lower half of the key's hash (the tag).
+// The upper half selects the slot a probe starts from (its home), and
+// probing is linear, so a miss ends within a few slots and a hit costs one
+// run of slots and, on a tag match, one record. A slot's home does not follow
+// from the slot: growth refiles the index by walking the dense array, and a
+// deletion finds the homes of the slots it shifts by hashing their records'
+// keys, so only those two pay a record read per slot.
 //
 // A record holds its key as the ID's two fields, source AS then number, with
 // the value after them: a value of 4-byte alignment packs into the four bytes
@@ -36,7 +39,7 @@ import (
 // Delete on the table: growth moves the dense array, and a Delete moves the
 // last record into the deleted one's place.
 type Table[V any] struct {
-	slots []uint64
+	slots []uint32
 	recs  []record[V]
 }
 
@@ -67,19 +70,31 @@ func hash(id reservation.ID) uint64 {
 	return x
 }
 
+// mask returns the index's position mask, 2^b − 1.
+func (t *Table[V]) mask() uint32 { return uint32(len(t.slots) - 1) }
+
+// slotOf returns the slot of the record at pos whose key hashes to h, in an
+// index of the given mask, and the slot's home.
+func slotOf(h uint64, pos int, mask uint32) (s, home uint32) {
+	return uint32(h)&^mask | uint32(pos+1), uint32(h>>32) & mask
+}
+
+// homeOf returns the home of id's slot.
+func (t *Table[V]) homeOf(id reservation.ID) uint32 { return uint32(hash(id)>>32) & t.mask() }
+
 // find returns the index slot holding id, or -1.
 func (t *Table[V]) find(id reservation.ID) int {
 	if len(t.recs) == 0 {
 		return -1
 	}
-	tag := hash(id) >> 32
-	mask := uint64(len(t.slots) - 1)
-	for i := tag & mask; ; i = (i + 1) & mask {
+	h, mask := hash(id), t.mask()
+	tag := uint32(h) &^ mask
+	for i := uint32(h>>32) & mask; ; i = (i + 1) & mask {
 		s := t.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if s>>32 == tag && t.recs[uint32(s)-1].key() == id {
+		if s&^mask == tag && t.recs[s&mask-1].key() == id {
 			return int(i)
 		}
 	}
@@ -93,7 +108,7 @@ func (t *Table[V]) Get(id reservation.ID) *V {
 	if i < 0 {
 		return nil
 	}
-	return &t.recs[uint32(t.slots[i])-1].val
+	return &t.recs[t.slots[i]&t.mask()-1].val
 }
 
 // Put returns id's record, inserting a zero one first when the table holds
@@ -101,39 +116,37 @@ func (t *Table[V]) Get(id reservation.ID) *V {
 // table grows.
 func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
 	if i := t.find(id); i >= 0 {
-		return &t.recs[uint32(t.slots[i])-1].val, false
+		return &t.recs[t.slots[i]&t.mask()-1].val, false
 	}
 	if 2*(len(t.recs)+1) > len(t.slots) {
 		t.grow()
 	}
 	pos := len(t.recs)
 	t.recs = append(t.recs, record[V]{ia: id.SrcAS, num: id.Num})
-	t.place(hash(id)>>32<<32 | uint64(pos+1))
+	t.place(slotOf(hash(id), pos, t.mask()))
 	return &t.recs[pos].val, true
 }
 
 // place files slot s at the first free slot from its home.
-func (t *Table[V]) place(s uint64) {
-	mask := uint64(len(t.slots) - 1)
-	i := s >> 32 & mask
+func (t *Table[V]) place(s, home uint32) {
+	mask := t.mask()
+	i := home
 	for t.slots[i] != 0 {
 		i = (i + 1) & mask
 	}
 	t.slots[i] = s
 }
 
-// grow doubles the index and refiles every slot by its tag.
+// grow doubles the index and refiles every record into it, in dense order.
 func (t *Table[V]) grow() {
-	old := t.slots
-	n := 2 * len(old)
+	n := 2 * len(t.slots)
 	if n < minSlots {
 		n = minSlots
 	}
-	t.slots = make([]uint64, n)
-	for _, s := range old {
-		if s != 0 {
-			t.place(s)
-		}
+	t.slots = make([]uint32, n)
+	mask := t.mask()
+	for pos := range t.recs {
+		t.place(slotOf(hash(t.recs[pos].key()), pos, mask))
 	}
 }
 
@@ -143,17 +156,17 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 	if i < 0 {
 		return false
 	}
-	pos := uint32(t.slots[i]) - 1
-	t.unslot(i)
+	mask := t.mask()
+	pos := t.slots[i]&mask - 1
+	t.unslot(uint32(i))
 	last := uint32(len(t.recs) - 1)
 	if pos != last {
 		// Swap-last compaction: re-point the last record's slot at pos.
-		mask := uint64(len(t.slots) - 1)
-		j := hash(t.recs[last].key()) >> 32 & mask
-		for uint32(t.slots[j]) != last+1 {
+		j := t.homeOf(t.recs[last].key())
+		for t.slots[j]&mask != last+1 {
 			j = (j + 1) & mask
 		}
-		t.slots[j] = t.slots[j]>>32<<32 | uint64(pos+1)
+		t.slots[j] = t.slots[j]&^mask | (pos + 1)
 		t.recs[pos] = t.recs[last]
 	}
 	t.recs[last] = record[V]{}
@@ -163,11 +176,11 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 
 // unslot empties index slot i by backward shift: each later slot of the
 // probe run moves into the hole unless its home lies after the hole.
-func (t *Table[V]) unslot(i int) {
-	mask := uint64(len(t.slots) - 1)
-	hole := uint64(i)
+func (t *Table[V]) unslot(i uint32) {
+	mask := t.mask()
+	hole := i
 	for j := (hole + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
-		home := t.slots[j] >> 32 & mask
+		home := t.homeOf(t.recs[t.slots[j]&mask-1].key())
 		if (j-home)&mask >= (j-hole)&mask {
 			t.slots[hole] = t.slots[j]
 			hole = j

@@ -3,6 +3,7 @@ package flattab
 import (
 	"encoding/binary"
 	"testing"
+	"unsafe"
 
 	"colibri/internal/reservation"
 	"colibri/internal/topology"
@@ -10,8 +11,8 @@ import (
 
 // check compares the table with its map model: same size, every model key
 // found with its value (read by val), every record reached by position is in
-// the model once, and every index slot points at a live record whose tag it
-// carries.
+// the model once, every index slot names a live record — no record twice —
+// whose tag bits it carries, and the index is at most half full.
 func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, val func(*V) uint64) {
 	t.Helper()
 	if tab.Len() != len(model) {
@@ -31,16 +32,18 @@ func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, 
 		}
 		seen[id] = true
 	}
-	used := 0
+	mask := tab.mask()
+	named, used := make([]bool, tab.Len()), 0
 	for _, s := range tab.slots {
 		if s == 0 {
 			continue
 		}
-		used++
-		pos := int(uint32(s)) - 1
-		if pos < 0 || pos >= tab.Len() || hash(tab.recs[pos].key())>>32 != s>>32 {
-			t.Fatalf("slot %#x names record %d of %d with another tag", s, pos, tab.Len())
+		pos := int(s&mask) - 1
+		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.recs[pos].key()))&^mask != s&^mask {
+			t.Fatalf("slot %#x names record %d of %d twice or with another tag", s, pos, tab.Len())
 		}
+		named[pos] = true
+		used++
 	}
 	if used != tab.Len() || 2*used > len(tab.slots) && used > 0 {
 		t.Fatalf("%d slots used for %d records in an index of %d", used, tab.Len(), len(tab.slots))
@@ -191,5 +194,69 @@ func TestTableGetDoesNotAllocate(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("Get allocates %.1f times per call", allocs)
+	}
+}
+
+// TestLargeTableAgreesWithModel fills a table with 2²⁰ keys, so that its index
+// reaches 2²¹ slots and a slot keeps 11 bits of tag, then deletes half of the
+// keys one by one with Delete and the other half by deleting walks, checking
+// every Get and At against the map model between the stages.
+func TestLargeTableAgreesWithModel(t *testing.T) {
+	const n = 1 << 20
+	var tab Table[uint64]
+	model := make(map[reservation.ID]uint64, n)
+	val := func(v *uint64) uint64 { return *v }
+	ias := []topology.IA{topology.MustIA(1, 11), topology.MustIA(2, 11), topology.MustIA(1, 12)}
+	id := func(i int) reservation.ID { return reservation.ID{SrcAS: ias[i%3], Num: uint32(i / 3)} }
+	for i := 0; i < n; i++ {
+		v, _ := tab.Put(id(i))
+		*v = uint64(i)
+		model[id(i)] = uint64(i)
+	}
+	if len(tab.slots) != 2*n {
+		t.Fatalf("an index of %d slots for %d records, want %d", len(tab.slots), n, 2*n)
+	}
+	check(t, &tab, model, val)
+	for i := 0; i < n; i += 2 {
+		if !tab.Delete(id(i)) {
+			t.Fatalf("Delete(%v) missed", id(i))
+		}
+		delete(model, id(i))
+	}
+	check(t, &tab, model, val)
+	// The odd keys left: the first walk deletes those ≡ 1 mod 4, the second
+	// the rest.
+	for _, rem := range []uint64{1, 3} {
+		for i := tab.Len() - 1; i >= 0; i-- {
+			rid, v := tab.At(i)
+			if *v%4 == rem {
+				if !tab.Delete(rid) {
+					t.Fatalf("walk: Delete(%v) at %d missed", rid, i)
+				}
+				delete(model, rid)
+			}
+		}
+		check(t, &tab, model, val)
+	}
+	if tab.Len() != 0 {
+		t.Fatalf("%d records left", tab.Len())
+	}
+}
+
+// TestIndexBytesPerRecord pins the index at 4-byte slots: once the index has
+// grown past its first size, it costs at most 16 bytes per record at every
+// size (fewer than four slots per record, since growth doubles it at half
+// load).
+func TestIndexBytesPerRecord(t *testing.T) {
+	var tab Table[uint64]
+	src := topology.MustIA(1, 11)
+	for i := uint32(0); i < 1<<16; i++ {
+		tab.Put(reservation.ID{SrcAS: src, Num: i})
+		if len(tab.slots) == minSlots {
+			continue
+		}
+		if bytes := uintptr(cap(tab.slots)) * unsafe.Sizeof(tab.slots[0]); bytes > 16*uintptr(tab.Len()) {
+			t.Fatalf("%d records: an index of %d bytes, %.1f per record, want at most 16", tab.Len(), bytes, float64(bytes)/float64(tab.Len()))
+		}
 	}
 }

@@ -29,22 +29,23 @@ import (
 )
 
 // record is the gateway's one record per EER, inline in the flat table: what
-// BuildBatch reads for a packet, and nothing else.
+// BuildBatch reads for a packet besides the header of its path and its σs.
 type record struct {
 	// bucket polices the EER at the rate of deterministic monitoring: the
 	// maximum over its valid versions (§4.8), carried across renewals.
 	bucket monitor.TokenBucket
-	// wire is the current version's packet template, encoded at Install by
-	// Packet.SerializeTo with Ts, payload length and HVFs left zero, and
-	// followed by the hop authenticators σ_i in path order. A renewal
-	// re-encodes it in place when its length still fits, so it is read and
-	// written only under the gateway lock. The σs stay raw keys expanded per
-	// packet, exactly as the paper's DPDK gateway does with hardware AES key
-	// expansion: the per-reservation footprint whose cache behaviour Fig. 5
-	// evaluates stays 16 B per hop.
-	wire []byte
-	// expT is the current version's expiry.
-	expT uint32
+	// The current version's ResInfo and EERInfo, but for what the key holds.
+	bw, expT         uint32
+	srcHost, dstHost uint32
+	// path names the current version's interned path header (pathTab), and
+	// sig its slot in the σ slab of its hop count: the hop authenticators
+	// σ_i in path order. The σs stay raw keys expanded per packet, exactly
+	// as the paper's DPDK gateway does with hardware AES key expansion: the
+	// per-reservation footprint whose cache behaviour Fig. 5 evaluates stays
+	// 16 B per hop. Both are read and written only under the gateway lock.
+	path, sig uint32
+	ver       uint16
+	hops      uint8
 	// demoted marks a flow whose renewal ultimately failed: Build refuses
 	// it with ErrDemoted so the caller sends best-effort instead of
 	// blackholing on a reservation about to die (§3.2's graceful
@@ -68,9 +69,12 @@ var (
 // safe for concurrent use.
 type Gateway struct {
 	srcAS topology.IA
-	// mu guards recs, every record's bucket and demotion flag included.
-	mu   sync.Mutex
-	recs flattab.Table[record]
+	// mu guards recs, every record's bucket and demotion flag included, and
+	// the path headers and σs the records name.
+	mu    sync.Mutex
+	recs  flattab.Table[record]
+	paths pathTab
+	sigs  [packet.MaxHops]sigSlab
 	// lastTs backs the uniqueness of timestamps across all flows. Written
 	// only by reserveTs (the build path's timestamp reservation).
 	lastTs atomic.Uint64 //colibri:singlewriter
@@ -133,15 +137,18 @@ func (g *Gateway) id(resID uint32) reservation.ID {
 	return reservation.ID{SrcAS: g.srcAS, Num: resID}
 }
 
-// noHVFs stands in for the HVFs of a template: they are computed per packet.
+// noHVFs stands in for the HVFs of a path header: they are computed per
+// packet.
 var noHVFs [packet.MaxHops * packet.HVFLen]byte
 
 // Install registers (or replaces, on renewal) the state of an EER. auths
 // are the decrypted hop authenticators σ_i in path order; Install keeps
 // nothing of its arguments. A path the wire cannot carry (no hop, or more
-// than packet.MaxHops) is refused here rather than on every packet. A renewal
-// of a known record re-encodes its template in place, under the lock: only a
-// new record or a changed hop count allocates one.
+// than packet.MaxHops) is refused here rather than on every packet. The path
+// is interned (one header per distinct path), and a renewal writes its σs
+// over the record's slot when the hop count stays: only a new record, a new
+// path or a changed hop count may allocate, and only until the stores have
+// grown to the gateway's working set.
 func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) error {
 	if res.SrcAS != g.srcAS {
 		return fmt.Errorf("gateway: reservation of AS %s installed at %s", res.SrcAS, g.srcAS)
@@ -152,16 +159,28 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	if len(path) == 0 || len(path) > packet.MaxHops {
 		return fmt.Errorf("gateway: %w: %d hops", packet.ErrBadPath, len(path))
 	}
-	size := templateLen(len(path))
+	hops := len(path)
 	rate := uint64(res.BwKbps)
 
 	g.mu.Lock()
 	r, fresh := g.recs.Put(g.id(res.ResID))
-	if len(r.wire) != size {
-		// A new record, or a renewal over a path of another hop count.
-		r.wire = make([]byte, size)
+	// The new path first, so a renewal over the same path keeps its entry.
+	ph := g.paths.acquire(path)
+	switch {
+	case fresh:
+		r.sig = g.sigs[hops-1].alloc(hops)
+	case int(r.hops) != hops:
+		g.release(r)
+		r.sig = g.sigs[hops-1].alloc(hops)
+	default:
+		g.paths.release(r.path)
 	}
-	encodeTemplate(r.wire, &res, &eer, path, auths)
+	sig := g.sigs[hops-1].at(r.sig)
+	for i := range auths {
+		copy(sig[i*cryptoutil.KeySize:], auths[i][:])
+	}
+	r.path, r.hops = ph, uint8(hops)
+	r.bw, r.ver, r.srcHost, r.dstHost = res.BwKbps, res.Ver, eer.SrcHost, eer.DstHost
 	// A fresh version over a demoted flow re-promotes it to its reserved
 	// class.
 	promoted := r.demoted
@@ -188,21 +207,15 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	return nil
 }
 
-// templateLen is the length of the template of a path of the given hops.
+// templateLen is the length of what BuildBatch copies for a packet over a
+// path of the given hops: its header, then its σs.
 func templateLen(hops int) int { return packet.DataLen(hops, 0) + hops*cryptoutil.KeySize }
 
-// encodeTemplate writes into wire, exactly as long as the template of a path
-// of len(path) hops, the header Packet.SerializeTo encodes for the version
-// with Ts, payload length and HVFs zero, and then the σs in path order.
-// Install has checked the path, so the encoding cannot fail.
-//
-//colibri:nomalloc
-func encodeTemplate(wire []byte, res *packet.ResInfo, eer *packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) {
-	tmpl := packet.Packet{Type: packet.TData, Res: *res, EER: *eer, Path: path, HVFs: noHVFs[:len(path)*packet.HVFLen]}
-	hdr, _ := tmpl.SerializeTo(wire)
-	for i := range auths {
-		copy(wire[hdr+i*cryptoutil.KeySize:], auths[i][:])
-	}
+// release lets go of a record's path header and σ slot: before it is deleted,
+// or renewed onto a path of another hop count. Under the gateway lock.
+func (g *Gateway) release(r *record) {
+	g.paths.release(r.path)
+	g.sigs[r.hops-1].release(r.sig)
 }
 
 // setDemoted moves a flow's demotion flag to demoted and reports whether it
@@ -256,8 +269,14 @@ func (g *Gateway) Demoted(resID uint32) bool {
 
 // Remove drops an EER's state (expiry), its token bucket with it.
 func (g *Gateway) Remove(resID uint32) {
+	id := g.id(resID)
 	g.mu.Lock()
-	present := g.recs.Delete(g.id(resID))
+	r := g.recs.Get(id)
+	present := r != nil
+	if present {
+		g.release(r)
+		g.recs.Delete(id)
+	}
 	g.mu.Unlock()
 	if t := g.tel.Load(); t != nil && present {
 		t.resident.Dec()
@@ -274,6 +293,7 @@ func (g *Gateway) Expire(nowSec uint32) int {
 	// Backwards, so a delete's swap-last moves a record already visited.
 	for i := g.recs.Len() - 1; i >= 0; i-- {
 		if id, r := g.recs.At(i); nowSec >= r.expT {
+			g.release(r)
 			g.recs.Delete(id)
 			n++
 			if t != nil {
@@ -345,8 +365,9 @@ type Worker struct {
 
 	// Batch scratch, grown to the largest batch seen and then reused. recs
 	// are the looked-up records, valid only under the gateway lock; tmpls
-	// carries copies of the templates of the packets to build past it, back
-	// to back in request order.
+	// carries what the packets to build past it need, back to back in
+	// request order: each one's path header, with its ResInfo and EERInfo
+	// written in, and then its σs.
 	recs  []*record
 	tmpls []byte
 	// One-element batch backing Build.
@@ -377,11 +398,6 @@ func (w *Worker) Build(resID uint32, payload []byte, out []byte, nowNs int64) (i
 	w.req1[0] = BuildReq{ResID: resID, Payload: payload, Out: out}
 	w.BuildBatch(w.req1[:], w.res1[:], nowNs)
 	return w.res1[0].N, w.res1[0].Err
-}
-
-// dataLen is the length of the packet a template builds around payload.
-func dataLen(wire, payload []byte) int {
-	return packet.DataLen(packet.PathLenOf(wire), len(payload))
 }
 
 // BuildBatch assembles one packet per request at a common instant nowNs,
@@ -427,7 +443,7 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 			outs[i].Err = ErrDemoted
 		case len(reqs[i].Payload) > packet.MaxPayload:
 			outs[i].Err = packet.ErrPayloadLen
-		case len(reqs[i].Out) < dataLen(r.wire, reqs[i].Payload):
+		case len(reqs[i].Out) < packet.DataLen(int(r.hops), len(reqs[i].Payload)):
 			outs[i].Err = ErrBufTooSmall
 		default:
 			w.recs[i] = r
@@ -440,9 +456,10 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	}
 
 	// Deterministic monitoring over the total packet sizes, all versions
-	// sharing the reservation's budget (§4.8). A renewal rewrites a template
-	// in place, so each conforming packet's template is copied into the
-	// worker's scratch before the lock goes.
+	// sharing the reservation's budget (§4.8). A renewal rewrites a record's
+	// fields and σs in place and may free its path header, so each
+	// conforming packet's header, fields and σs are copied into the worker's
+	// scratch before the lock goes.
 	toBuild := uint64(0)
 	w.tmpls = w.tmpls[:0]
 	for i := 0; i < n; i++ {
@@ -450,11 +467,17 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		if r == nil {
 			continue
 		}
-		if !r.bucket.Allow(nowNs, uint32(dataLen(r.wire, reqs[i].Payload))) {
+		if !r.bucket.Allow(nowNs, uint32(packet.DataLen(int(r.hops), len(reqs[i].Payload)))) {
 			outs[i].Err = ErrRateExceeded
 			continue
 		}
-		w.tmpls = append(w.tmpls, r.wire...) // grows to the largest batch seen, then reused
+		// The scratch grows to the largest batch seen, then is reused.
+		at := len(w.tmpls)
+		w.tmpls = append(w.tmpls, g.paths.ents[r.path].hdr...)
+		packet.SetReservation(w.tmpls[at:],
+			&packet.ResInfo{SrcAS: g.srcAS, ResID: reqs[i].ResID, BwKbps: r.bw, ExpT: r.expT, Ver: r.ver},
+			&packet.EERInfo{SrcHost: r.srcHost, DstHost: r.dstHost})
+		w.tmpls = append(w.tmpls, g.sigs[r.hops-1].at(r.sig)...)
 		toBuild++
 	}
 	g.mu.Unlock()
@@ -465,8 +488,8 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	}
 
 	// Phase 3: timestamps, HVFs, serialization, for the packets still
-	// without an error, from the copied templates. One atomic Add claims the
-	// whole batch's unique timestamp range.
+	// without an error, from the copied headers and σs. One atomic Add
+	// claims the whole batch's unique timestamp range.
 	built := 0
 	if toBuild > 0 {
 		ts := g.reserveTs(nowNs, toBuild)
@@ -497,9 +520,10 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	return built
 }
 
-// stamp writes the packet of one template into out: the header copied, its
-// payload length and Ts set, the payload, and one HVF per hop computed in
-// place from the σs behind the header. It returns the packet length.
+// stamp writes the packet of one header and its σs (wire) into out: the
+// header copied, its payload length and Ts set, the payload, and one HVF per
+// hop computed in place from the σs behind the header. It returns the packet
+// length.
 //
 //colibri:nomalloc
 func (w *Worker) stamp(wire, payload, out []byte, ts uint64) int {

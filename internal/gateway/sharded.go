@@ -2,8 +2,8 @@
 //
 // Unlike the router (which shards by ResID ‖ src-host read off the wire),
 // the gateway shards by ResID alone: the reservation is the unit of
-// placement, because all of an EER's state — its record (packet template,
-// hop authenticators, deterministic token bucket), the Ts uniqueness
+// placement, because all of an EER's state — its record (fields, path
+// header handle, σ slot, deterministic token bucket), the Ts uniqueness
 // counter — is per-reservation. Hashing the ResID with the same splitmix64
 // finalizer pins each reservation wholly to one shard, so shard state is
 // disjoint by construction: the per-shard token bucket holds the FULL

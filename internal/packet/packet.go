@@ -314,6 +314,20 @@ func SetDataFields(buf []byte, payloadLen int, ts uint64) {
 	binary.BigEndian.PutUint64(buf[40:48], ts)
 }
 
+// SetReservation writes a packet's ResInfo and EERInfo into a serialized
+// header in place, at the offsets SerializeTo writes them: the fields a
+// builder fills in after copying a header that SerializeTo encoded once per
+// path, with both zero.
+func SetReservation(buf []byte, res *ResInfo, eer *EERInfo) {
+	binary.BigEndian.PutUint64(buf[8:16], uint64(res.SrcAS))
+	binary.BigEndian.PutUint32(buf[16:20], res.ResID)
+	binary.BigEndian.PutUint32(buf[20:24], res.BwKbps)
+	binary.BigEndian.PutUint32(buf[24:28], res.ExpT)
+	binary.BigEndian.PutUint16(buf[28:30], res.Ver)
+	binary.BigEndian.PutUint32(buf[32:36], eer.SrcHost)
+	binary.BigEndian.PutUint32(buf[36:40], eer.DstHost)
+}
+
 // PeekFlowKey extracts the RSS flow key — ResID ‖ SrcHost — straight from a
 // serialized buffer's fixed offsets, without decoding. This is what a
 // sharded front end hashes to pick a shard: all packets of one (reservation,
