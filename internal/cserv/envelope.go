@@ -13,7 +13,6 @@ import (
 	"sync"
 
 	"colibri/internal/cryptoutil"
-	"colibri/internal/drkey"
 	"colibri/internal/packet"
 	"colibri/internal/topology"
 )
@@ -24,8 +23,7 @@ import (
 // several times the work of one use, and the keys are constant for a DRKey
 // epoch — so they are built once per key, not once per message or per item.
 // Both are immutable once built, so a keyCrypto is shared without a lock; key,
-// own, derived, peer, peerEp, fetched and used are the cache's, read and
-// written under its lock only.
+// own, derived and used are the cache's, read and written under its lock only.
 type keyCrypto struct {
 	sealer *cryptoutil.Sealer
 	cmac   *cryptoutil.CMAC
@@ -34,12 +32,6 @@ type keyCrypto struct {
 	// set: the entry's name in the cache's memo of K_{me→src}.
 	own     ownKey
 	derived bool
-	// peer and peerEp are the on-path AS that derived key for this one and
-	// the epoch of its key server the key serves, when fetched is set: the
-	// entry's name in the cache's memo of K_{ia→me}.
-	peer    topology.IA
-	peerEp  drkey.Epoch
-	fetched bool
 	used    bool
 }
 
@@ -85,18 +77,12 @@ const keyCacheSize = 64
 // indexes, and so the memo never outgrows the ring. A hit is one lookup where
 // deriving the key is a PRF under the DRKey engine's lock; at an epoch change
 // the name changes, so the old epoch's key is never found for the new one.
-//
-// fetched memoises, the same way, the keys the initiator fetched from on-path
-// ASes, K_{ia→me}, by ia and the epoch of ia's key server: an entry serves
-// only inside the epoch it was fetched for, and the next epoch's key, fetched
-// afresh, takes over ia's name.
 type keyCache struct {
-	mu      sync.Mutex
-	index   map[cryptoutil.Key]*keyCrypto
-	own     map[ownKey]*keyCrypto
-	fetched map[topology.IA]*keyCrypto
-	ring    []*keyCrypto
-	hand    int
+	mu    sync.Mutex
+	index map[cryptoutil.Key]*keyCrypto
+	own   map[ownKey]*keyCrypto
+	ring  []*keyCrypto
+	hand  int
 }
 
 // cryptoFor returns the cached crypto of a level-1 key, building it on first
@@ -127,9 +113,6 @@ func (c *keyCache) get(key cryptoutil.Key) *keyCrypto {
 		delete(c.index, old.key)
 		if old.derived {
 			delete(c.own, old.own)
-		}
-		if old.fetched && c.fetched[old.peer] == old {
-			delete(c.fetched, old.peer)
 		}
 		c.ring[c.hand] = kc
 		c.hand = (c.hand + 1) % keyCacheSize
@@ -169,34 +152,17 @@ func (s *Service) ownCrypto(src topology.IA, now uint32) *keyCrypto {
 }
 
 // hopKey returns the crypto of K_{ia→me}, the level-1 key an on-path AS shares
-// with this (initiating) AS: this AS's own memoised derivation for itself, and
-// otherwise the memoised key of ia's current epoch — or, on a miss, the key
-// fetched from ia's key server (through the store's cache), memoised under
-// the epoch it serves.
+// with this (initiating) AS: this AS's own memoised derivation for itself,
+// fetched from ia's key server and cached per epoch otherwise.
 func (s *Service) hopKey(ia topology.IA, now uint32) (*keyCrypto, error) {
 	if ia == s.ia {
 		return s.ownCrypto(s.ia, now), nil
 	}
-	c := &s.keyCache
-	c.mu.Lock()
-	kc, ok := c.fetched[ia]
-	if ok = ok && kc.peerEp.Contains(now); ok {
-		c.touch(kc)
-	}
-	c.mu.Unlock()
-	if ok {
-		return kc, nil
-	}
-	key, ep, err := s.keys.GetEpoch(ia, now)
+	key, err := s.keys.Get(ia, now)
 	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kc = c.get(key)
-	kc.peer, kc.peerEp, kc.fetched = ia, ep, true
-	c.fetched[ia] = kc
-	return kc, nil
+	return s.cryptoFor(key), nil
 }
 
 // signPath is the initiator's half of the envelope: it MACs body towards every

@@ -22,7 +22,6 @@ import (
 
 	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
-	"colibri/internal/drkey"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/segment"
@@ -1125,22 +1124,17 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 
 // cachedCrypto peeks at s's key cache: the crypto it holds for key, if any,
 // and how many keys it holds — -1 if its indexes disagree with its ring: the
-// key index names every entry, the memos of K_{me→src} and K_{ia→me} only
-// entries derived or fetched under the name they file them by.
+// key index names every entry, the memo of K_{me→src} only entries derived
+// under the name it files them by.
 func (s *Service) cachedCrypto(key cryptoutil.Key) (*keyCrypto, int) {
 	c := &s.keyCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.index) != len(c.ring) || len(c.own) > len(c.ring) || len(c.fetched) > len(c.ring) {
+	if len(c.index) != len(c.ring) || len(c.own) > len(c.ring) {
 		return nil, -1
 	}
 	for name, kc := range c.own {
 		if !kc.derived || kc.own != name || c.index[kc.key] != kc {
-			return nil, -1
-		}
-	}
-	for ia, kc := range c.fetched {
-		if !kc.fetched || kc.peer != ia || c.index[kc.key] != kc {
 			return nil, -1
 		}
 	}
@@ -1293,60 +1287,6 @@ func TestKeyMemoFollowsEpoch(t *testing.T) {
 			t.Fatalf("hop %d (%s): the old epoch's memo changed", h, ph.IA)
 		}
 	}
-}
-
-// TestFetchedKeyMemoFollowsEpoch: the initiator memoises the keys it fetched
-// from on-path ASes per AS and epoch of its key server. The first signPath
-// after an epoch boundary signs under the new epoch's keys, which every hop
-// verifies; a second signPath in that epoch finds every key in the memo and
-// asks the key store for none — swapped for a store that cannot fetch, it
-// still signs, under the same keys.
-func TestFetchedKeyMemoFollowsEpoch(t *testing.T) {
-	f := cpFabric(t, 4, highRate)
-	f.setupAllSegRs(t, 1_000_000)
-	src := f.services[ia(1, 11)]
-	path := requestEERs(t, src, 1, 100)[0].PathHops
-	ep := f.services[path[1].IA].engine.EpochAt(f.now())
-	body := []byte("a control message")
-	var macs [][cryptoutil.MACSize]byte
-	f.clock.Store(ep.End - 1)
-	if _, err := src.signPath(path, body, &macs); err != nil {
-		t.Fatalf("signPath in the epoch's last second: %v", err)
-	}
-	f.clock.Store(ep.End)
-	first, err := src.signPath(path, body, &macs)
-	if err != nil {
-		t.Fatalf("signPath at the new epoch's first second: %v", err)
-	}
-	for h := 1; h < len(path); h++ {
-		hop := f.services[path[h].IA]
-		if want, _ := hop.engine.Level1(src.ia, ep.End); first[h].key != want {
-			t.Fatalf("hop %d (%s): signed under another key than the new epoch's", h, path[h].IA)
-		}
-		if err := hop.ownCrypto(src.ia, ep.End).verify(body, macs, h); err != nil {
-			t.Fatalf("hop %d (%s) refuses the first MAC of the new epoch: %v", h, path[h].IA, err)
-		}
-	}
-	keys := src.keys
-	src.keys = drkey.NewStore(src.ia, noKeyServer{}, drkey.NewTrustStore())
-	defer func() { src.keys = keys }()
-	second, err := src.signPath(path, body, &macs)
-	if err != nil {
-		t.Fatalf("a second signPath in the epoch asked the key store: %v", err)
-	}
-	if second != first {
-		t.Fatal("the second signPath in the epoch signed under other keys")
-	}
-	if _, size := src.cachedCrypto(first[1].key); size < 0 {
-		t.Fatal("the key cache's memos disagree with its ring")
-	}
-}
-
-// noKeyServer is a key server transport that answers nothing.
-type noKeyServer struct{}
-
-func (noKeyServer) QueryKeyServer(topology.IA, []byte) ([]byte, error) {
-	return nil, errors.New("no key server")
 }
 
 // TestRenewThrottleLivesInTheRecord: the per-EER throttle's mark is a field of

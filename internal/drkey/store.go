@@ -34,30 +34,23 @@ func NewStore(local topology.IA, tr Transport, trust *TrustStore) *Store {
 // Get returns K_{src→local} valid at time t, fetching it from src's key
 // server on cache miss or epoch expiry.
 func (s *Store) Get(src topology.IA, t uint32) (cryptoutil.Key, error) {
-	key, _, err := s.GetEpoch(src, t)
-	return key, err
-}
-
-// GetEpoch is Get that also returns the epoch of src's key server the key is
-// valid for, which contains t.
-func (s *Store) GetEpoch(src topology.IA, t uint32) (cryptoutil.Key, Epoch, error) {
 	s.mu.RLock()
 	c, ok := s.keys[src]
 	s.mu.RUnlock()
 	if ok && c.epoch.Contains(t) {
-		return c.key, c.epoch, nil
+		return c.key, nil
 	}
 	key, ep, err := Fetch(s.tr, s.trust, src, s.local, t)
 	if err != nil {
-		return cryptoutil.Key{}, Epoch{}, fmt.Errorf("drkey: fetching K_{%s→%s}: %w", src, s.local, err)
+		return cryptoutil.Key{}, fmt.Errorf("drkey: fetching K_{%s→%s}: %w", src, s.local, err)
 	}
 	if !ep.Contains(t) {
-		return cryptoutil.Key{}, Epoch{}, fmt.Errorf("drkey: server returned epoch %v not covering %d", ep, t)
+		return cryptoutil.Key{}, fmt.Errorf("drkey: server returned epoch %v not covering %d", ep, t)
 	}
 	s.mu.Lock()
 	s.keys[src] = cachedKey{key: key, epoch: ep}
 	s.mu.Unlock()
-	return key, ep, nil
+	return key, nil
 }
 
 // Prefetch warms the cache for all given sources at time t, returning the

@@ -207,10 +207,6 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	return nil
 }
 
-// templateLen is the length of what BuildBatch copies for a packet over a
-// path of the given hops: its header, then its σs.
-func templateLen(hops int) int { return packet.DataLen(hops, 0) + hops*cryptoutil.KeySize }
-
 // release lets go of a record's path header and σ slot: before it is deleted,
 // or renewed onto a path of another hop count. Under the gateway lock.
 func (g *Gateway) release(r *record) {
@@ -364,12 +360,11 @@ type Worker struct {
 	ks     cryptoutil.AESSchedule
 
 	// Batch scratch, grown to the largest batch seen and then reused. recs
-	// are the looked-up records, valid only under the gateway lock; tmpls
-	// carries what the packets to build past it need, back to back in
-	// request order: each one's path header, with its ResInfo and EERInfo
-	// written in, and then its σs.
-	recs  []*record
-	tmpls []byte
+	// are the looked-up records, valid only under the gateway lock; sigmas
+	// carries the σs of the packets to build past it, back to back in
+	// request order.
+	recs   []*record
+	sigmas []byte
 	// One-element batch backing Build.
 	req1 [1]BuildReq
 	res1 [1]BuildRes
@@ -458,10 +453,10 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	// Deterministic monitoring over the total packet sizes, all versions
 	// sharing the reservation's budget (§4.8). A renewal rewrites a record's
 	// fields and σs in place and may free its path header, so each
-	// conforming packet's header, fields and σs are copied into the worker's
-	// scratch before the lock goes.
+	// conforming packet's header, with its fields written in, goes to its
+	// output buffer and its σs to the worker's scratch before the lock goes.
 	toBuild := uint64(0)
-	w.tmpls = w.tmpls[:0]
+	w.sigmas = w.sigmas[:0]
 	for i := 0; i < n; i++ {
 		r := w.recs[i]
 		if r == nil {
@@ -471,13 +466,12 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 			outs[i].Err = ErrRateExceeded
 			continue
 		}
-		// The scratch grows to the largest batch seen, then is reused.
-		at := len(w.tmpls)
-		w.tmpls = append(w.tmpls, g.paths.ents[r.path].hdr...)
-		packet.SetReservation(w.tmpls[at:],
+		copy(reqs[i].Out, g.paths.ents[r.path].hdr)
+		packet.SetReservation(reqs[i].Out,
 			&packet.ResInfo{SrcAS: g.srcAS, ResID: reqs[i].ResID, BwKbps: r.bw, ExpT: r.expT, Ver: r.ver},
 			&packet.EERInfo{SrcHost: r.srcHost, DstHost: r.dstHost})
-		w.tmpls = append(w.tmpls, g.sigs[r.hops-1].at(r.sig)...)
+		// The scratch grows to the largest batch seen, then is reused.
+		w.sigmas = append(w.sigmas, g.sigs[r.hops-1].at(r.sig)...)
 		toBuild++
 	}
 	g.mu.Unlock()
@@ -487,20 +481,19 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		phaseStart = now
 	}
 
-	// Phase 3: timestamps, HVFs, serialization, for the packets still
-	// without an error, from the copied headers and σs. One atomic Add
-	// claims the whole batch's unique timestamp range.
+	// Phase 3: timestamps, HVFs, payloads, for the packets still without an
+	// error, over the copied headers and σs. One atomic Add claims the whole
+	// batch's unique timestamp range.
 	built := 0
 	if toBuild > 0 {
 		ts := g.reserveTs(nowNs, toBuild)
-		tmpls := w.tmpls
+		sigmas := w.sigmas
 		for i := 0; i < n; i++ {
 			if outs[i].Err != nil {
 				continue
 			}
-			wire := tmpls[:templateLen(packet.PathLenOf(tmpls))]
-			tmpls = tmpls[len(wire):]
-			outs[i].N = w.stamp(wire, reqs[i].Payload, reqs[i].Out, ts)
+			outs[i].N = w.stamp(reqs[i].Out, reqs[i].Payload, sigmas, ts)
+			sigmas = sigmas[packet.PathLenOf(reqs[i].Out)*cryptoutil.KeySize:]
 			ts++
 			built++
 			if tel != nil {
@@ -520,20 +513,18 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 	return built
 }
 
-// stamp writes the packet of one header and its σs (wire) into out: the
-// header copied, its payload length and Ts set, the payload, and one HVF per
-// hop computed in place from the σs behind the header. It returns the packet
-// length.
+// stamp completes the packet whose header out holds: the payload behind the
+// header, its length and Ts set, and one HVF per hop computed in place from
+// the hops' σs at the front of sigmas. It returns the packet length.
 //
 //colibri:nomalloc
-func (w *Worker) stamp(wire, payload, out []byte, ts uint64) int {
-	hops := packet.PathLenOf(wire)
+func (w *Worker) stamp(out, payload, sigmas []byte, ts uint64) int {
+	hops := packet.PathLenOf(out)
 	hdr := packet.DataLen(hops, 0)
-	copy(out, wire[:hdr])
 	n := hdr + copy(out[hdr:], payload)
 	packet.SetDataFields(out, len(payload), ts)
 	packet.HVFInput(&w.hvfIn, ts, uint32(n))
-	hvfs, sigmas := out[packet.HVFOffset(hops):hdr], wire[hdr:]
+	hvfs := out[packet.HVFOffset(hops):hdr]
 	for h := 0; h < hops; h++ {
 		cryptoutil.SigmaMAC(&w.ks, (*cryptoutil.Key)(sigmas[h*cryptoutil.KeySize:]), &w.macOut, &w.hvfIn)
 		copy(hvfs[h*packet.HVFLen:], w.macOut[:packet.HVFLen])

@@ -24,13 +24,6 @@ type pathTab struct {
 	free [packet.MaxHops]uint32
 	// live counts the entries some record names.
 	live int
-	// memoPath, memoLen and memoEnt remember the last path acquired by the
-	// caller's backing array: a caller that installs many EERs over one
-	// slice (a grant's shared chain) finds its entry by one comparison of
-	// the hop fields, without hashing or probing.
-	memoPath *packet.HopField
-	memoLen  int
-	memoEnt  uint32
 }
 
 // pathEnt is one interned path header.
@@ -72,14 +65,9 @@ func pathHash(path []packet.HopField) uint32 {
 // no record names such an entry, and counts one more reference to it. path
 // has 1 to packet.MaxHops hops.
 func (p *pathTab) acquire(path []packet.HopField) uint32 {
-	if e := p.memoEnt; p.memoPath == &path[0] && p.memoLen == len(path) && p.ents[e].refs > 0 && p.ents[e].holds(path) {
-		p.ents[e].refs++
-		return e
-	}
 	h := pathHash(path)
 	if e, ok := p.find(h, path); ok {
 		p.ents[e].refs++
-		p.remember(path, e)
 		return e
 	}
 	if 2*(p.live+1) > len(p.index) {
@@ -92,13 +80,7 @@ func (p *pathTab) acquire(path []packet.HopField) uint32 {
 	ent.hash, ent.refs = h, 1
 	p.place(e)
 	p.live++
-	p.remember(path, e)
 	return e
-}
-
-// remember makes path's backing array the memo's.
-func (p *pathTab) remember(path []packet.HopField, e uint32) {
-	p.memoPath, p.memoLen, p.memoEnt = &path[0], len(path), e
 }
 
 // find returns the live entry holding path, whose hash is h.

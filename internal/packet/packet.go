@@ -177,14 +177,8 @@ func (p *Packet) SerializeTo(buf []byte) (int, error) {
 	buf[4] = byte(hops)
 	buf[5] = 0
 	binary.BigEndian.PutUint16(buf[6:8], uint16(len(p.Payload)))
-	binary.BigEndian.PutUint64(buf[8:16], uint64(p.Res.SrcAS))
-	binary.BigEndian.PutUint32(buf[16:20], p.Res.ResID)
-	binary.BigEndian.PutUint32(buf[20:24], p.Res.BwKbps)
-	binary.BigEndian.PutUint32(buf[24:28], p.Res.ExpT)
-	binary.BigEndian.PutUint16(buf[28:30], p.Res.Ver)
+	SetReservation(buf, &p.Res, &p.EER)
 	buf[30], buf[31] = 0, 0
-	binary.BigEndian.PutUint32(buf[32:36], p.EER.SrcHost)
-	binary.BigEndian.PutUint32(buf[36:40], p.EER.DstHost)
 	binary.BigEndian.PutUint64(buf[40:48], p.Ts)
 	off := fixedLen
 	for _, h := range p.Path {
@@ -315,9 +309,8 @@ func SetDataFields(buf []byte, payloadLen int, ts uint64) {
 }
 
 // SetReservation writes a packet's ResInfo and EERInfo into a serialized
-// header in place, at the offsets SerializeTo writes them: the fields a
-// builder fills in after copying a header that SerializeTo encoded once per
-// path, with both zero.
+// header in place. SerializeTo writes them through it, and a builder that
+// copies a header encoded once per path, with both zero, fills them in with it.
 func SetReservation(buf []byte, res *ResInfo, eer *EERInfo) {
 	binary.BigEndian.PutUint64(buf[8:16], uint64(res.SrcAS))
 	binary.BigEndian.PutUint32(buf[16:20], res.ResID)
