@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"errors"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -85,5 +86,60 @@ func TestDropAllocatesNothing(t *testing.T) {
 		if !errors.Is(err, ErrDropped) || !errors.Is(err, c.reason) {
 			t.Errorf("%s: dropped with %v, want both %v and %v", c.name, err, ErrDropped, c.reason)
 		}
+	}
+}
+
+// TestSessionBytesPerEER pins what a maintained session costs the source AS
+// beyond its EER's records at the CServ and the gateway: at most 96 live heap
+// bytes — the Session and its keeper's columns in the node's fleet, the σs
+// kept by the gateway alone. A session with a keeper of its own, which
+// copied its grant and σs, cost about 360.
+func TestSessionBytesPerEER(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const n, budget = 4096, 96
+	// grow measures the live heap n EERs add to a fresh network: as sessions,
+	// kept and maintained, or as the CServ's and the gateway's records alone.
+	grow := func(sessions bool) float64 {
+		net, hs, hd := twoISDNet(t, Options{RateLimit: 1 << 30})
+		node := net.Node(hs.IA)
+		kept := make([]*Session, 0, n)
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for range n {
+			if !sessions {
+				g, err := node.CServ.RequestEER(hs.Addr, hd.Addr, hd.IA, 100)
+				if err == nil {
+					err = node.Gateway.Install(g.Res, g.EER, g.Path, g.HopAuths)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				continue
+			}
+			s, err := hs.RequestEER(hd, 100)
+			if err == nil {
+				err = s.Maintain(4)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			kept = append(kept, s)
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(net)
+		runtime.KeepAlive(kept)
+		return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+	}
+	// The least of three is each variant's own; the rest is other goroutines'
+	// garbage.
+	records := min(grow(false), grow(false), grow(false))
+	per := min(grow(true), grow(true), grow(true)) - records
+	t.Logf("%.1f heap bytes per session beyond %.1f of records", per, records)
+	if per > budget {
+		t.Fatalf("a maintained session holds %.1f heap bytes beyond its records, budget %d", per, budget)
 	}
 }

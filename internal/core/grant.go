@@ -1,8 +1,6 @@
 package core
 
 import (
-	"slices"
-
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/topology"
@@ -15,11 +13,12 @@ import (
 // scenario the §4.8 policing machinery exists for, so the experiments and
 // examples need this view.
 //
-// A view owns its HopAuths and shares Path, which no renewal changes: a
-// maintained session's grant lives in its keeper, whose next renewal
-// overwrites the σs in place, while a view taken before keeps stamping the
-// version it was taken of — valid at the routers until that version expires
-// (§4.2).
+// A view owns its HopAuths, copied from the gateway, and shares Path, which
+// no renewal changes: the session's next renewal overwrites the gateway's σs
+// in place, while a view taken before keeps stamping the version it was
+// taken of — valid at the routers until that version expires (§4.2). Once
+// the gateway no longer holds the EER, the view's σs are len(Path) zero keys,
+// so what it stamps is dropped at the first router.
 type GrantView struct {
 	Res      packet.ResInfo
 	EER      packet.EERInfo
@@ -29,12 +28,11 @@ type GrantView struct {
 
 // Grant returns the session's reservation material.
 func (s *Session) Grant() GrantView {
-	return GrantView{
-		Res:      s.grant.Res,
-		EER:      s.grant.EER,
-		Path:     s.grant.Path,
-		HopAuths: slices.Clone(s.grant.HopAuths),
-	}
+	f, i := s.keeper()
+	g := f.Grant(i)
+	auths := make([]cryptoutil.Key, len(g.Path))
+	s.src.net.nodes[s.src.IA].Gateway.HopAuths(s.resID, auths)
+	return GrantView{Res: g.Res, EER: g.EER, Path: g.Path, HopAuths: auths}
 }
 
 // Stamp builds a serialized Colibri data packet directly from the grant,

@@ -8,6 +8,7 @@ import (
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
+	"colibri/internal/router"
 	"colibri/internal/topology"
 )
 
@@ -107,5 +108,50 @@ func TestGrantViewOutlivesRenewal(t *testing.T) {
 	}
 	if hd.Received != 2 {
 		t.Fatalf("received %d, want 2", hd.Received)
+	}
+}
+
+// TestGrantViewAfterSweep: once the gateway no longer holds a session's EER —
+// swept after expiry, or removed while still valid — the session's view
+// carries len(Path) zero σs, never a short slice. What it stamps then is
+// dropped on path, not delivered, and nothing panics.
+func TestGrantViewAfterSweep(t *testing.T) {
+	net, hs, hd := twoISDNet(t, Options{})
+	expired, err := hs.RequestEER(hd, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net.Clock.Advance(int64(expired.ExpiresAt()-net.Clock.NowSec()+1) * 1e9)
+	net.Tick() // sweeps the expired EER out of the gateway
+	removed, err := hs.RequestEER(hd, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gw := net.GatewayOf(ia(1, 11))
+	gw.Remove(removed.resID)
+	if gw.Len() != 0 {
+		t.Fatalf("the gateway still holds %d EERs", gw.Len())
+	}
+	for _, c := range []struct {
+		name string
+		sess *Session
+		want error
+	}{{"expired", expired, router.ErrExpired}, {"removed", removed, router.ErrBadHVF}} {
+		g := c.sess.Grant()
+		if len(g.Path) != 5 || len(g.HopAuths) != len(g.Path) {
+			t.Fatalf("%s: view of %d hops with %d σs", c.name, len(g.Path), len(g.HopAuths))
+		}
+		for h, a := range g.HopAuths {
+			if a != (cryptoutil.Key{}) {
+				t.Fatalf("%s: σ %d is %x, want zero", c.name, h, a)
+			}
+		}
+		net.Clock.Advance(1e6)
+		if err := net.InjectPacket(g.Stamp([]byte("x"), net.Clock.NowNs(), false), ia(1, 11)); !errors.Is(err, c.want) {
+			t.Errorf("%s: stamped packet: %v, want %v", c.name, err, c.want)
+		}
+	}
+	if hd.Received != 0 {
+		t.Fatalf("received %d packets stamped without σs", hd.Received)
 	}
 }

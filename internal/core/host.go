@@ -47,20 +47,20 @@ func (n *Network) AddHost(ia topology.IA, addr uint32) (*Host, error) {
 }
 
 // Session is an established end-to-end reservation from the perspective of
-// the source host.
+// the source host. Its serving version is keeper row of the source node's
+// fleet, and its σs are the gateway's.
 type Session struct {
-	src    *Host
-	dst    *Host
-	grant  *cserv.EERGrant
-	keeper *cserv.EERKeeper
-	// resID and hops are what Send needs of the grant, kept next to it.
+	src *Host
+	dst *Host
+	row int32
+	// resID and hops are what Send needs of the version, the same for all.
 	resID uint32
 	hops  int
 }
 
-// setGrant makes g the session's current version.
-func (s *Session) setGrant(g *cserv.EERGrant) {
-	s.grant, s.resID, s.hops = g, g.Res.ResID, len(g.Path)
+// keeper returns the fleet that keeps s, at s's row.
+func (s *Session) keeper() (*cserv.KeeperFleet, int) {
+	return s.src.net.nodes[s.src.IA].fleet, int(s.row)
 }
 
 // Data-plane send errors.
@@ -80,41 +80,40 @@ func (h *Host) RequestEER(dst *Host, bwKbps uint64) (*Session, error) {
 	if err := node.Gateway.Install(grant.Res, grant.EER, grant.Path, grant.HopAuths); err != nil {
 		return nil, err
 	}
-	s := &Session{src: h, dst: dst}
-	s.setGrant(grant)
-	return s, nil
+	// The node's fleet never ticks as a wave, so the keeper's lead is unused:
+	// Maintain brings its own.
+	row := node.fleet.Add(cserv.NewEERKeeper(node.CServ, node.Gateway, grant, 1))
+	return &Session{src: h, dst: dst, row: int32(row), resID: grant.Res.ResID, hops: len(grant.Path)}, nil
 }
 
 // Renew obtains a new version of the session's EER with the given bandwidth
 // and installs it, seamlessly replacing the previous version (§4.2).
 func (s *Session) Renew(bwKbps uint64) error {
-	node := s.src.net.nodes[s.src.IA]
-	grant, err := node.CServ.RenewEER(s.grant, bwKbps)
-	if err != nil {
-		return err
-	}
-	if err := node.Gateway.Install(grant.Res, grant.EER, grant.Path, grant.HopAuths); err != nil {
-		return err
-	}
-	s.setGrant(grant)
-	return nil
+	f, i := s.keeper()
+	return f.Renew(i, bwKbps)
 }
 
 // BandwidthKbps returns the session's reserved bandwidth.
-func (s *Session) BandwidthKbps() uint64 { return uint64(s.grant.Res.BwKbps) }
+func (s *Session) BandwidthKbps() uint64 {
+	f, i := s.keeper()
+	return uint64(f.Res(i).BwKbps)
+}
 
 // ExpiresAt returns the current version's expiry (Unix seconds).
-func (s *Session) ExpiresAt() uint32 { return s.grant.Res.ExpT }
+func (s *Session) ExpiresAt() uint32 {
+	f, i := s.keeper()
+	return f.Res(i).ExpT
+}
 
 // EnsureFresh renews the session at the current bandwidth if its newest
 // version expires within lead seconds — the keep-alive a host's networking
 // stack runs so 16-second EERs serve long-lived flows without interruption
 // (§4.2). It reports whether a renewal happened.
 func (s *Session) EnsureFresh(lead uint32) (bool, error) {
-	if s.grant.Res.ExpT > s.src.net.Clock.NowSec()+lead {
+	if s.ExpiresAt() > s.src.net.Clock.NowSec()+lead {
 		return false, nil
 	}
-	if err := s.Renew(uint64(s.grant.Res.BwKbps)); err != nil {
+	if err := s.Renew(s.BandwidthKbps()); err != nil {
 		return false, err
 	}
 	return true, nil
@@ -127,17 +126,15 @@ func (s *Session) EnsureFresh(lead uint32) (bool, error) {
 // successful renewal re-promotes it (§3.2/§4.2). The returned error is the
 // renewal failure, if any; the session keeps working either way.
 func (s *Session) Maintain(lead uint32) error {
-	if s.keeper == nil {
-		node := s.src.net.nodes[s.src.IA]
-		s.keeper = cserv.NewEERKeeper(node.CServ, node.Gateway, s.grant, lead)
-	}
-	err := s.keeper.Tick()
-	s.setGrant(s.keeper.Grant())
-	return err
+	f, i := s.keeper()
+	return f.Keep(i, lead)
 }
 
 // Demoted reports whether Maintain has demoted the session to best-effort.
-func (s *Session) Demoted() bool { return s.keeper != nil && s.keeper.Demoted() }
+func (s *Session) Demoted() bool {
+	f, i := s.keeper()
+	return f.IsDemoted(i)
+}
 
 // PathLen returns the number of on-path ASes.
 func (s *Session) PathLen() int { return s.hops }

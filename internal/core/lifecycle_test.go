@@ -48,6 +48,50 @@ func TestLongLivedFlowAcrossRenewals(t *testing.T) {
 	}
 }
 
+// TestRenewThenMaintainKeepsRenewedVersion: a host's explicit renewal and its
+// keep-alive serve one version. After Renew to 9000 kbps, Maintain keeps the
+// renewed version — its bandwidth and its expiry — and the next due Maintain
+// renews that version at that bandwidth, rather than going back to the one
+// the keep-alive held before and asking again for the renewed version's
+// number at the old bandwidth.
+func TestRenewThenMaintainKeepsRenewedVersion(t *testing.T) {
+	net, hs, hd := twoISDNet(t, Options{})
+	sess, err := hs.RequestEER(hd, 8_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sess.Maintain(4); err != nil {
+		t.Fatal(err)
+	}
+	v1 := sess.Grant().Res
+	net.Clock.Advance(1e9)
+	if err := sess.Renew(9_000); err != nil {
+		t.Fatal(err)
+	}
+	renewed := sess.Grant().Res
+	if renewed.Ver != v1.Ver+1 || renewed.BwKbps != 9_000 {
+		t.Fatalf("Renew(9000) gave version %d at %d kbps, want %d at 9000", renewed.Ver, renewed.BwKbps, v1.Ver+1)
+	}
+	net.Clock.Advance(1e9)
+	if err := sess.Maintain(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Grant().Res; got != renewed || sess.BandwidthKbps() != 9_000 || sess.ExpiresAt() != renewed.ExpT {
+		t.Fatalf("Maintain after Renew serves version %d at %d kbps until %d, want %d at 9000 until %d",
+			got.Ver, sess.BandwidthKbps(), sess.ExpiresAt(), renewed.Ver, renewed.ExpT)
+	}
+	net.Clock.Advance(int64(renewed.ExpT-3-net.Clock.NowSec()) * 1e9)
+	if err := sess.Maintain(4); err != nil {
+		t.Fatal(err)
+	}
+	if got := sess.Grant().Res; got.Ver != renewed.Ver+1 || got.BwKbps != 9_000 {
+		t.Fatalf("due Maintain renewed to version %d at %d kbps, want %d at 9000", got.Ver, got.BwKbps, renewed.Ver+1)
+	}
+	if err := sess.Send([]byte("x")); err != nil || hd.Received != 1 {
+		t.Fatalf("send after the keep-alive: %v, received %d", err, hd.Received)
+	}
+}
+
 // TestSegRAutoRenewKeepsVersionsMoving verifies the operator automation:
 // after the lead window, SegRs get fresh versions network-wide and old EERs
 // stay valid.
@@ -57,7 +101,7 @@ func TestSegRAutoRenewKeepsVersionsMoving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	segID := sess.grant.SegIDs[0]
+	segID := grantOf(sess).SegIDs[0]
 	before, err := net.Node(ia(1, 11)).CServ.Store().GetSegR(segID)
 	if err != nil {
 		t.Fatal(err)

@@ -74,6 +74,9 @@ type Node struct {
 	// drops[i] is the error of a packet this node's router dropped for
 	// routerDrops[i].
 	drops [len(routerDrops)]error
+	// fleet keeps the sessions of the node's hosts alive, one keeper each;
+	// Session's methods drive a session's keeper alone.
+	fleet *cserv.KeeperFleet
 	// sendBuf is the grow-only buffer Session.Send serializes every packet
 	// leaving this AS into. One per node is enough because core is
 	// single-threaded per network: a packet is built, walked hop by hop and
@@ -198,6 +201,7 @@ func NewNetwork(topo *topology.Topology, opts Options) (*Network, error) {
 		rcfg.Blocklist = monitor.NewBlocklist()
 		node.Router = router.New(rcfg)
 		node.Gateway = gateway.New(ia)
+		node.fleet = cserv.NewKeeperFleet(node.CServ)
 		if node.Telemetry != nil {
 			node.Gateway.EnableTelemetry(node.Telemetry)
 		}

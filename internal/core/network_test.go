@@ -15,6 +15,15 @@ import (
 
 func ia(isd topology.ISD, as topology.ASID) topology.IA { return topology.MustIA(isd, as) }
 
+// grantOf returns s's serving version as its keeper holds it, with the σs the
+// gateway holds.
+func grantOf(s *Session) *cserv.EERGrant {
+	f, i := s.keeper()
+	g := f.Grant(i)
+	g.HopAuths = s.Grant().HopAuths
+	return &g
+}
+
 // twoISDNet wires the Fig. 1 topology and sets up the SegR mesh.
 func twoISDNet(t testing.TB, opts Options) (*Network, *Host, *Host) {
 	t.Helper()
@@ -122,7 +131,7 @@ func TestEERSurvivesSegRVersionSwitch(t *testing.T) {
 	}
 	// Renew + activate the underlying up-SegR (initiated by 1-11).
 	src := net.Node(ia(1, 11)).CServ
-	segID := sess.grant.SegIDs[0]
+	segID := grantOf(sess).SegIDs[0]
 	ver, _, err := src.RenewSegment(segID, 0, 2_000_000)
 	if err != nil {
 		t.Fatal(err)
@@ -171,12 +180,12 @@ func TestSpoofedSourceRejected(t *testing.T) {
 	}
 	// A gateway only accepts reservations of its own AS.
 	evil := net.GatewayOf(ia(1, 3))
-	if err := evil.Install(sess.grant.Res, sess.grant.EER, sess.grant.Path, sess.grant.HopAuths); err == nil {
+	if g := grantOf(sess); evil.Install(g.Res, g.EER, g.Path, g.HopAuths) == nil {
 		t.Fatal("gateway of 1-3 accepted a foreign reservation")
 	}
 	// The adversary forges the header with invented HVFs: the first hop
 	// whose HVF is wrong drops the packet.
-	pktBuf := rogueBuild(t, sess.grant, make([]byte, 100), net.Clock.NowNs())
+	pktBuf := rogueBuild(t, grantOf(sess), make([]byte, 100), net.Clock.NowNs())
 	for i := len(pktBuf) - 100 - 20; i < len(pktBuf)-100; i++ {
 		pktBuf[i] ^= 0xA5 // corrupt all 5 HVFs
 	}
@@ -230,7 +239,7 @@ func TestReplayAttackSuppressed(t *testing.T) {
 	// Build one packet manually so we can replay the exact bytes.
 	node := net.Node(ia(1, 11))
 	buf := make([]byte, 512)
-	sz, err := node.Gateway.NewWorker().Build(sess.grant.Res.ResID, []byte("x"), buf, net.Clock.NowNs())
+	sz, err := node.Gateway.NewWorker().Build(grantOf(sess).Res.ResID, []byte("x"), buf, net.Clock.NowNs())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +275,7 @@ func TestOverusePunished(t *testing.T) {
 	var overuse, blocked bool
 	for i := 1; i <= 200_000 && !blocked; i++ {
 		net.Clock.Advance(1e5) // 10 000 pps of ~1 kB ≈ 80 Mbps on 800 kbps
-		buf := rogueBuild(t, sess.grant, payload, net.Clock.NowNs())
+		buf := rogueBuild(t, grantOf(sess), payload, net.Clock.NowNs())
 		err := net.InjectPacket(buf, ia(1, 11))
 		switch {
 		case err == nil:
@@ -335,7 +344,7 @@ func TestPathChoiceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatalf("no fallback path: %v", err)
 	}
-	if sess1.grant.SegIDs[0] == sess2.grant.SegIDs[0] {
+	if grantOf(sess1).SegIDs[0] == grantOf(sess2).SegIDs[0] {
 		t.Error("second EER did not use an alternative segment reservation")
 	}
 	if err := sess2.Send([]byte("via fallback")); err != nil {

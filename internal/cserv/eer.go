@@ -20,10 +20,9 @@ import (
 // version to version, and they are read-only: a setup's share their backing
 // arrays with the directory's memoised chain it was set up over, a renewal's
 // with the grant it renews, so writing one would rewrite every grant over the
-// chain and every later setup. HopAuths is the grant's own. The grant an
-// EERKeeper serves (Grant) is the keeper's: its memory belongs to the keeper
-// until that keeper's next renewal, which overwrites Res, EER and HopAuths in
-// place.
+// chain and every later setup. HopAuths is the grant's own. A KeeperFleet
+// keeps no grant: Grant(i) builds keeper i's version from its columns and
+// chain, without σs (HopAuths nil), which only its installer keeps.
 type EERGrant struct {
 	ID       reservation.ID
 	Res      packet.ResInfo

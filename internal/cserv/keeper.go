@@ -2,7 +2,6 @@ package cserv
 
 import (
 	"math/bits"
-	"slices"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
@@ -20,77 +19,36 @@ type GatewayInstaller interface {
 	Promote(resID uint32) bool
 }
 
-// EERKeeper keeps one EER alive: it renews within a lead time before
-// expiry, installs fresh versions at the gateway, and implements the
-// failover of §3.2/§4.2 — when renewal keeps failing until the newest
-// version is about to expire, the flow is demoted to best-effort at the
-// gateway instead of blackholing, and the keeper continues trying; the
-// next successful renewal re-promotes the flow to its reserved class.
+// EERKeeper hands one already-granted (and installed) EER to a KeeperFleet,
+// which keeps it alive: it renews within a lead time before expiry, installs
+// fresh versions at the gateway, and implements the failover of §3.2/§4.2 —
+// when renewal keeps failing until the newest version is about to expire,
+// the flow is demoted to best-effort at the gateway instead of blackholing,
+// and the keeper continues trying; the next successful renewal re-promotes
+// the flow to its reserved class.
 //
-// The keeper owns its serving grant and renews it in place: a successful
-// renewal overwrites the grant's Res, EER and HopAuths, and a failed one
-// leaves them alone, so the old version keeps serving (§4.2).
-//
-// Not safe for concurrent use; drive it from one maintenance loop.
+// A keeper copies nothing: it names the grant, its installer and its lead
+// time until KeeperFleet.Add reads them and clears it.
 type EERKeeper struct {
-	svc *Service
-	gw  GatewayInstaller
-	// grant is the keeper's own copy of the serving version.
-	grant   *EERGrant
-	lead    uint32
-	demoted bool
-
-	// Renewals and Failures count successful and failed renewal attempts.
-	Renewals uint64
-	Failures uint64
+	gw    GatewayInstaller
+	grant *EERGrant
+	lead  uint32
 }
 
 // NewEERKeeper builds a keeper for an already-granted (and installed) EER.
 // leadSeconds is how long before expiry renewal starts (clamped to ≥ 1). The
-// keeper copies grant and clones its HopAuths, so it never writes the
-// caller's grant; it shares the chain's slices, which no renewal changes.
+// fleet the keeper goes to renews through its own service, which must be
+// svc; Add only reads grant, which must not change until then.
 func NewEERKeeper(svc *Service, gw GatewayInstaller, grant *EERGrant, leadSeconds uint32) *EERKeeper {
-	if leadSeconds < 1 {
-		leadSeconds = 1
-	}
-	g := *grant
-	g.HopAuths = slices.Clone(grant.HopAuths)
-	return &EERKeeper{svc: svc, gw: gw, grant: &g, lead: leadSeconds}
-}
-
-// Grant returns the newest granted version. Its memory belongs to the
-// keeper: the next successful renewal overwrites it in place.
-func (k *EERKeeper) Grant() *EERGrant { return k.grant }
-
-// Demoted reports whether the flow is currently demoted to best-effort.
-func (k *EERKeeper) Demoted() bool { return k.demoted }
-
-// Tick runs one maintenance step at the service's current time: a no-op
-// while the newest version is fresh, otherwise a renewal attempt with
-// demotion/re-promotion bookkeeping. The returned error is the renewal
-// failure, if any; the flow keeps working (reserved or best-effort) either
-// way.
-func (k *EERKeeper) Tick() error {
-	if !k.demoted && k.grant.Res.ExpT > k.svc.clock()+k.lead {
-		return nil
-	}
-	g, err := k.svc.RenewEER(k.grant, uint64(k.grant.Res.BwKbps))
-	if err = k.svc.applyOutcome(k.gw, &k.grant.Res, &k.demoted, g, err); err != nil {
-		k.Failures++
-		return err
-	}
-	k.grant.Res, k.grant.EER = g.Res, g.EER
-	k.grant.HopAuths = append(k.grant.HopAuths[:0], g.HopAuths...)
-	k.Renewals++
-	return nil
+	return &EERKeeper{gw: gw, grant: grant, lead: max(leadSeconds, 1)}
 }
 
 // applyOutcome applies one renewal attempt's result to a keeper whose
 // serving version is held and whose failover state is *demoted — the same
-// bookkeeping whether the attempt traveled alone (EERKeeper.Tick) or in a
-// batched wave (KeeperFleet): zero-grant detection, demotion once the serving
-// version is dying, installation, re-promotion. It returns nil once the
-// gateway has installed g, and the caller then takes g's version as its
+// bookkeeping whether the attempt traveled alone (KeeperFleet.Keep) or in a
+// batched wave (KeeperFleet.Tick): zero-grant detection, demotion once the
+// serving version is dying, installation, re-promotion. It returns nil once
+// the gateway has installed g, and the caller then takes g's version as its
 // serving one; g is read, never kept.
 func (s *Service) applyOutcome(gw GatewayInstaller, held *packet.ResInfo, demoted *bool, g *EERGrant, err error) error {
 	now := s.clock()
@@ -125,18 +83,20 @@ func (s *Service) applyOutcome(gw GatewayInstaller, held *packet.ResInfo, demote
 	return nil
 }
 
-// KeeperFleet keeps many EERs alive and renews the due ones in batched
+// KeeperFleet keeps many EERs alive. Tick renews the due ones in batched
 // waves: EERs whose grants ride the same SegR chain (same SegIDs, Splits,
 // and Path) are grouped and sent as EEBatchRenewReqs of at most BatchSize
 // items, so a renewal storm costs one MAC verification and one shard-lock
-// sweep per wave instead of per EER. Per-keeper semantics (zero-grant
-// detection, demote/re-promote, counters) are exactly EERKeeper.Tick's.
+// sweep per wave instead of per EER. Keep renews one keeper alone, with a
+// solo request, and applies its outcome exactly as a wave item's (zero-grant
+// detection, demote/re-promote, counters).
 //
-// The fleet keeps no keeper and no grant: Add copies a keeper's state into
+// The fleet keeps no keeper and no grant: Add copies a keeper's version into
 // columns indexed by keeper, in the order Add took them — the order a wave
 // renews them in — and each renewal writes its keeper's columns in place.
 // What keepers share is kept once: a chain's slices per chain, and per kind
-// (chain, source AS, installer, lead) the rest.
+// (chain, source AS, installer, lead) the rest. The σs are the installer's
+// alone: it stamps packets with them, and no renewal reads the old ones.
 //
 // Not safe for concurrent use; drive it from one maintenance loop.
 type KeeperFleet struct {
@@ -146,17 +106,16 @@ type KeeperFleet struct {
 	BatchSize int
 
 	// Keeper i serves version ver[i] of EER (kinds[kind[i]].src, resID[i]):
-	// bw[i] kbps until expT[i], from host srcHost[i] to host dstHost[i], with
-	// the σs sigmas[sig[i]:], one per hop of its chain. Bit i of demoted
-	// (bit i%64 of word i/64) is its failover state, renewals[i] and
-	// failures[i] its counts (32 bits: 136 years at one attempt a second).
+	// bw[i] kbps until expT[i], from host srcHost[i] to host dstHost[i], over
+	// its kind's chain. Bit i of demoted (bit i%64 of word i/64) is its
+	// failover state, renewals[i] and failures[i] its counts (32 bits: 136
+	// years at one attempt a second).
 	resID, bw, expT    []uint32
 	ver                []uint16
 	srcHost, dstHost   []uint32
 	demoted            []uint64
 	renewals, failures []uint32
-	kind, sig          []uint32
-	sigmas             []cryptoutil.Key
+	kind               []uint32
 
 	// kinds holds what keepers share, kindOf finds it again.
 	kinds  []keeperKind
@@ -215,12 +174,12 @@ func NewKeeperFleet(svc *Service) *KeeperFleet {
 	}
 }
 
-// Add takes ownership of k: it copies the keeper's serving version, lead,
-// installer, failover state and counts into the fleet's columns and clears
-// k, which must not be used again. k must keep an EER of the fleet's service,
-// and its installer must be comparable (every GatewayInstaller of this module
-// is a pointer).
-func (f *KeeperFleet) Add(k *EERKeeper) {
+// Add takes ownership of k: it copies the version of the keeper's grant, its
+// lead and installer into the fleet's columns as a new keeper, not demoted,
+// and clears k, which must not be used again. It returns the new keeper's
+// index. k must keep an EER of the fleet's service, and its installer must be
+// comparable (every GatewayInstaller of this module is a pointer).
+func (f *KeeperFleet) Add(k *EERKeeper) int {
 	g := k.grant
 	c := f.chainOf(g)
 	kk := keeperKind{chain: c, src: g.ID.SrcAS, gw: k.gw, lead: k.lead}
@@ -230,9 +189,8 @@ func (f *KeeperFleet) Add(k *EERKeeper) {
 		f.kinds = append(f.kinds, kk)
 		f.kindOf[kk] = ki
 	}
-	n := len(f.chains[c].PathHops)
-	f.grow(n)
-	i, off := len(f.expT), len(f.sigmas)
+	f.grow()
+	i := len(f.expT)
 	f.resID = append(f.resID, g.Res.ResID)
 	f.bw = append(f.bw, g.Res.BwKbps)
 	f.expT = append(f.expT, g.Res.ExpT)
@@ -242,14 +200,11 @@ func (f *KeeperFleet) Add(k *EERKeeper) {
 	if i%64 == 0 {
 		f.demoted = append(f.demoted, 0)
 	}
-	f.setDemoted(i, k.demoted)
-	f.renewals = append(f.renewals, uint32(k.Renewals))
-	f.failures = append(f.failures, uint32(k.Failures))
+	f.renewals = append(f.renewals, 0)
+	f.failures = append(f.failures, 0)
 	f.kind = append(f.kind, ki)
-	f.sig = append(f.sig, uint32(off))
-	f.sigmas = f.sigmas[:off+n]
-	clear(f.sigmas[off+copy(f.sigmas[off:], g.HopAuths):])
 	*k = EERKeeper{}
+	return i
 }
 
 // chainOf returns the index of g's chain, adding the chain if it is new.
@@ -285,27 +240,23 @@ func chainKey(g *EERGrant) string {
 	return string(b)
 }
 
-// grow makes room for one more keeper of n σs. The columns grow by a
-// sixteenth, where append grows by a quarter or more, so that a large
-// fleet's spare capacity stays a small share of its bytes (Add copies each
-// keeper about sixteen times over for it), and the 32-bit ones share one
-// allocation, which the heap rounds up once rather than once per column. The
-// σs grow with them: by the keepers the other columns have room for, at n σs
-// each.
-func (f *KeeperFleet) grow(n int) {
+// grow makes room for one more keeper. The columns grow by a sixteenth,
+// where append grows by a quarter or more, so that a large fleet's spare
+// capacity stays a small share of its bytes (Add copies each keeper about
+// sixteen times over for it), and the 32-bit ones share one allocation,
+// which the heap rounds up once rather than once per column.
+func (f *KeeperFleet) grow() {
 	l := len(f.expT)
-	if l == cap(f.expT) {
-		c := l + l/16 + 16
-		cols := [...]*[]uint32{&f.resID, &f.bw, &f.expT, &f.srcHost, &f.dstHost, &f.renewals, &f.failures, &f.kind, &f.sig}
-		block := make([]uint32, len(cols)*c)
-		for j, col := range cols {
-			*col = block[j*c : j*c+copy(block[j*c:], *col) : (j+1)*c]
-		}
-		f.ver, f.demoted = regrow(f.ver, c), regrow(f.demoted, (c+63)/64)
+	if l < cap(f.expT) {
+		return
 	}
-	if cap(f.sigmas)-len(f.sigmas) < n {
-		f.sigmas = regrow(f.sigmas, len(f.sigmas)+(cap(f.expT)-l)*n)
+	c := l + l/16 + 16
+	cols := [...]*[]uint32{&f.resID, &f.bw, &f.expT, &f.srcHost, &f.dstHost, &f.renewals, &f.failures, &f.kind}
+	block := make([]uint32, len(cols)*c)
+	for j, col := range cols {
+		*col = block[j*c : j*c+copy(block[j*c:], *col) : (j+1)*c]
 	}
+	f.ver, f.demoted = regrow(f.ver, c), regrow(f.demoted, (c+63)/64)
 }
 
 // regrow returns a copy of s with capacity c.
@@ -320,24 +271,18 @@ func regrow[T any](s []T, c int) []T {
 //colibri:nomalloc
 func (f *KeeperFleet) Len() int { return len(f.expT) }
 
-// Grant returns keeper i's serving version. Its HopAuths are the fleet's
-// memory, which the keeper's next successful renewal overwrites in place;
-// its chain's slices are read-only and shared.
+// Grant returns keeper i's serving version without its σs (HopAuths is nil):
+// the fleet keeps none, its installer holds them. The chain's slices are
+// read-only and shared.
 //
 //colibri:nomalloc
 func (f *KeeperFleet) Grant(i int) EERGrant {
 	k := &f.kinds[f.kind[i]]
 	c := &f.chains[k.chain]
 	return EERGrant{
-		ID: reservation.ID{SrcAS: k.src, Num: f.resID[i]}, Res: f.res(i), EER: packet.EERInfo{SrcHost: f.srcHost[i], DstHost: f.dstHost[i]},
-		Path: c.Path, PathHops: c.PathHops, Splits: c.Splits, SegIDs: c.SegIDs, HopAuths: f.sigmasOf(i),
+		ID: reservation.ID{SrcAS: k.src, Num: f.resID[i]}, Res: f.Res(i), EER: packet.EERInfo{SrcHost: f.srcHost[i], DstHost: f.dstHost[i]},
+		Path: c.Path, PathHops: c.PathHops, Splits: c.Splits, SegIDs: c.SegIDs,
 	}
-}
-
-// sigmasOf returns keeper i's σs, one per hop of its chain.
-func (f *KeeperFleet) sigmasOf(i int) []cryptoutil.Key {
-	off, n := int(f.sig[i]), len(f.chains[f.kinds[f.kind[i]].chain].PathHops)
-	return f.sigmas[off : off+n : off+n]
 }
 
 // Renewals returns how many of keeper i's renewal attempts succeeded.
@@ -361,8 +306,10 @@ func (f *KeeperFleet) Demoted() int {
 	return n
 }
 
-// isDemoted reports keeper i's failover state, and setDemoted sets it.
-func (f *KeeperFleet) isDemoted(i int) bool { return f.demoted[i/64]>>(i%64)&1 != 0 }
+// IsDemoted reports keeper i's failover state, and setDemoted sets it.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) IsDemoted(i int) bool { return f.demoted[i/64]>>(i%64)&1 != 0 }
 
 func (f *KeeperFleet) setDemoted(i int, d bool) {
 	bit := uint64(1) << (i % 64)
@@ -373,8 +320,10 @@ func (f *KeeperFleet) setDemoted(i int, d bool) {
 	}
 }
 
-// res returns keeper i's serving ResInfo.
-func (f *KeeperFleet) res(i int) packet.ResInfo {
+// Res returns keeper i's serving ResInfo.
+//
+//colibri:nomalloc
+func (f *KeeperFleet) Res(i int) packet.ResInfo {
 	return packet.ResInfo{SrcAS: f.kinds[f.kind[i]].src, ResID: f.resID[i], BwKbps: f.bw[i], ExpT: f.expT[i], Ver: f.ver[i]}
 }
 
@@ -389,18 +338,52 @@ func (f *KeeperFleet) item(i int) renewItem {
 
 // apply applies one renewal attempt's outcome to keeper i, in place.
 func (f *KeeperFleet) apply(i int, g *EERGrant, err error) error {
-	held, demoted := f.res(i), f.isDemoted(i)
+	held, demoted := f.Res(i), f.IsDemoted(i)
 	err = f.svc.applyOutcome(f.kinds[f.kind[i]].gw, &held, &demoted, g, err)
 	f.setDemoted(i, demoted)
 	if err != nil {
 		f.failures[i]++
 		return err
 	}
-	f.bw[i], f.expT[i], f.ver[i] = g.Res.BwKbps, g.Res.ExpT, g.Res.Ver
-	f.srcHost[i], f.dstHost[i] = g.EER.SrcHost, g.EER.DstHost
-	copy(f.sigmasOf(i), g.HopAuths)
+	f.set(i, g)
 	f.renewals[i]++
 	return nil
+}
+
+// set makes g's version keeper i's serving one.
+func (f *KeeperFleet) set(i int, g *EERGrant) {
+	f.bw[i], f.expT[i], f.ver[i] = g.Res.BwKbps, g.Res.ExpT, g.Res.Ver
+	f.srcHost[i], f.dstHost[i] = g.EER.SrcHost, g.EER.DstHost
+}
+
+// Keep runs keeper i's maintenance step alone, lead seconds (at least 1)
+// before expiry whatever its kind's lead: a no-op while its version is fresh
+// and it is not demoted, otherwise one solo renewal at its bandwidth whose
+// outcome is applied as a wave item's. The error is the renewal's failure,
+// if any; the flow keeps working (reserved or best-effort) either way.
+func (f *KeeperFleet) Keep(i int, lead uint32) error {
+	if !f.IsDemoted(i) && f.expT[i] > f.svc.clock()+max(lead, 1) {
+		return nil
+	}
+	g := f.Grant(i)
+	next, err := f.svc.RenewEER(&g, uint64(f.bw[i]))
+	return f.apply(i, next, err)
+}
+
+// Renew renews keeper i at bwKbps now, whatever its expiry, and installs the
+// new version: a host's explicit renewal (§4.2). Unlike Keep it neither
+// demotes nor counts; a failure, the CServ's or the installer's, leaves the
+// keeper as it was and is returned.
+func (f *KeeperFleet) Renew(i int, bwKbps uint64) error {
+	g := f.Grant(i)
+	next, err := f.svc.RenewEER(&g, bwKbps)
+	if err == nil {
+		err = f.kinds[f.kind[i]].gw.Install(next.Res, next.EER, next.Path, next.HopAuths)
+	}
+	if err == nil {
+		f.set(i, next)
+	}
+	return err
 }
 
 // Tick runs one maintenance step: collect the due keepers into their chains'
@@ -415,7 +398,7 @@ func (f *KeeperFleet) Tick() int {
 	f.order = f.order[:0]
 	for i, exp := range f.expT {
 		k := &f.kinds[f.kind[i]]
-		if exp > now+k.lead && !f.isDemoted(i) {
+		if exp > now+k.lead && !f.IsDemoted(i) {
 			continue
 		}
 		if len(f.due[k.chain]) == 0 {

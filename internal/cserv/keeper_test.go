@@ -35,15 +35,38 @@ type fakeInstaller struct {
 	demoted  bool
 	// refuse makes Install fail, as a gateway refuses a path it cannot carry.
 	refuse bool
+	// auths, when not nil, holds the σs of every EER's installed version, as
+	// a gateway does.
+	auths map[uint32][]cryptoutil.Key
 }
 
-func (fi *fakeInstaller) Install(packet.ResInfo, packet.EERInfo, []packet.HopField, []cryptoutil.Key) error {
+func (fi *fakeInstaller) Install(res packet.ResInfo, _ packet.EERInfo, _ []packet.HopField, auths []cryptoutil.Key) error {
 	if fi.refuse {
 		return errors.New("fake gateway: install refused")
 	}
 	fi.installs++
 	fi.demoted = false
+	if fi.auths != nil {
+		fi.auths[res.ResID] = append(fi.auths[res.ResID][:0], auths...)
+	}
 	return nil
+}
+
+// sigmaInstaller returns a fakeInstaller that keeps every installed version's
+// σs, with grants' versions already installed.
+func sigmaInstaller(grants ...*EERGrant) *fakeInstaller {
+	fi := &fakeInstaller{auths: make(map[uint32][]cryptoutil.Key)}
+	for _, g := range grants {
+		fi.auths[g.Res.ResID] = slices.Clone(g.HopAuths)
+	}
+	return fi
+}
+
+// installed returns keeper i's serving version with the σs fi holds for it.
+func (fi *fakeInstaller) installed(fleet *KeeperFleet, i int) EERGrant {
+	g := fleet.Grant(i)
+	g.HopAuths = fi.auths[g.Res.ResID]
+	return g
 }
 
 func (fi *fakeInstaller) Demote(uint32) bool {
@@ -64,10 +87,11 @@ func (fi *fakeInstaller) Promote(uint32) bool {
 	return was
 }
 
-// TestKeeperDemotesAndRepromotes drives the §3.2/§4.2 failover end to end:
-// renewals succeed → failures within the lead window are tolerated while an
-// older version still serves → the flow is demoted exactly when the newest
-// version dies → renewal recovery re-promotes it.
+// TestKeeperDemotesAndRepromotes drives the §3.2/§4.2 failover end to end
+// through a fleet's solo face (Keep): renewals succeed → failures within the
+// lead window are tolerated while an older version still serves → the flow is
+// demoted exactly when the newest version dies → renewal recovery re-promotes
+// it.
 func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	gate := &gateTransport{}
 	f := twoISDFabric(t, func(iaKey topology.IA, cfg *Config) {
@@ -83,46 +107,48 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 		t.Fatal(err)
 	}
 	gw := &fakeInstaller{}
-	k := NewEERKeeper(src, gw, grant, 4)
+	fleet := NewKeeperFleet(src)
+	k := fleet.Add(NewEERKeeper(src, gw, grant, 4))
+	tick := func() error { return fleet.Keep(k, 4) }
 
-	// Fresh version: Tick is a no-op.
-	if err := k.Tick(); err != nil || k.Renewals != 0 || gw.installs != 0 {
-		t.Fatalf("fresh tick: err=%v renewals=%d installs=%d", err, k.Renewals, gw.installs)
+	// Fresh version: Keep is a no-op.
+	if err := tick(); err != nil || fleet.Renewals(k) != 0 || gw.installs != 0 {
+		t.Fatalf("fresh tick: err=%v renewals=%d installs=%d", err, fleet.Renewals(k), gw.installs)
 	}
 
 	// Inside the lead window: renew and install.
 	f.clock.Store(t0 + 13) // exp t0+16 <= now+4
-	if err := k.Tick(); err != nil {
+	if err := tick(); err != nil {
 		t.Fatalf("renewal tick: %v", err)
 	}
-	if k.Renewals != 1 || gw.installs != 1 {
-		t.Fatalf("after renewal: renewals=%d installs=%d", k.Renewals, gw.installs)
+	if fleet.Renewals(k) != 1 || gw.installs != 1 {
+		t.Fatalf("after renewal: renewals=%d installs=%d", fleet.Renewals(k), gw.installs)
 	}
-	exp := k.Grant().Res.ExpT // t0+29
+	exp := fleet.Res(k).ExpT // t0+29
 
 	// Transport dies. A failure while the newest version still has life
 	// left is tolerated — no demotion yet.
 	gate.fail.Store(true)
 	f.clock.Store(exp - 3)
-	if err := k.Tick(); err == nil {
+	if err := tick(); err == nil {
 		t.Fatal("renewal over a dead transport succeeded")
 	}
-	if gw.demotes != 0 || k.Demoted() {
+	if gw.demotes != 0 || fleet.IsDemoted(k) {
 		t.Fatalf("demoted while old version still serving (demotes=%d)", gw.demotes)
 	}
 
 	// The newest version is about to die and renewal still fails: demote.
 	f.clock.Store(exp - 1)
-	if err := k.Tick(); err == nil {
+	if err := tick(); err == nil {
 		t.Fatal("renewal over a dead transport succeeded")
 	}
-	if gw.demotes != 1 || !k.Demoted() {
-		t.Fatalf("not demoted at expiry (demotes=%d demoted=%v)", gw.demotes, k.Demoted())
+	if gw.demotes != 1 || !fleet.IsDemoted(k) {
+		t.Fatalf("not demoted at expiry (demotes=%d demoted=%v)", gw.demotes, fleet.IsDemoted(k))
 	}
 
 	// Still down: keeper keeps trying, but does not demote twice.
 	f.clock.Store(exp + 1)
-	if err := k.Tick(); err == nil {
+	if err := tick(); err == nil {
 		t.Fatal("renewal over a dead transport succeeded")
 	}
 	if gw.demotes != 1 {
@@ -133,14 +159,14 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	// re-promotes the flow.
 	gate.fail.Store(false)
 	f.clock.Store(exp + 3)
-	if err := k.Tick(); err != nil {
+	if err := tick(); err != nil {
 		t.Fatalf("recovery tick: %v", err)
 	}
-	if k.Demoted() || gw.installs != 2 {
-		t.Fatalf("after recovery: demoted=%v installs=%d", k.Demoted(), gw.installs)
+	if fleet.IsDemoted(k) || gw.installs != 2 {
+		t.Fatalf("after recovery: demoted=%v installs=%d", fleet.IsDemoted(k), gw.installs)
 	}
-	if k.Renewals != 2 || k.Failures != 3 {
-		t.Fatalf("counters: renewals=%d failures=%d", k.Renewals, k.Failures)
+	if fleet.Renewals(k) != 2 || fleet.Failures(k) != 3 {
+		t.Fatalf("counters: renewals=%d failures=%d", fleet.Renewals(k), fleet.Failures(k))
 	}
 	if got := src.Metrics().Demotions.Value(); got != 1 {
 		t.Errorf("Demotions = %d, want 1", got)
@@ -151,27 +177,30 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 }
 
 // TestKeeperKeepsServingVersionWhenInstallFails: a renewal the gateway does
-// not take is a failure, alone or in a wave, and the keeper's version —
-// renewed in place on success — stays the version the gateway still serves,
-// σs and all (§4.2). The grants the keepers were built from are never written.
+// not take is a failure, for a keeper renewed alone (Keep) as for one renewed
+// in a wave (Tick), and the keeper's version — renewed in place on success —
+// stays the version the gateway still serves, whose σs the gateway still
+// holds (§4.2). The grants the keepers were built from are never written.
 func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 1_000_000)
 	src := f.services[ia(1, 11)]
-	gw := &fakeInstaller{refuse: true}
 	grants := requestEERs(t, src, 3, 100)
-	solo := NewEERKeeper(src, gw, grants[0], 4)
-	fleet := NewKeeperFleet(src)
+	gw := sigmaInstaller(grants...)
+	gw.refuse = true
+	solo, fleet := NewKeeperFleet(src), NewKeeperFleet(src)
+	solo.Add(NewEERKeeper(src, gw, grants[0], 4))
 	for _, g := range grants[1:] {
 		fleet.Add(NewEERKeeper(src, gw, g, 4))
 	}
-	// state returns keeper i's version and counts: the solo keeper's, then
-	// the fleet's.
+	// state returns keeper i's version, with the σs the gateway holds for
+	// it, and counts: the solo row's, then the wave's.
 	state := func(i int) (EERGrant, uint64, uint64) {
+		fl, j := fleet, i-1
 		if i == 0 {
-			return *solo.Grant(), solo.Renewals, solo.Failures
+			fl, j = solo, 0
 		}
-		return fleet.Grant(i - 1), fleet.Renewals(i - 1), fleet.Failures(i - 1)
+		return gw.installed(fl, j), fl.Renewals(j), fl.Failures(j)
 	}
 	before := make([]EERGrant, len(grants))
 	for i := range before {
@@ -179,7 +208,7 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 		before[i].HopAuths = slices.Clone(before[i].HopAuths)
 	}
 	f.clock.Add(13)
-	if err := solo.Tick(); err == nil {
+	if err := solo.Keep(0, 4); err == nil {
 		t.Fatal("solo renewal succeeded although the gateway refused it")
 	}
 	if failed := fleet.Tick(); failed != 2 {
@@ -195,7 +224,7 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	}
 	gw.refuse = false
 	f.clock.Add(1)
-	if err := solo.Tick(); err != nil {
+	if err := solo.Keep(0, 4); err != nil {
 		t.Fatal(err)
 	}
 	if failed := fleet.Tick(); failed != 0 {
@@ -214,9 +243,10 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 }
 
 // TestFleetBytesPerKeeper pins what a fleet keeps per EER: 10 000 keepers over
-// one 5-hop chain hold at most 130 live heap bytes each once the fleet has
-// taken them — their 80 bytes of σs and about 40 of columns, the chain kept
-// once. A fleet that kept each keeper and a grant per keeper held about 384.
+// one 5-hop chain hold at most 48 live heap bytes each once the fleet has
+// taken them — about 36 of columns and no σ, the chain kept once. A fleet that
+// kept each keeper's σs held about 124, one that kept each keeper and a grant
+// per keeper about 384.
 func TestFleetBytesPerKeeper(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -228,7 +258,7 @@ func TestFleetBytesPerKeeper(t *testing.T) {
 	if len(grant.PathHops) != 5 {
 		t.Fatalf("the chain has %d hops, want 5", len(grant.PathHops))
 	}
-	const n, budget = 10_000, 130
+	const n, budget = 10_000, 48
 	gw := &fakeInstaller{}
 	// build measures the live heap one fleet adds; the least of three is the
 	// fleet's, the rest other goroutines' garbage.
@@ -266,13 +296,14 @@ func TestFleetFindsChainsByContent(t *testing.T) {
 	f.setupAllSegRs(t, 1_000_000)
 	src := f.services[ia(1, 11)]
 	grants := requestEERs(t, src, 4, 100)
+	gw := sigmaInstaller()
 	copied := *grants[1]
 	copied.Path, copied.PathHops = slices.Clone(copied.Path), slices.Clone(copied.PathHops)
 	copied.Splits, copied.SegIDs = slices.Clone(copied.Splits), slices.Clone(copied.SegIDs)
 	grants[1] = &copied
 	fleet := NewKeeperFleet(src)
 	for _, g := range grants {
-		fleet.Add(NewEERKeeper(src, &fakeInstaller{}, g, 4))
+		fleet.Add(NewEERKeeper(src, gw, g, 4))
 	}
 	if len(fleet.chains) != 1 || len(fleet.chainAt) != 2 || len(fleet.chainBy) != 1 {
 		t.Fatalf("%d chains, %d by identity, %d by content; want 1, 2, 1", len(fleet.chains), len(fleet.chainAt), len(fleet.chainBy))
@@ -282,7 +313,7 @@ func TestFleetFindsChainsByContent(t *testing.T) {
 		t.Fatalf("%d renewals failed", failed)
 	}
 	for i := range fleet.Len() {
-		g := fleet.Grant(i)
+		g := gw.installed(fleet, i)
 		if fleet.Renewals(i) != 1 || g.ID != grants[i].ID || g.Res.Ver != grants[i].Res.Ver+1 {
 			t.Fatalf("keeper %d: %s at version %d after %d renewals", i, g.ID, g.Res.Ver, fleet.Renewals(i))
 		}

@@ -263,6 +263,20 @@ func (g *Gateway) Demoted(resID uint32) bool {
 	return r != nil && r.demoted
 }
 
+// HopAuths copies the σs of EER resID's installed version, in path order,
+// into dst. It leaves dst as it is when the gateway holds no such EER, or
+// holds it over other than len(dst) hops.
+func (g *Gateway) HopAuths(resID uint32, dst []cryptoutil.Key) {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if r := g.recs.Get(g.id(resID)); r != nil && int(r.hops) == len(dst) {
+		sig := g.sigs[r.hops-1].at(r.sig)
+		for i := range dst {
+			copy(dst[i][:], sig[i*cryptoutil.KeySize:])
+		}
+	}
+}
+
 // Remove drops an EER's state (expiry), its token bucket with it.
 func (g *Gateway) Remove(resID uint32) {
 	id := g.id(resID)

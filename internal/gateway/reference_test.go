@@ -3,6 +3,7 @@ package gateway
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"colibri/internal/cryptoutil"
@@ -152,7 +153,7 @@ func (g *refGateway) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) i
 // re-encode the template in place) and over a path of another hop count,
 // removals, expiry, demotion and promotion, and batches of 1–17 packets whose
 // payloads cross the buckets' bursts under a clock that steps both ways — and
-// requires identical answers, packets and buffers.
+// requires identical answers, packets, buffers and σs (HopAuths).
 func TestGatewayMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(26))
 	g, ref := New(srcAS), newRef(srcAS)
@@ -255,8 +256,15 @@ func TestGatewayMatchesReference(t *testing.T) {
 		if g.Len() != len(ref.byID) {
 			t.Fatalf("step %d: %d records, reference %d", step, g.Len(), len(ref.byID))
 		}
-		if e := ref.byID[id]; g.Demoted(id) != (e != nil && e.demoted) {
+		e := ref.byID[id]
+		if g.Demoted(id) != (e != nil && e.demoted) {
 			t.Fatalf("step %d: Demoted(%d) disagrees", step, id)
+		}
+		if e != nil {
+			auths := make([]cryptoutil.Key, len(e.path))
+			if g.HopAuths(id, auths); !slices.Equal(auths, e.auths) {
+				t.Fatalf("step %d: HopAuths(%d) disagrees", step, id)
+			}
 		}
 	}
 	for _, err := range []error{nil, ErrUnknownRes, ErrExpired, ErrDemoted, ErrBufTooSmall, ErrRateExceeded} {
