@@ -624,7 +624,7 @@ func BenchmarkVetSelf(b *testing.B) {
 
 // TestVetSelfBudget is the CI smoke for the gate's cost: one BenchmarkVetSelf
 // iteration must stay under 2× the EXPERIMENTS.md figure (≈4.1 s wall →
-// 8.2 s budget) so the eight-check analyzer can't silently grow past
+// 8.2 s budget) so the analyzer, every default check on, can't silently grow past
 // pre-commit-hook viability. Gated behind COLIBRI_VET_BUDGET=1 because the
 // figure is calibrated to the CI container class; the budget in seconds can
 // be overridden through the variable's value for other hardware.

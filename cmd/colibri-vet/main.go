@@ -1,11 +1,12 @@
 // Command colibri-vet is the project's invariant gate: a stdlib-only static
 // analyzer enforcing the properties the paper's evaluation rests on —
 // deterministic simulation/admission code, allocation-free batch hot paths,
-// lock and telemetry discipline, and checked errors. It walks the module by
-// directory (no go/packages dependency), type-checks each package with a
-// hybrid importer (module-internal packages loaded from source siblings,
-// the standard library through go/importer's source importer), and exits
-// non-zero when any finding survives suppression.
+// lock and telemetry discipline, checked errors, and no internal code that
+// only tests reach. It walks the module by directory (no go/packages
+// dependency), type-checks each package with a hybrid importer
+// (module-internal packages loaded from source siblings, the standard
+// library through go/importer's source importer), and exits non-zero when
+// any finding survives suppression.
 //
 // Usage:
 //
@@ -18,7 +19,6 @@
 //	//colibri:allow(check[,check...])   suppress on this line (or next, if alone)
 //	//colibri:ordered                   file opt-out of the map-iteration rule
 //	//colibri:nomalloc                  function must not heap-allocate
-//	//colibri:singlewriter              atomic field written by exactly one func
 //	//colibri:shardowned                struct is shard-private state
 package main
 
@@ -31,6 +31,9 @@ import (
 	"strings"
 )
 
+// defaultChecks is every check, the -checks default.
+const defaultChecks = "determinism,nomalloc,locks,telemetry,errors,shardown,goroutines,testonly"
+
 func main() {
 	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -40,7 +43,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	var (
 		jsonOut  = fs.Bool("json", false, "emit a JSON report (for CI) instead of file:line text")
-		checks   = fs.String("checks", "determinism,nomalloc,locks,telemetry,errors,atomics,shardown,goroutines", "comma-separated checks to run")
+		checks   = fs.String("checks", defaultChecks, "comma-separated checks to run")
 		detPkgs  = fs.String("deterministic", "netsim,cserv,admission,experiments,reservation,restree", "package names held to the determinism rules")
 		chdir    = fs.String("C", "", "change to this directory before resolving patterns")
 		typeErrs = fs.Bool("typecheck-strict", false, "fail on type-checking errors instead of analyzing best-effort")
@@ -143,9 +146,9 @@ func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath st
 	lkCheck := &locksCheck{}
 	telCheck := &telemetryCheck{}
 	errCheck := &errcheckCheck{}
-	atCheck := &atomicsCheck{}
 	soCheck := &shardownCheck{}
 	grCheck := &goroutinesCheck{}
+	toCheck := &testonlyCheck{}
 	for _, p := range pkgs {
 		if enabled[checkDeterminism] {
 			detCheck.Run(p, rep)
@@ -162,24 +165,27 @@ func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath st
 		if enabled[checkErrors] {
 			errCheck.Run(p, rep)
 		}
-		if enabled[checkAtomics] {
-			atCheck.Run(p, rep)
-		}
 		if enabled[checkShardown] {
 			soCheck.Run(p, rep)
 		}
 		if enabled[checkGoroutines] {
 			grCheck.Run(p, rep)
 		}
+		if enabled[checkTestonly] {
+			toCheck.Run(p, rep)
+		}
 	}
 	if enabled[checkTelemetry] {
 		telCheck.Finish(rep)
 	}
-	if enabled[checkAtomics] {
-		atCheck.Finish(rep)
-	}
 	if enabled[checkShardown] {
 		soCheck.Finish(rep)
+	}
+	if enabled[checkTestonly] {
+		if err := toCheck.Finish(loader, rep); err != nil {
+			fmt.Fprintln(stderr, "colibri-vet: testonly:", err)
+			return 0, 1
+		}
 	}
 
 	if baselinePath != "" {

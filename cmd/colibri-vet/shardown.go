@@ -31,6 +31,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 const checkShardown = "shardown"
@@ -361,4 +362,23 @@ func funcLitEscapes(fl *ast.FuncLit, prefix []ast.Node) bool {
 		return false
 	}
 	return false
+}
+
+// commentGroupHas reports whether any comment of cg contains marker.
+func commentGroupHas(cg *ast.CommentGroup, marker string) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if strings.Contains(c.Text, marker) {
+			return true
+		}
+	}
+	return false
+}
+
+// isConstructorName reports whether a function is a pre-publication
+// constructor by the tree's convention.
+func isConstructorName(name string) bool {
+	return strings.HasPrefix(name, "New") || strings.HasPrefix(name, "new") || name == "init"
 }

@@ -8,9 +8,6 @@
 //	    range in it is order-insensitive or intentionally unordered).
 //	//colibri:nomalloc                 — function annotation: the function
 //	    body must not heap-allocate (verified against escape analysis).
-//	//colibri:singlewriter             — field annotation (atomics check):
-//	    the atomic field is written from exactly one function; writes from
-//	    a second function are findings.
 //	//colibri:shardowned               — struct-type annotation (shardown
 //	    check): fields are shard-private and may only be touched by the
 //	    owning/holder type's methods, reconciliation points and

@@ -6,6 +6,8 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -49,11 +51,14 @@ func TestFixtures(t *testing.T) {
 		{"nomalloc_router", "nomalloc", "./router/...", 1},
 		{"nomalloc_sharded", "nomalloc", "./sharded/...", 1},
 		{"locks_sharded", "locks", "./sharded/...", 1},
-		// Concurrency-invariant suite: each fixture seeds a raw legacy atomic
-		// call, an owned-field alias escape, and an unjoined goroutine.
-		{"atomics", "atomics", "./atomics/...", 1},
+		// Concurrency-invariant suite: each fixture seeds an owned-field alias
+		// escape and an unjoined goroutine.
 		{"shardown", "shardown", "./shardown/...", 1},
 		{"goroutines", "goroutines", "./goroutines/...", 1},
+		// A function only a _test.go file references; the nested caller
+		// module's uses, an interface method, a generic instantiation and an
+		// allow-annotated hook stay clean.
+		{"testonly", "testonly", "./internal/hooks/...", 1},
 		// A package with none of the requested check's subjects is clean.
 		{"clean", "locks", "./cserv/...", 0},
 	}
@@ -122,9 +127,9 @@ func TestJSONReport(t *testing.T) {
 func TestBaseline(t *testing.T) {
 	fix := fixtureDir(t)
 
-	// First pass: capture the fixture's atomics findings as the baseline.
+	// First pass: capture the fixture's goroutines findings as the baseline.
 	var report, stderr bytes.Buffer
-	if exit := run([]string{"-C", fix, "-json", "-checks", "atomics", "./atomics/..."}, &report, &stderr); exit != 1 {
+	if exit := run([]string{"-C", fix, "-json", "-checks", "goroutines", "./goroutines/..."}, &report, &stderr); exit != 1 {
 		t.Fatalf("seed run exit = %d, want 1\nstderr:\n%s", exit, stderr.String())
 	}
 	base := filepath.Join(t.TempDir(), "baseline.json")
@@ -135,7 +140,7 @@ func TestBaseline(t *testing.T) {
 	// Second pass under the baseline: everything matches, the gate passes.
 	var stdout bytes.Buffer
 	stderr.Reset()
-	if exit := run([]string{"-C", fix, "-json", "-checks", "atomics", "-baseline", base, "./atomics/..."}, &stdout, &stderr); exit != 0 {
+	if exit := run([]string{"-C", fix, "-json", "-checks", "goroutines", "-baseline", base, "./goroutines/..."}, &stdout, &stderr); exit != 0 {
 		t.Fatalf("baselined run exit = %d, want 0\nstdout:\n%s\nstderr:\n%s", exit, stdout.String(), stderr.String())
 	}
 	var rep jsonReport
@@ -156,8 +161,9 @@ func TestBaseline(t *testing.T) {
 }
 
 // TestSelfClean is the gate's fixed point: the analyzer must exit 0 on the
-// repository that ships it. (The nomalloc check is exercised separately by
-// the fixtures; running it here would rebuild half the module per test run.)
+// repository that ships it, under every default check. (The nomalloc check
+// is exercised separately by the fixtures; running it here would rebuild half
+// the module per test run.)
 func TestSelfClean(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -166,8 +172,9 @@ func TestSelfClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checks := slices.DeleteFunc(strings.Split(defaultChecks, ","), func(c string) bool { return c == checkNomalloc })
 	var stdout, stderr bytes.Buffer
-	exit := run([]string{"-C", root, "-checks", "determinism,locks,telemetry,errors,atomics,shardown,goroutines", "./..."}, &stdout, &stderr)
+	exit := run([]string{"-C", root, "-checks", strings.Join(checks, ","), "./..."}, &stdout, &stderr)
 	if exit != 0 {
 		t.Fatalf("colibri-vet is not clean on its own tree (exit %d):\n%s%s", exit, stdout.String(), stderr.String())
 	}

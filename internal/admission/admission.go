@@ -48,11 +48,6 @@ func (s TrafficSplit) EERShare(capKbps uint64) uint64 {
 	return capKbps * uint64(s.EERPct) / 100
 }
 
-// ControlShare returns the control-traffic share of a link capacity.
-func (s TrafficSplit) ControlShare(capKbps uint64) uint64 {
-	return capKbps * uint64(s.ControlPct) / 100
-}
-
 // Request is one SegR admission request as seen by an on-path AS.
 type Request struct {
 	ID  reservation.ID
@@ -138,6 +133,8 @@ func NewState(as *topology.AS, split TrafficSplit) *State {
 }
 
 // SetTubeCapKbps overrides the capacity of one ingress→egress tube.
+//
+//colibri:allow(testonly) — cserv's TestAutoRenewZeroGrantKeepsOldVersion caps a tube in every shard's admitter
 func (st *State) SetTubeCapKbps(in, eg topology.IfID, capKbps uint64) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
@@ -262,15 +259,6 @@ func clampNonNeg(v float64) float64 {
 	return v
 }
 
-// RenewSegR re-admits an existing reservation with fresh scale factors (and
-// possibly a new demand), releasing the old snapshot first. On failure the
-// old snapshot is restored, so a failed renewal never destroys an active
-// reservation.
-func (st *State) RenewSegR(req Request) (uint64, error) {
-	g, _, err := st.RenewSegRWithUndo(req)
-	return g, err
-}
-
 // RenewSegRWithUndo is RenewSegR returning an undo closure that restores the
 // pre-renewal snapshot — used when a renewal succeeds locally but a
 // downstream AS refuses it, so the whole chain must roll back (§3.3's
@@ -345,14 +333,9 @@ func (st *State) AllocatedKbps(eg topology.IfID) uint64 {
 	return st.allocEg[eg]
 }
 
-// GrantOf returns the recorded grant for a reservation (0 if unknown).
-func (st *State) GrantOf(id reservation.ID) uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.entries[id].grant
-}
-
 // Len returns the number of admitted reservations.
+//
+//colibri:allow(testonly) — workload's TestTransitAS counts the SegRs it admits
 func (st *State) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()

@@ -49,13 +49,6 @@ func NewNaiveState(as *topology.AS, split TrafficSplit) *NaiveState {
 	return st
 }
 
-// SetTubeCapKbps overrides the capacity of one ingress→egress tube.
-func (st *NaiveState) SetTubeCapKbps(in, eg topology.IfID, capKbps uint64) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	st.tubeCap[tubeKey{in, eg}] = float64(capKbps)
-}
-
 // AdmitSegR recomputes all aggregates from scratch, then applies the same
 // formulas as State.admitLocked.
 func (st *NaiveState) AdmitSegR(req Request) (uint64, error) {
@@ -150,89 +143,4 @@ func (st *NaiveState) releaseLocked(id reservation.ID) {
 			break
 		}
 	}
-}
-
-// RenewSegR re-admits an existing reservation with fresh scale factors; on
-// failure the old snapshot is restored.
-func (st *NaiveState) RenewSegR(req Request) (uint64, error) {
-	g, _, err := st.RenewSegRWithUndo(req)
-	return g, err
-}
-
-// RenewSegRWithUndo is RenewSegR returning an undo closure that restores the
-// pre-renewal snapshot. Restoration re-appends the entry, so its position in
-// the naive iteration order moves to the end — the recomputed aggregates are
-// the same set-sum either way.
-func (st *NaiveState) RenewSegRWithUndo(req Request) (grant uint64, undo func(), err error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	old, had := st.entries[req.ID]
-	if had {
-		st.releaseLocked(req.ID)
-	}
-	restore := func() {
-		st.allocEg[old.req.Eg] += old.grant
-		st.entries[old.req.ID] = old
-		st.order = append(st.order, old.req.ID)
-	}
-	g, err := st.admitLocked(req)
-	if err != nil {
-		if had {
-			restore()
-		}
-		return 0, nil, err
-	}
-	id := req.ID
-	if !had {
-		return g, func() {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			st.releaseLocked(id)
-		}, nil
-	}
-	return g, func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		st.releaseLocked(id)
-		restore()
-	}, nil
-}
-
-// AdjustGrant lowers a reservation's recorded grant to the final backward-
-// pass value, freeing the difference at the egress.
-func (st *NaiveState) AdjustGrant(id reservation.ID, finalKbps uint64) error {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	e, ok := st.entries[id]
-	if !ok {
-		return fmt.Errorf("admission: unknown reservation %s", id)
-	}
-	if finalKbps > e.grant {
-		return fmt.Errorf("admission: cannot raise grant of %s from %d to %d", id, e.grant, finalKbps)
-	}
-	st.allocEg[e.req.Eg] -= e.grant - finalKbps
-	e.grant = finalKbps
-	st.entries[id] = e
-	return nil
-}
-
-// AllocatedKbps returns the total granted bandwidth at an egress.
-func (st *NaiveState) AllocatedKbps(eg topology.IfID) uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.allocEg[eg]
-}
-
-// GrantOf returns the recorded grant for a reservation (0 if unknown).
-func (st *NaiveState) GrantOf(id reservation.ID) uint64 {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return st.entries[id].grant
-}
-
-// Len returns the number of admitted reservations.
-func (st *NaiveState) Len() int {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	return len(st.entries)
 }

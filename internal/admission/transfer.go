@@ -170,6 +170,8 @@ func (p *PairBooks) Charge(demandKbps, grantKbps uint64) {
 // Books returns what the pair holds: the demand and the grants of the EERs
 // through it. With every admission returned as its version went, they are what
 // the live committed versions add up to.
+//
+//colibri:allow(testonly) — cserv's hop-leg and transfer-split tests audit a pair's books
 func (p *PairBooks) Books() (demandKbps, grantedKbps uint64) {
 	c := p.core
 	c.mu.Lock()

@@ -127,7 +127,7 @@ func TestGrantViewAfterSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gw := net.GatewayOf(ia(1, 11))
+	gw := net.Node(ia(1, 11)).Gateway
 	gw.Remove(removed.resID)
 	if gw.Len() != 0 {
 		t.Fatalf("the gateway still holds %d EERs", gw.Len())

@@ -105,20 +105,6 @@ func (s *Session) ExpiresAt() uint32 {
 	return f.Res(i).ExpT
 }
 
-// EnsureFresh renews the session at the current bandwidth if its newest
-// version expires within lead seconds — the keep-alive a host's networking
-// stack runs so 16-second EERs serve long-lived flows without interruption
-// (§4.2). It reports whether a renewal happened.
-func (s *Session) EnsureFresh(lead uint32) (bool, error) {
-	if s.ExpiresAt() > s.src.net.Clock.NowSec()+lead {
-		return false, nil
-	}
-	if err := s.Renew(s.BandwidthKbps()); err != nil {
-		return false, err
-	}
-	return true, nil
-}
-
 // Maintain runs one resilient keep-alive step: like EnsureFresh it renews
 // within lead seconds of expiry, but renewal failures degrade gracefully —
 // when the newest version is about to die the flow is demoted to
@@ -250,7 +236,3 @@ func (n *Network) deliver(ia topology.IA, addr uint32, buf []byte) error {
 	h.Received++
 	return nil
 }
-
-// GatewayOf returns the gateway of an AS, for scenarios that install
-// reservations directly (experiments, examples).
-func (n *Network) GatewayOf(ia topology.IA) *gateway.Gateway { return n.nodes[ia].Gateway }

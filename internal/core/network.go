@@ -271,16 +271,6 @@ func (n *Network) Tick() {
 	}
 }
 
-// SetupSegR initiates a SegR over the given segment from its first AS.
-func (n *Network) SetupSegR(seg *segment.Segment, minKbps, maxKbps uint64) error {
-	node, ok := n.nodes[seg.SrcIA()]
-	if !ok {
-		return fmt.Errorf("core: unknown AS %s", seg.SrcIA())
-	}
-	_, err := node.CServ.SetupSegment(seg, minKbps, maxKbps)
-	return err
-}
-
 // AutoSetupSegRs establishes a default mesh of segment reservations at the
 // given bandwidth: every non-core AS reserves its up-segments, core ASes
 // reserve core-segments between each other, and (acting on behalf of the

@@ -10,6 +10,7 @@ import (
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/router"
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
@@ -179,7 +180,7 @@ func TestSpoofedSourceRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A gateway only accepts reservations of its own AS.
-	evil := net.GatewayOf(ia(1, 3))
+	evil := net.Node(ia(1, 3)).Gateway
 	if g := grantOf(sess); evil.Install(g.Res, g.EER, g.Path, g.HopAuths) == nil {
 		t.Fatal("gateway of 1-3 accepted a foreign reservation")
 	}
@@ -307,17 +308,16 @@ func TestPathChoiceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, seg := range net.Registry.UpSegments(ia(1, 11)) {
-		if err := net.SetupSegR(seg, 0, 1_000_000); err != nil {
+	setup := func(seg *segment.Segment, maxKbps uint64) {
+		if _, err := net.Node(seg.SrcIA()).CServ.SetupSegment(seg, 0, maxKbps); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := net.SetupSegR(net.Registry.CoreSegments(ia(1, 1), ia(2, 1))[0], 0, 2_000_000); err != nil {
-		t.Fatal(err)
+	for _, seg := range net.Registry.UpSegments(ia(1, 11)) {
+		setup(seg, 1_000_000)
 	}
-	if err := net.SetupSegR(net.Registry.DownSegments(ia(2, 11))[0], 0, 2_000_000); err != nil {
-		t.Fatal(err)
-	}
+	setup(net.Registry.CoreSegments(ia(1, 1), ia(2, 1))[0], 2_000_000)
+	setup(net.Registry.DownSegments(ia(2, 11))[0], 2_000_000)
 	hs, err := net.AddHost(ia(1, 11), 1)
 	if err != nil {
 		t.Fatal(err)
@@ -326,12 +326,8 @@ func TestPathChoiceFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	chains, err := net.Node(ia(1, 11)).CServ.SegRsTo(ia(2, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(chains) < 2 {
-		t.Fatalf("need ≥ 2 chains for this test, got %d", len(chains))
+	if ups := net.Registry.UpSegments(ia(1, 11)); len(ups) < 2 {
+		t.Fatalf("need ≥ 2 up-segments, hence chains, for this test, got %d", len(ups))
 	}
 	// Exhaust the first chain's up SegR by a giant EER.
 	sess1, err := hs.RequestEER(hd, 900_000)

@@ -72,14 +72,6 @@ func dbl(dst, src *[aes.BlockSize]byte) {
 	}
 }
 
-// Sum appends the CMAC of msg to dst and returns the extended slice. It does
-// not retain msg. Passing a dst with sufficient capacity avoids allocation.
-func (c *CMAC) Sum(dst, msg []byte) []byte {
-	var mac [MACSize]byte
-	c.sum(&mac, msg)
-	return append(dst, mac[:]...)
-}
-
 // SumInto computes the CMAC of msg into mac.
 func (c *CMAC) SumInto(mac *[MACSize]byte, msg []byte) {
 	c.sum(mac, msg)

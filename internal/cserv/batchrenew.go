@@ -108,11 +108,6 @@ type EEBatchRenewReq struct {
 	bodyLen int
 }
 
-// Body returns the MAC-covered canonical encoding.
-func (r *EEBatchRenewReq) Body() []byte {
-	return r.appendBody(make([]byte, 0, 64+16*len(r.Path)+eeBatchItemLen*len(r.Items)))
-}
-
 func (r *EEBatchRenewReq) appendBody(b []byte) []byte {
 	b = append(b, tagEEBatchRenew)
 	b = append(b, byte(len(r.SegIDs)))
@@ -142,16 +137,6 @@ func (r *EEBatchRenewReq) appendTail(b []byte) []byte {
 		b = append(b, r.Status[i])
 	}
 	return b
-}
-
-// Marshal appends the MACs and the mutable per-item tail to the body.
-func (r *EEBatchRenewReq) Marshal() []byte {
-	return r.appendTail(appendMacs(r.Body(), r.Macs))
-}
-
-// UnmarshalEEBatchRenewReq parses an EEBatchRenewReq.
-func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
-	return decodeNew[EEBatchRenewReq](data)
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's per-item slices.
@@ -227,13 +212,6 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 		b = append(b, blob...)
 	}
 	return b
-}
-
-// UnmarshalEEBatchRenewResp parses an EEBatchRenewResp. The Blobs of the
-// result alias data: they are valid until the caller modifies data, and
-// whatever outlives it (a grant's hop authenticators) is opened out of them.
-func UnmarshalEEBatchRenewResp(data []byte) (*EEBatchRenewResp, error) {
-	return decodeNew[EEBatchRenewResp](data)
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices. It is
@@ -529,41 +507,6 @@ func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
 		}
 	}
 	return true
-}
-
-// RenewEERBatch renews a wave of EERs that share one chain (same SegIDs,
-// Splits, and Path — callers group by chain signature, see KeeperFleet) in a
-// single batched round trip. newBwKbps[i] is the bandwidth requested for
-// prevs[i]. It returns one grant or one error per item; a transport-level
-// batch failure yields the same error for every item. Each grant owns its
-// HopAuths and shares its chain's slices with its previous version.
-func (s *Service) RenewEERBatch(prevs []*EERGrant, newBwKbps []uint64) ([]*EERGrant, []error) {
-	grants, errs := make([]*EERGrant, len(prevs)), make([]error, len(prevs))
-	if len(prevs) == 0 {
-		return grants, errs
-	}
-	if len(newBwKbps) != len(prevs) {
-		err := fmt.Errorf("cserv: RenewEERBatch: %d bandwidths for %d items", len(newBwKbps), len(prevs))
-		for i := range errs {
-			errs[i] = err
-		}
-		return grants, errs
-	}
-	item := func(i int) renewItem {
-		p := prevs[i]
-		return renewItem{
-			ID: p.ID, Ver: p.Res.Ver, BwKbps: p.Res.BwKbps, ExpT: p.Res.ExpT,
-			SrcHost: p.EER.SrcHost, DstHost: p.EER.DstHost, NewBwKbps: newBwKbps[i],
-		}
-	}
-	s.renewWave(prevs[0], len(prevs), item, func(i int, g *EERGrant, err error) {
-		if errs[i] = err; err == nil {
-			c := *g
-			c.HopAuths = slices.Clone(g.HopAuths)
-			grants[i] = &c
-		}
-	})
-	return grants, errs
 }
 
 // renewItem is what a wave reads of one EER it renews: the serving version

@@ -32,7 +32,6 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -561,57 +560,12 @@ func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32)
 	return ok
 }
 
-// SegRAudit is one SegR's conservation snapshot: the bandwidth granted to
-// the SegR at this AS and the peak EER demand its ledger carries over the
-// audited window. PeakKbps > GrantKbps at any time is an over-admission —
-// the invariant the transfer-split leak of the 10⁶-EER storm violated.
-type SegRAudit struct {
-	Seg reservation.ID
-	// GrantKbps is the SegR's current grant (the EER admission ceiling).
-	GrantKbps uint64
-	// PeakKbps is the maximum aggregate EER demand charged on the SegR's
-	// ledger over any epoch intersecting the audited window.
-	PeakKbps uint64
-	// LiveEERs is the number of charges on the ledger that have not lapsed (a
-	// held piece is a charge of its own).
-	LiveEERs int
-}
-
-// AuditLedgers snapshots every SegR's grant and peak admitted EER demand
-// over [fromT, toT), in ID order. Each shard is advanced to now first, so
-// lapsed charges do not count against the window. The result is
-// deterministic for a given engine state; conservation tests assert
-// PeakKbps <= GrantKbps on every row.
-func (c *CPlane) AuditLedgers(fromT, toT uint32) []SegRAudit {
-	now := c.clock()
-	var rows []SegRAudit
-	for _, sh := range c.shards {
-		sh.mu.Lock()
-		var segs []reservation.ID
-		for id := range sh.segs {
-			segs = append(segs, id)
-		}
-		sort.Slice(segs, func(i, j int) bool { return segs[i].Less(segs[j]) })
-		for _, id := range segs {
-			r := sh.segs[id]
-			r.led.Advance(now)
-			rows = append(rows, SegRAudit{
-				Seg:       id,
-				GrantKbps: r.grant,
-				PeakKbps:  uint64(r.led.MaxDemand(fromT, toT)),
-				LiveEERs:  r.led.Len(),
-			})
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(rows, func(i, j int) bool { return rows[i].Seg.Less(rows[j].Seg) })
-	return rows
-}
-
 // AllocatedKbps sums the shards' granted SegR bandwidth at an egress
 // interface. Because shardedAS splits every physical capacity exactly across
 // shards, the sum never exceeds the egress's reservable share — the
 // aggregate half of the conservation invariant.
+//
+//colibri:allow(testonly) — core's TestInternetScaleScenario checks conservation at every egress through it
 func (c *CPlane) AllocatedKbps(eg topology.IfID) uint64 {
 	var total uint64
 	for _, sh := range c.shards {

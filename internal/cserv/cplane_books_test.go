@@ -130,7 +130,7 @@ func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
 				want += bw
 			}
 			sh.mu.Lock()
-			got := sh.segs[row.Seg].led.DemandAt(ep * sec)
+			got := sh.segs[row.Seg].led.MaxDemand(ep*sec, ep*sec+1)
 			sh.mu.Unlock()
 			if got != want {
 				t.Fatalf("%s: SegR %s epoch %d (floor %d): ledger %d, records %d", step, row.Seg, ep, floor, got, want)

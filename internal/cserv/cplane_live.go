@@ -29,39 +29,6 @@ import (
 	"colibri/internal/restree"
 )
 
-// LookupEER returns the admitted record of an EER — bandwidth, protocol
-// version, and expiry — for the handlers' idempotent dedup. seg must be the
-// EER's primary covering SegR (the first local covering segment, which is
-// what the handlers admit under).
-func (c *CPlane) LookupEER(eer, seg reservation.ID) (bwKbps uint64, ver uint16, expT uint32, ok bool) {
-	sh := c.shardFor(seg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e := sh.eers.Get(eer)
-	if e == nil || c.slot(e.seg).id != seg {
-		return 0, 0, 0, false
-	}
-	return uint64(e.bw), e.ver, e.expT, true
-}
-
-// SegAvail returns the bandwidth available to new EER admissions over the
-// SegR during [fromT, toT): the SegR's grant minus the ledger's maximum
-// demand over the window. Unknown SegRs have nothing available.
-func (c *CPlane) SegAvail(seg reservation.ID, fromT, toT uint32) uint64 {
-	now := c.clock()
-	sh := c.shardFor(seg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.segs[seg]
-	if !ok {
-		return 0
-	}
-	// The clock moves the ledger's floor, never the window asked about: one
-	// that lies ahead must not recycle the epochs before it.
-	r.led.Advance(now)
-	return headroom(r.grant, r.led.MaxDemand(fromT, toT))
-}
-
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
 // now to the end of any admitted EER's lifetime, for the activation
 // over-allocation check. ok is false for unknown SegRs.

@@ -2,7 +2,6 @@ package cserv
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 
@@ -114,13 +113,6 @@ func (d *Directory) Expire(now uint32) {
 		d.invalidate()
 	}
 	d.mu.Unlock()
-}
-
-// Len returns the number of registered offers.
-func (d *Directory) Len() int {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	return len(d.offers)
 }
 
 // chains returns the joinable offer sequences from src to dst usable by
@@ -298,19 +290,4 @@ func (s *Service) chainsTo(dstIA topology.IA) ([]dirChain, error) {
 		return nil, fmt.Errorf("cserv: no segment reservations from %s to %s", s.ia, dstIA)
 	}
 	return cs, nil
-}
-
-// SegRsTo returns joinable SegR chains from this AS to dstIA, shortest
-// first. It is what the end-host daemon queries before an EER request
-// (Appendix C).
-func (s *Service) SegRsTo(dstIA topology.IA) ([][]*Offer, error) {
-	cs, err := s.chainsTo(dstIA)
-	if err != nil {
-		return nil, err
-	}
-	out := make([][]*Offer, len(cs))
-	for i := range cs {
-		out[i] = slices.Clone(cs[i].offers)
-	}
-	return out, nil
 }

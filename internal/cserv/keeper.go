@@ -266,11 +266,6 @@ func regrow[T any](s []T, c int) []T {
 	return t
 }
 
-// Len returns the number of keepers in the fleet.
-//
-//colibri:nomalloc
-func (f *KeeperFleet) Len() int { return len(f.expT) }
-
 // Grant returns keeper i's serving version without its σs (HopAuths is nil):
 // the fleet keeps none, its installer holds them. The chain's slices are
 // read-only and shared.
@@ -284,16 +279,6 @@ func (f *KeeperFleet) Grant(i int) EERGrant {
 		Path: c.Path, PathHops: c.PathHops, Splits: c.Splits, SegIDs: c.SegIDs,
 	}
 }
-
-// Renewals returns how many of keeper i's renewal attempts succeeded.
-//
-//colibri:nomalloc
-func (f *KeeperFleet) Renewals(i int) uint64 { return uint64(f.renewals[i]) }
-
-// Failures returns how many of keeper i's renewal attempts failed.
-//
-//colibri:nomalloc
-func (f *KeeperFleet) Failures(i int) uint64 { return uint64(f.failures[i]) }
 
 // Demoted counts keepers currently demoted to best-effort.
 //

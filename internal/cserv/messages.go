@@ -394,10 +394,6 @@ func (r *EESetupResp) Marshal() []byte {
 	return b
 }
 
-// UnmarshalEESetupResp parses an EESetupResp. The EncAuths of the result
-// alias data: they are valid until the caller modifies data.
-func UnmarshalEESetupResp(data []byte) (*EESetupResp, error) { return decodeNew[EESetupResp](data) }
-
 // unmarshal decodes data into r, reusing the capacity of r.EncAuths. Like the
 // request decoder it accepts only what Marshal produces, and no more
 // authenticators than a path has hops.

@@ -75,10 +75,6 @@ func (m *Metrics) init(label string, reg *telemetry.Registry) {
 	m.trace = reg.Tracer("cserv.lifecycle", 0)
 }
 
-// Registry exposes the backing telemetry registry (for exporters and for
-// attaching further instruments of the same AS).
-func (m *Metrics) Registry() *telemetry.Registry { return m.reg }
-
 // Trace records a reservation-lifecycle event on the service's tracer.
 func (m *Metrics) Trace(nowNs int64, kind telemetry.EventKind, res string, ok bool, detail string) {
 	m.trace.Record(nowNs, kind, res, ok, detail)

@@ -262,18 +262,14 @@ func (s *Service) Store() *reservation.Store { return s.store }
 // CPlane exposes the control-plane engine that holds the admission state.
 func (s *Service) CPlane() *CPlane { return s.cp }
 
-// Secret returns the AS data-plane secret shared with the border routers.
-func (s *Service) Secret() cryptoutil.Key { return s.secret }
-
 // Metrics returns the service's control-plane counters.
 func (s *Service) Metrics() *Metrics { return &s.metrics }
 
 // Service-level errors.
 var (
-	ErrAuth        = errors.New("cserv: control-plane authentication failed")
-	ErrRateLimited = errors.New("cserv: source AS rate-limited")
-	ErrNotOnPath   = errors.New("cserv: this AS is not on the request path")
-	ErrRefused     = errors.New("cserv: request refused")
+	ErrAuth      = errors.New("cserv: control-plane authentication failed")
+	ErrNotOnPath = errors.New("cserv: this AS is not on the request path")
+	ErrRefused   = errors.New("cserv: request refused")
 )
 
 // HandleMsg dispatches a marshaled control message from a remote CServ and

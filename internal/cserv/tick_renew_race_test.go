@@ -43,7 +43,7 @@ func renewPopulation(t *testing.T, cp *CPlane, nSeg int, bw uint64, expT uint32)
 
 // TestCPlaneTickRenewRace runs Tick expiry concurrently with renewal waves,
 // one RenewEERPath per EER — under -race this proves the shard mutexes cover
-// everything the two paths share (the static shardown/atomics invariants
+// everything the two paths share (the static shardown invariant
 // cross-checked dynamically). A third of the EERs are transfer-AS pairs, most
 // of whose SegRs sit in different shards, so Tick's removal of a lapsed pair
 // (removePair, both locks by handle) races the renewals' two-lock path. The

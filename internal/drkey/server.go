@@ -76,9 +76,6 @@ func NewTrustStore(ids ...*Identity) *TrustStore {
 	return ts
 }
 
-// Add registers one more AS public key.
-func (ts *TrustStore) Add(ia topology.IA, pub ed25519.PublicKey) { ts.keys[ia] = pub }
-
 // PublicKey returns the registered key for the AS, or nil.
 func (ts *TrustStore) PublicKey(ia topology.IA) ed25519.PublicKey { return ts.keys[ia] }
 

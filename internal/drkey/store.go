@@ -52,22 +52,3 @@ func (s *Store) Get(src topology.IA, t uint32) (cryptoutil.Key, error) {
 	s.mu.Unlock()
 	return key, nil
 }
-
-// Prefetch warms the cache for all given sources at time t, returning the
-// first error encountered (but attempting all).
-func (s *Store) Prefetch(t uint32, srcs ...topology.IA) error {
-	var firstErr error
-	for _, src := range srcs {
-		if _, err := s.Get(src, t); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
-}
-
-// CachedCount returns the number of cached keys (for tests and metrics).
-func (s *Store) CachedCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.keys)
-}

@@ -53,6 +53,8 @@ func (r *record[V]) key() reservation.ID { return reservation.ID{SrcAS: r.ia, Nu
 
 // RecordSize returns the bytes one record of the table takes in its dense
 // array: the key and a V, padded to V's alignment.
+//
+//colibri:allow(testonly) — the layout pins of cserv (TestEERRecordIs40Bytes), gateway (TestRecordBytesPinned) and monitor (TestWatchRecordBytesPinned) read it
 func (*Table[V]) RecordSize() uintptr { return unsafe.Sizeof(record[V]{}) }
 
 // minSlots is the index size of a table's first insertion.

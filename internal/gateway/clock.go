@@ -4,9 +4,8 @@ import "time"
 
 // This file is the package's single clock seam. The only wall-clock reads in
 // the gateway are the telemetry phase timers in BuildBatch; routing them
-// through monoNow keeps the package deterministic under an injected clock
-// (tests, netsim replays) and concentrates the audited time.Now call sites
-// in one place for colibri-vet's determinism check.
+// through monoNow concentrates the audited time.Now call sites in one place
+// for colibri-vet's determinism check.
 
 // clockBase anchors the monotonic reading so monoNow never goes backwards
 // under wall-clock adjustments.
@@ -14,15 +13,6 @@ var clockBase = time.Now()
 
 // monoNow returns the current monotonic timestamp in nanoseconds. All
 // gateway timing must go through this seam.
-var monoNow = func() int64 {
+func monoNow() int64 {
 	return time.Since(clockBase).Nanoseconds()
-}
-
-// SetClock replaces the gateway's telemetry clock (e.g. with a virtual
-// stepped clock for reproducible runs) and returns a function restoring the
-// previous one. Not safe for use concurrently with running workers.
-func SetClock(f func() int64) (restore func()) {
-	old := monoNow
-	monoNow = f
-	return func() { monoNow = old }
 }

@@ -77,7 +77,7 @@ type Gateway struct {
 	sigs  [packet.MaxHops]sigSlab
 	// lastTs backs the uniqueness of timestamps across all flows. Written
 	// only by reserveTs (the build path's timestamp reservation).
-	lastTs atomic.Uint64 //colibri:singlewriter
+	lastTs atomic.Uint64
 	// tel holds the optional per-packet-phase instruments; nil (the
 	// default) keeps Build free of timing calls.
 	tel atomic.Pointer[gwTelemetry]
@@ -255,14 +255,6 @@ func (g *Gateway) Promote(resID uint32) bool {
 	return changed
 }
 
-// Demoted reports whether the flow is currently demoted.
-func (g *Gateway) Demoted(resID uint32) bool {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	r := g.recs.Get(g.id(resID))
-	return r != nil && r.demoted
-}
-
 // HopAuths copies the σs of EER resID's installed version, in path order,
 // into dst. It leaves dst as it is when the gateway holds no such EER, or
 // holds it over other than len(dst) hops.
@@ -278,6 +270,8 @@ func (g *Gateway) HopAuths(resID uint32, dst []cryptoutil.Key) {
 }
 
 // Remove drops an EER's state (expiry), its token bucket with it.
+//
+//colibri:allow(testonly) — core's TestGrantViewAfterSweep removes a still-valid EER with it
 func (g *Gateway) Remove(resID uint32) {
 	id := g.id(resID)
 	g.mu.Lock()
@@ -324,6 +318,8 @@ func (g *Gateway) Expire(nowSec uint32) int {
 }
 
 // Len returns the number of installed reservations.
+//
+//colibri:allow(testonly) — core's TestGrantViewAfterSweep and workload's TestGatewayPopulationInterop count installed EERs
 func (g *Gateway) Len() int {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -314,8 +314,8 @@ func TestTemplateMatchesSerialize(t *testing.T) {
 				cryptoutil.MACOneBlock(cryptoutil.NewBlock(a), &mac, &in)
 				copy(want.HVFs[h*packet.HVFLen:], mac[:packet.HVFLen])
 			}
-			wire, err := want.Serialize()
-			if err != nil {
+			wire := make([]byte, want.Length())
+			if _, err := want.SerializeTo(wire); err != nil {
 				t.Fatal(err)
 			}
 			if !bytes.Equal(out[:n], wire) {

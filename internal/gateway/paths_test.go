@@ -214,6 +214,7 @@ func wantPacket(res packet.ResInfo, eer packet.EERInfo, path []packet.HopField, 
 		cryptoutil.MACOneBlock(cryptoutil.NewBlock(a), &mac, &in)
 		copy(want.HVFs[h*packet.HVFLen:], mac[:packet.HVFLen])
 	}
-	wire, _ := want.Serialize()
+	wire := make([]byte, want.Length())
+	_, _ = want.SerializeTo(wire)
 	return wire
 }

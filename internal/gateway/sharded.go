@@ -95,25 +95,11 @@ func shardOfRes(resID uint32, mask uint64) int {
 	return int(x & mask)
 }
 
-// Shards returns the number of shards.
-func (s *Sharded) Shards() int { return len(s.shards) }
-
-// Workers returns the worker-pool size.
-func (s *Sharded) Workers() int { return s.pool.Workers() }
-
-// ShardOf returns the shard owning a reservation.
-func (s *Sharded) ShardOf(resID uint32) int { return shardOfRes(resID, s.mask) }
-
 // Install registers an EER's state on its owning shard. (Control-plane entry
 // points call through the owning shard's gateway in place rather than via a
 // helper returning it: shardG state must not alias out of the Sharded.)
 func (s *Sharded) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.HopField, auths []cryptoutil.Key) error {
 	return s.shards[shardOfRes(res.ResID, s.mask)].g.Install(res, eer, path, auths)
-}
-
-// Remove drops an EER's state.
-func (s *Sharded) Remove(resID uint32) {
-	s.shards[shardOfRes(resID, s.mask)].g.Remove(resID)
 }
 
 // Demote marks a flow best-effort-only on its shard.
@@ -124,30 +110,6 @@ func (s *Sharded) Demote(resID uint32) bool {
 // Promote clears a flow's demotion on its shard.
 func (s *Sharded) Promote(resID uint32) bool {
 	return s.shards[shardOfRes(resID, s.mask)].g.Promote(resID)
-}
-
-// Demoted reports whether the flow is currently demoted.
-func (s *Sharded) Demoted(resID uint32) bool {
-	return s.shards[shardOfRes(resID, s.mask)].g.Demoted(resID)
-}
-
-// Expire removes expired reservations on every shard and returns the total
-// dropped.
-func (s *Sharded) Expire(nowSec uint32) int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.g.Expire(nowSec)
-	}
-	return total
-}
-
-// Len returns the number of installed reservations across shards.
-func (s *Sharded) Len() int {
-	total := 0
-	for _, sh := range s.shards {
-		total += sh.g.Len()
-	}
-	return total
 }
 
 // EnableTelemetry attaches every shard to the registry. Counters are shared

@@ -124,7 +124,7 @@ func maskTsAndHVFs(buf []byte) {
 // Remove, Demote/Promote, Len, and telemetry snapshots run concurrently from
 // another goroutine — under -race this proves the build path shares no
 // unsynchronized state with the control-plane entry points (the static
-// shardown/atomics invariants, cross-checked dynamically), and every slot's
+// shardown invariant, cross-checked dynamically), and every slot's
 // outcome must still be well-formed.
 func TestShardedGatewayControlRace(t *testing.T) {
 	sh := NewSharded(srcAS, 4, 4)

@@ -40,7 +40,7 @@ type Reserve struct {
 	tokens atomic.Int64
 	// lastNs is the time of the last refill credit. Written only by Claim
 	// (the claimant that wins the CAS advances it).
-	lastNs atomic.Int64 //colibri:singlewriter
+	lastNs atomic.Int64
 	// rateBits holds math.Float64bits of the refill rate in micro-bytes per
 	// nanosecond (== rateKbps/8, conveniently).
 	rateBits atomic.Uint64
@@ -167,6 +167,8 @@ func (p *ReservePool) Release(id reservation.ID) {
 }
 
 // Len returns the number of tracked reserves.
+//
+//colibri:allow(testonly) — router's TestShardedWatchUnwatch counts the reserves a watch opens and an unwatch frees
 func (p *ReservePool) Len() int {
 	p.mu.Lock()
 	defer p.mu.Unlock()

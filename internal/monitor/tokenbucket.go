@@ -270,6 +270,8 @@ func (m *FlowMonitor) Ensure(id reservation.ID, rateKbps uint64, nowNs int64) {
 
 // Forget drops the entry of an expired reservation or a cleared false
 // positive; the shared reserve of shard mode goes with its last holder.
+//
+//colibri:allow(testonly) — router's Unwatch test hook (TestShardedWatchUnwatch, the watch-table tests) clears a watched flow with it
 func (m *FlowMonitor) Forget(id reservation.ID) {
 	m.mu.Lock()
 	if f := m.flows.Get(id); f != nil {
@@ -339,6 +341,8 @@ func (m *FlowMonitor) Police(id reservation.ID, rateKbps uint64, sizeBytes, expT
 // Drain returns the flows Escalate put under watch since the last call, each
 // with the second its entry leaves (a sharded front end places them on the
 // sibling shards too).
+//
+//colibri:allow(testonly) — router's Sharded.Merge test hook (TestShardedDifferential, TestShardedMergeRace) drains each shard's flagged flows with it
 func (m *FlowMonitor) Drain() map[reservation.ID]uint32 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -405,24 +409,6 @@ func (b *Blocklist) Blocked(ia topology.IA, now uint32) bool {
 		return false
 	}
 	return true
-}
-
-// Len returns the number of blocked ASes.
-func (b *Blocklist) Len() int {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	return len(b.blocked)
-}
-
-// Each calls fn for every entry under the read lock, in map order (callers
-// needing determinism must not depend on iteration order — merging is
-// commutative). fn must not call back into the blocklist.
-func (b *Blocklist) Each(fn func(ia topology.IA, expiry uint32)) {
-	b.mu.RLock()
-	defer b.mu.RUnlock()
-	for ia, exp := range b.blocked {
-		fn(ia, exp)
-	}
 }
 
 // MergeFrom unions src's entries into b, keeping the stricter punishment on

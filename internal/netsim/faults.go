@@ -1,6 +1,5 @@
 // Fault injection for the simulator: per-link loss probability, latency
-// jitter, and scheduled up/down windows, plus node detach (modelling a
-// crashed/restarted service) and a partition helper.
+// jitter, and scheduled up/down windows.
 //
 // All randomness flows through a seeded splitmix64 generator owned by the
 // fault plan, which belongs to the port's sending shard and is only drawn
@@ -142,62 +141,3 @@ func (fp *FaultPlan) Jitter() int64 {
 // SetFaults attaches a fault plan to the port's link. Passing nil removes
 // fault injection (the default).
 func (p *Port) SetFaults(fp *FaultPlan) { p.faults = fp }
-
-// Faults returns the port's fault plan (nil when fault-free).
-func (p *Port) Faults() *FaultPlan { return p.faults }
-
-// Partition schedules a bidirectional-looking partition by downing every
-// given port (typically both directions of the links crossing a cut) for
-// the window [from, to). Ports without a fault plan get a fresh one seeded
-// from the window bounds.
-func Partition(from, to int64, ports ...*Port) {
-	for _, p := range ports {
-		if p.faults == nil {
-			p.faults = NewFaultPlan(uint64(from)<<32 ^ uint64(to))
-		}
-		p.faults.AddDown(from, to)
-	}
-}
-
-// Detachable wraps a node so it can be detached (crashed) and re-attached
-// (restarted): while detached, every delivery is counted and discarded.
-// It models a CServ or router process crash without tearing down the
-// topology. The zero value is attached.
-type Detachable struct {
-	Inner Node
-	down  bool
-
-	// Dropped counts packets discarded while detached.
-	Dropped uint64
-}
-
-// NewDetachable wraps inner (which may be nil for a pure reachability
-// flag, e.g. gating a control-plane transport).
-func NewDetachable(inner Node) *Detachable { return &Detachable{Inner: inner} }
-
-// Detach crashes the node: subsequent deliveries are dropped.
-func (d *Detachable) Detach() { d.down = true }
-
-// Attach restarts the node.
-func (d *Detachable) Attach() { d.down = false }
-
-// Up reports whether the node is attached.
-func (d *Detachable) Up() bool { return !d.down }
-
-// Receive implements Node.
-func (d *Detachable) Receive(pkt *Packet, inPort int) {
-	if d.down || d.Inner == nil {
-		d.Dropped++
-		return
-	}
-	d.Inner.Receive(pkt, inPort)
-}
-
-// ReceiveBatch implements BatchNode.
-func (d *Detachable) ReceiveBatch(pkts []*Packet, inPort int) {
-	if d.down || d.Inner == nil {
-		d.Dropped += uint64(len(pkts))
-		return
-	}
-	deliverBurst(d.Inner, pkts, inPort)
-}

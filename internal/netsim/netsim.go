@@ -162,9 +162,6 @@ func (p *Port) Drops() [qos.NumClasses]uint64 { return p.sched.Drops }
 // Name returns the port's name.
 func (p *Port) Name() string { return p.name }
 
-// Shard returns the port's owning (sending-side) shard.
-func (p *Port) Shard() *Shard { return p.src }
-
 // QueuedBytes returns the bytes currently queued in one class.
 func (p *Port) QueuedBytes(c qos.Class) int { return p.sched.QueuedBytes(c) }
 

@@ -71,17 +71,6 @@ func (s *Sim) NewShard() *Shard {
 // NumShards returns the shard count (≥ 1).
 func (s *Sim) NumShards() int { return len(s.shards) }
 
-// SetLookahead declares a lower bound on cross-shard scheduling delays (ns),
-// tightening the safe window if smaller than the port-derived minimum.
-// Cross-shard ports declare their latency automatically; call this only when
-// using Shard.Cross directly.
-func (s *Sim) SetLookahead(ns int64) {
-	if ns < 1 {
-		panic("netsim: lookahead must be >= 1ns")
-	}
-	s.noteLookahead(ns)
-}
-
 func (s *Sim) noteLookahead(ns int64) {
 	if s.running {
 		panic("netsim: declare cross-shard links before Run")
@@ -106,9 +95,6 @@ func (s *Sim) At(t int64, fn func()) {
 	s.outsideWindow("At")
 	s.Root().At(t, fn)
 }
-
-// After schedules fn after a delay on the root shard.
-func (s *Sim) After(d int64, fn func()) { s.At(s.Now()+d, fn) }
 
 // outsideWindow panics when a multi-shard simulation's callback reaches for
 // the global clock: inside a window it belongs to no shard.
@@ -144,12 +130,6 @@ type Shard struct {
 	executed uint64
 	trace    []TraceEntry
 }
-
-// ID returns the shard's index (root = 0).
-func (sh *Shard) ID() int { return int(sh.id) }
-
-// Sim returns the owning simulator.
-func (sh *Shard) Sim() *Sim { return sh.sim }
 
 // Now returns the shard's current virtual time: the timestamp of the event
 // being executed, never behind the global clock.

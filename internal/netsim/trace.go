@@ -4,10 +4,7 @@
 // as one global heap run in key order — is checked on these traces.
 package netsim
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // TraceEntry is the deterministic identity of one event: its timestamp and
 // full ordering key. Callbacks are opaque, but every side effect a callback
@@ -39,21 +36,4 @@ func (e TraceEntry) less(o TraceEntry) bool {
 		return e.Src < o.Src
 	}
 	return e.Seq < o.Seq
-}
-
-// EnableTrace turns on event-trace recording (off by default; recording
-// costs one append per event).
-func (s *Sim) EnableTrace() { s.traceOn = true }
-
-// Trace returns the canonical execution trace: every executed event's key,
-// in the global deterministic order. Shards record their own events; the
-// merge sorts by key, which is the order one global heap would have run
-// them in — equality of traces is therefore the bit-identity criterion.
-func (s *Sim) Trace() []TraceEntry {
-	var out []TraceEntry
-	for _, sh := range s.shards {
-		out = append(out, sh.trace...)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].less(out[j]) })
-	return out
 }

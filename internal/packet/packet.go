@@ -192,16 +192,6 @@ func (p *Packet) SerializeTo(buf []byte) (int, error) {
 	return n, nil
 }
 
-// Serialize allocates a buffer of exactly the right size and serializes into
-// it. Hot paths should use SerializeTo with a reused buffer instead.
-func (p *Packet) Serialize() ([]byte, error) {
-	buf := make([]byte, p.Length())
-	if _, err := p.SerializeTo(buf); err != nil {
-		return nil, err
-	}
-	return buf, nil
-}
-
 // DecodeFromBytes parses data into p, reusing p's Path backing array and
 // aliasing data for HVFs and Payload. It returns the number of bytes
 // consumed.
@@ -289,9 +279,6 @@ func hopAt(data []byte, i int) HopField {
 func SetCurrHopInPlace(buf []byte, hop uint8) {
 	buf[3] = hop
 }
-
-// CurrHopOf reads the current-hop byte of a serialized buffer.
-func CurrHopOf(buf []byte) uint8 { return buf[3] }
 
 // PathLenOf reads the hop count of a serialized buffer.
 func PathLenOf(buf []byte) int { return int(buf[4]) }

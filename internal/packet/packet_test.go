@@ -191,9 +191,6 @@ func TestSetCurrHopInPlace(t *testing.T) {
 	p := samplePacket()
 	buf, _ := p.Serialize()
 	SetCurrHopInPlace(buf, 2)
-	if CurrHopOf(buf) != 2 {
-		t.Error("CurrHopOf after SetCurrHopInPlace")
-	}
 	var q Packet
 	if _, err := q.DecodeFromBytes(buf); err != nil {
 		t.Fatal(err)

@@ -129,6 +129,8 @@ func (c Config) ringLen(freshnessNs int64) int {
 
 // CeilingBytes is the most a suppressor built by NewCovering(c, freshnessNs)
 // ever holds: one buffer of every stage size in every slot.
+//
+//colibri:allow(testonly) — core's TestReplayFilterBytesGauge holds each router's gauge under it
 func (c Config) CeilingBytes(freshnessNs int64) int64 {
 	c.setDefaults()
 	var words int64

@@ -26,9 +26,6 @@ type ID struct {
 
 func (id ID) String() string { return fmt.Sprintf("%s#%d", id.SrcAS, id.Num) }
 
-// IsZero reports whether the ID is unset.
-func (id ID) IsZero() bool { return id.SrcAS.IsZero() && id.Num == 0 }
-
 // Less orders IDs by (SrcAS, Num), the canonical order for deterministic
 // iteration over reservation maps.
 func (id ID) Less(o ID) bool {

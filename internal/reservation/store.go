@@ -34,9 +34,6 @@ func NewStore(local topology.IA) *Store {
 	return &Store{local: local, segs: make(map[ID]*SegR)}
 }
 
-// Local returns the owning AS.
-func (s *Store) Local() topology.IA { return s.local }
-
 // NextID allocates the next reservation number for locally initiated
 // reservations; the resulting (SrcAS, Num) pair is globally unique.
 func (s *Store) NextID() ID {
@@ -190,6 +187,8 @@ func sortedIDs[V any](m map[ID]V) []ID {
 }
 
 // Len returns the number of stored SegRs.
+//
+//colibri:allow(testonly) — core's TestInternetScaleScenario and cserv's service and feature tests count the SegRs a store holds
 func (s *Store) Len() int {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -177,11 +177,6 @@ func (p *Profile) peak(start, end Epoch) int64 {
 	return m
 }
 
-// DemandAt returns the aggregate demand at time t.
-//
-//colibri:nomalloc
-func (p *Profile) DemandAt(t uint32) int64 { return p.MaxDemand(t, t+1) }
-
 // Advance moves the floor to the epoch containing `now` — never backwards —
 // zeroing the slots it recycles, and returns how many charges lapsed: one
 // charged over [start, end) lapses once the epoch containing `now` has
@@ -217,15 +212,3 @@ func (p *Profile) Advance(now uint32) int {
 
 // Len returns the number of live charges.
 func (p *Profile) Len() int { return p.live }
-
-// Snapshot iterates the demand profile over [fromT, toT) per epoch — the
-// telemetry iterator.
-func (p *Profile) Snapshot(fromT, toT uint32, f func(e Epoch, demand int64)) {
-	start, end := p.EpochOf(fromT), p.epochCeil(toT)
-	if end <= start {
-		end = start + 1
-	}
-	for e := start; e < end; e++ {
-		f(e, p.peak(e, e+1))
-	}
-}

@@ -56,7 +56,6 @@ var (
 	ErrBlocked    = errors.New("router: source AS is blocklisted")
 	ErrReplay     = errors.New("router: duplicate packet suppressed")
 	ErrOveruse    = errors.New("router: reservation overuse confirmed")
-	ErrBadHop     = errors.New("router: packet's current hop does not belong here")
 	ErrBestEffort = errors.New("router: not a reservation-validated packet")
 )
 
@@ -242,6 +241,8 @@ func dropSlug(reason DropReason) string {
 }
 
 // Blocklist returns the router's blocklist (shared with policy decisions).
+//
+//colibri:allow(testonly) — core's TestForwardDropReasonsSurface blocks a source AS at two routers through it
 func (r *Router) Blocklist() *monitor.Blocklist { return r.blocklist }
 
 // Watch places a reservation under deterministic monitoring as the detector's
@@ -249,10 +250,9 @@ func (r *Router) Blocklist() *monitor.Blocklist { return r.blocklist }
 // leaves with the reservation version of its first packet unless it overuses.
 func (r *Router) Watch(id reservation.ID) { r.detMon.Watch(id, 0) }
 
-// Unwatch ends a reservation's deterministic monitoring (a cleared false positive).
-func (r *Router) Unwatch(id reservation.ID) { r.detMon.Forget(id) }
-
 // Watched returns the number of flows under deterministic monitoring.
+//
+//colibri:allow(testonly) — core's TestConformingSessionsStayUnwatched reads every router's watch count
 func (r *Router) Watched() int { return r.detMon.Len() }
 
 // Drops returns a copy of the drop counters, keyed by the canonical reason
@@ -267,30 +267,6 @@ func (r *Router) Drops() map[string]uint64 {
 		}
 	}
 	return out
-}
-
-// DropTotal returns the total number of dropped packets across reasons.
-func (r *Router) DropTotal() uint64 {
-	var sum uint64
-	for _, c := range r.drops {
-		sum += c.Value()
-	}
-	return sum
-}
-
-// Forwarded returns the number of packets that passed validation (every
-// Process call either drops once or reaches the forwarding decision, so
-// forwarded = processed − drops). Zero unless telemetry is enabled.
-func (r *Router) Forwarded() uint64 {
-	if r.hot == nil {
-		return 0
-	}
-	p, d := r.hot.processed.Value(), r.DropTotal()
-	if d > p {
-		// A drop between the two reads; clamp rather than underflow.
-		return 0
-	}
-	return p - d
 }
 
 // dropAcc accumulates a batch's drop counts per reason; ProcessBatch

@@ -325,7 +325,7 @@ func TestShardedMergeRace(t *testing.T) {
 				}
 				s.Merge()
 				s.DropTotal()
-				s.Blocklist().Len()
+				s.Blocklist().Blocked(0, 0)
 			}
 		}()
 		for b, batch := range batches {

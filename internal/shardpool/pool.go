@@ -73,9 +73,6 @@ func New(workers int, run func(shard int)) *Pool {
 	return p
 }
 
-// Workers returns the pool's worker count.
-func (p *Pool) Workers() int { return p.workers }
-
 func (p *Pool) loop(work <-chan int) {
 	defer p.exited.Done()
 	for sh := range work {

@@ -138,31 +138,3 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 	}
 	return float64(s.Max)
 }
-
-// Merge returns the element-wise sum of two snapshots (as if all samples
-// had been observed by one histogram; Max is the larger of the two).
-func (s HistSnapshot) Merge(o HistSnapshot) HistSnapshot {
-	out := s
-	out.Count += o.Count
-	out.Sum += o.Sum
-	if o.Max > out.Max {
-		out.Max = o.Max
-	}
-	for b := range out.Buckets {
-		out.Buckets[b] += o.Buckets[b]
-	}
-	return out
-}
-
-// Sub returns the samples present in s but not in prev, assuming prev is an
-// earlier snapshot of the same histogram. Max cannot be un-merged and is
-// carried over from s.
-func (s HistSnapshot) Sub(prev HistSnapshot) HistSnapshot {
-	out := s
-	out.Count -= min(out.Count, prev.Count)
-	out.Sum -= min(out.Sum, prev.Sum)
-	for b := range out.Buckets {
-		out.Buckets[b] -= min(out.Buckets[b], prev.Buckets[b])
-	}
-	return out
-}

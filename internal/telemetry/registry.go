@@ -27,9 +27,6 @@ func NewRegistry(label string) *Registry {
 	}
 }
 
-// Label returns the registry's display label.
-func (r *Registry) Label() string { return r.label }
-
 // Counter returns the named counter, creating it on first use.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.RLock()
@@ -134,41 +131,4 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Traces[name] = t.Events()
 	}
 	return s
-}
-
-// Diff returns the activity between prev and s (two snapshots of the same
-// registry, prev taken earlier): counters and histograms are subtracted,
-// gauges keep their current level, and traces keep only events recorded
-// after prev.
-func (s Snapshot) Diff(prev Snapshot) Snapshot {
-	out := Snapshot{
-		Label:      s.Label,
-		Counters:   make(map[string]uint64, len(s.Counters)),
-		Gauges:     make(map[string]int64, len(s.Gauges)),
-		Histograms: make(map[string]HistSnapshot, len(s.Histograms)),
-		Traces:     make(map[string][]Event, len(s.Traces)),
-	}
-	for name, v := range s.Counters {
-		out.Counters[name] = v - min(v, prev.Counters[name])
-	}
-	for name, v := range s.Gauges {
-		out.Gauges[name] = v
-	}
-	for name, h := range s.Histograms {
-		out.Histograms[name] = h.Sub(prev.Histograms[name])
-	}
-	for name, evs := range s.Traces {
-		var lastSeen uint64
-		if p := prev.Traces[name]; len(p) > 0 {
-			lastSeen = p[len(p)-1].Seq
-		}
-		kept := make([]Event, 0, len(evs))
-		for _, e := range evs {
-			if e.Seq > lastSeen {
-				kept = append(kept, e)
-			}
-		}
-		out.Traces[name] = kept
-	}
-	return out
 }

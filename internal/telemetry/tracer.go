@@ -139,13 +139,6 @@ func (e Event) render() Event {
 	return e
 }
 
-// Total returns how many events were ever recorded.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
-
 // Events returns the retained events, oldest first.
 func (t *Tracer) Events() []Event {
 	t.mu.Lock()

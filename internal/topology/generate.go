@@ -187,6 +187,8 @@ func Line(n, coreCount int, spec LinkSpec) *Topology {
 
 // Star builds one core AS (1-1) with n leaves (1-2 … 1-(n+1)) attached by
 // provider-customer links.
+//
+//colibri:allow(testonly) — segment's TestUpDownShortcutSameISD builds its topology with it
 func Star(n int, spec LinkSpec) *Topology {
 	t := New()
 	hub := MustIA(1, 1)
