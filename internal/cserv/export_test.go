@@ -150,12 +150,6 @@ func (s *Service) SegRsTo(dstIA topology.IA) ([][]*Offer, error) {
 // Len returns the number of keepers in the fleet.
 func (f *KeeperFleet) Len() int { return len(f.expT) }
 
-// Renewals returns how many of keeper i's renewal attempts succeeded.
-func (f *KeeperFleet) Renewals(i int) uint64 { return uint64(f.renewals[i]) }
-
-// Failures returns how many of keeper i's renewal attempts failed.
-func (f *KeeperFleet) Failures(i int) uint64 { return uint64(f.failures[i]) }
-
 // UnmarshalEESetupResp parses an EESetupResp. The EncAuths of the result
 // alias data: they are valid until the caller modifies data.
 func UnmarshalEESetupResp(data []byte) (*EESetupResp, error) { return decodeNew[EESetupResp](data) }

@@ -89,7 +89,7 @@ func (s *Service) applyOutcome(gw GatewayInstaller, held *packet.ResInfo, demote
 // items, so a renewal storm costs one MAC verification and one shard-lock
 // sweep per wave instead of per EER. Keep renews one keeper alone, with a
 // solo request, and applies its outcome exactly as a wave item's (zero-grant
-// detection, demote/re-promote, counters).
+// detection, demote/re-promote).
 //
 // The fleet keeps no keeper and no grant: Add copies a keeper's version into
 // columns indexed by keeper, in the order Add took them — the order a wave
@@ -108,14 +108,12 @@ type KeeperFleet struct {
 	// Keeper i serves version ver[i] of EER (kinds[kind[i]].src, resID[i]):
 	// bw[i] kbps until expT[i], from host srcHost[i] to host dstHost[i], over
 	// its kind's chain. Bit i of demoted (bit i%64 of word i/64) is its
-	// failover state, renewals[i] and failures[i] its counts (32 bits: 136
-	// years at one attempt a second).
-	resID, bw, expT    []uint32
-	ver                []uint16
-	srcHost, dstHost   []uint32
-	demoted            []uint64
-	renewals, failures []uint32
-	kind               []uint32
+	// failover state.
+	resID, bw, expT  []uint32
+	ver              []uint16
+	srcHost, dstHost []uint32
+	demoted          []uint64
+	kind             []uint32
 
 	// kinds holds what keepers share, kindOf finds it again.
 	kinds  []keeperKind
@@ -200,8 +198,6 @@ func (f *KeeperFleet) Add(k *EERKeeper) int {
 	if i%64 == 0 {
 		f.demoted = append(f.demoted, 0)
 	}
-	f.renewals = append(f.renewals, 0)
-	f.failures = append(f.failures, 0)
 	f.kind = append(f.kind, ki)
 	*k = EERKeeper{}
 	return i
@@ -251,7 +247,7 @@ func (f *KeeperFleet) grow() {
 		return
 	}
 	c := l + l/16 + 16
-	cols := [...]*[]uint32{&f.resID, &f.bw, &f.expT, &f.srcHost, &f.dstHost, &f.renewals, &f.failures, &f.kind}
+	cols := [...]*[]uint32{&f.resID, &f.bw, &f.expT, &f.srcHost, &f.dstHost, &f.kind}
 	block := make([]uint32, len(cols)*c)
 	for j, col := range cols {
 		*col = block[j*c : j*c+copy(block[j*c:], *col) : (j+1)*c]
@@ -326,13 +322,10 @@ func (f *KeeperFleet) apply(i int, g *EERGrant, err error) error {
 	held, demoted := f.Res(i), f.IsDemoted(i)
 	err = f.svc.applyOutcome(f.kinds[f.kind[i]].gw, &held, &demoted, g, err)
 	f.setDemoted(i, demoted)
-	if err != nil {
-		f.failures[i]++
-		return err
+	if err == nil {
+		f.set(i, g)
 	}
-	f.set(i, g)
-	f.renewals[i]++
-	return nil
+	return err
 }
 
 // set makes g's version keeper i's serving one.
@@ -356,8 +349,8 @@ func (f *KeeperFleet) Keep(i int, lead uint32) error {
 }
 
 // Renew renews keeper i at bwKbps now, whatever its expiry, and installs the
-// new version: a host's explicit renewal (§4.2). Unlike Keep it neither
-// demotes nor counts; a failure, the CServ's or the installer's, leaves the
+// new version: a host's explicit renewal (§4.2). Unlike Keep it never
+// demotes; a failure, the CServ's or the installer's, leaves the
 // keeper as it was and is returned.
 func (f *KeeperFleet) Renew(i int, bwKbps uint64) error {
 	g := f.Grant(i)

@@ -109,11 +109,18 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	gw := &fakeInstaller{}
 	fleet := NewKeeperFleet(src)
 	k := fleet.Add(NewEERKeeper(src, gw, grant, 4))
-	tick := func() error { return fleet.Keep(k, 4) }
+	failed := 0
+	tick := func() error {
+		err := fleet.Keep(k, 4)
+		if err != nil {
+			failed++
+		}
+		return err
+	}
 
 	// Fresh version: Keep is a no-op.
-	if err := tick(); err != nil || fleet.Renewals(k) != 0 || gw.installs != 0 {
-		t.Fatalf("fresh tick: err=%v renewals=%d installs=%d", err, fleet.Renewals(k), gw.installs)
+	if err := tick(); err != nil || fleet.Res(k).Ver != grant.Res.Ver || gw.installs != 0 {
+		t.Fatalf("fresh tick: err=%v version=%d installs=%d", err, fleet.Res(k).Ver, gw.installs)
 	}
 
 	// Inside the lead window: renew and install.
@@ -121,8 +128,8 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	if err := tick(); err != nil {
 		t.Fatalf("renewal tick: %v", err)
 	}
-	if fleet.Renewals(k) != 1 || gw.installs != 1 {
-		t.Fatalf("after renewal: renewals=%d installs=%d", fleet.Renewals(k), gw.installs)
+	if fleet.Res(k).Ver != grant.Res.Ver+1 || gw.installs != 1 {
+		t.Fatalf("after renewal: version=%d installs=%d", fleet.Res(k).Ver, gw.installs)
 	}
 	exp := fleet.Res(k).ExpT // t0+29
 
@@ -165,8 +172,8 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	if fleet.IsDemoted(k) || gw.installs != 2 {
 		t.Fatalf("after recovery: demoted=%v installs=%d", fleet.IsDemoted(k), gw.installs)
 	}
-	if fleet.Renewals(k) != 2 || fleet.Failures(k) != 3 {
-		t.Fatalf("counters: renewals=%d failures=%d", fleet.Renewals(k), fleet.Failures(k))
+	if fleet.Res(k).Ver != grant.Res.Ver+2 || failed != 3 {
+		t.Fatalf("after recovery: version=%d, %d failed ticks; want version %d and 3", fleet.Res(k).Ver, failed, grant.Res.Ver+2)
 	}
 	if got := src.Metrics().Demotions.Value(); got != 1 {
 		t.Errorf("Demotions = %d, want 1", got)
@@ -194,17 +201,16 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 		fleet.Add(NewEERKeeper(src, gw, g, 4))
 	}
 	// state returns keeper i's version, with the σs the gateway holds for
-	// it, and counts: the solo row's, then the wave's.
-	state := func(i int) (EERGrant, uint64, uint64) {
-		fl, j := fleet, i-1
+	// it: the solo row's, then the wave's.
+	state := func(i int) EERGrant {
 		if i == 0 {
-			fl, j = solo, 0
+			return gw.installed(solo, 0)
 		}
-		return gw.installed(fl, j), fl.Renewals(j), fl.Failures(j)
+		return gw.installed(fleet, i-1)
 	}
 	before := make([]EERGrant, len(grants))
 	for i := range before {
-		before[i], _, _ = state(i)
+		before[i] = state(i)
 		before[i].HopAuths = slices.Clone(before[i].HopAuths)
 	}
 	f.clock.Add(13)
@@ -214,11 +220,13 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	if failed := fleet.Tick(); failed != 2 {
 		t.Fatalf("%d of 2 wave items failed", failed)
 	}
+	if gw.installs != 0 {
+		t.Fatalf("%d installs through a refusing gateway", gw.installs)
+	}
 	for i := range before {
-		g, renewals, failures := state(i)
-		if g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) || renewals != 0 || failures != 1 {
-			t.Fatalf("keeper %d after a refused install: version %d, renewals %d, failures %d; want version %d, its σs, 0 and 1",
-				i, g.Res.Ver, renewals, failures, before[i].Res.Ver)
+		g := state(i)
+		if g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) {
+			t.Fatalf("keeper %d after a refused install: version %d; want version %d and its σs", i, g.Res.Ver, before[i].Res.Ver)
 		}
 		checkHopAuths(t, f, &g)
 	}
@@ -230,10 +238,13 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	if failed := fleet.Tick(); failed != 0 {
 		t.Fatalf("%d wave items failed", failed)
 	}
+	if gw.installs != len(grants) {
+		t.Fatalf("%d installs after %d renewals", gw.installs, len(grants))
+	}
 	for i := range before {
-		g, renewals, _ := state(i)
-		if g.Res.Ver != before[i].Res.Ver+1 || renewals != 1 {
-			t.Fatalf("keeper %d: version %d after %d renewals", i, g.Res.Ver, renewals)
+		g := state(i)
+		if g.Res.Ver != before[i].Res.Ver+1 {
+			t.Fatalf("keeper %d: version %d after one renewal of version %d", i, g.Res.Ver, before[i].Res.Ver)
 		}
 		checkHopAuths(t, f, &g)
 		if g := grants[i]; g.Res != before[i].Res || !slices.Equal(g.HopAuths, before[i].HopAuths) {
@@ -243,10 +254,10 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 }
 
 // TestFleetBytesPerKeeper pins what a fleet keeps per EER: 10 000 keepers over
-// one 5-hop chain hold at most 48 live heap bytes each once the fleet has
-// taken them — about 36 of columns and no σ, the chain kept once. A fleet that
-// kept each keeper's σs held about 124, one that kept each keeper and a grant
-// per keeper about 384.
+// one 5-hop chain hold at most 40 live heap bytes each once the fleet has
+// taken them — about 26 of columns and no σ, the chain kept once. A fleet that
+// kept two 32-bit counts per keeper held about 32, one that kept each keeper's
+// σs about 124, one that kept each keeper and a grant per keeper about 384.
 func TestFleetBytesPerKeeper(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
@@ -258,7 +269,7 @@ func TestFleetBytesPerKeeper(t *testing.T) {
 	if len(grant.PathHops) != 5 {
 		t.Fatalf("the chain has %d hops, want 5", len(grant.PathHops))
 	}
-	const n, budget = 10_000, 48
+	const n, budget = 10_000, 40
 	gw := &fakeInstaller{}
 	// build measures the live heap one fleet adds; the least of three is the
 	// fleet's, the rest other goroutines' garbage.
@@ -309,13 +320,13 @@ func TestFleetFindsChainsByContent(t *testing.T) {
 		t.Fatalf("%d chains, %d by identity, %d by content; want 1, 2, 1", len(fleet.chains), len(fleet.chainAt), len(fleet.chainBy))
 	}
 	f.clock.Add(13)
-	if failed := fleet.Tick(); failed != 0 {
-		t.Fatalf("%d renewals failed", failed)
+	if failed := fleet.Tick(); failed != 0 || gw.installs != fleet.Len() {
+		t.Fatalf("%d renewals failed, %d of %d installed", failed, gw.installs, fleet.Len())
 	}
 	for i := range fleet.Len() {
 		g := gw.installed(fleet, i)
-		if fleet.Renewals(i) != 1 || g.ID != grants[i].ID || g.Res.Ver != grants[i].Res.Ver+1 {
-			t.Fatalf("keeper %d: %s at version %d after %d renewals", i, g.ID, g.Res.Ver, fleet.Renewals(i))
+		if g.ID != grants[i].ID || g.Res.Ver != grants[i].Res.Ver+1 {
+			t.Fatalf("keeper %d: %s at version %d after one renewal of version %d", i, g.ID, g.Res.Ver, grants[i].Res.Ver)
 		}
 		checkHopAuths(t, f, &g)
 	}

@@ -392,17 +392,17 @@ func TestWaveNoncesAndOwnership(t *testing.T) {
 	}
 	for round := uint16(1); round <= 2; round++ {
 		f.clock.Add(1)
-		if failed := fleet.Tick(); failed != 0 {
-			t.Fatalf("keeper round %d: %d renewals failed", round, failed)
+		if failed := fleet.Tick(); failed != 0 || gw.installs != int(round)*len(kept) {
+			t.Fatalf("keeper round %d: %d renewals failed, %d installs", round, failed, gw.installs)
 		}
 		for i := range tap.last {
 			tap.last[i] = 0xff
 		}
 		for i := range fleet.Len() {
 			g := gw.installed(fleet, i)
-			if g.ID != given[i].ID || g.Res.Ver != given[i].Res.Ver+round || fleet.Renewals(i) != uint64(round) || fleet.Grant(i).HopAuths != nil {
-				t.Fatalf("keeper round %d: keeper %d serves %s at version %d after %d renewals, want %s at %d after %d, and no σ in the fleet",
-					round, i, g.ID, g.Res.Ver, fleet.Renewals(i), given[i].ID, given[i].Res.Ver+round, round)
+			if g.ID != given[i].ID || g.Res.Ver != given[i].Res.Ver+round || fleet.Grant(i).HopAuths != nil {
+				t.Fatalf("keeper round %d: keeper %d serves %s at version %d, want %s at %d, and no σ in the fleet",
+					round, i, g.ID, g.Res.Ver, given[i].ID, given[i].Res.Ver+round)
 			}
 			checkHopAuths(t, f, &g)
 			if kept[i].Res != given[i].Res || !slices.Equal(kept[i].HopAuths, given[i].HopAuths) {

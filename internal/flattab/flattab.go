@@ -3,13 +3,16 @@
 // no Go map and no heap object per entry.
 //
 // The records live in one dense array; an index of 4-byte slots sits in
-// front of it. The index has 2^b slots, a power of two kept at most half full,
-// so the dense array never holds 2^b records: a slot's low b bits are the
-// record's position in it plus one (0 marks an empty slot), and its upper
-// 32−b bits are the same bits of the lower half of the key's hash (the tag).
-// The upper half selects the slot a probe starts from (its home), and
-// probing is linear, so a miss ends within a few slots and a hit costs one
-// run of slots and, on a tag match, one record. A slot's home does not follow
+// front of it. The index has n ≥ 8 slots, any n, kept at most ¾ full and
+// grown by half when an insert would fill it past that, so after its first
+// growth it runs at more than ½ load and costs at most 8 bytes per record.
+// The dense array never holds n records, so with b = bits.Len(n) a slot's
+// low b bits are the record's position in it plus one (0 marks an empty
+// slot), and its upper 32−b bits are the same bits of the lower half of the
+// key's hash (the tag). The upper half, scaled to n by a multiply-shift,
+// selects the slot a probe starts from (its home), and probing is linear,
+// wrapping at n, so a miss ends within a few slots and a hit costs one run
+// of slots and, on a tag match, one record. A slot's home does not follow
 // from the slot: growth refiles the index by walking the dense array, and a
 // deletion finds the homes of the slots it shifts by hashing their records'
 // keys, so only those two pay a record read per slot.
@@ -26,6 +29,7 @@
 package flattab
 
 import (
+	"math/bits"
 	"unsafe"
 
 	"colibri/internal/reservation"
@@ -72,31 +76,43 @@ func hash(id reservation.ID) uint64 {
 	return x
 }
 
-// mask returns the index's position mask, 2^b − 1.
-func (t *Table[V]) mask() uint32 { return uint32(len(t.slots) - 1) }
+// low returns the mask of a slot's position bits, 2^b − 1.
+func (t *Table[V]) low() uint32 { return uint32(1)<<bits.Len(uint(len(t.slots))) - 1 }
 
-// slotOf returns the slot of the record at pos whose key hashes to h, in an
-// index of the given mask, and the slot's home.
-func slotOf(h uint64, pos int, mask uint32) (s, home uint32) {
-	return uint32(h)&^mask | uint32(pos+1), uint32(h>>32) & mask
+// home returns the home of a key hashing to h in an index of n slots: the
+// upper half of h scaled to n.
+func home(h uint64, n int) uint32 { return uint32(h >> 32 * uint64(n) >> 32) }
+
+// slotOf returns the slot of the record at pos whose key hashes to h, and
+// the slot's home.
+func (t *Table[V]) slotOf(h uint64, pos int) (s, hm uint32) {
+	return uint32(h)&^t.low() | uint32(pos+1), home(h, len(t.slots))
 }
 
 // homeOf returns the home of id's slot.
-func (t *Table[V]) homeOf(id reservation.ID) uint32 { return uint32(hash(id)>>32) & t.mask() }
+func (t *Table[V]) homeOf(id reservation.ID) uint32 { return home(hash(id), len(t.slots)) }
+
+// next returns the slot after i, wrapping at the end of the index.
+func (t *Table[V]) next(i uint32) uint32 {
+	if i++; int(i) == len(t.slots) {
+		return 0
+	}
+	return i
+}
 
 // find returns the index slot holding id, or -1.
 func (t *Table[V]) find(id reservation.ID) int {
 	if len(t.recs) == 0 {
 		return -1
 	}
-	h, mask := hash(id), t.mask()
-	tag := uint32(h) &^ mask
-	for i := uint32(h>>32) & mask; ; i = (i + 1) & mask {
+	h, low := hash(id), t.low()
+	tag := uint32(h) &^ low
+	for i := home(h, len(t.slots)); ; i = t.next(i) {
 		s := t.slots[i]
 		if s == 0 {
 			return -1
 		}
-		if s&^mask == tag && t.recs[s&mask-1].key() == id {
+		if s&^low == tag && t.recs[s&low-1].key() == id {
 			return int(i)
 		}
 	}
@@ -110,7 +126,7 @@ func (t *Table[V]) Get(id reservation.ID) *V {
 	if i < 0 {
 		return nil
 	}
-	return &t.recs[t.slots[i]&t.mask()-1].val
+	return &t.recs[t.slots[i]&t.low()-1].val
 }
 
 // Put returns id's record, inserting a zero one first when the table holds
@@ -118,37 +134,32 @@ func (t *Table[V]) Get(id reservation.ID) *V {
 // table grows.
 func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
 	if i := t.find(id); i >= 0 {
-		return &t.recs[t.slots[i]&t.mask()-1].val, false
+		return &t.recs[t.slots[i]&t.low()-1].val, false
 	}
-	if 2*(len(t.recs)+1) > len(t.slots) {
+	if 4*(len(t.recs)+1) > 3*len(t.slots) {
 		t.grow()
 	}
 	pos := len(t.recs)
 	t.recs = append(t.recs, record[V]{ia: id.SrcAS, num: id.Num})
-	t.place(slotOf(hash(id), pos, t.mask()))
+	t.place(t.slotOf(hash(id), pos))
 	return &t.recs[pos].val, true
 }
 
 // place files slot s at the first free slot from its home.
 func (t *Table[V]) place(s, home uint32) {
-	mask := t.mask()
 	i := home
 	for t.slots[i] != 0 {
-		i = (i + 1) & mask
+		i = t.next(i)
 	}
 	t.slots[i] = s
 }
 
-// grow doubles the index and refiles every record into it, in dense order.
+// grow enlarges the index by half (to minSlots at first) and refiles every
+// record into it, in dense order.
 func (t *Table[V]) grow() {
-	n := 2 * len(t.slots)
-	if n < minSlots {
-		n = minSlots
-	}
-	t.slots = make([]uint32, n)
-	mask := t.mask()
+	t.slots = make([]uint32, max(len(t.slots)+len(t.slots)/2, minSlots))
 	for pos := range t.recs {
-		t.place(slotOf(hash(t.recs[pos].key()), pos, mask))
+		t.place(t.slotOf(hash(t.recs[pos].key()), pos))
 	}
 }
 
@@ -158,17 +169,17 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 	if i < 0 {
 		return false
 	}
-	mask := t.mask()
-	pos := t.slots[i]&mask - 1
+	low := t.low()
+	pos := t.slots[i]&low - 1
 	t.unslot(uint32(i))
 	last := uint32(len(t.recs) - 1)
 	if pos != last {
 		// Swap-last compaction: re-point the last record's slot at pos.
 		j := t.homeOf(t.recs[last].key())
-		for t.slots[j]&mask != last+1 {
-			j = (j + 1) & mask
+		for t.slots[j]&low != last+1 {
+			j = t.next(j)
 		}
-		t.slots[j] = t.slots[j]&^mask | (pos + 1)
+		t.slots[j] = t.slots[j]&^low | (pos + 1)
 		t.recs[pos] = t.recs[last]
 	}
 	t.recs[last] = record[V]{}
@@ -177,13 +188,13 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 }
 
 // unslot empties index slot i by backward shift: each later slot of the
-// probe run moves into the hole unless its home lies after the hole.
+// probe run moves into the hole unless its home lies after the hole, with
+// distances along the run taken modulo the index's size.
 func (t *Table[V]) unslot(i uint32) {
-	mask := t.mask()
+	n, low := uint32(len(t.slots)), t.low()
 	hole := i
-	for j := (hole + 1) & mask; t.slots[j] != 0; j = (j + 1) & mask {
-		home := t.homeOf(t.recs[t.slots[j]&mask-1].key())
-		if (j-home)&mask >= (j-hole)&mask {
+	for j := t.next(hole); t.slots[j] != 0; j = t.next(j) {
+		if home := t.homeOf(t.recs[t.slots[j]&low-1].key()); (j+n-home)%n >= (j+n-hole)%n {
 			t.slots[hole] = t.slots[j]
 			hole = j
 		}

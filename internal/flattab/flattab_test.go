@@ -2,6 +2,7 @@ package flattab
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"testing"
 	"unsafe"
 
@@ -12,7 +13,7 @@ import (
 // check compares the table with its map model: same size, every model key
 // found with its value (read by val), every record reached by position is in
 // the model once, every index slot names a live record — no record twice —
-// whose tag bits it carries, and the index is at most half full.
+// whose tag bits it carries, and the index is at most ¾ full.
 func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, val func(*V) uint64) {
 	t.Helper()
 	if tab.Len() != len(model) {
@@ -32,20 +33,20 @@ func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, 
 		}
 		seen[id] = true
 	}
-	mask := tab.mask()
+	low := tab.low()
 	named, used := make([]bool, tab.Len()), 0
 	for _, s := range tab.slots {
 		if s == 0 {
 			continue
 		}
-		pos := int(s&mask) - 1
-		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.recs[pos].key()))&^mask != s&^mask {
+		pos := int(s&low) - 1
+		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.recs[pos].key()))&^low != s&^low {
 			t.Fatalf("slot %#x names record %d of %d twice or with another tag", s, pos, tab.Len())
 		}
 		named[pos] = true
 		used++
 	}
-	if used != tab.Len() || 2*used > len(tab.slots) && used > 0 {
+	if used != tab.Len() || 4*used > 3*len(tab.slots) && used > 0 {
 		t.Fatalf("%d slots used for %d records in an index of %d", used, tab.Len(), len(tab.slots))
 	}
 }
@@ -198,9 +199,10 @@ func TestTableGetDoesNotAllocate(t *testing.T) {
 }
 
 // TestLargeTableAgreesWithModel fills a table with 2²⁰ keys, so that its index
-// reaches 2²¹ slots and a slot keeps 11 bits of tag, then deletes half of the
-// keys one by one with Delete and the other half by deleting walks, checking
-// every Get and At against the map model between the stages.
+// holds between 4/3 and 2 slots per key and a slot keeps at least 11 bits of
+// tag, then deletes half of the keys one by one with Delete and the other
+// half by deleting walks, checking every Get and At against the map model
+// between the stages.
 func TestLargeTableAgreesWithModel(t *testing.T) {
 	const n = 1 << 20
 	var tab Table[uint64]
@@ -213,8 +215,9 @@ func TestLargeTableAgreesWithModel(t *testing.T) {
 		*v = uint64(i)
 		model[id(i)] = uint64(i)
 	}
-	if len(tab.slots) != 2*n {
-		t.Fatalf("an index of %d slots for %d records, want %d", len(tab.slots), n, 2*n)
+	if 3*len(tab.slots) < 4*n || len(tab.slots) > 2*n || bits.LeadingZeros32(tab.low()) < 11 {
+		t.Fatalf("an index of %d slots for %d records (%d tag bits), want %d to %d slots and at least 11 tag bits",
+			len(tab.slots), n, bits.LeadingZeros32(tab.low()), (4*n+2)/3, 2*n)
 	}
 	check(t, &tab, model, val)
 	for i := 0; i < n; i += 2 {
@@ -244,19 +247,19 @@ func TestLargeTableAgreesWithModel(t *testing.T) {
 }
 
 // TestIndexBytesPerRecord pins the index at 4-byte slots: once the index has
-// grown past its first size, it costs at most 16 bytes per record at every
-// size (fewer than four slots per record, since growth doubles it at half
-// load).
+// grown past its first size, it costs at most 8 bytes per record at every
+// size up to 2²⁰ records (at most two slots per record, since growth enlarges
+// it by half at ¾ load).
 func TestIndexBytesPerRecord(t *testing.T) {
 	var tab Table[uint64]
 	src := topology.MustIA(1, 11)
-	for i := uint32(0); i < 1<<16; i++ {
+	for i := uint32(0); i < 1<<20; i++ {
 		tab.Put(reservation.ID{SrcAS: src, Num: i})
 		if len(tab.slots) == minSlots {
 			continue
 		}
-		if bytes := uintptr(cap(tab.slots)) * unsafe.Sizeof(tab.slots[0]); bytes > 16*uintptr(tab.Len()) {
-			t.Fatalf("%d records: an index of %d bytes, %.1f per record, want at most 16", tab.Len(), bytes, float64(bytes)/float64(tab.Len()))
+		if bytes := uintptr(cap(tab.slots)) * unsafe.Sizeof(tab.slots[0]); bytes > 8*uintptr(tab.Len()) {
+			t.Fatalf("%d records: an index of %d bytes, %.1f per record, want at most 8", tab.Len(), bytes, float64(bytes)/float64(tab.Len()))
 		}
 	}
 }

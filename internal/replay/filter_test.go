@@ -3,8 +3,11 @@ package replay
 import (
 	"math/bits"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
+
+	"colibri/internal/telemetry"
 )
 
 // Tests pinning the filter's contract (see the package comment): no false
@@ -140,33 +143,57 @@ func TestFalsePositiveRateAtDesignLoad(t *testing.T) {
 
 // TestSmallFilterFalsePositives: every stage size below ExpectedPackets,
 // built as the suppressor opens it (Config.sizes), must run at its rate at
-// a quarter of its capacity, ≤ 3.1 × 10⁻⁹ for the default p. Unremixed
-// double hashing over a whole stage once put all probes of an identifier
-// whose h₂ lay near a small fraction of 2⁶⁴ onto a few bits, which at
-// 1 024 identifiers rejected about one fresh identifier in 10⁶.
+// a quarter of its capacity, ≤ 3.1 × 10⁻⁹ for the default p; and so must a
+// first stage the suppressor opens for five times the previous bucket's
+// count, at the fifth of it a bucket with that count fills and at a
+// quarter. Unremixed double hashing over a whole stage once put all probes
+// of an identifier whose h₂ lay near a small fraction of 2⁶⁴ onto a few
+// bits, which at 1 024 identifiers rejected about one fresh identifier in
+// 10⁶.
 func TestSmallFilterFalsePositives(t *testing.T) {
 	probes := 10_000_000
 	if testing.Short() {
 		probes = 1_000_000
 	}
-	for _, sz := range (Config{ExpectedPackets: 1 << 16, FalsePositiveRate: 1e-4}).sizes() {
-		if sz.ids == 1<<16 {
-			continue // the full stage: TestFalsePositiveRateAtDesignLoad
+	cfg := Config{ExpectedPackets: 1 << 16, FalsePositiveRate: 1e-4}
+	// falsePositives fills st to load identifiers past those it holds and
+	// counts the fresh probes it rejects.
+	falsePositives := func(st *stage, rng *rand.Rand, load int64) (fp int) {
+		for i := int64(0); i < load; i++ {
+			st.testAndSet(hash(rng.Uint64()))
 		}
-		st := stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
-		rng := rand.New(rand.NewSource(sz.ids))
-		for i := int64(0); i < sz.ids/4; i++ {
-			pr := hash(rng.Uint64())
-			st.testAndSet(pr)
-		}
-		fp := 0
 		for i := 0; i < probes; i++ {
 			if pr := hash(rng.Uint64()); st.test(pr) {
 				fp++
 			}
 		}
-		if fp != 0 {
+		return fp
+	}
+	for _, sz := range cfg.sizes() {
+		if sz.ids == 1<<16 {
+			continue // the full stage: TestFalsePositiveRateAtDesignLoad
+		}
+		st := stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
+		if fp := falsePositives(&st, rand.New(rand.NewSource(sz.ids)), sz.ids/4); fp != 0 {
 			t.Errorf("n = %d (%d blocks) at quarter load: %d false positives in %d probes", sz.ids, sz.nb, fp, probes)
+		}
+	}
+	for _, prev := range []int{300, 1200, 3000} {
+		s := New(cfg)
+		rng := rand.New(rand.NewSource(int64(prev)))
+		fill(s, rng, prev, s.window/2)
+		sl := s.file(s.window + s.window/2)
+		st := &sl.stages[sl.first]
+		if want := textbook(5*int64(prev), cfg.FalsePositiveRate); st.ids != want.ids || st.nb != want.nb || st.ids >= s.sizes[sl.first].ids {
+			t.Fatalf("after %d identifiers: a first stage of %d identifiers in %d blocks, want %d in %d, below the rung's %d",
+				prev, st.ids, st.nb, want.ids, want.nb, s.sizes[sl.first].ids)
+		}
+		// A fifth of the capacity, then a quarter.
+		if fp := falsePositives(st, rng, st.ids/5); fp != 0 {
+			t.Errorf("n = %d (%d blocks) at a fifth: %d false positives in %d probes", st.ids, st.nb, fp, probes)
+		}
+		if fp := falsePositives(st, rng, st.ids/4-st.ids/5); fp != 0 {
+			t.Errorf("n = %d (%d blocks) at quarter load: %d false positives in %d probes", st.ids, st.nb, fp, probes)
 		}
 	}
 }
@@ -315,5 +342,106 @@ func TestSteadyLoadAllocatesNothing(t *testing.T) {
 	}
 	if s.resident > (Config{WindowNs: window}).CeilingBytes(2500)/8 {
 		t.Errorf("steady load at %d of %d per bucket holds %d B", perBucket, 1<<20, s.resident)
+	}
+}
+
+// turnover files perBucket fresh identifiers under each of buckets buckets
+// from bucket b on, and returns the bucket after them; after each it calls
+// each, if not nil.
+func turnover(s *Suppressor, next *uint64, b int64, buckets, perBucket int, each func()) int64 {
+	for range buckets {
+		for range perBucket {
+			*next++
+			s.Check(*next, b*s.window, b*s.window)
+		}
+		if each != nil {
+			each()
+		}
+		b++
+	}
+	return b
+}
+
+// TestSteadyLoadSizedToTraffic pins a router's resident filter bytes at
+// pkt-wide's shape, about 6 550 identifiers per 200 ms bucket at the
+// defaults: once the first bucket's chain has climbed the ladder, every
+// later bucket opens one stage for five times its predecessor's count, so
+// the suppressor holds at most one such stage per slot plus the first
+// bucket's chain.
+func TestSteadyLoadSizedToTraffic(t *testing.T) {
+	const perBucket = 6550
+	s := NewCovering(Config{}, freshness)
+	next := uint64(0)
+	turnover(s, &next, 0, 4*len(s.ring), perBucket, nil)
+	stage := 8 * int64(textbook(5*perBucket, 1e-4).words())
+	// The first bucket's chain climbs a rung each time it has filed a
+	// quarter of the rungs below.
+	var chain, filed int64
+	for _, sz := range s.sizes {
+		chain += 8 * int64(sz.words())
+		if filed += sz.ids / 4; filed > perBucket {
+			break
+		}
+	}
+	if limit := int64(len(s.ring))*stage + chain; s.resident > limit {
+		t.Errorf("%d identifiers a bucket: %d resident bytes, want at most %d (%d stages of %d B and a chain of %d B)",
+			perBucket, s.resident, limit, len(s.ring), stage, chain)
+	}
+	t.Logf("%d identifiers a bucket: %d resident bytes, %d stages of %d B and a chain of %d B", perBucket, s.resident, len(s.ring), stage, chain)
+}
+
+// TestStageBufferGrowsOnceThenReuses steps a steady load up by a fifth and
+// back down: on the way up each slot's buffer is reallocated at most once,
+// and resident bytes grow by exactly the reallocated buffers' difference;
+// on the way down every slot reuses a prefix of its buffer, nothing is
+// reallocated and nothing is freed. replay.filter_bytes equals resident
+// after every bucket.
+func TestStageBufferGrowsOnceThenReuses(t *testing.T) {
+	const window, lo, hi = 1000, 2000, 2400 // 4 × lo and 4 × hi share a rung, and hi ≤ 1.25 × lo keeps each chain one stage
+	s := NewCovering(Config{WindowNs: window}, 2500)
+	reg := telemetry.NewRegistry("router")
+	bytes := reg.Gauge("replay.filter_bytes")
+	s.SetGauges(nil, bytes)
+	checkGauge := func() {
+		if bytes.Value() != s.resident {
+			t.Fatalf("replay.filter_bytes %d, resident %d", bytes.Value(), s.resident)
+		}
+	}
+	next := uint64(0)
+	b := turnover(s, &next, 0, 2*len(s.ring), lo, checkGauge)
+	c := s.ring[0].first
+	buffers := func() (ptrs []*uint64) {
+		for i := range s.ring {
+			ptrs = append(ptrs, &s.ring[i].stages[c].blocks[0])
+		}
+		return ptrs
+	}
+	before, resident := buffers(), s.resident
+	b = turnover(s, &next, b, 2*len(s.ring), hi, checkGauge)
+	up, grown := buffers(), 0
+	for i := range up {
+		if up[i] != before[i] {
+			grown++
+		}
+	}
+	small, large := textbook(5*lo, 1e-4), textbook(5*hi, 1e-4)
+	if grown == 0 || s.resident-resident != int64(grown)*8*int64(large.words()-small.words()) {
+		t.Fatalf("stepping up: %d of %d buffers reallocated, resident %d → %d", grown, len(up), resident, s.resident)
+	}
+	// Once per slot: a second pass at the higher load reallocates nothing.
+	b = turnover(s, &next, b, len(s.ring), hi, checkGauge)
+	if again := buffers(); !slices.Equal(again, up) {
+		t.Fatal("a slot reallocated its buffer twice at one load")
+	}
+	resident = s.resident
+	b = turnover(s, &next, b, 1, lo, checkGauge) // its successor's stage is sized for it
+	turnover(s, &next, b, 2*len(s.ring), lo, func() {
+		checkGauge()
+		if st := &s.last.stages[s.last.cur]; st.nb != small.nb || uint64(len(st.blocks)) < large.nb*blockWords {
+			t.Fatalf("stepping down: a stage of %d blocks in a buffer of %d, want %d of at least %d", st.nb, len(st.blocks)/blockWords, small.nb, large.nb)
+		}
+	})
+	if !slices.Equal(buffers(), up) || s.resident != resident {
+		t.Fatalf("stepping down reallocated: resident %d → %d", resident, s.resident)
 	}
 }

@@ -12,12 +12,16 @@
 // recycled only when its bucket's whole Ts range has left that interval —
 // when no copy of anything in it can pass the freshness check.
 //
-// Sizing by traffic. A bucket is a chain of Bloom stages of sizes
-// ExpectedPackets/4ʲ identifiers (not below 1 024). The first is the
-// smallest that holds four times the previous bucket's count; a stage below
-// ExpectedPackets takes a quarter of its capacity, then the next size up
-// opens; the ExpectedPackets stage takes the rest. A slot keeps one buffer
-// per size and clears it only when reopening it dirty.
+// Sizing by traffic. A bucket is a chain of Bloom stages on a ladder of
+// sizes ExpectedPackets/4ʲ identifiers (not below 1 024). The first takes
+// the smallest rung that holds four times the previous bucket's count, cut
+// down to hold five times that count when this is smaller and the rung is
+// not the ExpectedPackets one, so a bucket with its predecessor's traffic
+// ends at a fifth of its first stage. A stage below ExpectedPackets takes a
+// quarter of its own capacity, then the next rung up opens; the
+// ExpectedPackets stage takes the rest. A slot keeps one buffer per rung,
+// of the most blocks a bucket has opened there; a stage uses a prefix of it
+// and clears, when reopened, only the part of that prefix an insert dirtied.
 //
 // Layout. A stage is an array of 64-byte blocks, the first on a cache-line
 // boundary (Putze, Sanders & Singler, "Cache-, hash- and space-efficient
@@ -28,8 +32,8 @@
 // by blockedFP, a bound on its rate at Poisson(λ) identifiers per block: it
 // gets the fewest blocks for which that bound is ≤ p — for the default p,
 // 1.20 × the textbook m = −n·ln p / (ln 2)² bits. A smaller stage keeps the
-// textbook m, rounded up to whole blocks: it only ever fills to a quarter,
-// where the bound is 3.1 × 10⁻⁹.
+// textbook m for its capacity, rounded up to whole blocks: it only ever
+// fills to a quarter, where the bound is 3.1 × 10⁻⁹.
 //
 // Contract (pinned by the tests and FuzzSuppressor):
 //   - No false negatives: a copy of an accepted identifier with the same Ts
@@ -41,10 +45,9 @@
 //     at ≤ 3.1 × 10⁻⁹ for the default p (tests allow 1.5 p at design load,
 //     and 0 in 10⁷ probes of each quarter-loaded size).
 //   - Memory: resident bytes never exceed CeilingBytes, one buffer of every
-//     size per slot: about (⌈2F/W⌉ + 1) × (1.20 + 1/3) × m(ExpectedPackets),
-//     22.1 MiB at the defaults and F = 500 ms. A load at a fraction of the
-//     design rate touches about that fraction, and a steady one allocates
-//     nothing.
+//     rung per slot: about (⌈2F/W⌉ + 1) × (1.20 + 1/3) × m(ExpectedPackets),
+//     22.1 MiB at the defaults and F = 500 ms. A steady load holds about one
+//     stage for five times its bucket count per slot, and allocates nothing.
 package replay
 
 import (
@@ -111,15 +114,19 @@ type size struct {
 // slack that lets the first start on a 64-byte boundary.
 func (sz size) words() int { return int(sz.nb)*blockWords + blockWords - 1 }
 
-// sizes lists the stage sizes, smallest first: the ExpectedPackets stage
-// from blockedSize, every smaller one the textbook m in whole blocks.
+// sizes lists the ladder of stage sizes, smallest first: the
+// ExpectedPackets stage from blockedSize, every smaller one textbook.
 func (c Config) sizes() (out []size) {
 	out = []size{{int64(c.ExpectedPackets), blockedSize(c.ExpectedPackets, c.FalsePositiveRate)}}
 	for n := c.ExpectedPackets / 4; n >= minStage; n /= 4 {
-		m := bloomParams(n, c.FalsePositiveRate)
-		out = append([]size{{int64(n), (m + blockBits - 1) / blockBits}}, out...)
+		out = append([]size{textbook(int64(n), c.FalsePositiveRate)}, out...)
 	}
 	return out
+}
+
+// textbook is a stage for n identifiers of the textbook m in whole blocks.
+func textbook(n int64, fp float64) size {
+	return size{n, (bloomParams(int(n), fp) + blockBits - 1) / blockBits}
 }
 
 // ringLen is the most buckets [now − F, now + F] meets: ⌈2F/W⌉ + 1.
@@ -146,7 +153,8 @@ func (c Config) CeilingBytes(freshnessNs int64) int64 {
 type Suppressor struct {
 	window  int64
 	horizon int64 // F: Check accepts Ts within ±horizon of now
-	sizes   []size
+	fp      float64
+	sizes   []size // the ladder
 	ring    []slot
 	now     int64 // the latest clock reading
 	// last caches the slot of the previous Check and its Ts range [lo, hi).
@@ -163,19 +171,21 @@ type Suppressor struct {
 type slot struct {
 	bucket int64 // floor(Ts / WindowNs) of the identifiers filed here
 	n      int64 // identifiers filed under bucket
-	// first and cur index the sizes of the chain's first and current
+	// first and cur index the rungs of the chain's first and current
 	// (largest, the one inserts go to) stage; curN counts cur's identifiers.
 	first, cur int
 	curN       int64
-	stages     []stage // one per size, buffers allocated on first use
+	stages     []stage // one per rung, buffers allocated on first use
 }
 
-// stage is one blocked Bloom filter of nb blocks; dirty records an insert
-// since its last clear.
+// stage is one blocked Bloom filter of capacity ids in the first nb blocks
+// of its buffer; the buffer's first dirty blocks may hold bits of an insert
+// since their last clear.
 type stage struct {
-	blocks []uint64 // nb blocks of blockWords words, the first 64-byte aligned
+	blocks []uint64 // whole blocks of blockWords words, the first 64-byte aligned
 	nb     uint64
-	dirty  bool
+	ids    int64
+	dirty  uint64
 }
 
 // New builds a suppressor covering timestamps within ±WindowNs of now.
@@ -192,6 +202,7 @@ func NewCovering(cfg Config, freshnessNs int64) *Suppressor {
 	s := &Suppressor{
 		window:  cfg.WindowNs,
 		horizon: freshnessNs,
+		fp:      cfg.FalsePositiveRate,
 		sizes:   sizes,
 		ring:    make([]slot, cfg.ringLen(freshnessNs)),
 		now:     math.MinInt64,
@@ -249,8 +260,8 @@ func (s *Suppressor) Check(id uint64, tsNs, nowNs int64) bool {
 		return false
 	}
 	sl.n++
-	if sl.curN++; sl.cur < len(s.sizes)-1 && 4*sl.curN >= s.sizes[sl.cur].ids {
-		s.open(sl, sl.cur+1)
+	if sl.curN++; sl.cur < len(s.sizes)-1 && 4*sl.curN >= sl.stages[sl.cur].ids {
+		s.open(sl, sl.cur+1, s.sizes[sl.cur+1])
 	}
 	if s.inserts != nil && sl.bucket == s.top {
 		s.inserts.Set(sl.n)
@@ -271,7 +282,10 @@ func (s *Suppressor) file(tsNs int64) *slot {
 	n := int64(len(s.ring))
 	sl := &s.ring[(b%n+n)%n]
 	if sl.bucket != b {
-		// Size the first stage for four times the previous bucket's count.
+		// Size the first stage for the previous bucket's count: the rung
+		// that holds four times it, or, below the ExpectedPackets rung, a
+		// textbook stage for five times it if that is smaller and over
+		// minStage.
 		var prev int64
 		if p := &s.ring[((b-1)%n+n)%n]; p.bucket == b-1 {
 			prev = p.n
@@ -280,29 +294,39 @@ func (s *Suppressor) file(tsNs int64) *slot {
 		for c < len(s.sizes)-1 && s.sizes[c].ids < 4*prev {
 			c++
 		}
+		sz := s.sizes[c]
+		if ids := 5 * prev; ids > minStage && ids < sz.ids && c < len(s.sizes)-1 {
+			sz = textbook(ids, s.fp)
+		}
 		sl.bucket, sl.n, sl.first = b, 0, c
-		s.open(sl, c)
+		s.open(sl, c, sz)
 		s.top = max(s.top, b)
 	}
 	s.last, s.lo, s.hi = sl, b*s.window, (b+1)*s.window
 	return sl
 }
 
-// open makes size c the slot's current stage: its buffer allocated on first
-// use, cleared if it took an insert since it was last cleared.
-func (s *Suppressor) open(sl *slot, c int) {
+// open makes rung c, at size sz, the slot's current stage: its buffer
+// (re)allocated only when it holds fewer than sz.nb blocks, and the part of
+// the prefix it uses that an insert dirtied cleared.
+func (s *Suppressor) open(sl *slot, c int, sz size) {
 	st := &sl.stages[c]
-	switch sz := s.sizes[c]; {
-	case st.blocks == nil:
-		*st = stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
-		s.resident += 8 * int64(sz.words())
-		if s.bytes != nil {
-			s.bytes.Add(8 * int64(sz.words()))
+	if held := uint64(len(st.blocks)) / blockWords; sz.nb > held {
+		grown := 8 * int64(sz.words())
+		if held > 0 {
+			grown -= 8 * int64(size{nb: held}.words())
 		}
-	case st.dirty:
-		clear(st.blocks)
-		st.dirty = false
+		st.blocks, st.dirty = alignedBlocks(sz.words()), 0
+		s.resident += grown
+		if s.bytes != nil {
+			s.bytes.Add(grown)
+		}
 	}
+	clear(st.blocks[:min(st.dirty, sz.nb)*blockWords])
+	if st.dirty <= sz.nb {
+		st.dirty = 0
+	}
+	st.nb, st.ids = sz.nb, sz.ids
 	sl.cur, sl.curN = c, 0
 }
 
@@ -424,7 +448,7 @@ func (b *stage) testAndSet(pr probe) bool {
 	if missing == 0 {
 		return false
 	}
-	b.dirty = true
+	b.dirty = max(b.dirty, b.nb)
 	return true
 }
 
