@@ -152,7 +152,7 @@ func TestCPlaneRefusesWideEERs(t *testing.T) {
 	if err := cp.SetupEER(eid(1), seg.ID, MaxEERKbps+1, expT); !errors.Is(err, ErrBandwidthRange) {
 		t.Fatalf("setup of 2³² kbps: %v", err)
 	}
-	auditBooks(t, cp, clk.now(), "a setup of 2³² kbps")
+	auditBooks(t, cp, "a setup of 2³² kbps")
 	if err := cp.SetupEER(eid(1), seg.ID, MaxEERKbps, expT); err != nil {
 		t.Fatalf("setup of 2³²−1 kbps: %v", err)
 	}
@@ -163,5 +163,5 @@ func TestCPlaneRefusesWideEERs(t *testing.T) {
 	if bw, _, exp, ok := cp.LookupEER(eid(1), seg.ID); !ok || bw != MaxEERKbps || exp != expT {
 		t.Fatalf("after the refused renewal the record holds %d kbps until %d (present %v)", bw, exp, ok)
 	}
-	auditBooks(t, cp, clk.now(), "a renewal to 2³² kbps")
+	auditBooks(t, cp, "a renewal to 2³² kbps")
 }

@@ -18,8 +18,9 @@
 //     handle through the shard's SegR registry, and
 //   - the EER records admitted against those SegRs, in one flat table, each
 //     of which is the only handle on its own charge: what was charged is
-//     withdrawn by handing the record's window and bandwidth back to the
-//     profile. A record names its covering SegRs by handle (segH).
+//     withdrawn by handing the record's expiry and bandwidth back to the
+//     profile. A record names its covering SegRs with one handle (segH): a
+//     SegR's own, or at a transfer AS one of the shard's pair table.
 //
 // An EER's record lives in the shard of its first covering SegR. An operation
 // on it takes that shard's lock and, at a transfer AS, the second SegR's
@@ -32,6 +33,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -134,6 +136,11 @@ type cplaneShard struct {
 	// record with one probe and writes the new version through the pointer it
 	// got (DESIGN.md §7).
 	eers flattab.Table[cpEER]
+	// pairs is the pair table, indexed by a pair handle's slot: the two SegRs
+	// of the transfer-AS records whose cover it is, the first of them in this
+	// shard. pairFree lists the slots no pair holds, the last freed first.
+	pairs    []segPair
+	pairFree []uint32
 	// held holds the held piece of every record whose held flag is set, and
 	// nothing else: it is empty unless some EER has renewed downward.
 	held flattab.Table[heldPiece]
@@ -151,6 +158,8 @@ type segRec struct {
 	// must look for records before the handle can be reused.
 	h     segH
 	named bool
+	// pairs are the handles of the pairs whose first SegR this is.
+	pairs []segH
 }
 
 // segH is a SegR's handle: one plus its slot in its shard's registry, above
@@ -159,13 +168,92 @@ type segRec struct {
 // handle names one SegR from AddSegR until the SegR is dropped and no record
 // names it any more (purge), after which its slot may be reused.
 //
-// The zero handle names no SegR (a record's absent second one), and
-// unknownSegR a SegR an operation names that the shard does not hold. No
-// record carries unknownSegR, so a record never matches a path over a SegR
-// this AS does not hold.
+// A handle with pairBit set is a pair handle instead: the slot, below the
+// bit, of a pair of SegRs in the pair table of the first one's shard. It names
+// the two SegRs a transfer-AS record is charged against (§4.7) from the first
+// record that names them until either SegR goes (purge). SegR handles stay
+// below the bit (regFull).
+//
+// The zero handle names nothing, and unknownSegR a SegR or a pair an
+// operation names that the shard does not hold. No record carries
+// unknownSegR, so a record never matches a path over a SegR this AS does not
+// hold.
 type segH uint32
 
-const unknownSegR = ^segH(0)
+const (
+	pairBit     = segH(1) << 31
+	unknownSegR = ^segH(0)
+)
+
+// segPair is one slot of a shard's pair table: the handles of the two SegRs
+// of a pair, or zero while the slot is free.
+type segPair struct{ h, h2 segH }
+
+// segsOf returns the SegR handles cover names: its own SegR's, with 0 for
+// none, or the two of its pair in sh's table. The caller holds sh's lock, sh
+// the shard of the record that carries cover.
+//
+//colibri:nomalloc
+func (sh *cplaneShard) segsOf(cover segH) (h, h2 segH) {
+	if cover&pairBit == 0 {
+		return cover, 0
+	}
+	p := sh.pairs[cover&^pairBit]
+	return p.h, p.h2
+}
+
+// pairOf returns the handle of the pair (r.h, h2) in shard sh, r's, which the
+// caller has locked, or unknownSegR when no record has named that pair yet or
+// r is nil.
+//
+//colibri:nomalloc
+func (sh *cplaneShard) pairOf(r *segRec, h2 segH) segH {
+	if r == nil {
+		return unknownSegR
+	}
+	for _, ph := range r.pairs {
+		if sh.pairs[ph&^pairBit].h2 == h2 {
+			return ph
+		}
+	}
+	return unknownSegR
+}
+
+// intern gives the pair of SegR r, held by shard sh, which the caller has
+// locked, and SegR h2 a handle in sh's pair table. Only the table's and r's
+// list's growth allocates.
+//
+//colibri:nomalloc
+func (sh *cplaneShard) intern(r *segRec, h2 segH) segH {
+	var slot uint32
+	if n := len(sh.pairFree); n > 0 {
+		slot, sh.pairFree = sh.pairFree[n-1], sh.pairFree[:n-1]
+	} else {
+		slot = uint32(len(sh.pairs))
+		sh.pairs = append(sh.pairs, segPair{}) //colibri:allow(nomalloc) — amortized pair-table growth
+	}
+	sh.pairs[slot] = segPair{h: r.h, h2: h2}
+	ph := pairBit | segH(slot)
+	r.pairs = append(r.pairs, ph) //colibri:allow(nomalloc) — amortized growth of the SegR's pair list
+	return ph
+}
+
+// dropPairs frees every pair of shard sh, which the caller has locked, that
+// names SegR handle h, once no record names h: the SegRs paired with h forget
+// the pair, and its slot may be reused.
+func (c *CPlane) dropPairs(sh *cplaneShard, h segH) {
+	for i, p := range sh.pairs {
+		if p.h != h && p.h2 != h {
+			continue
+		}
+		if p.h != h {
+			r := c.slot(p.h).rec
+			r.pairs = slices.DeleteFunc(r.pairs, func(ph segH) bool { return ph == pairBit|segH(i) })
+		}
+		sh.pairs[i] = segPair{}
+		sh.pairFree = append(sh.pairFree, uint32(i))
+	}
+}
 
 // regSlot is one slot of a shard's SegR registry: the ID and record of the
 // SegR whose handle it is, or zero while the slot is free.
@@ -186,9 +274,9 @@ func (c *CPlane) slot(h segH) *regSlot {
 func (c *CPlane) shardOf(h segH) int { return int(uint32(h) & uint32(c.mask)) }
 
 // regFull reports whether shard sh, locked, has no handle left to give: its
-// slots stay below the one unknownSegR would decode to.
+// handles stay below pairBit.
 func (c *CPlane) regFull(sh *cplaneShard) bool {
-	return len(sh.free) == 0 && uint64(len(sh.reg))+2 >= 1<<(32-c.shardBits)
+	return len(sh.free) == 0 && uint64(len(sh.reg))+2 > 1<<(31-c.shardBits)
 }
 
 // register gives SegR id's fresh record r a handle in shard si (sh, locked,
@@ -206,34 +294,35 @@ func (c *CPlane) register(sh *cplaneShard, si int, id reservation.ID, r *segRec)
 	sh.segs[id] = r
 }
 
-// cpEER is the shard-local record of one admitted EER version. seg is the
-// handle of its primary covering SegR, in whose shard the record lives; seg2
-// is the second charged SegR at a transfer AS (§4.7: an EER entering on an up
-// segment and leaving on a core segment consumes bandwidth on both), and 0
-// everywhere else. ver is the protocol version of the admitted record, used
-// by the live request path for idempotent dedup of retries.
+// cpEER is the shard-local record of one admitted EER version. cover names
+// its covering SegRs: the handle of its one SegR, or at a transfer AS (§4.7:
+// an EER entering on an up segment and leaving on a core segment consumes
+// bandwidth on both) the pair handle of its two. The record lives in the
+// shard of the first, its primary covering SegR, whose pair table holds the
+// pair. ver is the protocol version of the admitted record, used by the live
+// request path for idempotent dedup of retries.
 //
-// The record is the handle on its charge: bw over [startT, expT) is what the
-// covering ledgers were charged with, and handing exactly that back is what
-// withdraws it (eerPath.discharge). Every write of bw, startT or expT
-// therefore goes with a charge of the same values.
+// The record is the handle on its charge: bw until expT is what the covering
+// ledgers were charged with, from the second the setup, renewal, adjustment
+// or restore that wrote it ran, and handing exactly that back is what
+// withdraws it (eerPath.discharge). A charge starts where eerPath.charge has
+// just advanced each ledger to, and a ledger's floor never moves back, so the
+// floor has reached every live charge's start and the record need not keep
+// it. Every write of bw or expT therefore goes with a charge of the same
+// values.
 //
 // A record may have a second charge, its held piece (§4.2): what an older
 // version of the EER that is still valid needs beyond the record's own. The
 // piece lives in the shard's held table and the record only flags it, in what
 // was padding, so a record costs the same bytes with or without one.
 //
-// The record is 28 bytes of 4-byte alignment, so the table's record with its
-// key is 40 (DESIGN.md §7): bw is 32 bits, the width a ResInfo carries it in,
+// The record is 20 bytes of 4-byte alignment, so the table's record with its
+// key is 32 (DESIGN.md §7): bw is 32 bits, the width a ResInfo carries it in,
 // and no EER of more is admitted (MaxEERKbps).
 type cpEER struct {
-	seg  segH
-	seg2 segH
-	bw   uint32
-	// startT is the second the charge starts at: when the setup, renewal,
-	// adjustment or restore that wrote it ran.
-	startT uint32
-	expT   uint32
+	cover segH
+	bw    uint32
+	expT  uint32
 	// lastRenew is the second of the last renewal the per-EER throttle let
 	// through (eerPath.allowRenew); 0 before the first.
 	lastRenew uint32
@@ -244,12 +333,14 @@ type cpEER struct {
 
 // heldPiece is the second charge of a record whose EER renewed downward
 // (§4.2 keeps every unexpired version usable, so an EER's demand is the
-// maximum over its valid versions): charge over [startT, expT) on the
-// record's covering ledgers, the excess of the older versions' bandwidth over
-// the record's own. It never outlives its record.
+// maximum over its valid versions): charge until expT on the record's
+// covering ledgers, the excess of the older versions' bandwidth over the
+// record's own. Like the record's own, it is charged through eerPath.charge,
+// so it is withdrawn from the floor and keeps no start. It never outlives its
+// record.
 type heldPiece struct {
-	charge       uint64
-	startT, expT uint32
+	charge uint64
+	expT   uint32
 }
 
 // NewCPlane builds the engine. It panics when cfg.Clock is nil and reports a
@@ -492,11 +583,11 @@ func (c *CPlane) Tick() int {
 			if !expired && !(e.held && sh.held.Get(id).expT <= now) {
 				continue
 			}
-			if e.seg2 != 0 {
-				pairs = append(pairs, pairRef{eer: id, seg: e.seg, seg2: e.seg2})
+			if e.cover&pairBit != 0 {
+				pairs = append(pairs, sh.pairRefOf(id, e.cover))
 				continue
 			}
-			p := c.pathOf(sh, e.seg, now)
+			p := c.pathOf(sh, e.cover, now)
 			if !expired {
 				p.unhold(id, e)
 				continue
@@ -522,10 +613,19 @@ func (c *CPlane) Tick() int {
 }
 
 // pairRef names a transfer-AS record found under one shard lock, for removal
-// under both (removePair): the EER and its two SegRs' handles.
+// under both (removePair): the EER, its pair handle and its two SegRs'
+// handles.
 type pairRef struct {
 	eer       reservation.ID
+	cover     segH
 	seg, seg2 segH
+}
+
+// pairRefOf names EER eer's record in shard sh, which the caller has locked,
+// whose cover is the pair handle cover.
+func (sh *cplaneShard) pairRefOf(eer reservation.ID, cover segH) pairRef {
+	h, h2 := sh.segsOf(cover)
+	return pairRef{eer: eer, cover: cover, seg: h, seg2: h2}
 }
 
 // removePair removes a transfer-AS record, if it still exists and cond holds
@@ -539,15 +639,16 @@ type pairRef struct {
 func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32) (ok bool) {
 	var seg, seg2 reservation.ID
 	var bw uint32
-	c.withHandles(r.seg, r.seg2, func(p eerPath) {
-		// A record that no longer names both SegRs was rewritten since it was
-		// found; whoever finds it next decides for it.
+	c.withHandles(r, func(p eerPath) {
+		// A record that no longer names the pair was rewritten since it was
+		// found, and a pair handle that names another pair was freed and taken
+		// again; whoever finds the record next decides for it.
 		rec := p.lookup(r.eer)
 		switch {
-		case rec == nil || rec.seg2 != r.seg2:
+		case rec == nil || rec.cover != r.cover || p.prim.pairs[r.cover&^pairBit] != (segPair{r.seg, r.seg2}):
 		case cond(rec):
 			ok, bw = true, rec.bw
-			seg, seg2 = c.slot(rec.seg).id, c.slot(rec.seg2).id
+			seg, seg2 = c.slot(r.seg).id, c.slot(r.seg2).id
 			p.release(r.eer, rec)
 			p.prim.eers.Delete(r.eer)
 		case rec.held && p.prim.held.Get(r.eer).expT <= heldLapse:

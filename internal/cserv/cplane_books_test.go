@@ -4,6 +4,8 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"unsafe"
@@ -23,9 +25,21 @@ import (
 // must show it.
 type bookedEER struct {
 	id        reservation.ID
+	hs        [2]segH        // the handles of the record's SegRs, the second 0 for none
 	seg, seg2 reservation.ID // the record's SegRs, by ID
 	e         cpEER
 	h         heldPiece
+}
+
+// booked reads record e of EER id in shard sh, which the caller has locked,
+// with its held piece, if it has one.
+func booked(sh *cplaneShard, id reservation.ID, e *cpEER) bookedEER {
+	r := bookedEER{id: id, e: *e}
+	r.hs[0], r.hs[1] = sh.segsOf(e.cover)
+	if h := sh.held.Get(id); h != nil {
+		r.h = *h
+	}
+	return r
 }
 
 // segIDOf resolves a SegR handle a record carries to the SegR's ID, and 0 to
@@ -42,25 +56,26 @@ func segIDOf(cp *CPlane, h segH) reservation.ID {
 
 // resolve fills in the record's SegR IDs; the caller holds no shard lock.
 func (r *bookedEER) resolve(cp *CPlane) {
-	r.seg, r.seg2 = segIDOf(cp, r.e.seg), segIDOf(cp, r.e.seg2)
+	r.seg, r.seg2 = segIDOf(cp, r.hs[0]), segIDOf(cp, r.hs[1])
 }
 
 // charges returns the record's and the held piece's charge on seg at epoch ep,
-// and how many of the two are live at floor.
+// and how many of the two are live at floor, the ledger's. Both charges run
+// from the floor: each started where the ledger had been advanced to.
 func (r *bookedEER) charges(seg reservation.ID, ep, floor, sec uint32) (bw int64, live int) {
 	if r.seg != seg && r.seg2 != seg {
 		return 0, 0
 	}
 	ceil := func(x uint32) uint32 { return (x + sec - 1) / sec }
 	for _, c := range []struct {
-		on           bool
-		bw           uint64
-		startT, expT uint32
-	}{{true, uint64(r.e.bw), r.e.startT, r.e.expT}, {r.e.held, r.h.charge, r.h.startT, r.h.expT}} {
+		on          bool
+		bw          uint64
+		start, expT uint32
+	}{{true, uint64(r.e.bw), floor, r.e.expT}, {r.e.held, r.h.charge, floor, r.h.expT}} {
 		if !c.on {
 			continue
 		}
-		if c.startT/sec <= ep && ep < ceil(c.expT) {
+		if c.start <= ep && ep < ceil(c.expT) {
 			bw += int64(c.bw)
 		}
 		if ceil(c.expT) > floor {
@@ -80,14 +95,12 @@ func bookedEERs(t *testing.T, cp *CPlane, step string) []bookedEER {
 		flagged := 0
 		for i := range sh.eers.Len() {
 			id, e := sh.eers.At(i)
-			r := bookedEER{id: id, e: *e}
 			if h := sh.held.Get(id); e.held != (h != nil) {
 				t.Fatalf("%s: record %s flags held=%v, held table has %v", step, id, e.held, h != nil)
 			} else if h != nil {
-				r.h = *h
 				flagged++
 			}
-			recs = append(recs, r)
+			recs = append(recs, booked(sh, id, e))
 		}
 		pieces := sh.held.Len()
 		sh.mu.Unlock()
@@ -103,39 +116,98 @@ func bookedEERs(t *testing.T, cp *CPlane, step string) []bookedEER {
 
 // auditBooks demands that every ledger carries, at every epoch of its ring,
 // exactly the sum of the records and held pieces charged on it, and counts
-// exactly the live ones. It advances every ledger to now first (AuditLedgers
-// does).
-func auditBooks(t *testing.T, cp *CPlane, now uint32, step string) {
+// exactly the live ones; and that the pair tables agree with the registry
+// (auditPairs). It reads each ledger as it stands, from its own floor, which
+// a clock that stepped back leaves ahead of now and a ledger no operation has
+// advanced since the clock stepped forward leaves behind it: a record's charge
+// runs from its ledgers' floors only if every charge advanced them first.
+func auditBooks(t *testing.T, cp *CPlane, step string) {
 	t.Helper()
 	recs := bookedEERs(t, cp, step)
 	if got := cp.Counts().EERs; got != int64(len(recs)) {
 		t.Fatalf("%s: Counts().EERs = %d, %d records", step, got, len(recs))
 	}
+	auditPairs(t, cp, step)
 	sec := cp.epochSec
-	floor := now / sec
-	for _, row := range cp.AuditLedgers(now, now+1) {
-		live := 0
-		for _, r := range recs {
-			_, n := r.charges(row.Seg, floor, floor, sec)
-			live += n
-		}
-		if row.LiveEERs != live {
-			t.Fatalf("%s: SegR %s: ledger counts %d live charges, %d live records and held pieces", step, row.Seg, row.LiveEERs, live)
-		}
-		sh := cp.shardFor(row.Seg)
-		for ep := floor; ep < floor+uint32(cp.ledgerEpochs); ep++ {
-			var want int64
-			for _, r := range recs {
-				bw, _ := r.charges(row.Seg, ep, floor, sec)
-				want += bw
+	for _, sh := range cp.shards {
+		sh.mu.Lock()
+		for seg, r := range sh.segs {
+			if r.led.Floor() < 0 {
+				if r.led.Len() != 0 {
+					t.Fatalf("%s: SegR %s: an unanchored ledger counts %d charges", step, seg, r.led.Len())
+				}
+				continue
 			}
-			sh.mu.Lock()
-			got := sh.segs[row.Seg].led.MaxDemand(ep*sec, ep*sec+1)
-			sh.mu.Unlock()
-			if got != want {
-				t.Fatalf("%s: SegR %s epoch %d (floor %d): ledger %d, records %d", step, row.Seg, ep, floor, got, want)
+			floor := uint32(r.led.Floor())
+			live := 0
+			for _, b := range recs {
+				_, n := b.charges(seg, floor, floor, sec)
+				live += n
+			}
+			if r.led.Len() != live {
+				t.Fatalf("%s: SegR %s: ledger counts %d live charges, %d live records and held pieces", step, seg, r.led.Len(), live)
+			}
+			for ep := floor; ep < floor+uint32(cp.ledgerEpochs); ep++ {
+				var want int64
+				for _, b := range recs {
+					bw, _ := b.charges(seg, ep, floor, sec)
+					want += bw
+				}
+				if got := r.led.MaxDemand(ep*sec, ep*sec+1); got != want {
+					t.Fatalf("%s: SegR %s epoch %d (floor %d): ledger %d, records %d", step, seg, ep, floor, got, want)
+				}
 			}
 		}
+		sh.mu.Unlock()
+	}
+}
+
+// auditPairs demands that every shard's pair table holds pairs of SegRs the
+// registry holds, the first in that shard, each once; that each SegR lists
+// exactly the pairs it is the first of; and that a free slot is zero and
+// listed nowhere. No pair names a freed handle, so none can name the SegR
+// that takes it next.
+func auditPairs(t *testing.T, cp *CPlane, step string) {
+	t.Helper()
+	live := map[segH]bool{}
+	for _, sh := range cp.shards {
+		sh.mu.Lock()
+		for _, r := range sh.segs {
+			live[r.h] = true
+		}
+		sh.mu.Unlock()
+	}
+	for si, sh := range cp.shards {
+		sh.mu.Lock()
+		free := map[uint32]bool{}
+		for _, f := range sh.pairFree {
+			free[f] = true
+		}
+		listed := map[segH]segH{}
+		for _, r := range sh.segs {
+			for _, ph := range r.pairs {
+				if _, dup := listed[ph]; dup || sh.pairs[ph&^pairBit].h != r.h {
+					t.Fatalf("%s: SegR %#x lists pair %#x, which is %+v", step, r.h, ph, sh.pairs[ph&^pairBit])
+				}
+				listed[ph] = r.h
+			}
+		}
+		seen := map[segPair]bool{}
+		for i, p := range sh.pairs {
+			ph := pairBit | segH(i)
+			if free[uint32(i)] {
+				if p != (segPair{}) || listed[ph] != 0 {
+					t.Fatalf("%s: free pair slot %d holds %+v, listed by %#x", step, i, p, listed[ph])
+				}
+				continue
+			}
+			if !live[p.h] || !live[p.h2] || cp.shardOf(p.h) != si || seen[p] || listed[ph] != p.h {
+				t.Fatalf("%s: shard %d's pair %#x is %+v: live %v/%v, listed by %#x, seen before %v",
+					step, si, ph, p, live[p.h], live[p.h2], listed[ph], seen[p])
+			}
+			seen[p] = true
+		}
+		sh.mu.Unlock()
 	}
 }
 
@@ -146,14 +218,11 @@ func pairRecord(t *testing.T, cp *CPlane, id reservation.ID, g []reservation.ID)
 	sh := cp.shardFor(g[0])
 	sh.mu.Lock()
 	e := sh.eers.Get(id)
-	if e == nil || e.seg2 == 0 {
+	if e == nil || e.cover&pairBit == 0 {
 		sh.mu.Unlock()
 		return bookedEER{}
 	}
-	r := bookedEER{id: id, e: *e}
-	if h := sh.held.Get(id); h != nil {
-		r.h = *h
-	}
+	r := booked(sh, id, e)
 	sh.mu.Unlock()
 	r.resolve(cp)
 	if r.seg != g[0] || r.seg2 != g[1] {
@@ -172,10 +241,7 @@ func chargeOf(cp *CPlane, id, seg reservation.ID, t uint32) uint64 {
 		sh.mu.Unlock()
 		return 0
 	}
-	r := bookedEER{id: id, e: *e}
-	if h := sh.held.Get(id); h != nil {
-		r.h = *h
-	}
+	r := booked(sh, id, e)
 	sh.mu.Unlock()
 	r.resolve(cp)
 	bw, _ := r.charges(seg, t/cp.epochSec, 0, cp.epochSec)
@@ -199,18 +265,18 @@ func lapsedHeld(cp *CPlane, now uint32) (n int) {
 // TestHeldFlagCostsNoBytes: the held flag sits in what was the record's
 // padding, so a CServ's resident EER state does not grow with §4.2's repair.
 func TestHeldFlagCostsNoBytes(t *testing.T) {
-	if got := unsafe.Sizeof(cpEER{}); got != 28 {
-		t.Errorf("cpEER is %d bytes, want 28", got)
+	if got := unsafe.Sizeof(cpEER{}); got != 20 {
+		t.Errorf("cpEER is %d bytes, want 20", got)
 	}
 }
 
-// TestEERRecordIs40Bytes pins what an EER costs a CServ per AS in its record
-// table: the key's 12 bytes and the 28-byte record, with no padding between
+// TestEERRecordIs32Bytes pins what an EER costs a CServ per AS in its record
+// table: the key's 12 bytes and the 20-byte record, with no padding between
 // (DESIGN.md §7). A field added to cpEER shows here.
-func TestEERRecordIs40Bytes(t *testing.T) {
+func TestEERRecordIs32Bytes(t *testing.T) {
 	var sh cplaneShard
-	if got := sh.eers.RecordSize(); got != 40 {
-		t.Errorf("the EER table's record is %d bytes, want 40", got)
+	if got := sh.eers.RecordSize(); got != 32 {
+		t.Errorf("the EER table's record is %d bytes, want 32", got)
 	}
 	if got := sh.held.RecordSize(); got != 32 {
 		t.Errorf("the held table's record is %d bytes, want 32", got)
@@ -224,9 +290,12 @@ func TestEERRecordIs40Bytes(t *testing.T) {
 // version expires, §4.2), renewals naming only a pair's first SegR (refused),
 // adjustments down and to zero, restores of live, expired and unknown
 // versions, teardowns, SegR drops and grant cuts, Tick, with a third of the
-// EERs transfer-AS pairs whose SegRs mostly sit in different shards — and
-// audits the books after each: records and held pieces against the ledgers,
-// and no lapsed piece after Tick. Teardowns, adjustments and restores
+// EERs transfer-AS pairs whose SegRs mostly sit in different shards, under a
+// clock that steps back as well as forward, so that charges are made while
+// now is behind a ledger's floor — and audits the books after each: records
+// and held pieces against the ledgers, each from its own floor, the pair
+// tables against the registry, and no lapsed piece after Tick. Teardowns,
+// adjustments and restores
 // sometimes name only a pair's first SegR; they must leave its record alone,
 // for rewriting or deleting it would strand the charge on the second.
 func TestBooksAgree(t *testing.T) {
@@ -276,7 +345,14 @@ func TestBooksAgree(t *testing.T) {
 			}
 			var ver uint16
 			seen := map[string]int{}
+			// behind: the clock has stepped back into an epoch before the
+			// latest one, where the ledgers' floors stay.
+			var latest uint32
+			behind := false
 			note := func(what string, err error) {
+				if err == nil && behind {
+					seen[what+" behind the floor"]++
+				}
 				switch {
 				case err == nil:
 					seen[what+" ok"]++
@@ -290,6 +366,8 @@ func TestBooksAgree(t *testing.T) {
 			}
 			for step := 0; step < steps; step++ {
 				now := clk.now()
+				latest = max(latest, now)
+				behind = now/cp.epochSec < latest/cp.epochSec
 				i := rng.Intn(nEER)
 				id, g := eid(uint32(i)), geom[i]
 				bw := uint64(500 + rng.Intn(6_000))
@@ -317,7 +395,7 @@ func TestBooksAgree(t *testing.T) {
 					}
 					partial[op]++
 				}
-				switch k := rng.Intn(16); k {
+				switch k := rng.Intn(17); k {
 				case 0, 1, 2:
 					op = "setup"
 					note(op, cp.SetupEERPath(id, g, bw, expT, ver))
@@ -382,6 +460,9 @@ func TestBooksAgree(t *testing.T) {
 				case 14:
 					op = "clock"
 					clk.step(uint32(1 + rng.Intn(6)))
+				case 16:
+					op = "clock back"
+					clk.t.Store(now - uint32(1+rng.Intn(3)))
 				case 15:
 					// §4.2: the version renewed downward stays valid until it
 					// expires, so the EER's own charges carry its bandwidth until
@@ -411,11 +492,11 @@ func TestBooksAgree(t *testing.T) {
 						}
 					}
 				}
-				auditBooks(t, cp, clk.now(), fmt.Sprintf("step %d (%s)", step, op))
+				auditBooks(t, cp, fmt.Sprintf("step %d (%s)", step, op))
 			}
 			for _, want := range []string{"setup ok", "setup insufficient", "renew ok",
 				"renew insufficient", "renew window", "renew first ok", "renew first " + ErrTransferEER.Error(),
-				"renew down ok", "tick drops a held piece"} {
+				"renew down ok", "tick drops a held piece", "setup behind the floor", "renew behind the floor"} {
 				if seen[want] == 0 {
 					t.Errorf("the sequence never produced %q: %v", want, seen)
 				}
@@ -426,7 +507,7 @@ func TestBooksAgree(t *testing.T) {
 			// Drain: once every record has lapsed and Tick has run, nothing is left.
 			clk.step(200)
 			cp.Tick()
-			auditBooks(t, cp, clk.now(), "drained")
+			auditBooks(t, cp, "drained")
 			if n := cp.Counts().EERs; n != 0 {
 				t.Errorf("%d records left after every version lapsed", n)
 			}
@@ -496,14 +577,27 @@ func handleOf(t *testing.T, cp *CPlane, id reservation.ID) segH {
 	return r.h
 }
 
-// TestHandleRecyclingCannotAliasADroppedSegR: a SegR's handle is reused once
-// the SegR has gone, and only once no record names it. For each way a SegR
-// goes — DropSegR, TeardownSegR of one whose EERs lapsed without a Tick,
-// AbortSegR under a live EER — an EER admitted over it alone and one paired
-// with a SegR of another shard go with it, and the next AddSegR in its shard
-// takes its handle. A renewal of either EER over the new SegR then finds no
+// pairHandleOf returns the handle of the pair (a, b) in a's shard, or
+// unknownSegR when no record has named it.
+func pairHandleOf(t *testing.T, cp *CPlane, a, b reservation.ID) segH {
+	t.Helper()
+	hb := handleOf(t, cp, b)
+	sh := cp.shardFor(a)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.pairOf(sh.segs[a], hb)
+}
+
+// TestHandleRecyclingCannotAliasADroppedSegR: a SegR's handle, and the handle
+// of a pair it is in, is reused once the SegR has gone, and only once no record
+// names it. For each way a SegR goes — DropSegR, TeardownSegR of one whose
+// EERs lapsed without a Tick, AbortSegR under a live EER — an EER admitted over
+// it alone and two paired with a SegR of another shard, one with it first and
+// one with it second, go with it, and the next AddSegR in its shard takes its
+// handle, and the next pair in the other SegR's shard the second pair's
+// handle. A renewal of any of the three EERs over the new SegR then finds no
 // record, and Tick, up to and past the old EERs' expiry, leaves the new SegR's
-// ledger carrying exactly the EER admitted over it.
+// ledger carrying exactly the EERs admitted over it.
 func TestHandleRecyclingCannotAliasADroppedSegR(t *testing.T) {
 	for _, how := range []string{"drop", "teardown", "abort"} {
 		t.Run(how, func(t *testing.T) {
@@ -524,13 +618,20 @@ func TestHandleRecyclingCannotAliasADroppedSegR(t *testing.T) {
 				}
 			}
 			h := handleOf(t, cp, old.ID)
-			solo, pair := eid(1), eid(2)
+			solo, pair, pair2 := eid(1), eid(2), eid(4)
 			expT := clk.now() + 16
 			if err := cp.SetupEERPath(solo, []reservation.ID{old.ID}, 3_000, expT, 1); err != nil {
 				t.Fatal(err)
 			}
 			if err := cp.SetupEERPath(pair, []reservation.ID{old.ID, other.ID}, 2_000, expT, 1); err != nil {
 				t.Fatal(err)
+			}
+			if err := cp.SetupEERPath(pair2, []reservation.ID{other.ID, old.ID}, 1_000, expT, 1); err != nil {
+				t.Fatal(err)
+			}
+			ph := pairHandleOf(t, cp, other.ID, old.ID)
+			if ph&pairBit == 0 || ph == unknownSegR {
+				t.Fatalf("the pair of %s and %s has handle %#x", other.ID, old.ID, ph)
 			}
 			switch how {
 			case "drop":
@@ -546,19 +647,33 @@ func TestHandleRecyclingCannotAliasADroppedSegR(t *testing.T) {
 			if n := cp.Counts().EERs; n != 0 {
 				t.Fatalf("%d records outlive their SegR", n)
 			}
-			if len(expired) != 1 || expired[0] != [2]reservation.ID{old.ID, other.ID} {
-				t.Fatalf("expiry callback saw %v, want the pair over %s and %s", expired, old.ID, other.ID)
+			if len(expired) != 2 || !slices.Contains(expired, [2]reservation.ID{old.ID, other.ID}) ||
+				!slices.Contains(expired, [2]reservation.ID{other.ID, old.ID}) {
+				t.Fatalf("expiry callback saw %v, want the pairs over %s and %s, either first", expired, old.ID, other.ID)
 			}
 			if got, _ := cp.SegDemandMax(other.ID); got != 0 {
-				t.Fatalf("%s still carries %d kbps of the pair", other.ID, got)
+				t.Fatalf("%s still carries %d kbps of the pairs", other.ID, got)
 			}
+			auditPairs(t, cp, "after the SegR went")
 			if _, err := cp.AddSegR(fresh); err != nil {
 				t.Fatal(err)
 			}
 			if got := handleOf(t, cp, fresh.ID); got != h {
 				t.Fatalf("the new SegR took handle %#x, the old one had %#x: nothing was recycled", got, h)
 			}
+			if got := pairHandleOf(t, cp, other.ID, fresh.ID); got != unknownSegR {
+				t.Fatalf("the new SegR is in pair %#x before any record named it", got)
+			}
 			now := clk.now()
+			if err := cp.SetupEERPath(eid(5), []reservation.ID{other.ID, fresh.ID}, 500, now+30, 1); err != nil {
+				t.Fatal(err)
+			}
+			if got := pairHandleOf(t, cp, other.ID, fresh.ID); got != ph {
+				t.Fatalf("the new pair took handle %#x, the old one had %#x: nothing was recycled", got, ph)
+			}
+			if _, err := cp.RenewEERPath(pair2, []reservation.ID{other.ID, fresh.ID}, 1_000, now+16, 2); !errors.Is(err, ErrUnknownEER) {
+				t.Fatalf("renewal of the old second pair over the new pair: %v, want ErrUnknownEER", err)
+			}
 			if _, err := cp.RenewEERPath(solo, []reservation.ID{fresh.ID}, 1_000, now+16, 2); !errors.Is(err, ErrUnknownEER) {
 				t.Fatalf("renewal of the old EER over the new SegR: %v, want ErrUnknownEER", err)
 			}
@@ -577,9 +692,9 @@ func TestHandleRecyclingCannotAliasADroppedSegR(t *testing.T) {
 				if n := cp.Tick(); n != 0 {
 					t.Fatalf("Tick %d removed %d records", i, n)
 				}
-				auditBooks(t, cp, clk.now(), fmt.Sprintf("tick %d", i))
-				if got, _ := cp.SegDemandMax(fresh.ID); got != 4_000 {
-					t.Fatalf("tick %d: the new SegR carries %d kbps, want 4000", i, got)
+				auditBooks(t, cp, fmt.Sprintf("tick %d", i))
+				if got, _ := cp.SegDemandMax(fresh.ID); got != 4_500 {
+					t.Fatalf("tick %d: the new SegR carries %d kbps, want 4500", i, got)
 				}
 				clk.step(6)
 			}
@@ -612,7 +727,7 @@ func TestSecondLedgerRefusalLeavesFirstUntouched(t *testing.T) {
 				t.Errorf("%s: demand on %s = %d, want %d", step, seg, got, want)
 			}
 		}
-		auditBooks(t, cp, clk.now(), step)
+		auditBooks(t, cp, step)
 	}
 	if err := cp.SetupEERPath(eid(1), []reservation.ID{a, b}, 400, clk.now()+16, 1); err != nil {
 		t.Fatal(err)
@@ -721,7 +836,7 @@ func TestOneProbeRefusalsLeaveNothing(t *testing.T) {
 			if d := want[h].diff(b); d != "" {
 				t.Fatalf("%s: hop %d (%s): want vs got %s", step, h, g.PathHops[h].IA, d)
 			}
-			auditBooks(t, f.services[g.PathHops[h].IA].cp, f.now(), step)
+			auditBooks(t, f.services[g.PathHops[h].IA].cp, step)
 		}
 	}
 
@@ -752,5 +867,87 @@ func TestOneProbeRefusalsLeaveNothing(t *testing.T) {
 
 	if _, err := src.RequestEER(5, 6, ia(2, 11), 500); err != nil {
 		t.Fatalf("setup into the capacity the refusals left: %v", err)
+	}
+}
+
+// TestRegistryStaysBelowThePairBit: a SegR's handle never has pairBit set, so
+// it never reads as a pair handle. regFull refuses the registration whose
+// handle would reach the bit, and none before it, at the highest shard index.
+// The handle space is shrunk for the test by pretending the engine has 2²⁴
+// shards, which leaves a shard 127 slots.
+func TestRegistryStaysBelowThePairBit(t *testing.T) {
+	cp := newTestCPlane(t, 1, newCPClock(1000))
+	cp.shardBits = 24
+	sh := cp.shards[0]
+	n := 0
+	for ; !cp.regFull(sh); n++ {
+		r := &segRec{}
+		cp.register(sh, 1<<24-1, reservation.ID{SrcAS: ia(1, 60), Num: uint32(n)}, r)
+		if r.h&pairBit != 0 {
+			t.Fatalf("registration %d took handle %#x, which reads as a pair", n, r.h)
+		}
+	}
+	if n != 127 {
+		t.Fatalf("the registry took %d SegRs, want 127", n)
+	}
+	if next := segH(n+1) << cp.shardBits; next&pairBit == 0 {
+		t.Fatalf("the registry refused handle %#x, below the pair bit", next)
+	}
+	if _, err := cp.AddSegR(segReq(1, 50, 1, 2, 10_000)); !errors.Is(err, ErrTooManySegRs) {
+		t.Fatalf("AddSegR into a full registry: %v, want ErrTooManySegRs", err)
+	}
+}
+
+// TestCServBytesPerEER pins what an EER costs a CServ's live heap: 10 000 EERs
+// over one SegR, and 10 000 over a transfer pair of SegRs in two shards, hold
+// at most 44 bytes each — a 32-byte record, its share of the record table's
+// index and of the dense array's growth slack. A record of 40 bytes held about
+// 50 and 53.
+func TestCServBytesPerEER(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	const n, budget = 10_000, 44
+	for _, pair := range []bool{false, true} {
+		// build measures the live heap the EERs add to an engine that holds
+		// their SegRs; the least of three is theirs, the rest other goroutines'
+		// garbage.
+		build := func() float64 {
+			clk := newCPClock(1000)
+			cp := newTestCPlane(t, 2, clk)
+			a, b := segReq(1, 50, 1, 2, 100_000), segReq(2, 50, 1, 2, 100_000)
+			for cp.shardIndex(b.ID) == cp.shardIndex(a.ID) {
+				b.ID.Num++
+			}
+			segs := []reservation.ID{a.ID}
+			if pair {
+				segs = append(segs, b.ID)
+			}
+			for _, req := range []admission.Request{a, b} {
+				if _, err := cp.AddSegR(req); err != nil {
+					t.Fatal(err)
+				}
+			}
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			for i := range uint32(n) {
+				if err := cp.SetupEERPath(eid(i), segs, 1, clk.now()+16, 1); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			runtime.KeepAlive(cp)
+			if got := cp.Counts().EERs; got != n {
+				t.Fatalf("the engine holds %d EERs, want %d", got, n)
+			}
+			return (float64(after.HeapAlloc) - float64(before.HeapAlloc)) / n
+		}
+		per := min(build(), build(), build())
+		t.Logf("pair %v: %.1f heap bytes per EER", pair, per)
+		if per > budget {
+			t.Errorf("pair %v: %d EERs hold %.1f heap bytes each, budget %d", pair, n, per, budget)
+		}
 	}
 }

@@ -154,12 +154,14 @@ type eerPath struct {
 	c *CPlane
 	// h[:nseg] is the normalized set's handles: one entry, or two distinct
 	// ones (the second is 0 when there is one); unknownSegR stands for a SegR
-	// this AS does not hold. A record matches the path where its handles are
-	// these.
-	h    [2]segH
-	nseg int
-	now  uint32
-	prim *cplaneShard // shard of the first SegR, which owns the EER records
+	// this AS does not hold. cover is the handle a record over exactly these
+	// SegRs carries: h[0] alone, or their pair's, unknownSegR while no record
+	// has named the pair (fill interns it).
+	h     [2]segH
+	cover segH
+	nseg  int
+	now   uint32
+	prim  *cplaneShard // shard of the first SegR, which owns the EER records
 	// rec is each covering SegR's record (nil when unknown), resolved once
 	// while the locks are held.
 	rec [2]*segRec
@@ -180,17 +182,20 @@ func (c *CPlane) withPath(segs []reservation.ID, fn func(p eerPath)) {
 	}
 	p := eerPath{c: c, nseg: 1, now: c.clock(), prim: c.shardFor(segs[0])}
 	p.h[0], p.rec[0] = p.prim.resolve(segs[0])
+	p.cover = p.h[0]
 	if len(segs) == 2 {
 		p.nseg = 2
 		p.h[1], p.rec[1] = c.shardFor(segs[1]).resolve(segs[1])
+		p.cover = p.prim.pairOf(p.rec[0], p.h[1])
 	}
 	fn(p)
 }
 
-// withHandles is withPath over the two distinct SegRs of a transfer-AS record
-// named by handle, which must name SegRs (their shards are locked here, from
-// the shard index each handle carries, in ascending order).
-func (c *CPlane) withHandles(h, h2 segH, fn func(p eerPath)) {
+// withHandles is withPath over the two distinct SegRs of the transfer-AS
+// record r names, by handle, which must name SegRs (their shards are locked
+// here, from the shard index each handle carries, in ascending order).
+func (c *CPlane) withHandles(r pairRef, fn func(p eerPath)) {
+	h, h2 := r.seg, r.seg2
 	a, b := c.shardOf(h), c.shardOf(h2)
 	if a > b {
 		a, b = b, a
@@ -202,7 +207,7 @@ func (c *CPlane) withHandles(h, h2 segH, fn func(p eerPath)) {
 		defer c.shards[b].mu.Unlock()
 	}
 	p := c.pathOf(c.shards[c.shardOf(h)], h, c.clock())
-	p.nseg, p.h[1], p.rec[1] = 2, h2, c.slot(h2).rec
+	p.nseg, p.h[1], p.rec[1], p.cover = 2, h2, c.slot(h2).rec, r.cover
 	fn(p)
 }
 
@@ -222,7 +227,7 @@ func (sh *cplaneShard) resolve(seg reservation.ID) (segH, *segRec) {
 //
 //colibri:nomalloc
 func (c *CPlane) pathOf(sh *cplaneShard, h segH, now uint32) eerPath {
-	p := eerPath{c: c, nseg: 1, now: now, prim: sh}
+	p := eerPath{c: c, nseg: 1, now: now, prim: sh, cover: h}
 	p.h[0], p.rec[0] = h, c.slot(h).rec
 	return p
 }
@@ -235,7 +240,10 @@ func (c *CPlane) pathOf(sh *cplaneShard, h segH, now uint32) eerPath {
 //colibri:nomalloc
 func (p *eerPath) lookup(eer reservation.ID) *cpEER {
 	e := p.prim.eers.Get(eer)
-	if e == nil || e.seg != p.h[0] {
+	if e == nil {
+		return nil
+	}
+	if h, _ := p.prim.segsOf(e.cover); h != p.h[0] {
 		return nil
 	}
 	return e
@@ -247,7 +255,7 @@ func (p *eerPath) lookup(eer reservation.ID) *cpEER {
 // so rewriting or deleting it would strand that charge.
 //
 //colibri:nomalloc
-func (p *eerPath) covers(e *cpEER) bool { return e.seg == p.h[0] && e.seg2 == p.h[1] }
+func (p *eerPath) covers(e *cpEER) bool { return e.cover == p.cover }
 
 // readAhead looks up the record of every live item of a wave before the first
 // item's leg runs. The lookups do not depend on each other, so the CPU
@@ -296,18 +304,21 @@ func (p *eerPath) avail(k int, toT uint32) uint64 {
 	return headroom(r.grant, r.led.MaxDemand(p.now, toT))
 }
 
-// charge adds bwKbps over [startT, expT) to every covering ledger, or to none.
+// charge advances every covering ledger to now and adds bwKbps over
+// [now, expT) to each, or to none. Every charge starts so, which is what lets
+// a record withdraw its own without its start (discharge).
 //
 //colibri:nomalloc
-func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
+func (p *eerPath) charge(expT uint32, bwKbps uint64) error {
 	for k, r := range p.rec[:p.nseg] {
 		err := ErrUnknownSegR
 		if r != nil {
-			err = r.led.Charge(startT, expT, int64(bwKbps))
+			r.led.Advance(p.now)
+			err = r.led.Charge(p.now, expT, int64(bwKbps))
 		}
 		if err != nil {
 			if k == 1 {
-				p.rec[0].led.Discharge(startT, expT, int64(bwKbps))
+				p.rec[0].led.DischargeFromFloor(expT, int64(bwKbps))
 			}
 			return err
 		}
@@ -316,18 +327,12 @@ func (p *eerPath) charge(startT, expT uint32, bwKbps uint64) error {
 }
 
 // discharge withdraws the charge of record e, which the path covers, from
-// every covering ledger.
+// every covering ledger, whose floor has reached its start (charge).
 //
 //colibri:nomalloc
-func (p *eerPath) discharge(e *cpEER) { p.dischargeOf(e.startT, e.expT, uint64(e.bw)) }
-
-// dischargeOf withdraws bwKbps over [startT, expT), a charge of a record the
-// path covers, from every covering ledger.
-//
-//colibri:nomalloc
-func (p *eerPath) dischargeOf(startT, expT uint32, bwKbps uint64) {
+func (p *eerPath) discharge(e *cpEER) {
 	for _, r := range p.rec[:p.nseg] {
-		r.led.Discharge(startT, expT, int64(bwKbps))
+		r.led.DischargeFromFloor(e.expT, int64(e.bw))
 	}
 }
 
@@ -372,11 +377,11 @@ func (p *eerPath) older(bwKbps uint64, prev, held EERVersion) (v EERVersion) {
 // larger than e, or lapsed, needs none.
 func (p *eerPath) hold(eer reservation.ID, e *cpEER, v EERVersion) {
 	expT, bw := min(v.ExpT, e.expT), uint64(e.bw)
-	if v.BwKbps <= bw || expT <= p.now || p.charge(p.now, expT, v.BwKbps-bw) != nil {
+	if v.BwKbps <= bw || expT <= p.now || p.charge(expT, v.BwKbps-bw) != nil {
 		return
 	}
 	h, _ := p.prim.held.Put(eer)
-	*h = heldPiece{charge: v.BwKbps - bw, startT: p.now, expT: expT}
+	*h = heldPiece{charge: v.BwKbps - bw, expT: expT}
 	e.held = true
 }
 
@@ -388,7 +393,9 @@ func (p *eerPath) unhold(eer reservation.ID, e *cpEER) {
 		return
 	}
 	h := p.prim.held.Get(eer)
-	p.dischargeOf(h.startT, h.expT, h.charge)
+	for _, r := range p.rec[:p.nseg] {
+		r.led.DischargeFromFloor(h.expT, int64(h.charge))
+	}
 	p.prim.held.Delete(eer)
 	e.held = false
 }
@@ -426,7 +433,7 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 	return want
 }
 
-// admit charges a new EER of bwKbps over [startT, expT) against the covering
+// admit charges a new EER of bwKbps over [now, expT) against the covering
 // SegRs — one for most hops, two at a transfer AS (§4.7), in which case the
 // demand must fit under BOTH SegRs' grants and is charged on both ledgers.
 // Admission is full-or-nothing. The record carries ver for idempotent dedup;
@@ -439,7 +446,7 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 // records, the ledgers and the tallies as they were.
 //
 //colibri:nomalloc
-func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) error {
+func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, lastRenew uint32) error {
 	if bwKbps > MaxEERKbps {
 		return ErrBandwidthRange
 	}
@@ -451,31 +458,34 @@ func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, startT, expT uint32, 
 		return restree.ErrExists
 	}
 	err := ErrInsufficient
-	if p.free(bwKbps, startT, expT) >= bwKbps {
-		err = p.charge(startT, expT, bwKbps)
+	if p.free(bwKbps, p.now, expT) >= bwKbps {
+		err = p.charge(expT, bwKbps)
 	}
 	if err != nil {
 		p.prim.eers.Delete(eer)
 		return err
 	}
-	p.fill(e, bwKbps, startT, expT, ver, lastRenew)
+	p.fill(e, bwKbps, expT, ver, lastRenew)
 	return nil
 }
 
 // fill writes a fresh version into record e, naming the path's SegRs, whose
-// ledgers the caller has just charged with it (bwKbps ≤ MaxEERKbps). Each SegR
-// learns that a record names it.
+// ledgers the caller has just charged with it (bwKbps ≤ MaxEERKbps): by their
+// pair's handle at a transfer AS, which the first record over the pair
+// interns. Each SegR learns that a record names it.
 //
 //colibri:nomalloc
-func (p *eerPath) fill(e *cpEER, bwKbps uint64, startT, expT uint32, ver uint16, lastRenew uint32) {
-	*e = cpEER{seg: p.h[0], seg2: p.h[1], bw: uint32(bwKbps),
-		startT: startT, expT: expT, ver: ver, lastRenew: lastRenew}
+func (p *eerPath) fill(e *cpEER, bwKbps uint64, expT uint32, ver uint16, lastRenew uint32) {
+	if p.cover == unknownSegR {
+		p.cover = p.prim.intern(p.rec[0], p.h[1])
+	}
+	*e = cpEER{cover: p.cover, bw: uint32(bwKbps), expT: expT, ver: ver, lastRenew: lastRenew}
 	for _, r := range p.rec[:p.nseg] {
 		r.named = true
 	}
 }
 
-// setup is admit from now, counted. renewal marks the re-admission of a
+// setup is admit, counted. renewal marks the re-admission of a
 // renewal whose record this AS no longer holds: the new record carries the
 // throttle's stamp of this second.
 func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, renewal bool) error {
@@ -483,7 +493,7 @@ func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint
 	if renewal {
 		lastRenew = p.now
 	}
-	err := p.admit(eer, bwKbps, p.now, expT, ver, lastRenew)
+	err := p.admit(eer, bwKbps, expT, ver, lastRenew)
 	p.c.tallySetup(err)
 	return err
 }
@@ -520,13 +530,13 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 	p.release(eer, e)
 	err = ErrInsufficient
 	if grant = p.free(bwKbps, p.now, expT); grant > 0 {
-		if err = p.charge(p.now, expT, grant); err == nil {
-			e.bw, e.startT, e.expT, e.ver = uint32(grant), p.now, expT, ver
+		if err = p.charge(expT, grant); err == nil {
+			e.bw, e.expT, e.ver = uint32(grant), expT, ver
 			p.hold(eer, e, p.older(grant, prev, held))
 			return grant, nil, false
 		}
 	}
-	if e.expT <= p.now || p.charge(e.startT, e.expT, uint64(e.bw)) != nil {
+	if e.expT <= p.now || p.charge(e.expT, uint64(e.bw)) != nil {
 		p.prim.eers.Delete(eer)
 		return 0, err, true
 	}
@@ -572,7 +582,7 @@ func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
 	if e != nil {
 		p.discharge(e)
 	}
-	return expT > p.now && bwKbps <= MaxEERKbps && p.charge(p.now, expT, bwKbps) == nil
+	return expT > p.now && bwKbps <= MaxEERKbps && p.charge(expT, bwKbps) == nil
 }
 
 // RestoreEERPath force-reinstates a previous EER version after a downstream
@@ -606,7 +616,7 @@ func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbp
 			e, _ = p.prim.eers.Put(eer)
 			c.eerCount.Add(1)
 		}
-		p.fill(e, bwKbps, p.now, expT, ver, lastRenew)
+		p.fill(e, bwKbps, expT, ver, lastRenew)
 		p.hold(eer, e, held)
 	})
 }
@@ -625,7 +635,7 @@ func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalK
 		}
 		p.unhold(eer, e)
 		if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
-			e.bw, e.startT = uint32(finalKbps), p.now
+			e.bw = uint32(finalKbps)
 			p.hold(eer, e, p.older(finalKbps, prev, held))
 			return
 		}
@@ -665,14 +675,15 @@ func (c *CPlane) DropSegR(id reservation.ID) {
 	}
 }
 
-// purge removes every EER record that names r, a detached SegR, and then
-// frees r's handle for reuse: no record names a handle once it is free, so
-// none can name the SegR that takes it next. A SegR no record ever named has
-// none to look for. Locks are taken strictly one shard at a time but for the
-// transfer-AS records, which go under their two (removePair); each shard's
-// records are walked as Tick walks them, deleting in place. Every
-// transfer-AS record removed is reported to the expiry callback, as Tick
-// reports the ones that lapse.
+// purge removes every EER record that names r, a detached SegR, then frees
+// the pairs that name it and r's handle for reuse: no record names a handle or
+// a pair once it is free, so none can name the SegR or pair that takes it
+// next. A SegR no record ever named has none to look for, and is in no pair.
+// Locks are taken strictly one shard at a time but for the transfer-AS
+// records, which go under their two (removePair); each shard's records are
+// walked as Tick walks them, deleting in place. Every transfer-AS record
+// removed is reported to the expiry callback, as Tick reports the ones that
+// lapse.
 func (c *CPlane) purge(r *segRec) {
 	h := r.h
 	if r.named {
@@ -683,14 +694,16 @@ func (c *CPlane) purge(r *segRec) {
 			sh.mu.Lock()
 			for i := sh.eers.Len() - 1; i >= 0; i-- {
 				eid, e := sh.eers.At(i)
-				if e.seg != h && e.seg2 != h {
+				if e.cover&pairBit != 0 {
+					if pr := sh.pairRefOf(eid, e.cover); pr.seg == h || pr.seg2 == h {
+						pairs = append(pairs, pr)
+					}
 					continue
 				}
-				if e.seg2 != 0 {
-					pairs = append(pairs, pairRef{eer: eid, seg: e.seg, seg2: e.seg2})
+				if e.cover != h {
 					continue
 				}
-				p := c.pathOf(sh, e.seg, now)
+				p := c.pathOf(sh, h, now)
 				p.release(eid, e)
 				sh.eers.Delete(eid)
 				removed++
@@ -698,11 +711,17 @@ func (c *CPlane) purge(r *segRec) {
 			sh.mu.Unlock()
 		}
 		for _, pr := range pairs {
-			if c.removePair(pr, func(e *cpEER) bool { return e.seg == h || e.seg2 == h }, 0) {
+			if c.removePair(pr, func(*cpEER) bool { return true }, 0) {
 				removed++
 			}
 		}
 		c.eerCount.Add(-int64(removed))
+		for _, sh := range c.shards {
+			sh.mu.Lock()
+			c.dropPairs(sh, h)
+			sh.mu.Unlock()
+		}
+		r.pairs = nil
 	}
 	sh := c.shards[c.shardOf(h)]
 	sh.mu.Lock()

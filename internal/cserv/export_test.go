@@ -101,7 +101,10 @@ func (c *CPlane) LookupEER(eer, seg reservation.ID) (bwKbps uint64, ver uint16, 
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e := sh.eers.Get(eer)
-	if e == nil || c.slot(e.seg).id != seg {
+	if e == nil {
+		return 0, 0, 0, false
+	}
+	if h, _ := sh.segsOf(e.cover); c.slot(h).id != seg {
 		return 0, 0, 0, false
 	}
 	return uint64(e.bw), e.ver, e.expT, true

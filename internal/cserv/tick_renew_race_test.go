@@ -97,5 +97,5 @@ func TestCPlaneTickRenewRace(t *testing.T) {
 	if ct.EERs < 0 || ct.EERs > nSeg {
 		t.Fatalf("EERs = %d out of range [0,%d]", ct.EERs, nSeg)
 	}
-	auditBooks(t, cp, clk.now(), "after the race")
+	auditBooks(t, cp, "after the race")
 }

@@ -456,7 +456,7 @@ func TestWaveSealBindsHopWaveAndItems(t *testing.T) {
 			}
 		}
 		for _, s := range f.services {
-			auditBooks(t, s.cp, f.now(), name)
+			auditBooks(t, s.cp, name)
 		}
 		if wantOK {
 			for i, g := range got {

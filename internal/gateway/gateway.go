@@ -31,9 +31,10 @@ import (
 // record is the gateway's one record per EER, inline in the flat table: what
 // BuildBatch reads for a packet besides the header of its path and its σs.
 type record struct {
-	// bucket polices the EER at the rate of deterministic monitoring: the
-	// maximum over its valid versions (§4.8), carried across renewals.
+	// bucket polices the EER at rate, the rate of deterministic monitoring:
+	// the maximum over its valid versions (§4.8), carried across renewals.
 	bucket monitor.TokenBucket
+	rate   uint32
 	// The current version's ResInfo and EERInfo, but for what the key holds.
 	bw, expT         uint32
 	srcHost, dstHost uint32
@@ -160,7 +161,6 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		return fmt.Errorf("gateway: %w: %d hops", packet.ErrBadPath, len(path))
 	}
 	hops := len(path)
-	rate := uint64(res.BwKbps)
 
 	g.mu.Lock()
 	r, fresh := g.recs.Put(g.id(res.ResID))
@@ -184,14 +184,15 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 	// A fresh version over a demoted flow re-promotes it to its reserved
 	// class.
 	promoted := r.demoted
-	switch old := r.bucket.RateKbps(); {
-	case old == 0 && rate > 0:
+	switch rate := res.BwKbps; {
+	case r.rate == 0 && rate > 0:
 		// A new EER's bucket (or one whose versions so far reserved
 		// nothing) starts full at t = 0.
-		r.bucket = *monitor.NewTokenBucket(rate, monitor.BurstBytesFor(rate), 0)
-	case rate > old:
-		// All versions share one monitored budget: the maximum (§4.8).
-		r.bucket.SetRate(rate)
+		r.bucket, r.rate = monitor.FullBucket(rate, 0), rate
+	case rate > r.rate:
+		// All versions share one monitored budget: the maximum (§4.8). The
+		// burst grows with the rate, so the fill needs no clip.
+		r.rate = rate
 	}
 	r.expT, r.demoted = res.ExpT, false
 	g.mu.Unlock()
@@ -472,7 +473,7 @@ func (w *Worker) BuildBatch(reqs []BuildReq, outs []BuildRes, nowNs int64) int {
 		if r == nil {
 			continue
 		}
-		if !r.bucket.Allow(nowNs, uint32(packet.DataLen(int(r.hops), len(reqs[i].Payload)))) {
+		if !r.bucket.Allow(r.rate, nowNs, uint32(packet.DataLen(int(r.hops), len(reqs[i].Payload)))) {
 			outs[i].Err = ErrRateExceeded
 			continue
 		}

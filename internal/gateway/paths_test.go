@@ -23,7 +23,7 @@ func TestGatewayBytesPerEER(t *testing.T) {
 	if raceEnabled {
 		t.Skip("heap sizes are not meaningful under the race detector")
 	}
-	const n, budget = 10_000, 200
+	const n, budget = 10_000, 168
 	auths := make([]cryptoutil.Key, len(path5))
 	// build measures the live heap one gateway adds; the least of three is
 	// the gateway's, the rest other goroutines' garbage.

@@ -60,8 +60,8 @@ func NewReserve(rateKbps uint64, nowNs int64) *Reserve {
 	return r
 }
 
-// SetRate updates the enforced rate and resizes the burst, like
-// TokenBucket.SetRate. Rate changes are rare (EER renewals); the clamp below
+// SetRate updates the enforced rate and resizes the burst, as a watch
+// entry's rate change clips its TokenBucket. Rate changes are rare (EER renewals); the clamp below
 // is racy against concurrent claims but only ever lowers the fill, which is
 // the safe direction.
 func (r *Reserve) SetRate(rateKbps uint64) {

@@ -6,6 +6,7 @@
 package monitor
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -16,32 +17,25 @@ import (
 )
 
 // TokenBucket enforces a byte rate with a burst allowance. As in the paper,
-// it keeps only a timestamp and a counter per flow. It is not safe for
-// concurrent use: its holder (the gateway's record, FlowMonitor's watch
-// table) locks around it.
+// it keeps only a timestamp and a counter per flow: its holder keeps the rate
+// (a 32-bit kbps value, the width a ResInfo carries it in) and passes it in,
+// and each refill derives bytes per nanosecond and the burst from it. It is
+// not safe for concurrent use: its holder (the gateway's record, FlowMonitor's
+// watch table) locks around it.
 type TokenBucket struct {
-	// rate is the refill rate in bytes per nanosecond.
-	rate float64
-	// burst is the bucket capacity in bytes.
-	burst float64
 	// tokens is the current fill level in bytes.
 	tokens float64
 	// lastNs is the time of the last refill.
 	lastNs int64
-	// rateKbps is the nominal reservation rate, kept for cheap change
-	// detection (EER renewals) without re-deriving bytes/ns.
-	rateKbps uint64
 }
 
 // DefaultBurstSeconds sizes a flow's burst allowance relative to its rate:
 // the bucket holds this many seconds worth of traffic.
 const DefaultBurstSeconds = 0.1
 
-// NewTokenBucket builds a bucket enforcing rateKbps with the given burst (in
-// bytes). The bucket starts full.
-func NewTokenBucket(rateKbps uint64, burstBytes float64, nowNs int64) *TokenBucket {
-	rate := float64(rateKbps) * 1000 / 8 / 1e9 // kbps → bytes per ns
-	return &TokenBucket{rate: rate, burst: burstBytes, tokens: burstBytes, lastNs: nowNs, rateKbps: rateKbps}
+// FullBucket returns a bucket at rateKbps that starts full at nowNs.
+func FullBucket(rateKbps uint32, nowNs int64) TokenBucket {
+	return TokenBucket{tokens: BurstBytesFor(uint64(rateKbps)), lastNs: nowNs}
 }
 
 // BurstBytesFor returns the default burst size for a rate.
@@ -53,19 +47,19 @@ func BurstBytesFor(rateKbps uint64) float64 {
 	return b
 }
 
-// Allow refills the bucket to time nowNs and consumes sizeBytes if
-// available, reporting whether the packet conforms. Non-conforming packets
+// Allow refills the bucket at rateKbps to time nowNs and consumes sizeBytes
+// if available, reporting whether the packet conforms. Non-conforming packets
 // consume nothing ("packets are simply dropped").
 //
 // Timestamps need not be monotone: a nowNs at or before the last refill
 // (clock regression, reordered batches) refills nothing and must not move
 // lastNs backwards — a backwards lastNs would let the next in-order packet
 // double-refill the interval.
-func (tb *TokenBucket) Allow(nowNs int64, sizeBytes uint32) bool {
+func (tb *TokenBucket) Allow(rateKbps uint32, nowNs int64, sizeBytes uint32) bool {
 	if nowNs > tb.lastNs {
-		tb.tokens += float64(nowNs-tb.lastNs) * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
+		tb.tokens += float64(nowNs-tb.lastNs) * (float64(rateKbps) * 1000 / 8 / 1e9) // kbps → bytes per ns
+		if burst := BurstBytesFor(uint64(rateKbps)); tb.tokens > burst {
+			tb.tokens = burst
 		}
 		tb.lastNs = nowNs
 	}
@@ -77,19 +71,14 @@ func (tb *TokenBucket) Allow(nowNs int64, sizeBytes uint32) bool {
 	return true
 }
 
-// SetRate updates the enforced rate (e.g., after an EER renewal changed the
-// reservation bandwidth) and resizes the burst proportionally.
-func (tb *TokenBucket) SetRate(rateKbps uint64) {
-	tb.rateKbps = rateKbps
-	tb.rate = float64(rateKbps) * 1000 / 8 / 1e9
-	tb.burst = BurstBytesFor(rateKbps)
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
+// Clip follows a change of the enforced rate to rateKbps (e.g., an EER
+// renewal that changed the reservation bandwidth): the burst follows the
+// rate, so a fill above the new burst is cut to it at the change.
+func (tb *TokenBucket) Clip(rateKbps uint32) {
+	if burst := BurstBytesFor(uint64(rateKbps)); tb.tokens > burst {
+		tb.tokens = burst
 	}
 }
-
-// RateKbps returns the enforced rate.
-func (tb *TokenBucket) RateKbps() uint64 { return tb.rateKbps }
 
 // FlowMonitor is a border router's watch table (§4.8): one token bucket per
 // reservation ID under deterministic monitoring, all versions of an EER
@@ -118,9 +107,11 @@ type FlowMonitor struct {
 	chunk float64
 }
 
-// flow is one entry; its bucket is unstarted (rateKbps 0) until the flow's first packet.
+// flow is one entry; its bucket is unstarted (rate 0) until the flow's first packet.
 type flow struct {
 	TokenBucket
+	// rate is the bucket's rate in kbps: a ResInfo's 32-bit bandwidth.
+	rate uint32
 	// reserve, in shard mode, is the flow's shared full-rate reserve: the
 	// bucket never refills itself and acts as a local claim cache in front
 	// of it (see reserve.go for why the rate is NOT split /N).
@@ -161,7 +152,7 @@ func (m *FlowMonitor) SetTelemetry(flows *telemetry.Gauge, made, dropped *teleme
 
 // entry returns the flow's entry with its bucket at rateKbps, making it on
 // first sight. The caller holds mu.
-func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint64, nowNs int64) *flow {
+func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint32, nowNs int64) *flow {
 	f := m.flows.Get(id)
 	if f == nil {
 		f = m.add(id, 0)
@@ -171,21 +162,29 @@ func (m *FlowMonitor) entry(id reservation.ID, rateKbps uint64, nowNs int64) *fl
 }
 
 // start gives f its bucket on the flow's first packet and follows a rate
-// change (an EER renewal) after. The caller holds mu.
-func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint64, nowNs int64) {
+// change (an EER renewal) after, up or down: the fill is clipped to the new
+// rate's burst at the change. The caller holds mu.
+func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint32, nowNs int64) {
 	switch {
-	case f.rateKbps == rateKbps:
+	case f.rate == rateKbps:
 	case f.reserve != nil: // started, shard mode: the reserve holds the rate
-		f.rateKbps = rateKbps
-		f.reserve.SetRate(rateKbps)
-	case f.rateKbps != 0: // started
-		f.SetRate(rateKbps)
+		f.rate = rateKbps
+		f.reserve.SetRate(uint64(rateKbps))
+	case f.rate != 0: // started
+		f.rate = rateKbps
+		f.Clip(rateKbps)
 	case m.pool != nil: // shard mode: an empty local cache in front of the shared reserve
-		f.TokenBucket = TokenBucket{rateKbps: rateKbps}
-		f.reserve = m.pool.Get(id, rateKbps, nowNs)
+		f.TokenBucket, f.rate = TokenBucket{}, rateKbps
+		f.reserve = m.pool.Get(id, uint64(rateKbps), nowNs)
 	default:
-		f.TokenBucket = *NewTokenBucket(rateKbps, BurstBytesFor(rateKbps), nowNs)
+		f.TokenBucket, f.rate = FullBucket(rateKbps, nowNs), rateKbps
 	}
+}
+
+// kbps32 is a 64-bit rate of AllowBatch or Ensure as the watch table keeps
+// it, saturated at 2³²−1 kbps, the widest a ResInfo carries.
+func kbps32(rateKbps uint64) uint32 {
+	return uint32(min(rateKbps, math.MaxUint32))
 }
 
 // allow polices one packet of f: against its own bucket, or in shard mode
@@ -193,7 +192,7 @@ func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint64, nowNs i
 // The caller holds mu.
 func (m *FlowMonitor) allow(f *flow, nowNs int64, sizeBytes uint32) bool {
 	if f.reserve == nil {
-		return f.Allow(nowNs, sizeBytes)
+		return f.Allow(f.rate, nowNs, sizeBytes)
 	}
 	need := float64(sizeBytes)
 	if f.tokens < need {
@@ -246,15 +245,15 @@ func (m *FlowMonitor) count(delta int64, event *telemetry.Counter) {
 //
 // No production path calls AllowBatch or Ensure any more (the gateway keeps
 // its buckets in its own records); the benchmark's monitor.allow_ns probe
-// does.
+// does, with 64-bit rates. Both police a rate above 2³²−1 kbps at 2³²−1.
 //
 //colibri:nomalloc
 func (m *FlowMonitor) AllowBatch(ids []reservation.ID, rates []uint64, sizes []uint32, nowNs int64, allowed []bool) {
 	m.mu.Lock()
 	for i := range ids {
-		f := m.flows.Get(ids[i])
-		if sizes[i] != 0 && (f == nil || f.rateKbps != rates[i]) {
-			f = m.entry(ids[i], rates[i], nowNs) // off the loop's fast path: a call here costs the lookups their overlap
+		f, rate := m.flows.Get(ids[i]), kbps32(rates[i])
+		if sizes[i] != 0 && (f == nil || f.rate != rate) {
+			f = m.entry(ids[i], rate, nowNs) // off the loop's fast path: a call here costs the lookups their overlap
 		}
 		allowed[i] = sizes[i] != 0 && m.allow(f, nowNs, sizes[i])
 	}
@@ -264,7 +263,7 @@ func (m *FlowMonitor) AllowBatch(ids []reservation.ID, rates []uint64, sizes []u
 // Ensure makes a flow's entry with its bucket at rateKbps, started at nowNs.
 func (m *FlowMonitor) Ensure(id reservation.ID, rateKbps uint64, nowNs int64) {
 	m.mu.Lock()
-	m.entry(id, rateKbps, nowNs)
+	m.entry(id, kbps32(rateKbps), nowNs)
 	m.mu.Unlock()
 }
 
@@ -297,7 +296,7 @@ func (m *FlowMonitor) Watch(id reservation.ID, expT uint32) {
 // Escalate places the flow of a packet the probabilistic detector flagged
 // under watch until expT, the expiry of the packet's reservation version, and
 // polices that packet. Only a growth of the table allocates.
-func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps uint64, sizeBytes, expT uint32, nowNs int64) bool {
+func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps, sizeBytes, expT uint32, nowNs int64) bool {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	f := m.entry(id, rateKbps, nowNs)
@@ -314,7 +313,7 @@ func (m *FlowMonitor) Escalate(id reservation.ID, rateKbps uint64, sizeBytes, ex
 // cleared false positive leaves within one EER lifetime, a true overuser
 // stays. The first packet of each second drops the expired entries, so the
 // table holds at most the flows flagged within a lifetime, with no caller duty.
-func (m *FlowMonitor) Police(id reservation.ID, rateKbps uint64, sizeBytes, expT uint32, nowNs int64) (watched, ok bool) {
+func (m *FlowMonitor) Police(id reservation.ID, rateKbps, sizeBytes, expT uint32, nowNs int64) (watched, ok bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if sec := uint32(nowNs / 1e9); sec > m.sweptSec {

@@ -1,6 +1,8 @@
 package monitor
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"colibri/internal/reservation"
@@ -14,10 +16,10 @@ func rid(n uint32) reservation.ID {
 func TestTokenBucketConformingRate(t *testing.T) {
 	// 8 Mbps = 1 MB/s. Sending 1000-byte packets at exactly 1000 pps
 	// conforms indefinitely.
-	tb := NewTokenBucket(8_000, BurstBytesFor(8_000), 0)
+	tb := FullBucket(8_000, 0)
 	var dropped int
 	for i := 1; i <= 10_000; i++ {
-		if !tb.Allow(int64(i)*1e6, 1000) { // one packet per ms
+		if !tb.Allow(8_000, int64(i)*1e6, 1000) { // one packet per ms
 			dropped++
 		}
 	}
@@ -28,11 +30,11 @@ func TestTokenBucketConformingRate(t *testing.T) {
 
 func TestTokenBucketOveruseDropped(t *testing.T) {
 	// Same 8 Mbps bucket, but 2× rate: about half must be dropped.
-	tb := NewTokenBucket(8_000, BurstBytesFor(8_000), 0)
+	tb := FullBucket(8_000, 0)
 	var passed int
 	const n = 10_000
 	for i := 1; i <= n; i++ {
-		if tb.Allow(int64(i)*5e5, 1000) { // one packet per 0.5 ms
+		if tb.Allow(8_000, int64(i)*5e5, 1000) { // one packet per 0.5 ms
 			passed++
 		}
 	}
@@ -43,19 +45,21 @@ func TestTokenBucketOveruseDropped(t *testing.T) {
 }
 
 func TestTokenBucketBurst(t *testing.T) {
-	tb := NewTokenBucket(8_000, 10_000, 0)
+	// 800 kbps = 100 bytes per ms, with a burst of 0.1 s: 10 000 bytes.
+	const rate = 800
+	tb := FullBucket(rate, 0)
 	// A back-to-back burst within the allowance passes…
 	for i := 0; i < 10; i++ {
-		if !tb.Allow(1, 1000) {
+		if !tb.Allow(rate, 1, 1000) {
 			t.Fatalf("burst packet %d dropped", i)
 		}
 	}
 	// …the next packet exceeds it.
-	if tb.Allow(1, 1000) {
+	if tb.Allow(rate, 1, 1000) {
 		t.Error("packet beyond burst allowed")
 	}
-	// After enough refill time, packets pass again (2 ms → 2000 bytes).
-	if !tb.Allow(2e6, 1000) {
+	// After enough refill time, packets pass again (20 ms → 2000 bytes).
+	if !tb.Allow(rate, 2e7, 1000) {
 		t.Error("packet after refill dropped")
 	}
 }
@@ -65,12 +69,12 @@ func TestTokenBucketLongRunRateQuick(t *testing.T) {
 	// rate×time + burst.
 	for _, rateKbps := range []uint64{1000, 8000, 100_000} {
 		burst := BurstBytesFor(rateKbps)
-		tb := NewTokenBucket(rateKbps, burst, 0)
+		tb := FullBucket(uint32(rateKbps), 0)
 		var passedBytes float64
 		const durNs = int64(2e9)
 		step := int64(1e5) // dense 0.1 ms probes of 500-byte packets
 		for now := step; now <= durNs; now += step {
-			if tb.Allow(now, 500) {
+			if tb.Allow(uint32(rateKbps), now, 500) {
 				passedBytes += 500
 			}
 		}
@@ -82,11 +86,11 @@ func TestTokenBucketLongRunRateQuick(t *testing.T) {
 }
 
 func TestSetRateTakesEffect(t *testing.T) {
-	tb := NewTokenBucket(8_000, BurstBytesFor(8_000), 0)
-	tb.SetRate(16_000)
+	tb := FullBucket(8_000, 0)
+	tb.Clip(16_000)
 	var passed int
 	for i := 1; i <= 1000; i++ {
-		if tb.Allow(int64(i)*5e5, 1000) { // 2 MB/s offered
+		if tb.Allow(16_000, int64(i)*5e5, 1000) { // 2 MB/s offered
 			passed++
 		}
 	}
@@ -178,31 +182,32 @@ func BenchmarkFlowMonitorAllow(b *testing.B) {
 // must not move the refill clock backwards (which would let the next
 // in-order packet double-refill the interval).
 func TestTokenBucketClockRegression(t *testing.T) {
-	// 8 Mbps, burst 1500 bytes. rate = 1 byte/µs.
-	tb := NewTokenBucket(8_000, 1500, 1e9)
-	if !tb.Allow(1e9, 1500) {
+	// 8 Mbps, burst 100 000 bytes. rate = 1 byte/µs.
+	const rate = 8_000
+	tb := FullBucket(rate, 1e9)
+	if !tb.Allow(rate, 1e9, uint32(BurstBytesFor(rate))) {
 		t.Fatal("burst-sized packet did not conform on a full bucket")
 	}
 	// Bucket is empty. A regressed timestamp must neither refill nor
 	// admit.
-	if tb.Allow(1e9-5e6, 100) {
+	if tb.Allow(rate, 1e9-5e6, 100) {
 		t.Error("packet admitted from an empty bucket on a regressed clock")
 	}
 	if tb.lastNs != 1e9 {
 		t.Errorf("regressed timestamp moved lastNs to %d", tb.lastNs)
 	}
 	// 1 ms forward refills exactly 1000 bytes — once.
-	if !tb.Allow(1e9+1e6, 1000) {
+	if !tb.Allow(rate, 1e9+1e6, 1000) {
 		t.Error("refilled packet dropped")
 	}
-	if tb.Allow(1e9+1e6, 1) {
+	if tb.Allow(rate, 1e9+1e6, 1) {
 		t.Error("over-refill: more than 1000 bytes after 1 ms")
 	}
 	// Regress again, then return to the same instant: no double refill.
-	if tb.Allow(1e9, 1) {
+	if tb.Allow(rate, 1e9, 1) {
 		t.Error("regressed packet admitted")
 	}
-	if tb.Allow(1e9+1e6, 1) {
+	if tb.Allow(rate, 1e9+1e6, 1) {
 		t.Error("interval was refilled twice after a clock regression")
 	}
 }
@@ -276,5 +281,149 @@ func TestWatchTableLifecycle(t *testing.T) {
 		if m.Len() != 0 || pool.Len() != 0 {
 			t.Fatalf("%s: %d entries and %d pooled reserves after every lifetime passed", name, m.Len(), pool.Len())
 		}
+	}
+}
+
+// refBucket is the token bucket as it was before it kept only a fill and a
+// timestamp: it carried its rate in bytes per nanosecond, its burst and its
+// nominal rate beside them. It is the oracle TestTokenBucketMatchesReference
+// holds TokenBucket and its holder's rate to.
+type refBucket struct {
+	rate, burst, tokens float64
+	lastNs              int64
+	rateKbps            uint64
+}
+
+func newRefBucket(rateKbps uint64, burstBytes float64, nowNs int64) refBucket {
+	rate := float64(rateKbps) * 1000 / 8 / 1e9
+	return refBucket{rate: rate, burst: burstBytes, tokens: burstBytes, lastNs: nowNs, rateKbps: rateKbps}
+}
+
+func (tb *refBucket) Allow(nowNs int64, sizeBytes uint32) bool {
+	if nowNs > tb.lastNs {
+		tb.tokens += float64(nowNs-tb.lastNs) * tb.rate
+		if tb.tokens > tb.burst {
+			tb.tokens = tb.burst
+		}
+		tb.lastNs = nowNs
+	}
+	need := float64(sizeBytes)
+	if tb.tokens < need {
+		return false
+	}
+	tb.tokens -= need
+	return true
+}
+
+func (tb *refBucket) SetRate(rateKbps uint64) {
+	tb.rateKbps = rateKbps
+	tb.rate = float64(rateKbps) * 1000 / 8 / 1e9
+	tb.burst = BurstBytesFor(rateKbps)
+	if tb.tokens > tb.burst {
+		tb.tokens = tb.burst
+	}
+}
+
+// TestTokenBucketMatchesReference drives a TokenBucket, with its rate kept
+// beside it, and the reference bucket through the same random packets and
+// rate changes — rates up and down across the 1500-byte burst floor and up to
+// 2³²−1 kbps, sizes from 1 byte past the burst, timestamps that step forward,
+// repeat the same nanosecond and regress — and demands the same verdict for
+// every packet and bit-identical fills and refill times after every step.
+func TestTokenBucketMatchesReference(t *testing.T) {
+	rates := []uint32{1, 64, 119, 120, 121, 1000, 8_000, 16_000, 1_000_000, math.MaxUint32}
+	for seed := int64(1); seed <= 8; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		rate := rates[rng.Intn(len(rates))]
+		now := rng.Int63n(1e12)
+		tb, ref := FullBucket(rate, now), newRefBucket(uint64(rate), BurstBytesFor(uint64(rate)), now)
+		changes, regressions, repeats := 0, 0, 0
+		for step := 0; step < 20_000; step++ {
+			switch k := rng.Intn(16); {
+			case k == 0:
+				if rng.Intn(2) == 0 {
+					rate = rates[rng.Intn(len(rates))]
+				} else {
+					rate = uint32(rng.Int63n(1 << 32))
+				}
+				tb.Clip(rate)
+				ref.SetRate(uint64(rate))
+				changes++
+				continue
+			case k == 1:
+				now -= rng.Int63n(1e7)
+				regressions++
+			case k < 5:
+				repeats++
+			default:
+				now += rng.Int63n(2e6)
+			}
+			size := uint32(1 + rng.Intn(1600))
+			if rng.Intn(32) == 0 {
+				size = uint32(BurstBytesFor(uint64(rate))) + uint32(rng.Intn(3)) - 1
+			}
+			if got, want := tb.Allow(rate, now, size), ref.Allow(now, size); got != want {
+				t.Fatalf("seed %d step %d: %d bytes at %d ns, %d kbps: verdict %v, reference %v", seed, step, size, now, rate, got, want)
+			}
+			if math.Float64bits(tb.tokens) != math.Float64bits(ref.tokens) || tb.lastNs != ref.lastNs {
+				t.Fatalf("seed %d step %d: fill %v at %d, reference %v at %d", seed, step, tb.tokens, tb.lastNs, ref.tokens, ref.lastNs)
+			}
+		}
+		if changes == 0 || regressions == 0 || repeats == 0 {
+			t.Fatalf("seed %d: %d rate changes, %d regressions, %d repeated instants", seed, changes, regressions, repeats)
+		}
+	}
+}
+
+// TestWatchEntryMatchesReference holds a watch-table entry to the reference
+// bucket through AllowBatch, which follows every rate change — up and down,
+// at the instant of a packet — before policing it: the packet must see the
+// fill clipped to the new rate's burst.
+func TestWatchEntryMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	rates := []uint64{100, 120, 8_000, 80_000}
+	m := NewFlowMonitor()
+	ids, sizes, allowed := []reservation.ID{rid(1)}, []uint32{0}, []bool{false}
+	var ref refBucket
+	now := int64(1e9)
+	for step := 0; step < 20_000; step++ {
+		rate := rates[rng.Intn(len(rates))]
+		if rng.Intn(8) != 0 {
+			now += rng.Int63n(1e6)
+		}
+		switch {
+		case step == 0:
+			ref = newRefBucket(rate, BurstBytesFor(rate), now)
+		case rate != ref.rateKbps:
+			ref.SetRate(rate)
+		}
+		sizes[0] = uint32(1 + rng.Intn(12_000))
+		m.AllowBatch(ids, []uint64{rate}, sizes, now, allowed)
+		if want := ref.Allow(now, sizes[0]); allowed[0] != want {
+			t.Fatalf("step %d: %d bytes at %d kbps: verdict %v, reference %v", step, sizes[0], rate, allowed[0], want)
+		}
+		if f := m.flows.Get(rid(1)); math.Float64bits(f.tokens) != math.Float64bits(ref.tokens) {
+			t.Fatalf("step %d: fill %v, reference %v", step, f.tokens, ref.tokens)
+		}
+	}
+}
+
+// TestWideRateSaturates: the watch table keeps a 32-bit rate, so a 64-bit
+// rate above 2³²−1 kbps given to AllowBatch or Ensure is policed at 2³²−1 —
+// not at its low 32 bits — and, at the same rate, restarts no bucket.
+func TestWideRateSaturates(t *testing.T) {
+	const wide = 1<<32 + 8 // its low 32 bits are 8 kbps
+	m := NewFlowMonitor()
+	m.Ensure(rid(1), wide, 0)
+	if f := m.flows.Get(rid(1)); f.rate != math.MaxUint32 || f.tokens != BurstBytesFor(math.MaxUint32) {
+		t.Fatalf("Ensure at %d kbps: rate %d, fill %v", uint64(wide), f.rate, f.tokens)
+	}
+	for i := range 3 {
+		if !m.Allow(rid(1), wide, 1_000_000, 0) {
+			t.Fatalf("packet %d: 1 MB refused at 2³²−1 kbps", i)
+		}
+	}
+	if f := m.flows.Get(rid(1)); f.tokens != BurstBytesFor(math.MaxUint32)-3_000_000 {
+		t.Fatalf("fill %v after 3 MB, want the burst less 3 MB: the bucket restarted", f.tokens)
 	}
 }

@@ -137,7 +137,28 @@ func (p *Profile) Charge(startT, expT uint32, bw int64) error {
 //
 //colibri:nomalloc
 func (p *Profile) Discharge(startT, expT uint32, bw int64) {
-	start, end := max(p.EpochOf(startT), p.floor), p.epochCeil(expT)
+	p.withdraw(max(p.EpochOf(startT), p.floor), expT, bw)
+}
+
+// DischargeFromFloor withdraws a charge of bw ending at expT whose start the
+// floor has reached — one made at a time the profile had been advanced to —
+// without naming its start: the part of it ahead of the floor is all of it
+// that is left, so this is the same subtraction Discharge with its start
+// makes. Its owner need not keep the start.
+//
+//colibri:nomalloc
+func (p *Profile) DischargeFromFloor(expT uint32, bw int64) {
+	if p.floor >= 0 {
+		p.withdraw(p.floor, expT, bw)
+	}
+}
+
+// withdraw takes bw out of [start, end of expT's epoch), start at or ahead of
+// the floor, and the charge out of the live count, unless the window is empty.
+//
+//colibri:nomalloc
+func (p *Profile) withdraw(start Epoch, expT uint32, bw int64) {
+	end := p.epochCeil(expT)
 	if end <= start {
 		return
 	}
@@ -212,3 +233,9 @@ func (p *Profile) Advance(now uint32) int {
 
 // Len returns the number of live charges.
 func (p *Profile) Len() int { return p.live }
+
+// Floor returns the first epoch of the ring, -1 before the profile is
+// anchored.
+//
+//colibri:allow(testonly) — cserv's TestBooksAgree audits each ledger from its own floor
+func (p *Profile) Floor() Epoch { return p.floor }

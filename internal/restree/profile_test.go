@@ -157,7 +157,12 @@ func runProfileModel(t *testing.T, ops []byte) (st modelStats) {
 			if len(m.held) > 0 {
 				i := int(a) % len(m.held)
 				h := m.held[i]
-				p.Discharge(h.startT, h.expT, h.bw)
+				if variant == 1 && m.first(h) <= m.floor {
+					// The floor has reached its start: from the floor, unnamed.
+					p.DischargeFromFloor(h.expT, h.bw)
+				} else {
+					p.Discharge(h.startT, h.expT, h.bw)
+				}
 				m.held = append(m.held[:i], m.held[i+1:]...)
 			}
 		case 4: // time passes
@@ -235,7 +240,10 @@ func TestProfileModel(t *testing.T) {
 // jump past the horizon with charges held across it, and future starts around
 // the end of the ring; then, on the CServ's 128-epoch ring, EER windows
 // wrapping its end, windows ending with the ring and one epoch past it, clock
-// jumps of n−1, n and n+1 epochs, and windows of up to the whole ring.
+// jumps of n−1, n and n+1 epochs, and windows of up to the whole ring; and
+// charges handed back from the floor once it has reached their start, made
+// from now, from behind a floor the clock stepped back from, and from the
+// past.
 func FuzzProfileModel(f *testing.F) {
 	f.Add([]byte{2, 1, 0, 0, 15, 9, 4, 7, 0, 0, 4, 7, 0, 0, 4, 7, 0, 0, 3, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 0, 30, 5, 4, 9, 0, 0, 5, 12, 0, 0, 0, 0, 30, 2, 3, 1, 0, 0, 4, 5, 0, 0})
@@ -245,5 +253,69 @@ func FuzzProfileModel(f *testing.F) {
 	f.Add([]byte{5, 0, 4, 0, 0, 0, 9, 7, 0, 3, 9, 7, 1, 3, 9, 200, 0, 3, 3, 0, 0, 0, 9, 0, 1, 3})
 	f.Add([]byte{5, 1, 16, 1, 255, 4, 8, 0, 3, 2, 12, 0, 0, 0, 8, 0, 3, 2, 12, 1, 0, 0, 8, 0, 3, 2, 12, 2, 0, 0, 8, 0, 3, 2, 6, 0, 0, 0})
 	f.Add([]byte{5, 1, 16, 1, 255, 4, 16, 1, 254, 4, 12, 1, 0, 0, 16, 2, 3, 4, 16, 0, 200, 4, 6, 100, 0, 0, 16, 1, 255, 4})
+	f.Add([]byte{2, 1, 8, 0, 3, 2, 4, 5, 0, 0, 0, 0, 20, 4, 5, 7, 0, 0, 8, 0, 2, 1, 2, 9, 20, 6, 4, 3, 0, 0, 11, 1, 0, 0, 11, 0, 0, 0, 11, 0, 0, 0, 11, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) { runProfileModel(t, ops) })
+}
+
+// TestDischargeFromFloorEqualsDischarge: once a profile's floor has reached a
+// charge's start, withdrawing the charge from the floor takes out what
+// withdrawing it from its start does. Two profiles go through the same
+// charges — from now, from ahead of now and, under a clock that steps back,
+// from behind the floor — and advances; each charge the floor has reached is
+// then handed back to one profile by its start and to the other from the
+// floor, and the two must agree at every epoch of the ring and in their count
+// of live charges after every step.
+func TestDischargeFromFloorEqualsDischarge(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		const epochs, sec = 16, 4
+		byStart, fromFloor := NewProfile(epochs, sec), NewProfile(epochs, sec)
+		type charge struct{ startT, expT uint32 }
+		var held []charge
+		now, reached := uint32(1000), 0
+		for step := 0; step < 400; step++ {
+			switch k := rng.Intn(6); {
+			case k < 2:
+				c := charge{now, now + 1 + uint32(rng.Intn(40))}
+				if rng.Intn(4) == 0 {
+					c.startT += uint32(rng.Intn(8))
+				}
+				err := byStart.Charge(c.startT, c.expT, 7)
+				if err2 := fromFloor.Charge(c.startT, c.expT, 7); (err == nil) != (err2 == nil) {
+					t.Fatalf("seed %d step %d: the two profiles disagree on a charge", seed, step)
+				}
+				if err == nil {
+					held = append(held, c)
+				}
+			case k == 2:
+				now += uint32(rng.Intn(12))
+				byStart.Advance(now)
+				fromFloor.Advance(now)
+			case k == 3:
+				now -= uint32(rng.Intn(10))
+			default:
+				for i, c := range held {
+					if byStart.EpochOf(c.startT) > byStart.Floor() {
+						continue
+					}
+					byStart.Discharge(c.startT, c.expT, 7)
+					fromFloor.DischargeFromFloor(c.expT, 7)
+					held = append(held[:i], held[i+1:]...)
+					reached++
+					break
+				}
+			}
+			if byStart.Len() != fromFloor.Len() || byStart.Floor() != fromFloor.Floor() {
+				t.Fatalf("seed %d step %d: %d and %d live charges", seed, step, byStart.Len(), fromFloor.Len())
+			}
+			for e := byStart.Floor(); e < byStart.Floor()+epochs; e++ {
+				if a, b := byStart.DemandAt(uint32(e)*sec), fromFloor.DemandAt(uint32(e)*sec); a != b {
+					t.Fatalf("seed %d step %d: epoch %d: %d by start, %d from the floor", seed, step, e, a, b)
+				}
+			}
+		}
+		if reached == 0 {
+			t.Fatalf("seed %d: no charge was handed back", seed)
+		}
+	}
 }

@@ -444,12 +444,12 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 	// other flow costs the sketch's counters and nothing per flow until the
 	// packet that finds it over the threshold.
 	if pkt.Type == packet.TData {
-		size, rate := uint32(len(buf)), uint64(pkt.Res.BwKbps)
+		size, rate := uint32(len(buf)), pkt.Res.BwKbps
 		watched, ok := false, true
 		if r.detMon.Len() != 0 {
 			watched, ok = r.detMon.Police(id, rate, size, pkt.Res.ExpT, nowNs)
 		}
-		if !watched && r.det != nil && r.det.Record(id, ofd.NormalizedSize(size, rate), nowNs) {
+		if !watched && r.det != nil && r.det.Record(id, ofd.NormalizedSize(size, uint64(rate)), nowNs) {
 			ok = r.detMon.Escalate(id, rate, size, pkt.Res.ExpT, nowNs) //colibri:allow(nomalloc) — watch-table growth on an unwatched→watched transition, amortized
 		}
 		if !ok {
