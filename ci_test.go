@@ -3,6 +3,7 @@ package colibri_test
 import (
 	"io/fs"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -63,4 +64,20 @@ func TestCIRunPatternsMatch(t *testing.T) {
 		t.Fatal("ci.yml names no test")
 	}
 	t.Logf("%d names over %d functions", names, len(funcs))
+}
+
+// TestBenchHarnessBuilds: the end-to-end benchmark harness, a module of its
+// own under bench/ built over this one, vets clean and passes its self-test —
+// the 1 % smoke of every workload, with the over-admission audit it reads
+// through Service.Store() — against the tree as it stands. Nothing else in
+// go test ./... compiles bench/, so a change to an API it uses would go
+// unnoticed until the benchmark runs.
+func TestBenchHarnessBuilds(t *testing.T) {
+	for _, args := range [][]string{{"vet", "."}, {"test", "-count=1", "."}} {
+		cmd := exec.Command("go", append([]string{"-C", "bench"}, args...)...)
+		cmd.Env = append(os.Environ(), "GOWORK=off", "GOPROXY=off")
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("go -C bench %s: %v\n%s", strings.Join(args, " "), err, out)
+		}
+	}
 }

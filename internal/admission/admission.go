@@ -13,7 +13,7 @@
 //
 //   - End-to-end-reservation admission at transfer ASes: proportional
 //     distribution of a core-SegR's bandwidth among the up-SegRs competing
-//     for it.
+//     for it (SplitGrant, over books the caller keeps).
 //
 // All aggregates are memoized so one admission runs in O(1) time in the
 // number of existing reservations — the property Fig. 3 of the paper
@@ -340,4 +340,29 @@ func (st *State) Len() int {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	return len(st.entries)
+}
+
+// SplitGrant is the transfer-AS EER admission rule of §4.7: "the transfer AS
+// between up- and core-SegR needs to distribute the core-SegR's bandwidth
+// between all up-SegRs in case more EER bandwidth is requested than available
+// in the core-SegR. This is done proportionally to the total of all requested
+// EERs (capped at the up-SegR) that compete for the same core-SegR."
+//
+// It grants a request of reqKbps through one (core-SegR, up-SegR) pair at most
+// availKbps, the EER bandwidth free on both SegRs, and while the core's total
+// demand exceeds its bandwidth coreCapKbps, at most the pair's share
+// coreCapKbps·pairDemand/totalDemand less pairGranted, what the pair holds.
+// Both demands count the request's own, capped at the up-SegR's bandwidth.
+//
+//colibri:nomalloc
+func SplitGrant(reqKbps, availKbps, coreCapKbps, pairDemand, totalDemand, pairGranted uint64) uint64 {
+	grant := min(reqKbps, availKbps)
+	if totalDemand > coreCapKbps {
+		var room uint64
+		if fair := coreCapKbps * pairDemand / totalDemand; fair > pairGranted {
+			room = fair - pairGranted
+		}
+		grant = min(grant, room)
+	}
+	return grant
 }

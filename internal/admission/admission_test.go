@@ -302,55 +302,77 @@ func TestInternalIngressUnconstrained(t *testing.T) {
 	}
 }
 
-func TestTransferSplitProportional(t *testing.T) {
-	ts := NewTransferSplit()
-	core := reservation.ID{SrcAS: ia(1, 1), Num: 1}
-	up1 := reservation.ID{SrcAS: ia(1, 2), Num: 1}
-	up2 := reservation.ID{SrcAS: ia(1, 3), Num: 1}
-	const coreCap = 1000
+// splitBooks keeps SplitGrant's books for the pairs of one core-SegR, as a
+// transfer AS does: per up-SegR the demand and grants, and the core's total.
+type splitBooks struct {
+	demand, granted map[int]uint64
+	total, coreCap  uint64
+}
 
-	p1, p2 := ts.Pair(core, up1), ts.Pair(core, up2)
+func newSplitBooks(coreCap uint64) *splitBooks {
+	return &splitBooks{demand: map[int]uint64{}, granted: map[int]uint64{}, coreCap: coreCap}
+}
+
+func (b *splitBooks) admit(up int, req, upCap, avail uint64) uint64 {
+	capped := min(req, upCap)
+	b.demand[up] += capped
+	b.total += capped
+	g := SplitGrant(req, avail, b.coreCap, b.demand[up], b.total, b.granted[up])
+	b.granted[up] += g
+	return g
+}
+
+func (b *splitBooks) release(up int, d, g uint64) {
+	b.demand[up] -= d
+	b.total -= d
+	b.granted[up] -= g
+}
+
+func TestTransferSplitProportional(t *testing.T) {
+	b := newSplitBooks(1000)
 	// No contention: full grants.
-	g := p1.Admit(300, 10_000, coreCap, 10_000, 1000)
+	g := b.admit(1, 300, 10_000, 1000)
 	if g != 300 {
 		t.Errorf("uncontended grant = %d", g)
 	}
 	// Demand now exceeds the core SegR: up2 asks 1500 (total 1800 > 1000).
 	// Its fair share is 1000×1500/1800 = 833.
-	g = p2.Admit(1500, 10_000, coreCap, 10_000, 700)
+	g = b.admit(2, 1500, 10_000, 700)
 	if g > 833 || g == 0 {
 		t.Errorf("contended grant = %d, want ≤ 833 and > 0", g)
 	}
 	// up1 asks again for 500: its fair share is 1000×800/2300 = 347,
 	// already granted 300 → at most 47 more.
-	g = p1.Admit(500, 10_000, coreCap, 10_000, 700-g)
+	g = b.admit(1, 500, 10_000, 700-g)
 	if g > 48 {
 		t.Errorf("second up1 grant = %d, want ≤ 48", g)
+	}
+	// A request is capped at its up-SegR in the demand: 5000 asked over a
+	// 100 kbps up-SegR weighs 100.
+	c := newSplitBooks(1000)
+	c.admit(1, 1000, 10_000, 1000)
+	if g := c.admit(2, 5000, 100, 1000); g != 1000*100/1100 {
+		t.Errorf("grant over a narrow up-SegR = %d, want %d", g, 1000*100/1100)
 	}
 }
 
 func TestTransferSplitRelease(t *testing.T) {
-	ts := NewTransferSplit()
-	core := reservation.ID{SrcAS: ia(1, 1), Num: 1}
-	up := reservation.ID{SrcAS: ia(1, 2), Num: 1}
-	p := ts.Pair(core, up)
-	g := p.Admit(800, 1000, 1000, 1000, 1000)
+	b := newSplitBooks(1000)
+	g := b.admit(1, 800, 1000, 1000)
 	if g != 800 {
 		t.Fatalf("grant = %d", g)
 	}
-	p.Release(800, 800)
-	// After release, the full core is available again.
-	g = p.Admit(900, 1000, 1000, 1000, 1000)
-	if g != 900 {
+	// Returned, the demand no longer counts: the full core is available again.
+	b.release(1, 800, 800)
+	if g = b.admit(1, 900, 1000, 1000); g != 900 {
 		t.Errorf("grant after release = %d", g)
 	}
-	ts.DropSegR(core)
-	if ts.Lookup(core, up) != nil {
-		t.Error("the split still has books for a dropped core")
-	}
-	g = ts.Pair(core, up).Admit(100, 1000, 1000, 1000, 1000)
-	if g != 100 {
-		t.Errorf("grant after DropSegR = %d", g)
+	// Kept, the dead demand shares the core with the live: 1000×1700/1700
+	// less the 800 held.
+	c := newSplitBooks(1000)
+	c.admit(1, 800, 1000, 1000)
+	if g = c.admit(1, 900, 1000, 1000); g != 200 {
+		t.Errorf("grant over unreturned demand = %d, want 200", g)
 	}
 }
 

@@ -106,7 +106,7 @@ func TestSegRAutoRenewKeepsVersionsMoving(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Capture values: the store hands out live records.
+	// The registry hands out copies, so these stay as they were.
 	verBefore, expBefore := before.Active.Ver, before.Active.ExpT
 
 	// Advance into the renewal window of the 300 s SegRs.

@@ -105,7 +105,7 @@ func TestInternetScaleScenario(t *testing.T) {
 	net.Tick()
 	for _, iaKey := range topo.SortedIAs() {
 		cs := net.Node(iaKey).CServ
-		if segs := cs.Store().Len(); segs != 0 {
+		if segs := cs.CPlane().Counts().SegRs; segs != 0 {
 			t.Errorf("%s: store keeps %d SegRs after global expiry", iaKey, segs)
 		}
 		if ct := cs.CPlane().Counts(); ct.SegRs != 0 || ct.EERs != 0 {

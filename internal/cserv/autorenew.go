@@ -3,7 +3,6 @@ package cserv
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"colibri/internal/reservation"
 )
@@ -39,15 +38,14 @@ func (s *Service) AutoRenew(lead uint32, f Forecast) (int, error) {
 		f = SameBandwidth
 	}
 	now := s.clock()
+	// In ID order, which is this AS's numbering: deterministic, for
+	// reproducible tests and fair bandwidth contention across runs.
 	due := make([]*reservation.SegR, 0)
-	for _, segr := range s.store.InitiatedSegRs() {
+	for _, segr := range s.cp.InitiatedSegRs() {
 		if segr.Active.ExpT <= now+lead {
 			due = append(due, segr)
 		}
 	}
-	// Deterministic order for reproducible tests and fair bandwidth
-	// contention across runs.
-	sort.Slice(due, func(i, j int) bool { return due[i].ID.Num < due[j].ID.Num })
 
 	renewed := 0
 	var errs []error
@@ -64,7 +62,7 @@ func (s *Service) AutoRenew(lead uint32, f Forecast) (int, error) {
 				renewed++
 				continue
 			}
-			_ = s.store.ClearPending(segr.ID)
+			_ = s.cp.clearPending(segr.ID)
 		}
 		minK, maxK := f(segr.ID, segr.Active.BwKbps)
 		ver, final, err := s.RenewSegment(segr.ID, minK, maxK)
@@ -77,7 +75,7 @@ func (s *Service) AutoRenew(lead uint32, f Forecast) (int, error) {
 			// failed renewal, not a success (activating it would demote the
 			// segment to nothing while claiming health). Keep the old
 			// version, drop the dead pending, and retry next pass.
-			_ = s.store.ClearPending(segr.ID)
+			_ = s.cp.clearPending(segr.ID)
 			s.metrics.RenewZeroBw.Add(1)
 			errs = append(errs, fmt.Errorf("renew %s: %w", segr.ID, ErrZeroGrant))
 			continue

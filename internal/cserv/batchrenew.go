@@ -9,7 +9,7 @@
 // — the common case, since a source AS's flows to one destination ride the
 // same chain) travels as one message with one MAC per hop, and the handler
 // settles every item of the wave, in wave order, under one acquisition of
-// the covering SegRs' shard locks instead of one per renewal.
+// the covering SegRs' shard locks per pass instead of one per renewal.
 //
 // The per-item protocol semantics are a solo renewal's, because the code is:
 // each item runs the shared hop leg of hopleg.go — idempotent dedup by (ID,
@@ -388,7 +388,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	if kc == nil {
 		return fail("%s", why)
 	}
-	cover, err := s.hopCover(req.SegIDs, req.Splits, len(req.Path), idx)
+	cover, err := coverOf(req.SegIDs, req.Splits, len(req.Path), idx)
 	if err != nil {
 		return fail("%v", err)
 	}
@@ -411,6 +411,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	// The records are read ahead first, so that their cache misses overlap.
 	leg := hopLeg{s: s, hopCover: cover, src: src, renewal: true}
 	s.cp.withPath(cover.segs(), func(p eerPath) {
+		if err = leg.open(&p); err != nil {
+			return
+		}
 		sc.ahead = p.readAhead(req.Items, req.Status)
 		for i := range req.Items {
 			if req.Status[i] != EEItemOK {
@@ -422,10 +425,22 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 		}
 	})
 	leg.count()
-	rollbackAll := func() {
-		for i := range req.Items {
-			leg.rollback(&states[i], req.Items[i].ID.Num)
-		}
+	if err != nil {
+		return fail("%v", err)
+	}
+	// settle commits the items live in status at the path-wide minimum and
+	// rolls back the rest (every item for a nil status), under one more
+	// acquisition of the locks.
+	settle := func(status []uint8, granted []uint64) {
+		s.cp.withPath(cover.segs(), func(p eerPath) {
+			for i := range req.Items {
+				if status == nil || status[i] != EEItemOK {
+					leg.rollback(&p, &states[i], req.Items[i].ID.Num)
+				} else {
+					leg.commit(&p, &states[i], req.Items[i].ID.Num, granted[i])
+				}
+			}
+		})
 	}
 
 	// Propagate this hop's outcomes into the mutable tail and forward.
@@ -456,7 +471,7 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 			err = errMalformed
 		}
 		if err != nil || !resp.OK {
-			rollbackAll()
+			settle(nil, nil)
 			if err != nil {
 				return failAt(idx+1, "%v", err)
 			}
@@ -466,16 +481,9 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 		status, granted = resp.Status, resp.Granted
 	}
 
-	// Response pass: commit live items at the path-wide minimum, roll back
-	// items a downstream hop killed, and seal this AS's σs of the live ones
-	// into its blob under the scratch's next nonce.
-	for i := range req.Items {
-		if status[i] != EEItemOK {
-			leg.rollback(&states[i], req.Items[i].ID.Num)
-		} else {
-			leg.commit(&states[i], req.Items[i].ID.Num, granted[i])
-		}
-	}
+	// Response pass: settle every item by the final outcomes, and seal this
+	// AS's σs of the live ones into its blob under the scratch's next nonce.
+	settle(status, granted)
 	size := blobLen(liveOf(status))
 	off := len(out) - (nHops-idx)*size
 	s.sealWave(out[off:off+size], sc, kc, idx, status, granted)

@@ -1,5 +1,5 @@
 // cplane.go — CPlane, a sharded, batched control-plane engine for one AS: the
-// one store of admission state behind the Service's handlers.
+// one registry of its SegRs and store of its admission state.
 //
 // It is built for the million-flow regime the paper targets (§6: "a single
 // CServ instance can handle the renewal load of hundreds of thousands of
@@ -12,10 +12,10 @@
 //   - an admission.State — the paper's memoized SegR admitter — over a clone
 //     of the AS whose link capacities are divided by the shard count (so the
 //     sum of all shards' grants respects the physical capacities),
-//   - one record per SegR: its grant and a keyless restree demand profile
-//     tracking admitted EER bandwidth over discretized time (see
-//     internal/restree and DESIGN.md §7), reached by ID through a map and by
-//     handle through the shard's SegR registry, and
+//   - the AS's one record per SegR (segRec): versions, grant, and a keyless
+//     restree demand profile of admitted EER bandwidth (see internal/restree
+//     and DESIGN.md §7), reached by ID and by handle, and a pair table that
+//     also holds the §4.7 split's books, and
 //   - the EER records admitted against those SegRs, in one flat table, each
 //     of which is the only handle on its own charge: what was charged is
 //     withdrawn by handing the record's expiry and bandwidth back to the
@@ -34,19 +34,24 @@ import (
 	"math"
 	"math/bits"
 	"slices"
+	"sort"
 	"sync"
 	"sync/atomic"
 
 	"colibri/internal/admission"
 	"colibri/internal/flattab"
+	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/restree"
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
 // CPlane errors. All are sentinels: the wave path must not allocate.
 var (
 	ErrUnknownSegR = errors.New("cplane: unknown segment reservation")
+	ErrSegRExists  = errors.New("cplane: segment reservation already exists")
+	ErrNoPending   = errors.New("cplane: no pending segment reservation version")
 	ErrSegRInUse   = errors.New("cplane: segment reservation has live EERs")
 	ErrUnknownEER  = errors.New("cplane: unknown end-to-end reservation")
 	// ErrInsufficient rejects an EER setup or renewal whose demand exceeds
@@ -109,14 +114,6 @@ type CPlane struct {
 	rejects atomic.Uint64
 	dedups  atomic.Uint64
 	stale   atomic.Uint64
-
-	// onExpire, when set, receives each transfer-AS record (one with two
-	// covering SegRs) that Tick expires or the removal of a SegR (DropSegR,
-	// TeardownSegR, AbortSegR) takes with it, after the shard locks are
-	// released. The Service uses it to return the record's charge to
-	// the §4.7 transfer-split accounting, which otherwise never learns that an
-	// EER lapsed without being renewed or lost a covering SegR.
-	onExpire func(seg, seg2 reservation.ID, bwKbps uint64)
 }
 
 // cplaneShard is one shard's admission state, owned by the CPlane front end:
@@ -146,20 +143,57 @@ type cplaneShard struct {
 	held flattab.Table[heldPiece]
 }
 
-// segRec is what a shard keeps per SegR: the demand profile of the EERs
-// admitted over it and its current grant at this AS, which bounds that demand.
-// The grant is the admitter's too (admission.State.GrantOf); the record keeps a
-// copy so that an admission reads both with one probe and without the
-// admitter's lock.
+// segRec is the AS's one record of a SegR (§3.3: "each AS locally stores the
+// final amount of bandwidth granted"), read and written under its shard's lock
+// only (readers outside get copies, GetSegR): its protocol state, the demand
+// profile of the EERs admitted over it and its grant at this AS, which bounds
+// that demand. The grant is the admitter's too (admission.State.GrantOf); the
+// record keeps a copy so that an admission reads both with one probe and
+// without the admitter's lock.
 type segRec struct {
 	led   restree.Profile
 	grant uint64
-	// h is the SegR's handle. named: some EER record has named it, so a drop
-	// must look for records before the handle can be reused.
+	// h is the SegR's handle. named: some EER record or leg has named it, so
+	// a drop must look for records and pairs before the handle can be reused.
 	h     segH
 	named bool
 	// pairs are the handles of the pairs whose first SegR this is.
 	pairs []segH
+	// splitTotal is a core-SegR's §4.7 split demand: that of the up→core
+	// pairs it is the second SegR of.
+	splitTotal uint64
+	// The fields of reservation.SegR: the active version and a pending one
+	// awaiting activation (§4.2; AddSegR's active version never lapses), and
+	// at the initiator only, behind init, the segment and its tokens.
+	segType segment.Type
+	in, eg  topology.IfID
+	minKbps uint64
+	active  reservation.Version
+	pending *reservation.Version
+	init    *segInit
+}
+
+type segInit struct {
+	seg    *segment.Segment
+	tokens [][packet.HVFLen]byte
+}
+
+// snapshot copies SegR id's record r, which the caller has locked.
+func (r *segRec) snapshot(id reservation.ID) *reservation.SegR {
+	out := &reservation.SegR{ID: id, SegType: r.segType, In: r.in, Eg: r.eg, MinKbps: r.minKbps, Active: r.active}
+	if r.pending != nil {
+		v := *r.pending
+		out.Pending = &v
+	}
+	if r.init != nil {
+		out.Seg, out.Tokens = r.init.seg, r.init.tokens
+	}
+	return out
+}
+
+// lapsed reports whether both of r's versions have expired by now.
+func (r *segRec) lapsed(now uint32) bool {
+	return r.active.Expired(now) && (r.pending == nil || r.pending.Expired(now))
 }
 
 // segH is a SegR's handle: one plus its slot in its shard's registry, above
@@ -186,8 +220,13 @@ const (
 )
 
 // segPair is one slot of a shard's pair table: the handles of the two SegRs
-// of a pair, or zero while the slot is free.
-type segPair struct{ h, h2 segH }
+// of a pair, zero while the slot is free, at an up→core pair the §4.7 split's
+// books (splitBooks), and the times the slot was freed (eerPath.books).
+type segPair struct {
+	h, h2           segH
+	gen             uint32
+	demand, granted uint64
+}
 
 // segsOf returns the SegR handles cover names: its own SegR's, with 0 for
 // none, or the two of its pair in sh's table. The caller holds sh's lock, sh
@@ -232,27 +271,23 @@ func (sh *cplaneShard) intern(r *segRec, h2 segH) segH {
 		slot = uint32(len(sh.pairs))
 		sh.pairs = append(sh.pairs, segPair{}) //colibri:allow(nomalloc) — amortized pair-table growth
 	}
-	sh.pairs[slot] = segPair{h: r.h, h2: h2}
+	sh.pairs[slot].h, sh.pairs[slot].h2 = r.h, h2
 	ph := pairBit | segH(slot)
 	r.pairs = append(r.pairs, ph) //colibri:allow(nomalloc) — amortized growth of the SegR's pair list
 	return ph
 }
 
-// dropPairs frees every pair of shard sh, which the caller has locked, that
-// names SegR handle h, once no record names h: the SegRs paired with h forget
-// the pair, and its slot may be reused.
-func (c *CPlane) dropPairs(sh *cplaneShard, h segH) {
-	for i, p := range sh.pairs {
-		if p.h != h && p.h2 != h {
-			continue
-		}
-		if p.h != h {
-			r := c.slot(p.h).rec
-			r.pairs = slices.DeleteFunc(r.pairs, func(ph segH) bool { return ph == pairBit|segH(i) })
-		}
-		sh.pairs[i] = segPair{}
-		sh.pairFree = append(sh.pairFree, uint32(i))
-	}
+// dropPair frees pair ph of p's primary shard, p being the path of its two
+// SegRs, once no record names it: its split demand leaves its core-SegR's
+// total, its first SegR forgets it, and its generation moves on, so no leg that
+// admitted into it touches the books of the pair that takes the slot next.
+func (p *eerPath) dropPair(ph segH) {
+	slot := uint32(ph &^ pairBit)
+	b := &p.prim.pairs[slot]
+	p.rec[1].splitTotal -= min(p.rec[1].splitTotal, b.demand)
+	p.rec[0].pairs = slices.DeleteFunc(p.rec[0].pairs, func(x segH) bool { return x == ph })
+	*b = segPair{gen: b.gen + 1}
+	p.prim.pairFree = append(p.prim.pairFree, slot)
 }
 
 // regSlot is one slot of a shard's SegR registry: the ID and record of the
@@ -378,13 +413,6 @@ func NewCPlane(cfg CPlaneConfig) (*CPlane, error) {
 	return c, nil
 }
 
-// OnExpire registers the callback invoked by Tick for each expired transfer-AS
-// record and by a SegR's removal for each one it takes (see the field doc). Set it
-// before the first Tick; it must not call back into the CPlane.
-func (c *CPlane) OnExpire(fn func(seg, seg2 reservation.ID, bwKbps uint64)) {
-	c.onExpire = fn
-}
-
 // shardedAS clones an AS for shard i of `shards`, dividing every link
 // capacity (and the internal fabric bound) so the per-shard shares sum
 // EXACTLY to the physical value: shard i receives cap/shards plus one of the
@@ -442,18 +470,31 @@ func (c *CPlane) shardFor(id reservation.ID) *cplaneShard {
 
 // AddSegR admits a segment reservation on its shard and provisions its EER
 // demand ledger. The request's MaxKbps is the demand; the returned grant is
-// the bandwidth available to EERs over this SegR at this AS.
+// the bandwidth available to EERs over this SegR at this AS. Its active
+// version never lapses.
 func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
+	return c.setupSegR(req, segment.Up, reservation.Version{ExpT: math.MaxUint32}, false)
+}
+
+// setupSegR is AddSegR for the setup handler, which passes fresh: a SegR this
+// AS holds is refused (ErrSegRExists) instead of re-admitted. A SegR it
+// creates is of type segType, with v, at the grant, as its active version.
+func (c *CPlane) setupSegR(req admission.Request, segType segment.Type, v reservation.Version, fresh bool) (uint64, error) {
 	si := c.shardIndex(req.ID)
 	sh := c.shards[si]
 	sh.mu.Lock()
 	r, known := sh.segs[req.ID]
-	if !known && c.regFull(sh) {
-		sh.mu.Unlock()
-		c.rejects.Add(1)
-		return 0, ErrTooManySegRs
+	var err error
+	switch {
+	case known && fresh:
+		err = ErrSegRExists
+	case !known && c.regFull(sh):
+		err = ErrTooManySegRs
 	}
-	grant, err := sh.adm.AdmitSegR(req)
+	var grant uint64
+	if err == nil {
+		grant, err = sh.adm.AdmitSegR(req)
+	}
 	if err != nil {
 		sh.mu.Unlock()
 		c.rejects.Add(1)
@@ -462,7 +503,9 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 	if !known {
 		// Re-admitting a known ID (an idempotent replay or a version bump)
 		// must not wipe the ledger of EERs already charged against it.
-		r = &segRec{led: *restree.NewProfile(c.ledgerEpochs, c.epochSec)}
+		v.BwKbps = grant
+		r = &segRec{led: *restree.NewProfile(c.ledgerEpochs, c.epochSec),
+			segType: segType, in: req.In, eg: req.Eg, minKbps: req.MinKbps, active: v}
 		c.register(sh, si, req.ID, r)
 	}
 	r.grant = grant
@@ -478,38 +521,138 @@ func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
 // still admitted against it (tear those down or let them expire first). The
 // records of EERs that lapsed over it go with it, as DropSegR's do.
 func (c *CPlane) TeardownSegR(id reservation.ID) error {
-	sh := c.shardFor(id)
-	now := c.clock()
-	sh.mu.Lock()
-	r, ok := sh.segs[id]
-	if !ok {
-		sh.mu.Unlock()
-		return ErrUnknownSegR
-	}
-	r.led.Advance(now)
-	if r.led.Len() > 0 {
-		sh.mu.Unlock()
-		return ErrSegRInUse
-	}
-	c.detach(sh, id)
-	sh.mu.Unlock()
-	c.purge(r)
-	return nil
+	now, err := c.clock(), ErrUnknownSegR
+	c.dropIf(id, func(r *segRec) bool {
+		r.led.Advance(now)
+		if err = nil; r.led.Len() > 0 {
+			err = ErrSegRInUse
+		}
+		return err == nil
+	})
+	return err
 }
 
-// detach removes SegR id from shard sh, which the caller has locked — its
-// admission, its entry under id, its count — and returns its record, or nil
-// when sh holds no such SegR. No EER can be admitted over it afterwards, but
-// its handle stays taken until purge has removed the records naming it.
-func (c *CPlane) detach(sh *cplaneShard, id reservation.ID) *segRec {
-	r, ok := sh.segs[id]
-	if !ok {
-		return nil
+// DropSegR force-removes a SegR along with every EER record referencing it —
+// including transfer-AS records whose OTHER covering segment survives: a §4.7
+// EER loses its reservation when either covering SegR goes.
+func (c *CPlane) DropSegR(id reservation.ID) {
+	c.dropIf(id, func(*segRec) bool { return true })
+}
+
+// dropIf removes SegR id if its record satisfies cond, and reports whether it
+// did. Under its shard's lock the SegR leaves the admitter, the ID map and the
+// count, so no EER is admitted over it while its records go (purge); its
+// handle stays taken until purge has removed them.
+func (c *CPlane) dropIf(id reservation.ID, cond func(*segRec) bool) bool {
+	sh := c.shardFor(id)
+	sh.mu.Lock()
+	r := sh.segs[id]
+	if r != nil && cond(r) {
+		sh.adm.Release(id)
+		delete(sh.segs, id)
+		c.segCount.Add(-1)
+	} else {
+		r = nil
 	}
-	sh.adm.Release(id)
-	delete(sh.segs, id)
-	c.segCount.Add(-1)
-	return r
+	sh.mu.Unlock()
+	if r != nil {
+		c.purge(r)
+	}
+	return r != nil
+}
+
+// withSegR runs fn on SegR id's record under its shard's lock.
+func (c *CPlane) withSegR(id reservation.ID, fn func(sh *cplaneShard, r *segRec) error) error {
+	sh := c.shardFor(id)
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if r := sh.segs[id]; r != nil {
+		return fn(sh, r)
+	}
+	return ErrUnknownSegR
+}
+
+// GetSegR returns a copy of SegR id's record, taken under its shard's lock.
+func (c *CPlane) GetSegR(id reservation.ID) (segr *reservation.SegR, err error) {
+	if err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		segr = r.snapshot(id)
+		return nil
+	}); err != nil {
+		err = fmt.Errorf("%w: %s", err, id)
+	}
+	return segr, err
+}
+
+// InitiatedSegRs returns copies of the records of the SegRs this AS initiated,
+// in ID order, for the renewal automation of §3.2.
+func (c *CPlane) InitiatedSegRs() []*reservation.SegR {
+	var out []*reservation.SegR
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		// Sorted below.
+		//colibri:allow(determinism)
+		for id, r := range sh.segs {
+			if r.init != nil {
+				out = append(out, r.snapshot(id))
+			}
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
+	return out
+}
+
+// confirmSegR fixes SegR id's grant at final after the backward pass, with a
+// setup's active version or a renewal's v, which the record keeps, as the
+// pending one (§4.2); a nil v with setup false fixes the grant alone.
+func (c *CPlane) confirmSegR(id reservation.ID, final uint64, setup bool, v *reservation.Version) error {
+	return c.withSegR(id, func(sh *cplaneShard, r *segRec) error {
+		if err := sh.adm.AdjustGrant(id, final); err != nil {
+			return err
+		}
+		r.grant = final
+		switch {
+		case setup:
+			r.active.BwKbps = final
+		case v != nil:
+			r.pending = v
+		}
+		return nil
+	})
+}
+
+// clearPending discards SegR id's pending version, which will never be
+// activated, so that the SegR is due for renewal again.
+func (c *CPlane) clearPending(id reservation.ID) error {
+	return c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		r.pending = nil
+		return nil
+	})
+}
+
+// activateSegR switches SegR id to its pending version, which the caller has
+// checked the EER demand fits (SegDemandMax), and returns it.
+func (c *CPlane) activateSegR(id reservation.ID) (active reservation.Version, err error) {
+	err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		if r.pending == nil {
+			return fmt.Errorf("%w: %s", ErrNoPending, id)
+		}
+		r.active, r.pending = *r.pending, nil
+		active = r.active
+		return nil
+	})
+	return active, err
+}
+
+// initiated gives SegR id, set up from this AS, its segment and tokens, and
+// returns a copy of its record.
+func (c *CPlane) initiated(id reservation.ID, seg *segment.Segment, tokens [][packet.HVFLen]byte) (segr *reservation.SegR, err error) {
+	err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		r.init = &segInit{seg: seg, tokens: tokens}
+		segr = r.snapshot(id)
+		return nil
+	})
+	return segr, err
 }
 
 // SetupEER is SetupEERPath over the one covering SegR seg, at version 0. It
@@ -565,22 +708,24 @@ func (c *CPlane) tallyRenew(err error, gone bool) {
 	}
 }
 
-// Tick expires EERs whose versions have lapsed, drops the held pieces that
-// have lapsed, and advances every ledger. It returns the number of EERs
-// removed. Each shard's records are walked in their table's dense order, from
-// the last down, deleting in place; the order is deterministic, and no outcome
-// depends on it (a discharge touches only its own ledgers, and the transfer
-// split only ever subtracts on expiry).
-func (c *CPlane) Tick() int {
+// tick expires EERs whose versions have lapsed, drops the held pieces that
+// have lapsed, advances every ledger, switches a SegR whose active version has
+// expired to a live pending one (the initiator failed to activate in time),
+// and drops, in ID order, the SegRs whose versions have both expired. It
+// returns the number of EERs expired and the IDs of the SegRs dropped. Each
+// shard's records are walked in their table's dense order, from the last down,
+// deleting in place; the order is deterministic, and no outcome depends on it
+// (a discharge touches only its own ledgers, and the transfer split only ever
+// subtracts on expiry).
+func (c *CPlane) tick() (expired int, dropped []reservation.ID) {
 	now := c.clock()
-	total := 0
 	var pairs []pairRef
 	for _, sh := range c.shards {
 		sh.mu.Lock()
 		for i := sh.eers.Len() - 1; i >= 0; i-- {
 			id, e := sh.eers.At(i)
-			expired := e.expT <= now
-			if !expired && !(e.held && sh.held.Get(id).expT <= now) {
+			lapsed := e.expT <= now
+			if !lapsed && !(e.held && sh.held.Get(id).expT <= now) {
 				continue
 			}
 			if e.cover&pairBit != 0 {
@@ -588,28 +733,42 @@ func (c *CPlane) Tick() int {
 				continue
 			}
 			p := c.pathOf(sh, e.cover, now)
-			if !expired {
+			if !lapsed {
 				p.unhold(id, e)
 				continue
 			}
 			p.release(id, e)
 			sh.eers.Delete(id)
-			total++
+			expired++
 		}
-		// Each ledger advances alone, so the order does not matter.
+		// Each SegR advances and switches alone, and the drops are sorted, so
+		// the order does not matter.
 		//colibri:allow(determinism)
-		for _, r := range sh.segs {
+		for id, r := range sh.segs {
 			r.led.Advance(now)
+			switch {
+			case r.lapsed(now):
+				dropped = append(dropped, id)
+			case r.active.Expired(now):
+				r.active, r.pending = *r.pending, nil
+			}
 		}
 		sh.mu.Unlock()
 	}
 	for _, r := range pairs {
 		if c.removePair(r, func(e *cpEER) bool { return e.expT <= now }, now) {
-			total++
+			expired++
 		}
 	}
-	c.eerCount.Add(-int64(total))
-	return total
+	c.eerCount.Add(-int64(expired))
+	sort.Slice(dropped, func(i, j int) bool { return dropped[i].Less(dropped[j]) })
+	kept := dropped[:0]
+	for _, id := range dropped {
+		if c.dropIf(id, func(r *segRec) bool { return r.lapsed(now) }) {
+			kept = append(kept, id)
+		}
+	}
+	return expired, kept
 }
 
 // pairRef names a transfer-AS record found under one shard lock, for removal
@@ -631,33 +790,30 @@ func (sh *cplaneShard) pairRefOf(eer reservation.ID, cover segH) pairRef {
 // removePair removes a transfer-AS record, if it still exists and cond holds
 // for it, under the locks of both covering SegRs' shards — so that both its
 // pieces leave both ledgers with the record, and neither is left carrying a
-// charge no record answers for. Tick and DropSegR find such records under one
+// charge no record answers for, and at an up→core pair its split charge
+// leaves the pair's books. Tick and DropSegR find such records under one
 // shard lock at a time and cannot reach the second ledger from there. A record
 // that stays loses its held piece if that has lapsed by heldLapse (Tick's now;
-// 0 keeps it). A record removed is reported to the expiry callback, with its
-// SegRs' IDs, once the locks are released.
+// 0 keeps it).
 func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32) (ok bool) {
-	var seg, seg2 reservation.ID
-	var bw uint32
 	c.withHandles(r, func(p eerPath) {
 		// A record that no longer names the pair was rewritten since it was
 		// found, and a pair handle that names another pair was freed and taken
 		// again; whoever finds the record next decides for it.
-		rec := p.lookup(r.eer)
+		rec, b := p.lookup(r.eer), &p.prim.pairs[r.cover&^pairBit]
 		switch {
-		case rec == nil || rec.cover != r.cover || p.prim.pairs[r.cover&^pairBit] != (segPair{r.seg, r.seg2}):
+		case rec == nil || rec.cover != r.cover || b.h != r.seg || b.h2 != r.seg2:
 		case cond(rec):
-			ok, bw = true, rec.bw
-			seg, seg2 = c.slot(r.seg).id, c.slot(r.seg2).id
+			ok = true
+			if p.splits() {
+				splitBooks{pair: b, core: p.rec[1]}.release(uint64(rec.bw), uint64(rec.bw))
+			}
 			p.release(r.eer, rec)
 			p.prim.eers.Delete(r.eer)
 		case rec.held && p.prim.held.Get(r.eer).expT <= heldLapse:
 			p.unhold(r.eer, rec)
 		}
 	})
-	if ok && c.onExpire != nil {
-		c.onExpire(seg, seg2, uint64(bw))
-	}
 	return ok
 }
 

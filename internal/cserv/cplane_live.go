@@ -4,16 +4,14 @@
 // cplane.go holds the engine's state and its SegR lifecycle; the live path
 // additionally needs
 //
-//   - SegR admission wrappers around admission.State's renewal/adjust/abort
-//     surface that keep the per-shard SegR records (grant and EER demand
-//     ledger) coherent with the admitter,
+//   - the SegR renewal wrapper around admission.State's that keeps the SegR's
+//     record coherent with the admitter,
 //   - EER operations over one OR two covering SegRs: at a transfer AS an
 //     EER entering on an up-segment and leaving on a core-segment consumes
 //     bandwidth on both (§4.7), and the two SegRs may live in different
-//     shards,
+//     shards, and
 //   - version-aware lookup for the handlers' idempotent dedup of retried
-//     requests, and
-//   - forced SegR drop for the store-cleanup path.
+//     requests.
 //
 // Lock discipline: every function here acquires the shards it needs in
 // ascending shard-index order and holds them to completion (deferred
@@ -32,24 +30,17 @@ import (
 // SegDemandMax returns the maximum outstanding EER demand on the SegR from
 // now to the end of any admitted EER's lifetime, for the activation
 // over-allocation check. ok is false for unknown SegRs.
-func (c *CPlane) SegDemandMax(seg reservation.ID) (uint64, bool) {
+func (c *CPlane) SegDemandMax(seg reservation.ID) (demand uint64, ok bool) {
 	now := c.clock()
-	sh := c.shardFor(seg)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.segs[seg]
-	if !ok {
-		return 0, false
-	}
-	r.led.Advance(now)
-	// EER charges never extend past one lifetime from admission, so two
-	// lifetimes from now bounds every live window without approaching the
-	// ledger horizon.
-	m := r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds)
-	if m < 0 {
-		m = 0
-	}
-	return uint64(m), true
+	ok = c.withSegR(seg, func(_ *cplaneShard, r *segRec) error {
+		r.led.Advance(now)
+		// EER charges never extend past one lifetime from admission, so two
+		// lifetimes from now bounds every live window without approaching the
+		// ledger horizon.
+		demand = uint64(max(r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds), 0))
+		return nil
+	}) == nil
+	return demand, ok
 }
 
 // RenewSegRWithUndo re-admits a SegR on its shard with fresh scale factors,
@@ -83,38 +74,6 @@ func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error
 		}
 	}
 	return grant, wrapped, nil
-}
-
-// AdjustSegR lowers a SegR's grant to the backward-pass minimum
-// (admission.State.AdjustGrant), in the admitter and in the SegR's record.
-func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.segs[id]
-	if !ok {
-		return ErrUnknownSegR
-	}
-	if err := sh.adm.AdjustGrant(id, finalKbps); err != nil {
-		return err
-	}
-	r.grant = finalKbps
-	return nil
-}
-
-// AbortSegR rolls back a fresh AddSegR after a downstream setup failure.
-// It must only be used for setups — the ledger is dropped with the SegR, so
-// aborting a renewal would orphan admitted EER charges (renewals roll back
-// through their undo closure instead). An EER admitted over the SegR in the
-// meantime goes with it, as DropSegR's do.
-func (c *CPlane) AbortSegR(id reservation.ID) {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	r := c.detach(sh, id)
-	sh.mu.Unlock()
-	if r != nil {
-		c.purge(r)
-	}
 }
 
 // pathShards returns the shard indices to lock for a covering-SegR set in
@@ -545,7 +504,7 @@ func (p *eerPath) renewRec(eer reservation.ID, e *cpEER, bwKbps uint64, expT uin
 }
 
 // renew is renewRec, counted. Callers needing rollback keep the previous
-// version's fields and reinstate it with RestoreEERPath.
+// version's fields and reinstate it with restore.
 func (p *eerPath) renew(eer reservation.ID, e *cpEER, bwKbps uint64, expT uint32, ver uint16) (uint64, error) {
 	g, err, gone := p.renewRec(eer, e, bwKbps, expT, ver)
 	p.c.tallyRenew(err, gone)
@@ -585,110 +544,93 @@ func (p *eerPath) recharge(e *cpEER, expT uint32, bwKbps uint64) bool {
 	return expT > p.now && bwKbps <= MaxEERKbps && p.charge(expT, bwKbps) == nil
 }
 
-// RestoreEERPath force-reinstates a previous EER version after a downstream
-// failure rolled back a setup or renewal: the current charges are removed
-// and the given version is re-charged without an admission check (it is the
-// caller's own prior state, which fits by construction once the newer
-// charge is gone), with held — what the record kept held beside it (heldOf)
-// — held again. An already-expired version (expT <= now) removes the record
-// entirely. The renewal throttle's stamp stays with the record. A record
-// admitted over another covering set is left alone (covers).
-func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16, held EERVersion) {
-	c.withPath(segs, func(p eerPath) {
-		e := p.prim.eers.Get(eer)
-		if e != nil {
-			if !p.covers(e) {
-				return
-			}
-			p.unhold(eer, e)
-		}
-		if !p.recharge(e, expT, bwKbps) {
-			if e != nil {
-				p.prim.eers.Delete(eer)
-				c.eerCount.Add(-1)
-			}
-			return
-		}
-		var lastRenew uint32
-		if e != nil {
-			lastRenew = e.lastRenew
-		} else {
-			e, _ = p.prim.eers.Put(eer)
-			c.eerCount.Add(1)
-		}
-		p.fill(e, bwKbps, expT, ver, lastRenew)
-		p.hold(eer, e, held)
-	})
-}
-
-// AdjustEERPath lowers an EER's charge to the backward-pass final grant
-// (the response leg shrinking a grant to the path-wide minimum), in place,
-// and keeps held what §4.2 keeps of the versions the renewal replaced: prev,
-// the version the record carried before it, and held, what it kept beside
-// that (zero for a setup). A zero final removes the record. Unknown EERs, and
-// records admitted over another covering set (covers), are left alone.
-func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64, prev, held EERVersion) {
-	c.withPath(segs, func(p eerPath) {
-		e := p.lookup(eer)
-		if e == nil || !p.covers(e) {
+// restore force-reinstates a previous EER version after a downstream failure
+// rolled back a setup or renewal: the current charges are removed and the
+// given version is re-charged without an admission check (it is the caller's
+// own prior state, which fits by construction once the newer charge is gone),
+// with held — what the record kept held beside it (heldOf) — held again. An
+// already-expired version (expT <= now) removes the record entirely. The
+// renewal throttle's stamp stays with the record. A record admitted over
+// another covering set is left alone (covers).
+func (p *eerPath) restore(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, held EERVersion) {
+	e := p.prim.eers.Get(eer)
+	if e != nil {
+		if !p.covers(e) {
 			return
 		}
 		p.unhold(eer, e)
-		if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
-			e.bw = uint32(finalKbps)
-			p.hold(eer, e, p.older(finalKbps, prev, held))
-			return
+	}
+	if !p.recharge(e, expT, bwKbps) {
+		if e != nil {
+			p.prim.eers.Delete(eer)
+			p.c.eerCount.Add(-1)
 		}
-		if finalKbps == 0 {
-			p.discharge(e)
-		}
-		p.prim.eers.Delete(eer)
-		c.eerCount.Add(-1)
-	})
+		return
+	}
+	var lastRenew uint32
+	if e != nil {
+		lastRenew = e.lastRenew
+	} else {
+		e, _ = p.prim.eers.Put(eer)
+		p.c.eerCount.Add(1)
+	}
+	p.fill(e, bwKbps, expT, ver, lastRenew)
+	p.hold(eer, e, held)
 }
 
-// TeardownEERPath removes an EER and both its charges on every covering SegR.
+// adjust lowers an EER's charge to the backward-pass final grant (the
+// response leg shrinking a grant to the path-wide minimum), in place, and
+// keeps held what §4.2 keeps of the versions the renewal replaced: prev, the
+// version the record carried before it, and held, what it kept beside that
+// (zero for a setup). A zero final removes the record. Unknown EERs, and
+// records admitted over another covering set (covers), are left alone.
+func (p *eerPath) adjust(eer reservation.ID, finalKbps uint64, prev, held EERVersion) {
+	e := p.lookup(eer)
+	if e == nil || !p.covers(e) {
+		return
+	}
+	p.unhold(eer, e)
+	if finalKbps > 0 && p.recharge(e, e.expT, finalKbps) {
+		e.bw = uint32(finalKbps)
+		p.hold(eer, e, p.older(finalKbps, prev, held))
+		return
+	}
+	if finalKbps == 0 {
+		p.discharge(e)
+	}
+	p.prim.eers.Delete(eer)
+	p.c.eerCount.Add(-1)
+}
+
+// teardown removes an EER and both its charges on every covering SegR.
 // Unknown EERs, and records admitted over another covering set (covers), are
 // left alone.
-func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
-	c.withPath(segs, func(p eerPath) {
-		if e := p.lookup(eer); e != nil && p.covers(e) {
-			p.release(eer, e)
-			p.prim.eers.Delete(eer)
-			c.eerCount.Add(-1)
-		}
-	})
+func (p *eerPath) teardown(eer reservation.ID) {
+	if e := p.lookup(eer); e != nil && p.covers(e) {
+		p.release(eer, e)
+		p.prim.eers.Delete(eer)
+		p.c.eerCount.Add(-1)
+	}
 }
 
-// DropSegR force-removes a SegR (store cleanup of an expired or torn-down
-// segment) along with every EER record referencing it — including
-// transfer-AS records whose OTHER covering segment survives: a §4.7 EER
-// loses its reservation when either covering SegR goes. The SegR leaves its
-// shard first, so no EER is admitted over it while its records go (purge).
-func (c *CPlane) DropSegR(id reservation.ID) {
-	sh := c.shardFor(id)
-	sh.mu.Lock()
-	r := c.detach(sh, id)
-	sh.mu.Unlock()
-	if r != nil {
-		c.purge(r)
-	}
+// TeardownEERPath is eerPath.teardown under the covering SegRs' shard locks.
+func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
+	c.withPath(segs, func(p eerPath) { p.teardown(eer) })
 }
 
 // purge removes every EER record that names r, a detached SegR, then frees
 // the pairs that name it and r's handle for reuse: no record names a handle or
 // a pair once it is free, so none can name the SegR or pair that takes it
-// next. A SegR no record ever named has none to look for, and is in no pair.
-// Locks are taken strictly one shard at a time but for the transfer-AS
-// records, which go under their two (removePair); each shard's records are
-// walked as Tick walks them, deleting in place. Every transfer-AS record
-// removed is reported to the expiry callback, as Tick reports the ones that
-// lapse.
+// next. A SegR no record or leg ever named has none to look for, and is in no
+// pair. Locks are taken strictly one shard at a time but for the transfer-AS
+// records and the pairs, which go under their two (removePair, dropPair);
+// each shard's records are walked as Tick walks them, deleting in place. No
+// pair naming r can form meanwhile: r's ID resolves to nothing.
 func (c *CPlane) purge(r *segRec) {
 	h := r.h
 	if r.named {
 		now := c.clock()
-		var pairs []pairRef
+		var pairs, freed []pairRef
 		removed := 0
 		for _, sh := range c.shards {
 			sh.mu.Lock()
@@ -708,6 +650,11 @@ func (c *CPlane) purge(r *segRec) {
 				sh.eers.Delete(eid)
 				removed++
 			}
+			for i, p := range sh.pairs {
+				if p.h == h || p.h2 == h {
+					freed = append(freed, pairRef{cover: pairBit | segH(i), seg: p.h, seg2: p.h2})
+				}
+			}
 			sh.mu.Unlock()
 		}
 		for _, pr := range pairs {
@@ -716,10 +663,13 @@ func (c *CPlane) purge(r *segRec) {
 			}
 		}
 		c.eerCount.Add(-int64(removed))
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			c.dropPairs(sh, h)
-			sh.mu.Unlock()
+		for _, pr := range freed {
+			// The purge of the pair's other SegR may have freed it first.
+			c.withHandles(pr, func(p eerPath) {
+				if b := p.prim.pairs[pr.cover&^pairBit]; b.h == pr.seg && b.h2 == pr.seg2 {
+					p.dropPair(pr.cover)
+				}
+			})
 		}
 		r.pairs = nil
 	}

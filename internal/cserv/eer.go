@@ -64,7 +64,7 @@ func (s *Service) requestEEROverChain(srcHost, dstHost uint32, bwKbps uint64, c 
 	defer s.putWave(sc)
 	req := &sc.solo
 	*req = EESetupReq{
-		ID:      s.store.NextID(),
+		ID:      s.nextID(),
 		SegIDs:  append(req.SegIDs[:0], c.segIDs...),
 		Splits:  append(req.Splits[:0], c.splits...),
 		Path:    append(req.Path[:0], c.hops...),
@@ -232,12 +232,13 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	item := req.item()
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7).
-	cover, err := s.hopCover(req.SegIDs, req.Splits, n, idx)
+	cover, err := coverOf(req.SegIDs, req.Splits, n, idx)
 	if err != nil {
 		return fail("%v", err)
 	}
 	// What needs no reservation state is decided first, so that everything
-	// after it runs under one acquisition of the covering SegRs' shard locks.
+	// after it runs under one acquisition of the covering SegRs' shard locks,
+	// and the commit or rollback under another.
 	// Source-AS policy (§4.7: "the source AS has a direct business
 	// relationship with the end host").
 	if idx == 0 {
@@ -256,7 +257,9 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	var status uint8
 	var aerr error
 	s.cp.withPath(cover.segs(), func(p eerPath) {
-		status, aerr = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
+		if aerr = leg.open(&p); aerr == nil {
+			status, aerr = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
+		}
 	})
 	leg.count()
 	switch {
@@ -290,7 +293,9 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 			}
 		}
 		if err != nil || !resp.OK {
-			leg.rollback(&it, req.ID.Num)
+			if it.admitted {
+				s.cp.withPath(cover.segs(), func(p eerPath) { leg.rollback(&p, &it, req.ID.Num) })
+			}
 			if err != nil {
 				return failAt(idx+1, "%v", err)
 			}
@@ -299,7 +304,9 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		}
 		final = resp.FinalKbps
 	}
-	leg.commit(&it, req.ID.Num, final)
+	if final < max(it.grant, it.tGrant) { // a charge to clamp or split grants to return
+		s.cp.withPath(cover.segs(), func(p eerPath) { leg.commit(&p, &it, req.ID.Num, final) })
+	}
 	// Seal σ_i into slot idx: what the hops behind this one sealed moves up by
 	// one authenticator, within the buffer's capacity unless a transport handed
 	// back one of exactly the response's size.

@@ -177,3 +177,29 @@ type SegRAudit struct {
 func (r *EEBatchRenewReq) Body() []byte {
 	return r.appendBody(make([]byte, 0, 64+16*len(r.Path)+eeBatchItemLen*len(r.Items)))
 }
+
+// AdjustEERPath is eerPath.adjust under the covering SegRs' shard locks.
+func (c *CPlane) AdjustEERPath(eer reservation.ID, segs []reservation.ID, finalKbps uint64, prev, held EERVersion) {
+	c.withPath(segs, func(p eerPath) { p.adjust(eer, finalKbps, prev, held) })
+}
+
+// RestoreEERPath is eerPath.restore under the covering SegRs' shard locks.
+func (c *CPlane) RestoreEERPath(eer reservation.ID, segs []reservation.ID, bwKbps uint64, expT uint32, ver uint16, held EERVersion) {
+	c.withPath(segs, func(p eerPath) { p.restore(eer, bwKbps, expT, ver, held) })
+}
+
+// Tick is tick without the dropped SegRs' IDs.
+func (c *CPlane) Tick() int {
+	n, _ := c.tick()
+	return n
+}
+
+// AdjustSegR lowers a SegR's grant to the backward-pass minimum
+// (admission.State.AdjustGrant), in the admitter and in the SegR's record.
+func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
+	return c.confirmSegR(id, finalKbps, false, nil)
+}
+
+// AbortSegR rolls a fresh setup back after a downstream failure, as the setup
+// handler does: DropSegR.
+func (c *CPlane) AbortSegR(id reservation.ID) { c.DropSegR(id) }

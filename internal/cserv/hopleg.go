@@ -3,19 +3,19 @@
 // to the path-wide grant, or a rollback. The solo handler (tags 4/5, eer.go)
 // is an envelope around a leg of one item, the wave handler (tag 7,
 // batchrenew.go) around a loop of them; neither touches the transfer split,
-// the renewal throttle or an EER record on its own. An item's state lives in
-// the caller's memory: the leg allocates nothing and builds no closure.
+// the renewal throttle or an EER record on its own. A request's forward pass
+// runs under one acquisition of the covering SegRs' shard locks
+// (CPlane.withPath), its commits and rollbacks under another. An item's state
+// lives in the caller's memory: the leg allocates nothing.
 //
 // The release discipline: a transfer-split admission is returned on every exit
-// path in exactly what it no longer claims, so the split tracks precisely the
-// live committed charges (dead demand otherwise accumulates until the
-// fair-share cap refuses everything; the renewal-storm recovery at 10⁶ flows
-// found every one of these). Refused by the split: what Admit added, at once.
-// Refused by the ledger: the whole admission. Admitted: settled to the admitted
-// charge before the next item's Admit — the over-ask and the replaced version's
-// live charge go back, so a later item of a wave sees the demand sequential
-// requests would have shown it. Committed: clamped to the path-wide grant.
-// Rolled back: the rest, and the replaced version's charge re-added with it.
+// path in exactly what it no longer claims, so the split's books track
+// precisely the live committed charges (DESIGN.md §7a). Refused by the split:
+// what it added, at once. Refused by the ledger: the whole admission.
+// Admitted: settled to the admitted charge before the next item's admission.
+// Committed: clamped to the path-wide grant. Rolled back: the rest, and the
+// replaced version's charge re-added. A pair dropped, or dropped and formed
+// again, while a leg is in flight gets nothing back from it (eerPath.books).
 package cserv
 
 import (
@@ -27,45 +27,106 @@ import (
 	"colibri/internal/topology"
 )
 
-// hopCover is the covering SegRs of one hop of a chain: one normally, two at
-// a transfer AS. They decide where this AS's admission state for an EER over
-// the chain lives.
+// hopCover names the covering SegRs of one hop of a chain — one normally, two
+// at a transfer AS —, where this AS's admission state for an EER over it lives.
 type hopCover struct {
-	ids   [2]reservation.ID
-	segRs [2]*reservation.SegR
-	n     int
-	// split is the transfer split's books for the chain's (core-SegR, up-SegR)
-	// pair at the up→core hop, where §4.7's proportional split applies (ids[0]
-	// the up-SegR, ids[1] the core-SegR), and nil everywhere else. The core→down
-	// pair at the far transfer AS is charged on both ledgers but carries no
-	// split. Every item of a request shares the hop's cover, so the pair is
-	// resolved once, here.
-	split *admission.PairBooks
+	ids [2]reservation.ID
+	n   int
 }
 
 // segs returns the covering set as the CPlane's path functions take it.
 func (c *hopCover) segs() []reservation.ID { return c.ids[:c.n] }
 
-// hopCover resolves the SegRs covering hop idx of a pathLen-hop chain. The
-// error is the refusal reason.
-func (s *Service) hopCover(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, err error) {
+// coverOf names the SegRs covering hop idx of a pathLen-hop chain. The error
+// is the refusal reason.
+func coverOf(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, err error) {
 	var coverBuf [2]int
 	covering := coveringSegs(coverBuf[:0], len(segIDs), splits, pathLen, idx)
 	if len(covering) == 0 || len(covering) > 2 {
 		return c, fmt.Errorf("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
 	}
 	for _, k := range covering {
-		sr, err := s.store.GetSegR(segIDs[k])
-		if err != nil {
-			return c, fmt.Errorf("segment reservation: %v", err)
-		}
-		c.ids[c.n], c.segRs[c.n] = sr.ID, sr
+		c.ids[c.n] = segIDs[k]
 		c.n++
 	}
-	if c.n == 2 && c.segRs[0].SegType == segment.Up && c.segRs[1].SegType == segment.Core {
-		c.split = s.transfer.Pair(c.ids[1], c.ids[0])
-	}
 	return c, nil
+}
+
+// splitBooks is the §4.7 split's books of an up→core pair: the pair's demand
+// (each request capped at the up-SegR's bandwidth) and grants, in its
+// pair-table entry, and their total over the core-SegR, in its record. The
+// zero splitBooks is none, which returns and re-charges nothing.
+type splitBooks struct {
+	pair *segPair
+	core *segRec
+}
+
+// splits reports whether p is an up-SegR joined to a core-SegR, where the
+// split applies; the core→down pair at the far transfer AS carries none.
+//
+//colibri:nomalloc
+func (p *eerPath) splits() bool {
+	return p.nseg == 2 && p.rec[0] != nil && p.rec[1] != nil &&
+		p.rec[0].segType == segment.Up && p.rec[1].segType == segment.Core
+}
+
+// splitBooks returns the books of p's pair, which splits, interning the pair
+// if no record or leg has named it yet.
+//
+//colibri:nomalloc
+func (p *eerPath) splitBooks() splitBooks {
+	if p.cover == unknownSegR {
+		p.cover = p.prim.intern(p.rec[0], p.h[1])
+		p.rec[0].named, p.rec[1].named = true, true
+	}
+	return splitBooks{pair: &p.prim.pairs[p.cover&^pairBit], core: p.rec[1]}
+}
+
+// books returns the books of pair ph (0 for none) of p's primary shard while
+// the pair is still generation gen, and none once it was dropped, or dropped
+// and formed again. The pair's SegRs are p's, their shards locked.
+//
+//colibri:nomalloc
+func (p *eerPath) books(ph segH, gen uint32) splitBooks {
+	if ph == 0 || p.prim.pairs[ph&^pairBit].gen != gen {
+		return splitBooks{}
+	}
+	b := &p.prim.pairs[ph&^pairBit]
+	return splitBooks{pair: b, core: p.c.slot(b.h2).rec}
+}
+
+// admit adds a request of reqKbps, cappedKbps of it as demand, to the books
+// and returns its grant (admission.SplitGrant).
+//
+//colibri:nomalloc
+func (b splitBooks) admit(reqKbps, cappedKbps, coreCapKbps, availKbps uint64) uint64 {
+	b.pair.demand += cappedKbps
+	b.core.splitTotal += cappedKbps
+	grant := admission.SplitGrant(reqKbps, availKbps, coreCapKbps, b.pair.demand, b.core.splitTotal, b.pair.granted)
+	b.pair.granted += grant
+	return grant
+}
+
+// release returns demand and grants to the books, none below zero; charge
+// re-adds them, for a rollback that reinstates a version whose charge
+// settling returned.
+//
+//colibri:nomalloc
+func (b splitBooks) release(demandKbps, grantKbps uint64) {
+	if b.pair != nil {
+		b.pair.demand -= min(b.pair.demand, demandKbps)
+		b.core.splitTotal -= min(b.core.splitTotal, demandKbps)
+		b.pair.granted -= min(b.pair.granted, grantKbps)
+	}
+}
+
+//colibri:nomalloc
+func (b splitBooks) charge(demandKbps, grantKbps uint64) {
+	if b.pair != nil {
+		b.pair.demand += demandKbps
+		b.core.splitTotal += demandKbps
+		b.pair.granted += grantKbps
+	}
 }
 
 // hopItem is one EER request's admission state at one hop, between admit and
@@ -87,11 +148,13 @@ type hopItem struct {
 	prevExpT uint32
 	prevVer  uint16
 	prevHeld EERVersion
-	// What the item still holds of the transfer split. prevReleased records
-	// that settling returned the replaced version's charge, which a rollback
-	// re-adds with the version.
-	tAdmitted, prevReleased bool
-	tCapped, tGrant         uint64
+	// What the item still holds of the transfer split: the books of pair
+	// tPair (0 for none) at generation tGen. prevReleased: settling returned
+	// the replaced version's charge, which a rollback re-adds.
+	prevReleased    bool
+	tCapped, tGrant uint64
+	tPair           segH
+	tGen            uint32
 }
 
 // hopLeg is what the items of one request share at one hop: the protocol
@@ -111,9 +174,21 @@ type hopLeg struct {
 	dedups, throttled, refused uint64
 }
 
+// open checks, first under p's locks, that this AS holds every SegR of the
+// cover: a request over one it does not hold is refused whole.
+func (l *hopLeg) open(p *eerPath) error {
+	for k := range p.nseg {
+		if p.rec[k] == nil {
+			return fmt.Errorf("segment reservation %s: %w", l.ids[k], ErrUnknownSegR)
+		}
+	}
+	return nil
+}
+
 // admit runs one item's forward leg against p, the CPlane's covering-SegR set
-// with its shard locks held, and returns its per-item status (EEItem*). err is
-// the ledger's refusal, nil when the throttle or the transfer split refused.
+// with its shard locks held (open has passed), and returns its per-item status
+// (EEItem*). err is the ledger's refusal, nil when the throttle or the
+// transfer split refused.
 //
 //colibri:nomalloc
 func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uint32) (status uint8, err error) {
@@ -150,25 +225,25 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	// renewal replaces.
 	prevLive := renewing && it.prevExpT > p.now
 	grant := asked
-	if l.split != nil {
+	var b splitBooks
+	if p.splits() {
 		// Transfer-AS proportional split between up- and core-SegR (§4.7).
-		up, core := l.segRs[0], l.segRs[1]
-		upAvail, coreAvail := p.avail(0, expT), p.avail(1, expT)
+		b = p.splitBooks()
+		avail := min(p.avail(0, expT), p.avail(1, expT))
 		if prevLive {
 			// renew withdraws the live charge before probing: credit it so the
 			// split sees the true post-renewal headroom.
-			upAvail += it.prevBw
-			coreAvail += it.prevBw
+			avail += it.prevBw
 		}
-		grant = l.split.Admit(asked, up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
-		it.tCapped = min(asked, up.Active.BwKbps)
+		it.tCapped = min(asked, p.rec[0].active.BwKbps)
+		grant = b.admit(asked, it.tCapped, p.rec[1].active.BwKbps, avail)
 		if grant == 0 || (!l.renewal && grant < asked) {
-			l.split.Release(it.tCapped, grant)
+			b.release(it.tCapped, grant)
 			l.refused++
 			it.grant = grant
 			return EEItemRefused, nil
 		}
-		it.tAdmitted, it.tGrant = true, grant
+		it.tGrant, it.tPair, it.tGen = grant, p.cover, b.pair.gen
 	}
 	// Charge the covering ledgers; commit adjusts down to the path-wide
 	// minimum on the way back.
@@ -180,73 +255,77 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 		err, failed = p.setup(id, grant, expT, ver, l.renewal), EEItemStale
 	}
 	if err != nil {
-		l.releaseSplit(it)
+		releaseSplit(b, it)
 		l.refused++
 		it.grant = 0
 		return failed, err
 	}
 	it.grant, it.admitted = grant, true
-	if it.tAdmitted {
-		l.split.Release(it.tCapped-it.tGrant, 0)
+	if it.tPair != 0 {
+		b.release(it.tCapped-it.tGrant, 0)
 		it.tCapped = it.tGrant
 		if prevLive {
-			l.split.Release(it.prevBw, it.prevBw)
+			b.release(it.prevBw, it.prevBw)
 			it.prevReleased = true
 		}
 	}
 	return EEItemOK, nil
 }
 
-// releaseSplit returns what the item still holds of the transfer split.
+// releaseSplit returns what item it still holds of the transfer split's books
+// b.
 //
 //colibri:nomalloc
-func (l *hopLeg) releaseSplit(it *hopItem) {
-	if it.tAdmitted {
-		l.split.Release(it.tCapped, it.tGrant)
-		it.tAdmitted = false
+func releaseSplit(b splitBooks, it *hopItem) {
+	if it.tPair != 0 {
+		b.release(it.tCapped, it.tGrant)
+		it.tPair = 0
 	}
 }
 
 // commit clamps a live item — admitted, or a retry's committed version — to
-// final, the path-wide grant (final ≤ it.grant ≤ tGrant by construction): the
-// ledgers' charge, and the split's record of it, which tracks live committed
-// bandwidth and not request history. The versions a renewal replaced stay held
-// where they exceed final (§4.2).
+// final, the path-wide grant (final ≤ it.grant ≤ tGrant by construction),
+// against p, the covering set with its shard locks held: the ledgers' charge,
+// and the split's record of it, which tracks live committed bandwidth and not
+// request history. The versions a renewal replaced stay held where they exceed
+// final (§4.2).
 //
 //colibri:nomalloc
-func (l *hopLeg) commit(it *hopItem, num uint32, final uint64) {
+func (l *hopLeg) commit(p *eerPath, it *hopItem, num uint32, final uint64) {
 	if final < it.grant {
 		var prev EERVersion
 		if l.renewal && it.hadPrev {
 			prev = EERVersion{BwKbps: it.prevBw, ExpT: it.prevExpT}
 		}
-		l.s.cp.AdjustEERPath(reservation.ID{SrcAS: l.src, Num: num}, l.segs(), final, prev, it.prevHeld)
+		p.adjust(reservation.ID{SrcAS: l.src, Num: num}, final, prev, it.prevHeld)
 	}
-	if it.tAdmitted {
-		l.split.Release(it.tCapped-final, it.tGrant-final)
-		it.tAdmitted = false
+	if it.tPair != 0 {
+		p.books(it.tPair, it.tGen).release(it.tCapped-final, it.tGrant-final)
+		it.tPair = 0
 	}
 }
 
-// rollback undoes an admitted item after a downstream failure: the CPlane
-// reinstates the version the renewal replaced, or drops the record of a setup
-// or re-admission. An item this leg did not admit is left alone.
+// rollback undoes an admitted item after a downstream failure, against p as
+// commit does: the CPlane reinstates the version the renewal replaced, or
+// drops the record of a setup or re-admission. An item this leg did not admit
+// is left alone.
 //
 //colibri:nomalloc
-func (l *hopLeg) rollback(it *hopItem, num uint32) {
+func (l *hopLeg) rollback(p *eerPath, it *hopItem, num uint32) {
 	if !it.admitted {
 		return
 	}
 	it.admitted = false
-	l.releaseSplit(it)
+	b := p.books(it.tPair, it.tGen)
+	releaseSplit(b, it)
 	if it.prevReleased {
-		l.split.Charge(it.prevBw, it.prevBw)
+		b.charge(it.prevBw, it.prevBw)
 	}
 	id := reservation.ID{SrcAS: l.src, Num: num}
 	if l.renewal && it.hadPrev {
-		l.s.cp.RestoreEERPath(id, l.segs(), it.prevBw, it.prevExpT, it.prevVer, it.prevHeld)
+		p.restore(id, it.prevBw, it.prevExpT, it.prevVer, it.prevHeld)
 	} else {
-		l.s.cp.TeardownEERPath(id, l.segs())
+		p.teardown(id)
 	}
 }
 

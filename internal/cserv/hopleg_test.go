@@ -16,11 +16,28 @@ import (
 
 // hopBooks is everything admission keeps at one service.
 type hopBooks struct {
-	records        map[reservation.ID]cpEER
-	held           map[reservation.ID]heldPiece
-	counts         CPlaneCounts
-	audit          []SegRAudit
-	demand, grants uint64 // the transfer split's, for the chain's up→core pair
+	records map[reservation.ID]cpEER
+	held    map[reservation.ID]heldPiece
+	counts  CPlaneCounts
+	audit   []SegRAudit
+	// The transfer split's books for the chain's up→core pair, and the core's
+	// total.
+	demand, grants, total uint64
+}
+
+// splitOf reads the transfer split's books of the pair (up, core) in cp — zero
+// while the pair has none — and the core-SegR's total.
+func splitOf(cp *CPlane, up, core reservation.ID) (demand, grants, total uint64) {
+	cp.withPath([]reservation.ID{up, core}, func(p eerPath) {
+		if p.rec[1] != nil {
+			total = p.rec[1].splitTotal
+		}
+		if p.cover&pairBit != 0 && p.cover != unknownSegR {
+			b := p.prim.pairs[p.cover&^pairBit]
+			demand, grants = b.demand, b.granted
+		}
+	})
+	return demand, grants, total
 }
 
 func booksOf(s *Service, up, core reservation.ID) hopBooks {
@@ -39,9 +56,7 @@ func booksOf(s *Service, up, core reservation.ID) hopBooks {
 	}
 	now := s.clock()
 	b.audit = s.cp.AuditLedgers(now, now+4*reservation.EERLifetimeSeconds)
-	if split := s.transfer.Lookup(core, up); split != nil {
-		b.demand, b.grants = split.Books()
-	}
+	b.demand, b.grants, b.total = splitOf(s.cp, up, core)
 	return b
 }
 
@@ -51,8 +66,8 @@ func (b hopBooks) diff(o hopBooks) string {
 		return fmt.Sprintf("counts %+v vs %+v", b.counts, o.counts)
 	case !slices.Equal(b.audit, o.audit):
 		return fmt.Sprintf("ledgers %+v vs %+v", b.audit, o.audit)
-	case b.demand != o.demand || b.grants != o.grants:
-		return fmt.Sprintf("transfer split %d/%d vs %d/%d", b.demand, b.grants, o.demand, o.grants)
+	case b.demand != o.demand || b.grants != o.grants || b.total != o.total:
+		return fmt.Sprintf("transfer split %d/%d of %d vs %d/%d of %d", b.demand, b.grants, b.total, o.demand, o.grants, o.total)
 	case len(b.records) != len(o.records):
 		return fmt.Sprintf("%d records vs %d", len(b.records), len(o.records))
 	case len(b.held) != len(o.held):
@@ -183,7 +198,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 						h := 1 + rng.Intn(len(path)-1)
 						for f, g := range map[*fabric]*EERGrant{fa: ga[e], fb: gb[e]} {
 							s := f.services[path[h].IA]
-							c, err := s.hopCover(g.SegIDs, g.Splits, len(path), h)
+							c, err := coverOf(g.SegIDs, g.Splits, len(path), h)
 							if err != nil {
 								t.Fatal(err)
 							}

@@ -30,7 +30,7 @@ type liveOutcome struct {
 }
 
 // liveGolden is the decision log of TestCPlaneLiveDifferential's operation
-// sequence as the single-store handlers answered it (reservation.Store's
+// sequence as the single-store handlers answered it (the store's
 // max-over-versions accounting behind one admitter) at commit fd38c18, the
 // last one to carry them: ten 8 Mbps setups against 50 Mbps SegRs — six fit,
 // four are refused — then three keep-alive waves over the six admitted.

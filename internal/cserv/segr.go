@@ -14,15 +14,15 @@ import (
 // segment (§3.3, Fig. 1a): the request chains through the on-path CServs,
 // each performing the bounded-tube-fairness admission, and the response
 // carries the final grant and the per-AS SegR tokens back. On success the
-// reservation is stored locally (with segment and tokens) and registered in
-// the directory.
+// local record keeps the segment and tokens too, and the reservation is
+// registered in the directory.
 func (s *Service) SetupSegment(seg *segment.Segment, minKbps, maxKbps uint64) (*reservation.SegR, error) {
 	if seg.SrcIA() != s.ia {
 		return nil, fmt.Errorf("cserv: segment starts at %s, not at this AS %s", seg.SrcIA(), s.ia)
 	}
 	now := s.clock()
 	req := &SegSetupReq{
-		ID:      s.store.NextID(),
+		ID:      s.nextID(),
 		SegType: seg.Type,
 		Path:    HopsFromSegment(seg),
 		MinKbps: minKbps,
@@ -37,12 +37,10 @@ func (s *Service) SetupSegment(seg *segment.Segment, minKbps, maxKbps uint64) (*
 	if !resp.OK {
 		return nil, fmt.Errorf("%w: SegR setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
 	}
-	segr, err := s.store.GetSegR(req.ID)
+	segr, err := s.cp.initiated(req.ID, seg, resp.Tokens)
 	if err != nil {
 		return nil, err
 	}
-	segr.Seg = seg
-	segr.Tokens = resp.Tokens
 	if s.dir != nil {
 		s.dir.Register(&Offer{
 			ID:   req.ID,
@@ -58,7 +56,7 @@ func (s *Service) SetupSegment(seg *segment.Segment, minKbps, maxKbps uint64) (*
 // becomes pending at every on-path AS and must be activated explicitly with
 // ActivateSegment (§4.2).
 func (s *Service) RenewSegment(id reservation.ID, minKbps, maxKbps uint64) (uint16, uint64, error) {
-	segr, err := s.store.GetSegR(id)
+	segr, err := s.cp.GetSegR(id)
 	if err != nil {
 		return 0, 0, err
 	}
@@ -93,7 +91,7 @@ func (s *Service) RenewSegment(id reservation.ID, minKbps, maxKbps uint64) (uint
 // ActivateSegment switches a locally initiated SegR to its pending version
 // at every on-path AS.
 func (s *Service) ActivateSegment(id reservation.ID, ver uint16) error {
-	segr, err := s.store.GetSegR(id)
+	segr, err := s.cp.GetSegR(id)
 	if err != nil {
 		return err
 	}
@@ -110,7 +108,7 @@ func (s *Service) ActivateSegment(id reservation.ID, ver uint16) error {
 	}
 	// Refresh the directory offer with the now-active bandwidth.
 	if s.dir != nil {
-		if cur, err := s.store.GetSegR(id); err == nil {
+		if cur, err := s.cp.GetSegR(id); err == nil {
 			s.dir.Register(&Offer{ID: id, Seg: segr.Seg, Bw: cur.Active.BwKbps, ExpT: cur.Active.ExpT})
 		}
 	}
@@ -163,7 +161,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	// a pending version would regress the switch.
 	var dup, dupActive bool
 	var grant uint64
-	if existing, gerr := s.store.GetSegR(req.ID); gerr == nil {
+	if existing, gerr := s.cp.GetSegR(req.ID); gerr == nil {
 		switch {
 		case req.Renewal && existing.Pending != nil && existing.Pending.Ver == req.Ver && existing.Pending.ExpT == req.ExpT:
 			dup, grant = true, existing.Pending.BwKbps
@@ -180,7 +178,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	} else if req.Renewal {
 		grant, undoRenew, err = s.cp.RenewSegRWithUndo(admReq)
 	} else {
-		grant, err = s.cp.AddSegR(admReq)
+		grant, err = s.cp.setupSegR(admReq, req.SegType, reservation.Version{Ver: req.Ver, ExpT: req.ExpT}, true)
 	}
 	if err != nil {
 		s.metrics.AdmReject.Add(1)
@@ -202,26 +200,13 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 				undoRenew()
 			}
 		} else {
-			s.cp.AbortSegR(req.ID)
-			s.store.DeleteSegR(req.ID)
+			// A fresh SegR goes with its ledger; a renewal must not, or its
+			// admitted EER charges would go too.
+			s.cp.DropSegR(req.ID)
 		}
 	}
 	if grant < accum {
 		accum = grant
-	}
-	if !req.Renewal && !dup {
-		segr := &reservation.SegR{
-			ID:      req.ID,
-			SegType: req.SegType,
-			In:      hop.In,
-			Eg:      hop.Eg,
-			MinKbps: req.MinKbps,
-			Active:  reservation.Version{Ver: req.Ver, BwKbps: grant, ExpT: req.ExpT},
-		}
-		if err := s.store.AddSegR(segr); err != nil {
-			s.cp.AbortSegR(req.ID)
-			return fail("store: %v", err)
-		}
 	}
 
 	var resp *SegSetupResp
@@ -239,25 +224,17 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 		return resp
 	}
 
-	// Response pass: fix the final grant locally and add our token.
+	// Response pass: fix the final grant locally — as the active version of
+	// a setup, as the pending one of a renewal, or alone for a renewal whose
+	// version the original round already activated — and add our token.
 	final := resp.FinalKbps
-	if dupActive {
-		// Version already activated by the original round; nothing to
-		// re-record.
-	} else if req.Renewal {
-		if err := s.store.SetPending(req.ID, reservation.Version{Ver: req.Ver, BwKbps: final, ExpT: req.ExpT}); err != nil {
-			rollback()
-			return fail("pending: %v", err)
-		}
-	} else {
-		if err := s.store.ConfirmSegR(req.ID, final); err != nil {
-			rollback()
-			return fail("confirm: %v", err)
-		}
+	var pending *reservation.Version
+	if req.Renewal && !dupActive {
+		pending = &reservation.Version{Ver: req.Ver, BwKbps: final, ExpT: req.ExpT}
 	}
-	if err := s.cp.AdjustSegR(req.ID, final); err != nil {
+	if err := s.cp.confirmSegR(req.ID, final, !req.Renewal, pending); err != nil {
 		rollback()
-		return fail("adjust: %v", err)
+		return fail("confirm: %v", err)
 	}
 	res := &packet.ResInfo{
 		SrcAS:  req.ID.SrcAS,
@@ -294,7 +271,7 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 	if _, why := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); why != "" {
 		return fail("%s", why)
 	}
-	segr, err := s.store.GetSegR(req.ID)
+	segr, err := s.cp.GetSegR(req.ID)
 	if err != nil {
 		return fail("lookup: %v", err)
 	}
@@ -325,10 +302,11 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 			return resp
 		}
 	}
-	if err := s.store.ActivatePending(req.ID); err != nil {
+	active, err := s.cp.activateSegR(req.ID)
+	if err != nil {
 		return fail("activate: %v", err)
 	}
 	s.metrics.SegActivate.Add(1)
 	s.metrics.TraceID(int64(s.clock())*1e9, telemetry.EvSegActivate, req.ID, true, "")
-	return &SegSetupResp{OK: true, FinalKbps: segr.Active.BwKbps}
+	return &SegSetupResp{OK: true, FinalKbps: active.BwKbps}
 }

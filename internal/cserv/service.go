@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
@@ -152,10 +153,9 @@ type Config struct {
 	// (default 1000; §5.3 "per-AS rate limiting").
 	RateLimit int
 	// CPlaneShards is the shard count of the CPlane, the engine that holds the
-	// service's admission state: SegR admission in per-shard admitters, EER
-	// demand in per-SegR restree ledgers, one record per EER. It must be a
-	// power of two; 0 = 1. The store keeps the SegR protocol state (versions,
-	// tokens, idempotency keys).
+	// service's reservation state: one record per SegR (its versions, grant,
+	// EER demand ledger and transfer-split books), SegR admission in per-shard
+	// admitters, one record per EER. It must be a power of two; 0 = 1.
 	CPlaneShards int
 	// Telemetry is the AS-wide registry the service's metrics and lifecycle
 	// tracer attach to; a private registry is created when nil.
@@ -166,12 +166,12 @@ type Config struct {
 type Service struct {
 	ia topology.IA
 
-	// store carries the SegR protocol state; cp, the control-plane engine, all
-	// admission state: SegR admission and the EER records with their demand
-	// ledgers (see cplane_live.go).
-	store    *reservation.Store
-	cp       *CPlane
-	transfer *admission.TransferSplit
+	// cp, the control-plane engine, holds all reservation state: the one
+	// record of each SegR, SegR admission and the EER records with their
+	// demand ledgers (see cplane.go). nextNum numbers the reservations this AS
+	// initiates.
+	cp      *CPlane
+	nextNum atomic.Uint32
 
 	secret cryptoutil.Key
 	// mac is the CBC-MAC under secret (K_i) that computes SegR tokens and σs;
@@ -219,9 +219,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		ia:         cfg.AS.IA,
-		store:      reservation.NewStore(cfg.AS.IA),
 		cp:         cp,
-		transfer:   admission.NewTransferSplit(),
 		secret:     cfg.Secret,
 		mac:        cryptoutil.MustCBCMAC(cfg.Secret),
 		engine:     cfg.Engine,
@@ -236,28 +234,21 @@ func New(cfg Config) *Service {
 			own: make(map[ownKey]*keyCrypto, keyCacheSize)},
 	}
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
-	// An EER that lapses without being renewed, or loses a covering SegR, must
-	// return its charge to the §4.7 transfer-split accounting, or dead demand
-	// accumulates until the fair-share cap refuses every re-admission (the
-	// renewal-storm recovery path found this at 10⁶ flows). Only up→core
-	// records ever admitted through the split, so only they find books for
-	// their (core, up) pair; the core+down pair at the far transfer AS carries
-	// no split charge. The split decides alone: a dropped SegR has already left
-	// the store.
-	cp.OnExpire(func(seg, seg2 reservation.ID, bwKbps uint64) {
-		if p := s.transfer.Lookup(seg2, seg); p != nil {
-			p.Release(bwKbps, bwKbps)
-		}
-	})
 	return s
 }
 
 // IA returns the service's AS.
 func (s *Service) IA() topology.IA { return s.ia }
 
-// Store exposes the reservation database (border routers and the gateway of
-// the same AS read it; tests inspect it).
-func (s *Service) Store() *reservation.Store { return s.store }
+// Store is the AS's SegR registry, the CPlane, for readers outside the
+// service (the experiments' and the benchmark's over-admission audits).
+func (s *Service) Store() *CPlane { return s.cp }
+
+// nextID allocates the ID of a reservation this AS initiates: this AS's
+// number for it is locally unique, so the ID is globally unique (§4.3).
+func (s *Service) nextID() reservation.ID {
+	return reservation.ID{SrcAS: s.ia, Num: s.nextNum.Add(1)}
+}
 
 // CPlane exposes the control-plane engine that holds the admission state.
 func (s *Service) CPlane() *CPlane { return s.cp }
@@ -360,25 +351,17 @@ func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.Ho
 	return sigma
 }
 
-// Tick advances housekeeping: expiry cleanup in the store, releasing the
-// admission state of removed SegRs, and the expiry of EER records. Call it
-// periodically (once per second suffices).
+// Tick advances housekeeping: the CPlane's (EER expiry, SegR version
+// switches, lapsed SegRs dropped with what rides on them), the withdrawal of
+// the dropped SegRs' offers, and the directory's, rate limiter's and policy's.
+// Call it periodically (once per second suffices).
 func (s *Service) Tick() {
 	now := s.clock()
-	removed := s.store.Cleanup(now)
-	for _, id := range removed {
-		// DropSegR also tears down the EER charges riding on the SegR —
-		// including transfer-AS records whose other segment survives, whose
-		// split charges go back through the expiry hook — and then the split
-		// forgets the SegR's pairs.
-		s.cp.DropSegR(id)
-		s.transfer.DropSegR(id)
-		if s.dir != nil {
+	_, dropped := s.cp.tick()
+	if s.dir != nil {
+		for _, id := range dropped {
 			s.dir.Unregister(id)
 		}
-	}
-	s.cp.Tick()
-	if s.dir != nil {
 		s.dir.Expire(now)
 	}
 	s.rate.Tick(now)

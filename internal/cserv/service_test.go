@@ -177,7 +177,7 @@ func TestSegmentSetupMinRefused(t *testing.T) {
 		t.Fatal("over-capacity minimum granted")
 	}
 	for _, h := range seg.Hops {
-		segs := f.services[h.IA].Store().Len()
+		segs := f.services[h.IA].CPlane().Counts().SegRs
 		if segs != 0 {
 			t.Errorf("AS %s kept %d temporary SegRs after failure", h.IA, segs)
 		}
@@ -358,7 +358,7 @@ func answerOf(b []byte) (ok bool, at uint8, reason string) {
 
 // segRsOf renders what s's store holds of the SegRs ids.
 func segRsOf(s *Service, ids ...reservation.ID) string {
-	out := fmt.Sprint(s.Store().Len())
+	out := fmt.Sprint(s.CPlane().Counts().SegRs)
 	for _, id := range ids {
 		if r, err := s.Store().GetSegR(id); err == nil {
 			out += fmt.Sprintf(" %s:%+v", id, r.Active)
@@ -828,7 +828,7 @@ func TestTickReleasesExpired(t *testing.T) {
 	// Advance past SegR expiry: SegRs vanish and admission state empties.
 	f.clock.Store(t0 + reservation.SegRLifetimeSeconds + 1)
 	transit.Tick()
-	if segs := transit.Store().Len(); segs != 0 {
+	if segs := transit.CPlane().Counts().SegRs; segs != 0 {
 		t.Errorf("store keeps %d SegRs after their expiry", segs)
 	}
 	if ct := transit.CPlane().Counts(); ct.SegRs != 0 || ct.EERs != 0 {
@@ -1045,7 +1045,6 @@ func BenchmarkSegRHandleAtLastHop(b *testing.B) {
 			b.StopTimer()
 			for _, id := range ids {
 				last.CPlane().AbortSegR(id)
-				last.Store().DeleteSegR(id)
 			}
 			mkBatch(i / batch)
 			b.StartTimer()

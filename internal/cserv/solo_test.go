@@ -797,7 +797,7 @@ func TestSealNoncesNeverRepeat(t *testing.T) {
 	const eers, rounds = 8, 6
 	reqs := make([]*EESetupReq, eers)
 	for i := range reqs {
-		reqs[i] = &EESetupReq{ID: src.store.NextID(), SegIDs: c[0].segIDs, Splits: c[0].splits, Path: c[0].hops,
+		reqs[i] = &EESetupReq{ID: src.nextID(), SegIDs: c[0].segIDs, Splits: c[0].splits, Path: c[0].hops,
 			BwKbps: 100, ExpT: f.now() + reservation.EERLifetimeSeconds, Ver: 1,
 			SrcHost: uint32(i), DstHost: 9, AccumKbps: 100}
 		count(fmt.Sprintf("setup %d", i), signSolo(t, src, reqs[i]))

@@ -20,7 +20,6 @@ import (
 	"sync/atomic"
 	"testing"
 
-	"colibri/internal/admission"
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
@@ -754,11 +753,18 @@ func (e echoBatch) Call(dst topology.IA, msg []byte) ([]byte, error) {
 // hopSegs resolves the covering SegRs of hop idx as the handlers do.
 func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []reservation.ID, segRs []*reservation.SegR) {
 	t.Helper()
-	c, err := s.hopCover(req.SegIDs, req.Splits, len(req.Path), idx)
+	c, err := coverOf(req.SegIDs, req.Splits, len(req.Path), idx)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c.segs(), c.segRs[:c.n]
+	for _, id := range c.segs() {
+		r, err := s.cp.GetSegR(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		segRs = append(segRs, r)
+	}
+	return c.segs(), segRs
 }
 
 // refAllowRenew is the model of the per-EER renewal throttle (§4.2, one a
@@ -786,9 +792,14 @@ func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uin
 func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (status []uint8, granted []uint64, lost int) {
 	now := s.clock()
 	segIDs, segRs := hopSegs(t, s, req, idx)
-	var split *admission.PairBooks
-	if len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core {
-		split = s.transfer.Pair(segIDs[1], segIDs[0])
+	split := len(segRs) == 2 && segRs[0].SegType == segment.Up && segRs[1].SegType == segment.Core
+	// admitSplit and release are the split's steps, each its own locked call.
+	admitSplit := func(req, capped, coreCap, avail uint64) (g uint64) {
+		s.cp.withPath(segIDs, func(p eerPath) { g = p.splitBooks().admit(req, capped, coreCap, avail) })
+		return g
+	}
+	release := func(d, g uint64) {
+		s.cp.withPath(segIDs, func(p eerPath) { p.splitBooks().release(d, g) })
 	}
 	status, granted = make([]uint8, len(req.Items)), make([]uint64, len(req.Items))
 	found := make(map[reservation.ID]bool)
@@ -813,16 +824,17 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 		}
 		grant := asked
 		var capped, tGrant uint64
-		if split != nil {
+		if split {
 			up, core := segRs[0], segRs[1]
 			upAvail, coreAvail := s.cp.SegAvail(up.ID, now, it.ExpT), s.cp.SegAvail(core.ID, now, it.ExpT)
 			if had && prevExpT > now {
 				upAvail, coreAvail = upAvail+prevBw, coreAvail+prevBw
 			}
-			grant = split.Admit(asked, up.Active.BwKbps, core.Active.BwKbps, upAvail, coreAvail)
-			capped, tGrant = min(asked, up.Active.BwKbps), grant
+			capped = min(asked, up.Active.BwKbps)
+			grant = admitSplit(asked, capped, core.Active.BwKbps, min(upAvail, coreAvail))
+			tGrant = grant
 			if grant == 0 {
-				split.Release(capped, 0)
+				release(capped, 0)
 				status[i] = EEItemRefused
 				continue
 			}
@@ -837,20 +849,20 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 			}
 		}
 		if err != nil {
-			if split != nil {
-				split.Release(capped, tGrant)
+			if split {
+				release(capped, tGrant)
 			}
 			status[i] = failed
 			continue
 		}
 		granted[i] = grant
-		if split != nil {
+		if split {
 			// Over-ask, the replaced version's charge, the clamp to the final grant.
-			split.Release(capped-tGrant, 0)
+			release(capped-tGrant, 0)
 			if had && prevExpT > now {
-				split.Release(prevBw, prevBw)
+				release(prevBw, prevBw)
 			}
-			split.Release(tGrant-grant, tGrant-grant)
+			release(tGrant-grant, tGrant-grant)
 		}
 	}
 	return status, granted, lost

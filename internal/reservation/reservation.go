@@ -1,12 +1,9 @@
-// Package reservation models Colibri reservation identifiers and the per-AS
-// store of segment reservations (SegRs), each with a single active and at
-// most one pending version (§4.2). End-to-end reservations (EERs) have no
-// record here: their admission state is the control-plane engine's
-// (cserv.CPlane), their data-plane state the gateway's.
-//
-// The store keeps each AS's local view: on-path ASes store their interface
-// pair and granted bandwidth; the initiator AS additionally stores the full
-// segment and the returned tokens.
+// Package reservation models Colibri reservation identifiers, versions and
+// segment reservations (SegRs), each with a single active and at most one
+// pending version (§4.2). It holds no state: each AS keeps one record per
+// SegR in its control-plane engine (cserv.CPlane), which hands out SegR
+// values as copies of it, and the admission state of end-to-end reservations
+// (EERs) there too; their data-plane state is the gateway's.
 package reservation
 
 import (
@@ -51,7 +48,9 @@ type Version struct {
 // Expired reports whether the version is expired at time now.
 func (v Version) Expired(now uint32) bool { return now >= v.ExpT }
 
-// SegR is one AS's record of a segment reservation.
+// SegR is a copy of one AS's record of a segment reservation: on-path ASes
+// keep their interface pair and granted bandwidth; the initiator AS
+// additionally the full segment and the returned tokens.
 type SegR struct {
 	ID      ID
 	SegType segment.Type
