@@ -609,12 +609,12 @@ func BenchmarkCPlane(b *testing.B) {
 
 // BenchmarkVetSelf measures the colibri-vet invariant gate on this
 // repository — the fixed cost every CI run and pre-commit hook pays. It
-// shells out exactly as CI does (`go run ./cmd/colibri-vet -json ./...`),
+// shells out exactly as CI does (`go run ./cmd/colibri-vet ./...`),
 // so the figure includes toolchain start-up and the nomalloc check's
 // escape-analysis rebuilds, and it fails if the tree is not clean.
 func BenchmarkVetSelf(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		cmd := exec.Command("go", "run", "./cmd/colibri-vet", "-json", "./...")
+		cmd := exec.Command("go", "run", "./cmd/colibri-vet", "./...")
 		out, err := cmd.CombinedOutput()
 		if err != nil {
 			b.Fatalf("colibri-vet failed: %v\n%s", err, out)
@@ -639,11 +639,11 @@ func TestVetSelfBudget(t *testing.T) {
 	}
 	// Warm the build cache first: the budget measures the analyzer, not a
 	// cold toolchain.
-	if out, err := exec.Command("go", "build", "./cmd/colibri-vet").CombinedOutput(); err != nil {
+	if out, err := exec.Command("go", "build", "-o", os.DevNull, "./cmd/colibri-vet").CombinedOutput(); err != nil {
 		t.Fatalf("building colibri-vet: %v\n%s", err, out)
 	}
 	start := time.Now()
-	out, err := exec.Command("go", "run", "./cmd/colibri-vet", "-json", "./...").CombinedOutput()
+	out, err := exec.Command("go", "run", "./cmd/colibri-vet", "./...").CombinedOutput()
 	wall := time.Since(start)
 	if err != nil {
 		t.Fatalf("colibri-vet failed: %v\n%s", err, out)

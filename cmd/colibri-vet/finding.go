@@ -1,7 +1,6 @@
 package main
 
 import (
-	"encoding/json"
 	"fmt"
 	"go/token"
 	"io"
@@ -11,11 +10,11 @@ import (
 
 // Finding is one analyzer diagnostic.
 type Finding struct {
-	File    string `json:"file"` // module-root-relative path
-	Line    int    `json:"line"`
-	Col     int    `json:"col"`
-	Check   string `json:"check"`
-	Message string `json:"message"`
+	File    string // module-root-relative path
+	Line    int
+	Col     int
+	Check   string
+	Message string
 }
 
 func (f Finding) String() string {
@@ -23,16 +22,12 @@ func (f Finding) String() string {
 }
 
 // Reporter collects findings, applies per-line suppressions, and renders
-// text or JSON output.
+// the text report.
 type Reporter struct {
 	modRoot  string
 	fset     *token.FileSet
 	suppress *SuppressionIndex
 	findings []Finding
-	// suppressed counts findings dropped by //colibri:allow for the summary.
-	suppressed int
-	// baselined counts findings filtered by a committed baseline report.
-	baselined int
 }
 
 func NewReporter(modRoot string, fset *token.FileSet, sup *SuppressionIndex) *Reporter {
@@ -43,21 +38,7 @@ func NewReporter(modRoot string, fset *token.FileSet, sup *SuppressionIndex) *Re
 // //colibri:allow(check) suppression.
 func (r *Reporter) Report(pos token.Pos, check, format string, args ...any) {
 	p := r.fset.Position(pos)
-	if r.suppress.Allowed(p.Filename, p.Line, check) {
-		r.suppressed++
-		return
-	}
-	rel, err := filepath.Rel(r.modRoot, p.Filename)
-	if err != nil {
-		rel = p.Filename
-	}
-	r.findings = append(r.findings, Finding{
-		File:    filepath.ToSlash(rel),
-		Line:    p.Line,
-		Col:     p.Column,
-		Check:   check,
-		Message: fmt.Sprintf(format, args...),
-	})
+	r.reportAt(p.Filename, p.Line, p.Column, check, format, args...)
 }
 
 // reportAt files a finding at an explicit file:line:col (used by checks
@@ -65,7 +46,6 @@ func (r *Reporter) Report(pos token.Pos, check, format string, args ...any) {
 // honoring the same per-line suppressions.
 func (r *Reporter) reportAt(file string, line, col int, check, format string, args ...any) {
 	if r.suppress.Allowed(file, line, check) {
-		r.suppressed++
 		return
 	}
 	rel, err := filepath.Rel(r.modRoot, file)
@@ -118,49 +98,4 @@ func (r *Reporter) WriteText(w io.Writer) {
 	for _, f := range r.Findings() {
 		fmt.Fprintln(w, f.String())
 	}
-}
-
-// ApplyBaseline removes findings matching the committed baseline set and
-// returns how many were filtered. Matching ignores line/col (annotated code
-// drifts) and keys on file, check and message as a multiset, so a second
-// identical finding in the same file is still new.
-func (r *Reporter) ApplyBaseline(base []Finding) int {
-	accepted := map[string]int{}
-	key := func(f Finding) string { return f.File + "\x00" + f.Check + "\x00" + f.Message }
-	for _, f := range base {
-		accepted[key(f)]++
-	}
-	kept := r.findings[:0]
-	filtered := 0
-	for _, f := range r.findings {
-		if accepted[key(f)] > 0 {
-			accepted[key(f)]--
-			filtered++
-			continue
-		}
-		kept = append(kept, f)
-	}
-	r.findings = kept
-	r.baselined = filtered
-	return filtered
-}
-
-// jsonReport is the CI-facing envelope: machine-readable findings plus the
-// counts a gate needs to fail fast.
-type jsonReport struct {
-	Findings   []Finding `json:"findings"`
-	Count      int       `json:"count"`
-	Suppressed int       `json:"suppressed"`
-	Baselined  int       `json:"baselined,omitempty"`
-}
-
-// WriteJSON renders the findings as a JSON object for CI consumption.
-func (r *Reporter) WriteJSON(w io.Writer) error {
-	fs := r.Findings()
-	if fs == nil {
-		fs = []Finding{}
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(jsonReport{Findings: fs, Count: len(fs), Suppressed: r.suppressed, Baselined: r.baselined})
 }

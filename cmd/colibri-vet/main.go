@@ -5,16 +5,16 @@
 // only tests reach. It walks the module by directory (no go/packages
 // dependency), type-checks each package with a hybrid importer
 // (module-internal packages loaded from source siblings, the standard
-// library through go/importer's source importer), and exits non-zero when
-// any finding survives suppression.
+// library through go/importer's source importer), fails on any type error,
+// and exits non-zero when any finding survives suppression.
 //
 // Usage:
 //
-//	go run ./cmd/colibri-vet ./...            # human-readable, exit 1 on findings
-//	go run ./cmd/colibri-vet -json ./...      # CI gate: JSON report on stdout
+//	go run ./cmd/colibri-vet ./...            # file:line report, exit 1 on findings
 //	go run ./cmd/colibri-vet -checks determinism,locks ./internal/cserv
 //
-// Annotation grammar (see DESIGN.md §5, §5a):
+// Annotation grammar (see DESIGN.md §5, §5a); a directive is a comment that
+// begins with it:
 //
 //	//colibri:allow(check[,check...])   suppress on this line (or next, if alone)
 //	//colibri:ordered                   file opt-out of the map-iteration rule
@@ -23,7 +23,6 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -41,14 +40,8 @@ func main() {
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("colibri-vet", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		jsonOut  = fs.Bool("json", false, "emit a JSON report (for CI) instead of file:line text")
-		checks   = fs.String("checks", defaultChecks, "comma-separated checks to run")
-		detPkgs  = fs.String("deterministic", "netsim,cserv,admission,experiments,reservation,restree", "package names held to the determinism rules")
-		chdir    = fs.String("C", "", "change to this directory before resolving patterns")
-		typeErrs = fs.Bool("typecheck-strict", false, "fail on type-checking errors instead of analyzing best-effort")
-		baseline = fs.String("baseline", "", "JSON report of accepted findings: matching findings are reported as baselined, only new ones fail")
-	)
+	checks := fs.String("checks", defaultChecks, "comma-separated checks to run")
+	chdir := fs.String("C", "", "change to this directory before resolving patterns")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -65,7 +58,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cwd = *chdir
 	}
 
-	findings, nerr := Analyze(cwd, patterns, strings.Split(*checks, ","), strings.Split(*detPkgs, ","), *baseline, *jsonOut, *typeErrs, stdout, stderr)
+	findings, nerr := Analyze(cwd, patterns, strings.Split(*checks, ","), stdout, stderr)
 	if nerr != 0 {
 		return 2
 	}
@@ -77,10 +70,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 // Analyze loads the packages matched by patterns under cwd's module, runs
 // the selected checks and writes the report. It returns the finding count
-// and a non-zero error count on infrastructure failures. When baselinePath
-// names a committed JSON report, findings matching it are filtered to a
-// baselined tally so CI fails only on new findings (annotated burn-down).
-func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath string, jsonOut, strict bool, stdout, stderr io.Writer) (findings, errs int) {
+// and a non-zero error count on infrastructure failures, a type error in
+// any loaded package included.
+func Analyze(cwd string, patterns, checkNames []string, stdout, stderr io.Writer) (findings, errs int) {
 	loader, err := NewLoader(cwd)
 	if err != nil {
 		fmt.Fprintln(stderr, "colibri-vet:", err)
@@ -114,7 +106,7 @@ func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath st
 			fmt.Fprintf(stderr, "colibri-vet: loading %s: %v\n", d, err)
 			return 0, 1
 		}
-		if len(p.TypeErrs) > 0 && strict {
+		if len(p.TypeErrs) > 0 {
 			for _, te := range p.TypeErrs {
 				fmt.Fprintln(stderr, "colibri-vet: typecheck:", te)
 			}
@@ -136,12 +128,7 @@ func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath st
 	for _, c := range checkNames {
 		enabled[strings.TrimSpace(c)] = true
 	}
-	det := map[string]bool{}
-	for _, p := range detPkgs {
-		det[strings.TrimSpace(p)] = true
-	}
-
-	detCheck := &determinismCheck{pkgs: det}
+	detCheck := &determinismCheck{}
 	nmCheck := &nomallocCheck{}
 	lkCheck := &locksCheck{}
 	telCheck := &telemetryCheck{}
@@ -188,39 +175,6 @@ func Analyze(cwd string, patterns, checkNames, detPkgs []string, baselinePath st
 		}
 	}
 
-	if baselinePath != "" {
-		base, err := loadBaseline(baselinePath)
-		if err != nil {
-			fmt.Fprintln(stderr, "colibri-vet: baseline:", err)
-			return 0, 1
-		}
-		n := rep.ApplyBaseline(base)
-		if n > 0 {
-			fmt.Fprintf(stderr, "colibri-vet: %d finding(s) matched the committed baseline\n", n)
-		}
-	}
-
-	if jsonOut {
-		if err := rep.WriteJSON(stdout); err != nil {
-			fmt.Fprintln(stderr, "colibri-vet:", err)
-			return 0, 1
-		}
-	} else {
-		rep.WriteText(stdout)
-	}
+	rep.WriteText(stdout)
 	return len(rep.Findings()), 0
-}
-
-// loadBaseline reads a committed colibri-vet -json report. Its findings are
-// the accepted burn-down set: they don't fail the gate, new ones do.
-func loadBaseline(path string) ([]Finding, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var rep jsonReport
-	if err := json.Unmarshal(data, &rep); err != nil {
-		return nil, fmt.Errorf("%s: %w", path, err)
-	}
-	return rep.Findings, nil
 }

@@ -99,13 +99,14 @@ func (c *nomallocCheck) Run(p *Pkg, r *Reporter) {
 // escapeOutput rebuilds the package with -gcflags=-m and returns the
 // compiler's escape-analysis notes. -gcflags applies only to the packages
 // named on the command line, which also forces them to rebuild (cached
-// builds print nothing).
+// builds print nothing). The build writes nothing: a main package would
+// otherwise leave its binary in modRoot.
 func (c *nomallocCheck) escapeOutput(modRoot, importPath string) (string, error) {
 	tool := c.goTool
 	if tool == "" {
 		tool = "go"
 	}
-	cmd := exec.Command(tool, "build", "-gcflags=-m", importPath)
+	cmd := exec.Command(tool, "build", "-o", os.DevNull, "-gcflags=-m", importPath)
 	cmd.Dir = modRoot
 	cmd.Env = append(os.Environ(), "GOFLAGS=")
 	out, err := cmd.CombinedOutput()

@@ -52,14 +52,14 @@ func (c *shardownCheck) Finish(r *Reporter) {
 				if !ok || gd.Tok != token.TYPE {
 					continue
 				}
-				declAnn := commentGroupHas(gd.Doc, "//colibri:shardowned")
+				declAnn := hasDirective(gd.Doc, "//colibri:shardowned")
 				for _, spec := range gd.Specs {
 					ts, ok := spec.(*ast.TypeSpec)
 					if !ok {
 						continue
 					}
-					if !declAnn && !commentGroupHas(ts.Doc, "//colibri:shardowned") &&
-						!commentGroupHas(ts.Comment, "//colibri:shardowned") {
+					if !declAnn && !hasDirective(ts.Doc, "//colibri:shardowned") &&
+						!hasDirective(ts.Comment, "//colibri:shardowned") {
 						continue
 					}
 					obj, ok := p.Info.Defs[ts.Name].(*types.TypeName)
@@ -360,19 +360,6 @@ func funcLitEscapes(fl *ast.FuncLit, prefix []ast.Node) bool {
 			}
 		}
 		return false
-	}
-	return false
-}
-
-// commentGroupHas reports whether any comment of cg contains marker.
-func commentGroupHas(cg *ast.CommentGroup, marker string) bool {
-	if cg == nil {
-		return false
-	}
-	for _, c := range cg.List {
-		if strings.Contains(c.Text, marker) {
-			return true
-		}
 	}
 	return false
 }

@@ -1,4 +1,6 @@
-// suppress.go implements the annotation grammar shared by all checks:
+// suppress.go implements the annotation grammar shared by all checks. A
+// directive is a comment that begins with it; a comment that mentions one in
+// prose is not a directive.
 //
 //	//colibri:allow(check[,check...])  — suppress findings of the named
 //	    checks on this line; when the comment stands alone on its line, it
@@ -21,7 +23,7 @@ import (
 	"strings"
 )
 
-var allowRe = regexp.MustCompile(`//colibri:allow\(([a-z, -]+)\)`)
+var allowRe = regexp.MustCompile(`^//colibri:allow\(([a-z, -]+)\)`)
 
 // SuppressionIndex records, per file, the lines carrying allow-pragmas and
 // the files opting out of ordering.
@@ -45,7 +47,7 @@ func (s *SuppressionIndex) AddFile(fset *token.FileSet, f *ast.File) {
 		for _, c := range cg.List {
 			pos := fset.Position(c.Pos())
 			text := c.Text
-			if strings.Contains(text, "//colibri:ordered") {
+			if isDirective(text, "//colibri:ordered") {
 				s.ordered[pos.Filename] = true
 			}
 			var names []string
@@ -123,21 +125,33 @@ func (s *SuppressionIndex) Allowed(file string, line int, check string) bool {
 // Ordered reports whether the file opted out of map-iteration ordering.
 func (s *SuppressionIndex) Ordered(file string) bool { return s.ordered[file] }
 
-// nomallocFuncs returns the functions in f annotated //colibri:nomalloc,
-// keyed by the annotation appearing in the doc comment group directly above
-// the declaration (or anywhere in its doc).
+// isDirective reports whether comment text is directive d: the comment
+// begins with d, alone or followed by a space.
+func isDirective(text, d string) bool {
+	rest, ok := strings.CutPrefix(text, d)
+	return ok && (rest == "" || rest[0] == ' ')
+}
+
+// hasDirective reports whether any comment of cg is directive d.
+func hasDirective(cg *ast.CommentGroup, d string) bool {
+	if cg == nil {
+		return false
+	}
+	for _, c := range cg.List {
+		if isDirective(c.Text, d) {
+			return true
+		}
+	}
+	return false
+}
+
+// nomallocFuncs returns the functions in f whose doc comment holds the
+// //colibri:nomalloc directive.
 func nomallocFuncs(f *ast.File) []*ast.FuncDecl {
 	var out []*ast.FuncDecl
 	for _, d := range f.Decls {
-		fd, ok := d.(*ast.FuncDecl)
-		if !ok || fd.Doc == nil {
-			continue
-		}
-		for _, c := range fd.Doc.List {
-			if strings.Contains(c.Text, "//colibri:nomalloc") {
-				out = append(out, fd)
-				break
-			}
+		if fd, ok := d.(*ast.FuncDecl); ok && hasDirective(fd.Doc, "//colibri:nomalloc") {
+			out = append(out, fd)
 		}
 	}
 	return out

@@ -33,3 +33,9 @@ func Amortized(buf []byte, n int) []byte {
 	}
 	return buf[:n]
 }
+
+// Unannotated's doc mentions the //colibri:nomalloc directive in prose
+// without being one, so it may allocate: clean.
+func Unannotated(n int) []int {
+	return make([]int, n)
+}
