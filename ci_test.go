@@ -85,6 +85,11 @@ var gates = []gate{{
 	scope:  []string{"internal/...", "cmd/..."},
 	sample: "\tres := sim.RunParallel(4)",
 }, {
+	name:   "no text on the control wire: a refusal is a Refusal code, not a reason string or a per-handler fail closure",
+	re:     `\bReason\b|appendString|\.str\(\)|fail(At)? := func`,
+	scope:  []string{"internal/cserv"},
+	sample: "\tReason    string",
+}, {
 	name:   "no goroutine or channel of netsim's own",
 	re:     `^[[:space:]]*go [[:alnum:]_(]|make\(chan`,
 	scope:  []string{"internal/netsim"},

@@ -28,28 +28,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"slices"
-	"strconv"
 
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
-)
-
-// Per-item status codes of a batch renewal. They travel in the request's
-// mutable tail (an upstream refusal tells downstream hops to skip the item)
-// and in the response (the source learns each item's fate).
-const (
-	// EEItemOK: the item is live — admitted at every hop so far.
-	EEItemOK uint8 = 0
-	// EEItemRefused: a hop refused the renewal (insufficient bandwidth); the
-	// flow falls back to its previous version until expiry (§4.2).
-	EEItemRefused uint8 = 1
-	// EEItemStale: a hop no longer held the EER's record (expired or lost in
-	// a crash) and re-admission failed too.
-	EEItemStale uint8 = 2
-	// EEItemThrottled: the per-EER renewal rate limit rejected the item.
-	EEItemThrottled uint8 = 3
 )
 
 // EEBatchItem is one renewal of an EEBatchRenewReq.
@@ -75,10 +58,9 @@ func (it *EEBatchItem) infos(bw uint64) (packet.ResInfo, packet.EERInfo) {
 const (
 	eeBatchItemLen = 12 + 2 + 8 + 4 + 4 + 4 // one Items entry of the MAC-covered body
 	eeBatchTailLen = 8 + 1                  // one Accums/Status (or Granted/Status) entry
-	// eeBatchRespFixedLen is the size of an EEBatchRenewResp without its
-	// reason, items and blobs: OK, FailedAt, the reason's length, the item
-	// count, the blob count.
-	eeBatchRespFixedLen = 2 + 2 + 4 + 1
+	// eeBatchRespFixedLen is the size of an EEBatchRenewResp without its items
+	// and blobs: the refusal, FailedAt, the item count, the blob count.
+	eeBatchRespFixedLen = 1 + 1 + 4 + 1
 )
 
 // blobLen is the size of one hop's blob in the answer to a wave: its σs of
@@ -89,7 +71,8 @@ func blobLen(live int) int { return cryptoutil.SealOverhead + cryptoutil.KeySize
 // Splits, and Path have EESetupReq's meaning and apply to every item. Accums
 // and Status are AS-added mutable data (outside the source's MACs, like
 // EESetupReq.AccumKbps): Accums[i] carries item i's running-minimum grant and
-// Status[i] its first refusal, so downstream hops skip dead items.
+// Status[i] its first refusal (Granted while it lives), so downstream hops
+// skip dead items and the source learns each item's fate.
 type EEBatchRenewReq struct {
 	SegIDs []reservation.ID
 	Splits []uint8
@@ -97,7 +80,7 @@ type EEBatchRenewReq struct {
 	Items  []EEBatchItem
 	Macs   [][cryptoutil.MACSize]byte
 	Accums []uint64
-	Status []uint8
+	Status []Refusal
 
 	// wire is the encoding of Body() ‖ Macs this request was decoded from (at
 	// the initiator: encoded into) and bodyLen the body's share of it. No hop
@@ -134,12 +117,13 @@ func (r *EEBatchRenewReq) appendBody(b []byte) []byte {
 func (r *EEBatchRenewReq) appendTail(b []byte) []byte {
 	for i := range r.Items {
 		b = binary.BigEndian.AppendUint64(b, r.Accums[i])
-		b = append(b, r.Status[i])
+		b = append(b, byte(r.Status[i]))
 	}
 	return b
 }
 
-// unmarshal decodes data into r, reusing the capacity of r's per-item slices.
+// unmarshal decodes data into r, reusing the capacity of r's slices. A status
+// outside the vocabulary is ErrNotCanonical.
 func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	if d.u8() != tagEEBatchRenew {
@@ -154,7 +138,7 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	for i := 0; i < nsplit && d.err == nil; i++ {
 		r.Splits = append(r.Splits, d.u8())
 	}
-	r.Path = d.hops(nil)
+	r.Path = d.hops(r.Path[:0])
 	n := int(d.u32())
 	if d.err == nil && n > len(d.buf)/(eeBatchItemLen+eeBatchTailLen) {
 		return ErrTruncated
@@ -171,41 +155,41 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	r.wire = data[:len(data)-len(d.buf)]
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Accums = append(r.Accums, d.u64())
-		r.Status = append(r.Status, d.u8())
+		if r.Status = append(r.Status, Refusal(d.u8())); !r.Status[i].known() {
+			return ErrNotCanonical
+		}
 	}
 	return d.err
 }
 
-// EEBatchRenewResp travels the reverse path. OK reports the batch was
+// EEBatchRenewResp travels the reverse path. Granted reports the batch was
 // processed end to end (individual items may still be refused — see Status);
-// !OK means a hop could not process the batch at all and every hop rolled
-// back every item. Blobs[h] is what AS h sealed for the source (Eq. 5): nonce
-// ‖ AES-GCM(its σ of every live item, status EEItemOK, in wave order) ‖ tag,
-// blobLen(live) bytes, one per hop of the path.
+// a refusal means a hop could not process the batch at all and every hop
+// rolled back every item. Blobs[h] is what AS h sealed for the source (Eq. 5):
+// nonce ‖ AES-GCM(its σ of every live item, status Granted, in wave order) ‖
+// tag, blobLen(live) bytes, one per hop of the path.
 //
 // On the wire the blobs follow their count without length prefixes: the
 // status vector before them implies their length.
 type EEBatchRenewResp struct {
-	OK       bool
+	Refusal  Refusal
 	FailedAt uint8
-	Reason   string
 	Granted  []uint64
-	Status   []uint8
+	Status   []Refusal
 	Blobs    [][]byte
 }
 
 // Marshal encodes the response into one buffer of exactly its size.
 func (r *EEBatchRenewResp) Marshal() []byte {
-	size := eeBatchRespFixedLen + len(r.Reason) + eeBatchTailLen*len(r.Granted)
+	size := eeBatchRespFixedLen + eeBatchTailLen*len(r.Granted)
 	for _, blob := range r.Blobs {
 		size += len(blob)
 	}
-	b := append(make([]byte, 0, size), boolByte(r.OK), r.FailedAt)
-	b = appendString(b, r.Reason)
+	b := append(make([]byte, 0, size), byte(r.Refusal), r.FailedAt)
 	b = binary.BigEndian.AppendUint32(b, uint32(len(r.Granted)))
 	for i := range r.Granted {
 		b = binary.BigEndian.AppendUint64(b, r.Granted[i])
-		b = append(b, r.Status[i])
+		b = append(b, byte(r.Status[i]))
 	}
 	b = append(b, byte(len(r.Blobs)))
 	for _, blob := range r.Blobs {
@@ -215,27 +199,26 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices. It is
-// canonical-only, like the solo decoders: an OK byte other than 0/1, or bytes
-// after the last blob, are ErrNotCanonical.
+// canonical-only, like the solo decoders: a refusal or an item status outside
+// the vocabulary, or bytes after the last blob, are ErrNotCanonical.
 func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	ok := d.u8()
-	r.OK = ok == 1
+	r.Refusal = Refusal(d.u8())
 	r.FailedAt = d.u8()
-	r.Reason = d.str()
 	n := int(d.u32())
 	if d.err == nil && n > len(d.buf)/eeBatchTailLen {
 		return ErrTruncated
 	}
 	r.Granted, r.Status = slices.Grow(r.Granted[:0], n), slices.Grow(r.Status[:0], n)
-	live := 0
+	live, known := 0, r.Refusal.known()
 	for i := 0; i < n && d.err == nil; i++ {
 		r.Granted = append(r.Granted, d.u64())
-		st := d.u8()
+		st := Refusal(d.u8())
 		r.Status = append(r.Status, st)
-		if st == EEItemOK {
+		if st == Granted {
 			live++
 		}
+		known = known && st.known()
 	}
 	nb, size := int(d.u8()), blobLen(live)
 	switch {
@@ -250,7 +233,7 @@ func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 	for range nb {
 		r.Blobs = append(r.Blobs, d.take(size))
 	}
-	if ok > 1 || len(d.buf) != 0 {
+	if !known || len(d.buf) != 0 {
 		return ErrNotCanonical
 	}
 	return nil
@@ -324,7 +307,9 @@ func (s *Service) putWave(sc *waveScratch) {
 	}
 	// Drop what aliases memory the wave did not own — the received message,
 	// the downstream response, the initiator's grants.
-	sc.req = EEBatchRenewReq{Items: sc.req.Items[:0], Accums: sc.req.Accums[:0], Status: sc.req.Status[:0], Macs: sc.req.Macs[:0]}
+	r := &sc.req
+	*r = EEBatchRenewReq{SegIDs: r.SegIDs[:0], Splits: r.Splits[:0], Path: r.Path[:0],
+		Items: r.Items[:0], Accums: r.Accums[:0], Status: r.Status[:0], Macs: r.Macs[:0]}
 	clear(sc.resp.Blobs)
 	sc.resp.Blobs = sc.resp.Blobs[:0]
 	sc.grant = EERGrant{}
@@ -353,52 +338,49 @@ func (s *Service) putWave(sc *waveScratch) {
 func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	req := &sc.req
 	n := len(req.Items)
-	// answered is the final status vector once the wave is processed; reason
-	// the refusal otherwise.
-	var answered []uint8
-	var reason string
+	// answered is the final status vector once the wave is processed.
+	var answered []Refusal
 	defer func() {
-		ok, total := 0, n
+		ok := 0
 		if answered != nil {
-			ok, total = liveOf(answered), len(answered)
+			ok = liveOf(answered)
 		}
 		s.metrics.EERenewOK.Add(uint64(ok))
-		s.metrics.EERenewFail.Add(uint64(total - ok))
-		s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvEERenew,
-			"batch["+strconv.Itoa(n)+"]", answered != nil, reason)
+		s.metrics.EERenewFail.Add(uint64(n - ok))
+		code := Refusal(out[0])
+		s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvEERenew, "batch", code == Granted, code.detail())
 	}()
-	failAt := func(hop int, format string, args ...any) []byte {
-		reason = fmt.Sprintf(format, args...)
-		return (&EEBatchRenewResp{FailedAt: uint8(hop), Reason: reason}).Marshal()
-	}
-	fail := func(format string, args ...any) []byte { return failAt(idx, format, args...) }
 	if n == 0 || len(req.Accums) != n || len(req.Status) != n {
-		return fail("malformed batch")
+		return refuseWave(idx, RefusedMalformed)
 	}
 	// The wave is authenticated under one key: its items share their source.
 	src := req.Items[0].ID.SrcAS
 	for i := range req.Items {
 		if req.Items[i].ID.SrcAS != src {
-			return fail("malformed batch")
+			return refuseWave(idx, RefusedMalformed)
 		}
 	}
 	// K_{me→Src} authenticates the wave, charged one rate-limit token (§5.3),
 	// and seals every item's σ for the source.
-	kc, why := s.authHop(src, req.wire[:req.bodyLen], req.Macs, idx)
-	if kc == nil {
-		return fail("%s", why)
+	kc, code := s.authHop(src, req.wire[:req.bodyLen], req.Macs, idx)
+	if code != Granted {
+		return refuseWave(idx, code)
 	}
-	cover, err := coverOf(req.SegIDs, req.Splits, len(req.Path), idx)
-	if err != nil {
-		return fail("%v", err)
+	cover, ok := coverOf(req.SegIDs, req.Splits, len(req.Path), idx)
+	if !ok {
+		return refuseWave(idx, RefusedCover)
 	}
 	// An item asking for more than σ and the data plane carry is refused, and
 	// the destination vets every live item as it does a solo request.
 	last := idx == len(req.Path)-1
 	for i := range req.Items {
 		it := &req.Items[i]
-		if req.Status[i] == EEItemOK && (it.BwKbps > MaxEERKbps || last && s.vetoed(it)) {
-			req.Status[i] = EEItemRefused
+		switch {
+		case req.Status[i] != Granted:
+		case it.BwKbps > MaxEERKbps:
+			req.Status[i] = RefusedBwRange
+		case last && s.vetoed(it):
+			req.Status[i] = RefusedVeto
 		}
 	}
 
@@ -411,30 +393,30 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 	// The records are read ahead first, so that their cache misses overlap.
 	leg := hopLeg{s: s, hopCover: cover, src: src, renewal: true}
 	s.cp.withPath(cover.segs(), func(p eerPath) {
-		if err = leg.open(&p); err != nil {
+		if code = leg.open(&p); code != Granted {
 			return
 		}
 		sc.ahead = p.readAhead(req.Items, req.Status)
 		for i := range req.Items {
-			if req.Status[i] != EEItemOK {
+			if req.Status[i] != Granted {
 				continue
 			}
 			it := &req.Items[i]
 			states[i].grant = min(req.Accums[i], it.BwKbps)
-			req.Status[i], _ = leg.admit(&p, &states[i], it.ID.Num, it.Ver, it.ExpT)
+			req.Status[i] = leg.admit(&p, &states[i], it.ID.Num, it.Ver, it.ExpT)
 		}
 	})
 	leg.count()
-	if err != nil {
-		return fail("%v", err)
+	if code != Granted {
+		return refuseWave(idx, code)
 	}
 	// settle commits the items live in status at the path-wide minimum and
 	// rolls back the rest (every item for a nil status), under one more
 	// acquisition of the locks.
-	settle := func(status []uint8, granted []uint64) {
+	settle := func(status []Refusal, granted []uint64) {
 		s.cp.withPath(cover.segs(), func(p eerPath) {
 			for i := range req.Items {
-				if status == nil || status[i] != EEItemOK {
+				if status == nil || status[i] != Granted {
 					leg.rollback(&p, &states[i], req.Items[i].ID.Num)
 				} else {
 					leg.commit(&p, &states[i], req.Items[i].ID.Num, granted[i])
@@ -448,34 +430,32 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 		req.Accums[i] = states[i].grant
 	}
 	// status and granted are the final outcomes, from the last hop.
-	var status []uint8
+	var status []Refusal
 	var granted []uint64
 	nHops := len(req.Path)
 	if idx == nHops-1 {
-		// The response at its final size: OK, no reason, the outcomes, and
-		// nHops blobs still empty.
+		// The response at its final size: granted, the outcomes, and nHops
+		// blobs still empty.
 		status, granted = req.Status, req.Accums
 		out = make([]byte, 0, eeBatchRespFixedLen+eeBatchTailLen*n+nHops*blobLen(liveOf(status)))
-		out = binary.BigEndian.AppendUint32(append(out, 1, 0, 0, 0), uint32(n))
+		out = binary.BigEndian.AppendUint32(append(out, byte(Granted), 0), uint32(n))
 		for i := range req.Items {
-			out = append(binary.BigEndian.AppendUint64(out, granted[i]), status[i])
+			out = append(binary.BigEndian.AppendUint64(out, granted[i]), byte(status[i]))
 		}
 		out = append(out, byte(nHops))
 		out = out[:cap(out)]
 	} else {
 		sc.fwd = req.appendTail(append(sc.fwd[:0], req.wire...))
 		resp := &sc.resp
-		var err error
-		out, err = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
-		if err == nil && resp.OK && !answerFits(req, resp) {
-			err = errMalformed
+		out, code = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
+		if code == Granted && resp.Refusal == Granted && !answerFits(req, resp) {
+			code = RefusedBadAnswer
 		}
-		if err != nil || !resp.OK {
+		if code != Granted || resp.Refusal != Granted {
 			settle(nil, nil)
-			if err != nil {
-				return failAt(idx+1, "%v", err)
+			if code != Granted {
+				return refuseWave(idx+1, code)
 			}
-			reason = resp.Reason
 			return out
 		}
 		status, granted = resp.Status, resp.Granted
@@ -492,25 +472,25 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 }
 
 // liveOf counts the live items of a status vector.
-func liveOf(status []uint8) (live int) {
+func liveOf(status []Refusal) (live int) {
 	for _, st := range status {
-		if st == EEItemOK {
+		if st == Granted {
 			live++
 		}
 	}
 	return live
 }
 
-// answerFits reports whether resp, a downstream hop's OK answer to req as this
-// hop forwarded it, has the shape that answer must: an entry per item, a blob
-// per hop, and no item live that this hop forwarded dead (this hop would seal
-// a σ for a version it refused).
+// answerFits reports whether resp, a downstream hop's granted answer to req as
+// this hop forwarded it, has the shape that answer must: an entry per item, a
+// blob per hop, and no item live that this hop forwarded dead (this hop would
+// seal a σ for a version it refused).
 func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
 	if len(resp.Granted) != len(req.Items) || len(resp.Blobs) != len(req.Path) {
 		return false
 	}
 	for i, st := range resp.Status {
-		if st == EEItemOK && req.Status[i] != EEItemOK {
+		if st == Granted && req.Status[i] != Granted {
 			return false
 		}
 	}
@@ -540,7 +520,9 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 	sc := s.getWave()
 	defer s.putWave(sc)
 	req := &sc.req
-	req.SegIDs, req.Splits, req.Path = chain.SegIDs, chain.Splits, chain.PathHops
+	req.SegIDs = append(req.SegIDs[:0], chain.SegIDs...)
+	req.Splits = append(req.Splits[:0], chain.Splits...)
+	req.Path = append(req.Path[:0], chain.PathHops...)
 	// held settles item i with the host policy at what its EER held before.
 	held := func(i int) {
 		p := item(i)
@@ -559,9 +541,12 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 		// An item asking for more than MaxEERKbps, and one the source-AS policy
 		// refuses, as at hop 0 of a solo request, travel as refused, and every
 		// hop skips them.
-		status := EEItemOK
-		if it.BwKbps > MaxEERKbps || s.policy.AllowEER(it.SrcHost, it.ID, it.BwKbps, it.ExpT) != nil {
-			status = EEItemRefused
+		status := Granted
+		switch {
+		case it.BwKbps > MaxEERKbps:
+			status = RefusedBwRange
+		case s.policy.AllowEER(it.SrcHost, it.ID, it.BwKbps, it.ExpT) != nil:
+			status = RefusedPolicy
 		}
 		req.Items = append(req.Items, it)
 		req.Accums = append(req.Accums, p.NewBwKbps)
@@ -574,8 +559,8 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 		sc.fwd = appendMacs(sc.fwd, req.Macs)
 		req.wire = sc.fwd
 		resp := &sc.resp
-		if err = resp.unmarshal(s.processEEBatchRenew(sc, 0)); err == nil && !resp.OK {
-			err = fmt.Errorf("%w: batch renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+		if err = resp.unmarshal(s.processEEBatchRenew(sc, 0)); err == nil {
+			err = resp.Refusal.at(int(resp.FailedAt))
 		}
 	}
 	if err != nil {
@@ -594,20 +579,7 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 	g := &sc.grant
 	for i := range n {
 		it := &req.Items[i]
-		var err error
-		switch resp.Status[i] {
-		case EEItemOK:
-		case EEItemStale:
-			err = fmt.Errorf("%w: renewal of %s: stale at some hop and re-admission failed", ErrRefused, it.ID)
-		case EEItemThrottled:
-			err = fmt.Errorf("%w: renewal of %s throttled", ErrRefused, it.ID)
-		default:
-			err = fmt.Errorf("%w: renewal of %s refused", ErrRefused, it.ID)
-			if it.BwKbps > MaxEERKbps {
-				err = fmt.Errorf("%w: %w", err, ErrBandwidthRange)
-			}
-		}
-		if err != nil {
+		if err := resp.Status[i].at(itemHop); err != nil {
 			held(i)
 			yield(i, nil, err)
 			continue

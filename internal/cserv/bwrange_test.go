@@ -2,7 +2,6 @@ package cserv
 
 import (
 	"errors"
-	"strings"
 	"testing"
 
 	"colibri/internal/admission"
@@ -100,15 +99,15 @@ func TestEERBandwidthAt32Bits(t *testing.T) {
 	for idx := 1; idx < len(g.PathHops); idx++ {
 		hop := f.services[g.PathHops[idx].IA]
 		out, err := hop.HandleMsg(soloMsg)
-		if ok, at, reason := answerOf(out); err != nil || ok || int(at) != idx || !strings.HasPrefix(reason, "bandwidth") {
-			t.Fatalf("hop %d answers a renewal to 2³² kbps: ok=%v at %d %q (%v)", idx, ok, at, reason, err)
+		if code, at := answerOf(out); err != nil || code != RefusedBwRange || int(at) != idx {
+			t.Fatalf("hop %d answers a renewal to 2³² kbps: %v at %d (%v)", idx, code, at, err)
 		}
 		out, err = hop.HandleMsg(waveMsg)
 		if err != nil {
 			t.Fatalf("hop %d: wave: %v", idx, err)
 		}
 		resp, err := UnmarshalEEBatchRenewResp(out)
-		if err != nil || !resp.OK || resp.Status[0] != EEItemRefused {
+		if err != nil || resp.Refusal != Granted || resp.Status[0] != RefusedBwRange {
 			t.Fatalf("hop %d answers a wave item of 2³² kbps: %+v (%v)", idx, resp, err)
 		}
 	}

@@ -226,9 +226,9 @@ func (p *eerPath) covers(e *cpEER) bool { return e.cover == p.cover }
 // not dead code.
 //
 //colibri:nomalloc
-func (p *eerPath) readAhead(items []EEBatchItem, status []uint8) (sum uint16) {
+func (p *eerPath) readAhead(items []EEBatchItem, status []Refusal) (sum uint16) {
 	for i := range items {
-		if status[i] != EEItemOK {
+		if status[i] != Granted {
 			continue
 		}
 		if e := p.prim.eers.Get(items[i].ID); e != nil {

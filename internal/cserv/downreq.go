@@ -94,27 +94,19 @@ func (s *Service) RequestDownSegment(seg *segment.Segment, minKbps, maxKbps uint
 	if err != nil {
 		return err
 	}
-	if !resp.OK {
-		return fmt.Errorf("%w: down-SegR refused at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
-	}
-	return nil
+	return resp.Refusal.at(int(resp.FailedAt))
 }
 
-// handleDownReq processes a DownSegReq at the segment's head AS.
+// handleDownReq processes a DownSegReq at the segment's head AS. A segment
+// that does not run from this AS to the requester is malformed.
 func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
-	fail := func(format string, args ...any) *SegSetupResp {
-		return &SegSetupResp{Reason: fmt.Sprintf(format, args...)}
-	}
-	if len(req.Seg) < 2 || req.Seg[0].IA != s.ia {
-		return fail("segment does not start at this AS")
-	}
-	if req.Seg[len(req.Seg)-1].IA != req.Requester {
-		return fail("requester %s is not the segment's last AS", req.Requester)
+	if len(req.Seg) < 2 || req.Seg[0].IA != s.ia || req.Seg[len(req.Seg)-1].IA != req.Requester {
+		return &SegSetupResp{Refusal: RefusedMalformed}
 	}
 	// The request's one MAC is the requester's (hop 0 of the exchange) towards
 	// this AS (hop 1).
-	if _, why := s.authHop(req.Requester, req.Body(), [][cryptoutil.MACSize]byte{1: req.Mac}, 1); why != "" {
-		return fail("%s", why)
+	if _, code := s.authHop(req.Requester, req.Body(), [][cryptoutil.MACSize]byte{1: req.Mac}, 1); code != Granted {
+		return &SegSetupResp{Refusal: code}
 	}
 	hops := make([]segment.Hop, len(req.Seg))
 	for i, h := range req.Seg {
@@ -123,7 +115,7 @@ func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
 	seg := &segment.Segment{Type: segment.Down, Hops: hops}
 	segr, err := s.SetupSegment(seg, req.MinKbps, req.MaxKbps)
 	if err != nil {
-		return fail("setup: %v", err)
+		return &SegSetupResp{Refusal: refusalOf(err)}
 	}
-	return &SegSetupResp{OK: true, FinalKbps: segr.Active.BwKbps}
+	return &SegSetupResp{FinalKbps: segr.Active.BwKbps}
 }

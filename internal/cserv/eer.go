@@ -2,7 +2,6 @@ package cserv
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"colibri/internal/cryptoutil"
@@ -122,11 +121,9 @@ func (s *Service) launchEE(sc *waveScratch, chain *EERGrant, heldKbps uint64, he
 	}
 	sc.fwd = req.appendTail(sc.fwd)
 	req.wire = sc.fwd
-	out, _ := s.processEESetup(sc, 0, req.BwKbps)
 	resp := &sc.soloResp
-	err = resp.unmarshal(out)
-	if err == nil && !resp.OK {
-		err = fmt.Errorf("%w: EER setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+	if err = resp.unmarshal(s.processEESetup(sc, 0, req.BwKbps)); err == nil {
+		err = resp.Refusal.at(int(resp.FailedAt))
 	}
 	if err != nil {
 		s.policy.SettleEER(req.SrcHost, req.ID, heldKbps, heldExpT)
@@ -173,9 +170,10 @@ func coveringSegs(dst []int, nSeg int, splits []uint8, pathLen, idx int) []int {
 	return dst
 }
 
-// eeRespSlot checks that resp, an OK response of size bytes, has the shape hop
-// idx of an n-hop path must receive — n authenticator slots, sealed by every
-// hop behind idx and by no other — and returns the offset of slot idx, or -1.
+// eeRespSlot checks that resp, a granted response of size bytes, has the shape
+// hop idx of an n-hop path must receive — n authenticator slots, sealed by
+// every hop behind idx and by no other — and returns the offset of slot idx,
+// or -1.
 func eeRespSlot(resp *EESetupResp, size, n, idx int) int {
 	if len(resp.EncAuths) != n {
 		return -1
@@ -189,95 +187,71 @@ func eeRespSlot(resp *EESetupResp, size, n, idx int) int {
 }
 
 // processEESetup handles the EER setup/renewal request decoded into sc.solo at
-// hop idx and returns the marshaled response with whether it is a grant. The
-// response of a grant is one buffer from the last hop to the initiator: the
-// last hop allocates it at its final size, and every hop on the way back seals
-// σ into its own slot of the bytes it received (they belong to the caller of
-// Transport.Call), so no hop decodes, copies or re-encodes what other hops
-// sealed.
-func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []byte, ok bool) {
+// hop idx and returns the marshaled response, whose first byte is its refusal.
+// The response of a grant is one buffer from the last hop to the initiator:
+// the last hop allocates it at its final size, and every hop on the way back
+// seals σ into its own slot of the bytes it received (they belong to the
+// caller of Transport.Call), so no hop decodes, copies or re-encodes what
+// other hops sealed.
+func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []byte) {
 	req := &sc.solo
-	var reason string
 	defer func() {
-		kind := telemetry.EvEESetup
-		switch {
-		case ok && req.Renewal:
-			s.metrics.EERenewOK.Add(1)
-			kind = telemetry.EvEERenew
-		case ok:
-			s.metrics.EESetupOK.Add(1)
-		case req.Renewal:
-			s.metrics.EERenewFail.Add(1)
-			kind = telemetry.EvEERenew
-		default:
-			s.metrics.EESetupFail.Add(1)
+		m, now := &s.metrics, int64(s.clock())*1e9
+		if req.Renewal {
+			m.outcome(now, telemetry.EvEERenew, req.ID, Refusal(out[0]), m.EERenewOK, m.EERenewFail)
+		} else {
+			m.outcome(now, telemetry.EvEESetup, req.ID, Refusal(out[0]), m.EESetupOK, m.EESetupFail)
 		}
-		s.metrics.TraceID(int64(s.clock())*1e9, kind, req.ID, ok, reason)
 	}()
-	failAt := func(hop int, format string, args ...any) ([]byte, bool) {
-		reason = fmt.Sprintf(format, args...)
-		return (&EESetupResp{FailedAt: uint8(hop), Reason: reason}).Marshal(), false
-	}
-	fail := func(format string, args ...any) ([]byte, bool) { return failAt(idx, format, args...) }
 	// K_{me→Src} both authenticates the request and seals σ for the source.
-	kc, why := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx)
-	if kc == nil {
-		return fail("%s", why)
+	kc, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx)
+	if code != Granted {
+		return refuseEE(idx, code)
 	}
 	// σ and the data plane carry the bandwidth in 32 bits.
 	if req.BwKbps > MaxEERKbps {
-		return fail("bandwidth: %d kbps exceeds %d", req.BwKbps, uint64(MaxEERKbps))
+		return refuseEE(idx, RefusedBwRange)
 	}
 	n := len(req.Path)
 	item := req.item()
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7).
-	cover, err := coverOf(req.SegIDs, req.Splits, n, idx)
-	if err != nil {
-		return fail("%v", err)
+	cover, ok := coverOf(req.SegIDs, req.Splits, n, idx)
+	if !ok {
+		return refuseEE(idx, RefusedCover)
 	}
 	// What needs no reservation state is decided first, so that everything
 	// after it runs under one acquisition of the covering SegRs' shard locks,
 	// and the commit or rollback under another.
 	// Source-AS policy (§4.7: "the source AS has a direct business
 	// relationship with the end host").
-	if idx == 0 {
-		if err := s.policy.AllowEER(req.SrcHost, req.ID, req.BwKbps, req.ExpT); err != nil {
-			return fail("policy: %v", err)
-		}
+	if idx == 0 && s.policy.AllowEER(req.SrcHost, req.ID, req.BwKbps, req.ExpT) != nil {
+		return refuseEE(idx, RefusedPolicy)
 	}
 	if idx == n-1 && s.vetoed(&item) {
-		return fail("destination refused")
+		return refuseEE(idx, RefusedVeto)
 	}
 
 	// This hop's admission is a leg of one item (hopleg.go), on behalf of the
 	// source AS whose key authenticated the request.
 	leg := hopLeg{s: s, hopCover: cover, src: req.ID.SrcAS, renewal: req.Renewal}
 	it := hopItem{grant: accum}
-	var status uint8
-	var aerr error
 	s.cp.withPath(cover.segs(), func(p eerPath) {
-		if aerr = leg.open(&p); aerr == nil {
-			status, aerr = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
+		if code = leg.open(&p); code == Granted {
+			code = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
 		}
 	})
 	leg.count()
-	switch {
-	case status == EEItemThrottled:
-		return fail("renewal rate limit: EER %s already renewed this second", req.ID)
-	case aerr != nil:
-		return fail("admission: %v", aerr)
-	case status != EEItemOK:
-		return fail("transfer split: only %d of %d kbps available on core SegR %s",
-			it.grant, accum, cover.ids[1])
+	if code != Granted {
+		return refuseEE(idx, code)
 	}
 
 	// final is the path-wide grant and off the offset of this hop's slot in out.
 	final, off := it.grant, 0
 	if idx == n-1 {
-		// The response at its final size: OK, no reason, n slots still empty.
+		// The response at its final size: granted, n slots still empty.
 		out = make([]byte, 0, eeRespFixedLen+n*(2+sealedAuthLen))
-		out = binary.BigEndian.AppendUint64(append(out, 1, 0, 0, 0), it.grant)
+		out = binary.BigEndian.AppendUint64(append(out, byte(Granted), 0), it.grant)
 		out = binary.BigEndian.AppendUint16(out, uint16(n))
 		out = out[:len(out)+2*n]
 		off = len(out) - 2
@@ -286,21 +260,20 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		sc.fwd = append(sc.fwd[:0], req.wire...)
 		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], it.grant)
 		resp := &sc.soloResp
-		out, err = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
-		if err == nil && resp.OK {
+		out, code = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
+		if code == Granted && resp.Refusal == Granted {
 			if off = eeRespSlot(resp, len(out), n, idx); off < 0 {
-				err = errMalformed
+				code = RefusedBadAnswer
 			}
 		}
-		if err != nil || !resp.OK {
+		if code != Granted || resp.Refusal != Granted {
 			if it.admitted {
 				s.cp.withPath(cover.segs(), func(p eerPath) { leg.rollback(&p, &it, req.ID.Num) })
 			}
-			if err != nil {
-				return failAt(idx+1, "%v", err)
+			if code != Granted {
+				return refuseEE(idx+1, code)
 			}
-			reason = resp.Reason
-			return out, false
+			return out
 		}
 		final = resp.FinalKbps
 	}
@@ -315,5 +288,5 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	copy(out[off+2+sealedAuthLen:], out[off+2:size])
 	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
 	s.sealHopAuth(out[:off+2], sc, kc, &item, final, req.Path, idx)
-	return out, true
+	return out
 }

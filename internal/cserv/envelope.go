@@ -7,7 +7,6 @@ package cserv
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"slices"
 	"sync"
@@ -42,18 +41,15 @@ type ownKey struct {
 	epoch uint32
 }
 
-// verify checks macs[idx], the source's MAC of body towards the AS that holds
-// this key.
-func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
+// verify reports whether macs[idx] is the source's MAC of body towards the AS
+// that holds this key.
+func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) bool {
 	if idx >= len(macs) {
-		return fmt.Errorf("%w: missing MAC for hop %d", ErrAuth, idx)
+		return false
 	}
 	var want [cryptoutil.MACSize]byte
 	k.cmac.SumInto(&want, body)
-	if !cryptoutil.ConstantTimeEqual(want[:], macs[idx][:]) {
-		return ErrAuth
-	}
-	return nil
+	return cryptoutil.ConstantTimeEqual(want[:], macs[idx][:])
 }
 
 // keyCacheSize bounds the per-service key cache.
@@ -198,34 +194,34 @@ func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACS
 // pays one). It returns src's crypto, which also seals what this AS hands back
 // to src, or nil and the refusal. Hop 0 is the initiator calling its own
 // handler, which trusts itself: a wire message never gets here as hop 0.
-func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) (*keyCrypto, string) {
+func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) (*keyCrypto, Refusal) {
 	now := s.clock()
 	kc := s.ownCrypto(src, now)
 	if idx == 0 {
-		return kc, ""
+		return kc, Granted
 	}
-	if err := kc.verify(body, macs, idx); err != nil {
+	if !kc.verify(body, macs, idx) {
 		s.metrics.AuthFailures.Add(1)
-		return nil, "authentication: " + err.Error()
+		return nil, RefusedAuth
 	}
 	if !s.rate.Allow(src, now) {
 		s.metrics.RateLimited.Add(1)
-		return nil, "rate limited"
+		return nil, RefusedRateLimit
 	}
-	return kc, ""
+	return kc, Granted
 }
 
 // wireHop returns this AS's index on the path of a message that arrived over
 // the wire, or the answer to give instead: ErrNotOnPath, or — for a message
 // that names this AS as hop 0, which the initiator never sends itself and whose
-// MAC nobody checks — an authentication failure marshaled by refuse.
-func (s *Service) wireHop(path []PathHop, refuse func(reason string) []byte) (int, []byte, error) {
+// MAC nobody checks — RefusedAuth at hop 0, marshaled by refuse.
+func (s *Service) wireHop(path []PathHop, refuse func(at int, code Refusal) []byte) (int, []byte, error) {
 	for i, h := range path {
 		switch {
 		case h.IA != s.ia:
 		case i == 0:
 			s.metrics.AuthFailures.Add(1)
-			return 0, refuse("authentication: " + ErrAuth.Error()), nil
+			return 0, refuse(0, RefusedAuth), nil
 		default:
 			return i, nil, nil
 		}
@@ -233,10 +229,16 @@ func (s *Service) wireHop(path []PathHop, refuse func(reason string) []byte) (in
 	return 0, nil, ErrNotOnPath
 }
 
-// The refusals wireHop hands back, one per response shape.
-func refuseSeg(reason string) []byte  { return (&SegSetupResp{Reason: reason}).Marshal() }
-func refuseEE(reason string) []byte   { return (&EESetupResp{Reason: reason}).Marshal() }
-func refuseWave(reason string) []byte { return (&EEBatchRenewResp{Reason: reason}).Marshal() }
+// The refusal of a request at hop at, one per response shape.
+func refuseSeg(at int, code Refusal) []byte {
+	return (&SegSetupResp{Refusal: code, FailedAt: uint8(at)}).Marshal()
+}
+func refuseEE(at int, code Refusal) []byte {
+	return (&EESetupResp{Refusal: code, FailedAt: uint8(at)}).Marshal()
+}
+func refuseWave(at int, code Refusal) []byte {
+	return (&EEBatchRenewResp{Refusal: code, FailedAt: uint8(at)}).Marshal()
+}
 
 // vetoed asks the destination about one EER version, solo or a wave item (§3.3:
 // it "also has to explicitly accept the EER request"); nil DstApprove accepts.
@@ -245,20 +247,18 @@ func (s *Service) vetoed(it *EEBatchItem) bool {
 }
 
 // forward sends msg to next, the AS after this one, and decodes its answer
-// into resp. The error is the refusal to charge to next.
-func (s *Service) forward(next topology.IA, msg []byte, resp interface{ unmarshal([]byte) error }) ([]byte, error) {
+// into resp. The refusal is the one to charge to next: RefusedUnreachable or
+// RefusedBadAnswer.
+func (s *Service) forward(next topology.IA, msg []byte, resp interface{ unmarshal([]byte) error }) ([]byte, Refusal) {
 	out, err := s.transport.Call(next, msg)
 	if err != nil {
-		return nil, fmt.Errorf("transport: %v", err)
+		return nil, RefusedUnreachable
 	}
-	if err := resp.unmarshal(out); err != nil {
-		return nil, fmt.Errorf("response: %v", err)
+	if resp.unmarshal(out) != nil {
+		return nil, RefusedBadAnswer
 	}
-	return out, nil
+	return out, Granted
 }
-
-// errMalformed refuses an answer that decodes but has the wrong shape.
-var errMalformed = errors.New("response: malformed")
 
 // newWaveScratch returns empty scratch with a fresh random nonce base. A
 // system random source that fails is not recoverable.
@@ -294,8 +294,12 @@ func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EE
 // wave: the hop, the source's MAC of the wave towards it and the wave's final
 // status vector. A blob therefore opens only at its own hop of its own wave,
 // and only for the live items it was sealed for.
-func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []uint8) []byte {
-	return append(append(append(b, byte(idx)), mac[:]...), status...)
+func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []Refusal) []byte {
+	b = append(append(b, byte(idx)), mac[:]...)
+	for _, st := range status {
+		b = append(b, byte(st))
+	}
+	return b
 }
 
 // sealWave seals into blob — exactly blobLen(live) bytes of the response — this
@@ -303,7 +307,7 @@ func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []uint8
 // in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's
 // next, for the whole wave at this hop. The σs run four abreast, the next four live
 // items at a time; σs and associated data are built in sc.
-func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []uint8, granted []uint64) {
+func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []Refusal, granted []uint64) {
 	req := &sc.req
 	hf := packet.HopField{In: req.Path[idx].In, Eg: req.Path[idx].Eg}
 	var in [cryptoutil.MaxLanes][packet.EERAuthLen]byte
@@ -313,7 +317,7 @@ func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int,
 	for i := 0; i < len(req.Items); {
 		n := 0
 		for ; i < len(req.Items) && n < len(in); i++ {
-			if status[i] == EEItemOK {
+			if status[i] == Granted {
 				res, eer := req.Items[i].infos(granted[i])
 				packet.EERAuthInput(&in[n], &res, &eer, hf)
 				n++

@@ -1,6 +1,7 @@
 package cserv
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
@@ -203,3 +204,9 @@ func (c *CPlane) AdjustSegR(id reservation.ID, finalKbps uint64) error {
 // AbortSegR rolls a fresh setup back after a downstream failure, as the setup
 // handler does: DropSegR.
 func (c *CPlane) AbortSegR(id reservation.ID) { c.DropSegR(id) }
+
+// refusalAt reports whether err is the initiator's refusal with code at hop.
+func refusalAt(err error, code Refusal, hop int) bool {
+	var r refusedAt
+	return errors.As(err, &r) && r == refusedAt{code, hop}
+}

@@ -19,8 +19,6 @@
 package cserv
 
 import (
-	"fmt"
-
 	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/segment"
@@ -37,19 +35,19 @@ type hopCover struct {
 // segs returns the covering set as the CPlane's path functions take it.
 func (c *hopCover) segs() []reservation.ID { return c.ids[:c.n] }
 
-// coverOf names the SegRs covering hop idx of a pathLen-hop chain. The error
-// is the refusal reason.
-func coverOf(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, err error) {
+// coverOf names the SegRs covering hop idx of a pathLen-hop chain: not ok
+// unless they are one or two (RefusedCover).
+func coverOf(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, ok bool) {
 	var coverBuf [2]int
 	covering := coveringSegs(coverBuf[:0], len(segIDs), splits, pathLen, idx)
 	if len(covering) == 0 || len(covering) > 2 {
-		return c, fmt.Errorf("hop %d is covered by %d segment reservations, not one or two", idx, len(covering))
+		return c, false
 	}
 	for _, k := range covering {
 		c.ids[c.n] = segIDs[k]
 		c.n++
 	}
-	return c, nil
+	return c, true
 }
 
 // splitBooks is the §4.7 split's books of an up→core pair: the pair's demand
@@ -175,23 +173,25 @@ type hopLeg struct {
 }
 
 // open checks, first under p's locks, that this AS holds every SegR of the
-// cover: a request over one it does not hold is refused whole.
-func (l *hopLeg) open(p *eerPath) error {
+// cover: a request over one it does not hold is refused whole
+// (RefusedUnknownSegR).
+func (l *hopLeg) open(p *eerPath) Refusal {
 	for k := range p.nseg {
 		if p.rec[k] == nil {
-			return fmt.Errorf("segment reservation %s: %w", l.ids[k], ErrUnknownSegR)
+			return RefusedUnknownSegR
 		}
 	}
-	return nil
+	return Granted
 }
 
 // admit runs one item's forward leg against p, the CPlane's covering-SegR set
-// with its shard locks held (open has passed), and returns its per-item status
-// (EEItem*). err is the ledger's refusal, nil when the throttle or the
-// transfer split refused.
+// with its shard locks held (open has passed), and returns its per-item
+// status: Granted, RefusedThrottled, RefusedBandwidth from the transfer split,
+// RefusedStale for a re-admission the ledger refused, and otherwise the
+// ledger's refusal.
 //
 //colibri:nomalloc
-func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uint32) (status uint8, err error) {
+func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uint32) Refusal {
 	id := reservation.ID{SrcAS: l.src, Num: num}
 	asked := it.grant
 	// Idempotent retry detection (idempotency key: (ID, Ver) with matching
@@ -208,7 +208,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 		if prev.ver == ver && prev.expT == expT {
 			it.grant = uint64(prev.bw)
 			l.dedups++
-			return EEItemOK, nil
+			return Granted
 		}
 	}
 	// A renewal that finds no record (expired, or lost in a crash) is a
@@ -219,7 +219,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 	if renewing && !p.allowRenew(prev) {
 		l.throttled++
 		it.grant = 0
-		return EEItemThrottled, nil
+		return RefusedThrottled
 	}
 	// The ledgers still carry a renewed EER's own live charge, which the
 	// renewal replaces.
@@ -241,24 +241,27 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 			b.release(it.tCapped, grant)
 			l.refused++
 			it.grant = grant
-			return EEItemRefused, nil
+			return RefusedBandwidth
 		}
 		it.tGrant, it.tPair, it.tGen = grant, p.cover, b.pair.gen
 	}
 	// Charge the covering ledgers; commit adjusts down to the path-wide
 	// minimum on the way back.
-	failed := EEItemRefused
+	var err error
 	if renewing {
 		// Renewals may legally shrink to the free bandwidth (§4.2).
 		grant, err = p.renew(id, prev, grant, expT, ver)
 	} else {
-		err, failed = p.setup(id, grant, expT, ver, l.renewal), EEItemStale
+		err = p.setup(id, grant, expT, ver, l.renewal)
 	}
 	if err != nil {
 		releaseSplit(b, it)
 		l.refused++
 		it.grant = 0
-		return failed, err
+		if l.renewal && !renewing {
+			return RefusedStale
+		}
+		return refusalOf(err)
 	}
 	it.grant, it.admitted = grant, true
 	if it.tPair != 0 {
@@ -269,7 +272,7 @@ func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uin
 			it.prevReleased = true
 		}
 	}
-	return EEItemOK, nil
+	return Granted
 }
 
 // releaseSplit returns what item it still holds of the transfer split's books

@@ -4,10 +4,10 @@
 package cserv
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"testing"
 
 	"colibri/internal/reservation"
@@ -133,7 +133,7 @@ func waveOf(req *EESetupReq) *EEBatchRenewReq {
 		SegIDs: req.SegIDs, Splits: req.Splits, Path: req.Path,
 		Items: []EEBatchItem{{ID: req.ID, Ver: req.Ver, BwKbps: req.BwKbps, ExpT: req.ExpT,
 			SrcHost: req.SrcHost, DstHost: req.DstHost}},
-		Accums: []uint64{req.AccumKbps}, Status: []uint8{EEItemOK},
+		Accums: []uint64{req.AccumKbps}, Status: []Refusal{Granted},
 	}
 }
 
@@ -198,9 +198,9 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 						h := 1 + rng.Intn(len(path)-1)
 						for f, g := range map[*fabric]*EERGrant{fa: ga[e], fb: gb[e]} {
 							s := f.services[path[h].IA]
-							c, err := coverOf(g.SegIDs, g.Splits, len(path), h)
-							if err != nil {
-								t.Fatal(err)
+							c, ok := coverOf(g.SegIDs, g.Splits, len(path), h)
+							if !ok {
+								t.Fatalf("hop %d: not covered by one or two SegRs", h)
 							}
 							s.cp.TeardownEERPath(g.ID, c.segs())
 						}
@@ -234,15 +234,15 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 					t.Fatal(err)
 				}
 				wr, err := UnmarshalEEBatchRenewResp(wave)
-				if err != nil || !wr.OK {
+				if err != nil || wr.Refusal != Granted {
 					t.Fatalf("step %d: wave answer %+v, %v", step, wr, err)
 				}
-				if granted := wr.Status[0] == EEItemOK; sr.OK != granted || (granted && sr.FinalKbps != wr.Granted[0]) {
-					t.Fatalf("step %d (%+v): tag 5 answers ok=%v %d kbps (%s), tag 7 status %d %d kbps",
-						step, req, sr.OK, sr.FinalKbps, sr.Reason, wr.Status[0], wr.Granted[0])
+				if sr.Refusal != wr.Status[0] || (sr.Refusal == Granted && sr.FinalKbps != wr.Granted[0]) {
+					t.Fatalf("step %d (%+v): tag 5 answers %v %d kbps, tag 7 status %v %d kbps",
+						step, req, sr.Refusal, sr.FinalKbps, wr.Status[0], wr.Granted[0])
 				}
-				switch {
-				case sr.OK:
+				switch sr.Refusal {
+				case Granted:
 					if sr.FinalKbps < valid.peak(1, e, fa.now()) {
 						seen["downward"]++
 					}
@@ -251,7 +251,7 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 					}
 					last[e] = req
 					seen["granted"]++
-				case strings.Contains(sr.Reason, "renewal rate limit"):
+				case RefusedThrottled:
 					seen["throttled"]++
 				default:
 					seen["refused"]++
@@ -259,8 +259,8 @@ func TestSoloIsAWaveOfOne(t *testing.T) {
 				for h := 1; h < len(path); h++ {
 					a, b := booksOf(fa.services[path[h].IA], up, core), booksOf(fb.services[path[h].IA], up, core)
 					if d := a.diff(b); d != "" {
-						t.Fatalf("step %d (%+v, tag 5 ok=%v %q): hop %d (%s) diverges, tag 5 vs tag 7: %s",
-							step, req, sr.OK, sr.Reason, h, path[h].IA, d)
+						t.Fatalf("step %d (%+v, tag 5 %v): hop %d (%s) diverges, tag 5 vs tag 7: %s",
+							step, req, sr.Refusal, h, path[h].IA, d)
 					}
 					valid.check(t, fa.services[path[h].IA], ga, h, fmt.Sprintf("step %d", step))
 				}
@@ -304,9 +304,9 @@ func TestWaveItemsMustShareSource(t *testing.T) {
 				t.Fatal(err)
 			}
 			resp, err := UnmarshalEEBatchRenewResp(out)
-			if err != nil || resp.OK || resp.Reason != "malformed batch" || int(resp.FailedAt) != h {
-				t.Fatalf("%s, sent to hop %d: ok=%v status=%v failed at %d %q, %v; want the wave refused there as malformed",
-					name, h, resp.OK, resp.Status, resp.FailedAt, resp.Reason, err)
+			if err != nil || resp.Refusal != RefusedMalformed || int(resp.FailedAt) != h {
+				t.Fatalf("%s, sent to hop %d: %v status=%v failed at %d, %v; want the wave refused there as malformed",
+					name, h, resp.Refusal, resp.Status, resp.FailedAt, err)
 			}
 		}
 	}
@@ -326,7 +326,7 @@ func forgedWave(victim *EERGrant, items []EEBatchItem) *EEBatchRenewReq {
 	req := &EEBatchRenewReq{SegIDs: victim.SegIDs, Splits: victim.Splits, Path: victim.PathHops, Items: items}
 	for _, it := range items {
 		req.Accums = append(req.Accums, it.BwKbps)
-		req.Status = append(req.Status, EEItemOK)
+		req.Status = append(req.Status, Granted)
 	}
 	return req
 }
@@ -344,8 +344,11 @@ func TestActivationRefusedBelowEERDemand(t *testing.T) {
 	if err != nil || final != 5_000 {
 		t.Fatalf("renewal to 5000 kbps: ver %d, %d kbps, %v", ver, final, err)
 	}
-	if err := src.ActivateSegment(up.ID, ver); err == nil || !strings.Contains(err.Error(), "below allocated EER bandwidth (8000 kbps)") {
+	if err := src.ActivateSegment(up.ID, ver); !errors.Is(err, RefusedBelowAllocated) {
 		t.Fatalf("activating 5000 kbps under 8000 kbps of EERs: err = %v", err)
+	}
+	if allocated, _ := src.CPlane().SegDemandMax(up.ID); allocated != 8_000 {
+		t.Fatalf("allocated EER bandwidth on %s: %d kbps, want 8000", up.ID, allocated)
 	}
 	for _, h := range up.Seg.Hops {
 		if r, _ := f.services[h.IA].Store().GetSegR(up.ID); r.Active.BwKbps != 100_000 || r.Active.Ver != 1 {

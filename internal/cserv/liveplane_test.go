@@ -152,7 +152,7 @@ func TestEEBatchRenewWire(t *testing.T) {
 		},
 		Macs:   make([][16]byte, 3),
 		Accums: []uint64{8_000, 4_000},
-		Status: []uint8{EEItemOK, EEItemThrottled},
+		Status: []Refusal{Granted, RefusedThrottled},
 	}
 	req.Macs[1][0] = 0xab
 	got, err := UnmarshalEEBatchRenewReq(req.Marshal())
@@ -164,9 +164,8 @@ func TestEEBatchRenewWire(t *testing.T) {
 	}
 	// One blob per hop, each as long as one live item's σ makes it.
 	resp := &EEBatchRenewResp{
-		OK:      true,
 		Granted: []uint64{8_000, 0},
-		Status:  []uint8{EEItemOK, EEItemRefused},
+		Status:  []Refusal{Granted, RefusedBandwidth},
 		Blobs:   [][]byte{bytes.Repeat([]byte{1}, blobLen(1)), bytes.Repeat([]byte{2}, blobLen(1)), bytes.Repeat([]byte{3}, blobLen(1))},
 	}
 	enc := resp.Marshal()

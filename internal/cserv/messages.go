@@ -151,17 +151,15 @@ func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
 // forward pass; on success FinalKbps is the minimum and Tokens carries the
 // Eq. (3) token of each AS, ordered like the path.
 type SegSetupResp struct {
-	OK        bool
-	FailedAt  uint8 // path index of the refusing AS (when !OK)
-	Reason    string
+	Refusal   Refusal
+	FailedAt  uint8 // path index of the refusing AS (when refused)
 	FinalKbps uint64
 	Tokens    [][packet.HVFLen]byte
 }
 
 // Marshal encodes the response.
 func (r *SegSetupResp) Marshal() []byte {
-	b := []byte{boolByte(r.OK), r.FailedAt}
-	b = appendString(b, r.Reason)
+	b := []byte{byte(r.Refusal), r.FailedAt}
 	b = binary.BigEndian.AppendUint64(b, r.FinalKbps)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Tokens)))
 	for _, tok := range r.Tokens {
@@ -175,10 +173,8 @@ func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) { return decodeNe
 
 func (r *SegSetupResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	ok := d.u8()
-	r.OK = ok == 1
+	r.Refusal = Refusal(d.u8())
 	r.FailedAt = d.u8()
-	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
 	switch {
@@ -194,7 +190,7 @@ func (r *SegSetupResp) unmarshal(data []byte) error {
 		d.bytes(tok[:])
 		r.Tokens = append(r.Tokens, tok)
 	}
-	if ok > 1 || len(d.buf) != 0 {
+	if !r.Refusal.known() || len(d.buf) != 0 {
 		return ErrNotCanonical
 	}
 	return nil
@@ -366,25 +362,23 @@ func (r *EESetupReq) unmarshal(data []byte) error {
 // EESetupResp travels the reverse path; on success, EncAuths[i] carries
 // AEAD_{K_{AS_i→SrcAS}}(σ_i) for the source AS's gateway (Eq. 5).
 type EESetupResp struct {
-	OK        bool
+	Refusal   Refusal
 	FailedAt  uint8
-	Reason    string
 	FinalKbps uint64
 	EncAuths  [][]byte
 }
 
-// eeRespFixedLen is the size of an EESetupResp without its reason and sealed
-// authenticators: OK, FailedAt, the reason's length, FinalKbps, the count.
-const eeRespFixedLen = 2 + 2 + 8 + 2
+// eeRespFixedLen is the size of an EESetupResp without its sealed
+// authenticators: the refusal, FailedAt, FinalKbps, the count.
+const eeRespFixedLen = 1 + 1 + 8 + 2
 
 // Marshal encodes the response into one buffer of exactly its size.
 func (r *EESetupResp) Marshal() []byte {
-	size := eeRespFixedLen + len(r.Reason) + 2*len(r.EncAuths)
+	size := eeRespFixedLen + 2*len(r.EncAuths)
 	for _, ea := range r.EncAuths {
 		size += len(ea)
 	}
-	b := append(make([]byte, 0, size), boolByte(r.OK), r.FailedAt)
-	b = appendString(b, r.Reason)
+	b := append(make([]byte, 0, size), byte(r.Refusal), r.FailedAt)
 	b = binary.BigEndian.AppendUint64(b, r.FinalKbps)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.EncAuths)))
 	for _, ea := range r.EncAuths {
@@ -399,10 +393,8 @@ func (r *EESetupResp) Marshal() []byte {
 // authenticators than a path has hops.
 func (r *EESetupResp) unmarshal(data []byte) error {
 	d := decoder{buf: data}
-	ok := d.u8()
-	r.OK = ok == 1
+	r.Refusal = Refusal(d.u8())
 	r.FailedAt = d.u8()
-	r.Reason = d.str()
 	r.FinalKbps = d.u64()
 	n := int(d.u16())
 	if d.err == nil && n > packet.MaxHops {
@@ -415,7 +407,7 @@ func (r *EESetupResp) unmarshal(data []byte) error {
 	switch {
 	case d.err != nil:
 		return d.err
-	case ok > 1 || len(d.buf) != 0:
+	case !r.Refusal.known() || len(d.buf) != 0:
 		return ErrNotCanonical
 	}
 	return nil
@@ -455,14 +447,6 @@ func appendHops(b []byte, hops []PathHop) []byte {
 		b = binary.BigEndian.AppendUint16(b, uint16(h.Eg))
 	}
 	return b
-}
-
-func appendString(b []byte, s string) []byte {
-	if len(s) > 1<<16-1 {
-		s = s[:1<<16-1]
-	}
-	b = binary.BigEndian.AppendUint16(b, uint16(len(s)))
-	return append(b, s...)
 }
 
 func appendMacs(b []byte, macs [][cryptoutil.MACSize]byte) []byte {
@@ -544,16 +528,6 @@ func (d *decoder) take(n int) []byte {
 	b := d.buf[:n:n]
 	d.buf = d.buf[n:]
 	return b
-}
-
-func (d *decoder) str() string {
-	n := int(d.u16())
-	if !d.need(n) {
-		return ""
-	}
-	s := string(d.buf[:n])
-	d.buf = d.buf[n:]
-	return s
 }
 
 func (d *decoder) id() reservation.ID {

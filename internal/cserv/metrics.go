@@ -86,6 +86,16 @@ func (m *Metrics) TraceID(nowNs int64, kind telemetry.EventKind, id reservation.
 	m.trace.RecordID(nowNs, kind, uint64(id.SrcAS), id.Num, ok, detail)
 }
 
+// outcome counts one request's outcome, code, on ok or fail, and traces it as
+// an event of kind about id.
+func (m *Metrics) outcome(nowNs int64, kind telemetry.EventKind, id reservation.ID, code Refusal, ok, fail *telemetry.Counter) {
+	if code != Granted {
+		ok = fail
+	}
+	ok.Add(1)
+	m.TraceID(nowNs, kind, id, code == Granted, code.detail())
+}
+
 // MetricsSnapshot is a point-in-time copy of the counters.
 type MetricsSnapshot struct {
 	SegSetupOK, SegSetupFail  uint64

@@ -34,8 +34,8 @@ func (s *Service) SetupSegment(seg *segment.Segment, minKbps, maxKbps uint64) (*
 		return nil, err
 	}
 	resp := s.processSegSetup(req, 0, maxKbps)
-	if !resp.OK {
-		return nil, fmt.Errorf("%w: SegR setup failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+	if err := resp.Refusal.at(int(resp.FailedAt)); err != nil {
+		return nil, err
 	}
 	segr, err := s.cp.initiated(req.ID, seg, resp.Tokens)
 	if err != nil {
@@ -82,8 +82,8 @@ func (s *Service) RenewSegment(id reservation.ID, minKbps, maxKbps uint64) (uint
 		return 0, 0, err
 	}
 	resp := s.processSegSetup(req, 0, maxKbps)
-	if !resp.OK {
-		return 0, 0, fmt.Errorf("%w: SegR renewal failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+	if err := resp.Refusal.at(int(resp.FailedAt)); err != nil {
+		return 0, 0, err
 	}
 	return newVer, resp.FinalKbps, nil
 }
@@ -103,8 +103,8 @@ func (s *Service) ActivateSegment(id reservation.ID, ver uint16) error {
 		return err
 	}
 	resp := s.processSegActivate(req, 0)
-	if !resp.OK {
-		return fmt.Errorf("%w: activation failed at hop %d: %s", ErrRefused, resp.FailedAt, resp.Reason)
+	if err := resp.Refusal.at(int(resp.FailedAt)); err != nil {
+		return err
 	}
 	// Refresh the directory offer with the now-active bandwidth.
 	if s.dir != nil {
@@ -120,26 +120,15 @@ func (s *Service) ActivateSegment(id reservation.ID, ver uint16) error {
 // compute the Eq. 3 token) or roll back.
 func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp_ *SegSetupResp) {
 	defer func() {
-		kind := telemetry.EvSegSetup
-		switch {
-		case resp_.OK && req.Renewal:
-			s.metrics.SegRenewOK.Add(1)
-			kind = telemetry.EvSegRenew
-		case resp_.OK:
-			s.metrics.SegSetupOK.Add(1)
-		case req.Renewal:
-			s.metrics.SegRenewFail.Add(1)
-			kind = telemetry.EvSegRenew
-		default:
-			s.metrics.SegSetupFail.Add(1)
+		m, now := &s.metrics, int64(s.clock())*1e9
+		if req.Renewal {
+			m.outcome(now, telemetry.EvSegRenew, req.ID, resp_.Refusal, m.SegRenewOK, m.SegRenewFail)
+		} else {
+			m.outcome(now, telemetry.EvSegSetup, req.ID, resp_.Refusal, m.SegSetupOK, m.SegSetupFail)
 		}
-		s.metrics.TraceID(int64(s.clock())*1e9, kind, req.ID, resp_.OK, resp_.Reason)
 	}()
-	fail := func(format string, args ...any) *SegSetupResp {
-		return &SegSetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
-	}
-	if _, why := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); why != "" {
-		return fail("%s", why)
+	if _, code := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); code != Granted {
+		return &SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
 	}
 	hop := req.Path[idx]
 	admReq := admission.Request{
@@ -187,7 +176,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 			// falls back to its still-active old version.
 			s.metrics.AdmFallback.Add(1)
 		}
-		return fail("admission: %v", err)
+		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
 	}
 	rollback := func() {
 		if dup {
@@ -212,14 +201,13 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	var resp *SegSetupResp
 	if idx == len(req.Path)-1 {
 		resp = &SegSetupResp{
-			OK:        true,
 			FinalKbps: accum,
 			Tokens:    make([][packet.HVFLen]byte, len(req.Path)),
 		}
 	} else {
 		resp = s.forwardSegSetup(req, idx, accum)
 	}
-	if !resp.OK {
+	if resp.Refusal != Granted {
 		rollback()
 		return resp
 	}
@@ -234,7 +222,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 	}
 	if err := s.cp.confirmSegR(req.ID, final, !req.Renewal, pending); err != nil {
 		rollback()
-		return fail("confirm: %v", err)
+		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
 	}
 	res := &packet.ResInfo{
 		SrcAS:  req.ID.SrcAS,
@@ -253,60 +241,56 @@ func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegS
 	fwd := *req
 	fwd.AccumKbps = accum
 	resp := &SegSetupResp{}
-	_, err := s.forward(req.Path[idx+1].IA, fwd.Marshal(), resp)
-	if err == nil && resp.OK && len(resp.Tokens) != len(req.Path) {
-		err = errMalformed
+	_, code := s.forward(req.Path[idx+1].IA, fwd.Marshal(), resp)
+	if code == Granted && resp.Refusal == Granted && len(resp.Tokens) != len(req.Path) {
+		code = RefusedBadAnswer
 	}
-	if err != nil {
-		return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
+	if code != Granted {
+		return &SegSetupResp{Refusal: code, FailedAt: uint8(idx + 1)}
 	}
 	return resp
 }
 
 // processSegActivate handles an activation request at hop idx.
 func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp {
-	fail := func(format string, args ...any) *SegSetupResp {
-		return &SegSetupResp{FailedAt: uint8(idx), Reason: fmt.Sprintf(format, args...)}
-	}
-	if _, why := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); why != "" {
-		return fail("%s", why)
+	if _, code := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); code != Granted {
+		return &SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
 	}
 	segr, err := s.cp.GetSegR(req.ID)
 	if err != nil {
-		return fail("lookup: %v", err)
+		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
 	}
 	if segr.Active.Ver == req.Ver {
 		// Retried activation: this hop already switched, and because each
 		// hop commits only after its downstream forward succeeded, every
 		// hop after us is active too — answer OK without forwarding.
 		s.metrics.DedupHits.Add(1)
-		return &SegSetupResp{OK: true, FinalKbps: segr.Active.BwKbps}
+		return &SegSetupResp{FinalKbps: segr.Active.BwKbps}
 	}
 	if segr.Pending == nil || segr.Pending.Ver != req.Ver {
-		return fail("no pending version %d", req.Ver)
+		return &SegSetupResp{Refusal: RefusedNoPending, FailedAt: uint8(idx)}
 	}
 	// Refuse before forwarding if the switch would over-allocate locally, so
 	// downstream ASes are never activated ahead of a doomed local switch. The
 	// EER demand lives in the SegR's ledger (0 for a SegR the engine lost).
 	allocated, _ := s.cp.SegDemandMax(req.ID)
 	if segr.Pending.BwKbps < allocated {
-		return fail("pending version %d (%d kbps) below allocated EER bandwidth (%d kbps)",
-			req.Ver, segr.Pending.BwKbps, allocated)
+		return &SegSetupResp{Refusal: RefusedBelowAllocated, FailedAt: uint8(idx)}
 	}
 	if idx < len(req.Path)-1 {
 		resp := &SegSetupResp{}
-		if _, err := s.forward(req.Path[idx+1].IA, req.Marshal(), resp); err != nil {
-			return &SegSetupResp{FailedAt: uint8(idx + 1), Reason: err.Error()}
+		if _, code := s.forward(req.Path[idx+1].IA, req.Marshal(), resp); code != Granted {
+			return &SegSetupResp{Refusal: code, FailedAt: uint8(idx + 1)}
 		}
-		if !resp.OK {
+		if resp.Refusal != Granted {
 			return resp
 		}
 	}
 	active, err := s.cp.activateSegR(req.ID)
 	if err != nil {
-		return fail("activate: %v", err)
+		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
 	}
 	s.metrics.SegActivate.Add(1)
 	s.metrics.TraceID(int64(s.clock())*1e9, telemetry.EvSegActivate, req.ID, true, "")
-	return &SegSetupResp{OK: true, FinalKbps: active.BwKbps}
+	return &SegSetupResp{FinalKbps: active.BwKbps}
 }

@@ -64,8 +64,8 @@ func FuzzSegRCodec(f *testing.F) {
 	for _, msg := range [][]byte{
 		setup.Marshal(),
 		renew.Marshal(),
-		(&SegSetupResp{OK: true, FinalKbps: 900, Tokens: make([][packet.HVFLen]byte, len(path))}).Marshal(),
-		(&SegSetupResp{FailedAt: 2, Reason: "admission: no"}).Marshal(),
+		(&SegSetupResp{FinalKbps: 900, Tokens: make([][packet.HVFLen]byte, len(path))}).Marshal(),
+		(&SegSetupResp{Refusal: RefusedBandwidth, FailedAt: 2}).Marshal(),
 		(&SegActivateReq{ID: id, Ver: 2, Path: path, Macs: macs}).Marshal(),
 		(&DownSegReq{Requester: ia(2, 11), Seg: path, MinKbps: 1, MaxKbps: 2}).Marshal(),
 	} {

@@ -258,7 +258,6 @@ func (s *Service) Metrics() *Metrics { return &s.metrics }
 
 // Service-level errors.
 var (
-	ErrAuth      = errors.New("cserv: control-plane authentication failed")
 	ErrNotOnPath = errors.New("cserv: this AS is not on the request path")
 	ErrRefused   = errors.New("cserv: request refused")
 )
@@ -305,8 +304,7 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if idx == 0 {
 			return out, err
 		}
-		out, _ = s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps))
-		return out, nil
+		return s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps)), nil
 	case tagEEBatchRenew:
 		// The decoded wave and everything derived from it live in scratch that
 		// goes back to the service once this hop has sealed its blob; the

@@ -3,7 +3,6 @@ package cserv
 import (
 	"errors"
 	"fmt"
-	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -351,10 +350,7 @@ func TestEERInsufficientSegRRolledBack(t *testing.T) {
 }
 
 // answerOf reads what every control-plane response starts with.
-func answerOf(b []byte) (ok bool, at uint8, reason string) {
-	d := decoder{buf: b}
-	return d.u8() == 1, d.u8(), d.str()
-}
+func answerOf(b []byte) (code Refusal, at uint8) { return Refusal(b[0]), b[1] }
 
 // segRsOf renders what s's store holds of the SegRs ids.
 func segRsOf(s *Service, ids ...reservation.ID) string {
@@ -449,8 +445,8 @@ func TestControlPlaneAuthRejected(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		if ok, at, reason := answerOf(out); ok || at != tc.at || !strings.Contains(reason, "authentication") {
-			t.Errorf("%s, forged: answer ok=%v hop %d %q, want an authentication failure at hop %d", tc.name, ok, at, reason, tc.at)
+		if code, at := answerOf(out); code != RefusedAuth || at != tc.at {
+			t.Errorf("%s, forged: answer %v at hop %d, want an authentication failure at hop %d", tc.name, code, at, tc.at)
 		}
 		if got := to.Metrics().AuthFailures.Value(); got != auth+1 {
 			t.Errorf("%s, forged: AuthFailures %d → %d, want +1", tc.name, auth, got)
@@ -462,14 +458,13 @@ func TestControlPlaneAuthRejected(t *testing.T) {
 			t.Errorf("%s, forged: the SegR store changed:\n%s\n%s", tc.name, segRs, got)
 		}
 		// Genuine: the first of the second passes the envelope, the second does not.
-		for i, want := range []string{"", "rate limited"} {
+		for i, wantLimited := range []bool{false, true} {
 			out, err := to.HandleMsg(tc.msg(false))
 			if err != nil {
 				t.Fatalf("%s, genuine %d: %v", tc.name, i, err)
 			}
-			_, _, reason := answerOf(out)
-			if limitedNow := strings.Contains(reason, "rate limited"); limitedNow != (want != "") || strings.Contains(reason, "authentication") {
-				t.Errorf("%s, genuine message %d of the second: %q, want %q", tc.name, i+1, reason, want)
+			if code, _ := answerOf(out); (code == RefusedRateLimit) != wantLimited || code == RefusedAuth {
+				t.Errorf("%s, genuine message %d of the second: %v, want rate limited %v", tc.name, i+1, code, wantLimited)
 			}
 		}
 		if got := to.Metrics().RateLimited.Value(); got != limited+1 {
@@ -532,34 +527,34 @@ func TestHopZeroOverWireRefused(t *testing.T) {
 	wave := EEBatchRenewReq{
 		SegIDs: g.SegIDs, Splits: g.Splits, Path: g.PathHops, Macs: eeSetup.Macs,
 		Items:  []EEBatchItem{{ID: g.ID, Ver: g.Res.Ver + 1, BwKbps: 5_000, ExpT: g.Res.ExpT + 4, SrcHost: 1, DstHost: 2}},
-		Accums: []uint64{5_000}, Status: []uint8{EEItemOK},
+		Accums: []uint64{5_000}, Status: []Refusal{Granted},
 	}
 
-	segResp := func(b []byte) (bool, uint8, string, error) {
+	segResp := func(b []byte) (Refusal, uint8, error) {
 		r, err := UnmarshalSegSetupResp(b)
 		if err != nil {
-			return false, 0, "", err
+			return 0, 0, err
 		}
-		return r.OK, r.FailedAt, r.Reason, nil
+		return r.Refusal, r.FailedAt, nil
 	}
-	eeResp := func(b []byte) (bool, uint8, string, error) {
+	eeResp := func(b []byte) (Refusal, uint8, error) {
 		r, err := UnmarshalEESetupResp(b)
 		if err != nil {
-			return false, 0, "", err
+			return 0, 0, err
 		}
-		return r.OK, r.FailedAt, r.Reason, nil
+		return r.Refusal, r.FailedAt, nil
 	}
-	waveResp := func(b []byte) (bool, uint8, string, error) {
+	waveResp := func(b []byte) (Refusal, uint8, error) {
 		r, err := UnmarshalEEBatchRenewResp(b)
 		if err != nil {
-			return false, 0, "", err
+			return 0, 0, err
 		}
-		return r.OK, r.FailedAt, r.Reason, nil
+		return r.Refusal, r.FailedAt, nil
 	}
 	for _, tc := range []struct {
 		tag    byte
 		msg    []byte
-		decode func([]byte) (bool, uint8, string, error)
+		decode func([]byte) (Refusal, uint8, error)
 	}{
 		{tagSegSetup, segSetup.Marshal(), segResp},
 		{tagSegRenew, segRenew.Marshal(), segResp},
@@ -579,12 +574,12 @@ func TestHopZeroOverWireRefused(t *testing.T) {
 		if err != nil {
 			t.Fatalf("tag %d: %v", tc.tag, err)
 		}
-		ok, at, reason, err := tc.decode(out)
+		code, at, err := tc.decode(out)
 		if err != nil {
 			t.Fatalf("tag %d: answer does not parse: %v", tc.tag, err)
 		}
-		if ok || at != 0 || !strings.Contains(reason, "authentication") {
-			t.Errorf("tag %d: answer ok=%v hop %d %q, want an authentication failure at hop 0", tc.tag, ok, at, reason)
+		if code != RefusedAuth || at != 0 {
+			t.Errorf("tag %d: answer %v at hop %d, want an authentication failure at hop 0", tc.tag, code, at)
 		}
 		if got := src.CPlane().Counts(); got != counts {
 			t.Errorf("tag %d: CPlane counts %+v, were %+v", tc.tag, got, counts)
@@ -629,7 +624,7 @@ func TestRateLimiting(t *testing.T) {
 	ok, limited := 0, 0
 	for i := 0; i < 4; i++ {
 		if _, err := src.SetupSegment(seg, 0, 1000); err != nil {
-			if strings.Contains(err.Error(), "rate limited") {
+			if errors.Is(err, RefusedRateLimit) {
 				limited++
 			} else {
 				t.Fatal(err)
@@ -715,11 +710,11 @@ func TestHostCapRenewalChargesItsIncrease(t *testing.T) {
 	}
 	// Growing past the cap is refused, solo and in a wave, and costs nothing.
 	f.clock.Add(1)
-	if _, err := src.RenewEER(g, 12_000); err == nil || !strings.Contains(err.Error(), "policy") {
+	if _, err := src.RenewEER(g, 12_000); !errors.Is(err, RefusedPolicy) {
 		t.Fatalf("renewal past the cap: %v", err)
 	}
-	if _, errs := src.RenewEERBatch([]*EERGrant{g}, []uint64{12_000}); errs[0] == nil {
-		t.Fatal("wave renewal past the cap granted")
+	if _, errs := src.RenewEERBatch([]*EERGrant{g}, []uint64{12_000}); !errors.Is(errs[0], RefusedPolicy) {
+		t.Fatalf("wave renewal past the cap: %v", errs[0])
 	}
 	if pol.used[7] != 1_000 {
 		t.Fatalf("host holds %d kbps after refused renewals", pol.used[7])
@@ -744,7 +739,7 @@ func TestHostCapRefusedRequestReturnsItsCharge(t *testing.T) {
 	f, pol := hostCapFabric(t)
 	src := f.services[ia(1, 11)]
 	for i := 0; i < 3; i++ {
-		if _, err := src.RequestEER(7, 99, ia(2, 11), 8_000); err == nil || !strings.Contains(err.Error(), "destination refused") {
+		if _, err := src.RequestEER(7, 99, ia(2, 11), 8_000); !errors.Is(err, RefusedVeto) {
 			t.Fatalf("vetoed setup %d: %v", i, err)
 		}
 		if pol.used[7] != 0 || len(pol.eers) != 0 {
@@ -969,21 +964,21 @@ func TestMessageRoundTrips(t *testing.T) {
 		t.Errorf("EESetupReq round trip: %+v", got2)
 	}
 
-	resp := &SegSetupResp{OK: true, FinalKbps: 123, Tokens: [][packet.HVFLen]byte{{1, 2, 3, 4}}}
+	resp := &SegSetupResp{FinalKbps: 123, Tokens: [][packet.HVFLen]byte{{1, 2, 3, 4}}}
 	got3, err := UnmarshalSegSetupResp(resp.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got3.OK || got3.FinalKbps != 123 || got3.Tokens[0] != [4]byte{1, 2, 3, 4} {
+	if got3.Refusal != Granted || got3.FinalKbps != 123 || got3.Tokens[0] != [4]byte{1, 2, 3, 4} {
 		t.Errorf("SegSetupResp round trip: %+v", got3)
 	}
 
-	eresp := &EESetupResp{OK: false, FailedAt: 2, Reason: "no", EncAuths: [][]byte{{9, 9}}}
+	eresp := &EESetupResp{Refusal: RefusedVeto, FailedAt: 2, EncAuths: [][]byte{{9, 9}}}
 	got4, err := UnmarshalEESetupResp(eresp.Marshal())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got4.OK || got4.FailedAt != 2 || got4.Reason != "no" || len(got4.EncAuths[0]) != 2 {
+	if got4.Refusal != RefusedVeto || got4.FailedAt != 2 || len(got4.EncAuths[0]) != 2 {
 		t.Errorf("EESetupResp round trip: %+v", got4)
 	}
 }
@@ -1054,8 +1049,8 @@ func BenchmarkSegRHandleAtLastHop(b *testing.B) {
 			b.Fatal(err)
 		}
 		resp, err := UnmarshalSegSetupResp(data)
-		if err != nil || !resp.OK {
-			b.Fatalf("refused: %v %s", err, resp.Reason)
+		if err != nil || resp.Refusal != Granted {
+			b.Fatalf("refused: %v %v", err, resp)
 		}
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
-	"strings"
 	"sync"
 	"testing"
 	"unsafe"
@@ -43,7 +42,7 @@ func signFor(t testing.TB, src *Service, path []PathHop, body []byte) (macs [][c
 
 // macCheck is authHop's MAC check alone — no rate-limit token taken, nothing
 // counted: whether macs[idx] is src's MAC of body towards hop.
-func macCheck(hop *Service, src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) error {
+func macCheck(hop *Service, src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) bool {
 	key, _ := hop.engine.Level1(src, hop.clock())
 	return hop.cryptoFor(key).verify(body, macs, idx)
 }
@@ -95,7 +94,7 @@ func TestSoloAllocBudget(t *testing.T) {
 	transit := testing.AllocsPerRun(runs, func() {
 		f.clock.Add(1)
 		resp, err := hop1.HandleMsg(msgs[next])
-		if err != nil || resp[0] != 1 {
+		if err != nil || resp[0] != byte(Granted) {
 			t.Fatalf("transit renewal %d: %v %x", next, err, resp)
 		}
 		next++
@@ -109,6 +108,87 @@ func TestSoloAllocBudget(t *testing.T) {
 	}
 	if transit > 1 {
 		t.Errorf("a transit HandleMsg allocates %.1f times, budget 1 (the last hop's response)", transit)
+	}
+}
+
+// TestRefusalAllocBudget pins the allocations of a refused transit HandleMsg:
+// one, the response, as for a granted one — nothing is formatted or copied on
+// the way back. The parent, whose refusals were text, allocated 6 for a
+// renewal throttled at hop 1, 5 for a last-hop veto relayed back through hops
+// 1–3, and 8 and 31 for a wave refused at hop 1 and one refused at the last
+// hop and relayed; a wave granted end to end is held to the same budget.
+func TestRefusalAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := cpFabric(t, 8, func(iaKey topology.IA, cfg *Config) {
+		highRate(iaKey, cfg)
+		cfg.DstApprove = refuseHost99
+	})
+	f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	gs := requestEERs(t, src, 3, 100)
+	f.clock.Add(1)
+	g, err := src.RenewEER(gs[0], 100)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hop1 := f.services[g.PathHops[1].IA]
+	// A second renewal within the second reaches hop 1 already renewed there.
+	throttled := signSolo(t, src, renewalOf(g, g.Res.Ver+1, 100, f.now()))
+	vetoed := signSolo(t, src, &EESetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 1 << 20},
+		SegIDs: g.SegIDs, Splits: g.Splits, Path: g.PathHops, BwKbps: 100, AccumKbps: 100,
+		ExpT: f.now() + reservation.EERLifetimeSeconds, Ver: 1, SrcHost: 7, DstHost: 99})
+	attacker := f.services[ia(2, 1)]
+	crossSource := signWave(t, attacker, forgedWave(g, []EEBatchItem{
+		{ID: reservation.ID{SrcAS: attacker.ia, Num: 1}, Ver: 1, BwKbps: 1, ExpT: f.now() + 2},
+		{ID: g.ID, Ver: g.Res.Ver + 1, BwKbps: 1, ExpT: f.now() + 2}}))
+	lastUnauthentic := signedWave(t, src, gs[1:2])
+	lastUnauthentic.Macs[len(lastUnauthentic.Macs)-1][0] ^= 1
+	// The granted wave renews gs[2] to one fresh version per run.
+	const runs = 100
+	granted := make([][]byte, runs+1)
+	for i := range granted {
+		w := signedWave(t, src, gs[2:3])
+		w.Items[0].Ver += uint16(i)
+		w.Items[0].ExpT += uint32(i)
+		granted[i] = signWave(t, src, w)
+	}
+	next := 0
+	for _, tc := range []struct {
+		name string
+		msg  func() []byte
+		want Refusal
+		at   uint8
+		tick bool // a second passes before each run
+	}{
+		{"a solo renewal throttled at hop 1", func() []byte { return throttled }, RefusedThrottled, 1, false},
+		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false},
+		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false},
+		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false},
+		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true},
+	} {
+		msgs := make([][]byte, runs+1)
+		for i := range msgs {
+			msgs[i] = tc.msg()
+		}
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			if tc.tick {
+				f.clock.Add(1)
+			}
+			out, err := hop1.HandleMsg(msgs[i])
+			i++
+			if code, at := answerOf(out); err != nil || code != tc.want || at != tc.at {
+				t.Fatalf("%s: %v at hop %d, %v; want %v at hop %d", tc.name, code, at, err, tc.want, tc.at)
+			}
+			if tc.want == Granted && Refusal(out[1+1+4+8]) != Granted { // the item's status
+				t.Fatalf("%s: the item is %v", tc.name, Refusal(out[1+1+4+8]))
+			}
+		})
+		if allocs != 1 {
+			t.Errorf("%s: a transit HandleMsg allocates %.1f times, want 1 (the response)", tc.name, allocs)
+		}
 	}
 }
 
@@ -135,25 +215,25 @@ func TestSoloCodecCanonicalOnly(t *testing.T) {
 			t.Errorf("request with %s: err = %v, want ErrNotCanonical", name, err)
 		}
 	}
-	resp := (&EESetupResp{OK: true, FinalKbps: 1, EncAuths: [][]byte{nil, {1, 2}}}).Marshal()
+	resp := (&EESetupResp{FinalKbps: 1, EncAuths: [][]byte{nil, {1, 2}}}).Marshal()
 	if _, err := UnmarshalEESetupResp(resp); err != nil {
 		t.Fatal(err)
 	}
 	for name, msg := range map[string][]byte{
-		"OK byte 2":     append([]byte{2}, resp[1:]...),
-		"trailing byte": append(append([]byte(nil), resp...), 0),
+		"unknown refusal": append([]byte{byte(numRefusals)}, resp[1:]...),
+		"trailing byte":   append(append([]byte(nil), resp...), 0),
 	} {
 		if _, err := UnmarshalEESetupResp(msg); !errors.Is(err, ErrNotCanonical) {
 			t.Errorf("response with %s: err = %v, want ErrNotCanonical", name, err)
 		}
 	}
 	// Counts no path can have are refused before anything is sized by them.
-	many := []byte{1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}
+	many := []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0xff, 0xff}
 	var err error
 	if got, counted := allocatedBy(func() { _, err = UnmarshalEESetupResp(many) }); err == nil || counted && got > 1024 {
 		t.Errorf("response claiming 65535 authenticators: err = %v after allocating %d bytes", err, got)
 	}
-	segResp := append((&SegSetupResp{OK: true}).Marshal()[:12], 0xff, 0xff)
+	segResp := append((&SegSetupResp{}).Marshal()[:10], 0xff, 0xff)
 	if got, counted := allocatedBy(func() { _, err = UnmarshalSegSetupResp(segResp) }); err == nil || counted && got > 1024 {
 		t.Errorf("response claiming 65535 tokens: err = %v after allocating %d bytes", err, got)
 	}
@@ -173,7 +253,7 @@ func TestOverCoveredHopRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := UnmarshalEESetupResp(out); err != nil || resp.OK || !strings.Contains(resp.Reason, "covered by 3") {
+	if resp, err := UnmarshalEESetupResp(out); err != nil || resp.Refusal != RefusedCover {
 		t.Fatalf("response %+v, %v; want a refusal naming the three covering reservations", resp, err)
 	}
 	// The same chain in a renewal wave: one resolution of the covering SegRs
@@ -181,7 +261,7 @@ func TestOverCoveredHopRefused(t *testing.T) {
 	if out, err = f.services[g.PathHops[1].IA].HandleMsg(signWave(t, src, waveOf(req))); err != nil {
 		t.Fatal(err)
 	}
-	if resp, err := UnmarshalEEBatchRenewResp(out); err != nil || resp.OK || !strings.Contains(resp.Reason, "covered by 3") {
+	if resp, err := UnmarshalEEBatchRenewResp(out); err != nil || resp.Refusal != RefusedCover {
 		t.Fatalf("wave response %+v, %v; want a refusal naming the three covering reservations", resp, err)
 	}
 }
@@ -224,8 +304,8 @@ func FuzzEESetupCodec(f *testing.F) {
 		f.Add(msg, uint16(77), uint64(5))
 	}
 	path := g.PathHops
-	f.Add((&EESetupResp{OK: true, FinalKbps: 1}).Marshal(), uint16(0), uint64(0)) // the short-response crasher
-	f.Add((&EESetupResp{FailedAt: 2, Reason: "admission: no"}).Marshal(), uint16(1), uint64(1))
+	f.Add((&EESetupResp{FinalKbps: 1}).Marshal(), uint16(0), uint64(0)) // the short-response crasher
+	f.Add((&EESetupResp{Refusal: RefusedBandwidth, FailedAt: 2}).Marshal(), uint16(1), uint64(1))
 	mismatch := bytes.Clone(captured[0])
 	mismatch[0] = tagEERenew
 	f.Add(mismatch, uint16(2), uint64(2))
@@ -285,11 +365,11 @@ func FuzzEESetupCodec(f *testing.F) {
 			}
 			for idx := 1; idx < len(path); idx++ {
 				hop := fab.services[path[idx].IA]
-				if flipErr == nil && macCheck(hop, src.ia, flipped.wire[:flipped.bodyLen], flipped.Macs, idx) == nil {
+				if flipErr == nil && macCheck(hop, src.ia, flipped.wire[:flipped.bodyLen], flipped.Macs, idx) {
 					t.Fatalf("bit %d of body byte %d flipped and hop %d still authenticates the request", flip&7, int(flip>>3)%sg.body, idx)
 				}
-				if err := macCheck(hop, src.ia, retailed.wire[:retailed.bodyLen], retailed.Macs, idx); err != nil {
-					t.Fatalf("hop %d refuses the request with a new accumulator: %v", idx, err)
+				if !macCheck(hop, src.ia, retailed.wire[:retailed.bodyLen], retailed.Macs, idx) {
+					t.Fatalf("hop %d refuses the request with a new accumulator", idx)
 				}
 			}
 		}
@@ -384,15 +464,15 @@ func (rec *wireRecorder) check(from, dst topology.IA, sent, resp []byte) {
 	if enc := r.Marshal(); !bytes.Equal(enc, resp) {
 		t.Fatalf("%s → %s: response is not the marshaled struct:\n%x\n%x", from, dst, resp, enc)
 	}
-	if !r.OK {
+	if r.Refusal != Granted {
 		rec.refusals++
-		if len(r.EncAuths) != 0 || r.FinalKbps != 0 || int(r.FailedAt) <= idx || r.Reason == "" {
+		if len(r.EncAuths) != 0 || r.FinalKbps != 0 || int(r.FailedAt) <= idx {
 			t.Fatalf("%s → %s: refusal %+v", from, dst, r)
 		}
 		return
 	}
 	rec.grants++
-	if r.FailedAt != 0 || r.Reason != "" || r.FinalKbps > got.AccumKbps || len(r.EncAuths) != n ||
+	if r.FailedAt != 0 || r.FinalKbps > got.AccumKbps || len(r.EncAuths) != n ||
 		len(resp) != eeRespFixedLen+2*n+(n-1-idx)*sealedAuthLen {
 		t.Fatalf("%s → %s: grant %+v (%d bytes) for hop %d of %d", from, dst, r, len(resp), idx, n)
 	}
@@ -749,7 +829,7 @@ func sealedAt0(t *testing.T, src *Service, msg []byte) (nonces [][cryptoutil.Non
 			t.Fatal(err)
 		}
 		resp, err := UnmarshalEEBatchRenewResp(src.processEEBatchRenew(sc, 0))
-		if err != nil || !resp.OK || liveOf(resp.Status) != len(resp.Status) {
+		if err != nil || resp.Refusal != Granted || liveOf(resp.Status) != len(resp.Status) {
 			t.Fatalf("wave of %d: %+v, %v", len(sc.req.Items), resp, err)
 		}
 		sealed = resp.Blobs
@@ -757,9 +837,8 @@ func sealedAt0(t *testing.T, src *Service, msg []byte) (nonces [][cryptoutil.Non
 		if err := sc.solo.unmarshal(msg); err != nil {
 			t.Fatal(err)
 		}
-		out, _ := src.processEESetup(sc, 0, sc.solo.BwKbps)
-		resp, err := UnmarshalEESetupResp(out)
-		if err != nil || !resp.OK {
+		resp, err := UnmarshalEESetupResp(src.processEESetup(sc, 0, sc.solo.BwKbps))
+		if err != nil || resp.Refusal != Granted {
 			t.Fatalf("solo request: %+v, %v", resp, err)
 		}
 		sealed = resp.EncAuths
@@ -826,7 +905,7 @@ func TestSealNoncesNeverRepeat(t *testing.T) {
 	for len(big.Items) <= maxRetainedWave {
 		big.Items = append(big.Items, big.Items[0])
 		big.Accums = append(big.Accums, big.Accums[0])
-		big.Status = append(big.Status, EEItemOK)
+		big.Status = append(big.Status, Granted)
 	}
 	count("the oversized wave", signWave(t, src, big))
 	for _, ph := range c[0].hops {

@@ -450,7 +450,7 @@ func TestTransferSplitConcurrentPairs(t *testing.T) {
 		l := hopLeg{hopCover: hopCover{ids: [2]reservation.ID{up, core}, n: 2}, src: src}
 		it := hopItem{grant: 1}
 		cp.withPath(l.segs(), func(p eerPath) {
-			if l.open(&p) == nil {
+			if l.open(&p) == Granted {
 				l.admit(&p, &it, num, 1, expT)
 			}
 		})

@@ -7,6 +7,7 @@ package cserv
 import (
 	"bytes"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
@@ -43,15 +44,15 @@ func wireGoldens() map[string]wireMsg {
 	}
 	blob := blobLen(2)
 	return map[string]wireMsg{
-		"seg_setup_resp_grant":   &SegSetupResp{OK: true, FinalKbps: 100_000, Tokens: tokens},
-		"seg_setup_resp_refusal": &SegSetupResp{FailedAt: 2, Reason: "admission: cplane: insufficient bandwidth on segment reservation"},
-		"ee_setup_resp_grant": &EESetupResp{OK: true, FinalKbps: 8_000, EncAuths: [][]byte{
+		"seg_setup_resp_grant":   &SegSetupResp{FinalKbps: 100_000, Tokens: tokens},
+		"seg_setup_resp_refusal": &SegSetupResp{Refusal: RefusedBandwidth, FailedAt: 2},
+		"ee_setup_resp_grant": &EESetupResp{FinalKbps: 8_000, EncAuths: [][]byte{
 			fill(0x10, sealedAuthLen), fill(0x20, sealedAuthLen), fill(0x30, sealedAuthLen)}},
-		"ee_setup_resp_refusal": &EESetupResp{FailedAt: 3, Reason: "destination refused"},
-		"ee_batch_renew_resp_grant": &EEBatchRenewResp{OK: true,
-			Granted: []uint64{8_000, 0, 5_000}, Status: []uint8{EEItemOK, EEItemRefused, EEItemOK},
+		"ee_setup_resp_refusal": &EESetupResp{Refusal: RefusedVeto, FailedAt: 3},
+		"ee_batch_renew_resp_grant": &EEBatchRenewResp{
+			Granted: []uint64{8_000, 0, 5_000}, Status: []Refusal{Granted, RefusedBandwidth, Granted},
 			Blobs: [][]byte{fill(0x10, blob), fill(0x40, blob), fill(0x70, blob)}},
-		"ee_batch_renew_resp_refusal": &EEBatchRenewResp{FailedAt: 1, Reason: "malformed batch"},
+		"ee_batch_renew_resp_refusal": &EEBatchRenewResp{Refusal: RefusedMalformed, FailedAt: 1},
 	}
 }
 
@@ -104,4 +105,41 @@ func hexLines(b []byte) string {
 		b = b[n:]
 	}
 	return s.String()
+}
+
+// TestRefusalCodec: every code of the vocabulary round-trips through each
+// response, as its refusal and as a wave item's status; one past the last code
+// does not decode, in either place.
+func TestRefusalCodec(t *testing.T) {
+	blob := make([]byte, blobLen(1))
+	for code := Granted; code <= numRefusals; code++ {
+		want := error(nil)
+		if !code.known() {
+			want = ErrNotCanonical
+		}
+		for name, msg := range map[string]wireMsg{
+			"SegSetupResp":     &SegSetupResp{Refusal: code, FailedAt: 3},
+			"EESetupResp":      &EESetupResp{Refusal: code, FailedAt: 3},
+			"EEBatchRenewResp": &EEBatchRenewResp{Refusal: code, FailedAt: 3},
+			"EEBatchRenewResp item": &EEBatchRenewResp{Granted: []uint64{7, 0},
+				Status: []Refusal{Granted, code}, Blobs: [][]byte{blob, blob}},
+		} {
+			if code == Granted && name == "EEBatchRenewResp item" {
+				continue // a second live item wants longer blobs
+			}
+			enc := msg.Marshal()
+			fresh := reflect.New(reflect.TypeOf(msg).Elem()).Interface().(wireMsg)
+			if err := fresh.unmarshal(enc); !errors.Is(err, want) {
+				t.Errorf("%s with %v: err = %v, want %v", name, code, err, want)
+			} else if err == nil && !reflect.DeepEqual(fresh, msg) {
+				t.Errorf("%s with %v decodes to %+v", name, code, fresh)
+			}
+		}
+	}
+	// The request tail carries item statuses too.
+	req := &EEBatchRenewReq{Path: make([]PathHop, 2), Items: make([]EEBatchItem, 1),
+		Macs: make([][cryptoutil.MACSize]byte, 2), Accums: []uint64{1}, Status: []Refusal{numRefusals}}
+	if _, err := UnmarshalEEBatchRenewReq(req.Marshal()); !errors.Is(err, ErrNotCanonical) {
+		t.Errorf("a wave whose item status is %v: err = %v, want ErrNotCanonical", req.Status[0], err)
+	}
 }
