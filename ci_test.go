@@ -9,6 +9,7 @@ import (
 	"path"
 	"path/filepath"
 	"regexp"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
@@ -305,10 +306,15 @@ func selectsOnlyByName(cmd string) bool {
 }
 
 // TestGoVet: go vet passes on the module, as it does on bench/ in
-// TestBenchHarnessBuilds.
+// TestBenchHarnessBuilds, for the host's architecture and for arm64, so
+// that the module stays portable past its amd64 assembly.
 func TestGoVet(t *testing.T) {
-	if out, err := exec.Command("go", "vet", "./...").CombinedOutput(); err != nil {
-		t.Errorf("go vet ./...: %v\n%s", err, out)
+	for _, goarch := range []string{runtime.GOARCH, "arm64"} {
+		cmd := exec.Command("go", "vet", "./...")
+		cmd.Env = append(os.Environ(), "GOARCH="+goarch)
+		if out, err := cmd.CombinedOutput(); err != nil {
+			t.Errorf("GOARCH=%s go vet ./...: %v\n%s", goarch, err, out)
+		}
 	}
 }
 

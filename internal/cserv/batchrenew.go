@@ -263,6 +263,7 @@ type waveScratch struct {
 	resp     EEBatchRenewResp
 	solo     EESetupReq
 	soloResp EESetupResp
+	act      SegActivateReq
 	states   []hopItem
 	fwd      []byte // the request as forwarded to the next hop
 	// sigmas holds this hop's σs of the live items before it seals them and, at
@@ -313,7 +314,7 @@ func (s *Service) putWave(sc *waveScratch) {
 	clear(sc.resp.Blobs)
 	sc.resp.Blobs = sc.resp.Blobs[:0]
 	sc.grant = EERGrant{}
-	sc.solo.wire = nil
+	sc.solo.wire, sc.act.wire = nil, nil
 	clear(sc.soloResp.EncAuths)
 	s.waveMu.Lock()
 	s.waveFree = append(s.waveFree, sc)

@@ -68,6 +68,9 @@ var (
 	// ErrTooManySegRs refuses a SegR its shard's registry has no handle left
 	// for.
 	ErrTooManySegRs = errors.New("cplane: SegR registry full")
+	// ErrBelowAllocated refuses an activation whose pending version is below
+	// the EER bandwidth the SegR carries (§4.2).
+	ErrBelowAllocated = errors.New("cplane: pending segment reservation version below allocated EER bandwidth")
 )
 
 // MaxEERKbps is the largest EER bandwidth: what a ResInfo's 32-bit field
@@ -630,12 +633,32 @@ func (c *CPlane) clearPending(id reservation.ID) error {
 	})
 }
 
+// checkActivation decides an activation of SegR id to version ver before it
+// is forwarded: a retry when ver is the active version, with its bandwidth;
+// ErrNoPending when ver is not the pending version, and ErrBelowAllocated
+// when the pending version is below the SegR's EER demand (demandMax).
+func (c *CPlane) checkActivation(id reservation.ID, ver uint16) (retry bool, activeKbps uint64, err error) {
+	now := c.clock()
+	err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		switch {
+		case r.active.Ver == ver:
+			retry, activeKbps = true, r.active.BwKbps
+		case r.pending == nil || r.pending.Ver != ver:
+			return ErrNoPending
+		case r.pending.BwKbps < r.demandMax(now):
+			return ErrBelowAllocated
+		}
+		return nil
+	})
+	return retry, activeKbps, err
+}
+
 // activateSegR switches SegR id to its pending version, which the caller has
-// checked the EER demand fits (SegDemandMax), and returns it.
+// checked the EER demand fits (checkActivation), and returns it.
 func (c *CPlane) activateSegR(id reservation.ID) (active reservation.Version, err error) {
 	err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
 		if r.pending == nil {
-			return fmt.Errorf("%w: %s", ErrNoPending, id)
+			return ErrNoPending
 		}
 		r.active, r.pending = *r.pending, nil
 		active = r.active

@@ -33,14 +33,20 @@ import (
 func (c *CPlane) SegDemandMax(seg reservation.ID) (demand uint64, ok bool) {
 	now := c.clock()
 	ok = c.withSegR(seg, func(_ *cplaneShard, r *segRec) error {
-		r.led.Advance(now)
-		// EER charges never extend past one lifetime from admission, so two
-		// lifetimes from now bounds every live window without approaching the
-		// ledger horizon.
-		demand = uint64(max(r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds), 0))
+		demand = r.demandMax(now)
 		return nil
 	}) == nil
 	return demand, ok
+}
+
+// demandMax returns SegR record r's maximum EER demand from now on; its shard
+// is locked.
+func (r *segRec) demandMax(now uint32) uint64 {
+	r.led.Advance(now)
+	// EER charges never extend past one lifetime from admission, so two
+	// lifetimes from now bounds every live window without approaching the
+	// ledger horizon.
+	return uint64(max(r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds), 0))
 }
 
 // RenewSegRWithUndo re-admits a SegR on its shard with fresh scale factors,

@@ -20,6 +20,11 @@ func UnmarshalEEBatchRenewReq(data []byte) (*EEBatchRenewReq, error) {
 	return decodeNew[EEBatchRenewReq](data)
 }
 
+// UnmarshalSegActivateReq parses a SegActivateReq.
+func UnmarshalSegActivateReq(data []byte) (*SegActivateReq, error) {
+	return decodeNew[SegActivateReq](data)
+}
+
 // UnmarshalEEBatchRenewResp parses an EEBatchRenewResp. The Blobs of the
 // result alias data: they are valid until the caller modifies data, and
 // whatever outlives it (a grant's hop authenticators) is opened out of them.

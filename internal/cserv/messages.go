@@ -157,9 +157,9 @@ type SegSetupResp struct {
 	Tokens    [][packet.HVFLen]byte
 }
 
-// Marshal encodes the response.
+// Marshal encodes the response into one allocation.
 func (r *SegSetupResp) Marshal() []byte {
-	b := []byte{byte(r.Refusal), r.FailedAt}
+	b := append(make([]byte, 0, 1+1+8+2+packet.HVFLen*len(r.Tokens)), byte(r.Refusal), r.FailedAt)
 	b = binary.BigEndian.AppendUint64(b, r.FinalKbps)
 	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Tokens)))
 	for _, tok := range r.Tokens {
@@ -202,6 +202,13 @@ type SegActivateReq struct {
 	Ver  uint16
 	Path []PathHop
 	Macs [][cryptoutil.MACSize]byte
+
+	// wire is the message this request was decoded from and bodyLen the
+	// MAC-covered share of it, which a hop authenticates: the decoder accepts
+	// only what Marshal would produce, so wire[:bodyLen] is Body(). Nil at the
+	// initiator, which checks no MAC of its own.
+	wire    []byte
+	bodyLen int
 }
 
 // Body returns the MAC-covered canonical encoding.
@@ -216,24 +223,25 @@ func (r *SegActivateReq) Body() []byte {
 // Marshal appends the MACs to the body.
 func (r *SegActivateReq) Marshal() []byte { return appendMacs(r.Body(), r.Macs) }
 
-// UnmarshalSegActivateReq parses a SegActivateReq.
-func UnmarshalSegActivateReq(data []byte) (*SegActivateReq, error) {
+// unmarshal decodes data into r, reusing the capacity of r's slices; r.wire
+// aliases data.
+func (r *SegActivateReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	if d.u8() != tagSegActivate {
-		return nil, ErrBadTag
+		return ErrBadTag
 	}
-	r := &SegActivateReq{}
 	r.ID = d.id()
 	r.Ver = d.u16()
-	r.Path = d.hops(nil)
-	r.Macs = d.macs(nil)
+	r.Path = d.hops(r.Path[:0])
+	r.wire, r.bodyLen = data, len(data)-len(d.buf)
+	r.Macs = d.macs(r.Macs[:0])
 	switch {
 	case d.err != nil:
-		return nil, d.err
+		return d.err
 	case len(d.buf) != 0:
-		return nil, ErrNotCanonical
+		return ErrNotCanonical
 	}
-	return r, nil
+	return nil
 }
 
 // EESetupReq is the end-to-end-reservation setup request (§4.4). SegIDs are

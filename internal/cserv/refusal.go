@@ -100,6 +100,8 @@ func refusalOf(err error) Refusal {
 		return RefusedSegRExists
 	case errors.Is(err, ErrNoPending):
 		return RefusedNoPending
+	case errors.Is(err, ErrBelowAllocated):
+		return RefusedBelowAllocated
 	}
 	return RefusedMalformed
 }

@@ -251,36 +251,31 @@ func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegS
 	return resp
 }
 
-// processSegActivate handles an activation request at hop idx.
-func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp {
-	if _, code := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); code != Granted {
-		return &SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
+// processSegActivate handles an activation request at hop idx. What decides
+// before anything is forwarded is read under the SegR's lock, with no copy of
+// its record: a retry of the active version is answered at once, and one that
+// names no pending version, or a pending one below the EER demand the SegR
+// carries, is refused here, so that downstream ASes are never activated
+// ahead of a doomed local switch.
+func (s *Service) processSegActivate(req *SegActivateReq, idx int) SegSetupResp {
+	if _, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx); code != Granted {
+		return SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
 	}
-	segr, err := s.cp.GetSegR(req.ID)
-	if err != nil {
-		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
-	}
-	if segr.Active.Ver == req.Ver {
+	retry, activeKbps, err := s.cp.checkActivation(req.ID, req.Ver)
+	switch {
+	case err != nil:
+		return SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
+	case retry:
 		// Retried activation: this hop already switched, and because each
 		// hop commits only after its downstream forward succeeded, every
 		// hop after us is active too — answer OK without forwarding.
 		s.metrics.DedupHits.Add(1)
-		return &SegSetupResp{FinalKbps: segr.Active.BwKbps}
-	}
-	if segr.Pending == nil || segr.Pending.Ver != req.Ver {
-		return &SegSetupResp{Refusal: RefusedNoPending, FailedAt: uint8(idx)}
-	}
-	// Refuse before forwarding if the switch would over-allocate locally, so
-	// downstream ASes are never activated ahead of a doomed local switch. The
-	// EER demand lives in the SegR's ledger (0 for a SegR the engine lost).
-	allocated, _ := s.cp.SegDemandMax(req.ID)
-	if segr.Pending.BwKbps < allocated {
-		return &SegSetupResp{Refusal: RefusedBelowAllocated, FailedAt: uint8(idx)}
+		return SegSetupResp{FinalKbps: activeKbps}
 	}
 	if idx < len(req.Path)-1 {
-		resp := &SegSetupResp{}
-		if _, code := s.forward(req.Path[idx+1].IA, req.Marshal(), resp); code != Granted {
-			return &SegSetupResp{Refusal: code, FailedAt: uint8(idx + 1)}
+		var resp SegSetupResp
+		if _, code := s.forward(req.Path[idx+1].IA, req.Marshal(), &resp); code != Granted {
+			return SegSetupResp{Refusal: code, FailedAt: uint8(idx + 1)}
 		}
 		if resp.Refusal != Granted {
 			return resp
@@ -288,9 +283,9 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) *SegSetupResp
 	}
 	active, err := s.cp.activateSegR(req.ID)
 	if err != nil {
-		return &SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
+		return SegSetupResp{Refusal: refusalOf(err), FailedAt: uint8(idx)}
 	}
 	s.metrics.SegActivate.Add(1)
 	s.metrics.TraceID(int64(s.clock())*1e9, telemetry.EvSegActivate, req.ID, true, "")
-	return &SegSetupResp{FinalKbps: active.BwKbps}
+	return SegSetupResp{FinalKbps: active.BwKbps}
 }

@@ -283,15 +283,19 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		}
 		return s.processSegSetup(req, idx, min(req.AccumKbps, req.MaxKbps)).Marshal(), nil
 	case tagSegActivate:
-		req, err := UnmarshalSegActivateReq(data)
-		if err != nil {
+		// Decoded into scratch like a wave, and answered from the stack.
+		sc := s.getWave()
+		defer s.putWave(sc)
+		req := &sc.act
+		if err := req.unmarshal(data); err != nil {
 			return nil, err
 		}
 		idx, out, err := s.wireHop(req.Path, refuseSeg)
 		if idx == 0 {
 			return out, err
 		}
-		return s.processSegActivate(req, idx).Marshal(), nil
+		resp := s.processSegActivate(req, idx)
+		return resp.Marshal(), nil
 	case tagEESetup, tagEERenew:
 		// Decoded into scratch like a wave; the response is never part of it.
 		sc := s.getWave()

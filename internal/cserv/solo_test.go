@@ -113,10 +113,13 @@ func TestSoloAllocBudget(t *testing.T) {
 
 // TestRefusalAllocBudget pins the allocations of a refused transit HandleMsg:
 // one, the response, as for a granted one — nothing is formatted or copied on
-// the way back. The parent, whose refusals were text, allocated 6 for a
-// renewal throttled at hop 1, 5 for a last-hop veto relayed back through hops
-// 1–3, and 8 and 31 for a wave refused at hop 1 and one refused at the last
-// hop and relayed; a wave granted end to end is held to the same budget.
+// the way back. When refusals were text, a renewal throttled at hop 1
+// allocated 6, a last-hop veto relayed back through hops 1–3 5, and a wave
+// refused at hop 1 and one refused at the last hop and relayed 8 and 31; a
+// wave granted end to end is held to the same budget. A SegR activation
+// refused at hop 1 for an unknown SegR or for no pending version allocated
+// 16 and 10 while it decoded into fresh structs, MACed a re-encoded body and
+// copied the SegR's record to decide.
 func TestRefusalAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -143,6 +146,19 @@ func TestRefusalAllocBudget(t *testing.T) {
 	crossSource := signWave(t, attacker, forgedWave(g, []EEBatchItem{
 		{ID: reservation.ID{SrcAS: attacker.ia, Num: 1}, Ver: 1, BwKbps: 1, ExpT: f.now() + 2},
 		{ID: g.ID, Ver: g.Res.Ver + 1, BwKbps: 1, ExpT: f.now() + 2}}))
+	// Activations of src's up-SegR through hop 1: of an ID hop 1 does not
+	// hold, and of a version the SegR has no pending one of.
+	up, err := src.cp.GetSegR(g.SegIDs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	activation := func(id reservation.ID, ver uint16) []byte {
+		req := &SegActivateReq{ID: id, Ver: ver, Path: HopsFromSegment(up.Seg)}
+		req.Macs = signFor(t, src, req.Path, req.Body())
+		return req.Marshal()
+	}
+	unknownSegR := activation(reservation.ID{SrcAS: src.ia, Num: 1 << 20}, 1)
+	noPending := activation(up.ID, up.Active.Ver+1)
 	lastUnauthentic := signedWave(t, src, gs[1:2])
 	lastUnauthentic.Macs[len(lastUnauthentic.Macs)-1][0] ^= 1
 	// The granted wave renews gs[2] to one fresh version per run.
@@ -166,6 +182,8 @@ func TestRefusalAllocBudget(t *testing.T) {
 		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false},
 		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false},
 		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false},
+		{"an activation of an unknown SegR", func() []byte { return unknownSegR }, RefusedUnknownSegR, 1, false},
+		{"an activation with no pending version", func() []byte { return noPending }, RefusedNoPending, 1, false},
 		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true},
 	} {
 		msgs := make([][]byte, runs+1)

@@ -62,13 +62,25 @@ func TestFig4ConstantTime(t *testing.T) {
 	}
 }
 
+// TestFig5Shape checks Fig. 5's shape on four points. Each point is the best
+// of five 50 ms windows, interleaved with the other points' windows, so that
+// a stretch of host noise cannot land on every window of one point: with one
+// window per point, run back to back, the path-length check flipped about one
+// run in ten.
 func TestFig5Shape(t *testing.T) {
-	rows := RunFig5([]int{2, 8}, []int{1, 1 << 12}, 50*time.Millisecond)
-	get := func(h, r int) float64 {
+	const windows = 5
+	best := make(map[[2]int]float64)
+	var rows []Fig5Row
+	for range windows {
+		rows = RunFig5([]int{2, 8}, []int{1, 1 << 12}, 50*time.Millisecond)
 		for _, row := range rows {
-			if row.Hops == h && row.Reservations == r {
-				return row.Mpps
-			}
+			k := [2]int{row.Hops, row.Reservations}
+			best[k] = max(best[k], row.Mpps)
+		}
+	}
+	get := func(h, r int) float64 {
+		if mpps, ok := best[[2]int{h, r}]; ok {
+			return mpps
 		}
 		t.Fatalf("missing row %d/%d", h, r)
 		return 0

@@ -2,20 +2,31 @@
 // open-addressed table of fixed-size records keyed by reservation.ID, with
 // no Go map and no heap object per entry.
 //
-// The records live in one dense array; an index of 4-byte slots sits in
-// front of it. The index has n ≥ 8 slots, any n, kept at most ¾ full and
-// grown by half when an insert would fill it past that, so after its first
-// growth it runs at more than ½ load and costs at most 8 bytes per record.
-// The dense array never holds n records, so with b = bits.Len(n) a slot's
-// low b bits are the record's position in it plus one (0 marks an empty
-// slot), and its upper 32−b bits are the same bits of the lower half of the
-// key's hash (the tag). The upper half, scaled to n by a multiply-shift,
-// selects the slot a probe starts from (its home), and probing is linear,
-// wrapping at n, so a miss ends within a few slots and a hit costs one run
-// of slots and, on a tag match, one record. A slot's home does not follow
-// from the slot: growth refiles the index by walking the dense array, and a
-// deletion finds the homes of the slots it shifts by hashing their records'
-// keys, so only those two pay a record read per slot.
+// The records live in a dense array held in fixed pages of pageLen (512)
+// records: position pos is page pos>>pageShift, offset pos&(pageLen−1), one
+// load more than a flat array and no bounds check on the offset. A table's
+// first page starts at 16 records and doubles up to a whole page, so a small
+// table pays for no more than its records' next power of two. From then on
+// the table is a list of whole pages: Put adds one when the last is full and
+// copies nothing, so fewer than a page of records is spare; Delete frees the
+// last page once it and the page before it are empty, so after deletions
+// fewer than two are. A table drained after a flood keeps its live records
+// plus at most two pages, not its peak.
+//
+// An index of 4-byte slots sits in front of the dense array. The index has
+// n ≥ 8 slots, any n, kept at most ¾ full and grown by half when an insert
+// would fill it past that, so after its first growth it runs at more than
+// ½ load and costs at most 8 bytes per record. The dense array never holds n
+// records, so with b = bits.Len(n) a slot's low b bits are the record's
+// position in it plus one (0 marks an empty slot), and its upper 32−b bits
+// are the same bits of the lower half of the key's hash (the tag). The upper
+// half, scaled to n by a multiply-shift, selects the slot a probe starts from
+// (its home), and probing is linear, wrapping at n, so a miss ends within a
+// few slots and a hit costs one run of slots and, on a tag match, one
+// record. A slot's home does not follow from the slot: growth refiles the
+// index by walking the pages, and a deletion finds the homes of the slots it
+// shifts by hashing their records' keys, so only those two pay a record read
+// per slot.
 //
 // A record holds its key as the ID's two fields, source AS then number, with
 // the value after them: a value of 4-byte alignment packs into the four bytes
@@ -40,12 +51,27 @@ import (
 // empty table ready for use. It is not safe for concurrent use.
 //
 // A pointer returned by Get, Put or At stays valid until the next Put or
-// Delete on the table: growth moves the dense array, and a Delete moves the
-// last record into the deleted one's place.
+// Delete on the table: a doubling first page moves, a Delete moves the last
+// record into the deleted one's place, and it may free the last page.
 type Table[V any] struct {
 	slots []uint32
-	recs  []record[V]
+	// first holds the records while the table has one page, which doubles
+	// from firstLen to pageLen records; pages holds them once the table has
+	// outgrown it, first becoming pages[0].
+	first []record[V]
+	pages []*[pageLen]record[V]
+	n     int
 }
+
+// A page holds pageLen records; the first page starts at firstLen and
+// doubles. The page directory starts with room for dirLen pages, so that a
+// table of up to 32 768 records allocates it once.
+const (
+	pageShift = 9
+	pageLen   = 1 << pageShift
+	firstLen  = 16
+	dirLen    = 64
+)
 
 type record[V any] struct {
 	ia  topology.IA
@@ -54,6 +80,38 @@ type record[V any] struct {
 }
 
 func (r *record[V]) key() reservation.ID { return reservation.ID{SrcAS: r.ia, Num: r.num} }
+
+// rec returns the record at position pos of the dense array.
+func (t *Table[V]) rec(pos uint32) *record[V] {
+	if t.pages == nil {
+		return &t.first[pos]
+	}
+	return &t.pages[pos>>pageShift][pos&(pageLen-1)]
+}
+
+// room returns the number of records the pages have room for.
+func (t *Table[V]) room() int {
+	if t.pages == nil {
+		return len(t.first)
+	}
+	return len(t.pages) * pageLen
+}
+
+// open makes room for one record more: it doubles the first page up to
+// pageLen records, then adds a whole page. Only the doubling copies records.
+func (t *Table[V]) open() {
+	switch {
+	case t.pages != nil:
+		t.pages = append(t.pages, new([pageLen]record[V]))
+	case len(t.first) < pageLen:
+		first := make([]record[V], max(2*len(t.first), firstLen))
+		copy(first, t.first)
+		t.first = first
+	default:
+		t.pages = append(make([]*[pageLen]record[V], 0, dirLen), (*[pageLen]record[V])(t.first), new([pageLen]record[V]))
+		t.first = nil
+	}
+}
 
 // RecordSize returns the bytes one record of the table takes in its dense
 // array: the key and a V, padded to V's alignment.
@@ -100,20 +158,22 @@ func (t *Table[V]) next(i uint32) uint32 {
 	return i
 }
 
-// find returns the index slot holding id, or -1.
-func (t *Table[V]) find(id reservation.ID) int {
-	if len(t.recs) == 0 {
-		return -1
+// find returns the index slot holding id and its record, or -1 and nil.
+func (t *Table[V]) find(id reservation.ID) (int, *record[V]) {
+	if t.n == 0 {
+		return -1, nil
 	}
 	h, low := hash(id), t.low()
 	tag := uint32(h) &^ low
 	for i := home(h, len(t.slots)); ; i = t.next(i) {
 		s := t.slots[i]
 		if s == 0 {
-			return -1
+			return -1, nil
 		}
-		if s&^low == tag && t.recs[s&low-1].key() == id {
-			return int(i)
+		if s&^low == tag {
+			if r := t.rec(s&low - 1); r.key() == id {
+				return int(i), r
+			}
 		}
 	}
 }
@@ -122,27 +182,31 @@ func (t *Table[V]) find(id reservation.ID) int {
 //
 //colibri:nomalloc
 func (t *Table[V]) Get(id reservation.ID) *V {
-	i := t.find(id)
-	if i < 0 {
-		return nil
+	if _, r := t.find(id); r != nil {
+		return &r.val
 	}
-	return &t.recs[t.slots[i]&t.low()-1].val
+	return nil
 }
 
 // Put returns id's record, inserting a zero one first when the table holds
 // none; added reports the insertion. Insertion allocates only when the
-// table grows.
+// index grows or the last page is full.
 func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
-	if i := t.find(id); i >= 0 {
-		return &t.recs[t.slots[i]&t.low()-1].val, false
+	if _, r := t.find(id); r != nil {
+		return &r.val, false
 	}
-	if 4*(len(t.recs)+1) > 3*len(t.slots) {
+	if 4*(t.n+1) > 3*len(t.slots) {
 		t.grow()
 	}
-	pos := len(t.recs)
-	t.recs = append(t.recs, record[V]{ia: id.SrcAS, num: id.Num})
+	if t.n == t.room() {
+		t.open()
+	}
+	pos := t.n
+	t.n++
+	r := t.rec(uint32(pos))
+	r.ia, r.num = id.SrcAS, id.Num
 	t.place(t.slotOf(hash(id), pos))
-	return &t.recs[pos].val, true
+	return &r.val, true
 }
 
 // place files slot s at the first free slot from its home.
@@ -158,32 +222,39 @@ func (t *Table[V]) place(s, home uint32) {
 // record into it, in dense order.
 func (t *Table[V]) grow() {
 	t.slots = make([]uint32, max(len(t.slots)+len(t.slots)/2, minSlots))
-	for pos := range t.recs {
-		t.place(t.slotOf(hash(t.recs[pos].key()), pos))
+	for pos := range t.n {
+		t.place(t.slotOf(hash(t.rec(uint32(pos)).key()), pos))
 	}
 }
 
 // Delete removes id's record and reports whether there was one.
 func (t *Table[V]) Delete(id reservation.ID) bool {
-	i := t.find(id)
-	if i < 0 {
+	i, r := t.find(id)
+	if r == nil {
 		return false
 	}
 	low := t.low()
 	pos := t.slots[i]&low - 1
 	t.unslot(uint32(i))
-	last := uint32(len(t.recs) - 1)
+	last := uint32(t.n - 1)
+	lr := t.rec(last)
 	if pos != last {
 		// Swap-last compaction: re-point the last record's slot at pos.
-		j := t.homeOf(t.recs[last].key())
+		j := t.homeOf(lr.key())
 		for t.slots[j]&low != last+1 {
 			j = t.next(j)
 		}
 		t.slots[j] = t.slots[j]&^low | (pos + 1)
-		t.recs[pos] = t.recs[last]
+		*r = *lr
 	}
-	t.recs[last] = record[V]{}
-	t.recs = t.recs[:last]
+	*lr = record[V]{}
+	t.n--
+	// Free the last page once it and the one before it are empty: one empty
+	// page stays as hysteresis against a Put.
+	if p := len(t.pages); p >= 2 && t.n <= (p-2)*pageLen {
+		t.pages[p-1] = nil
+		t.pages = t.pages[:p-1]
+	}
 	return true
 }
 
@@ -194,7 +265,7 @@ func (t *Table[V]) unslot(i uint32) {
 	n, low := uint32(len(t.slots)), t.low()
 	hole := i
 	for j := t.next(hole); t.slots[j] != 0; j = t.next(j) {
-		if home := t.homeOf(t.recs[t.slots[j]&low-1].key()); (j+n-home)%n >= (j+n-hole)%n {
+		if home := t.homeOf(t.rec(t.slots[j]&low - 1).key()); (j+n-home)%n >= (j+n-hole)%n {
 			t.slots[hole] = t.slots[j]
 			hole = j
 		}
@@ -203,11 +274,11 @@ func (t *Table[V]) unslot(i uint32) {
 }
 
 // Len returns the number of records.
-func (t *Table[V]) Len() int { return len(t.recs) }
+func (t *Table[V]) Len() int { return t.n }
 
 // At returns the key and record at position i of the dense array,
 // 0 ≤ i < Len().
 func (t *Table[V]) At(i int) (reservation.ID, *V) {
-	r := &t.recs[i]
+	r := t.rec(uint32(i))
 	return r.key(), &r.val
 }

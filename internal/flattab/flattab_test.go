@@ -2,7 +2,10 @@ package flattab
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/bits"
+	"math/rand"
+	"runtime"
 	"testing"
 	"unsafe"
 
@@ -13,12 +16,15 @@ import (
 // check compares the table with its map model: same size, every model key
 // found with its value (read by val), every record reached by position is in
 // the model once, every index slot names a live record — no record twice —
-// whose tag bits it carries, and the index is at most ¾ full.
+// whose tag bits it carries, and the index is at most ¾ full. The pages must
+// hold every record, at most one page beyond them, and zero records past the
+// last.
 func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, val func(*V) uint64) {
 	t.Helper()
 	if tab.Len() != len(model) {
 		t.Fatalf("Len %d, model %d", tab.Len(), len(model))
 	}
+	checkPages(t, tab, val)
 	for id, want := range model {
 		v := tab.Get(id)
 		if v == nil || val(v) != want {
@@ -40,7 +46,7 @@ func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, 
 			continue
 		}
 		pos := int(s&low) - 1
-		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.recs[pos].key()))&^low != s&^low {
+		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.rec(uint32(pos)).key()))&^low != s&^low {
 			t.Fatalf("slot %#x names record %d of %d twice or with another tag", s, pos, tab.Len())
 		}
 		named[pos] = true
@@ -48,6 +54,28 @@ func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, 
 	}
 	if used != tab.Len() || 4*used > 3*len(tab.slots) && used > 0 {
 		t.Fatalf("%d slots used for %d records in an index of %d", used, tab.Len(), len(tab.slots))
+	}
+}
+
+// checkPages checks the pages against the table's length: the first page a
+// power of two from firstLen to pageLen records, or whole pages no more than
+// one beyond those the records fill, and every record past the last a zero
+// one.
+func checkPages[V any](t *testing.T, tab *Table[V], val func(*V) uint64) {
+	t.Helper()
+	n, room := tab.Len(), tab.room()
+	switch {
+	case tab.pages == nil && room != 0 && (room < firstLen || room > pageLen || room&(room-1) != 0):
+		t.Fatalf("a first page of %d records", room)
+	case tab.pages != nil && (tab.first != nil || len(tab.pages) > (n+pageLen-1)/pageLen+1):
+		t.Fatalf("%d pages (first page apart: %v) for %d records", len(tab.pages), tab.first != nil, n)
+	case room < n:
+		t.Fatalf("room for %d records holds %d", room, n)
+	}
+	for pos := n; pos < room; pos++ {
+		if r := tab.rec(uint32(pos)); r.ia != 0 || r.num != 0 || val(&r.val) != 0 {
+			t.Fatalf("position %d past the last record %d holds %v:%d", pos, n-1, r.key(), val(&r.val))
+		}
 	}
 }
 
@@ -78,10 +106,25 @@ func from28(r *rec28) uint64 {
 // few keys (so most operations hit) against a map model, on a table of 8-byte
 // values and on one of 4-byte-aligned 28-byte values (rec28). Each op is 3
 // bytes: the op, then a key: bit 15 picks one of two source ASes, bits 0–6
-// the number.
+// the number. Op 0xff resizes the table instead, to the key's bits 0–10 (see
+// runScript), so that a short script reaches every page edge.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 1, 3, 0})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 2, 1, 0, 2, 5, 0, 3, 0, 0})
+	// Each first-page doubling and each page edge, crossed up and down with
+	// keyed puts, deletes and a walk around it: 15/16/17 records, …, 511/512/513
+	// and 1023/1024/1025.
+	resize := func(n int) []byte { return []byte{0xff, byte(n), byte(n >> 8)} }
+	for edge := firstLen; edge <= 2*pageLen; edge *= 2 {
+		var s []byte
+		for _, n := range []int{edge - 1, edge, edge + 1, edge - 1, edge + 1} {
+			s = append(s, resize(n)...)
+			s = append(s, 0, 1, 0, 2, 1, 0, 3, 1, 0, 0, 2, 0x80)
+		}
+		s = append(s, 4, 1, 0)
+		s = append(s, resize(edge)...)
+		f.Add(append(s, resize(0)...))
+	}
 	f.Fuzz(func(t *testing.T, script []byte) {
 		runScript(t, script, func(v *uint64, x uint64) { *v = x }, func(v *uint64) uint64 { return *v })
 		runScript(t, script, func(v *rec28, x uint64) { *v = to28(x) }, from28)
@@ -89,14 +132,37 @@ func FuzzTable(f *testing.F) {
 }
 
 // runScript runs one FuzzTable script on a Table[V] whose values set writes
-// and val reads.
+// and val reads. A resize puts fresh keys of a third source AS until the table
+// holds k&0x7ff records, or deletes its live ones, oldest first, until it
+// does or none is left.
 func runScript[V any](t *testing.T, script []byte, set func(*V, uint64), val func(*V) uint64) {
 	var tab Table[V]
 	model := make(map[reservation.ID]uint64)
+	var bulk []reservation.ID
+	var made uint32
 	for n := 0; n+3 <= len(script); n += 3 {
 		op, k := script[n]%5, binary.LittleEndian.Uint16(script[n+1:])
+		if script[n] == 0xff {
+			op = 5
+		}
 		id := reservation.ID{SrcAS: topology.MustIA(1, topology.ASID(1+k>>15)), Num: uint32(k & 0x7f)}
 		switch op {
+		case 5: // resize
+			for want := int(k & 0x7ff); tab.Len() < want; {
+				made++
+				bid := reservation.ID{SrcAS: topology.MustIA(1, 3), Num: made}
+				v, _ := tab.Put(bid)
+				set(v, uint64(made)<<1)
+				model[bid] = val(v)
+				bulk = append(bulk, bid)
+			}
+			for ; tab.Len() > int(k&0x7ff) && len(bulk) > 0; bulk = bulk[1:] {
+				if _, ok := model[bulk[0]]; ok && !tab.Delete(bulk[0]) {
+					t.Fatalf("resize: Delete(%v) missed", bulk[0])
+				}
+				delete(model, bulk[0])
+			}
+			check(t, &tab, model, val)
 		case 0, 1: // put, writing a fresh value through the returned pointer
 			v, added := tab.Put(id)
 			if _, had := model[id]; added == had || added && val(v) != 0 {
@@ -261,5 +327,146 @@ func TestIndexBytesPerRecord(t *testing.T) {
 		if bytes := uintptr(cap(tab.slots)) * unsafe.Sizeof(tab.slots[0]); bytes > 8*uintptr(tab.Len()) {
 			t.Fatalf("%d records: an index of %d bytes, %.1f per record, want at most 8", tab.Len(), bytes, float64(bytes)/float64(tab.Len()))
 		}
+	}
+}
+
+// twinSlots and twinPages hold TestTableBytesPerRecord's copies of an index
+// while it measures them.
+var (
+	twinSlots []uint32
+	twinPages []*[pageLen]record[rec28]
+)
+
+// TestTableBytesPerRecord pins what a table holds on the heap: at every size
+// from one record to three pages and one, and every 1 000 records from 30 000
+// to 60 000 (across the steps by which an array grown by append would have
+// grown a quarter), at most its records, its index (slots and page
+// directory) and one page more.
+func TestTableBytesPerRecord(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	heap := func() int {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	src := topology.MustIA(1, 11)
+	fill := func(tab *Table[rec28], from, to int) {
+		for i := from; i < to; i++ {
+			tab.Put(reservation.ID{SrcAS: src, Num: uint32(i)})
+		}
+	}
+	// fresh returns the live heap a new table of n records adds.
+	fresh := func(n int) int {
+		before := heap()
+		tab := new(Table[rec28])
+		fill(tab, 0, n)
+		got := heap() - before
+		runtime.KeepAlive(tab)
+		return got
+	}
+	// index returns the heap an index and a page directory of the table's
+	// capacities take, measured on twins of them.
+	var idxKey [2]int
+	idx := 0
+	index := func(tab *Table[rec28]) int {
+		if k := [2]int{cap(tab.slots), cap(tab.pages)}; k != idxKey {
+			before := heap()
+			twinSlots, twinPages = make([]uint32, k[0]), make([]*[pageLen]record[rec28], k[1])
+			idx, idxKey = heap()-before, k
+			twinSlots, twinPages = nil, nil
+		}
+		return idx
+	}
+	tab := new(Table[rec28])
+	rec, page := int(tab.RecordSize()), pageLen*int(tab.RecordSize())
+	base := heap()
+	for n := 1; n <= 60_000; n++ {
+		fill(tab, n-1, n)
+		if n > 3*pageLen+1 && (n < 30_000 || n%1000 != 0) {
+			continue
+		}
+		ix := index(tab)
+		bound := n*rec + ix + page
+		if heap()-base <= bound {
+			continue
+		}
+		// What else the process allocated since base counts in that reading;
+		// the least of three fresh builds is the table's own.
+		if got := min(fresh(n), fresh(n), fresh(n)); got > bound {
+			t.Fatalf("%d records hold %d heap bytes, %.1f per record: records %d, index %d, and %d beyond them, more than a page of %d",
+				n, got, float64(got)/float64(n), n*rec, ix, got-n*rec-ix, page)
+		}
+	}
+	runtime.KeepAlive(tab)
+}
+
+// TestTablePagesReturn: a table that held 100 000 records and drained to
+// 1 000 keeps the pages those fill and one more, not its peak.
+func TestTablePagesReturn(t *testing.T) {
+	var tab Table[uint64]
+	model := make(map[reservation.ID]uint64)
+	src := topology.MustIA(1, 11)
+	for i := range uint32(100_000) {
+		v, _ := tab.Put(reservation.ID{SrcAS: src, Num: i})
+		*v = uint64(i)
+		if i < 1000 {
+			model[reservation.ID{SrcAS: src, Num: i}] = uint64(i)
+		}
+	}
+	for i := uint32(1000); i < 100_000; i++ {
+		if !tab.Delete(reservation.ID{SrcAS: src, Num: i}) {
+			t.Fatalf("Delete(%d) missed", i)
+		}
+	}
+	if want := (1000+pageLen-1)/pageLen + 1; len(tab.pages) > want {
+		t.Errorf("1 000 records left hold %d pages, want at most %d", len(tab.pages), want)
+	}
+	check(t, &tab, model, func(v *uint64) uint64 { return *v })
+}
+
+// TestPageEdgeChurnAllocatesNothing: a table whose size goes back and forth
+// across a page edge keeps its spare page, rather than freeing it and opening
+// a new one on every turn.
+func TestPageEdgeChurnAllocatesNothing(t *testing.T) {
+	var tab Table[uint64]
+	src := topology.MustIA(1, 11)
+	for i := range uint32(2 * pageLen) {
+		tab.Put(reservation.ID{SrcAS: src, Num: i})
+	}
+	extra := reservation.ID{SrcAS: src, Num: 1 << 20}
+	if allocs := testing.AllocsPerRun(100, func() {
+		tab.Put(extra)
+		tab.Delete(extra)
+	}); allocs != 0 {
+		t.Errorf("a Put and a Delete across a page edge allocate %.1f times", allocs)
+	}
+}
+
+// BenchmarkTableGet looks up present keys, in a random order, in tables of
+// 10³, 10⁵ and 10⁶ CServ-shaped records (rec28): the cost of a hit, with the
+// page load in it.
+func BenchmarkTableGet(b *testing.B) {
+	for _, n := range []int{1e3, 1e5, 1e6} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			var tab Table[rec28]
+			ids := make([]reservation.ID, n)
+			for i := range ids {
+				ids[i] = reservation.ID{SrcAS: topology.MustIA(1, topology.ASID(11+i%3)), Num: uint32(i)}
+				tab.Put(ids[i])
+			}
+			rand.New(rand.NewSource(1)).Shuffle(n, func(i, j int) { ids[i], ids[j] = ids[j], ids[i] })
+			b.ResetTimer()
+			for i, j := 0, 0; i < b.N; i++ {
+				if tab.Get(ids[j]) == nil {
+					b.Fatalf("%v missing", ids[j])
+				}
+				if j++; j == n {
+					j = 0
+				}
+			}
+		})
 	}
 }
