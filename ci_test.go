@@ -91,6 +91,12 @@ var gates = []gate{{
 	scope:  []string{"internal/cserv"},
 	sample: "\tReason    string",
 }, {
+	name:   "one keep-alive engine: a fleet's waves, no solo keep-alive beside them",
+	re:     `\.Keep\(|applyOutcome|EnsureFresh`,
+	scope:  []string{"./..."},
+	tests:  true,
+	sample: "\treturn f.Keep(i, lead)",
+}, {
 	name:   "no goroutine or channel of netsim's own",
 	re:     `^[[:space:]]*go [[:alnum:]_(]|make\(chan`,
 	scope:  []string{"internal/netsim"},

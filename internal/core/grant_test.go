@@ -96,6 +96,7 @@ func TestGrantViewOutlivesRenewal(t *testing.T) {
 	if err := sess.Maintain(4); err != nil {
 		t.Fatal(err)
 	}
+	net.Tick()
 	after := sess.Grant()
 	if after.Res.Ver != before.Res.Ver+1 || after.HopAuths[0] == before.HopAuths[0] {
 		t.Fatalf("no renewal: version %d → %d", before.Res.Ver, after.Res.Ver)

@@ -80,9 +80,8 @@ func (h *Host) RequestEER(dst *Host, bwKbps uint64) (*Session, error) {
 	if err := node.Gateway.Install(grant.Res, grant.EER, grant.Path, grant.HopAuths); err != nil {
 		return nil, err
 	}
-	// The node's fleet never ticks as a wave, so the keeper's lead is unused:
-	// Maintain brings its own.
-	row := node.fleet.Add(cserv.NewEERKeeper(node.CServ, node.Gateway, grant, 1))
+	// Lead 0: a session nobody maintains expires.
+	row := node.fleet.Add(cserv.NewEERKeeper(node.CServ, node.Gateway, grant, 0))
 	return &Session{src: h, dst: dst, row: int32(row), resID: grant.Res.ResID, hops: len(grant.Path)}, nil
 }
 
@@ -105,18 +104,21 @@ func (s *Session) ExpiresAt() uint32 {
 	return f.Res(i).ExpT
 }
 
-// Maintain runs one resilient keep-alive step: like EnsureFresh it renews
-// within lead seconds of expiry, but renewal failures degrade gracefully —
-// when the newest version is about to die the flow is demoted to
-// best-effort at the gateway instead of blackholing, and the next
-// successful renewal re-promotes it (§3.2/§4.2). The returned error is the
-// renewal failure, if any; the session keeps working either way.
+// Maintain keeps the session alive: from now on each Network.Tick renews it
+// in its node's waves within lead seconds (at least 1) of expiry, demoting the
+// flow to best-effort when its newest version dies unrenewed and re-promoting
+// it on the next success (§3.2/§4.2). Maintain sends nothing; it returns
+// gateway.ErrDemoted while the session is demoted.
 func (s *Session) Maintain(lead uint32) error {
 	f, i := s.keeper()
-	return f.Keep(i, lead)
+	f.SetLead(i, lead)
+	if f.IsDemoted(i) {
+		return gateway.ErrDemoted
+	}
+	return nil
 }
 
-// Demoted reports whether Maintain has demoted the session to best-effort.
+// Demoted reports whether the keep-alive has demoted the session.
 func (s *Session) Demoted() bool {
 	f, i := s.keeper()
 	return f.IsDemoted(i)

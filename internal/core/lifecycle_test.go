@@ -3,8 +3,97 @@ package core
 import (
 	"testing"
 
+	"colibri/internal/cserv"
 	"colibri/internal/reservation"
+	"colibri/internal/topology"
 )
+
+// tagCounter counts the control messages a CServ sends, by tag (the first
+// byte of every request).
+type tagCounter struct {
+	inner cserv.Transport
+	sent  *[256]int
+}
+
+func (c tagCounter) Call(dst topology.IA, msg []byte) ([]byte, error) {
+	c.sent[msg[0]]++
+	return c.inner.Call(dst, msg)
+}
+
+// TestNodeSessionsRenewInWaves: the node's fleet is the keep-alive. Three
+// maintained sessions on one chain renew in one Network.Tick as one tag-7
+// wave per hop past the source, with no solo tag-5 renewal, and keep
+// delivering; a session nobody maintains is not renewed and expires.
+func TestNodeSessionsRenewInWaves(t *testing.T) {
+	const (
+		tagEERenew      = 5
+		tagEEBatchRenew = 7
+	)
+	var sent [256]int
+	net, hs, hd := twoISDNet(t, Options{
+		WrapTransport: func(_ topology.IA, inner cserv.Transport) cserv.Transport {
+			return tagCounter{inner, &sent}
+		},
+	})
+	var kept []*Session
+	var vers []uint16
+	for range 3 {
+		s, err := hs.RequestEER(hd, 4_000)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Maintain(4); err != nil {
+			t.Fatal(err)
+		}
+		kept = append(kept, s)
+		vers = append(vers, s.Grant().Res.Ver)
+	}
+	unkept, err := hs.RequestEER(hd, 4_000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	unkeptVer := unkept.Grant().Res.Ver
+	for i, s := range kept {
+		if grantOf(s).SegIDs[0] != grantOf(unkept).SegIDs[0] || s.PathLen() != unkept.PathLen() {
+			t.Fatalf("session %d rides another chain", i)
+		}
+	}
+
+	net.Clock.Advance(13e9) // inside the 4 s lead window of every session
+	sent = [256]int{}
+	if failed := net.Tick(); failed != 0 {
+		t.Fatalf("%d renewals failed", failed)
+	}
+	if hops := unkept.PathLen() - 1; sent[tagEEBatchRenew] != hops || sent[tagEERenew] != 0 {
+		t.Fatalf("one Tick sent %d waves and %d solo renewals, want %d waves (one per hop past the source) and none",
+			sent[tagEEBatchRenew], sent[tagEERenew], hops)
+	}
+	for i, s := range kept {
+		if got := s.Grant().Res.Ver; got != vers[i]+1 {
+			t.Fatalf("maintained session %d: version %d after the Tick, want %d", i, got, vers[i]+1)
+		}
+	}
+	if got := unkept.Grant().Res.Ver; got != unkeptVer {
+		t.Fatalf("unmaintained session renewed: version %d → %d", unkeptVer, got)
+	}
+
+	// Past the first versions' expiry only the renewed sessions deliver.
+	net.Clock.Advance(int64(unkept.ExpiresAt()+1-net.Clock.NowSec()) * 1e9)
+	if failed := net.Tick(); failed != 0 {
+		t.Fatalf("%d renewals failed", failed)
+	}
+	for i, s := range kept {
+		if err := s.Send([]byte("kept")); err != nil {
+			t.Fatalf("maintained session %d: %v", i, err)
+		}
+	}
+	if hd.Received != len(kept) {
+		t.Fatalf("received %d, want %d", hd.Received, len(kept))
+	}
+	if err := unkept.Send([]byte("expired")); err == nil {
+		t.Fatal("unmaintained session still sends after its expiry")
+	}
+}
 
 // TestLongLivedFlowAcrossRenewals runs a flow for several EER lifetimes:
 // the host keep-alive and the operator's SegR auto-renewal together keep
@@ -20,13 +109,9 @@ func TestLongLivedFlowAcrossRenewals(t *testing.T) {
 	// second.
 	for sec := 0; sec < 90; sec++ {
 		net.Clock.Advance(1e9)
-		// Host keep-alive with a 5 s lead.
-		did, err := sess.EnsureFresh(5)
-		if err != nil {
+		// Host keep-alive with a 5 s lead; Network.Tick renews.
+		if err := sess.Maintain(5); err != nil {
 			t.Fatalf("t=%ds keep-alive: %v", sec, err)
-		}
-		if did {
-			renewals++
 		}
 		// Operators renew SegRs nearing expiry (60 s lead on 300 s terms).
 		for _, ia := range net.Topo.SortedIAs() {
@@ -34,7 +119,13 @@ func TestLongLivedFlowAcrossRenewals(t *testing.T) {
 				t.Fatalf("t=%ds AutoRenew at %s: %v", sec, ia, err)
 			}
 		}
-		net.Tick()
+		ver := sess.Grant().Res.Ver
+		if failed := net.Tick(); failed != 0 {
+			t.Fatalf("t=%ds: %d renewals failed", sec, failed)
+		}
+		if sess.Grant().Res.Ver != ver {
+			renewals++
+		}
 		if err := sess.Send([]byte("tick")); err != nil {
 			t.Fatalf("t=%ds send: %v", sec, err)
 		}
@@ -50,8 +141,8 @@ func TestLongLivedFlowAcrossRenewals(t *testing.T) {
 
 // TestRenewThenMaintainKeepsRenewedVersion: a host's explicit renewal and its
 // keep-alive serve one version. After Renew to 9000 kbps, Maintain keeps the
-// renewed version — its bandwidth and its expiry — and the next due Maintain
-// renews that version at that bandwidth, rather than going back to the one
+// renewed version — its bandwidth and its expiry — and the Network.Tick after
+// a due Maintain renews that version at that bandwidth, rather than going back to the one
 // the keep-alive held before and asking again for the renewed version's
 // number at the old bandwidth.
 func TestRenewThenMaintainKeepsRenewedVersion(t *testing.T) {
@@ -84,6 +175,7 @@ func TestRenewThenMaintainKeepsRenewedVersion(t *testing.T) {
 	if err := sess.Maintain(4); err != nil {
 		t.Fatal(err)
 	}
+	net.Tick()
 	if got := sess.Grant().Res; got.Ver != renewed.Ver+1 || got.BwKbps != 9_000 {
 		t.Fatalf("due Maintain renewed to version %d at %d kbps, want %d at 9000", got.Ver, got.BwKbps, renewed.Ver+1)
 	}

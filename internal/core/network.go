@@ -74,8 +74,8 @@ type Node struct {
 	// drops[i] is the error of a packet this node's router dropped for
 	// routerDrops[i].
 	drops [len(routerDrops)]error
-	// fleet keeps the sessions of the node's hosts alive, one keeper each;
-	// Session's methods drive a session's keeper alone.
+	// fleet holds the sessions of the node's hosts, one keeper each;
+	// Network.Tick renews the maintained ones in its waves.
 	fleet *cserv.KeeperFleet
 	// sendBuf is the grow-only buffer Session.Send serializes every packet
 	// leaving this AS into. One per node is enough because core is
@@ -261,14 +261,22 @@ func (n *Network) TelemetrySnapshots() []telemetry.Snapshot {
 	return snaps
 }
 
-// Tick runs housekeeping on every node (expiry cleanup, rate-limit windows).
-func (n *Network) Tick() {
+// Tick runs housekeeping on every node (expiry cleanup, rate-limit windows),
+// then renews each node's due maintained sessions in its fleet's waves. It
+// returns the number of renewals that failed.
+func (n *Network) Tick() int {
 	now := n.Clock.NowSec()
-	for _, ia := range n.Topo.SortedIAs() {
+	ias := n.Topo.SortedIAs()
+	for _, ia := range ias {
 		node := n.nodes[ia]
 		node.CServ.Tick()
 		node.Gateway.Expire(now)
 	}
+	failed := 0
+	for _, ia := range ias {
+		failed += n.nodes[ia].fleet.Tick()
+	}
+	return failed
 }
 
 // AutoSetupSegRs establishes a default mesh of segment reservations at the

@@ -36,60 +36,19 @@ type EERKeeper struct {
 }
 
 // NewEERKeeper builds a keeper for an already-granted (and installed) EER.
-// leadSeconds is how long before expiry renewal starts (clamped to ≥ 1). The
-// fleet the keeper goes to renews through its own service, which must be
+// leadSeconds is how long before expiry Tick renews it (0: not until SetLead).
+// The fleet the keeper goes to renews through its own service, which must be
 // svc; Add only reads grant, which must not change until then.
 func NewEERKeeper(svc *Service, gw GatewayInstaller, grant *EERGrant, leadSeconds uint32) *EERKeeper {
-	return &EERKeeper{gw: gw, grant: grant, lead: max(leadSeconds, 1)}
-}
-
-// applyOutcome applies one renewal attempt's result to a keeper whose
-// serving version is held and whose failover state is *demoted — the same
-// bookkeeping whether the attempt traveled alone (KeeperFleet.Keep) or in a
-// batched wave (KeeperFleet.Tick): zero-grant detection, demotion once the
-// serving version is dying, installation, re-promotion. It returns nil once
-// the gateway has installed g, and the caller then takes g's version as its
-// serving one; g is read, never kept.
-func (s *Service) applyOutcome(gw GatewayInstaller, held *packet.ResInfo, demoted *bool, g *EERGrant, err error) error {
-	now := s.clock()
-	id := reservation.ID{SrcAS: held.SrcAS, Num: held.ResID}
-	if err == nil && g.Res.BwKbps == 0 && held.BwKbps > 0 {
-		// A zero-bandwidth grant for a flow that had bandwidth is a failed
-		// renewal (the satellite of the SameBandwidth bug): don't install
-		// the dead version, keep serving on the old one.
-		s.metrics.RenewZeroBw.Add(1)
-		err = ErrZeroGrant
-	}
-	if err != nil {
-		// Old versions serve seamlessly until expiry (§4.2), so failure
-		// alone is not demotion; only when the newest version is dead or
-		// dying this second does the flow drop to best-effort.
-		if !*demoted && held.ExpT <= now+1 {
-			*demoted = true
-			gw.Demote(held.ResID)
-			s.metrics.Demotions.Add(1)
-			s.metrics.TraceID(int64(now)*1e9, telemetry.EvDemote, id, false, "renewal failed")
-		}
-		return err
-	}
-	if err := gw.Install(g.Res, g.EER, g.Path, g.HopAuths); err != nil {
-		return err
-	}
-	if *demoted {
-		*demoted = false
-		s.metrics.Promotions.Add(1)
-		s.metrics.TraceID(int64(now)*1e9, telemetry.EvPromote, id, true, "")
-	}
-	return nil
+	return &EERKeeper{gw: gw, grant: grant, lead: leadSeconds}
 }
 
 // KeeperFleet keeps many EERs alive. Tick renews the due ones in batched
 // waves: EERs whose grants ride the same SegR chain (same SegIDs, Splits,
 // and Path) are grouped and sent as EEBatchRenewReqs of at most BatchSize
 // items, so a renewal storm costs one MAC verification and one shard-lock
-// sweep per wave instead of per EER. Keep renews one keeper alone, with a
-// solo request, and applies its outcome exactly as a wave item's (zero-grant
-// detection, demote/re-promote).
+// sweep per wave instead of per EER. Tick skips a keeper of lead 0 until
+// SetLead gives it one; Renew renews one keeper alone, as its host asks.
 //
 // The fleet keeps no keeper and no grant: Add copies a keeper's version into
 // columns indexed by keeper, in the order Add took them — the order a wave
@@ -135,7 +94,7 @@ type KeeperFleet struct {
 }
 
 // keeperKind is what the keepers of a fleet share in groups: the chain they
-// ride, their source AS, their installer and their lead time.
+// ride, their source AS, their installer and their lead time (0: not kept).
 type keeperKind struct {
 	chain int32
 	src   topology.IA
@@ -161,8 +120,9 @@ func first[T any](s []T) *T {
 	return &s[0]
 }
 
-// DefaultBatchSize is KeeperFleet's wave-size cap when BatchSize is 0.
-const DefaultBatchSize = 4096
+// DefaultBatchSize is KeeperFleet's wave-size cap when BatchSize is 0. Each
+// on-path CServ keeps about 1 KiB of scratch per item of its largest wave.
+const DefaultBatchSize = 1024
 
 // NewKeeperFleet builds an empty fleet over one source AS's service.
 func NewKeeperFleet(svc *Service) *KeeperFleet {
@@ -180,13 +140,7 @@ func NewKeeperFleet(svc *Service) *KeeperFleet {
 func (f *KeeperFleet) Add(k *EERKeeper) int {
 	g := k.grant
 	c := f.chainOf(g)
-	kk := keeperKind{chain: c, src: g.ID.SrcAS, gw: k.gw, lead: k.lead}
-	ki, ok := f.kindOf[kk]
-	if !ok {
-		ki = uint32(len(f.kinds))
-		f.kinds = append(f.kinds, kk)
-		f.kindOf[kk] = ki
-	}
+	ki := f.kindIndex(keeperKind{chain: c, src: g.ID.SrcAS, gw: k.gw, lead: k.lead})
 	f.grow()
 	i := len(f.expT)
 	f.resID = append(f.resID, g.Res.ResID)
@@ -201,6 +155,17 @@ func (f *KeeperFleet) Add(k *EERKeeper) int {
 	f.kind = append(f.kind, ki)
 	*k = EERKeeper{}
 	return i
+}
+
+// kindIndex returns the index of kind kk, adding the kind if it is new.
+func (f *KeeperFleet) kindIndex(kk keeperKind) uint32 {
+	ki, ok := f.kindOf[kk]
+	if !ok {
+		ki = uint32(len(f.kinds))
+		f.kinds = append(f.kinds, kk)
+		f.kindOf[kk] = ki
+	}
+	return ki
 }
 
 // chainOf returns the index of g's chain, adding the chain if it is new.
@@ -317,15 +282,43 @@ func (f *KeeperFleet) item(i int) renewItem {
 	}
 }
 
-// apply applies one renewal attempt's outcome to keeper i, in place.
+// apply applies one renewal attempt's outcome to keeper i, in place:
+// zero-grant detection, demotion once the serving version is dying,
+// installation, re-promotion. It returns nil once the installer has installed
+// g, whose version then becomes keeper i's serving one; g is read, never kept.
 func (f *KeeperFleet) apply(i int, g *EERGrant, err error) error {
-	held, demoted := f.Res(i), f.IsDemoted(i)
-	err = f.svc.applyOutcome(f.kinds[f.kind[i]].gw, &held, &demoted, g, err)
-	f.setDemoted(i, demoted)
-	if err == nil {
-		f.set(i, g)
+	k := &f.kinds[f.kind[i]]
+	m := &f.svc.metrics
+	now := f.svc.clock()
+	if err == nil && g.Res.BwKbps == 0 && f.bw[i] > 0 {
+		// A zero-bandwidth grant for a flow that had bandwidth is a failed
+		// renewal (the satellite of the SameBandwidth bug): don't install
+		// the dead version, keep serving on the old one.
+		m.RenewZeroBw.Add(1)
+		err = ErrZeroGrant
 	}
-	return err
+	if err != nil {
+		// Old versions serve seamlessly until expiry (§4.2), so failure
+		// alone is not demotion; only when the newest version is dead or
+		// dying this second does the flow drop to best-effort.
+		if !f.IsDemoted(i) && f.expT[i] <= now+1 {
+			f.setDemoted(i, true)
+			k.gw.Demote(f.resID[i])
+			m.Demotions.Add(1)
+			m.TraceID(int64(now)*1e9, telemetry.EvDemote, reservation.ID{SrcAS: k.src, Num: f.resID[i]}, false, "renewal failed")
+		}
+		return err
+	}
+	if err := k.gw.Install(g.Res, g.EER, g.Path, g.HopAuths); err != nil {
+		return err
+	}
+	if f.IsDemoted(i) {
+		f.setDemoted(i, false)
+		m.Promotions.Add(1)
+		m.TraceID(int64(now)*1e9, telemetry.EvPromote, reservation.ID{SrcAS: k.src, Num: f.resID[i]}, true, "")
+	}
+	f.set(i, g)
+	return nil
 }
 
 // set makes g's version keeper i's serving one.
@@ -334,22 +327,17 @@ func (f *KeeperFleet) set(i int, g *EERGrant) {
 	f.srcHost[i], f.dstHost[i] = g.EER.SrcHost, g.EER.DstHost
 }
 
-// Keep runs keeper i's maintenance step alone, lead seconds (at least 1)
-// before expiry whatever its kind's lead: a no-op while its version is fresh
-// and it is not demoted, otherwise one solo renewal at its bandwidth whose
-// outcome is applied as a wave item's. The error is the renewal's failure,
-// if any; the flow keeps working (reserved or best-effort) either way.
-func (f *KeeperFleet) Keep(i int, lead uint32) error {
-	if !f.IsDemoted(i) && f.expT[i] > f.svc.clock()+max(lead, 1) {
-		return nil
+// SetLead has Tick keep keeper i, lead seconds (at least 1) before expiry,
+// by re-filing it under the kind with that lead.
+func (f *KeeperFleet) SetLead(i int, lead uint32) {
+	if kk := f.kinds[f.kind[i]]; kk.lead != max(lead, 1) {
+		kk.lead = max(lead, 1)
+		f.kind[i] = f.kindIndex(kk)
 	}
-	g := f.Grant(i)
-	next, err := f.svc.RenewEER(&g, uint64(f.bw[i]))
-	return f.apply(i, next, err)
 }
 
 // Renew renews keeper i at bwKbps now, whatever its expiry, and installs the
-// new version: a host's explicit renewal (§4.2). Unlike Keep it never
+// new version: a host's explicit renewal (§4.2). Unlike Tick it never
 // demotes; a failure, the CServ's or the installer's, leaves the
 // keeper as it was and is returned.
 func (f *KeeperFleet) Renew(i int, bwKbps uint64) error {
@@ -376,7 +364,7 @@ func (f *KeeperFleet) Tick() int {
 	f.order = f.order[:0]
 	for i, exp := range f.expT {
 		k := &f.kinds[f.kind[i]]
-		if exp > now+k.lead && !f.IsDemoted(i) {
+		if k.lead == 0 || exp > now+k.lead && !f.IsDemoted(i) {
 			continue
 		}
 		if len(f.due[k.chain]) == 0 {

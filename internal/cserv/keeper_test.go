@@ -88,7 +88,7 @@ func (fi *fakeInstaller) Promote(uint32) bool {
 }
 
 // TestKeeperDemotesAndRepromotes drives the §3.2/§4.2 failover end to end
-// through a fleet's solo face (Keep): renewals succeed → failures within the
+// through a one-keeper fleet's Tick: renewals succeed → failures within the
 // lead window are tolerated while an older version still serves → the flow is
 // demoted exactly when the newest version dies → renewal recovery re-promotes
 // it.
@@ -111,14 +111,19 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 	k := fleet.Add(NewEERKeeper(src, gw, grant, 4))
 	failed := 0
 	tick := func() error {
-		err := fleet.Keep(k, 4)
-		if err != nil {
+		switch n := fleet.Tick(); n {
+		case 0:
+			return nil
+		case 1:
 			failed++
+			return errors.New("renewal failed")
+		default:
+			t.Fatalf("%d renewals of one keeper failed", n)
+			return nil
 		}
-		return err
 	}
 
-	// Fresh version: Keep is a no-op.
+	// Fresh version: Tick renews nothing.
 	if err := tick(); err != nil || fleet.Res(k).Ver != grant.Res.Ver || gw.installs != 0 {
 		t.Fatalf("fresh tick: err=%v version=%d installs=%d", err, fleet.Res(k).Ver, gw.installs)
 	}
@@ -184,39 +189,29 @@ func TestKeeperDemotesAndRepromotes(t *testing.T) {
 }
 
 // TestKeeperKeepsServingVersionWhenInstallFails: a renewal the gateway does
-// not take is a failure, for a keeper renewed alone (Keep) as for one renewed
-// in a wave (Tick), and the keeper's version — renewed in place on success —
-// stays the version the gateway still serves, whose σs the gateway still
-// holds (§4.2). The grants the keepers were built from are never written.
+// not take is a failure of its wave item, and the keeper's version — renewed
+// in place on success — stays the version the gateway still serves, whose σs
+// the gateway still holds (§4.2). The grants the keepers were built from are
+// never written.
 func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 1_000_000)
 	src := f.services[ia(1, 11)]
-	grants := requestEERs(t, src, 3, 100)
+	grants := requestEERs(t, src, 2, 100)
 	gw := sigmaInstaller(grants...)
 	gw.refuse = true
-	solo, fleet := NewKeeperFleet(src), NewKeeperFleet(src)
-	solo.Add(NewEERKeeper(src, gw, grants[0], 4))
-	for _, g := range grants[1:] {
+	fleet := NewKeeperFleet(src)
+	for _, g := range grants {
 		fleet.Add(NewEERKeeper(src, gw, g, 4))
 	}
-	// state returns keeper i's version, with the σs the gateway holds for
-	// it: the solo row's, then the wave's.
-	state := func(i int) EERGrant {
-		if i == 0 {
-			return gw.installed(solo, 0)
-		}
-		return gw.installed(fleet, i-1)
-	}
+	// state returns keeper i's version, with the σs the gateway holds for it.
+	state := func(i int) EERGrant { return gw.installed(fleet, i) }
 	before := make([]EERGrant, len(grants))
 	for i := range before {
 		before[i] = state(i)
 		before[i].HopAuths = slices.Clone(before[i].HopAuths)
 	}
 	f.clock.Add(13)
-	if err := solo.Keep(0, 4); err == nil {
-		t.Fatal("solo renewal succeeded although the gateway refused it")
-	}
 	if failed := fleet.Tick(); failed != 2 {
 		t.Fatalf("%d of 2 wave items failed", failed)
 	}
@@ -232,9 +227,6 @@ func TestKeeperKeepsServingVersionWhenInstallFails(t *testing.T) {
 	}
 	gw.refuse = false
 	f.clock.Add(1)
-	if err := solo.Keep(0, 4); err != nil {
-		t.Fatal(err)
-	}
 	if failed := fleet.Tick(); failed != 0 {
 		t.Fatalf("%d wave items failed", failed)
 	}

@@ -72,7 +72,7 @@ type ChaosResult struct {
 	Blackholed        int
 
 	// Control-plane accounting.
-	RenewalFailures uint64 // failed Maintain ticks across all flows
+	RenewalFailures uint64 // failed renewals, summed over Network.Tick's returns
 	Demotions       uint64 // flows dropped to best-effort
 	Promotions      uint64 // flows restored to their reserved class
 	Retries         uint64 // control-message re-sends
@@ -119,11 +119,12 @@ func (c *chaosTransport) Call(dst topology.IA, msg []byte) ([]byte, error) {
 }
 
 // RunChaos executes the scenario: establish sessions fault-free, arm the
-// faults, then drive one virtual second at a time — each flow runs its
-// resilient keep-alive (core.Session.Maintain) and offers data packets via
-// SendOrFallback. The §3.2 contract under test: every packet is delivered
-// on the reservation or as best-effort, never blackholed, and flows demoted
-// during the crash are re-promoted after the restart.
+// faults, then drive one virtual second at a time — Network.Tick renews the
+// flows, each maintained (core.Session.Maintain) since its setup, in the
+// source node's waves, and each flow offers data packets via SendOrFallback.
+// The §3.2 contract under test: every packet is delivered on the reservation
+// or as best-effort, never blackholed, and flows demoted during the crash are
+// re-promoted after the restart.
 func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	cfg = cfg.withDefaults()
 	res := &ChaosResult{Config: cfg}
@@ -175,6 +176,9 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 		if sessions[i], err = src.RequestEER(dst, 8_000); err != nil {
 			return nil, fmt.Errorf("chaos: establishing flow %d: %w", i, err)
 		}
+		if err := sessions[i].Maintain(6); err != nil {
+			return nil, fmt.Errorf("chaos: maintaining flow %d: %w", i, err)
+		}
 	}
 
 	// Arm the faults: loss everywhere, the crash window on the target.
@@ -188,11 +192,8 @@ func RunChaos(cfg ChaosConfig) (*ChaosResult, error) {
 	payload := []byte("chaos-probe")
 	for s := 0; s < cfg.Seconds; s++ {
 		net.Clock.Advance(1e9)
-		net.Tick()
+		res.RenewalFailures += uint64(net.Tick())
 		for _, sess := range sessions {
-			if merr := sess.Maintain(6); merr != nil {
-				res.RenewalFailures++
-			}
 			for p := 0; p < cfg.PktPerSec; p++ {
 				res.Offered++
 				be, serr := sess.SendOrFallback(payload)

@@ -32,7 +32,7 @@ type StormConfig struct {
 	SegRKbps uint64
 	// Shards is the per-AS CPlane shard count (default 8).
 	Shards int
-	// BatchSize caps one renewal wave message (default cserv's 4096).
+	// BatchSize caps one renewal wave message (default cserv.DefaultBatchSize).
 	BatchSize int
 	// LeadS is the keepers' renewal lead time (default 4 s).
 	LeadS int
