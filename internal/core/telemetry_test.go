@@ -88,7 +88,10 @@ func TestNetworkTelemetryOff(t *testing.T) {
 // from the running system. After one virtual second shaped like the
 // benchmark's pkt-hot workload (64 sessions of 1 Mbps, empty payloads, a
 // packet every 15.625 µs), every router that saw the traffic reports
-// replay.filter_bytes above zero and below ⅛ of the design ceiling.
+// replay.filter_bytes above zero and below ⅛ of the design ceiling, and at
+// most 480 000 B: only the 11 buckets that can still match hold buffers,
+// each a stage for five times a 50 ms bucket's 3 200 identifiers or, for the
+// first bucket, its chain (436 376 B).
 func TestReplayFilterBytesGauge(t *testing.T) {
 	net, hs, hd := twoISDNet(t, Options{Telemetry: true, EnableReplaySuppression: true, RateLimit: 1 << 30})
 	sessions := make([]*Session, 64)
@@ -112,8 +115,8 @@ func TestReplayFilterBytesGauge(t *testing.T) {
 			continue
 		}
 		routers++
-		if b := snap.Gauges["replay.filter_bytes"]; b <= 0 || b >= ceiling/8 {
-			t.Errorf("%s: replay.filter_bytes = %d, want in (0, %d)", snap.Label, b, ceiling/8)
+		if b := snap.Gauges["replay.filter_bytes"]; b <= 0 || b >= ceiling/8 || b > 480_000 {
+			t.Errorf("%s: replay.filter_bytes = %d, want in (0, %d) and at most 480 000", snap.Label, b, ceiling/8)
 		} else {
 			t.Logf("%s: replay.filter_bytes = %d (%.1f %% of the ceiling)", snap.Label, b, 100*float64(b)/float64(ceiling))
 		}

@@ -1,6 +1,7 @@
 package replay
 
 import (
+	"fmt"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -40,6 +41,78 @@ func fill(s *Suppressor, rng *rand.Rand, n int, tsNs int64) {
 			ins++
 		}
 	}
+}
+
+// buffers lists every buffer the suppressor owns, by rung: those the slots'
+// chains hold, in ring order, then the free list's.
+func buffers(s *Suppressor) [][]buffer {
+	out := make([][]buffer, len(s.sizes))
+	for i := range s.ring {
+		for c, st := range s.ring[i].stages {
+			if st.blocks != nil {
+				out[c] = append(out[c], st.buffer)
+			}
+		}
+	}
+	for c, free := range s.free {
+		out[c] = append(out[c], free...)
+	}
+	return out
+}
+
+// addrs lists the buffers' first-word addresses in increasing order.
+func addrs(bufs []buffer) (out []uintptr) {
+	for _, buf := range bufs {
+		out = append(out, uintptr(unsafe.Pointer(&buf.blocks[0])))
+	}
+	slices.Sort(out)
+	return out
+}
+
+// checkBuffers verifies the suppressor's buffer accounts: no buffer is owned
+// twice, a rung has at most one per slot, a slot's chain holds a buffer on
+// every rung from first to cur and on no other, and resident counts every
+// buffer's allocation.
+func checkBuffers(s *Suppressor) error {
+	seen := map[*uint64]bool{}
+	var bytes int64
+	for c, bufs := range buffers(s) {
+		if len(bufs) > len(s.ring) {
+			return fmt.Errorf("rung %d: %d buffers for %d slots", c, len(bufs), len(s.ring))
+		}
+		for _, buf := range bufs {
+			if len(buf.blocks) == 0 || seen[&buf.blocks[0]] {
+				return fmt.Errorf("rung %d: a buffer of %d words owned twice or empty", c, len(buf.blocks))
+			}
+			seen[&buf.blocks[0]] = true
+			bytes += 8 * int64(len(buf.blocks)+blockWords-1)
+		}
+	}
+	if bytes != s.resident {
+		return fmt.Errorf("buffers of %d B, resident %d B", bytes, s.resident)
+	}
+	for i := range s.ring {
+		sl := &s.ring[i]
+		holds := sl.stages[sl.first].blocks != nil
+		for c, st := range sl.stages {
+			if want := holds && c >= sl.first && c <= sl.cur; (st.blocks != nil) != want {
+				return fmt.Errorf("slot %d (bucket %d, chain %d…%d) rung %d: holds a buffer %t", i, sl.bucket, sl.first, sl.cur, c, !want)
+			}
+		}
+	}
+	return nil
+}
+
+// deadHolders lists the slots that hold a buffer although their bucket
+// lies wholly below now − F.
+func deadHolders(s *Suppressor) (slots []int) {
+	low := s.bucket(s.now - s.horizon)
+	for i := range s.ring {
+		if sl := &s.ring[i]; sl.bucket < low && sl.stages[sl.first].blocks != nil {
+			slots = append(slots, i)
+		}
+	}
+	return slots
 }
 
 // TestNoFalseNegatives drives random identifier streams, future- and
@@ -173,7 +246,7 @@ func TestSmallFilterFalsePositives(t *testing.T) {
 		if sz.ids == 1<<16 {
 			continue // the full stage: TestFalsePositiveRateAtDesignLoad
 		}
-		st := stage{blocks: alignedBlocks(sz.words()), nb: sz.nb}
+		st := stage{buffer: buffer{blocks: alignedBlocks(sz.words())}, nb: sz.nb}
 		if fp := falsePositives(&st, rand.New(rand.NewSource(sz.ids)), sz.ids/4); fp != 0 {
 			t.Errorf("n = %d (%d blocks) at quarter load: %d false positives in %d probes", sz.ids, sz.nb, fp, probes)
 		}
@@ -198,64 +271,90 @@ func TestSmallFilterFalsePositives(t *testing.T) {
 	}
 }
 
-// TestStageBlocksAligned: every stage buffer a suppressor opens starts on a
-// 64-byte boundary and holds whole blocks, and a probed stage is read in
-// exactly one block: with only the block an identifier picks all ones, the
-// stage finds it; with only that block all zeros, it does not; and an insert
-// into an empty stage sets at most k bits, all in that block.
+// TestStageBlocksAligned: every buffer a suppressor owns, in a slot's chain
+// or in a free list, starts on a 64-byte boundary and holds whole blocks,
+// and a probed stage is read in exactly one block: with only the block an
+// identifier picks all ones, the stage finds it; with only that block all
+// zeros, it does not; and an insert into an empty stage sets at most k
+// bits, all in that block.
 func TestStageBlocksAligned(t *testing.T) {
 	const window, n = 1000, 1 << 16
 	s := NewCovering(Config{WindowNs: window, ExpectedPackets: n}, 2*window) // a ring of five
 	// Every other bucket, so each opens after an empty one and its chain
-	// climbs through every size; five of them land in five different slots.
-	for b := int64(0); b < 2*int64(len(s.ring)); b += 2 {
+	// climbs through every size; then one identifier, whose bucket draws one
+	// buffer of the chain that has just died and leaves the rest free.
+	b := int64(0)
+	for ; b < 2*int64(len(s.ring)); b += 2 {
 		fill(s, rand.New(rand.NewSource(b)), n, b*window)
 	}
-	rng := rand.New(rand.NewSource(1))
+	fill(s, rand.New(rand.NewSource(b)), 1, b*window)
+	var stages []*stage
+	var names []string
 	for i := range s.ring {
 		for c := range s.ring[i].stages {
-			st := &s.ring[i].stages[c]
-			if st.blocks == nil {
-				t.Fatalf("slot %d: stage %d never opened", i, c)
+			if st := &s.ring[i].stages[c]; st.blocks != nil {
+				if uint64(len(st.blocks)) != st.nb*blockWords {
+					t.Fatalf("slot %d stage %d: %d words for %d blocks", i, c, len(st.blocks), st.nb)
+				}
+				stages, names = append(stages, st), append(names, fmt.Sprintf("slot %d stage %d", i, c))
 			}
-			if a := uintptr(unsafe.Pointer(&st.blocks[0])) % 64; a != 0 {
-				t.Fatalf("slot %d stage %d starts %d bytes past a 64-byte boundary", i, c, a)
+		}
+	}
+	held := len(stages)
+	for c, free := range s.free {
+		for j, buf := range free {
+			if len(buf.blocks)%blockWords != 0 {
+				t.Fatalf("rung %d free buffer %d: %d words, not whole blocks", c, j, len(buf.blocks))
 			}
-			if uint64(len(st.blocks)) != st.nb*blockWords {
-				t.Fatalf("slot %d stage %d: %d words for %d blocks", i, c, len(st.blocks), st.nb)
+			stages = append(stages, &stage{buffer: buf, nb: uint64(len(buf.blocks)) / blockWords})
+			names = append(names, fmt.Sprintf("rung %d free buffer %d", c, j))
+		}
+	}
+	if held == 0 || held == len(stages) {
+		t.Fatalf("%d of %d buffers held by a chain, want some held and some free", held, len(stages))
+	}
+	for c, bufs := range buffers(s) {
+		if len(bufs) == 0 {
+			t.Fatalf("rung %d never opened", c)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	for i, st := range stages {
+		name := names[i]
+		if a := uintptr(unsafe.Pointer(&st.blocks[0])) % 64; a != 0 {
+			t.Fatalf("%s starts %d bytes past a 64-byte boundary", name, a)
+		}
+		for j := 0; j < 100; j++ {
+			pr := hash(rng.Uint64())
+			blk := st.block(pr.blk)
+			clear(st.blocks)
+			for w := range blk {
+				blk[w] = ^uint64(0)
 			}
-			for j := 0; j < 100; j++ {
-				pr := hash(rng.Uint64())
-				blk := st.block(pr.blk)
-				clear(st.blocks)
-				for w := range blk {
-					blk[w] = ^uint64(0)
-				}
-				if !st.test(pr) {
-					t.Fatalf("slot %d stage %d: a probe reads outside its block", i, c)
-				}
-				for w := range st.blocks {
-					st.blocks[w] = ^uint64(0)
-				}
-				*blk = [blockWords]uint64{}
-				if st.test(pr) {
-					t.Fatalf("slot %d stage %d: a probe does not read its block", i, c)
-				}
-				clear(st.blocks)
-				if !st.testAndSet(pr) {
-					t.Fatalf("slot %d stage %d: an insert into an empty stage reported a replay", i, c)
-				}
-				set := 0
-				for _, v := range st.blocks {
-					set += bits.OnesCount64(v)
-				}
-				inBlock := 0
-				for _, v := range blk {
-					inBlock += bits.OnesCount64(v)
-				}
-				if inBlock != set || set == 0 || set > 2*blockWords {
-					t.Fatalf("slot %d stage %d: an insert set %d bits, %d of them in its block", i, c, set, inBlock)
-				}
+			if !st.test(pr) {
+				t.Fatalf("%s: a probe reads outside its block", name)
+			}
+			for w := range st.blocks {
+				st.blocks[w] = ^uint64(0)
+			}
+			*blk = [blockWords]uint64{}
+			if st.test(pr) {
+				t.Fatalf("%s: a probe does not read its block", name)
+			}
+			clear(st.blocks)
+			if !st.testAndSet(pr) {
+				t.Fatalf("%s: an insert into an empty stage reported a replay", name)
+			}
+			set := 0
+			for _, v := range st.blocks {
+				set += bits.OnesCount64(v)
+			}
+			inBlock := 0
+			for _, v := range blk {
+				inBlock += bits.OnesCount64(v)
+			}
+			if inBlock != set || set == 0 || set > 2*blockWords {
+				t.Fatalf("%s: an insert set %d bits, %d of them in its block", name, set, inBlock)
 			}
 		}
 	}
@@ -363,17 +462,19 @@ func turnover(s *Suppressor, next *uint64, b int64, buckets, perBucket int, each
 }
 
 // TestSteadyLoadSizedToTraffic pins a router's resident filter bytes at
-// pkt-wide's shape, about 6 550 identifiers per 200 ms bucket at the
-// defaults: once the first bucket's chain has climbed the ladder, every
-// later bucket opens one stage for five times its predecessor's count, so
-// the suppressor holds at most one such stage per slot plus the first
-// bucket's chain.
+// pkt-wide's shape, 32.8 k identifiers a second, 1 640 per 50 ms bucket at
+// the defaults: once the first bucket's chain has climbed the ladder, every
+// later bucket opens one stage for five times its predecessor's count, and
+// only the ⌈F/W⌉ + 1 buckets that can still match hold one, so the
+// suppressor holds at most that many such stages plus the first bucket's
+// chain.
 func TestSteadyLoadSizedToTraffic(t *testing.T) {
-	const perBucket = 6550
+	const perBucket = 1640
 	s := NewCovering(Config{}, freshness)
 	next := uint64(0)
 	turnover(s, &next, 0, 4*len(s.ring), perBucket, nil)
 	stage := 8 * int64(textbook(5*perBucket, 1e-4).words())
+	live := int64((freshness+s.window-1)/s.window) + 1
 	// The first bucket's chain climbs a rung each time it has filed a
 	// quarter of the rungs below.
 	var chain, filed int64
@@ -383,19 +484,19 @@ func TestSteadyLoadSizedToTraffic(t *testing.T) {
 			break
 		}
 	}
-	if limit := int64(len(s.ring))*stage + chain; s.resident > limit {
+	if limit := live*stage + chain; s.resident > limit {
 		t.Errorf("%d identifiers a bucket: %d resident bytes, want at most %d (%d stages of %d B and a chain of %d B)",
-			perBucket, s.resident, limit, len(s.ring), stage, chain)
+			perBucket, s.resident, limit, live, stage, chain)
 	}
-	t.Logf("%d identifiers a bucket: %d resident bytes, %d stages of %d B and a chain of %d B", perBucket, s.resident, len(s.ring), stage, chain)
+	t.Logf("%d identifiers a bucket: %d resident bytes, %d stages of %d B and a chain of %d B", perBucket, s.resident, live, stage, chain)
 }
 
 // TestStageBufferGrowsOnceThenReuses steps a steady load up by a fifth and
-// back down: on the way up each slot's buffer is reallocated at most once,
-// and resident bytes grow by exactly the reallocated buffers' difference;
-// on the way down every slot reuses a prefix of its buffer, nothing is
-// reallocated and nothing is freed. replay.filter_bytes equals resident
-// after every bucket.
+// back down, watching every buffer the suppressor owns on the rung the
+// chains use: on the way up each is reallocated at most once, and resident
+// bytes grow by exactly the reallocated buffers' difference; on the way down
+// every bucket reuses a prefix of a buffer, nothing is reallocated and
+// nothing is freed. replay.filter_bytes equals resident after every bucket.
 func TestStageBufferGrowsOnceThenReuses(t *testing.T) {
 	const window, lo, hi = 1000, 2000, 2400 // 4 × lo and 4 × hi share a rung, and hi ≤ 1.25 × lo keeps each chain one stage
 	s := NewCovering(Config{WindowNs: window}, 2500)
@@ -409,29 +510,24 @@ func TestStageBufferGrowsOnceThenReuses(t *testing.T) {
 	}
 	next := uint64(0)
 	b := turnover(s, &next, 0, 2*len(s.ring), lo, checkGauge)
-	c := s.ring[0].first
-	buffers := func() (ptrs []*uint64) {
-		for i := range s.ring {
-			ptrs = append(ptrs, &s.ring[i].stages[c].blocks[0])
-		}
-		return ptrs
-	}
-	before, resident := buffers(), s.resident
+	c := s.last.first
+	owned := func() []uintptr { return addrs(buffers(s)[c]) }
+	before, resident := owned(), s.resident
 	b = turnover(s, &next, b, 2*len(s.ring), hi, checkGauge)
-	up, grown := buffers(), 0
-	for i := range up {
-		if up[i] != before[i] {
+	up, grown := owned(), 0
+	for _, p := range up {
+		if _, found := slices.BinarySearch(before, p); !found {
 			grown++
 		}
 	}
 	small, large := textbook(5*lo, 1e-4), textbook(5*hi, 1e-4)
-	if grown == 0 || s.resident-resident != int64(grown)*8*int64(large.words()-small.words()) {
-		t.Fatalf("stepping up: %d of %d buffers reallocated, resident %d → %d", grown, len(up), resident, s.resident)
+	if len(up) != len(before) || grown == 0 || s.resident-resident != int64(grown)*8*int64(large.words()-small.words()) {
+		t.Fatalf("stepping up: %d of %d buffers reallocated (%d before), resident %d → %d", grown, len(up), len(before), resident, s.resident)
 	}
-	// Once per slot: a second pass at the higher load reallocates nothing.
+	// At most once: a second pass at the higher load reallocates nothing.
 	b = turnover(s, &next, b, len(s.ring), hi, checkGauge)
-	if again := buffers(); !slices.Equal(again, up) {
-		t.Fatal("a slot reallocated its buffer twice at one load")
+	if again := owned(); !slices.Equal(again, up) {
+		t.Fatal("a buffer was reallocated twice at one load")
 	}
 	resident = s.resident
 	b = turnover(s, &next, b, 1, lo, checkGauge) // its successor's stage is sized for it
@@ -441,7 +537,132 @@ func TestStageBufferGrowsOnceThenReuses(t *testing.T) {
 			t.Fatalf("stepping down: a stage of %d blocks in a buffer of %d, want %d of at least %d", st.nb, len(st.blocks)/blockWords, small.nb, large.nb)
 		}
 	})
-	if !slices.Equal(buffers(), up) || s.resident != resident {
+	if !slices.Equal(owned(), up) || s.resident != resident {
 		t.Fatalf("stepping down reallocated: resident %d → %d", resident, s.resident)
 	}
+}
+
+// TestDeadBucketsHoldNoBuffer: once a later bucket opens, no slot whose
+// bucket lies wholly below now − F holds a buffer, so a steady load keeps
+// buffers for the ⌈F/W⌉ + 1 buckets that can still match. After a silence
+// longer than 2F every buffer is free again: the next bucket draws one of
+// them, the rest stay in the free lists, and resident bytes do not move.
+func TestDeadBucketsHoldNoBuffer(t *testing.T) {
+	const window, horizon, perBucket = 1000, 2500, 3000
+	s := NewCovering(Config{WindowNs: window}, horizon)
+	live := (horizon+window-1)/window + 1
+	holding := func() (slots []int) {
+		for i := range s.ring {
+			if sl := &s.ring[i]; sl.stages[sl.first].blocks != nil {
+				slots = append(slots, i)
+			}
+		}
+		return slots
+	}
+	next := uint64(0)
+	b := turnover(s, &next, 0, 4*len(s.ring), perBucket, func() {
+		if dead := deadHolders(s); dead != nil {
+			t.Fatalf("at %d: slots %v hold buffers of dead buckets", s.now, dead)
+		}
+		if err := checkBuffers(s); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if h := holding(); len(h) != live {
+		t.Fatalf("steady load: slots %v hold buffers, want %d", h, live)
+	}
+	before, resident := buffers(s), s.resident
+	now := (b-1)*window + 2*horizon + window
+	if !s.Check(next+1, now, now) {
+		t.Fatal("fresh identifier rejected after a silence")
+	}
+	if h := holding(); len(h) != 1 || s.last != &s.ring[h[0]] || s.last.cur != s.last.first {
+		t.Fatalf("after a silence: slots %v hold buffers, want only the new bucket's one stage", h)
+	}
+	after := buffers(s)
+	for c := range before {
+		if !slices.Equal(addrs(before[c]), addrs(after[c])) {
+			t.Errorf("rung %d: %d buffers before the silence, %d after, not the same ones", c, len(before[c]), len(after[c]))
+		}
+	}
+	if s.resident != resident || len(deadHolders(s)) != 0 {
+		t.Errorf("after a silence: resident %d → %d, dead holders %v", resident, s.resident, deadHolders(s))
+	}
+}
+
+// TestBufferReuseDeterministic: two suppressors fed one script of load
+// swings, silences and skewed timestamps hold, after every bucket, the same
+// resident bytes and the same buffers, by size, in every slot and free
+// list, since the free lists are drawn in an order the script alone fixes.
+// Each round ramps the load bucket by bucket, so the buffers of a rung
+// differ in size, then falls silent for longer than 2F, so they all return
+// to the free lists and the next draws choose among them.
+func TestBufferReuseDeterministic(t *testing.T) {
+	const window, horizon = 1000, 2300
+	cfg := Config{WindowNs: window, ExpectedPackets: 1 << 14}
+	a, b := NewCovering(cfg, horizon), NewCovering(cfg, horizon)
+	sizes := func(s *Suppressor) (out [][]int) {
+		for i := range s.ring {
+			var row []int
+			for _, st := range s.ring[i].stages {
+				row = append(row, len(st.blocks))
+			}
+			out = append(out, row)
+		}
+		for _, free := range s.free {
+			var row []int
+			for _, buf := range free {
+				row = append(row, len(buf.blocks))
+			}
+			out = append(out, row)
+		}
+		return out
+	}
+	rng := rand.New(rand.NewSource(3))
+	now, id, mixed := int64(0), uint64(0), 0
+	// bucket files n identifiers over one bucket width, one in eight stamped
+	// up to F before now, or up to F either side with ahead set.
+	bucket := func(n int, ahead bool) {
+		for range n {
+			now += window / int64(n+1)
+			id++
+			ts := now
+			if rng.Intn(8) == 0 {
+				ts -= rng.Int63n(horizon + 1)
+				if ahead {
+					ts += rng.Int63n(horizon + 1)
+				}
+			}
+			if a.Check(id, ts, now) != b.Check(id, ts, now) {
+				t.Fatalf("at %d: the suppressors disagree on identifier %d stamped %d", now, id, ts)
+			}
+		}
+		if a.resident != b.resident || !slices.EqualFunc(sizes(a), sizes(b), slices.Equal) {
+			t.Fatalf("at %d: resident %d and %d B; buffer sizes by slot, then free list:\n%v\n%v", now, a.resident, b.resident, sizes(a), sizes(b))
+		}
+		for _, free := range a.free {
+			if slices.ContainsFunc(free, func(buf buffer) bool { return len(buf.blocks) != len(free[0].blocks) }) {
+				mixed++
+			}
+		}
+	}
+	for range 20 {
+		// A ramp: each bucket's first stage is cut to five times the count
+		// of the one before, a size of its own. Stamps ahead of now would open
+		// buckets before their predecessors fill, all at the smallest rung.
+		for k := range 8 {
+			bucket(260+70*k+rng.Intn(50), false)
+		}
+		now += 2*horizon + rng.Int63n(3*window) // a silence
+		for range 6 {
+			bucket(64<<rng.Intn(5), true) // swings of ×1 … ×16
+		}
+	}
+	if err := checkBuffers(a); err != nil {
+		t.Fatal(err)
+	}
+	if mixed == 0 {
+		t.Fatal("no free list ever held buffers of two sizes")
+	}
+	t.Logf("resident %d B; a free list held buffers of two sizes after %d buckets", a.resident, mixed)
 }

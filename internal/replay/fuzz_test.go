@@ -11,11 +11,17 @@ import (
 // and of the latest clock reading. It checks the contract the router relies
 // on: no copy is accepted — while its Ts is within ±F of now the filter has
 // to find it — no Ts outside ±F is accepted, and resident bytes stay under
-// CeilingBytes.
+// CeilingBytes. It also checks where the buffers are: once a Check opens a
+// bucket, no slot whose bucket lies wholly below now − F holds one, and
+// every buffer is owned once, by a live chain or a free list.
 func FuzzSuppressor(f *testing.F) {
 	f.Add([]byte{0, 6, 7, 7, 7, 7, 7, 7, 7, 7, 4, 9, 4, 200, 1, 30, 7, 7, 4, 3})
 	f.Add([]byte{0, 0, 7, 7, 0, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 7, 7, 4, 255, 2, 10, 4, 0})
 	f.Add([]byte{3, 250, 3, 5, 4, 100, 2, 200, 7, 7, 2, 3, 4, 60, 1, 255, 4, 255})
+	// A silence longer than 2F frees every buffer; a ×64 swing then empties
+	// the free lists and allocates, and the swing back refills them.
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7, 7, 1, 40, 7, 7, 0, 6, 7, 7, 7, 7, 7, 7, 7, 7, 7, 7, 0, 0, 7, 7, 7, 7, 7, 7, 7, 7, 4, 9})
+	f.Add([]byte{0, 6, 7, 7, 7, 7, 7, 7, 3, 200, 3, 40, 1, 60, 0, 0, 7, 7, 7, 7, 1, 25, 0, 6, 7, 7, 7, 7, 7, 7, 4, 1, 1, 255, 7, 7})
 	const (
 		window  = 1000
 		horizon = 2300 // W does not divide 2F: the ring is ⌊2F/W⌋ + 2
@@ -41,12 +47,20 @@ func FuzzSuppressor(f *testing.F) {
 		}
 		check := func(id, ts int64) {
 			latest = max(latest, now)
+			n := int64(len(s.ring))
+			sl := &s.ring[(s.bucket(ts)%n+n)%n]
+			was := sl.bucket
 			ok := s.Check(uint64(id), ts, now)
 			if ok && (ts < latest-horizon || ts > latest+horizon) {
 				t.Fatalf("Ts %d accepted at %d (latest reading %d), outside ±%d", ts, now, latest, horizon)
 			}
 			if ok {
 				accepted = append(accepted, rec{id, ts})
+			}
+			if sl.bucket != was {
+				if dead := deadHolders(s); dead != nil {
+					t.Fatalf("bucket %d opened at %d: slots %v still hold buffers of buckets below now − F", sl.bucket, latest, dead)
+				}
 			}
 		}
 		for i := 0; i < len(script); i++ {
@@ -81,6 +95,9 @@ func FuzzSuppressor(f *testing.F) {
 			}
 			if s.resident > ceiling {
 				t.Fatalf("resident %d B above the ceiling %d B", s.resident, ceiling)
+			}
+			if err := checkBuffers(s); err != nil {
+				t.Fatal(err)
 			}
 		}
 	})

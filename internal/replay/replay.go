@@ -6,11 +6,15 @@
 // Filing by timestamp. A router forwards a packet only while |now − Ts| ≤ F,
 // its freshness bound, and a byte-exact copy carries its original's Ts. The
 // suppressor files every identifier under that Ts, in a ring of ⌈2F/W⌉ + 1
-// buckets of W = WindowNs (⌊2F/W⌋ + 2 unless W divides 2F; 6 at the
-// defaults): every bucket that meets [now − F, now + F] has a slot of its
-// own, so a copy probes the bucket its original went into, and a slot is
-// recycled only when its bucket's whole Ts range has left that interval —
-// when no copy of anything in it can pass the freshness check.
+// buckets of W = WindowNs (⌊2F/W⌋ + 2 unless W divides 2F; 21 at the
+// defaults, W = 50 ms and F = 500 ms): every bucket that meets
+// [now − F, now + F] has a slot of its own, so a copy probes the bucket its
+// original went into, and a slot is recycled only when its bucket's whole
+// Ts range has left that interval — when no copy of anything in it can pass
+// the freshness check. Since now only runs forwards, a bucket whose range
+// lies below now − F never matches again, and at most ⌈F/W⌉ + 1 buckets
+// stamped up to now can: the suppressor's memory follows the traffic of
+// F + W, not of the whole ring.
 //
 // Sizing by traffic. A bucket is a chain of Bloom stages on a ladder of
 // sizes ExpectedPackets/4ʲ identifiers (not below 1 024). The first takes
@@ -19,9 +23,16 @@
 // not the ExpectedPackets one, so a bucket with its predecessor's traffic
 // ends at a fifth of its first stage. A stage below ExpectedPackets takes a
 // quarter of its own capacity, then the next rung up opens; the
-// ExpectedPackets stage takes the rest. A slot keeps one buffer per rung,
-// of the most blocks a bucket has opened there; a stage uses a prefix of it
-// and clears, when reopened, only the part of that prefix an insert dirtied.
+// ExpectedPackets stage takes the rest.
+//
+// Buffers. The suppressor, not the slot, owns the stage buffers. When a
+// bucket opens, every bucket whose range lies below now − F first returns
+// its chain's buffers to a free list per rung; a stage takes the buffer its
+// rung's list freed last and allocates only when the list is empty, or
+// reallocates when the buffer it drew holds fewer blocks than it needs. A
+// stage uses a prefix of its buffer and clears, when opened, only the part
+// of that prefix an insert dirtied. Buffers are drawn by list position, not
+// by address or map order, so a load draws the same buffers every run.
 //
 // Layout. A stage is an array of 64-byte blocks, the first on a cache-line
 // boundary (Putze, Sanders & Singler, "Cache-, hash- and space-efficient
@@ -45,9 +56,11 @@
 //     at ≤ 3.1 × 10⁻⁹ for the default p (tests allow 1.5 p at design load,
 //     and 0 in 10⁷ probes of each quarter-loaded size).
 //   - Memory: resident bytes never exceed CeilingBytes, one buffer of every
-//     rung per slot: about (⌈2F/W⌉ + 1) × (1.20 + 1/3) × m(ExpectedPackets),
-//     22.1 MiB at the defaults and F = 500 ms. A steady load holds about one
-//     stage for five times its bucket count per slot, and allocates nothing.
+//     rung per slot, as a rung allocates only while all its buffers serve
+//     live chains: about (⌈2F/W⌉ + 1) × (1.20 + 1/3) × m(ExpectedPackets),
+//     19.3 MiB at the defaults. A steady load holds about one stage for five
+//     times its bucket count in each of the ⌈F/W⌉ + 1 buckets that can still
+//     match, and allocates nothing.
 package replay
 
 import (
@@ -60,10 +73,10 @@ import (
 
 // Config parameterizes the suppressor.
 type Config struct {
-	// WindowNs is the width of one timestamp bucket (default 200 ms).
+	// WindowNs is the width of one timestamp bucket (default 50 ms).
 	WindowNs int64
 	// ExpectedPackets is the number of identifiers one bucket holds at
-	// FalsePositiveRate: the size of its largest stage (default 1<<20).
+	// FalsePositiveRate: the size of its largest stage (default 1<<18).
 	ExpectedPackets int
 	// FalsePositiveRate is the target Bloom FP rate (default 1e-4).
 	FalsePositiveRate float64
@@ -81,10 +94,10 @@ const (
 
 func (c *Config) setDefaults() {
 	if c.WindowNs == 0 {
-		c.WindowNs = 200 * 1e6
+		c.WindowNs = 50 * 1e6
 	}
 	if c.ExpectedPackets == 0 {
-		c.ExpectedPackets = 1 << 20
+		c.ExpectedPackets = 1 << 18
 	}
 	if c.FalsePositiveRate == 0 {
 		c.FalsePositiveRate = 1e-4
@@ -93,13 +106,20 @@ func (c *Config) setDefaults() {
 
 // Split scales the config for one of n data-plane shards: RSS pins each
 // flow (and hence each packet identifier) to exactly one shard, so a shard's
-// buckets expect only ExpectedPackets/n identifiers (floor 1<<10). The FP
-// rate is a per-packet property and stays unchanged; n shard ceilings add
-// up to one suppressor's.
+// buckets expect only ExpectedPackets/n identifiers (floor 1<<10). A shard's
+// ladder can reach minStage in fewer rungs than the whole one's; its
+// capacity then grows by the bytes the rungs it lacks would hold, short of
+// adding a rung, so n shard ceilings add up to one suppressor's. The FP rate
+// is a per-packet property and stays unchanged.
 func (c Config) Split(n int) Config {
 	c.setDefaults()
 	if n > 1 {
+		whole := c.slotBytes()
 		c.ExpectedPackets = max(c.ExpectedPackets/n, minStage)
+		if shards := int64(n) * c.slotBytes(); shards < whole {
+			grown := int(float64(c.ExpectedPackets) * float64(whole) / float64(shards))
+			c.ExpectedPackets = min(grown, minStage<<(2*len(c.sizes()))-1)
+		}
 	}
 	return c
 }
@@ -135,16 +155,22 @@ func (c Config) ringLen(freshnessNs int64) int {
 }
 
 // CeilingBytes is the most a suppressor built by NewCovering(c, freshnessNs)
-// ever holds: one buffer of every stage size in every slot.
+// ever holds: one buffer of every stage size per slot, as a rung allocates
+// a buffer only while every one it has belongs to a live chain.
 //
 //colibri:allow(testonly) — core's TestReplayFilterBytesGauge holds each router's gauge under it
 func (c Config) CeilingBytes(freshnessNs int64) int64 {
 	c.setDefaults()
+	return c.slotBytes() * int64(c.ringLen(freshnessNs))
+}
+
+// slotBytes is one buffer of every stage size, in bytes.
+func (c Config) slotBytes() int64 {
 	var words int64
 	for _, sz := range c.sizes() {
 		words += int64(sz.words())
 	}
-	return 8 * words * int64(c.ringLen(freshnessNs))
+	return 8 * words
 }
 
 // Suppressor detects duplicate packet identifiers while their timestamps
@@ -156,7 +182,10 @@ type Suppressor struct {
 	fp      float64
 	sizes   []size // the ladder
 	ring    []slot
-	now     int64 // the latest clock reading
+	// free holds, per rung, the buffers no chain that can still match holds,
+	// the last one returned drawn first.
+	free [][]buffer
+	now  int64 // the latest clock reading
 	// last caches the slot of the previous Check and its Ts range [lo, hi).
 	last   *slot
 	lo, hi int64
@@ -175,17 +204,25 @@ type slot struct {
 	// (largest, the one inserts go to) stage; curN counts cur's identifiers.
 	first, cur int
 	curN       int64
-	stages     []stage // one per rung, buffers allocated on first use
+	// stages has one entry per rung; those from first to cur hold a buffer
+	// until a bucket opens after this one has left [now − F, now + F].
+	stages []stage
+}
+
+// buffer is a stage's storage: whole blocks of blockWords words, the first
+// 64-byte aligned, of which the first dirty may hold bits of an insert since
+// their last clear.
+type buffer struct {
+	blocks []uint64
+	dirty  uint64
 }
 
 // stage is one blocked Bloom filter of capacity ids in the first nb blocks
-// of its buffer; the buffer's first dirty blocks may hold bits of an insert
-// since their last clear.
+// of its buffer.
 type stage struct {
-	blocks []uint64 // whole blocks of blockWords words, the first 64-byte aligned
-	nb     uint64
-	ids    int64
-	dirty  uint64
+	buffer
+	nb  uint64
+	ids int64
 }
 
 // New builds a suppressor covering timestamps within ±WindowNs of now.
@@ -205,6 +242,7 @@ func NewCovering(cfg Config, freshnessNs int64) *Suppressor {
 		fp:      cfg.FalsePositiveRate,
 		sizes:   sizes,
 		ring:    make([]slot, cfg.ringLen(freshnessNs)),
+		free:    make([][]buffer, len(sizes)),
 		now:     math.MinInt64,
 		top:     math.MinInt64,
 	}
@@ -269,19 +307,26 @@ func (s *Suppressor) Check(id uint64, tsNs, nowNs int64) bool {
 	return true
 }
 
+// bucket is floor(tsNs / WindowNs), the bucket tsNs is filed under.
+func (s *Suppressor) bucket(tsNs int64) int64 {
+	b := tsNs / s.window
+	if tsNs%s.window < 0 {
+		b--
+	}
+	return b
+}
+
 // file returns the slot of tsNs's bucket, recycling the slot if it holds
 // another bucket, and caches it for the next Check. Every bucket that meets
 // [now − F, now + F] maps to a slot of its own and now never runs
 // backwards, so the bucket a live one displaces has left that interval for
-// good.
+// good, and release has already returned its buffers.
 func (s *Suppressor) file(tsNs int64) *slot {
-	b := tsNs / s.window
-	if tsNs%s.window < 0 {
-		b-- // floor
-	}
+	b := s.bucket(tsNs)
 	n := int64(len(s.ring))
 	sl := &s.ring[(b%n+n)%n]
 	if sl.bucket != b {
+		s.release()
 		// Size the first stage for the previous bucket's count: the rung
 		// that holds four times it, or, below the ExpectedPackets rung, a
 		// textbook stage for five times it if that is smaller and over
@@ -306,11 +351,34 @@ func (s *Suppressor) file(tsNs int64) *slot {
 	return sl
 }
 
-// open makes rung c, at size sz, the slot's current stage: its buffer
-// (re)allocated only when it holds fewer than sz.nb blocks, and the part of
-// the prefix it uses that an insert dirtied cleared.
+// release returns to the free lists the buffers of every bucket whose whole
+// Ts range lies below now − F: the freshness check refuses every copy of
+// what was filed there, so nothing will probe it again. A bucket keeps its
+// count, which sizes its successor's first stage.
+func (s *Suppressor) release() {
+	low := s.bucket(s.now - s.horizon) // the oldest bucket that can still match
+	for i := range s.ring {
+		sl := &s.ring[i]
+		if sl.stages[sl.first].blocks == nil || sl.bucket >= low {
+			continue
+		}
+		for c := sl.first; c <= sl.cur; c++ {
+			s.free[c] = append(s.free[c], sl.stages[c].buffer)
+			sl.stages[c].buffer = buffer{}
+		}
+	}
+}
+
+// open makes rung c, at size sz, the slot's current stage: its buffer the
+// rung's last freed one, (re)allocated only when that holds fewer than sz.nb
+// blocks or the free list is empty, and the part of the prefix it uses that
+// an insert dirtied cleared. So a rung never holds more buffers than there
+// are live chains on it at once.
 func (s *Suppressor) open(sl *slot, c int, sz size) {
 	st := &sl.stages[c]
+	if free := s.free[c]; len(free) > 0 {
+		st.buffer, s.free[c] = free[len(free)-1], free[:len(free)-1]
+	}
 	if held := uint64(len(st.blocks)) / blockWords; sz.nb > held {
 		grown := 8 * int64(sz.words())
 		if held > 0 {

@@ -226,7 +226,7 @@ func TestReplaySuppressed(t *testing.T) {
 // filter used to remember an identifier by arrival time for 200–400 ms and
 // forwarded the copies at 450 and 499 ms.
 func TestReplayCaughtAnywhereInFreshness(t *testing.T) {
-	const window = 200e6 // replay.Config's default bucket width
+	const window = 50e6 // replay.Config's default bucket width
 	for _, tc := range []struct {
 		name    string
 		stampNs int64 // the gateway's clock when it builds the original
