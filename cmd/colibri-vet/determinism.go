@@ -21,12 +21,24 @@
 //     order-insensitively (commutative compound assignments, counters,
 //     min/max folds, writes keyed by the range key, delete), the file
 //     carries //colibri:ordered, or the line a //colibri:allow(determinism).
+//
+// A second rule holds the data plane's packages (integerPkgs) to integer
+// decisions: a float result can depend on evaluation order and on the
+// architecture (Go may fuse x*y + z on arm64), so a verdict at a boundary
+// would too. Flagged there: arithmetic or a comparison on a float or complex
+// operand, a compound assignment, ++ or -- of one, a conversion to or from
+// one, and a call of a math function that takes or returns one; constant
+// expressions, which the compiler folds exactly, are not. Configuration-time
+// maths (a detector's threshold from its tolerance, the replay filter's
+// sizing) carries //colibri:allow(determinism) on its line, or in the doc
+// comment of a function that is configuration-time maths as a whole.
 package main
 
 import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"strings"
 )
 
 const checkDeterminism = "determinism"
@@ -53,9 +65,22 @@ var deterministicPkgs = map[string]bool{
 	"experiments": true, "reservation": true, "restree": true,
 }
 
+// integerPkgs are the package names whose non-test code may do no float
+// arithmetic: the policing, detection, duplicate-suppression, forwarding and
+// source-gateway stages of the data plane, and the CServ. admission is not
+// among them yet: its SegR decisions still sum float demands, which the
+// next step of exact arithmetic (ROADMAP item 28(b)) makes integer.
+var integerPkgs = map[string]bool{
+	"monitor": true, "ofd": true, "replay": true,
+	"router": true, "gateway": true, "cserv": true,
+}
+
 type determinismCheck struct{}
 
 func (c *determinismCheck) Run(p *Pkg, r *Reporter) {
+	if integerPkgs[p.Name] {
+		c.checkFloats(p, r)
+	}
 	if !deterministicPkgs[p.Name] {
 		return
 	}
@@ -89,6 +114,103 @@ func (c *determinismCheck) Run(p *Pkg, r *Reporter) {
 			return true
 		})
 	}
+}
+
+// checkFloats reports, once per line, each float operation in p's files.
+func (c *determinismCheck) checkFloats(p *Pkg, r *Reporter) {
+	for _, f := range p.Files {
+		seen := map[int]bool{}
+		report := func(n ast.Node, what string) {
+			if line := r.fset.Position(n.Pos()).Line; !seen[line] {
+				seen[line] = true
+				r.Report(n.Pos(), checkDeterminism,
+					"%s in package %s, whose decisions are integer: keep the value in an integer unit, or mark configuration-time maths //colibri:allow(determinism)", what, p.Name)
+			}
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.FuncDecl:
+				return !docAllows(n.Doc, checkDeterminism)
+			case *ast.BinaryExpr:
+				if !isConst(n, p.Info) && (isFloat(n.X, p.Info) || isFloat(n.Y, p.Info)) {
+					report(n, "float "+n.Op.String())
+				}
+			case *ast.UnaryExpr:
+				if !isConst(n, p.Info) && isFloat(n.X, p.Info) {
+					report(n, "float "+n.Op.String())
+				}
+			case *ast.AssignStmt:
+				if n.Tok != token.ASSIGN && n.Tok != token.DEFINE && isFloat(n.Lhs[0], p.Info) {
+					report(n, "float "+n.Tok.String())
+				}
+			case *ast.IncDecStmt:
+				if isFloat(n.X, p.Info) {
+					report(n, "float "+n.Tok.String())
+				}
+			case *ast.CallExpr:
+				if tv, ok := p.Info.Types[n.Fun]; ok && tv.IsType() {
+					if len(n.Args) == 1 && !isConst(n, p.Info) && (isFloat(n, p.Info) || isFloat(n.Args[0], p.Info)) {
+						report(n, "float conversion")
+					}
+				} else if pkgPath, fn := pkgFuncCall(n, p.Info); pkgPath == "math" && floatSignature(p.Info.Types[n.Fun].Type) {
+					report(n, "math."+fn)
+				}
+			}
+			return true
+		})
+	}
+}
+
+// docAllows reports whether a doc comment carries a
+// //colibri:allow directive naming check.
+func docAllows(doc *ast.CommentGroup, check string) bool {
+	if doc == nil {
+		return false
+	}
+	for _, c := range doc.List {
+		if m := allowRe.FindStringSubmatch(c.Text); m != nil {
+			for _, name := range strings.Split(m[1], ",") {
+				if strings.TrimSpace(name) == check {
+					return true
+				}
+			}
+		}
+	}
+	return false
+}
+
+// isConst reports whether e is a constant the compiler folds.
+func isConst(e ast.Expr, info *types.Info) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Value != nil
+}
+
+// isFloat reports whether e has a floating-point or complex type, untyped
+// constants included.
+func isFloat(e ast.Expr, info *types.Info) bool {
+	tv, ok := info.Types[e]
+	return ok && tv.Type != nil && isFloatType(tv.Type)
+}
+
+func isFloatType(t types.Type) bool {
+	b, ok := t.Underlying().(*types.Basic)
+	return ok && b.Info()&(types.IsFloat|types.IsComplex) != 0
+}
+
+// floatSignature reports whether a function type takes or returns a float.
+func floatSignature(t types.Type) bool {
+	sig, ok := t.(*types.Signature)
+	if !ok {
+		return false
+	}
+	for _, tup := range []*types.Tuple{sig.Params(), sig.Results()} {
+		for i := 0; i < tup.Len(); i++ {
+			if isFloatType(tup.At(i).Type()) {
+				return true
+			}
+		}
+	}
+	return false
 }
 
 // pkgFuncCall resolves a call of the form pkg.Fn where pkg is an imported

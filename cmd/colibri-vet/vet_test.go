@@ -42,6 +42,11 @@ func TestFixtures(t *testing.T) {
 		{"determinism_parallel", "determinism", "./netsimpar/...", 1},
 		{"determinism_cserv", "determinism", "./cserv/...", 1},
 		{"determinism_restree", "determinism", "./restree/...", 1},
+		// The float rule: float counters, comparisons, conversions and a
+		// math call in a data-plane package fail; integer maths, constants
+		// and allowed configuration-time maths do not.
+		{"determinism_float", "determinism", "./ofd/...", 1},
+		{"determinism_float_clean", "determinism", "./gateway/...", 0},
 		{"nomalloc_restree", "nomalloc", "./restree/...", 1},
 		{"locks", "locks", "./locks/...", 1},
 		{"telemetry", "telemetry", "./tel/...", 1},

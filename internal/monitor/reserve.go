@@ -18,110 +18,94 @@
 package monitor
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
 	"colibri/internal/reservation"
 )
 
-// microPerByte is the reserve's token granularity: tokens are kept in
-// integer micro-bytes so that claims and refills are plain atomic int64
-// transitions. 1 micro-byte of rounding per claim is far below any packet
-// size, and int64 micro-bytes hold ~9.2 TB, far above any burst.
-const microPerByte = 1e6
-
 // Reserve is the shared token store of one flow policed across data-plane
 // shards. It refills lazily on claim (the claimant that advances lastNs
 // credits the elapsed interval) and is entirely lock-free: concurrent
-// claimants from different shards contend only on two atomic words.
+// claimants from different shards contend only on two atomic words. Its fill
+// is in TokenBucket's unit, micro-bits, and every change of it is one
+// compare-and-swap from a value read to the value it implies, so no
+// interleaving of claims, refills and rate changes mints a token or drives
+// the fill below zero.
 type Reserve struct {
-	// tokens is the current fill in micro-bytes.
-	tokens atomic.Int64
+	// fill is the current fill in micro-bits, at most the rate's burst.
+	fill atomic.Uint64
 	// lastNs is the time of the last refill credit. Written only by Claim
 	// (the claimant that wins the CAS advances it).
 	lastNs atomic.Int64
-	// rateBits holds math.Float64bits of the refill rate in micro-bytes per
-	// nanosecond (== rateKbps/8, conveniently).
-	rateBits atomic.Uint64
-	// burstMicro is the capacity in micro-bytes.
-	burstMicro atomic.Int64
+	// rateKbps is the refill rate; the burst is BurstFor(rateKbps).
+	rateKbps atomic.Uint32
 	// holders counts the shard buckets holding it (the pool's lock guards it).
 	holders int
 }
 
 // NewReserve builds a full reserve enforcing the flow's complete reserved
 // rate (not rate/N — see the package comment on why the split is inverted).
-func NewReserve(rateKbps uint64, nowNs int64) *Reserve {
+func NewReserve(rateKbps uint32, nowNs int64) *Reserve {
 	r := &Reserve{}
 	r.lastNs.Store(nowNs)
-	r.SetRate(rateKbps)
-	r.tokens.Store(r.burstMicro.Load()) // starts full, like TokenBucket
+	r.rateKbps.Store(rateKbps)
+	r.fill.Store(BurstFor(rateKbps)) // starts full, like TokenBucket
 	return r
 }
 
-// SetRate updates the enforced rate and resizes the burst, as a watch
-// entry's rate change clips its TokenBucket. Rate changes are rare (EER renewals); the clamp below
-// is racy against concurrent claims but only ever lowers the fill, which is
-// the safe direction.
-func (r *Reserve) SetRate(rateKbps uint64) {
-	// kbps → micro-bytes per ns: rate * 1000 / 8 / 1e9 * 1e6 = rate / 8.
-	r.rateBits.Store(math.Float64bits(float64(rateKbps) / 8))
-	burst := int64(BurstBytesFor(rateKbps) * microPerByte)
-	r.burstMicro.Store(burst)
-	if t := r.tokens.Load(); t > burst {
-		r.tokens.Store(burst)
+// SetRate updates the enforced rate and with it the burst, as a watch
+// entry's rate change clips its TokenBucket: the fill is cut to the new
+// burst by a compare-and-swap, so a claim that lands in between is kept.
+func (r *Reserve) SetRate(rateKbps uint32) {
+	r.rateKbps.Store(rateKbps)
+	r.add(0, BurstFor(rateKbps))
+}
+
+// add moves the fill to min(fill + credit, burst) in one compare-and-swap
+// from the value it read.
+func (r *Reserve) add(credit, burst uint64) {
+	for {
+		cur := r.fill.Load()
+		next := min(cur+credit, burst)
+		if next == cur || r.fill.CompareAndSwap(cur, next) {
+			return
+		}
 	}
 }
 
-// Claim refills the reserve to nowNs and tries to withdraw at least
-// needBytes, over-claiming up to chunkBytes extra when available so the
-// caller's local cache absorbs the next few packets without touching the
-// shared words. It returns the number of bytes granted: 0 if the reserve
-// cannot cover needBytes (the packet does not conform anywhere — no other
-// shard could have granted it either, since this is the only token source),
-// otherwise a value ≥ needBytes.
+// Claim refills the reserve to nowNs and tries to withdraw at least need
+// micro-bits, over-claiming up to chunk more when available so the caller's
+// local cache absorbs the next few packets without touching the shared
+// words. It returns the micro-bits granted: 0 if the reserve cannot cover
+// need (the packet does not conform anywhere — no other shard could have
+// granted it either, since this is the only token source), otherwise a value
+// ≥ need.
 //
 //colibri:nomalloc
-func (r *Reserve) Claim(needBytes, chunkBytes float64, nowNs int64) float64 {
+func (r *Reserve) Claim(need, chunk uint64, nowNs int64) uint64 {
 	// Refill: whoever CASes lastNs forward owns the elapsed interval and
 	// credits it. Timestamps need not be monotone; a stale nowNs credits
 	// nothing (same lock-in as TokenBucket.Allow).
-	burst := r.burstMicro.Load()
 	for {
 		last := r.lastNs.Load()
 		if nowNs <= last {
 			break
 		}
 		if r.lastNs.CompareAndSwap(last, nowNs) {
-			rate := math.Float64frombits(r.rateBits.Load())
-			credit := float64(nowNs-last) * rate
-			if credit > float64(burst) {
-				credit = float64(burst) // long idle: cap at capacity, no int64 overflow
-			}
-			if t := r.tokens.Add(int64(credit)); t > burst {
-				// Clamp overshoot. A concurrent claim between the Add and
-				// this correction can transiently read an above-burst fill;
-				// the correction only removes the overshoot we added, so
-				// tokens never go below what honest accounting allows.
-				r.tokens.Add(burst - t)
-			}
+			rate := r.rateKbps.Load()
+			r.add(credit(rate, nowNs-last), BurstFor(rate))
 			break
 		}
 	}
-	need := int64(math.Ceil(needBytes * microPerByte))
-	chunk := int64(chunkBytes * microPerByte)
 	for {
-		cur := r.tokens.Load()
+		cur := r.fill.Load()
 		if cur < need {
 			return 0
 		}
-		take := need + chunk
-		if take > cur {
-			take = cur
-		}
-		if r.tokens.CompareAndSwap(cur, cur-take) {
-			return float64(take) / microPerByte
+		take := min(need+chunk, cur)
+		if r.fill.CompareAndSwap(cur, cur-take) {
+			return take
 		}
 	}
 }
@@ -142,7 +126,7 @@ func NewReservePool() *ReservePool {
 
 // Get returns the flow's reserve to one more holder, creating it at the full
 // rateKbps on first sight.
-func (p *ReservePool) Get(id reservation.ID, rateKbps uint64, nowNs int64) *Reserve {
+func (p *ReservePool) Get(id reservation.ID, rateKbps uint32, nowNs int64) *Reserve {
 	p.mu.Lock()
 	r, ok := p.m[id]
 	if !ok {

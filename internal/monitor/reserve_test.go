@@ -3,6 +3,7 @@ package monitor
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"colibri/internal/topology"
@@ -10,7 +11,7 @@ import (
 
 // shardMonitors builds n shard monitors over one shared reserve pool,
 // mirroring what a sharded router constructs per core.
-func shardMonitors(n int, chunkBytes float64) (*ReservePool, []*FlowMonitor) {
+func shardMonitors(n int, chunkBytes uint32) (*ReservePool, []*FlowMonitor) {
 	pool := NewReservePool()
 	mons := make([]*FlowMonitor, n)
 	for i := range mons {
@@ -25,7 +26,7 @@ func shardMonitors(n int, chunkBytes float64) (*ReservePool, []*FlowMonitor) {
 // reservation. With the shared reserve the pinned shard must sustain the
 // FULL reserved rate.
 func TestHotFlowReachesFullRateOnOneShard(t *testing.T) {
-	for _, chunk := range []float64{0, 4096} {
+	for _, chunk := range []uint32{0, 4096} {
 		_, mons := shardMonitors(8, chunk)
 		hot := mons[3] // the shard RSS pinned the flow to
 		// 8 Mbps = 1 MB/s. 1000-byte packets at exactly 1000 pps conform
@@ -46,7 +47,7 @@ func TestHotFlowReachesFullRateOnOneShard(t *testing.T) {
 // the total admitted across shards cannot exceed rate·T + burst, because
 // every token originates from the one full-rate reserve.
 func TestShardsNeverExceedReservedAggregate(t *testing.T) {
-	for _, chunk := range []float64{0, 4096} {
+	for _, chunk := range []uint32{0, 4096} {
 		_, mons := shardMonitors(8, chunk)
 		rng := rand.New(rand.NewSource(7))
 		// 8 Mbps for 10 s = 10 MB, plus the 100 ms burst (100 KB).
@@ -62,7 +63,7 @@ func TestShardsNeverExceedReservedAggregate(t *testing.T) {
 				}
 			}
 		}
-		limit := int64(rateKbps)*1000/8*10 + int64(BurstBytesFor(rateKbps))
+		limit := int64(rateKbps)*1000/8*10 + int64(burstBytes(rateKbps))
 		if admitted > limit {
 			t.Errorf("chunk=%v: shards admitted %d bytes, exceeding reserved budget %d", chunk, admitted, limit)
 		}
@@ -100,12 +101,12 @@ func TestShardBucketMatchesSingleBucket(t *testing.T) {
 }
 
 // TestReserveConcurrentClaims hammers one reserve from 8 goroutines (run with
-// -race) and checks conservation: total granted ≤ initial burst + refills.
+// -race) and checks conservation: total granted ≤ initial burst + refills,
+// and the fill after every claim within [0, burst].
 func TestReserveConcurrentClaims(t *testing.T) {
 	const rateKbps = 8_000
 	r := NewReserve(rateKbps, 0)
-	var mu sync.Mutex
-	granted := 0.0
+	var granted atomic.Uint64
 	var wg sync.WaitGroup
 	const goroutines, claims = 8, 5_000
 	for g := 0; g < goroutines; g++ {
@@ -113,23 +114,74 @@ func TestReserveConcurrentClaims(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			local := 0.0
+			local := uint64(0)
 			for i := 0; i < claims; i++ {
 				nowNs := int64(i) * 1e5 // all goroutines share the timeline
-				local += r.Claim(float64(64+rng.Intn(1436)), float64(rng.Intn(2048)), nowNs)
+				local += r.Claim(uint64(64+rng.Intn(1436))*MicrobitsPerByte, uint64(rng.Intn(2048))*MicrobitsPerByte, nowNs)
+				if f := r.fill.Load(); f > BurstFor(rateKbps) {
+					t.Errorf("claim %d: fill %d µbit outside [0, %d]", i, f, BurstFor(rateKbps))
+					return
+				}
 			}
-			mu.Lock()
-			granted += local
-			mu.Unlock()
+			granted.Add(local)
 		}(int64(g + 1))
 	}
 	wg.Wait()
-	// Budget: initial burst + rate over the claims' time span, + burst slack
-	// for the transient above-burst reads Claim documents.
-	span := float64((claims - 1) * 1e5)
-	budget := 2*BurstBytesFor(rateKbps) + span*float64(rateKbps)/8/1e6
-	if granted > budget {
-		t.Fatalf("reserve granted %.0f bytes, conservation budget %.0f", granted, budget)
+	// Budget: the initial burst + the rate over the claims' time span. Every
+	// change of the fill is a compare-and-swap to min(fill + credit, burst),
+	// so no interleaving lends a claim more than the burst.
+	span := uint64((claims - 1) * 1e5)
+	if budget := BurstFor(rateKbps) + span*rateKbps; granted.Load() > budget {
+		t.Fatalf("reserve granted %d µbit, conservation budget %d", granted.Load(), budget)
+	}
+}
+
+// TestReserveSetRateRacesClaims interleaves rate changes with claims on two
+// goroutines: one moves a shared clock forward and flips the rate between
+// two values, whose bursts differ, the other claims at the clock's reading.
+// At every step what the reserve granted plus what it holds stays within
+// the higher burst and the higher rate over the time elapsed, the fill stays
+// within [0, burst], and between two claims it never rises — only a claim's
+// refill raises it. A clamp that stored a value read before a claim would
+// raise it, handing that claim's tokens out twice; a refill that added
+// before it clamped would let a claim take more than the burst and leave the
+// fill below zero.
+func TestReserveSetRateRacesClaims(t *testing.T) {
+	const lo, hi = 8_000, 64_000
+	r := NewReserve(hi, 0)
+	var clock atomic.Int64
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer close(done)
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			clock.Add(int64(1 + i%50_000))
+			r.SetRate(uint32(lo + (hi-lo)*(i%2)))
+		}
+	}()
+	rng := rand.New(rand.NewSource(9))
+	granted, held := uint64(0), r.fill.Load()
+	for i := 0; i < 200_000; i++ {
+		now := clock.Load()
+		if f := r.fill.Load(); f > held {
+			t.Fatalf("claim %d: the fill rose from %d to %d µbit since the last claim", i, held, f)
+		}
+		granted += r.Claim(uint64(64+rng.Intn(1436))*MicrobitsPerByte, 0, now)
+		held = r.fill.Load()
+		if held > BurstFor(hi) {
+			t.Fatalf("claim %d: fill %d µbit above the larger burst %d", i, held, BurstFor(hi))
+		}
+		if budget := BurstFor(hi) + uint64(now)*hi; granted+held > budget {
+			t.Fatalf("claim %d at %d ns: granted %d + held %d µbit > %d", i, now, granted, held, budget)
+		}
 	}
 }
 

@@ -19,32 +19,55 @@ import (
 // TokenBucket enforces a byte rate with a burst allowance. As in the paper,
 // it keeps only a timestamp and a counter per flow: its holder keeps the rate
 // (a 32-bit kbps value, the width a ResInfo carries it in) and passes it in,
-// and each refill derives bytes per nanosecond and the burst from it. It is
-// not safe for concurrent use: its holder (the gateway's record, FlowMonitor's
-// watch table) locks around it.
+// and each refill derives its credit and the burst from it. The fill is an
+// integer count of micro-bits: 1 kbps for 1 ns is exactly 1 µbit, so a
+// refill is one multiplication and every verdict is exact on every
+// architecture. It is not safe for concurrent use: its holder (the gateway's
+// record, FlowMonitor's watch table) locks around it.
 type TokenBucket struct {
-	// tokens is the current fill level in bytes.
-	tokens float64
+	// fill is the current fill level in micro-bits.
+	fill uint64
 	// lastNs is the time of the last refill.
 	lastNs int64
 }
 
-// DefaultBurstSeconds sizes a flow's burst allowance relative to its rate:
-// the bucket holds this many seconds worth of traffic.
-const DefaultBurstSeconds = 0.1
+const (
+	// MicrobitsPerByte converts a size in bytes to the bucket's unit.
+	MicrobitsPerByte = 8 * 1_000_000
+	// DefaultBurstNs sizes a flow's burst allowance relative to its rate:
+	// the bucket holds this many nanoseconds worth of traffic.
+	DefaultBurstNs = 100_000_000
+	// minBurst is the smallest burst, one full-size packet of 1500 bytes.
+	minBurst = 1500 * MicrobitsPerByte
+	// minBurstKbps is the rate below which the floor sets the burst: a
+	// slower bucket takes longer than DefaultBurstNs to fill, up to minBurst
+	// nanoseconds at 1 kbps.
+	minBurstKbps = minBurst / DefaultBurstNs
+)
 
 // FullBucket returns a bucket at rateKbps that starts full at nowNs.
 func FullBucket(rateKbps uint32, nowNs int64) TokenBucket {
-	return TokenBucket{tokens: BurstBytesFor(uint64(rateKbps)), lastNs: nowNs}
+	return TokenBucket{fill: BurstFor(rateKbps), lastNs: nowNs}
 }
 
-// BurstBytesFor returns the default burst size for a rate.
-func BurstBytesFor(rateKbps uint64) float64 {
-	b := float64(rateKbps) * 1000 / 8 * DefaultBurstSeconds
-	if b < 1500 {
-		b = 1500 // always allow at least one full-size packet
+// BurstFor returns the default burst at a rate, in micro-bits: DefaultBurstNs
+// of traffic, but never less than one full-size packet. At 2³²−1 kbps it is
+// 4.3·10¹⁷ µbit, well inside a uint64.
+func BurstFor(rateKbps uint32) uint64 {
+	return max(uint64(rateKbps)*DefaultBurstNs, minBurst)
+}
+
+// credit is what dtNs > 0 of traffic at rateKbps adds to a fill, before the
+// fill is capped at the burst. dt is first clamped to the time the burst
+// takes to fill — DefaultBurstNs, or minBurst nanoseconds below
+// minBurstKbps — which changes no capped fill and keeps dt·rate far from
+// overflow.
+func credit(rateKbps uint32, dtNs int64) uint64 {
+	maxDt := int64(DefaultBurstNs)
+	if rateKbps < minBurstKbps {
+		maxDt = minBurst
 	}
-	return b
+	return uint64(min(dtNs, maxDt)) * uint64(rateKbps)
 }
 
 // Allow refills the bucket at rateKbps to time nowNs and consumes sizeBytes
@@ -57,17 +80,14 @@ func BurstBytesFor(rateKbps uint64) float64 {
 // double-refill the interval.
 func (tb *TokenBucket) Allow(rateKbps uint32, nowNs int64, sizeBytes uint32) bool {
 	if nowNs > tb.lastNs {
-		tb.tokens += float64(nowNs-tb.lastNs) * (float64(rateKbps) * 1000 / 8 / 1e9) // kbps → bytes per ns
-		if burst := BurstBytesFor(uint64(rateKbps)); tb.tokens > burst {
-			tb.tokens = burst
-		}
+		tb.fill = min(tb.fill+credit(rateKbps, nowNs-tb.lastNs), BurstFor(rateKbps))
 		tb.lastNs = nowNs
 	}
-	need := float64(sizeBytes)
-	if tb.tokens < need {
+	need := uint64(sizeBytes) * MicrobitsPerByte
+	if tb.fill < need {
 		return false
 	}
-	tb.tokens -= need
+	tb.fill -= need
 	return true
 }
 
@@ -75,9 +95,7 @@ func (tb *TokenBucket) Allow(rateKbps uint32, nowNs int64, sizeBytes uint32) boo
 // renewal that changed the reservation bandwidth): the burst follows the
 // rate, so a fill above the new burst is cut to it at the change.
 func (tb *TokenBucket) Clip(rateKbps uint32) {
-	if burst := BurstBytesFor(uint64(rateKbps)); tb.tokens > burst {
-		tb.tokens = burst
-	}
+	tb.fill = min(tb.fill, BurstFor(rateKbps))
 }
 
 // FlowMonitor is a border router's watch table (§4.8): one token bucket per
@@ -102,9 +120,9 @@ type FlowMonitor struct {
 	made, dropped *telemetry.Counter
 	// pool, when non-nil, puts the monitor in shard mode: buckets are
 	// created as local claim caches over the pool's shared full-rate
-	// reserves (see reserve.go), over-claiming chunk bytes at a time.
+	// reserves (see reserve.go), over-claiming chunk micro-bits at a time.
 	pool  *ReservePool
-	chunk float64
+	chunk uint64
 }
 
 // flow is one entry; its bucket is unstarted (rate 0) until the flow's first packet.
@@ -134,8 +152,8 @@ func NewFlowMonitor() *FlowMonitor {
 // of chunkBytes beyond the immediate deficit (0 = exact claims, byte-for-
 // byte equivalent to a single full-rate bucket; larger chunks amortize the
 // shared-word traffic at the cost of slightly earlier token commitment).
-func NewShardFlowMonitor(pool *ReservePool, chunkBytes float64) *FlowMonitor {
-	return &FlowMonitor{pool: pool, chunk: chunkBytes}
+func NewShardFlowMonitor(pool *ReservePool, chunkBytes uint32) *FlowMonitor {
+	return &FlowMonitor{pool: pool, chunk: uint64(chunkBytes) * MicrobitsPerByte}
 }
 
 // SetTelemetry attaches a gauge tracking the number of flows this monitor
@@ -169,13 +187,13 @@ func (m *FlowMonitor) start(id reservation.ID, f *flow, rateKbps uint32, nowNs i
 	case f.rate == rateKbps:
 	case f.reserve != nil: // started, shard mode: the reserve holds the rate
 		f.rate = rateKbps
-		f.reserve.SetRate(uint64(rateKbps))
+		f.reserve.SetRate(rateKbps)
 	case f.rate != 0: // started
 		f.rate = rateKbps
 		f.Clip(rateKbps)
 	case m.pool != nil: // shard mode: an empty local cache in front of the shared reserve
 		f.TokenBucket, f.rate = TokenBucket{}, rateKbps
-		f.reserve = m.pool.Get(id, uint64(rateKbps), nowNs)
+		f.reserve = m.pool.Get(id, rateKbps, nowNs)
 	default:
 		f.TokenBucket, f.rate = FullBucket(rateKbps, nowNs), rateKbps
 	}
@@ -194,14 +212,14 @@ func (m *FlowMonitor) allow(f *flow, nowNs int64, sizeBytes uint32) bool {
 	if f.reserve == nil {
 		return f.Allow(f.rate, nowNs, sizeBytes)
 	}
-	need := float64(sizeBytes)
-	if f.tokens < need {
-		f.tokens += f.reserve.Claim(need-f.tokens, m.chunk, nowNs)
+	need := uint64(sizeBytes) * MicrobitsPerByte
+	if f.fill < need {
+		f.fill += f.reserve.Claim(need-f.fill, m.chunk, nowNs)
 	}
-	if f.tokens < need {
+	if f.fill < need {
 		return false
 	}
-	f.tokens -= need
+	f.fill -= need
 	return true
 }
 

@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"math"
+	"math/big"
 	"math/rand"
 	"testing"
 
@@ -12,6 +13,10 @@ import (
 func rid(n uint32) reservation.ID {
 	return reservation.ID{SrcAS: topology.MustIA(1, 9), Num: n}
 }
+
+// burstBytes is the burst at rateKbps in whole bytes (for rates below
+// 343 597 383 kbps, whose bursts fit 32 bits).
+func burstBytes(rateKbps uint32) uint32 { return uint32(BurstFor(rateKbps) / MicrobitsPerByte) }
 
 func TestTokenBucketConformingRate(t *testing.T) {
 	// 8 Mbps = 1 MB/s. Sending 1000-byte packets at exactly 1000 pps
@@ -68,9 +73,9 @@ func TestTokenBucketLongRunRateQuick(t *testing.T) {
 	// Property: over a long run, passed bytes never exceed
 	// rate×time + burst.
 	for _, rateKbps := range []uint64{1000, 8000, 100_000} {
-		burst := BurstBytesFor(rateKbps)
+		burst := int64(burstBytes(uint32(rateKbps)))
 		tb := FullBucket(uint32(rateKbps), 0)
-		var passedBytes float64
+		var passedBytes int64
 		const durNs = int64(2e9)
 		step := int64(1e5) // dense 0.1 ms probes of 500-byte packets
 		for now := step; now <= durNs; now += step {
@@ -78,9 +83,9 @@ func TestTokenBucketLongRunRateQuick(t *testing.T) {
 				passedBytes += 500
 			}
 		}
-		limit := float64(rateKbps)*1000/8*float64(durNs)/1e9 + burst + 500
+		limit := int64(rateKbps)*1000/8*durNs/1e9 + burst + 500
 		if passedBytes > limit {
-			t.Errorf("rate %d: passed %.0f bytes > limit %.0f", rateKbps, passedBytes, limit)
+			t.Errorf("rate %d: passed %d bytes > limit %d", rateKbps, passedBytes, limit)
 		}
 	}
 }
@@ -185,7 +190,7 @@ func TestTokenBucketClockRegression(t *testing.T) {
 	// 8 Mbps, burst 100 000 bytes. rate = 1 byte/µs.
 	const rate = 8_000
 	tb := FullBucket(rate, 1e9)
-	if !tb.Allow(rate, 1e9, uint32(BurstBytesFor(rate))) {
+	if !tb.Allow(rate, 1e9, burstBytes(rate)) {
 		t.Fatal("burst-sized packet did not conform on a full bucket")
 	}
 	// Bucket is empty. A regressed timestamp must neither refill nor
@@ -219,7 +224,7 @@ func TestFlowMonitorClockRegression(t *testing.T) {
 	m := NewFlowMonitor()
 	id := rid(1)
 	// Drain the burst at t=1s.
-	if !m.Allow(id, 8_000, uint32(BurstBytesFor(8_000)), 1e9) {
+	if !m.Allow(id, 8_000, burstBytes(8_000), 1e9) {
 		t.Fatal("burst did not conform")
 	}
 	// A batch stamped in the past must not refill the drained bucket.
@@ -269,7 +274,7 @@ func TestWatchTableLifecycle(t *testing.T) {
 		}
 		// …and one that does not conform extends it to its own expiry.
 		m.Escalate(rid(1), 8_000, 1000, 132, 116*sec)
-		burst := uint32(BurstBytesFor(8_000))
+		burst := burstBytes(8_000)
 		if _, ok := m.Police(rid(1), 8_000, burst, 144, 116*sec); ok {
 			t.Fatalf("%s: a burst-sized packet conformed right after another packet", name)
 		}
@@ -285,43 +290,65 @@ func TestWatchTableLifecycle(t *testing.T) {
 }
 
 // refBucket is the token bucket as it was before it kept only a fill and a
-// timestamp: it carried its rate in bytes per nanosecond, its burst and its
-// nominal rate beside them. It is the oracle TestTokenBucketMatchesReference
-// holds TokenBucket and its holder's rate to.
+// timestamp — its rate in bytes per nanosecond, its burst and its nominal
+// rate beside it — computed in exact rationals: the refill interval
+// unclamped, the burst from its own formula, nothing rounded. It is the
+// oracle TestTokenBucketMatchesReference, TestWatchEntryMatchesReference and
+// FuzzTokenBucket hold TokenBucket and its holder's rate to.
 type refBucket struct {
-	rate, burst, tokens float64
+	rate, burst, tokens *big.Rat // bytes per ns, bytes, bytes
 	lastNs              int64
 	rateKbps            uint64
 }
 
-func newRefBucket(rateKbps uint64, burstBytes float64, nowNs int64) refBucket {
-	rate := float64(rateKbps) * 1000 / 8 / 1e9
-	return refBucket{rate: rate, burst: burstBytes, tokens: burstBytes, lastNs: nowNs, rateKbps: rateKbps}
+// refRate is rateKbps in bytes per nanosecond: rate · 1000 / 8 / 10⁹.
+func refRate(rateKbps uint64) *big.Rat {
+	return new(big.Rat).SetFrac(new(big.Int).SetUint64(rateKbps), big.NewInt(8_000_000))
+}
+
+// refBurst is a tenth of a second at rateKbps, but at least 1500 bytes.
+func refBurst(rateKbps uint64) *big.Rat {
+	b := new(big.Rat).Mul(refRate(rateKbps), big.NewRat(100_000_000, 1))
+	if b.Cmp(big.NewRat(1500, 1)) < 0 {
+		b.SetInt64(1500)
+	}
+	return b
+}
+
+func newRefBucket(rateKbps uint64, nowNs int64) refBucket {
+	burst := refBurst(rateKbps)
+	return refBucket{rate: refRate(rateKbps), burst: burst, tokens: new(big.Rat).Set(burst), lastNs: nowNs, rateKbps: rateKbps}
 }
 
 func (tb *refBucket) Allow(nowNs int64, sizeBytes uint32) bool {
 	if nowNs > tb.lastNs {
-		tb.tokens += float64(nowNs-tb.lastNs) * tb.rate
-		if tb.tokens > tb.burst {
-			tb.tokens = tb.burst
+		credit := new(big.Rat).Mul(big.NewRat(nowNs-tb.lastNs, 1), tb.rate)
+		tb.tokens.Add(tb.tokens, credit)
+		if tb.tokens.Cmp(tb.burst) > 0 {
+			tb.tokens.Set(tb.burst)
 		}
 		tb.lastNs = nowNs
 	}
-	need := float64(sizeBytes)
-	if tb.tokens < need {
+	need := big.NewRat(int64(sizeBytes), 1)
+	if tb.tokens.Cmp(need) < 0 {
 		return false
 	}
-	tb.tokens -= need
+	tb.tokens.Sub(tb.tokens, need)
 	return true
 }
 
 func (tb *refBucket) SetRate(rateKbps uint64) {
 	tb.rateKbps = rateKbps
-	tb.rate = float64(rateKbps) * 1000 / 8 / 1e9
-	tb.burst = BurstBytesFor(rateKbps)
-	if tb.tokens > tb.burst {
-		tb.tokens = tb.burst
+	tb.rate = refRate(rateKbps)
+	tb.burst = refBurst(rateKbps)
+	if tb.tokens.Cmp(tb.burst) > 0 {
+		tb.tokens.Set(tb.burst)
 	}
+}
+
+// holds reports whether a fill in micro-bits is exactly the reference's.
+func (tb *refBucket) holds(fill uint64) bool {
+	return new(big.Rat).SetFrac(new(big.Int).SetUint64(fill), big.NewInt(MicrobitsPerByte)).Cmp(tb.tokens) == 0
 }
 
 // TestTokenBucketMatchesReference drives a TokenBucket, with its rate kept
@@ -329,14 +356,15 @@ func (tb *refBucket) SetRate(rateKbps uint64) {
 // rate changes — rates up and down across the 1500-byte burst floor and up to
 // 2³²−1 kbps, sizes from 1 byte past the burst, timestamps that step forward,
 // repeat the same nanosecond and regress — and demands the same verdict for
-// every packet and bit-identical fills and refill times after every step.
+// every packet and exactly the reference's fill and refill time after every
+// step.
 func TestTokenBucketMatchesReference(t *testing.T) {
 	rates := []uint32{1, 64, 119, 120, 121, 1000, 8_000, 16_000, 1_000_000, math.MaxUint32}
 	for seed := int64(1); seed <= 8; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		rate := rates[rng.Intn(len(rates))]
 		now := rng.Int63n(1e12)
-		tb, ref := FullBucket(rate, now), newRefBucket(uint64(rate), BurstBytesFor(uint64(rate)), now)
+		tb, ref := FullBucket(rate, now), newRefBucket(uint64(rate), now)
 		changes, regressions, repeats := 0, 0, 0
 		for step := 0; step < 20_000; step++ {
 			switch k := rng.Intn(16); {
@@ -360,13 +388,13 @@ func TestTokenBucketMatchesReference(t *testing.T) {
 			}
 			size := uint32(1 + rng.Intn(1600))
 			if rng.Intn(32) == 0 {
-				size = uint32(BurstBytesFor(uint64(rate))) + uint32(rng.Intn(3)) - 1
+				size = uint32(BurstFor(rate)/MicrobitsPerByte) + uint32(rng.Intn(3)) - 1
 			}
 			if got, want := tb.Allow(rate, now, size), ref.Allow(now, size); got != want {
 				t.Fatalf("seed %d step %d: %d bytes at %d ns, %d kbps: verdict %v, reference %v", seed, step, size, now, rate, got, want)
 			}
-			if math.Float64bits(tb.tokens) != math.Float64bits(ref.tokens) || tb.lastNs != ref.lastNs {
-				t.Fatalf("seed %d step %d: fill %v at %d, reference %v at %d", seed, step, tb.tokens, tb.lastNs, ref.tokens, ref.lastNs)
+			if !ref.holds(tb.fill) || tb.lastNs != ref.lastNs {
+				t.Fatalf("seed %d step %d: fill %d µbit at %d, reference %v B at %d", seed, step, tb.fill, tb.lastNs, ref.tokens, ref.lastNs)
 			}
 		}
 		if changes == 0 || regressions == 0 || repeats == 0 {
@@ -393,7 +421,7 @@ func TestWatchEntryMatchesReference(t *testing.T) {
 		}
 		switch {
 		case step == 0:
-			ref = newRefBucket(rate, BurstBytesFor(rate), now)
+			ref = newRefBucket(rate, now)
 		case rate != ref.rateKbps:
 			ref.SetRate(rate)
 		}
@@ -402,8 +430,8 @@ func TestWatchEntryMatchesReference(t *testing.T) {
 		if want := ref.Allow(now, sizes[0]); allowed[0] != want {
 			t.Fatalf("step %d: %d bytes at %d kbps: verdict %v, reference %v", step, sizes[0], rate, allowed[0], want)
 		}
-		if f := m.flows.Get(rid(1)); math.Float64bits(f.tokens) != math.Float64bits(ref.tokens) {
-			t.Fatalf("step %d: fill %v, reference %v", step, f.tokens, ref.tokens)
+		if f := m.flows.Get(rid(1)); !ref.holds(f.fill) {
+			t.Fatalf("step %d: fill %d µbit, reference %v B", step, f.fill, ref.tokens)
 		}
 	}
 }
@@ -415,15 +443,74 @@ func TestWideRateSaturates(t *testing.T) {
 	const wide = 1<<32 + 8 // its low 32 bits are 8 kbps
 	m := NewFlowMonitor()
 	m.Ensure(rid(1), wide, 0)
-	if f := m.flows.Get(rid(1)); f.rate != math.MaxUint32 || f.tokens != BurstBytesFor(math.MaxUint32) {
-		t.Fatalf("Ensure at %d kbps: rate %d, fill %v", uint64(wide), f.rate, f.tokens)
+	if f := m.flows.Get(rid(1)); f.rate != math.MaxUint32 || f.fill != BurstFor(math.MaxUint32) {
+		t.Fatalf("Ensure at %d kbps: rate %d, fill %d", uint64(wide), f.rate, f.fill)
 	}
 	for i := range 3 {
 		if !m.Allow(rid(1), wide, 1_000_000, 0) {
 			t.Fatalf("packet %d: 1 MB refused at 2³²−1 kbps", i)
 		}
 	}
-	if f := m.flows.Get(rid(1)); f.tokens != BurstBytesFor(math.MaxUint32)-3_000_000 {
-		t.Fatalf("fill %v after 3 MB, want the burst less 3 MB: the bucket restarted", f.tokens)
+	if f := m.flows.Get(rid(1)); f.fill != BurstFor(math.MaxUint32)-3_000_000*MicrobitsPerByte {
+		t.Fatalf("fill %d after 3 MB, want the burst less 3 MB: the bucket restarted", f.fill)
+	}
+}
+
+// FuzzTokenBucket runs a script of packets and rate changes through a
+// TokenBucket, its rate kept beside it, and the exact rational reference:
+// every verdict, fill and refill time must be the reference's. Each step is
+// five bytes: an op and a time step, a size and a rate.
+func FuzzTokenBucket(f *testing.F) {
+	f.Add([]byte{0, 1, 0xff, 0, 0, 1, 200, 0x10, 0x80, 0, 2, 0, 0, 0x40, 0x20})
+	f.Add([]byte{3, 0xff, 0xff, 0xff, 0xff, 1, 0, 0, 0xff, 0xff, 2, 0x30, 0x10, 0, 1})
+	f.Add([]byte{1, 0, 0, 0, 119, 0, 0xff, 0xff, 5, 0xdc, 0, 0xff, 0xff, 5, 0xdc, 1, 0, 0, 0, 120})
+	f.Fuzz(func(t *testing.T, script []byte) {
+		rate := uint32(8_000)
+		now := int64(1e9)
+		tb, ref := FullBucket(rate, now), newRefBucket(uint64(rate), now)
+		for i := 0; i+5 <= len(script); i += 5 {
+			op, a, b := script[i], uint32(script[i+1])<<8|uint32(script[i+2]), uint32(script[i+3])<<8|uint32(script[i+4])
+			switch op % 8 {
+			case 0: // a rate change: small, mid or the widest rates
+				rate = a<<16 | b
+				if op&8 == 0 {
+					rate >>= 16
+				}
+				tb.Clip(rate)
+				ref.SetRate(uint64(rate))
+				continue
+			case 1: // the clock regresses
+				now -= int64(a) * 1000
+			case 2: // a long idle
+				now += int64(a) << 20
+			default:
+				now += int64(a)
+			}
+			size := b
+			if op&0x80 != 0 { // about the burst
+				size = uint32(BurstFor(rate)/MicrobitsPerByte) + b%3 - 1
+			}
+			if got, want := tb.Allow(rate, now, size), ref.Allow(now, size); got != want {
+				t.Fatalf("step %d: %d bytes at %d ns, %d kbps: verdict %v, reference %v", i/5, size, now, rate, got, want)
+			}
+			if !ref.holds(tb.fill) || tb.lastNs != ref.lastNs {
+				t.Fatalf("step %d: fill %d µbit at %d, reference %v B at %d", i/5, tb.fill, tb.lastNs, ref.tokens, ref.lastNs)
+			}
+		}
+	})
+}
+
+// BenchmarkTokenBucketAllow times the bare bucket: 1024 flows' buckets at
+// 8 Mbps, 1000-byte packets 1 µs apart, the gateway's per-packet policing
+// without its lock and record lookup.
+func BenchmarkTokenBucketAllow(b *testing.B) {
+	var tbs [1024]TokenBucket
+	for i := range tbs {
+		tbs[i] = FullBucket(8_000, 0)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tbs[i%1024].Allow(8_000, int64(i)*1000, 1000)
 	}
 }

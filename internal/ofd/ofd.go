@@ -4,24 +4,35 @@
 // in a small count-min sketch over fixed time windows:
 //
 //   - Input per packet: the flow label (SrcAS, ResID) and the *normalized*
-//     packet size (total size ÷ reservation bandwidth), so that a single
+//     packet size s = ⌈8·10⁶ · bytes ÷ kbps⌉, the nanoseconds of its
+//     reservation's budget the packet uses, rounded up, so that a single
 //     sketch monitors reservations of all bandwidths and all versions of an
 //     EER share one budget.
+//   - Counters are saturating 32-bit integers of those nanoseconds, and the
+//     threshold T = ⌊(1+ε) · W⌋ for a window of W ns is fixed at New, below
+//     2³²−1 (a 50 ms window: T = 55 000 000; a window past ~3.9 s at the
+//     default ε is refused). Every decision is an integer comparison.
 //   - A packet is flagged when the flow's estimate *before* it already
-//     exceeds (1+ε) × window: a packet is never evidence against itself (the
-//     token bucket's granularity too: monitor.BurstBytesFor admits one
-//     full-size packet). Count-min never underestimates, so usage above
-//     (1+ε) × window + s per window, s being one packet's normalized size, is
-//     always flagged — for s ≪ window the plain (1+ε) bound; a flow whose
-//     packets never share a window is not seen at all (DESIGN.md §3).
-//     False positives are resolved by escalation to deterministic
-//     token-bucket monitoring, exactly as in the paper.
+//     exceeds T: a packet is never evidence against itself (the token
+//     bucket's granularity too: monitor.BurstFor admits one full-size
+//     packet). Count-min never underestimates — rounding up and saturating
+//     keep it so — so a flow whose exact count before a packet exceeds T is
+//     flagged, and usage above T + s per window is always flagged: for
+//     s ≪ W the plain (1+ε) bound; a flow whose packets never share a
+//     window is not seen at all (DESIGN.md §3). False positives are
+//     resolved by escalation to deterministic token-bucket monitoring,
+//     exactly as in the paper.
 //
 // The detector keeps nothing per flow: who is under watch is the caller's
 // table (monitor.FlowMonitor at the border router).
 package ofd
 
-import "colibri/internal/reservation"
+import (
+	"fmt"
+	"math"
+
+	"colibri/internal/reservation"
+)
 
 // Config parameterizes the detector.
 type Config struct {
@@ -30,7 +41,9 @@ type Config struct {
 	// Width is the number of counters per row (default 4096), rounded up
 	// to a power of two so that a row is indexed by a mask.
 	Width int
-	// WindowNs is the measurement window (default 50 ms).
+	// WindowNs is the measurement window (default 50 ms). Its threshold
+	// ⌊(1+Tolerance) · WindowNs⌋ must fit below 2³²−1: New refuses a longer
+	// window, about 3.9 s at the default Tolerance.
 	WindowNs int64
 	// Tolerance is ε: a flow is suspicious above (1+ε)×fair usage
 	// (default 0.1).
@@ -48,7 +61,7 @@ func (c *Config) setDefaults() {
 	if c.WindowNs == 0 {
 		c.WindowNs = 50 * 1e6
 	}
-	if c.Tolerance == 0 {
+	if c.Tolerance == 0 { //colibri:allow(determinism) — configuration time
 		c.Tolerance = 0.1
 	}
 }
@@ -85,30 +98,43 @@ func pow2(n int) int {
 // (router.Sharded gives each shard its own).
 type Detector struct {
 	cfg       Config
-	counters  []float64 // depth × width, row-major
-	mask      uint64    // width − 1
+	counters  []uint32 // depth × width, row-major, ns of budget, saturating
+	mask      uint64   // width − 1
 	seeds     []uint64
 	winStart  int64
-	threshold float64 // normalized usage limit per window
+	threshold uint32 // ns of budget per window a flow may have used
 }
 
-// New builds a detector.
+// New builds a detector. It panics when the config's threshold does not fit
+// below 2³²−1, where a saturated counter would no longer exceed it.
 func New(cfg Config) *Detector {
 	cfg.setDefaults()
 	d := &Detector{
-		cfg:      cfg,
-		counters: make([]float64, cfg.Depth*cfg.Width),
-		mask:     uint64(cfg.Width - 1),
-		seeds:    make([]uint64, cfg.Depth),
+		cfg:       cfg,
+		counters:  make([]uint32, cfg.Depth*cfg.Width),
+		mask:      uint64(cfg.Width - 1),
+		seeds:     make([]uint64, cfg.Depth),
+		threshold: threshold(cfg),
 	}
 	// Fixed odd seeds; distinct per row.
 	for i := range d.seeds {
 		d.seeds[i] = 0x9E3779B97F4A7C15 * uint64(2*i+1)
 	}
-	// A conforming flow transmits bw × window bits, i.e. normalized usage
-	// equal to the window length in seconds.
-	d.threshold = (1 + cfg.Tolerance) * float64(cfg.WindowNs) / 1e9
 	return d
+}
+
+// threshold is ⌊(1+ε) · W⌋ in ns: a conforming flow transmits bw × window
+// bits, i.e. normalized usage equal to the window length. It is the
+// detector's one float product, taken once at configuration time, and it
+// panics when the product does not fit below 2³²−1.
+//
+//colibri:allow(determinism) — configuration time
+func threshold(cfg Config) uint32 {
+	t := math.Floor((1 + cfg.Tolerance) * float64(cfg.WindowNs))
+	if !(t >= 0 && t < math.MaxUint32) {
+		panic(fmt.Sprintf("ofd: the threshold (1+%v) × %d ns does not fit in 32-bit counters", cfg.Tolerance, cfg.WindowNs))
+	}
+	return uint32(t)
 }
 
 // hash mixes the flow label with a row seed.
@@ -128,15 +154,18 @@ func mix(x uint64) uint64 {
 }
 
 // Record accounts one packet and reports whether the flow's estimate in the
-// current window was over the threshold before it. normSize is the packet's
-// bits over the reservation's bits/second (i.e., seconds of budget consumed).
-func (d *Detector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
+// current window was over the threshold before it. normNs is the packet's
+// NormalizedSize: the nanoseconds of reservation budget it uses.
+func (d *Detector) Record(id reservation.ID, normNs uint32, nowNs int64) bool {
 	d.turn(nowNs)
 	if d.cfg.Depth == 4 {
-		return d.record4(id, normSize)
+		return d.record4(id, normNs)
 	}
-	return d.recordRows(id, normSize)
+	return d.recordRows(id, normNs)
 }
+
+// add is the counter c after n more ns, saturated at 2³²−1.
+func add(c, n uint32) uint32 { return uint32(min(uint64(c)+uint64(n), math.MaxUint32)) }
 
 // turn starts a new window, with every counter zero, once nowNs has left the
 // current one.
@@ -152,14 +181,12 @@ func (d *Detector) turn(nowNs int64) {
 
 // recordRows is Record's sketch update at any depth: row by row, the
 // estimate the least counter before the packet.
-func (d *Detector) recordRows(id reservation.ID, normSize float64) bool {
-	est := -1.0
+func (d *Detector) recordRows(id reservation.ID, normNs uint32) bool {
+	est := uint32(math.MaxUint32)
 	for row := 0; row < d.cfg.Depth; row++ {
 		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])&d.mask)
-		if est < 0 || d.counters[idx] < est {
-			est = d.counters[idx]
-		}
-		d.counters[idx] += normSize
+		est = min(est, d.counters[idx])
+		d.counters[idx] = add(d.counters[idx], normNs)
 	}
 	return est > d.threshold
 }
@@ -167,7 +194,7 @@ func (d *Detector) recordRows(id reservation.ID, normSize float64) bool {
 // record4 is recordRows at the default depth of four, unrolled: the four
 // rows' hashes and counter loads are independent, so the CPU overlaps them.
 // It reads and writes the counters recordRows does and decides as it does.
-func (d *Detector) record4(id reservation.ID, normSize float64) bool {
+func (d *Detector) record4(id reservation.ID, normNs uint32) bool {
 	seeds, w, key := d.seeds[:4], d.cfg.Width, label(id)
 	i0 := int(mix(key^seeds[0]) & d.mask)
 	i1 := w + int(mix(key^seeds[1])&d.mask)
@@ -175,25 +202,18 @@ func (d *Detector) record4(id reservation.ID, normSize float64) bool {
 	i3 := 3*w + int(mix(key^seeds[3])&d.mask)
 	c := d.counters
 	c0, c1, c2, c3 := c[i0], c[i1], c[i2], c[i3]
-	est := c0
-	if est < 0 || c1 < est {
-		est = c1
-	}
-	if est < 0 || c2 < est {
-		est = c2
-	}
-	if est < 0 || c3 < est {
-		est = c3
-	}
-	c[i0], c[i1], c[i2], c[i3] = c0+normSize, c1+normSize, c2+normSize, c3+normSize
-	return est > d.threshold
+	c[i0], c[i1], c[i2], c[i3] = add(c0, normNs), add(c1, normNs), add(c2, normNs), add(c3, normNs)
+	return min(c0, c1, c2, c3) > d.threshold
 }
 
 // NormalizedSize converts a packet size and reservation bandwidth to the
-// detector's input unit (seconds of reservation budget).
-func NormalizedSize(sizeBytes uint32, bwKbps uint64) float64 {
-	if bwKbps == 0 {
+// detector's input unit, nanoseconds of reservation budget: 8·10⁶ · bytes ÷
+// kbps, rounded up so that the sketch never underestimates, and saturated at
+// 2³²−1 (a packet past 4.3 s of its budget). A zero bandwidth gives 0.
+func NormalizedSize(sizeBytes uint32, bwKbps uint64) uint32 {
+	microbits := uint64(sizeBytes) * 8_000_000 // ns × kbps
+	if bwKbps == 0 || microbits == 0 {
 		return 0
 	}
-	return float64(sizeBytes) * 8 / (float64(bwKbps) * 1000)
+	return uint32(min((microbits-1)/bwKbps+1, math.MaxUint32))
 }

@@ -1,6 +1,7 @@
 package ofd
 
 import (
+	"math"
 	"math/rand"
 	"slices"
 	"testing"
@@ -143,11 +144,67 @@ func TestSlowOveruserFlagged(t *testing.T) {
 
 func TestNormalizedSize(t *testing.T) {
 	// 1000 bytes on 8 Mbps = 8000 bits / 8e6 bps = 1 ms of budget.
-	if got := NormalizedSize(1000, 8_000); got < 0.00099 || got > 0.00101 {
-		t.Errorf("NormalizedSize = %v, want 0.001", got)
+	if got := NormalizedSize(1000, 8_000); got < 990_000 || got > 1_010_000 {
+		t.Errorf("NormalizedSize = %v, want 1 000 000 ns", got)
 	}
 	if NormalizedSize(1000, 0) != 0 {
 		t.Error("zero bandwidth should normalize to 0")
+	}
+}
+
+// TestNormalizedSizeRoundsUp: the unit is whole nanoseconds, rounded up so
+// that the sketch never counts less than a flow sent, and saturated at 2³²−1.
+func TestNormalizedSizeRoundsUp(t *testing.T) {
+	for _, c := range []struct {
+		bytes uint32
+		kbps  uint64
+		want  uint32
+	}{
+		{1000, 8_000, 1_000_000},            // exact
+		{1, 3, 2_666_667},                   // 8·10⁶/3 = 2 666 666.67
+		{1088, 128, 68_000_000},             // pkt-wide's slow flow: 68 ms
+		{1, math.MaxUint64, 1},              // the smallest nonzero size
+		{0, 8_000, 0},                       // no bytes, no budget
+		{537, 1, math.MaxUint32},            // 4.296 s of budget saturates
+		{math.MaxUint32, 1, math.MaxUint32}, // so does the widest packet
+	} {
+		if got := NormalizedSize(c.bytes, c.kbps); got != c.want {
+			t.Errorf("NormalizedSize(%d, %d) = %d, want %d", c.bytes, c.kbps, got, c.want)
+		}
+	}
+}
+
+// TestThresholdFitsCounters: New fixes ⌊(1+ε)·W⌋ in ns, and refuses a window
+// whose threshold a saturated 32-bit counter could not exceed.
+func TestThresholdFitsCounters(t *testing.T) {
+	if got := New(Config{}).threshold; got != 55_000_000 {
+		t.Errorf("default threshold %d ns, want 55 000 000 (1.1 × 50 ms)", got)
+	}
+	if got := New(Config{WindowNs: 3_900_000_000}).threshold; got != 4_290_000_000 {
+		t.Errorf("3.9 s window: threshold %d, want 4 290 000 000", got)
+	}
+	for _, cfg := range []Config{{WindowNs: 3_905_000_000}, {WindowNs: 1e9, Tolerance: 4}} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("New(%+v) accepted a threshold past 2³²−1", cfg)
+				}
+			}()
+			New(cfg)
+		}()
+	}
+}
+
+// TestSaturatedCounterFlags: a counter stuck at 2³²−1 still reads above any
+// threshold New accepts, so saturation never hides a flow.
+func TestSaturatedCounterFlags(t *testing.T) {
+	d := New(Config{WindowNs: 3_900_000_000})
+	id := rid(9, 1)
+	if d.Record(id, math.MaxUint32, 0) {
+		t.Fatal("first packet flagged")
+	}
+	if !d.Record(id, math.MaxUint32, 1) || !d.Record(id, 1, 2) {
+		t.Error("a flow over the threshold with saturated counters not flagged")
 	}
 }
 
@@ -159,7 +216,7 @@ func BenchmarkRecord(b *testing.B) {
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		d.Record(ids[i%1024], 0.0001, int64(i)*1000)
+		d.Record(ids[i%1024], 100_000, int64(i)*1000) // 100 µs of budget
 	}
 }
 
@@ -169,7 +226,7 @@ type modDetector struct {
 	*Detector
 }
 
-func (d modDetector) Record(id reservation.ID, normSize float64, nowNs int64) bool {
+func (d modDetector) Record(id reservation.ID, normNs uint32, nowNs int64) bool {
 	if nowNs-d.winStart >= d.cfg.WindowNs {
 		clear(d.counters)
 		d.winStart = nowNs - (nowNs-d.winStart)%d.cfg.WindowNs
@@ -177,13 +234,11 @@ func (d modDetector) Record(id reservation.ID, normSize float64, nowNs int64) bo
 			d.winStart = nowNs
 		}
 	}
-	est := -1.0
+	est := uint32(math.MaxUint32)
 	for row := 0; row < d.cfg.Depth; row++ {
 		idx := row*d.cfg.Width + int(hash(id, d.seeds[row])%uint64(d.cfg.Width))
-		if est < 0 || d.counters[idx] < est {
-			est = d.counters[idx]
-		}
-		d.counters[idx] += normSize
+		est = min(est, d.counters[idx])
+		d.counters[idx] = add(d.counters[idx], normNs)
 	}
 	return est > d.threshold
 }
@@ -270,4 +325,44 @@ func TestRecord4MatchesRows(t *testing.T) {
 			t.Errorf("width %d: no packet flagged, the stream does not test the decision", width)
 		}
 	}
+}
+
+// FuzzDetector holds the sketch to an exact per-flow count of budget per
+// window, kept in 64 bits beside it: a packet whose flow's exact count before
+// it exceeds the threshold must be flagged (count-min never underestimates),
+// and while a flow is the only one its window has seen, its estimate is its
+// exact count, so it is flagged exactly then. Each packet is four bytes: a
+// flow, a time step and a size; the fuzzer picks the width, window and
+// bandwidth scale.
+func FuzzDetector(f *testing.F) {
+	f.Add(uint8(0), uint16(50), uint8(1), []byte{1, 0, 10, 0xff, 1, 0, 10, 0xff, 1, 0, 10, 0xff})
+	f.Add(uint8(6), uint16(1), uint8(0), []byte{1, 1, 5, 0xdc, 2, 0, 5, 0xdc, 3, 0, 5, 0xdc, 1, 0, 5, 0xdc, 1, 0xff, 0, 64})
+	f.Add(uint8(1), uint16(3900), uint8(0), []byte{7, 0, 0xff, 0xff, 7, 0, 0xff, 0xff, 9, 0, 0, 1, 7, 0, 0xff, 0xff})
+	f.Fuzz(func(t *testing.T, widthLog uint8, windowMs uint16, bwLog uint8, pkts []byte) {
+		cfg := Config{Width: 64 << (widthLog % 7), WindowNs: int64(1+windowMs%3900) * 1e6}
+		d := New(cfg)
+		exact := map[reservation.ID]uint64{}
+		window, now := int64(0), int64(0)
+		for i := 0; i+4 <= len(pkts); i += 4 {
+			id := rid(topology.ASID(1+pkts[i]%4), uint32(pkts[i]>>2))
+			now += int64(pkts[i+1]) * int64(pkts[i+1]) * 100_000
+			size := uint32(pkts[i+2])<<8 | uint32(pkts[i+3])
+			norm := NormalizedSize(size, uint64(1+pkts[i]%16)<<(bwLog%24))
+			// Windows are whole multiples of WindowNs from time 0, and the
+			// clock here never steps back.
+			if w := now / cfg.WindowNs; w != window {
+				window = w
+				clear(exact)
+			}
+			before, alone := exact[id], len(exact) == 0 || len(exact) == 1 && exact[id] > 0
+			exact[id] += uint64(norm)
+			flagged := d.Record(id, norm, now)
+			if before > uint64(d.threshold) && !flagged {
+				t.Fatalf("packet %d: flow %v counted %d ns before it, over %d, not flagged", i/4, id, before, d.threshold)
+			}
+			if alone && flagged != (before > uint64(d.threshold)) {
+				t.Fatalf("packet %d: a flow alone in its window at %d ns (threshold %d): flagged %v", i/4, before, d.threshold, flagged)
+			}
+		}
+	})
 }

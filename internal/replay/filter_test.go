@@ -2,6 +2,7 @@ package replay
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 	"math/rand"
 	"slices"
@@ -665,4 +666,47 @@ func TestBufferReuseDeterministic(t *testing.T) {
 		t.Fatal("no free list ever held buffers of two sizes")
 	}
 	t.Logf("resident %d B; a free list held buffers of two sizes after %d buckets", a.resident, mixed)
+}
+
+// TestSplitParitySweep: across ExpectedPackets from 1 000 to 4 M, n shard
+// ceilings stay within 1 % of one suppressor's, but for the ranges Split's
+// doc comment names, each held to its stated bound — a shard at a rung
+// boundary (4 096 or 16 384 identifiers, give or take one) within 9.6 % and
+// 2.2 %, a shard under 2 048 identifiers from 1.1 % short to 2.7 % over, or
+// any amount over where ExpectedPackets/n is under the floor — and those
+// ranges are a small part of the sweep.
+func TestSplitParitySweep(t *testing.T) {
+	const horizon = 500e6
+	pairs, outside := 0, 0
+	for ep := 1000; ep <= 4<<20; ep = ep*101/100 + 1 {
+		full := Config{ExpectedPackets: ep}.CeilingBytes(horizon)
+		for _, n := range []int{2, 3, 4, 8, 16, 64} {
+			shard := Config{ExpectedPackets: ep}.Split(n)
+			d := float64(int64(n)*shard.CeilingBytes(horizon)-full) / float64(full)
+			under, over := 0.01, 0.01
+			switch se := shard.ExpectedPackets; {
+			case se == 4095 || se == 4096:
+				under, over = 0.096, 0.096
+			case se == 16383 || se == 16384:
+				under, over = 0.022, 0.022
+			case se < 2048:
+				under, over = 0.011, 0.027
+				if ep/n < minStage {
+					over = math.Inf(1)
+				}
+			}
+			if d < -under || d > over {
+				t.Errorf("ExpectedPackets %d, Split(%d): %d shard identifiers, %+.2f %% against one suppressor", ep, n, shard.ExpectedPackets, 100*d)
+			}
+			if ep/n >= minStage {
+				pairs++
+				if d < -0.01 || d > 0.01 {
+					outside++
+				}
+			}
+		}
+	}
+	if outside*10 > pairs {
+		t.Errorf("%d of %d pairs above the floor outside the 1 %% bound", outside, pairs)
+	}
 }

@@ -99,26 +99,53 @@ func (c *Config) setDefaults() {
 	if c.ExpectedPackets == 0 {
 		c.ExpectedPackets = 1 << 18
 	}
-	if c.FalsePositiveRate == 0 {
+	if c.FalsePositiveRate == 0 { //colibri:allow(determinism) — configuration time
 		c.FalsePositiveRate = 1e-4
 	}
 }
 
 // Split scales the config for one of n data-plane shards: RSS pins each
 // flow (and hence each packet identifier) to exactly one shard, so a shard's
-// buckets expect only ExpectedPackets/n identifiers (floor 1<<10). A shard's
-// ladder can reach minStage in fewer rungs than the whole one's; its
-// capacity then grows by the bytes the rungs it lacks would hold, short of
-// adding a rung, so n shard ceilings add up to one suppressor's. The FP rate
-// is a per-packet property and stays unchanged.
+// buckets expect ExpectedPackets/n identifiers (floor 1<<10), or more: a
+// shard's ladder reaches minStage in fewer rungs than the whole one's, and
+// fewer rungs hold fewer bytes per identifier, so a shard's ExpectedPackets
+// grows to the size whose n ceilings come nearest one suppressor's — a rung
+// more where the growth reaches it. n shard ceilings then add up to one
+// suppressor's within 1 %, but where that cannot hold
+// (TestSplitParitySweep pins each bound):
+//   - a rung boundary: a shard's ladder gains its smallest rung at 4 096
+//     and 16 384 identifiers, a jump in bytes no size splits, and a target
+//     inside it leaves n ceilings up to 9.6 % and 2.2 % off, to the nearer
+//     side;
+//   - small shards: under 2 048 identifiers, a stage's alignment slack, the
+//     blocked stage's Poisson margin and whole 64-byte blocks leave n
+//     ceilings from 1.1 % short to 2.7 % over;
+//   - the floor: where ExpectedPackets/n is below 1<<10, n shard ceilings
+//     can exceed one suppressor's by up to n × 1<<10 identifiers' worth.
+//
+// The FP rate is a per-packet property and stays unchanged.
 func (c Config) Split(n int) Config {
 	c.setDefaults()
 	if n > 1 {
-		whole := c.slotBytes()
-		c.ExpectedPackets = max(c.ExpectedPackets/n, minStage)
-		if shards := int64(n) * c.slotBytes(); shards < whole {
-			grown := int(float64(c.ExpectedPackets) * float64(whole) / float64(shards))
-			c.ExpectedPackets = min(grown, minStage<<(2*len(c.sizes()))-1)
+		whole, most := c.slotBytes(), c.ExpectedPackets
+		lo := max(most/n, minStage)
+		c.ExpectedPackets = lo
+		for hi := most; lo < hi; { // n·slotBytes grows with ExpectedPackets
+			mid := c
+			mid.ExpectedPackets = lo + (hi-lo+1)/2
+			if int64(n)*mid.slotBytes() <= whole {
+				lo, c = mid.ExpectedPackets, mid
+			} else {
+				hi = mid.ExpectedPackets - 1
+			}
+		}
+		// The next size up may land nearer: past a rung boundary it adds
+		// the rung, a jump no smaller size can split.
+		if up := c; lo < most {
+			up.ExpectedPackets++
+			if int64(n)*up.slotBytes()-whole < whole-int64(n)*c.slotBytes() {
+				c = up
+			}
 		}
 	}
 	return c
@@ -409,12 +436,16 @@ func alignedBlocks(n int) []uint64 {
 
 // bloomParams is the textbook size of a filter for n identifiers at rate
 // fp, m = −n ln p / (ln 2)² bits (at k = (m/n) ln 2 free positions).
+//
+//colibri:allow(determinism) — sizing, at configuration time
 func bloomParams(n int, fp float64) (m uint64) {
 	return max(uint64(-float64(n)*math.Log(fp)/(math.Ln2*math.Ln2)), 64)
 }
 
 // blockedSize is the fewest blocks that hold n identifiers at a rate
 // blockedFP bounds by fp.
+//
+//colibri:allow(determinism) — sizing, at configuration time
 func blockedSize(n int, fp float64) uint64 {
 	fits := func(nb uint64) bool { return blockedFP(float64(n)/float64(nb)) <= fp }
 	m := bloomParams(n, fp)
@@ -439,6 +470,8 @@ func blockedSize(n int, fp float64) uint64 {
 // probe's two draws in a word are one bit with probability 1/64, and d given
 // bits of a word are all set with probability at most f^d, since a word's
 // occupancy is negatively associated and the words are independent.
+//
+//colibri:allow(determinism) — sizing, at configuration time
 func blockedFP(lambda float64) float64 {
 	pj, rj, fp := math.Exp(-lambda), 1.0, 0.0
 	for j := 0; float64(j) < lambda+8*math.Sqrt(lambda)+24; j++ { // past it, Poisson mass < 10⁻¹⁴

@@ -55,9 +55,9 @@ type ShardedConfig struct {
 	// (default GOMAXPROCS; 1 = inline, no goroutines).
 	Workers int
 	// ReserveChunkBytes is the over-claim granularity of escalated flows'
-	// shard buckets (0 = exact claims, decision-identical to one full-rate
-	// bucket; ~a few MTUs amortizes shared-word traffic).
-	ReserveChunkBytes float64
+	// shard buckets, in whole bytes (0 = exact claims, decision-identical to
+	// one full-rate bucket; ~a few MTUs amortizes shared-word traffic).
+	ReserveChunkBytes uint32
 }
 
 // shardR is one shard's core-local state plus its scatter/gather scratch,
