@@ -57,4 +57,8 @@ func main() {
 	for _, p := range dst.Inbox {
 		fmt.Printf("  %q\n", p)
 	}
+	if dst.Received != 5 {
+		log.Fatalf("destination received %d of 5 packets", dst.Received)
+	}
+	fmt.Println("✓ 5 packets delivered over an end-to-end reservation")
 }

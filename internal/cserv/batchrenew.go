@@ -26,7 +26,6 @@ package cserv
 
 import (
 	"encoding/binary"
-	"fmt"
 	"slices"
 
 	"colibri/internal/cryptoutil"
@@ -82,11 +81,9 @@ type EEBatchRenewReq struct {
 	Accums []uint64
 	Status []Refusal
 
-	// wire is the encoding of Body() ‖ Macs this request was decoded from (at
-	// the initiator: encoded into) and bodyLen the body's share of it. No hop
-	// changes those fields, so a hop authenticates and forwards the bytes it
-	// received instead of encoding them again. wire aliases the received
-	// message, which is read-only to the handler (the sender may resend it).
+	// wire is the encoding of Body() ‖ Macs a decoder read this request from,
+	// and bodyLen the body's share of it. A hop reads a wave through a
+	// waveView instead (views.go).
 	wire    []byte
 	bodyLen int
 }
@@ -120,46 +117,6 @@ func (r *EEBatchRenewReq) appendTail(b []byte) []byte {
 		b = append(b, byte(r.Status[i]))
 	}
 	return b
-}
-
-// unmarshal decodes data into r, reusing the capacity of r's slices. A status
-// outside the vocabulary is ErrNotCanonical.
-func (r *EEBatchRenewReq) unmarshal(data []byte) error {
-	d := decoder{buf: data}
-	if d.u8() != tagEEBatchRenew {
-		return ErrBadTag
-	}
-	r.SegIDs, r.Splits = r.SegIDs[:0], r.Splits[:0]
-	nseg := int(d.u8())
-	for i := 0; i < nseg && d.err == nil; i++ {
-		r.SegIDs = append(r.SegIDs, d.id())
-	}
-	nsplit := int(d.u8())
-	for i := 0; i < nsplit && d.err == nil; i++ {
-		r.Splits = append(r.Splits, d.u8())
-	}
-	r.Path = d.hops(r.Path[:0])
-	n := int(d.u32())
-	if d.err == nil && n > len(d.buf)/(eeBatchItemLen+eeBatchTailLen) {
-		return ErrTruncated
-	}
-	r.Items, r.Accums, r.Status = slices.Grow(r.Items[:0], n), slices.Grow(r.Accums[:0], n), slices.Grow(r.Status[:0], n)
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Items = append(r.Items, EEBatchItem{
-			ID: d.id(), Ver: d.u16(), BwKbps: d.u64(),
-			ExpT: d.u32(), SrcHost: d.u32(), DstHost: d.u32(),
-		})
-	}
-	r.bodyLen = len(data) - len(d.buf)
-	r.Macs = d.macs(r.Macs[:0])
-	r.wire = data[:len(data)-len(d.buf)]
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Accums = append(r.Accums, d.u64())
-		if r.Status = append(r.Status, Refusal(d.u8())); !r.Status[i].known() {
-			return ErrNotCanonical
-		}
-	}
-	return d.err
 }
 
 // EEBatchRenewResp travels the reverse path. Granted reports the batch was
@@ -198,55 +155,15 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 	return b
 }
 
-// unmarshal decodes data into r, reusing the capacity of r's slices. It is
-// canonical-only, like the solo decoders: a refusal or an item status outside
-// the vocabulary, or bytes after the last blob, are ErrNotCanonical.
-func (r *EEBatchRenewResp) unmarshal(data []byte) error {
-	d := decoder{buf: data}
-	r.Refusal = Refusal(d.u8())
-	r.FailedAt = d.u8()
-	n := int(d.u32())
-	if d.err == nil && n > len(d.buf)/eeBatchTailLen {
-		return ErrTruncated
-	}
-	r.Granted, r.Status = slices.Grow(r.Granted[:0], n), slices.Grow(r.Status[:0], n)
-	live, known := 0, r.Refusal.known()
-	for i := 0; i < n && d.err == nil; i++ {
-		r.Granted = append(r.Granted, d.u64())
-		st := Refusal(d.u8())
-		r.Status = append(r.Status, st)
-		if st == Granted {
-			live++
-		}
-		known = known && st.known()
-	}
-	nb, size := int(d.u8()), blobLen(live)
-	switch {
-	case d.err != nil:
-		return d.err
-	case nb*size > len(d.buf):
-		return ErrTruncated
-	case nb > packet.MaxHops:
-		return fmt.Errorf("cserv: %d blobs exceeds maximum", nb)
-	}
-	r.Blobs = slices.Grow(r.Blobs[:0], nb)
-	for range nb {
-		r.Blobs = append(r.Blobs, d.take(size))
-	}
-	if !known || len(d.buf) != 0 {
-		return ErrNotCanonical
-	}
-	return nil
-}
-
-// waveScratch is the working memory of one batch renewal at one service: the
-// decoded request and downstream response, the per-item states, and the flat
-// buffers this hop encodes and seals from. A service keeps its idle scratch
-// (getWave/putWave), so a steady renewal storm allocates per wave only what
-// leaves the handler — the last hop's response, the grants. A solo request
-// (tags 4/5) is a wave of one as far as scratch goes: solo and soloResp are its
-// decoded forms, whose slices own their memory, and it shares fwd, the nonces,
-// ad and sigma.
+// waveScratch is the working memory of one request at one service: the views
+// of the request and of the downstream response, the per-item states, and the
+// flat buffers this hop forwards and seals from. A service keeps its idle
+// scratch (getWave/putWave), so a steady renewal storm allocates per wave only
+// what leaves the handler — the last hop's response, the grants. A solo
+// request (tags 4/5) is a wave of one as far as scratch goes: soloV and
+// soloResp are its views, and it shares fwd, the nonces, ad and sigma. req and
+// solo are the initiator's requests, which it encodes from; act a decoded
+// activation.
 //
 // Every seal through a scratch, solo or wave, takes its nonce from the
 // scratch's counter (nextNonce), the deterministic construction of NIST SP
@@ -260,12 +177,18 @@ func (r *EEBatchRenewResp) unmarshal(data []byte) error {
 // discards takes its counter with it, and the next one draws a fresh base.
 type waveScratch struct {
 	req      EEBatchRenewReq
-	resp     EEBatchRenewResp
+	wave     waveView
+	resp     waveRespView
 	solo     EESetupReq
-	soloResp EESetupResp
+	soloV    eeReqView
+	soloResp eeRespView
 	act      SegActivateReq
 	states   []hopItem
-	fwd      []byte // the request as forwarded to the next hop
+	// fwd is the request as this hop forwards it, which the views read: a wire
+	// hop's copy of what it received, the initiator's encoding at hop 0. The
+	// hop writes its accumulator, or its items' grants and statuses, into it in
+	// place.
+	fwd []byte
 	// sigmas holds this hop's σs of the live items before it seals them and, at
 	// the source, every hop's once opened (sealWave, openWave).
 	sigmas []byte
@@ -288,6 +211,10 @@ type waveScratch struct {
 // far beyond what KeeperFleet sends is served, but its buffers are not kept.
 const maxRetainedWave = 2 * DefaultBatchSize
 
+// maxRetainedFwd caps the forward buffer a service keeps, the size of a wave of
+// maxRetainedWave items over a chain of the longest path.
+const maxRetainedFwd = (eeBatchItemLen+eeBatchTailLen)*maxRetainedWave + (hopLen+cryptoutil.MACSize)*packet.MaxHops + 1024
+
 func (s *Service) getWave() *waveScratch {
 	s.waveMu.Lock()
 	defer s.waveMu.Unlock()
@@ -302,33 +229,36 @@ func (s *Service) getWave() *waveScratch {
 // putWave returns scratch once nothing refers to it any more: the response
 // is sealed (or, at the initiator, opened into the grants).
 func (s *Service) putWave(sc *waveScratch) {
-	if cap(sc.req.Items) > maxRetainedWave || cap(sc.resp.Granted) > maxRetainedWave ||
+	if cap(sc.req.Items) > maxRetainedWave || cap(sc.states) > maxRetainedWave || cap(sc.fwd) > maxRetainedFwd ||
 		cap(sc.sigmas) > blobLen(maxRetainedWave)*packet.MaxHops {
 		return
 	}
-	// Drop what aliases memory the wave did not own — the received message,
-	// the downstream response, the initiator's grants.
+	// Empty the initiator's wave, and drop what aliases memory the scratch
+	// does not own — the downstream responses, a decoded activation's message.
 	r := &sc.req
-	*r = EEBatchRenewReq{SegIDs: r.SegIDs[:0], Splits: r.Splits[:0], Path: r.Path[:0],
-		Items: r.Items[:0], Accums: r.Accums[:0], Status: r.Status[:0], Macs: r.Macs[:0]}
-	clear(sc.resp.Blobs)
-	sc.resp.Blobs = sc.resp.Blobs[:0]
-	sc.grant = EERGrant{}
-	sc.solo.wire, sc.act.wire = nil, nil
-	clear(sc.soloResp.EncAuths)
+	r.SegIDs = r.SegIDs[:0]
+	r.Splits = r.Splits[:0]
+	r.Path = r.Path[:0]
+	r.Items = r.Items[:0]
+	r.Accums = r.Accums[:0]
+	r.Status = r.Status[:0]
+	r.Macs = r.Macs[:0]
+	sc.wave.msg, sc.soloV.msg, sc.resp.msg, sc.soloResp.msg, sc.act.wire = nil, nil, nil, nil, nil
 	s.waveMu.Lock()
 	s.waveFree = append(s.waveFree, sc)
 	s.waveMu.Unlock()
 }
 
-// processEEBatchRenew handles the batched renewal wave decoded into sc.req at
-// hop idx and returns the marshaled response. What the wave pays once: one MAC
-// verification and one rate-limit token, one acquisition of the covering SegRs'
-// shard locks for the whole forward pass, one nonce and one seal for the
-// response pass, one update per counter. What each item pays: the shared hop
-// leg — admit on the forward pass, commit at the path-wide minimum or rollback
-// on the response pass — and this AS's σ. A transport-level downstream failure
-// rolls back every item.
+// processEEBatchRenew handles the batched renewal wave in sc.wave — a view of
+// sc.fwd, the bytes this hop forwards — at hop idx and returns the marshaled
+// response. What the wave pays once: one MAC verification and one rate-limit
+// token, one acquisition of the covering SegRs' shard locks for the whole
+// forward pass, one nonce and one seal for the response pass, one update per
+// counter. What each item pays: the shared hop leg — admit on the forward
+// pass, commit at the path-wide minimum or rollback on the response pass — and
+// this AS's σ. A transport-level downstream failure rolls back every item.
+// The items' grants and statuses this hop decides it writes in place into the
+// tail of sc.fwd, which it forwards.
 //
 // The response of a processed wave is one buffer from the last hop to the
 // initiator, as a solo grant's is: the last hop allocates it at its final size
@@ -337,51 +267,49 @@ func (s *Service) putWave(sc *waveScratch) {
 // received (they belong to the caller of Transport.Call), so no hop decodes
 // more than the statuses and grants, or re-encodes what other hops sealed.
 func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
-	req := &sc.req
-	n := len(req.Items)
-	// answered is the final status vector once the wave is processed.
-	var answered []Refusal
+	w := &sc.wave
+	n := w.n
+	tail := w.outcomes()
+	// answered is the final outcomes once the wave is processed.
+	var answered itemTail
 	defer func() {
-		ok := 0
-		if answered != nil {
-			ok = liveOf(answered)
-		}
+		ok := answered.live()
 		s.metrics.EERenewOK.Add(uint64(ok))
 		s.metrics.EERenewFail.Add(uint64(n - ok))
 		code := Refusal(out[0])
 		s.metrics.Trace(int64(s.clock())*1e9, telemetry.EvEERenew, "batch", code == Granted, code.detail())
 	}()
-	if n == 0 || len(req.Accums) != n || len(req.Status) != n {
+	if n == 0 {
 		return refuseWave(idx, RefusedMalformed)
 	}
 	// The wave is authenticated under one key: its items share their source.
-	src := req.Items[0].ID.SrcAS
-	for i := range req.Items {
-		if req.Items[i].ID.SrcAS != src {
+	src := w.itemSrc(0)
+	for i := range n {
+		if w.itemSrc(i) != src {
 			return refuseWave(idx, RefusedMalformed)
 		}
 	}
 	// K_{me→Src} authenticates the wave, charged one rate-limit token (§5.3),
 	// and seals every item's σ for the source.
-	kc, code := s.authHop(src, req.wire[:req.bodyLen], req.Macs, idx)
+	kc, code := s.authHop(src, w.body(), w.macAt(idx), idx)
 	if code != Granted {
 		return refuseWave(idx, code)
 	}
-	cover, ok := coverOf(req.SegIDs, req.Splits, len(req.Path), idx)
+	cover, ok := w.cover(idx)
 	if !ok {
 		return refuseWave(idx, RefusedCover)
 	}
 	// An item asking for more than σ and the data plane carry is refused, and
 	// the destination vets every live item as it does a solo request.
-	last := idx == len(req.Path)-1
-	for i := range req.Items {
-		it := &req.Items[i]
-		switch {
-		case req.Status[i] != Granted:
-		case it.BwKbps > MaxEERKbps:
-			req.Status[i] = RefusedBwRange
-		case last && s.vetoed(it):
-			req.Status[i] = RefusedVeto
+	nHops := w.nPath
+	last := idx == nHops-1
+	for i := range n {
+		switch _, _, bw, _ := w.itemLeg(i); {
+		case tail.status(i) != Granted:
+		case bw > MaxEERKbps:
+			tail.setStatus(i, RefusedBwRange)
+		case last && s.vetoed(w.item(i)):
+			tail.setStatus(i, RefusedVeto)
 		}
 	}
 
@@ -397,101 +325,88 @@ func (s *Service) processEEBatchRenew(sc *waveScratch, idx int) (out []byte) {
 		if code = leg.open(&p); code != Granted {
 			return
 		}
-		sc.ahead = p.readAhead(req.Items, req.Status)
-		for i := range req.Items {
-			if req.Status[i] != Granted {
+		sc.ahead = p.readAhead(w, tail)
+		for i := range n {
+			if tail.status(i) != Granted {
 				continue
 			}
-			it := &req.Items[i]
-			states[i].grant = min(req.Accums[i], it.BwKbps)
-			req.Status[i] = leg.admit(&p, &states[i], it.ID.Num, it.Ver, it.ExpT)
+			num, ver, bw, expT := w.itemLeg(i)
+			states[i].grant = min(tail.grant(i), bw)
+			tail.setStatus(i, leg.admit(&p, &states[i], num, ver, expT))
 		}
 	})
 	leg.count()
 	if code != Granted {
 		return refuseWave(idx, code)
 	}
-	// settle commits the items live in status at the path-wide minimum and
-	// rolls back the rest (every item for a nil status), under one more
-	// acquisition of the locks.
-	settle := func(status []Refusal, granted []uint64) {
+	// settle commits the items live in final at the path-wide minimum and rolls
+	// back the rest (every item for a nil final), under one more acquisition of
+	// the locks.
+	settle := func(final itemTail) {
 		s.cp.withPath(cover.segs(), func(p eerPath) {
-			for i := range req.Items {
-				if status == nil || status[i] != Granted {
-					leg.rollback(&p, &states[i], req.Items[i].ID.Num)
+			for i := range n {
+				num := w.itemID(i).Num
+				if final == nil || final.status(i) != Granted {
+					leg.rollback(&p, &states[i], num)
 				} else {
-					leg.commit(&p, &states[i], req.Items[i].ID.Num, granted[i])
+					leg.commit(&p, &states[i], num, final.grant(i))
 				}
 			}
 		})
 	}
 
-	// Propagate this hop's outcomes into the mutable tail and forward.
-	for i := range req.Items {
-		req.Accums[i] = states[i].grant
+	// This hop's outcomes go into the tail it forwards.
+	for i := range n {
+		tail.setGrant(i, states[i].grant)
 	}
-	// status and granted are the final outcomes, from the last hop.
-	var status []Refusal
-	var granted []uint64
-	nHops := len(req.Path)
-	if idx == nHops-1 {
-		// The response at its final size: granted, the outcomes, and nHops
-		// blobs still empty.
-		status, granted = req.Status, req.Accums
-		out = make([]byte, 0, eeBatchRespFixedLen+eeBatchTailLen*n+nHops*blobLen(liveOf(status)))
-		out = binary.BigEndian.AppendUint32(append(out, byte(Granted), 0), uint32(n))
-		for i := range req.Items {
-			out = append(binary.BigEndian.AppendUint64(out, granted[i]), byte(status[i]))
-		}
-		out = append(out, byte(nHops))
-		out = out[:cap(out)]
+	// final is the outcomes of the last hop.
+	var final itemTail
+	if last {
+		// The response at its final size: the outcomes, and nHops blobs still
+		// empty.
+		const items = eeBatchRespFixedLen - 1
+		out = make([]byte, eeBatchRespFixedLen+len(tail)+nHops*blobLen(tail.live()))
+		binary.BigEndian.PutUint32(out[2:], uint32(n))
+		final = itemTail(out[items : items+len(tail)])
+		copy(final, tail)
+		out[items+len(tail)] = byte(nHops)
 	} else {
-		sc.fwd = req.appendTail(append(sc.fwd[:0], req.wire...))
 		resp := &sc.resp
-		out, code = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
-		if code == Granted && resp.Refusal == Granted && !answerFits(req, resp) {
+		out, code = s.forward(w.hopIA(idx+1), sc.fwd, resp.load)
+		if code == Granted && resp.refusal() == Granted && !answerFits(w, tail, resp) {
 			code = RefusedBadAnswer
 		}
-		if code != Granted || resp.Refusal != Granted {
-			settle(nil, nil)
+		if code != Granted || resp.refusal() != Granted {
+			settle(nil)
 			if code != Granted {
 				return refuseWave(idx+1, code)
 			}
 			return out
 		}
-		status, granted = resp.Status, resp.Granted
+		final = resp.outcomes()
 	}
 
 	// Response pass: settle every item by the final outcomes, and seal this
 	// AS's σs of the live ones into its blob under the scratch's next nonce.
-	settle(status, granted)
-	size := blobLen(liveOf(status))
+	settle(final)
+	size := blobLen(final.live())
 	off := len(out) - (nHops-idx)*size
-	s.sealWave(out[off:off+size], sc, kc, idx, status, granted)
-	answered = status
+	s.sealWave(out[off:off+size], sc, kc, idx, final)
+	answered = final
 	return out
 }
 
-// liveOf counts the live items of a status vector.
-func liveOf(status []Refusal) (live int) {
-	for _, st := range status {
-		if st == Granted {
-			live++
-		}
-	}
-	return live
-}
-
-// answerFits reports whether resp, a downstream hop's granted answer to req as
-// this hop forwarded it, has the shape that answer must: an entry per item, a
-// blob per hop, and no item live that this hop forwarded dead (this hop would
-// seal a σ for a version it refused).
-func answerFits(req *EEBatchRenewReq, resp *EEBatchRenewResp) bool {
-	if len(resp.Granted) != len(req.Items) || len(resp.Blobs) != len(req.Path) {
+// answerFits reports whether resp, a downstream hop's granted answer to the
+// wave w with the outcomes tail this hop forwarded, has the shape that answer
+// must: an entry per item, a blob per hop, and no item live that this hop
+// forwarded dead (this hop would seal a σ for a version it refused).
+func answerFits(w *waveView, tail itemTail, resp *waveRespView) bool {
+	if resp.n != w.n || resp.nb != w.nPath {
 		return false
 	}
-	for i, st := range resp.Status {
-		if st == Granted && req.Status[i] != Granted {
+	final := resp.outcomes()
+	for i := range resp.n {
+		if final.status(i) == Granted && tail.status(i) != Granted {
 			return false
 		}
 	}
@@ -554,14 +469,16 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 		req.Status = append(req.Status, status)
 	}
 	sc.fwd = req.appendBody(sc.fwd[:0])
-	req.bodyLen = len(sc.fwd)
 	hops, err := s.signPath(req.Path, sc.fwd, &req.Macs)
+	resp := &sc.resp
 	if err == nil {
-		sc.fwd = appendMacs(sc.fwd, req.Macs)
-		req.wire = sc.fwd
-		resp := &sc.resp
-		if err = resp.unmarshal(s.processEEBatchRenew(sc, 0)); err == nil {
-			err = resp.Refusal.at(int(resp.FailedAt))
+		sc.fwd = req.appendTail(appendMacs(sc.fwd, req.Macs))
+		// Hop 0 reads the wave as every other hop does, through a view of the
+		// bytes it forwards.
+		if err = sc.wave.load(sc.fwd); err == nil {
+			if err = resp.load(s.processEEBatchRenew(sc, 0)); err == nil {
+				err = resp.refusal().at(resp.failedAt())
+			}
 		}
 	}
 	if err != nil {
@@ -573,30 +490,31 @@ func (s *Service) renewWave(chain *EERGrant, n int, item func(i int) renewItem, 
 	}
 	// Open the hop authenticators (Eq. 5) of the surviving items: one blob per
 	// hop, and a blob that does not open leaves no grant.
-	resp := &sc.resp
 	openErr := sc.openWave(hops[:], resp)
-	hopsN, live, j := len(req.Path), liveOf(resp.Status), 0
+	final := resp.outcomes()
+	hopsN, live, j := len(req.Path), final.live(), 0
 	sc.auths = slices.Grow(sc.auths[:0], hopsN)[:hopsN]
 	g := &sc.grant
 	for i := range n {
 		it := &req.Items[i]
-		if err := resp.Status[i].at(itemHop); err != nil {
+		if err := final.status(i).at(itemHop); err != nil {
 			held(i)
 			yield(i, nil, err)
 			continue
 		}
-		s.policy.SettleEER(it.SrcHost, it.ID, resp.Granted[i], it.ExpT)
+		s.policy.SettleEER(it.SrcHost, it.ID, final.grant(i), it.ExpT)
 		if openErr != nil {
 			yield(i, nil, openErr)
 			continue
 		}
 		// The j-th live item's σ from hop h is the j-th of hop h's blob.
 		*g = EERGrant{ID: it.ID, Path: chain.Path, PathHops: chain.PathHops, Splits: chain.Splits, SegIDs: chain.SegIDs, HopAuths: sc.auths}
-		g.Res, g.EER = it.infos(resp.Granted[i])
+		g.Res, g.EER = it.infos(final.grant(i))
 		for h := range g.HopAuths {
 			copy(g.HopAuths[h][:], sc.sigmas[(h*live+j)*cryptoutil.KeySize:])
 		}
 		j++
 		yield(i, g, nil)
 	}
+	sc.grant = EERGrant{}
 }

@@ -232,12 +232,12 @@ func (p *eerPath) covers(e *cpEER) bool { return e.cover == p.cover }
 // not dead code.
 //
 //colibri:nomalloc
-func (p *eerPath) readAhead(items []EEBatchItem, status []Refusal) (sum uint16) {
-	for i := range items {
-		if status[i] != Granted {
+func (p *eerPath) readAhead(w *waveView, tail itemTail) (sum uint16) {
+	for i := range w.n {
+		if tail.status(i) != Granted {
 			continue
 		}
-		if e := p.prim.eers.Get(items[i].ID); e != nil {
+		if e := p.prim.eers.Get(w.itemID(i)); e != nil {
 			sum += e.ver
 		}
 	}

@@ -27,6 +27,11 @@ type DownSegReq struct {
 	MaxKbps uint64
 	// Mac authenticates the body with K_{head→Requester}.
 	Mac [cryptoutil.MACSize]byte
+
+	// body is the MAC-covered share of the message this request was decoded
+	// from, which the head authenticates: the decoder accepts only what
+	// Marshal would produce, so body is Body().
+	body []byte
 }
 
 // Body returns the MAC-covered canonical encoding.
@@ -53,6 +58,7 @@ func UnmarshalDownSegReq(data []byte) (*DownSegReq, error) {
 	r.Seg = d.hops(nil)
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
+	r.body = data[:len(data)-len(d.buf)]
 	d.bytes(r.Mac[:])
 	switch {
 	case d.err != nil:
@@ -105,7 +111,7 @@ func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
 	}
 	// The request's one MAC is the requester's (hop 0 of the exchange) towards
 	// this AS (hop 1).
-	if _, code := s.authHop(req.Requester, req.Body(), [][cryptoutil.MACSize]byte{1: req.Mac}, 1); code != Granted {
+	if _, code := s.authHop(req.Requester, req.body, &req.Mac, 1); code != Granted {
 		return &SegSetupResp{Refusal: code}
 	}
 	hops := make([]segment.Hop, len(req.Seg))

@@ -113,27 +113,30 @@ func (s *Service) RenewEER(prev *EERGrant, newBwKbps uint64) (*EERGrant, error) 
 func (s *Service) launchEE(sc *waveScratch, chain *EERGrant, heldKbps uint64, heldExpT uint32) (*EERGrant, error) {
 	req := &sc.solo
 	sc.fwd = req.appendBody(sc.fwd[:0])
-	req.bodyLen = len(sc.fwd)
 	// K_{AS_i→us} signs the request towards AS_i and opens what AS_i seals.
 	hops, err := s.signPath(req.Path, sc.fwd, &req.Macs)
 	if err != nil {
 		return nil, err
 	}
 	sc.fwd = req.appendTail(sc.fwd)
-	req.wire = sc.fwd
+	// Hop 0 reads the request as every other hop does, through a view of the
+	// bytes it forwards.
+	if err := sc.soloV.load(sc.fwd); err != nil {
+		return nil, err
+	}
 	resp := &sc.soloResp
-	if err = resp.unmarshal(s.processEESetup(sc, 0, req.BwKbps)); err == nil {
-		err = resp.Refusal.at(int(resp.FailedAt))
+	if err = resp.load(s.processEESetup(sc, 0, req.BwKbps)); err == nil {
+		err = resp.refusal().at(resp.failedAt())
 	}
 	if err != nil {
 		s.policy.SettleEER(req.SrcHost, req.ID, heldKbps, heldExpT)
 		return nil, err
 	}
-	s.policy.SettleEER(req.SrcHost, req.ID, resp.FinalKbps, req.ExpT)
+	s.policy.SettleEER(req.SrcHost, req.ID, resp.final(), req.ExpT)
 	grant := &EERGrant{Path: chain.Path, PathHops: chain.PathHops, Splits: chain.Splits, SegIDs: chain.SegIDs}
 	// Hop 0 checked that there is one sealed σ per hop.
 	item := req.item()
-	if err := sc.openGrant(grant, hops[:], &item, resp.FinalKbps, resp.EncAuths); err != nil {
+	if err := sc.openGrant(grant, hops[:], &item, resp.final(), resp); err != nil {
 		return nil, err
 	}
 	return grant, nil
@@ -170,53 +173,38 @@ func coveringSegs(dst []int, nSeg int, splits []uint8, pathLen, idx int) []int {
 	return dst
 }
 
-// eeRespSlot checks that resp, a granted response of size bytes, has the shape
-// hop idx of an n-hop path must receive — n authenticator slots, sealed by
-// every hop behind idx and by no other — and returns the offset of slot idx,
-// or -1.
-func eeRespSlot(resp *EESetupResp, size, n, idx int) int {
-	if len(resp.EncAuths) != n {
-		return -1
-	}
-	for i, ea := range resp.EncAuths {
-		if (i <= idx && len(ea) != 0) || (i > idx && len(ea) != sealedAuthLen) {
-			return -1
-		}
-	}
-	return size - (n-1-idx)*(2+sealedAuthLen) - 2
-}
-
-// processEESetup handles the EER setup/renewal request decoded into sc.solo at
-// hop idx and returns the marshaled response, whose first byte is its refusal.
-// The response of a grant is one buffer from the last hop to the initiator:
-// the last hop allocates it at its final size, and every hop on the way back
-// seals σ into its own slot of the bytes it received (they belong to the
-// caller of Transport.Call), so no hop decodes, copies or re-encodes what
-// other hops sealed.
+// processEESetup handles the EER setup/renewal request in sc.soloV — a view
+// of sc.fwd, the bytes this hop forwards — at hop idx and returns the marshaled
+// response, whose first byte is its refusal. The response of a grant is one
+// buffer from the last hop to the initiator: the last hop allocates it at its
+// final size, and every hop on the way back seals σ into its own slot of the
+// bytes it received (they belong to the caller of Transport.Call), so no hop
+// decodes, copies or re-encodes what other hops sealed.
 func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []byte) {
-	req := &sc.solo
+	v := &sc.soloV
+	item := v.item()
+	renewal := v.renewal()
 	defer func() {
 		m, now := &s.metrics, int64(s.clock())*1e9
-		if req.Renewal {
-			m.outcome(now, telemetry.EvEERenew, req.ID, Refusal(out[0]), m.EERenewOK, m.EERenewFail)
+		if renewal {
+			m.outcome(now, telemetry.EvEERenew, item.ID, Refusal(out[0]), m.EERenewOK, m.EERenewFail)
 		} else {
-			m.outcome(now, telemetry.EvEESetup, req.ID, Refusal(out[0]), m.EESetupOK, m.EESetupFail)
+			m.outcome(now, telemetry.EvEESetup, item.ID, Refusal(out[0]), m.EESetupOK, m.EESetupFail)
 		}
 	}()
 	// K_{me→Src} both authenticates the request and seals σ for the source.
-	kc, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx)
+	kc, code := s.authHop(item.ID.SrcAS, v.body(), v.macAt(idx), idx)
 	if code != Granted {
 		return refuseEE(idx, code)
 	}
 	// σ and the data plane carry the bandwidth in 32 bits.
-	if req.BwKbps > MaxEERKbps {
+	if item.BwKbps > MaxEERKbps {
 		return refuseEE(idx, RefusedBwRange)
 	}
-	n := len(req.Path)
-	item := req.item()
+	n := v.nPath
 	// The covering SegRs decide where this AS's admission state lives: one
 	// segment normally, two at a transfer AS (§4.7).
-	cover, ok := coverOf(req.SegIDs, req.Splits, n, idx)
+	cover, ok := v.cover(idx)
 	if !ok {
 		return refuseEE(idx, RefusedCover)
 	}
@@ -225,20 +213,20 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	// and the commit or rollback under another.
 	// Source-AS policy (§4.7: "the source AS has a direct business
 	// relationship with the end host").
-	if idx == 0 && s.policy.AllowEER(req.SrcHost, req.ID, req.BwKbps, req.ExpT) != nil {
+	if idx == 0 && s.policy.AllowEER(item.SrcHost, item.ID, item.BwKbps, item.ExpT) != nil {
 		return refuseEE(idx, RefusedPolicy)
 	}
-	if idx == n-1 && s.vetoed(&item) {
+	if idx == n-1 && s.vetoed(item) {
 		return refuseEE(idx, RefusedVeto)
 	}
 
 	// This hop's admission is a leg of one item (hopleg.go), on behalf of the
 	// source AS whose key authenticated the request.
-	leg := hopLeg{s: s, hopCover: cover, src: req.ID.SrcAS, renewal: req.Renewal}
+	leg := hopLeg{s: s, hopCover: cover, src: item.ID.SrcAS, renewal: renewal}
 	it := hopItem{grant: accum}
 	s.cp.withPath(cover.segs(), func(p eerPath) {
 		if code = leg.open(&p); code == Granted {
-			code = leg.admit(&p, &it, req.ID.Num, req.Ver, req.ExpT)
+			code = leg.admit(&p, &it, item.ID.Num, item.Ver, item.ExpT)
 		}
 	})
 	leg.count()
@@ -256,29 +244,28 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 		out = out[:len(out)+2*n]
 		off = len(out) - 2
 	} else {
-		// Forward the bytes received, accumulator overwritten.
-		sc.fwd = append(sc.fwd[:0], req.wire...)
-		binary.BigEndian.PutUint64(sc.fwd[len(sc.fwd)-8:], it.grant)
+		// Forward the bytes received, accumulator overwritten in this hop's copy.
+		v.setAccum(it.grant)
 		resp := &sc.soloResp
-		out, code = s.forward(req.Path[idx+1].IA, sc.fwd, resp)
-		if code == Granted && resp.Refusal == Granted {
-			if off = eeRespSlot(resp, len(out), n, idx); off < 0 {
+		out, code = s.forward(v.hopIA(idx+1), sc.fwd, resp.load)
+		if code == Granted && resp.refusal() == Granted {
+			if off = resp.slot(n, idx); off < 0 {
 				code = RefusedBadAnswer
 			}
 		}
-		if code != Granted || resp.Refusal != Granted {
+		if code != Granted || resp.refusal() != Granted {
 			if it.admitted {
-				s.cp.withPath(cover.segs(), func(p eerPath) { leg.rollback(&p, &it, req.ID.Num) })
+				s.cp.withPath(cover.segs(), func(p eerPath) { leg.rollback(&p, &it, item.ID.Num) })
 			}
 			if code != Granted {
 				return refuseEE(idx+1, code)
 			}
 			return out
 		}
-		final = resp.FinalKbps
+		final = resp.final()
 	}
 	if final < max(it.grant, it.tGrant) { // a charge to clamp or split grants to return
-		s.cp.withPath(cover.segs(), func(p eerPath) { leg.commit(&p, &it, req.ID.Num, final) })
+		s.cp.withPath(cover.segs(), func(p eerPath) { leg.commit(&p, &it, item.ID.Num, final) })
 	}
 	// Seal σ_i into slot idx: what the hops behind this one sealed moves up by
 	// one authenticator, within the buffer's capacity unless a transport handed
@@ -287,6 +274,6 @@ func (s *Service) processEESetup(sc *waveScratch, idx int, accum uint64) (out []
 	out = slices.Grow(out, sealedAuthLen)[:size+sealedAuthLen]
 	copy(out[off+2+sealedAuthLen:], out[off+2:size])
 	binary.BigEndian.PutUint16(out[off:], sealedAuthLen)
-	s.sealHopAuth(out[:off+2], sc, kc, &item, final, req.Path, idx)
+	s.sealHopAuth(out[:off+2], sc, kc, &item, final, v.hopField(idx), idx)
 	return out
 }

@@ -41,15 +41,23 @@ type ownKey struct {
 	epoch uint32
 }
 
-// verify reports whether macs[idx] is the source's MAC of body towards the AS
-// that holds this key.
-func (k *keyCrypto) verify(body []byte, macs [][cryptoutil.MACSize]byte, idx int) bool {
-	if idx >= len(macs) {
+// verify reports whether mac, nil for none, is the source's MAC of body
+// towards the AS that holds this key.
+func (k *keyCrypto) verify(body []byte, mac *[cryptoutil.MACSize]byte) bool {
+	if mac == nil {
 		return false
 	}
 	var want [cryptoutil.MACSize]byte
 	k.cmac.SumInto(&want, body)
-	return cryptoutil.ConstantTimeEqual(want[:], macs[idx][:])
+	return cryptoutil.ConstantTimeEqual(want[:], mac[:])
+}
+
+// macOf returns macs[idx], nil past the last.
+func macOf(macs [][cryptoutil.MACSize]byte, idx int) *[cryptoutil.MACSize]byte {
+	if idx >= len(macs) {
+		return nil
+	}
+	return &macs[idx]
 }
 
 // keyCacheSize bounds the per-service key cache.
@@ -189,18 +197,20 @@ func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACS
 }
 
 // authHop is the receiving half, the prologue of every handler: K_{me→src}
-// from the key memo (ownCrypto), macs[idx] — src's MAC of body towards this AS — checked,
-// and one token of src's per-second budget taken (a wave is one message and
-// pays one). It returns src's crypto, which also seals what this AS hands back
-// to src, or nil and the refusal. Hop 0 is the initiator calling its own
-// handler, which trusts itself: a wire message never gets here as hop 0.
-func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) (*keyCrypto, Refusal) {
+// from the key memo (ownCrypto), mac — src's MAC of body towards this AS, hop
+// idx, nil for none — checked, and one token of src's per-second budget taken
+// (a wave is one message and pays one). body is what the hop received, never a
+// re-encoding of it. It returns src's crypto, which also seals what this AS
+// hands back to src, or nil and the refusal. Hop 0 is the initiator calling
+// its own handler, which trusts itself: a wire message never gets here as hop
+// 0.
+func (s *Service) authHop(src topology.IA, body []byte, mac *[cryptoutil.MACSize]byte, idx int) (*keyCrypto, Refusal) {
 	now := s.clock()
 	kc := s.ownCrypto(src, now)
 	if idx == 0 {
 		return kc, Granted
 	}
-	if !kc.verify(body, macs, idx) {
+	if !kc.verify(body, mac) {
 		s.metrics.AuthFailures.Add(1)
 		return nil, RefusedAuth
 	}
@@ -211,22 +221,30 @@ func (s *Service) authHop(src topology.IA, body []byte, macs [][cryptoutil.MACSi
 	return kc, Granted
 }
 
-// wireHop returns this AS's index on the path of a message that arrived over
-// the wire, or the answer to give instead: ErrNotOnPath, or — for a message
-// that names this AS as hop 0, which the initiator never sends itself and whose
-// MAC nobody checks — RefusedAuth at hop 0, marshaled by refuse.
-func (s *Service) wireHop(path []PathHop, refuse func(at int, code Refusal) []byte) (int, []byte, error) {
+// hopIndex returns the first position of ia on path, or -1.
+func hopIndex(path []PathHop, ia topology.IA) int {
 	for i, h := range path {
-		switch {
-		case h.IA != s.ia:
-		case i == 0:
-			s.metrics.AuthFailures.Add(1)
-			return 0, refuse(0, RefusedAuth), nil
-		default:
-			return i, nil, nil
+		if h.IA == ia {
+			return i
 		}
 	}
-	return 0, nil, ErrNotOnPath
+	return -1
+}
+
+// wireHop takes idx, this AS's first position on the path of a message that
+// arrived over the wire (-1 for none), and returns it, or the answer to give
+// instead: ErrNotOnPath, or — for a message that names this AS as hop 0, which
+// the initiator never sends itself and whose MAC nobody checks — RefusedAuth
+// at hop 0, marshaled by refuse.
+func (s *Service) wireHop(idx int, refuse func(at int, code Refusal) []byte) (int, []byte, error) {
+	switch {
+	case idx < 0:
+		return 0, nil, ErrNotOnPath
+	case idx == 0:
+		s.metrics.AuthFailures.Add(1)
+		return 0, refuse(0, RefusedAuth), nil
+	}
+	return idx, nil, nil
 }
 
 // The refusal of a request at hop at, one per response shape.
@@ -242,19 +260,19 @@ func refuseWave(at int, code Refusal) []byte {
 
 // vetoed asks the destination about one EER version, solo or a wave item (§3.3:
 // it "also has to explicitly accept the EER request"); nil DstApprove accepts.
-func (s *Service) vetoed(it *EEBatchItem) bool {
+func (s *Service) vetoed(it EEBatchItem) bool {
 	return s.dstApprove != nil && !s.dstApprove(it.ID, it.SrcHost, it.DstHost, it.BwKbps, it.ExpT)
 }
 
-// forward sends msg to next, the AS after this one, and decodes its answer
-// into resp. The refusal is the one to charge to next: RefusedUnreachable or
+// forward sends msg to next, the AS after this one, and checks its answer
+// with load. The refusal is the one to charge to next: RefusedUnreachable or
 // RefusedBadAnswer.
-func (s *Service) forward(next topology.IA, msg []byte, resp interface{ unmarshal([]byte) error }) ([]byte, Refusal) {
+func (s *Service) forward(next topology.IA, msg []byte, load func([]byte) error) ([]byte, Refusal) {
 	out, err := s.transport.Call(next, msg)
 	if err != nil {
 		return nil, RefusedUnreachable
 	}
-	if resp.unmarshal(out) != nil {
+	if load(out) != nil {
 		return nil, RefusedBadAnswer
 	}
 	return out, Granted
@@ -280,11 +298,11 @@ func (sc *waveScratch) nextNonce() [cryptoutil.NonceSize]byte {
 }
 
 // sealHopAuth appends to dst this AS's σ (Eq. 4) for the EER version it at its
-// path-wide grant final over hop idx of path, sealed for the source under kc
-// (Eq. 5) with sc's next nonce. σ and its associated data live in sc.
-func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, path []PathHop, idx int) []byte {
+// path-wide grant final over hop field hf of hop idx, sealed for the source
+// under kc (Eq. 5) with sc's next nonce. σ and its associated data live in sc.
+func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EEBatchItem, final uint64, hf packet.HopField, idx int) []byte {
 	res, eer := it.infos(final)
-	sc.sigma = s.hopAuth(&res, &eer, packet.HopField{In: path[idx].In, Eg: path[idx].Eg})
+	sc.sigma = s.hopAuth(&res, &eer, hf)
 	sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(idx))
 	nonce := sc.nextNonce()
 	return kc.sealer.SealTo(dst, nonce[:], sc.sigma[:], sc.ad)
@@ -294,31 +312,33 @@ func (s *Service) sealHopAuth(dst []byte, sc *waveScratch, kc *keyCrypto, it *EE
 // wave: the hop, the source's MAC of the wave towards it and the wave's final
 // status vector. A blob therefore opens only at its own hop of its own wave,
 // and only for the live items it was sealed for.
-func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, status []Refusal) []byte {
+func waveAuthAD(b []byte, idx int, mac *[cryptoutil.MACSize]byte, final itemTail) []byte {
 	b = append(append(b, byte(idx)), mac[:]...)
-	for _, st := range status {
-		b = append(b, byte(st))
+	for i := range final.len() {
+		b = append(b, byte(final.status(i)))
 	}
 	return b
 }
 
 // sealWave seals into blob — exactly blobLen(live) bytes of the response — this
-// AS's σ (Eq. 4) of every live item of the wave sc.req at its path-wide grant,
-// in wave order, for the source under kc (Eq. 5): one seal and one nonce, sc's
-// next, for the whole wave at this hop. The σs run four abreast, the next four live
-// items at a time; σs and associated data are built in sc.
-func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, status []Refusal, granted []uint64) {
-	req := &sc.req
-	hf := packet.HopField{In: req.Path[idx].In, Eg: req.Path[idx].Eg}
+// AS's σ (Eq. 4) of every item of the wave sc.wave live in final at its
+// path-wide grant, in wave order, for the source under kc (Eq. 5): one seal and
+// one nonce, sc's next, for the whole wave at this hop. The σs run four
+// abreast, the next four live items at a time; σs and associated data are
+// built in sc.
+func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int, final itemTail) {
+	w := &sc.wave
+	hf := w.hopField(idx)
 	var in [cryptoutil.MaxLanes][packet.EERAuthLen]byte
 	lanes := [cryptoutil.MaxLanes][]byte{in[0][:], in[1][:], in[2][:], in[3][:]}
 	var sigmas [cryptoutil.MaxLanes][cryptoutil.MACSize]byte
 	sc.sigmas = sc.sigmas[:0]
-	for i := 0; i < len(req.Items); {
+	for i := 0; i < w.n; {
 		n := 0
-		for ; i < len(req.Items) && n < len(in); i++ {
-			if status[i] == Granted {
-				res, eer := req.Items[i].infos(granted[i])
+		for ; i < w.n && n < len(in); i++ {
+			if final.status(i) == Granted {
+				it := w.item(i)
+				res, eer := it.infos(final.grant(i))
 				packet.EERAuthInput(&in[n], &res, &eer, hf)
 				n++
 			}
@@ -328,7 +348,7 @@ func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int,
 			sc.sigmas = append(sc.sigmas, sigma[:]...)
 		}
 	}
-	sc.ad = waveAuthAD(sc.ad[:0], idx, &req.Macs[idx], status)
+	sc.ad = waveAuthAD(sc.ad[:0], idx, w.macAt(idx), final)
 	nonce := sc.nextNonce()
 	kc.sealer.SealTo(blob[:0:len(blob)], nonce[:], sc.sigmas, sc.ad)
 }
@@ -337,11 +357,12 @@ func (s *Service) sealWave(blob []byte, sc *waveScratch, kc *keyCrypto, idx int,
 // blob of resp, the answer to the wave sc.req, under hops[h] — one open per hop
 // — into sc.sigmas, hop-major: the σ hop h sealed for the j-th live item is
 // the (h·live + j)-th 16 bytes. A blob that does not open fails the whole wave.
-func (sc *waveScratch) openWave(hops []*keyCrypto, resp *EEBatchRenewResp) error {
+func (sc *waveScratch) openWave(hops []*keyCrypto, resp *waveRespView) error {
 	sc.sigmas = sc.sigmas[:0]
-	for h, blob := range resp.Blobs {
-		sc.ad = waveAuthAD(sc.ad[:0], h, &sc.req.Macs[h], resp.Status)
-		opened, err := hops[h].sealer.OpenTo(sc.sigmas, blob, sc.ad)
+	final := resp.outcomes()
+	for h := range resp.nb {
+		sc.ad = waveAuthAD(sc.ad[:0], h, &sc.req.Macs[h], final)
+		opened, err := hops[h].sealer.OpenTo(sc.sigmas, resp.blob(h), sc.ad)
 		if err != nil {
 			return fmt.Errorf("cserv: opening the hop authenticators hop %d sealed: %w", h, err)
 		}
@@ -352,13 +373,17 @@ func (sc *waveScratch) openWave(hops []*keyCrypto, resp *EEBatchRenewResp) error
 
 // openGrant is sealHopAuth's counterpart at the initiator: it completes g,
 // whose chain the caller set, as the grant of the EER version it at its
-// path-wide grant final, opening sealed[h], the σ hop h sealed, under hops[h]
-// straight into the grant: it retains nothing of the response buffer.
-func (sc *waveScratch) openGrant(g *EERGrant, hops []*keyCrypto, it *EEBatchItem, final uint64, sealed [][]byte) error {
+// path-wide grant final, opening the σ hop h sealed, the h-th authenticator of
+// resp, under hops[h] straight into the grant: it retains nothing of the
+// response buffer.
+func (sc *waveScratch) openGrant(g *EERGrant, hops []*keyCrypto, it *EEBatchItem, final uint64, resp *eeRespView) error {
 	g.ID = it.ID
 	g.Res, g.EER = it.infos(final)
-	g.HopAuths = make([]cryptoutil.Key, len(sealed))
-	for h, enc := range sealed {
+	g.HopAuths = make([]cryptoutil.Key, resp.n)
+	off := eeRespFixedLen
+	for h := range resp.n {
+		var enc []byte
+		enc, off = resp.auth(off)
 		err := cryptoutil.ErrAEADOpen
 		if len(enc) == sealedAuthLen {
 			sc.ad = eerAuthAD(sc.ad[:0], it.ID, uint8(h))

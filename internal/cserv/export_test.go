@@ -215,3 +215,39 @@ func refusalAt(err error, code Refusal, hop int) bool {
 	var r refusedAt
 	return errors.As(err, &r) && r == refusedAt{code, hop}
 }
+
+// coverOf is chainView.cover over a chain's slices: the SegRs covering hop
+// idx of a pathLen-hop chain, not ok unless they are one or two.
+func coverOf(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, ok bool) {
+	var coverBuf [2]int
+	covering := coveringSegs(coverBuf[:0], len(segIDs), splits, pathLen, idx)
+	if len(covering) == 0 || len(covering) > 2 {
+		return c, false
+	}
+	for _, k := range covering {
+		c.ids[c.n] = segIDs[k]
+		c.n++
+	}
+	return c, true
+}
+
+// liveOf counts the live items of a status vector.
+func liveOf(status []Refusal) (live int) {
+	for _, st := range status {
+		if st == Granted {
+			live++
+		}
+	}
+	return live
+}
+
+// outcomesOf lays a response's grants and statuses out as they lie on the
+// wire.
+func outcomesOf(granted []uint64, status []Refusal) itemTail {
+	t := make(itemTail, eeBatchTailLen*len(status))
+	for i := range status {
+		t.setGrant(i, granted[i])
+		t.setStatus(i, status[i])
+	}
+	return t
+}

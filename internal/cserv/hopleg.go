@@ -35,21 +35,6 @@ type hopCover struct {
 // segs returns the covering set as the CPlane's path functions take it.
 func (c *hopCover) segs() []reservation.ID { return c.ids[:c.n] }
 
-// coverOf names the SegRs covering hop idx of a pathLen-hop chain: not ok
-// unless they are one or two (RefusedCover).
-func coverOf(segIDs []reservation.ID, splits []uint8, pathLen, idx int) (c hopCover, ok bool) {
-	var coverBuf [2]int
-	covering := coveringSegs(coverBuf[:0], len(segIDs), splits, pathLen, idx)
-	if len(covering) == 0 || len(covering) > 2 {
-		return c, false
-	}
-	for _, k := range covering {
-		c.ids[c.n] = segIDs[k]
-		c.n++
-	}
-	return c, true
-}
-
 // splitBooks is the §4.7 split's books of an up→core pair: the pair's demand
 // (each request capped at the up-SegR's bandwidth) and grants, in its
 // pair-table entry, and their total over the core-SegR, in its record. The

@@ -27,7 +27,9 @@ import (
 
 // Wire format: all integers big-endian; slices length-prefixed with uint16.
 // Every request carries one 16-byte CMAC per on-path AS over the request
-// body (§4.5: MAC_{K_{AS_i→SrcAS}}(payload)), appended after the body.
+// body (§4.5: MAC_{K_{AS_i→SrcAS}}(payload)), appended after the body. The
+// EER messages (tags 4, 5, 7 and their responses) are encoded from the
+// structs here and read through the views of views.go.
 
 // Message type tags.
 const (
@@ -94,6 +96,13 @@ type SegSetupReq struct {
 	// additions with its DRKey key, which the synchronous response chain
 	// models here.
 	AccumKbps uint64
+
+	// wire is the message this request was decoded from and bodyLen the
+	// MAC-covered share of it, which a hop authenticates: the decoder accepts
+	// only what Marshal would produce, so wire[:bodyLen] is Body(). Nil at the
+	// initiator, which checks no MAC of its own.
+	wire    []byte
+	bodyLen int
 }
 
 // Body returns the MAC-covered canonical encoding.
@@ -134,6 +143,7 @@ func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
 	r.MaxKbps = d.u64()
 	r.ExpT = d.u32()
 	r.Ver = d.u16()
+	r.wire, r.bodyLen = data, len(data)-len(d.buf)
 	r.Macs = d.macs(nil)
 	r.AccumKbps = d.u64()
 	switch {
@@ -262,12 +272,9 @@ type EESetupReq struct {
 	// AccumKbps mirrors SegSetupReq.AccumKbps for EER requests.
 	AccumKbps uint64
 
-	// wire is the message this request was decoded from (at the initiator:
-	// encoded into) and bodyLen the MAC-covered share of it. The decoder
-	// accepts only what Marshal would produce, so wire[:bodyLen] is Body(): a
-	// hop authenticates the bytes it received and forwards a copy of them with
-	// the accumulator overwritten, instead of encoding the request again. At a
-	// handler wire aliases the received message, which is read-only to it.
+	// wire is the message UnmarshalEESetupReq decoded this request from and
+	// bodyLen the MAC-covered share of it, wire[:bodyLen] = Body(). A hop reads
+	// its request through an eeReqView instead (views.go).
 	wire    []byte
 	bodyLen int
 }
@@ -324,49 +331,6 @@ func (r *EESetupReq) Marshal() []byte {
 	return r.appendTail(r.appendBody(make([]byte, 0, size)))
 }
 
-// UnmarshalEESetupReq parses an EESetupReq.
-func UnmarshalEESetupReq(data []byte) (*EESetupReq, error) { return decodeNew[EESetupReq](data) }
-
-// unmarshal decodes data into r, reusing the capacity of r's slices. It is
-// canonical-only: a message whose re-encoding would differ from data — the
-// tag and the Renewal flag disagree, the flag is neither 0 nor 1, bytes
-// follow the accumulator — is an error, not something to normalise, because
-// the handler authenticates and forwards data itself.
-func (r *EESetupReq) unmarshal(data []byte) error {
-	d := decoder{buf: data}
-	tag := d.u8()
-	r.ID = d.id()
-	r.SegIDs = r.SegIDs[:0]
-	nseg := int(d.u8())
-	if d.err == nil && nseg > len(d.buf)/idLen {
-		return ErrTruncated
-	}
-	for i := 0; i < nseg && d.err == nil; i++ {
-		r.SegIDs = append(r.SegIDs, d.id())
-	}
-	r.Splits = append(r.Splits[:0], d.take(int(d.u8()))...)
-	r.Path = d.hops(r.Path[:0])
-	r.BwKbps = d.u64()
-	r.ExpT = d.u32()
-	r.Ver = d.u16()
-	r.SrcHost = d.u32()
-	r.DstHost = d.u32()
-	flag := d.u8()
-	r.Renewal = flag == 1
-	r.wire, r.bodyLen = data, len(data)-len(d.buf)
-	r.Macs = d.macs(r.Macs[:0])
-	r.AccumKbps = d.u64()
-	switch {
-	case d.err != nil:
-		return d.err
-	case tag != tagEESetup && tag != tagEERenew:
-		return ErrBadTag
-	case flag > 1 || r.Renewal != (tag == tagEERenew) || len(d.buf) != 0:
-		return ErrNotCanonical
-	}
-	return nil
-}
-
 // EESetupResp travels the reverse path; on success, EncAuths[i] carries
 // AEAD_{K_{AS_i→SrcAS}}(σ_i) for the source AS's gateway (Eq. 5).
 type EESetupResp struct {
@@ -394,31 +358,6 @@ func (r *EESetupResp) Marshal() []byte {
 		b = append(b, ea...)
 	}
 	return b
-}
-
-// unmarshal decodes data into r, reusing the capacity of r.EncAuths. Like the
-// request decoder it accepts only what Marshal produces, and no more
-// authenticators than a path has hops.
-func (r *EESetupResp) unmarshal(data []byte) error {
-	d := decoder{buf: data}
-	r.Refusal = Refusal(d.u8())
-	r.FailedAt = d.u8()
-	r.FinalKbps = d.u64()
-	n := int(d.u16())
-	if d.err == nil && n > packet.MaxHops {
-		return fmt.Errorf("cserv: %d hop authenticators exceeds maximum", n)
-	}
-	r.EncAuths = r.EncAuths[:0]
-	for i := 0; i < n && d.err == nil; i++ {
-		r.EncAuths = append(r.EncAuths, d.take(int(d.u16())))
-	}
-	switch {
-	case d.err != nil:
-		return d.err
-	case !r.Refusal.known() || len(d.buf) != 0:
-		return ErrNotCanonical
-	}
-	return nil
 }
 
 // --- encoding helpers ---
@@ -524,18 +463,6 @@ func (d *decoder) bytes(dst []byte) {
 	}
 	copy(dst, d.buf)
 	d.buf = d.buf[len(dst):]
-}
-
-// take returns the next n bytes without copying them: the result aliases the
-// message (capacity-bounded, so an append cannot write into what follows).
-// nil when n is 0 or the message is short.
-func (d *decoder) take(n int) []byte {
-	if n == 0 || !d.need(n) {
-		return nil
-	}
-	b := d.buf[:n:n]
-	d.buf = d.buf[n:]
-	return b
 }
 
 func (d *decoder) id() reservation.ID {

@@ -127,7 +127,7 @@ func (s *Service) processSegSetup(req *SegSetupReq, idx int, accum uint64) (resp
 			m.outcome(now, telemetry.EvSegSetup, req.ID, resp_.Refusal, m.SegSetupOK, m.SegSetupFail)
 		}
 	}()
-	if _, code := s.authHop(req.ID.SrcAS, req.Body(), req.Macs, idx); code != Granted {
+	if _, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], macOf(req.Macs, idx), idx); code != Granted {
 		return &SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
 	}
 	hop := req.Path[idx]
@@ -241,7 +241,7 @@ func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegS
 	fwd := *req
 	fwd.AccumKbps = accum
 	resp := &SegSetupResp{}
-	_, code := s.forward(req.Path[idx+1].IA, fwd.Marshal(), resp)
+	_, code := s.forward(req.Path[idx+1].IA, fwd.Marshal(), resp.unmarshal)
 	if code == Granted && resp.Refusal == Granted && len(resp.Tokens) != len(req.Path) {
 		code = RefusedBadAnswer
 	}
@@ -258,7 +258,7 @@ func (s *Service) forwardSegSetup(req *SegSetupReq, idx int, accum uint64) *SegS
 // carries, is refused here, so that downstream ASes are never activated
 // ahead of a doomed local switch.
 func (s *Service) processSegActivate(req *SegActivateReq, idx int) SegSetupResp {
-	if _, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], req.Macs, idx); code != Granted {
+	if _, code := s.authHop(req.ID.SrcAS, req.wire[:req.bodyLen], macOf(req.Macs, idx), idx); code != Granted {
 		return SegSetupResp{Refusal: code, FailedAt: uint8(idx)}
 	}
 	retry, activeKbps, err := s.cp.checkActivation(req.ID, req.Ver)
@@ -274,7 +274,7 @@ func (s *Service) processSegActivate(req *SegActivateReq, idx int) SegSetupResp 
 	}
 	if idx < len(req.Path)-1 {
 		var resp SegSetupResp
-		if _, code := s.forward(req.Path[idx+1].IA, req.Marshal(), &resp); code != Granted {
+		if _, code := s.forward(req.Path[idx+1].IA, req.Marshal(), resp.unmarshal); code != Granted {
 			return SegSetupResp{Refusal: code, FailedAt: uint8(idx + 1)}
 		}
 		if resp.Refusal != Granted {

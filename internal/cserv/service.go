@@ -180,7 +180,7 @@ type Service struct {
 	engine *drkey.Engine
 	keys   *drkey.Store
 	// keyCache holds the control-plane crypto of recently used level-1 keys
-	// (see cryptoFor); waveFree the idle batch-renewal scratch (see getWave).
+	// (see cryptoFor); waveFree the idle request scratch (see getWave).
 	keyCache keyCache
 	waveMu   sync.Mutex
 	waveFree []*waveScratch
@@ -277,7 +277,7 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		idx, out, err := s.wireHop(req.Path, refuseSeg)
+		idx, out, err := s.wireHop(hopIndex(req.Path, s.ia), refuseSeg)
 		if idx == 0 {
 			return out, err
 		}
@@ -290,38 +290,44 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if err := req.unmarshal(data); err != nil {
 			return nil, err
 		}
-		idx, out, err := s.wireHop(req.Path, refuseSeg)
+		idx, out, err := s.wireHop(hopIndex(req.Path, s.ia), refuseSeg)
 		if idx == 0 {
 			return out, err
 		}
 		resp := s.processSegActivate(req, idx)
 		return resp.Marshal(), nil
 	case tagEESetup, tagEERenew:
-		// Decoded into scratch like a wave; the response is never part of it.
+		// Checked where it lies, then read from this hop's copy, which it
+		// forwards; the response is never part of the scratch.
 		sc := s.getWave()
 		defer s.putWave(sc)
-		req := &sc.solo
-		if err := req.unmarshal(data); err != nil {
+		v := &sc.soloV
+		if err := v.load(data); err != nil {
 			return nil, err
 		}
-		idx, out, err := s.wireHop(req.Path, refuseEE)
+		idx, out, err := s.wireHop(v.index(s.ia), refuseEE)
 		if idx == 0 {
 			return out, err
 		}
-		return s.processEESetup(sc, idx, min(req.AccumKbps, req.BwKbps)), nil
+		sc.fwd = append(sc.fwd[:0], data...)
+		v.msg = sc.fwd
+		return s.processEESetup(sc, idx, min(v.accum(), v.bw())), nil
 	case tagEEBatchRenew:
-		// The decoded wave and everything derived from it live in scratch that
+		// The wave's copy and everything derived from it live in scratch that
 		// goes back to the service once this hop has sealed its blob; the
 		// response is never part of it.
 		sc := s.getWave()
 		defer s.putWave(sc)
-		if err := sc.req.unmarshal(data); err != nil {
+		w := &sc.wave
+		if err := w.load(data); err != nil {
 			return nil, err
 		}
-		idx, out, err := s.wireHop(sc.req.Path, refuseWave)
+		idx, out, err := s.wireHop(w.index(s.ia), refuseWave)
 		if idx == 0 {
 			return out, err
 		}
+		sc.fwd = append(sc.fwd[:0], data[:w.end]...)
+		w.msg = sc.fwd
 		return s.processEEBatchRenew(sc, idx), nil
 	case tagDownReq:
 		req, err := UnmarshalDownSegReq(data)

@@ -19,6 +19,7 @@ import (
 	"colibri/internal/cryptoutil"
 	"colibri/internal/packet"
 	"colibri/internal/reservation"
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
@@ -44,7 +45,7 @@ func signFor(t testing.TB, src *Service, path []PathHop, body []byte) (macs [][c
 // counted: whether macs[idx] is src's MAC of body towards hop.
 func macCheck(hop *Service, src topology.IA, body []byte, macs [][cryptoutil.MACSize]byte, idx int) bool {
 	key, _ := hop.engine.Level1(src, hop.clock())
-	return hop.cryptoFor(key).verify(body, macs, idx)
+	return hop.cryptoFor(key).verify(body, macOf(macs, idx))
 }
 
 // signSolo signs req as its source would and returns the message.
@@ -159,6 +160,11 @@ func TestRefusalAllocBudget(t *testing.T) {
 	}
 	unknownSegR := activation(reservation.ID{SrcAS: src.ia, Num: 1 << 20}, 1)
 	noPending := activation(up.ID, up.Active.Ver+1)
+	// A SegR setup of src's up-segment whose MAC towards hop 1 is forged.
+	forgedSeg := &SegSetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 1 << 21}, SegType: segment.Up,
+		Path: HopsFromSegment(up.Seg), MaxKbps: 100, ExpT: f.now() + 300, Ver: 1, AccumKbps: 100}
+	forgedSeg.Macs = signFor(t, src, forgedSeg.Path, forgedSeg.Body())
+	forgedSeg.Macs[1][0] ^= 1
 	lastUnauthentic := signedWave(t, src, gs[1:2])
 	lastUnauthentic.Macs[len(lastUnauthentic.Macs)-1][0] ^= 1
 	// The granted wave renews gs[2] to one fresh version per run.
@@ -177,14 +183,21 @@ func TestRefusalAllocBudget(t *testing.T) {
 		want Refusal
 		at   uint8
 		tick bool // a second passes before each run
+		// allocs is what a transit HandleMsg allocates: the response alone,
+		// but for a SegR setup, which decodes into a struct of its own.
+		allocs float64
 	}{
-		{"a solo renewal throttled at hop 1", func() []byte { return throttled }, RefusedThrottled, 1, false},
-		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false},
-		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false},
-		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false},
-		{"an activation of an unknown SegR", func() []byte { return unknownSegR }, RefusedUnknownSegR, 1, false},
-		{"an activation with no pending version", func() []byte { return noPending }, RefusedNoPending, 1, false},
-		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true},
+		{"a solo renewal throttled at hop 1", func() []byte { return throttled }, RefusedThrottled, 1, false, 1},
+		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false, 1},
+		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false, 1},
+		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false, 1},
+		{"an activation of an unknown SegR", func() []byte { return unknownSegR }, RefusedUnknownSegR, 1, false, 1},
+		{"an activation with no pending version", func() []byte { return noPending }, RefusedNoPending, 1, false, 1},
+		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true, 1},
+		// The request struct, its path and MACs, the refusal and its encoding:
+		// the MAC is checked over the bytes received, not a re-encoding (6
+		// allocations when it was).
+		{"a forged SegR setup", forgedSeg.Marshal, RefusedAuth, 1, false, 5},
 	} {
 		msgs := make([][]byte, runs+1)
 		for i := range msgs {
@@ -204,8 +217,8 @@ func TestRefusalAllocBudget(t *testing.T) {
 				t.Fatalf("%s: the item is %v", tc.name, Refusal(out[1+1+4+8]))
 			}
 		})
-		if allocs != 1 {
-			t.Errorf("%s: a transit HandleMsg allocates %.1f times, want 1 (the response)", tc.name, allocs)
+		if allocs != tc.allocs {
+			t.Errorf("%s: a transit HandleMsg allocates %.1f times, want %.0f", tc.name, allocs, tc.allocs)
 		}
 	}
 }
@@ -834,7 +847,8 @@ func TestGrantSharesChain(t *testing.T) {
 }
 
 // sealedAt0 runs msg, a tag-4/5/7 request src signed, from hop 0 as src's own
-// initiator does — decoded into src's scratch and handled at index 0 — and
+// initiator does — copied into src's scratch, read through its view and
+// handled at index 0 — and
 // returns the nonce of every σ or blob the hops sealed into the answer, hop
 // 0's included (the initiator's own seal never crosses a link).
 func sealedAt0(t *testing.T, src *Service, msg []byte) (nonces [][cryptoutil.NonceSize]byte) {
@@ -842,20 +856,21 @@ func sealedAt0(t *testing.T, src *Service, msg []byte) (nonces [][cryptoutil.Non
 	sc := src.getWave()
 	defer src.putWave(sc)
 	var sealed [][]byte
+	sc.fwd = append(sc.fwd[:0], msg...)
 	if msg[0] == tagEEBatchRenew {
-		if err := sc.req.unmarshal(msg); err != nil {
+		if err := sc.wave.load(sc.fwd); err != nil {
 			t.Fatal(err)
 		}
 		resp, err := UnmarshalEEBatchRenewResp(src.processEEBatchRenew(sc, 0))
 		if err != nil || resp.Refusal != Granted || liveOf(resp.Status) != len(resp.Status) {
-			t.Fatalf("wave of %d: %+v, %v", len(sc.req.Items), resp, err)
+			t.Fatalf("wave of %d: %+v, %v", sc.wave.n, resp, err)
 		}
 		sealed = resp.Blobs
 	} else {
-		if err := sc.solo.unmarshal(msg); err != nil {
+		if err := sc.soloV.load(sc.fwd); err != nil {
 			t.Fatal(err)
 		}
-		resp, err := UnmarshalEESetupResp(src.processEESetup(sc, 0, sc.solo.BwKbps))
+		resp, err := UnmarshalEESetupResp(src.processEESetup(sc, 0, sc.soloV.bw()))
 		if err != nil || resp.Refusal != Granted {
 			t.Fatalf("solo request: %+v, %v", resp, err)
 		}

@@ -651,7 +651,7 @@ func openedWave(t *testing.T, f *fabric, req *EEBatchRenewReq, idx int, out []by
 		if err != nil {
 			t.Fatal(err)
 		}
-		ad := waveAuthAD(nil, h, &req.Macs[h], resp.Status)
+		ad := waveAuthAD(nil, h, &req.Macs[h], outcomesOf(resp.Granted, resp.Status))
 		opened, err := kc.sealer.OpenTo(nil, resp.Blobs[h], ad)
 		if err != nil || len(opened) != live*cryptoutil.KeySize {
 			t.Fatalf("hop %d's blob: %d bytes, %v", h, len(opened), err)

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"colibri/internal/packet"
+	"colibri/internal/reservation"
 	"colibri/internal/telemetry"
 )
 
@@ -85,5 +86,44 @@ func TestInstallRepromotesDemotedFlow(t *testing.T) {
 	}
 	if got := reg.Counter("gateway.promotions").Value(); got != 1 {
 		t.Errorf("promotions counter = %d, want 1", got)
+	}
+}
+
+// TestExpireTracedAllocatesNothing: with telemetry on, Expire traces each EER
+// it drops by its numeric id, so dropping them allocates nothing, and the
+// trace reads each id as reservation.ID.String() would.
+func TestExpireTracedAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	const runs, perRun = 100, 4
+	g := New(srcAS)
+	reg := telemetry.NewRegistry("gw")
+	g.EnableTelemetry(reg)
+	base := uint32(baseNs / 1e9)
+	// perRun EERs expire at each second after base; AllocsPerRun runs once more
+	// to warm up.
+	for i := range (runs + 1) * perRun {
+		res := testRes(uint32(i+1), 1000)
+		res.ExpT = base + 1 + uint32(i/perRun)
+		if err := g.Install(res, packet.EERInfo{}, tPath, tAuths); err != nil {
+			t.Fatal(err)
+		}
+	}
+	now := base
+	allocs := testing.AllocsPerRun(runs, func() {
+		now++
+		if n := g.Expire(now); n != perRun {
+			t.Fatalf("Expire(%d) dropped %d, want %d", now, n, perRun)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("Expire of %d traced EERs allocates %.1f times", perRun, allocs)
+	}
+	evs := reg.Snapshot().Traces["gateway.lifecycle"]
+	last := evs[len(evs)-1]
+	want := reservation.ID{SrcAS: srcAS, Num: (runs+1)*perRun - perRun + 1}.String()
+	if last.Kind != telemetry.EvEEExpire || last.Res != want || last.TimeNs != int64(now)*1e9 {
+		t.Errorf("last trace event %v, want an expiry of %s at %ds", last, want, now)
 	}
 }

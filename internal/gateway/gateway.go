@@ -202,7 +202,7 @@ func (g *Gateway) Install(res packet.ResInfo, eer packet.EERInfo, path []packet.
 		}
 		if promoted {
 			t.promotions.Add(1)
-			t.trace.Record(int64(res.ExpT)*1e9, telemetry.EvPromote, g.id(res.ResID).String(), true, "renewed")
+			g.trace(t, int64(res.ExpT)*1e9, telemetry.EvPromote, res.ResID, true, "renewed")
 		}
 	}
 	return nil
@@ -236,7 +236,7 @@ func (g *Gateway) Demote(resID uint32) bool {
 	if changed {
 		if t := g.tel.Load(); t != nil {
 			t.demotions.Add(1)
-			t.trace.Record(0, telemetry.EvDemote, g.id(resID).String(), false, "renewal failed")
+			g.trace(t, 0, telemetry.EvDemote, resID, false, "renewal failed")
 		}
 	}
 	return changed
@@ -250,7 +250,7 @@ func (g *Gateway) Promote(resID uint32) bool {
 	if changed {
 		if t := g.tel.Load(); t != nil {
 			t.promotions.Add(1)
-			t.trace.Record(0, telemetry.EvPromote, g.id(resID).String(), true, "")
+			g.trace(t, 0, telemetry.EvPromote, resID, true, "")
 		}
 	}
 	return changed
@@ -289,10 +289,11 @@ func (g *Gateway) Remove(resID uint32) {
 }
 
 // Expire removes reservations whose current version has expired and returns
-// how many were dropped.
+// how many were dropped. With telemetry on, each is traced as it goes: the
+// tracer takes no lock and formats nothing, so Expire allocates nothing.
 func (g *Gateway) Expire(nowSec uint32) int {
 	t := g.tel.Load()
-	var dropped []uint32 // for the lifecycle trace only
+	nowNs := int64(nowSec) * 1e9
 	n := 0
 	g.mu.Lock()
 	// Backwards, so a delete's swap-last moves a record already visited.
@@ -302,7 +303,7 @@ func (g *Gateway) Expire(nowSec uint32) int {
 			g.recs.Delete(id)
 			n++
 			if t != nil {
-				dropped = append(dropped, id.Num)
+				g.trace(t, nowNs, telemetry.EvEEExpire, id.Num, true, "")
 			}
 		}
 	}
@@ -310,12 +311,15 @@ func (g *Gateway) Expire(nowSec uint32) int {
 	if t != nil && n > 0 {
 		t.expired.Add(uint64(n))
 		t.resident.Add(-int64(n))
-		nowNs := int64(nowSec) * 1e9
-		for _, id := range dropped {
-			t.trace.Record(nowNs, telemetry.EvEEExpire, g.id(id).String(), true, "")
-		}
 	}
 	return n
+}
+
+// trace records a lifecycle event about this gateway's EER resID on t's
+// tracer, its id kept numerically.
+func (g *Gateway) trace(t *gwTelemetry, nowNs int64, kind telemetry.EventKind, resID uint32, ok bool, detail string) {
+	id := g.id(resID)
+	t.trace.RecordID(nowNs, kind, uint64(id.SrcAS), id.Num, ok, detail)
 }
 
 // Len returns the number of installed reservations.

@@ -282,11 +282,11 @@ func (w *Worker) countDrop(acc *dropAcc, reason DropReason, nowNs int64, decoded
 	acc[reason]++
 	r := w.r
 	if r.hot != nil {
-		res := ""
 		if decoded {
-			res = reservation.ID{SrcAS: w.pkt.Res.SrcAS, Num: w.pkt.Res.ResID}.String()
+			r.hot.trace.RecordID(nowNs, telemetry.EvDrop, uint64(w.pkt.Res.SrcAS), w.pkt.Res.ResID, false, dropSlug(reason))
+		} else {
+			r.hot.trace.Record(nowNs, telemetry.EvDrop, "", false, dropSlug(reason))
 		}
-		r.hot.trace.Record(nowNs, telemetry.EvDrop, res, false, dropSlug(reason))
 	}
 }
 

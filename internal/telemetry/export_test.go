@@ -56,11 +56,7 @@ func (s Snapshot) Diff(prev Snapshot) Snapshot {
 }
 
 // Total returns how many events were ever recorded.
-func (t *Tracer) Total() uint64 {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.total
-}
+func (t *Tracer) Total() uint64 { return t.total.Load() }
 
 // Sub returns the samples present in s but not in prev, assuming prev is an
 // earlier snapshot of the same histogram. Max cannot be un-merged and is

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -47,40 +48,64 @@ func TestTracerPartialFill(t *testing.T) {
 	}
 }
 
+// TestTracerConcurrent: writers record while a reader reads. Every event
+// Events returns is one a writer recorded — each writer's events carry their
+// writer and number in every field, so an entry torn between two events shows —
+// and the sequence numbers increase strictly. Once the writers are done, the
+// ring holds the last events, contiguous.
 func TestTracerConcurrent(t *testing.T) {
 	tr := NewTracer(64)
-	const workers, per = 8, 1_000
+	const workers, per = 8, 2_000
+	details := [...]string{"", "renewal rate limit", "replay"}
 	var wg sync.WaitGroup
-	for i := 0; i < workers; i++ {
+	for w := 1; w <= workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				tr.Record(int64(j), EvEERenew, "1-11/9", true, "")
+				tr.RecordID(int64(w)<<32|int64(j), EventKind(1+j%9), uint64(w), uint32(j), j%2 == 0, details[j%3])
 			}
 		}()
 	}
+	check := func(evs []Event) {
+		for i, e := range evs {
+			w, j := e.TimeNs>>32, int(e.TimeNs&(1<<32-1))
+			if w < 1 || w > workers || j >= per || e.Kind != EventKind(1+j%9) || e.Res != fmt.Sprintf("0-%d#%d", w, j) ||
+				e.OK != (j%2 == 0) || e.Detail != details[j%3] {
+				t.Errorf("event %+v was never recorded", e)
+				return
+			}
+			if i > 0 && e.Seq <= evs[i-1].Seq {
+				t.Errorf("seqs %d then %d", evs[i-1].Seq, e.Seq)
+				return
+			}
+		}
+	}
 	done := make(chan struct{})
+	read := make(chan int)
 	go func() {
+		reads := 0
+		defer func() { read <- reads }()
 		for {
 			select {
 			case <-done:
 				return
 			default:
 			}
-			evs := tr.Events()
-			for i := 1; i < len(evs); i++ {
-				if evs[i].Seq != evs[i-1].Seq+1 {
-					t.Errorf("non-contiguous seqs: %d then %d", evs[i-1].Seq, evs[i].Seq)
-					return
-				}
-			}
+			check(tr.Events())
+			reads++
 		}
 	}()
 	wg.Wait()
 	close(done)
+	t.Logf("%d reads while writing", <-read)
 	if tr.Total() != workers*per {
 		t.Fatalf("Total = %d, want %d", tr.Total(), workers*per)
+	}
+	evs := tr.Events()
+	check(evs)
+	if len(evs) != 64 || evs[0].Seq != workers*per-63 {
+		t.Fatalf("after the writers: %d events from #%d, want the last 64", len(evs), evs[0].Seq)
 	}
 }
 
