@@ -46,7 +46,7 @@ var (
 	ErrTruncated = errors.New("cserv: truncated message")
 	ErrBadTag    = errors.New("cserv: unexpected message tag")
 	// ErrNotCanonical rejects a message that decodes but is not what its own
-	// re-encoding would be (see EESetupReq.unmarshal).
+	// re-encoding would be (see eeReqView.load).
 	ErrNotCanonical = errors.New("cserv: message is not in canonical form")
 )
 
