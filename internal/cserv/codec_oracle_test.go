@@ -77,7 +77,8 @@ func (r *EESetupResp) unmarshal(data []byte) error {
 }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices. A status
-// outside the vocabulary is ErrNotCanonical.
+// outside the vocabulary, or bytes after the last item's tail, are
+// ErrNotCanonical.
 func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	if d.u8() != tagEEBatchRenew {
@@ -112,6 +113,9 @@ func (r *EEBatchRenewReq) unmarshal(data []byte) error {
 		if r.Status = append(r.Status, Refusal(d.u8())); !r.Status[i].known() {
 			return ErrNotCanonical
 		}
+	}
+	if d.err == nil && len(d.buf) != 0 {
+		return ErrNotCanonical
 	}
 	return d.err
 }

@@ -354,19 +354,50 @@ func (c *CPlane) register(sh *cplaneShard, si int, id reservation.ID, r *segRec)
 // piece lives in the shard's held table and the record only flags it, in what
 // was padding, so a record costs the same bytes with or without one.
 //
-// The record is 20 bytes of 4-byte alignment, so the table's record with its
-// key is 32 (DESIGN.md §7): bw is 32 bits, the width a ResInfo carries it in,
+// The record is 16 bytes of 4-byte alignment, so the table's record with its
+// key is 24 (DESIGN.md §7): bw is 32 bits, the width a ResInfo carries it in,
 // and no EER of more is admitted (MaxEERKbps).
 type cpEER struct {
 	cover segH
 	bw    uint32
 	expT  uint32
-	// lastRenew is the second of the last renewal the per-EER throttle let
-	// through (eerPath.allowRenew); 0 before the first.
-	lastRenew uint32
-	ver       uint16
-	// held: the shard's held table has this record's held piece.
-	held bool
+	ver   uint16
+	// stamp is the low byte of the second of the last renewal the per-EER
+	// throttle let through (eerPath.allowRenew), once flags has flagStamped.
+	stamp uint8
+	flags uint8
+}
+
+// A record's flags.
+const (
+	// flagHeld: the shard's held table has the record's held piece.
+	flagHeld = 1 << iota
+	// flagStamped: the throttle has let a renewal through, in stamp.
+	flagStamped
+)
+
+// held reports whether the shard's held table has e's held piece.
+func (e *cpEER) held() bool { return e.flags&flagHeld != 0 }
+
+// renewedAt reports whether the throttle let a renewal of e through in second
+// now. The stamp keeps that second's low byte, which names it exactly while e
+// is live: every renewal a hop leg makes is stamped, so a live record's last
+// stamp is less than one EER lifetime old (16 s < 256 s). A record at or past
+// expT was last stamped before expT, so it never reads as renewed now. A
+// record never stamped reads as renewed in second 0, as a zero 32-bit second
+// did before the stamp took a byte: the decisions are the 32-bit stamp's
+// (TestThrottleStampMatches32Bit).
+func (e *cpEER) renewedAt(now uint32) bool {
+	if e.flags&flagStamped == 0 {
+		return now == 0
+	}
+	return e.stamp == uint8(now) && now < e.expT
+}
+
+// stampAt marks e renewed in second now.
+func (e *cpEER) stampAt(now uint32) {
+	e.stamp = uint8(now)
+	e.flags |= flagStamped
 }
 
 // heldPiece is the second charge of a record whose EER renewed downward
@@ -748,7 +779,7 @@ func (c *CPlane) tick() (expired int, dropped []reservation.ID) {
 		for i := sh.eers.Len() - 1; i >= 0; i-- {
 			id, e := sh.eers.At(i)
 			lapsed := e.expT <= now
-			if !lapsed && !(e.held && sh.held.Get(id).expT <= now) {
+			if !lapsed && !(e.held() && sh.held.Get(id).expT <= now) {
 				continue
 			}
 			if e.cover&pairBit != 0 {
@@ -833,7 +864,7 @@ func (c *CPlane) removePair(r pairRef, cond func(*cpEER) bool, heldLapse uint32)
 			}
 			p.release(r.eer, rec)
 			p.prim.eers.Delete(r.eer)
-		case rec.held && p.prim.held.Get(r.eer).expT <= heldLapse:
+		case rec.held() && p.prim.held.Get(r.eer).expT <= heldLapse:
 			p.unhold(r.eer, rec)
 		}
 	})

@@ -246,16 +246,16 @@ func (p *eerPath) readAhead(w *waveView, tail itemTail) (sum uint16) {
 
 // allowRenew is the per-EER renewal limit of §4.2 (one per second) for a
 // renewal that found its record e: the second of the last one let through is in
-// the record, so the throttle costs no lookup of its own — and a record that is
-// lost takes its mark with it. It stamps e in place; renewRec keeps the stamp
-// with whichever version survives. A renewal that finds no record is a
-// re-admission: it is admitted as a setup and marks the record it creates
-// (setup), so a second one within the second finds the mark.
+// the record (cpEER.renewedAt), so the throttle costs no lookup of its own —
+// and a record that is lost takes its mark with it. It stamps e in place;
+// renewRec keeps the stamp with whichever version survives. A renewal that
+// finds no record is a re-admission: it is admitted as a setup and marks the
+// record it creates (setup), so a second one within the second finds the mark.
 func (p *eerPath) allowRenew(e *cpEER) bool {
-	if e.lastRenew == p.now {
+	if e.renewedAt(p.now) {
 		return false
 	}
-	e.lastRenew = p.now
+	e.stampAt(p.now)
 	return true
 }
 
@@ -313,7 +313,7 @@ type EERVersion struct {
 //
 //colibri:nomalloc
 func (p *eerPath) heldOf(eer reservation.ID, e *cpEER) EERVersion {
-	if !e.held {
+	if !e.held() {
 		return EERVersion{}
 	}
 	h := p.prim.held.Get(eer)
@@ -347,14 +347,14 @@ func (p *eerPath) hold(eer reservation.ID, e *cpEER, v EERVersion) {
 	}
 	h, _ := p.prim.held.Put(eer)
 	*h = heldPiece{charge: v.BwKbps - bw, expT: expT}
-	e.held = true
+	e.flags |= flagHeld
 }
 
 // unhold withdraws record e's held piece, if it has one, and forgets it.
 //
 //colibri:nomalloc
 func (p *eerPath) unhold(eer reservation.ID, e *cpEER) {
-	if !e.held {
+	if !e.held() {
 		return
 	}
 	h := p.prim.held.Get(eer)
@@ -362,7 +362,7 @@ func (p *eerPath) unhold(eer reservation.ID, e *cpEER) {
 		r.led.DischargeFromFloor(h.expT, int64(h.charge))
 	}
 	p.prim.held.Delete(eer)
-	e.held = false
+	e.flags &^= flagHeld
 }
 
 // release withdraws both of record e's charges, before the record goes.
@@ -401,8 +401,9 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 // admit charges a new EER of bwKbps over [now, expT) against the covering
 // SegRs — one for most hops, two at a transfer AS (§4.7), in which case the
 // demand must fit under BOTH SegRs' grants and is charged on both ledgers.
-// Admission is full-or-nothing. The record carries ver for idempotent dedup;
-// the first covering SegR is the primary one, whose shard owns the record.
+// Admission is full-or-nothing. The record carries ver for idempotent dedup,
+// and the throttle's stamp of this second when stamp is set; the first
+// covering SegR is the primary one, whose shard owns the record.
 //
 // The record table is probed once: the insertion finds a record the EER
 // already has (under any SegR: ErrExists) or adds a fresh one, which a ledger
@@ -411,7 +412,7 @@ func (p *eerPath) free(want uint64, startT, expT uint32) uint64 {
 // records, the ledgers and the tallies as they were.
 //
 //colibri:nomalloc
-func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, lastRenew uint32) error {
+func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, stamp bool) error {
 	if bwKbps > MaxEERKbps {
 		return ErrBandwidthRange
 	}
@@ -430,21 +431,25 @@ func (p *eerPath) admit(eer reservation.ID, bwKbps uint64, expT uint32, ver uint
 		p.prim.eers.Delete(eer)
 		return err
 	}
-	p.fill(e, bwKbps, expT, ver, lastRenew)
+	p.fill(e, bwKbps, expT, ver)
+	if stamp {
+		e.stampAt(p.now)
+	}
 	return nil
 }
 
-// fill writes a fresh version into record e, naming the path's SegRs, whose
-// ledgers the caller has just charged with it (bwKbps ≤ MaxEERKbps): by their
-// pair's handle at a transfer AS, which the first record over the pair
-// interns. Each SegR learns that a record names it.
+// fill writes a fresh version into record e, which holds no held piece,
+// naming the path's SegRs, whose ledgers the caller has just charged with it
+// (bwKbps ≤ MaxEERKbps): by their pair's handle at a transfer AS, which the
+// first record over the pair interns. The throttle's stamp stays as it was.
+// Each SegR learns that a record names it.
 //
 //colibri:nomalloc
-func (p *eerPath) fill(e *cpEER, bwKbps uint64, expT uint32, ver uint16, lastRenew uint32) {
+func (p *eerPath) fill(e *cpEER, bwKbps uint64, expT uint32, ver uint16) {
 	if p.cover == unknownSegR {
 		p.cover = p.prim.intern(p.rec[0], p.h[1])
 	}
-	*e = cpEER{cover: p.cover, bw: uint32(bwKbps), expT: expT, ver: ver, lastRenew: lastRenew}
+	e.cover, e.bw, e.expT, e.ver = p.cover, uint32(bwKbps), expT, ver
 	for _, r := range p.rec[:p.nseg] {
 		r.named = true
 	}
@@ -454,11 +459,7 @@ func (p *eerPath) fill(e *cpEER, bwKbps uint64, expT uint32, ver uint16, lastRen
 // renewal whose record this AS no longer holds: the new record carries the
 // throttle's stamp of this second.
 func (p *eerPath) setup(eer reservation.ID, bwKbps uint64, expT uint32, ver uint16, renewal bool) error {
-	var lastRenew uint32
-	if renewal {
-		lastRenew = p.now
-	}
-	err := p.admit(eer, bwKbps, expT, ver, lastRenew)
+	err := p.admit(eer, bwKbps, expT, ver, renewal)
 	p.c.tallySetup(err)
 	return err
 }
@@ -573,14 +574,11 @@ func (p *eerPath) restore(eer reservation.ID, bwKbps uint64, expT uint32, ver ui
 		}
 		return
 	}
-	var lastRenew uint32
-	if e != nil {
-		lastRenew = e.lastRenew
-	} else {
+	if e == nil {
 		e, _ = p.prim.eers.Put(eer)
 		p.c.eerCount.Add(1)
 	}
-	p.fill(e, bwKbps, expT, ver, lastRenew)
+	p.fill(e, bwKbps, expT, ver)
 	p.hold(eer, e, held)
 }
 

@@ -326,7 +326,7 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if idx == 0 {
 			return out, err
 		}
-		sc.fwd = append(sc.fwd[:0], data[:w.end]...)
+		sc.fwd = append(sc.fwd[:0], data...)
 		w.msg = sc.fwd
 		return s.processEEBatchRenew(sc, idx), nil
 	case tagDownReq:

@@ -285,8 +285,9 @@ type waveView struct {
 }
 
 // load checks data as EEBatchRenewReq's decoder of old did — counts bounded
-// by the bytes left, every item status of the vocabulary, bytes after the last
-// item ignored — and records its layout. The view aliases data.
+// by the bytes left, every item status of the vocabulary — and, as for every
+// other EER message, nothing after the last item's tail (ErrNotCanonical). It
+// records the layout. The view aliases data.
 func (w *waveView) load(data []byte) error {
 	if len(data) == 0 || data[0] != tagEEBatchRenew {
 		return ErrBadTag
@@ -316,7 +317,9 @@ func (w *waveView) load(data []byte) error {
 	if full < w.n {
 		return ErrTruncated
 	}
-	w.end = w.tail + eeBatchTailLen*w.n
+	if w.end = w.tail + eeBatchTailLen*w.n; len(data) != w.end {
+		return ErrNotCanonical
+	}
 	return nil
 }
 

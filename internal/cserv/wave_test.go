@@ -220,7 +220,7 @@ func FuzzEEBatchRenewCodec(f *testing.F) {
 		}
 		if req, err := UnmarshalEEBatchRenewReq(buf); err == nil {
 			enc := req.Marshal()
-			if !bytes.HasPrefix(data, enc) {
+			if !bytes.Equal(enc, data) {
 				t.Fatalf("request re-encodes to other bytes:\n%x\n%x", data, enc)
 			}
 			if !bytes.Equal(req.wire, data[:len(req.wire)]) || !bytes.Equal(req.Body(), req.wire[:req.bodyLen]) {
@@ -778,12 +778,13 @@ func hopSegs(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (ids []res
 // refAllowRenew is the model of the per-EER renewal throttle (§4.2, one a
 // second): a renewal is judged by the mark in its record and leaves its own
 // there. The mark goes where the record goes: a re-admission finds neither, and
-// the record it creates is born marked.
+// the record it creates is born marked. The mark itself is the record's stamp
+// (TestThrottleStampMatches32Bit holds it to a 32-bit second).
 func refAllowRenew(s *Service, id reservation.ID, segs []reservation.ID, now uint32) (ok bool) {
 	s.cp.withPath(segs, func(p eerPath) {
 		if e := p.lookup(id); e != nil {
-			if ok = e.lastRenew != now; ok {
-				e.lastRenew = now
+			if ok = !e.renewedAt(now); ok {
+				e.stampAt(now)
 			}
 		}
 	})

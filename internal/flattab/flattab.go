@@ -28,10 +28,16 @@
 // shifts by hashing their records' keys, so only those two pay a record read
 // per slot.
 //
-// A record holds its key as the ID's two fields, source AS then number, with
-// the value after them: a value of 4-byte alignment packs into the four bytes
-// a whole reservation.ID would pad to 16, and an 8-aligned one costs what it
-// did behind a whole ID.
+// A record holds its key in 8 bytes, the value after them: the number, and
+// the source AS as a 4-byte index into the table's source list, which holds
+// each distinct source AS of the keys the table has held once. A table's keys
+// share a few sources (a CServ's EERs name the ASes its hosts' requests come
+// from, a gateway's only its own AS), so the list stays short; it is never
+// shrunk, which keeps every record's index valid without a reference count. A
+// value of 4- or 8-byte alignment packs right behind the key. Lookup compares
+// the number, then the listed source (a load from a list that stays in cache);
+// only an insertion maps an AS to its index, and one naming the source the
+// last did finds it without a search.
 //
 // Deletion is tombstone-free: a backward shift closes the hole in the index,
 // and the dense array's last record moves into the freed position. Iteration
@@ -60,7 +66,14 @@ type Table[V any] struct {
 	// outgrown it, first becoming pages[0].
 	first []record[V]
 	pages []*[pageLen]record[V]
-	n     int
+	// srcs is the source list, in the order first seen, and lastSrc the
+	// index the last insertion named. srcIdx indexes the list: open-addressed
+	// slots, a power of two at most half full, each holding a source's index
+	// plus one (0 marks an empty slot).
+	srcs    []topology.IA
+	srcIdx  []uint32
+	lastSrc uint32
+	n       int
 }
 
 // A page holds pageLen records; the first page starts at firstLen and
@@ -71,15 +84,72 @@ const (
 	pageLen   = 1 << pageShift
 	firstLen  = 16
 	dirLen    = 64
+	minSrcs   = 4
 )
 
 type record[V any] struct {
-	ia  topology.IA
+	src uint32
 	num uint32
 	val V
 }
 
-func (r *record[V]) key() reservation.ID { return reservation.ID{SrcAS: r.ia, Num: r.num} }
+// key returns record r's reservation ID.
+func (t *Table[V]) key(r *record[V]) reservation.ID {
+	return reservation.ID{SrcAS: t.srcs[r.src], Num: r.num}
+}
+
+// srcOf returns ia's index in the source list, adding ia when the list lacks
+// it. Only the first insertion of a key from a new source allocates.
+func (t *Table[V]) srcOf(ia topology.IA) uint32 {
+	if int(t.lastSrc) < len(t.srcs) && t.srcs[t.lastSrc] == ia {
+		return t.lastSrc
+	}
+	i, ok := t.findSrc(ia)
+	if !ok {
+		i = uint32(len(t.srcs))
+		t.srcs = append(t.srcs, ia)
+		if 2*len(t.srcs) > len(t.srcIdx) {
+			// Double the index (to minSrcs slots at first) and refile the list.
+			t.srcIdx = make([]uint32, max(2*len(t.srcIdx), minSrcs))
+			for k := range t.srcs {
+				t.fileSrc(uint32(k))
+			}
+		} else {
+			t.fileSrc(i)
+		}
+	}
+	t.lastSrc = i
+	return i
+}
+
+// findSrc returns ia's index in the source list.
+func (t *Table[V]) findSrc(ia topology.IA) (uint32, bool) {
+	if len(t.srcIdx) == 0 {
+		return 0, false
+	}
+	mask := uint32(len(t.srcIdx) - 1)
+	for j := t.srcHome(ia); t.srcIdx[j] != 0; j = (j + 1) & mask {
+		if i := t.srcIdx[j] - 1; t.srcs[i] == ia {
+			return i, true
+		}
+	}
+	return 0, false
+}
+
+// fileSrc files source i at the first free slot of srcIdx from its home.
+func (t *Table[V]) fileSrc(i uint32) {
+	mask := uint32(len(t.srcIdx) - 1)
+	j := t.srcHome(t.srcs[i])
+	for t.srcIdx[j] != 0 {
+		j = (j + 1) & mask
+	}
+	t.srcIdx[j] = i + 1
+}
+
+// srcHome returns the slot of srcIdx a probe for ia starts from.
+func (t *Table[V]) srcHome(ia topology.IA) uint32 {
+	return home(hash(reservation.ID{SrcAS: ia}), len(t.srcIdx))
+}
 
 // rec returns the record at position pos of the dense array.
 func (t *Table[V]) rec(pos uint32) *record[V] {
@@ -116,8 +186,19 @@ func (t *Table[V]) open() {
 // RecordSize returns the bytes one record of the table takes in its dense
 // array: the key and a V, padded to V's alignment.
 //
-//colibri:allow(testonly) — the layout pins of cserv (TestEERRecordIs32Bytes), gateway (TestRecordBytesPinned) and monitor (TestWatchRecordBytesPinned) read it
+//colibri:allow(testonly) — the layout pins of cserv (TestEERRecordIs24Bytes), gateway (TestRecordBytesPinned) and monitor (TestWatchRecordBytesPinned) read it
 func (*Table[V]) RecordSize() uintptr { return unsafe.Sizeof(record[V]{}) }
+
+// Bytes returns the heap bytes the table holds, from its capacities: its
+// pages, index, page directory and source list. The allocator rounds each up
+// to a size class, which Bytes leaves out.
+//
+//colibri:allow(testonly) — cserv's TestCServBytesPerEER reads it
+func (t *Table[V]) Bytes() int {
+	const ptr, ia = int(unsafe.Sizeof(uintptr(0))), int(unsafe.Sizeof(topology.IA(0)))
+	return (cap(t.first)+len(t.pages)*pageLen)*int(t.RecordSize()) + cap(t.pages)*ptr +
+		(cap(t.slots)+cap(t.srcIdx))*4 + cap(t.srcs)*ia
+}
 
 // minSlots is the index size of a table's first insertion.
 const minSlots = 8
@@ -171,7 +252,7 @@ func (t *Table[V]) find(id reservation.ID) (int, *record[V]) {
 			return -1, nil
 		}
 		if s&^low == tag {
-			if r := t.rec(s&low - 1); r.key() == id {
+			if r := t.rec(s&low - 1); r.num == id.Num && t.srcs[r.src] == id.SrcAS {
 				return int(i), r
 			}
 		}
@@ -190,7 +271,8 @@ func (t *Table[V]) Get(id reservation.ID) *V {
 
 // Put returns id's record, inserting a zero one first when the table holds
 // none; added reports the insertion. Insertion allocates only when the
-// index grows or the last page is full.
+// index grows, the last page is full or the key's source AS is new to the
+// table.
 func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
 	if _, r := t.find(id); r != nil {
 		return &r.val, false
@@ -204,7 +286,7 @@ func (t *Table[V]) Put(id reservation.ID) (v *V, added bool) {
 	pos := t.n
 	t.n++
 	r := t.rec(uint32(pos))
-	r.ia, r.num = id.SrcAS, id.Num
+	r.src, r.num = t.srcOf(id.SrcAS), id.Num
 	t.place(t.slotOf(hash(id), pos))
 	return &r.val, true
 }
@@ -223,7 +305,7 @@ func (t *Table[V]) place(s, home uint32) {
 func (t *Table[V]) grow() {
 	t.slots = make([]uint32, max(len(t.slots)+len(t.slots)/2, minSlots))
 	for pos := range t.n {
-		t.place(t.slotOf(hash(t.rec(uint32(pos)).key()), pos))
+		t.place(t.slotOf(hash(t.key(t.rec(uint32(pos)))), pos))
 	}
 }
 
@@ -240,7 +322,7 @@ func (t *Table[V]) Delete(id reservation.ID) bool {
 	lr := t.rec(last)
 	if pos != last {
 		// Swap-last compaction: re-point the last record's slot at pos.
-		j := t.homeOf(lr.key())
+		j := t.homeOf(t.key(lr))
 		for t.slots[j]&low != last+1 {
 			j = t.next(j)
 		}
@@ -265,7 +347,7 @@ func (t *Table[V]) unslot(i uint32) {
 	n, low := uint32(len(t.slots)), t.low()
 	hole := i
 	for j := t.next(hole); t.slots[j] != 0; j = t.next(j) {
-		if home := t.homeOf(t.rec(t.slots[j]&low - 1).key()); (j+n-home)%n >= (j+n-hole)%n {
+		if home := t.homeOf(t.key(t.rec(t.slots[j]&low - 1))); (j+n-home)%n >= (j+n-hole)%n {
 			t.slots[hole] = t.slots[j]
 			hole = j
 		}
@@ -280,5 +362,5 @@ func (t *Table[V]) Len() int { return t.n }
 // 0 ≤ i < Len().
 func (t *Table[V]) At(i int) (reservation.ID, *V) {
 	r := t.rec(uint32(i))
-	return r.key(), &r.val
+	return t.key(r), &r.val
 }

@@ -6,6 +6,7 @@ import (
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -18,13 +19,14 @@ import (
 // the model once, every index slot names a live record — no record twice —
 // whose tag bits it carries, and the index is at most ¾ full. The pages must
 // hold every record, at most one page beyond them, and zero records past the
-// last.
+// last, and the source list must be consistent (checkSrcs).
 func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, val func(*V) uint64) {
 	t.Helper()
 	if tab.Len() != len(model) {
 		t.Fatalf("Len %d, model %d", tab.Len(), len(model))
 	}
 	checkPages(t, tab, val)
+	checkSrcs(t, tab)
 	for id, want := range model {
 		v := tab.Get(id)
 		if v == nil || val(v) != want {
@@ -46,7 +48,7 @@ func check[V any](t *testing.T, tab *Table[V], model map[reservation.ID]uint64, 
 			continue
 		}
 		pos := int(s&low) - 1
-		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.rec(uint32(pos)).key()))&^low != s&^low {
+		if pos < 0 || pos >= tab.Len() || named[pos] || uint32(hash(tab.key(tab.rec(uint32(pos)))))&^low != s&^low {
 			t.Fatalf("slot %#x names record %d of %d twice or with another tag", s, pos, tab.Len())
 		}
 		named[pos] = true
@@ -73,14 +75,55 @@ func checkPages[V any](t *testing.T, tab *Table[V], val func(*V) uint64) {
 		t.Fatalf("room for %d records holds %d", room, n)
 	}
 	for pos := n; pos < room; pos++ {
-		if r := tab.rec(uint32(pos)); r.ia != 0 || r.num != 0 || val(&r.val) != 0 {
-			t.Fatalf("position %d past the last record %d holds %v:%d", pos, n-1, r.key(), val(&r.val))
+		if r := tab.rec(uint32(pos)); r.src != 0 || r.num != 0 || val(&r.val) != 0 {
+			t.Fatalf("position %d past the last record %d holds source %d, number %d: %d", pos, n-1, r.src, r.num, val(&r.val))
 		}
 	}
 }
 
-// rec28 has the shape of the CServ's EER record: 28 bytes of 4-byte
-// alignment, which a record packs behind its key with no padding. A value is
+// checkSrcs checks the source list: no source listed twice, each found at its
+// own index through srcIdx, a power of two at most half full, and every live
+// record naming a listed one.
+func checkSrcs[V any](t *testing.T, tab *Table[V]) {
+	t.Helper()
+	seen := make(map[topology.IA]bool, len(tab.srcs))
+	for i, ia := range tab.srcs {
+		if j, ok := tab.findSrc(ia); seen[ia] || !ok || j != uint32(i) {
+			t.Fatalf("source %v at %d: listed before %v, found at %d (%v)", ia, i, seen[ia], j, ok)
+		}
+		seen[ia] = true
+	}
+	if n := len(tab.srcIdx); n&(n-1) != 0 || 2*len(tab.srcs) > n && len(tab.srcs) > 0 {
+		t.Fatalf("%d sources in a source index of %d slots", len(tab.srcs), n)
+	}
+	for pos := range tab.Len() {
+		if r := tab.rec(uint32(pos)); int(r.src) >= len(tab.srcs) {
+			t.Fatalf("record %d names source %d of %d", pos, r.src, len(tab.srcs))
+		}
+	}
+}
+
+// wideSrcs lists 331 source ASes in three interleaved runs: ASes that differ
+// only in the ISD, only in the AS number's high bits, and only in its low
+// bits.
+var wideSrcs = func() []topology.IA {
+	ias := make([]topology.IA, 331)
+	for i := range ias {
+		k := i / 3
+		switch i % 3 {
+		case 0:
+			ias[i] = topology.MustIA(topology.ISD(1+k), 3)
+		case 1:
+			ias[i] = topology.MustIA(1, topology.ASID(3|uint64(1+k)<<40))
+		default:
+			ias[i] = topology.MustIA(1, topology.ASID(4+k))
+		}
+	}
+	return ias
+}()
+
+// rec28 is a value of 28 bytes and 4-byte alignment, which a record packs
+// behind its key with no padding. A value is
 // spread over its fields so that a record the table moves in part reads back
 // as another value, and the zero record as 0.
 type rec28 struct {
@@ -107,7 +150,8 @@ func from28(r *rec28) uint64 {
 // values and on one of 4-byte-aligned 28-byte values (rec28). Each op is 3
 // bytes: the op, then a key: bit 15 picks one of two source ASes, bits 0–6
 // the number. Op 0xff resizes the table instead, to the key's bits 0–10 (see
-// runScript), so that a short script reaches every page edge.
+// runScript), so that a short script reaches every page edge and, with fresh
+// keys from the 331 sources of wideSrcs, outgrows the source list's scan.
 func FuzzTable(f *testing.F) {
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 2, 1, 0, 1, 3, 0})
 	f.Add([]byte{0, 1, 0, 0, 2, 0, 0, 3, 0, 0, 4, 0, 0, 5, 0, 2, 1, 0, 2, 5, 0, 3, 0, 0})
@@ -132,9 +176,9 @@ func FuzzTable(f *testing.F) {
 }
 
 // runScript runs one FuzzTable script on a Table[V] whose values set writes
-// and val reads. A resize puts fresh keys of a third source AS until the table
-// holds k&0x7ff records, or deletes its live ones, oldest first, until it
-// does or none is left.
+// and val reads. A resize puts fresh keys, their source ASes taken from
+// wideSrcs in turn, until the table holds k&0x7ff records, or deletes its live
+// ones, oldest first, until it does or none is left.
 func runScript[V any](t *testing.T, script []byte, set func(*V, uint64), val func(*V) uint64) {
 	var tab Table[V]
 	model := make(map[reservation.ID]uint64)
@@ -150,7 +194,7 @@ func runScript[V any](t *testing.T, script []byte, set func(*V, uint64), val fun
 		case 5: // resize
 			for want := int(k & 0x7ff); tab.Len() < want; {
 				made++
-				bid := reservation.ID{SrcAS: topology.MustIA(1, 3), Num: made}
+				bid := reservation.ID{SrcAS: wideSrcs[int(made)%len(wideSrcs)], Num: made}
 				v, _ := tab.Put(bid)
 				set(v, uint64(made)<<1)
 				model[bid] = val(v)
@@ -196,18 +240,18 @@ func runScript[V any](t *testing.T, script []byte, set func(*V, uint64), val fun
 	check(t, &tab, model, val)
 }
 
-// TestRecordPacksSmallValues pins the record layout: the key costs 12 bytes,
-// a 4-byte-aligned value packs into what a whole reservation.ID would pad, and
-// an 8-aligned one pads to 8 as it did behind a whole ID.
+// TestRecordPacksSmallValues pins the record layout: the key costs 8 bytes, a
+// source index and the number, and a value of 4- or 8-byte alignment packs
+// right behind it.
 func TestRecordPacksSmallValues(t *testing.T) {
 	for _, c := range []struct {
 		name      string
 		got, want uintptr
 	}{
-		{"rec28", (*Table[rec28])(nil).RecordSize(), 40},
-		{"uint32", (*Table[uint32])(nil).RecordSize(), 16},
-		{"uint64", (*Table[uint64])(nil).RecordSize(), 24},
-		{"[4]uint64", (*Table[[4]uint64])(nil).RecordSize(), 48},
+		{"rec28", (*Table[rec28])(nil).RecordSize(), 36},
+		{"uint32", (*Table[uint32])(nil).RecordSize(), 12},
+		{"uint64", (*Table[uint64])(nil).RecordSize(), 16},
+		{"[4]uint64", (*Table[[4]uint64])(nil).RecordSize(), 40},
 	} {
 		if c.got != c.want {
 			t.Errorf("a record of %s takes %d bytes, want %d", c.name, c.got, c.want)
@@ -264,18 +308,18 @@ func TestTableGetDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// TestLargeTableAgreesWithModel fills a table with 2²⁰ keys, so that its index
-// holds between 4/3 and 2 slots per key and a slot keeps at least 11 bits of
-// tag, then deletes half of the keys one by one with Delete and the other
-// half by deleting walks, checking every Get and At against the map model
-// between the stages.
+// TestLargeTableAgreesWithModel fills a table with 2²⁰ keys from the 331
+// sources of wideSrcs, so that its index holds between 4/3 and 2 slots per key
+// and a slot keeps at least 11 bits of tag, then deletes half of the keys one
+// by one with Delete and the other half by deleting walks, checking every Get
+// and At against the map model between the stages.
 func TestLargeTableAgreesWithModel(t *testing.T) {
 	const n = 1 << 20
 	var tab Table[uint64]
 	model := make(map[reservation.ID]uint64, n)
 	val := func(v *uint64) uint64 { return *v }
-	ias := []topology.IA{topology.MustIA(1, 11), topology.MustIA(2, 11), topology.MustIA(1, 12)}
-	id := func(i int) reservation.ID { return reservation.ID{SrcAS: ias[i%3], Num: uint32(i / 3)} }
+	ias := wideSrcs
+	id := func(i int) reservation.ID { return reservation.ID{SrcAS: ias[i%len(ias)], Num: uint32(i / len(ias))} }
 	for i := 0; i < n; i++ {
 		v, _ := tab.Put(id(i))
 		*v = uint64(i)
@@ -401,6 +445,54 @@ func TestTableBytesPerRecord(t *testing.T) {
 		}
 	}
 	runtime.KeepAlive(tab)
+}
+
+// TestBytesMatchesHeap pins Bytes against the live heap a table holds, at
+// sizes across the first page's doublings, the page edges and the index's
+// growths, with keys from one source and from the 331 of wideSrcs, and after
+// a drain: the two agree within one page.
+func TestBytesMatchesHeap(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap sizes are not meaningful under the race detector")
+	}
+	heap := func() int {
+		var m runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&m)
+		return int(m.HeapAlloc)
+	}
+	page := pageLen * int((*Table[rec28])(nil).RecordSize())
+	for _, srcs := range [][]topology.IA{wideSrcs[:1], wideSrcs} {
+		for _, c := range []struct{ fill, keep int }{
+			{1, 1}, {17, 17}, {300, 300}, {513, 513}, {5000, 5000}, {40_000, 40_000}, {40_000, 700},
+		} {
+			build := func() (got, want int) {
+				before := heap()
+				tab := new(Table[rec28])
+				for i := range c.fill {
+					tab.Put(reservation.ID{SrcAS: srcs[i%len(srcs)], Num: uint32(i)})
+				}
+				for i := c.keep; i < c.fill; i++ {
+					tab.Delete(reservation.ID{SrcAS: srcs[i%len(srcs)], Num: uint32(i)})
+				}
+				got = heap() - before
+				runtime.KeepAlive(tab)
+				return got, tab.Bytes()
+			}
+			// What the process allocated or freed meanwhile counts in a
+			// reading, and the allocator books small objects by the span: the
+			// median of five builds is the table's own.
+			var got [5]int
+			var want int
+			for i := range got {
+				got[i], want = build()
+			}
+			slices.Sort(got[:])
+			if d := got[2] - want; d < -page || d > page {
+				t.Errorf("%d sources, %d records put, %d kept: %d heap bytes, Bytes %d, want within a page (%d)", len(srcs), c.fill, c.keep, got[2], want, page)
+			}
+		}
+	}
 }
 
 // TestTablePagesReturn: a table that held 100 000 records and drained to

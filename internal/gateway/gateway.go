@@ -52,6 +52,9 @@ type record struct {
 	// blackholing on a reservation about to die (§3.2's graceful
 	// degradation). Install of a fresh version clears it (re-promotion).
 	demoted bool
+	// The table's key takes 8 bytes: the padding keeps a record one cache
+	// line, 64 bytes, so that no record's read straddles two.
+	_ [8]byte
 }
 
 // Gateway errors.

@@ -10,7 +10,7 @@ import (
 // table, key included, so that a field added to flow is a visible decision
 // about a router's resident state per watched flow.
 func TestWatchRecordBytesPinned(t *testing.T) {
-	if got := (*flattab.Table[flow])(nil).RecordSize(); got != 56 {
-		t.Errorf("the watch table's record is %d bytes, want 56", got)
+	if got := (*flattab.Table[flow])(nil).RecordSize(); got != 48 {
+		t.Errorf("the watch table's record is %d bytes, want 48", got)
 	}
 }
