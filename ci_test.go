@@ -30,8 +30,8 @@ const envelopeFile = "internal/cserv/envelope.go"
 type gate struct {
 	name string
 	re   string
-	// scope lists directories; "dir/..." takes every directory below dir
-	// too, and "./..." the whole tree.
+	// scope lists directories and files; "dir/..." takes every directory
+	// below dir too, and "./..." the whole tree.
 	scope []string
 	// tests puts _test.go files in scope.
 	tests bool
@@ -97,6 +97,11 @@ var gates = []gate{{
 	tests:  true,
 	sample: "\treturn f.Keep(i, lead)",
 }, {
+	name:   "one SegR leg per hop: no record copy to detect a retry, no undo closure, no re-encoded forward",
+	re:     `GetSegR\(|RenewSegRWithUndo|fwd := \*req`,
+	scope:  []string{"internal/cserv/segr.go"},
+	sample: "\tfwd := *req",
+}, {
 	name:   "no goroutine or channel of netsim's own",
 	re:     `^[[:space:]]*go [[:alnum:]_(]|make\(chan`,
 	scope:  []string{"internal/netsim"},
@@ -140,7 +145,7 @@ func (g gate) inScope(f string) bool {
 			if dir == below || strings.HasPrefix(dir, below+"/") {
 				return true
 			}
-		} else if dir == s {
+		} else if dir == s || f == s {
 			return true
 		}
 	}

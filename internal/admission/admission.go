@@ -207,13 +207,19 @@ func (st *State) admitLocked(req Request) (uint64, error) {
 	// shrink toward fair shares at their next renewal and this
 	// reservation's own renewal picks up the freed bandwidth (§4.2).
 
-	st.demIn[req.In] += d
-	st.demTube[tk] += d
-	st.demSrc[sk] += d
-	st.adjEg[req.Eg] += adj
-	st.allocEg[req.Eg] += g
-	st.entries[req.ID] = entry{req: req, adj: adj, grant: g}
+	st.add(entry{req: req, adj: adj, grant: g})
 	return g, nil
+}
+
+// add enters snapshot e into the aggregates.
+func (st *State) add(e entry) {
+	d := float64(e.req.MaxKbps)
+	st.demIn[e.req.In] += d
+	st.demTube[tubeKey{e.req.In, e.req.Eg}] += d
+	st.demSrc[srcEgKey{e.req.Src, e.req.Eg}] += d
+	st.adjEg[e.req.Eg] += e.adj
+	st.allocEg[e.req.Eg] += e.grant
+	st.entries[e.req.ID] = e
 }
 
 // scale returns min(1, cap/total); an infinite cap yields 1.
@@ -259,51 +265,40 @@ func clampNonNeg(v float64) float64 {
 	return v
 }
 
-// RenewSegRWithUndo is RenewSegR returning an undo closure that restores the
-// pre-renewal snapshot — used when a renewal succeeds locally but a
-// downstream AS refuses it, so the whole chain must roll back (§3.3's
-// temporary-reservation cleanup). undo is nil when the renewal failed (state
-// is already restored) or when there was no prior reservation.
-func (st *State) RenewSegRWithUndo(req Request) (grant uint64, undo func(), err error) {
+// Prior is the admitted snapshot a renewal replaced, none when the
+// reservation had none: what UndoRenewal puts back.
+type Prior struct {
+	e   entry
+	had bool
+}
+
+// Renew re-admits a reservation with fresh scale factors (and possibly a new
+// demand), releasing its snapshot first, and returns the grant and the
+// snapshot it replaced. On failure that snapshot is restored, so a failed
+// renewal never destroys an active reservation.
+func (st *State) Renew(req Request) (uint64, Prior, error) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	old, had := st.entries[req.ID]
-	if had {
-		st.releaseLocked(req.ID)
-	}
-	restore := func() {
-		// Re-admit the old snapshot verbatim (bypassing the proportional
-		// computation to keep the exact previous values).
-		d := float64(old.req.MaxKbps)
-		st.demIn[old.req.In] += d
-		st.demTube[tubeKey{old.req.In, old.req.Eg}] += d
-		st.demSrc[srcEgKey{old.req.Src, old.req.Eg}] += d
-		st.adjEg[old.req.Eg] += old.adj
-		st.allocEg[old.req.Eg] += old.grant
-		st.entries[old.req.ID] = old
-	}
+	var p Prior
+	p.e, p.had = st.entries[req.ID]
+	st.releaseLocked(req.ID)
 	g, err := st.admitLocked(req)
-	if err != nil {
-		if had {
-			restore()
-		}
-		return 0, nil, err
+	if err != nil && p.had {
+		st.add(p.e)
 	}
-	if !had {
-		id := req.ID
-		return g, func() {
-			st.mu.Lock()
-			defer st.mu.Unlock()
-			st.releaseLocked(id)
-		}, nil
+	return g, p, err
+}
+
+// UndoRenewal takes back a renewal of id that returned p, when a downstream AS
+// refused it (§3.3's temporary-reservation cleanup): the snapshot it replaced
+// comes back exactly.
+func (st *State) UndoRenewal(id reservation.ID, p Prior) {
+	st.mu.Lock()
+	defer st.mu.Unlock()
+	st.releaseLocked(id)
+	if p.had {
+		st.add(p.e)
 	}
-	id := req.ID
-	return g, func() {
-		st.mu.Lock()
-		defer st.mu.Unlock()
-		st.releaseLocked(id)
-		restore()
-	}, nil
 }
 
 // AdjustGrant lowers a reservation's recorded grant to the final value

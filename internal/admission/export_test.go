@@ -10,7 +10,7 @@ import (
 // old snapshot is restored, so a failed renewal never destroys an active
 // reservation.
 func (st *State) RenewSegR(req Request) (uint64, error) {
-	g, _, err := st.RenewSegRWithUndo(req)
+	g, _, err := st.Renew(req)
 	return g, err
 }
 

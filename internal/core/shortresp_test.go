@@ -114,8 +114,9 @@ func TestShortResponseDoesNotPanic(t *testing.T) {
 				}
 			}
 		}
-		// A SegR setup answered with no tokens.
-		l.at, l.resp = 0, (&cserv.SegSetupResp{FinalKbps: 1}).Marshal()
+		// A SegR setup answered with no tokens: granted at hop 0, 1 kbps, a
+		// token count of 0.
+		l.at, l.resp = 0, []byte{0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0}
 		seg := net.Registry.UpSegments(hs.IA)[0]
 		_, err := src.SetupSegment(seg, 0, 1_000)
 		l.at = -1

@@ -162,8 +162,8 @@ func (r *EEBatchRenewResp) Marshal() []byte {
 // what leaves the handler — the last hop's response, the grants. A solo
 // request (tags 4/5) is a wave of one as far as scratch goes: soloV and
 // soloResp are its views, and it shares fwd, the nonces, ad and sigma. req and
-// solo are the initiator's requests, which it encodes from; act a decoded
-// activation.
+// solo are the initiator's requests, which it encodes from; seg, act and down
+// a decoded SegR setup or renewal, activation and down request.
 //
 // Every seal through a scratch, solo or wave, takes its nonce from the
 // scratch's counter (nextNonce), the deterministic construction of NIST SP
@@ -182,7 +182,9 @@ type waveScratch struct {
 	solo     EESetupReq
 	soloV    eeReqView
 	soloResp eeRespView
+	seg      SegSetupReq
 	act      SegActivateReq
+	down     DownSegReq
 	states   []hopItem
 	// fwd is the request as this hop forwards it, which the views read: a wire
 	// hop's copy of what it received, the initiator's encoding at hop 0. The
@@ -234,7 +236,8 @@ func (s *Service) putWave(sc *waveScratch) {
 		return
 	}
 	// Empty the initiator's wave, and drop what aliases memory the scratch
-	// does not own — the downstream responses, a decoded activation's message.
+	// does not own — the downstream responses, a decoded activation's or down
+	// request's message.
 	r := &sc.req
 	r.SegIDs = r.SegIDs[:0]
 	r.Splits = r.Splits[:0]
@@ -243,7 +246,7 @@ func (s *Service) putWave(sc *waveScratch) {
 	r.Accums = r.Accums[:0]
 	r.Status = r.Status[:0]
 	r.Macs = r.Macs[:0]
-	sc.wave.msg, sc.soloV.msg, sc.resp.msg, sc.soloResp.msg, sc.act.wire = nil, nil, nil, nil, nil
+	sc.wave.msg, sc.soloV.msg, sc.resp.msg, sc.soloResp.msg, sc.act.wire, sc.down.body = nil, nil, nil, nil, nil, nil
 	s.waveMu.Lock()
 	s.waveFree = append(s.waveFree, sc)
 	s.waveMu.Unlock()

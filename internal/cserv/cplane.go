@@ -507,53 +507,130 @@ func (c *CPlane) shardFor(id reservation.ID) *cplaneShard {
 // the bandwidth available to EERs over this SegR at this AS. Its active
 // version never lapses.
 func (c *CPlane) AddSegR(req admission.Request) (uint64, error) {
-	return c.setupSegR(req, segment.Up, reservation.Version{ExpT: math.MaxUint32}, false)
+	l := segLeg{req: req, segType: segment.Up, v: reservation.Version{ExpT: math.MaxUint32}}
+	err := c.admitSeg(&l)
+	return l.grant, err
 }
 
-// setupSegR is AddSegR for the setup handler, which passes fresh: a SegR this
-// AS holds is refused (ErrSegRExists) instead of re-admitted. A SegR it
-// creates is of type segType, with v, at the grant, as its active version.
-func (c *CPlane) setupSegR(req admission.Request, segType segment.Type, v reservation.Version, fresh bool) (uint64, error) {
-	si := c.shardIndex(req.ID)
+// segLeg is one SegR setup or renewal at one hop (§3.3), in its caller's
+// memory: admitSeg admits it tentatively, settleSeg confirms it at the
+// path-wide grant or rolls it back, each under one acquisition of the SegR's
+// shard lock. A renewal's undo is the admitter's entry and the grant it
+// replaced.
+type segLeg struct {
+	req     admission.Request
+	segType segment.Type
+	v       reservation.Version // Ver and ExpT asked; a setup's grant once admitted
+	renewal bool
+	// dedup: the leg may retry a round that committed here. retry: it does,
+	// answered from what that round committed, which it never rolls back;
+	// activated: a renewal's version the activation round made active.
+	dedup, retry, activated bool
+	grant, prevGrant        uint64
+	prior                   admission.Prior
+}
+
+// admitSeg is leg l's forward pass. A lost response leaves every hop
+// downstream of the loss committed, so a retry (same ID, Ver and expiry) finds
+// its version in the record and is answered from it: admitting it again would
+// double-count the reservation. Otherwise a setup creates the SegR's record at
+// its grant, and a renewal re-admits the SegR.
+func (c *CPlane) admitSeg(l *segLeg) error {
+	id := l.req.ID
+	si := c.shardIndex(id)
 	sh := c.shards[si]
 	sh.mu.Lock()
-	r, known := sh.segs[req.ID]
+	defer sh.mu.Unlock()
+	r := sh.segs[id]
+	if l.dedup && r != nil {
+		switch p := r.pending; {
+		case l.renewal && p != nil && p.Ver == l.v.Ver && p.ExpT == l.v.ExpT:
+			l.retry, l.grant = true, p.BwKbps
+		case r.active.Ver == l.v.Ver && r.active.ExpT == l.v.ExpT:
+			l.retry, l.activated, l.grant = true, l.renewal, r.active.BwKbps
+		}
+		if l.retry {
+			return nil
+		}
+	}
 	var err error
 	switch {
-	case known && fresh:
+	case l.renewal && r == nil:
+		return ErrUnknownSegR
+	case l.renewal:
+		l.prevGrant = r.grant
+		l.grant, l.prior, err = sh.adm.Renew(l.req)
+	case r != nil:
 		err = ErrSegRExists
-	case !known && c.regFull(sh):
+	case c.regFull(sh):
 		err = ErrTooManySegRs
-	}
-	var grant uint64
-	if err == nil {
-		grant, err = sh.adm.AdmitSegR(req)
+	default:
+		l.grant, err = sh.adm.AdmitSegR(l.req)
 	}
 	if err != nil {
-		sh.mu.Unlock()
 		c.rejects.Add(1)
-		return 0, err
+		return err
 	}
-	if !known {
-		// Re-admitting a known ID (an idempotent replay or a version bump)
-		// must not wipe the ledger of EERs already charged against it.
-		v.BwKbps = grant
+	if r == nil {
+		l.v.BwKbps = l.grant
 		r = &segRec{led: *restree.NewProfile(c.ledgerEpochs, c.epochSec),
-			segType: segType, in: req.In, eg: req.Eg, minKbps: req.MinKbps, active: v}
-		c.register(sh, si, req.ID, r)
-	}
-	r.grant = grant
-	sh.mu.Unlock()
-	if !known {
+			segType: l.segType, in: l.req.In, eg: l.req.Eg, minKbps: l.req.MinKbps, active: l.v}
+		c.register(sh, si, id, r)
 		c.segCount.Add(1)
+		c.admits.Add(1)
+	} else {
+		c.renews.Add(1)
 	}
-	c.admits.Add(1)
-	return grant, nil
+	r.grant = l.grant
+	return nil
+}
+
+// settleSeg is leg l's response pass. With ok it fixes the grant at final, the
+// path-wide grant, as a setup's active version's or a renewal's pending one's
+// (alone for a version already active). Otherwise, or when that fails, it
+// rolls the leg back: a fresh SegR goes with its ledger; a renewal gets its
+// admitter's entry and grant back but keeps its ledger, or its admitted EER
+// charges would go too; a retry keeps what its round committed.
+func (c *CPlane) settleSeg(l *segLeg, final uint64, ok bool) (err error) {
+	id := l.req.ID
+	sh := c.shardFor(id)
+	sh.mu.Lock()
+	r := sh.segs[id]
+	if ok {
+		if err = ErrUnknownSegR; r != nil {
+			err = sh.adm.AdjustGrant(id, final)
+		}
+		if err == nil {
+			r.grant = final
+			switch {
+			case !l.renewal:
+				r.active.BwKbps = final
+			case !l.activated:
+				r.pending = &reservation.Version{Ver: l.v.Ver, BwKbps: final, ExpT: l.v.ExpT}
+			}
+			sh.mu.Unlock()
+			return nil
+		}
+	}
+	named := false
+	switch {
+	case l.retry || r == nil:
+	case l.renewal:
+		sh.adm.UndoRenewal(id, l.prior)
+		r.grant = l.prevGrant
+	default:
+		named = c.detach(sh, id, r)
+	}
+	sh.mu.Unlock()
+	if named {
+		c.purge(r)
+	}
+	return err
 }
 
 // TeardownSegR releases a SegR. It fails with ErrSegRInUse while EERs are
 // still admitted against it (tear those down or let them expire first). The
-// records of EERs that lapsed over it go with it, as DropSegR's do.
+// records of EERs that lapsed over it go with it, as a dropped SegR's do.
 func (c *CPlane) TeardownSegR(id reservation.ID) error {
 	now, err := c.clock(), ErrUnknownSegR
 	c.dropIf(id, func(r *segRec) bool {
@@ -566,33 +643,40 @@ func (c *CPlane) TeardownSegR(id reservation.ID) error {
 	return err
 }
 
-// DropSegR force-removes a SegR along with every EER record referencing it —
-// including transfer-AS records whose OTHER covering segment survives: a §4.7
-// EER loses its reservation when either covering SegR goes.
-func (c *CPlane) DropSegR(id reservation.ID) {
-	c.dropIf(id, func(*segRec) bool { return true })
-}
-
 // dropIf removes SegR id if its record satisfies cond, and reports whether it
-// did. Under its shard's lock the SegR leaves the admitter, the ID map and the
-// count, so no EER is admitted over it while its records go (purge); its
-// handle stays taken until purge has removed them.
+// did: under its shard's lock the SegR is detached, and the records that name
+// it go after (purge).
 func (c *CPlane) dropIf(id reservation.ID, cond func(*segRec) bool) bool {
 	sh := c.shardFor(id)
 	sh.mu.Lock()
 	r := sh.segs[id]
-	if r != nil && cond(r) {
-		sh.adm.Release(id)
-		delete(sh.segs, id)
-		c.segCount.Add(-1)
-	} else {
-		r = nil
-	}
+	ok := r != nil && cond(r)
+	named := ok && c.detach(sh, id, r)
 	sh.mu.Unlock()
-	if r != nil {
+	if named {
 		c.purge(r)
 	}
-	return r != nil
+	return ok
+}
+
+// detach takes SegR id's record r out of shard sh, which the caller has
+// locked — out of the admitter, the ID map and the count, so that no EER is
+// admitted over it any more — and frees its handle unless an EER record or leg
+// has named it: then purge must remove those records first.
+func (c *CPlane) detach(sh *cplaneShard, id reservation.ID, r *segRec) (named bool) {
+	sh.adm.Release(id)
+	delete(sh.segs, id)
+	c.segCount.Add(-1)
+	if !r.named {
+		c.freeHandle(sh, r.h)
+	}
+	return r.named
+}
+
+// freeHandle frees handle h of shard sh, which the caller has locked.
+func (c *CPlane) freeHandle(sh *cplaneShard, h segH) {
+	slot := uint32(h)>>c.shardBits - 1
+	sh.reg[slot], sh.free = regSlot{}, append(sh.free, slot)
 }
 
 // withSegR runs fn on SegR id's record under its shard's lock.
@@ -634,25 +718,6 @@ func (c *CPlane) InitiatedSegRs() []*reservation.SegR {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID.Less(out[j].ID) })
 	return out
-}
-
-// confirmSegR fixes SegR id's grant at final after the backward pass, with a
-// setup's active version or a renewal's v, which the record keeps, as the
-// pending one (§4.2); a nil v with setup false fixes the grant alone.
-func (c *CPlane) confirmSegR(id reservation.ID, final uint64, setup bool, v *reservation.Version) error {
-	return c.withSegR(id, func(sh *cplaneShard, r *segRec) error {
-		if err := sh.adm.AdjustGrant(id, final); err != nil {
-			return err
-		}
-		r.grant = final
-		switch {
-		case setup:
-			r.active.BwKbps = final
-		case v != nil:
-			r.pending = v
-		}
-		return nil
-	})
 }
 
 // clearPending discards SegR id's pending version, which will never be
@@ -707,6 +772,27 @@ func (c *CPlane) initiated(id reservation.ID, seg *segment.Segment, tokens [][pa
 		return nil
 	})
 	return segr, err
+}
+
+// origin returns what this AS, SegR id's initiator, reads to renew or
+// activate it: its segment, its next version and its active one.
+func (c *CPlane) origin(id reservation.ID) (seg *segment.Segment, next uint16, active reservation.Version, err error) {
+	err = c.withSegR(id, func(_ *cplaneShard, r *segRec) error {
+		if r.init != nil {
+			seg, active, next = r.init.seg, r.active, r.active.Ver+1
+			if r.pending != nil && r.pending.Ver >= next {
+				next = r.pending.Ver + 1
+			}
+		}
+		return nil
+	})
+	switch {
+	case err != nil:
+		err = fmt.Errorf("%w: %s", err, id)
+	case seg == nil:
+		err = fmt.Errorf("cserv: SegR %s was not initiated here", id)
+	}
+	return seg, next, active, err
 }
 
 // SetupEER is SetupEERPath over the one covering SegR seg, at version 0. It

@@ -457,7 +457,7 @@ func TestBooksAgree(t *testing.T) {
 					if rng.Intn(2) == 0 {
 						err = cp.AdjustSegR(s.ID, 2_000)
 					} else {
-						_, _, err = cp.RenewSegRWithUndo(s)
+						_, err = cp.RenewSegR(s)
 					}
 					if err != nil {
 						t.Fatal(err)

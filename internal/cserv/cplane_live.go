@@ -1,11 +1,9 @@
 // cplane_live.go — the CPlane surface consumed by the live request path
 // (service.go / segr.go / eer.go / batchrenew.go).
 //
-// cplane.go holds the engine's state and its SegR lifecycle; the live path
-// additionally needs
+// cplane.go holds the engine's state and its SegR lifecycle, the SegR legs
+// included; the live path additionally needs
 //
-//   - the SegR renewal wrapper around admission.State's that keeps the SegR's
-//     record coherent with the admitter,
 //   - EER operations over one OR two covering SegRs: at a transfer AS an
 //     EER entering on an up-segment and leaving on a core-segment consumes
 //     bandwidth on both (§4.7), and the two SegRs may live in different
@@ -22,7 +20,6 @@
 package cserv
 
 import (
-	"colibri/internal/admission"
 	"colibri/internal/reservation"
 	"colibri/internal/restree"
 )
@@ -47,39 +44,6 @@ func (r *segRec) demandMax(now uint32) uint64 {
 	// lifetimes from now bounds every live window without approaching the
 	// ledger horizon.
 	return uint64(max(r.led.MaxDemand(now, now+2*reservation.EERLifetimeSeconds), 0))
-}
-
-// RenewSegRWithUndo re-admits a SegR on its shard with fresh scale factors,
-// returning an undo closure restoring the pre-renewal snapshot (admitter
-// state and the record's grant). EER charges are untouched in both directions
-// — admitted versions keep their allocations until expiry (§4.2).
-func (c *CPlane) RenewSegRWithUndo(req admission.Request) (uint64, func(), error) {
-	sh := c.shardFor(req.ID)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	r, ok := sh.segs[req.ID]
-	if !ok {
-		return 0, nil, ErrUnknownSegR
-	}
-	grant, undo, err := sh.adm.RenewSegRWithUndo(req)
-	if err != nil {
-		c.rejects.Add(1)
-		return 0, nil, err
-	}
-	prev := r.grant
-	r.grant = grant
-	c.renews.Add(1)
-	wrapped := func() {
-		sh.mu.Lock()
-		defer sh.mu.Unlock()
-		if undo != nil {
-			undo()
-		}
-		if r, ok := sh.segs[req.ID]; ok {
-			r.grant = prev
-		}
-	}
-	return grant, wrapped, nil
 }
 
 // pathShards returns the shard indices to lock for a covering-SegR set in
@@ -625,62 +589,58 @@ func (c *CPlane) TeardownEERPath(eer reservation.ID, segs []reservation.ID) {
 // purge removes every EER record that names r, a detached SegR, then frees
 // the pairs that name it and r's handle for reuse: no record names a handle or
 // a pair once it is free, so none can name the SegR or pair that takes it
-// next. A SegR no record or leg ever named has none to look for, and is in no
-// pair. Locks are taken strictly one shard at a time but for the transfer-AS
-// records and the pairs, which go under their two (removePair, dropPair);
-// each shard's records are walked as Tick walks them, deleting in place. No
-// pair naming r can form meanwhile: r's ID resolves to nothing.
+// next. r is a SegR some record or leg has named (detach frees the handle of
+// one none has). Locks are taken strictly one shard at a time but for the
+// transfer-AS records and the pairs, which go under their two (removePair,
+// dropPair); each shard's records are walked as Tick walks them, deleting in
+// place. No pair naming r can form meanwhile: r's ID resolves to nothing.
 func (c *CPlane) purge(r *segRec) {
 	h := r.h
-	if r.named {
-		now := c.clock()
-		var pairs, freed []pairRef
-		removed := 0
-		for _, sh := range c.shards {
-			sh.mu.Lock()
-			for i := sh.eers.Len() - 1; i >= 0; i-- {
-				eid, e := sh.eers.At(i)
-				if e.cover&pairBit != 0 {
-					if pr := sh.pairRefOf(eid, e.cover); pr.seg == h || pr.seg2 == h {
-						pairs = append(pairs, pr)
-					}
-					continue
+	now := c.clock()
+	var pairs, freed []pairRef
+	removed := 0
+	for _, sh := range c.shards {
+		sh.mu.Lock()
+		for i := sh.eers.Len() - 1; i >= 0; i-- {
+			eid, e := sh.eers.At(i)
+			if e.cover&pairBit != 0 {
+				if pr := sh.pairRefOf(eid, e.cover); pr.seg == h || pr.seg2 == h {
+					pairs = append(pairs, pr)
 				}
-				if e.cover != h {
-					continue
-				}
-				p := c.pathOf(sh, h, now)
-				p.release(eid, e)
-				sh.eers.Delete(eid)
-				removed++
+				continue
 			}
-			for i, p := range sh.pairs {
-				if p.h == h || p.h2 == h {
-					freed = append(freed, pairRef{cover: pairBit | segH(i), seg: p.h, seg2: p.h2})
-				}
+			if e.cover != h {
+				continue
 			}
-			sh.mu.Unlock()
+			p := c.pathOf(sh, h, now)
+			p.release(eid, e)
+			sh.eers.Delete(eid)
+			removed++
 		}
-		for _, pr := range pairs {
-			if c.removePair(pr, func(*cpEER) bool { return true }, 0) {
-				removed++
+		for i, p := range sh.pairs {
+			if p.h == h || p.h2 == h {
+				freed = append(freed, pairRef{cover: pairBit | segH(i), seg: p.h, seg2: p.h2})
 			}
 		}
-		c.eerCount.Add(-int64(removed))
-		for _, pr := range freed {
-			// The purge of the pair's other SegR may have freed it first.
-			c.withHandles(pr, func(p eerPath) {
-				if b := p.prim.pairs[pr.cover&^pairBit]; b.h == pr.seg && b.h2 == pr.seg2 {
-					p.dropPair(pr.cover)
-				}
-			})
-		}
-		r.pairs = nil
+		sh.mu.Unlock()
 	}
+	for _, pr := range pairs {
+		if c.removePair(pr, func(*cpEER) bool { return true }, 0) {
+			removed++
+		}
+	}
+	c.eerCount.Add(-int64(removed))
+	for _, pr := range freed {
+		// The purge of the pair's other SegR may have freed it first.
+		c.withHandles(pr, func(p eerPath) {
+			if b := p.prim.pairs[pr.cover&^pairBit]; b.h == pr.seg && b.h2 == pr.seg2 {
+				p.dropPair(pr.cover)
+			}
+		})
+	}
+	r.pairs = nil
 	sh := c.shards[c.shardOf(h)]
 	sh.mu.Lock()
-	slot := uint32(h)>>c.shardBits - 1
-	sh.reg[slot] = regSlot{}
-	sh.free = append(sh.free, slot)
+	c.freeHandle(sh, h)
 	sh.mu.Unlock()
 }

@@ -178,7 +178,7 @@ func TestCPlaneRenewalFallback(t *testing.T) {
 	// renewal finds zero free bandwidth (4000 grant − 4000 for eid(1)).
 	r := seg
 	r.MaxKbps = 4_000
-	if _, _, err := cp.RenewSegRWithUndo(r); err != nil {
+	if _, err := cp.RenewSegR(r); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cp.RenewEER(eid(2), seg.ID, 6_000, clk.now()+16); !errors.Is(err, ErrInsufficient) {

@@ -47,26 +47,26 @@ func (r *DownSegReq) Body() []byte {
 // Marshal appends the MAC to the body.
 func (r *DownSegReq) Marshal() []byte { return append(r.Body(), r.Mac[:]...) }
 
-// UnmarshalDownSegReq parses a DownSegReq.
-func UnmarshalDownSegReq(data []byte) (*DownSegReq, error) {
+// unmarshal decodes data into r, reusing the capacity of r's segment; r.body
+// aliases data.
+func (r *DownSegReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	if d.u8() != tagDownReq {
-		return nil, ErrBadTag
+		return ErrBadTag
 	}
-	r := &DownSegReq{}
 	r.Requester = topology.IA(d.u64())
-	r.Seg = d.hops(nil)
+	r.Seg = d.hops(r.Seg[:0])
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
 	r.body = data[:len(data)-len(d.buf)]
 	d.bytes(r.Mac[:])
 	switch {
 	case d.err != nil:
-		return nil, d.err
+		return d.err
 	case len(d.buf) != 0:
-		return nil, ErrNotCanonical
+		return ErrNotCanonical
 	}
-	return r, nil
+	return nil
 }
 
 // RequestDownSegment (called at the segment's *last* AS) asks the head AS
@@ -96,23 +96,24 @@ func (s *Service) RequestDownSegment(seg *segment.Segment, minKbps, maxKbps uint
 	if err != nil {
 		return err
 	}
-	resp, err := UnmarshalSegSetupResp(data)
-	if err != nil {
+	var resp segRespView
+	if err := resp.load(data); err != nil {
 		return err
 	}
-	return resp.Refusal.at(int(resp.FailedAt))
+	return resp.refusal().at(resp.failedAt())
 }
 
-// handleDownReq processes a DownSegReq at the segment's head AS. A segment
-// that does not run from this AS to the requester is malformed.
-func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
+// handleDownReq processes a DownSegReq at the segment's head AS and returns
+// the marshaled response. A segment that does not run from this AS to the
+// requester is malformed.
+func (s *Service) handleDownReq(req *DownSegReq) []byte {
 	if len(req.Seg) < 2 || req.Seg[0].IA != s.ia || req.Seg[len(req.Seg)-1].IA != req.Requester {
-		return &SegSetupResp{Refusal: RefusedMalformed}
+		return refuseSeg(0, RefusedMalformed)
 	}
 	// The request's one MAC is the requester's (hop 0 of the exchange) towards
 	// this AS (hop 1).
 	if _, code := s.authHop(req.Requester, req.body, &req.Mac, 1); code != Granted {
-		return &SegSetupResp{Refusal: code}
+		return refuseSeg(0, code)
 	}
 	hops := make([]segment.Hop, len(req.Seg))
 	for i, h := range req.Seg {
@@ -121,7 +122,7 @@ func (s *Service) handleDownReq(req *DownSegReq) *SegSetupResp {
 	seg := &segment.Segment{Type: segment.Down, Hops: hops}
 	segr, err := s.SetupSegment(seg, req.MinKbps, req.MaxKbps)
 	if err != nil {
-		return &SegSetupResp{Refusal: refusalOf(err)}
+		return refuseSeg(0, refusalOf(err))
 	}
-	return &SegSetupResp{FinalKbps: segr.Active.BwKbps}
+	return segResp(Granted, 0, segr.Active.BwKbps, 0)
 }

@@ -248,9 +248,7 @@ func (s *Service) wireHop(idx int, refuse func(at int, code Refusal) []byte) (in
 }
 
 // The refusal of a request at hop at, one per response shape.
-func refuseSeg(at int, code Refusal) []byte {
-	return (&SegSetupResp{Refusal: code, FailedAt: uint8(at)}).Marshal()
-}
+func refuseSeg(at int, code Refusal) []byte { return segResp(code, at, 0, 0) }
 func refuseEE(at int, code Refusal) []byte {
 	return (&EESetupResp{Refusal: code, FailedAt: uint8(at)}).Marshal()
 }

@@ -1,12 +1,16 @@
 package cserv
 
 import (
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"slices"
 	"sort"
 
+	"colibri/internal/admission"
+	"colibri/internal/packet"
 	"colibri/internal/reservation"
+	"colibri/internal/segment"
 	"colibri/internal/topology"
 )
 
@@ -199,6 +203,93 @@ func (c *CPlane) Tick() int {
 	n, _ := c.tick()
 	return n
 }
+
+// RenewSegR is a SegR renewal's forward pass alone: the SegR re-admitted with
+// fresh scale factors, its grant the new one. EER charges are untouched.
+func (c *CPlane) RenewSegR(req admission.Request) (uint64, error) {
+	l := segLeg{req: req, renewal: true}
+	err := c.admitSeg(&l)
+	return l.grant, err
+}
+
+// setupSegR is a SegR setup's forward pass alone, as the setup handler runs
+// it: a fresh SegR of type segType with v, at the grant, as its active
+// version.
+func (c *CPlane) setupSegR(req admission.Request, segType segment.Type, v reservation.Version) (uint64, error) {
+	l := segLeg{req: req, segType: segType, v: v}
+	err := c.admitSeg(&l)
+	return l.grant, err
+}
+
+// confirmSegR is a SegR leg's response pass alone, never rolled back: SegR
+// id's grant fixed at final, with a setup's active version or a renewal's v
+// as the pending one at final; a nil v with setup false fixes the grant
+// alone.
+func (c *CPlane) confirmSegR(id reservation.ID, final uint64, setup bool, v *reservation.Version) error {
+	l := segLeg{req: admission.Request{ID: id}, renewal: !setup, retry: true, activated: v == nil}
+	if v != nil {
+		l.v = *v
+	}
+	return c.settleSeg(&l, final, true)
+}
+
+// DropSegR force-removes a SegR along with every EER record referencing it —
+// including transfer-AS records whose OTHER covering segment survives: a §4.7
+// EER loses its reservation when either covering SegR goes.
+func (c *CPlane) DropSegR(id reservation.ID) {
+	c.dropIf(id, func(*segRec) bool { return true })
+}
+
+// Body returns the MAC-covered canonical encoding.
+func (r *SegSetupReq) Body() []byte { return r.appendBody(nil) }
+
+// Marshal appends the MACs and the mutable accumulator to the body.
+func (r *SegSetupReq) Marshal() []byte {
+	return binary.BigEndian.AppendUint64(appendMacs(r.Body(), r.Macs), r.AccumKbps)
+}
+
+// Body returns the MAC-covered canonical encoding.
+func (r *SegActivateReq) Body() []byte { return r.appendBody(nil) }
+
+// Marshal appends the MACs to the body.
+func (r *SegActivateReq) Marshal() []byte { return appendMacs(r.Body(), r.Macs) }
+
+// SegSetupResp travels the reverse path. Grants accumulate per AS on the
+// forward pass; on success FinalKbps is the minimum and Tokens carries the
+// Eq. (3) token of each AS, ordered like the path.
+type SegSetupResp struct {
+	Refusal   Refusal
+	FailedAt  uint8 // path index of the refusing AS (when refused)
+	FinalKbps uint64
+	Tokens    [][packet.HVFLen]byte
+}
+
+// Marshal encodes the response into one allocation.
+func (r *SegSetupResp) Marshal() []byte {
+	b := segResp(r.Refusal, int(r.FailedAt), r.FinalKbps, len(r.Tokens))
+	for i, tok := range r.Tokens {
+		copy(b[segRespFixedLen+packet.HVFLen*i:], tok[:])
+	}
+	return b
+}
+
+// UnmarshalSegSetupResp parses a SegSetupResp.
+func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) { return decodeNew[SegSetupResp](data) }
+
+func (r *SegSetupResp) unmarshal(data []byte) error {
+	var v segRespView
+	if err := v.load(data); err != nil {
+		return err
+	}
+	r.Refusal, r.FailedAt, r.FinalKbps = v.refusal(), uint8(v.failedAt()), v.final()
+	for i := range v.n {
+		r.Tokens = append(r.Tokens, [packet.HVFLen]byte(v.token(i)))
+	}
+	return nil
+}
+
+// UnmarshalDownSegReq parses a DownSegReq.
+func UnmarshalDownSegReq(data []byte) (*DownSegReq, error) { return decodeNew[DownSegReq](data) }
 
 // AdjustSegR lowers a SegR's grant to the backward-pass minimum
 // (admission.State.AdjustGrant), in the admitter and in the SegR's record.

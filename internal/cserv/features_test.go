@@ -154,12 +154,12 @@ func TestHandleDownReqSegmentChecks(t *testing.T) {
 
 	// Segment not starting at the head AS.
 	bad := &DownSegReq{Requester: ia(2, 11), Seg: HopsFromSegment(downSeg)[1:], MaxKbps: 10}
-	if resp := head.handleDownReq(bad); resp.Refusal != RefusedMalformed {
+	if resp := head.handleDownReq(bad); Refusal(resp[0]) != RefusedMalformed {
 		t.Error("segment not starting here accepted")
 	}
 	// Requester not the last AS.
 	bad2 := &DownSegReq{Requester: ia(1, 11), Seg: HopsFromSegment(downSeg), MaxKbps: 10}
-	if resp := head.handleDownReq(bad2); resp.Refusal != RefusedMalformed {
+	if resp := head.handleDownReq(bad2); Refusal(resp[0]) != RefusedMalformed {
 		t.Error("wrong requester accepted")
 	}
 }

@@ -171,14 +171,21 @@ func (l *hopLeg) open(p *eerPath) Refusal {
 
 // admit runs one item's forward leg against p, the CPlane's covering-SegR set
 // with its shard locks held (open has passed), and returns its per-item
-// status: Granted, RefusedThrottled, RefusedBandwidth from the transfer split,
-// RefusedStale for a re-admission the ledger refused, and otherwise the
-// ledger's refusal.
+// status: Granted, RefusedThrottled, RefusedBandwidth for a window past one
+// EER lifetime or from the transfer split, RefusedStale for a re-admission the
+// ledger refused, and otherwise the ledger's refusal.
 //
 //colibri:nomalloc
 func (l *hopLeg) admit(p *eerPath, it *hopItem, num uint32, ver uint16, expT uint32) Refusal {
 	id := reservation.ID{SrcAS: l.src, Num: num}
 	asked := it.grant
+	// A version lives one EER lifetime (§4.2): a longer window is refused
+	// before anything is looked up or charged.
+	if expT > p.now+reservation.EERLifetimeSeconds {
+		l.refused++
+		it.grant = 0
+		return RefusedBandwidth
+	}
 	// Idempotent retry detection (idempotency key: (ID, Ver) with matching
 	// expiry): a lost response leaves every hop downstream of the loss
 	// committed, so a retried request finds its own version here. Answer from

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
@@ -360,5 +361,64 @@ func TestActivationRefusedBelowEERDemand(t *testing.T) {
 	}
 	if err := src.ActivateSegment(up.ID, ver); err != nil {
 		t.Fatalf("activating 8000 kbps under 8000 kbps of EERs: %v", err)
+	}
+}
+
+// TestWindowBeyondLifetimeRefused: a hop charges no EER window longer than one
+// EER lifetime and admits no SegR version longer than one SegR lifetime. A
+// signed wave item or solo renewal asking ExpT = now + 400 is refused at hop 1
+// with RefusedBandwidth before anything is looked up, charged or stamped — the
+// ledgers of every hop are as they were, and the EER's own renewal of that
+// second is not throttled — and a SegR setup asking now + 10 000 is refused
+// with RefusedMalformed. Every AS of the fabric shares one clock.
+func TestWindowBeyondLifetimeRefused(t *testing.T) {
+	f := cpFabric(t, 4, highRate)
+	up, _, _ := f.setupAllSegRs(t, 100_000)
+	src := f.services[ia(1, 11)]
+	g := requestEERs(t, src, 1, 1_000)[0]
+	f.clock.Add(1)
+	ledgers := func() (out [][]SegRAudit) {
+		for _, h := range g.PathHops {
+			out = append(out, f.services[h.IA].CPlane().AuditLedgers(f.now(), f.now()+500))
+		}
+		return out
+	}
+	before := ledgers()
+	hop1 := f.services[g.PathHops[1].IA]
+	far := f.now() + 400
+	wave := signedWave(t, src, []*EERGrant{g})
+	wave.Items[0].ExpT = far
+	out, err := hop1.HandleMsg(signWave(t, src, wave))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp, err := UnmarshalEEBatchRenewResp(out); err != nil || resp.Status[0] != RefusedBandwidth || resp.Granted[0] != 0 {
+		t.Fatalf("a wave item asking %d s: %+v, %v; want it refused for bandwidth", far-f.now(), resp, err)
+	}
+	renewal := renewalOf(g, g.Res.Ver+1, 1_000, f.now())
+	renewal.ExpT = far
+	if out, err = hop1.HandleMsg(signSolo(t, src, renewal)); err != nil {
+		t.Fatal(err)
+	}
+	if code, at := answerOf(out); code != RefusedBandwidth || at != 1 {
+		t.Fatalf("a renewal asking %d s: %v at hop %d; want RefusedBandwidth at hop 1", far-f.now(), code, at)
+	}
+	if after := ledgers(); !reflect.DeepEqual(before, after) {
+		t.Fatalf("the ledgers changed:\nbefore %+v\nafter  %+v", before, after)
+	}
+	if _, err := src.RenewEER(g, 1_000); err != nil {
+		t.Fatalf("the EER's own renewal after the refused ones: %v", err)
+	}
+	seg := &SegSetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 1 << 22}, SegType: up.SegType, Path: HopsFromSegment(up.Seg),
+		MaxKbps: 100, AccumKbps: 100, ExpT: f.now() + 10_000, Ver: 1}
+	seg.Macs = signFor(t, src, seg.Path, seg.Body())
+	if out, err = f.services[seg.Path[1].IA].HandleMsg(seg.Marshal()); err != nil {
+		t.Fatal(err)
+	}
+	if code, at := answerOf(out); code != RefusedMalformed || at != 1 {
+		t.Fatalf("a SegR setup asking 10 000 s: %v at hop %d; want RefusedMalformed at hop 1", code, at)
+	}
+	if _, err := f.services[seg.Path[1].IA].Store().GetSegR(seg.ID); err == nil {
+		t.Fatal("hop 1 holds the SegR it refused")
 	}
 }

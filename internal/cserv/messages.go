@@ -97,113 +97,111 @@ type SegSetupReq struct {
 	// models here.
 	AccumKbps uint64
 
-	// wire is the message this request was decoded from and bodyLen the
-	// MAC-covered share of it, which a hop authenticates: the decoder accepts
-	// only what Marshal would produce, so wire[:bodyLen] is Body(). Nil at the
-	// initiator, which checks no MAC of its own.
+	// wire is the message this request was decoded from — at the initiator
+	// too, which runs hop 0 on its own encoding — and bodyLen the MAC-covered
+	// share of it, which a hop authenticates: the decoder accepts only what
+	// Marshal would produce, so wire[:bodyLen] is Body().
 	wire    []byte
 	bodyLen int
 }
 
-// Body returns the MAC-covered canonical encoding.
-func (r *SegSetupReq) Body() []byte {
-	b := make([]byte, 0, 64+8*len(r.Path))
+func (r *SegSetupReq) appendBody(b []byte) []byte {
 	tag := byte(tagSegSetup)
 	if r.Renewal {
 		tag = tagSegRenew
 	}
-	b = append(b, tag)
-	b = appendID(b, r.ID)
+	b = appendID(append(b, tag), r.ID)
 	b = append(b, byte(r.SegType), boolByte(r.Renewal))
 	b = appendHops(b, r.Path)
 	b = binary.BigEndian.AppendUint64(b, r.MinKbps)
 	b = binary.BigEndian.AppendUint64(b, r.MaxKbps)
 	b = binary.BigEndian.AppendUint32(b, r.ExpT)
-	b = binary.BigEndian.AppendUint16(b, r.Ver)
-	return b
-}
-
-// Marshal appends the MACs and the mutable accumulator to the body.
-func (r *SegSetupReq) Marshal() []byte {
-	return binary.BigEndian.AppendUint64(appendMacs(r.Body(), r.Macs), r.AccumKbps)
+	return binary.BigEndian.AppendUint16(b, r.Ver)
 }
 
 // UnmarshalSegSetupReq parses a SegSetupReq, accepting only what Marshal
 // produces (ErrNotCanonical).
-func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) {
+//
+//colibri:allow(testonly) — core's TestShortResponseDoesNotPanic reads the SegR setups it answers falsely
+func UnmarshalSegSetupReq(data []byte) (*SegSetupReq, error) { return decodeNew[SegSetupReq](data) }
+
+// unmarshal decodes data into r, reusing the capacity of r's slices; r.wire
+// aliases data.
+func (r *SegSetupReq) unmarshal(data []byte) error {
 	d := decoder{buf: data}
 	tag := d.u8()
-	r := &SegSetupReq{}
 	r.ID = d.id()
 	r.SegType = segment.Type(d.u8())
 	flag := d.u8()
 	r.Renewal = flag == 1
-	r.Path = d.hops(nil)
+	r.Path = d.hops(r.Path[:0])
 	r.MinKbps = d.u64()
 	r.MaxKbps = d.u64()
 	r.ExpT = d.u32()
 	r.Ver = d.u16()
 	r.wire, r.bodyLen = data, len(data)-len(d.buf)
-	r.Macs = d.macs(nil)
+	r.Macs = d.macs(r.Macs[:0])
 	r.AccumKbps = d.u64()
 	switch {
 	case d.err != nil:
-		return nil, d.err
-	case tag != tagSegSetup && tag != tagSegRenew:
-		return nil, ErrBadTag
-	case flag > 1 || r.Renewal != (tag == tagSegRenew) || len(d.buf) != 0:
-		return nil, ErrNotCanonical
-	}
-	return r, nil
-}
-
-// SegSetupResp travels the reverse path. Grants accumulate per AS on the
-// forward pass; on success FinalKbps is the minimum and Tokens carries the
-// Eq. (3) token of each AS, ordered like the path.
-type SegSetupResp struct {
-	Refusal   Refusal
-	FailedAt  uint8 // path index of the refusing AS (when refused)
-	FinalKbps uint64
-	Tokens    [][packet.HVFLen]byte
-}
-
-// Marshal encodes the response into one allocation.
-func (r *SegSetupResp) Marshal() []byte {
-	b := append(make([]byte, 0, 1+1+8+2+packet.HVFLen*len(r.Tokens)), byte(r.Refusal), r.FailedAt)
-	b = binary.BigEndian.AppendUint64(b, r.FinalKbps)
-	b = binary.BigEndian.AppendUint16(b, uint16(len(r.Tokens)))
-	for _, tok := range r.Tokens {
-		b = append(b, tok[:]...)
-	}
-	return b
-}
-
-// UnmarshalSegSetupResp parses a SegSetupResp.
-func UnmarshalSegSetupResp(data []byte) (*SegSetupResp, error) { return decodeNew[SegSetupResp](data) }
-
-func (r *SegSetupResp) unmarshal(data []byte) error {
-	d := decoder{buf: data}
-	r.Refusal = Refusal(d.u8())
-	r.FailedAt = d.u8()
-	r.FinalKbps = d.u64()
-	n := int(d.u16())
-	switch {
-	case d.err != nil:
 		return d.err
-	case n > packet.MaxHops:
-		return fmt.Errorf("cserv: %d tokens exceeds maximum", n)
-	case n > len(d.buf)/packet.HVFLen:
-		return ErrTruncated
-	}
-	for i := 0; i < n; i++ {
-		var tok [packet.HVFLen]byte
-		d.bytes(tok[:])
-		r.Tokens = append(r.Tokens, tok)
-	}
-	if !r.Refusal.known() || len(d.buf) != 0 {
+	case tag != tagSegSetup && tag != tagSegRenew:
+		return ErrBadTag
+	case flag > 1 || r.Renewal != (tag == tagSegRenew) || len(d.buf) != 0:
 		return ErrNotCanonical
 	}
 	return nil
+}
+
+// A SegR answer (SegSetupResp) travels the reverse path of a setup, renewal
+// or activation: the refusal, FailedAt, FinalKbps, the count of tokens, and on
+// a setup's or renewal's grant the Eq. (3) token of each AS, ordered like the
+// path. segRespFixedLen is its size without the tokens.
+const segRespFixedLen = 1 + 1 + 8 + 2
+
+// segResp returns a SegR answer with n token slots, still empty: the refusal
+// code at hop at, or a grant of final.
+func segResp(code Refusal, at int, final uint64, n int) []byte {
+	b := make([]byte, segRespFixedLen+packet.HVFLen*n)
+	b[0], b[1] = byte(code), uint8(at)
+	binary.BigEndian.PutUint64(b[2:], final)
+	binary.BigEndian.PutUint16(b[10:], uint16(n))
+	return b
+}
+
+// segRespView is a checked SegSetupResp, read where it lies.
+type segRespView struct {
+	msg []byte
+	n   int
+}
+
+// load checks data as a SegSetupResp — no more tokens than a path has hops,
+// all of them there, the refusal of the vocabulary and nothing after the last
+// token — and aliases it.
+func (v *segRespView) load(data []byte) error {
+	if len(data) < segRespFixedLen {
+		return ErrTruncated
+	}
+	n := int(binary.BigEndian.Uint16(data[10:]))
+	switch size := segRespFixedLen + packet.HVFLen*n; {
+	case n > packet.MaxHops:
+		return fmt.Errorf("cserv: %d tokens exceeds maximum", n)
+	case len(data) < size:
+		return ErrTruncated
+	case !Refusal(data[0]).known() || len(data) != size:
+		return ErrNotCanonical
+	}
+	v.msg, v.n = data, n
+	return nil
+}
+
+func (v *segRespView) refusal() Refusal { return Refusal(v.msg[0]) }
+func (v *segRespView) failedAt() int    { return int(v.msg[1]) }
+func (v *segRespView) final() uint64    { return binary.BigEndian.Uint64(v.msg[2:]) }
+
+// token is hop i's token slot, which a hop writes into its own message.
+func (v *segRespView) token(i int) []byte {
+	return v.msg[segRespFixedLen+packet.HVFLen*i : segRespFixedLen+packet.HVFLen*(i+1)]
 }
 
 // SegActivateReq switches a SegR to its pending version (§4.2).
@@ -213,25 +211,19 @@ type SegActivateReq struct {
 	Path []PathHop
 	Macs [][cryptoutil.MACSize]byte
 
-	// wire is the message this request was decoded from and bodyLen the
-	// MAC-covered share of it, which a hop authenticates: the decoder accepts
-	// only what Marshal would produce, so wire[:bodyLen] is Body(). Nil at the
-	// initiator, which checks no MAC of its own.
+	// wire is the message this request was decoded from — at the initiator
+	// too, which runs hop 0 on its own encoding — and bodyLen the MAC-covered
+	// share of it, which a hop authenticates: the decoder accepts only what
+	// Marshal would produce, so wire[:bodyLen] is Body().
 	wire    []byte
 	bodyLen int
 }
 
-// Body returns the MAC-covered canonical encoding.
-func (r *SegActivateReq) Body() []byte {
-	b := []byte{tagSegActivate}
-	b = appendID(b, r.ID)
+func (r *SegActivateReq) appendBody(b []byte) []byte {
+	b = appendID(append(b, tagSegActivate), r.ID)
 	b = binary.BigEndian.AppendUint16(b, r.Ver)
-	b = appendHops(b, r.Path)
-	return b
+	return appendHops(b, r.Path)
 }
-
-// Marshal appends the MACs to the body.
-func (r *SegActivateReq) Marshal() []byte { return appendMacs(r.Body(), r.Macs) }
 
 // unmarshal decodes data into r, reusing the capacity of r's slices; r.wire
 // aliases data.

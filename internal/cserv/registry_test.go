@@ -18,7 +18,7 @@ func setupTestSegR(t *testing.T, cp *CPlane, num uint32, segType segment.Type, e
 	t.Helper()
 	req := segReq(num, 50, 1, 2, 1_000)
 	req.MinKbps = 10
-	if _, err := cp.setupSegR(req, segType, reservation.Version{Ver: 1, ExpT: expT}, true); err != nil {
+	if _, err := cp.setupSegR(req, segType, reservation.Version{Ver: 1, ExpT: expT}); err != nil {
 		t.Fatal(err)
 	}
 	return req.ID
@@ -57,7 +57,7 @@ func TestSegRLifecycle(t *testing.T) {
 	clk := newCPClock(1000)
 	cp := newTestCPlane(t, 4, clk)
 	id := setupTestSegR(t, cp, 1, segment.Core, clk.now()+reservation.SegRLifetimeSeconds)
-	if _, err := cp.setupSegR(segReq(1, 50, 1, 2, 1_000), segment.Core, reservation.Version{Ver: 1}, true); !errors.Is(err, ErrSegRExists) {
+	if _, err := cp.setupSegR(segReq(1, 50, 1, 2, 1_000), segment.Core, reservation.Version{Ver: 1}); !errors.Is(err, ErrSegRExists) {
 		t.Errorf("duplicate setup: %v", err)
 	}
 	got, err := cp.GetSegR(id)

@@ -273,17 +273,23 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 	}
 	switch data[0] {
 	case tagSegSetup, tagSegRenew:
-		req, err := UnmarshalSegSetupReq(data)
-		if err != nil {
+		// Decoded into scratch from this hop's copy, which it forwards with its
+		// accumulator written in; the response is never part of the scratch.
+		sc := s.getWave()
+		defer s.putWave(sc)
+		sc.fwd = append(sc.fwd[:0], data...)
+		req := &sc.seg
+		if err := req.unmarshal(sc.fwd); err != nil {
 			return nil, err
 		}
 		idx, out, err := s.wireHop(hopIndex(req.Path, s.ia), refuseSeg)
 		if idx == 0 {
 			return out, err
 		}
-		return s.processSegSetup(req, idx, min(req.AccumKbps, req.MaxKbps)).Marshal(), nil
+		return s.processSegSetup(sc, idx, min(req.AccumKbps, req.MaxKbps)), nil
 	case tagSegActivate:
-		// Decoded into scratch like a wave, and answered from the stack.
+		// Decoded into scratch, and forwarded as received: the hop changes
+		// nothing in it.
 		sc := s.getWave()
 		defer s.putWave(sc)
 		req := &sc.act
@@ -294,8 +300,7 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		if idx == 0 {
 			return out, err
 		}
-		resp := s.processSegActivate(req, idx)
-		return resp.Marshal(), nil
+		return s.processSegActivate(req, idx), nil
 	case tagEESetup, tagEERenew:
 		// Checked where it lies, then read from this hop's copy, which it
 		// forwards; the response is never part of the scratch.
@@ -330,11 +335,12 @@ func (s *Service) HandleMsg(data []byte) ([]byte, error) {
 		w.msg = sc.fwd
 		return s.processEEBatchRenew(sc, idx), nil
 	case tagDownReq:
-		req, err := UnmarshalDownSegReq(data)
-		if err != nil {
+		sc := s.getWave()
+		defer s.putWave(sc)
+		if err := sc.down.unmarshal(data); err != nil {
 			return nil, err
 		}
-		return s.handleDownReq(req).Marshal(), nil
+		return s.handleDownReq(&sc.down), nil
 	default:
 		return nil, ErrBadTag
 	}

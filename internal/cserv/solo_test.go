@@ -120,7 +120,10 @@ func TestSoloAllocBudget(t *testing.T) {
 // wave granted end to end is held to the same budget. A SegR activation
 // refused at hop 1 for an unknown SegR or for no pending version allocated
 // 16 and 10 while it decoded into fresh structs, MACed a re-encoded body and
-// copied the SegR's record to decide.
+// copied the SegR's record to decide. A SegR setup or renewal decodes into
+// the scratch too: while it decoded into a struct of its own, a forged setup
+// allocated 5 (6 while the MAC was checked over a re-encoding), one refused
+// by hop 1's admission 6, and a renewal of a SegR hop 1 does not hold 12.
 func TestRefusalAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -165,6 +168,16 @@ func TestRefusalAllocBudget(t *testing.T) {
 		Path: HopsFromSegment(up.Seg), MaxKbps: 100, ExpT: f.now() + 300, Ver: 1, AccumKbps: 100}
 	forgedSeg.Macs = signFor(t, src, forgedSeg.Path, forgedSeg.Body())
 	forgedSeg.Macs[1][0] ^= 1
+	// A SegR renewal of an ID hop 1 does not hold, and a setup of src's
+	// up-SegR, which hop 1 holds, at a version that is no retry.
+	segReq := func(id reservation.ID, ver uint16, renewal bool) []byte {
+		req := &SegSetupReq{ID: id, SegType: segment.Up, Path: HopsFromSegment(up.Seg), MaxKbps: 100,
+			ExpT: f.now() + 300, Ver: ver, Renewal: renewal, AccumKbps: 100}
+		req.Macs = signFor(t, src, req.Path, req.Body())
+		return req.Marshal()
+	}
+	unknownRenewal := segReq(reservation.ID{SrcAS: src.ia, Num: 1 << 22}, 2, true)
+	existingSetup := segReq(up.ID, up.Active.Ver+5, false)
 	lastUnauthentic := signedWave(t, src, gs[1:2])
 	lastUnauthentic.Macs[len(lastUnauthentic.Macs)-1][0] ^= 1
 	// The granted wave renews gs[2] to one fresh version per run.
@@ -183,21 +196,20 @@ func TestRefusalAllocBudget(t *testing.T) {
 		want Refusal
 		at   uint8
 		tick bool // a second passes before each run
-		// allocs is what a transit HandleMsg allocates: the response alone,
-		// but for a SegR setup, which decodes into a struct of its own.
-		allocs float64
 	}{
-		{"a solo renewal throttled at hop 1", func() []byte { return throttled }, RefusedThrottled, 1, false, 1},
-		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false, 1},
-		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false, 1},
-		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false, 1},
-		{"an activation of an unknown SegR", func() []byte { return unknownSegR }, RefusedUnknownSegR, 1, false, 1},
-		{"an activation with no pending version", func() []byte { return noPending }, RefusedNoPending, 1, false, 1},
-		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true, 1},
-		// The request struct, its path and MACs, the refusal and its encoding:
-		// the MAC is checked over the bytes received, not a re-encoding (6
-		// allocations when it was).
-		{"a forged SegR setup", forgedSeg.Marshal, RefusedAuth, 1, false, 5},
+		{"a solo renewal throttled at hop 1", func() []byte { return throttled }, RefusedThrottled, 1, false},
+		{"a solo setup vetoed by the last hop", func() []byte { return vetoed }, RefusedVeto, uint8(len(g.PathHops) - 1), false},
+		{"a cross-source wave", func() []byte { return crossSource }, RefusedMalformed, 1, false},
+		{"a wave unauthentic at the last hop", lastUnauthentic.Marshal, RefusedAuth, uint8(len(g.PathHops) - 1), false},
+		{"an activation of an unknown SegR", func() []byte { return unknownSegR }, RefusedUnknownSegR, 1, false},
+		{"an activation with no pending version", func() []byte { return noPending }, RefusedNoPending, 1, false},
+		{"a granted wave", func() []byte { next++; return granted[next-1] }, Granted, 0, true},
+		// Decoded into the scratch, the MAC checked over the bytes received:
+		// the refusal alone (5 allocations while the request decoded into a
+		// struct of its own).
+		{"a forged SegR setup", forgedSeg.Marshal, RefusedAuth, 1, false},
+		{"a SegR renewal of a SegR hop 1 does not hold", func() []byte { return unknownRenewal }, RefusedUnknownSegR, 1, false},
+		{"a SegR setup refused by hop 1's admission", func() []byte { return existingSetup }, RefusedSegRExists, 1, false},
 	} {
 		msgs := make([][]byte, runs+1)
 		for i := range msgs {
@@ -217,8 +229,56 @@ func TestRefusalAllocBudget(t *testing.T) {
 				t.Fatalf("%s: the item is %v", tc.name, Refusal(out[1+1+4+8]))
 			}
 		})
-		if allocs != tc.allocs {
-			t.Errorf("%s: a transit HandleMsg allocates %.1f times, want %.0f", tc.name, allocs, tc.allocs)
+		if allocs != 1 {
+			t.Errorf("%s: a transit HandleMsg allocates %.1f times, want 1", tc.name, allocs)
+		}
+	}
+}
+
+// TestSegRAllocBudget pins the allocations of a granted SegR setup's and
+// renewal's transit HandleMsg, with the rest of the 3-hop up-segment behind
+// it: a setup's new record and ledger at each of the two hops and the last
+// hop's answer, a renewal's pending version at each and the answer. While
+// each hop decoded into a struct of its own, copied the SegR's record to
+// detect a retry, kept a renewal's undo as closures, re-encoded the request
+// to forward it and allocated and marshalled an answer of its own, they
+// allocated 37 and 27.
+func TestSegRAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	f := cpFabric(t, 8, highRate)
+	up, _, _ := f.setupAllSegRs(t, 1_000_000)
+	src := f.services[ia(1, 11)]
+	path := HopsFromSegment(up.Seg)
+	hop1 := f.services[path[1].IA]
+	const runs = 100
+	setups, renewals := make([][]byte, runs+1), make([][]byte, runs+1)
+	for i := range setups {
+		req := &SegSetupReq{ID: reservation.ID{SrcAS: src.ia, Num: 1<<22 + uint32(i)}, SegType: up.SegType, Path: path,
+			MaxKbps: 100, AccumKbps: 100, ExpT: f.now() + reservation.SegRLifetimeSeconds, Ver: 1}
+		req.Macs = signFor(t, src, req.Path, req.Body())
+		setups[i] = req.Marshal()
+		req = &SegSetupReq{ID: up.ID, SegType: up.SegType, Path: path, MaxKbps: 1_000_000, AccumKbps: 1_000_000,
+			ExpT: f.now() + reservation.SegRLifetimeSeconds, Ver: up.Active.Ver + 1 + uint16(i), Renewal: true}
+		req.Macs = signFor(t, src, req.Path, req.Body())
+		renewals[i] = req.Marshal()
+	}
+	for _, tc := range []struct {
+		name   string
+		msgs   [][]byte
+		budget float64
+	}{{"setup", setups, 9}, {"renewal", renewals, 3}} {
+		i := 0
+		allocs := testing.AllocsPerRun(runs, func() {
+			out, err := hop1.HandleMsg(tc.msgs[i])
+			i++
+			if code, at := answerOf(out); err != nil || code != Granted {
+				t.Fatalf("SegR %s: %v at hop %d, %v", tc.name, code, at, err)
+			}
+		})
+		if allocs > tc.budget {
+			t.Errorf("a granted SegR %s's transit HandleMsg allocates %.1f times, budget %.0f", tc.name, allocs, tc.budget)
 		}
 	}
 }

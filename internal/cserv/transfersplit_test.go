@@ -481,14 +481,14 @@ func TestTransferSplitConcurrentPairs(t *testing.T) {
 		defer wg.Done()
 		for i := range uint32(rounds) {
 			other := segReq(100+i, 50, 1, 2, 1_000)
-			if _, err := cp.setupSegR(other, segment.Up, reservation.Version{Ver: 1, ExpT: math.MaxUint32}, true); err != nil {
+			if _, err := cp.setupSegR(other, segment.Up, reservation.Version{Ver: 1, ExpT: math.MaxUint32}); err != nil {
 				t.Error(err)
 				return
 			}
 			leg(ia(3, 9), other.ID, i, i%2 == 0, func() { cp.DropSegR(other.ID) })
 			if i == rounds/2 {
 				cp.DropSegR(ups[1])
-				if _, err := cp.setupSegR(segReq(3, 50, 1, 2, 1_000), segment.Up, reservation.Version{Ver: 1, ExpT: math.MaxUint32}, true); err != nil {
+				if _, err := cp.setupSegR(segReq(3, 50, 1, 2, 1_000), segment.Up, reservation.Version{Ver: 1, ExpT: math.MaxUint32}); err != nil {
 					t.Error(err)
 					return
 				}

@@ -817,6 +817,11 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 		if status[i] = req.Status[i]; status[i] != Granted {
 			continue
 		}
+		if it.ExpT > now+reservation.EERLifetimeSeconds {
+			// A window past one EER lifetime, refused before any lookup.
+			status[i] = RefusedBandwidth
+			continue
+		}
 		asked := min(req.Accums[i], it.BwKbps)
 		prevBw, prevVer, prevExpT, had := s.cp.LookupEER(it.ID, segIDs[0])
 		if found[it.ID] && !had {
@@ -892,8 +897,9 @@ func refBatchHop(t testing.TB, s *Service, req *EEBatchRenewReq, idx int) (statu
 // valid, those a renewal to less replaced included (§4.2).
 //
 // Laggard EERs are renewed only once their record has lapsed, and are then
-// named twice in the wave: the first naming, refused for bandwidth or for its
-// window, drops the record, and the second finds none. A later item must see
+// named twice in the wave: the first naming, refused for bandwidth, drops the
+// record, and the second finds none; one refused for its window, longer than
+// an EER lifetime, leaves the record alone. A later item must see
 // what the items before it in its own wave did to its record, and to the record
 // swap-last deletion moved into a dropped one's place: a leg that trusted the
 // wave's read-ahead instead of its own lookup fails here.
@@ -993,8 +999,8 @@ func TestFusedSweepDifferential(t *testing.T) {
 								ExpT: now + reservation.EERLifetimeSeconds, SrcHost: ga[e].EER.SrcHost, DstHost: ga[e].EER.DstHost}
 							switch {
 							case e < nLaggard && !repeat && rng.Intn(2) == 0:
-								// A window past the ledger's horizon: refused, and the
-								// lapsed record goes with the refusal.
+								// A window past the ledger's horizon, and past one EER
+								// lifetime: refused before the record is looked up.
 								it.ExpT = now + 1_000
 							case rng.Intn(8) == 0:
 								it.BwKbps = 60_000 // more than the SegR has
