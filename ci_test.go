@@ -21,7 +21,7 @@ import (
 const gateFile = "ci_test.go"
 
 // envelopeFile is the one cserv file that may verify, throttle, fetch and
-// derive keys, draw nonces, seal and open.
+// derive keys, draw nonces, seal and open, and compare-and-swap.
 const envelopeFile = "internal/cserv/envelope.go"
 
 // gate is a text rule of the tree: no line of a .go file in its scope
@@ -66,10 +66,17 @@ var gates = []gate{{
 	sample: "\tmac := cryptoutil.MustCMAC(key, msg)",
 }, {
 	name:   "one authentication envelope: MAC check, rate-limit token, key fetch and derivation, nonce draw, σ seal and open only in " + envelopeFile,
-	re:     `rate\.Allow\(|\.verify\(|hopKey\(|SealTo\(|OpenTo\(|RandomNonces\(|Level1\(`,
+	re:     `takeToken\(|\.verify\(|hopKey\(|SealTo\(|OpenTo\(|RandomNonces\(|Level1\(`,
 	scope:  []string{"internal/cserv"},
 	exempt: envelopeFile,
-	sample: "\tif !s.rate.Allow(src) {",
+	sample: "\tif !kc.takeToken(now, s.rateLimit) {",
+}, {
+	name: "every CAS of non-test internal/cserv lies in " + envelopeFile + ", and there are two: the loop that takes a rate token " +
+		"from a source's rate word (keyCrypto.takeToken) and the single CAS that parks scratch in the idle slot (putWave)",
+	re:     `CompareAndSwap\(`,
+	scope:  []string{"internal/cserv"},
+	exempt: envelopeFile,
+	sample: "\t\tif k.tokens.CompareAndSwap(w, uint64(now)<<32|uint64(n+1)) {",
 }, {
 	name:   "one record table per shard: no Go map of the CServ's EER records, no map range over them",
 	re:     `map\[reservation\.ID\]cpEER|range sh\.eers`,

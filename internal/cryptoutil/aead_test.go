@@ -2,7 +2,10 @@ package cryptoutil
 
 import (
 	"bytes"
+	"crypto/aes"
+	"crypto/cipher"
 	"errors"
+	"math/rand/v2"
 	"testing"
 	"testing/quick"
 )
@@ -156,5 +159,114 @@ func TestSealToNoAlloc(t *testing.T) {
 		}
 	}); avg != 0 {
 		t.Errorf("SealTo+OpenTo allocate %.1f times per item, want 0", avg)
+	}
+}
+
+// checkSealOneBlock seals pt under key and nonce with ad through a Sealer —
+// the one-block kernel, where the build and CPU have one — and requires the
+// bytes crypto/cipher's GCM seals, the plaintext back from OpenTo, and
+// ErrAEADOpen for every byte of the sealed message or of ad tampered with.
+func checkSealOneBlock(t *testing.T, key Key, nonce, pt, ad []byte) {
+	t.Helper()
+	block, err := aes.NewCipher(key[:])
+	if err != nil {
+		t.Fatal(err)
+	}
+	gcm, err := cipher.NewGCM(block)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := gcm.Seal(append([]byte(nil), nonce...), nonce, pt, ad)
+	sl := NewSealer(key)
+	sealed := sl.SealTo(nil, nonce, pt, ad)
+	if !bytes.Equal(sealed, want) {
+		t.Fatalf("key %x nonce %x σ %x ad %x: sealed %x, crypto/cipher %x", key, nonce, pt, ad, sealed, want)
+	}
+	if got, err := sl.OpenTo([]byte{0xee}, sealed, ad); err != nil || !bytes.Equal(got, append([]byte{0xee}, pt...)) {
+		t.Fatalf("key %x nonce %x ad %x: opened %x, %v; want %x", key, nonce, ad, got, err, pt)
+	}
+	for i := range sealed {
+		bad := append([]byte(nil), sealed...)
+		bad[i] ^= 1 << (i % 8)
+		if got, err := sl.OpenTo(nil, bad, ad); !errors.Is(err, ErrAEADOpen) || got != nil {
+			t.Fatalf("byte %d of the sealed σ tampered with: opened %x, %v", i, got, err)
+		}
+	}
+	for i := range ad {
+		bad := append([]byte(nil), ad...)
+		bad[i] ^= 0x80
+		if got, err := sl.OpenTo(nil, sealed, bad); !errors.Is(err, ErrAEADOpen) || got != nil {
+			t.Fatalf("byte %d of the associated data tampered with: opened %x, %v", i, got, err)
+		}
+	}
+	if len(ad) < oneBlock {
+		if got, err := sl.OpenTo(nil, sealed, append(ad[:len(ad):len(ad)], 0)); !errors.Is(err, ErrAEADOpen) {
+			t.Fatalf("associated data extended by a zero byte: opened %x, %v", got, err)
+		}
+	}
+}
+
+// TestSealOneBlockMatchesCipher runs checkSealOneBlock over every length of
+// associated data the kernel takes, 0 to 16 bytes, under random keys,
+// nonces and σs.
+func TestSealOneBlockMatchesCipher(t *testing.T) {
+	rnd := rand.New(rand.NewPCG(1, 2))
+	for n := range 200 {
+		var key Key
+		nonce, pt, ad := make([]byte, NonceSize), make([]byte, oneBlock), make([]byte, n%(oneBlock+1))
+		for _, b := range [][]byte{key[:], nonce, pt, ad} {
+			for i := range b {
+				b[i] = byte(rnd.Uint32())
+			}
+		}
+		checkSealOneBlock(t, key, nonce, pt, ad)
+	}
+}
+
+// FuzzSealOneBlock: for any key, nonce, σ and 0 to 16 bytes of associated
+// data, a Sealer seals the bytes crypto/cipher's GCM does, opens them, and
+// refuses every tampered byte.
+func FuzzSealOneBlock(f *testing.F) {
+	f.Add(make([]byte, KeySize), make([]byte, NonceSize), make([]byte, oneBlock), []byte{})
+	f.Add([]byte("0123456789abcdef"), []byte("nonce-twelve"), []byte("sixteen byte sig"), []byte("res-id|hop-3"))
+	f.Add(bytes.Repeat([]byte{0xff}, KeySize), bytes.Repeat([]byte{0xff}, NonceSize), bytes.Repeat([]byte{0xff}, oneBlock), bytes.Repeat([]byte{0xff}, oneBlock))
+	f.Fuzz(func(t *testing.T, key, nonce, pt, ad []byte) {
+		// Every input is sized to what the kernel takes: key, nonce and σ
+		// zero-padded or cut, the associated data cut to one block.
+		var k Key
+		copy(k[:], key)
+		n, p := make([]byte, NonceSize), make([]byte, oneBlock)
+		copy(n, nonce)
+		copy(p, pt)
+		checkSealOneBlock(t, k, n, p, ad[:min(len(ad), oneBlock)])
+	})
+}
+
+// BenchmarkSealOneBlock seals and opens a σ with 13 bytes of associated data,
+// a hop's EER authenticator, on the one-block kernel and on crypto/cipher's
+// GCM.
+func BenchmarkSealOneBlock(b *testing.B) {
+	pt, ad := make([]byte, oneBlock), make([]byte, 13)
+	nonce := make([]byte, NonceSize)
+	for _, kernel := range []bool{true, false} {
+		sl := NewSealer(Key{1})
+		sl.one = sl.one && kernel
+		name := map[bool]string{true: "kernel", false: "cipher"}[sl.one]
+		buf := make([]byte, 0, oneBlock+SealOverhead)
+		b.Run("seal/"+name, func(b *testing.B) {
+			for range b.N {
+				nonce[0]++
+				buf = sl.SealTo(buf[:0], nonce, pt, ad)
+			}
+		})
+		sealed := sl.SealTo(nil, nonce, pt, ad)
+		out := make([]byte, 0, oneBlock)
+		b.Run("open/"+name, func(b *testing.B) {
+			for range b.N {
+				if _, err := sl.OpenTo(out, sealed, ad); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

@@ -12,6 +12,24 @@ func cpuHasAESNI() bool
 //go:noescape
 func expandAESNI(ks *AESSchedule, key *Key)
 
+// The one-block GCM kernel (gcm_amd64.s) also wants PCLMULQDQ and SSE4.1.
+var useGCMOne = useAESNI && cpuHasPCLMUL()
+
+// cpuHasPCLMUL reports CPUID.1:ECX bits 1 (PCLMULQDQ) and 19 (SSE4.1).
+func cpuHasPCLMUL() bool
+
+// gcmInitAESNI computes gk's powers of the hash key from its schedule.
+//
+//go:noescape
+func gcmInitAESNI(gk *gcmKey)
+
+// gcmOneAESNI seals (seal) or opens one block under gk: out is in ⊕
+// E_K(J0+1), and tag the GCM tag of ad's first adLen bytes and of the
+// ciphertext, out when sealing and in when opening.
+//
+//go:noescape
+func gcmOneAESNI(gk *gcmKey, j0, ad *[16]byte, adLen uint64, in, out, tag *[16]byte, seal bool)
+
 //go:noescape
 func encryptAESNI(ks *AESSchedule, dst, src *[16]byte)
 

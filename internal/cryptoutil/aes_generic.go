@@ -36,3 +36,13 @@ func SigmaMAC(ks *AESSchedule, sigma *Key, mac *[MACSize]byte, block *[16]byte) 
 //
 //colibri:nomalloc
 func (m *CBCMAC) HopMAC(in *[48]byte, block, mac *[MACSize]byte) { m.hopMACSoft(in, block, mac) }
+
+// This build has no one-block GCM kernel: every seal and open runs
+// crypto/cipher's GCM.
+const useGCMOne = false
+
+func gcmInitAESNI(*gcmKey) { panic("cryptoutil: no GCM kernel in this build") }
+
+func gcmOneAESNI(*gcmKey, *[16]byte, *[16]byte, uint64, *[16]byte, *[16]byte, *[16]byte, bool) {
+	panic("cryptoutil: no GCM kernel in this build")
+}

@@ -52,7 +52,9 @@ func katUint(t *testing.T, kat map[string][]byte, name string) uint64 {
 // library's AES computed (testdata/kat.hex): the packed MAC inputs, and each
 // kernel the planes use — the CBC-MAC chain, the router's fused σ-then-HVF
 // step, the gateway's per-σ step and the one-block MAC — in whichever build,
-// AES-NI or purego, the test runs.
+// AES-NI or purego, the test runs; and σ sealed for the source (Eq. 5) to
+// vectors crypto/cipher's GCM computed, on the one-block kernel where the
+// test runs it.
 func TestKnownAnswers(t *testing.T) {
 	kat := readKAT(t, "testdata/kat.hex")
 	u := func(name string) uint64 { return katUint(t, kat, name) }
@@ -97,4 +99,13 @@ func TestKnownAnswers(t *testing.T) {
 	mac = [MACSize]byte{}
 	MACOneBlock(NewBlock(sigma), &mac, &hvfIn)
 	want("hvfmac", mac[:])
+
+	sl := NewSealer(key)
+	for _, n := range []string{"0", "13", "16"} {
+		ad := kat["gcmad"+n]
+		want("gcmseal"+n, sl.SealTo(nil, kat["gcmnonce"], sigma[:], ad))
+		if got, err := sl.OpenTo(nil, kat["gcmseal"+n], ad); err != nil || !bytes.Equal(got, sigma[:]) {
+			t.Errorf("gcmseal%s opens to %x, %v; want %x", n, got, err, sigma)
+		}
+	}
 }

@@ -217,41 +217,6 @@ const maxRetainedWave = 2 * DefaultBatchSize
 // maxRetainedWave items over a chain of the longest path.
 const maxRetainedFwd = (eeBatchItemLen+eeBatchTailLen)*maxRetainedWave + (hopLen+cryptoutil.MACSize)*packet.MaxHops + 1024
 
-func (s *Service) getWave() *waveScratch {
-	s.waveMu.Lock()
-	defer s.waveMu.Unlock()
-	if n := len(s.waveFree); n > 0 {
-		sc := s.waveFree[n-1]
-		s.waveFree = s.waveFree[:n-1]
-		return sc
-	}
-	return newWaveScratch()
-}
-
-// putWave returns scratch once nothing refers to it any more: the response
-// is sealed (or, at the initiator, opened into the grants).
-func (s *Service) putWave(sc *waveScratch) {
-	if cap(sc.req.Items) > maxRetainedWave || cap(sc.states) > maxRetainedWave || cap(sc.fwd) > maxRetainedFwd ||
-		cap(sc.sigmas) > blobLen(maxRetainedWave)*packet.MaxHops {
-		return
-	}
-	// Empty the initiator's wave, and drop what aliases memory the scratch
-	// does not own — the downstream responses, a decoded activation's or down
-	// request's message.
-	r := &sc.req
-	r.SegIDs = r.SegIDs[:0]
-	r.Splits = r.Splits[:0]
-	r.Path = r.Path[:0]
-	r.Items = r.Items[:0]
-	r.Accums = r.Accums[:0]
-	r.Status = r.Status[:0]
-	r.Macs = r.Macs[:0]
-	sc.wave.msg, sc.soloV.msg, sc.resp.msg, sc.soloResp.msg, sc.act.wire, sc.down.body = nil, nil, nil, nil, nil, nil
-	s.waveMu.Lock()
-	s.waveFree = append(s.waveFree, sc)
-	s.waveMu.Unlock()
-}
-
 // processEEBatchRenew handles the batched renewal wave in sc.wave — a view of
 // sc.fwd, the bytes this hop forwards — at hop idx and returns the marshaled
 // response. What the wave pays once: one MAC verification and one rate-limit

@@ -1,8 +1,10 @@
 // envelope.go — the one authentication envelope of every control message
-// (§4.5, §5.3): one signer at the initiator (signPath), one verify-and-throttle
-// at each hop before any state is touched (authHop, wireHop), and the hop tail
-// the EER handlers share — the destination's veto, the forward whose failures
-// are charged to the next hop, the σ seal and, at the initiator, its opening.
+// (§4.5, §5.3): the key cache both halves probe (keyCache), one signer at the
+// initiator (signPath), one verify-and-throttle at each hop before any state
+// is touched (authHop, wireHop), the request scratch and its nonces
+// (getWave), and the hop tail the EER handlers share — the destination's veto,
+// the forward whose failures are charged to the next hop, the σ seal and, at
+// the initiator, its opening.
 package cserv
 
 import (
@@ -10,8 +12,10 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"colibri/internal/cryptoutil"
+	"colibri/internal/drkey"
 	"colibri/internal/packet"
 	"colibri/internal/topology"
 )
@@ -21,24 +25,40 @@ import (
 // authenticates requests (§4.5). Building either costs an AES key expansion,
 // several times the work of one use, and the keys are constant for a DRKey
 // epoch — so they are built once per key, not once per message or per item.
-// Both are immutable once built, so a keyCrypto is shared without a lock; key,
-// own, derived and used are the cache's, read and written under its lock only.
+// An entry is immutable once the cache publishes it, but for two atomic words:
+// used, the clock mark, and tokens, the rate word of K_{me→src}.
 type keyCrypto struct {
 	sealer *cryptoutil.Sealer
 	cmac   *cryptoutil.CMAC
 	key    cryptoutil.Key
-	// own is the (source AS, epoch) this AS derived key for, when derived is
-	// set: the entry's name in the cache's memo of K_{me→src}.
-	own     ownKey
-	derived bool
-	used    bool
+	name   keyName
+	// epoch is the DRKey epoch the key is valid for: this AS's own for
+	// K_{me→src}, the one the key server answered with for K_{ia→me}.
+	epoch drkey.Epoch
+	used  atomic.Bool
+	// tokens is src's per-second request budget at this AS, for K_{me→src}:
+	// the second of the last token taken in the high 32 bits, the tokens
+	// taken in that second in the low 32 (takeToken).
+	tokens atomic.Uint64
 }
 
-// ownKey names K_{me→src} for one of this AS's DRKey epochs, by its first
-// second.
-type ownKey struct {
-	src   topology.IA
-	epoch uint32
+// keyName names an entry of the key cache: K_{me→src} by its source AS and
+// this AS's DRKey epoch, K_{ia→me} by the on-path AS ia alone (fetched set),
+// whatever epoch it was fetched for.
+type keyName struct {
+	ia      topology.IA
+	epoch   uint32
+	fetched bool
+}
+
+// home is the name's first slot in the cache's table: a multiplicative hash
+// of the name, top bits.
+func (n keyName) home() int {
+	x := uint64(n.ia) ^ uint64(n.epoch)<<1
+	if n.fetched {
+		x ^= 1
+	}
+	return int(x * 0x9e3779b97f4a7c15 >> (64 - keySlotBits))
 }
 
 // verify reports whether mac, nil for none, is the source's MAC of body
@@ -52,6 +72,34 @@ func (k *keyCrypto) verify(body []byte, mac *[cryptoutil.MACSize]byte) bool {
 	return cryptoutil.ConstantTimeEqual(want[:], mac[:])
 }
 
+// takeToken takes one of the source's perSec tokens for second now from the
+// rate word of K_{me→src}, and reports whether there was one. A word of
+// another second counts as empty; a refusal writes nothing. The CAS makes the
+// count exact however many handlers take tokens at once.
+//
+//colibri:nomalloc
+func (k *keyCrypto) takeToken(now, perSec uint32) bool {
+	for {
+		w := k.tokens.Load()
+		n := uint32(w)
+		if uint32(w>>32) != now {
+			n = 0
+		}
+		if n >= perSec {
+			return false
+		}
+		if k.tokens.CompareAndSwap(w, uint64(now)<<32|uint64(n+1)) {
+			return true
+		}
+	}
+}
+
+// spentIn reports whether the source took a token in second now.
+func (k *keyCrypto) spentIn(now uint32) bool {
+	w := k.tokens.Load()
+	return uint32(w>>32) == now && uint32(w) != 0
+}
+
 // macOf returns macs[idx], nil past the last.
 func macOf(macs [][cryptoutil.MACSize]byte, idx int) *[cryptoutil.MACSize]byte {
 	if idx >= len(macs) {
@@ -60,113 +108,186 @@ func macOf(macs [][cryptoutil.MACSize]byte, idx int) *[cryptoutil.MACSize]byte {
 	return &macs[idx]
 }
 
-// keyCacheSize bounds the per-service key cache.
-const keyCacheSize = 64
+// keyCacheSize bounds the per-service key cache; its table has twice as many
+// slots (keySlotBits).
+const (
+	keyCacheSize = 64
+	keySlotBits  = 7
+)
 
 // keyCache is a service's cache of control-plane crypto: at most keyCacheSize
-// keys, indexed and in a ring. A request names its source AS before it is
-// authenticated, so the keys asked for are under remote control; a full cache
-// therefore evicts one entry by the clock rule — the hand sweeps the ring,
-// clearing each entry's used mark, and evicts the first entry it finds
-// unmarked. A key used again before the hand comes round — any key of honest
-// traffic that recurs within some sixty insertions — stays, so keys an
-// attacker names cost honest traffic at most one rebuild per keyCacheSize of
-// them, and never the whole cache (emptying it did: every honest key, every
-// time). Marks matter only once the cache is full, so a hit on a cache that is
-// not — the honest steady state — is one lookup and touches no entry.
+// entries, in an open-addressed table that readers probe without a lock and in
+// a ring the clock sweeps. It holds both kinds of key a hop uses: K_{me→src},
+// which this AS derives, per source and epoch; and K_{ia→me}, which it fetched
+// from ia's key server (drkey.Store), per on-path AS, good until its epoch
+// ends.
 //
-// own memoises the keys this AS derives itself, K_{me→src} per (source AS, own
-// DRKey epoch). It is a second index into the same ring: an entry it names
-// carries that name (keyCrypto.own), eviction drops the entry from both
-// indexes, and so the memo never outgrows the ring. A hit is one lookup where
-// deriving the key is a PRF under the DRKey engine's lock; at an epoch change
-// the name changes, so the old epoch's key is never found for the new one.
+// A hit (probe) is a hash, atomic loads and a name compare, and takes no lock:
+// entries are immutable once published. Misses, insertions, evictions and the
+// fetch of an expired key run under mu. A reader that races an eviction finds
+// either the old entry, still right for its name, or nothing, and then takes
+// the locked path, which looks again before it builds.
+//
+// A request names its source AS before it is authenticated, so the keys asked
+// for are under remote control; a full cache therefore evicts one entry by the
+// clock rule — the hand sweeps the ring, clearing each entry's used mark, and
+// evicts the first entry it finds unmarked that has not taken a rate token in
+// the current second. A key used again before the hand comes round — any key
+// of honest traffic that recurs within some sixty insertions — stays, and so
+// does a source that sends in this second, with its count: keys an attacker
+// names cost honest traffic at most one rebuild per keyCacheSize of them, and
+// cannot reset a budget. Marks matter only once the cache is full, so a hit on
+// a cache that is not — the honest steady state — writes nothing.
 type keyCache struct {
-	mu    sync.Mutex
-	index map[cryptoutil.Key]*keyCrypto
-	own   map[ownKey]*keyCrypto
-	ring  []*keyCrypto
-	hand  int
+	slots [1 << keySlotBits]atomic.Pointer[keyCrypto]
+	full  atomic.Bool
+
+	mu   sync.Mutex
+	ring [keyCacheSize]*keyCrypto
+	n    int
+	hand int
 }
 
-// cryptoFor returns the cached crypto of a level-1 key, building it on first
-// use. Keyed by the key itself, so a DRKey epoch change needs no invalidation.
-func (s *Service) cryptoFor(key cryptoutil.Key) *keyCrypto {
-	c := &s.keyCache
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.get(key)
-}
-
-// get is cryptoFor under the cache's lock.
-func (c *keyCache) get(key cryptoutil.Key) *keyCrypto {
-	if kc, ok := c.index[key]; ok {
-		c.touch(kc)
-		return kc
+// probe returns the entry named name, or nil. It takes no lock.
+//
+//colibri:nomalloc
+func (c *keyCache) probe(name keyName) *keyCrypto {
+	for i, n := name.home(), 0; n < len(c.slots); i, n = (i+1)%len(c.slots), n+1 {
+		kc := c.slots[i].Load()
+		if kc == nil {
+			return nil
+		}
+		if kc.name == name {
+			if c.full.Load() && !kc.used.Load() {
+				kc.used.Store(true)
+			}
+			return kc
+		}
 	}
-	cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
-	kc := &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cmac, key: key}
-	if len(c.ring) < keyCacheSize {
-		c.ring = append(c.ring, kc)
+	return nil
+}
+
+// insert publishes kc, evicting one entry by the clock rule when the cache is
+// full. Under mu.
+func (c *keyCache) insert(kc *keyCrypto, now uint32) {
+	if c.n < keyCacheSize {
+		c.ring[c.n] = kc
+		c.n++
+		c.full.Store(c.n == keyCacheSize)
 	} else {
-		for c.ring[c.hand].used {
-			c.ring[c.hand].used = false
+		// Two sweeps clear every mark; past them the hand's entry goes.
+		for range 2 * keyCacheSize {
+			if old := c.ring[c.hand]; !old.used.Swap(false) && !old.spentIn(now) {
+				break
+			}
 			c.hand = (c.hand + 1) % keyCacheSize
 		}
-		old := c.ring[c.hand]
-		delete(c.index, old.key)
-		if old.derived {
-			delete(c.own, old.own)
-		}
+		c.remove(c.ring[c.hand])
 		c.ring[c.hand] = kc
 		c.hand = (c.hand + 1) % keyCacheSize
 	}
-	c.index[key] = kc
-	return kc
+	i := kc.name.home()
+	for c.slots[i].Load() != nil {
+		i = (i + 1) % len(c.slots)
+	}
+	c.slots[i].Store(kc)
 }
 
-// touch marks a hit on a full cache.
-func (c *keyCache) touch(kc *keyCrypto) {
-	if len(c.ring) == keyCacheSize && !kc.used {
-		kc.used = true
+// replace puts kc, of the same name, where old is in table and ring. Under
+// mu.
+func (c *keyCache) replace(old, kc *keyCrypto) {
+	for i := range c.slots {
+		if c.slots[i].Load() == old {
+			c.slots[i].Store(kc)
+		}
+	}
+	for i, e := range c.ring[:c.n] {
+		if e == old {
+			c.ring[i] = kc
+		}
 	}
 }
 
-// ownCrypto returns the crypto of K_{me→src} for the DRKey epoch of now: the
-// memoised entry, or the key derived and cached under its (src, epoch) name.
+// remove takes old out of the table, shifting back the entries after it that
+// its slot would strand, so that a probe never needs tombstones. Under mu.
+func (c *keyCache) remove(old *keyCrypto) {
+	n := len(c.slots)
+	i := old.name.home()
+	for c.slots[i].Load() != old {
+		i = (i + 1) % n
+	}
+	for j := (i + 1) % n; ; j = (j + 1) % n {
+		kc := c.slots[j].Load()
+		if kc == nil {
+			break
+		}
+		if h := kc.name.home(); (j-h+n)%n >= (j-i+n)%n {
+			c.slots[i].Store(kc)
+			i = j
+		}
+	}
+	c.slots[i].Store(nil)
+}
+
+// newKeyCrypto builds the crypto of key, named name and valid for ep.
+func newKeyCrypto(key cryptoutil.Key, name keyName, ep drkey.Epoch) *keyCrypto {
+	cmac, _ := cryptoutil.NewCMAC(key) // a Key has the one valid length
+	return &keyCrypto{sealer: cryptoutil.NewSealer(key), cmac: cmac, key: key, name: name, epoch: ep}
+}
+
+// ownCrypto returns the crypto of K_{me→src} for the DRKey epoch of now: one
+// probe, or the key derived and cached under its (src, epoch) name. At an epoch
+// change the name changes, so the old epoch's key is never found for the new
+// one. Its rate word starts empty: a second lies in one epoch, so the old
+// entry's word is of an earlier second, which takeToken counts as empty.
 func (s *Service) ownCrypto(src topology.IA, now uint32) *keyCrypto {
-	name := ownKey{src: src, epoch: s.engine.EpochAt(now).Begin}
+	ep := s.engine.EpochAt(now)
+	name := keyName{ia: src, epoch: ep.Begin}
+	if kc := s.keyCache.probe(name); kc != nil {
+		return kc
+	}
 	c := &s.keyCache
 	c.mu.Lock()
-	kc, ok := c.own[name]
-	if ok {
-		c.touch(kc)
-	}
-	c.mu.Unlock()
-	if ok {
+	defer c.mu.Unlock()
+	if kc := c.probe(name); kc != nil {
 		return kc
 	}
 	key, _ := s.engine.Level1(src, now)
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kc = c.get(key)
-	kc.own, kc.derived = name, true
-	c.own[name] = kc
+	kc := newKeyCrypto(key, name, ep)
+	c.insert(kc, now)
 	return kc
 }
 
 // hopKey returns the crypto of K_{ia→me}, the level-1 key an on-path AS shares
-// with this (initiating) AS: this AS's own memoised derivation for itself,
-// fetched from ia's key server and cached per epoch otherwise.
+// with this (initiating) AS: this AS's own derivation for itself, and
+// otherwise one probe, or the key fetched from ia's key server once the cached
+// one's epoch has ended.
 func (s *Service) hopKey(ia topology.IA, now uint32) (*keyCrypto, error) {
 	if ia == s.ia {
 		return s.ownCrypto(s.ia, now), nil
 	}
-	key, err := s.keys.Get(ia, now)
+	name := keyName{ia: ia, fetched: true}
+	if kc := s.keyCache.probe(name); kc != nil && kc.epoch.Contains(now) {
+		return kc, nil
+	}
+	c := &s.keyCache
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	old := c.probe(name)
+	if old != nil && old.epoch.Contains(now) {
+		return old, nil
+	}
+	key, ep, err := s.keys.KeyAt(ia, now)
 	if err != nil {
 		return nil, err
 	}
-	return s.cryptoFor(key), nil
+	kc := newKeyCrypto(key, name, ep)
+	if old != nil {
+		c.replace(old, kc)
+	} else {
+		c.insert(kc, now)
+	}
+	return kc, nil
 }
 
 // signPath is the initiator's half of the envelope: it MACs body towards every
@@ -197,9 +318,9 @@ func (s *Service) signPath(path []PathHop, body []byte, macs *[][cryptoutil.MACS
 }
 
 // authHop is the receiving half, the prologue of every handler: K_{me→src}
-// from the key memo (ownCrypto), mac — src's MAC of body towards this AS, hop
+// from the key cache (ownCrypto), mac — src's MAC of body towards this AS, hop
 // idx, nil for none — checked, and one token of src's per-second budget taken
-// (a wave is one message and pays one). body is what the hop received, never a
+// from the same entry (a wave is one message and pays one). body is what the hop received, never a
 // re-encoding of it. It returns src's crypto, which also seals what this AS
 // hands back to src, or nil and the refusal. Hop 0 is the initiator calling
 // its own handler, which trusts itself: a wire message never gets here as hop
@@ -214,7 +335,7 @@ func (s *Service) authHop(src topology.IA, body []byte, mac *[cryptoutil.MACSize
 		s.metrics.AuthFailures.Add(1)
 		return nil, RefusedAuth
 	}
-	if !s.rate.Allow(src, now) {
+	if !kc.takeToken(now, s.rateLimit) {
 		s.metrics.RateLimited.Add(1)
 		return nil, RefusedRateLimit
 	}
@@ -293,6 +414,51 @@ func (sc *waveScratch) nextNonce() [cryptoutil.NonceSize]byte {
 	n := sc.nonceBase
 	binary.BigEndian.PutUint64(n[4:], binary.BigEndian.Uint64(n[4:])^sc.seals)
 	return n
+}
+
+// getWave hands a handler idle scratch: the service's idle slot, taken by one
+// atomic swap, then its list of spares under waveMu, then fresh scratch. A
+// scratch is in at most one of them, so it serves one handler at a time.
+func (s *Service) getWave() *waveScratch {
+	if sc := s.idle.Swap(nil); sc != nil {
+		return sc
+	}
+	s.waveMu.Lock()
+	defer s.waveMu.Unlock()
+	if n := len(s.waveFree); n > 0 {
+		sc := s.waveFree[n-1]
+		s.waveFree = s.waveFree[:n-1]
+		return sc
+	}
+	return newWaveScratch()
+}
+
+// putWave returns scratch once nothing refers to it any more: the response
+// is sealed (or, at the initiator, opened into the grants). It goes into the
+// idle slot if that is empty, onto the list of spares otherwise.
+func (s *Service) putWave(sc *waveScratch) {
+	if cap(sc.req.Items) > maxRetainedWave || cap(sc.states) > maxRetainedWave || cap(sc.fwd) > maxRetainedFwd ||
+		cap(sc.sigmas) > blobLen(maxRetainedWave)*packet.MaxHops {
+		return
+	}
+	// Empty the initiator's wave, and drop what aliases memory the scratch
+	// does not own — the downstream responses, a decoded activation's or down
+	// request's message.
+	r := &sc.req
+	r.SegIDs = r.SegIDs[:0]
+	r.Splits = r.Splits[:0]
+	r.Path = r.Path[:0]
+	r.Items = r.Items[:0]
+	r.Accums = r.Accums[:0]
+	r.Status = r.Status[:0]
+	r.Macs = r.Macs[:0]
+	sc.wave.msg, sc.soloV.msg, sc.resp.msg, sc.soloResp.msg, sc.act.wire, sc.down.body = nil, nil, nil, nil, nil, nil
+	if s.idle.CompareAndSwap(nil, sc) {
+		return
+	}
+	s.waveMu.Lock()
+	s.waveFree = append(s.waveFree, sc)
+	s.waveMu.Unlock()
 }
 
 // sealHopAuth appends to dst this AS's σ (Eq. 4) for the EER version it at its

@@ -150,7 +150,7 @@ type Config struct {
 	// solo request and for every live item of a renewal wave alike. nil accepts.
 	DstApprove func(id reservation.ID, srcHost, dstHost uint32, bwKbps uint64, expT uint32) bool
 	// RateLimit is the per-source-AS control-request budget per second
-	// (default 1000; §5.3 "per-AS rate limiting").
+	// (default 1000, at most 2³²−1; §5.3 "per-AS rate limiting").
 	RateLimit int
 	// CPlaneShards is the shard count of the CPlane, the engine that holds the
 	// service's reservation state: one record per SegR (its versions, grant,
@@ -180,8 +180,10 @@ type Service struct {
 	engine *drkey.Engine
 	keys   *drkey.Store
 	// keyCache holds the control-plane crypto of recently used level-1 keys
-	// (see cryptoFor); waveFree the idle request scratch (see getWave).
+	// and each source's rate word (see keyCache); idle, then waveFree, the
+	// idle request scratch (see getWave).
 	keyCache keyCache
+	idle     atomic.Pointer[waveScratch]
 	waveMu   sync.Mutex
 	waveFree []*waveScratch
 
@@ -190,7 +192,7 @@ type Service struct {
 	clock      func() uint32
 	policy     Policy
 	dstApprove func(id reservation.ID, srcHost, dstHost uint32, bwKbps uint64, expT uint32) bool
-	rate       *RateLimiter
+	rateLimit  uint32
 	metrics    Metrics
 }
 
@@ -229,9 +231,7 @@ func New(cfg Config) *Service {
 		clock:      cfg.Clock,
 		policy:     cfg.Policy,
 		dstApprove: cfg.DstApprove,
-		rate:       NewRateLimiter(cfg.RateLimit),
-		keyCache: keyCache{index: make(map[cryptoutil.Key]*keyCrypto, keyCacheSize),
-			own: make(map[ownKey]*keyCrypto, keyCacheSize)},
+		rateLimit:  uint32(cfg.RateLimit),
 	}
 	s.metrics.init("cserv "+cfg.AS.IA.String(), cfg.Telemetry)
 	return s
@@ -367,7 +367,7 @@ func (s *Service) hopAuth(res *packet.ResInfo, eer *packet.EERInfo, hf packet.Ho
 
 // Tick advances housekeeping: the CPlane's (EER expiry, SegR version
 // switches, lapsed SegRs dropped with what rides on them), the withdrawal of
-// the dropped SegRs' offers, and the directory's, rate limiter's and policy's.
+// the dropped SegRs' offers, and the directory's and policy's.
 // Call it periodically (once per second suffices).
 func (s *Service) Tick() {
 	now := s.clock()
@@ -378,6 +378,5 @@ func (s *Service) Tick() {
 		}
 		s.dir.Expire(now)
 	}
-	s.rate.Tick(now)
 	s.policy.Expire(now)
 }

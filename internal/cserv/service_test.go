@@ -24,6 +24,8 @@ type fabric struct {
 	services map[topology.IA]*Service
 	keySrvs  map[topology.IA]*drkey.Server
 	clock    atomic.Uint32
+	// keyQueries counts the requests the key servers answered.
+	keyQueries atomic.Int64
 }
 
 func (f *fabric) Call(dst topology.IA, msg []byte) ([]byte, error) {
@@ -39,6 +41,7 @@ func (f *fabric) QueryKeyServer(dst topology.IA, req []byte) ([]byte, error) {
 	if !ok {
 		return nil, errors.New("fabric: no key server at " + dst.String())
 	}
+	f.keyQueries.Add(1)
 	return ks.Handle(req)
 }
 
@@ -48,6 +51,13 @@ const t0 = uint32(1_700_000_000)
 
 // newFabric builds services for every AS of the topology.
 func newFabric(t testing.TB, topo *topology.Topology, mutate func(ia topology.IA, cfg *Config)) *fabric {
+	t.Helper()
+	return epochFabric(t, topo, 0, mutate)
+}
+
+// epochFabric is newFabric with DRKey epochs of epochSecs seconds (0 for the
+// default day).
+func epochFabric(t testing.TB, topo *topology.Topology, epochSecs uint32, mutate func(ia topology.IA, cfg *Config)) *fabric {
 	t.Helper()
 	f := &fabric{
 		topo:     topo,
@@ -63,7 +73,7 @@ func newFabric(t testing.TB, topo *topology.Topology, mutate func(ia topology.IA
 	for _, iaKey := range topo.SortedIAs() {
 		id := drkey.NewIdentity(iaKey)
 		ids = append(ids, id)
-		engines[iaKey] = drkey.NewEngine(iaKey, drkey.RandomMaster(), 0)
+		engines[iaKey] = drkey.NewEngine(iaKey, drkey.RandomMaster(), epochSecs)
 		f.keySrvs[iaKey] = drkey.NewServer(engines[iaKey], id)
 	}
 	trust := drkey.NewTrustStore(ids...)

@@ -1148,32 +1148,54 @@ func TestWaveConcurrentHandlers(t *testing.T) {
 	}
 }
 
-// cachedCrypto peeks at s's key cache: the crypto it holds for key, if any,
-// and how many keys it holds — -1 if its indexes disagree with its ring: the
-// key index names every entry, the memo of K_{me→src} only entries derived
-// under the name it files them by.
+// peek returns the entry of s's key cache named name, or nil, without the
+// clock mark a probe sets.
+func (s *Service) peek(name keyName) *keyCrypto {
+	c := &s.keyCache
+	for i, n := name.home(), 0; n < len(c.slots); i, n = (i+1)%len(c.slots), n+1 {
+		kc := c.slots[i].Load()
+		if kc == nil || kc.name == name {
+			return kc
+		}
+	}
+	return nil
+}
+
+// cachedCrypto peeks at s's key cache: the entry that holds key, if any, and
+// how many entries it holds — -1 if its table and its ring disagree: the table
+// holds the ring's entries and nothing else, and each is found under its name.
 func (s *Service) cachedCrypto(key cryptoutil.Key) (*keyCrypto, int) {
 	c := &s.keyCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if len(c.index) != len(c.ring) || len(c.own) > len(c.ring) {
-		return nil, -1
-	}
-	for name, kc := range c.own {
-		if !kc.derived || kc.own != name || c.index[kc.key] != kc {
-			return nil, -1
+	inTable := 0
+	for i := range c.slots {
+		if c.slots[i].Load() != nil {
+			inTable++
 		}
 	}
-	return c.index[key], len(c.ring)
+	var found *keyCrypto
+	for _, kc := range c.ring[:c.n] {
+		if s.peek(kc.name) != kc {
+			return nil, -1
+		}
+		if kc.key == key {
+			found = kc
+		}
+	}
+	if inTable != c.n {
+		return nil, -1
+	}
+	return found, c.n
 }
 
-// memoised returns the crypto s's memo of K_{me→src} holds for src at time t,
-// or nil.
+// memoised returns the entry of K_{me→src} s's key cache holds for the DRKey
+// epoch of time t, or nil.
 func (s *Service) memoised(src topology.IA, t uint32) *keyCrypto {
 	c := &s.keyCache
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.own[ownKey{src: src, epoch: s.engine.EpochAt(t).Begin}]
+	return s.peek(keyName{ia: src, epoch: s.engine.EpochAt(t).Begin})
 }
 
 // TestKeyCacheUnderForgedSources is ROADMAP 9(c)'s key-cache case. A request
@@ -1186,7 +1208,8 @@ func (s *Service) memoised(src topology.IA, t uint32) *keyCrypto {
 // times each, whatever the honest traffic: an attacker buys one honest rebuild
 // per 64 forged messages at the most, and honest requests pay no key-schedule
 // tax of their own. The cache, and its memo of K_{me→src} per (source, epoch),
-// never hold more than 64.
+// never hold more than 64. And a source that sends in a second keeps its entry,
+// and its count of that second, however many forged sources pass after it.
 func TestKeyCacheUnderForgedSources(t *testing.T) {
 	f := cpFabric(t, 4, highRate)
 	f.setupAllSegRs(t, 1_000_000)
@@ -1258,6 +1281,44 @@ func TestKeyCacheUnderForgedSources(t *testing.T) {
 	for h, n := range rebuilds {
 		if n > bound {
 			t.Errorf("hop %d's key built %d times under %d forged requests, bound %d", h, n, forged, bound)
+		}
+	}
+
+	// A source sending at its rate is not evicted: at hop 1, every second,
+	// 1-11 renews — one token of its budget there — and then twice as many
+	// forged sources as the cache holds pass, enough for the hand to sweep
+	// the ring twice. 1-11's entry stays, with this second's count.
+	hop1 := f.services[path[1].IA]
+	var kept *keyCrypto
+	for r := range 8 {
+		f.clock.Add(1)
+		g, err := src.RenewEER(gs[0], 100)
+		if err != nil {
+			t.Fatalf("second %d: honest renewal: %v", r, err)
+		}
+		gs[0] = g
+		kc := hop1.memoised(src.ia, f.now())
+		switch {
+		case kc == nil:
+			t.Fatalf("second %d: hop 1 holds no key for 1-11", r)
+		case kept != nil && kc != kept:
+			t.Fatalf("second %d: hop 1 rebuilt 1-11's entry, evicted under forged sources", r)
+		}
+		kept = kc
+		for i := range 2*keyCacheSize + 1 {
+			as := topology.MustIA(3, topology.ASID(1000+r*(2*keyCacheSize+1)+i))
+			msg := (&EESetupReq{ID: reservation.ID{SrcAS: as, Num: 1}, SegIDs: gs[0].SegIDs, Splits: gs[0].Splits,
+				Path: []PathHop{{IA: as}, {IA: hop1.ia}}, BwKbps: 1, ExpT: f.now() + 16, Ver: 1, AccumKbps: 1,
+				Macs: make([][cryptoutil.MACSize]byte, 2)}).Marshal()
+			if out, err := hop1.HandleMsg(msg); err != nil || out[0] != byte(RefusedAuth) {
+				t.Fatalf("forged request from %s at hop 1: %x, %v", as, out, err)
+			}
+		}
+		if kc := hop1.memoised(src.ia, f.now()); kc != kept {
+			t.Fatalf("second %d: %d forged sources evicted 1-11's entry at hop 1", r, 2*keyCacheSize+1)
+		}
+		if w := kept.tokens.Load(); !kept.spentIn(f.now()) || uint32(w) != 1 {
+			t.Fatalf("second %d: 1-11's rate word at hop 1 is %#x, want one token of second %d", r, w, f.now())
 		}
 	}
 }

@@ -411,7 +411,7 @@ func (w *Worker) processOne(buf []byte, nowNs int64, acc *dropAcc) (Verdict, err
 			w.countDrop(acc, DropBadHVF, nowNs, true)
 			return Verdict{Action: ADrop}, ErrBadHVF
 		}
-	case packet.TSegRenewReq, packet.TEESetupReq, packet.TResponse:
+	case packet.TSegRenewReq, packet.TSegActivate, packet.TEESetupReq, packet.TResponse:
 		// SegR token validation (Eq. 3).
 		packet.SegAuthInput(&w.segIn, &pkt.Res, hop)
 		w.cbc.SumInto(&w.macOut, w.segIn[:])

@@ -391,6 +391,49 @@ func TestControlPacketToCServ(t *testing.T) {
 	}
 }
 
+// TestSegActivatePassesWithTokens: a SegR activation (§4.2) travels over the
+// SegR it switches, so a router checks its Eq. 3 token like a renewal's:
+// valid tokens reach the CServ, a forged one is dropped as DropBadHVF.
+func TestSegActivatePassesWithTokens(t *testing.T) {
+	n := newTestnet(t, nil)
+	res := packet.ResInfo{SrcAS: n.ias[0], ResID: 5, BwKbps: 2000,
+		ExpT: uint32(baseNs/1e9) + 300, Ver: 2}
+	pkt := packet.Packet{
+		Type:    packet.TSegActivate,
+		CurrHop: 1,
+		Res:     res,
+		Ts:      uint64(baseNs),
+		Path:    n.path,
+		HVFs:    make([]byte, len(n.path)*packet.HVFLen),
+		Payload: []byte("seg-activate"),
+	}
+	for i, iaKey := range n.ias {
+		var in [packet.SegAuthLen]byte
+		packet.SegAuthInput(&in, &res, n.path[i])
+		var out [cryptoutil.MACSize]byte
+		cryptoutil.MustCBCMAC(n.secrets[iaKey]).SumInto(&out, in[:])
+		copy(pkt.HVFs[i*packet.HVFLen:], out[:packet.HVFLen])
+	}
+	buf := make([]byte, pkt.Length())
+	if _, err := pkt.SerializeTo(buf); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := n.routers[1].NewWorker().Process(buf, baseNs); err != nil || v.Action != AControl {
+		t.Fatalf("activation with valid tokens: verdict %+v, %v; want AControl", v, err)
+	}
+	pkt.HVF(1)[0] ^= 0xFF
+	if _, err := pkt.SerializeTo(buf); err != nil {
+		t.Fatal(err)
+	}
+	before := n.routers[1].Drops()[ErrBadHVF.Error()]
+	if _, err := n.routers[1].NewWorker().Process(buf, baseNs); !errors.Is(err, ErrBadHVF) {
+		t.Fatalf("activation with a forged token: %v, want ErrBadHVF", err)
+	}
+	if got := n.routers[1].Drops()[ErrBadHVF.Error()]; got != before+1 {
+		t.Fatalf("forged activation counted %d bad-HVF drops, want 1", got-before)
+	}
+}
+
 func TestSegSetupReqPassesWithoutHVF(t *testing.T) {
 	n := newTestnet(t, nil)
 	pkt := packet.Packet{
